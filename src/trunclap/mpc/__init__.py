@@ -1,6 +1,7 @@
 """Simulated semi-honest two-party computation of the noise protocols."""
 
 from .core import (
+    BatchSession,
     ContractViolation,
     CostLedger,
     Session,
@@ -25,6 +26,7 @@ from .protocols import (
 )
 
 __all__ = [
+    "BatchSession",
     "ContractViolation",
     "CostLedger",
     "Session",

@@ -33,11 +33,21 @@ Cost model (abstract operation counts, not wall-clock):
   bit contributions); non-powers of two add one comparison plus one
   opened accept bit per rejection attempt.
 * power-of-two truncation by gamma bits: 2 rounds, 2*gamma elements.
+
+Two substrates run the same protocol code.  `Session` is one execution
+on Python integers.  `BatchSession` runs many independent executions at
+once, each value held as a pair of int64 share arrays (one entry per
+execution); its `run` lays the party tapes out session by session, so
+every execution reads exactly the words the sequential loop gives it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+from typing import Callable
+
+import numpy as np
 
 from ..grids import FieldConfig
 from ..tape import RandomTape, bernoulli_threshold, pow2_at_least
@@ -51,6 +61,19 @@ TRUNC_ROUNDS = 2
 
 _MIX0 = 0x9E3779B97F4A7C15
 _MIX1 = 0xC2B2AE3D27D4EB4F
+
+# BatchSession multiplies residues in int64, so q must stay below 2^31;
+# larger fields run on the sequential Session.
+BATCH_MAX_Q = 1 << 31
+# executions per BatchSession block: bounds a block's memory (its word
+# array and the share arrays of its live values) whatever n is
+BATCH_BLOCK = 1 << 14
+# below this many executions the sequential Session is faster than a
+# BatchSession block (measured; see README "Batch simulator")
+BATCH_MIN_SESSIONS = 8
+# dealer residues a BatchSession draws at least at once; a whole call of a
+# few executions takes one draw
+DEALER_CHUNK = 1 << 12
 
 
 class ContractViolation(RuntimeError):
@@ -105,6 +128,11 @@ class CostLedger:
     def snapshot(self) -> dict:
         return self.as_dict()
 
+    def add(self, other: "CostLedger", times: int = 1) -> None:
+        """Add `times` copies of another ledger's counts."""
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + times * getattr(other, f.name))
+
     def delta(self, before: dict) -> dict:
         return {k: v - before[k] for k, v in self.as_dict().items()}
 
@@ -141,7 +169,46 @@ def dealer_seed(seed0: int, seed1: int) -> int:
     return ((seed0 * _MIX0) ^ (seed1 * _MIX1) ^ 0xDEA1) % (1 << 63)
 
 
-class Session:
+class _CommonOps:
+    """Operations written once for both substrates: the communication-free
+    linear algebra and pi_bersample's probability form.
+
+    Shares are Python ints in a Session and int64 arrays (or scalars that
+    broadcast against them) in a BatchSession.
+    """
+
+    q: int
+
+    def share_public(self, v) -> SharedValue:
+        """Zero-cost sharing of a publicly known constant."""
+        return SharedValue(v % self.q, 0)
+
+    def add(self, a: SharedValue, b: SharedValue) -> SharedValue:
+        return SharedValue((a.s0 + b.s0) % self.q, (a.s1 + b.s1) % self.q)
+
+    def sub(self, a: SharedValue, b: SharedValue) -> SharedValue:
+        return SharedValue((a.s0 - b.s0) % self.q, (a.s1 - b.s1) % self.q)
+
+    def add_public(self, a: SharedValue, c: int) -> SharedValue:
+        return SharedValue((a.s0 + c) % self.q, a.s1)
+
+    def scale_public(self, a: SharedValue, c: int) -> SharedValue:
+        return SharedValue(a.s0 * c % self.q, a.s1 * c % self.q)
+
+    def affine(self, a: SharedValue, scale: int, offset: int) -> SharedValue:
+        return SharedValue((a.s0 * scale + offset) % self.q, a.s1 * scale % self.q)
+
+    def pi_bersample(self, prob: float) -> SharedValue:
+        """Shared Bernoulli bit with the given public success probability.
+
+        Each party contributes one fresh 64-bit word; the XOR-combined
+        word is compared to the 64-bit threshold inside a shared
+        comparison, so neither party learns the bit.  Bias <= 2^-64.
+        """
+        return self.pi_bersample_thresholded(bernoulli_threshold(prob))
+
+
+class Session(_CommonOps):
     """One deterministic two-party computation session.
 
     All public parameters (field, thresholds) are common to both logical
@@ -200,10 +267,6 @@ class Session:
             return SharedValue((v - r) % self.q, r)
         return SharedValue(r, (v - r) % self.q)
 
-    def share_public(self, v: int) -> SharedValue:
-        """Zero-cost sharing of a publicly known constant."""
-        return SharedValue(v % self.q, 0)
-
     def open(self, sv: SharedValue) -> int:
         """Exchange shares and return the balanced reconstruction."""
         self.ledger.rounds += OPEN_ROUNDS
@@ -215,23 +278,6 @@ class Session:
     def peek(self, sv: SharedValue) -> int:
         """Simulator-only reconstruction; no communication, no ledger."""
         return self.field.lift(sv.s0 + sv.s1)
-
-    # -- local linear algebra (communication-free) -----------------------
-
-    def add(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        return SharedValue((a.s0 + b.s0) % self.q, (a.s1 + b.s1) % self.q)
-
-    def sub(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        return SharedValue((a.s0 - b.s0) % self.q, (a.s1 - b.s1) % self.q)
-
-    def add_public(self, a: SharedValue, c: int) -> SharedValue:
-        return SharedValue((a.s0 + c) % self.q, a.s1)
-
-    def scale_public(self, a: SharedValue, c: int) -> SharedValue:
-        return SharedValue(a.s0 * c % self.q, a.s1 * c % self.q)
-
-    def affine(self, a: SharedValue, scale: int, offset: int) -> SharedValue:
-        return SharedValue((a.s0 * scale + offset) % self.q, a.s1 * scale % self.q)
 
     # -- interactive gadgets ---------------------------------------------
 
@@ -257,17 +303,10 @@ class Session:
 
     def mux(self, i: SharedValue, a: SharedValue, b: SharedValue) -> SharedValue:
         """[a] + [i]*([b] - [a]): a when i=0, b when i=1; one multiplication."""
-        assert self.peek(i) in (0, 1), "mux selector must be a shared bit"
+        sel = self.peek(i)
+        if sel not in (0, 1):
+            raise ContractViolation(f"mux selector {sel} is not a shared bit")
         return self.add(a, self.mul(i, self.sub(b, a)))
-
-    def pi_bersample(self, prob: float) -> SharedValue:
-        """Shared Bernoulli bit with the given public success probability.
-
-        Each party contributes one fresh 64-bit word; the XOR-combined
-        word is compared to the 64-bit threshold inside a shared
-        comparison, so neither party learns the bit.  Bias <= 2^-64.
-        """
-        return self.pi_bersample_thresholded(bernoulli_threshold(prob))
 
     def pi_bersample_thresholded(self, threshold: int) -> SharedValue:
         u = self.joint_word()
@@ -339,9 +378,286 @@ class Session:
         self.ledger.elements_exchanged += 2 * gamma
         return self._reshare(val >> gamma)
 
+    def redraw(self, flag: SharedValue) -> bool:
+        """Open the public reject bit of one attempt of a rejection loop.
+
+        True asks the caller to draw again.  The bit is independent of
+        every secret, so opening it reveals nothing.
+        """
+        return self.open(flag) != 0
+
+    def run(self, program: Callable[["Session"], int], n: int, words: int) -> list[int]:
+        """n executions of `program` in sequence, on this session's tapes.
+
+        `words` (joint words per execution without rejections) sizes the
+        blocks of BatchSession.run; the sequential loop does not need it.
+        """
+        return [program(self) for _ in range(n)]
+
     def transcript_dump(self) -> dict:
         """Audit dump of both parties' received elements, hex-encoded."""
         return {
             f"party{p}": [format(v, "x") for v in self.transcript[p]]
             for p in (0, 1)
         }
+
+
+class BatchSession(_CommonOps):
+    """Many independent executions of one protocol, as int64 share arrays.
+
+    Holds both parties' shares of each value as arrays with one entry per
+    execution.  `run(program, n, words)` returns exactly what `n`
+    sequential runs of `program` on a Session with the same seeds return:
+    the party tapes are read in blocks laid out execution by execution,
+    so each execution sees the words the sequential loop would give it.
+    An execution that needs more words than `words` (a rejected draw)
+    finishes on a sequential Session reading the same tapes, and the next
+    block starts after it.
+
+    Masks and Beaver triples come from one vectorized dealer draw per
+    gadget call, on a dealer stream of its own; opened values never depend
+    on it.  Inside `run` every gadget costs its per-execution amount once
+    per committed execution; outside it (sharing the common input) once.
+    """
+
+    def __init__(self, fieldcfg: FieldConfig, seed0: int = 0, seed1: int = 1):
+        if fieldcfg.q >= BATCH_MAX_Q:
+            raise ValueError(f"q={fieldcfg.q} is too large for int64 share arithmetic")
+        self.field = fieldcfg
+        self.q = fieldcfg.q
+        self.seeds = (seed0, seed1)
+        self.tape0 = RandomTape(seed0)
+        self.tape1 = RandomTape(seed1)
+        self.dealer = RandomTape([dealer_seed(seed0, seed1), 1])
+        self.ledger = CostLedger()
+        self.safe_magnitude = 2 ** (fieldcfg.p + fieldcfg.e + fieldcfg.headroom - 1)
+        self._led = self.ledger
+        self._rows: np.ndarray | None = None  # joint word j of each execution in row j
+        self._col = 0
+        self._rejected = np.zeros(0, dtype=bool)
+        self._fault: tuple[int, str] = (0, "")
+        self._sequential: Session | None = None
+        self._pool = np.empty(0, dtype=np.int64)  # dealer residues not yet used
+        self._pool_at = 0
+
+    # -- blocks ------------------------------------------------------------
+
+    def run(self, program: Callable[["BatchSession"], np.ndarray], n: int, words: int) -> np.ndarray:
+        """Opened results of n executions of `program`, in sequential order.
+
+        `words` is how many joint words one execution draws when nothing
+        is rejected.
+        """
+        out = np.empty(n, dtype=np.int64)
+        done, span, backoff = 0, BATCH_BLOCK, BATCH_MIN_SESSIONS
+        while done < n:
+            size = min(span, n - done)
+            kept, values = self._block(program, size, words)
+            out[done : done + kept] = values[:kept]
+            done += kept
+            if kept == size:
+                span = min(2 * span, BATCH_BLOCK)
+                continue
+            # the first rejected execution finishes on the sequential path
+            # and the work past it is redone, so size the next block at
+            # twice the run just seen; a run shorter than the break-even
+            # means blocks cost more than the loop, so a growing stretch of
+            # executions goes to the loop as well
+            stretch = 1
+            if kept < BATCH_MIN_SESSIONS:
+                stretch, backoff = backoff, 2 * backoff
+            seq = self._sequential_session()
+            for k in range(done, min(n, done + stretch)):
+                out[k] = program(seq)
+            done = min(n, done + stretch)
+            span = 2 * (kept + 1)
+        return out
+
+    def _block(self, program, size: int, words: int) -> tuple[int, np.ndarray]:
+        """Run `size` executions; commit those before the first rejection."""
+        joint = self.tape0.peek_block(size * words) ^ self.tape1.peek_block(size * words)
+        self._rows = joint.reshape(size, words).T.copy()
+        self._col = 0
+        self._rejected = np.zeros(size, dtype=bool)
+        self._fault = (size, "")
+        unit = self._led = CostLedger()
+        try:
+            values = np.broadcast_to(program(self), (size,))
+        finally:
+            self._led, self._rows = self.ledger, None
+        if self._col != words:
+            raise RuntimeError(f"an execution drew {self._col} joint words, planned {words}")
+        kept = int(np.argmax(self._rejected)) if self._rejected.any() else size
+        # executions from the first rejection on read shifted words; only a
+        # fault before it is one the sequential loop meets
+        if self._fault[0] < kept:
+            raise ContractViolation(self._fault[1])
+        self.tape0.skip(kept * words)
+        self.tape1.skip(kept * words)
+        self.ledger.add(unit, kept)
+        return kept, values
+
+    def _sequential_session(self) -> Session:
+        if self._sequential is None:
+            s = Session(self.field, *self.seeds, tape0=self.tape0, tape1=self.tape1)
+            s.ledger = self.ledger
+            self._sequential = s
+        return self._sequential
+
+    def _check(self, bad: np.ndarray, values: np.ndarray, message: str) -> None:
+        """ContractViolation for the first flagged execution.
+
+        Outside `run` it is raised at once; inside, the block raises it
+        only if the execution comes before the block's first rejection.
+        """
+        bad = np.ravel(bad)
+        if not bad.any():
+            return
+        i = int(np.argmax(bad))
+        msg = message.format(int(np.ravel(values)[i]))
+        if self._rows is None:
+            raise ContractViolation(msg)
+        if i < self._fault[0]:
+            self._fault = (i, msg)
+
+    # -- wires ---------------------------------------------------------------
+
+    def joint_word(self) -> np.ndarray:
+        """The next joint word of every execution in the block (uint64)."""
+        if self._rows is None:
+            raise RuntimeError("joint words are drawn inside run()")
+        if self._col >= len(self._rows):
+            raise RuntimeError("an execution drew more joint words than planned")
+        self._col += 1
+        return self._rows[self._col - 1]
+
+    def _masks(self, shape: tuple) -> np.ndarray:
+        """Fresh dealer residues; drawn DEALER_CHUNK or more at a time."""
+        size = math.prod(shape)
+        if self._pool_at + size > len(self._pool):
+            fresh = self.dealer.field_array(self.q, max(size, DEALER_CHUNK)).astype(np.int64)
+            self._pool = np.concatenate([self._pool[self._pool_at :], fresh])
+            self._pool_at = 0
+        self._pool_at += size
+        return self._pool[self._pool_at - size : self._pool_at].reshape(shape)
+
+    def _reshare(self, value: np.ndarray) -> SharedValue:
+        value = np.asarray(value, dtype=np.int64)
+        r = self._masks(value.shape)
+        return SharedValue((value - r) % self.q, r)
+
+    # -- sharing and opening --------------------------------------------------
+
+    def share(self, v, owner: int = 0) -> SharedValue:
+        """Share a value (one per execution, or one common to all)."""
+        r = self._masks(np.shape(v))
+        masked = (np.asarray(v, dtype=np.int64) - r) % self.q
+        if masked.ndim == 0:  # a common value: plain ints, usable by Session too
+            masked, r = int(masked), int(r)
+        self._led.rounds += SHARE_ROUNDS
+        self._led.elements_exchanged += SHARE_ELEMENTS
+        return SharedValue(masked, r) if owner == 0 else SharedValue(r, masked)
+
+    def open(self, sv: SharedValue) -> np.ndarray:
+        self._led.rounds += OPEN_ROUNDS
+        self._led.elements_exchanged += OPEN_ELEMENTS
+        return self.peek(sv)
+
+    def peek(self, sv: SharedValue) -> np.ndarray:
+        """Balanced reconstruction, no communication."""
+        r = (sv.s0 + sv.s1) % self.q
+        return np.where(r > self.field.half, r - self.q, r)
+
+    # -- interactive gadgets ---------------------------------------------------
+
+    def mul(self, a: SharedValue, b: SharedValue) -> SharedValue:
+        """Beaver multiplication, one fresh triple per execution."""
+        q = self.q
+        shape = np.broadcast(a.s0, a.s1, b.s0, b.s1).shape
+        ta, tb, ta0, tb0, tc0 = self._masks((5,) + shape)
+        ta1, tb1, tc1 = (ta - ta0) % q, (tb - tb0) % q, (ta * tb - tc0) % q
+        # each party sends its shares of d = a - ta and e = b - tb
+        d = (a.s0 - ta0 + a.s1 - ta1) % q
+        e = (b.s0 - tb0 + b.s1 - tb1) % q
+        led = self._led
+        led.multiplications += 1
+        led.rounds += MUL_ROUNDS
+        led.elements_exchanged += MUL_ELEMENTS
+        # each product of two residues is below 2^62; reduce before summing
+        s0 = (tc0 + d * tb0 % q + e * ta0 % q + d * e % q) % q
+        s1 = (tc1 + d * tb1 % q + e * ta1 % q) % q
+        return SharedValue(s0, s1)
+
+    def mux(self, i: SharedValue, a: SharedValue, b: SharedValue) -> SharedValue:
+        """[a] + [i]*([b] - [a]) per execution; one multiplication."""
+        sel = self.peek(i)
+        self._check((sel != 0) & (sel != 1), sel, "mux selector {} is not a shared bit")
+        return self.add(a, self.mul(i, self.sub(b, a)))
+
+    def pi_bersample_thresholded(self, threshold: int) -> SharedValue:
+        u = self.joint_word()
+        bit = u < np.uint64(threshold) if threshold < 1 << 64 else np.ones(u.shape, dtype=bool)
+        led = self._led
+        led.bernoulli_draws += 1
+        led.comparisons += 1
+        led.rounds += CMP_ROUNDS
+        led.elements_exchanged += CMP_ELEMENTS
+        return self._reshare(bit)
+
+    def pi_uni(self, m: int) -> SharedValue:
+        """Shared uniform draw over {0, ..., m-1}, one attempt per execution.
+
+        Outside powers of two, an execution whose attempt is rejected is
+        marked; `run` finishes it on the sequential path.
+        """
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        led = self._led
+        led.uniform_draws += 1
+        if m == 1:
+            return self.share_public(0)
+        cap = pow2_at_least(m)
+        k = cap.bit_length() - 1
+        v = (self.joint_word() & np.uint64(cap - 1)).astype(np.int64)
+        if cap == m:
+            led.rounds += UNI_ROUNDS
+            led.elements_exchanged += 2 * k
+        else:
+            led.rounds += UNI_ROUNDS + CMP_ROUNDS + OPEN_ROUNDS
+            led.elements_exchanged += 2 * k + CMP_ELEMENTS + OPEN_ELEMENTS
+            led.comparisons += 1
+            self._rejected |= v >= m
+        return self._reshare(v)
+
+    def pi_ge(self, sv: SharedValue) -> SharedValue:
+        """Shared sign test per execution; see Session.pi_ge."""
+        val = self.peek(sv)
+        safe = self.safe_magnitude
+        self._check(np.abs(val) > safe, val, "pi_ge input {} outside safe range +/-%d" % safe)
+        led = self._led
+        led.comparisons += 1
+        led.rounds += CMP_ROUNDS
+        led.elements_exchanged += CMP_ELEMENTS
+        return self._reshare(val >= 0)
+
+    def trunc_pow2(self, sv: SharedValue, gamma: int) -> SharedValue:
+        """Shared floor division by 2^gamma per execution."""
+        if gamma < 0:
+            raise ValueError("gamma must be >= 0")
+        if gamma == 0:
+            return sv
+        val = self.peek(sv)
+        safe = self.safe_magnitude
+        self._check(np.abs(val) > safe, val, "trunc input {} outside safe range +/-%d" % safe)
+        self._led.rounds += TRUNC_ROUNDS
+        self._led.elements_exchanged += 2 * gamma
+        return self._reshare(val >> gamma)
+
+    def redraw(self, flag: SharedValue) -> bool:
+        """Open each execution's reject bit; always answers "keep going".
+
+        Executions whose attempt was rejected are marked, and `run`
+        finishes them on the sequential path.
+        """
+        self._rejected |= self.open(flag) != 0
+        return False

@@ -12,29 +12,32 @@ with one mux.  The perturbation phase costs exactly one shared comparison
 and two multiplications (the tail-map selection and the branch blend),
 independent of every distribution parameter.
 
-Public constants (Bernoulli thresholds, bit probabilities, c0) are
-precomputed once per parameter set through the same code path the
-plaintext samplers use, so both parties -- and the plaintext
-functionalities used as oracles -- derive bit-identical values.
+The inner sampler's public constants (its Bernoulli thresholds) are the
+draw plan `CenteredDlapConfig` the plaintext samplers use, so both
+parties -- and the plaintext functionalities used as oracles -- read the
+same integers.
+
+Every protocol here is written against the gadget methods alone, so it
+runs unchanged on a `Session` (one execution) and on a `BatchSession`
+(many executions as share arrays).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..grids import FieldConfig, field_for_mechanism, steps_of
+from ..grids import FieldConfig, GridError, field_for_mechanism, next_prime, steps_of
 from ..mechanisms import MechanismParams
 from ..sampling import (
+    CenteredDlapConfig,
     branch_probability_c,
     branch_probability_d,
     centered_dlap_config,
-    dlap_zero_mass,
     outer_count,
 )
-from .core import Session, SharedValue
+from .core import BATCH_MAX_Q, BATCH_MIN_SESSIONS, BatchSession, Session, SharedValue
 
 
 @dataclass(frozen=True)
@@ -51,11 +54,20 @@ def mechanism_field(
     """Field sized for a mechanism run.
 
     The cumulative variant samples on the 2^-(p+gamma) lattice first, so
-    its field must hold the fine step counts without wraparound.
+    its field must hold the fine step counts without wraparound.  Either
+    way the perturbation's sign test reads y - x - 2^p*E, which reaches
+    -2^p*(2E+L) on the inner branch; the headroom is widened until the
+    safe range 2^(p+e+headroom-1) covers it, in coarse steps.
     """
-    if mechanism == "tcl":
-        return field_for_mechanism(params.E, params.L, params.p + gamma)
-    return field_for_mechanism(params.E, params.L, params.p)
+    fine = gamma if mechanism == "tcl" else 0
+    base = field_for_mechanism(params.E, params.L, params.p + fine)
+    headroom = base.headroom
+    while 2.0 ** (base.e + headroom - 1 + fine) < 2 * params.E + params.L:
+        headroom += 1
+    if headroom == base.headroom:
+        return base
+    q = next_prime(2 ** (base.p + base.e + headroom))
+    return FieldConfig(q=q, e=base.e, p=base.p, headroom=headroom)
 
 
 def make_session(
@@ -69,29 +81,28 @@ def make_session(
     return Session(mechanism_field(params, mechanism, gamma), seed0, seed1, **kw)
 
 
-def pi_dl(session: Session, t: float, c0: float, kappa: int) -> SharedValue:
+def pi_dl(session: Session, plan: CenteredDlapConfig) -> SharedValue:
     """Shared centered discrete Laplace draw over [-2^kappa, 2^kappa] steps.
 
-    Lines of the bitwise procedure: a Bernoulli(c0) zero flag, kappa
-    Bernoulli bits with probabilities rho^(2^i)/(1+rho^(2^i)) for
-    rho = e^(-1/t), a fair sign s = 2d-1, then z = s*(sum 2^i z_i + 1)
-    and the final blend (1-b)*z.  Two protocol multiplications.
+    Lines of the bitwise procedure, on the thresholds of the bitwise
+    `plan`: a Bernoulli(c0) zero flag, kappa Bernoulli bits with
+    probabilities rho^(2^i)/(1+rho^(2^i)), a fair sign s = 2d-1, then
+    z = s*(sum 2^i z_i + 1) and the final blend (1-b)*z.  Two protocol
+    multiplications.
     """
-    rho = math.exp(-1.0 / t)
-    b = session.pi_bersample(c0)
+    b = session.pi_bersample_thresholded(plan.zero_threshold)
     u = session.share_public(1)
-    for i in range(kappa):
-        r = rho ** (2**i)
-        zi = session.pi_bersample(r / (1.0 + r))
+    for i, threshold in enumerate(plan.bit_thresholds):
+        zi = session.pi_bersample_thresholded(threshold)
         u = session.add(u, session.scale_public(zi, 1 << i))
-    d = session.pi_bersample(0.5)
+    d = session.pi_bersample_thresholded(plan.sign_threshold)
     s = session.affine(d, 2, -1)
     z = session.mul(s, u)
     one_minus_b = session.affine(b, -1, 1)
     return session.mul(one_minus_b, z)
 
 
-def _dl_plan(params: MechanismParams, p_eff: int):
+def _dl_plan(params: MechanismParams, p_eff: int) -> CenteredDlapConfig:
     cfg = centered_dlap_config(params.L, params.sigma, p_eff)
     if cfg.method != "bitwise":
         raise ValueError(
@@ -102,12 +113,9 @@ def _dl_plan(params: MechanismParams, p_eff: int):
 
 
 def pi_dl_for(session: Session, params: MechanismParams, p_eff: int | None = None) -> SharedValue:
-    """pi_dl with (t, c0, kappa) derived from mechanism parameters."""
+    """pi_dl on the draw plan of the mechanism's inner sampler at 2^-p_eff."""
     p_eff = params.p if p_eff is None else p_eff
-    cfg = _dl_plan(params, p_eff)
-    t = 2.0**p_eff * params.sigma
-    c0 = dlap_zero_mass(params.L, params.sigma, p_eff)
-    return pi_dl(session, t, c0, cfg.kappa)
+    return pi_dl(session, _dl_plan(params, p_eff))
 
 
 def pi_cl(session: Session, params: MechanismParams, gamma: int) -> SharedValue:
@@ -124,8 +132,7 @@ def pi_cl(session: Session, params: MechanismParams, gamma: int) -> SharedValue:
     top = steps_of(params.L, p_fine)
     while True:
         zf = pi_dl_for(session, params, p_fine)
-        flag = session.pi_ge(session.add_public(zf, -top))
-        if session.open(flag) == 0:
+        if not session.redraw(session.pi_ge(session.add_public(zf, -top))):
             return session.trunc_pow2(zf, gamma)
 
 
@@ -237,24 +244,47 @@ def run_batch(
     seed1: int,
     gamma: int = 8,
 ) -> np.ndarray:
-    """n independent protocol executions inside one session.
+    """n independent protocol executions on one pair of party tapes.
 
     Each execution draws fresh noise and perturbs the same shared input;
-    the outputs are i.i.d. by construction of the tapes.
+    the outputs are i.i.d. by construction of the tapes.  The input is
+    checked before any work: an unknown mechanism, n < 0, or an x off the
+    2^-p grid or outside [-E, E] raises ValueError (GridError for x).
+    Calls of BATCH_MIN_SESSIONS or more executions run on a BatchSession
+    when the field allows it; the outputs are the same either way.
     """
-    session = make_session(params, mechanism, gamma, seed0, seed1)
-    xs = session.share(steps_of(x, params.p) % session.q)
-    out = np.empty(n)
-    if mechanism == "tdl":
-        for k in range(n):
-            pair = pi_d_noise(session, params)
-            z = pi_d_perturb(session, xs, pair, params)
-            out[k] = decode_steps(session.open(z), params)
-    elif mechanism == "tcl":
-        for k in range(n):
-            pair = pi_c_noise(session, params, gamma)
-            z = pi_c_perturb(session, xs, pair, params)
-            out[k] = decode_steps(session.open(z), params)
-    else:
+    if mechanism not in ("tdl", "tcl"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    return out
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    x_steps = steps_of(x, params.p)
+    if abs(x_steps) > steps_of(params.E, params.p):
+        raise GridError(f"x={x} outside [-E, E] = [{-params.E}, {params.E}]")
+    field = mechanism_field(params, mechanism, gamma)
+    batched = n >= BATCH_MIN_SESSIONS and field.q < BATCH_MAX_Q
+    session = (BatchSession if batched else Session)(field, seed0, seed1)
+    return run_sessions(session, mechanism, params, x_steps, n, gamma)
+
+
+def run_sessions(
+    session: Session | BatchSession,
+    mechanism: str,
+    params: MechanismParams,
+    x_steps: int,
+    n: int,
+    gamma: int = 8,
+) -> np.ndarray:
+    """Share x (in grid steps) once, then n noise -> perturb -> open runs.
+
+    Returns the decoded outputs.  Inputs are taken as run_batch checks them.
+    """
+    if mechanism == "tdl":
+        noise, perturb, p_inner = (lambda s: pi_d_noise(s, params)), pi_d_perturb, params.p
+    else:
+        noise, perturb = (lambda s: pi_c_noise(s, params, gamma)), pi_c_perturb
+        p_inner = params.p + gamma
+    # joint words per execution without rejections: branch, uniform, inner draw
+    words = 2 + _dl_plan(params, p_inner).words_per_draw
+    xs = session.share(x_steps % session.q)
+    z = session.run(lambda s: s.open(perturb(s, xs, noise(s), params)), n, words)
+    return np.asarray(z, dtype=np.int64) * params.step

@@ -79,6 +79,26 @@ class RandomTape:
     def words(self, n: int) -> list[int]:
         return [self.word() for _ in range(n)]
 
+    def peek_block(self, n: int) -> np.ndarray:
+        """The next n words as a uint64 array, without consuming them.
+
+        `skip` then consumes a prefix of them and `word` reads on from
+        there, so a caller can evaluate a block of draws and keep only the
+        part it commits.  Seeded tapes only.
+        """
+        self._require_generator("peek_block")
+        have = len(self._buf) - self._pos
+        if have < n:
+            fresh = self._gen.integers(0, _WORD_MOD, size=max(n - have, _BUF), dtype=np.uint64)
+            self._buf = np.concatenate([self._buf[self._pos :], fresh])
+            self._pos = 0
+        return self._buf[self._pos : self._pos + n]
+
+    def skip(self, n: int) -> None:
+        """Consume n words already returned by `peek_block`."""
+        self._pos += n
+        self.words_consumed += n
+
     def bernoulli(self, prob: float) -> int:
         """1 with probability prob (to within 2^-64), else 0; one word."""
         return 1 if self.word() < bernoulli_threshold(prob) else 0
@@ -116,11 +136,28 @@ class RandomTape:
         """n uniform residues mod q; vectorized on seeded tapes."""
         if self._injected is not None or self.record:
             return [self.field_element(q) for _ in range(n)]
-        limit = (_WORD_MOD // q) * q
-        out: list[int] = []
-        while len(out) < n:
-            chunk = self._gen.integers(0, _WORD_MOD, size=n - len(out) + 8, dtype=np.uint64)
+        return self.field_array(q, n).tolist()
+
+    def field_array(self, q: int, n: int) -> np.ndarray:
+        """n uniform residues mod q as a uint64 array (seeded tapes only).
+
+        Draws straight from the generator, past any buffered words, with the
+        same 64-bit rejection as `field_element`.
+        """
+        self._require_generator("field_array")
+        limit = np.uint64((_WORD_MOD // q) * q)
+        parts, have = [], 0
+        while have < n:
+            chunk = self._gen.integers(0, _WORD_MOD, size=n - have + 8, dtype=np.uint64)
             self.words_consumed += len(chunk)
-            kept = chunk[chunk < np.uint64(limit)] % np.uint64(q)
-            out.extend(int(v) for v in kept[: n - len(out)])
-        return out
+            kept = chunk[chunk < limit][: n - have] % np.uint64(q)
+            parts.append(kept)
+            have += len(kept)
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts or [np.empty(0, dtype=np.uint64)])
+
+    def _require_generator(self, what: str) -> None:
+        # block draws bypass injection and the draw log
+        if self._injected is not None or self.record:
+            raise ValueError(f"{what} needs a seeded tape without recording")

@@ -94,6 +94,12 @@ class TestMpc:
         assert sum(data["histogram"]["counts"]) == 200
         assert data["ledger_per_run"]["multiplications"] == 5
 
+    def test_input_outside_bound_is_usage_error(self, capsys):
+        # caught before any session runs, not afterwards by the histogram
+        assert run(["mpc", "--E", "4", "--L", "2", "--sigma", "1", "--x", "6",
+                    "--n", "10"]) == 1
+        assert "outside [-E, E]" in capsys.readouterr().err
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["mpc", "--mechanism", "tcl", "--E", "4", "--L", "2", "--sigma", "1",

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from trunclap.grids import FieldConfig, field_for_mechanism
+from trunclap.grids import FieldConfig, field_for_mechanism, next_prime
 from trunclap.mechanisms import MechanismParams
-from trunclap.mpc import ContractViolation, Session
+from trunclap.mpc import BatchSession, ContractViolation, Session
+from trunclap.mpc.core import BATCH_MAX_Q
 from trunclap.sampling import branch_probability_d
 from trunclap.tape import RandomTape
 
@@ -108,10 +109,16 @@ class TestMux:
         s.mux(i, a, b)
         assert s.ledger.delta(before)["multiplications"] == 1
 
-    def test_non_bit_selector_asserts(self):
+    def test_non_bit_selector_raises(self):
         s = small_session()
-        with pytest.raises(AssertionError):
+        with pytest.raises(ContractViolation, match="selector 2"):
             s.mux(s.share(2), s.share(0), s.share(1))
+
+    def test_non_bit_selector_raises_in_batch(self):
+        s = BatchSession(FieldConfig(q=521, e=3, p=2), 1, 2)
+        sel = s.share(np.array([0, 1, 2, 1]))
+        with pytest.raises(ContractViolation, match="selector 2"):
+            s.mux(sel, s.share(np.zeros(4, dtype=np.int64)), s.share(np.ones(4, dtype=np.int64)))
 
 
 class TestBersample:
@@ -311,3 +318,110 @@ class TestTransparencyAndPrivacy:
         ref = RandomTape(words=list(words.draw_log))
         for _ in range(5):
             assert s.joint_word() == ref.word()
+
+
+class TestBatchSession:
+    """The array substrate against the scalar one, gadget by gadget."""
+
+    def batch(self, seed0=1, seed1=2) -> BatchSession:
+        return BatchSession(FieldConfig(q=521, e=3, p=2), seed0, seed1)
+
+    def test_arithmetic_matches_plaintext(self):
+        s = self.batch()
+        rng = np.random.default_rng(3)
+        x, y = rng.integers(0, 521, size=(2, 2000))
+        a, b = s.share(x), s.share(y)
+        lift = np.vectorize(s.field.lift)
+        assert np.array_equal(s.open(s.mul(a, b)), lift(x * y))
+        assert np.array_equal(s.open(s.add(a, b)), lift(x + y))
+        assert np.array_equal(s.open(s.affine(a, 3, 7)), lift(3 * x + 7))
+        bits = rng.integers(0, 2, size=2000)
+        assert np.array_equal(s.open(s.mux(s.share(bits), a, b)), lift(np.where(bits, y, x)))
+
+    def test_common_value_broadcasts(self):
+        s = self.batch()
+        x = s.share(17)  # one value shared for every execution
+        assert isinstance(x.s0, int) and isinstance(x.s1, int)
+        y = s.share(np.arange(5))
+        assert np.array_equal(s.open(s.mul(x, y)), 17 * np.arange(5))
+
+    def test_sign_test_and_trunc_exhaustive(self):
+        cfg = field_for_mechanism(4.0, 4.0, 3)
+        s = BatchSession(cfg, 5, 6)
+        k = np.arange(-64, 65)
+        sv = s.share(k % cfg.q)
+        assert np.array_equal(s.open(s.pi_ge(sv)), (k >= 0).astype(int))
+        assert np.array_equal(s.open(s.trunc_pow2(sv, 3)), k >> 3)
+
+    def test_contract_violation_outside_run(self):
+        s = self.batch()
+        huge = np.array([0, s.safe_magnitude + 1, 3])
+        with pytest.raises(ContractViolation, match=f"input {s.safe_magnitude + 1}"):
+            s.pi_ge(s.share(huge))
+
+    def test_field_guard(self):
+        # products of two residues must fit in int64
+        with pytest.raises(ValueError, match="too large"):
+            BatchSession(FieldConfig(q=2**31 + 11, e=20, p=10), 1, 2)
+        assert 2**31 + 11 >= BATCH_MAX_Q
+
+    def test_joint_words_only_inside_run(self):
+        with pytest.raises(RuntimeError, match="inside run"):
+            self.batch().pi_bersample(0.5)
+
+    def test_run_matches_sequential_gadgets(self):
+        # Bernoulli, power-of-two uniform, sign test and mux per execution,
+        # session by session on the same tapes; the ledger is n times one
+        def program(s):
+            v = s.mul(s.pi_bersample(0.3), s.pi_uni(8))
+            return s.open(s.mux(s.pi_ge(s.add_public(v, -4)), v, s.pi_uni(4)))
+
+        seq = Session(FieldConfig(q=521, e=3, p=2), 7, 8)
+        batch = BatchSession(FieldConfig(q=521, e=3, p=2), 7, 8)
+        expected = seq.run(program, 300, 3)
+        assert np.array_equal(batch.run(program, 300, 3), expected)
+        assert batch.ledger.as_dict() == seq.ledger.as_dict()
+        assert batch.tape0.words_consumed == seq.tape0.words_consumed == 900
+
+    def test_rejected_uniform_finishes_sequentially(self):
+        # m = 12 rejects a quarter of the first attempts; those executions
+        # draw extra words and must still line up with the loop
+        def program(s):
+            return s.open(s.pi_uni(12))
+
+        seq = Session(FieldConfig(q=521, e=3, p=2), 9, 10)
+        batch = BatchSession(FieldConfig(q=521, e=3, p=2), 9, 10)
+        expected = seq.run(program, 500, 1)
+        assert np.array_equal(batch.run(program, 500, 1), expected)
+        assert batch.ledger.as_dict() == seq.ledger.as_dict()
+        assert batch.tape1.words_consumed == seq.tape1.words_consumed > 500
+
+    def test_contract_violation_matches_loop(self):
+        # a rare fault among frequent rejections: the batch raises exactly
+        # when, and with the message that, the sequential loop does, even
+        # for faults in executions that follow a rejection in their block
+        def program(s):
+            v = s.pi_uni(15)  # rejects 1 first attempt in 16
+            tag = s.pi_uni(1 << 20)  # names the faulting execution in the message
+            fault = s.pi_bersample(0.05)
+            s.pi_ge(s.mul(fault, s.add_public(tag, s.safe_magnitude + 1)))
+            return s.open(v)
+
+        def outcome(session):
+            try:
+                return list(session.run(program, 40, 3))
+            except ContractViolation as exc:
+                return str(exc)
+
+        cfg = FieldConfig(q=next_prime(2**24), e=20, p=2)
+        outcomes = [
+            (outcome(Session(cfg, seed, seed + 1)), outcome(BatchSession(cfg, seed, seed + 1)))
+            for seed in range(200)
+        ]
+        assert all(seq == batch for seq, batch in outcomes)
+        raised = sum(isinstance(seq, str) for seq, _ in outcomes)
+        assert 0 < raised < len(outcomes)
+
+    def test_planned_words_are_checked(self):
+        with pytest.raises(RuntimeError, match="drew 1 joint words, planned 2"):
+            self.batch().run(lambda s: s.open(s.pi_bersample(0.5)), 10, 2)

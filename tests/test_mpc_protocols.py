@@ -1,8 +1,12 @@
+import dataclasses
 import itertools
 import math
-from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from trunclap import (
@@ -13,18 +17,24 @@ from trunclap import (
     pmf_tcl,
     pmf_tdl,
 )
-from trunclap.grids import steps_of
+from trunclap.grids import GridError, steps_of
 from trunclap.mpc import (
+    BatchSession,
+    Session,
     SharedNoisePair,
+    core,
     make_session,
+    mechanism_field,
     pi_c_noise,
     pi_c_perturb,
     pi_cl,
     pi_d_noise,
     pi_d_perturb,
+    pi_dl,
     pi_dl_for,
     run_batch,
 )
+from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import (
     branch_probability_c,
     branch_probability_d,
@@ -83,9 +93,17 @@ class TestPiDl:
             opened = session.open(pi_dl_for(session, PARAMS))
             assert opened == steps_of(v, PARAMS.p)
 
-    def test_rejects_non_pow2_step_count(self):
-        import pytest
+    def test_draws_follow_the_plan(self):
+        # thresholds come from the plan alone: a plan whose zero flag never
+        # fires and whose bits and sign always do opens +(2^kappa)
+        plan = centered_dlap_config(2.0, 1.0, 0)
+        forced = dataclasses.replace(
+            plan, zero_threshold=0, sign_threshold=1 << 64, bit_thresholds=(1 << 64,) * plan.kappa
+        )
+        session = make_session(PARAMS, "tdl", seed0=3, seed1=4)
+        assert session.open(pi_dl(session, forced)) == 2**plan.kappa
 
+    def test_rejects_non_pow2_step_count(self):
         params = MechanismParams(E=4.0, L=3.0, sigma=1.0, p=0)
         session = make_session(params, "tdl", seed0=1, seed1=2)
         with pytest.raises(ValueError, match="power of two"):
@@ -303,14 +321,9 @@ class TestBitForBitEquivalence:
 
 class TestEndToEndLaws:
     def test_tdl_all_centers(self):
-        with ProcessPoolExecutor(2) as pool:
-            jobs = {
-                float(x): pool.submit(_e2e_counts, "tdl", float(x), 100_000, 8)
-                for x in PARAMS.input_grid().values()
-            }
-            for x, job in jobs.items():
-                counts = job.result()
-                assert tv(counts, pmf_tdl(x, PARAMS).masses) < 0.005, f"x={x}"
+        for x in PARAMS.input_grid().values():
+            counts = _e2e_counts("tdl", float(x), 100_000, 8)
+            assert tv(counts, pmf_tdl(float(x), PARAMS).masses) < 0.005, f"x={x}"
 
     def test_tcl_selected_centers(self):
         for x in (-4.0, 1.0, 4.0):
@@ -326,8 +339,7 @@ def _e2e_counts(mechanism, x, n, gamma):
     return np.bincount(idx, minlength=spec.count)
 
 
-def _dp_cert_counts(args):
-    x, n, seed = args
+def _dp_cert_counts(x, n, seed):
     params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)  # sigma = L / eps, eps = 2
     vals = run_batch("tdl", params, x, n, seed, seed + 1)
     return np.bincount(np.round(vals + 6).astype(int), minlength=13)
@@ -342,11 +354,9 @@ class TestDifferentialPrivacyCertificate:
         chunks = 4
         per = n_total // chunks
         counts = {}
-        with ProcessPoolExecutor(2) as pool:
-            for x in (-4.0, 4.0):
-                jobs = [(x, per, 10_000 + i * 7 + int(x)) for i in range(chunks)]
-                results = list(pool.map(_dp_cert_counts, jobs))
-                counts[x] = np.sum(results, axis=0)
+        for x in (-4.0, 4.0):
+            results = [_dp_cert_counts(x, per, 10_000 + i * 7 + int(x)) for i in range(chunks)]
+            counts[x] = np.sum(results, axis=0)
         c1, c2 = counts[-4.0], counts[4.0]
         mask = (c1 >= 100) & (c2 >= 100)
         assert mask.all()  # this support is fully populated at 10^6 draws
@@ -356,3 +366,123 @@ class TestDifferentialPrivacyCertificate:
             ratio = a[mask] / b[mask]
             rel_se = np.sqrt(1 / c1[mask] + 1 / c2[mask])
             assert np.all(ratio <= math.exp(eps) * (1 + 3 * rel_se))
+
+
+WIDE = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
+# outer count 2 * 2^p * E = 6 is not a power of two: pi_uni rejects a
+# quarter of its first attempts
+ODD = MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0)
+
+
+def loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma):
+    """The session-by-session loop run_batch used to run, kept as the oracle."""
+    session = make_session(params, mechanism, gamma, seed0, seed1)
+    xs = session.share(x_steps % session.q)
+    out = []
+    for _ in range(n):
+        if mechanism == "tdl":
+            z = pi_d_perturb(session, xs, pi_d_noise(session, params), params)
+        else:
+            z = pi_c_perturb(session, xs, pi_c_noise(session, params, gamma), params)
+        out.append(session.open(z) * params.step)
+    return np.array(out, dtype=float), session
+
+
+# (mechanism, params, gamma); gamma=0 makes the +L redraw of pi_cl frequent
+BATCH_CASES = [
+    ("tdl", PARAMS, 8),
+    ("tcl", PARAMS, 8),
+    ("tdl", WIDE, 8),
+    ("tcl", WIDE, 8),
+    ("tcl", PARAMS, 0),
+    ("tdl", ODD, 8),
+    ("tcl", ODD, 0),
+]
+BE = core.BATCH_MIN_SESSIONS
+SMALL_BLOCK = 32
+
+
+class TestBatchSimulator:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(BATCH_CASES),
+        n=st.sampled_from([0, 1, BE - 1, BE, BE + 1, 24, 3 * SMALL_BLOCK + 5]),
+        data=st.data(),
+    )
+    def test_run_batch_equals_session_loop(self, case, n, data):
+        mechanism, params, gamma = case
+        Es = steps_of(params.E, params.p)
+        x_steps = data.draw(st.integers(-Es, Es), label="x_steps")
+        seed0, seed1 = data.draw(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)))
+        expected, _ = loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma)
+        # a small block size makes n > block size cheap to test
+        with mock.patch.object(core, "BATCH_BLOCK", SMALL_BLOCK):
+            got = run_batch(mechanism, params, x_steps * params.step, n, seed0, seed1, gamma)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+    def test_more_sessions_than_one_block(self):
+        n = core.BATCH_BLOCK + 3
+        expected, _ = loop_reference("tdl", PARAMS, -3, n, 17, 18, 8)
+        assert np.array_equal(run_batch("tdl", PARAMS, -3.0, n, 17, 18), expected)
+
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=lambda c: f"{c[0]}-E{c[1].E:g}-g{c[2]}")
+    def test_ledger_is_sum_of_session_ledgers(self, case):
+        # redraws included: every rejected attempt adds its own cost
+        mechanism, params, gamma = case
+        n = 600
+        _, seq = loop_reference(mechanism, params, 1, n, 41, 42, gamma)
+        batch = BatchSession(mechanism_field(params, mechanism, gamma), 41, 42)
+        with mock.patch.object(core, "BATCH_BLOCK", 128):
+            run_sessions(batch, mechanism, params, 1, n, gamma)
+        assert batch.ledger.as_dict() == seq.ledger.as_dict()
+        assert batch.tape0.words_consumed == seq.tape0.words_consumed
+        assert batch.tape1.words_consumed == seq.tape1.words_consumed
+
+    def test_wide_set_at_the_input_bound(self):
+        # the sign test on the inner branch reaches -2^p(2E+L) at x = E
+        for mechanism in ("tdl", "tcl"):
+            for x in (WIDE.E, -WIDE.E):
+                vals = run_batch(mechanism, WIDE, x, 2000, 5, 6)
+                spec = WIDE.output_grid(mechanism)
+                assert all(spec.contains(v) for v in vals)
+        assert mechanism_field(WIDE, "tdl").q == 2053
+        assert mechanism_field(PARAMS, "tdl").q == 37
+
+    @pytest.mark.parametrize("params", [PARAMS, WIDE], ids=["small", "wide"])
+    def test_sign_test_stays_in_safe_range(self, params):
+        # every grid x against every inner payload, and every outer index,
+        # through the real perturbation on the field run_batch uses
+        Es, Ls = steps_of(params.E, params.p), steps_of(params.L, params.p)
+        for mechanism, perturb in (("tdl", pi_d_perturb), ("tcl", pi_c_perturb)):
+            s = BatchSession(mechanism_field(params, mechanism), 1, 2)
+            assert s.safe_magnitude >= 2 * Es + Ls
+            x, y = (a.ravel() for a in np.meshgrid(np.arange(-Es, Es + 1), np.arange(-Ls, Ls + 1)))
+            xs = s.share(x % s.q)
+            pair = SharedNoisePair(branch=s.share_public(1), payload=s.share(y % s.q))
+            assert np.array_equal(s.open(perturb(s, xs, pair, params)), x + y)
+            x, y = (a.ravel() for a in np.meshgrid(np.arange(-Es, Es + 1), np.arange(2 * Es)))
+            pair = SharedNoisePair(branch=s.share_public(0), payload=s.share(y))
+            s.open(perturb(s, s.share(x % s.q), pair, params))
+
+    def test_rejects_bad_input_before_work(self):
+        with pytest.raises(ValueError, match="outside"):
+            run_batch("tdl", PARAMS, 6.0, 10, 1, 2)  # support is +/-6; x must be in [-4, 4]
+        with pytest.raises(GridError):
+            run_batch("tdl", PARAMS, 0.5, 10, 1, 2)
+        with pytest.raises(ValueError, match="n must be"):
+            run_batch("tcl", PARAMS, 0.0, -1, 1, 2)
+        with pytest.raises(ValueError, match="unknown mechanism"):
+            run_batch("lap", PARAMS, 0.0, 10, 1, 2)
+        for x in (float("nan"), float("inf")):
+            with pytest.raises(GridError):
+                run_batch("tdl", PARAMS, x, 10, 1, 2)
+
+    def test_large_field_runs_sequentially(self):
+        # q >= 2^31 would overflow int64 products; run_batch keeps the loop
+        params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=27)
+        assert mechanism_field(params, "tdl").q >= core.BATCH_MAX_Q
+        with pytest.raises(ValueError, match="too large"):
+            BatchSession(mechanism_field(params, "tdl"), 1, 2)
+        x_steps = steps_of(1.0, params.p)
+        expected, _ = loop_reference("tdl", params, x_steps, BE + 2, 3, 4, 8)
+        assert np.array_equal(run_batch("tdl", params, 1.0, BE + 2, 3, 4), expected)
