@@ -13,24 +13,20 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from .grids import GridError
 from .mechanisms import (
+    DISCRETE_MECHANISMS,
+    Mechanism,
     MechanismParams,
     calibrate,
     kstar_calibration,
+    lookup_mechanism,
     max_privacy_ratio,
     moments_lap,
     moments_lap_exact,
-    moments_tcl,
-    moments_tdl,
-    pmf_tcl,
-    pmf_tdl,
 )
-from .mpc import make_session, run_batch, run_tcl, run_tdl
-from .sampling import centered_dlap_config, sample_tcl, sample_tdl_batch
-from .tape import RandomTape
+from .mpc import make_session, run_batch, run_once
+from .sampling import centered_dlap_config, sample_batch
 from .thresholds import THRESHOLDS
 from .validation import Histogram, overlay_check, overlay_data, table1_report
 
@@ -81,6 +77,13 @@ def _resolve_params(args) -> MechanismParams:
     return MechanismParams(E=args.E, L=args.L, sigma=sigma, p=args.p)
 
 
+def _discrete(args, refusal: str) -> Mechanism:
+    """The record of --mechanism; `refusal` is the usage error for lap."""
+    if args.mechanism == "lap":
+        raise UsageError(refusal)
+    return lookup_mechanism(args.mechanism)
+
+
 def _add_param_flags(sp, with_x=True):
     sp.add_argument("--mechanism", choices=("lap", "tdl", "tcl"), default="tdl")
     sp.add_argument("--E", type=float, required=True, help="input bound")
@@ -125,9 +128,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_pmf(args) -> int:
     params = _resolve_params(args)
-    if args.mechanism == "lap":
-        raise UsageError("pmf is defined for the discrete mechanisms (tdl, tcl)")
-    pmf = (pmf_tdl if args.mechanism == "tdl" else pmf_tcl)(args.x, params)
+    mech = _discrete(args, "pmf is defined for the discrete mechanisms (tdl, tcl)")
+    pmf = mech.pmf(args.x, params)
     if args.format == "json":
         _dump_json(pmf.as_dict(), args.out)
     else:
@@ -138,7 +140,7 @@ def cmd_pmf(args) -> int:
 
 def cmd_moments(args) -> int:
     params = _resolve_params(args)
-    fn = {"lap": moments_lap, "tdl": moments_tdl, "tcl": moments_tcl}[args.mechanism]
+    fn = moments_lap if args.mechanism == "lap" else lookup_mechanism(args.mechanism).moments
     mean, mse = fn(args.x, params)
     out = {
         "mechanism": args.mechanism,
@@ -159,24 +161,17 @@ def cmd_moments(args) -> int:
 
 def cmd_sample(args) -> int:
     params = _resolve_params(args)
-    if args.mechanism == "lap":
-        raise UsageError("sampling is defined for the discrete mechanisms")
+    mech = _discrete(args, "sampling is defined for the discrete mechanisms")
     meta = {
         "mechanism": args.mechanism,
         "params": params.as_dict(),
         "x": args.x,
         "seed": args.seed,
         "inner_sampler": centered_dlap_config(
-            params.L, params.sigma, params.p + (args.gamma if args.mechanism == "tcl" else 0)
+            params.L, params.sigma, params.p + mech.fine_bits(args.gamma)
         ).method,
     }
-    if args.mechanism == "tdl":
-        values = sample_tdl_batch(args.x, params, args.n, args.seed)
-    else:
-        tape = RandomTape(args.seed)
-        values = np.array(
-            [sample_tcl(args.x, params, tape, args.gamma) for _ in range(args.n)]
-        )
+    values = sample_batch(mech, args.x, params, args.n, args.seed, args.gamma)
     if args.format == "json":
         _dump_json({**meta, "values": [float(v) for v in values]}, args.out)
     else:
@@ -186,41 +181,27 @@ def cmd_sample(args) -> int:
 
 def cmd_mpc(args) -> int:
     params = _resolve_params(args)
-    if args.mechanism == "lap":
-        raise UsageError("the secure protocols realize the discrete mechanisms")
-    values = run_batch(
-        args.mechanism, params, args.x, args.n, args.seed, args.seed + 1,
-        gamma=args.gamma,
-    )
-    session = make_session(params, args.mechanism, args.gamma, args.seed, args.seed + 1)
-    if args.mechanism == "tdl":
-        _, ledger = run_tdl(session, args.x, params)
-    else:
-        _, ledger = run_tcl(session, args.x, params, args.gamma)
+    mech = _discrete(args, "the secure protocols realize the discrete mechanisms")
+    seeds = (args.seed, args.seed + 1)
+    values = run_batch(mech.name, params, args.x, args.n, *seeds, gamma=args.gamma)
+    session = make_session(params, mech.name, args.gamma, *seeds)
+    _, ledger = run_once(session, mech, args.x, params, args.gamma)
     spec = params.output_grid(args.mechanism)
-    hist = Histogram.from_samples(values, spec) if args.n else Histogram(
-        spec, np.zeros(spec.count, dtype=np.int64)
-    )
+    hist = Histogram.from_samples(values, spec)
     payload = {
         "mechanism": args.mechanism,
         "params": params.as_dict(),
         "x": args.x,
         "sessions": args.n,
         "gamma": args.gamma,
-        "seeds": [args.seed, args.seed + 1],
+        "seeds": list(seeds),
         "histogram": hist.as_dict(),
         "bins": hist.bin_counts(),
         "ledger_per_run": ledger,
     }
     if args.transcript:
-        audit = make_session(
-            params, args.mechanism, args.gamma, args.seed, args.seed + 1,
-            record_transcript=True,
-        )
-        if args.mechanism == "tdl":
-            run_tdl(audit, args.x, params)
-        else:
-            run_tcl(audit, args.x, params, args.gamma)
+        audit = make_session(params, mech.name, args.gamma, *seeds, record_transcript=True)
+        run_once(audit, mech, args.x, params, args.gamma)
         payload["transcript"] = audit.transcript_dump()
     _dump_json(payload, args.out)
     return 0
@@ -286,13 +267,10 @@ def cmd_bench(args) -> int:
     rows = []
     for p in (0, 2):
         params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=p)
-        for mech in ("tdl", "tcl"):
-            session = make_session(params, mech, args.gamma, args.seed, args.seed + 1)
-            if mech == "tdl":
-                _, ledger = run_tdl(session, args.x, params)
-            else:
-                _, ledger = run_tcl(session, args.x, params, args.gamma)
-            rows.append({"mechanism": mech, "p": p, **ledger})
+        for mech in DISCRETE_MECHANISMS.values():
+            session = make_session(params, mech.name, args.gamma, args.seed, args.seed + 1)
+            _, ledger = run_once(session, mech, args.x, params, args.gamma)
+            rows.append({"mechanism": mech.name, "p": p, **ledger})
     if args.format == "csv":
         header = list(rows[0].keys())
         _dump_csv([[r[k] for k in header] for r in rows], header, args.out)

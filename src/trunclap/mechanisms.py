@@ -19,14 +19,13 @@ that is far beyond representable tolerances.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .grids import GridError, GridSpec, is_aligned
+from .grids import GridError, GridSpec, is_aligned, steps_of
 
 MECHANISMS = ("lap", "tdl", "tcl")
 
@@ -52,8 +51,7 @@ class MechanismParams:
             raise GridError(f"E={self.E} must be a positive multiple of 2^-{self.p}")
         if self.L <= 0 or not is_aligned(self.L, self.p):
             raise GridError(f"L={self.L} must be a positive multiple of 2^-{self.p}")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        _check_positive(sigma=self.sigma)
 
     @property
     def epsilon(self) -> float:
@@ -78,18 +76,21 @@ class MechanismParams:
 
 def _check_positive(**kw):
     for name, v in kw.items():
-        if v <= 0:
-            raise ValueError(f"{name} must be positive, got {v}")
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
 def lambda_lap(E: float, L: float, sigma: float) -> float:
-    """Normalizer of the continuous mechanism: 2*(sigma + (E-sigma)*e^(-L/sigma)).
+    """Normalizer of the continuous and the cumulative mechanism.
 
-    Equals the integral of the kernel over [-E-L, E+L] for every center
-    x in [-E, E]; independence from x is what makes the constant usable.
+    2*(sigma + (E-sigma)*e^(-L/sigma)), evaluated as
+    2*(sigma*(1-e^(-L/sigma)) + E*e^(-L/sigma)) with expm1.  It is the
+    integral of the kernel over [-E-L, E+L] for every center x in [-E, E]
+    (independence from x is what makes the constant usable), and so also
+    the sum of the TCL cell integrals.
     """
     _check_positive(E=E, L=L, sigma=sigma)
-    return 2.0 * (sigma + (E - sigma) * math.exp(-L / sigma))
+    return 2.0 * (sigma * (-math.expm1(-L / sigma)) + math.exp(-L / sigma) * E)
 
 
 def lambda_dlap(E: float, L: float, sigma: float, p: int) -> float:
@@ -107,12 +108,6 @@ def lambda_dlap(E: float, L: float, sigma: float, p: int) -> float:
         + 1.0
         + 2.0 * (-math.expm1(-L / sigma)) / math.expm1(h / sigma)
     )
-
-
-def lambda_clap(E: float, L: float, sigma: float) -> float:
-    """Normalizer of the cumulative mechanism; algebraically equals lambda_lap."""
-    _check_positive(E=E, L=L, sigma=sigma)
-    return 2.0 * (sigma * (-math.expm1(-L / sigma)) + math.exp(-L / sigma) * E)
 
 
 @dataclass(frozen=True)
@@ -146,13 +141,6 @@ class ExactPmf:
     def total(self) -> float:
         return float(np.sum(self.masses))
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["y", "mass"])
-            for y, m in zip(self.support(), self.masses):
-                w.writerow([repr(float(y)), repr(float(m))])
-
     def as_dict(self) -> dict:
         return {
             "spec": self.spec.as_dict(),
@@ -160,10 +148,6 @@ class ExactPmf:
             "lambda": self.lam,
             "masses": [float(m) for m in self.masses],
         }
-
-    def write_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.as_dict(), fh, sort_keys=True, indent=2)
 
 
 def _check_center(x: float, params: MechanismParams) -> None:
@@ -204,12 +188,12 @@ def pmf_tcl(x: float, params: MechanismParams) -> ExactPmf:
     """Exact TCL mass function conditioned on input x.
 
     mass(y) integrates the kernel over [y, y+2^-p) and divides by
-    lambda_clap; the support is half-open (the top point has zero mass).
+    lambda_lap; the support is half-open (the top point has zero mass).
     """
     _check_center(x, params)
     spec = params.output_grid("tcl")
     h = params.step
-    lam = lambda_clap(params.E, params.L, params.sigma)
+    lam = lambda_lap(params.E, params.L, params.sigma)
     masses = np.array(
         [tcl_cell_integral(y, x, params.L, params.sigma, h) for y in spec.values()]
     )
@@ -314,7 +298,7 @@ def moments_tcl(x: float, params: MechanismParams) -> tuple[float, float]:
     eL = math.exp(-L / sigma)
     one_m_eL = -math.expm1(-L / sigma)
     u = math.expm1(h / sigma)
-    H = sigma * one_m_eL + E * eL      # lambda_clap / 2
+    H = sigma * one_m_eL + E * eL      # lambda_lap / 2
     mean = x * (sigma * one_m_eL - eL * L) / H - h / 2.0
     const = (
         eL * (2.0 * L * L * E + 2.0 * E * E * L + (2.0 / 3.0) * E**3
@@ -325,6 +309,66 @@ def moments_tcl(x: float, params: MechanismParams) -> tuple[float, float]:
     )
     mse = (x * x + h * x) * eL * (E + L) / H + const / (2.0 * H)
     return mean, mse
+
+
+# --- the discrete mechanisms as one construction ----------------------------
+
+def outer_count(params: MechanismParams) -> int:
+    """Number of outer (uniform-tail) outcomes, 2 * 2^p * E."""
+    return 2 * steps_of(params.E, params.p)
+
+
+def branch_probability_d(params: MechanismParams) -> float:
+    """P[inner branch] for the discrete variant: 1 - 2*2^p*E*e^(-L/s)/lambda."""
+    lam = lambda_dlap(params.E, params.L, params.sigma, params.p)
+    return 1.0 - outer_count(params) * math.exp(-params.L / params.sigma) / lam
+
+
+def branch_probability_c(params: MechanismParams) -> float:
+    """P[inner branch] for the cumulative variant: 1 - 2*E*e^(-L/s)/lambda."""
+    lam = lambda_lap(params.E, params.L, params.sigma)
+    return 1.0 - 2.0 * params.E * math.exp(-params.L / params.sigma) / lam
+
+
+@dataclass(frozen=True)
+class Mechanism:
+    """One discrete mechanism: TDL or TCL.
+
+    Both are one construction: an input-independent noise pair (branch
+    bit, uniform tail index, centred inner draw), then a perturbation of
+    1 comparison + 2 multiplications.  They differ only where this record
+    says: TCL (`cumulative`) draws its inner noise on the 2^-(p+gamma)
+    lattice with +L rejected, and its upper tail starts at x+L, not at
+    x+L+2^-p.
+    """
+
+    name: str
+    cumulative: bool
+    pmf: Callable[[float, MechanismParams], ExactPmf]
+    moments: Callable[[float, MechanismParams], tuple[float, float]]
+    branch_probability: Callable[[MechanismParams], float]
+
+    @property
+    def high_offset(self) -> int:
+        """Grid steps the upper tail map adds: z = L - E + 2^-p (y + offset)."""
+        return 0 if self.cumulative else 1
+
+    def fine_bits(self, gamma: int) -> int:
+        """Bits the inner draw's lattice has below the 2^-p grid."""
+        return gamma if self.cumulative else 0
+
+
+TDL = Mechanism("tdl", False, pmf_tdl, moments_tdl, branch_probability_d)
+TCL = Mechanism("tcl", True, pmf_tcl, moments_tcl, branch_probability_c)
+DISCRETE_MECHANISMS = {m.name: m for m in (TDL, TCL)}
+
+
+def lookup_mechanism(name: str) -> Mechanism:
+    """The record of a discrete mechanism, by its name."""
+    try:
+        return DISCRETE_MECHANISMS[name]
+    except KeyError:
+        raise ValueError(f"unknown mechanism {name!r} (discrete: tdl, tcl)") from None
 
 
 # --- calibration -----------------------------------------------------------
@@ -363,8 +407,7 @@ def find_kstar(epsilon: float) -> float:
     (k* = max(1 + 1e-6, a * (1 - 1e-6))) so the defining inequality holds
     strictly rather than at the boundary.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_positive(epsilon=epsilon)
     lo, hi = 1.0, 2.0
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
@@ -390,8 +433,7 @@ def calibrate(
     for any mechanism.  notion "dchi" (distance-based privacy) returns
     sigma = 1/epsilon for tdl and sigma = max(2/epsilon, 2^-p) for tcl.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    _check_positive(epsilon=epsilon)
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
     if notion == "eps":

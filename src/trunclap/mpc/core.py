@@ -39,6 +39,9 @@ on Python integers.  `BatchSession` runs many independent executions at
 once, each value held as a pair of int64 share arrays (one entry per
 execution); its `run` lays the party tapes out session by session, so
 every execution reads exactly the words the sequential loop gives it.
+The substrates differ only in their wires (joint words, masks, sharing,
+opening), Beaver multiplication and what a range fault or a rejected
+draw does; every other gadget is written once, in `_CommonOps`.
 """
 
 from __future__ import annotations
@@ -80,14 +83,6 @@ class ContractViolation(RuntimeError):
     """A shared value left the range a gadget is specified for."""
 
 
-@dataclass(frozen=True)
-class Share:
-    """One party's additive share of a field element."""
-
-    party: int
-    value: int
-
-
 class SharedValue:
     """Both parties' shares of one field element (simulator-side handle)."""
 
@@ -96,9 +91,6 @@ class SharedValue:
     def __init__(self, s0: int, s1: int):
         self.s0 = s0
         self.s1 = s1
-
-    def share(self, party: int) -> Share:
-        return Share(party, self.s0 if party == 0 else self.s1)
 
     def __repr__(self):
         return f"SharedValue({self.s0}, {self.s1})"
@@ -116,17 +108,7 @@ class CostLedger:
     elements_exchanged: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "multiplications": self.multiplications,
-            "comparisons": self.comparisons,
-            "bernoulli_draws": self.bernoulli_draws,
-            "uniform_draws": self.uniform_draws,
-            "rounds": self.rounds,
-            "elements_exchanged": self.elements_exchanged,
-        }
-
-    def snapshot(self) -> dict:
-        return self.as_dict()
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     def add(self, other: "CostLedger", times: int = 1) -> None:
         """Add `times` copies of another ledger's counts."""
@@ -171,13 +153,21 @@ def dealer_seed(seed0: int, seed1: int) -> int:
 
 class _CommonOps:
     """Operations written once for both substrates: the communication-free
-    linear algebra and pi_bersample's probability form.
+    linear algebra and every gadget that needs no share arithmetic of its
+    own, each with its one ledger charge.
 
     Shares are Python ints in a Session and int64 arrays (or scalars that
-    broadcast against them) in a BatchSession.
+    broadcast against them) in a BatchSession.  A substrate supplies
+    `joint_word`, `_reshare`, `peek`, `open`, `mul`, `_check` (a range
+    fault) and `_retry` (what a rejected attempt of a rejection loop does).
     """
 
-    q: int
+    def __init__(self, fieldcfg: FieldConfig):
+        self.field = fieldcfg
+        self.q = fieldcfg.q
+        self.ledger = CostLedger()
+        # sign tests are only sound while |value| stays below this bound
+        self.safe_magnitude = 2 ** (fieldcfg.p + fieldcfg.e + fieldcfg.headroom - 1)
 
     def share_public(self, v) -> SharedValue:
         """Zero-cost sharing of a publicly known constant."""
@@ -207,6 +197,86 @@ class _CommonOps:
         """
         return self.pi_bersample_thresholded(bernoulli_threshold(prob))
 
+    def pi_bersample_thresholded(self, threshold: int) -> SharedValue:
+        bit = self.joint_word() < threshold
+        led = self.ledger
+        led.bernoulli_draws += 1
+        led.comparisons += 1
+        led.rounds += CMP_ROUNDS
+        led.elements_exchanged += CMP_ELEMENTS
+        return self._reshare(bit)
+
+    def mux(self, i: SharedValue, a: SharedValue, b: SharedValue) -> SharedValue:
+        """[a] + [i]*([b] - [a]): a when i=0, b when i=1; one multiplication."""
+        sel = self.peek(i)
+        self._check((sel != 0) & (sel != 1), sel, "mux selector {} is not a shared bit")
+        return self.add(a, self.mul(i, self.sub(b, a)))
+
+    def pi_uni(self, m: int) -> SharedValue:
+        """Shared uniform draw over {0, ..., m-1}.
+
+        Powers of two combine party-contributed bits with zero bias; other
+        moduli reject on the next power of two, revealing only the
+        accept/reject bit of each attempt (independent of all secrets).
+        """
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        led = self.ledger
+        led.uniform_draws += 1
+        if m == 1:
+            return self.share_public(0)
+        cap = pow2_at_least(m)
+        k = cap.bit_length() - 1
+        while True:
+            v = self.joint_word() & (cap - 1)
+            if cap == m:
+                led.rounds += UNI_ROUNDS
+                led.elements_exchanged += 2 * k
+                return self._reshare(v)
+            led.rounds += UNI_ROUNDS + CMP_ROUNDS + OPEN_ROUNDS
+            led.elements_exchanged += 2 * k + CMP_ELEMENTS + OPEN_ELEMENTS
+            led.comparisons += 1
+            if not self._retry(v >= m):
+                return self._reshare(v)
+
+    def pi_ge(self, sv: SharedValue) -> SharedValue:
+        """Shared sign test: [1] if the balanced value is >= 0, else [0].
+
+        The value must stay within the configured safe magnitude so the
+        balanced lift is unambiguous.
+        """
+        val = self.peek(sv)
+        self._check(
+            abs(val) > self.safe_magnitude, val, "pi_ge input {} outside safe range +/-{safe}"
+        )
+        led = self.ledger
+        led.comparisons += 1
+        led.rounds += CMP_ROUNDS
+        led.elements_exchanged += CMP_ELEMENTS
+        return self._reshare(val >= 0)
+
+    def trunc_pow2(self, sv: SharedValue, gamma: int) -> SharedValue:
+        """Shared floor division by 2^gamma (drop the low gamma bits)."""
+        if gamma < 0:
+            raise ValueError("gamma must be >= 0")
+        if gamma == 0:
+            return sv
+        val = self.peek(sv)
+        self._check(
+            abs(val) > self.safe_magnitude, val, "trunc input {} outside safe range +/-{safe}"
+        )
+        self.ledger.rounds += TRUNC_ROUNDS
+        self.ledger.elements_exchanged += 2 * gamma
+        return self._reshare(val >> gamma)
+
+    def redraw(self, flag: SharedValue) -> bool:
+        """Open the public reject bit of one attempt of a rejection loop.
+
+        True asks the caller to draw again.  The bit is independent of
+        every secret, so opening it reveals nothing.
+        """
+        return self._retry(self.open(flag) != 0)
+
 
 class Session(_CommonOps):
     """One deterministic two-party computation session.
@@ -227,18 +297,14 @@ class Session(_CommonOps):
         tape1: RandomTape | None = None,
         record_transcript: bool = False,
     ):
-        self.field = fieldcfg
-        self.q = fieldcfg.q
+        super().__init__(fieldcfg)
         self.tape0 = tape0 if tape0 is not None else RandomTape(seed0)
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
         self.triples = TripleStore(self.q, self.dealer)
-        self.ledger = CostLedger()
         self.record_transcript = record_transcript
         # transcript[p] = field elements received by party p, in order
         self.transcript: tuple[list[int], list[int]] = ([], [])
-        # sign tests are only sound while |value| stays below this bound
-        self.safe_magnitude = 2 ** (fieldcfg.p + fieldcfg.e + fieldcfg.headroom - 1)
 
     # -- wires ---------------------------------------------------------
 
@@ -301,90 +367,14 @@ class Session(_CommonOps):
         s1 = (tc1 + d * tb1 + e * ta1) % q
         return SharedValue(s0, s1)
 
-    def mux(self, i: SharedValue, a: SharedValue, b: SharedValue) -> SharedValue:
-        """[a] + [i]*([b] - [a]): a when i=0, b when i=1; one multiplication."""
-        sel = self.peek(i)
-        if sel not in (0, 1):
-            raise ContractViolation(f"mux selector {sel} is not a shared bit")
-        return self.add(a, self.mul(i, self.sub(b, a)))
+    def _check(self, bad: bool, value: int, message: str) -> None:
+        """ContractViolation at once if `bad`."""
+        if bad:
+            raise ContractViolation(message.format(value, safe=self.safe_magnitude))
 
-    def pi_bersample_thresholded(self, threshold: int) -> SharedValue:
-        u = self.joint_word()
-        bit = 1 if u < threshold else 0
-        led = self.ledger
-        led.bernoulli_draws += 1
-        led.comparisons += 1
-        led.rounds += CMP_ROUNDS
-        led.elements_exchanged += CMP_ELEMENTS
-        return self._reshare(bit)
-
-    def pi_uni(self, m: int) -> SharedValue:
-        """Shared uniform draw over {0, ..., m-1}.
-
-        Powers of two combine party-contributed bits with zero bias; other
-        moduli reject on the next power of two, revealing only the
-        accept/reject bit of each attempt (independent of all secrets).
-        """
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        led = self.ledger
-        led.uniform_draws += 1
-        if m == 1:
-            return self.share_public(0)
-        cap = pow2_at_least(m)
-        k = cap.bit_length() - 1
-        if cap == m:
-            v = self.joint_word() & (m - 1)
-            led.rounds += UNI_ROUNDS
-            led.elements_exchanged += 2 * k
-            return self._reshare(v)
-        while True:
-            v = self.joint_word() & (cap - 1)
-            led.rounds += UNI_ROUNDS + CMP_ROUNDS + OPEN_ROUNDS
-            led.elements_exchanged += 2 * k + CMP_ELEMENTS + OPEN_ELEMENTS
-            led.comparisons += 1
-            if v < m:
-                return self._reshare(v)
-
-    def pi_ge(self, sv: SharedValue) -> SharedValue:
-        """Shared sign test: [1] if the balanced value is >= 0, else [0].
-
-        The value must stay within the configured safe magnitude so the
-        balanced lift is unambiguous.
-        """
-        val = self.peek(sv)
-        if abs(val) > self.safe_magnitude:
-            raise ContractViolation(
-                f"pi_ge input {val} outside safe range +/-{self.safe_magnitude}"
-            )
-        led = self.ledger
-        led.comparisons += 1
-        led.rounds += CMP_ROUNDS
-        led.elements_exchanged += CMP_ELEMENTS
-        return self._reshare(1 if val >= 0 else 0)
-
-    def trunc_pow2(self, sv: SharedValue, gamma: int) -> SharedValue:
-        """Shared floor division by 2^gamma (drop the low gamma bits)."""
-        if gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if gamma == 0:
-            return sv
-        val = self.peek(sv)
-        if abs(val) > self.safe_magnitude:
-            raise ContractViolation(
-                f"trunc input {val} outside safe range +/-{self.safe_magnitude}"
-            )
-        self.ledger.rounds += TRUNC_ROUNDS
-        self.ledger.elements_exchanged += 2 * gamma
-        return self._reshare(val >> gamma)
-
-    def redraw(self, flag: SharedValue) -> bool:
-        """Open the public reject bit of one attempt of a rejection loop.
-
-        True asks the caller to draw again.  The bit is independent of
-        every secret, so opening it reveals nothing.
-        """
-        return self.open(flag) != 0
+    def _retry(self, rejected: bool) -> bool:
+        """A rejected attempt draws again."""
+        return bool(rejected)
 
     def run(self, program: Callable[["Session"], int], n: int, words: int) -> list[int]:
         """n executions of `program` in sequence, on this session's tapes.
@@ -423,15 +413,11 @@ class BatchSession(_CommonOps):
     def __init__(self, fieldcfg: FieldConfig, seed0: int = 0, seed1: int = 1):
         if fieldcfg.q >= BATCH_MAX_Q:
             raise ValueError(f"q={fieldcfg.q} is too large for int64 share arithmetic")
-        self.field = fieldcfg
-        self.q = fieldcfg.q
+        super().__init__(fieldcfg)
         self.seeds = (seed0, seed1)
         self.tape0 = RandomTape(seed0)
         self.tape1 = RandomTape(seed1)
         self.dealer = RandomTape([dealer_seed(seed0, seed1), 1])
-        self.ledger = CostLedger()
-        self.safe_magnitude = 2 ** (fieldcfg.p + fieldcfg.e + fieldcfg.headroom - 1)
-        self._led = self.ledger
         self._rows: np.ndarray | None = None  # joint word j of each execution in row j
         self._col = 0
         self._rejected = np.zeros(0, dtype=bool)
@@ -480,11 +466,13 @@ class BatchSession(_CommonOps):
         self._col = 0
         self._rejected = np.zeros(size, dtype=bool)
         self._fault = (size, "")
-        unit = self._led = CostLedger()
+        # gadgets charge self.ledger: one execution's cost, while in the block
+        total, unit = self.ledger, CostLedger()
+        self.ledger = unit
         try:
             values = np.broadcast_to(program(self), (size,))
         finally:
-            self._led, self._rows = self.ledger, None
+            self.ledger, self._rows = total, None
         if self._col != words:
             raise RuntimeError(f"an execution drew {self._col} joint words, planned {words}")
         kept = int(np.argmax(self._rejected)) if self._rejected.any() else size
@@ -514,11 +502,19 @@ class BatchSession(_CommonOps):
         if not bad.any():
             return
         i = int(np.argmax(bad))
-        msg = message.format(int(np.ravel(values)[i]))
+        msg = message.format(int(np.ravel(values)[i]), safe=self.safe_magnitude)
         if self._rows is None:
             raise ContractViolation(msg)
         if i < self._fault[0]:
             self._fault = (i, msg)
+
+    def _retry(self, rejected: np.ndarray) -> bool:
+        """Mark the executions whose attempt was rejected; never draw again.
+
+        `run` finishes the marked executions on the sequential path.
+        """
+        self._rejected |= rejected
+        return False
 
     # -- wires ---------------------------------------------------------------
 
@@ -554,13 +550,13 @@ class BatchSession(_CommonOps):
         masked = (np.asarray(v, dtype=np.int64) - r) % self.q
         if masked.ndim == 0:  # a common value: plain ints, usable by Session too
             masked, r = int(masked), int(r)
-        self._led.rounds += SHARE_ROUNDS
-        self._led.elements_exchanged += SHARE_ELEMENTS
+        self.ledger.rounds += SHARE_ROUNDS
+        self.ledger.elements_exchanged += SHARE_ELEMENTS
         return SharedValue(masked, r) if owner == 0 else SharedValue(r, masked)
 
     def open(self, sv: SharedValue) -> np.ndarray:
-        self._led.rounds += OPEN_ROUNDS
-        self._led.elements_exchanged += OPEN_ELEMENTS
+        self.ledger.rounds += OPEN_ROUNDS
+        self.ledger.elements_exchanged += OPEN_ELEMENTS
         return self.peek(sv)
 
     def peek(self, sv: SharedValue) -> np.ndarray:
@@ -579,7 +575,7 @@ class BatchSession(_CommonOps):
         # each party sends its shares of d = a - ta and e = b - tb
         d = (a.s0 - ta0 + a.s1 - ta1) % q
         e = (b.s0 - tb0 + b.s1 - tb1) % q
-        led = self._led
+        led = self.ledger
         led.multiplications += 1
         led.rounds += MUL_ROUNDS
         led.elements_exchanged += MUL_ELEMENTS
@@ -587,77 +583,3 @@ class BatchSession(_CommonOps):
         s0 = (tc0 + d * tb0 % q + e * ta0 % q + d * e % q) % q
         s1 = (tc1 + d * tb1 % q + e * ta1 % q) % q
         return SharedValue(s0, s1)
-
-    def mux(self, i: SharedValue, a: SharedValue, b: SharedValue) -> SharedValue:
-        """[a] + [i]*([b] - [a]) per execution; one multiplication."""
-        sel = self.peek(i)
-        self._check((sel != 0) & (sel != 1), sel, "mux selector {} is not a shared bit")
-        return self.add(a, self.mul(i, self.sub(b, a)))
-
-    def pi_bersample_thresholded(self, threshold: int) -> SharedValue:
-        u = self.joint_word()
-        bit = u < np.uint64(threshold) if threshold < 1 << 64 else np.ones(u.shape, dtype=bool)
-        led = self._led
-        led.bernoulli_draws += 1
-        led.comparisons += 1
-        led.rounds += CMP_ROUNDS
-        led.elements_exchanged += CMP_ELEMENTS
-        return self._reshare(bit)
-
-    def pi_uni(self, m: int) -> SharedValue:
-        """Shared uniform draw over {0, ..., m-1}, one attempt per execution.
-
-        Outside powers of two, an execution whose attempt is rejected is
-        marked; `run` finishes it on the sequential path.
-        """
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        led = self._led
-        led.uniform_draws += 1
-        if m == 1:
-            return self.share_public(0)
-        cap = pow2_at_least(m)
-        k = cap.bit_length() - 1
-        v = (self.joint_word() & np.uint64(cap - 1)).astype(np.int64)
-        if cap == m:
-            led.rounds += UNI_ROUNDS
-            led.elements_exchanged += 2 * k
-        else:
-            led.rounds += UNI_ROUNDS + CMP_ROUNDS + OPEN_ROUNDS
-            led.elements_exchanged += 2 * k + CMP_ELEMENTS + OPEN_ELEMENTS
-            led.comparisons += 1
-            self._rejected |= v >= m
-        return self._reshare(v)
-
-    def pi_ge(self, sv: SharedValue) -> SharedValue:
-        """Shared sign test per execution; see Session.pi_ge."""
-        val = self.peek(sv)
-        safe = self.safe_magnitude
-        self._check(np.abs(val) > safe, val, "pi_ge input {} outside safe range +/-%d" % safe)
-        led = self._led
-        led.comparisons += 1
-        led.rounds += CMP_ROUNDS
-        led.elements_exchanged += CMP_ELEMENTS
-        return self._reshare(val >= 0)
-
-    def trunc_pow2(self, sv: SharedValue, gamma: int) -> SharedValue:
-        """Shared floor division by 2^gamma per execution."""
-        if gamma < 0:
-            raise ValueError("gamma must be >= 0")
-        if gamma == 0:
-            return sv
-        val = self.peek(sv)
-        safe = self.safe_magnitude
-        self._check(np.abs(val) > safe, val, "trunc input {} outside safe range +/-%d" % safe)
-        self._led.rounds += TRUNC_ROUNDS
-        self._led.elements_exchanged += 2 * gamma
-        return self._reshare(val >> gamma)
-
-    def redraw(self, flag: SharedValue) -> bool:
-        """Open each execution's reject bit; always answers "keep going".
-
-        Executions whose attempt was rejected are marked, and `run`
-        finishes them on the sequential path.
-        """
-        self._rejected |= self.open(flag) != 0
-        return False

@@ -17,9 +17,12 @@ draw plan `CenteredDlapConfig` the plaintext samplers use, so both
 parties -- and the plaintext functionalities used as oracles -- read the
 same integers.
 
-Every protocol here is written against the gadget methods alone, so it
-runs unchanged on a `Session` (one execution) and on a `BatchSession`
-(many executions as share arrays).
+TDL and TCL run the same protocols, parameterized by their `Mechanism`
+record (`pi_noise`, `pi_perturb`, `run_once`, `run_sessions`); the
+`pi_d_*`/`pi_c_*`/`run_tdl`/`run_tcl` names are those calls with the
+record filled in.  Every protocol here is written against the gadget
+methods alone, so it runs unchanged on a `Session` (one execution) and on
+a `BatchSession` (many executions as share arrays).
 """
 
 from __future__ import annotations
@@ -29,14 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..grids import FieldConfig, GridError, field_for_mechanism, next_prime, steps_of
-from ..mechanisms import MechanismParams
-from ..sampling import (
-    CenteredDlapConfig,
-    branch_probability_c,
-    branch_probability_d,
-    centered_dlap_config,
-    outer_count,
-)
+from ..mechanisms import TCL, TDL, Mechanism, MechanismParams, lookup_mechanism, outer_count
+from ..sampling import CenteredDlapConfig, centered_dlap_config
 from .core import BATCH_MAX_Q, BATCH_MIN_SESSIONS, BatchSession, Session, SharedValue
 
 
@@ -59,7 +56,7 @@ def mechanism_field(
     -2^p*(2E+L) on the inner branch; the headroom is widened until the
     safe range 2^(p+e+headroom-1) covers it, in coarse steps.
     """
-    fine = gamma if mechanism == "tcl" else 0
+    fine = lookup_mechanism(mechanism).fine_bits(gamma)
     base = field_for_mechanism(params.E, params.L, params.p + fine)
     headroom = base.headroom
     while 2.0 ** (base.e + headroom - 1 + fine) < 2 * params.E + params.L:
@@ -136,22 +133,34 @@ def pi_cl(session: Session, params: MechanismParams, gamma: int) -> SharedValue:
             return session.trunc_pow2(zf, gamma)
 
 
+def pi_noise(
+    session: Session,
+    mech: Mechanism,
+    params: MechanismParams,
+    gamma: int = 8,
+    *,
+    branch_prob: float | None = None,
+) -> SharedNoisePair:
+    """Offline noise protocol (never reads [x]).
+
+    Draws [i] with the mechanism's inner-branch probability (for TDL
+    1 - 2*2^p*E*e^(-L/sigma)/lambda), [a] uniform over the tail indices,
+    [b] from the centered inner law (pi_dl; pi_cl at fine precision gamma
+    for TCL), and blends with one mux.  `branch_prob` overrides the
+    Bernoulli parameter (test stub injection).
+    """
+    prob = mech.branch_probability(params) if branch_prob is None else branch_prob
+    i = session.pi_bersample(prob)
+    a = session.pi_uni(outer_count(params))
+    b = pi_cl(session, params, gamma) if mech.cumulative else pi_dl_for(session, params)
+    return SharedNoisePair(branch=i, payload=session.mux(i, a, b))
+
+
 def pi_d_noise(
     session: Session, params: MechanismParams, *, branch_prob: float | None = None
 ) -> SharedNoisePair:
-    """Offline noise protocol for the discrete mechanism (never reads [x]).
-
-    Draws [i] with the Bernoulli success probability
-    1 - 2*2^p*E*e^(-L/sigma)/lambda, [a] uniform over the tail indices,
-    [b] from the centered discrete Laplace, and blends with one mux.
-    `branch_prob` overrides the Bernoulli parameter (test stub injection).
-    """
-    prob = branch_probability_d(params) if branch_prob is None else branch_prob
-    i = session.pi_bersample(prob)
-    a = session.pi_uni(outer_count(params))
-    b = pi_dl_for(session, params)
-    y = session.mux(i, a, b)
-    return SharedNoisePair(branch=i, payload=y)
+    """pi_noise of the discrete mechanism."""
+    return pi_noise(session, TDL, params, branch_prob=branch_prob)
 
 
 def pi_c_noise(
@@ -161,29 +170,30 @@ def pi_c_noise(
     *,
     branch_prob: float | None = None,
 ) -> SharedNoisePair:
-    """Offline noise protocol for the cumulative mechanism."""
-    prob = branch_probability_c(params) if branch_prob is None else branch_prob
-    i = session.pi_bersample(prob)
-    a = session.pi_uni(outer_count(params))
-    b = pi_cl(session, params, gamma)
-    y = session.mux(i, a, b)
-    return SharedNoisePair(branch=i, payload=y)
+    """pi_noise of the cumulative mechanism."""
+    return pi_noise(session, TCL, params, gamma, branch_prob=branch_prob)
 
 
-def _perturb(
+def pi_perturb(
     session: Session,
+    mech: Mechanism,
     x: SharedValue,
     pair: SharedNoisePair,
     params: MechanismParams,
-    high_offset: int,
 ) -> SharedValue:
+    """Online perturbation of the shared input x (in grid steps).
+
+    Cost: exactly 1 comparison + 2 multiplications, whatever the
+    parameters.  The upper tail map is z = L - E + 2^-p (y + high_offset):
+    TDL's upper tail starts at x+L+2^-p, TCL's at x+L inclusive.
+    """
     Es = steps_of(params.E, params.p)
     Ls = steps_of(params.L, params.p)
     y = pair.payload
     # b = 1 iff the uniform index falls in the upper tail: y >= 2^p(E+x)
     b = session.pi_ge(session.sub(y, session.add_public(x, Es)))
     low = session.add_public(y, -Ls - Es)
-    high = session.add_public(y, Ls - Es + high_offset)
+    high = session.add_public(y, Ls - Es + mech.high_offset)
     z0 = session.mux(b, low, high)
     z1 = session.add(x, y)
     return session.mux(pair.branch, z0, z1)
@@ -192,47 +202,36 @@ def _perturb(
 def pi_d_perturb(
     session: Session, x: SharedValue, pair: SharedNoisePair, params: MechanismParams
 ) -> SharedValue:
-    """Online perturbation for the discrete mechanism.
-
-    Cost: exactly 1 comparison + 2 multiplications, whatever the
-    parameters.  The upper tail map is z = L - E + 2^-p (y + 1).
-    """
-    return _perturb(session, x, pair, params, high_offset=1)
+    """pi_perturb of the discrete mechanism."""
+    return pi_perturb(session, TDL, x, pair, params)
 
 
 def pi_c_perturb(
     session: Session, x: SharedValue, pair: SharedNoisePair, params: MechanismParams
 ) -> SharedValue:
-    """Online perturbation for the cumulative mechanism.
-
-    Same structure as the discrete variant; the upper tail starts at x+L
-    inclusive (z = L - E + 2^-p y).
-    """
-    return _perturb(session, x, pair, params, high_offset=0)
+    """pi_perturb of the cumulative mechanism."""
+    return pi_perturb(session, TCL, x, pair, params)
 
 
-def decode_steps(z_steps: int, params: MechanismParams) -> float:
-    """Deferred 2^-p rescale of an opened steps-domain value."""
-    return z_steps * params.step
-
-
-def run_tdl(
-    session: Session, x: float, params: MechanismParams
+def run_once(
+    session: Session, mech: Mechanism, x: float, params: MechanismParams, gamma: int = 8
 ) -> tuple[float, dict]:
-    """One noise+perturb+open round trip; returns the decoded value and ledger."""
-    xs = session.share(steps_of(x, params.p) % session.q)
-    pair = pi_d_noise(session, params)
-    z = pi_d_perturb(session, xs, pair, params)
-    return decode_steps(session.open(z), params), session.ledger.as_dict()
+    """One share -> noise -> perturb -> open round trip (run_sessions at
+    n=1); returns the decoded value and the session's ledger."""
+    z = run_sessions(session, mech, params, steps_of(x, params.p), 1, gamma)
+    return float(z[0]), session.ledger.as_dict()
+
+
+def run_tdl(session: Session, x: float, params: MechanismParams) -> tuple[float, dict]:
+    """run_once of the discrete mechanism."""
+    return run_once(session, TDL, x, params)
 
 
 def run_tcl(
     session: Session, x: float, params: MechanismParams, gamma: int = 8
 ) -> tuple[float, dict]:
-    xs = session.share(steps_of(x, params.p) % session.q)
-    pair = pi_c_noise(session, params, gamma)
-    z = pi_c_perturb(session, xs, pair, params)
-    return decode_steps(session.open(z), params), session.ledger.as_dict()
+    """run_once of the cumulative mechanism."""
+    return run_once(session, TCL, x, params, gamma)
 
 
 def run_batch(
@@ -253,8 +252,7 @@ def run_batch(
     Calls of BATCH_MIN_SESSIONS or more executions run on a BatchSession
     when the field allows it; the outputs are the same either way.
     """
-    if mechanism not in ("tdl", "tcl"):
-        raise ValueError(f"unknown mechanism {mechanism!r}")
+    mech = lookup_mechanism(mechanism)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     x_steps = steps_of(x, params.p)
@@ -263,12 +261,12 @@ def run_batch(
     field = mechanism_field(params, mechanism, gamma)
     batched = n >= BATCH_MIN_SESSIONS and field.q < BATCH_MAX_Q
     session = (BatchSession if batched else Session)(field, seed0, seed1)
-    return run_sessions(session, mechanism, params, x_steps, n, gamma)
+    return run_sessions(session, mech, params, x_steps, n, gamma)
 
 
 def run_sessions(
     session: Session | BatchSession,
-    mechanism: str,
+    mech: Mechanism,
     params: MechanismParams,
     x_steps: int,
     n: int,
@@ -278,13 +276,12 @@ def run_sessions(
 
     Returns the decoded outputs.  Inputs are taken as run_batch checks them.
     """
-    if mechanism == "tdl":
-        noise, perturb, p_inner = (lambda s: pi_d_noise(s, params)), pi_d_perturb, params.p
-    else:
-        noise, perturb = (lambda s: pi_c_noise(s, params, gamma)), pi_c_perturb
-        p_inner = params.p + gamma
     # joint words per execution without rejections: branch, uniform, inner draw
-    words = 2 + _dl_plan(params, p_inner).words_per_draw
+    words = 2 + _dl_plan(params, params.p + mech.fine_bits(gamma)).words_per_draw
     xs = session.share(x_steps % session.q)
-    z = session.run(lambda s: s.open(perturb(s, xs, noise(s), params)), n, words)
+
+    def once(s):
+        return s.open(pi_perturb(s, mech, xs, pi_noise(s, mech, params, gamma), params))
+
+    z = session.run(once, n, words)
     return np.asarray(z, dtype=np.int64) * params.step

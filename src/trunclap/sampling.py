@@ -30,52 +30,15 @@ import numpy as np
 
 from .grids import steps_of
 from .mechanisms import (
+    TCL,
+    TDL,
+    Mechanism,
     MechanismParams,
+    branch_probability_d,
     centered_dlap_pmf,
-    lambda_clap,
-    lambda_dlap,
+    outer_count,
 )
 from .tape import RandomTape, bernoulli_threshold
-
-
-@dataclass(frozen=True)
-class GeoSamplerParams:
-    """Bitwise truncated-geometric sampler parameters.
-
-    kappa is the bit length (support [0, 2^kappa)), rho = e^(-1/t) the
-    per-step decay, and t the scale in grid-step units (t = 2^p * sigma).
-    """
-
-    kappa: int
-    rho: float
-    t: float
-
-    def __post_init__(self):
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        if not 0.0 < self.rho < 1.0:
-            raise ValueError("rho must lie in (0, 1)")
-
-    def bit_probability(self, i: int) -> float:
-        """P[bit i = 1] = rho^(2^i) / (1 + rho^(2^i))."""
-        r = self.rho ** (2**i)
-        return r / (1.0 + r)
-
-    def bit_probabilities(self) -> list[float]:
-        return [self.bit_probability(i) for i in range(self.kappa)]
-
-
-def sample_geometric_bitwise(gp: GeoSamplerParams, tape: RandomTape) -> int:
-    """Draw from the truncated geometric c1*(1-rho)*rho^x on [0, 2^kappa).
-
-    Assembles the value from kappa independent Bernoulli bits, least
-    significant first.
-    """
-    x = 0
-    for i in range(gp.kappa):
-        if tape.bernoulli(gp.bit_probability(i)):
-            x |= 1 << i
-    return x
 
 
 def dlap_zero_mass(L: float, sigma: float, p: int) -> float:
@@ -115,33 +78,26 @@ def centered_dlap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
     steps = steps_of(L, p)
     if steps <= 0:
         raise ValueError("L must be positive on the grid")
-    t = 2.0**p * sigma
-    c0 = dlap_zero_mass(L, sigma, p)
-    if steps & (steps - 1) == 0:
-        # 2^p*L = 2^kappa, so the magnitude takes exactly kappa bits
-        gp = GeoSamplerParams(kappa=steps.bit_length() - 1, rho=math.exp(-1.0 / t), t=t)
-        return CenteredDlapConfig(
-            L=L,
-            sigma=sigma,
-            p=p,
-            method="bitwise",
-            zero_threshold=bernoulli_threshold(c0),
-            sign_threshold=bernoulli_threshold(0.5),
-            bit_thresholds=tuple(
-                bernoulli_threshold(q) for q in gp.bit_probabilities()
-            ),
-            cdf=(),
-        )
-    pmf = centered_dlap_pmf(L, sigma, p)
-    cdf = tuple(np.cumsum(pmf.masses).tolist())
+    bitwise = steps & (steps - 1) == 0
+    bits: tuple[int, ...] = ()
+    cdf: tuple[float, ...] = ()
+    if bitwise:
+        # 2^p*L = 2^kappa, so the magnitude x' in [0, 2^kappa) takes kappa
+        # bits; its law rho^x' (rho = e^(-1/(2^p sigma))) makes bit i an
+        # independent Bernoulli(rho^(2^i) / (1 + rho^(2^i)))
+        rho = math.exp(-1.0 / (2.0**p * sigma))
+        powers = (rho ** (2**i) for i in range(steps.bit_length() - 1))
+        bits = tuple(bernoulli_threshold(r / (1.0 + r)) for r in powers)
+    else:
+        cdf = tuple(np.cumsum(centered_dlap_pmf(L, sigma, p).masses).tolist())
     return CenteredDlapConfig(
         L=L,
         sigma=sigma,
         p=p,
-        method="table",
-        zero_threshold=bernoulli_threshold(c0),
+        method="bitwise" if bitwise else "table",
+        zero_threshold=bernoulli_threshold(dlap_zero_mass(L, sigma, p)),
         sign_threshold=bernoulli_threshold(0.5),
-        bit_thresholds=(),
+        bit_thresholds=bits,
         cdf=cdf,
     )
 
@@ -212,60 +168,39 @@ class NoisePair:
             raise ValueError("branch must be 0 or 1")
 
 
-def outer_count(params: MechanismParams) -> int:
-    """Number of outer (uniform-tail) outcomes, 2 * 2^p * E."""
-    return 2 * steps_of(params.E, params.p)
-
-
-def branch_probability_d(params: MechanismParams) -> float:
-    """P[inner branch] for the discrete variant: 1 - 2*2^p*E*e^(-L/s)/lambda."""
-    lam = lambda_dlap(params.E, params.L, params.sigma, params.p)
-    return 1.0 - outer_count(params) * math.exp(-params.L / params.sigma) / lam
-
-
-def branch_probability_c(params: MechanismParams) -> float:
-    """P[inner branch] for the cumulative variant: 1 - 2*E*e^(-L/s)/lambda."""
-    lam = lambda_clap(params.E, params.L, params.sigma)
-    return 1.0 - 2.0 * params.E * math.exp(-params.L / params.sigma) / lam
-
-
-def noise_d(
-    params: MechanismParams, tape: RandomTape, *, branch_prob: float | None = None
-) -> NoisePair:
-    """Input-independent noise draw for the discrete mechanism.
-
-    Draw order is fixed (branch word, uniform word(s), inner draw) and the
-    unused branch is still consumed, mirroring the oblivious protocol.
-    `branch_prob` overrides the Bernoulli parameter (test stub injection).
-    """
-    prob = branch_probability_d(params) if branch_prob is None else branch_prob
-    branch = tape.bernoulli_thresholded(bernoulli_threshold(prob))
-    a = tape.uniform(outer_count(params))
-    b = sample_dlap_centered(params.L, params.sigma, params.p, tape)
-    return NoisePair(branch=branch, payload=b if branch else a)
-
-
-def noise_c(
+def noise(
+    mech: Mechanism,
     params: MechanismParams,
     tape: RandomTape,
     gamma: int = 8,
     *,
     branch_prob: float | None = None,
 ) -> NoisePair:
-    """Input-independent noise draw for the cumulative mechanism."""
-    prob = branch_probability_c(params) if branch_prob is None else branch_prob
+    """Input-independent noise draw of a discrete mechanism.
+
+    Draw order is fixed (branch word, uniform word(s), inner draw) and the
+    unused branch is still consumed, mirroring the oblivious protocol.
+    The inner draw is the centered discrete Laplace, or for TCL the
+    cumulative one at fine precision gamma.  `branch_prob` overrides the
+    Bernoulli parameter (test stub injection).
+    """
+    prob = mech.branch_probability(params) if branch_prob is None else branch_prob
     branch = tape.bernoulli_thresholded(bernoulli_threshold(prob))
     a = tape.uniform(outer_count(params))
-    b = sample_clap_centered(params.L, params.sigma, params.p, gamma, tape)
+    if mech.cumulative:
+        b = sample_clap_centered(params.L, params.sigma, params.p, gamma, tape)
+    else:
+        b = sample_dlap_centered(params.L, params.sigma, params.p, tape)
     return NoisePair(branch=branch, payload=b if branch else a)
 
 
-def perturb_d(x: float, pair: NoisePair, params: MechanismParams) -> float:
-    """Map a noise pair and input x to the perturbed value (discrete variant).
+def perturb(mech: Mechanism, x: float, pair: NoisePair, params: MechanismParams) -> float:
+    """Map a noise pair and input x to the perturbed value.
 
     Branch 0 splits the uniform index at 2^p*(E+x)-1 into the two flat
-    tails; branch 1 adds the centered noise to x.  The composite law of
-    perturb_d(noise_d()) is exactly the TDL mass function.
+    tails (the upper one starts at x+L+2^-p for TDL, at x+L for TCL);
+    branch 1 adds the centered noise to x.  The composite law of
+    perturb(noise()) is exactly the mechanism's mass function.
     """
     xs = steps_of(x, params.p)
     Es = steps_of(params.E, params.p)
@@ -280,35 +215,33 @@ def perturb_d(x: float, pair: NoisePair, params: MechanismParams) -> float:
         raise ValueError(f"uniform index {y} out of range")
     if y <= Es + xs - 1:
         return (-Ls - Es + y) * h
-    return (Ls - Es + y + 1) * h
-
-
-def perturb_c(x: float, pair: NoisePair, params: MechanismParams) -> float:
-    """Cumulative-variant perturbation; the upper tail starts at x+L inclusive."""
-    xs = steps_of(x, params.p)
-    Es = steps_of(params.E, params.p)
-    Ls = steps_of(params.L, params.p)
-    if abs(xs) > Es:
-        raise ValueError(f"x={x} outside [-E, E]")
-    h = params.step
-    if pair.branch:
-        return x + pair.payload
-    y = int(pair.payload)
-    if not 0 <= y < 2 * Es:
-        raise ValueError(f"uniform index {y} out of range")
-    if y <= Es + xs - 1:
-        return (-Ls - Es + y) * h
-    return (Ls - Es + y) * h
+    return (Ls - Es + y + mech.high_offset) * h
 
 
 def sample_tdl(x: float, params: MechanismParams, tape: RandomTape) -> float:
-    return perturb_d(x, noise_d(params, tape), params)
+    return perturb(TDL, x, noise(TDL, params, tape), params)
 
 
 def sample_tcl(
     x: float, params: MechanismParams, tape: RandomTape, gamma: int = 8
 ) -> float:
-    return perturb_c(x, noise_c(params, tape, gamma), params)
+    return perturb(TCL, x, noise(TCL, params, tape, gamma), params)
+
+
+def sample_batch(
+    mech: Mechanism, x: float, params: MechanismParams, n: int, seed: int, gamma: int = 8
+) -> np.ndarray:
+    """n draws at input x from one seeded tape.
+
+    TDL runs `sample_tdl_batch`; TCL, whose +L redraws give its draws
+    varying word counts, runs the sequential sampler.
+    """
+    if not mech.cumulative:
+        return sample_tdl_batch(x, params, n, seed)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    tape = RandomTape(seed)
+    return np.array([sample_tcl(x, params, tape, gamma) for _ in range(n)])
 
 
 def sample_tdl_batch(

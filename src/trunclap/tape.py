@@ -76,9 +76,6 @@ class RandomTape:
             self.draw_log.append(w)
         return w
 
-    def words(self, n: int) -> list[int]:
-        return [self.word() for _ in range(n)]
-
     def peek_block(self, n: int) -> np.ndarray:
         """The next n words as a uint64 array, without consuming them.
 
@@ -98,10 +95,6 @@ class RandomTape:
         """Consume n words already returned by `peek_block`."""
         self._pos += n
         self.words_consumed += n
-
-    def bernoulli(self, prob: float) -> int:
-        """1 with probability prob (to within 2^-64), else 0; one word."""
-        return 1 if self.word() < bernoulli_threshold(prob) else 0
 
     def bernoulli_thresholded(self, threshold: int) -> int:
         """Bernoulli draw against a precomputed 64-bit threshold."""

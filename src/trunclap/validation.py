@@ -7,7 +7,6 @@ neighbors (the usual validity rule) before computing the statistic.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -226,8 +225,3 @@ def overlay_data(pmf: ExactPmf, h: Histogram) -> list[dict]:
         {"y": float(y), "theoretical": float(m), "empirical": float(fq)}
         for y, m, fq in zip(pmf.support(), pmf.masses, freq)
     ]
-
-
-def write_json(obj, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)

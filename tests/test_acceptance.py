@@ -21,6 +21,8 @@ import numpy as np
 
 from conftest import multinomial_tv_mean
 from trunclap import (
+    TCL,
+    TDL,
     MechanismParams,
     RandomTape,
     calibrate,
@@ -32,18 +34,18 @@ from trunclap import (
     sample_tdl_batch,
 )
 from trunclap.grids import steps_of
-from trunclap.mpc import make_session, pi_c_noise, pi_c_perturb, pi_d_noise, pi_d_perturb, run_batch
-from trunclap.sampling import (
-    branch_probability_c,
-    branch_probability_d,
-    centered_dlap_config,
-    dlap_zero_mass,
-    noise_c,
-    noise_d,
-    outer_count,
-    perturb_c,
-    perturb_d,
+from trunclap.mechanisms import branch_probability_c, branch_probability_d, outer_count
+from trunclap.mpc import (
+    make_session,
+    pi_c_noise,
+    pi_c_perturb,
+    pi_d_noise,
+    pi_d_perturb,
+    pi_noise,
+    pi_perturb,
+    run_batch,
 )
+from trunclap.sampling import centered_dlap_config, dlap_zero_mass, noise, perturb
 from trunclap.thresholds import THRESHOLDS as TH
 from trunclap.validation import Histogram, empirical_moments, overlay_check, tv_distance
 
@@ -213,15 +215,15 @@ def test_a7_composite_law_exactness():
             x = float(x)
             law_d, law_c = {}, {}
             for y in range(m):
-                z = perturb_d(x, _pair(0, y), params)
+                z = perturb(TDL, x, _pair(0, y), params)
                 law_d[z] = law_d.get(z, 0.0) + (1 - pb_d) / m
-                z = perturb_c(x, _pair(0, y), params)
+                z = perturb(TCL, x, _pair(0, y), params)
                 law_c[z] = law_c.get(z, 0.0) + (1 - pb_c) / m
             for v, mass in zip(inner_d.support(), inner_d.masses):
-                z = perturb_d(x, _pair(1, float(v)), params)
+                z = perturb(TDL, x, _pair(1, float(v)), params)
                 law_d[z] = law_d.get(z, 0.0) + pb_d * float(mass)
             for v, mass in zip(inner_c.support(), inner_c.masses):
-                z = perturb_c(x, _pair(1, float(v)), params)
+                z = perturb(TCL, x, _pair(1, float(v)), params)
                 law_c[z] = law_c.get(z, 0.0) + pb_c * float(mass)
             fd = pmf_tdl(x, params)
             fc = pmf_tcl(x, params)
@@ -249,8 +251,8 @@ def test_a8_mpc_plaintext_equivalence():
     tape = RandomTape(2024, record=True)
     plain_d = []
     for _ in range(n_eq):
-        pair = noise_d(params, tape)
-        plain_d.append((pair.branch, pair.payload, perturb_d(1.0, pair, params)))
+        pair = noise(TDL, params, tape)
+        plain_d.append((pair.branch, pair.payload, perturb(TDL, 1.0, pair, params)))
     s = _replay(tape.draw_log, params, "tdl", gamma)
     xs = s.share(steps_of(1.0, params.p) % s.q)
     bit_ok = True
@@ -265,8 +267,8 @@ def test_a8_mpc_plaintext_equivalence():
     tape_c = RandomTape(2025, record=True)
     plain_c = []
     for _ in range(n_eq):
-        pair = noise_c(params, tape_c, gamma)
-        plain_c.append((pair.branch, pair.payload, perturb_c(-3.0, pair, params)))
+        pair = noise(TCL, params, tape_c, gamma)
+        plain_c.append((pair.branch, pair.payload, perturb(TCL, -3.0, pair, params)))
     s = _replay(tape_c.draw_log, params, "tcl", gamma)
     xs = s.share(steps_of(-3.0, params.p) % s.q)
     for branch, payload, z_ref in plain_c:
@@ -309,7 +311,7 @@ def test_a9_offline_online_split():
     # the noise protocols cannot receive the shared input at all
     api_ok = all(
         "x" not in inspect.signature(fn).parameters
-        for fn in (pi_d_noise, pi_c_noise)
+        for fn in (pi_noise, pi_d_noise, pi_c_noise)
     )
     cost_ok = True
     for params, x in (
@@ -317,17 +319,12 @@ def test_a9_offline_online_split():
         (MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2), -32.0),
         (MechanismParams(E=2.0, L=1.0, sigma=0.5, p=1), 1.5),
     ):
-        for mech in ("tdl", "tcl"):
-            s = make_session(params, mech, 4, 11, 12)
+        for mech in (TDL, TCL):
+            s = make_session(params, mech.name, 4, 11, 12)
             xs = s.share(steps_of(x, params.p) % s.q)
-            pair = (
-                pi_d_noise(s, params) if mech == "tdl" else pi_c_noise(s, params, 4)
-            )
-            before = s.ledger.snapshot()
-            if mech == "tdl":
-                pi_d_perturb(s, xs, pair, params)
-            else:
-                pi_c_perturb(s, xs, pair, params)
+            pair = pi_noise(s, mech, params, 4)
+            before = s.ledger.as_dict()
+            pi_perturb(s, mech, xs, pair, params)
             d = s.ledger.delta(before)
             cost_ok &= d["comparisons"] == 1 and d["multiplications"] == 2
             cost_ok &= d["bernoulli_draws"] == 0 and d["uniform_draws"] == 0

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -61,6 +62,17 @@ class TestPmf:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "y,mass"
         assert len(lines) == 13  # half-open 12-point support + header
+
+    def test_csv_and_json(self, tmp_path):
+        args = ["pmf", "--E", "4", "--L", "2", "--sigma", "1", "--x", "0"]
+        assert run(args + ["--out", str(tmp_path / "pmf.csv")]) == 0
+        lines = (tmp_path / "pmf.csv").read_text().strip().splitlines()
+        assert lines[0] == "y,mass"
+        assert len(lines) == 13 + 1
+        assert run(args + ["--format", "json", "--out", str(tmp_path / "pmf.json")]) == 0
+        data = json.loads((tmp_path / "pmf.json").read_text())
+        assert data["spec"] == {"p": 0, "B": 6.0, "half_open": False}
+        assert len(data["masses"]) == 13
 
 
 class TestSample:
@@ -135,3 +147,81 @@ class TestValidate:
 
     def test_usage_error_exit_code(self):
         assert run(["nonsense"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pmf", "--E", "4", "--L", "2", "--sigma", "nan"],
+        ["moments", "--E", "4", "--L", "2", "--sigma", "inf"],
+        ["moments", "--E", "4", "--L", "2", "--epsilon", "nan"],
+        ["calibrate", "--epsilon", "nan", "--L", "2"],
+        ["calibrate", "--epsilon", "inf", "--L", "2"],
+        ["calibrate", "--epsilon", "nan", "--regime", "kstar", "--E", "4"],
+        ["sample", "--mechanism", "tcl", "--E", "4", "--L", "2", "--sigma", "1", "--n", "-5"],
+        ["sample", "--E", "4", "--L", "2", "--sigma", "1", "--n", "-5"],
+    ],
+    ids=["pmf-sigma-nan", "moments-sigma-inf", "moments-epsilon-nan", "calibrate-nan",
+         "calibrate-inf", "kstar-nan", "sample-tcl-negative-n", "sample-tdl-negative-n"],
+)
+def test_non_finite_or_negative_input_is_usage_error(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
+    assert not out.exists()
+
+
+SMALL = ["--E", "4", "--L", "2", "--sigma", "1"]
+WIDE = ["--E", "64", "--L", "32", "--sigma", "8", "--p", "2"]
+# sha256 of seeded artifacts.  They hold only grid values, integers and
+# hex, so no float formatting enters: a change to any draw, ledger charge
+# or transcript element changes a digest.
+PINNED = {
+    "sample-tdl.csv": (
+        ["sample", *SMALL, "--x", "1", "--n", "500", "--seed", "9"],
+        "a375307d891dac0ca5e6501c7b4682dc1914e72f371d009e9693fefb089cdfd2",
+    ),
+    "sample-tcl-wide.json": (
+        ["sample", "--mechanism", "tcl", *WIDE, "--x", "-32", "--n", "300", "--seed", "3",
+         "--format", "json"],
+        "af14c39f4500d91740b65e0308a3fe8cc7ae861749f5f42589d4191e020ba3cb",
+    ),
+    "sample-tcl-gamma0.csv": (
+        ["sample", "--mechanism", "tcl", *SMALL, "--gamma", "0", "--n", "500", "--seed", "5"],
+        "a7cf1ae305dcff95b467fa96e3b42eb926314c3ee56212eb7be03dacdd5d0a56",
+    ),
+    "mpc-tdl-small.json": (
+        ["mpc", *SMALL, "--x", "1", "--n", "200", "--seed", "5", "--transcript"],
+        "054006aeda13d8ff90dd51efdab2733aeeacaeef315a5708eb648fd5f16a5290",
+    ),
+    "mpc-tcl-small.json": (
+        ["mpc", "--mechanism", "tcl", *SMALL, "--x", "-2", "--n", "200", "--seed", "5",
+         "--transcript"],
+        "a712e13712ffabca0ae5d6aacd3e5ecf3fec5d0152635fff722f82387d221381",
+    ),
+    "mpc-tdl-wide.json": (
+        ["mpc", *WIDE, "--x", "-32", "--n", "200", "--seed", "7", "--transcript"],
+        "e4a79aaae14c4e6d3ce0c961795e6a525d220dd8d37200d714a57134ab61a727",
+    ),
+    "mpc-tcl-wide.json": (
+        ["mpc", "--mechanism", "tcl", *WIDE, "--x", "63.75", "--n", "200", "--seed", "7",
+         "--transcript"],
+        "de9c47710de521c7a717b25d9604b6e5a45c2a618f3b4598ff74786ebac78818",
+    ),
+    "bench.json": (
+        ["bench"],
+        "bbd1a32207a03f2e47dc582279cf3e6a7efa98572d9d788d0080381b9e1e8389",
+    ),
+    "bench.csv": (
+        ["bench", "--format", "csv", "--x", "1", "--seed", "4", "--gamma", "4"],
+        "0a057407e9f695cf5de2c92745bd688b1c9d2e5ea371040ac8fc6035f2d1a583",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_seeded_artifact_bytes_are_pinned(name, tmp_path):
+    argv, digest = PINNED[name]
+    out = tmp_path / name
+    assert run(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

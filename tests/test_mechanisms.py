@@ -20,7 +20,6 @@ from trunclap import (
     centered_dlap_pmf,
     find_kstar,
     kstar_calibration,
-    lambda_clap,
     lambda_dlap,
     lambda_lap,
     max_privacy_ratio,
@@ -31,7 +30,14 @@ from trunclap import (
     pmf_tcl,
     pmf_tdl,
 )
-from trunclap.mechanisms import kstar_polynomial
+from trunclap.mechanisms import (
+    TCL,
+    TDL,
+    branch_probability_c,
+    branch_probability_d,
+    kstar_polynomial,
+    lookup_mechanism,
+)
 from trunclap.grids import GridError
 
 # every (E, L, sigma, p) combination used by the normalization sweeps
@@ -79,25 +85,27 @@ class TestLambdas:
             assert lambda_dlap(64, 32, 1e6, p) == pytest.approx(count, rel=1e-4)
 
     def test_lambda_clap_reference_and_identity(self):
-        val = lambda_clap(64, 32, 8)
+        # lambda_lap is also the cumulative mechanism's normalizer
+        val = lambda_lap(64, 32, 8)
         assert val == pytest.approx(18.05135155553823, abs=1e-10)
         # piecewise closed-form integration over the half-open support
         cells = sum(tcl_cell_oracle(y, 0.0, 32, 8, 1.0) for y in closed_grid(96, 0)[:-1])
         assert val == pytest.approx(cells, rel=1e-9)
-        assert lambda_clap(64, 800, 8) == pytest.approx(16.0, rel=1e-9)
+        assert lambda_lap(64, 800, 8) == pytest.approx(16.0, rel=1e-9)
 
     def test_lambda_clap_equals_lambda_lap(self):
+        # the expm1 form lambda_lap evaluates equals the paper's
+        # 2*(sigma + (E - sigma)*e^(-L/sigma))
         rng = np.random.default_rng(7)
         for _ in range(100):
             E, L, s = rng.uniform(0.5, 100, size=3)
-            assert lambda_clap(E, L, s) == pytest.approx(lambda_lap(E, L, s), rel=1e-12)
+            paper = 2.0 * (s + (E - s) * math.exp(-L / s))
+            assert lambda_lap(E, L, s) == pytest.approx(paper, rel=1e-12)
 
     def test_domain_errors(self):
         for bad in ((0, 1, 1), (1, -2, 1), (1, 1, 0)):
             with pytest.raises(ValueError):
                 lambda_lap(*bad)
-            with pytest.raises(ValueError):
-                lambda_clap(*bad)
             with pytest.raises(ValueError):
                 lambda_dlap(*bad, 0)
 
@@ -105,7 +113,7 @@ class TestLambdas:
         for E, L, s, p in LATTICE:
             ys = closed_grid(L + E, p)
             lam = lambda_dlap(E, L, s, p)
-            lamc = lambda_clap(E, L, s)
+            lamc = lambda_lap(E, L, s)
             h = 2.0**-p
             for x in (-E, 0.0, E):
                 direct = float(np.sum(np.exp(-np.minimum(np.abs(ys - x), L) / s)))
@@ -452,18 +460,18 @@ class TestProperties:
         assert mse == pytest.approx(fc.mse(), rel=1e-9)
 
 
-class TestExactPmfExport(object):
-    def test_csv_and_json(self, tmp_path, small_params):
-        f = pmf_tdl(0.0, small_params)
-        csv_path = tmp_path / "pmf.csv"
-        json_path = tmp_path / "pmf.json"
-        f.write_csv(csv_path)
-        f.write_json(json_path)
-        lines = csv_path.read_text().strip().splitlines()
-        assert lines[0] == "y,mass"
-        assert len(lines) == f.spec.count + 1
-        import json
+class TestMechanismRecord:
+    def test_records_hold_each_mechanisms_functions(self):
+        assert (TDL.pmf, TDL.moments, TDL.branch_probability) == (
+            pmf_tdl, moments_tdl, branch_probability_d)
+        assert (TCL.pmf, TCL.moments, TCL.branch_probability) == (
+            pmf_tcl, moments_tcl, branch_probability_c)
+        # TDL's upper tail starts one step past x+L; TCL samples gamma bits finer
+        assert (TDL.high_offset, TDL.fine_bits(8)) == (1, 0)
+        assert (TCL.high_offset, TCL.fine_bits(8)) == (0, 8)
 
-        data = json.loads(json_path.read_text())
-        assert data["spec"] == {"p": 0, "B": 6.0, "half_open": False}
-        assert len(data["masses"]) == 13
+    def test_lookup_by_name(self):
+        assert lookup_mechanism("tdl") is TDL and lookup_mechanism("tcl") is TCL
+        for bad in ("lap", "TDL", ""):
+            with pytest.raises(ValueError, match="unknown mechanism"):
+                lookup_mechanism(bad)

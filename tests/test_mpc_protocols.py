@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from trunclap import (
+    TCL,
+    TDL,
     MechanismParams,
     RandomTape,
     centered_clap_pmf,
@@ -18,6 +20,12 @@ from trunclap import (
     pmf_tdl,
 )
 from trunclap.grids import GridError, steps_of
+from trunclap.mechanisms import (
+    branch_probability_c,
+    branch_probability_d,
+    lookup_mechanism,
+    outer_count,
+)
 from trunclap.mpc import (
     BatchSession,
     Session,
@@ -36,15 +44,10 @@ from trunclap.mpc import (
 )
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import (
-    branch_probability_c,
-    branch_probability_d,
     centered_dlap_config,
     dlap_zero_mass,
-    noise_c,
-    noise_d,
-    outer_count,
-    perturb_c,
-    perturb_d,
+    noise,
+    perturb,
     sample_dlap_centered,
 )
 
@@ -53,6 +56,17 @@ PARAMS = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
 
 def tv(counts, masses):
     return 0.5 * float(np.sum(np.abs(counts / counts.sum() - masses)))
+
+
+def opened_in_batch(program, n, seeds, mechanism="tdl", gamma=8, outer_words=0):
+    """Opened results of n runs of `program` on a BatchSession over PARAMS:
+    the values a Session loop with the same seeds opens, since both read
+    the party tapes alone.  `outer_words` counts the joint words drawn
+    before the inner draw (2 for a noise protocol)."""
+    session = BatchSession(mechanism_field(PARAMS, mechanism, gamma), *seeds)
+    p_inner = PARAMS.p + lookup_mechanism(mechanism).fine_bits(gamma)
+    plan = centered_dlap_config(PARAMS.L, PARAMS.sigma, p_inner)
+    return session.run(program, n, outer_words + plan.words_per_draw)
 
 
 def replay_session(words, params, mechanism="tdl", gamma=8):
@@ -65,8 +79,7 @@ def replay_session(words, params, mechanism="tdl", gamma=8):
 class TestPiDl:
     def test_opened_law(self):
         n = 100_000
-        session = make_session(PARAMS, "tdl", seed0=51, seed1=52)
-        vals = np.array([session.open(pi_dl_for(session, PARAMS)) for _ in range(n)])
+        vals = opened_in_batch(lambda s: s.open(pi_dl_for(s, PARAMS)), n, (51, 52))
         counts = np.bincount(vals + 2, minlength=5)
         exact = centered_dlap_pmf(2.0, 1.0, 0).masses
         assert tv(counts, exact) < 0.005
@@ -77,7 +90,7 @@ class TestPiDl:
     def test_ledger_contract(self):
         session = make_session(PARAMS, "tdl", seed0=1, seed1=2)
         kappa = centered_dlap_config(PARAMS.L, PARAMS.sigma, PARAMS.p).kappa
-        before = session.ledger.snapshot()
+        before = session.ledger.as_dict()
         pi_dl_for(session, PARAMS)
         d = session.ledger.delta(before)
         assert d["bernoulli_draws"] == kappa + 2
@@ -122,8 +135,7 @@ class TestPiCl:
 
     def test_opened_law_gamma6(self):
         n = 100_000
-        session = make_session(PARAMS, "tcl", gamma=6, seed0=61, seed1=62)
-        vals = np.array([session.open(pi_cl(session, PARAMS, 6)) for _ in range(n)])
+        vals = opened_in_batch(lambda s: s.open(pi_cl(s, PARAMS, 6)), n, (61, 62), "tcl", 6)
         counts = np.bincount(vals + 2, minlength=4)
         exact = centered_clap_pmf(2.0, 1.0, 0).masses
         assert vals.max() < 2
@@ -160,29 +172,28 @@ class TestNoiseProtocols:
 
     def test_forced_outer_branch_uniform(self):
         n = 100_000
-        session = make_session(PARAMS, "tdl", seed0=73, seed1=74)
         m = outer_count(PARAMS)
-        draws = np.empty(n, dtype=int)
-        for k in range(n):
-            pair = pi_d_noise(session, PARAMS, branch_prob=0.0)
-            draws[k] = session.open(pair.payload)
+        draws = opened_in_batch(
+            lambda s: s.open(pi_d_noise(s, PARAMS, branch_prob=0.0).payload), n, (73, 74),
+            outer_words=2,
+        )
         _, p = chisquare(np.bincount(draws, minlength=m))
         assert p > 0.01
 
     def test_c_branch_probability(self):
         n = 100_000
-        session = make_session(PARAMS, "tcl", gamma=4, seed0=75, seed1=76)
         pb = branch_probability_c(PARAMS)
-        hits = sum(
-            session.open(pi_c_noise(session, PARAMS, 4).branch) for _ in range(n)
-        )
+        hits = opened_in_batch(
+            lambda s: s.open(pi_c_noise(s, PARAMS, 4).branch), n, (75, 76), "tcl", 4,
+            outer_words=2,
+        ).sum()
         se = math.sqrt(pb * (1 - pb) / n)
         assert abs(hits / n - pb) < 3 * se
 
     def test_noise_ledger_composition(self):
         session = make_session(PARAMS, "tdl", seed0=77, seed1=78)
         kappa = centered_dlap_config(PARAMS.L, PARAMS.sigma, PARAMS.p).kappa
-        before = session.ledger.snapshot()
+        before = session.ledger.as_dict()
         pi_d_noise(session, PARAMS)
         d = session.ledger.delta(before)
         assert d["bernoulli_draws"] == 1 + kappa + 2
@@ -263,7 +274,7 @@ class TestPerturbProtocols:
                     if mech == "tdl"
                     else noise_fn(session, params, 4)
                 )
-                before = session.ledger.snapshot()
+                before = session.ledger.as_dict()
                 perturb_fn(session, xs, pair, params)
                 d = session.ledger.delta(before)
                 assert d["comparisons"] == 1
@@ -279,8 +290,8 @@ class TestBitForBitEquivalence:
         tape = RandomTape(90, record=True)
         plain = []
         for _ in range(n):
-            pair = noise_d(PARAMS, tape)
-            plain.append((pair, perturb_d(x, pair, PARAMS)))
+            pair = noise(TDL, PARAMS, tape)
+            plain.append((pair, perturb(TDL, x, pair, PARAMS)))
         session = replay_session(tape.draw_log, PARAMS)
         xs = session.share(steps_of(x, PARAMS.p) % session.q)
         for pair_ref, z_ref in plain:
@@ -302,8 +313,8 @@ class TestBitForBitEquivalence:
         tape = RandomTape(91, record=True)
         plain = []
         for _ in range(n):
-            pair = noise_c(PARAMS, tape, gamma)
-            plain.append((pair, perturb_c(x, pair, PARAMS)))
+            pair = noise(TCL, PARAMS, tape, gamma)
+            plain.append((pair, perturb(TCL, x, pair, PARAMS)))
         session = replay_session(tape.draw_log, PARAMS, "tcl", gamma)
         xs = session.share(steps_of(x, PARAMS.p) % session.q)
         for pair_ref, z_ref in plain:
@@ -433,7 +444,7 @@ class TestBatchSimulator:
         _, seq = loop_reference(mechanism, params, 1, n, 41, 42, gamma)
         batch = BatchSession(mechanism_field(params, mechanism, gamma), 41, 42)
         with mock.patch.object(core, "BATCH_BLOCK", 128):
-            run_sessions(batch, mechanism, params, 1, n, gamma)
+            run_sessions(batch, lookup_mechanism(mechanism), params, 1, n, gamma)
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
         assert batch.tape0.words_consumed == seq.tape0.words_consumed
         assert batch.tape1.words_consumed == seq.tape1.words_consumed

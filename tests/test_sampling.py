@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from itertools import product
 
@@ -6,29 +7,22 @@ import pytest
 
 from conftest import closed_grid, tcl_masses_oracle, tdl_masses_oracle
 from trunclap import (
-    GeoSamplerParams,
+    TCL,
+    TDL,
     MechanismParams,
     NoisePair,
     RandomTape,
     centered_clap_pmf,
     centered_dlap_pmf,
-    noise_c,
-    noise_d,
-    perturb_c,
-    perturb_d,
+    noise,
+    perturb,
     sample_clap_centered,
     sample_dlap_centered,
-    sample_geometric_bitwise,
     sample_tdl,
     sample_tdl_batch,
 )
-from trunclap.sampling import (
-    branch_probability_c,
-    branch_probability_d,
-    centered_dlap_config,
-    dlap_zero_mass,
-    outer_count,
-)
+from trunclap.mechanisms import branch_probability_c, branch_probability_d, outer_count
+from trunclap.sampling import _dlap_draw, centered_dlap_config, dlap_zero_mass
 
 
 def tv(counts, masses):
@@ -36,34 +30,50 @@ def tv(counts, masses):
     return 0.5 * float(np.sum(np.abs(freq - masses)))
 
 
+def magnitude_bits(cfg):
+    """P[bit i = 1] of the bitwise magnitude, read off the config's thresholds."""
+    return [t / 2.0**64 for t in cfg.bit_thresholds]
+
+
 class TestGeometricBitwise:
+    """The magnitude x' in [0, 2^kappa) of the bitwise sampler: kappa
+    independent Bernoulli(rho^(2^i) / (1 + rho^(2^i))) bits, rho = e^(-1/t),
+    t = 2^p * sigma, so that P[x'] is proportional to rho^x'."""
+
+    # (L, sigma, p): 2^p * L = 8 steps at t = 4, so kappa = 3, rho = e^(-1/4)
+    GEO = (8.0, 4.0, 0)
+
     def test_bit_marginals(self):
-        gp = GeoSamplerParams(kappa=3, rho=math.exp(-0.25), t=4.0)
-        n = 100_000
+        cfg = centered_dlap_config(*self.GEO)
+        rho = math.exp(-0.25)
+        probs = [rho ** (2**i) / (1 + rho ** (2**i)) for i in range(3)]
+        assert magnitude_bits(cfg) == pytest.approx(probs, abs=2.0**-63)
+        # the sampler reads the bits: |v| = x' + 1 on every nonzero draw
         tape = RandomTape(11)
-        draws = np.array([sample_geometric_bitwise(gp, tape) for _ in range(n)])
-        for i in range(3):
-            p = gp.bit_probability(i)
-            freq = np.mean((draws >> i) & 1)
-            se = math.sqrt(p * (1 - p) / n)
-            assert abs(freq - p) < 3 * se
+        draws = np.array([sample_dlap_centered(*self.GEO, tape) for _ in range(100_000)])
+        mags = np.abs(draws[draws != 0]).astype(int) - 1
+        for i, p in enumerate(probs):
+            freq = np.mean((mags >> i) & 1)
+            assert abs(freq - p) < 3 * math.sqrt(p * (1 - p) / len(mags))
 
     def test_pmf_against_direct_normalization(self):
-        gp = GeoSamplerParams(kappa=3, rho=math.exp(-0.25), t=4.0)
-        xs = np.arange(8)
-        exact = gp.rho**xs
-        exact /= exact.sum()
-        n = 1_000_000
-        tape = RandomTape(12)
-        draws = np.array([sample_geometric_bitwise(gp, tape) for _ in range(n)])
-        counts = np.bincount(draws, minlength=8)
-        assert tv(counts, exact) < 0.003
+        # the magnitude law the thresholds encode, against rho^x' normalized
+        bits = magnitude_bits(centered_dlap_config(*self.GEO))
+        law = np.array([
+            math.prod(p if x >> i & 1 else 1 - p for i, p in enumerate(bits)) for x in range(8)
+        ])
+        exact = math.exp(-0.25) ** np.arange(8)
+        assert np.max(np.abs(law - exact / exact.sum())) < 1e-12
 
     def test_tiny_rho_collapses_to_zero(self):
-        gp = GeoSamplerParams(kappa=4, rho=1e-6, t=1.0)
+        # rho = 1e-6 (t = 1/ln 1e6), kappa = 4: every magnitude bit is almost
+        # surely 0; with the zero flag switched off each draw is +/-(x'+1)
+        cfg = centered_dlap_config(16.0, 1.0 / math.log(1e6), 0)
+        assert cfg.kappa == 4 and sum(magnitude_bits(cfg)) < 1.1e-6
+        never_zero = dataclasses.replace(cfg, zero_threshold=0)
         tape = RandomTape(13)
-        draws = [sample_geometric_bitwise(gp, tape) for _ in range(20_000)]
-        assert np.mean(np.asarray(draws) == 0) > 0.9999 - 3e-3
+        draws = np.array([_dlap_draw(never_zero, tape) for _ in range(20_000)])
+        assert np.mean(np.abs(draws) == 1.0) > 0.9999 - 3e-3
 
 
 class TestCenteredDlap:
@@ -181,7 +191,7 @@ class TestNoise:
     def test_branch_probability_empirical(self, table_params_p0):
         n = 100_000
         tape = RandomTape(41)
-        hits = sum(noise_d(table_params_p0, tape).branch for _ in range(n))
+        hits = sum(noise(TDL, table_params_p0, tape).branch for _ in range(n))
         pb = branch_probability_d(table_params_p0)
         se = math.sqrt(pb * (1 - pb) / n)
         assert abs(hits / n - pb) < 3 * se
@@ -198,7 +208,7 @@ class TestNoise:
         tape = RandomTape(42)
         m = outer_count(small_params)
         draws = np.array(
-            [noise_d(small_params, tape, branch_prob=0.0).payload for _ in range(n)]
+            [noise(TDL, small_params, tape, branch_prob=0.0).payload for _ in range(n)]
         ).astype(int)
         counts = np.bincount(draws, minlength=m)
         _, pvalue = chisquare(counts)
@@ -207,13 +217,13 @@ class TestNoise:
     def test_payload_ranges(self, small_params):
         tape = RandomTape(43)
         for _ in range(2000):
-            pair = noise_d(small_params, tape)
+            pair = noise(TDL, small_params, tape)
             if pair.branch:
                 assert -2.0 <= pair.payload <= 2.0
             else:
                 assert pair.payload in range(8)
         for _ in range(500):
-            pair = noise_c(small_params, tape, gamma=4)
+            pair = noise(TCL, small_params, tape, gamma=4)
             if pair.branch:
                 assert -2.0 <= pair.payload < 2.0
 
@@ -222,22 +232,23 @@ class TestPerturb:
     def test_branch0_boundaries(self, small_params):
         params = small_params
         # lowest index lands on the bottom of the support
-        assert perturb_d(0.0, NoisePair(0, 0), params) == -6.0
+        assert perturb(TDL, 0.0, NoisePair(0, 0), params) == -6.0
         # first high index lands just above x + L
         x = 1.0
         y = int(2**params.p * (params.E + x))
-        assert perturb_d(x, NoisePair(0, y), params) == x + params.L + params.step
+        assert perturb(TDL, x, NoisePair(0, y), params) == x + params.L + params.step
         # cumulative variant: upper tail starts at x + L inclusive
-        assert perturb_c(x, NoisePair(0, y), params) == x + params.L
+        assert perturb(TCL, x, NoisePair(0, y), params) == x + params.L
 
     def test_top_of_low_tail(self, small_params):
         x = 1.0
         y = int(2**small_params.p * (small_params.E + x)) - 1
-        assert perturb_d(x, NoisePair(0, y), small_params) == x - small_params.L - small_params.step
+        low_top = x - small_params.L - small_params.step
+        assert perturb(TDL, x, NoisePair(0, y), small_params) == low_top
 
     def test_branch1_adds(self, small_params):
-        assert perturb_d(1.0, NoisePair(1, -2.0), small_params) == -1.0
-        assert perturb_c(-3.0, NoisePair(1, 1.0), small_params) == -2.0
+        assert perturb(TDL, 1.0, NoisePair(1, -2.0), small_params) == -1.0
+        assert perturb(TCL, -3.0, NoisePair(1, 1.0), small_params) == -2.0
 
     def test_composite_law_exact_d(self, small_params):
         # enumerate (branch, payload) with exact probabilities and push
@@ -250,10 +261,10 @@ class TestPerturb:
             x = float(x)
             law = {}
             for y in range(m):
-                z = perturb_d(x, NoisePair(0, y), params)
+                z = perturb(TDL, x, NoisePair(0, y), params)
                 law[z] = law.get(z, 0.0) + (1 - pb) / m
             for v, mass in zip(inner.support(), inner.masses):
-                z = perturb_d(x, NoisePair(1, float(v)), params)
+                z = perturb(TDL, x, NoisePair(1, float(v)), params)
                 law[z] = law.get(z, 0.0) + pb * float(mass)
             oracle = tdl_masses_oracle(x, 4, 2, 1, 0)
             ys = closed_grid(6, 0)
@@ -272,10 +283,10 @@ class TestPerturb:
             x = float(x)
             law = {}
             for y in range(m):
-                z = perturb_c(x, NoisePair(0, y), params)
+                z = perturb(TCL, x, NoisePair(0, y), params)
                 law[z] = law.get(z, 0.0) + (1 - pb) / m
             for v, mass in zip(inner.support(), inner.masses):
-                z = perturb_c(x, NoisePair(1, float(v)), params)
+                z = perturb(TCL, x, NoisePair(1, float(v)), params)
                 law[z] = law.get(z, 0.0) + pb * float(mass)
             oracle = tcl_masses_oracle(x, 4, 2, 1, 0)
             ys = closed_grid(6, 0)[:-1]
@@ -293,9 +304,9 @@ class TestPerturb:
 
     def test_errors(self, small_params):
         with pytest.raises(ValueError):
-            perturb_d(5.0, NoisePair(0, 0), small_params)
+            perturb(TDL, 5.0, NoisePair(0, 0), small_params)
         with pytest.raises(ValueError):
-            perturb_d(0.0, NoisePair(0, 99), small_params)
+            perturb(TDL, 0.0, NoisePair(0, 99), small_params)
         with pytest.raises(ValueError):
             NoisePair(2, 0)
 
