@@ -26,7 +26,7 @@ from .mechanisms import (
     moments_lap_exact,
 )
 from .mpc import make_session, run_batch, run_once
-from .sampling import centered_dlap_config, sample_batch
+from .sampling import noise_plan, sample_batch
 from .thresholds import THRESHOLDS
 from .validation import Histogram, overlay_check, overlay_data, table1_report
 
@@ -167,9 +167,7 @@ def cmd_sample(args) -> int:
         "params": params.as_dict(),
         "x": args.x,
         "seed": args.seed,
-        "inner_sampler": centered_dlap_config(
-            params.L, params.sigma, params.p + mech.fine_bits(args.gamma)
-        ).method,
+        "inner_sampler": noise_plan(mech, params, args.gamma).inner.method,
     }
     values = sample_batch(mech, args.x, params, args.n, args.seed, args.gamma)
     if args.format == "json":

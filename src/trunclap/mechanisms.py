@@ -330,7 +330,7 @@ def branch_probability_c(params: MechanismParams) -> float:
     return 1.0 - 2.0 * params.E * math.exp(-params.L / params.sigma) / lam
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Mechanism:
     """One discrete mechanism: TDL or TCL.
 
@@ -339,7 +339,8 @@ class Mechanism:
     1 comparison + 2 multiplications.  They differ only where this record
     says: TCL (`cumulative`) draws its inner noise on the 2^-(p+gamma)
     lattice with +L rejected, and its upper tail starts at x+L, not at
-    x+L+2^-p.
+    x+L+2^-p.  The two records are singletons, compared and hashed by
+    identity (they key the cached noise plans).
     """
 
     name: str

@@ -32,8 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..grids import FieldConfig, GridError, field_for_mechanism, next_prime, steps_of
-from ..mechanisms import TCL, TDL, Mechanism, MechanismParams, lookup_mechanism, outer_count
-from ..sampling import CenteredDlapConfig, centered_dlap_config
+from ..mechanisms import TCL, TDL, Mechanism, MechanismParams, lookup_mechanism
+from ..sampling import CenteredDlapConfig, NoisePlan, centered_dlap_config, noise_plan
+from ..tape import bernoulli_threshold
 from .core import BATCH_MAX_Q, BATCH_MIN_SESSIONS, BatchSession, Session, SharedValue
 
 
@@ -87,6 +88,7 @@ def pi_dl(session: Session, plan: CenteredDlapConfig) -> SharedValue:
     z = s*(sum 2^i z_i + 1) and the final blend (1-b)*z.  Two protocol
     multiplications.
     """
+    _require_bitwise(plan)
     b = session.pi_bersample_thresholded(plan.zero_threshold)
     u = session.share_public(1)
     for i, threshold in enumerate(plan.bit_thresholds):
@@ -99,20 +101,17 @@ def pi_dl(session: Session, plan: CenteredDlapConfig) -> SharedValue:
     return session.mul(one_minus_b, z)
 
 
-def _dl_plan(params: MechanismParams, p_eff: int) -> CenteredDlapConfig:
-    cfg = centered_dlap_config(params.L, params.sigma, p_eff)
-    if cfg.method != "bitwise":
+def _require_bitwise(plan: CenteredDlapConfig) -> None:
+    if plan.method != "bitwise":
         raise ValueError(
-            "secure sampling needs 2^p * L to be a power of two "
-            f"(got {steps_of(params.L, p_eff)} steps)"
+            f"secure sampling needs 2^p * L to be a power of two (got {plan.steps} steps)"
         )
-    return cfg
 
 
 def pi_dl_for(session: Session, params: MechanismParams, p_eff: int | None = None) -> SharedValue:
     """pi_dl on the draw plan of the mechanism's inner sampler at 2^-p_eff."""
     p_eff = params.p if p_eff is None else p_eff
-    return pi_dl(session, _dl_plan(params, p_eff))
+    return pi_dl(session, centered_dlap_config(params.L, params.sigma, p_eff))
 
 
 def pi_cl(session: Session, params: MechanismParams, gamma: int) -> SharedValue:
@@ -123,14 +122,15 @@ def pi_cl(session: Session, params: MechanismParams, gamma: int) -> SharedValue:
     secrets), then floors to the coarse grid by truncating the low gamma
     bits.  gamma=0 degenerates to the pi_dl law conditioned off +L.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be >= 0")
-    p_fine = params.p + gamma
-    top = steps_of(params.L, p_fine)
+    return _pi_cl(session, noise_plan(TCL, params, gamma))
+
+
+def _pi_cl(session: Session, plan: NoisePlan) -> SharedValue:
+    fine = plan.inner
     while True:
-        zf = pi_dl_for(session, params, p_fine)
-        if not session.redraw(session.pi_ge(session.add_public(zf, -top))):
-            return session.trunc_pow2(zf, gamma)
+        zf = pi_dl(session, fine)
+        if not session.redraw(session.pi_ge(session.add_public(zf, -fine.steps))):
+            return session.trunc_pow2(zf, plan.fine_bits)
 
 
 def pi_noise(
@@ -149,10 +149,11 @@ def pi_noise(
     for TCL), and blends with one mux.  `branch_prob` overrides the
     Bernoulli parameter (test stub injection).
     """
-    prob = mech.branch_probability(params) if branch_prob is None else branch_prob
-    i = session.pi_bersample(prob)
-    a = session.pi_uni(outer_count(params))
-    b = pi_cl(session, params, gamma) if mech.cumulative else pi_dl_for(session, params)
+    plan = noise_plan(mech, params, gamma)
+    threshold = plan.branch_threshold if branch_prob is None else bernoulli_threshold(branch_prob)
+    i = session.pi_bersample_thresholded(threshold)
+    a = session.pi_uni(plan.outer_count)
+    b = _pi_cl(session, plan) if mech.cumulative else pi_dl(session, plan.inner)
     return SharedNoisePair(branch=i, payload=session.mux(i, a, b))
 
 
@@ -187,8 +188,8 @@ def pi_perturb(
     parameters.  The upper tail map is z = L - E + 2^-p (y + high_offset):
     TDL's upper tail starts at x+L+2^-p, TCL's at x+L inclusive.
     """
-    Es = steps_of(params.E, params.p)
-    Ls = steps_of(params.L, params.p)
+    plan = noise_plan(mech, params)
+    Es, Ls = plan.Es, plan.Ls
     y = pair.payload
     # b = 1 iff the uniform index falls in the upper tail: y >= 2^p(E+x)
     b = session.pi_ge(session.sub(y, session.add_public(x, Es)))
@@ -276,8 +277,10 @@ def run_sessions(
 
     Returns the decoded outputs.  Inputs are taken as run_batch checks them.
     """
+    inner = noise_plan(mech, params, gamma).inner
+    _require_bitwise(inner)
     # joint words per execution without rejections: branch, uniform, inner draw
-    words = 2 + _dl_plan(params, params.p + mech.fine_bits(gamma)).words_per_draw
+    words = 2 + inner.words_per_draw
     xs = session.share(x_steps % session.q)
 
     def once(s):

@@ -18,6 +18,9 @@ import numpy as np
 WORD_BITS = 64
 _WORD_MOD = 1 << WORD_BITS
 _BUF = 4096
+# words a seeded tape converts to Python ints at a time (see RandomTape)
+_WINDOW_MIN = 8
+_WINDOW_MAX = 256
 
 
 def bernoulli_threshold(prob: float) -> int:
@@ -39,6 +42,12 @@ class RandomTape:
     word handed out is appended to ``draw_log``.  An explicit ``words``
     iterable overrides the generator entirely (used to inject randomness
     for replay tests); the tape raises StopIteration when it runs dry.
+
+    A seeded tape draws its words in uint64 blocks and hands them out from
+    a short window of Python ints converted from the block; the window
+    starts at `_WINDOW_MIN` words and doubles up to `_WINDOW_MAX` while
+    the tape is read word by word, and starts again after `peek_block`.
+    Injected and recording tapes hand out one word at a time.
     """
 
     def __init__(
@@ -53,6 +62,11 @@ class RandomTape:
         self.draw_log: list[int] = []
         self.words_consumed = 0
         self._injected: Iterator[int] | None = iter(words) if words is not None else None
+        # _win holds the words _buf[_pos:_pos + len(_win)]; _wi is the next
+        # one to hand out, so the read position in _buf is _pos + _wi
+        self._win: list[int] = []
+        self._wi = 0
+        self._grow = _WINDOW_MIN
         if self._injected is None:
             self._gen = np.random.Generator(np.random.PCG64(seed))
             self._buf = np.empty(0, dtype=np.uint64)
@@ -64,17 +78,59 @@ class RandomTape:
 
     def word(self) -> int:
         """Next raw 64-bit word."""
+        i = self._wi
+        win = self._win
+        if i < len(win):
+            self._wi = i + 1
+            self.words_consumed += 1
+            return win[i]
+        return self._next_word()
+
+    def words(self, n: int) -> list[int]:
+        """The next n words, as n calls of `word` return them."""
+        i = self._wi
+        if i + n > len(self._win):
+            if self._injected is None and not self.record:
+                self._load_window(n)
+            if len(self._win) < n:  # word by word, past the buffer's end
+                return [self.word() for _ in range(n)]
+            i = 0
+        self._wi = i + n
+        self.words_consumed += n
+        return self._win[i : i + n]
+
+    def _next_word(self) -> int:
+        """`word` past the window's end."""
         if self._injected is not None:
             w = int(next(self._injected))
-        else:
+        elif self.record:
             if self._pos >= len(self._buf):
                 self._refill()
             w = int(self._buf[self._pos])
             self._pos += 1
+        else:
+            self._load_window(1)
+            self._wi = 1
+            w = self._win[0]
         self.words_consumed += 1
         if self.record:
             self.draw_log.append(w)
         return w
+
+    def _load_window(self, n: int) -> None:
+        """Convert the window afresh at the read position: max(n, _grow)
+        words, fewer where the buffer ends."""
+        self._pos += self._wi
+        if self._pos >= len(self._buf):
+            self._refill()
+        self._win = self._buf[self._pos : self._pos + max(n, self._grow)].tolist()
+        self._wi = 0
+        self._grow = min(2 * self._grow, _WINDOW_MAX)
+
+    def _sync(self) -> None:
+        """Drop the window; _pos becomes the read position."""
+        self._pos += self._wi
+        self._win, self._wi, self._grow = [], 0, _WINDOW_MIN
 
     def peek_block(self, n: int) -> np.ndarray:
         """The next n words as a uint64 array, without consuming them.
@@ -84,6 +140,7 @@ class RandomTape:
         part it commits.  Seeded tapes only.
         """
         self._require_generator("peek_block")
+        self._sync()
         have = len(self._buf) - self._pos
         if have < n:
             fresh = self._gen.integers(0, _WORD_MOD, size=max(n - have, _BUF), dtype=np.uint64)
@@ -93,6 +150,7 @@ class RandomTape:
 
     def skip(self, n: int) -> None:
         """Consume n words already returned by `peek_block`."""
+        self._sync()
         self._pos += n
         self.words_consumed += n
 

@@ -80,6 +80,72 @@ def multinomial_tv_mean(masses, n: int) -> float:
     return 0.5 * float(np.sum(mad)) / n
 
 
+class ReferenceTape:
+    """The seeded word tape as it was before its window of Python ints:
+    every word is read off the uint64 buffer one at a time.  The oracle
+    for `RandomTape`'s word stream and word counts."""
+
+    BUF = 4096
+
+    def __init__(self, seed):
+        self.words_consumed = 0
+        self._gen = np.random.Generator(np.random.PCG64(seed))
+        self._buf = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+
+    def word(self) -> int:
+        if self._pos >= len(self._buf):
+            self._buf = self._gen.integers(0, 1 << 64, size=self.BUF, dtype=np.uint64)
+            self._pos = 0
+        w = int(self._buf[self._pos])
+        self._pos += 1
+        self.words_consumed += 1
+        return w
+
+    def peek_block(self, n: int) -> np.ndarray:
+        have = len(self._buf) - self._pos
+        if have < n:
+            fresh = self._gen.integers(0, 1 << 64, size=max(n - have, self.BUF), dtype=np.uint64)
+            self._buf = np.concatenate([self._buf[self._pos :], fresh])
+            self._pos = 0
+        return self._buf[self._pos : self._pos + n]
+
+    def skip(self, n: int) -> None:
+        self._pos += n
+        self.words_consumed += n
+
+    def bernoulli_thresholded(self, threshold: int) -> int:
+        return 1 if self.word() < threshold else 0
+
+    def uniform(self, m: int) -> int:
+        if m == 1:
+            return 0
+        mask = (1 << (m - 1).bit_length()) - 1
+        while True:
+            v = self.word() & mask
+            if v < m:
+                return v
+
+    def field_element(self, q: int) -> int:
+        limit = ((1 << 64) // q) * q
+        while True:
+            w = self.word()
+            if w < limit:
+                return w % q
+
+    def field_array(self, q: int, n: int) -> np.ndarray:
+        # straight from the generator, past the buffered words
+        limit = np.uint64(((1 << 64) // q) * q)
+        parts, have = [], 0
+        while have < n:
+            chunk = self._gen.integers(0, 1 << 64, size=n - have + 8, dtype=np.uint64)
+            self.words_consumed += len(chunk)
+            kept = chunk[chunk < limit][: n - have] % np.uint64(q)
+            parts.append(kept)
+            have += len(kept)
+        return np.concatenate(parts or [np.empty(0, dtype=np.uint64)])
+
+
 @pytest.fixture
 def small_params() -> MechanismParams:
     return MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)

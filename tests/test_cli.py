@@ -96,6 +96,12 @@ class TestSample:
         out = json.loads(capsys.readouterr().out)
         assert out["inner_sampler"] == "table"
 
+    def test_oversized_table_is_usage_error(self, capsys):
+        # gamma = 24 on L = 3 would need a 10^8-cell table: refused up front
+        assert run(["sample", "--mechanism", "tcl", "--E", "4", "--L", "3",
+                    "--sigma", "1", "--gamma", "24", "--n", "1"]) == 1
+        assert "cells" in capsys.readouterr().err
+
 
 class TestMpc:
     def test_histogram_and_ledger(self, tmp_path):

@@ -40,6 +40,7 @@ from trunclap.mpc import (
     pi_d_perturb,
     pi_dl,
     pi_dl_for,
+    pi_noise,
     run_batch,
 )
 from trunclap.mpc.protocols import run_sessions
@@ -47,6 +48,7 @@ from trunclap.sampling import (
     centered_dlap_config,
     dlap_zero_mass,
     noise,
+    noise_plan,
     perturb,
     sample_dlap_centered,
 )
@@ -189,6 +191,16 @@ class TestNoiseProtocols:
         ).sum()
         se = math.sqrt(pb * (1 - pb) / n)
         assert abs(hits / n - pb) < 3 * se
+
+    def test_branch_prob_bypasses_the_plan(self):
+        # a joint branch word below the plan's threshold opens 1 from the
+        # plan and 0 when branch_prob=0 overrides it
+        for mech, gamma in ((TDL, 8), (TCL, 4)):
+            words = [noise_plan(mech, PARAMS, gamma).branch_threshold - 1] + [0] * 40
+            plain = replay_session(words, PARAMS, mech.name, gamma)
+            assert plain.open(pi_noise(plain, mech, PARAMS, gamma).branch) == 1
+            stub = replay_session(words, PARAMS, mech.name, gamma)
+            assert stub.open(pi_noise(stub, mech, PARAMS, gamma, branch_prob=0.0).branch) == 0
 
     def test_noise_ledger_composition(self):
         session = make_session(PARAMS, "tdl", seed0=77, seed1=78)

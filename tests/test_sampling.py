@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -18,11 +20,20 @@ from trunclap import (
     perturb,
     sample_clap_centered,
     sample_dlap_centered,
+    sample_tcl,
     sample_tdl,
     sample_tdl_batch,
 )
 from trunclap.mechanisms import branch_probability_c, branch_probability_d, outer_count
-from trunclap.sampling import _dlap_draw, centered_dlap_config, dlap_zero_mass
+from trunclap.sampling import (
+    MAX_TABLE_CELLS,
+    _dlap_steps,
+    _noise_plan,
+    centered_dlap_config,
+    dlap_zero_mass,
+    noise_plan,
+)
+from trunclap.tape import bernoulli_threshold
 
 
 def tv(counts, masses):
@@ -72,7 +83,7 @@ class TestGeometricBitwise:
         assert cfg.kappa == 4 and sum(magnitude_bits(cfg)) < 1.1e-6
         never_zero = dataclasses.replace(cfg, zero_threshold=0)
         tape = RandomTape(13)
-        draws = np.array([_dlap_draw(never_zero, tape) for _ in range(20_000)])
+        draws = np.array([_dlap_steps(never_zero, tape) for _ in range(20_000)])
         assert np.mean(np.abs(draws) == 1.0) > 0.9999 - 3e-3
 
 
@@ -146,6 +157,74 @@ class TestCenteredDlap:
         assert set(draws.tolist()) == {-1.0, 0.0, 1.0}
         counts = np.bincount((draws + 1).astype(int), minlength=3)
         assert tv(counts, centered_dlap_pmf(1.0, 0.7, 0).masses) < 0.01
+
+
+class TestTableLookup:
+    """The table path's lookup is np.searchsorted(cdf, u, side="right")
+    clamped into the last cell, at every CDF boundary."""
+
+    # TDL table set (49 cells), the TCL fine table of that set at gamma=8
+    # (12,289 cells), and the smallest table
+    TABLES = [(24.0, 8.0, 0), (24.0, 8.0, 8), (3.0, 1.0, 0)]
+
+    @staticmethod
+    def boundary_words(cdf):
+        """Words at floor/ceil(cdf_i * 2^64) +- 1 for every boundary, and
+        words near 2^64, where u = word / 2^64 rounds to 1.0."""
+        words = set()
+        for c in cdf:
+            scaled = Fraction(c) * 2**64
+            for edge in (math.floor(scaled), math.ceil(scaled)):
+                words.update((edge - 1, edge, edge + 1))
+        top = 2**64
+        words.update(top - k for k in (1, 2, 2**10, 2**10 + 1, 2**11 - 1, 2**11, 2**11 + 1))
+        return sorted(w for w in words if 0 <= w < top)
+
+    @pytest.mark.parametrize("L, sigma, p", TABLES)
+    def test_lookup_equals_searchsorted(self, L, sigma, p):
+        cfg = centered_dlap_config(L, sigma, p)
+        assert cfg.method == "table" and len(cfg.cdf) == 2 * cfg.steps + 1
+        words = self.boundary_words(cfg.cdf)
+        u = np.array([w / 2.0**64 for w in words])
+        assert u.max() == 1.0  # the clamp is exercised
+        want = np.minimum(np.searchsorted(np.asarray(cfg.cdf), u, side="right"), len(cfg.cdf) - 1)
+        tape = RandomTape(words=words)
+        got = [_dlap_steps(cfg, tape) + cfg.steps for _ in words]
+        assert got == want.tolist()
+        assert tape.words_consumed == len(words)
+
+    def test_config_keeps_steps_and_step(self):
+        for L, sigma, p in self.TABLES + [(32.0, 8.0, 2)]:
+            cfg = centered_dlap_config(L, sigma, p)
+            assert (cfg.steps, cfg.step) == (round(L * 2**p), 2.0**-p)
+
+
+class TestTableCap:
+    def test_oversized_table_raises_before_allocating(self):
+        # L = 3 at p = 24 (TCL gamma = 24 on p = 0): 2 * 3 * 2^24 + 1 cells
+        assert 2 * 3 * 2**24 + 1 > MAX_TABLE_CELLS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="cells"):
+                centered_dlap_config(3.0, 1.0, 24)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_cap_is_far_above_the_tables_in_use(self):
+        assert MAX_TABLE_CELLS >= 64 * len(centered_dlap_config(24.0, 8.0, 8).cdf)
+
+    def test_cap_bounds_the_table(self, monkeypatch):
+        monkeypatch.setattr("trunclap.sampling.MAX_TABLE_CELLS", 7)
+        centered_dlap_config.cache_clear()
+        try:
+            assert len(centered_dlap_config(3.0, 1.25, 0).cdf) == 7
+            with pytest.raises(ValueError):
+                centered_dlap_config(5.0, 1.25, 0)
+            assert centered_dlap_config(8.0, 1.25, 0).method == "bitwise"
+        finally:
+            centered_dlap_config.cache_clear()
 
 
 class TestCenteredClap:
@@ -226,6 +305,60 @@ class TestNoise:
             pair = noise(TCL, small_params, tape, gamma=4)
             if pair.branch:
                 assert -2.0 <= pair.payload < 2.0
+
+
+class TestNoisePlan:
+    SETS = [
+        MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0),
+        MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2),
+        MechanismParams(E=64.0, L=24.0, sigma=8.0, p=0),
+        MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0),
+    ]
+
+    @pytest.mark.parametrize("gamma", [0, 3, 8])
+    def test_fields_equal_the_formulas(self, gamma):
+        for params, mech in product(self.SETS, (TDL, TCL)):
+            plan = noise_plan(mech, params, gamma)
+            assert plan.branch_threshold == bernoulli_threshold(mech.branch_probability(params))
+            assert plan.outer_count == outer_count(params)
+            assert (plan.Es, plan.Ls) == (round(params.E * 2**params.p), round(params.L * 2**params.p))
+            fine = params.p + mech.fine_bits(gamma)
+            assert plan.inner == centered_dlap_config(params.L, params.sigma, fine)
+            assert noise_plan(mech, params, gamma) is plan  # cached
+            # TDL's inner draw has no fine lattice: one plan for every gamma
+            if mech is TDL:
+                assert noise_plan(mech, params, gamma + 1) is plan
+
+    def test_negative_gamma_is_refused_for_tcl(self, small_params):
+        with pytest.raises(ValueError, match="gamma"):
+            noise_plan(TCL, small_params, -1)
+
+    def test_branch_prob_bypasses_the_plan(self, small_params):
+        # a branch word below the plan's threshold: branch 1 from the plan,
+        # branch 0 when branch_prob=0 overrides it
+        for mech in (TDL, TCL):
+            words = [noise_plan(mech, small_params).branch_threshold - 1] + [0] * 40
+            assert noise(mech, small_params, RandomTape(words=words)).branch == 1
+            stubbed = noise(mech, small_params, RandomTape(words=words), branch_prob=0.0)
+            assert stubbed.branch == 0
+
+    def test_outputs_unchanged_after_cache_clear(self, small_params):
+        table_set = MechanismParams(E=64.0, L=24.0, sigma=8.0, p=0)
+
+        def draws():
+            tape = RandomTape(91)
+            out = []
+            for params in (small_params, table_set):
+                out += [sample_tdl(0.0, params, tape) for _ in range(50)]
+                out += [sample_tcl(0.0, params, tape, 5) for _ in range(50)]
+            return out, tape.words_consumed
+
+        before = draws()
+        plan = noise_plan(TCL, small_params, 5)
+        _noise_plan.cache_clear()
+        centered_dlap_config.cache_clear()
+        assert noise_plan(TCL, small_params, 5) is not plan
+        assert draws() == before
 
 
 class TestPerturb:

@@ -1,0 +1,116 @@
+"""The word tape: its stream, its word counts and its block reads.
+
+A seeded `RandomTape` hands out words from a window of Python ints; the
+`ReferenceTape` oracle in conftest reads them off the uint64 buffer one
+at a time, as the tape did before.  Both must give the same values and
+the same `words_consumed` under any interleaving of the tape's calls.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import ReferenceTape
+from trunclap import RandomTape
+from trunclap.tape import _BUF, _WINDOW_MAX, _WINDOW_MIN
+
+# the field moduli are odd primes
+PRIMES = (3, 37, 1031, 2053, 2**31 - 1, 2**61 - 1)
+
+OPS = st.one_of(
+    st.tuples(st.just("word")),
+    st.tuples(st.just("words"), st.integers(0, 40)),
+    # long reads carry the stream across the 4096-word buffer refills
+    st.tuples(st.just("words"), st.integers(_BUF - 300, _BUF + 300)),
+    st.tuples(st.just("peek_skip"), st.integers(0, 600), st.floats(0, 1)),
+    st.tuples(st.just("peek_skip"), st.integers(_BUF - 50, _BUF + 50), st.floats(0, 1)),
+    st.tuples(st.just("field_element"), st.sampled_from(PRIMES)),
+    st.tuples(st.just("field_array"), st.sampled_from(PRIMES), st.integers(0, 50)),
+    st.tuples(st.just("uniform"), st.integers(1, 100)),
+    st.tuples(st.just("bernoulli"), st.integers(0, 2**64)),
+)
+
+
+def apply(tape, op):
+    """One call on `tape`; words(n) on the oracle is n word() calls."""
+    name, *args = op
+    if name == "word":
+        return tape.word()
+    if name == "words":
+        (n,) = args
+        if isinstance(tape, ReferenceTape):
+            return [tape.word() for _ in range(n)]
+        return tape.words(n)
+    if name == "peek_skip":
+        n, share = args
+        block = tape.peek_block(n).tolist()
+        tape.skip(int(n * share))
+        return block
+    if name == "field_element":
+        return tape.field_element(*args)
+    if name == "field_array":
+        return tape.field_array(*args).tolist()
+    if name == "uniform":
+        return tape.uniform(*args)
+    return tape.bernoulli_thresholded(*args)
+
+
+class TestWordStream:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32), ops=st.lists(OPS, max_size=40))
+    def test_interleavings_match_the_reference(self, seed, ops):
+        tape, ref = RandomTape(seed), ReferenceTape(seed)
+        for op in ops:
+            assert apply(tape, op) == apply(ref, op), op
+            assert tape.words_consumed == ref.words_consumed, op
+        # and the stream reads on identically from wherever the ops left it
+        assert tape.words(300) == [ref.word() for _ in range(300)]
+
+    def test_window_stays_short(self):
+        # the window doubles from _WINDOW_MIN to _WINDOW_MAX words, and a
+        # block read restarts it at the read position
+        tape = RandomTape(5)
+        sizes = []
+        for _ in range(2000):
+            tape.word()
+            sizes.append(len(tape._win))
+        assert sizes[0] == _WINDOW_MIN and max(sizes) == _WINDOW_MAX
+        assert set(sizes) == {_WINDOW_MIN << k for k in range(6)}
+        tape.peek_block(1000)
+        tape.skip(600)
+        assert tape._win == []
+        tape.word()
+        assert len(tape._win) == _WINDOW_MIN
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_words_on_injected_tapes(self, n):
+        stream = [(i * 0x9E3779B97F4A7C15) % 2**64 for i in range(400)]
+        a, b = RandomTape(words=stream), RandomTape(words=stream)
+        assert a.words(n) == [b.word() for _ in range(n)] == stream[:n]
+        assert a.words_consumed == b.words_consumed == n
+        assert a.word() == b.word()
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 300])
+    def test_words_on_recording_tapes(self, n):
+        a, b = RandomTape(31, record=True), RandomTape(31, record=True)
+        assert a.words(n) == [b.word() for _ in range(n)]
+        assert a.draw_log == b.draw_log and len(a.draw_log) == n
+        assert a.words_consumed == b.words_consumed == n
+        ref = ReferenceTape(31)
+        assert a.draw_log == [ref.word() for _ in range(n)]
+
+    def test_injected_tape_runs_dry_on_words(self):
+        tape = RandomTape(words=[1, 2, 3])
+        with pytest.raises(StopIteration):
+            tape.words(4)
+
+    def test_block_reads_refuse_injected_and_recording_tapes(self):
+        for tape in (RandomTape(words=[1, 2]), RandomTape(1, record=True)):
+            with pytest.raises(ValueError):
+                tape.peek_block(1)
+            with pytest.raises(ValueError):
+                tape.field_array(37, 1)
+
+    def test_words_are_python_ints(self):
+        tape = RandomTape(2)
+        assert all(type(w) is int for w in tape.words(50) + [tape.word()])
