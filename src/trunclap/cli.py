@@ -97,7 +97,8 @@ def _add_param_flags(sp, with_x=True):
 
 
 def _apply_config(argv: list[str]) -> list[str]:
-    """Expand `--config file.json` into defaults that explicit flags override."""
+    """Expand `--config file.json` (a JSON object) into defaults that explicit
+    flags override; a true value is the bare flag, a false one is left out."""
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
@@ -107,11 +108,14 @@ def _apply_config(argv: list[str]) -> list[str]:
         raise UsageError("--config needs a file path") from None
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise UsageError(f"--config {path} must hold a JSON object")
     out = argv[: i] + argv[i + 2 :]
+    explicit = {arg.split("=", 1)[0] for arg in out}
     for key, val in cfg.items():
         flag = f"--{key}"
-        if flag not in out:
-            out += [flag, str(val)]
+        if flag not in explicit and val is not False:
+            out += [flag] if val is True else [flag, str(val)]
     return out
 
 

@@ -48,12 +48,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from ..grids import FieldConfig
-from ..tape import RandomTape, bernoulli_threshold, pow2_at_least
+from ..tape import RandomTape, bernoulli_threshold, pow2_at_least, run_in_blocks
 
 OPEN_ROUNDS, OPEN_ELEMENTS = 1, 2
 SHARE_ROUNDS, SHARE_ELEMENTS = 1, 1
@@ -68,12 +69,6 @@ _MIX1 = 0xC2B2AE3D27D4EB4F
 # BatchSession multiplies residues in int64, so q must stay below 2^31;
 # larger fields run on the sequential Session.
 BATCH_MAX_Q = 1 << 31
-# executions per BatchSession block: bounds a block's memory (its word
-# array and the share arrays of its live values) whatever n is
-BATCH_BLOCK = 1 << 14
-# below this many executions the sequential Session is faster than a
-# BatchSession block (measured; see README "Batch simulator")
-BATCH_MIN_SESSIONS = 8
 # dealer residues a BatchSession draws at least at once; a whole call of a
 # few executions takes one draw
 DEALER_CHUNK = 1 << 12
@@ -402,7 +397,7 @@ class BatchSession(_CommonOps):
     so each execution sees the words the sequential loop would give it.
     An execution that needs more words than `words` (a rejected draw)
     finishes on a sequential Session reading the same tapes, and the next
-    block starts after it.
+    block starts after it (`run_in_blocks`, shared with `sample_batch`).
 
     Masks and Beaver triples come from one vectorized dealer draw per
     gadget call, on a dealer stream of its own; opened values never depend
@@ -429,37 +424,12 @@ class BatchSession(_CommonOps):
     # -- blocks ------------------------------------------------------------
 
     def run(self, program: Callable[["BatchSession"], np.ndarray], n: int, words: int) -> np.ndarray:
-        """Opened results of n executions of `program`, in sequential order.
+        """Opened results of n executions of `program`, in sequential order;
+        one execution draws `words` joint words when nothing is rejected."""
+        block = partial(self._block, program, words)
+        return run_in_blocks(n, block, lambda: program(self._sequential_session()))
 
-        `words` is how many joint words one execution draws when nothing
-        is rejected.
-        """
-        out = np.empty(n, dtype=np.int64)
-        done, span, backoff = 0, BATCH_BLOCK, BATCH_MIN_SESSIONS
-        while done < n:
-            size = min(span, n - done)
-            kept, values = self._block(program, size, words)
-            out[done : done + kept] = values[:kept]
-            done += kept
-            if kept == size:
-                span = min(2 * span, BATCH_BLOCK)
-                continue
-            # the first rejected execution finishes on the sequential path
-            # and the work past it is redone, so size the next block at
-            # twice the run just seen; a run shorter than the break-even
-            # means blocks cost more than the loop, so a growing stretch of
-            # executions goes to the loop as well
-            stretch = 1
-            if kept < BATCH_MIN_SESSIONS:
-                stretch, backoff = backoff, 2 * backoff
-            seq = self._sequential_session()
-            for k in range(done, min(n, done + stretch)):
-                out[k] = program(seq)
-            done = min(n, done + stretch)
-            span = 2 * (kept + 1)
-        return out
-
-    def _block(self, program, size: int, words: int) -> tuple[int, np.ndarray]:
+    def _block(self, program, words: int, size: int) -> tuple[int, np.ndarray]:
         """Run `size` executions; commit those before the first rejection."""
         joint = self.tape0.peek_block(size * words) ^ self.tape1.peek_block(size * words)
         self._rows = joint.reshape(size, words).T.copy()

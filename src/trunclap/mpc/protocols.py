@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..grids import FieldConfig, GridError, field_for_mechanism, next_prime, steps_of
+from ..grids import FieldConfig, field_for_mechanism, next_prime
 from ..mechanisms import TCL, TDL, Mechanism, MechanismParams, lookup_mechanism
 from ..sampling import CenteredDlapConfig, NoisePlan, centered_dlap_config, noise_plan
-from ..tape import bernoulli_threshold
-from .core import BATCH_MAX_Q, BATCH_MIN_SESSIONS, BatchSession, Session, SharedValue
+from ..tape import BATCH_MIN_SESSIONS, bernoulli_threshold
+from .core import BATCH_MAX_Q, BatchSession, Session, SharedValue
 
 
 @dataclass(frozen=True)
@@ -219,7 +219,7 @@ def run_once(
 ) -> tuple[float, dict]:
     """One share -> noise -> perturb -> open round trip (run_sessions at
     n=1); returns the decoded value and the session's ledger."""
-    z = run_sessions(session, mech, params, steps_of(x, params.p), 1, gamma)
+    z = run_sessions(session, mech, params, noise_plan(mech, params, gamma).input_steps(x), 1, gamma)
     return float(z[0]), session.ledger.as_dict()
 
 
@@ -256,9 +256,7 @@ def run_batch(
     mech = lookup_mechanism(mechanism)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    x_steps = steps_of(x, params.p)
-    if abs(x_steps) > steps_of(params.E, params.p):
-        raise GridError(f"x={x} outside [-E, E] = [{-params.E}, {params.E}]")
+    x_steps = noise_plan(mech, params, gamma).input_steps(x)
     field = mechanism_field(params, mechanism, gamma)
     batched = n >= BATCH_MIN_SESSIONS and field.q < BATCH_MAX_Q
     session = (BatchSession if batched else Session)(field, seed0, seed1)

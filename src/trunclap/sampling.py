@@ -21,11 +21,15 @@ float64 cumsum of the centered pmf, probed at u = word / 2^64.  u has
 53-bit resolution, and words close enough to 2^64 that u rounds to 1.0
 are clamped into the last cell, so the table path samples the float
 CDF's law, not the exact one (an integer-threshold CDF is ROADMAP
-direction 4).  The configuration flags which method is active.
+direction 1).  The configuration flags which method is active.
 
 Every draw plan is computed once and cached: `centered_dlap_config` per
 (L, sigma, p) and `noise_plan` per (mechanism, params, inner lattice),
 so a draw reads precomputed integers only.
+
+The draw body (`_dlap_steps`, `_tail`, `_inner`, `_perturb_steps`) reads
+its words as Python ints (one sequential draw) or as uint64 rows (one
+word of every execution of a block, for `sample_batch`).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .grids import steps_of
+from .grids import GridError, steps_of
 from .mechanisms import (
     TCL,
     TDL,
@@ -46,7 +50,7 @@ from .mechanisms import (
     centered_dlap_pmf,
     outer_count,
 )
-from .tape import RandomTape, bernoulli_threshold
+from .tape import RandomTape, bernoulli_threshold, pow2_at_least, run_in_blocks
 
 # cells a table-path CDF may hold (2 * 2^p * L + 1); far above the 12,289
 # of the largest table in use (TCL at gamma=8 on L=24, p=0)
@@ -82,6 +86,10 @@ class CenteredDlapConfig:
     @property
     def kappa(self) -> int:
         return len(self.bit_thresholds)
+
+    @cached_property
+    def cdf_array(self) -> np.ndarray:
+        return np.array(self.cdf)
 
 
 @lru_cache(maxsize=128)
@@ -131,36 +139,40 @@ def sample_dlap_centered(L: float, sigma: float, p: int, tape: RandomTape) -> fl
     the float inverse-CDF table is used instead (one word).
     """
     cfg = centered_dlap_config(L, sigma, p)
-    return _dlap_steps(cfg, tape) * cfg.step
+    return _dlap_steps(cfg, tape.words(cfg.words_per_draw)) * cfg.step
 
 
-def _dlap_steps(cfg: CenteredDlapConfig, tape: RandomTape) -> int:
-    """One centered discrete Laplace draw, in 2^-p steps."""
+def _dlap_steps(cfg: CenteredDlapConfig, w) -> int:
+    """One centered discrete Laplace draw, in 2^-p steps, from its words:
+    zero flag, magnitude bits and sign, or the table path's one word."""
     if cfg.method == "table":
+        u = w[0] / 2.0**64
         # bisect_right on the non-decreasing float CDF is searchsorted's
         # side="right"; u == 1.0 lands past the end and is clamped
-        i = bisect_right(cfg.cdf, tape.word() / 2.0**64)
-        return min(i, len(cfg.cdf) - 1) - cfg.steps
-    w = tape.words(cfg.words_per_draw)  # zero flag, magnitude bits, sign
+        if isinstance(u, float):
+            i = bisect_right(cfg.cdf, u)
+        else:
+            i = np.searchsorted(cfg.cdf_array, u, side="right")
+        return i - (i == len(cfg.cdf)) - cfg.steps
     x = 1
     for i, threshold in enumerate(cfg.bit_thresholds):
-        if w[i + 1] < threshold:
-            x += 1 << i
-    if w[0] < cfg.zero_threshold:
-        return 0
-    return x if w[-1] < cfg.sign_threshold else -x
+        x += (w[i + 1] < threshold) << i
+    return (w[0] >= cfg.zero_threshold) * (2 * (w[-1] < cfg.sign_threshold) - 1) * x
 
 
-def _clap_steps(cfg: CenteredDlapConfig, gamma: int, tape: RandomTape) -> int:
-    """One centered cumulative draw, in coarse 2^-(p_fine - gamma) steps.
+def _clap_attempt(cfg: CenteredDlapConfig, gamma: int, w):
+    """(coarse steps, rejected) of a fine-lattice draw: +L is rejected
+    (the half-open support), any other value floored by 2^gamma."""
+    v = _dlap_steps(cfg, w)
+    return v >> gamma, v == cfg.steps
 
-    `cfg` is the fine lattice's plan: fine draws are redrawn while they
-    hit +L, then floored by 2^gamma.
-    """
+
+def _redraw(tape: RandomTape, words: int, attempt, *args):
+    """The first `attempt(*args, w)` not rejected, each on `words` fresh words."""
     while True:
-        v = _dlap_steps(cfg, tape)
-        if v != cfg.steps:
-            return v >> gamma
+        v, rejected = attempt(*args, tape.words(words))
+        if not rejected:
+            return v
 
 
 def sample_clap_centered(
@@ -174,7 +186,8 @@ def sample_clap_centered(
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    return _clap_steps(centered_dlap_config(L, sigma, p + gamma), gamma, tape) * 2.0**-p
+    cfg = centered_dlap_config(L, sigma, p + gamma)
+    return _redraw(tape, cfg.words_per_draw, _clap_attempt, cfg, gamma) * 2.0**-p
 
 
 @dataclass(frozen=True)
@@ -210,6 +223,7 @@ class NoisePlan:
     fine_bits: int         # inner lattice bits below 2^-p: TCL's gamma, 0 for TDL
     branch_threshold: int  # Bernoulli threshold of the inner branch
     outer_count: int       # uniform tail indices, 2 * 2^p * E
+    tail_mask: int         # a uniform attempt keeps these bits of its word
     Es: int                # E in 2^-p steps
     Ls: int                # L in 2^-p steps
 
@@ -217,6 +231,13 @@ class NoisePlan:
     def inner(self) -> CenteredDlapConfig:
         P = self.params
         return centered_dlap_config(P.L, P.sigma, P.p + self.fine_bits)
+
+    def input_steps(self, x: float) -> int:
+        """x in 2^-p steps; GridError if x is off the grid or outside [-E, E]."""
+        xs = steps_of(x, self.params.p)
+        if abs(xs) > self.Es:
+            raise GridError(f"x={x} outside [-E, E] = [{-self.params.E}, {self.params.E}]")
+        return xs
 
 
 def noise_plan(mech: Mechanism, params: MechanismParams, gamma: int = 8) -> NoisePlan:
@@ -238,9 +259,42 @@ def _noise_plan(mech: Mechanism, params: MechanismParams, fine_bits: int) -> Noi
         fine_bits=fine_bits,
         branch_threshold=bernoulli_threshold(mech.branch_probability(params)),
         outer_count=outer_count(params),
+        tail_mask=pow2_at_least(outer_count(params)) - 1,
         Es=steps_of(params.E, params.p),
         Ls=steps_of(params.L, params.p),
     )
+
+
+def _tail(plan: NoisePlan, w):
+    """One uniform attempt at a tail index on the next power of two:
+    (index, rejected).  Rows are int64 views; the mask clears the sign."""
+    a = w[0] & plan.tail_mask
+    return a, a >= plan.outer_count
+
+
+def _inner(plan: NoisePlan, w):
+    """One attempt of the inner draw, in 2^-p steps: (steps, rejected)."""
+    if plan.mech.cumulative:
+        return _clap_attempt(plan.inner, plan.fine_bits, w)
+    return _dlap_steps(plan.inner, w), False
+
+
+def _perturb_steps(plan: NoisePlan, xs, branch, a, b):
+    """`perturb` in 2^-p steps, of the tail index a and the inner draw b."""
+    Es, Ls, hi = plan.Es, plan.Ls, plan.mech.high_offset
+    outer = a - Es + Ls + hi - (a < Es + xs) * (2 * Ls + hi)
+    return outer + branch * (xs + b - outer)
+
+
+def _noise_steps(plan: NoisePlan, tape: RandomTape, branch_threshold: int):
+    """The sequential noise draw: (branch, tail index, inner steps)."""
+    branch = tape.word() < branch_threshold
+    a = _redraw(tape, 1, _tail, plan)
+    return branch, a, _redraw(tape, plan.inner.words_per_draw, _inner, plan)
+
+
+def _sample_steps(plan: NoisePlan, xs: int, tape: RandomTape) -> int:
+    return _perturb_steps(plan, xs, *_noise_steps(plan, tape, plan.branch_threshold))
 
 
 def noise(
@@ -261,17 +315,8 @@ def noise(
     """
     plan = noise_plan(mech, params, gamma)
     threshold = plan.branch_threshold if branch_prob is None else bernoulli_threshold(branch_prob)
-    return _noise(plan, tape, threshold)
-
-
-def _noise(plan: NoisePlan, tape: RandomTape, branch_threshold: int) -> NoisePair:
-    branch = tape.bernoulli_thresholded(branch_threshold)
-    a = tape.uniform(plan.outer_count)
-    if plan.mech.cumulative:
-        b = _clap_steps(plan.inner, plan.fine_bits, tape)
-    else:
-        b = _dlap_steps(plan.inner, tape)
-    return NoisePair(branch=branch, payload=b * plan.params.step if branch else a)
+    branch, a, b = _noise_steps(plan, tape, threshold)
+    return NoisePair(branch=int(branch), payload=b * params.step if branch else a)
 
 
 def perturb(mech: Mechanism, x: float, pair: NoisePair, params: MechanismParams) -> float:
@@ -282,84 +327,51 @@ def perturb(mech: Mechanism, x: float, pair: NoisePair, params: MechanismParams)
     branch 1 adds the centered noise to x.  The composite law of
     perturb(noise()) is exactly the mechanism's mass function.
     """
-    return _perturb(noise_plan(mech, params), x, pair)
-
-
-def _perturb(plan: NoisePlan, x: float, pair: NoisePair) -> float:
-    xs = steps_of(x, plan.params.p)
-    Es, Ls = plan.Es, plan.Ls
-    if abs(xs) > Es:
-        raise ValueError(f"x={x} outside [-E, E]")
-    h = plan.params.step
-    if pair.branch:
-        return x + pair.payload
-    y = int(pair.payload)
-    if not 0 <= y < 2 * Es:
-        raise ValueError(f"uniform index {y} out of range")
-    if y <= Es + xs - 1:
-        return (-Ls - Es + y) * h
-    return (Ls - Es + y + plan.mech.high_offset) * h
+    plan = noise_plan(mech, params)
+    xs = plan.input_steps(x)
+    a, b = (0, steps_of(pair.payload, params.p)) if pair.branch else (int(pair.payload), 0)
+    if not 0 <= a < plan.outer_count:
+        raise ValueError(f"uniform index {a} out of range")
+    return _perturb_steps(plan, xs, pair.branch, a, b) * params.step
 
 
 def sample_tdl(x: float, params: MechanismParams, tape: RandomTape) -> float:
     plan = noise_plan(TDL, params)
-    return _perturb(plan, x, _noise(plan, tape, plan.branch_threshold))
+    return _sample_steps(plan, plan.input_steps(x), tape) * params.step
 
 
 def sample_tcl(
     x: float, params: MechanismParams, tape: RandomTape, gamma: int = 8
 ) -> float:
     plan = noise_plan(TCL, params, gamma)
-    return _perturb(plan, x, _noise(plan, tape, plan.branch_threshold))
+    return _sample_steps(plan, plan.input_steps(x), tape) * params.step
 
 
 def sample_batch(
     mech: Mechanism, x: float, params: MechanismParams, n: int, seed: int, gamma: int = 8
 ) -> np.ndarray:
-    """n draws at input x from one seeded tape.
-
-    TDL runs `sample_tdl_batch`; TCL, whose +L redraws give its draws
-    varying word counts, runs the sequential sampler.
-    """
-    if not mech.cumulative:
-        return sample_tdl_batch(x, params, n, seed)
+    """n draws at input x from one seeded tape, in blocks (`run_in_blocks`)
+    whose row j holds word j of every execution; values and the tape's word
+    count equal those of n `sample_tdl`/`sample_tcl` calls."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    plan = noise_plan(mech, params, gamma)
+    xs = plan.input_steps(x)
     tape = RandomTape(seed)
-    return np.array([sample_tcl(x, params, tape, gamma) for _ in range(n)])
+    words = 2 + plan.inner.words_per_draw
+
+    def block(size: int) -> tuple[int, np.ndarray]:
+        rows = tape.peek_block(size * words).reshape(size, words).T
+        a, tail_rejected = _tail(plan, rows[1:2].view(np.int64))
+        b, inner_rejected = _inner(plan, rows[2:])
+        rejected = tail_rejected | inner_rejected
+        kept = int(np.argmax(rejected)) if rejected.any() else size
+        tape.skip(kept * words)
+        return kept, _perturb_steps(plan, xs, rows[0] < plan.branch_threshold, a, b)
+
+    return run_in_blocks(n, block, lambda: _sample_steps(plan, xs, tape)) * params.step
 
 
-def sample_tdl_batch(
-    x: float, params: MechanismParams, n: int, seed: int
-) -> np.ndarray:
-    """Vectorized TDL sampling, word-for-word equal to the sequential path.
-
-    Requires the bitwise inner sampler and a power-of-two outer count so
-    that every sample consumes a fixed number of words; other parameter
-    shapes fall back to the sequential loop.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    plan = noise_plan(TDL, params)
-    cfg, M = plan.inner, plan.outer_count
-    if cfg.method != "bitwise" or M & (M - 1) != 0:
-        tape = RandomTape(seed)
-        return np.array([sample_tdl(x, params, tape) for _ in range(n)])
-    if n == 0:
-        return np.empty(0)
-    xs = steps_of(x, params.p)
-    Es, Ls = plan.Es, plan.Ls
-    kappa = cfg.kappa
-    gen = np.random.Generator(np.random.PCG64(seed))
-    w = gen.integers(0, 1 << 64, size=(n, kappa + 4), dtype=np.uint64)
-    branch = w[:, 0] < np.uint64(plan.branch_threshold)
-    a = (w[:, 1] & np.uint64(M - 1)).astype(np.int64)
-    zero = w[:, 2] < np.uint64(cfg.zero_threshold)
-    mag = np.zeros(n, dtype=np.int64)
-    for i, thr in enumerate(cfg.bit_thresholds):
-        mag |= (w[:, 3 + i] < np.uint64(thr)).astype(np.int64) << i
-    sign = np.where(w[:, 3 + kappa] < np.uint64(cfg.sign_threshold), 1, -1)
-    inner = np.where(zero, 0, sign * (mag + 1))
-    outer = np.where(a <= Es + xs - 1, -Ls - Es + a, Ls - Es + a + 1)
-    z_steps = np.where(branch, xs + inner, outer)
-    return z_steps * params.step
+def sample_tdl_batch(x: float, params: MechanismParams, n: int, seed: int) -> np.ndarray:
+    """`sample_batch` of TDL."""
+    return sample_batch(TDL, x, params, n, seed)

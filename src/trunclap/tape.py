@@ -21,6 +21,12 @@ _BUF = 4096
 # words a seeded tape converts to Python ints at a time (see RandomTape)
 _WINDOW_MIN = 8
 _WINDOW_MAX = 256
+# executions per block of `run_in_blocks`: bounds a block's memory (its
+# words and the arrays of its live values) whatever n is
+BATCH_BLOCK = 1 << 14
+# below this many executions the sequential path is faster than a block
+# (measured; see README "Batch simulator")
+BATCH_MIN_SESSIONS = 8
 
 
 def bernoulli_threshold(prob: float) -> int:
@@ -144,7 +150,7 @@ class RandomTape:
         have = len(self._buf) - self._pos
         if have < n:
             fresh = self._gen.integers(0, _WORD_MOD, size=max(n - have, _BUF), dtype=np.uint64)
-            self._buf = np.concatenate([self._buf[self._pos :], fresh])
+            self._buf = np.concatenate([self._buf[self._pos :], fresh]) if have else fresh
             self._pos = 0
         return self._buf[self._pos : self._pos + n]
 
@@ -153,27 +159,6 @@ class RandomTape:
         self._sync()
         self._pos += n
         self.words_consumed += n
-
-    def bernoulli_thresholded(self, threshold: int) -> int:
-        """Bernoulli draw against a precomputed 64-bit threshold."""
-        return 1 if self.word() < threshold else 0
-
-    def uniform(self, m: int) -> int:
-        """Uniform integer in [0, m).
-
-        Powers of two mask a single word (zero bias); other moduli reject
-        on the next power of two, consuming one word per attempt.
-        """
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        if m == 1:
-            return 0
-        cap = pow2_at_least(m)
-        mask = cap - 1
-        while True:
-            v = self.word() & mask
-            if v < m:
-                return v
 
     def field_element(self, q: int) -> int:
         """Uniform residue mod q via 64-bit rejection (exact for q < 2^64)."""
@@ -212,3 +197,33 @@ class RandomTape:
         # block draws bypass injection and the draw log
         if self._injected is not None or self.record:
             raise ValueError(f"{what} needs a seeded tape without recording")
+
+
+def run_in_blocks(n: int, block, step) -> np.ndarray:
+    """Results of n executions in order, for `sample_batch` and `BatchSession.run`.
+
+    `block(size)` runs the next `size` executions at once, commits those
+    before the first rejected one and returns (how many, values); `step()`
+    runs the next execution on the sequential path.  The rejected one runs
+    there and the work past it is redone, so the next block is twice the
+    run just seen; a run shorter than BATCH_MIN_SESSIONS (blocks then cost
+    more than the loop) sends a doubling stretch to the loop as well.
+    """
+    out = np.empty(n, dtype=np.int64)
+    done, span, backoff = 0, BATCH_BLOCK, BATCH_MIN_SESSIONS
+    while done < n:
+        size = min(span, n - done)
+        kept, values = block(size)
+        out[done : done + kept] = values[:kept]
+        done += kept
+        if kept == size:
+            span = min(2 * span, BATCH_BLOCK)
+            continue
+        stretch = 1
+        if kept < BATCH_MIN_SESSIONS:
+            stretch, backoff = backoff, 2 * backoff
+        for k in range(done, min(n, done + stretch)):
+            out[k] = step()
+        done = min(n, done + stretch)
+        span = 2 * (kept + 1)
+    return out

@@ -13,8 +13,8 @@ import numpy as np
 from scipy import stats
 
 from .grids import GridSpec
-from .mechanisms import ExactPmf, MechanismParams, moments_tdl, pmf_tdl
-from .sampling import sample_tdl_batch
+from .mechanisms import TDL, ExactPmf, MechanismParams, moments_tdl, pmf_tdl
+from .sampling import sample_batch
 from .thresholds import THRESHOLDS
 
 
@@ -174,7 +174,7 @@ def table1_report(
     rows = []
     for j, x in enumerate(xs):
         t_mean, t_mse = moments_tdl(x, params)
-        values = sample_tdl_batch(x, params, n, seed + j)
+        values = sample_batch(TDL, x, params, n, seed + j)
         h = Histogram.from_samples(values, spec)
         e_mean, e_mse = empirical_moments(h, x)
         rows.append(
@@ -206,13 +206,13 @@ class OverlayCheck:
 def overlay_check(x: float, params: MechanismParams, seed: int) -> OverlayCheck:
     """Distribution-overlay check of the TDL sampler at input x.
 
-    Draws THRESHOLDS["overlay_n"] samples with `sample_tdl_batch`, bins them
+    Draws THRESHOLDS["overlay_n"] samples with `sample_batch`, bins them
     on the output grid and measures their total variation against
     `pmf_tdl(x)`; the check passes when that TV is below
     THRESHOLDS["overlay_tv"].
     """
     pmf = pmf_tdl(x, params)
-    values = sample_tdl_batch(x, params, THRESHOLDS["overlay_n"], seed)
+    values = sample_batch(TDL, x, params, THRESHOLDS["overlay_n"], seed)
     hist = Histogram.from_samples(values, params.output_grid("tdl"))
     return OverlayCheck(pmf=pmf, hist=hist, tv=tv_distance(hist, pmf))
 

@@ -114,18 +114,6 @@ class ReferenceTape:
         self._pos += n
         self.words_consumed += n
 
-    def bernoulli_thresholded(self, threshold: int) -> int:
-        return 1 if self.word() < threshold else 0
-
-    def uniform(self, m: int) -> int:
-        if m == 1:
-            return 0
-        mask = (1 << (m - 1).bit_length()) - 1
-        while True:
-            v = self.word() & mask
-            if v < m:
-                return v
-
     def field_element(self, q: int) -> int:
         limit = ((1 << 64) // q) * q
         while True:

@@ -96,11 +96,44 @@ class TestSample:
         out = json.loads(capsys.readouterr().out)
         assert out["inner_sampler"] == "table"
 
+    def test_branch_threshold_of_two_to_the_64(self, capsys):
+        # the branch probability rounds to 1.0: its threshold is 2^64
+        assert run(["sample", "--E", "1", "--L", "64", "--sigma", "1", "--n", "50",
+                    "--format", "json"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["values"]) == 50
+
     def test_oversized_table_is_usage_error(self, capsys):
         # gamma = 24 on L = 3 would need a 10^8-cell table: refused up front
         assert run(["sample", "--mechanism", "tcl", "--E", "4", "--L", "3",
                     "--sigma", "1", "--gamma", "24", "--n", "1"]) == 1
         assert "cells" in capsys.readouterr().err
+
+
+class TestConfig:
+    @staticmethod
+    def config(tmp_path, obj):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(obj))
+        return str(path)
+
+    def test_explicit_flag_overrides_in_either_form(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, {"E": 4, "L": 2, "sigma": 1, "n": 3})
+        for flag in (["--E", "2"], ["--E=2"]):
+            assert run(["sample", "--config", cfg, *flag, "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out)["params"]["E"] == 2.0
+
+    def test_config_that_is_not_an_object_is_usage_error(self, tmp_path, capsys):
+        cfg = self.config(tmp_path, ["E"])
+        assert run(["sample", "--config", cfg, "--E", "4", "--L", "2", "--sigma", "1"]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
+    def test_boolean_is_a_bare_flag_or_left_out(self, tmp_path):
+        for value in (True, False):
+            cfg = self.config(tmp_path, {"E": 4, "L": 2, "sigma": 1, "n": 10,
+                                         "transcript": value})
+            out = tmp_path / "mpc.json"
+            assert run(["mpc", "--config", cfg, "--out", str(out)]) == 0
+            assert ("transcript" in json.loads(out.read_text())) is value
 
 
 class TestMpc:
@@ -213,6 +246,19 @@ PINNED = {
         ["mpc", "--mechanism", "tcl", *WIDE, "--x", "63.75", "--n", "200", "--seed", "7",
          "--transcript"],
         "de9c47710de521c7a717b25d9604b6e5a45c2a618f3b4598ff74786ebac78818",
+    ),
+    # TDL with a table inner draw and outer count 6, and TCL at gamma=0 with
+    # +L redraws and outer count 6: the shapes that ran sequentially before
+    # every sample_batch ran in blocks
+    "sample-tdl-table-outer6.csv": (
+        ["sample", "--E", "3", "--L", "3", "--sigma", "1", "--x", "1", "--n", "500",
+         "--seed", "11"],
+        "be287fee6c103c1ae2d055abd266431ba6cba54a533b34f86ce69f5988225859",
+    ),
+    "sample-tcl-gamma0-outer6.csv": (
+        ["sample", "--mechanism", "tcl", "--E", "3", "--L", "2", "--sigma", "1", "--gamma",
+         "0", "--x", "-1", "--n", "500", "--seed", "12"],
+        "5c13424d2e8d6369da2a810aad4ecd579fb13251a7c79adae0e9ba6b95239948",
     ),
     "bench.json": (
         ["bench"],

@@ -19,6 +19,7 @@ from trunclap import (
     pmf_tcl,
     pmf_tdl,
 )
+from trunclap import tape as tape_module
 from trunclap.grids import GridError, steps_of
 from trunclap.mechanisms import (
     branch_probability_c,
@@ -42,6 +43,7 @@ from trunclap.mpc import (
     pi_dl_for,
     pi_noise,
     run_batch,
+    run_once,
 )
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import (
@@ -421,7 +423,7 @@ BATCH_CASES = [
     ("tdl", ODD, 8),
     ("tcl", ODD, 0),
 ]
-BE = core.BATCH_MIN_SESSIONS
+BE = tape_module.BATCH_MIN_SESSIONS
 SMALL_BLOCK = 32
 
 
@@ -439,12 +441,12 @@ class TestBatchSimulator:
         seed0, seed1 = data.draw(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)))
         expected, _ = loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma)
         # a small block size makes n > block size cheap to test
-        with mock.patch.object(core, "BATCH_BLOCK", SMALL_BLOCK):
+        with mock.patch.object(tape_module, "BATCH_BLOCK", SMALL_BLOCK):
             got = run_batch(mechanism, params, x_steps * params.step, n, seed0, seed1, gamma)
         assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
     def test_more_sessions_than_one_block(self):
-        n = core.BATCH_BLOCK + 3
+        n = tape_module.BATCH_BLOCK + 3
         expected, _ = loop_reference("tdl", PARAMS, -3, n, 17, 18, 8)
         assert np.array_equal(run_batch("tdl", PARAMS, -3.0, n, 17, 18), expected)
 
@@ -455,7 +457,7 @@ class TestBatchSimulator:
         n = 600
         _, seq = loop_reference(mechanism, params, 1, n, 41, 42, gamma)
         batch = BatchSession(mechanism_field(params, mechanism, gamma), 41, 42)
-        with mock.patch.object(core, "BATCH_BLOCK", 128):
+        with mock.patch.object(tape_module, "BATCH_BLOCK", 128):
             run_sessions(batch, lookup_mechanism(mechanism), params, 1, n, gamma)
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
         assert batch.tape0.words_consumed == seq.tape0.words_consumed
@@ -499,6 +501,14 @@ class TestBatchSimulator:
         for x in (float("nan"), float("inf")):
             with pytest.raises(GridError):
                 run_batch("tdl", PARAMS, x, 10, 1, 2)
+
+    def test_run_once_rejects_input_outside_the_bound(self):
+        # it returned a value for x = 40 on E = 4
+        session = make_session(PARAMS, "tdl", 1, 2)
+        for x in (5.0, -9.0, 40.0):
+            with pytest.raises(GridError, match="outside"):
+                run_once(session, TDL, x, PARAMS)
+        assert session.tape0.words_consumed == 0
 
     def test_large_field_runs_sequentially(self):
         # q >= 2^31 would overflow int64 products; run_batch keeps the loop

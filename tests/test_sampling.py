@@ -4,10 +4,16 @@ import tracemalloc
 from fractions import Fraction
 from itertools import product
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import closed_grid, tcl_masses_oracle, tdl_masses_oracle
+from trunclap import sampling
+from trunclap import tape as tape_module
 from trunclap import (
     TCL,
     TDL,
@@ -18,12 +24,14 @@ from trunclap import (
     centered_dlap_pmf,
     noise,
     perturb,
+    sample_batch,
     sample_clap_centered,
     sample_dlap_centered,
     sample_tcl,
     sample_tdl,
     sample_tdl_batch,
 )
+from trunclap.grids import steps_of
 from trunclap.mechanisms import branch_probability_c, branch_probability_d, outer_count
 from trunclap.sampling import (
     MAX_TABLE_CELLS,
@@ -83,7 +91,7 @@ class TestGeometricBitwise:
         assert cfg.kappa == 4 and sum(magnitude_bits(cfg)) < 1.1e-6
         never_zero = dataclasses.replace(cfg, zero_threshold=0)
         tape = RandomTape(13)
-        draws = np.array([_dlap_steps(never_zero, tape) for _ in range(20_000)])
+        draws = np.array([_dlap_steps(never_zero, tape.words(6)) for _ in range(20_000)])
         assert np.mean(np.abs(draws) == 1.0) > 0.9999 - 3e-3
 
 
@@ -189,9 +197,20 @@ class TestTableLookup:
         assert u.max() == 1.0  # the clamp is exercised
         want = np.minimum(np.searchsorted(np.asarray(cfg.cdf), u, side="right"), len(cfg.cdf) - 1)
         tape = RandomTape(words=words)
-        got = [_dlap_steps(cfg, tape) + cfg.steps for _ in words]
+        got = [_dlap_steps(cfg, tape.words(1)) + cfg.steps for _ in words]
         assert got == want.tolist()
         assert tape.words_consumed == len(words)
+
+    @pytest.mark.parametrize("L, sigma, p", TABLES + [(32.0, 8.0, 0), (2.0, 1.0, 0)])
+    def test_rows_equal_scalar_draws(self, L, sigma, p):
+        # the block path reads uint64 rows, one entry per execution; the
+        # table path's boundary words and 0, 2^64 - 1 in every row included
+        cfg = centered_dlap_config(L, sigma, p)
+        k = cfg.words_per_draw
+        cols = [[w] * k for w in self.boundary_words(cfg.cdf)] if cfg.cdf else []
+        cols += [[0] * k, [2**64 - 1] * k] + [RandomTape(5).words(k) for _ in range(2000)]
+        rows = np.array(cols, dtype=np.uint64).T
+        assert _dlap_steps(cfg, rows).tolist() == [_dlap_steps(cfg, c) for c in cols]
 
     def test_config_keeps_steps_and_step(self):
         for L, sigma, p in self.TABLES + [(32.0, 8.0, 2)]:
@@ -453,22 +472,83 @@ class TestDeterminism:
         assert va == vb
         assert a.draw_log == b.draw_log
 
-    def test_batch_equals_sequential(self, small_params):
-        tape = RandomTape(78)
-        seq = np.array([sample_tdl(1.0, small_params, tape) for _ in range(3000)])
-        batch = sample_tdl_batch(1.0, small_params, 3000, 78)
-        assert np.array_equal(seq, batch)
-
-    def test_batch_equals_sequential_p2(self):
-        params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
-        tape = RandomTape(79)
-        seq = np.array([sample_tdl(-32.0, params, tape) for _ in range(1000)])
-        batch = sample_tdl_batch(-32.0, params, 1000, 79)
-        assert np.array_equal(seq, batch)
-
     def test_injected_words(self):
         # an injected stream replays exactly
         base = RandomTape(80, record=True)
         v1 = sample_dlap_centered(2.0, 1.0, 0, base)
         replay = RandomTape(words=base.draw_log)
         assert sample_dlap_centered(2.0, 1.0, 0, replay) == v1
+
+
+# (E, L, sigma, p): bitwise and table inner draws (at TCL's fine lattice
+# 2^p L * 2^gamma too), outer counts 2 * 2^p * E a power of two and not
+BATCH_SETS = [
+    MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0),   # bitwise, outer 8
+    MechanismParams(E=4.0, L=3.0, sigma=1.0, p=0),   # table, outer 8
+    MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0),   # bitwise, outer 6
+    MechanismParams(E=3.0, L=3.0, sigma=1.0, p=0),   # table, outer 6
+    MechanismParams(E=1.5, L=1.0, sigma=0.5, p=1),   # bitwise, outer 6, p = 1
+    MechanismParams(E=1.0, L=64.0, sigma=1.0, p=0),  # branch threshold 2^64
+]
+
+
+@st.composite
+def batch_cases(draw):
+    """(mechanism, params, gamma, x, n, seed, block size or None)."""
+    params = draw(st.sampled_from(BATCH_SETS))
+    Es = steps_of(params.E, params.p)
+    return (
+        draw(st.sampled_from([TDL, TCL])),
+        params,
+        draw(st.integers(0, 8)),
+        draw(st.integers(-Es, Es)) * params.step,
+        draw(st.integers(0, 200)),
+        draw(st.integers(0, 2**32)),
+        draw(st.sampled_from([4, 32, None])),
+    )
+
+
+class TestSampleBatch:
+    """sample_batch runs every mechanism and parameter shape in blocks and
+    equals the sequential sampler on the same seed: values and words."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=batch_cases())
+    @example(case=(TDL, MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0), 8, 1.0, 3000, 78, None))
+    @example(case=(TDL, MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2), 8, -32.0, 1000, 79, None))
+    def test_batch_equals_sequential(self, case):
+        mech, params, gamma, x, n, seed, block = case
+        tapes = []
+
+        class Recorded(RandomTape):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                tapes.append(self)
+
+        # a small block size makes several blocks per call cheap to test
+        with mock.patch.object(sampling, "RandomTape", Recorded), mock.patch.object(
+            tape_module, "BATCH_BLOCK", block or tape_module.BATCH_BLOCK
+        ):
+            batch = sample_batch(mech, x, params, n, seed, gamma)
+        tape = RandomTape(seed)
+        if mech.cumulative:
+            seq = [sample_tcl(x, params, tape, gamma) for _ in range(n)]
+        else:
+            seq = [sample_tdl(x, params, tape) for _ in range(n)]
+        assert batch.dtype == np.float64 and batch.tolist() == seq
+        assert [t.words_consumed for t in tapes] == [tape.words_consumed]
+
+    def test_branch_threshold_of_two_to_the_64(self):
+        # the branch probability rounds to 1.0, so its threshold is 2^64,
+        # one past the largest uint64
+        params = MechanismParams(E=1.0, L=64.0, sigma=1.0, p=0)
+        assert noise_plan(TDL, params).branch_threshold == 2**64
+        tape = RandomTape(3)
+        seq = [sample_tdl(1.0, params, tape) for _ in range(500)]
+        assert sample_tdl_batch(1.0, params, 500, 3).tolist() == seq
+
+    def test_bad_input(self, small_params):
+        with pytest.raises(ValueError, match="n must be"):
+            sample_batch(TCL, 0.0, small_params, -1, 0)
+        with pytest.raises(ValueError, match="outside"):
+            sample_batch(TCL, 5.0, small_params, 0, 0)

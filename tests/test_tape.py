@@ -26,8 +26,6 @@ OPS = st.one_of(
     st.tuples(st.just("peek_skip"), st.integers(_BUF - 50, _BUF + 50), st.floats(0, 1)),
     st.tuples(st.just("field_element"), st.sampled_from(PRIMES)),
     st.tuples(st.just("field_array"), st.sampled_from(PRIMES), st.integers(0, 50)),
-    st.tuples(st.just("uniform"), st.integers(1, 100)),
-    st.tuples(st.just("bernoulli"), st.integers(0, 2**64)),
 )
 
 
@@ -48,11 +46,7 @@ def apply(tape, op):
         return block
     if name == "field_element":
         return tape.field_element(*args)
-    if name == "field_array":
-        return tape.field_array(*args).tolist()
-    if name == "uniform":
-        return tape.uniform(*args)
-    return tape.bernoulli_thresholded(*args)
+    return tape.field_array(*args).tolist()
 
 
 class TestWordStream:
