@@ -149,10 +149,8 @@ def _dlap_steps(cfg: CenteredDlapConfig, w) -> int:
         u = w[0] / 2.0**64
         # bisect_right on the non-decreasing float CDF is searchsorted's
         # side="right"; u == 1.0 lands past the end and is clamped
-        if isinstance(u, float):
-            i = bisect_right(cfg.cdf, u)
-        else:
-            i = np.searchsorted(cfg.cdf_array, u, side="right")
+        scalar = isinstance(u, float)
+        i = bisect_right(cfg.cdf, u) if scalar else np.searchsorted(cfg.cdf_array, u, "right")
         return i - (i == len(cfg.cdf)) - cfg.steps
     x = 1
     for i, threshold in enumerate(cfg.bit_thresholds):

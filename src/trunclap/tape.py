@@ -206,9 +206,11 @@ def run_in_blocks(n: int, block, step) -> np.ndarray:
     before the first rejected one and returns (how many, values); `step()`
     runs the next execution on the sequential path.  The rejected one runs
     there and the work past it is redone, so the next block is twice the
-    run just seen; a run shorter than BATCH_MIN_SESSIONS (blocks then cost
-    more than the loop) sends a doubling stretch to the loop as well.
+    run just seen.  A block of under BATCH_MIN_SESSIONS costs more than the
+    loop, so shorter calls loop and shorter runs send a doubling stretch.
     """
+    if n < BATCH_MIN_SESSIONS:
+        return np.array([step() for _ in range(n)], dtype=np.int64)
     out = np.empty(n, dtype=np.int64)
     done, span, backoff = 0, BATCH_BLOCK, BATCH_MIN_SESSIONS
     while done < n:
