@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import closed_grid, tcl_masses_oracle, tdl_masses_oracle
@@ -472,6 +472,19 @@ class TestDeterminism:
         assert va == vb
         assert a.draw_log == b.draw_log
 
+    def test_batch_equals_sequential(self, small_params):
+        tape = RandomTape(78)
+        seq = np.array([sample_tdl(1.0, small_params, tape) for _ in range(3000)])
+        batch = sample_tdl_batch(1.0, small_params, 3000, 78)
+        assert np.array_equal(seq, batch)
+
+    def test_batch_equals_sequential_p2(self):
+        params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
+        tape = RandomTape(79)
+        seq = np.array([sample_tdl(-32.0, params, tape) for _ in range(1000)])
+        batch = sample_tdl_batch(-32.0, params, 1000, 79)
+        assert np.array_equal(seq, batch)
+
     def test_injected_words(self):
         # an injected stream replays exactly
         base = RandomTape(80, record=True)
@@ -514,8 +527,6 @@ class TestSampleBatch:
 
     @settings(max_examples=80, deadline=None)
     @given(case=batch_cases())
-    @example(case=(TDL, MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0), 8, 1.0, 3000, 78, None))
-    @example(case=(TDL, MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2), 8, -32.0, 1000, 79, None))
     def test_batch_equals_sequential(self, case):
         mech, params, gamma, x, n, seed, block = case
         tapes = []
