@@ -52,6 +52,11 @@ class MechanismParams:
         if self.L <= 0 or not is_aligned(self.L, self.p):
             raise GridError(f"L={self.L} must be a positive multiple of 2^-{self.p}")
         _check_positive(sigma=self.sigma)
+        # the instance keys cached plans; hash its fields once, not per lookup
+        object.__setattr__(self, "_hash", hash((self.E, self.L, self.sigma, self.p)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def epsilon(self) -> float:

@@ -23,7 +23,7 @@ bit for bit.
 Cost model (abstract operation counts, not wall-clock):
 
 * open: 1 round, 2 field elements.
-* input sharing: 1 round, 1 element (owner sends the mask).
+* input sharing (party 0's input): 1 round, 1 element (party 1's share).
 * Beaver mul: 1 multiplication, 1 round, 4 elements, 1 triple.
 * comparison (sign test / threshold test): 1 comparison; internally a
   64-bit bit-decomposition with log-depth prefix evaluation, costed as
@@ -39,9 +39,10 @@ on Python integers.  `BatchSession` runs many independent executions at
 once, each value held as a pair of int64 share arrays (one entry per
 execution); its `run` lays the party tapes out session by session, so
 every execution reads exactly the words the sequential loop gives it.
-The substrates differ only in their wires (joint words, masks, sharing,
-opening), Beaver multiplication and what a range fault or a rejected
-draw does; every other gadget is written once, in `_CommonOps`.
+Every wire (share, open, peek, Beaver mul) and gadget is written once, in
+`_CommonOps`; a substrate supplies only its randomness (joint words,
+dealer masks, Beaver triples built by `beaver_shares`) and what a range
+fault or a rejected draw does.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ BATCH_MAX_Q = 1 << 31
 # dealer residues a BatchSession draws at least at once; a whole call of a
 # few executions takes one draw
 DEALER_CHUNK = 1 << 12
+# Beaver triples a Session's TripleStore draws at once
+TRIPLES_PER_REFILL = 64
 
 
 class ContractViolation(RuntimeError):
@@ -114,30 +117,30 @@ class CostLedger:
         return {k: v - before[k] for k, v in self.as_dict().items()}
 
 
+def beaver_shares(q: int, a, b, a0, b0, c0) -> tuple:
+    """Both parties' shares (a0, a1, b0, b1, c0, c1) of the Beaver triple
+    (a, b, ab mod q), from five dealer residues: ints or int64 arrays."""
+    return a0, (a - a0) % q, b0, (b - b0) % q, c0, (a * b - c0) % q
+
+
 class TripleStore:
     """Queue of Beaver triples produced by the simulated trusted dealer."""
 
-    def __init__(self, q: int, dealer: RandomTape, batch: int = 64):
+    def __init__(self, q: int, dealer: RandomTape):
         self.q = q
         self._dealer = dealer
-        self._batch = batch
         self._queue: list[tuple[int, int, int, int, int, int]] = []
         self.refills = 0
-        self.consumed = 0
 
     def _refill(self) -> None:
-        q = self.q
-        draws = self._dealer.field_elements(q, 5 * self._batch)
-        for i in range(0, len(draws), 5):
-            a, b, a0, b0, c0 = draws[i : i + 5]
-            c = a * b % q
-            self._queue.append((a0, (a - a0) % q, b0, (b - b0) % q, c0, (c - c0) % q))
+        d = self._dealer.field_elements(self.q, 5 * TRIPLES_PER_REFILL)
+        shares = partial(beaver_shares, self.q)
+        self._queue.extend(map(shares, d[0::5], d[1::5], d[2::5], d[3::5], d[4::5]))
         self.refills += 1
 
     def take(self) -> tuple[int, int, int, int, int, int]:
         if not self._queue:
             self._refill()
-        self.consumed += 1
         return self._queue.pop()
 
 
@@ -147,22 +150,74 @@ def dealer_seed(seed0: int, seed1: int) -> int:
 
 
 class _CommonOps:
-    """Operations written once for both substrates: the communication-free
-    linear algebra and every gadget that needs no share arithmetic of its
-    own, each with its one ledger charge.
+    """The wires (share, open, peek, Beaver mul, the transcript hook), the
+    local linear algebra and every gadget, written once for both substrates,
+    each with its one ledger charge.
 
-    Shares are Python ints in a Session and int64 arrays (or scalars that
-    broadcast against them) in a BatchSession.  A substrate supplies
-    `joint_word`, `_reshare`, `peek`, `open`, `mul`, `_check` (a range
-    fault) and `_retry` (what a rejected attempt of a rejection loop does).
+    Shares are Python ints in a Session and int64 arrays (or ints that
+    broadcast against them) in a BatchSession.  A substrate supplies its
+    randomness (`joint_word`, `_reshare`, `_triple`) and its policy for
+    faults and rejected draws (`_check`, `_retry`, `run`).
     """
 
-    def __init__(self, fieldcfg: FieldConfig):
+    def __init__(self, fieldcfg: FieldConfig, record_transcript: bool = False):
         self.field = fieldcfg
         self.q = fieldcfg.q
+        self._half = fieldcfg.half
         self.ledger = CostLedger()
         # sign tests are only sound while |value| stays below this bound
         self.safe_magnitude = 2 ** (fieldcfg.p + fieldcfg.e + fieldcfg.headroom - 1)
+        self.record_transcript = record_transcript
+        # transcript[p] = field elements received by party p, in order
+        self.transcript: tuple[list, list] = ([], [])
+
+    def _recv(self, party: int, *values) -> None:
+        """Transcript hook: `party` received `values`, in order."""
+        if self.record_transcript:
+            self.transcript[party].extend(values)
+
+    def share(self, v) -> SharedValue:
+        """Share a value party 0 holds; party 1 receives the dealer's mask,
+        one sent element.  In a BatchSession v is one value per execution
+        or one common to all (shared as plain ints)."""
+        sv = self._reshare(v)
+        self.ledger.rounds += SHARE_ROUNDS
+        self.ledger.elements_exchanged += SHARE_ELEMENTS
+        self._recv(1, sv.s1)
+        return sv
+
+    def open(self, sv: SharedValue):
+        """Exchange shares and return the balanced reconstruction."""
+        self.ledger.rounds += OPEN_ROUNDS
+        self.ledger.elements_exchanged += OPEN_ELEMENTS
+        self._recv(0, sv.s1)
+        self._recv(1, sv.s0)
+        return self.peek(sv)
+
+    def peek(self, sv: SharedValue):
+        """Simulator-only balanced reconstruction, in [-(q-1)/2, (q-1)/2];
+        no communication, no ledger."""
+        return (sv.s0 + sv.s1 + self._half) % self.q - self._half
+
+    def mul(self, a: SharedValue, b: SharedValue) -> SharedValue:
+        """Beaver multiplication: one triple, one round, four elements."""
+        q = self.q
+        ta0, ta1, tb0, tb1, tc0, tc1 = self._triple(a, b)
+        # each party sends its shares of d = a - ta and e = b - tb
+        d = (a.s0 - ta0 + a.s1 - ta1) % q
+        e = (b.s0 - tb0 + b.s1 - tb1) % q
+        led = self.ledger
+        led.multiplications += 1
+        led.rounds += MUL_ROUNDS
+        led.elements_exchanged += MUL_ELEMENTS
+        if self.record_transcript:
+            self._recv(0, (a.s1 - ta1) % q, (b.s1 - tb1) % q)
+            self._recv(1, (a.s0 - ta0) % q, (b.s0 - tb0) % q)
+        # a product of two residues is below 2^62, a sum of two below 2^63:
+        # int64 shares reduce after every second product
+        s0 = ((d * tb0 + e * ta0) % q + d * e + tc0) % q
+        s1 = ((d * tb1 + e * ta1) % q + tc1) % q
+        return SharedValue(s0, s1)
 
     def share_public(self, v) -> SharedValue:
         """Zero-cost sharing of a publicly known constant."""
@@ -292,20 +347,13 @@ class Session(_CommonOps):
         tape1: RandomTape | None = None,
         record_transcript: bool = False,
     ):
-        super().__init__(fieldcfg)
+        super().__init__(fieldcfg, record_transcript)
         self.tape0 = tape0 if tape0 is not None else RandomTape(seed0)
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
         self.triples = TripleStore(self.q, self.dealer)
-        self.record_transcript = record_transcript
-        # transcript[p] = field elements received by party p, in order
-        self.transcript: tuple[list[int], list[int]] = ([], [])
 
-    # -- wires ---------------------------------------------------------
-
-    def _recv(self, party: int, value: int) -> None:
-        if self.record_transcript:
-            self.transcript[party].append(value)
+    # -- randomness --------------------------------------------------------
 
     def joint_word(self) -> int:
         """XOR of one fresh 64-bit word from each party's tape."""
@@ -316,51 +364,10 @@ class Session(_CommonOps):
         r = self.dealer.field_element(self.q)
         return SharedValue((value - r) % self.q, r)
 
-    # -- sharing and opening --------------------------------------------
+    def _triple(self, a: SharedValue, b: SharedValue) -> tuple:
+        return self.triples.take()
 
-    def share(self, v: int, owner: int = 0) -> SharedValue:
-        """Share a field element held by `owner`; costs one sent element."""
-        r = self.dealer.field_element(self.q)
-        self.ledger.rounds += SHARE_ROUNDS
-        self.ledger.elements_exchanged += SHARE_ELEMENTS
-        self._recv(1 - owner, r)
-        if owner == 0:
-            return SharedValue((v - r) % self.q, r)
-        return SharedValue(r, (v - r) % self.q)
-
-    def open(self, sv: SharedValue) -> int:
-        """Exchange shares and return the balanced reconstruction."""
-        self.ledger.rounds += OPEN_ROUNDS
-        self.ledger.elements_exchanged += OPEN_ELEMENTS
-        self._recv(0, sv.s1)
-        self._recv(1, sv.s0)
-        return self.field.lift(sv.s0 + sv.s1)
-
-    def peek(self, sv: SharedValue) -> int:
-        """Simulator-only reconstruction; no communication, no ledger."""
-        return self.field.lift(sv.s0 + sv.s1)
-
-    # -- interactive gadgets ---------------------------------------------
-
-    def mul(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        """Beaver multiplication: one triple, one round, four elements."""
-        q = self.q
-        ta0, ta1, tb0, tb1, tc0, tc1 = self.triples.take()
-        d0, d1 = (a.s0 - ta0) % q, (a.s1 - ta1) % q
-        e0, e1 = (b.s0 - tb0) % q, (b.s1 - tb1) % q
-        self.ledger.multiplications += 1
-        self.ledger.rounds += MUL_ROUNDS
-        self.ledger.elements_exchanged += MUL_ELEMENTS
-        if self.record_transcript:
-            self._recv(0, d1)
-            self._recv(0, e1)
-            self._recv(1, d0)
-            self._recv(1, e0)
-        d = (d0 + d1) % q
-        e = (e0 + e1) % q
-        s0 = (tc0 + d * tb0 + e * ta0 + d * e) % q
-        s1 = (tc1 + d * tb1 + e * ta1) % q
-        return SharedValue(s0, s1)
+    # -- faults and rejections ---------------------------------------------
 
     def _check(self, bad: bool, value: int, message: str) -> None:
         """ContractViolation at once if `bad`."""
@@ -486,7 +493,7 @@ class BatchSession(_CommonOps):
         self._rejected |= rejected
         return False
 
-    # -- wires ---------------------------------------------------------------
+    # -- randomness ----------------------------------------------------------
 
     def joint_word(self) -> np.ndarray:
         """The next joint word of every execution in the block (uint64)."""
@@ -507,49 +514,16 @@ class BatchSession(_CommonOps):
         self._pool_at += size
         return self._pool[self._pool_at - size : self._pool_at].reshape(shape)
 
-    def _reshare(self, value: np.ndarray) -> SharedValue:
+    def _reshare(self, value) -> SharedValue:
+        """Fresh additive sharing of one value per execution (or one common)."""
         value = np.asarray(value, dtype=np.int64)
         r = self._masks(value.shape)
-        return SharedValue((value - r) % self.q, r)
-
-    # -- sharing and opening --------------------------------------------------
-
-    def share(self, v, owner: int = 0) -> SharedValue:
-        """Share a value (one per execution, or one common to all)."""
-        r = self._masks(np.shape(v))
-        masked = (np.asarray(v, dtype=np.int64) - r) % self.q
+        masked = (value - r) % self.q
         if masked.ndim == 0:  # a common value: plain ints, usable by Session too
-            masked, r = int(masked), int(r)
-        self.ledger.rounds += SHARE_ROUNDS
-        self.ledger.elements_exchanged += SHARE_ELEMENTS
-        return SharedValue(masked, r) if owner == 0 else SharedValue(r, masked)
+            return SharedValue(int(masked), int(r))
+        return SharedValue(masked, r)
 
-    def open(self, sv: SharedValue) -> np.ndarray:
-        self.ledger.rounds += OPEN_ROUNDS
-        self.ledger.elements_exchanged += OPEN_ELEMENTS
-        return self.peek(sv)
-
-    def peek(self, sv: SharedValue) -> np.ndarray:
-        """Balanced reconstruction, no communication."""
-        r = (sv.s0 + sv.s1) % self.q
-        return np.where(r > self.field.half, r - self.q, r)
-
-    # -- interactive gadgets ---------------------------------------------------
-
-    def mul(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        """Beaver multiplication, one fresh triple per execution."""
-        q = self.q
+    def _triple(self, a: SharedValue, b: SharedValue) -> tuple:
+        """A fresh triple per execution, from one dealer draw."""
         shape = np.broadcast(a.s0, a.s1, b.s0, b.s1).shape
-        ta, tb, ta0, tb0, tc0 = self._masks((5,) + shape)
-        ta1, tb1, tc1 = (ta - ta0) % q, (tb - tb0) % q, (ta * tb - tc0) % q
-        # each party sends its shares of d = a - ta and e = b - tb
-        d = (a.s0 - ta0 + a.s1 - ta1) % q
-        e = (b.s0 - tb0 + b.s1 - tb1) % q
-        led = self.ledger
-        led.multiplications += 1
-        led.rounds += MUL_ROUNDS
-        led.elements_exchanged += MUL_ELEMENTS
-        # each product of two residues is below 2^62; reduce before summing
-        s0 = (tc0 + d * tb0 % q + e * ta0 % q + d * e % q) % q
-        s1 = (tc1 + d * tb1 % q + e * ta1 % q) % q
-        return SharedValue(s0, s1)
+        return beaver_shares(self.q, *self._masks((5,) + shape))

@@ -275,14 +275,12 @@ def run_sessions(
 
     Returns the decoded outputs.  Inputs are taken as run_batch checks them.
     """
-    inner = noise_plan(mech, params, gamma).inner
-    _require_bitwise(inner)
-    # joint words per execution without rejections: branch, uniform, inner draw
-    words = 2 + inner.words_per_draw
+    plan = noise_plan(mech, params, gamma)
+    _require_bitwise(plan.inner)
     xs = session.share(x_steps % session.q)
 
     def once(s):
         return s.open(pi_perturb(s, mech, xs, pi_noise(s, mech, params, gamma), params))
 
-    z = session.run(once, n, words)
+    z = session.run(once, n, plan.words_per_draw)
     return np.asarray(z, dtype=np.int64) * params.step

@@ -230,6 +230,12 @@ class NoisePlan:
         P = self.params
         return centered_dlap_config(P.L, P.sigma, P.p + self.fine_bits)
 
+    @property
+    def words_per_draw(self) -> int:
+        """Words of one noise draw without rejections, in this order: the
+        branch word, the tail word, then the inner draw's words."""
+        return 2 + self.inner.words_per_draw
+
     def input_steps(self, x: float) -> int:
         """x in 2^-p steps; GridError if x is off the grid or outside [-E, E]."""
         xs = steps_of(x, self.params.p)
@@ -356,7 +362,7 @@ def sample_batch(
     plan = noise_plan(mech, params, gamma)
     xs = plan.input_steps(x)
     tape = RandomTape(seed)
-    words = 2 + plan.inner.words_per_draw
+    words = plan.words_per_draw
 
     def block(size: int) -> tuple[int, np.ndarray]:
         rows = tape.peek_block(size * words).reshape(size, words).T

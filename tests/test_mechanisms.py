@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -475,3 +476,20 @@ class TestMechanismRecord:
         for bad in ("lap", "TDL", ""):
             with pytest.raises(ValueError, match="unknown mechanism"):
                 lookup_mechanism(bad)
+
+
+class TestParamsHash:
+    def test_hash_agrees_with_equality(self):
+        P = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
+        assert hash(P) == hash((4.0, 2.0, 1.0, 0))
+        assert P == MechanismParams(4, 2, 1, 0) and hash(P) == hash(MechanismParams(4, 2, 1, 0))
+        assert {P: 1}[MechanismParams(4, 2, 1, 0)] == 1
+
+    def test_replace_and_as_dict_unchanged(self):
+        P = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
+        Q = dataclasses.replace(P, sigma=2.0)
+        assert Q != P and hash(Q) == hash((4.0, 2.0, 2.0, 0))
+        assert Q.as_dict() == {"E": 4.0, "L": 2.0, "sigma": 2.0, "p": 0}
+        assert [f.name for f in dataclasses.fields(Q)] == ["E", "L", "sigma", "p"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            Q.sigma = 3.0

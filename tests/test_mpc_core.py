@@ -7,7 +7,7 @@ from scipy.stats import chi2_contingency, chisquare
 from trunclap.grids import FieldConfig, field_for_mechanism, next_prime
 from trunclap.mechanisms import MechanismParams, branch_probability_d
 from trunclap.mpc import BatchSession, ContractViolation, Session
-from trunclap.mpc.core import BATCH_MAX_Q
+from trunclap.mpc.core import BATCH_MAX_Q, SharedValue, beaver_shares
 from trunclap.tape import RandomTape
 
 
@@ -44,6 +44,85 @@ class TestShareOpen:
         s.open(s.share(5))
         d = s.ledger.delta(before)
         assert d["rounds"] == 2 and d["elements_exchanged"] == 3
+
+
+class TestWires:
+    """share, open, peek, mul and the transcript hook, written once for both
+    substrates: exhaustive reconstruction and each wire's transcript."""
+
+    CFG = FieldConfig(q=521, e=3, p=2)
+
+    def test_substrates_supply_only_randomness_and_policy(self):
+        for cls in (Session, BatchSession):
+            assert not {"share", "open", "peek", "mul", "_recv"} & set(vars(cls))
+
+    def test_session_reconstructs_every_residue(self):
+        s = Session(self.CFG, 1, 2)
+        q = s.q
+        for r in range(q):
+            # share sums below q and at or above q both lift to lift(r)
+            for sv in (SharedValue(r, 0), SharedValue(q - 1, (r + 1) % q)):
+                assert s.peek(sv) == self.CFG.lift(r)
+                assert s.open(sv) == self.CFG.lift(r)
+            assert s.open(s.share(r)) == self.CFG.lift(r)
+        assert s.peek(SharedValue((q - 1) // 2, 0)) == (q - 1) // 2
+        assert s.peek(SharedValue((q + 1) // 2, 0)) == -(q - 1) // 2
+
+    def test_batch_reconstructs_every_residue(self):
+        s = BatchSession(self.CFG, 1, 2)
+        q = s.q
+        r = np.arange(q)
+        lifted = np.array([self.CFG.lift(int(v)) for v in r])
+        for sv in (SharedValue(r, 0), SharedValue(q - 1, (r + 1) % q), s.share(r)):
+            assert np.array_equal(s.peek(sv), lifted)
+            assert np.array_equal(s.open(sv), lifted)
+        assert lifted[(q - 1) // 2] == (q - 1) // 2 and lifted[(q + 1) // 2] == -(q - 1) // 2
+
+    def test_session_on_a_field_past_int64_products(self):
+        cfg = FieldConfig(q=next_prime(2**31), e=31, p=0)
+        assert cfg.q >= BATCH_MAX_Q
+        with pytest.raises(ValueError, match="too large"):
+            BatchSession(cfg, 1, 2)
+        s = Session(cfg, 1, 2)
+        h = cfg.half
+        for v in (0, 1, h, h + 1, cfg.q - 1, 2**31, 123_456_789_012 % cfg.q):
+            assert s.peek(SharedValue(v, 0)) == cfg.lift(v)
+            assert s.open(s.share(v)) == cfg.lift(v)
+        x, y = 2**30 + 3, -(2**30) - 7
+        assert s.open(s.mul(s.share(x % cfg.q), s.share(y % cfg.q))) == cfg.lift(x * y)
+
+    def test_triple_algebra_on_ints_and_arrays(self):
+        q = 521
+        draws = np.random.default_rng(4).integers(0, q, size=(5, 200))
+        a0, a1, b0, b1, c0, c1 = beaver_shares(q, *draws)
+        assert np.array_equal((c0 + c1) % q, (a0 + a1) * (b0 + b1) % q)
+        for j in range(draws.shape[1]):
+            ints = beaver_shares(q, *(int(v) for v in draws[:, j]))
+            assert ints == tuple(int(t[j]) for t in (a0, a1, b0, b1, c0, c1))
+
+    def test_transcript_per_wire(self, monkeypatch):
+        s = Session(self.CFG, 1, 2, record_transcript=True)
+        t0, t1 = s.transcript
+        x = s.share(3)  # party 1 receives the dealer's mask: its own share
+        assert (t0, t1) == ([], [x.s1])
+        y = s.share(5)
+        s.open(x)  # each party receives the other's share
+        assert (t0, t1[2:]) == ([x.s1], [x.s0])
+        # mul: each party receives the other's shares of d = x - a and e = y - b
+        a, b, q = 100, 200, s.q
+        monkeypatch.setattr(s, "_triple", lambda *_: beaver_shares(q, a, b, 7, 9, 11))
+        z = s.mul(x, y)
+        assert (len(t0), len(t1)) == (3, 5)
+        assert (t0[-2] + t1[-2]) % q == (3 - a) % q
+        assert (t0[-1] + t1[-1]) % q == (5 - b) % q
+        assert s.peek(z) == 15
+
+    def test_batch_records_no_transcript(self):
+        s = BatchSession(self.CFG, 1, 2)
+        x, y = s.share(np.arange(4)), s.share(3)
+        s.open(s.mul(x, y))
+        s.open(s.add(x, y))
+        assert not s.record_transcript and s.transcript == ([], [])
 
 
 class TestArithmetic:

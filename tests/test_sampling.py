@@ -348,6 +348,17 @@ class TestNoisePlan:
             if mech is TDL:
                 assert noise_plan(mech, params, gamma + 1) is plan
 
+    def test_words_per_draw_is_the_draw_layout(self):
+        # branch word, tail word, inner draw: what one draw reads when no
+        # attempt is rejected (a power-of-two tail count and TDL never reject)
+        for params, mech in product(self.SETS, (TDL, TCL)):
+            plan = noise_plan(mech, params)
+            assert plan.words_per_draw == 2 + plan.inner.words_per_draw
+            if plan.tail_mask + 1 == plan.outer_count and mech is TDL:
+                tape = RandomTape(5)
+                noise(mech, params, tape)
+                assert tape.words_consumed == plan.words_per_draw
+
     def test_negative_gamma_is_refused_for_tcl(self, small_params):
         with pytest.raises(ValueError, match="gamma"):
             noise_plan(TCL, small_params, -1)
