@@ -2,7 +2,9 @@
 
 Additive secret sharing over an odd prime field, Beaver-triple
 multiplication, and the gadgets the noise protocols rely on: a shared
-Bernoulli draw, a shared uniform draw, a shared sign test, and a mux.
+Bernoulli draw, a weighted sum of k shared Bernoulli draws (the magnitude
+bits of a discrete Laplace draw), a shared uniform draw, a shared sign
+test, and a mux.
 
 The simulator holds both parties' shares, so gadget innards (comparison
 circuits, bit decompositions) are evaluated directly on the reconstructed
@@ -29,6 +31,10 @@ Cost model (abstract operation counts, not wall-clock):
   64-bit bit-decomposition with log-depth prefix evaluation, costed as
   8 rounds (ceil(log2 64) + 2) and 128 elements.  Its boolean-domain
   gates are not counted as field multiplications.
+* Bernoulli draw: 1 comparison against the public threshold.  The sum
+  of k draws weighted by 2^i (`pi_bersample_sum`) is k draws: k
+  comparisons, 8k rounds, 128k elements; weighting and adding shares is
+  local and free.
 * uniform draw over 2^k: 1 round, 2k elements (each party shares its k
   bit contributions); non-powers of two add one comparison plus one
   opened accept bit per rejection attempt.
@@ -41,8 +47,9 @@ execution); its `run` lays the party tapes out session by session, so
 every execution reads exactly the words the sequential loop gives it.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (joint words,
-dealer masks, Beaver triples built by `beaver_shares`) and what a range
-fault or a rejected draw does.
+dealer masks, Beaver triples built by `beaver_shares`, and the k words
+and masks of a Bernoulli sum in one read) and what a range fault or a
+rejected draw does.
 """
 
 from __future__ import annotations
@@ -75,6 +82,7 @@ BATCH_MAX_Q = 1 << 31
 DEALER_CHUNK = 1 << 12
 # Beaver triples a Session's TripleStore draws at once
 TRIPLES_PER_REFILL = 64
+_WORD_MAX = (1 << 64) - 1
 
 
 class ContractViolation(RuntimeError):
@@ -156,8 +164,8 @@ class _CommonOps:
 
     Shares are Python ints in a Session and int64 arrays (or ints that
     broadcast against them) in a BatchSession.  A substrate supplies its
-    randomness (`joint_word`, `_reshare`, `_triple`) and its policy for
-    faults and rejected draws (`_check`, `_retry`, `run`).
+    randomness (`joint_word`, `_reshare`, `_triple`, `_bit_sum`) and its
+    policy for faults and rejected draws (`_check`, `_retry`, `run`).
     """
 
     def __init__(self, fieldcfg: FieldConfig, record_transcript: bool = False):
@@ -249,12 +257,29 @@ class _CommonOps:
 
     def pi_bersample_thresholded(self, threshold: int) -> SharedValue:
         bit = self.joint_word() < threshold
-        led = self.ledger
-        led.bernoulli_draws += 1
-        led.comparisons += 1
-        led.rounds += CMP_ROUNDS
-        led.elements_exchanged += CMP_ELEMENTS
+        self._charge_bernoulli(1)
         return self._reshare(bit)
+
+    def pi_bersample_sum(self, thresholds: tuple[int, ...]) -> SharedValue:
+        """Shared sum of 2^i * [joint word i < thresholds[i]] over i < k.
+
+        The k Bernoulli draws of `pi_bersample_thresholded`, weighted and
+        added in one call: the same joint words, dealer masks, shares and
+        ledger as k such draws each scaled by 2^i and added to [0].
+        """
+        if not thresholds:
+            return self.share_public(0)
+        self._charge_bernoulli(len(thresholds))
+        value, mask = self._bit_sum(thresholds)
+        return SharedValue((value - mask) % self.q, mask)
+
+    def _charge_bernoulli(self, k: int) -> None:
+        """k Bernoulli draws, each one shared comparison."""
+        led = self.ledger
+        led.bernoulli_draws += k
+        led.comparisons += k
+        led.rounds += k * CMP_ROUNDS
+        led.elements_exchanged += k * CMP_ELEMENTS
 
     def mux(self, i: SharedValue, a: SharedValue, b: SharedValue) -> SharedValue:
         """[a] + [i]*([b] - [a]): a when i=0, b when i=1; one multiplication."""
@@ -348,6 +373,9 @@ class Session(_CommonOps):
         record_transcript: bool = False,
     ):
         super().__init__(fieldcfg, record_transcript)
+        if tape0 is not None and tape0 is tape1:
+            # pi_bersample_sum reads one party's words, then the other's
+            raise ValueError("each party needs a tape of its own")
         self.tape0 = tape0 if tape0 is not None else RandomTape(seed0)
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
@@ -363,6 +391,16 @@ class Session(_CommonOps):
         """Fresh additive sharing of a value using a dealer mask."""
         r = self.dealer.field_element(self.q)
         return SharedValue((value - r) % self.q, r)
+
+    def _bit_sum(self, thresholds: tuple[int, ...]) -> tuple[int, int]:
+        """(sum of 2^i * bit i, sum of 2^i * mask i mod q) of k Bernoulli
+        draws: k words from each party tape and k dealer masks, each in one
+        read, the words and masks k `pi_bersample_thresholded` calls take."""
+        k = len(thresholds)
+        words = zip(self.tape0.words(k), self.tape1.words(k), thresholds)
+        value = sum(1 << i for i, (w0, w1, t) in enumerate(words) if w0 ^ w1 < t)
+        masks = self.dealer.residues(self.q, k)
+        return value, sum(r << i for i, r in enumerate(masks)) % self.q
 
     def _triple(self, a: SharedValue, b: SharedValue) -> tuple:
         return self.triples.take()
@@ -497,12 +535,16 @@ class BatchSession(_CommonOps):
 
     def joint_word(self) -> np.ndarray:
         """The next joint word of every execution in the block (uint64)."""
+        return self._joint_rows(1)[0]
+
+    def _joint_rows(self, k: int) -> np.ndarray:
+        """The next k joint words of every execution, one row each."""
         if self._rows is None:
             raise RuntimeError("joint words are drawn inside run()")
-        if self._col >= len(self._rows):
+        if self._col + k > len(self._rows):
             raise RuntimeError("an execution drew more joint words than planned")
-        self._col += 1
-        return self._rows[self._col - 1]
+        self._col += k
+        return self._rows[self._col - k : self._col]
 
     def _masks(self, shape: tuple) -> np.ndarray:
         """Fresh dealer residues; drawn DEALER_CHUNK or more at a time."""
@@ -522,6 +564,23 @@ class BatchSession(_CommonOps):
         if masked.ndim == 0:  # a common value: plain ints, usable by Session too
             return SharedValue(int(masked), int(r))
         return SharedValue(masked, r)
+
+    def _bit_sum(self, thresholds: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+        """(sum of 2^i * bit i, sum of 2^i * mask i mod q) per execution: the
+        next k rows of the block in one compare, and k dealer mask rows."""
+        k, q = len(thresholds), self.q
+        rows = self._joint_rows(k)
+        # a threshold of 2^64 (probability 1) does not fit in uint64
+        capped = np.array([min(t, _WORD_MAX) for t in thresholds], dtype=np.uint64)
+        certain = np.array([t > _WORD_MAX for t in thresholds])
+        bits = (rows < capped[:, None]) | certain[:, None]
+        # one _masks call per bit: the dealer chunks of k separate draws
+        masks = np.stack([self._masks(rows.shape[1:]) for _ in range(k)])
+        weights = np.array([pow(2, i, q) for i in range(k)], dtype=np.int64)[:, None]
+        # a weight times a residue is below 2^62; reduced, k of them sum
+        # far below 2^63
+        value = (bits * weights).sum(axis=0)
+        return value, (masks * weights % q).sum(axis=0) % q
 
     def _triple(self, a: SharedValue, b: SharedValue) -> tuple:
         """A fresh triple per execution, from one dealer draw."""

@@ -85,15 +85,13 @@ def pi_dl(session: Session, plan: CenteredDlapConfig) -> SharedValue:
     Lines of the bitwise procedure, on the thresholds of the bitwise
     `plan`: a Bernoulli(c0) zero flag, kappa Bernoulli bits with
     probabilities rho^(2^i)/(1+rho^(2^i)), a fair sign s = 2d-1, then
-    z = s*(sum 2^i z_i + 1) and the final blend (1-b)*z.  Two protocol
-    multiplications.
+    z = s*(sum 2^i z_i + 1) and the final blend (1-b)*z.  The kappa bits
+    and their weighted sum are one `pi_bersample_sum` call (kappa
+    comparisons); the sum is local.  Two protocol multiplications.
     """
     _require_bitwise(plan)
     b = session.pi_bersample_thresholded(plan.zero_threshold)
-    u = session.share_public(1)
-    for i, threshold in enumerate(plan.bit_thresholds):
-        zi = session.pi_bersample_thresholded(threshold)
-        u = session.add(u, session.scale_public(zi, 1 << i))
+    u = session.add_public(session.pi_bersample_sum(plan.bit_thresholds), 1)
     d = session.pi_bersample_thresholded(plan.sign_threshold)
     s = session.affine(d, 2, -1)
     z = session.mul(s, u)

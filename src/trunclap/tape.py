@@ -41,6 +41,15 @@ def pow2_at_least(m: int) -> int:
     return 1 << (m - 1).bit_length() if m > 1 else 1
 
 
+class _RejectionLimits(dict):
+    """q -> the largest multiple of q that is at most 2^64, computed once
+    per q: a word at or above it is rejected, so `word % q` is uniform."""
+
+    def __missing__(self, q: int) -> int:
+        limit = self[q] = (_WORD_MOD // q) * q
+        return limit
+
+
 class RandomTape:
     """A reproducible stream of 64-bit words, seedable or injected.
 
@@ -67,6 +76,7 @@ class RandomTape:
         self.record = record
         self.draw_log: list[int] = []
         self.words_consumed = 0
+        self._limits = _RejectionLimits()
         self._injected: Iterator[int] | None = iter(words) if words is not None else None
         # _win holds the words _buf[_pos:_pos + len(_win)]; _wi is the next
         # one to hand out, so the read position in _buf is _pos + _wi
@@ -162,16 +172,34 @@ class RandomTape:
 
     def field_element(self, q: int) -> int:
         """Uniform residue mod q via 64-bit rejection (exact for q < 2^64)."""
-        limit = (_WORD_MOD // q) * q
+        limit = self._limits[q]
         while True:
             w = self.word()
             if w < limit:
                 return w % q
 
+    def residues(self, q: int, n: int) -> list[int]:
+        """The next n residues mod q, as n calls of `field_element` return
+        them: the same words and the same `words_consumed`.
+
+        One `words(n)` read, then one word more for each rejected word.
+        Unlike `field_elements`, which on a seeded tape draws straight from
+        the generator past the buffered words, this reads the tape's own
+        word stream, so it can be mixed with `word` and `field_element`.
+        """
+        limit = self._limits[q]
+        out = [w % q for w in self.words(n) if w < limit]
+        while len(out) < n:
+            w = self.word()
+            if w < limit:
+                out.append(w % q)
+        return out
+
     def field_elements(self, q: int, n: int) -> list[int]:
-        """n uniform residues mod q; vectorized on seeded tapes."""
+        """n uniform residues mod q; vectorized on seeded tapes (see
+        `residues` for the difference)."""
         if self._injected is not None or self.record:
-            return [self.field_element(q) for _ in range(n)]
+            return self.residues(q, n)
         return self.field_array(q, n).tolist()
 
     def field_array(self, q: int, n: int) -> np.ndarray:
@@ -181,7 +209,7 @@ class RandomTape:
         same 64-bit rejection as `field_element`.
         """
         self._require_generator("field_array")
-        limit = np.uint64((_WORD_MOD // q) * q)
+        limit = np.uint64(self._limits[q])
         parts, have = [], 0
         while have < n:
             chunk = self._gen.integers(0, _WORD_MOD, size=n - have + 8, dtype=np.uint64)

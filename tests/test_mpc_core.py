@@ -5,9 +5,17 @@ import pytest
 from scipy.stats import chi2_contingency, chisquare
 
 from trunclap.grids import FieldConfig, field_for_mechanism, next_prime
-from trunclap.mechanisms import MechanismParams, branch_probability_d
-from trunclap.mpc import BatchSession, ContractViolation, Session
-from trunclap.mpc.core import BATCH_MAX_Q, SharedValue, beaver_shares
+from trunclap.mechanisms import TCL, MechanismParams, branch_probability_d
+from trunclap.mpc import BatchSession, ContractViolation, Session, mechanism_field
+from trunclap.mpc.core import (
+    BATCH_MAX_Q,
+    CMP_ELEMENTS,
+    CMP_ROUNDS,
+    SharedValue,
+    beaver_shares,
+)
+from trunclap.mpc.protocols import run_sessions
+from trunclap.sampling import centered_dlap_config
 from trunclap.tape import RandomTape
 
 
@@ -235,6 +243,118 @@ class TestBersample:
         assert d["multiplications"] == 0
 
 
+def bit_loop(s, thresholds):
+    """The per-bit sequence pi_bersample_sum replaces: k Bernoulli draws,
+    each scaled by 2^i and added to [0]."""
+    u = s.share_public(0)
+    for i, t in enumerate(thresholds):
+        u = s.add(u, s.scale_public(s.pi_bersample_thresholded(t), 1 << i))
+    return u
+
+
+# k = 0, 1, 7 and 15, with thresholds 0 and 2^64 (probability 0 and 1);
+# the 15 are the wide set's TCL magnitude bits at gamma = 8
+WIDE_BITS = centered_dlap_config(32.0, 8.0, 10).bit_thresholds
+THRESHOLDS = [
+    (),
+    (0,),
+    (2**64,),
+    (2**64, 0, 2**63, 1, 2**64 - 1, 3 << 61, 2**64),
+    WIDE_BITS[:5] + (2**64, 0) + WIDE_BITS[7:],
+]
+
+
+class TestBersampleSum:
+    """pi_bersample_sum against the loop it replaces, on both substrates:
+    shares, ledger and every tape's words_consumed."""
+
+    CFG = FieldConfig(q=521, e=3, p=2)
+
+    @staticmethod
+    def words(s):
+        return [t.words_consumed for t in (s.tape0, s.tape1, s.dealer)]
+
+    def test_wide_bits_are_fifteen(self):
+        assert len(WIDE_BITS) == 15 and [len(t) for t in THRESHOLDS] == [0, 1, 1, 7, 15]
+
+    @pytest.mark.parametrize("tapes", ["seeded", "recording", "injected"])
+    @pytest.mark.parametrize("ts", THRESHOLDS)
+    def test_session_equals_the_loop(self, ts, tapes):
+        def session():
+            kw = {}
+            if tapes == "recording":
+                kw = dict(tape0=RandomTape(3, record=True), tape1=RandomTape(4, record=True))
+            elif tapes == "injected":
+                stream = RandomTape(5).words(400)
+                kw = dict(tape0=RandomTape(words=stream), tape1=RandomTape(words=stream[::-1]))
+            return Session(self.CFG, 3, 4, **kw)
+
+        a, b = session(), session()
+        for _ in range(3):
+            u, v = a.pi_bersample_sum(ts), bit_loop(b, ts)
+            assert (u.s0, u.s1) == (v.s0, v.s1)
+            assert all(type(x) is int for x in (u.s0, u.s1))
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+        assert self.words(a) == self.words(b)
+        assert a.tape0.draw_log == b.tape0.draw_log
+        assert a.tape1.draw_log == b.tape1.draw_log
+        assert a.joint_word() == b.joint_word()  # both read on from one place
+
+    def batch_run(self, gadget, ts):
+        """300 executions of `gadget` in one block: the session, the opened
+        values and the shares."""
+        s, shares = BatchSession(self.CFG, 3, 4), []
+
+        def program(s):
+            shares.append(gadget(s, ts))
+            return s.peek(shares[-1])
+
+        return s, s.run(program, 300, len(ts)), shares[-1]
+
+    @pytest.mark.parametrize("ts", THRESHOLDS)
+    def test_batch_equals_the_loop(self, ts):
+        a, got, u = self.batch_run(BatchSession.pi_bersample_sum, ts)
+        b, expected, v = self.batch_run(bit_loop, ts)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(u.s0, v.s0) and np.array_equal(u.s1, v.s1)
+        assert a.ledger.as_dict() == b.ledger.as_dict()
+        assert self.words(a) == self.words(b)
+
+    def test_batch_probability_one_bit(self, monkeypatch):
+        # 2^64 does not fit a uint64 compare; the top joint word 2^64 - 1
+        # must still draw 1 under it, and 0 under 2^64 - 1
+        s = BatchSession(self.CFG, 3, 4)
+        monkeypatch.setattr(s.tape0, "peek_block", lambda n: np.full(n, 2**64 - 1, np.uint64))
+        monkeypatch.setattr(s.tape1, "peek_block", lambda n: np.zeros(n, np.uint64))
+        got = s.run(lambda s: s.peek(s.pi_bersample_sum((0, 2**64, 2**64 - 1, 2**64))), 50, 4)
+        assert np.array_equal(got, np.full(50, 2 + 8))
+
+    def test_ledger(self):
+        s = small_session()
+        s.pi_bersample_sum((1, 2, 3))
+        assert s.ledger.as_dict() == dict(
+            multiplications=0,
+            comparisons=3,
+            bernoulli_draws=3,
+            uniform_draws=0,
+            rounds=3 * CMP_ROUNDS,
+            elements_exchanged=3 * CMP_ELEMENTS,
+        )
+
+    def test_wide_tcl_dealer_words_at_300(self):
+        # one _masks draw per bit keeps the dealer's chunk schedule; a single
+        # (k, n) draw took 16,820 dealer words here
+        params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
+        s = BatchSession(mechanism_field(params, "tcl", 8), 0, 1)
+        run_sessions(s, TCL, params, 0, 300, 8)
+        assert s.dealer.words_consumed == 16_416
+
+    def test_parties_need_tapes_of_their_own(self):
+        tape = RandomTape(1)
+        with pytest.raises(ValueError, match="tape of its own"):
+            Session(self.CFG, tape0=tape, tape1=tape)
+
+
 class TestUniform:
     def test_singleton(self):
         s = small_session()
@@ -351,15 +471,19 @@ class TestTransparencyAndPrivacy:
 
     def test_determinism(self):
         def run(seed0, seed1):
-            s = Session(FieldConfig(q=521, e=3, p=2), seed0, seed1)
+            s = Session(FieldConfig(q=521, e=3, p=2), seed0, seed1, record_transcript=True)
             x = s.share(17)
             y = s.pi_bersample(0.4)
             z = s.mul(x, s.pi_uni(8))
             w = s.mux(y, x, z)
-            return s.open(w), s.ledger.as_dict()
+            return s.open(w), s.ledger.as_dict(), tuple(s.transcript[1])
 
         assert run(9, 10) == run(9, 10)
-        assert run(9, 10) != run(11, 12) or True  # different seeds may differ
+        # other seeds: the opened value is 17 w.p. 0.6, else 17 * uniform(8),
+        # so 20 pairs all opening one value has probability about 0.6^20
+        runs = [run(9 + 2 * j, 10 + 2 * j) for j in range(20)]
+        assert len({opened for opened, _, _ in runs}) > 1
+        assert len({view for _, _, view in runs}) == len(runs)
 
     def test_ledger_monotone(self):
         s = small_session(record_transcript=True)

@@ -16,6 +16,9 @@ from trunclap.tape import _BUF, _WINDOW_MAX, _WINDOW_MIN
 
 # the field moduli are odd primes
 PRIMES = (3, 37, 1031, 2053, 2**31 - 1, 2**61 - 1)
+# a prime above 2^63: its rejection limit is q itself, so about half the
+# words are rejected
+BIG_PRIME = 2**63 + 29
 
 OPS = st.one_of(
     st.tuples(st.just("word")),
@@ -26,6 +29,7 @@ OPS = st.one_of(
     st.tuples(st.just("peek_skip"), st.integers(_BUF - 50, _BUF + 50), st.floats(0, 1)),
     st.tuples(st.just("field_element"), st.sampled_from(PRIMES)),
     st.tuples(st.just("field_array"), st.sampled_from(PRIMES), st.integers(0, 50)),
+    st.tuples(st.just("residues"), st.sampled_from(PRIMES + (BIG_PRIME,)), st.integers(0, 40)),
 )
 
 
@@ -46,6 +50,11 @@ def apply(tape, op):
         return block
     if name == "field_element":
         return tape.field_element(*args)
+    if name == "residues":
+        q, n = args
+        if isinstance(tape, ReferenceTape):
+            return [tape.field_element(q) for _ in range(n)]
+        return tape.residues(q, n)
     return tape.field_array(*args).tolist()
 
 
@@ -108,3 +117,47 @@ class TestWordStream:
     def test_words_are_python_ints(self):
         tape = RandomTape(2)
         assert all(type(w) is int for w in tape.words(50) + [tape.word()])
+
+
+class TestResidues:
+    """`residues(q, n)` is n `field_element(q)` calls: the same values, the
+    same words_consumed and the same draw log, on every kind of tape."""
+
+    Q = 521
+    LIMIT = (2**64 // 521) * 521
+
+    def pair(self, kind):
+        if kind == "seeded":
+            return RandomTape(7), RandomTape(7)
+        if kind == "recording":
+            return RandomTape(7, record=True), RandomTape(7, record=True)
+        # words at or above the limit are rejected, so the read tops up
+        lim = self.LIMIT
+        stream = [lim, 5, 2**64 - 1, lim + 1, lim - 1, 6, lim, lim, 7] + list(range(100))
+        return RandomTape(words=stream), RandomTape(words=stream)
+
+    @pytest.mark.parametrize("kind", ["seeded", "recording", "injected"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 15])
+    def test_equals_field_element_calls(self, kind, n):
+        a, b = self.pair(kind)
+        for _ in range(3):
+            assert a.residues(self.Q, n) == [b.field_element(self.Q) for _ in range(n)]
+            assert a.words_consumed == b.words_consumed
+        assert a.draw_log == b.draw_log
+        assert a.word() == b.word()
+
+    def test_injected_rejections_top_up(self):
+        a, _ = self.pair("injected")
+        assert a.residues(self.Q, 4) == [5, (self.LIMIT - 1) % self.Q, 6, 7]
+        assert a.words_consumed == 9
+
+    def test_seeded_rejections_top_up(self):
+        a, b = RandomTape(8), ReferenceTape(8)
+        assert a.residues(BIG_PRIME, 50) == [b.field_element(BIG_PRIME) for _ in range(50)]
+        assert a.words_consumed == b.words_consumed > 50
+
+    def test_limit_is_computed_once_per_modulus(self):
+        tape = RandomTape(9)
+        for q in (521, 37, 521):
+            tape.field_element(q)
+        assert tape._limits == {521: self.LIMIT, 37: (2**64 // 37) * 37}
