@@ -46,6 +46,9 @@ class _RejectionLimits(dict):
     per q: a word at or above it is rejected, so `word % q` is uniform."""
 
     def __missing__(self, q: int) -> int:
+        if not 0 < q <= _WORD_MOD:
+            # no word would be accepted: the draw would never return
+            raise ValueError(f"a 64-bit word cannot draw a residue mod {q}")
         limit = self[q] = (_WORD_MOD // q) * q
         return limit
 

@@ -151,6 +151,12 @@ class TestMpc:
                     "--n", "10"]) == 1
         assert "outside [-E, E]" in capsys.readouterr().err
 
+    def test_field_past_a_word_is_usage_error(self, capsys):
+        # at p=60 the field exceeds 2^64: the dealer's draw never returned
+        assert run(["mpc", "--E", "4", "--L", "2", "--sigma", "1", "--p", "60",
+                    "--n", "1"]) == 1
+        assert "64-bit word cannot draw" in capsys.readouterr().err
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["mpc", "--mechanism", "tcl", "--E", "4", "--L", "2", "--sigma", "1",

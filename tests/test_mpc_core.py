@@ -274,9 +274,6 @@ class TestBersampleSum:
     def words(s):
         return [t.words_consumed for t in (s.tape0, s.tape1, s.dealer)]
 
-    def test_wide_bits_are_fifteen(self):
-        assert len(WIDE_BITS) == 15 and [len(t) for t in THRESHOLDS] == [0, 1, 1, 7, 15]
-
     @pytest.mark.parametrize("tapes", ["seeded", "recording", "injected"])
     @pytest.mark.parametrize("ts", THRESHOLDS)
     def test_session_equals_the_loop(self, ts, tapes):

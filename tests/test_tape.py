@@ -156,6 +156,14 @@ class TestResidues:
         assert a.residues(BIG_PRIME, 50) == [b.field_element(BIG_PRIME) for _ in range(50)]
         assert a.words_consumed == b.words_consumed > 50
 
+    @pytest.mark.parametrize("q", [0, 2**64 + 13])
+    def test_modulus_past_a_word_is_refused(self, q):
+        # no word lies below a limit of 0, so the draw used to loop forever
+        tape = RandomTape(9)
+        for draw in (tape.field_element, lambda q: tape.residues(q, 3)):
+            with pytest.raises(ValueError, match="cannot draw"):
+                draw(q)
+
     def test_limit_is_computed_once_per_modulus(self):
         tape = RandomTape(9)
         for q in (521, 37, 521):
