@@ -186,7 +186,8 @@ def cmd_mpc(args) -> int:
     mech = _discrete(args, "the secure protocols realize the discrete mechanisms")
     seeds = (args.seed, args.seed + 1)
     values = run_batch(mech.name, params, args.x, args.n, *seeds, gamma=args.gamma)
-    session = make_session(params, mech.name, args.gamma, *seeds)
+    session = make_session(params, mech.name, args.gamma, *seeds,
+                           record_transcript=args.transcript)
     _, ledger = run_once(session, mech, args.x, params, args.gamma)
     spec = params.output_grid(args.mechanism)
     hist = Histogram.from_samples(values, spec)
@@ -202,9 +203,7 @@ def cmd_mpc(args) -> int:
         "ledger_per_run": ledger,
     }
     if args.transcript:
-        audit = make_session(params, mech.name, args.gamma, *seeds, record_transcript=True)
-        run_once(audit, mech, args.x, params, args.gamma)
-        payload["transcript"] = audit.transcript_dump()
+        payload["transcript"] = session.transcript_dump()
     _dump_json(payload, args.out)
     return 0
 

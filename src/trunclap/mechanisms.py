@@ -160,6 +160,23 @@ def _check_center(x: float, params: MechanismParams) -> None:
         raise GridError(f"center x={x} is not a grid point of [-E, E]")
 
 
+def _kernel_pmf(spec: GridSpec, x: float, L: float, sigma: float, lam: float) -> ExactPmf:
+    """The kernel exp(-min(|y-x|, L)/sigma) over lam: at each point y of a
+    closed grid, integrated over each cell [y, y+h) of a half-open one.  No
+    cell straddles x or x +/- L (all on the grid), so a cell's integral is
+    the kernel at its end nearest x times h (flat tails) or sigma*(1 -
+    e^(-h/sigma)) (flanks); no factor exceeds 1 or h, so nothing overflows.
+    """
+    ys, h = spec.values(), spec.step
+    if spec.half_open:
+        dist = np.maximum(ys - x, x - h - ys)  # from x to the nearest point of [y, y+h]
+        width = np.where(dist >= L, h, sigma * -math.expm1(-h / sigma))
+    else:
+        dist, width = np.abs(ys - x), 1.0
+    masses = np.exp(-np.minimum(dist, L) / sigma) * width / lam
+    return ExactPmf(spec=spec, masses=masses, lam=lam, center=x)
+
+
 def pmf_tdl(x: float, params: MechanismParams) -> ExactPmf:
     """Exact TDL mass function conditioned on input x.
 
@@ -167,26 +184,8 @@ def pmf_tdl(x: float, params: MechanismParams) -> ExactPmf:
     [-E-L, E+L]; the mass depends on x only through min(|y-x|, L).
     """
     _check_center(x, params)
-    spec = params.output_grid("tdl")
-    ys = spec.values()
     lam = lambda_dlap(params.E, params.L, params.sigma, params.p)
-    masses = np.exp(-np.minimum(np.abs(ys - x), params.L) / params.sigma) / lam
-    return ExactPmf(spec=spec, masses=masses, lam=lam, center=x)
-
-
-def tcl_cell_integral(y: float, x: float, L: float, sigma: float, h: float) -> float:
-    """Closed-form integral of the kernel over the cell [y, y+h).
-
-    With x, y, L grid-aligned a cell never straddles x or x +/- L, so it is
-    entirely flat, entirely on the rising flank, or entirely on the falling
-    flank.  This folds the boundary pair {-L-E, x+L} into the same flat
-    formula as the interior tail cells.
-    """
-    if y >= x + L or y + h <= x - L:
-        return h * math.exp(-L / sigma)
-    if y >= x:
-        return sigma * math.exp(-(y - x) / sigma) * (-math.expm1(-h / sigma))
-    return sigma * math.exp(-(x - y) / sigma) * math.expm1(h / sigma)
+    return _kernel_pmf(params.output_grid("tdl"), x, params.L, params.sigma, lam)
 
 
 def pmf_tcl(x: float, params: MechanismParams) -> ExactPmf:
@@ -196,33 +195,34 @@ def pmf_tcl(x: float, params: MechanismParams) -> ExactPmf:
     lambda_lap; the support is half-open (the top point has zero mass).
     """
     _check_center(x, params)
-    spec = params.output_grid("tcl")
-    h = params.step
     lam = lambda_lap(params.E, params.L, params.sigma)
-    masses = np.array(
-        [tcl_cell_integral(y, x, params.L, params.sigma, h) for y in spec.values()]
-    )
-    return ExactPmf(spec=spec, masses=masses / lam, lam=lam, center=x)
+    return _kernel_pmf(params.output_grid("tcl"), x, params.L, params.sigma, lam)
+
+
+def _lambda_centered_dlap(L: float, sigma: float, p: int) -> float:
+    """1 + 2(1-e^(-L/sigma)) / (e^(2^-p/sigma)-1), the kernel's sum on [-L, L] at 0."""
+    return 1.0 + 2.0 * (-math.expm1(-L / sigma)) / math.expm1(2.0 ** -p / sigma)
+
+
+def dlap_zero_mass(L: float, sigma: float, p: int) -> float:
+    """c0 = P[0] of the centered discrete Laplace on [-L, L] at step 2^-p.
+
+    Computed from the closed-form normalizer, not by floating summation.
+    """
+    return 1.0 / _lambda_centered_dlap(L, sigma, p)
 
 
 def centered_dlap_pmf(L: float, sigma: float, p: int) -> ExactPmf:
     """Centered discrete Laplace on [-L, L]: mass(y) proportional to e^(-|y|/sigma)."""
     _check_positive(L=L, sigma=sigma)
-    spec = GridSpec(p=p, B=L)
-    ys = spec.values()
-    h = 2.0 ** -p
-    lam = 1.0 + 2.0 * (-math.expm1(-L / sigma)) / math.expm1(h / sigma)
-    return ExactPmf(spec=spec, masses=np.exp(-np.abs(ys) / sigma) / lam, lam=lam, center=0.0)
+    return _kernel_pmf(GridSpec(p=p, B=L), 0.0, L, sigma, _lambda_centered_dlap(L, sigma, p))
 
 
 def centered_clap_pmf(L: float, sigma: float, p: int) -> ExactPmf:
     """Centered cumulative Laplace on the half-open grid [-L, L)."""
     _check_positive(L=L, sigma=sigma)
-    spec = GridSpec(p=p, B=L, half_open=True)
-    h = 2.0 ** -p
-    raw = np.array([tcl_cell_integral(y, 0.0, L, sigma, h) for y in spec.values()])
     lam = 2.0 * sigma * (-math.expm1(-L / sigma))
-    return ExactPmf(spec=spec, masses=raw / lam, lam=lam, center=0.0)
+    return _kernel_pmf(GridSpec(p=p, B=L, half_open=True), 0.0, L, sigma, lam)
 
 
 # --- moments ---------------------------------------------------------------
@@ -236,15 +236,7 @@ def moments_lap(x: float, params: MechanismParams) -> tuple[float, float]:
     eps^2*k - (eps^2+2*eps+2) <= 0 (as produced by kstar_calibration); use
     moments_lap_exact for the unconditional value.
     """
-    E, L, sigma = params.E, params.L, params.sigma
-    if abs(x) > E:
-        raise ValueError(f"|x|={abs(x)} exceeds E={E}")
-    eps = L / sigma
-    e = math.exp(-eps)
-    den = 1.0 - (1.0 - E / sigma) * e
-    mean = x * (1.0 - (1.0 + eps) * e) / den
-    mse_bound = (2.0 * sigma**2 + x * x * e * (eps + E / sigma)) / den
-    return mean, mse_bound
+    return _moments_lap(x, params, cubic=False)
 
 
 def moments_lap_exact(x: float, params: MechanismParams) -> tuple[float, float]:
@@ -253,6 +245,11 @@ def moments_lap_exact(x: float, params: MechanismParams) -> tuple[float, float]:
     Retains the cubic term that moments_lap drops when bounding, so the
     result matches quadrature for arbitrary (E, L, sigma).
     """
+    return _moments_lap(x, params, cubic=True)
+
+
+def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float, float]:
+    """Mean and MSE; the cubic term sigma^2 e^(-eps) f(E/sigma) only if `cubic`."""
     E, L, sigma = params.E, params.L, params.sigma
     if abs(x) > E:
         raise ValueError(f"|x|={abs(x)} exceeds E={E}")
@@ -260,7 +257,7 @@ def moments_lap_exact(x: float, params: MechanismParams) -> tuple[float, float]:
     k = E / sigma
     e = math.exp(-eps)
     den = 1.0 - (1.0 - k) * e
-    fk = k**3 / 3.0 + eps * k * k + eps * eps * k - (eps * eps + 2.0 * eps + 2.0)
+    fk = kstar_polynomial(k, eps) if cubic else 0.0
     mean = x * (1.0 - (1.0 + eps) * e) / den
     mse = (2.0 * sigma**2 + sigma**2 * e * fk + x * x * e * (eps + k)) / den
     return mean, mse

@@ -240,9 +240,6 @@ class _CommonOps:
     def add_public(self, a: SharedValue, c: int) -> SharedValue:
         return SharedValue((a.s0 + c) % self.q, a.s1)
 
-    def scale_public(self, a: SharedValue, c: int) -> SharedValue:
-        return SharedValue(a.s0 * c % self.q, a.s1 * c % self.q)
-
     def affine(self, a: SharedValue, scale: int, offset: int) -> SharedValue:
         return SharedValue((a.s0 * scale + offset) % self.q, a.s1 * scale % self.q)
 
@@ -294,8 +291,8 @@ class _CommonOps:
         moduli reject on the next power of two, revealing only the
         accept/reject bit of each attempt (independent of all secrets).
         """
-        if m < 1:
-            raise ValueError("m must be >= 1")
+        if not 1 <= m <= 1 << 64:
+            raise ValueError(f"m must be in [1, 2^64], what one 64-bit word can draw; got {m}")
         led = self.ledger
         led.uniform_draws += 1
         if m == 1:

@@ -106,10 +106,9 @@ def _require_bitwise(plan: CenteredDlapConfig) -> None:
         )
 
 
-def pi_dl_for(session: Session, params: MechanismParams, p_eff: int | None = None) -> SharedValue:
-    """pi_dl on the draw plan of the mechanism's inner sampler at 2^-p_eff."""
-    p_eff = params.p if p_eff is None else p_eff
-    return pi_dl(session, centered_dlap_config(params.L, params.sigma, p_eff))
+def pi_dl_for(session: Session, params: MechanismParams) -> SharedValue:
+    """pi_dl on the draw plan of the mechanism's inner sampler at 2^-p."""
+    return pi_dl(session, centered_dlap_config(params.L, params.sigma, params.p))
 
 
 def pi_cl(session: Session, params: MechanismParams, gamma: int) -> SharedValue:
@@ -186,7 +185,7 @@ def pi_perturb(
     parameters.  The upper tail map is z = L - E + 2^-p (y + high_offset):
     TDL's upper tail starts at x+L+2^-p, TCL's at x+L inclusive.
     """
-    plan = noise_plan(mech, params)
+    plan = noise_plan(mech, params, 0)
     Es, Ls = plan.Es, plan.Ls
     y = pair.payload
     # b = 1 iff the uniform index falls in the upper tail: y >= 2^p(E+x)

@@ -48,6 +48,7 @@ from .mechanisms import (
     Mechanism,
     MechanismParams,
     centered_dlap_pmf,
+    dlap_zero_mass,
     outer_count,
 )
 from .tape import RandomTape, bernoulli_threshold, pow2_at_least, run_in_blocks
@@ -55,16 +56,6 @@ from .tape import RandomTape, bernoulli_threshold, pow2_at_least, run_in_blocks
 # cells a table-path CDF may hold (2 * 2^p * L + 1); far above the 12,289
 # of the largest table in use (TCL at gamma=8 on L=24, p=0)
 MAX_TABLE_CELLS = 1 << 20
-
-
-def dlap_zero_mass(L: float, sigma: float, p: int) -> float:
-    """c0 = P[0] of the centered discrete Laplace on [-L, L] at step 2^-p.
-
-    Computed from the closed-form normalizer, not by floating summation.
-    """
-    h = 2.0 ** -p
-    lam = 1.0 + 2.0 * (-math.expm1(-L / sigma)) / math.expm1(h / sigma)
-    return 1.0 / lam
 
 
 @dataclass(frozen=True)
@@ -248,7 +239,8 @@ def noise_plan(mech: Mechanism, params: MechanismParams, gamma: int = 8) -> Nois
     """The cached `NoisePlan` of a mechanism instance.
 
     Keyed on the inner lattice, so every gamma shares TDL's plan and a
-    perturbation (which reads no gamma) shares the default-gamma one.
+    perturbation (which reads no inner lattice) takes the coarse one,
+    gamma 0.
     """
     return _noise_plan(mech, params, mech.fine_bits(gamma))
 
@@ -257,15 +249,24 @@ def noise_plan(mech: Mechanism, params: MechanismParams, gamma: int = 8) -> Nois
 def _noise_plan(mech: Mechanism, params: MechanismParams, fine_bits: int) -> NoisePlan:
     if fine_bits < 0:
         raise ValueError("gamma must be >= 0")
+    Ls = steps_of(params.L, params.p)
+    tail_mask = pow2_at_least(outer_count(params)) - 1
+    # a block of sample_batch holds in int64 the tail index (masking an
+    # int64 row), the upper tail's shift 2Ls + high_offset and the inner
+    # magnitude (up to Ls << fine_bits); every path reads this plan, so all
+    # accept the same sets
+    if tail_mask >= 1 << 63 or Ls >= 1 << 62 or Ls << fine_bits > 1 << 62:
+        raise ValueError(f"{params} at {fine_bits} fine bits needs a tail index, inner "
+                         "draw or output shift past 63 bits; pick a smaller p (or gamma)")
     return NoisePlan(
         mech=mech,
         params=params,
         fine_bits=fine_bits,
         branch_threshold=bernoulli_threshold(mech.branch_probability(params)),
         outer_count=outer_count(params),
-        tail_mask=pow2_at_least(outer_count(params)) - 1,
+        tail_mask=tail_mask,
         Es=steps_of(params.E, params.p),
-        Ls=steps_of(params.L, params.p),
+        Ls=Ls,
     )
 
 
@@ -331,7 +332,7 @@ def perturb(mech: Mechanism, x: float, pair: NoisePair, params: MechanismParams)
     branch 1 adds the centered noise to x.  The composite law of
     perturb(noise()) is exactly the mechanism's mass function.
     """
-    plan = noise_plan(mech, params)
+    plan = noise_plan(mech, params, 0)
     xs = plan.input_steps(x)
     a, b = (0, steps_of(pair.payload, params.p)) if pair.branch else (int(pair.payload), 0)
     if not 0 <= a < plan.outer_count:

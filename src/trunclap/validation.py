@@ -35,11 +35,14 @@ class Histogram:
 
     @classmethod
     def from_samples(cls, values: np.ndarray, spec: GridSpec) -> "Histogram":
-        idx = np.round((np.asarray(values) + spec.B) * 2**spec.p).astype(np.int64)
-        if np.any(idx < 0) or np.any(idx >= spec.count):
-            bad = values[(idx < 0) | (idx >= spec.count)][:3]
-            raise ValueError(f"samples outside the grid, e.g. {bad}")
-        return cls(spec=spec, counts=np.bincount(idx, minlength=spec.count))
+        """Counts per grid point; ValueError for a sample off or outside the grid, or NaN."""
+        values = np.asarray(values, dtype=float)
+        scaled = (values + spec.B) * 2**spec.p
+        idx = np.round(scaled)
+        bad = (idx != scaled) | (idx < 0) | (idx >= spec.count)
+        if bad.any():
+            raise ValueError(f"samples off or outside the grid, e.g. {values[bad][:3]}")
+        return cls(spec=spec, counts=np.bincount(idx.astype(np.int64), minlength=spec.count))
 
     def frequencies(self) -> np.ndarray:
         return self.counts / max(1, self.n)

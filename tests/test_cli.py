@@ -102,6 +102,12 @@ class TestSample:
                     "--format", "json"]) == 0
         assert len(json.loads(capsys.readouterr().out)["values"]) == 50
 
+    def test_tail_past_a_word_is_usage_error(self, capsys):
+        # 2 * 2^61 * 4 = 2^64 tail indices: more than an int64 row holds
+        assert run(["sample", "--E", "4", "--L", "2", "--sigma", "1", "--p", "61",
+                    "--n", "10"]) == 1
+        assert capsys.readouterr().err.startswith("usage error:")
+
     def test_oversized_table_is_usage_error(self, capsys):
         # gamma = 24 on L = 3 would need a 10^8-cell table: refused up front
         assert run(["sample", "--mechanism", "tcl", "--E", "4", "--L", "3",

@@ -182,10 +182,26 @@ class TestPmfTcl:
         for x in params.input_grid().values():
             assert pmf_tcl(float(x), params).total() == pytest.approx(1.0, abs=1e-12)
 
-    def test_masses_match_quadrature(self, small_params):
-        f = pmf_tcl(0.0, small_params)
-        oracle = tcl_masses_oracle(0.0, 4, 2, 1, 0)
-        assert np.allclose(f.masses, oracle, rtol=1e-11, atol=1e-15)
+    def test_masses_match_quadrature(self):
+        # (x, E, L, sigma, p): every case has a flat cell at x+L or at
+        # -E-L and a flank cell at x-L; x = +/-E at p = 3 puts x+L on the
+        # dropped top point and x-L on the bottom cell; at sigma = 0.001
+        # the flank cells one step from x underflow to 0 (and
+        # e^(2^-p/sigma) overflows a float)
+        for x, E, L, sigma, p in [
+            (0.0, 4, 2, 1, 0),
+            (1.0, 4, 2, 1, 0),
+            (4.0, 4, 2, 1, 3),
+            (-4.0, 4, 2, 1, 3),
+            (-1.25, 4, 2, 8, 2),
+            (1.0, 4, 2, 0.001, 0),
+            (0.5, 4, 2, 0.002, 3),
+        ]:
+            params = MechanismParams(E=float(E), L=float(L), sigma=sigma, p=p)
+            f = pmf_tcl(x, params)
+            oracle = tcl_masses_oracle(x, E, L, sigma, p)
+            assert np.allclose(f.masses, oracle, rtol=1e-11, atol=1e-15)
+            assert np.all(np.isfinite(f.masses))
 
     def test_top_point_excluded(self, small_params):
         f = pmf_tcl(0.0, small_params)

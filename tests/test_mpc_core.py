@@ -164,7 +164,7 @@ class TestArithmetic:
         s = small_session()
         a = s.share(7)
         before = s.ledger.as_dict()
-        s.add_public(s.scale_public(a, 3), 11)
+        s.add_public(s.affine(a, 3, 0), 11)
         assert s.ledger.delta(before) == {k: 0 for k in before}
 
     def test_triple_sanity(self):
@@ -248,7 +248,7 @@ def bit_loop(s, thresholds):
     each scaled by 2^i and added to [0]."""
     u = s.share_public(0)
     for i, t in enumerate(thresholds):
-        u = s.add(u, s.scale_public(s.pi_bersample_thresholded(t), 1 << i))
+        u = s.add(u, s.affine(s.pi_bersample_thresholded(t), 1 << i, 0))
     return u
 
 
@@ -377,6 +377,14 @@ class TestUniform:
         rate = n / attempts
         se = math.sqrt(0.75 * 0.25 / attempts)
         assert abs(rate - 12 / 16) < 3 * se
+
+    def test_one_word_bounds_the_modulus(self):
+        # one joint word draws 2^64 values; past that the top ones never come
+        s = small_session()
+        s.pi_uni(1 << 64)
+        for m in (0, (1 << 64) + 1):
+            with pytest.raises(ValueError, match="2\\^64"):
+                s.pi_uni(m)
 
     def test_ledger_atomic(self):
         s = small_session()

@@ -32,7 +32,13 @@ from trunclap import (
     sample_tdl_batch,
 )
 from trunclap.grids import steps_of
-from trunclap.mechanisms import branch_probability_c, branch_probability_d, outer_count
+from trunclap.mechanisms import (
+    branch_probability_c,
+    branch_probability_d,
+    lookup_mechanism,
+    outer_count,
+)
+from trunclap.mpc import mechanism_field, run_batch
 from trunclap.sampling import (
     MAX_TABLE_CELLS,
     _dlap_steps,
@@ -372,6 +378,52 @@ class TestNoisePlan:
             stubbed = noise(mech, small_params, RandomTape(words=words), branch_prob=0.0)
             assert stubbed.branch == 0
 
+    # (mech, E, L, p, gamma, accepted) on each side of the three limits a
+    # block's int64 words set: the tail index (2 * 2^p * E <= 2^63), the
+    # upper tail's shift (2 * 2^p * L, plus 1 for TDL, < 2^63) and the inner
+    # magnitude (2^(p + gamma) * L <= 2^62)
+    WORD_EDGES = [
+        ("tdl", 4.0, 2.0, 60, 8, True),
+        ("tdl", 4.0, 2.0, 61, 8, False),
+        ("tdl", 4.0, 0.5, 60, 8, True),
+        ("tdl", 4.0, 0.5, 61, 8, False),
+        ("tcl", 4.0, 2.0, 53, 8, True),
+        ("tcl", 4.0, 2.0, 54, 8, False),
+        ("tcl", 4.0, 2.0, 54, 0, True),
+        ("tdl", 0.5, 4.0, 59, 8, True),
+        ("tdl", 0.5, 4.0, 60, 8, False),
+        ("tcl", 0.5, 4.0, 59, 0, True),
+        ("tcl", 0.5, 4.0, 60, 0, False),
+    ]
+
+    @pytest.mark.parametrize("name, E, L, p, gamma, accepted", WORD_EDGES)
+    def test_sets_past_a_word_are_refused(self, name, E, L, p, gamma, accepted):
+        mech = lookup_mechanism(name)
+        params = MechanismParams(E=E, L=L, sigma=1.0, p=p)
+        tape = RandomTape(5)
+        if mech.cumulative:
+            draw = lambda: sample_tcl(E, params, tape, gamma)
+        else:
+            draw = lambda: sample_tdl(E, params, tape)
+        if accepted:
+            seq = [draw() for _ in range(300)]
+            assert sample_batch(mech, E, params, 300, 5, gamma).tolist() == seq
+            # a perturbation reads the coarse plan only
+            assert perturb(mech, E, NoisePair(0, 0), params) == -E - L
+            # the protocol takes the same plans, and runs where its field fits a word
+            if mechanism_field(params, name, gamma).q < 1 << 64:
+                z = run_batch(name, params, E, 3, 0, 1, gamma)
+                assert np.all(np.abs(z) <= E + L)
+            return
+        for call in (
+            lambda: noise_plan(mech, params, gamma),
+            lambda: sample_batch(mech, E, params, 300, 5, gamma),
+            draw,
+            lambda: run_batch(mech.name, params, E, 1, 0, 1, gamma),
+        ):
+            with pytest.raises(ValueError, match="63 bits"):
+                call()
+
     def test_outputs_unchanged_after_cache_clear(self, small_params):
         table_set = MechanismParams(E=64.0, L=24.0, sigma=8.0, p=0)
 
@@ -437,25 +489,25 @@ class TestPerturb:
 
     def test_composite_law_exact_c(self, small_params):
         # same enumeration with the exact inner table standing in for the
-        # gamma-approximate sampler
-        params = small_params
-        pb = branch_probability_c(params)
-        m = outer_count(params)
-        inner = centered_clap_pmf(params.L, params.sigma, params.p)
-        for x in params.input_grid().values():
-            x = float(x)
-            law = {}
-            for y in range(m):
-                z = perturb(TCL, x, NoisePair(0, y), params)
-                law[z] = law.get(z, 0.0) + (1 - pb) / m
-            for v, mass in zip(inner.support(), inner.masses):
-                z = perturb(TCL, x, NoisePair(1, float(v)), params)
-                law[z] = law.get(z, 0.0) + pb * float(mass)
-            oracle = tcl_masses_oracle(x, 4, 2, 1, 0)
-            ys = closed_grid(6, 0)[:-1]
-            assert set(law) == set(ys.tolist())
-            for y, mref in zip(ys, oracle):
-                assert abs(law[float(y)] - mref) < 1e-12
+        # gamma-approximate sampler, on the 2^-0 and the 2^-2 grid
+        for params in (small_params, dataclasses.replace(small_params, p=2)):
+            pb = branch_probability_c(params)
+            m = outer_count(params)
+            inner = centered_clap_pmf(params.L, params.sigma, params.p)
+            for x in params.input_grid().values():
+                x = float(x)
+                law = {}
+                for y in range(m):
+                    z = perturb(TCL, x, NoisePair(0, y), params)
+                    law[z] = law.get(z, 0.0) + (1 - pb) / m
+                for v, mass in zip(inner.support(), inner.masses):
+                    z = perturb(TCL, x, NoisePair(1, float(v)), params)
+                    law[z] = law.get(z, 0.0) + pb * float(mass)
+                oracle = tcl_masses_oracle(x, 4, 2, 1, params.p)
+                ys = closed_grid(6, params.p)[:-1]
+                assert set(law) == set(ys.tolist())
+                for y, mref in zip(ys, oracle):
+                    assert abs(law[float(y)] - mref) < 1e-12
 
     def test_end_to_end_tv_all_centers(self, small_params):
         params = small_params

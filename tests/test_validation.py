@@ -161,9 +161,11 @@ class TestHistogram:
         assert h.n == 4
 
     def test_rejects_off_grid(self):
+        # outside the grid, between its points, and NaN
         spec = GridSpec(p=0, B=2.0)
-        with pytest.raises(ValueError):
-            Histogram.from_samples(np.array([3.0]), spec)
+        for values in ([3.0], [0.3, 1.4, -0.49, 2.0], [0.0, np.nan]):
+            with pytest.raises(ValueError, match="off or outside"):
+                Histogram.from_samples(np.array(values), spec)
 
     def test_length_check(self):
         with pytest.raises(ValueError):
