@@ -85,6 +85,15 @@ def _check_positive(**kw):
             raise ValueError(f"{name} must be positive and finite, got {v}")
 
 
+def _or_inf(f: Callable[[float], float], t: float) -> float:
+    """f(t) for math.exp or math.expm1, inf past the double range (t > 709.78):
+    a quotient by it is then 0, its limit, and the discrete kernel a point mass."""
+    try:
+        return f(t)
+    except OverflowError:
+        return math.inf
+
+
 def lambda_lap(E: float, L: float, sigma: float) -> float:
     """Normalizer of the continuous and the cumulative mechanism.
 
@@ -111,7 +120,7 @@ def lambda_dlap(E: float, L: float, sigma: float, p: int) -> float:
     return (
         2.0 ** (p + 1) * E * math.exp(-L / sigma)
         + 1.0
-        + 2.0 * (-math.expm1(-L / sigma)) / math.expm1(h / sigma)
+        + 2.0 * (-math.expm1(-L / sigma)) / _or_inf(math.expm1, h / sigma)
     )
 
 
@@ -201,7 +210,7 @@ def pmf_tcl(x: float, params: MechanismParams) -> ExactPmf:
 
 def _lambda_centered_dlap(L: float, sigma: float, p: int) -> float:
     """1 + 2(1-e^(-L/sigma)) / (e^(2^-p/sigma)-1), the kernel's sum on [-L, L] at 0."""
-    return 1.0 + 2.0 * (-math.expm1(-L / sigma)) / math.expm1(2.0 ** -p / sigma)
+    return 1.0 + 2.0 * (-math.expm1(-L / sigma)) / _or_inf(math.expm1, 2.0 ** -p / sigma)
 
 
 def dlap_zero_mass(L: float, sigma: float, p: int) -> float:
@@ -270,19 +279,19 @@ def moments_tdl(x: float, params: MechanismParams) -> tuple[float, float]:
     h = params.step
     eL = math.exp(-L / sigma)
     one_m_eL = -math.expm1(-L / sigma)
-    u = math.expm1(h / sigma)          # e^(h/sigma) - 1
-    eh = u + 1.0
+    # w = 1/(e^(h/sigma) - 1) and e^(h/sigma) w = 1 + w: no power overflows
+    w = 1.0 / _or_inf(math.expm1, h / sigma)
     lam = lambda_dlap(E, L, sigma, p)
-    mean = x * (one_m_eL * (eh + 1.0) / u - 2.0 * 2.0**p * L * eL) / lam
+    mean = x * (one_m_eL * (1.0 + 2.0 * w) - 2.0 * 2.0**p * L * eL) / lam
     mse = (
         x * x * eL * (1.0 + 2.0 * 2.0**p * (E + L))
         + eL
         * (
             2.0 * 2.0**p * (L * L * E + L * E * E + E**3 / 3.0)
-            + (E * E + 2.0 * L * E - 2.0 * L * L / u)
-            + h * (E / 3.0 - 4.0 * L * eh / (u * u))
+            + (E * E + 2.0 * L * E - 2.0 * L * L * w)
+            + h * (E / 3.0 - 4.0 * L * (1.0 + w) * w)
         )
-        + 2.0 * h * h * one_m_eL * (eh * eh + eh) / (u**3)
+        + 2.0 * h * h * one_m_eL * (1.0 + w) * (1.0 + 2.0 * w) * w
     ) / lam
     return mean, mse
 
@@ -299,7 +308,7 @@ def moments_tcl(x: float, params: MechanismParams) -> tuple[float, float]:
     h = params.step
     eL = math.exp(-L / sigma)
     one_m_eL = -math.expm1(-L / sigma)
-    u = math.expm1(h / sigma)
+    u = _or_inf(math.expm1, h / sigma)
     H = sigma * one_m_eL + E * eL      # lambda_lap / 2
     mean = x * (sigma * one_m_eL - eL * L) / H - h / 2.0
     const = (
@@ -474,14 +483,10 @@ def max_privacy_ratio(mechanism: str, params: MechanismParams) -> float:
     mass ratio is e^(L/sigma) * sigma * (1 - e^(-2^-p/sigma)) / 2^-p, which
     never exceeds e^(L/sigma).
     """
+    ratio = _or_inf(math.exp, params.L / params.sigma)
     if mechanism in ("lap", "tdl"):
-        return math.exp(params.L / params.sigma)
+        return ratio
     if mechanism == "tcl":
         h = params.step
-        return (
-            math.exp(params.L / params.sigma)
-            * params.sigma
-            * (-math.expm1(-h / params.sigma))
-            / h
-        )
+        return ratio * params.sigma * (-math.expm1(-h / params.sigma)) / h
     raise ValueError(f"unknown mechanism {mechanism!r}")

@@ -125,30 +125,21 @@ class CostLedger:
         return {k: v - before[k] for k, v in self.as_dict().items()}
 
 
-def beaver_shares(q: int, a, b, a0, b0, c0) -> tuple:
-    """Both parties' shares (a0, a1, b0, b1, c0, c1) of the Beaver triple
-    (a, b, ab mod q), from five dealer residues: ints or int64 arrays."""
-    return a0, (a - a0) % q, b0, (b - b0) % q, c0, (a * b - c0) % q
-
-
 class TripleStore:
-    """Queue of Beaver triples produced by the simulated trusted dealer."""
+    """Queue of the simulated dealer's Beaver triples (ta, tb, ta0, tb0, tc0):
+    party 0's shares and the pair; party 1's ta - ta0, tb - tb0, ta*tb - tc0."""
 
     def __init__(self, q: int, dealer: RandomTape):
         self.q = q
         self._dealer = dealer
-        self._queue: list[tuple[int, int, int, int, int, int]] = []
+        self._queue: list[tuple[int, int, int, int, int]] = []
         self.refills = 0
 
-    def _refill(self) -> None:
-        d = self._dealer.field_elements(self.q, 5 * TRIPLES_PER_REFILL)
-        shares = partial(beaver_shares, self.q)
-        self._queue.extend(map(shares, d[0::5], d[1::5], d[2::5], d[3::5], d[4::5]))
-        self.refills += 1
-
-    def take(self) -> tuple[int, int, int, int, int, int]:
+    def take(self) -> tuple[int, int, int, int, int]:
         if not self._queue:
-            self._refill()
+            d = iter(self._dealer.field_elements(self.q, 5 * TRIPLES_PER_REFILL))
+            self._queue.extend(zip(d, d, d, d, d))
+            self.refills += 1
         return self._queue.pop()
 
 
@@ -208,23 +199,23 @@ class _CommonOps:
         return (sv.s0 + sv.s1 + self._half) % self.q - self._half
 
     def mul(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        """Beaver multiplication: one triple, one round, four elements."""
+        """Beaver multiplication: one triple (see TripleStore), one round, four elements."""
         q = self.q
-        ta0, ta1, tb0, tb1, tc0, tc1 = self._triple(a, b)
+        ta, tb, ta0, tb0, tc0 = self._triple(a, b)
         # each party sends its shares of d = a - ta and e = b - tb
-        d = (a.s0 - ta0 + a.s1 - ta1) % q
-        e = (b.s0 - tb0 + b.s1 - tb1) % q
+        d = (a.s0 + a.s1 - ta) % q
+        e = (b.s0 + b.s1 - tb) % q
         led = self.ledger
         led.multiplications += 1
         led.rounds += MUL_ROUNDS
         led.elements_exchanged += MUL_ELEMENTS
         if self.record_transcript:
-            self._recv(0, (a.s1 - ta1) % q, (b.s1 - tb1) % q)
+            self._recv(0, (a.s1 - ta + ta0) % q, (b.s1 - tb + tb0) % q)
             self._recv(1, (a.s0 - ta0) % q, (b.s0 - tb0) % q)
-        # a product of two residues is below 2^62, a sum of two below 2^63:
-        # int64 shares reduce after every second product
+        # a product of residues or their differences is below 2^62 in size,
+        # a sum of two below 2^63: int64 shares reduce after every second product
         s0 = ((d * tb0 + e * ta0) % q + d * e + tc0) % q
-        s1 = ((d * tb1 + e * ta1) % q + tc1) % q
+        s1 = ((d * (tb - tb0) + e * (ta - ta0)) % q + ta * tb - tc0) % q
         return SharedValue(s0, s1)
 
     def share_public(self, v) -> SharedValue:
@@ -579,7 +570,7 @@ class BatchSession(_CommonOps):
         value = (bits * weights).sum(axis=0)
         return value, (masks * weights % q).sum(axis=0) % q
 
-    def _triple(self, a: SharedValue, b: SharedValue) -> tuple:
-        """A fresh triple per execution, from one dealer draw."""
+    def _triple(self, a: SharedValue, b: SharedValue) -> np.ndarray:
+        """A fresh triple per execution: five dealer residue rows."""
         shape = np.broadcast(a.s0, a.s1, b.s0, b.s1).shape
-        return beaver_shares(self.q, *self._masks((5,) + shape))
+        return self._masks((5,) + shape)

@@ -87,12 +87,13 @@ class RandomTape:
         self._wi = 0
         self._grow = _WINDOW_MIN
         if self._injected is None:
-            self._gen = np.random.Generator(np.random.PCG64(seed))
+            # the words of Generator(PCG64(seed)).integers(0, 2^64, dtype=uint64)
+            self._raw = np.random.PCG64(seed).random_raw
             self._buf = np.empty(0, dtype=np.uint64)
             self._pos = 0
 
     def _refill(self) -> None:
-        self._buf = self._gen.integers(0, _WORD_MOD, size=_BUF, dtype=np.uint64)
+        self._buf = self._raw(_BUF)
         self._pos = 0
 
     def word(self) -> int:
@@ -162,7 +163,7 @@ class RandomTape:
         self._sync()
         have = len(self._buf) - self._pos
         if have < n:
-            fresh = self._gen.integers(0, _WORD_MOD, size=max(n - have, _BUF), dtype=np.uint64)
+            fresh = self._raw(max(n - have, _BUF))
             self._buf = np.concatenate([self._buf[self._pos :], fresh]) if have else fresh
             self._pos = 0
         return self._buf[self._pos : self._pos + n]
@@ -215,7 +216,7 @@ class RandomTape:
         limit = np.uint64(self._limits[q])
         parts, have = [], 0
         while have < n:
-            chunk = self._gen.integers(0, _WORD_MOD, size=n - have + 8, dtype=np.uint64)
+            chunk = self._raw(n - have + 8)
             self.words_consumed += len(chunk)
             kept = chunk[chunk < limit][: n - have] % np.uint64(q)
             parts.append(kept)

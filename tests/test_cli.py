@@ -222,6 +222,25 @@ def test_non_finite_or_negative_input_is_usage_error(argv, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("mech", ["tdl", "tcl"])
+@pytest.mark.parametrize("sigma", ["0.0014", "0.001"])
+def test_sigma_around_the_expm1_overflow(mech, sigma, capsys):
+    # 1/sigma = 714 and 1000 straddle 709.78, where e^(2^-p/sigma)
+    # overflows a double: TDL is then a point mass, TCL two half cells
+    # (next to subnormal masses at 1/sigma = 714)
+    args = ["--mechanism", mech, "--E", "4", "--L", "2", "--sigma", sigma, "--x", "1"]
+    assert run(["pmf", *args]) == 0
+    masses = dict(line.split(",") for line in capsys.readouterr().out.split()[1:])
+    expected = {"1.0": 1.0} if mech == "tdl" else {"0.0": 0.5, "1.0": 0.5}
+    assert {y: float(m) for y, m in masses.items() if float(m) > 1e-300} == pytest.approx(expected)
+    assert run(["moments", *args]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["mean"] == (1.0 if mech == "tdl" else 0.5)
+    assert run(["sample", *args, "--n", "50", "--seed", "3"]) == 0
+    values = {float(v) for v in capsys.readouterr().out.split()[1:]}
+    assert values and values <= {float(y) for y in expected}
+
+
 SMALL = ["--E", "4", "--L", "2", "--sigma", "1"]
 WIDE = ["--E", "64", "--L", "32", "--sigma", "8", "--p", "2"]
 # sha256 of seeded artifacts.  They hold only grid values, integers and

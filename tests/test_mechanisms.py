@@ -36,9 +36,11 @@ from trunclap.mechanisms import (
     TDL,
     branch_probability_c,
     branch_probability_d,
+    dlap_zero_mass,
     kstar_polynomial,
     lookup_mechanism,
 )
+from trunclap.sampling import sample_batch
 from trunclap.grids import GridError
 
 # every (E, L, sigma, p) combination used by the normalization sweeps
@@ -334,6 +336,58 @@ class TestMomentsTcl:
         mean_c, _ = moments_lap(1.0, params)
         mean_d, _ = moments_tcl(1.0, params)
         assert mean_d == pytest.approx(mean_c, abs=1e-4)
+
+
+class TestSmallSigma:
+    """sigma = 2^-p/t on both sides of t = 709.78, where e^(2^-p/sigma)
+    overflows a double, and at t = 300, where its cube would: TDL is a
+    point mass at x, TCL halves its mass between x - 2^-p and x, and
+    nothing raises."""
+
+    RATIOS = (300.0, 709.0, 710.5, 5000.0)
+
+    @staticmethod
+    def params(p, t):
+        return MechanismParams(E=4.0, L=2.0, sigma=2.0**-p / t, p=p)
+
+    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("t", RATIOS)
+    def test_pmf_and_moments(self, p, t):
+        params, h = self.params(p, t), 2.0**-p
+        for x in (-4.0, 1.0):
+            tdl = pmf_tdl(x, params)
+            assert tdl.mass_at(x) == 1.0 and tdl.total() == 1.0
+            assert moments_tdl(x, params) == pytest.approx(
+                (tdl.mean(), tdl.mse()), rel=1e-9, abs=1e-300
+            )
+            assert moments_tdl(x, params)[0] == x
+            tcl = pmf_tcl(x, params)
+            assert tcl.mass_at(x - h) == tcl.mass_at(x) == pytest.approx(0.5, rel=1e-12)
+            assert moments_tcl(x, params) == pytest.approx((tcl.mean(), tcl.mse()), rel=1e-9)
+            assert moments_tcl(x, params) == pytest.approx((x - h / 2, h * h / 2), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0, 2])
+    @pytest.mark.parametrize("t", RATIOS)
+    def test_sample(self, p, t):
+        params, h = self.params(p, t), 2.0**-p
+        for x in (-4.0, 1.0):
+            assert set(sample_batch(TDL, x, params, 200, 5).tolist()) == {x}
+            assert set(sample_batch(TCL, x, params, 200, 5).tolist()) <= {x - h, x}
+
+    @pytest.mark.parametrize("p", [0, 2])
+    def test_normalisers_unchanged_below_the_overflow(self, p):
+        # the branch and zero thresholds of every seeded draw come from these
+        E, L, h = 4.0, 2.0, 2.0**-p
+        for t in (0.01, 1.0, 300.0, 709.0):
+            s = h / t
+            flank = 2.0 * (-math.expm1(-L / s)) / math.expm1(h / s)
+            assert lambda_dlap(E, L, s, p) == 2.0 ** (p + 1) * E * math.exp(-L / s) + 1.0 + flank
+            assert dlap_zero_mass(L, s, p) == 1.0 / (1.0 + flank)
+
+    def test_privacy_ratio_past_the_double_range_is_inf(self):
+        params = self.params(0, 710.5)
+        for mech in ("lap", "tdl", "tcl"):
+            assert max_privacy_ratio(mech, params) == math.inf
 
 
 class TestCalibration:

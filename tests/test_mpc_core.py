@@ -12,7 +12,6 @@ from trunclap.mpc.core import (
     CMP_ELEMENTS,
     CMP_ROUNDS,
     SharedValue,
-    beaver_shares,
 )
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import centered_dlap_config
@@ -99,14 +98,42 @@ class TestWires:
         x, y = 2**30 + 3, -(2**30) - 7
         assert s.open(s.mul(s.share(x % cfg.q), s.share(y % cfg.q))) == cfg.lift(x * y)
 
-    def test_triple_algebra_on_ints_and_arrays(self):
-        q = 521
-        draws = np.random.default_rng(4).integers(0, q, size=(5, 200))
-        a0, a1, b0, b1, c0, c1 = beaver_shares(q, *draws)
-        assert np.array_equal((c0 + c1) % q, (a0 + a1) * (b0 + b1) % q)
-        for j in range(draws.shape[1]):
-            ints = beaver_shares(q, *(int(v) for v in draws[:, j]))
-            assert ints == tuple(int(t[j]) for t in (a0, a1, b0, b1, c0, c1))
+    def test_triple_algebra_on_ints_and_arrays(self, monkeypatch):
+        # mul opens to x*y mod q for random triples and random shares, and
+        # a Session gives each execution's shares of a BatchSession
+        q = self.CFG.q
+        rng = np.random.default_rng(4)
+        triples = rng.integers(0, q, size=(5, 200))
+        a0, a1, b0, b1 = rng.integers(0, q, size=(4, 200))
+        batch = BatchSession(self.CFG, 1, 2)
+        monkeypatch.setattr(batch, "_triple", lambda *_: triples)
+        z = batch.mul(SharedValue(a0, a1), SharedValue(b0, b1))
+        assert np.array_equal(batch.peek(z), [self.CFG.lift(v) for v in (a0 + a1) * (b0 + b1)])
+        s = Session(self.CFG, 1, 2)
+        for j in range(triples.shape[1]):
+            monkeypatch.setattr(s, "_triple", lambda *_: tuple(int(t) for t in triples[:, j]))
+            zj = s.mul(SharedValue(int(a0[j]), int(a1[j])), SharedValue(int(b0[j]), int(b1[j])))
+            assert (zj.s0, zj.s1) == (z.s0[j], z.s1[j])
+
+    def test_mul_at_the_int64_edge(self, monkeypatch):
+        # the largest prime below BATCH_MAX_Q = 2^31: every share and triple
+        # residue at 0 or q-1, the extremes of each int64 product and sum
+        cfg = FieldConfig(q=2**31 - 1, e=30, p=0)
+        q = cfg.q
+        assert q < BATCH_MAX_Q and next_prime(q + 1) > BATCH_MAX_Q
+        grid = np.array(np.meshgrid(*[[0, q - 1]] * 9, indexing="ij")).reshape(9, -1)
+        shares, triples = grid[:4], grid[4:]
+        batch = BatchSession(cfg, 1, 2)
+        monkeypatch.setattr(batch, "_triple", lambda *_: triples)
+        z = batch.mul(SharedValue(*shares[:2]), SharedValue(*shares[2:]))
+        s = Session(cfg, 1, 2)
+        for j in range(grid.shape[1]):
+            monkeypatch.setattr(s, "_triple", lambda *_: tuple(int(t) for t in triples[:, j]))
+            a0, a1, b0, b1 = (int(v) for v in shares[:, j])
+            zj = s.mul(SharedValue(a0, a1), SharedValue(b0, b1))
+            assert (zj.s0, zj.s1) == (z.s0[j], z.s1[j])
+            assert 0 <= zj.s0 < q and 0 <= zj.s1 < q
+            assert s.peek(zj) == cfg.lift((a0 + a1) * (b0 + b1))
 
     def test_transcript_per_wire(self, monkeypatch):
         s = Session(self.CFG, 1, 2, record_transcript=True)
@@ -118,7 +145,8 @@ class TestWires:
         assert (t0, t1[2:]) == ([x.s1], [x.s0])
         # mul: each party receives the other's shares of d = x - a and e = y - b
         a, b, q = 100, 200, s.q
-        monkeypatch.setattr(s, "_triple", lambda *_: beaver_shares(q, a, b, 7, 9, 11))
+        # the dealer's five residues (ta, tb, ta0, tb0, tc0)
+        monkeypatch.setattr(s, "_triple", lambda *_: (a, b, 7, 9, 11))
         z = s.mul(x, y)
         assert (len(t0), len(t1)) == (3, 5)
         assert (t0[-2] + t1[-2]) % q == (3 - a) % q
@@ -170,9 +198,13 @@ class TestArithmetic:
     def test_triple_sanity(self):
         s = small_session()
         q = s.q
-        for _ in range(50):
-            a0, a1, b0, b1, c0, c1 = s.triples.take()
-            assert (c0 + c1) % q == (a0 + a1) * (b0 + b1) % q
+        for _ in range(200):
+            triple = ta, tb, ta0, tb0, tc0 = s.triples.take()
+            assert all(0 <= t < q for t in triple)
+            # party 1's shares are implied: ta - ta0, tb - tb0, ta*tb - tc0
+            ta1, tb1, tc1 = (ta - ta0) % q, (tb - tb0) % q, (ta * tb - tc0) % q
+            assert (ta0 + ta1) % q == ta and (tb0 + tb1) % q == tb
+            assert (tc0 + tc1) % q == (ta0 + ta1) * (tb0 + tb1) % q
 
 
 class TestMux:

@@ -6,6 +6,7 @@ at a time, as the tape did before.  Both must give the same values and
 the same `words_consumed` under any interleaving of the tape's calls.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -68,6 +69,32 @@ class TestWordStream:
             assert tape.words_consumed == ref.words_consumed, op
         # and the stream reads on identically from wherever the ops left it
         assert tape.words(300) == [ref.word() for _ in range(300)]
+
+    @pytest.mark.parametrize("seed", [0, 1234, [7, 1]])
+    def test_seeded_words_are_the_generators_integers(self, seed):
+        # the word stream's definition: a seeded tape hands out the words
+        # Generator(PCG64(seed)).integers(0, 2^64, dtype=uint64) gives, in
+        # order; field_array draws the next ones, past the buffered words
+        B = _BUF
+        ref = np.random.Generator(np.random.PCG64(seed)).integers(
+            0, 2**64, size=5 * B, dtype=np.uint64
+        ).tolist()
+        tape = RandomTape(seed)
+        # word and words, across the first buffer's end
+        assert [tape.word() for _ in range(B - 3)] + tape.words(10) == ref[: B + 7]
+        # a block read across the second buffer's end; skip keeps part of it
+        assert tape.peek_block(B).tolist() == ref[B + 7 : 2 * B + 7]
+        tape.skip(B - 5)
+        assert tape.word() == ref[2 * B + 2]
+        # field_array draws n + 8 words after the 3B the buffers hold; at
+        # q = 2^31 - 1 a word is rejected with probability about 2^-33,
+        # and none of these is
+        q, n = 2**31 - 1, 100
+        assert tape.field_array(q, n).tolist() == [w % q for w in ref[3 * B : 3 * B + n]]
+        assert tape.words_consumed == 2 * B + 3 + n + 8
+        after = 3 * B + n + 8
+        # the buffer reads on, then refills past field_array's words
+        assert tape.words(B) == ref[2 * B + 3 : 3 * B] + ref[after : after + 3]
 
     def test_window_stays_short(self):
         # the window doubles from _WINDOW_MIN to _WINDOW_MAX words, and a
