@@ -47,9 +47,16 @@ execution); its `run` lays the party tapes out session by session, so
 every execution reads exactly the words the sequential loop gives it.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (joint words,
-dealer masks, Beaver triples built by `beaver_shares`, and the k words
-and masks of a Bernoulli sum in one read) and what a range fault or a
-rejected draw does.
+dealer masks, Beaver triples of five dealer residues each, the k words
+and masks of a Bernoulli sum in one read, and the dealer material of one
+perturbation drawn ahead of it) and what a range fault or a rejected
+draw does.
+
+Dealer material can be drawn ahead of the gadget that uses it: `pi_ge`
+takes its resharing mask and `mul`/`mux` their triple as arguments, and
+draw their own when none is given.  The noise protocol draws its pair's
+perturbation material this way (`perturbation_material`), so the online
+phase draws nothing but the input-sharing mask.
 """
 
 from __future__ import annotations
@@ -198,10 +205,12 @@ class _CommonOps:
         no communication, no ledger."""
         return (sv.s0 + sv.s1 + self._half) % self.q - self._half
 
-    def mul(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        """Beaver multiplication: one triple (see TripleStore), one round, four elements."""
+    def mul(self, a: SharedValue, b: SharedValue, triple=None) -> SharedValue:
+        """Beaver multiplication: one triple (see TripleStore), one round, four
+        elements.  `triple` is one drawn ahead (`perturbation_material`);
+        without it the dealer draws one now."""
         q = self.q
-        ta, tb, ta0, tb0, tc0 = self._triple(a, b)
+        ta, tb, ta0, tb0, tc0 = self._triple(a, b) if triple is None else triple
         # each party sends its shares of d = a - ta and e = b - tb
         d = (a.s0 + a.s1 - ta) % q
         e = (b.s0 + b.s1 - tb) % q
@@ -269,11 +278,12 @@ class _CommonOps:
         led.rounds += k * CMP_ROUNDS
         led.elements_exchanged += k * CMP_ELEMENTS
 
-    def mux(self, i: SharedValue, a: SharedValue, b: SharedValue) -> SharedValue:
-        """[a] + [i]*([b] - [a]): a when i=0, b when i=1; one multiplication."""
+    def mux(self, i: SharedValue, a: SharedValue, b: SharedValue, triple=None) -> SharedValue:
+        """[a] + [i]*([b] - [a]): a when i=0, b when i=1; one multiplication
+        (on `triple`, as `mul`)."""
         sel = self.peek(i)
         self._check((sel != 0) & (sel != 1), sel, "mux selector {} is not a shared bit")
-        return self.add(a, self.mul(i, self.sub(b, a)))
+        return self.add(a, self.mul(i, self.sub(b, a), triple))
 
     def pi_uni(self, m: int) -> SharedValue:
         """Shared uniform draw over {0, ..., m-1}.
@@ -302,11 +312,12 @@ class _CommonOps:
             if not self._retry(v >= m):
                 return self._reshare(v)
 
-    def pi_ge(self, sv: SharedValue) -> SharedValue:
+    def pi_ge(self, sv: SharedValue, mask=None) -> SharedValue:
         """Shared sign test: [1] if the balanced value is >= 0, else [0].
 
         The value must stay within the configured safe magnitude so the
-        balanced lift is unambiguous.
+        balanced lift is unambiguous.  `mask` is the resharing mask, drawn
+        ahead (`perturbation_material`); without it the dealer draws one now.
         """
         val = self.peek(sv)
         self._check(
@@ -316,7 +327,7 @@ class _CommonOps:
         led.comparisons += 1
         led.rounds += CMP_ROUNDS
         led.elements_exchanged += CMP_ELEMENTS
-        return self._reshare(val >= 0)
+        return self._reshare(val >= 0, mask)
 
     def trunc_pow2(self, sv: SharedValue, gamma: int) -> SharedValue:
         """Shared floor division by 2^gamma (drop the low gamma bits)."""
@@ -375,9 +386,10 @@ class Session(_CommonOps):
         """XOR of one fresh 64-bit word from each party's tape."""
         return self.tape0.word() ^ self.tape1.word()
 
-    def _reshare(self, value: int) -> SharedValue:
-        """Fresh additive sharing of a value using a dealer mask."""
-        r = self.dealer.field_element(self.q)
+    def _reshare(self, value: int, mask: int | None = None) -> SharedValue:
+        """Fresh additive sharing of a value using a dealer mask (`mask`, or
+        one drawn now)."""
+        r = self.dealer.field_element(self.q) if mask is None else mask
         return SharedValue((value - r) % self.q, r)
 
     def _bit_sum(self, thresholds: tuple[int, ...]) -> tuple[int, int]:
@@ -392,6 +404,12 @@ class Session(_CommonOps):
 
     def _triple(self, a: SharedValue, b: SharedValue) -> tuple:
         return self.triples.take()
+
+    def perturbation_material(self, payload: SharedValue) -> tuple:
+        """The dealer material of one perturbation of `payload`, in the order
+        it uses it: the sign test's mask, then the two muxes' triples."""
+        take = self.triples.take
+        return self.dealer.field_element(self.q), take(), take()
 
     # -- faults and rejections ---------------------------------------------
 
@@ -544,10 +562,11 @@ class BatchSession(_CommonOps):
         self._pool_at += size
         return self._pool[self._pool_at - size : self._pool_at].reshape(shape)
 
-    def _reshare(self, value) -> SharedValue:
-        """Fresh additive sharing of one value per execution (or one common)."""
+    def _reshare(self, value, mask: np.ndarray | None = None) -> SharedValue:
+        """Fresh additive sharing of one value per execution (or one common),
+        on `mask` or on masks drawn now."""
         value = np.asarray(value, dtype=np.int64)
-        r = self._masks(value.shape)
+        r = self._masks(value.shape) if mask is None else mask
         masked = (value - r) % self.q
         if masked.ndim == 0:  # a common value: plain ints, usable by Session too
             return SharedValue(int(masked), int(r))
@@ -574,3 +593,9 @@ class BatchSession(_CommonOps):
         """A fresh triple per execution: five dealer residue rows."""
         shape = np.broadcast(a.s0, a.s1, b.s0, b.s1).shape
         return self._masks((5,) + shape)
+
+    def perturbation_material(self, payload: SharedValue) -> tuple:
+        """As `Session.perturbation_material`, one entry per execution: a
+        mask row at the payload's shape, then two triples of five rows."""
+        shape = np.broadcast(payload.s0, payload.s1).shape
+        return self._masks(shape), self._masks((5,) + shape), self._masks((5,) + shape)

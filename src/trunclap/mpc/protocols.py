@@ -8,8 +8,11 @@ elements.
 
 The noise phase never sees the shared input: it draws the branch bit, a
 uniform tail index, and the centered noise, then blends the two payloads
-with one mux.  The perturbation phase costs exactly one shared comparison
-and two multiplications (the tail-map selection and the branch blend),
+with one mux.  It also draws the dealer material its pair's perturbation
+will use (the sign test's mask and two Beaver triples), so the online
+phase draws nothing from the dealer but the input-sharing mask.  The
+perturbation phase costs exactly one shared comparison and two
+multiplications (the tail-map selection and the branch blend),
 independent of every distribution parameter.
 
 The inner sampler's public constants (its Bernoulli thresholds) are the
@@ -27,8 +30,6 @@ a `BatchSession` (many executions as share arrays).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..grids import FieldConfig, field_for_mechanism, next_prime
@@ -38,12 +39,30 @@ from ..tape import BATCH_MIN_SESSIONS, bernoulli_threshold
 from .core import BATCH_MAX_Q, BatchSession, Session, SharedValue
 
 
-@dataclass(frozen=True)
 class SharedNoisePair:
-    """Shared branch bit [i] and blended payload [y] from a noise protocol."""
+    """Shared branch bit [i] and blended payload [y] from a noise protocol,
+    with the dealer material of their one perturbation: the sign test's
+    resharing mask and the two muxes' Beaver triples
+    (`perturbation_material`).
 
-    branch: SharedValue
-    payload: SharedValue
+    A pair is perturbed once.  `spend` hands the material out and marks the
+    pair spent; a second perturbation would reuse its noise and triples,
+    which leaks in a real deployment, so it raises ValueError.
+    """
+
+    __slots__ = ("branch", "payload", "_material")
+
+    def __init__(self, branch: SharedValue, payload: SharedValue, material: tuple):
+        self.branch = branch
+        self.payload = payload
+        self._material = material
+
+    def spend(self) -> tuple:
+        """(mask, selection triple, blend triple); once per pair."""
+        material, self._material = self._material, None
+        if material is None:
+            raise ValueError("noise pair already perturbed; each pair is used once")
+        return material
 
 
 def mechanism_field(
@@ -143,15 +162,17 @@ def pi_noise(
     Draws [i] with the mechanism's inner-branch probability (for TDL
     1 - 2*2^p*E*e^(-L/sigma)/lambda), [a] uniform over the tail indices,
     [b] from the centered inner law (pi_dl; pi_cl at fine precision gamma
-    for TCL), and blends with one mux.  `branch_prob` overrides the
-    Bernoulli parameter (test stub injection).
+    for TCL), and blends with one mux.  Then it draws the dealer material
+    the pair's perturbation uses, in the order pi_perturb uses it.
+    `branch_prob` overrides the Bernoulli parameter (test stub injection).
     """
     plan = noise_plan(mech, params, gamma)
     threshold = plan.branch_threshold if branch_prob is None else bernoulli_threshold(branch_prob)
     i = session.pi_bersample_thresholded(threshold)
     a = session.pi_uni(plan.outer_count)
     b = _pi_cl(session, plan) if mech.cumulative else pi_dl(session, plan.inner)
-    return SharedNoisePair(branch=i, payload=session.mux(i, a, b))
+    y = session.mux(i, a, b)
+    return SharedNoisePair(i, y, session.perturbation_material(y))
 
 
 def pi_d_noise(
@@ -182,19 +203,22 @@ def pi_perturb(
     """Online perturbation of the shared input x (in grid steps).
 
     Cost: exactly 1 comparison + 2 multiplications, whatever the
-    parameters.  The upper tail map is z = L - E + 2^-p (y + high_offset):
-    TDL's upper tail starts at x+L+2^-p, TCL's at x+L inclusive.
+    parameters, on the dealer material the pair carries; it draws none.
+    The pair is spent (see SharedNoisePair).  The upper tail map is
+    z = L - E + 2^-p (y + high_offset): TDL's upper tail starts at
+    x+L+2^-p, TCL's at x+L inclusive.
     """
     plan = noise_plan(mech, params, 0)
     Es, Ls = plan.Es, plan.Ls
+    mask, select, blend = pair.spend()
     y = pair.payload
     # b = 1 iff the uniform index falls in the upper tail: y >= 2^p(E+x)
-    b = session.pi_ge(session.sub(y, session.add_public(x, Es)))
+    b = session.pi_ge(session.sub(y, session.add_public(x, Es)), mask)
     low = session.add_public(y, -Ls - Es)
     high = session.add_public(y, Ls - Es + mech.high_offset)
-    z0 = session.mux(b, low, high)
+    z0 = session.mux(b, low, high, select)
     z1 = session.add(x, y)
-    return session.mux(pair.branch, z0, z1)
+    return session.mux(pair.branch, z0, z1, blend)
 
 
 def pi_d_perturb(

@@ -42,6 +42,7 @@ from trunclap.mpc import (
     pi_dl,
     pi_dl_for,
     pi_noise,
+    pi_perturb,
     run_batch,
     run_once,
 )
@@ -71,6 +72,12 @@ def opened_in_batch(program, n, seeds, mechanism="tdl", gamma=8, outer_words=0):
     p_inner = PARAMS.p + lookup_mechanism(mechanism).fine_bits(gamma)
     plan = centered_dlap_config(PARAMS.L, PARAMS.sigma, p_inner)
     return session.run(program, n, outer_words + plan.words_per_draw)
+
+
+def fresh_pair(session, branch, payload):
+    """A noise pair of the given shares, with fresh dealer material for its
+    one perturbation, drawn as pi_noise draws it."""
+    return SharedNoisePair(branch, payload, session.perturbation_material(payload))
 
 
 def replay_session(words, params, mechanism="tdl", gamma=8):
@@ -229,9 +236,8 @@ class TestNoiseProtocols:
 
 class TestPerturbProtocols:
     def _pair(self, session, branch, payload):
-        return SharedNoisePair(
-            branch=session.share_public(branch),
-            payload=session.share_public(payload % session.q),
+        return fresh_pair(
+            session, session.share_public(branch), session.share_public(payload % session.q)
         )
 
     def test_inner_branch_adds_exhaustive(self):
@@ -239,10 +245,9 @@ class TestPerturbProtocols:
         for x in (-4, -1, 0, 3, 4):
             xs = session.share(x % session.q)
             for y in range(-2, 3):
-                pair = self._pair(session, 1, y)
-                z = session.open(pi_d_perturb(session, xs, pair, PARAMS))
+                z = session.open(pi_d_perturb(session, xs, self._pair(session, 1, y), PARAMS))
                 assert z == x + y
-                z = session.open(pi_c_perturb(session, xs, pair, PARAMS))
+                z = session.open(pi_c_perturb(session, xs, self._pair(session, 1, y), PARAMS))
                 assert z == x + y
 
     def test_outer_branch_boundaries(self):
@@ -483,10 +488,10 @@ class TestBatchSimulator:
             assert s.safe_magnitude >= 2 * Es + Ls
             x, y = (a.ravel() for a in np.meshgrid(np.arange(-Es, Es + 1), np.arange(-Ls, Ls + 1)))
             xs = s.share(x % s.q)
-            pair = SharedNoisePair(branch=s.share_public(1), payload=s.share(y % s.q))
+            pair = fresh_pair(s, s.share_public(1), s.share(y % s.q))
             assert np.array_equal(s.open(perturb(s, xs, pair, params)), x + y)
             x, y = (a.ravel() for a in np.meshgrid(np.arange(-Es, Es + 1), np.arange(2 * Es)))
-            pair = SharedNoisePair(branch=s.share_public(0), payload=s.share(y))
+            pair = fresh_pair(s, s.share_public(0), s.share(y))
             s.open(perturb(s, s.share(x % s.q), pair, params))
 
     def test_rejects_bad_input_before_work(self):
@@ -519,3 +524,97 @@ class TestBatchSimulator:
         x_steps = steps_of(1.0, params.p)
         expected, _ = loop_reference("tdl", params, x_steps, BE + 2, 3, 4, 8)
         assert np.array_equal(run_batch("tdl", params, 1.0, BE + 2, 3, 4), expected)
+
+
+PHASE_CASES = [(m, params) for params in (PARAMS, WIDE) for m in (TDL, TCL)]
+PHASE_IDS = [f"{m.name}-{label}" for label in ("small", "wide") for m in (TDL, TCL)]
+
+
+def grid_inputs(params, n):
+    """n inputs in grid steps, cycling through all of [-E, E]."""
+    Es = steps_of(params.E, params.p)
+    return [k % (2 * Es + 1) - Es for k in range(n)]
+
+
+def online_call(session, mech, params, x_steps, pair):
+    """share -> perturb -> open of one input on a drawn pair."""
+    xs = session.share(x_steps % session.q)
+    return session.open(pi_perturb(session, mech, xs, pair, params))
+
+
+class TestPhaseSplit:
+    """The noise phase draws every dealer residue its pair's perturbation
+    uses, so an online call draws only the mask that shares its input."""
+
+    K = 200
+
+    @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
+    def test_pooled_online_calls_draw_only_their_input_masks(self, mech, params):
+        session = make_session(params, mech.name, 8, 61, 62)
+        pairs = [pi_noise(session, mech, params) for _ in range(self.K)]
+        dealer, store = session.dealer, session.triples
+        before = (store.refills, len(store._queue),
+                  session.tape0.words_consumed, session.tape1.words_consumed)
+        start, mask_words, draw = dealer.words_consumed, [], dealer.field_element
+
+        def counted(q):
+            at = dealer.words_consumed
+            r = draw(q)
+            mask_words.append(dealer.words_consumed - at)
+            return r
+
+        refill = AssertionError("an online call drew a block of dealer residues")
+        with mock.patch.object(dealer, "field_element", side_effect=counted), \
+                mock.patch.object(dealer, "field_elements", side_effect=refill), \
+                mock.patch.object(dealer, "residues", side_effect=refill):
+            for x, pair in zip(grid_inputs(params, self.K), pairs):
+                online_call(session, mech, params, x, pair)
+        assert (store.refills, len(store._queue),
+                session.tape0.words_consumed, session.tape1.words_consumed) == before
+        # one field element per call, the input's sharing mask, and nothing else
+        assert len(mask_words) == self.K
+        assert dealer.words_consumed - start == sum(mask_words)
+
+    @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
+    def test_pooled_and_interleaved_orders_open_the_same(self, mech, params):
+        xs = grid_inputs(params, self.K)
+        pooled = make_session(params, mech.name, 8, 67, 68)
+        pairs = [pi_noise(pooled, mech, params) for _ in xs]
+        got = [online_call(pooled, mech, params, x, pair) for x, pair in zip(xs, pairs)]
+        interleaved = make_session(params, mech.name, 8, 67, 68)
+        want = [online_call(interleaved, mech, params, x, pi_noise(interleaved, mech, params))
+                for x in xs]
+        assert got == want
+        assert pooled.ledger.as_dict() == interleaved.ledger.as_dict()
+
+    @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
+    def test_batch_perturbation_takes_no_dealer_rows(self, mech, params):
+        n, seeds = 3 * SMALL_BLOCK + 5, (69, 70)
+        plan = noise_plan(mech, params, 8)
+        x_steps = grid_inputs(params, 7)[-1]
+        batch = BatchSession(mechanism_field(params, mech.name), *seeds)
+        xs = batch.share(x_steps % batch.q)
+        rows = AssertionError("pi_perturb drew dealer rows")
+
+        def once(s):
+            pair = pi_noise(s, mech, params)
+            with mock.patch.object(BatchSession, "_masks", side_effect=rows):
+                return s.open(pi_perturb(s, mech, xs, pair, params))
+
+        with mock.patch.object(tape_module, "BATCH_BLOCK", SMALL_BLOCK):
+            got = batch.run(once, n, plan.words_per_draw)
+        expected, _ = loop_reference(mech.name, params, x_steps, n, *seeds, 8)
+        assert np.array_equal(np.asarray(got) * params.step, expected)
+
+    @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
+    def test_a_pair_is_perturbed_once(self, mech):
+        session = make_session(PARAMS, mech.name, 4, 65, 66)
+        xs = session.share(1)
+        pair = pi_noise(session, mech, PARAMS, 4)
+        pi_perturb(session, mech, xs, pair, PARAMS)
+        tapes = (session.tape0, session.tape1, session.dealer)
+        before = session.ledger.as_dict(), [t.words_consumed for t in tapes]
+        with pytest.raises(ValueError, match="already perturbed"):
+            pi_perturb(session, mech, xs, pair, PARAMS)
+        # refused before any gadget ran: nothing charged, nothing drawn
+        assert (session.ledger.as_dict(), [t.words_consumed for t in tapes]) == before
