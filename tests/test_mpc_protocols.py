@@ -590,8 +590,7 @@ class TestPhaseSplit:
     @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
     def test_batch_perturbation_takes_no_dealer_rows(self, mech, params):
         n, seeds = 3 * SMALL_BLOCK + 5, (69, 70)
-        plan = noise_plan(mech, params, 8)
-        x_steps = grid_inputs(params, 7)[-1]
+        plan, x_steps = noise_plan(mech, params, 8), 1
         batch = BatchSession(mechanism_field(params, mech.name), *seeds)
         xs = batch.share(x_steps % batch.q)
         rows = AssertionError("pi_perturb drew dealer rows")
