@@ -15,12 +15,15 @@ opened, which stay shared, and what each party's view contains -- and
 ledgers are reproducible.
 
 Randomness discipline: the two party tapes feed only the joint public
-coins (XOR-combined 64-bit words for Bernoulli and uniform draws), while
-all masks, triples, and re-sharing randomness come from a dealer tape
-derived deterministically from the two party seeds.  Opened protocol
-outputs therefore depend on the party tapes alone, which is what lets a
-plaintext functionality run on the same word stream reproduce them
-bit for bit.
+coins (XOR-combined 64-bit words for Bernoulli and uniform draws) and are
+read word by word, while all masks, triples, and re-sharing randomness
+come from a dealer tape derived deterministically from the two party
+seeds, read only in arrays of residues: a substrate pools them and takes
+its masks and triples from the pool (a Session's triples from its
+`TripleStore`).  Opened protocol outputs therefore depend on the party
+tapes alone, which is what lets a plaintext functionality run on the
+same word stream reproduce them bit for bit, and what lets the dealer
+stream change without moving any of them.
 
 Cost model (abstract operation counts, not wall-clock):
 
@@ -89,6 +92,9 @@ BATCH_MAX_Q = 1 << 31
 DEALER_CHUNK = 1 << 12
 # Beaver triples a Session's TripleStore draws at once
 TRIPLES_PER_REFILL = 64
+# dealer masks a Session draws at once: as many residues as a triple refill
+# (a DEALER_CHUNK draw would add about 0.13 ms to every fresh Session)
+MASKS_PER_REFILL = 5 * TRIPLES_PER_REFILL
 _WORD_MAX = (1 << 64) - 1
 
 
@@ -379,6 +385,8 @@ class Session(_CommonOps):
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
         self.triples = TripleStore(self.q, self.dealer)
+        self._pool: list[int] = []  # dealer masks; those from _pool_at on are unused
+        self._pool_at = 0
 
     # -- randomness --------------------------------------------------------
 
@@ -386,20 +394,31 @@ class Session(_CommonOps):
         """XOR of one fresh 64-bit word from each party's tape."""
         return self.tape0.word() ^ self.tape1.word()
 
+    def _masks(self, k: int) -> list[int]:
+        """The next k pooled dealer masks; the pool draws MASKS_PER_REFILL
+        or more residues at a time."""
+        at = self._pool_at
+        if at + k > len(self._pool):
+            fresh = self.dealer.field_elements(self.q, max(k, MASKS_PER_REFILL))
+            self._pool, at = self._pool[at:] + fresh, 0
+        self._pool_at = at + k
+        return self._pool[at : at + k]
+
     def _reshare(self, value: int, mask: int | None = None) -> SharedValue:
         """Fresh additive sharing of a value using a dealer mask (`mask`, or
-        one drawn now)."""
-        r = self.dealer.field_element(self.q) if mask is None else mask
+        one taken from the pool now)."""
+        r = self._masks(1)[0] if mask is None else mask
         return SharedValue((value - r) % self.q, r)
 
     def _bit_sum(self, thresholds: tuple[int, ...]) -> tuple[int, int]:
         """(sum of 2^i * bit i, sum of 2^i * mask i mod q) of k Bernoulli
-        draws: k words from each party tape and k dealer masks, each in one
-        read, the words and masks k `pi_bersample_thresholded` calls take."""
+        draws: k words from each party tape and k pooled dealer masks, each
+        in one read, the words and masks k `pi_bersample_thresholded` calls
+        take."""
         k = len(thresholds)
         words = zip(self.tape0.words(k), self.tape1.words(k), thresholds)
         value = sum(1 << i for i, (w0, w1, t) in enumerate(words) if w0 ^ w1 < t)
-        masks = self.dealer.residues(self.q, k)
+        masks = self._masks(k)
         return value, sum(r << i for i, r in enumerate(masks)) % self.q
 
     def _triple(self, a: SharedValue, b: SharedValue) -> tuple:
@@ -409,7 +428,7 @@ class Session(_CommonOps):
         """The dealer material of one perturbation of `payload`, in the order
         it uses it: the sign test's mask, then the two muxes' triples."""
         take = self.triples.take
-        return self.dealer.field_element(self.q), take(), take()
+        return self._masks(1)[0], take(), take()
 
     # -- faults and rejections ---------------------------------------------
 
@@ -450,9 +469,9 @@ class BatchSession(_CommonOps):
     finishes on a sequential Session reading the same tapes, and the next
     block starts after it (`run_in_blocks`, shared with `sample_batch`).
 
-    Masks and Beaver triples come from one vectorized dealer draw per
-    gadget call, on a dealer stream of its own; opened values never depend
-    on it.  Inside `run` every gadget costs its per-execution amount once
+    Masks and Beaver triples come from a pool of dealer residues, drawn
+    DEALER_CHUNK or more at a time on a dealer stream of its own; opened
+    values never depend on it.  Inside `run` every gadget costs its per-execution amount once
     per committed execution; outside it (sharing the common input) once.
     """
 

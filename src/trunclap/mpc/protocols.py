@@ -10,7 +10,7 @@ The noise phase never sees the shared input: it draws the branch bit, a
 uniform tail index, and the centered noise, then blends the two payloads
 with one mux.  It also draws the dealer material its pair's perturbation
 will use (the sign test's mask and two Beaver triples), so the online
-phase draws nothing from the dealer but the input-sharing mask.  The
+phase takes nothing from the dealer but the input-sharing mask.  The
 perturbation phase costs exactly one shared comparison and two
 multiplications (the tail-map selection and the branch blend),
 independent of every distribution parameter.

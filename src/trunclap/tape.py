@@ -7,6 +7,12 @@ power of two masks one word; other ranges reject on the next power of two.
 Keeping the semantics at the word level lets the two-party simulator
 replay exactly the same decisions as the plaintext samplers when fed the
 same word stream.
+
+Each tape is read one way.  Party and plaintext tapes are read by words
+(`word`, `words`, and `peek_block` with `skip` for blocks); the MPC
+dealer tapes are read by residue arrays (`field_array`, `field_elements`),
+which draw straight from the generator past the buffered words and so
+never mix with a word read.
 """
 
 from __future__ import annotations
@@ -41,45 +47,26 @@ def pow2_at_least(m: int) -> int:
     return 1 << (m - 1).bit_length() if m > 1 else 1
 
 
-class _RejectionLimits(dict):
-    """q -> the largest multiple of q that is at most 2^64, computed once
-    per q: a word at or above it is rejected, so `word % q` is uniform."""
-
-    def __missing__(self, q: int) -> int:
-        if not 0 < q <= _WORD_MOD:
-            # no word would be accepted: the draw would never return
-            raise ValueError(f"a 64-bit word cannot draw a residue mod {q}")
-        limit = self[q] = (_WORD_MOD // q) * q
-        return limit
-
-
 class RandomTape:
     """A reproducible stream of 64-bit words, seedable or injected.
 
-    Identical seeds yield identical streams.  With ``record=True`` every
-    word handed out is appended to ``draw_log``.  An explicit ``words``
+    Identical seeds yield identical streams.  An explicit ``words``
     iterable overrides the generator entirely (used to inject randomness
     for replay tests); the tape raises StopIteration when it runs dry.
+    The words a seeded tape has handed out are
+    ``RandomTape(seed).words(tape.words_consumed)``, so a replay test
+    rebuilds them from the seed.
 
     A seeded tape draws its words in uint64 blocks and hands them out from
     a short window of Python ints converted from the block; the window
     starts at `_WINDOW_MIN` words and doubles up to `_WINDOW_MAX` while
     the tape is read word by word, and starts again after `peek_block`.
-    Injected and recording tapes hand out one word at a time.
+    An injected tape hands out one word at a time.
     """
 
-    def __init__(
-        self,
-        seed: int | None = 0,
-        *,
-        words: Iterable[int] | None = None,
-        record: bool = False,
-    ):
+    def __init__(self, seed: int | None = 0, *, words: Iterable[int] | None = None):
         self.seed = seed
-        self.record = record
-        self.draw_log: list[int] = []
         self.words_consumed = 0
-        self._limits = _RejectionLimits()
         self._injected: Iterator[int] | None = iter(words) if words is not None else None
         # _win holds the words _buf[_pos:_pos + len(_win)]; _wi is the next
         # one to hand out, so the read position in _buf is _pos + _wi
@@ -91,10 +78,6 @@ class RandomTape:
             self._raw = np.random.PCG64(seed).random_raw
             self._buf = np.empty(0, dtype=np.uint64)
             self._pos = 0
-
-    def _refill(self) -> None:
-        self._buf = self._raw(_BUF)
-        self._pos = 0
 
     def word(self) -> int:
         """Next raw 64-bit word."""
@@ -108,11 +91,12 @@ class RandomTape:
 
     def words(self, n: int) -> list[int]:
         """The next n words, as n calls of `word` return them."""
+        _require_count(n)
         i = self._wi
         if i + n > len(self._win):
-            if self._injected is None and not self.record:
+            if self._injected is None:
                 self._load_window(n)
-            if len(self._win) < n:  # word by word, past the buffer's end
+            if len(self._win) < n:  # word by word: injected, or past the buffer's end
                 return [self.word() for _ in range(n)]
             i = 0
         self._wi = i + n
@@ -123,18 +107,11 @@ class RandomTape:
         """`word` past the window's end."""
         if self._injected is not None:
             w = int(next(self._injected))
-        elif self.record:
-            if self._pos >= len(self._buf):
-                self._refill()
-            w = int(self._buf[self._pos])
-            self._pos += 1
         else:
             self._load_window(1)
             self._wi = 1
             w = self._win[0]
         self.words_consumed += 1
-        if self.record:
-            self.draw_log.append(w)
         return w
 
     def _load_window(self, n: int) -> None:
@@ -142,7 +119,8 @@ class RandomTape:
         words, fewer where the buffer ends."""
         self._pos += self._wi
         if self._pos >= len(self._buf):
-            self._refill()
+            self._buf = self._raw(_BUF)
+            self._pos = 0
         self._win = self._buf[self._pos : self._pos + max(n, self._grow)].tolist()
         self._wi = 0
         self._grow = min(2 * self._grow, _WINDOW_MAX)
@@ -159,6 +137,7 @@ class RandomTape:
         there, so a caller can evaluate a block of draws and keep only the
         part it commits.  Seeded tapes only.
         """
+        _require_count(n)
         self._require_generator("peek_block")
         self._sync()
         have = len(self._buf) - self._pos
@@ -170,55 +149,33 @@ class RandomTape:
 
     def skip(self, n: int) -> None:
         """Consume n words already returned by `peek_block`."""
+        _require_count(n)
         self._sync()
         self._pos += n
         self.words_consumed += n
 
-    def field_element(self, q: int) -> int:
-        """Uniform residue mod q via 64-bit rejection (exact for q < 2^64)."""
-        limit = self._limits[q]
-        while True:
-            w = self.word()
-            if w < limit:
-                return w % q
-
-    def residues(self, q: int, n: int) -> list[int]:
-        """The next n residues mod q, as n calls of `field_element` return
-        them: the same words and the same `words_consumed`.
-
-        One `words(n)` read, then one word more for each rejected word.
-        Unlike `field_elements`, which on a seeded tape draws straight from
-        the generator past the buffered words, this reads the tape's own
-        word stream, so it can be mixed with `word` and `field_element`.
-        """
-        limit = self._limits[q]
-        out = [w % q for w in self.words(n) if w < limit]
-        while len(out) < n:
-            w = self.word()
-            if w < limit:
-                out.append(w % q)
-        return out
-
     def field_elements(self, q: int, n: int) -> list[int]:
-        """n uniform residues mod q; vectorized on seeded tapes (see
-        `residues` for the difference)."""
-        if self._injected is not None or self.record:
-            return self.residues(q, n)
+        """`field_array` as a list of Python ints."""
         return self.field_array(q, n).tolist()
 
     def field_array(self, q: int, n: int) -> np.ndarray:
         """n uniform residues mod q as a uint64 array (seeded tapes only).
 
-        Draws straight from the generator, past any buffered words, with the
-        same 64-bit rejection as `field_element`.
+        Draws straight from the generator, past any buffered words.  A word
+        at or above the largest multiple of q that is at most 2^64 is
+        rejected, so `word % q` is uniform.
         """
         self._require_generator("field_array")
-        limit = np.uint64(self._limits[q])
+        if not 0 < q < _WORD_MOD:
+            # past 2^64 no word would be accepted: the draw would never return
+            # (and the modulus 2^64 itself does not fit a uint64)
+            raise ValueError(f"a 64-bit word cannot draw a residue mod {q}")
+        top = np.uint64(_WORD_MOD - _WORD_MOD % q - 1)  # the largest accepted word
         parts, have = [], 0
         while have < n:
             chunk = self._raw(n - have + 8)
             self.words_consumed += len(chunk)
-            kept = chunk[chunk < limit][: n - have] % np.uint64(q)
+            kept = chunk[chunk <= top][: n - have] % np.uint64(q)
             parts.append(kept)
             have += len(kept)
         if len(parts) == 1:
@@ -226,9 +183,15 @@ class RandomTape:
         return np.concatenate(parts or [np.empty(0, dtype=np.uint64)])
 
     def _require_generator(self, what: str) -> None:
-        # block draws bypass injection and the draw log
-        if self._injected is not None or self.record:
-            raise ValueError(f"{what} needs a seeded tape without recording")
+        # block draws bypass injection
+        if self._injected is not None:
+            raise ValueError(f"{what} needs a seeded tape")
+
+
+def _require_count(n: int) -> None:
+    # a negative count would move the read position back over used words
+    if n < 0:
+        raise ValueError(f"cannot read {n} words")
 
 
 def run_in_blocks(n: int, block, step) -> np.ndarray:

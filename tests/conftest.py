@@ -114,13 +114,6 @@ class ReferenceTape:
         self._pos += n
         self.words_consumed += n
 
-    def field_element(self, q: int) -> int:
-        limit = ((1 << 64) // q) * q
-        while True:
-            w = self.word()
-            if w < limit:
-                return w % q
-
     def field_array(self, q: int, n: int) -> np.ndarray:
         # straight from the generator, past the buffered words
         limit = np.uint64(((1 << 64) // q) * q)

@@ -248,12 +248,12 @@ def test_a8_mpc_plaintext_equivalence():
     gamma = 8
 
     # --- injected identical randomness: bit-for-bit ---
-    tape = RandomTape(2024, record=True)
+    tape = RandomTape(2024)
     plain_d = []
     for _ in range(n_eq):
         pair = noise(TDL, params, tape)
         plain_d.append((pair.branch, pair.payload, perturb(TDL, 1.0, pair, params)))
-    s = _replay(tape.draw_log, params, "tdl", gamma)
+    s = _replay(RandomTape(2024).words(tape.words_consumed), params, "tdl", gamma)
     xs = s.share(steps_of(1.0, params.p) % s.q)
     bit_ok = True
     for branch, payload, z_ref in plain_d:
@@ -264,12 +264,12 @@ def test_a8_mpc_plaintext_equivalence():
         bit_ok &= y == (steps_of(payload, params.p) if branch else int(payload))
         bit_ok &= z == steps_of(z_ref, params.p)
 
-    tape_c = RandomTape(2025, record=True)
+    tape_c = RandomTape(2025)
     plain_c = []
     for _ in range(n_eq):
         pair = noise(TCL, params, tape_c, gamma)
         plain_c.append((pair.branch, pair.payload, perturb(TCL, -3.0, pair, params)))
-    s = _replay(tape_c.draw_log, params, "tcl", gamma)
+    s = _replay(RandomTape(2025).words(tape_c.words_consumed), params, "tcl", gamma)
     xs = s.share(steps_of(-3.0, params.p) % s.q)
     for branch, payload, z_ref in plain_c:
         pair = pi_c_noise(s, params, gamma)

@@ -262,21 +262,21 @@ PINNED = {
     ),
     "mpc-tdl-small.json": (
         ["mpc", *SMALL, "--x", "1", "--n", "200", "--seed", "5", "--transcript"],
-        "054006aeda13d8ff90dd51efdab2733aeeacaeef315a5708eb648fd5f16a5290",
+        "b45e30a8d10800a6804c3fcbe9f6d1d14b06c65edcb6c69e4a0f5a5d8c1e9b4f",
     ),
     "mpc-tcl-small.json": (
         ["mpc", "--mechanism", "tcl", *SMALL, "--x", "-2", "--n", "200", "--seed", "5",
          "--transcript"],
-        "a712e13712ffabca0ae5d6aacd3e5ecf3fec5d0152635fff722f82387d221381",
+        "5157904ebcae23e39aa98727d4af60cdb9a27e096b6e339e58d67eb968483bc5",
     ),
     "mpc-tdl-wide.json": (
         ["mpc", *WIDE, "--x", "-32", "--n", "200", "--seed", "7", "--transcript"],
-        "e4a79aaae14c4e6d3ce0c961795e6a525d220dd8d37200d714a57134ab61a727",
+        "24203fb93d6f828c456944afa2e66d7dac8f613d69f388cff3f575c640d770f1",
     ),
     "mpc-tcl-wide.json": (
         ["mpc", "--mechanism", "tcl", *WIDE, "--x", "63.75", "--n", "200", "--seed", "7",
          "--transcript"],
-        "de9c47710de521c7a717b25d9604b6e5a45c2a618f3b4598ff74786ebac78818",
+        "8f222f2c08153006f07aa26db6e7081c3e7ae94e88b3eceb02a24727300f39a6",
     ),
     # TDL with a table inner draw and outer count 6, and TCL at gamma=0 with
     # +L redraws and outer count 6: the shapes that ran sequentially before

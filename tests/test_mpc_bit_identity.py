@@ -1,11 +1,18 @@
 """Bit-identity gate for the two-party simulator.
 
-One sha256 over everything a seeded `run_sessions` call leaves behind, on
-both substrates: opened values, the ledger, and the words each party tape
-and the dealer tape consumed; the `Session` run also records both parties'
-transcripts.  A change to any draw, mask, ledger charge or transcript
-element changes the digest.  A change that means to alter the word stream
-or the law must re-pin it and say why.
+Two sha256 pins over what a seeded `run_sessions` call leaves behind, on
+both substrates:
+
+* the outputs pin: opened values, the ledger and the words each party
+  tape consumed.  Opened outputs depend on the party tapes alone, so a
+  change to any draw, ledger charge or party word moves it, and a change
+  to the dealer does not;
+* the dealer pin: the words each dealer tape consumed and both parties'
+  `Session` transcripts, which carry the dealer's masks and triples.
+
+A change that means to alter the word stream or the law must re-pin the
+outputs pin and say why; one that changes only the dealer's draws re-pins
+the dealer pin alone.
 """
 
 import hashlib
@@ -15,7 +22,9 @@ import json
 import pytest
 
 from trunclap import TCL, TDL, MechanismParams
+from trunclap import RandomTape
 from trunclap.mpc import BatchSession, Session, mechanism_field
+from trunclap.mpc.core import TripleStore
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import noise_plan
 
@@ -27,24 +36,25 @@ SETS = {
 GAMMAS = (0, 3, 8)
 SIZES = (1, 5, 300)
 
-DIGEST = "5bff583d9717194b105f5dd3489a557f6723baa28e276f27164bdc4a5ea89e70"
+OUTPUTS_DIGEST = "037d0db8d56736f19334b36832236bc23daf2a09ab9f3c332a23907b062e9f23"
+DEALER_DIGEST = "6c93fc032c8536fb01ffead5874ea973b47fa223a6094977f0a96e87407f2763"
 
 
-def _tapes(session) -> list[int]:
-    tapes = [session.tape0, session.tape1, session.dealer]
+def _dealer_words(session) -> list[int]:
+    tapes = [session.dealer]
     sequential = getattr(session, "_sequential", None)
     if sequential is not None:  # a BatchSession's sequential path has its own dealer
         tapes.append(sequential.dealer)
     return [t.words_consumed for t in tapes]
 
 
-def _record(session, mech, params, gamma, n, x) -> dict:
+def _outputs(session, mech, params, gamma, n, x) -> dict:
     x_steps = noise_plan(mech, params, gamma).input_steps(x)
     values = run_sessions(session, mech, params, x_steps, n, gamma)
     return {
         "values": [float(v) for v in values],
         "ledger": session.ledger.as_dict(),
-        "words": _tapes(session),
+        "words": [session.tape0.words_consumed, session.tape1.words_consumed],
     }
 
 
@@ -64,19 +74,24 @@ def gate_records() -> list:
         seeds = (1000 + i, 2000 + i)
         seq = Session(field, *seeds, record_transcript=True)
         batch = BatchSession(field, *seeds)
-        records.append(
-            {
-                "case": [name, mech.name, gamma, n, x],
-                "session": _record(seq, mech, params, gamma, n, x),
-                "transcript": seq.transcript_dump(),
-                "batch": _record(batch, mech, params, gamma, n, x),
-            }
-        )
+        outputs = {
+            "session": _outputs(seq, mech, params, gamma, n, x),
+            "batch": _outputs(batch, mech, params, gamma, n, x),
+        }
+        dealer = {
+            "session": _dealer_words(seq),
+            "batch": _dealer_words(batch),
+            "transcript": seq.transcript_dump(),
+        }
+        records.append({"case": [name, mech.name, gamma, n, x], "outputs": outputs,
+                        "dealer": dealer})
     return records
 
 
-def digest(records: list) -> str:
-    return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+def digest(records: list, part: str) -> str:
+    """sha256 of one part ("outputs" or "dealer") of every case."""
+    pinned = [[r["case"], r[part]] for r in records]
+    return hashlib.sha256(json.dumps(pinned, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -86,14 +101,49 @@ def records():
 
 def test_substrates_agree_with_each_other(records):
     for r in records:
-        assert r["session"]["values"] == r["batch"]["values"], r["case"]
-        assert r["session"]["ledger"] == r["batch"]["ledger"], r["case"]
-        assert r["session"]["words"][:2] == r["batch"]["words"][:2], r["case"]
+        seq, batch = r["outputs"]["session"], r["outputs"]["batch"]
+        assert seq == batch, r["case"]
 
 
 def test_seeded_runs_are_pinned(records):
-    assert digest(records) == DIGEST
+    assert digest(records, "outputs") == OUTPUTS_DIGEST
+
+
+def test_dealer_draws_are_pinned(records):
+    assert digest(records, "dealer") == DEALER_DIGEST
+
+
+def _redeal(session, seed: int) -> None:
+    """Give `session` a dealer tape of another seed, and a Session the
+    triples on it."""
+    session.dealer = RandomTape(seed)
+    if isinstance(session, Session):
+        session.triples = TripleStore(session.q, session.dealer)
+
+
+@pytest.mark.parametrize("substrate", [Session, BatchSession])
+@pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
+@pytest.mark.parametrize("name", sorted(SETS))
+def test_outputs_do_not_depend_on_the_dealer(name, mech, substrate):
+    params, gamma = SETS[name], 0 if name == "E3" else 8
+    field = mechanism_field(params, mech.name, gamma)
+    runs, transcripts = [], []
+    for dealer in (None, 4242):
+        s = substrate(field, 77, 78)
+        if isinstance(s, Session):
+            s.record_transcript = True
+        if dealer is not None:
+            _redeal(s, dealer)
+            if isinstance(s, BatchSession):  # and its sequential path's
+                _redeal(s._sequential_session(), dealer + 1)
+        runs.append(_outputs(s, mech, params, gamma, 300, 1.0))
+        transcripts.append(s.transcript)
+    assert runs[0] == runs[1]
+    if substrate is Session:  # the dealer's masks did change what the parties saw
+        assert transcripts[0] != transcripts[1]
 
 
 if __name__ == "__main__":
-    print(digest(gate_records()))
+    records = gate_records()
+    print("outputs", digest(records, "outputs"))
+    print("dealer ", digest(records, "dealer"))

@@ -110,9 +110,9 @@ class TestPiDl:
         assert d["uniform_draws"] == 0
 
     def test_matches_plaintext_bitwise(self):
-        tape = RandomTape(53, record=True)
+        tape = RandomTape(53)
         plain = [sample_dlap_centered(2.0, 1.0, 0, tape) for _ in range(2000)]
-        session = replay_session(tape.draw_log, PARAMS)
+        session = replay_session(RandomTape(53).words(tape.words_consumed), PARAMS)
         for v in plain:
             opened = session.open(pi_dl_for(session, PARAMS))
             assert opened == steps_of(v, PARAMS.p)
@@ -154,11 +154,11 @@ class TestPiCl:
 
     def test_fine_floor_consistency(self):
         # opened coarse value is the floor of the (rescaled) fine draw
-        tape = RandomTape(63, record=True)
+        tape = RandomTape(63)
         from trunclap.sampling import sample_clap_centered
 
         plain = [sample_clap_centered(2.0, 1.0, 0, 4, tape) for _ in range(1000)]
-        session = replay_session(tape.draw_log, PARAMS, "tcl", gamma=4)
+        session = replay_session(RandomTape(63).words(tape.words_consumed), PARAMS, "tcl", gamma=4)
         for v in plain:
             opened = session.open(pi_cl(session, PARAMS, 4))
             assert opened == steps_of(v, PARAMS.p)
@@ -306,12 +306,12 @@ class TestBitForBitEquivalence:
     def test_tdl_pipeline(self):
         n = 10_000
         x = 1.0
-        tape = RandomTape(90, record=True)
+        tape = RandomTape(90)
         plain = []
         for _ in range(n):
             pair = noise(TDL, PARAMS, tape)
             plain.append((pair, perturb(TDL, x, pair, PARAMS)))
-        session = replay_session(tape.draw_log, PARAMS)
+        session = replay_session(RandomTape(90).words(tape.words_consumed), PARAMS)
         xs = session.share(steps_of(x, PARAMS.p) % session.q)
         for pair_ref, z_ref in plain:
             pair = pi_d_noise(session, PARAMS)
@@ -329,12 +329,12 @@ class TestBitForBitEquivalence:
         n = 10_000
         x = -3.0
         gamma = 4
-        tape = RandomTape(91, record=True)
+        tape = RandomTape(91)
         plain = []
         for _ in range(n):
             pair = noise(TCL, PARAMS, tape, gamma)
             plain.append((pair, perturb(TCL, x, pair, PARAMS)))
-        session = replay_session(tape.draw_log, PARAMS, "tcl", gamma)
+        session = replay_session(RandomTape(91).words(tape.words_consumed), PARAMS, "tcl", gamma)
         xs = session.share(steps_of(x, PARAMS.p) % session.q)
         for pair_ref, z_ref in plain:
             pair = pi_c_noise(session, PARAMS, gamma)
@@ -544,7 +544,7 @@ def online_call(session, mech, params, x_steps, pair):
 
 class TestPhaseSplit:
     """The noise phase draws every dealer residue its pair's perturbation
-    uses, so an online call draws only the mask that shares its input."""
+    uses, so an online call takes only the pooled mask that shares its input."""
 
     K = 200
 
@@ -552,28 +552,24 @@ class TestPhaseSplit:
     def test_pooled_online_calls_draw_only_their_input_masks(self, mech, params):
         session = make_session(params, mech.name, 8, 61, 62)
         pairs = [pi_noise(session, mech, params) for _ in range(self.K)]
-        dealer, store = session.dealer, session.triples
+        store, take = session.triples, session._masks
         before = (store.refills, len(store._queue),
                   session.tape0.words_consumed, session.tape1.words_consumed)
-        start, mask_words, draw = dealer.words_consumed, [], dealer.field_element
+        taken = []
 
-        def counted(q):
-            at = dealer.words_consumed
-            r = draw(q)
-            mask_words.append(dealer.words_consumed - at)
-            return r
+        def counted(k):
+            taken.append(k)
+            return take(k)
 
-        refill = AssertionError("an online call drew a block of dealer residues")
-        with mock.patch.object(dealer, "field_element", side_effect=counted), \
-                mock.patch.object(dealer, "field_elements", side_effect=refill), \
-                mock.patch.object(dealer, "residues", side_effect=refill):
+        with mock.patch.object(session, "_masks", side_effect=counted):
             for x, pair in zip(grid_inputs(params, self.K), pairs):
+                calls = len(taken)
                 online_call(session, mech, params, x, pair)
+                # one pooled residue per call, the input's sharing mask
+                assert taken[calls:] == [1]
+        # no triple, and no party word
         assert (store.refills, len(store._queue),
                 session.tape0.words_consumed, session.tape1.words_consumed) == before
-        # one field element per call, the input's sharing mask, and nothing else
-        assert len(mask_words) == self.K
-        assert dealer.words_consumed - start == sum(mask_words)
 
     @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
     def test_pooled_and_interleaved_orders_open_the_same(self, mech, params):

@@ -28,9 +28,7 @@ OPS = st.one_of(
     st.tuples(st.just("words"), st.integers(_BUF - 300, _BUF + 300)),
     st.tuples(st.just("peek_skip"), st.integers(0, 600), st.floats(0, 1)),
     st.tuples(st.just("peek_skip"), st.integers(_BUF - 50, _BUF + 50), st.floats(0, 1)),
-    st.tuples(st.just("field_element"), st.sampled_from(PRIMES)),
-    st.tuples(st.just("field_array"), st.sampled_from(PRIMES), st.integers(0, 50)),
-    st.tuples(st.just("residues"), st.sampled_from(PRIMES + (BIG_PRIME,)), st.integers(0, 40)),
+    st.tuples(st.just("field_array"), st.sampled_from(PRIMES + (BIG_PRIME,)), st.integers(0, 50)),
 )
 
 
@@ -49,13 +47,6 @@ def apply(tape, op):
         block = tape.peek_block(n).tolist()
         tape.skip(int(n * share))
         return block
-    if name == "field_element":
-        return tape.field_element(*args)
-    if name == "residues":
-        q, n = args
-        if isinstance(tape, ReferenceTape):
-            return [tape.field_element(q) for _ in range(n)]
-        return tape.residues(q, n)
     return tape.field_array(*args).tolist()
 
 
@@ -120,79 +111,50 @@ class TestWordStream:
         assert a.words_consumed == b.words_consumed == n
         assert a.word() == b.word()
 
-    @pytest.mark.parametrize("n", [0, 1, 7, 300])
-    def test_words_on_recording_tapes(self, n):
-        a, b = RandomTape(31, record=True), RandomTape(31, record=True)
-        assert a.words(n) == [b.word() for _ in range(n)]
-        assert a.draw_log == b.draw_log and len(a.draw_log) == n
-        assert a.words_consumed == b.words_consumed == n
-        ref = ReferenceTape(31)
-        assert a.draw_log == [ref.word() for _ in range(n)]
-
     def test_injected_tape_runs_dry_on_words(self):
         tape = RandomTape(words=[1, 2, 3])
         with pytest.raises(StopIteration):
             tape.words(4)
 
-    def test_block_reads_refuse_injected_and_recording_tapes(self):
-        for tape in (RandomTape(words=[1, 2]), RandomTape(1, record=True)):
-            with pytest.raises(ValueError):
-                tape.peek_block(1)
-            with pytest.raises(ValueError):
-                tape.field_array(37, 1)
+    def test_block_reads_refuse_injected_tapes(self):
+        tape = RandomTape(words=[1, 2])
+        with pytest.raises(ValueError):
+            tape.peek_block(1)
+        with pytest.raises(ValueError):
+            tape.field_array(37, 1)
 
     def test_words_are_python_ints(self):
         tape = RandomTape(2)
         assert all(type(w) is int for w in tape.words(50) + [tape.word()])
 
+    @pytest.mark.parametrize("read", ["words", "skip", "peek_block"])
+    def test_negative_counts_are_refused(self, read):
+        # a negative count used to move the read position back, so the next
+        # reads handed out words already used
+        tape, ref = RandomTape(6), ReferenceTape(6)
+        assert tape.words(5) == [ref.word() for _ in range(5)]
+        with pytest.raises(ValueError, match="cannot read -2 words"):
+            getattr(tape, read)(-2)
+        assert tape.words_consumed == 5
+        assert tape.words(3) == [ref.word() for _ in range(3)]
+
 
 class TestResidues:
-    """`residues(q, n)` is n `field_element(q)` calls: the same values, the
-    same words_consumed and the same draw log, on every kind of tape."""
-
-    Q = 521
-    LIMIT = (2**64 // 521) * 521
-
-    def pair(self, kind):
-        if kind == "seeded":
-            return RandomTape(7), RandomTape(7)
-        if kind == "recording":
-            return RandomTape(7, record=True), RandomTape(7, record=True)
-        # words at or above the limit are rejected, so the read tops up
-        lim = self.LIMIT
-        stream = [lim, 5, 2**64 - 1, lim + 1, lim - 1, 6, lim, lim, 7] + list(range(100))
-        return RandomTape(words=stream), RandomTape(words=stream)
-
-    @pytest.mark.parametrize("kind", ["seeded", "recording", "injected"])
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 15])
-    def test_equals_field_element_calls(self, kind, n):
-        a, b = self.pair(kind)
-        for _ in range(3):
-            assert a.residues(self.Q, n) == [b.field_element(self.Q) for _ in range(n)]
-            assert a.words_consumed == b.words_consumed
-        assert a.draw_log == b.draw_log
-        assert a.word() == b.word()
-
-    def test_injected_rejections_top_up(self):
-        a, _ = self.pair("injected")
-        assert a.residues(self.Q, 4) == [5, (self.LIMIT - 1) % self.Q, 6, 7]
-        assert a.words_consumed == 9
+    """`field_array`'s residue draws: rejection top-ups and refused moduli."""
 
     def test_seeded_rejections_top_up(self):
+        # about half the words are rejected at BIG_PRIME, so the draw tops
+        # up past its first n + 8 words
         a, b = RandomTape(8), ReferenceTape(8)
-        assert a.residues(BIG_PRIME, 50) == [b.field_element(BIG_PRIME) for _ in range(50)]
-        assert a.words_consumed == b.words_consumed > 50
+        assert a.field_array(BIG_PRIME, 50).tolist() == b.field_array(BIG_PRIME, 50).tolist()
+        assert a.words_consumed == b.words_consumed > 58
+        assert a.field_elements(BIG_PRIME, 50) == b.field_array(BIG_PRIME, 50).tolist()
 
     @pytest.mark.parametrize("q", [0, 2**64 + 13])
     def test_modulus_past_a_word_is_refused(self, q):
         # no word lies below a limit of 0, so the draw used to loop forever
         tape = RandomTape(9)
-        for draw in (tape.field_element, lambda q: tape.residues(q, 3)):
+        for draw in (tape.field_array, tape.field_elements):
             with pytest.raises(ValueError, match="cannot draw"):
-                draw(q)
-
-    def test_limit_is_computed_once_per_modulus(self):
-        tape = RandomTape(9)
-        for q in (521, 37, 521):
-            tape.field_element(q)
-        assert tape._limits == {521: self.LIMIT, 37: (2**64 // 37) * 37}
+                draw(q, 3)
+        assert tape.words_consumed == 0
