@@ -36,8 +36,7 @@ Cost model (abstract operation counts, not wall-clock):
   gates are not counted as field multiplications.
 * Bernoulli draw: 1 comparison against the public threshold.  The sum
   of k draws weighted by 2^i (`pi_bersample_sum`) is k draws: k
-  comparisons, 8k rounds, 128k elements; weighting and adding shares is
-  local and free.
+  comparisons, 8k rounds, 128k elements; the sum is shared with one mask.
 * uniform draw over 2^k: 1 round, 2k elements (each party shares its k
   bit contributions); non-powers of two add one comparison plus one
   opened accept bit per rejection attempt.
@@ -50,8 +49,8 @@ execution); its `run` lays the party tapes out session by session, so
 every execution reads exactly the words the sequential loop gives it.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (joint words,
-dealer masks, Beaver triples of five dealer residues each, the k words
-and masks of a Bernoulli sum in one read, and the dealer material of one
+dealer masks, Beaver triples of five dealer residues each, the k bits
+of a Bernoulli sum in one read, and the dealer material of one
 perturbation drawn ahead of it) and what a range fault or a rejected
 draw does.
 
@@ -267,14 +266,14 @@ class _CommonOps:
         """Shared sum of 2^i * [joint word i < thresholds[i]] over i < k.
 
         The k Bernoulli draws of `pi_bersample_thresholded`, weighted and
-        added in one call: the same joint words, dealer masks, shares and
-        ledger as k such draws each scaled by 2^i and added to [0].
+        added in one call: the same joint words, opened sum and ledger as
+        k such draws each scaled by 2^i and added to [0].  The sum is
+        shared with one dealer mask, so its shares are uniform as theirs.
         """
         if not thresholds:
             return self.share_public(0)
         self._charge_bernoulli(len(thresholds))
-        value, mask = self._bit_sum(thresholds)
-        return SharedValue((value - mask) % self.q, mask)
+        return self._reshare(self._bit_sum(thresholds))
 
     def _charge_bernoulli(self, k: int) -> None:
         """k Bernoulli draws, each one shared comparison."""
@@ -385,8 +384,7 @@ class Session(_CommonOps):
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
         self.triples = TripleStore(self.q, self.dealer)
-        self._pool: list[int] = []  # dealer masks; those from _pool_at on are unused
-        self._pool_at = 0
+        self._pool: list[int] = []  # dealer masks not yet used
 
     # -- randomness --------------------------------------------------------
 
@@ -394,32 +392,26 @@ class Session(_CommonOps):
         """XOR of one fresh 64-bit word from each party's tape."""
         return self.tape0.word() ^ self.tape1.word()
 
-    def _masks(self, k: int) -> list[int]:
-        """The next k pooled dealer masks; the pool draws MASKS_PER_REFILL
-        or more residues at a time."""
-        at = self._pool_at
-        if at + k > len(self._pool):
-            fresh = self.dealer.field_elements(self.q, max(k, MASKS_PER_REFILL))
-            self._pool, at = self._pool[at:] + fresh, 0
-        self._pool_at = at + k
-        return self._pool[at : at + k]
+    def _mask(self) -> int:
+        """The next pooled dealer mask; the pool draws MASKS_PER_REFILL
+        residues at a time."""
+        if not self._pool:
+            self._pool = self.dealer.field_elements(self.q, MASKS_PER_REFILL)
+        return self._pool.pop()
 
     def _reshare(self, value: int, mask: int | None = None) -> SharedValue:
         """Fresh additive sharing of a value using a dealer mask (`mask`, or
         one taken from the pool now)."""
-        r = self._masks(1)[0] if mask is None else mask
+        r = self._mask() if mask is None else mask
         return SharedValue((value - r) % self.q, r)
 
-    def _bit_sum(self, thresholds: tuple[int, ...]) -> tuple[int, int]:
-        """(sum of 2^i * bit i, sum of 2^i * mask i mod q) of k Bernoulli
-        draws: k words from each party tape and k pooled dealer masks, each
-        in one read, the words and masks k `pi_bersample_thresholded` calls
-        take."""
+    def _bit_sum(self, thresholds: tuple[int, ...]) -> int:
+        """Sum of 2^i * bit i of k Bernoulli draws: k words from each party
+        tape, each in one read, the words k `pi_bersample_thresholded`
+        calls take."""
         k = len(thresholds)
         words = zip(self.tape0.words(k), self.tape1.words(k), thresholds)
-        value = sum(1 << i for i, (w0, w1, t) in enumerate(words) if w0 ^ w1 < t)
-        masks = self._masks(k)
-        return value, sum(r << i for i, r in enumerate(masks)) % self.q
+        return sum(1 << i for i, (w0, w1, t) in enumerate(words) if w0 ^ w1 < t)
 
     def _triple(self, a: SharedValue, b: SharedValue) -> tuple:
         return self.triples.take()
@@ -428,7 +420,7 @@ class Session(_CommonOps):
         """The dealer material of one perturbation of `payload`, in the order
         it uses it: the sign test's mask, then the two muxes' triples."""
         take = self.triples.take
-        return self._masks(1)[0], take(), take()
+        return self._mask(), take(), take()
 
     # -- faults and rejections ---------------------------------------------
 
@@ -591,22 +583,18 @@ class BatchSession(_CommonOps):
             return SharedValue(int(masked), int(r))
         return SharedValue(masked, r)
 
-    def _bit_sum(self, thresholds: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-        """(sum of 2^i * bit i, sum of 2^i * mask i mod q) per execution: the
-        next k rows of the block in one compare, and k dealer mask rows."""
+    def _bit_sum(self, thresholds: tuple[int, ...]) -> np.ndarray:
+        """Sum of 2^i * bit i per execution, each weight reduced mod q: the
+        next k rows of the block in one compare."""
         k, q = len(thresholds), self.q
         rows = self._joint_rows(k)
         # a threshold of 2^64 (probability 1) does not fit in uint64
         capped = np.array([min(t, _WORD_MAX) for t in thresholds], dtype=np.uint64)
         certain = np.array([t > _WORD_MAX for t in thresholds])
         bits = (rows < capped[:, None]) | certain[:, None]
-        # one _masks call per bit: the dealer chunks of k separate draws
-        masks = np.stack([self._masks(rows.shape[1:]) for _ in range(k)])
+        # weights mod q < 2^31: k of them sum far below 2^63
         weights = np.array([pow(2, i, q) for i in range(k)], dtype=np.int64)[:, None]
-        # a weight times a residue is below 2^62; reduced, k of them sum
-        # far below 2^63
-        value = (bits * weights).sum(axis=0)
-        return value, (masks * weights % q).sum(axis=0) % q
+        return (bits * weights).sum(axis=0)
 
     def _triple(self, a: SharedValue, b: SharedValue) -> np.ndarray:
         """A fresh triple per execution: five dealer residue rows."""

@@ -148,9 +148,15 @@ class RandomTape:
         return self._buf[self._pos : self._pos + n]
 
     def skip(self, n: int) -> None:
-        """Consume n words already returned by `peek_block`."""
+        """Consume n words already returned by `peek_block`.  Words the
+        tape has not drawn are refused: counted as used, they would be
+        handed out later."""
         _require_count(n)
+        self._require_generator("skip")
         self._sync()
+        have = len(self._buf) - self._pos
+        if n > have:
+            raise ValueError(f"cannot skip {n} words: {have} are drawn past the read position")
         self._pos += n
         self.words_consumed += n
 

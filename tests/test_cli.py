@@ -262,21 +262,21 @@ PINNED = {
     ),
     "mpc-tdl-small.json": (
         ["mpc", *SMALL, "--x", "1", "--n", "200", "--seed", "5", "--transcript"],
-        "b45e30a8d10800a6804c3fcbe9f6d1d14b06c65edcb6c69e4a0f5a5d8c1e9b4f",
+        "c16324678fbe597311db46b3cf019e8ec865236ba6920f009a0e20b71393e224",
     ),
     "mpc-tcl-small.json": (
         ["mpc", "--mechanism", "tcl", *SMALL, "--x", "-2", "--n", "200", "--seed", "5",
          "--transcript"],
-        "5157904ebcae23e39aa98727d4af60cdb9a27e096b6e339e58d67eb968483bc5",
+        "0a8abfb1c47806238420b735bac35f1334897270511b04cece64acc2a105ecd6",
     ),
     "mpc-tdl-wide.json": (
         ["mpc", *WIDE, "--x", "-32", "--n", "200", "--seed", "7", "--transcript"],
-        "24203fb93d6f828c456944afa2e66d7dac8f613d69f388cff3f575c640d770f1",
+        "5ace8925d0b62c0b27f4af4f2b8f06030c00ef404ce54dcc14ee9b918feb08a3",
     ),
     "mpc-tcl-wide.json": (
         ["mpc", "--mechanism", "tcl", *WIDE, "--x", "63.75", "--n", "200", "--seed", "7",
          "--transcript"],
-        "8f222f2c08153006f07aa26db6e7081c3e7ae94e88b3eceb02a24727300f39a6",
+        "0dc82d7e4cd11810921113402e035652e280965057f539edaaa0fdc6bf5d4705",
     ),
     # TDL with a table inner draw and outer count 6, and TCL at gamma=0 with
     # +L redraws and outer count 6: the shapes that ran sequentially before
@@ -302,9 +302,22 @@ PINNED = {
 }
 
 
+def artifact_digest(name, directory) -> str:
+    """sha256 of the pinned artifact `name`, written into `directory`."""
+    out = directory / name
+    assert run(PINNED[name][0] + ["--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_seeded_artifact_bytes_are_pinned(name, tmp_path):
-    argv, digest = PINNED[name]
-    out = tmp_path / name
-    assert run(argv + ["--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert artifact_digest(name, tmp_path) == PINNED[name][1]
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in sorted(PINNED):
+            print(f"{name:30}", artifact_digest(name, Path(tmp)))

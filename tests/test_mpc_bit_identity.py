@@ -37,7 +37,7 @@ GAMMAS = (0, 3, 8)
 SIZES = (1, 5, 300)
 
 OUTPUTS_DIGEST = "037d0db8d56736f19334b36832236bc23daf2a09ab9f3c332a23907b062e9f23"
-DEALER_DIGEST = "6c93fc032c8536fb01ffead5874ea973b47fa223a6094977f0a96e87407f2763"
+DEALER_DIGEST = "d9646af873497606971ef14f794c6bad468d81aabe07bc8158890f044811f2a4"
 
 
 def _dealer_words(session) -> list[int]:

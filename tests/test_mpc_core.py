@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,13 +299,14 @@ THRESHOLDS = [
 
 class TestBersampleSum:
     """pi_bersample_sum against the loop it replaces, on both substrates:
-    shares, ledger and every tape's words_consumed."""
+    opened values, ledger and the party tapes' words_consumed.  The sum is
+    shared with one dealer mask, so its shares are not the loop's."""
 
     CFG = FieldConfig(q=521, e=3, p=2)
 
     @staticmethod
     def words(s):
-        return [t.words_consumed for t in (s.tape0, s.tape1, s.dealer)]
+        return [s.tape0.words_consumed, s.tape1.words_consumed]
 
     @pytest.mark.parametrize("tapes", ["seeded", "injected"])
     @pytest.mark.parametrize("ts", THRESHOLDS)
@@ -319,38 +321,61 @@ class TestBersampleSum:
         a, b = session(), session()
         for _ in range(3):
             u, v = a.pi_bersample_sum(ts), bit_loop(b, ts)
-            assert (u.s0, u.s1) == (v.s0, v.s1)
+            assert a.peek(u) == b.peek(v)
             assert all(type(x) is int for x in (u.s0, u.s1))
         assert a.ledger.as_dict() == b.ledger.as_dict()
         assert self.words(a) == self.words(b)
         assert a.joint_word() == b.joint_word()  # both read on from one place
 
     def batch_run(self, gadget, ts):
-        """300 executions of `gadget` in one block: the session, the opened
-        values and the shares."""
-        s, shares = BatchSession(self.CFG, 3, 4), []
-
-        def program(s):
-            shares.append(gadget(s, ts))
-            return s.peek(shares[-1])
-
-        return s, s.run(program, 300, len(ts)), shares[-1]
+        """300 executions of `gadget` in one block: the session and the
+        opened values."""
+        s = BatchSession(self.CFG, 3, 4)
+        return s, s.run(lambda s: s.peek(gadget(s, ts)), 300, len(ts))
 
     @pytest.mark.parametrize("ts", THRESHOLDS)
     def test_batch_equals_the_loop(self, ts):
-        a, got, u = self.batch_run(BatchSession.pi_bersample_sum, ts)
-        b, expected, v = self.batch_run(bit_loop, ts)
+        a, got = self.batch_run(BatchSession.pi_bersample_sum, ts)
+        b, expected = self.batch_run(bit_loop, ts)
         assert np.array_equal(got, expected)
-        assert np.array_equal(u.s0, v.s0) and np.array_equal(u.s1, v.s1)
         assert a.ledger.as_dict() == b.ledger.as_dict()
         assert self.words(a) == self.words(b)
+
+    def test_one_dealer_mask_per_sum(self):
+        # however many bits: one pooled mask on a Session, one mask row on
+        # a BatchSession
+        s = Session(self.CFG, 3, 4)
+        with mock.patch.object(s, "_mask", wraps=s._mask) as take:
+            s.pi_bersample_sum(WIDE_BITS)
+        assert take.call_count == 1
+        b = BatchSession(self.CFG, 3, 4)
+        with mock.patch.object(b, "_masks", wraps=b._masks) as take:
+            b.run(lambda b: b.peek(b.pi_bersample_sum(WIDE_BITS)), 300, len(WIDE_BITS))
+        assert [c.args for c in take.call_args_list] == [((300,),)]
+
+    @pytest.mark.parametrize("substrate", [Session, BatchSession])
+    def test_share_of_a_forced_sum_is_uniform(self, substrate):
+        # every bit forced to 1, so the value is 2^15 - 1 in every draw;
+        # party 1's share must still be uniform mod q
+        n, ts = 40_000, (2**64,) * 15
+        s, shares = substrate(self.CFG, 3, 4), []
+
+        def program(s):
+            shares.append(s.pi_bersample_sum(ts).s1)
+            return 0
+
+        s.run(program, n, len(ts))
+        counts = np.bincount(np.hstack(shares), minlength=self.CFG.q)
+        assert counts.sum() == n
+        _, p = chisquare(counts)
+        assert p > 0.01
 
     def test_batch_probability_one_bit(self, monkeypatch):
         # 2^64 does not fit a uint64 compare; the top joint word 2^64 - 1
         # must still draw 1 under it, and 0 under 2^64 - 1
         s = BatchSession(self.CFG, 3, 4)
-        monkeypatch.setattr(s.tape0, "peek_block", lambda n: np.full(n, 2**64 - 1, np.uint64))
-        monkeypatch.setattr(s.tape1, "peek_block", lambda n: np.zeros(n, np.uint64))
+        monkeypatch.setattr(s.tape0, "_raw", lambda n: np.full(n, 2**64 - 1, np.uint64))
+        monkeypatch.setattr(s.tape1, "_raw", lambda n: np.zeros(n, np.uint64))
         got = s.run(lambda s: s.peek(s.pi_bersample_sum((0, 2**64, 2**64 - 1, 2**64))), 50, 4)
         assert np.array_equal(got, np.full(50, 2 + 8))
 
@@ -367,12 +392,10 @@ class TestBersampleSum:
         )
 
     def test_wide_tcl_dealer_words_at_300(self):
-        # one _masks draw per bit keeps the dealer's chunk schedule; a single
-        # (k, n) draw took 16,820 dealer words here
         params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
         s = BatchSession(mechanism_field(params, "tcl", 8), 0, 1)
         run_sessions(s, TCL, params, 0, 300, 8)
-        assert s.dealer.words_consumed == 16_416
+        assert s.dealer.words_consumed == 12_312
 
     def test_parties_need_tapes_of_their_own(self):
         tape = RandomTape(1)

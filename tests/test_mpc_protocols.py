@@ -552,21 +552,15 @@ class TestPhaseSplit:
     def test_pooled_online_calls_draw_only_their_input_masks(self, mech, params):
         session = make_session(params, mech.name, 8, 61, 62)
         pairs = [pi_noise(session, mech, params) for _ in range(self.K)]
-        store, take = session.triples, session._masks
+        store = session.triples
         before = (store.refills, len(store._queue),
                   session.tape0.words_consumed, session.tape1.words_consumed)
-        taken = []
-
-        def counted(k):
-            taken.append(k)
-            return take(k)
-
-        with mock.patch.object(session, "_masks", side_effect=counted):
+        with mock.patch.object(session, "_mask", wraps=session._mask) as take:
             for x, pair in zip(grid_inputs(params, self.K), pairs):
-                calls = len(taken)
+                calls = take.call_count
                 online_call(session, mech, params, x, pair)
-                # one pooled residue per call, the input's sharing mask
-                assert taken[calls:] == [1]
+                # one pooled mask per call, the input's sharing mask
+                assert take.call_count == calls + 1
         # no triple, and no party word
         assert (store.refills, len(store._queue),
                 session.tape0.words_consumed, session.tape1.words_consumed) == before

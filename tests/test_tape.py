@@ -122,6 +122,8 @@ class TestWordStream:
             tape.peek_block(1)
         with pytest.raises(ValueError):
             tape.field_array(37, 1)
+        with pytest.raises(ValueError):
+            tape.skip(1)
 
     def test_words_are_python_ints(self):
         tape = RandomTape(2)
@@ -137,6 +139,23 @@ class TestWordStream:
             getattr(tape, read)(-2)
         assert tape.words_consumed == 5
         assert tape.words(3) == [ref.word() for _ in range(3)]
+
+    def test_skip_past_the_drawn_words_is_refused(self):
+        # a fresh tape's skip(5) used to count five words it never drew,
+        # and its next word was the generator's first
+        tape, ref = RandomTape(6), ReferenceTape(6)
+        with pytest.raises(ValueError, match="cannot skip 5 words"):
+            tape.skip(5)
+        assert tape.words_consumed == 0
+        # words(3) draws a buffer of _BUF words: _BUF - 3 lie past the read position
+        assert tape.words(3) == [ref.word() for _ in range(3)]
+        with pytest.raises(ValueError, match="cannot skip"):
+            tape.skip(_BUF - 2)
+        assert tape.words_consumed == 3
+        tape.skip(_BUF - 3)
+        ref.skip(_BUF - 3)
+        assert tape.words_consumed == ref.words_consumed == _BUF
+        assert tape.words(5) == [ref.word() for _ in range(5)]
 
 
 class TestResidues:
