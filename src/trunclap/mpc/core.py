@@ -42,11 +42,26 @@ Cost model (abstract operation counts, not wall-clock):
   opened accept bit per rejection attempt.
 * power-of-two truncation by gamma bits: 2 rounds, 2*gamma elements.
 
-Two substrates run the same protocol code.  `Session` is one execution
-on Python integers.  `BatchSession` runs many independent executions at
-once, each value held as a pair of int64 share arrays (one entry per
-execution); its `run` lays the party tapes out session by session, so
-every execution reads exactly the words the sequential loop gives it.
+Two substrates run the same protocol code.  `Session` runs one
+execution at a time on Python integers.  `BatchSession` runs many
+independent executions at once, each value held as a pair of int64 share
+arrays (one entry per execution); its `run` lays the party tapes out
+session by session, so every execution reads exactly the words the
+sequential loop gives it.
+
+A long-lived `Session` pools its offline draws the same way
+(`Session.offline`).  Once it has drawn BATCH_MIN_SESSIONS executions of
+one input-independent program back to back (the noise protocol's pairs
+of one plan), it evaluates the next ones as a block on a `BatchSession`
+that peeks its party tapes and has a dealer of its own, and hands them
+out one per call: each handout skips that execution's words on both
+party tapes and charges one execution's ledger, so opened values,
+ledgers and party `words_consumed` are the sequential path's after any
+sequence of calls.  A block holds the executions before its first
+rejected draw or range fault, which then runs sequentially, and is
+dropped if a party tape is read between calls.  A call stays sequential
+when the session records a transcript, was built on tapes passed in, or
+has q >= BATCH_MAX_Q.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (joint words,
 dealer masks, Beaver triples of five dealer residues each, the k bits
@@ -71,7 +86,13 @@ from typing import Callable
 import numpy as np
 
 from ..grids import FieldConfig
-from ..tape import RandomTape, bernoulli_threshold, pow2_at_least, run_in_blocks
+from ..tape import (
+    BATCH_MIN_SESSIONS,
+    RandomTape,
+    bernoulli_threshold,
+    pow2_at_least,
+    run_in_blocks,
+)
 
 OPEN_ROUNDS, OPEN_ELEMENTS = 1, 2
 SHARE_ROUNDS, SHARE_ELEMENTS = 1, 1
@@ -94,6 +115,9 @@ TRIPLES_PER_REFILL = 64
 # dealer masks a Session draws at once: as many residues as a triple refill
 # (a DEALER_CHUNK draw would add about 0.13 ms to every fresh Session)
 MASKS_PER_REFILL = 5 * TRIPLES_PER_REFILL
+# executions a Session's offline pool evaluates at most in one block: bounds
+# its memory (a block of 1,024 noise pairs is one 1,024 x 15 int64 array)
+POOL_BLOCK_MAX = 1 << 10
 _WORD_MAX = (1 << 64) - 1
 
 
@@ -126,15 +150,20 @@ class CostLedger:
     elements_exchanged: int = 0
 
     def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in _LEDGER_FIELDS}
 
     def add(self, other: "CostLedger", times: int = 1) -> None:
         """Add `times` copies of another ledger's counts."""
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + times * getattr(other, f.name))
+        # getattr/setattr, not vars(): building an instance's __dict__ slows
+        # every later attribute access on it, and gadgets charge the ledger
+        for name in _LEDGER_FIELDS:
+            setattr(self, name, getattr(self, name) + times * getattr(other, name))
 
     def delta(self, before: dict) -> dict:
         return {k: v - before[k] for k, v in self.as_dict().items()}
+
+
+_LEDGER_FIELDS = tuple(f.name for f in fields(CostLedger))
 
 
 class TripleStore:
@@ -356,6 +385,12 @@ class _CommonOps:
         """
         return self._retry(self.open(flag) != 0)
 
+    def offline(self, key, words: int, block, step, unpack):
+        """One execution of an input-independent program: `step(self, key)`.
+        A Session may hand it out of a block evaluated ahead instead (see
+        `Session.offline`)."""
+        return step(self, key)
+
 
 class Session(_CommonOps):
     """One deterministic two-party computation session.
@@ -380,11 +415,15 @@ class Session(_CommonOps):
         if tape0 is not None and tape0 is tape1:
             # pi_bersample_sum reads one party's words, then the other's
             raise ValueError("each party needs a tape of its own")
+        self.seeds = (seed0, seed1)
         self.tape0 = tape0 if tape0 is not None else RandomTape(seed0)
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
         self.triples = TripleStore(self.q, self.dealer)
         self._pool: list[int] = []  # dealer masks not yet used
+        # offline draws are pooled only on the session's own seeded tapes
+        own = tape0 is None and tape1 is None and self.q < BATCH_MAX_Q
+        self._offline = _OfflinePool() if own else None
 
     # -- randomness --------------------------------------------------------
 
@@ -422,6 +461,23 @@ class Session(_CommonOps):
         take = self.triples.take
         return self._mask(), take(), take()
 
+    def offline(self, key, words: int, block, step, unpack):
+        """One execution of an input-independent program, drawn now by
+        `step(self, key)` or handed out of a block evaluated ahead.
+
+        `key` names the program (the noise protocol passes its cached
+        plan) and `words` is the joint words of one execution without
+        rejections.  `block(batch, key)` evaluates the program on a
+        `BatchSession` and returns one int64 row per execution, and
+        `unpack(row)` turns a row, as a list of Python ints, into what
+        `step` returns.  `_OfflinePool` says when a call is pooled; a
+        session that records its transcript draws every execution now.
+        """
+        pool = self._offline
+        if pool is None or self.record_transcript:
+            return step(self, key)
+        return pool.draw(self, key, words, block, step, unpack)
+
     # -- faults and rejections ---------------------------------------------
 
     def _check(self, bad: bool, value: int, message: str) -> None:
@@ -447,6 +503,82 @@ class Session(_CommonOps):
             f"party{p}": [format(v, "x") for v in self.transcript[p]]
             for p in (0, 1)
         }
+
+
+_NO_ROWS = np.empty((0, 0), dtype=np.int64)
+
+
+class _OfflinePool:
+    """A Session's executions of one offline program, evaluated ahead.
+
+    A run is the executions of one key drawn back to back: no other key,
+    no party-tape read (seen in the tapes' `words_consumed`) and no
+    rejected draw comes between them.  The first `need` executions of a
+    run (BATCH_MIN_SESSIONS at first) are drawn sequentially.  Then a
+    block of as many executions as the run has drawn, at most
+    POOL_BLOCK_MAX, is evaluated on a `BatchSession` that peeks the
+    session's party tapes, charges its ledger and draws from a dealer of
+    its own; the block keeps the executions before its first rejected
+    draw or range fault.  Each call hands out one kept execution and
+    commits it: its words are skipped on both party tapes and one
+    execution's ledger is charged.  The execution a block ended at is
+    drawn sequentially, where it redraws or raises as the sequential
+    path does, and a rejection ends the run.  A block costs about ten
+    sequential draws, so one that keeps fewer than BATCH_MIN_SESSIONS
+    doubles `need` (as `run_in_blocks` backs off), and one kept whole
+    resets it.
+    """
+
+    __slots__ = ("key", "need", "run", "rows", "at", "ended", "marks", "unit", "batch")
+
+    def __init__(self):
+        self.key = None
+        self.need = BATCH_MIN_SESSIONS  # executions a run draws before its first block
+        self.run = 0  # executions of `key` drawn in this run
+        self.rows = _NO_ROWS  # the block's kept executions, one row each
+        self.at = 0  # the next row to hand out
+        self.ended = False  # the block ended early: the next execution is drawn now
+        self.marks: tuple[int, int] | None = None  # party words after the last call
+        self.unit: CostLedger | None = None  # one execution's ledger
+        self.batch: BatchSession | None = None
+
+    def draw(self, s: Session, key, words: int, block, step, unpack):
+        """`Session.offline` on a session that pools its draws."""
+        t0, t1 = s.tape0, s.tape1
+        start = (t0.words_consumed, t1.words_consumed)
+        if key is not self.key:
+            self.key, self.need, self.marks = key, BATCH_MIN_SESSIONS, None
+        if start != self.marks:
+            self.run, self.rows, self.at, self.ended = 0, _NO_ROWS, 0, False
+        if self.at == len(self.rows) and self.run >= self.need and not self.ended:
+            self._evaluate(s, key, words, block)
+        if self.at < len(self.rows):
+            row = self.rows[self.at]
+            self.at += 1
+            self.batch._commit(1, words, self.unit)
+            out = unpack(row.tolist())
+            self.run += 1
+        else:
+            self.ended = False
+            out = step(s, key)
+            self.run = self.run + 1 if t0.words_consumed - start[0] == words else 0
+        self.marks = (t0.words_consumed, t1.words_consumed)
+        return out
+
+    def _evaluate(self, s: Session, key, words: int, block) -> None:
+        if self.batch is None:
+            batch = self.batch = BatchSession(s.field, *s.seeds)
+            batch.tape0, batch.tape1, batch.ledger = s.tape0, s.tape1, s.ledger
+        size = min(self.run, POOL_BLOCK_MAX)
+        kept, rows, self.unit, (fault, _) = self.batch._evaluate(
+            lambda b: block(b, key), words, size
+        )
+        kept = min(kept, fault)
+        self.rows, self.at, self.ended = rows[:kept], 0, kept < size
+        if kept == size:
+            self.need = BATCH_MIN_SESSIONS
+        elif kept < BATCH_MIN_SESSIONS:
+            self.need *= 2
 
 
 class BatchSession(_CommonOps):
@@ -493,6 +625,20 @@ class BatchSession(_CommonOps):
 
     def _block(self, program, words: int, size: int) -> tuple[int, np.ndarray]:
         """Run `size` executions; commit those before the first rejection."""
+        kept, values, unit, (fault, message) = self._evaluate(program, words, size)
+        # executions from the first rejection on read shifted words; only a
+        # fault before it is one the sequential loop meets
+        if fault < kept:
+            raise ContractViolation(message)
+        self._commit(kept, words, unit)
+        return kept, np.broadcast_to(values, (size,))
+
+    def _evaluate(self, program, words: int, size: int):
+        """`program` over the next `size` executions, without consuming
+        their words: (kept, values, unit, (fault, message)).  The executions
+        before `kept` draw no rejected attempt, `unit` is one execution's
+        ledger, and `fault` is the first execution with a range fault
+        (`size` if none)."""
         joint = self.tape0.peek_block(size * words) ^ self.tape1.peek_block(size * words)
         self._rows = joint.reshape(size, words).T.copy()
         self._col = 0
@@ -502,20 +648,20 @@ class BatchSession(_CommonOps):
         total, unit = self.ledger, CostLedger()
         self.ledger = unit
         try:
-            values = np.broadcast_to(program(self), (size,))
+            values = program(self)
         finally:
             self.ledger, self._rows = total, None
         if self._col != words:
             raise RuntimeError(f"an execution drew {self._col} joint words, planned {words}")
         kept = int(np.argmax(self._rejected)) if self._rejected.any() else size
-        # executions from the first rejection on read shifted words; only a
-        # fault before it is one the sequential loop meets
-        if self._fault[0] < kept:
-            raise ContractViolation(self._fault[1])
+        return kept, values, unit, self._fault
+
+    def _commit(self, kept: int, words: int, unit: CostLedger) -> None:
+        """Consume the words of the first `kept` evaluated executions and
+        charge their ledger."""
         self.tape0.skip(kept * words)
         self.tape1.skip(kept * words)
         self.ledger.add(unit, kept)
-        return kept, values
 
     def _sequential_session(self) -> Session:
         if self._sequential is None:

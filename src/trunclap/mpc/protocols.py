@@ -20,6 +20,20 @@ draw plan `CenteredDlapConfig` the plaintext samplers use, so both
 parties -- and the plaintext functionalities used as oracles -- read the
 same integers.
 
+On a long-lived `Session`, `pi_noise` draws its pairs through
+`Session.offline`: after BATCH_MIN_SESSIONS pairs of one plan back to
+back, the next pairs are evaluated as one block on the batch substrate
+(`_noise_rows`: one int64 row of 15 per pair, the branch and payload
+shares, the mask and two five-residue triples) and handed out one per
+call as Python ints (`_unpack_pair`).  The opened values, the ledger and
+the party words are the sequential path's.  A call stays sequential when
+its session records a transcript, was built on tapes passed in (an
+injected replay, or `BatchSession`'s sequential fallback), has
+q >= BATCH_MAX_Q, or when `branch_prob` stubs the plan; so do the first
+pairs of a run, the pair a block ended at (a rejected draw or a range
+fault), and the pairs after a party-tape read between calls, which
+drops the block.
+
 TDL and TCL run the same protocols, parameterized by their `Mechanism`
 record (`pi_noise`, `pi_perturb`, `run_once`, `run_sessions`); the
 `pi_d_*`/`pi_c_*`/`run_tdl`/`run_tcl` names are those calls with the
@@ -29,6 +43,8 @@ a `BatchSession` (many executions as share arrays).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,10 +81,12 @@ class SharedNoisePair:
         return material
 
 
+@lru_cache(maxsize=128)
 def mechanism_field(
     params: MechanismParams, mechanism: str = "tdl", gamma: int = 8
 ) -> FieldConfig:
-    """Field sized for a mechanism run.
+    """Field sized for a mechanism run (cached: a FieldConfig is frozen, and
+    the prime search would otherwise rerun for every session).
 
     The cumulative variant samples on the 2^-(p+gamma) lattice first, so
     its field must hold the fine step counts without wraparound.  Either
@@ -164,15 +182,42 @@ def pi_noise(
     [b] from the centered inner law (pi_dl; pi_cl at fine precision gamma
     for TCL), and blends with one mux.  Then it draws the dealer material
     the pair's perturbation uses, in the order pi_perturb uses it.
-    `branch_prob` overrides the Bernoulli parameter (test stub injection).
+    A long-lived Session may hand the pair out of a block evaluated ahead
+    (`Session.offline`; see the module docstring), with the same opened
+    values, ledger and party words.  `branch_prob` overrides the
+    Bernoulli parameter (test stub injection) and always draws now.
     """
     plan = noise_plan(mech, params, gamma)
-    threshold = plan.branch_threshold if branch_prob is None else bernoulli_threshold(branch_prob)
-    i = session.pi_bersample_thresholded(threshold)
+    if branch_prob is not None:
+        return _noise_pair(session, plan, bernoulli_threshold(branch_prob))
+    return session.offline(plan, plan.words_per_draw, _noise_rows, _noise_pair, _unpack_pair)
+
+
+def _noise_pair(
+    session: Session, plan: NoisePlan, threshold: int | None = None
+) -> SharedNoisePair:
+    """One pair, drawn now; `threshold` stands in for the plan's branch threshold."""
+    i = session.pi_bersample_thresholded(plan.branch_threshold if threshold is None else threshold)
     a = session.pi_uni(plan.outer_count)
-    b = _pi_cl(session, plan) if mech.cumulative else pi_dl(session, plan.inner)
+    b = _pi_cl(session, plan) if plan.mech.cumulative else pi_dl(session, plan.inner)
     y = session.mux(i, a, b)
     return SharedNoisePair(i, y, session.perturbation_material(y))
+
+
+def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:
+    """A block of pairs, one int64 row each: the branch and payload shares,
+    the sign test's mask and the two triples' five residues each."""
+    pair = _noise_pair(batch, plan)
+    mask, select, blend = pair.spend()
+    cols = (pair.branch.s0, pair.branch.s1, pair.payload.s0, pair.payload.s1, mask)
+    return np.column_stack(np.broadcast_arrays(*cols, *select, *blend))
+
+
+def _unpack_pair(row: list[int]) -> SharedNoisePair:
+    """The pair of one row of `_noise_rows`."""
+    i0, i1, y0, y1, mask = row[:5]
+    material = (mask, tuple(row[5:10]), tuple(row[10:]))
+    return SharedNoisePair(SharedValue(i0, i1), SharedValue(y0, y1), material)
 
 
 def pi_d_noise(

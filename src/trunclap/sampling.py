@@ -330,13 +330,25 @@ def perturb(mech: Mechanism, x: float, pair: NoisePair, params: MechanismParams)
     Branch 0 splits the uniform index at 2^p*(E+x)-1 into the two flat
     tails (the upper one starts at x+L+2^-p for TDL, at x+L for TCL);
     branch 1 adds the centered noise to x.  The composite law of
-    perturb(noise()) is exactly the mechanism's mass function.
+    perturb(noise()) is exactly the mechanism's mass function.  A pair
+    `noise` cannot draw raises ValueError: a tail index that is not an
+    integer in [0, 2*2^p*E), or centred noise off the 2^-p grid or
+    outside the inner support ([-L, L] for TDL, [-L, L) for TCL).
     """
     plan = noise_plan(mech, params, 0)
     xs = plan.input_steps(x)
-    a, b = (0, steps_of(pair.payload, params.p)) if pair.branch else (int(pair.payload), 0)
-    if not 0 <= a < plan.outer_count:
-        raise ValueError(f"uniform index {a} out of range")
+    if pair.branch:
+        a, b = 0, steps_of(pair.payload, params.p)
+        top = plan.Ls - 1 if mech.cumulative else plan.Ls
+        if not -plan.Ls <= b <= top:
+            raise ValueError(
+                f"centred noise {pair.payload} outside the inner support of {mech.name}"
+            )
+    else:
+        a, b = pair.payload, 0
+        if not (float(a).is_integer() and 0 <= a < plan.outer_count):
+            raise ValueError(f"uniform index {a} is not an integer in [0, {plan.outer_count})")
+        a = int(a)
     return _perturb_steps(plan, xs, pair.branch, a, b) * params.step
 
 

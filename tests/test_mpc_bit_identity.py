@@ -143,6 +143,29 @@ def test_outputs_do_not_depend_on_the_dealer(name, mech, substrate):
         assert transcripts[0] != transcripts[1]
 
 
+def test_a_pooled_session_equals_a_recording_session():
+    # a recording Session draws every noise pair sequentially; a seeded one
+    # that records nothing hands its pairs out of blocks once a run is long
+    # enough, with the same opened values, ledger and party words
+    pooled = set()
+    for i, name, mech, gamma, n, x in cases():
+        params = SETS[name]
+        field = mechanism_field(params, mech.name, gamma)
+        seeds = (1000 + i, 2000 + i)
+        ref = Session(field, *seeds, record_transcript=True)
+        session = Session(field, *seeds)
+        assert _outputs(session, mech, params, gamma, n, x) == _outputs(
+            ref, mech, params, gamma, n, x
+        ), (name, mech.name, gamma, n)
+        if session._offline.batch is not None:
+            pooled.add((name, mech.name, gamma, n))
+    # every run of 300 pairs evaluated blocks, the rejecting shapes too
+    # (E=3 TDL rejects a quarter of its tail draws, TCL at gamma=0 redraws
+    # one in 15)
+    assert {(name, mech.name, gamma, 300) for name in SETS for mech in (TDL, TCL)
+            for gamma in GAMMAS} <= pooled
+
+
 if __name__ == "__main__":
     records = gate_records()
     print("outputs", digest(records, "outputs"))

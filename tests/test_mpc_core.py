@@ -675,3 +675,74 @@ class TestBatchSession:
     def test_planned_words_are_checked(self):
         with pytest.raises(RuntimeError, match="drew 1 joint words, planned 2"):
             self.batch().run(lambda s: s.open(s.pi_bersample(0.5)), 10, 2)
+
+
+def peeks(sizes: list):
+    """Patch RandomTape.peek_block to log the size of every block read."""
+    real = RandomTape.peek_block
+
+    def peek(tape, n):
+        sizes.append(n)
+        return real(tape, n)
+
+    return mock.patch.object(RandomTape, "peek_block", peek)
+
+
+class TestOfflinePool:
+    """`Session.offline`: executions handed out of blocks evaluated ahead
+    equal the sequential path's, call by call."""
+
+    CFG = FieldConfig(q=next_prime(2**24), e=20, p=2)
+
+    @staticmethod
+    def program(s):
+        v = s.pi_uni(15)  # rejects 1 first attempt in 16
+        tag = s.pi_uni(1 << 20)
+        fault = s.pi_bersample(0.01)
+        s.pi_ge(s.mul(fault, s.add_public(tag, s.safe_magnitude + 1)))
+        return s.open(v), s.open(tag)
+
+    def draw(self, s):
+        """One offline execution of `program` (3 joint words unless rejected)."""
+        return s.offline(
+            "toy", 3,
+            lambda b, key: np.column_stack(np.broadcast_arrays(*self.program(b))),
+            lambda s, key: self.program(s),
+            tuple,
+        )
+
+    def outcomes(self, s, n):
+        out = []
+        for _ in range(n):
+            try:
+                out.append(tuple(self.draw(s)))
+            except ContractViolation as exc:
+                out.append(str(exc))
+        return out, s.ledger.as_dict(), s.tape0.words_consumed, s.tape1.words_consumed
+
+    def test_rejections_and_faults_match_the_sequential_path(self):
+        sizes = []
+        for seed in range(3):
+            want = self.outcomes(Session(self.CFG, seed, seed + 9, record_transcript=True), 600)
+            with peeks(sizes):
+                got = self.outcomes(Session(self.CFG, seed, seed + 9), 600)
+            assert got == want
+            assert any(isinstance(o, str) for o in want[0])  # faults were met
+            assert want[2] > 3 * 600  # and rejections
+        assert sizes  # blocks were evaluated
+
+    def test_frequent_rejections_back_off_from_blocks(self):
+        # pi_uni(12) rejects 1 first attempt in 4: a run of 8 comes about
+        # every 36 draws, but blocks keep about 3 executions, so each short
+        # block doubles the run the next one waits for
+        def draw(s):
+            return s.offline("uni12", 1, lambda b, key: b.open(b.pi_uni(12))[:, None],
+                             lambda s, key: s.open(s.pi_uni(12)), lambda row: row[0])
+
+        sizes = []
+        want = Session(self.CFG, 6, 7, record_transcript=True)
+        with peeks(sizes):
+            got = Session(self.CFG, 6, 7)
+            assert [draw(got) for _ in range(3000)] == [draw(want) for _ in range(3000)]
+        assert got.tape0.words_consumed == want.tape0.words_consumed
+        assert 0 < len(sizes) // 2 <= 6

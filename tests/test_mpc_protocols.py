@@ -46,6 +46,7 @@ from trunclap.mpc import (
     run_batch,
     run_once,
 )
+from trunclap.mpc import protocols
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import (
     centered_dlap_config,
@@ -526,6 +527,21 @@ class TestBatchSimulator:
         assert np.array_equal(run_batch("tdl", params, 1.0, BE + 2, 3, 4), expected)
 
 
+def test_mechanism_field_is_cached():
+    # a FieldConfig is frozen, so sessions share one; the prime search
+    # (3-9 primality tests a call on the wide set) runs once per instance
+    mechanism_field.cache_clear()
+    with mock.patch(
+        "trunclap.mpc.protocols.field_for_mechanism", wraps=protocols.field_for_mechanism
+    ) as search:
+        fields = [make_session(WIDE, "tcl", 8, k, k + 1).field for k in range(3)]
+        run_batch("tcl", WIDE, 0.0, 2, 1, 2)
+    assert search.call_count == 1
+    assert fields[0] is fields[1] is fields[2] is mechanism_field(WIDE, "tcl", 8)
+    mechanism_field.cache_clear()
+    assert mechanism_field(WIDE, "tcl", 8) is not fields[0]
+
+
 PHASE_CASES = [(m, params) for params in (PARAMS, WIDE) for m in (TDL, TCL)]
 PHASE_IDS = [f"{m.name}-{label}" for label in ("small", "wide") for m in (TDL, TCL)]
 
@@ -607,3 +623,82 @@ class TestPhaseSplit:
             pi_perturb(session, mech, xs, pair, PARAMS)
         # refused before any gadget ran: nothing charged, nothing drawn
         assert (session.ledger.as_dict(), [t.words_consumed for t in tapes]) == before
+
+
+def peeks(sizes: list):
+    """Patch RandomTape.peek_block to log the size of every block read."""
+    real = RandomTape.peek_block
+
+    def peek(tape, n):
+        sizes.append(n)
+        return real(tape, n)
+
+    return mock.patch.object(RandomTape, "peek_block", peek)
+
+
+def opened_pairs(session, mech, params, n, gamma=8):
+    return [(session.open(p.branch), session.open(p.payload))
+            for p in (pi_noise(session, mech, params, gamma) for _ in range(n))]
+
+
+class TestOfflinePool:
+    """A long-lived Session's noise pairs, evaluated in blocks and handed
+    out one per call (`Session.offline`)."""
+
+    @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
+    def test_the_first_pairs_of_a_run_are_sequential(self, mech, params):
+        session = make_session(params, mech.name, 8, 11, 12)
+        sizes = []
+        with peeks(sizes):
+            for _ in range(BE):
+                pi_noise(session, mech, params)
+            assert sizes == []
+            pi_noise(session, mech, params)
+        words = noise_plan(mech, params, 8).words_per_draw
+        assert sizes == [BE * words, BE * words]  # one block of BE, on each tape
+
+    @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
+    def test_a_party_tape_read_drops_the_block(self, mech, params):
+        def run(session):
+            out = []
+            for k in range(6):
+                out += opened_pairs(session, mech, params, 3 * BE + k)
+                out.append(session.open(session.pi_bersample(0.5)))  # a joint word
+            return out, session.ledger.as_dict(), session.tape0.words_consumed
+
+        sizes = []
+        with peeks(sizes):
+            got = run(make_session(params, mech.name, 8, 13, 14))
+        assert got == run(make_session(params, mech.name, 8, 13, 14, record_transcript=True))
+        # each read ended the run: every run of 3*BE + k pairs started with
+        # BE sequential ones, then blocks of BE and 2*BE
+        words = noise_plan(mech, params, 8).words_per_draw
+        assert sorted(set(sizes)) == [BE * words, 2 * BE * words]
+
+    @pytest.mark.parametrize("cap", [16, core.POOL_BLOCK_MAX])
+    def test_a_block_never_exceeds_the_cap(self, cap):
+        n = 3 * cap + 50
+        words = noise_plan(TDL, PARAMS, 8).words_per_draw
+        sizes = []
+        with peeks(sizes), mock.patch.object(core, "POOL_BLOCK_MAX", cap):
+            session = make_session(PARAMS, "tdl", 8, 15, 16)
+            got = opened_pairs(session, TDL, PARAMS, n)
+        assert max(sizes) == cap * words
+        assert got == opened_pairs(make_session(PARAMS, "tdl", 8, 15, 16, record_transcript=True),
+                                   TDL, PARAMS, n)
+
+    def test_these_sessions_stay_sequential(self):
+        field = mechanism_field(PARAMS, "tdl")
+        large = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=27)
+        runs = [
+            (make_session(PARAMS, "tdl", 8, 1, 2, record_transcript=True), PARAMS, {}),
+            (Session(field, tape0=RandomTape(1), tape1=RandomTape(2)), PARAMS, {}),
+            (make_session(large, "tdl", 8, 1, 2), large, {}),  # q >= BATCH_MAX_Q
+            (make_session(PARAMS, "tdl", 8, 1, 2), PARAMS, {"branch_prob": 0.5}),
+        ]
+        sizes = []
+        with peeks(sizes):
+            for session, params, kw in runs:
+                for _ in range(4 * BE):
+                    pi_noise(session, TDL, params, **kw)
+        assert sizes == []

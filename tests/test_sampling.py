@@ -529,6 +529,31 @@ class TestPerturb:
         with pytest.raises(ValueError):
             NoisePair(2, 0)
 
+    @pytest.mark.parametrize(
+        "mech, pair",
+        [
+            (TDL, NoisePair(1, 999.0)),  # was 1000.0, off the output grid
+            (TDL, NoisePair(1, -3.0)),  # below -L
+            (TCL, NoisePair(1, 2.0)),  # was 3.0: +L is outside TCL's [-L, L)
+            (TDL, NoisePair(1, 0.5)),  # off the 2^-p grid
+            (TDL, NoisePair(0, 3.5)),  # was -3.0: int() truncated the index
+            (TCL, NoisePair(0, -1)),
+            (TDL, NoisePair(0, float("nan"))),
+        ],
+        ids=["tdl-far", "tdl-below", "tcl-top", "off-grid", "half-index", "neg-index", "nan"],
+    )
+    def test_refuses_a_pair_noise_cannot_draw(self, small_params, mech, pair):
+        with pytest.raises(ValueError):
+            perturb(mech, 1.0, pair, small_params)
+
+    def test_accepts_the_ends_of_each_support(self, small_params):
+        L = small_params.L
+        assert perturb(TDL, 1.0, NoisePair(1, L), small_params) == 1.0 + L
+        assert perturb(TDL, 1.0, NoisePair(1, -L), small_params) == 1.0 - L
+        assert perturb(TCL, 1.0, NoisePair(1, L - 1), small_params) == L
+        assert perturb(TCL, 1.0, NoisePair(1, -L), small_params) == 1.0 - L
+        assert perturb(TDL, 1.0, NoisePair(0, 7.0), small_params) == 6.0
+
 
 class TestDeterminism:
     def test_same_seed_same_stream(self, small_params):
