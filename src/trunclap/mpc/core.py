@@ -43,25 +43,14 @@ Cost model (abstract operation counts, not wall-clock):
 * power-of-two truncation by gamma bits: 2 rounds, 2*gamma elements.
 
 Two substrates run the same protocol code.  `Session` runs one
-execution at a time on Python integers.  `BatchSession` runs many
-independent executions at once, each value held as a pair of int64 share
-arrays (one entry per execution); its `run` lays the party tapes out
-session by session, so every execution reads exactly the words the
-sequential loop gives it.
-
-A long-lived `Session` pools its offline draws the same way
-(`Session.offline`).  Once it has drawn BATCH_MIN_SESSIONS executions of
-one input-independent program back to back (the noise protocol's pairs
-of one plan), it evaluates the next ones as a block on a `BatchSession`
-that peeks its party tapes and has a dealer of its own, and hands them
-out one per call: each handout skips that execution's words on both
-party tapes and charges one execution's ledger, so opened values,
-ledgers and party `words_consumed` are the sequential path's after any
-sequence of calls.  A block holds the executions before its first
-rejected draw or range fault, which then runs sequentially, and is
-dropped if a party tape is read between calls.  A call stays sequential
-when the session records a transcript, was built on tapes passed in, or
-has q >= BATCH_MAX_Q.
+execution at a time on Python integers and drives every batch: where it
+may (its own seeded tapes, q < BATCH_MAX_Q, no transcript) it evaluates
+blocks of executions ahead on an attached `BatchSession`, which holds
+each value as int64 share arrays (one entry per execution), as a
+`BlockScheduler` decides: n at once in `Session.run`, one per call in
+`Session.offline`.  A block reads the party tapes execution by execution
+and keeps the executions before its first rejected draw or range fault,
+so opened values, ledgers and party words are the sequential path's.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (joint words,
 dealer masks, Beaver triples of five dealer residues each, the k bits
@@ -80,19 +69,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from functools import partial
 from typing import Callable
 
 import numpy as np
 
+from .. import tape as tape_module
 from ..grids import FieldConfig
-from ..tape import (
-    BATCH_MIN_SESSIONS,
-    RandomTape,
-    bernoulli_threshold,
-    pow2_at_least,
-    run_in_blocks,
-)
+from ..tape import BlockScheduler, RandomTape, bernoulli_threshold, pow2_at_least
 
 OPEN_ROUNDS, OPEN_ELEMENTS = 1, 2
 SHARE_ROUNDS, SHARE_ELEMENTS = 1, 1
@@ -116,7 +99,7 @@ TRIPLES_PER_REFILL = 64
 # (a DEALER_CHUNK draw would add about 0.13 ms to every fresh Session)
 MASKS_PER_REFILL = 5 * TRIPLES_PER_REFILL
 # executions a Session's offline pool evaluates at most in one block: bounds
-# its memory (a block of 1,024 noise pairs is one 1,024 x 15 int64 array)
+# its memory (a block of noise pairs is held as Python ints)
 POOL_BLOCK_MAX = 1 << 10
 _WORD_MAX = (1 << 64) - 1
 
@@ -197,7 +180,7 @@ class _CommonOps:
     Shares are Python ints in a Session and int64 arrays (or ints that
     broadcast against them) in a BatchSession.  A substrate supplies its
     randomness (`joint_word`, `_reshare`, `_triple`, `_bit_sum`) and its
-    policy for faults and rejected draws (`_check`, `_retry`, `run`).
+    policy for faults and rejected draws (`_check`, `_retry`).
     """
 
     def __init__(self, fieldcfg: FieldConfig, record_transcript: bool = False):
@@ -385,7 +368,7 @@ class _CommonOps:
         """
         return self._retry(self.open(flag) != 0)
 
-    def offline(self, key, words: int, block, step, unpack):
+    def offline(self, key, words: int, block, step):
         """One execution of an input-independent program: `step(self, key)`.
         A Session may hand it out of a block evaluated ahead instead (see
         `Session.offline`)."""
@@ -415,15 +398,40 @@ class Session(_CommonOps):
         if tape0 is not None and tape0 is tape1:
             # pi_bersample_sum reads one party's words, then the other's
             raise ValueError("each party needs a tape of its own")
-        self.seeds = (seed0, seed1)
         self.tape0 = tape0 if tape0 is not None else RandomTape(seed0)
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
         self.triples = TripleStore(self.q, self.dealer)
         self._pool: list[int] = []  # dealer masks not yet used
-        # offline draws are pooled only on the session's own seeded tapes
-        own = tape0 is None and tape1 is None and self.q < BATCH_MAX_Q
-        self._offline = _OfflinePool() if own else None
+        # blocks run only on the session's own seeded tapes, and only while
+        # int64 share products cannot overflow
+        self._batches = tape0 is None and tape1 is None and self.q < BATCH_MAX_Q
+        self._batch: BatchSession | None = None
+        self._running = False  # inside `run`, whose scheduler evaluates ahead
+        # (key, its BlockScheduler, party words after the last call)
+        self._offline: tuple = (None, None, None)
+
+    def _batching(self) -> bool:
+        """Whether blocks may run: not while this session records its
+        transcript, was built on tapes passed in, or has q >= BATCH_MAX_Q."""
+        return self._batches and not self.record_transcript
+
+    def _scheduler(self, program, words: int, step, cap: int, **kw) -> BlockScheduler:
+        """A BlockScheduler of `program` on the attached BatchSession, which
+        is built at the first block."""
+        unit = CostLedger()  # one execution's ledger, measured by each block
+
+        def evaluate(size: int):
+            nonlocal unit
+            if self._batch is None:
+                self._batch = BatchSession(self)
+            kept, values, unit = self._batch._evaluate(program, words, size)
+            return kept, values
+
+        def commit(k: int) -> None:
+            self._batch._commit(k, words, unit)
+
+        return BlockScheduler(evaluate, commit, step, cap, **kw)
 
     # -- randomness --------------------------------------------------------
 
@@ -461,22 +469,28 @@ class Session(_CommonOps):
         take = self.triples.take
         return self._mask(), take(), take()
 
-    def offline(self, key, words: int, block, step, unpack):
+    def offline(self, key, words: int, block, step):
         """One execution of an input-independent program, drawn now by
         `step(self, key)` or handed out of a block evaluated ahead.
 
-        `key` names the program (the noise protocol passes its cached
-        plan) and `words` is the joint words of one execution without
-        rejections.  `block(batch, key)` evaluates the program on a
-        `BatchSession` and returns one int64 row per execution, and
-        `unpack(row)` turns a row, as a list of Python ints, into what
-        `step` returns.  `_OfflinePool` says when a call is pooled; a
-        session that records its transcript draws every execution now.
+        `key` names the program (the noise protocol's cached plan), `words`
+        is one execution's joint words without rejections, and
+        `block(batch, key)` returns what `step` would for each execution of
+        a block.  A BlockScheduler with blocks of at most POOL_BLOCK_MAX is
+        started afresh when the key changes or a party tape was read since
+        the last call, as the block's words are then not the next ones.
         """
-        pool = self._offline
-        if pool is None or self.record_transcript:
+        if self._running or not self._batching():
             return step(self, key)
-        return pool.draw(self, key, words, block, step, unpack)
+        t0, t1 = self.tape0, self.tape1
+        last_key, blocks, marks = self._offline
+        if key is not last_key or marks != (t0.words_consumed, t1.words_consumed):
+            blocks = self._scheduler(
+                lambda b: block(b, key), words, lambda: step(self, key), POOL_BLOCK_MAX, run=0
+            )
+        out = blocks.take_one()
+        self._offline = (key, blocks, (t0.words_consumed, t1.words_consumed))
+        return out
 
     # -- faults and rejections ---------------------------------------------
 
@@ -489,13 +503,24 @@ class Session(_CommonOps):
         """A rejected attempt draws again."""
         return bool(rejected)
 
-    def run(self, program: Callable[["Session"], int], n: int, words: int) -> list[int]:
-        """n executions of `program` in sequence, on this session's tapes.
-
-        `words` (joint words per execution without rejections) sizes the
-        blocks of BatchSession.run; the sequential loop does not need it.
+    def run(self, program: Callable[["Session"], int], n: int, words: int) -> np.ndarray:
+        """The opened results of n executions of `program` in sequence, as
+        int64; `words` is one execution's joint words without rejections.
+        Blocks of at most BATCH_BLOCK run on the attached BatchSession; the
+        executions run here draw their offline material now.
         """
-        return [program(self) for _ in range(n)]
+        if not self._batching():
+            return np.array([program(self) for _ in range(n)], dtype=np.int64)
+        def per_execution(b: BatchSession) -> np.ndarray:
+            # a value common to every execution of the block is one int
+            return np.broadcast_to(program(b), b._rejected.shape)
+
+        blocks = self._scheduler(per_execution, words, lambda: program(self), tape_module.BATCH_BLOCK)
+        self._running = True
+        try:
+            return blocks.take(n)
+        finally:
+            self._running = False
 
     def transcript_dump(self) -> dict:
         """Audit dump of both parties' received elements, hex-encoded."""
@@ -505,145 +530,46 @@ class Session(_CommonOps):
         }
 
 
-_NO_ROWS = np.empty((0, 0), dtype=np.int64)
-
-
-class _OfflinePool:
-    """A Session's executions of one offline program, evaluated ahead.
-
-    A run is the executions of one key drawn back to back: no other key,
-    no party-tape read (seen in the tapes' `words_consumed`) and no
-    rejected draw comes between them.  The first `need` executions of a
-    run (BATCH_MIN_SESSIONS at first) are drawn sequentially.  Then a
-    block of as many executions as the run has drawn, at most
-    POOL_BLOCK_MAX, is evaluated on a `BatchSession` that peeks the
-    session's party tapes, charges its ledger and draws from a dealer of
-    its own; the block keeps the executions before its first rejected
-    draw or range fault.  Each call hands out one kept execution and
-    commits it: its words are skipped on both party tapes and one
-    execution's ledger is charged.  The execution a block ended at is
-    drawn sequentially, where it redraws or raises as the sequential
-    path does, and a rejection ends the run.  A block costs about ten
-    sequential draws, so one that keeps fewer than BATCH_MIN_SESSIONS
-    doubles `need` (as `run_in_blocks` backs off), and one kept whole
-    resets it.
-    """
-
-    __slots__ = ("key", "need", "run", "rows", "at", "ended", "marks", "unit", "batch")
-
-    def __init__(self):
-        self.key = None
-        self.need = BATCH_MIN_SESSIONS  # executions a run draws before its first block
-        self.run = 0  # executions of `key` drawn in this run
-        self.rows = _NO_ROWS  # the block's kept executions, one row each
-        self.at = 0  # the next row to hand out
-        self.ended = False  # the block ended early: the next execution is drawn now
-        self.marks: tuple[int, int] | None = None  # party words after the last call
-        self.unit: CostLedger | None = None  # one execution's ledger
-        self.batch: BatchSession | None = None
-
-    def draw(self, s: Session, key, words: int, block, step, unpack):
-        """`Session.offline` on a session that pools its draws."""
-        t0, t1 = s.tape0, s.tape1
-        start = (t0.words_consumed, t1.words_consumed)
-        if key is not self.key:
-            self.key, self.need, self.marks = key, BATCH_MIN_SESSIONS, None
-        if start != self.marks:
-            self.run, self.rows, self.at, self.ended = 0, _NO_ROWS, 0, False
-        if self.at == len(self.rows) and self.run >= self.need and not self.ended:
-            self._evaluate(s, key, words, block)
-        if self.at < len(self.rows):
-            row = self.rows[self.at]
-            self.at += 1
-            self.batch._commit(1, words, self.unit)
-            out = unpack(row.tolist())
-            self.run += 1
-        else:
-            self.ended = False
-            out = step(s, key)
-            self.run = self.run + 1 if t0.words_consumed - start[0] == words else 0
-        self.marks = (t0.words_consumed, t1.words_consumed)
-        return out
-
-    def _evaluate(self, s: Session, key, words: int, block) -> None:
-        if self.batch is None:
-            batch = self.batch = BatchSession(s.field, *s.seeds)
-            batch.tape0, batch.tape1, batch.ledger = s.tape0, s.tape1, s.ledger
-        size = min(self.run, POOL_BLOCK_MAX)
-        kept, rows, self.unit, (fault, _) = self.batch._evaluate(
-            lambda b: block(b, key), words, size
-        )
-        kept = min(kept, fault)
-        self.rows, self.at, self.ended = rows[:kept], 0, kept < size
-        if kept == size:
-            self.need = BATCH_MIN_SESSIONS
-        elif kept < BATCH_MIN_SESSIONS:
-            self.need *= 2
-
-
 class BatchSession(_CommonOps):
-    """Many independent executions of one protocol, as int64 share arrays.
-
-    Holds both parties' shares of each value as arrays with one entry per
-    execution.  `run(program, n, words)` returns exactly what `n`
-    sequential runs of `program` on a Session with the same seeds return:
-    the party tapes are read in blocks laid out execution by execution,
-    so each execution sees the words the sequential loop would give it.
-    An execution that needs more words than `words` (a rejected draw)
-    finishes on a sequential Session reading the same tapes, and the next
-    block starts after it (`run_in_blocks`, shared with `sample_batch`).
+    """Many independent executions of one program at once, evaluated for
+    the Session it is attached to: both parties' shares of each value as
+    int64 arrays, one entry per execution, on the session's party tapes,
+    dealer and ledger.  `_evaluate` runs a program over the next
+    executions without consuming their words, laid out execution by
+    execution (`peek_block`), and `_commit` consumes the ones kept.
 
     Masks and Beaver triples come from a pool of dealer residues, drawn
-    DEALER_CHUNK or more at a time on a dealer stream of its own; opened
-    values never depend on it.  Inside `run` every gadget costs its per-execution amount once
-    per committed execution; outside it (sharing the common input) once.
+    DEALER_CHUNK or more at a time from the session's dealer; opened
+    values never depend on it.  Inside a block every gadget costs its
+    per-execution amount once per committed execution; outside it
+    (sharing a value) once.
     """
 
-    def __init__(self, fieldcfg: FieldConfig, seed0: int = 0, seed1: int = 1):
-        if fieldcfg.q >= BATCH_MAX_Q:
-            raise ValueError(f"q={fieldcfg.q} is too large for int64 share arithmetic")
-        super().__init__(fieldcfg)
-        self.seeds = (seed0, seed1)
-        self.tape0 = RandomTape(seed0)
-        self.tape1 = RandomTape(seed1)
-        self.dealer = RandomTape([dealer_seed(seed0, seed1), 1])
+    def __init__(self, session: Session):
+        if session.q >= BATCH_MAX_Q:
+            raise ValueError(f"q={session.q} is too large for int64 share arithmetic")
+        super().__init__(session.field)
+        self.tape0, self.tape1 = session.tape0, session.tape1
+        self.dealer, self.ledger = session.dealer, session.ledger
         self._rows: np.ndarray | None = None  # joint word j of each execution in row j
         self._col = 0
         self._rejected = np.zeros(0, dtype=bool)
-        self._fault: tuple[int, str] = (0, "")
-        self._sequential: Session | None = None
+        self._fault = 0  # the first execution of the block with a range fault
         self._pool = np.empty(0, dtype=np.int64)  # dealer residues not yet used
         self._pool_at = 0
 
     # -- blocks ------------------------------------------------------------
 
-    def run(self, program: Callable[["BatchSession"], np.ndarray], n: int, words: int) -> np.ndarray:
-        """Opened results of n executions of `program`, in sequential order;
-        one execution draws `words` joint words when nothing is rejected."""
-        block = partial(self._block, program, words)
-        return run_in_blocks(n, block, lambda: program(self._sequential_session()))
-
-    def _block(self, program, words: int, size: int) -> tuple[int, np.ndarray]:
-        """Run `size` executions; commit those before the first rejection."""
-        kept, values, unit, (fault, message) = self._evaluate(program, words, size)
-        # executions from the first rejection on read shifted words; only a
-        # fault before it is one the sequential loop meets
-        if fault < kept:
-            raise ContractViolation(message)
-        self._commit(kept, words, unit)
-        return kept, np.broadcast_to(values, (size,))
-
     def _evaluate(self, program, words: int, size: int):
         """`program` over the next `size` executions, without consuming
-        their words: (kept, values, unit, (fault, message)).  The executions
-        before `kept` draw no rejected attempt, `unit` is one execution's
-        ledger, and `fault` is the first execution with a range fault
-        (`size` if none)."""
+        their words: (kept, values, unit).  The `kept` executions before the
+        first that draws a rejected attempt or meets a range fault are the
+        sequential loop's; `unit` is one execution's ledger."""
         joint = self.tape0.peek_block(size * words) ^ self.tape1.peek_block(size * words)
         self._rows = joint.reshape(size, words).T.copy()
         self._col = 0
         self._rejected = np.zeros(size, dtype=bool)
-        self._fault = (size, "")
+        self._fault = size
         # gadgets charge self.ledger: one execution's cost, while in the block
         total, unit = self.ledger, CostLedger()
         self.ledger = unit
@@ -654,7 +580,7 @@ class BatchSession(_CommonOps):
         if self._col != words:
             raise RuntimeError(f"an execution drew {self._col} joint words, planned {words}")
         kept = int(np.argmax(self._rejected)) if self._rejected.any() else size
-        return kept, values, unit, self._fault
+        return min(kept, self._fault), values, unit
 
     def _commit(self, kept: int, words: int, unit: CostLedger) -> None:
         """Consume the words of the first `kept` evaluated executions and
@@ -663,33 +589,24 @@ class BatchSession(_CommonOps):
         self.tape1.skip(kept * words)
         self.ledger.add(unit, kept)
 
-    def _sequential_session(self) -> Session:
-        if self._sequential is None:
-            s = Session(self.field, *self.seeds, tape0=self.tape0, tape1=self.tape1)
-            s.ledger = self.ledger
-            self._sequential = s
-        return self._sequential
-
     def _check(self, bad: np.ndarray, values: np.ndarray, message: str) -> None:
-        """ContractViolation for the first flagged execution.
-
-        Outside `run` it is raised at once; inside, the block raises it
-        only if the execution comes before the block's first rejection.
-        """
+        """ContractViolation for the first flagged execution outside a
+        block; inside one, the block ends before that execution, which the
+        session then runs and fails on."""
         bad = np.ravel(bad)
         if not bad.any():
             return
         i = int(np.argmax(bad))
-        msg = message.format(int(np.ravel(values)[i]), safe=self.safe_magnitude)
         if self._rows is None:
-            raise ContractViolation(msg)
-        if i < self._fault[0]:
-            self._fault = (i, msg)
+            raise ContractViolation(
+                message.format(int(np.ravel(values)[i]), safe=self.safe_magnitude)
+            )
+        self._fault = min(self._fault, i)
 
     def _retry(self, rejected: np.ndarray) -> bool:
         """Mark the executions whose attempt was rejected; never draw again.
 
-        `run` finishes the marked executions on the sequential path.
+        The block ends before the first marked execution.
         """
         self._rejected |= rejected
         return False
@@ -703,7 +620,7 @@ class BatchSession(_CommonOps):
     def _joint_rows(self, k: int) -> np.ndarray:
         """The next k joint words of every execution, one row each."""
         if self._rows is None:
-            raise RuntimeError("joint words are drawn inside run()")
+            raise RuntimeError("joint words are drawn inside a block (_evaluate)")
         if self._col + k > len(self._rows):
             raise RuntimeError("an execution drew more joint words than planned")
         self._col += k

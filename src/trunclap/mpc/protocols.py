@@ -21,18 +21,10 @@ parties -- and the plaintext functionalities used as oracles -- read the
 same integers.
 
 On a long-lived `Session`, `pi_noise` draws its pairs through
-`Session.offline`: after BATCH_MIN_SESSIONS pairs of one plan back to
-back, the next pairs are evaluated as one block on the batch substrate
-(`_noise_rows`: one int64 row of 15 per pair, the branch and payload
-shares, the mask and two five-residue triples) and handed out one per
-call as Python ints (`_unpack_pair`).  The opened values, the ledger and
-the party words are the sequential path's.  A call stays sequential when
-its session records a transcript, was built on tapes passed in (an
-injected replay, or `BatchSession`'s sequential fallback), has
-q >= BATCH_MAX_Q, or when `branch_prob` stubs the plan; so do the first
-pairs of a run, the pair a block ended at (a rejected draw or a range
-fault), and the pairs after a party-tape read between calls, which
-drops the block.
+`Session.offline`, which may hand them out of a block evaluated ahead on
+the attached `BatchSession` (`_noise_pairs`) with the sequential path's
+opened values, ledger and party words; `branch_prob` stubs always draw
+now.
 
 TDL and TCL run the same protocols, parameterized by their `Mechanism`
 record (`pi_noise`, `pi_perturb`, `run_once`, `run_sessions`); the
@@ -51,8 +43,8 @@ import numpy as np
 from ..grids import FieldConfig, field_for_mechanism, next_prime
 from ..mechanisms import TCL, TDL, Mechanism, MechanismParams, lookup_mechanism
 from ..sampling import CenteredDlapConfig, NoisePlan, centered_dlap_config, noise_plan
-from ..tape import BATCH_MIN_SESSIONS, bernoulli_threshold
-from .core import BATCH_MAX_Q, BatchSession, Session, SharedValue
+from ..tape import bernoulli_threshold
+from .core import BatchSession, Session, SharedValue
 
 
 class SharedNoisePair:
@@ -190,7 +182,7 @@ def pi_noise(
     plan = noise_plan(mech, params, gamma)
     if branch_prob is not None:
         return _noise_pair(session, plan, bernoulli_threshold(branch_prob))
-    return session.offline(plan, plan.words_per_draw, _noise_rows, _noise_pair, _unpack_pair)
+    return session.offline(plan, plan.words_per_draw, _noise_pairs, _noise_pair)
 
 
 def _noise_pair(
@@ -204,20 +196,17 @@ def _noise_pair(
     return SharedNoisePair(i, y, session.perturbation_material(y))
 
 
-def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:
-    """A block of pairs, one int64 row each: the branch and payload shares,
-    the sign test's mask and the two triples' five residues each."""
+def _noise_pairs(batch: BatchSession, plan: NoisePlan) -> list[SharedNoisePair]:
+    """A block of pairs, one per execution, as Python ints: each with its
+    branch and payload shares, the sign test's mask and two triples."""
     pair = _noise_pair(batch, plan)
     mask, select, blend = pair.spend()
     cols = (pair.branch.s0, pair.branch.s1, pair.payload.s0, pair.payload.s1, mask)
-    return np.column_stack(np.broadcast_arrays(*cols, *select, *blend))
-
-
-def _unpack_pair(row: list[int]) -> SharedNoisePair:
-    """The pair of one row of `_noise_rows`."""
-    i0, i1, y0, y1, mask = row[:5]
-    material = (mask, tuple(row[5:10]), tuple(row[10:]))
-    return SharedNoisePair(SharedValue(i0, i1), SharedValue(y0, y1), material)
+    rows = np.column_stack(np.broadcast_arrays(*cols, *select, *blend)).tolist()
+    return [
+        SharedNoisePair(SharedValue(i0, i1), SharedValue(y0, y1), (m, tuple(t[:5]), tuple(t[5:])))
+        for i0, i1, y0, y1, m, *t in rows
+    ]
 
 
 def pi_d_noise(
@@ -316,21 +305,19 @@ def run_batch(
     the outputs are i.i.d. by construction of the tapes.  The input is
     checked before any work: an unknown mechanism, n < 0, or an x off the
     2^-p grid or outside [-E, E] raises ValueError (GridError for x).
-    Calls of BATCH_MIN_SESSIONS or more executions run on a BatchSession
-    when the field allows it; the outputs are the same either way.
+    The executions run on one Session, in blocks where it batches
+    (`Session.run`); the outputs are the same either way.
     """
     mech = lookup_mechanism(mechanism)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
     x_steps = noise_plan(mech, params, gamma).input_steps(x)
-    field = mechanism_field(params, mechanism, gamma)
-    batched = n >= BATCH_MIN_SESSIONS and field.q < BATCH_MAX_Q
-    session = (BatchSession if batched else Session)(field, seed0, seed1)
+    session = Session(mechanism_field(params, mechanism, gamma), seed0, seed1)
     return run_sessions(session, mech, params, x_steps, n, gamma)
 
 
 def run_sessions(
-    session: Session | BatchSession,
+    session: Session,
     mech: Mechanism,
     params: MechanismParams,
     x_steps: int,
@@ -348,5 +335,4 @@ def run_sessions(
     def once(s):
         return s.open(pi_perturb(s, mech, xs, pi_noise(s, mech, params, gamma), params))
 
-    z = session.run(once, n, plan.words_per_draw)
-    return np.asarray(z, dtype=np.int64) * params.step
+    return session.run(once, n, plan.words_per_draw) * params.step

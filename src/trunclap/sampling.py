@@ -41,6 +41,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import tape as tape_module
 from .grids import GridError, steps_of
 from .mechanisms import (
     TCL,
@@ -51,7 +52,7 @@ from .mechanisms import (
     dlap_zero_mass,
     outer_count,
 )
-from .tape import RandomTape, bernoulli_threshold, pow2_at_least, run_in_blocks
+from .tape import BlockScheduler, RandomTape, bernoulli_threshold, pow2_at_least
 
 # cells a table-path CDF may hold (2 * 2^p * L + 1); far above the 12,289
 # of the largest table in use (TCL at gamma=8 on L=24, p=0)
@@ -367,7 +368,7 @@ def sample_tcl(
 def sample_batch(
     mech: Mechanism, x: float, params: MechanismParams, n: int, seed: int, gamma: int = 8
 ) -> np.ndarray:
-    """n draws at input x from one seeded tape, in blocks (`run_in_blocks`)
+    """n draws at input x from one seeded tape, in blocks (`BlockScheduler`)
     whose row j holds word j of every execution; values and the tape's word
     count equal those of n `sample_tdl`/`sample_tcl` calls."""
     if n < 0:
@@ -377,16 +378,21 @@ def sample_batch(
     tape = RandomTape(seed)
     words = plan.words_per_draw
 
-    def block(size: int) -> tuple[int, np.ndarray]:
+    def evaluate(size: int) -> tuple[int, np.ndarray]:
         rows = tape.peek_block(size * words).reshape(size, words).T
         a, tail_rejected = _tail(plan, rows[1:2].view(np.int64))
         b, inner_rejected = _inner(plan, rows[2:])
         rejected = tail_rejected | inner_rejected
         kept = int(np.argmax(rejected)) if rejected.any() else size
-        tape.skip(kept * words)
         return kept, _perturb_steps(plan, xs, rows[0] < plan.branch_threshold, a, b)
 
-    return run_in_blocks(n, block, lambda: _sample_steps(plan, xs, tape)) * params.step
+    blocks = BlockScheduler(
+        evaluate,
+        lambda k: tape.skip(k * words),
+        lambda: _sample_steps(plan, xs, tape),
+        tape_module.BATCH_BLOCK,
+    )
+    return blocks.take(n) * params.step
 
 
 def sample_tdl_batch(x: float, params: MechanismParams, n: int, seed: int) -> np.ndarray:

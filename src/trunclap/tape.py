@@ -13,6 +13,11 @@ Each tape is read one way.  Party and plaintext tapes are read by words
 dealer tapes are read by residue arrays (`field_array`, `field_elements`),
 which draw straight from the generator past the buffered words and so
 never mix with a word read.
+
+Blocks of executions evaluated ahead on peeked words (`sample_batch`,
+and a `Session`'s runs and offline pairs) are scheduled by one policy,
+`BlockScheduler`: when a block runs, how large it is, and the sequential
+execution of what a block could not keep.
 """
 
 from __future__ import annotations
@@ -27,8 +32,9 @@ _BUF = 4096
 # words a seeded tape converts to Python ints at a time (see RandomTape)
 _WINDOW_MIN = 8
 _WINDOW_MAX = 256
-# executions per block of `run_in_blocks`: bounds a block's memory (its
-# words and the arrays of its live values) whatever n is
+# executions per block of a call that takes n at once (`sample_batch`,
+# `Session.run`): bounds a block's memory (its words and the arrays of its
+# live values) whatever n is
 BATCH_BLOCK = 1 << 14
 # below this many executions the sequential path is faster than a block
 # (measured; see README "Batch simulator")
@@ -200,33 +206,100 @@ def _require_count(n: int) -> None:
         raise ValueError(f"cannot read {n} words")
 
 
-def run_in_blocks(n: int, block, step) -> np.ndarray:
-    """Results of n executions in order, for `sample_batch` and `BatchSession.run`.
+class BlockScheduler:
+    """The executions of one program in order, evaluated ahead in blocks
+    where that pays: the one block policy of `sample_batch`, `Session.run`
+    and `Session.offline`.
 
-    `block(size)` runs the next `size` executions at once, commits those
-    before the first rejected one and returns (how many, values); `step()`
-    runs the next execution on the sequential path.  The rejected one runs
-    there and the work past it is redone, so the next block is twice the
-    run just seen.  A block of under BATCH_MIN_SESSIONS costs more than the
-    loop, so shorter calls loop and shorter runs send a doubling stretch.
+    `evaluate(size)` evaluates the next `size` executions without
+    consuming anything and returns (kept, values): how many come before
+    the first rejected or faulting one, and their values.  `commit(k)`
+    consumes the first k evaluated executions as they are handed out, and
+    `step()` runs the next one on the sequential path; the execution a
+    block stopped at runs there, and redraws or raises as the loop does.
+
+    A block waits for a run of `need` executions taken back to back and
+    holds as many as the run, at most `span` and `cap`.  One that stops
+    early restarts the run at what it kept and sets `span` to twice that;
+    one that keeps fewer than BATCH_MIN_SESSIONS cost more than the loop
+    and quadruples `need`, so frequent rejections make blocks rare and
+    small; one kept whole doubles `span`.  `run` starts at `cap`, so a call taking n at
+    once first runs a block of min(n, cap) (or loops, below
+    BATCH_MIN_SESSIONS); one taking an execution at a time passes run=0,
+    so its first block follows BATCH_MIN_SESSIONS sequential executions.
     """
-    if n < BATCH_MIN_SESSIONS:
-        return np.array([step() for _ in range(n)], dtype=np.int64)
-    out = np.empty(n, dtype=np.int64)
-    done, span, backoff = 0, BATCH_BLOCK, BATCH_MIN_SESSIONS
-    while done < n:
-        size = min(span, n - done)
-        kept, values = block(size)
-        out[done : done + kept] = values[:kept]
-        done += kept
+
+    def __init__(self, evaluate, commit, step, cap: int, *, run: int | None = None):
+        self._evaluate, self._commit, self._step = evaluate, commit, step
+        self.cap = cap
+        # executions taken back to back, counted from what the last block
+        # that stopped early kept
+        self.run = cap if run is None else run
+        self.need = BATCH_MIN_SESSIONS  # the run the next block waits for
+        self.span = cap  # the largest next block
+        self._kept = ()  # values of evaluated executions not yet handed out
+        self._at = 0
+        self._stopped = False  # the next execution is the one a block stopped at
+
+    def take(self, n: int) -> np.ndarray:
+        """The values of the next n executions, as int64; a block never
+        reaches past them."""
+        out = np.empty(n, dtype=np.int64)
+        done = 0
+        while done < n:
+            left = n - done
+            part = self._handout(left, left)
+            if part is not None:
+                out[done : done + len(part)] = part
+                done += len(part)
+                continue
+            # sequential until a block could run: the execution a block
+            # stopped at, the rest of a call too short for a block, or the
+            # rest of the run the next block waits for
+            if self._stopped:
+                k = 1
+            else:
+                k = left if left < BATCH_MIN_SESSIONS else min(left, self.need - self.run)
+            self._stopped = False
+            for i in range(done, done + k):
+                out[i] = self._step()
+            self.run += k
+            done += k
+        return out
+
+    def take_one(self):
+        """The value of the next execution; a block may reach past it, and
+        the rest of it is handed out by the next calls."""
+        part = self._handout(1, self.cap)
+        if part is None:
+            self._stopped = False
+            self.run += 1
+            return self._step()
+        return part[0]
+
+    def _handout(self, count: int, limit: int):
+        """Up to `count` committed values of the current block, or of a new
+        block of at most `limit` executions; None when the next execution
+        runs sequentially."""
+        if self._at == len(self._kept):
+            if self._stopped or self.run < self.need or limit < BATCH_MIN_SESSIONS:
+                return None
+            self._block(min(self.span, self.run, limit))
+            if not len(self._kept):
+                return None
+        k = min(count, len(self._kept) - self._at)
+        self._commit(k)
+        self.run += k
+        self._at += k
+        return self._kept[self._at - k : self._at]
+
+    def _block(self, size: int) -> None:
+        kept, values = self._evaluate(size)
+        self._kept, self._at, self._stopped = values[:kept], 0, kept < size
         if kept == size:
-            span = min(2 * span, BATCH_BLOCK)
-            continue
-        stretch = 1
+            self.span = min(2 * self.span, self.cap)
+            return
+        self.run, self.span = kept, min(max(2 * kept, BATCH_MIN_SESSIONS), self.cap)
         if kept < BATCH_MIN_SESSIONS:
-            stretch, backoff = backoff, 2 * backoff
-        for k in range(done, min(n, done + stretch)):
-            out[k] = step()
-        done = min(n, done + stretch)
-        span = 2 * (kept + 1)
-    return out
+            self.need *= 4
+

@@ -243,7 +243,7 @@ def _pair(branch, payload):
 
 
 def test_a8_mpc_plaintext_equivalence():
-    params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
+    params = A8_PARAMS
     n_eq = TH["mpc_equiv_sessions"]
     gamma = 8
 
@@ -280,23 +280,79 @@ def test_a8_mpc_plaintext_equivalence():
         bit_ok &= z == steps_of(z_ref, params.p)
 
     # --- free randomness: opened-output laws ---
-    n_tv = TH["mpc_tv_sessions"]
-    vals = run_batch("tdl", params, 1.0, n_tv, 31337, 31338)
-    h = Histogram.from_samples(vals, params.output_grid("tdl"))
-    tv_d = tv_distance(h, pmf_tdl(1.0, params))
-    vals = run_batch("tcl", params, 1.0, n_tv, 31339, 31340, gamma=gamma)
-    h = Histogram.from_samples(vals, params.output_grid("tcl"))
-    tv_c = tv_distance(h, pmf_tcl(1.0, params))
+    tv_d, tv_c = (a8_opened_tv(mech, 1.0) for mech in A8_RUNS)
     ok = bit_ok and tv_d < TH["mpc_tv_d"] and tv_c < TH["mpc_tv_c"]
     report(
         "A8 secure/plaintext equivalence",
         ok,
-        f"bit-for-bit over 2x{n_eq} runs: {bit_ok}; TV(D) {tv_d:.4f} < "
-        f"{TH['mpc_tv_d']}, TV(C) {tv_c:.4f} < {TH['mpc_tv_c']} at {n_tv} sessions",
+        f"bit-for-bit over 2x{n_eq} runs: {bit_ok}; TV(D) {tv_d:.4f} < {TH['mpc_tv_d']} "
+        f"at {TH['mpc_tv_sessions_d']} sessions, TV(C) {tv_c:.4f} < {TH['mpc_tv_c']} "
+        f"at {TH['mpc_tv_sessions_c']} sessions",
     )
     assert bit_ok
     assert tv_d < TH["mpc_tv_d"]
     assert tv_c < TH["mpc_tv_c"]
+
+
+A8_PARAMS = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
+# mechanism: (sessions, TV bound, seeds)
+A8_RUNS = {
+    "tdl": (TH["mpc_tv_sessions_d"], TH["mpc_tv_d"], (31337, 31338)),
+    "tcl": (TH["mpc_tv_sessions_c"], TH["mpc_tv_c"], (31339, 31340)),
+}
+
+
+def a8_opened_tv(mech: str, x: float, law_at: float = 1.0) -> float:
+    """TV of A8's run_batch outputs at input x from the exact law at law_at."""
+    n, _, seeds = A8_RUNS[mech]
+    vals = run_batch(mech, A8_PARAMS, x, n, *seeds, gamma=8)
+    h = Histogram.from_samples(vals, A8_PARAMS.output_grid(mech))
+    return tv_distance(h, (pmf_tdl if mech == "tdl" else pmf_tcl)(law_at, A8_PARAMS))
+
+
+def tcl_lattice_law(x: float, params: MechanismParams, gamma: int) -> np.ndarray:
+    """The law TCL samples at fine precision gamma: pmf_tcl with its centred
+    part drawn on the 2^-(p+gamma) lattice, the top fine point +L
+    rejected, and floored to 2^-p."""
+    exact = pmf_tcl(x, params)
+    Ls = steps_of(params.L, params.p)
+    fine = centered_dlap_pmf(params.L, params.sigma, params.p + gamma)
+    steps = fine.spec.bound_steps
+    inner = np.zeros(2 * Ls)
+    np.add.at(inner, (np.arange(-steps, steps) >> gamma) + Ls, fine.masses[:-1] / fine.masses[:-1].sum())
+    law = exact.masses.copy()
+    lo = exact.spec.index_of(x - params.L)
+    law[lo : lo + 2 * Ls] += branch_probability_c(params) * (
+        inner - centered_clap_pmf(params.L, params.sigma, params.p).masses
+    )
+    return law
+
+
+def test_a8_session_counts_are_sized_for_their_bounds():
+    # a faithful sampler's expected TV plus the McDiarmid term (failure
+    # probability 1e-9), plus the gamma=8 lattice law's TV for TCL
+    laws = {
+        "tdl": (pmf_tdl(1.0, A8_PARAMS).masses,) * 2,
+        "tcl": (tcl_lattice_law(1.0, A8_PARAMS, 8), pmf_tcl(1.0, A8_PARAMS).masses),
+    }
+    for mech, (sampled, exact) in laws.items():
+        n, bound, _ = A8_RUNS[mech]
+        lattice = 0.5 * float(np.sum(np.abs(sampled - exact)))
+
+        def reads(count):
+            mcdiarmid = math.sqrt(math.log(1e9) / (2 * count))
+            return multinomial_tv_mean(sampled, count) + mcdiarmid + lattice
+
+        assert reads(n) < bound, mech
+        # the count A8 used to have: no faithful sampler meets the bound
+        assert reads(100_000) > bound, mech
+
+
+def test_a8_rejects_a_shifted_law():
+    # A8's sessions and seeds, but run at x - 2^-p and compared with the law at x
+    for mech in A8_RUNS:
+        tv = a8_opened_tv(mech, 1.0 - A8_PARAMS.step, law_at=1.0)
+        assert tv >= A8_RUNS[mech][1], f"{mech} runs at x-{A8_PARAMS.step} pass: TV {tv}"
 
 
 def _replay(words, params, mechanism, gamma):

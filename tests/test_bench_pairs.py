@@ -43,6 +43,19 @@ def test_within_bound_reads_the_direction():
     assert not bench_pairs.compare(HIGHER, parent, [7.4] * 4)["within_bound"]
 
 
+def test_a_spread_past_the_bound_is_unresolved():
+    # the parent's IQR is 45% of its median, past the 25% bound: a change
+    # within the bound is not "unchanged" unless it beats every parent run
+    parent = [60.0, 140.0, 70.0, 130.0, 80.0, 120.0, 100.0, 100.0]
+    r = bench_pairs.compare(HIGHER, parent, [98.0, 102.0] * 4)
+    assert r["parent_iqr_over_median"] == 0.45
+    assert r["within_bound"] and not r["resolved"]
+    assert bench_pairs.compare(HIGHER, parent, [141.0] * 8)["resolved"]
+    assert not bench_pairs.compare(HIGHER, parent, [141.0] * 7 + [139.0])["resolved"]
+    # a narrow spread resolves whichever way the change reads
+    assert bench_pairs.compare(LOWER, [10.0] * 4, [12.0] * 4)["resolved"]
+
+
 def test_pairs_alternate_the_side_that_runs_first(tmp_path, monkeypatch, capsys):
     spec = {"end_to_end": [HIGHER, LOWER]}
     for side in ("parent", "change"):

@@ -1,14 +1,17 @@
 """Bit-identity gate for the two-party simulator.
 
 Two sha256 pins over what a seeded `run_sessions` call leaves behind, on
-both substrates:
+a recording `Session` (every execution sequential) and on a `Session`
+that runs blocks through its attached `BatchSession`:
 
 * the outputs pin: opened values, the ledger and the words each party
   tape consumed.  Opened outputs depend on the party tapes alone, so a
   change to any draw, ledger charge or party word moves it, and a change
   to the dealer does not;
-* the dealer pin: the words each dealer tape consumed and both parties'
-  `Session` transcripts, which carry the dealer's masks and triples.
+* the dealer pin: the words each session's dealer tape consumed (a
+  batching Session's blocks draw from it too) and both parties'
+  transcripts of the recording Session, which carry the dealer's masks
+  and triples.
 
 A change that means to alter the word stream or the law must re-pin the
 outputs pin and say why; one that changes only the dealer's draws re-pins
@@ -18,12 +21,14 @@ the dealer pin alone.
 import hashlib
 import itertools
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
 
 from trunclap import TCL, TDL, MechanismParams
 from trunclap import RandomTape
-from trunclap.mpc import BatchSession, Session, mechanism_field
+from trunclap.mpc import BatchSession, Session, mechanism_field, pi_noise, pi_perturb
 from trunclap.mpc.core import TripleStore
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import noise_plan
@@ -37,15 +42,7 @@ GAMMAS = (0, 3, 8)
 SIZES = (1, 5, 300)
 
 OUTPUTS_DIGEST = "037d0db8d56736f19334b36832236bc23daf2a09ab9f3c332a23907b062e9f23"
-DEALER_DIGEST = "d9646af873497606971ef14f794c6bad468d81aabe07bc8158890f044811f2a4"
-
-
-def _dealer_words(session) -> list[int]:
-    tapes = [session.dealer]
-    sequential = getattr(session, "_sequential", None)
-    if sequential is not None:  # a BatchSession's sequential path has its own dealer
-        tapes.append(sequential.dealer)
-    return [t.words_consumed for t in tapes]
+DEALER_DIGEST = "1c2a05e4940efcf295e25002b27609095b26b933cf41678b5a029695b1e11953"
 
 
 def _outputs(session, mech, params, gamma, n, x) -> dict:
@@ -73,14 +70,14 @@ def gate_records() -> list:
         field = mechanism_field(params, mech.name, gamma)
         seeds = (1000 + i, 2000 + i)
         seq = Session(field, *seeds, record_transcript=True)
-        batch = BatchSession(field, *seeds)
+        batch = Session(field, *seeds)
         outputs = {
             "session": _outputs(seq, mech, params, gamma, n, x),
             "batch": _outputs(batch, mech, params, gamma, n, x),
         }
         dealer = {
-            "session": _dealer_words(seq),
-            "batch": _dealer_words(batch),
+            "session": [seq.dealer.words_consumed],
+            "batch": [batch.dealer.words_consumed],
             "transcript": seq.transcript_dump(),
         }
         records.append({"case": [name, mech.name, gamma, n, x], "outputs": outputs,
@@ -114,14 +111,15 @@ def test_dealer_draws_are_pinned(records):
 
 
 def _redeal(session, seed: int) -> None:
-    """Give `session` a dealer tape of another seed, and a Session the
-    triples on it."""
+    """Give `session` a dealer tape of another seed, and the triples on it
+    (before its first block: an attached BatchSession shares the tape)."""
     session.dealer = RandomTape(seed)
-    if isinstance(session, Session):
-        session.triples = TripleStore(session.q, session.dealer)
+    session.triples = TripleStore(session.q, session.dealer)
 
 
-@pytest.mark.parametrize("substrate", [Session, BatchSession])
+# "Session" records its transcript and runs every execution sequentially;
+# "BatchSession" runs blocks through its attached BatchSession
+@pytest.mark.parametrize("substrate", ["Session", "BatchSession"])
 @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_outputs_do_not_depend_on_the_dealer(name, mech, substrate):
@@ -129,18 +127,31 @@ def test_outputs_do_not_depend_on_the_dealer(name, mech, substrate):
     field = mechanism_field(params, mech.name, gamma)
     runs, transcripts = [], []
     for dealer in (None, 4242):
-        s = substrate(field, 77, 78)
-        if isinstance(s, Session):
-            s.record_transcript = True
+        s = Session(field, 77, 78, record_transcript=substrate == "Session")
         if dealer is not None:
             _redeal(s, dealer)
-            if isinstance(s, BatchSession):  # and its sequential path's
-                _redeal(s._sequential_session(), dealer + 1)
         runs.append(_outputs(s, mech, params, gamma, 300, 1.0))
         transcripts.append(s.transcript)
+        if substrate == "BatchSession":
+            assert s._batch is not None and s._batch.dealer is s.dealer
     assert runs[0] == runs[1]
-    if substrate is Session:  # the dealer's masks did change what the parties saw
+    if substrate == "Session":  # the dealer's masks did change what the parties saw
         assert transcripts[0] != transcripts[1]
+
+
+def _pooled_outputs(session, mech, params, gamma, n, x) -> dict:
+    """`_outputs` with each execution written out, so that its noise pair
+    comes through `Session.offline` (a long-lived session's calls)."""
+    xs = session.share(noise_plan(mech, params, gamma).input_steps(x) % session.q)
+    opened = [
+        session.open(pi_perturb(session, mech, xs, pi_noise(session, mech, params, gamma), params))
+        for _ in range(n)
+    ]
+    return {
+        "values": [float(v) for v in np.asarray(opened, dtype=np.int64) * params.step],
+        "ledger": session.ledger.as_dict(),
+        "words": [session.tape0.words_consumed, session.tape1.words_consumed],
+    }
 
 
 def test_a_pooled_session_equals_a_recording_session():
@@ -154,10 +165,12 @@ def test_a_pooled_session_equals_a_recording_session():
         seeds = (1000 + i, 2000 + i)
         ref = Session(field, *seeds, record_transcript=True)
         session = Session(field, *seeds)
-        assert _outputs(session, mech, params, gamma, n, x) == _outputs(
-            ref, mech, params, gamma, n, x
-        ), (name, mech.name, gamma, n)
-        if session._offline.batch is not None:
+        with mock.patch.object(
+            BatchSession, "_evaluate", autospec=True, side_effect=BatchSession._evaluate
+        ) as evaluate:
+            got = _pooled_outputs(session, mech, params, gamma, n, x)
+        assert got == _outputs(ref, mech, params, gamma, n, x), (name, mech.name, gamma, n)
+        if evaluate.call_count:
             pooled.add((name, mech.name, gamma, n))
     # every run of 300 pairs evaluated blocks, the rejecting shapes too
     # (E=3 TDL rejects a quarter of its tail draws, TCL at gamma=0 redraws

@@ -77,7 +77,7 @@ class TestWires:
         assert s.peek(SharedValue((q + 1) // 2, 0)) == -(q - 1) // 2
 
     def test_batch_reconstructs_every_residue(self):
-        s = BatchSession(self.CFG, 1, 2)
+        s = BatchSession(Session(self.CFG, 1, 2))
         q = s.q
         r = np.arange(q)
         lifted = np.array([self.CFG.lift(int(v)) for v in r])
@@ -90,7 +90,7 @@ class TestWires:
         cfg = FieldConfig(q=next_prime(2**31), e=31, p=0)
         assert cfg.q >= BATCH_MAX_Q
         with pytest.raises(ValueError, match="too large"):
-            BatchSession(cfg, 1, 2)
+            BatchSession(Session(cfg, 1, 2))
         s = Session(cfg, 1, 2)
         h = cfg.half
         for v in (0, 1, h, h + 1, cfg.q - 1, 2**31, 123_456_789_012 % cfg.q):
@@ -106,7 +106,7 @@ class TestWires:
         rng = np.random.default_rng(4)
         triples = rng.integers(0, q, size=(5, 200))
         a0, a1, b0, b1 = rng.integers(0, q, size=(4, 200))
-        batch = BatchSession(self.CFG, 1, 2)
+        batch = BatchSession(Session(self.CFG, 1, 2))
         monkeypatch.setattr(batch, "_triple", lambda *_: triples)
         z = batch.mul(SharedValue(a0, a1), SharedValue(b0, b1))
         assert np.array_equal(batch.peek(z), [self.CFG.lift(v) for v in (a0 + a1) * (b0 + b1)])
@@ -124,7 +124,7 @@ class TestWires:
         assert q < BATCH_MAX_Q and next_prime(q + 1) > BATCH_MAX_Q
         grid = np.array(np.meshgrid(*[[0, q - 1]] * 9, indexing="ij")).reshape(9, -1)
         shares, triples = grid[:4], grid[4:]
-        batch = BatchSession(cfg, 1, 2)
+        batch = BatchSession(Session(cfg, 1, 2))
         monkeypatch.setattr(batch, "_triple", lambda *_: triples)
         z = batch.mul(SharedValue(*shares[:2]), SharedValue(*shares[2:]))
         s = Session(cfg, 1, 2)
@@ -155,7 +155,7 @@ class TestWires:
         assert s.peek(z) == 15
 
     def test_batch_records_no_transcript(self):
-        s = BatchSession(self.CFG, 1, 2)
+        s = BatchSession(Session(self.CFG, 1, 2))
         x, y = s.share(np.arange(4)), s.share(3)
         s.open(s.mul(x, y))
         s.open(s.add(x, y))
@@ -234,7 +234,7 @@ class TestMux:
             s.mux(s.share(2), s.share(0), s.share(1))
 
     def test_non_bit_selector_raises_in_batch(self):
-        s = BatchSession(FieldConfig(q=521, e=3, p=2), 1, 2)
+        s = BatchSession(Session(FieldConfig(q=521, e=3, p=2), 1, 2))
         sel = s.share(np.array([0, 1, 2, 1]))
         with pytest.raises(ContractViolation, match="selector 2"):
             s.mux(sel, s.share(np.zeros(4, dtype=np.int64)), s.share(np.ones(4, dtype=np.int64)))
@@ -330,7 +330,7 @@ class TestBersampleSum:
     def batch_run(self, gadget, ts):
         """300 executions of `gadget` in one block: the session and the
         opened values."""
-        s = BatchSession(self.CFG, 3, 4)
+        s = Session(self.CFG, 3, 4)
         return s, s.run(lambda s: s.peek(gadget(s, ts)), 300, len(ts))
 
     @pytest.mark.parametrize("ts", THRESHOLDS)
@@ -348,17 +348,21 @@ class TestBersampleSum:
         with mock.patch.object(s, "_mask", wraps=s._mask) as take:
             s.pi_bersample_sum(WIDE_BITS)
         assert take.call_count == 1
-        b = BatchSession(self.CFG, 3, 4)
-        with mock.patch.object(b, "_masks", wraps=b._masks) as take:
-            b.run(lambda b: b.peek(b.pi_bersample_sum(WIDE_BITS)), 300, len(WIDE_BITS))
-        assert [c.args for c in take.call_args_list] == [((300,),)]
+        s = Session(self.CFG, 3, 4)
+        with mock.patch.object(BatchSession, "_masks", autospec=True,
+                               side_effect=BatchSession._masks) as take:
+            s.run(lambda b: b.peek(b.pi_bersample_sum(WIDE_BITS)), 300, len(WIDE_BITS))
+        assert [c.args[1:] for c in take.call_args_list] == [((300,),)]
 
-    @pytest.mark.parametrize("substrate", [Session, BatchSession])
+    # "Session" records its transcript and runs every draw sequentially;
+    # "BatchSession" runs them in blocks on its attached BatchSession
+    @pytest.mark.parametrize("substrate", ["Session", "BatchSession"])
     def test_share_of_a_forced_sum_is_uniform(self, substrate):
         # every bit forced to 1, so the value is 2^15 - 1 in every draw;
         # party 1's share must still be uniform mod q
         n, ts = 40_000, (2**64,) * 15
-        s, shares = substrate(self.CFG, 3, 4), []
+        s = Session(self.CFG, 3, 4, record_transcript=substrate == "Session")
+        shares = []
 
         def program(s):
             shares.append(s.pi_bersample_sum(ts).s1)
@@ -373,7 +377,7 @@ class TestBersampleSum:
     def test_batch_probability_one_bit(self, monkeypatch):
         # 2^64 does not fit a uint64 compare; the top joint word 2^64 - 1
         # must still draw 1 under it, and 0 under 2^64 - 1
-        s = BatchSession(self.CFG, 3, 4)
+        s = Session(self.CFG, 3, 4)
         monkeypatch.setattr(s.tape0, "_raw", lambda n: np.full(n, 2**64 - 1, np.uint64))
         monkeypatch.setattr(s.tape1, "_raw", lambda n: np.zeros(n, np.uint64))
         got = s.run(lambda s: s.peek(s.pi_bersample_sum((0, 2**64, 2**64 - 1, 2**64))), 50, 4)
@@ -392,10 +396,12 @@ class TestBersampleSum:
         )
 
     def test_wide_tcl_dealer_words_at_300(self):
+        # 300 executions on a Session that runs them in blocks: the
+        # dealer's one stream serves its masks, triples and blocks
         params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
-        s = BatchSession(mechanism_field(params, "tcl", 8), 0, 1)
+        s = Session(mechanism_field(params, "tcl", 8), 0, 1)
         run_sessions(s, TCL, params, 0, 300, 8)
-        assert s.dealer.words_consumed == 12_312
+        assert s.dealer.words_consumed == 12_640
 
     def test_parties_need_tapes_of_their_own(self):
         tape = RandomTape(1)
@@ -574,7 +580,7 @@ class TestBatchSession:
     """The array substrate against the scalar one, gadget by gadget."""
 
     def batch(self, seed0=1, seed1=2) -> BatchSession:
-        return BatchSession(FieldConfig(q=521, e=3, p=2), seed0, seed1)
+        return BatchSession(Session(FieldConfig(q=521, e=3, p=2), seed0, seed1))
 
     def test_arithmetic_matches_plaintext(self):
         s = self.batch()
@@ -597,7 +603,7 @@ class TestBatchSession:
 
     def test_sign_test_and_trunc_exhaustive(self):
         cfg = field_for_mechanism(4.0, 4.0, 3)
-        s = BatchSession(cfg, 5, 6)
+        s = BatchSession(Session(cfg, 5, 6))
         k = np.arange(-64, 65)
         sv = s.share(k % cfg.q)
         assert np.array_equal(s.open(s.pi_ge(sv)), (k >= 0).astype(int))
@@ -612,11 +618,11 @@ class TestBatchSession:
     def test_field_guard(self):
         # products of two residues must fit in int64
         with pytest.raises(ValueError, match="too large"):
-            BatchSession(FieldConfig(q=2**31 + 11, e=20, p=10), 1, 2)
+            BatchSession(Session(FieldConfig(q=2**31 + 11, e=20, p=10), 1, 2))
         assert 2**31 + 11 >= BATCH_MAX_Q
 
     def test_joint_words_only_inside_run(self):
-        with pytest.raises(RuntimeError, match="inside run"):
+        with pytest.raises(RuntimeError, match="inside a block"):
             self.batch().pi_bersample(0.5)
 
     def test_run_matches_sequential_gadgets(self):
@@ -626,8 +632,8 @@ class TestBatchSession:
             v = s.mul(s.pi_bersample(0.3), s.pi_uni(8))
             return s.open(s.mux(s.pi_ge(s.add_public(v, -4)), v, s.pi_uni(4)))
 
-        seq = Session(FieldConfig(q=521, e=3, p=2), 7, 8)
-        batch = BatchSession(FieldConfig(q=521, e=3, p=2), 7, 8)
+        seq = Session(FieldConfig(q=521, e=3, p=2), 7, 8, record_transcript=True)
+        batch = Session(FieldConfig(q=521, e=3, p=2), 7, 8)
         expected = seq.run(program, 300, 3)
         assert np.array_equal(batch.run(program, 300, 3), expected)
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
@@ -639,8 +645,8 @@ class TestBatchSession:
         def program(s):
             return s.open(s.pi_uni(12))
 
-        seq = Session(FieldConfig(q=521, e=3, p=2), 9, 10)
-        batch = BatchSession(FieldConfig(q=521, e=3, p=2), 9, 10)
+        seq = Session(FieldConfig(q=521, e=3, p=2), 9, 10, record_transcript=True)
+        batch = Session(FieldConfig(q=521, e=3, p=2), 9, 10)
         expected = seq.run(program, 500, 1)
         assert np.array_equal(batch.run(program, 500, 1), expected)
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
@@ -665,7 +671,8 @@ class TestBatchSession:
 
         cfg = FieldConfig(q=next_prime(2**24), e=20, p=2)
         outcomes = [
-            (outcome(Session(cfg, seed, seed + 1)), outcome(BatchSession(cfg, seed, seed + 1)))
+            (outcome(Session(cfg, seed, seed + 1, record_transcript=True)),
+             outcome(Session(cfg, seed, seed + 1)))
             for seed in range(200)
         ]
         assert all(seq == batch for seq, batch in outcomes)
@@ -674,7 +681,9 @@ class TestBatchSession:
 
     def test_planned_words_are_checked(self):
         with pytest.raises(RuntimeError, match="drew 1 joint words, planned 2"):
-            self.batch().run(lambda s: s.open(s.pi_bersample(0.5)), 10, 2)
+            Session(FieldConfig(q=521, e=3, p=2), 1, 2).run(
+                lambda s: s.open(s.pi_bersample(0.5)), 10, 2
+            )
 
 
 def peeks(sizes: list):
@@ -706,9 +715,8 @@ class TestOfflinePool:
         """One offline execution of `program` (3 joint words unless rejected)."""
         return s.offline(
             "toy", 3,
-            lambda b, key: np.column_stack(np.broadcast_arrays(*self.program(b))),
+            lambda b, key: list(zip(*np.broadcast_arrays(*self.program(b)))),
             lambda s, key: self.program(s),
-            tuple,
         )
 
     def outcomes(self, s, n):
@@ -730,19 +738,3 @@ class TestOfflinePool:
             assert any(isinstance(o, str) for o in want[0])  # faults were met
             assert want[2] > 3 * 600  # and rejections
         assert sizes  # blocks were evaluated
-
-    def test_frequent_rejections_back_off_from_blocks(self):
-        # pi_uni(12) rejects 1 first attempt in 4: a run of 8 comes about
-        # every 36 draws, but blocks keep about 3 executions, so each short
-        # block doubles the run the next one waits for
-        def draw(s):
-            return s.offline("uni12", 1, lambda b, key: b.open(b.pi_uni(12))[:, None],
-                             lambda s, key: s.open(s.pi_uni(12)), lambda row: row[0])
-
-        sizes = []
-        want = Session(self.CFG, 6, 7, record_transcript=True)
-        with peeks(sizes):
-            got = Session(self.CFG, 6, 7)
-            assert [draw(got) for _ in range(3000)] == [draw(want) for _ in range(3000)]
-        assert got.tape0.words_consumed == want.tape0.words_consumed
-        assert 0 < len(sizes) // 2 <= 6

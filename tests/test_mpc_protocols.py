@@ -65,11 +65,11 @@ def tv(counts, masses):
 
 
 def opened_in_batch(program, n, seeds, mechanism="tdl", gamma=8, outer_words=0):
-    """Opened results of n runs of `program` on a BatchSession over PARAMS:
-    the values a Session loop with the same seeds opens, since both read
-    the party tapes alone.  `outer_words` counts the joint words drawn
-    before the inner draw (2 for a noise protocol)."""
-    session = BatchSession(mechanism_field(PARAMS, mechanism, gamma), *seeds)
+    """Opened results of n runs of `program` in blocks on a Session over
+    PARAMS: the values a sequential loop with the same seeds opens, since
+    both read the party tapes alone.  `outer_words` counts the joint words
+    drawn before the inner draw (2 for a noise protocol)."""
+    session = Session(mechanism_field(PARAMS, mechanism, gamma), *seeds)
     p_inner = PARAMS.p + lookup_mechanism(mechanism).fine_bits(gamma)
     plan = centered_dlap_config(PARAMS.L, PARAMS.sigma, p_inner)
     return session.run(program, n, outer_words + plan.words_per_draw)
@@ -406,8 +406,9 @@ ODD = MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0)
 
 
 def loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma):
-    """The session-by-session loop run_batch used to run, kept as the oracle."""
-    session = make_session(params, mechanism, gamma, seed0, seed1)
+    """The session-by-session loop run_batch used to run, kept as the oracle
+    (a recording session draws every pair sequentially)."""
+    session = make_session(params, mechanism, gamma, seed0, seed1, record_transcript=True)
     xs = session.share(x_steps % session.q)
     out = []
     for _ in range(n):
@@ -462,7 +463,7 @@ class TestBatchSimulator:
         mechanism, params, gamma = case
         n = 600
         _, seq = loop_reference(mechanism, params, 1, n, 41, 42, gamma)
-        batch = BatchSession(mechanism_field(params, mechanism, gamma), 41, 42)
+        batch = Session(mechanism_field(params, mechanism, gamma), 41, 42)
         with mock.patch.object(tape_module, "BATCH_BLOCK", 128):
             run_sessions(batch, lookup_mechanism(mechanism), params, 1, n, gamma)
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
@@ -485,7 +486,7 @@ class TestBatchSimulator:
         # through the real perturbation on the field run_batch uses
         Es, Ls = steps_of(params.E, params.p), steps_of(params.L, params.p)
         for mechanism, perturb in (("tdl", pi_d_perturb), ("tcl", pi_c_perturb)):
-            s = BatchSession(mechanism_field(params, mechanism), 1, 2)
+            s = BatchSession(Session(mechanism_field(params, mechanism), 1, 2))
             assert s.safe_magnitude >= 2 * Es + Ls
             x, y = (a.ravel() for a in np.meshgrid(np.arange(-Es, Es + 1), np.arange(-Ls, Ls + 1)))
             xs = s.share(x % s.q)
@@ -521,7 +522,7 @@ class TestBatchSimulator:
         params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=27)
         assert mechanism_field(params, "tdl").q >= core.BATCH_MAX_Q
         with pytest.raises(ValueError, match="too large"):
-            BatchSession(mechanism_field(params, "tdl"), 1, 2)
+            BatchSession(Session(mechanism_field(params, "tdl"), 1, 2))
         x_steps = steps_of(1.0, params.p)
         expected, _ = loop_reference("tdl", params, x_steps, BE + 2, 3, 4, 8)
         assert np.array_equal(run_batch("tdl", params, 1.0, BE + 2, 3, 4), expected)
@@ -597,7 +598,7 @@ class TestPhaseSplit:
     def test_batch_perturbation_takes_no_dealer_rows(self, mech, params):
         n, seeds = 3 * SMALL_BLOCK + 5, (69, 70)
         plan, x_steps = noise_plan(mech, params, 8), 1
-        batch = BatchSession(mechanism_field(params, mech.name), *seeds)
+        batch = Session(mechanism_field(params, mech.name), *seeds)
         xs = batch.share(x_steps % batch.q)
         rows = AssertionError("pi_perturb drew dealer rows")
 
@@ -686,6 +687,23 @@ class TestOfflinePool:
         assert max(sizes) == cap * words
         assert got == opened_pairs(make_session(PARAMS, "tdl", 8, 15, 16, record_transcript=True),
                                    TDL, PARAMS, n)
+
+    def test_the_dealer_counts_every_pooled_draw(self):
+        # pooled pairs draw their masks and triples from the session's own
+        # dealer tape, so its word count covers every residue they use
+        ref = make_session(WIDE, "tcl", 8, 17, 18, record_transcript=True)
+        with mock.patch.object(ref, "_mask", wraps=ref._mask) as masks, mock.patch.object(
+            ref.triples, "take", wraps=ref.triples.take
+        ) as triples:
+            opened_pairs(ref, TCL, WIDE, 300)
+        used = masks.call_count + 5 * triples.call_count
+        assert used >= 300 * 33  # 8 masks and 5 triples a pair, at least
+        session = make_session(WIDE, "tcl", 8, 17, 18)
+        assert opened_pairs(session, TCL, WIDE, 300) == opened_pairs(
+            make_session(WIDE, "tcl", 8, 17, 18, record_transcript=True), TCL, WIDE, 300
+        )
+        assert session._batch is not None and session._batch.dealer is session.dealer
+        assert session.dealer.words_consumed >= used
 
     def test_these_sessions_stay_sequential(self):
         field = mechanism_field(PARAMS, "tdl")

@@ -6,6 +6,8 @@ at a time, as the tape did before.  Both must give the same values and
 the same `words_consumed` under any interleaving of the tape's calls.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import ReferenceTape
 from trunclap import RandomTape
-from trunclap.tape import _BUF, _WINDOW_MAX, _WINDOW_MIN
+from trunclap.tape import _BUF, _WINDOW_MAX, _WINDOW_MIN, BATCH_MIN_SESSIONS, BlockScheduler
 
 # the field moduli are odd primes
 PRIMES = (3, 37, 1031, 2053, 2**31 - 1, 2**61 - 1)
@@ -177,3 +179,150 @@ class TestResidues:
             with pytest.raises(ValueError, match="cannot draw"):
                 draw(q, 3)
         assert tape.words_consumed == 0
+
+
+class ToyFault(RuntimeError):
+    """A toy execution met a fault."""
+
+
+class ToyProgram:
+    """A toy execution over a seeded word list: two words an attempt, the
+    first rejecting one attempt in `reject_every`, the second faulting one
+    execution in `fault_every` (naming its position) and giving the value.
+
+    `step` runs the next execution sequentially, `evaluate` a block of them
+    without consuming words, and `commit` consumes what a block kept;
+    `pos` is the words consumed.  `sizes` logs every block evaluated.
+    """
+
+    WORDS = 2
+
+    def __init__(self, seed: int, fault_every: int = 0, reject_every: int = 4):
+        self.words = RandomTape(seed).words(20_000)
+        self.fault_every, self.reject_every = fault_every, reject_every
+        self.pos = 0
+        self.sizes = []
+
+    def _hits(self, w, every: int):
+        return w % every == 0 if every else w != w
+
+    def step(self) -> int:
+        while True:
+            w0, w1 = self.words[self.pos : self.pos + 2]
+            self.pos += 2
+            if not self._hits(w0, self.reject_every):
+                break
+        if self._hits(w1, self.fault_every):
+            raise ToyFault(f"fault at word {self.pos}")
+        return w1 % 1000
+
+    def evaluate(self, size: int):
+        self.sizes.append(size)
+        w = np.array(self.words[self.pos : self.pos + 2 * size], dtype=np.uint64).reshape(size, 2)
+        stop = self._hits(w[:, 0], self.reject_every) | self._hits(w[:, 1], self.fault_every)
+        kept = int(np.argmax(stop)) if stop.any() else size
+        return kept, (w[:, 1] % 1000).astype(np.int64)
+
+    def commit(self, k: int) -> None:
+        self.pos += 2 * k
+
+    def scheduler(self, cap: int, **kw) -> BlockScheduler:
+        return BlockScheduler(self.evaluate, self.commit, self.step, cap, **kw)
+
+
+def sequential(program: ToyProgram, n: int):
+    """(values, words consumed, fault message or None) of the loop."""
+    values = []
+    try:
+        for _ in range(n):
+            values.append(program.step())
+    except ToyFault as exc:
+        return values, program.pos, str(exc)
+    return values, program.pos, None
+
+
+class TestBlockScheduler:
+    """The one block policy, driven by a toy program with frequent
+    rejections and rare faults, against the sequential loop."""
+
+    CAP = 16
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 3 * CAP + 5])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_eager_take_equals_the_loop(self, n, seed):
+        want = sequential(ToyProgram(seed, fault_every=61), n)
+        toy = ToyProgram(seed, fault_every=61)
+        try:
+            got = (toy.scheduler(self.CAP).take(n).tolist(), toy.pos, None)
+        except ToyFault as exc:
+            got = (want[0], toy.pos, str(exc))
+        assert got == want
+        # a call's first block holds min(n, cap); shorter calls loop
+        assert toy.sizes[:1] == ([min(n, self.CAP)] if n >= BATCH_MIN_SESSIONS else [])
+
+    def test_eager_takes_raise_where_the_loop_does(self):
+        raised = 0
+        for seed in range(40):
+            want = sequential(ToyProgram(seed, fault_every=29), 3 * self.CAP + 5)
+            toy = ToyProgram(seed, fault_every=29)
+            with pytest.raises(ToyFault) if want[2] else contextlib.nullcontext() as exc:
+                toy.scheduler(self.CAP).take(3 * self.CAP + 5)
+            assert (toy.pos, exc and str(exc.value)) == (want[1], want[2])
+            raised += want[2] is not None
+        assert 0 < raised < 40
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_at_a_time_with_outside_reads(self, seed):
+        # a caller taking one execution per call starts a new scheduler when
+        # the words moved between calls, as Session.offline does
+        def outcomes(toy, take):
+            out, last = [], None
+            for k in range(900):
+                if k % 150 == 149:
+                    toy.pos += 3  # an outside read
+                try:
+                    out.append(take(last))
+                except ToyFault as exc:
+                    out.append(str(exc))
+                last = toy.pos
+            return out, toy.pos
+
+        ref = ToyProgram(seed, fault_every=211)
+        toy = ToyProgram(seed, fault_every=211)
+        blocks = []
+
+        def pooled(last):
+            if toy.pos != last:
+                blocks.append(toy.scheduler(self.CAP, run=0))
+            return blocks[-1].take_one()
+
+        want = outcomes(ref, lambda last: ref.step())
+        assert outcomes(toy, pooled) == want
+        assert any(isinstance(o, str) for o in want[0])
+        assert toy.sizes and max(toy.sizes) <= self.CAP
+        assert len(blocks) > 6  # the outside reads and the faults
+
+    def test_first_blocks_of_one_at_a_time_takes(self):
+        # no rejection: BATCH_MIN_SESSIONS sequential executions, then
+        # blocks as long as the run, up to the cap
+        toy = ToyProgram(1, reject_every=0)
+        blocks = toy.scheduler(64, run=0)
+        values = [blocks.take_one() for _ in range(300)]
+        be = BATCH_MIN_SESSIONS
+        assert toy.sizes == [be, 2 * be, 4 * be, 64, 64, 64, 64]
+        assert values == sequential(ToyProgram(1, reject_every=0), 300)[0]
+
+    def test_frequent_rejections_back_off_from_blocks(self):
+        # a block keeps about three executions, less than the loop would
+        # run in its time, so each short block quadruples the run the next
+        # one waits for, and the blocks that do run stay small
+        for take in ("eager", "one at a time"):
+            toy, ref = ToyProgram(6), ToyProgram(6)
+            if take == "eager":
+                got = toy.scheduler(1024).take(3000).tolist()
+            else:
+                blocks = toy.scheduler(1024, run=0)
+                got = [blocks.take_one() for _ in range(3000)]
+            assert got == sequential(ref, 3000)[0] and toy.pos == ref.pos
+            assert 0 < len(toy.sizes) <= 6
+            assert max(toy.sizes[1:], default=0) <= 2 * BATCH_MIN_SESSIONS

@@ -15,7 +15,11 @@ For every end-to-end metric in the parent's BENCHMARK.json it reports each
 side's quartiles (numpy percentiles 25/50/75), the change's median over the
 parent's, the pairs the change reads better in (ties count for neither),
 the parent's IQR over its median, and `within_bound`: the change's median
-is worse than the parent's by no more than the metric's bound.  With
+is worse than the parent's by no more than the metric's bound.  A metric
+is `resolved` unless the parent's IQR over its median exceeds the bound:
+its runs then spread too widely to call a change within the bound
+unchanged, unless every run of the change reads better than every run of
+the parent.  With
 --claim METRIC it also reports whether that metric meets the gain rule: the
 change better in at least nine tenths of the pairs, and the medians apart
 by more than the parent's IQR.
@@ -45,7 +49,9 @@ METHOD = {
     "statistics": "median and quartiles (numpy percentile 25/50/75) of each side's runs; "
                   "change_wins counts pairs in which the change reads better (ties count "
                   "for neither); within_bound compares the medians with the metric's bound "
-                  "in BENCHMARK.json; claim_met needs >= 9/10 wins and a median gap wider "
+                  "in BENCHMARK.json; resolved is false when the parent's IQR over its "
+                  "median exceeds the bound, unless every change run reads better than "
+                  "every parent run; claim_met needs >= 9/10 wins and a median gap wider "
                   "than the parent's IQR",
 }
 
@@ -92,6 +98,9 @@ def compare(spec: dict, parent: list, change: list) -> dict:
     iqr = p["q3"] - p["q1"]
     wins = sum(better(ci, pi, direction) for pi, ci in zip(parent, change))
     limit = p["median"] * (1 + bound if direction == "lower" else 1 - bound)
+    spread = iqr / p["median"] if p["median"] else None
+    worst_change = max(change) if direction == "lower" else min(change)
+    best_parent = min(parent) if direction == "lower" else max(parent)
     return {
         "better": direction,
         "bound": bound,
@@ -99,8 +108,10 @@ def compare(spec: dict, parent: list, change: list) -> dict:
         "change": c,
         "change_over_parent": round(c["median"] / p["median"], 4) if p["median"] else None,
         "change_wins": f"{wins}/{len(parent)}",
-        "parent_iqr_over_median": round(iqr / p["median"], 4) if p["median"] else None,
+        "parent_iqr_over_median": round(spread, 4) if spread is not None else None,
         "within_bound": not better(limit, c["median"], direction),
+        "resolved": (spread is not None and spread <= bound)
+        or better(worst_change, best_parent, direction),
         "claim_met": (10 * wins >= 9 * len(parent)
                       and abs(c["median"] - p["median"]) > iqr
                       and better(c["median"], p["median"], direction)),
