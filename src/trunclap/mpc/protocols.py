@@ -202,10 +202,10 @@ def _noise_pairs(batch: BatchSession, plan: NoisePlan) -> list[SharedNoisePair]:
     pair = _noise_pair(batch, plan)
     mask, select, blend = pair.spend()
     cols = (pair.branch.s0, pair.branch.s1, pair.payload.s0, pair.payload.s1, mask)
-    rows = np.column_stack(np.broadcast_arrays(*cols, *select, *blend)).tolist()
+    cols = [c.tolist() for c in np.broadcast_arrays(*cols, *select, *blend)]
     return [
-        SharedNoisePair(SharedValue(i0, i1), SharedValue(y0, y1), (m, tuple(t[:5]), tuple(t[5:])))
-        for i0, i1, y0, y1, m, *t in rows
+        SharedNoisePair(SharedValue(i0, i1), SharedValue(y0, y1), (m, s, b))
+        for i0, i1, y0, y1, m, s, b in zip(*cols[:5], zip(*cols[5:10]), zip(*cols[10:]))
     ]
 
 

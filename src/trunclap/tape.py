@@ -270,6 +270,11 @@ class BlockScheduler:
     def take_one(self):
         """The value of the next execution; a block may reach past it, and
         the rest of it is handed out by the next calls."""
+        at = self._at
+        if at < len(self._kept):  # the next value of the current block
+            self._commit(1)
+            self._at, self.run = at + 1, self.run + 1
+            return self._kept[at]
         part = self._handout(1, self.cap)
         if part is None:
             self._stopped = False
