@@ -99,7 +99,7 @@ TRIPLES_PER_REFILL = 64
 # (a DEALER_CHUNK draw would add about 0.13 ms to every fresh Session)
 MASKS_PER_REFILL = 5 * TRIPLES_PER_REFILL
 # executions a Session's offline pool evaluates at most in one block: bounds
-# its memory (a block of noise pairs is held as Python ints)
+# its memory (a block of 1,024 noise pairs is one 1,024 x 15 int64 array)
 POOL_BLOCK_MAX = 1 << 10
 _WORD_MAX = (1 << 64) - 1
 
@@ -368,7 +368,7 @@ class _CommonOps:
         """
         return self._retry(self.open(flag) != 0)
 
-    def offline(self, key, words: int, block, step):
+    def offline(self, key, words: int, block, step, unpack):
         """One execution of an input-independent program: `step(self, key)`.
         A Session may hand it out of a block evaluated ahead instead (see
         `Session.offline`)."""
@@ -469,16 +469,18 @@ class Session(_CommonOps):
         take = self.triples.take
         return self._mask(), take(), take()
 
-    def offline(self, key, words: int, block, step):
+    def offline(self, key, words: int, block, step, unpack):
         """One execution of an input-independent program, drawn now by
         `step(self, key)` or handed out of a block evaluated ahead.
 
-        `key` names the program (the noise protocol's cached plan), `words`
-        is one execution's joint words without rejections, and
-        `block(batch, key)` returns what `step` would for each execution of
-        a block.  A BlockScheduler with blocks of at most POOL_BLOCK_MAX is
-        started afresh when the key changes or a party tape was read since
-        the last call, as the block's words are then not the next ones.
+        `key` names the program (the noise protocol's cached plan) and
+        `words` is one execution's joint words without rejections.
+        `block(batch, key)` returns one int64 row per execution of a block,
+        and `unpack(row)` turns a row, as a list of Python ints, into what
+        `step` returns.  A BlockScheduler with blocks of at most
+        POOL_BLOCK_MAX is started afresh when the key changes or a party
+        tape was read since the last call: the block's words are then not
+        the next ones.
         """
         if self._running or not self._batching():
             return step(self, key)
@@ -490,7 +492,7 @@ class Session(_CommonOps):
             )
         out = blocks.take_one()
         self._offline = (key, blocks, (t0.words_consumed, t1.words_consumed))
-        return out
+        return unpack(out.tolist()) if isinstance(out, np.ndarray) else out
 
     # -- faults and rejections ---------------------------------------------
 

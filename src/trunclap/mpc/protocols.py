@@ -22,9 +22,9 @@ same integers.
 
 On a long-lived `Session`, `pi_noise` draws its pairs through
 `Session.offline`, which may hand them out of a block evaluated ahead on
-the attached `BatchSession` (`_noise_pairs`) with the sequential path's
-opened values, ledger and party words; `branch_prob` stubs always draw
-now.
+the attached `BatchSession` (`_noise_rows`: one int64 row of 15 per pair,
+unpacked by `_unpack_pair`) with the sequential path's opened values,
+ledger and party words; `branch_prob` stubs always draw now.
 
 TDL and TCL run the same protocols, parameterized by their `Mechanism`
 record (`pi_noise`, `pi_perturb`, `run_once`, `run_sessions`); the
@@ -182,7 +182,7 @@ def pi_noise(
     plan = noise_plan(mech, params, gamma)
     if branch_prob is not None:
         return _noise_pair(session, plan, bernoulli_threshold(branch_prob))
-    return session.offline(plan, plan.words_per_draw, _noise_pairs, _noise_pair)
+    return session.offline(plan, plan.words_per_draw, _noise_rows, _noise_pair, _unpack_pair)
 
 
 def _noise_pair(
@@ -196,17 +196,20 @@ def _noise_pair(
     return SharedNoisePair(i, y, session.perturbation_material(y))
 
 
-def _noise_pairs(batch: BatchSession, plan: NoisePlan) -> list[SharedNoisePair]:
-    """A block of pairs, one per execution, as Python ints: each with its
-    branch and payload shares, the sign test's mask and two triples."""
+def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:
+    """A block of pairs, one int64 row each: the branch and payload shares,
+    the sign test's mask and the two triples' five residues each."""
     pair = _noise_pair(batch, plan)
     mask, select, blend = pair.spend()
     cols = (pair.branch.s0, pair.branch.s1, pair.payload.s0, pair.payload.s1, mask)
-    cols = [c.tolist() for c in np.broadcast_arrays(*cols, *select, *blend)]
-    return [
-        SharedNoisePair(SharedValue(i0, i1), SharedValue(y0, y1), (m, s, b))
-        for i0, i1, y0, y1, m, s, b in zip(*cols[:5], zip(*cols[5:10]), zip(*cols[10:]))
-    ]
+    return np.column_stack(np.broadcast_arrays(*cols, *select, *blend))
+
+
+def _unpack_pair(row: list[int]) -> SharedNoisePair:
+    """The pair of one row of `_noise_rows`."""
+    i0, i1, y0, y1, mask = row[:5]
+    material = (mask, tuple(row[5:10]), tuple(row[10:]))
+    return SharedNoisePair(SharedValue(i0, i1), SharedValue(y0, y1), material)
 
 
 def pi_d_noise(

@@ -715,8 +715,9 @@ class TestOfflinePool:
         """One offline execution of `program` (3 joint words unless rejected)."""
         return s.offline(
             "toy", 3,
-            lambda b, key: list(zip(*np.broadcast_arrays(*self.program(b)))),
+            lambda b, key: np.column_stack(np.broadcast_arrays(*self.program(b))),
             lambda s, key: self.program(s),
+            tuple,
         )
 
     def outcomes(self, s, n):
