@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -403,35 +404,25 @@ class Session(_CommonOps):
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
         self.triples = TripleStore(self.q, self.dealer)
         self._pool: list[int] = []  # dealer masks not yet used
-        # blocks run only on the session's own seeded tapes, and only while
-        # int64 share products cannot overflow
+        # blocks run only on the session's own seeded tapes, only while int64
+        # share products cannot overflow, and never while it records its
+        # transcript (checked at each call)
         self._batches = tape0 is None and tape1 is None and self.q < BATCH_MAX_Q
         self._batch: BatchSession | None = None
         self._running = False  # inside `run`, whose scheduler evaluates ahead
         # (key, its BlockScheduler, party words after the last call)
         self._offline: tuple = (None, None, None)
 
-    def _batching(self) -> bool:
-        """Whether blocks may run: not while this session records its
-        transcript, was built on tapes passed in, or has q >= BATCH_MAX_Q."""
-        return self._batches and not self.record_transcript
-
     def _scheduler(self, program, words: int, step, cap: int, **kw) -> BlockScheduler:
         """A BlockScheduler of `program` on the attached BatchSession, which
         is built at the first block."""
-        unit = CostLedger()  # one execution's ledger, measured by each block
 
         def evaluate(size: int):
-            nonlocal unit
             if self._batch is None:
                 self._batch = BatchSession(self)
-            kept, values, unit = self._batch._evaluate(program, words, size)
-            return kept, values
+            return self._batch._evaluate(program, words, size)
 
-        def commit(k: int) -> None:
-            self._batch._commit(k, words, unit)
-
-        return BlockScheduler(evaluate, commit, step, cap, **kw)
+        return BlockScheduler(evaluate, step, cap, **kw)
 
     # -- randomness --------------------------------------------------------
 
@@ -482,7 +473,7 @@ class Session(_CommonOps):
         tape was read since the last call: the block's words are then not
         the next ones.
         """
-        if self._running or not self._batching():
+        if self._running or not self._batches or self.record_transcript:
             return step(self, key)
         t0, t1 = self.tape0, self.tape1
         last_key, blocks, marks = self._offline
@@ -511,7 +502,7 @@ class Session(_CommonOps):
         Blocks of at most BATCH_BLOCK run on the attached BatchSession; the
         executions run here draw their offline material now.
         """
-        if not self._batching():
+        if not self._batches or self.record_transcript:
             return np.array([program(self) for _ in range(n)], dtype=np.int64)
         def per_execution(b: BatchSession) -> np.ndarray:
             # a value common to every execution of the block is one int
@@ -564,9 +555,9 @@ class BatchSession(_CommonOps):
 
     def _evaluate(self, program, words: int, size: int):
         """`program` over the next `size` executions, without consuming
-        their words: (kept, values, unit).  The `kept` executions before the
-        first that draws a rejected attempt or meets a range fault are the
-        sequential loop's; `unit` is one execution's ledger."""
+        their words: (kept, values, commit).  The `kept` executions before
+        the first that draws a rejected attempt or meets a range fault are
+        the sequential loop's, and `commit(k)` consumes the first k."""
         joint = self.tape0.peek_block(size * words) ^ self.tape1.peek_block(size * words)
         self._rows = joint.reshape(size, words).T.copy()
         self._col = 0
@@ -582,11 +573,11 @@ class BatchSession(_CommonOps):
         if self._col != words:
             raise RuntimeError(f"an execution drew {self._col} joint words, planned {words}")
         kept = int(np.argmax(self._rejected)) if self._rejected.any() else size
-        return min(kept, self._fault), values, unit
+        return min(kept, self._fault), values, partial(self._commit, words, unit)
 
-    def _commit(self, kept: int, words: int, unit: CostLedger) -> None:
-        """Consume the words of the first `kept` evaluated executions and
-        charge their ledger."""
+    def _commit(self, words: int, unit: CostLedger, kept: int) -> None:
+        """Consume the words of the first `kept` executions of a block, each
+        of `words` joint words and one `unit` ledger."""
         self.tape0.skip(kept * words)
         self.tape1.skip(kept * words)
         self.ledger.add(unit, kept)

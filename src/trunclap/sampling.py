@@ -378,20 +378,18 @@ def sample_batch(
     tape = RandomTape(seed)
     words = plan.words_per_draw
 
-    def evaluate(size: int) -> tuple[int, np.ndarray]:
+    def commit(k: int) -> None:
+        tape.skip(k * words)
+
+    def evaluate(size: int):
         rows = tape.peek_block(size * words).reshape(size, words).T
         a, tail_rejected = _tail(plan, rows[1:2].view(np.int64))
         b, inner_rejected = _inner(plan, rows[2:])
         rejected = tail_rejected | inner_rejected
         kept = int(np.argmax(rejected)) if rejected.any() else size
-        return kept, _perturb_steps(plan, xs, rows[0] < plan.branch_threshold, a, b)
+        return kept, _perturb_steps(plan, xs, rows[0] < plan.branch_threshold, a, b), commit
 
-    blocks = BlockScheduler(
-        evaluate,
-        lambda k: tape.skip(k * words),
-        lambda: _sample_steps(plan, xs, tape),
-        tape_module.BATCH_BLOCK,
-    )
+    blocks = BlockScheduler(evaluate, lambda: _sample_steps(plan, xs, tape), tape_module.BATCH_BLOCK)
     return blocks.take(n) * params.step
 
 

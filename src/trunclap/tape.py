@@ -212,11 +212,12 @@ class BlockScheduler:
     and `Session.offline`.
 
     `evaluate(size)` evaluates the next `size` executions without
-    consuming anything and returns (kept, values): how many come before
-    the first rejected or faulting one, and their values.  `commit(k)`
-    consumes the first k evaluated executions as they are handed out, and
-    `step()` runs the next one on the sequential path; the execution a
-    block stopped at runs there, and redraws or raises as the loop does.
+    consuming anything and returns (kept, values, commit): how many come
+    before the first rejected or faulting one, their values, and a
+    callable that consumes the first k of them, which the scheduler calls
+    as it hands them out.  `step()` runs the next execution on the
+    sequential path; the execution a block stopped at runs there, and
+    redraws or raises as the loop does.
 
     A block waits for a run of `need` executions taken back to back and
     holds as many as the run, at most `span` and `cap`.  One that stops
@@ -229,8 +230,8 @@ class BlockScheduler:
     so its first block follows BATCH_MIN_SESSIONS sequential executions.
     """
 
-    def __init__(self, evaluate, commit, step, cap: int, *, run: int | None = None):
-        self._evaluate, self._commit, self._step = evaluate, commit, step
+    def __init__(self, evaluate, step, cap: int, *, run: int | None = None):
+        self._evaluate, self._step = evaluate, step
         self.cap = cap
         # executions taken back to back, counted from what the last block
         # that stopped early kept
@@ -239,6 +240,7 @@ class BlockScheduler:
         self.span = cap  # the largest next block
         self._kept = ()  # values of evaluated executions not yet handed out
         self._at = 0
+        self._commit = None  # consumes executions of the current block
         self._stopped = False  # the next execution is the one a block stopped at
 
     def take(self, n: int) -> np.ndarray:
@@ -299,7 +301,7 @@ class BlockScheduler:
         return self._kept[self._at - k : self._at]
 
     def _block(self, size: int) -> None:
-        kept, values = self._evaluate(size)
+        kept, values, self._commit = self._evaluate(size)
         self._kept, self._at, self._stopped = values[:kept], 0, kept < size
         if kept == size:
             self.span = min(2 * self.span, self.cap)

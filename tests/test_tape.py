@@ -221,13 +221,13 @@ class ToyProgram:
         w = np.array(self.words[self.pos : self.pos + 2 * size], dtype=np.uint64).reshape(size, 2)
         stop = self._hits(w[:, 0], self.reject_every) | self._hits(w[:, 1], self.fault_every)
         kept = int(np.argmax(stop)) if stop.any() else size
-        return kept, (w[:, 1] % 1000).astype(np.int64)
+        return kept, (w[:, 1] % 1000).astype(np.int64), self.commit
 
     def commit(self, k: int) -> None:
         self.pos += 2 * k
 
     def scheduler(self, cap: int, **kw) -> BlockScheduler:
-        return BlockScheduler(self.evaluate, self.commit, self.step, cap, **kw)
+        return BlockScheduler(self.evaluate, self.step, cap, **kw)
 
 
 def sequential(program: ToyProgram, n: int):
