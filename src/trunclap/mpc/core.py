@@ -410,7 +410,7 @@ class Session(_CommonOps):
         self._batches = tape0 is None and tape1 is None and self.q < BATCH_MAX_Q
         self._batch: BatchSession | None = None
         self._running = False  # inside `run`, whose scheduler evaluates ahead
-        # (key, its BlockScheduler, party words after the last call)
+        # (key, its BlockScheduler, party words read after the last call)
         self._offline: tuple = (None, None, None)
 
     def _scheduler(self, program, words: int, step, cap: int, **kw) -> BlockScheduler:
@@ -476,14 +476,15 @@ class Session(_CommonOps):
         if self._running or not self._batches or self.record_transcript:
             return step(self, key)
         t0, t1 = self.tape0, self.tape1
-        last_key, blocks, marks = self._offline
-        if key is not last_key or marks != (t0.words_consumed, t1.words_consumed):
+        last_key, blocks, read = self._offline
+        # word counts only grow, so their sum moves with any read of either
+        if key is not last_key or read != t0.words_consumed + t1.words_consumed:
             blocks = self._scheduler(
                 lambda b: block(b, key), words, lambda: step(self, key), POOL_BLOCK_MAX, run=0
             )
         out = blocks.take_one()
-        self._offline = (key, blocks, (t0.words_consumed, t1.words_consumed))
-        return unpack(out.tolist()) if isinstance(out, np.ndarray) else out
+        self._offline = (key, blocks, t0.words_consumed + t1.words_consumed)
+        return unpack(out.tolist()) if type(out) is np.ndarray else out
 
     # -- faults and rejections ---------------------------------------------
 
@@ -504,6 +505,7 @@ class Session(_CommonOps):
         """
         if not self._batches or self.record_transcript:
             return np.array([program(self) for _ in range(n)], dtype=np.int64)
+
         def per_execution(b: BatchSession) -> np.ndarray:
             # a value common to every execution of the block is one int
             return np.broadcast_to(program(b), b._rejected.shape)

@@ -133,8 +133,9 @@ class RandomTape:
 
     def _sync(self) -> None:
         """Drop the window; _pos becomes the read position."""
-        self._pos += self._wi
-        self._win, self._wi, self._grow = [], 0, _WINDOW_MIN
+        if self._win:  # an empty window has nothing to drop (and _wi is 0)
+            self._pos += self._wi
+            self._win, self._wi, self._grow = [], 0, _WINDOW_MIN
 
     def peek_block(self, n: int) -> np.ndarray:
         """The next n words as a uint64 array, without consuming them.
@@ -224,10 +225,10 @@ class BlockScheduler:
     early restarts the run at what it kept and sets `span` to twice that;
     one that keeps fewer than BATCH_MIN_SESSIONS cost more than the loop
     and quadruples `need`, so frequent rejections make blocks rare and
-    small; one kept whole doubles `span`.  `run` starts at `cap`, so a call taking n at
-    once first runs a block of min(n, cap) (or loops, below
-    BATCH_MIN_SESSIONS); one taking an execution at a time passes run=0,
-    so its first block follows BATCH_MIN_SESSIONS sequential executions.
+    small; one kept whole doubles `span`.  `run` starts at `cap`, so a
+    call taking n at once first runs a block of min(n, cap) (or loops,
+    below BATCH_MIN_SESSIONS); one taking an execution at a time passes
+    run=0, so its first block follows BATCH_MIN_SESSIONS sequential ones.
     """
 
     def __init__(self, evaluate, step, cap: int, *, run: int | None = None):
@@ -309,4 +310,3 @@ class BlockScheduler:
         self.run, self.span = kept, min(max(2 * kept, BATCH_MIN_SESSIONS), self.cap)
         if kept < BATCH_MIN_SESSIONS:
             self.need *= 4
-
