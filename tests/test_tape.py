@@ -195,8 +195,6 @@ class ToyProgram:
     `pos` is the words consumed.  `sizes` logs every block evaluated.
     """
 
-    WORDS = 2
-
     def __init__(self, seed: int, fault_every: int = 0, reject_every: int = 4):
         self.words = RandomTape(seed).words(20_000)
         self.fault_every, self.reject_every = fault_every, reject_every
@@ -255,6 +253,7 @@ class TestBlockScheduler:
         try:
             got = (toy.scheduler(self.CAP).take(n).tolist(), toy.pos, None)
         except ToyFault as exc:
+            # a take that raises returns nothing: compare where and how
             got = (want[0], toy.pos, str(exc))
         assert got == want
         # a call's first block holds min(n, cap); shorter calls loop
