@@ -1,11 +1,11 @@
-"""Fixed-point grids and their prime-field encoding.
+"""Fixed-point grids and their ring encoding.
 
 Values live on the dyadic lattice 2^-p * Z.  A bounded grid is either the
 closed interval [-B, B] intersected with the lattice, or its half-open
-variant that drops the top point B.  Grid values are encoded into an odd
-prime field F_q as v -> 2^p * v (mod q), with field elements reported in
-the balanced range {-(q-1)/2, ..., (q-1)/2}.  Unbalanced residues appear
-only at serialization boundaries.
+variant that drops the top point B.  Grid values are encoded into the
+ring Z_q, q a power of two, as v -> 2^p * v (mod q), with ring elements
+reported in the balanced range {-q/2, ..., q/2 - 1}.  Unbalanced residues
+appear only at serialization boundaries.
 """
 
 from __future__ import annotations
@@ -109,53 +109,18 @@ class GridSpec:
         return {"p": self.p, "B": self.B, "half_open": self.half_open}
 
 
-def _is_prime(n: int) -> bool:
-    # Deterministic Miller-Rabin; the listed bases are exact for n < 3.3e24,
-    # far beyond any modulus used here.
-    if n < 2:
-        return False
-    for sp in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % sp == 0:
-            return n == sp
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def next_prime(n: int) -> int:
-    """Smallest prime strictly greater than n."""
-    c = n + 1 if n % 2 == 0 else n + 2
-    if n < 2:
-        return 2
-    while not _is_prime(c):
-        c += 2
-    return c
-
-
 @dataclass(frozen=True)
 class FieldConfig:
-    """Prime-field encoding parameters (q, e, p) plus output headroom.
+    """Ring encoding parameters (e, p) plus output headroom.
 
-    q is an odd prime exceeding 2^(p+e+headroom), so the encoding is
-    injective on inputs bounded by 2^(e-1) and stays injective on the
-    wider output range bounded by 2^(e+headroom-1).  `headroom` is the
-    extra integer bits the perturbed output may occupy beyond the input
-    bound; it defaults to 0 (inputs and outputs share the same range).
+    The shares live in Z_q with q = 2^(p+e+headroom+1), the smallest power
+    of two exceeding 2^(p+e+headroom), so the encoding is injective on
+    inputs bounded by 2^(e-1) and stays injective on the wider output
+    range bounded by 2^(e+headroom-1).  `headroom` is the extra integer
+    bits the perturbed output may occupy beyond the input bound; it
+    defaults to 0 (inputs and outputs share the same range).
     """
 
-    q: int
     e: int
     p: int
     headroom: int = 0
@@ -163,21 +128,18 @@ class FieldConfig:
     def __post_init__(self):
         if self.e < 1 or self.p < 0 or self.headroom < 0:
             raise GridError("need e >= 1, p >= 0, headroom >= 0")
-        if self.q <= 2 ** (self.p + self.e + self.headroom):
-            raise GridError(
-                f"q={self.q} too small: need q > 2^{self.p + self.e + self.headroom}"
-            )
-        if self.q % 2 == 0 or not _is_prime(self.q):
-            raise GridError(f"q={self.q} is not an odd prime")
+
+    @property
+    def q(self) -> int:
+        return 1 << (self.p + self.e + self.headroom + 1)
 
     @property
     def half(self) -> int:
-        return (self.q - 1) // 2
+        return self.q >> 1
 
     def lift(self, v: int) -> int:
-        """Balanced representative of v mod q, in [-(q-1)/2, (q-1)/2]."""
-        r = v % self.q
-        return r - self.q if r > self.half else r
+        """Balanced representative of v mod q, in [-q/2, q/2)."""
+        return ((v + self.half) & (self.q - 1)) - self.half
 
     def encode(self, x: float) -> int:
         """Encode an on-grid value: 2^p * x mod q, balanced.
@@ -201,8 +163,8 @@ class FieldConfig:
         return x
 
     def unbalanced(self, v: int) -> int:
-        """Serialization form of a field element, in [0, q)."""
-        return v % self.q
+        """Serialization form of a ring element, in [0, q)."""
+        return v & (self.q - 1)
 
     def as_dict(self) -> dict:
         return {"q": self.q, "e": self.e, "p": self.p, "headroom": self.headroom}
@@ -213,7 +175,7 @@ def field_for_mechanism(E: float, L: float, p: int) -> FieldConfig:
 
     e is the smallest integer-part bound admitting inputs up to E, and the
     headroom is the smallest making the perturbed range [-E-L, E+L] decode
-    without wraparound.  q is the smallest prime exceeding 2^(p+e+headroom).
+    without wraparound; q follows from them.
     """
     if E <= 0 or L <= 0:
         raise GridError("E and L must be positive")
@@ -223,5 +185,4 @@ def field_for_mechanism(E: float, L: float, p: int) -> FieldConfig:
     headroom = 0
     while 2.0 ** (e + headroom - 1) <= E + L:
         headroom += 1
-    q = next_prime(2 ** (p + e + headroom))
-    return FieldConfig(q=q, e=e, p=p, headroom=headroom)
+    return FieldConfig(e=e, p=p, headroom=headroom)

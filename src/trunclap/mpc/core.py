@@ -1,10 +1,12 @@
 """Simulated semi-honest two-party computation substrate.
 
-Additive secret sharing over an odd prime field, Beaver-triple
+Additive secret sharing over the ring Z_q, q = 2^k, Beaver-triple
 multiplication, and the gadgets the noise protocols rely on: a shared
 Bernoulli draw, a weighted sum of k shared Bernoulli draws (the magnitude
 bits of a discrete Laplace draw), a shared uniform draw, a shared sign
-test, and a mux.
+test, and a mux.  No gadget takes a modular inverse, so the modulus is a
+power of two (the ring `FieldConfig` sizes): one mask reduces every share
+operation, and a dealer residue is one masked word.
 
 The simulator holds both parties' shares, so gadget innards (comparison
 circuits, bit decompositions) are evaluated directly on the reconstructed
@@ -44,9 +46,9 @@ Cost model (abstract operation counts, not wall-clock):
 
 Two substrates run the same protocol code.  `Session` runs one
 execution at a time on Python integers and drives every batch: where it
-may (its own seeded tapes, q < BATCH_MAX_Q, no transcript) it evaluates
-blocks of executions ahead on an attached `BatchSession`, which holds
-each value as int64 share arrays (one entry per execution), as a
+may (its own seeded tapes, no transcript) it evaluates blocks of
+executions ahead on an attached `BatchSession`, which holds each value
+as uint64 share arrays (one entry per execution), as a
 `BlockScheduler` decides: n at once in `Session.run`, one per call in
 `Session.offline`.  A block reads the party tapes execution by execution
 and keeps the executions before its first rejected draw or range fault,
@@ -55,8 +57,8 @@ Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (joint words,
 dealer masks, Beaver triples of five dealer residues each, the k bits
 of a Bernoulli sum in one read, and the dealer material of one
-perturbation drawn ahead of it) and what a range fault or a rejected
-draw does.
+perturbation drawn ahead of it), what a range fault or a rejected draw
+does, and how a sum of shares lifts to the balanced range.
 
 Dealer material can be drawn ahead of the gadget that uses it: `pi_ge`
 takes its resharing mask and `mul`/`mux` their triple as arguments, and
@@ -88,9 +90,6 @@ TRUNC_ROUNDS = 2
 _MIX0 = 0x9E3779B97F4A7C15
 _MIX1 = 0xC2B2AE3D27D4EB4F
 
-# BatchSession multiplies residues in int64, so q must stay below 2^31;
-# larger fields run on the sequential Session.
-BATCH_MAX_Q = 1 << 31
 # dealer residues a BatchSession draws at least at once; a whole call of a
 # few executions takes one draw
 DEALER_CHUNK = 1 << 12
@@ -100,7 +99,7 @@ TRIPLES_PER_REFILL = 64
 # (a DEALER_CHUNK draw would add about 0.13 ms to every fresh Session)
 MASKS_PER_REFILL = 5 * TRIPLES_PER_REFILL
 # executions a Session's offline pool evaluates at most in one block: bounds
-# its memory (a block of 1,024 noise pairs is one 1,024 x 15 int64 array)
+# its memory (a block of 1,024 noise pairs is one 1,024 x 15 uint64 array)
 POOL_BLOCK_MAX = 1 << 10
 _WORD_MAX = (1 << 64) - 1
 
@@ -110,7 +109,7 @@ class ContractViolation(RuntimeError):
 
 
 class SharedValue:
-    """Both parties' shares of one field element (simulator-side handle)."""
+    """Both parties' shares of one ring element (simulator-side handle)."""
 
     __slots__ = ("s0", "s1")
 
@@ -178,15 +177,19 @@ class _CommonOps:
     local linear algebra and every gadget, written once for both substrates,
     each with its one ledger charge.
 
-    Shares are Python ints in a Session and int64 arrays (or ints that
-    broadcast against them) in a BatchSession.  A substrate supplies its
-    randomness (`joint_word`, `_reshare`, `_triple`, `_bit_sum`) and its
-    policy for faults and rejected draws (`_check`, `_retry`).
+    Shares are residues in [0, q): Python ints in a Session, uint64
+    arrays (or ints that broadcast against them) in a BatchSession.  q is a
+    power of two, so one mask reduces every operation, and uint64
+    arithmetic, which wraps mod 2^64, reduces consistently.  A substrate
+    supplies its randomness (`joint_word`, `_reshare`, `_triple`,
+    `_bit_sum`) and its policy for faults and rejected draws (`_check`,
+    `_retry`).
     """
 
     def __init__(self, fieldcfg: FieldConfig, record_transcript: bool = False):
         self.field = fieldcfg
         self.q = fieldcfg.q
+        self._m = fieldcfg.q - 1
         self._half = fieldcfg.half
         self.ledger = CostLedger()
         # sign tests are only sound while |value| stays below this bound
@@ -219,47 +222,55 @@ class _CommonOps:
         return self.peek(sv)
 
     def peek(self, sv: SharedValue):
-        """Simulator-only balanced reconstruction, in [-(q-1)/2, (q-1)/2];
-        no communication, no ledger."""
-        return (sv.s0 + sv.s1 + self._half) % self.q - self._half
+        """Simulator-only balanced reconstruction, in [-q/2, q/2); no
+        communication, no ledger."""
+        return self._lift(sv.s0 + sv.s1)
+
+    def _lift(self, v):
+        """The balanced representative of v mod q."""
+        return ((v + self._half) & self._m) - self._half
 
     def mul(self, a: SharedValue, b: SharedValue, triple=None) -> SharedValue:
         """Beaver multiplication: one triple (see TripleStore), one round, four
         elements.  `triple` is one drawn ahead (`perturbation_material`);
         without it the dealer draws one now."""
-        q = self.q
+        m = self._m
         ta, tb, ta0, tb0, tc0 = self._triple(a, b) if triple is None else triple
-        # each party sends its shares of d = a - ta and e = b - tb
-        d = (a.s0 + a.s1 - ta) % q
-        e = (b.s0 + b.s1 - tb) % q
+        # each party sends its shares of d = a - ta and e = b - tb (a common
+        # share meets the triple first: the sum of two could pass a uint64)
+        d = (a.s0 - ta + a.s1) & m
+        e = (b.s0 - tb + b.s1) & m
         led = self.ledger
         led.multiplications += 1
         led.rounds += MUL_ROUNDS
         led.elements_exchanged += MUL_ELEMENTS
         if self.record_transcript:
-            self._recv(0, (a.s1 - ta + ta0) % q, (b.s1 - tb + tb0) % q)
-            self._recv(1, (a.s0 - ta0) % q, (b.s0 - tb0) % q)
-        # a product of residues or their differences is below 2^62 in size,
-        # a sum of two below 2^63: int64 shares reduce after every second product
-        s0 = ((d * tb0 + e * ta0) % q + d * e + tc0) % q
-        s1 = ((d * (tb - tb0) + e * (ta - ta0)) % q + ta * tb - tc0) % q
+            self._recv(0, (a.s1 - ta + ta0) & m, (b.s1 - tb + tb0) & m)
+            self._recv(1, (a.s0 - ta0) & m, (b.s0 - tb0) & m)
+        s0 = (d * tb0 + e * ta0 + d * e + tc0) & m
+        s1 = (d * (tb - tb0) + e * (ta - ta0) + ta * tb - tc0) & m
         return SharedValue(s0, s1)
 
     def share_public(self, v) -> SharedValue:
         """Zero-cost sharing of a publicly known constant."""
-        return SharedValue(v % self.q, 0)
+        return SharedValue(v & self._m, 0)
 
     def add(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        return SharedValue((a.s0 + b.s0) % self.q, (a.s1 + b.s1) % self.q)
+        return SharedValue((a.s0 + b.s0) & self._m, (a.s1 + b.s1) & self._m)
 
     def sub(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        return SharedValue((a.s0 - b.s0) % self.q, (a.s1 - b.s1) % self.q)
+        return SharedValue((a.s0 - b.s0) & self._m, (a.s1 - b.s1) & self._m)
 
+    # public constants enter as residues: a negative int does not meet a
+    # uint64 array
     def add_public(self, a: SharedValue, c: int) -> SharedValue:
-        return SharedValue((a.s0 + c) % self.q, a.s1)
+        m = self._m
+        return SharedValue((a.s0 + (c & m)) & m, a.s1)
 
     def affine(self, a: SharedValue, scale: int, offset: int) -> SharedValue:
-        return SharedValue((a.s0 * scale + offset) % self.q, a.s1 * scale % self.q)
+        m = self._m
+        scale &= m
+        return SharedValue((a.s0 * scale + (offset & m)) & m, a.s1 * scale & m)
 
     def pi_bersample(self, prob: float) -> SharedValue:
         """Shared Bernoulli bit with the given public success probability.
@@ -404,10 +415,9 @@ class Session(_CommonOps):
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
         self.triples = TripleStore(self.q, self.dealer)
         self._pool: list[int] = []  # dealer masks not yet used
-        # blocks run only on the session's own seeded tapes, only while int64
-        # share products cannot overflow, and never while it records its
-        # transcript (checked at each call)
-        self._batches = tape0 is None and tape1 is None and self.q < BATCH_MAX_Q
+        # blocks run only on the session's own seeded tapes, and never while
+        # it records its transcript (checked at each call)
+        self._batches = tape0 is None and tape1 is None
         self._batch: BatchSession | None = None
         self._running = False  # inside `run`, whose scheduler evaluates ahead
         # (key, its BlockScheduler, party words read after the last call)
@@ -441,7 +451,7 @@ class Session(_CommonOps):
         """Fresh additive sharing of a value using a dealer mask (`mask`, or
         one taken from the pool now)."""
         r = self._mask() if mask is None else mask
-        return SharedValue((value - r) % self.q, r)
+        return SharedValue((value - r) & self._m, r)
 
     def _bit_sum(self, thresholds: tuple[int, ...]) -> int:
         """Sum of 2^i * bit i of k Bernoulli draws: k words from each party
@@ -466,7 +476,7 @@ class Session(_CommonOps):
 
         `key` names the program (the noise protocol's cached plan) and
         `words` is one execution's joint words without rejections.
-        `block(batch, key)` returns one int64 row per execution of a block,
+        `block(batch, key)` returns one uint64 row per execution of a block,
         and `unpack(row)` turns a row, as a list of Python ints, into what
         `step` returns.  A BlockScheduler with blocks of at most
         POOL_BLOCK_MAX is started afresh when the key changes or a party
@@ -528,7 +538,7 @@ class Session(_CommonOps):
 class BatchSession(_CommonOps):
     """Many independent executions of one program at once, evaluated for
     the Session it is attached to: both parties' shares of each value as
-    int64 arrays, one entry per execution, on the session's party tapes,
+    uint64 arrays, one entry per execution, on the session's party tapes,
     dealer and ledger.  `_evaluate` runs a program over the next
     executions without consuming their words, laid out execution by
     execution (`peek_block`), and `_commit` consumes the ones kept.
@@ -541,16 +551,15 @@ class BatchSession(_CommonOps):
     """
 
     def __init__(self, session: Session):
-        if session.q >= BATCH_MAX_Q:
-            raise ValueError(f"q={session.q} is too large for int64 share arithmetic")
         super().__init__(session.field)
+        # a uint64 shifted left by this many bits keeps the ring's k bits on top
+        self._shift = 65 - self.q.bit_length()
         self.tape0, self.tape1 = session.tape0, session.tape1
         self.dealer, self.ledger = session.dealer, session.ledger
         self._rows: np.ndarray | None = None  # joint word j of each execution in row j
         self._col = 0
         self._rejected = np.zeros(0, dtype=bool)
-        self._fault = 0  # the first execution of the block with a range fault
-        self._pool = np.empty(0, dtype=np.int64)  # dealer residues not yet used
+        self._pool = np.empty(0, dtype=np.uint64)  # dealer residues not yet used
         self._pool_at = 0
 
     # -- blocks ------------------------------------------------------------
@@ -564,7 +573,6 @@ class BatchSession(_CommonOps):
         self._rows = joint.reshape(size, words).T.copy()
         self._col = 0
         self._rejected = np.zeros(size, dtype=bool)
-        self._fault = size
         # gadgets charge self.ledger: one execution's cost, while in the block
         total, unit = self.ledger, CostLedger()
         self.ledger = unit
@@ -575,7 +583,7 @@ class BatchSession(_CommonOps):
         if self._col != words:
             raise RuntimeError(f"an execution drew {self._col} joint words, planned {words}")
         kept = int(np.argmax(self._rejected)) if self._rejected.any() else size
-        return min(kept, self._fault), values, partial(self._commit, words, unit)
+        return kept, values, partial(self._commit, words, unit)
 
     def _commit(self, words: int, unit: CostLedger, kept: int) -> None:
         """Consume the words of the first `kept` executions of a block, each
@@ -586,17 +594,18 @@ class BatchSession(_CommonOps):
 
     def _check(self, bad: np.ndarray, values: np.ndarray, message: str) -> None:
         """ContractViolation for the first flagged execution outside a
-        block; inside one, the block ends before that execution, which the
-        session then runs and fails on."""
-        bad = np.ravel(bad)
-        if not bad.any():
+        block; inside one, the flagged executions are marked as rejected
+        ones are, so the block ends before the first, which the session
+        then runs and fails on."""
+        if self._rows is not None:
+            self._rejected |= bad
             return
-        i = int(np.argmax(bad))
-        if self._rows is None:
+        bad = np.ravel(bad)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise ContractViolation(
                 message.format(int(np.ravel(values)[i]), safe=self.safe_magnitude)
             )
-        self._fault = min(self._fault, i)
 
     def _retry(self, rejected: np.ndarray) -> bool:
         """Mark the executions whose attempt was rejected; never draw again.
@@ -605,6 +614,12 @@ class BatchSession(_CommonOps):
         """
         self._rejected |= rejected
         return False
+
+    def _lift(self, v) -> np.ndarray:
+        """The balanced representative of each v mod q, as int64: the low k
+        bits of its uint64, sign-extended."""
+        u = np.asarray(v & self._m, dtype=np.uint64)
+        return (u << self._shift).view(np.int64) >> self._shift
 
     # -- randomness ----------------------------------------------------------
 
@@ -625,7 +640,7 @@ class BatchSession(_CommonOps):
         """Fresh dealer residues; drawn DEALER_CHUNK or more at a time."""
         size = math.prod(shape)
         if self._pool_at + size > len(self._pool):
-            fresh = self.dealer.field_array(self.q, max(size, DEALER_CHUNK)).astype(np.int64)
+            fresh = self.dealer.field_array(self.q, max(size, DEALER_CHUNK))
             self._pool = np.concatenate([self._pool[self._pool_at :], fresh])
             self._pool_at = 0
         self._pool_at += size
@@ -634,30 +649,32 @@ class BatchSession(_CommonOps):
     def _reshare(self, value, mask: np.ndarray | None = None) -> SharedValue:
         """Fresh additive sharing of one value per execution (or one common),
         on `mask` or on masks drawn now."""
-        value = np.asarray(value, dtype=np.int64)
+        value = np.asarray(value).astype(np.uint64, copy=False)
         r = self._masks(value.shape) if mask is None else mask
-        masked = (value - r) % self.q
+        masked = (value - r) & self._m
         if masked.ndim == 0:  # a common value: plain ints, usable by Session too
             return SharedValue(int(masked), int(r))
         return SharedValue(masked, r)
 
     def _bit_sum(self, thresholds: tuple[int, ...]) -> np.ndarray:
-        """Sum of 2^i * bit i per execution, each weight reduced mod q: the
-        next k rows of the block in one compare."""
-        k, q = len(thresholds), self.q
+        """Sum of 2^i * bit i per execution: the next k rows of the block in
+        one compare."""
+        k = len(thresholds)
         rows = self._joint_rows(k)
         # a threshold of 2^64 (probability 1) does not fit in uint64
         capped = np.array([min(t, _WORD_MAX) for t in thresholds], dtype=np.uint64)
         certain = np.array([t > _WORD_MAX for t in thresholds])
         bits = (rows < capped[:, None]) | certain[:, None]
-        # weights mod q < 2^31: k of them sum far below 2^63
-        weights = np.array([pow(2, i, q) for i in range(k)], dtype=np.int64)[:, None]
+        weights = np.array([1 << i for i in range(k)], dtype=np.uint64)[:, None]
         return (bits * weights).sum(axis=0)
 
-    def _triple(self, a: SharedValue, b: SharedValue) -> np.ndarray:
-        """A fresh triple per execution: five dealer residue rows."""
+    def _triple(self, a: SharedValue, b: SharedValue):
+        """A fresh triple per execution: five dealer residue rows (five ints
+        for a product of common values, which numpy scalars would not wrap
+        silently)."""
         shape = np.broadcast(a.s0, a.s1, b.s0, b.s1).shape
-        return self._masks((5,) + shape)
+        rows = self._masks((5,) + shape)
+        return rows if shape else rows.tolist()
 
     def perturbation_material(self, payload: SharedValue) -> tuple:
         """As `Session.perturbation_material`, one entry per execution: a

@@ -1,9 +1,9 @@
 """Two-phase secure noise generation and perturbation protocols.
 
 Everything in-protocol is carried in integer grid steps (values scaled by
-2^p), so the affine maps of the perturbation phase are exact field
+2^p), so the affine maps of the perturbation phase are exact ring
 arithmetic and no truncation is ever needed online; the final 2^-p
-rescale happens at decode time.  Shared bits are plain 0/1 field
+rescale happens at decode time.  Shared bits are plain 0/1 ring
 elements.
 
 The noise phase never sees the shared input: it draws the branch bit, a
@@ -22,7 +22,7 @@ same integers.
 
 On a long-lived `Session`, `pi_noise` draws its pairs through
 `Session.offline`, which may hand them out of a block evaluated ahead on
-the attached `BatchSession` (`_noise_rows`: one int64 row of 15 per pair,
+the attached `BatchSession` (`_noise_rows`: one uint64 row of 15 per pair,
 unpacked by `_unpack_pair`) with the sequential path's opened values,
 ledger and party words; `branch_prob` stubs always draw now.
 
@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..grids import FieldConfig, field_for_mechanism, next_prime
+from ..grids import FieldConfig, field_for_mechanism
 from ..mechanisms import TCL, TDL, Mechanism, MechanismParams, lookup_mechanism
 from ..sampling import CenteredDlapConfig, NoisePlan, centered_dlap_config, noise_plan
 from ..tape import bernoulli_threshold
@@ -77,8 +77,8 @@ class SharedNoisePair:
 def mechanism_field(
     params: MechanismParams, mechanism: str = "tdl", gamma: int = 8
 ) -> FieldConfig:
-    """Field sized for a mechanism run (cached: a FieldConfig is frozen, and
-    the prime search would otherwise rerun for every session).
+    """Ring sized for a mechanism run (cached per set, as `noise_plan` is: a
+    FieldConfig is frozen, so every session of a set shares one).
 
     The cumulative variant samples on the 2^-(p+gamma) lattice first, so
     its field must hold the fine step counts without wraparound.  Either
@@ -91,10 +91,7 @@ def mechanism_field(
     headroom = base.headroom
     while 2.0 ** (base.e + headroom - 1 + fine) < 2 * params.E + params.L:
         headroom += 1
-    if headroom == base.headroom:
-        return base
-    q = next_prime(2 ** (base.p + base.e + headroom))
-    return FieldConfig(q=q, e=base.e, p=base.p, headroom=headroom)
+    return FieldConfig(e=base.e, p=base.p, headroom=headroom)
 
 
 def make_session(
@@ -197,7 +194,7 @@ def _noise_pair(
 
 
 def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:
-    """A block of pairs, one int64 row each: the branch and payload shares,
+    """A block of pairs, one uint64 row each: the branch and payload shares,
     the sign test's mask and the two triples' five residues each."""
     pair = _noise_pair(batch, plan)
     mask, select, blend = pair.spend()
@@ -333,7 +330,7 @@ def run_sessions(
     """
     plan = noise_plan(mech, params, gamma)
     _require_bitwise(plan.inner)
-    xs = session.share(x_steps % session.q)
+    xs = session.share(x_steps)
 
     def once(s):
         return s.open(pi_perturb(s, mech, xs, pi_noise(s, mech, params, gamma), params))

@@ -10,9 +10,9 @@ same word stream.
 
 Each tape is read one way.  Party and plaintext tapes are read by words
 (`word`, `words`, and `peek_block` with `skip` for blocks); the MPC
-dealer tapes are read by residue arrays (`field_array`, `field_elements`),
-which draw straight from the generator past the buffered words and so
-never mix with a word read.
+dealer tapes are read by residue arrays (`field_array`, `field_elements`):
+raw words masked to a power-of-two modulus, drawn straight from the
+generator past the buffered words, so they never mix with a word read.
 
 Blocks of executions evaluated ahead on peeked words (`sample_batch`,
 and a `Session`'s runs and offline pairs) are scheduled by one policy,
@@ -172,28 +172,17 @@ class RandomTape:
         return self.field_array(q, n).tolist()
 
     def field_array(self, q: int, n: int) -> np.ndarray:
-        """n uniform residues mod q as a uint64 array (seeded tapes only).
-
-        Draws straight from the generator, past any buffered words.  A word
-        at or above the largest multiple of q that is at most 2^64 is
-        rejected, so `word % q` is uniform.
-        """
+        """n uniform residues mod q, a power of two up to 2^64, as a uint64
+        array (seeded tapes only): the generator's next n words, past any
+        buffered words, masked to q - 1."""
+        _require_count(n)
         self._require_generator("field_array")
-        if not 0 < q < _WORD_MOD:
-            # past 2^64 no word would be accepted: the draw would never return
-            # (and the modulus 2^64 itself does not fit a uint64)
-            raise ValueError(f"a 64-bit word cannot draw a residue mod {q}")
-        top = np.uint64(_WORD_MOD - _WORD_MOD % q - 1)  # the largest accepted word
-        parts, have = [], 0
-        while have < n:
-            chunk = self._raw(n - have + 8)
-            self.words_consumed += len(chunk)
-            kept = chunk[chunk <= top][: n - have] % np.uint64(q)
-            parts.append(kept)
-            have += len(kept)
-        if len(parts) == 1:
-            return parts[0]
-        return np.concatenate(parts or [np.empty(0, dtype=np.uint64)])
+        if not 0 < q <= _WORD_MOD or q & (q - 1):
+            raise ValueError(
+                f"a 64-bit word cannot draw a residue mod {q}: need a power of two <= 2^64"
+            )
+        self.words_consumed += n
+        return self._raw(n) & np.uint64(q - 1)
 
     def _require_generator(self, what: str) -> None:
         # block draws bypass injection

@@ -115,16 +115,11 @@ class ReferenceTape:
         self.words_consumed += n
 
     def field_array(self, q: int, n: int) -> np.ndarray:
-        # straight from the generator, past the buffered words
-        limit = np.uint64(((1 << 64) // q) * q)
-        parts, have = [], 0
-        while have < n:
-            chunk = self._gen.integers(0, 1 << 64, size=n - have + 8, dtype=np.uint64)
-            self.words_consumed += len(chunk)
-            kept = chunk[chunk < limit][: n - have] % np.uint64(q)
-            parts.append(kept)
-            have += len(kept)
-        return np.concatenate(parts or [np.empty(0, dtype=np.uint64)])
+        # straight from the generator, past the buffered words: the low k
+        # bits of each word for q = 2^k
+        self.words_consumed += n
+        words = self._gen.integers(0, 1 << 64, size=n, dtype=np.uint64).tolist()
+        return np.array([w % q for w in words], dtype=np.uint64)
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -67,7 +68,8 @@ def test_pairs_alternate_the_side_that_runs_first(tmp_path, monkeypatch, capsys)
         calls.append((checkout.name, seed))
         value = 2.0 if checkout.name == "change" else 1.0
         return {"correct": True, "attempted": 5, "failed": 0, "metrics": {
-            m["name"]: {"value": value, "unit": ""} for m in spec["end_to_end"]}}
+            m["name"]: {"value": value, "unit": ""} for m in spec["end_to_end"]},
+            "wall_clock": {m["name"]: value for m in spec["end_to_end"]}}
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     out = tmp_path / "bench.json"
@@ -82,3 +84,34 @@ def test_pairs_alternate_the_side_that_runs_first(tmp_path, monkeypatch, capsys)
     assert "claim_met" not in report["metrics"]["call_tail_us"]
     assert not report["metrics"]["call_tail_us"]["within_bound"]  # 2.0 us against 1.0
     assert json.loads(capsys.readouterr().out)["seeds"] == [11, 12, 13]
+
+
+def test_wall_clock_quartiles_sit_beside_the_scaled_ones(tmp_path, monkeypatch):
+    # each stubbed run prints its result line and writes its results file,
+    # as perfbench/run.py does; the change's host probe runs 2% faster, so
+    # its scaled rate reads 2% higher on the same unscaled rate
+    spec = {"end_to_end": [HIGHER]}
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench" / "out").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run(cmd, cwd, **kw):
+        seed = int(cmd[cmd.index("--seed") + 1])
+        raw = 100.0 + seed
+        scaled = raw * (1.02 if cwd.name == "change" else 1.0)
+        doc = {"wall_clock": {"raw": {"tcl_outputs_per_s": raw}}}
+        (cwd / "perfbench" / "out" / f"w-s{seed}-t0.json").write_text(json.dumps(doc))
+        line = {"correct": True, "attempted": 5, "failed": 0,
+                "metrics": {"tcl_outputs_per_s": {"value": scaled, "unit": "1/s"}}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"table\n{json.dumps(line)}\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--pairs", "4", "--seconds", "1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    metric = json.loads(out.read_text())["workloads"]["w"]["metrics"]["tcl_outputs_per_s"]
+    assert metric["change_over_parent"] == 1.02
+    wall = metric["wall_clock"]
+    assert wall["change_over_parent"] == 1.0
+    assert wall["parent"] == wall["change"] == {"q1": 111.75, "median": 112.5, "q3": 113.25}

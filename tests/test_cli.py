@@ -262,21 +262,21 @@ PINNED = {
     ),
     "mpc-tdl-small.json": (
         ["mpc", *SMALL, "--x", "1", "--n", "200", "--seed", "5", "--transcript"],
-        "c16324678fbe597311db46b3cf019e8ec865236ba6920f009a0e20b71393e224",
+        "599cbfd67376e5055639473a884b349f7395650273fa028ae6790bcc2134e794",
     ),
     "mpc-tcl-small.json": (
         ["mpc", "--mechanism", "tcl", *SMALL, "--x", "-2", "--n", "200", "--seed", "5",
          "--transcript"],
-        "0a8abfb1c47806238420b735bac35f1334897270511b04cece64acc2a105ecd6",
+        "14c7fd3805b3badd91b85e011cea2fbc33789982323b7d721e51696d624adad0",
     ),
     "mpc-tdl-wide.json": (
         ["mpc", *WIDE, "--x", "-32", "--n", "200", "--seed", "7", "--transcript"],
-        "5ace8925d0b62c0b27f4af4f2b8f06030c00ef404ce54dcc14ee9b918feb08a3",
+        "540b31a441c4539acb358087cec922e1265ca960f9c4bb2cd4d5042a4b3772bf",
     ),
     "mpc-tcl-wide.json": (
         ["mpc", "--mechanism", "tcl", *WIDE, "--x", "63.75", "--n", "200", "--seed", "7",
          "--transcript"],
-        "0dc82d7e4cd11810921113402e035652e280965057f539edaaa0fdc6bf5d4705",
+        "d2b6950113135da927840cf8cac1be7e927cf27fe7ac47d7048c87741418282f",
     ),
     # TDL with a table inner draw and outer count 6, and TCL at gamma=0 with
     # +L redraws and outer count 6: the shapes that ran sequentially before

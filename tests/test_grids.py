@@ -8,7 +8,6 @@ from trunclap.grids import (
     GridError,
     GridSpec,
     field_for_mechanism,
-    next_prime,
     quantize,
 )
 
@@ -87,41 +86,47 @@ class TestGridSpec:
 
 class TestFieldConfig:
     def test_encode_examples(self):
-        cfg = FieldConfig(q=97, e=3, p=2)
+        cfg = FieldConfig(e=3, p=2)  # q = 2^6
         assert cfg.encode(1.25) == 5
         assert cfg.encode(-0.75) == -3
-        assert cfg.unbalanced(cfg.encode(-0.75)) == 94
+        assert cfg.unbalanced(cfg.encode(-0.75)) == 61
         assert cfg.encode(0.0) == 0
 
     def test_decode_examples(self):
-        cfg = FieldConfig(q=97, e=3, p=2)
+        cfg = FieldConfig(e=3, p=2)
         assert cfg.decode(5) == 1.25
-        assert cfg.decode(94) == -0.75
+        assert cfg.decode(61) == -0.75
+        assert cfg.decode(5 + 7 * cfg.q) == 1.25  # any representative
 
     def test_round_trip_exhaustive(self):
         # e=4 admits the closed bound +/-4 itself, so all 33 points round-trip
-        cfg = FieldConfig(q=257, e=4, p=2)
+        cfg = FieldConfig(e=4, p=2)
         spec = GridSpec(p=2, B=4.0)
         for y in spec.values():
             assert cfg.decode(cfg.encode(float(y))) == y
 
     def test_encode_rejects_out_of_range(self):
-        cfg = FieldConfig(q=97, e=3, p=2)
+        cfg = FieldConfig(e=3, p=2)
         with pytest.raises(GridError):
             cfg.encode(4.0)
         with pytest.raises(GridError):
             cfg.encode(0.3)  # off-grid
 
     def test_q_validation(self):
-        with pytest.raises(GridError):
-            FieldConfig(q=31, e=3, p=2)   # q <= 2^(p+e)
-        with pytest.raises(GridError):
-            FieldConfig(q=39, e=3, p=2)   # not prime
+        # q is derived: the smallest power of two above 2^(p+e+headroom),
+        # with the balanced range [-q/2, q/2)
+        for e, p, headroom in [(1, 0, 0), (3, 2, 0), (3, 2, 2), (8, 2, 1), (1, 59, 3)]:
+            cfg = FieldConfig(e=e, p=p, headroom=headroom)
+            assert cfg.q == 2 ** (p + e + headroom + 1) == 2 * cfg.half
+            assert cfg.lift(cfg.half - 1) == cfg.half - 1 and cfg.lift(cfg.half) == -cfg.half
+        for bad in [dict(e=0, p=2), dict(e=3, p=-1), dict(e=3, p=2, headroom=-1)]:
+            with pytest.raises(GridError):
+                FieldConfig(**bad)
 
     @given(st.integers(-15, 15), st.integers(-15, 15))
     @settings(max_examples=200)
     def test_homomorphism(self, a, b):
-        cfg = FieldConfig(q=521, e=3, p=2)
+        cfg = FieldConfig(e=3, p=2)
         x, y = a / 4.0, b / 4.0
         if abs(x + y) >= 4.0 - 1e-12:
             return
@@ -130,16 +135,11 @@ class TestFieldConfig:
 
 
 class TestDefaults:
-    def test_next_prime(self):
-        assert next_prime(1) == 2
-        assert next_prime(96) == 97
-        assert next_prime(2**16) == 65537
-
     def test_field_for_mechanism(self):
         cfg = field_for_mechanism(E=64.0, L=32.0, p=0)
         # inputs up to 64 need e=8; outputs up to 96 fit in the same range
         assert cfg.e == 8 and cfg.headroom == 0
-        assert cfg.q > 2**8
+        assert cfg.q == 2**9
         assert cfg.decode(cfg.lift(96)) == 96.0
 
     def test_field_headroom_grows_with_L(self):

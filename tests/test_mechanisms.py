@@ -42,6 +42,11 @@ from trunclap.mechanisms import (
 )
 from trunclap.sampling import sample_batch
 from trunclap.grids import GridError
+from trunclap.thresholds import THRESHOLDS
+
+LAMBDA_TOL = THRESHOLDS["lambda_rel_tol"]  # normalizers against their oracles
+NORM_TOL = THRESHOLDS["normalization_tol"]  # a pmf's total mass against 1
+MOMENT_TOL = THRESHOLDS["moment_oracle_rel_tol"]  # moment formulas against their oracles
 
 # every (E, L, sigma, p) combination used by the normalization sweeps
 LATTICE = [
@@ -58,8 +63,8 @@ class TestLambdas:
         val = lambda_lap(64, 32, 8)
         assert val == pytest.approx(18.05135155553823, abs=1e-10)
         # numeric integration must agree and be independent of the center
-        assert val == pytest.approx(lap_lambda_oracle(64, 32, 8, 0.0), rel=1e-10)
-        assert val == pytest.approx(lap_lambda_oracle(64, 32, 8, 40.0), rel=1e-10)
+        assert val == pytest.approx(lap_lambda_oracle(64, 32, 8, 0.0), rel=LAMBDA_TOL)
+        assert val == pytest.approx(lap_lambda_oracle(64, 32, 8, 40.0), rel=LAMBDA_TOL)
 
     def test_lambda_lap_degenerate_cases(self):
         # E = sigma kills the second term
@@ -120,11 +125,11 @@ class TestLambdas:
             h = 2.0**-p
             for x in (-E, 0.0, E):
                 direct = float(np.sum(np.exp(-np.minimum(np.abs(ys - x), L) / s)))
-                assert lam == pytest.approx(direct, rel=1e-10)
+                assert lam == pytest.approx(direct, rel=LAMBDA_TOL)
                 cells = sum(
                     _cell_closed_form(float(y), x, L, s, h) for y in ys[:-1]
                 )
-                assert lamc == pytest.approx(cells, rel=1e-10)
+                assert lamc == pytest.approx(cells, rel=LAMBDA_TOL)
 
 
 def _cell_closed_form(y, x, L, s, h):
@@ -147,7 +152,7 @@ class TestPmfTdl:
         for E, L, s, p in LATTICE:
             params = MechanismParams(E=E, L=L, sigma=s, p=p)
             for x in (-E, 0.0, E):
-                assert pmf_tdl(x, params).total() == pytest.approx(1.0, abs=1e-12)
+                assert pmf_tdl(x, params).total() == pytest.approx(1.0, abs=NORM_TOL)
 
     def test_max_min_ratio(self, small_params):
         f = pmf_tdl(1.0, small_params)
@@ -182,7 +187,7 @@ class TestPmfTcl:
     def test_normalization_sweep(self):
         params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=1)
         for x in params.input_grid().values():
-            assert pmf_tcl(float(x), params).total() == pytest.approx(1.0, abs=1e-12)
+            assert pmf_tcl(float(x), params).total() == pytest.approx(1.0, abs=NORM_TOL)
 
     def test_masses_match_quadrature(self):
         # (x, E, L, sigma, p): every case has a flat cell at x+L or at
@@ -220,7 +225,7 @@ class TestCenteredPmfs:
 
     def test_centered_clap_normalizes(self):
         f = centered_clap_pmf(2.0, 1.0, 2)
-        assert f.total() == pytest.approx(1.0, abs=1e-12)
+        assert f.total() == pytest.approx(1.0, abs=NORM_TOL)
         assert f.support()[-1] == 2.0 - 0.25
 
 
@@ -233,14 +238,14 @@ class TestMomentsLap:
         for x in (32.0, -17.0, 64.0):
             mean, _ = moments_lap(x, table_params_p0)
             omean, _ = lap_moments_oracle(x, 64, 32, 8)
-            assert mean == pytest.approx(omean, rel=1e-9)
+            assert mean == pytest.approx(omean, rel=MOMENT_TOL)
 
     def test_exact_mse_matches_quadrature(self, table_params_p0):
         for x in (0.0, 32.0, -17.0):
             mean, mse = moments_lap_exact(x, table_params_p0)
             omean, omse = lap_moments_oracle(x, 64, 32, 8)
-            assert mean == pytest.approx(omean, rel=1e-9)
-            assert mse == pytest.approx(omse, rel=1e-9)
+            assert mean == pytest.approx(omean, rel=MOMENT_TOL)
+            assert mse == pytest.approx(omse, rel=MOMENT_TOL)
 
     def test_bound_holds_in_kstar_regime(self):
         # the display is an upper bound when E = k*sigma with the cubic
@@ -290,8 +295,8 @@ class TestMomentsTdl:
                 omean = float(np.dot(ys, m))
                 omse = float(np.dot((ys - x) ** 2, m))
                 mean, mse = moments_tdl(x, params)
-                assert mean == pytest.approx(omean, abs=1e-9 * max(1, abs(omean)))
-                assert mse == pytest.approx(omse, rel=1e-9)
+                assert mean == pytest.approx(omean, abs=MOMENT_TOL * max(1, abs(omean)))
+                assert mse == pytest.approx(omse, rel=MOMENT_TOL)
 
     def test_scale_quadratic_in_sigma(self):
         # with sigma = L/eps and L = E, the mse tracks sigma^2
@@ -317,8 +322,8 @@ class TestMomentsTcl:
         omean = float(np.dot(ys, m))
         omse = float(np.dot((ys - 1.0) ** 2, m))
         mean, mse = moments_tcl(1.0, small_params)
-        assert mean == pytest.approx(omean, rel=1e-9)
-        assert mse == pytest.approx(omse, rel=1e-9)
+        assert mean == pytest.approx(omean, rel=MOMENT_TOL)
+        assert mse == pytest.approx(omse, rel=MOMENT_TOL)
 
     def test_oracle_sweep(self):
         for E, L, s, p in [(4, 2, 1, 1), (64, 32, 8, 2), (2, 1, 0.5, 0), (4, 2, 8, 2)]:
@@ -328,8 +333,8 @@ class TestMomentsTcl:
                 f = pmf_tcl(x, params)
                 omean, omse = f.mean(), f.mse()
                 mean, mse = moments_tcl(x, params)
-                assert mean == pytest.approx(omean, abs=1e-9 * max(1, abs(omean)))
-                assert mse == pytest.approx(omse, rel=1e-9)
+                assert mean == pytest.approx(omean, abs=MOMENT_TOL * max(1, abs(omean)))
+                assert mse == pytest.approx(omse, rel=MOMENT_TOL)
 
     def test_fine_grid_approaches_continuous_mean(self):
         params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=20)
@@ -358,12 +363,12 @@ class TestSmallSigma:
             tdl = pmf_tdl(x, params)
             assert tdl.mass_at(x) == 1.0 and tdl.total() == 1.0
             assert moments_tdl(x, params) == pytest.approx(
-                (tdl.mean(), tdl.mse()), rel=1e-9, abs=1e-300
+                (tdl.mean(), tdl.mse()), rel=MOMENT_TOL, abs=1e-300
             )
             assert moments_tdl(x, params)[0] == x
             tcl = pmf_tcl(x, params)
             assert tcl.mass_at(x - h) == tcl.mass_at(x) == pytest.approx(0.5, rel=1e-12)
-            assert moments_tcl(x, params) == pytest.approx((tcl.mean(), tcl.mse()), rel=1e-9)
+            assert moments_tcl(x, params) == pytest.approx((tcl.mean(), tcl.mse()), rel=MOMENT_TOL)
             assert moments_tcl(x, params) == pytest.approx((x - h / 2, h * h / 2), rel=1e-12)
 
     @pytest.mark.parametrize("p", [0, 2])
@@ -508,8 +513,8 @@ class TestProperties:
         x = float(grid[salt % len(grid)])
         fd = pmf_tdl(x, params)
         fc = pmf_tcl(x, params)
-        assert fd.total() == pytest.approx(1.0, abs=1e-12)
-        assert fc.total() == pytest.approx(1.0, abs=1e-12)
+        assert fd.total() == pytest.approx(1.0, abs=NORM_TOL)
+        assert fc.total() == pytest.approx(1.0, abs=NORM_TOL)
         bound = math.exp(params.L / params.sigma)
         assert float(np.max(fd.masses) / np.min(fd.masses)) <= bound * (1 + 1e-12)
         assert float(np.max(fc.masses) / np.min(fc.masses)) <= bound * (1 + 1e-12)
@@ -523,12 +528,12 @@ class TestProperties:
         x = params.E
         fd = pmf_tdl(x, params)
         mean, mse = moments_tdl(x, params)
-        assert mean == pytest.approx(fd.mean(), abs=1e-9 * max(1, abs(fd.mean())))
-        assert mse == pytest.approx(fd.mse(), rel=1e-9)
+        assert mean == pytest.approx(fd.mean(), abs=MOMENT_TOL * max(1, abs(fd.mean())))
+        assert mse == pytest.approx(fd.mse(), rel=MOMENT_TOL)
         fc = pmf_tcl(x, params)
         mean, mse = moments_tcl(x, params)
-        assert mean == pytest.approx(fc.mean(), abs=1e-9 * max(1, abs(fc.mean())))
-        assert mse == pytest.approx(fc.mse(), rel=1e-9)
+        assert mean == pytest.approx(fc.mean(), abs=MOMENT_TOL * max(1, abs(fc.mean())))
+        assert mse == pytest.approx(fc.mse(), rel=MOMENT_TOL)
 
 
 class TestMechanismRecord:

@@ -42,7 +42,7 @@ GAMMAS = (0, 3, 8)
 SIZES = (1, 5, 300)
 
 OUTPUTS_DIGEST = "037d0db8d56736f19334b36832236bc23daf2a09ab9f3c332a23907b062e9f23"
-DEALER_DIGEST = "1c2a05e4940efcf295e25002b27609095b26b933cf41678b5a029695b1e11953"
+DEALER_DIGEST = "5e220cb56c1c55493024ce8c26f1f0ba365f8834c327f85352dd080dbc90541e"
 
 
 def _outputs(session, mech, params, gamma, n, x) -> dict:

@@ -5,29 +5,28 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
-from trunclap.grids import FieldConfig, field_for_mechanism, next_prime
+from trunclap.grids import FieldConfig, field_for_mechanism
 from trunclap.mechanisms import TCL, MechanismParams, branch_probability_d
 from trunclap.mpc import BatchSession, ContractViolation, Session, mechanism_field
-from trunclap.mpc.core import (
-    BATCH_MAX_Q,
-    CMP_ELEMENTS,
-    CMP_ROUNDS,
-    SharedValue,
-)
+from trunclap.mpc.core import CMP_ELEMENTS, CMP_ROUNDS, SharedValue
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import centered_dlap_config
 from trunclap.tape import RandomTape
 
 
+# q = 2^9, safe magnitude 2^7
+SMALL = FieldConfig(e=3, p=2, headroom=3)
+
+
 def small_session(seed0=1, seed1=2, **kw) -> Session:
-    return Session(FieldConfig(q=521, e=3, p=2), seed0, seed1, **kw)
+    return Session(SMALL, seed0, seed1, **kw)
 
 
 class TestShareOpen:
     def test_reconstruction_random(self):
         s = small_session()
         rng = np.random.default_rng(0)
-        for v in rng.integers(0, 521, size=10_000):
+        for v in rng.integers(0, s.q, size=10_000):
             assert s.open(s.share(int(v))) == s.field.lift(int(v))
 
     def test_zero(self):
@@ -37,7 +36,7 @@ class TestShareOpen:
     def test_share_is_masked_uniformly(self):
         s = small_session()
         shares = [s.share(123).s0 for _ in range(10_000)]
-        counts, _ = np.histogram(shares, bins=16, range=(0, 521))
+        counts, _ = np.histogram(shares, bins=16, range=(0, s.q))
         _, p = chisquare(counts)
         assert p > 0.01
 
@@ -58,7 +57,7 @@ class TestWires:
     """share, open, peek, mul and the transcript hook, written once for both
     substrates: exhaustive reconstruction and each wire's transcript."""
 
-    CFG = FieldConfig(q=521, e=3, p=2)
+    CFG = SMALL
 
     def test_substrates_supply_only_randomness_and_policy(self):
         for cls in (Session, BatchSession):
@@ -86,19 +85,6 @@ class TestWires:
             assert np.array_equal(s.open(sv), lifted)
         assert lifted[(q - 1) // 2] == (q - 1) // 2 and lifted[(q + 1) // 2] == -(q - 1) // 2
 
-    def test_session_on_a_field_past_int64_products(self):
-        cfg = FieldConfig(q=next_prime(2**31), e=31, p=0)
-        assert cfg.q >= BATCH_MAX_Q
-        with pytest.raises(ValueError, match="too large"):
-            BatchSession(Session(cfg, 1, 2))
-        s = Session(cfg, 1, 2)
-        h = cfg.half
-        for v in (0, 1, h, h + 1, cfg.q - 1, 2**31, 123_456_789_012 % cfg.q):
-            assert s.peek(SharedValue(v, 0)) == cfg.lift(v)
-            assert s.open(s.share(v)) == cfg.lift(v)
-        x, y = 2**30 + 3, -(2**30) - 7
-        assert s.open(s.mul(s.share(x % cfg.q), s.share(y % cfg.q))) == cfg.lift(x * y)
-
     def test_triple_algebra_on_ints_and_arrays(self, monkeypatch):
         # mul opens to x*y mod q for random triples and random shares, and
         # a Session gives each execution's shares of a BatchSession
@@ -116,25 +102,46 @@ class TestWires:
             zj = s.mul(SharedValue(int(a0[j]), int(a1[j])), SharedValue(int(b0[j]), int(b1[j])))
             assert (zj.s0, zj.s1) == (z.s0[j], z.s1[j])
 
-    def test_mul_at_the_int64_edge(self, monkeypatch):
-        # the largest prime below BATCH_MAX_Q = 2^31: every share and triple
-        # residue at 0 or q-1, the extremes of each int64 product and sum
-        cfg = FieldConfig(q=2**31 - 1, e=30, p=0)
-        q = cfg.q
-        assert q < BATCH_MAX_Q and next_prime(q + 1) > BATCH_MAX_Q
-        grid = np.array(np.meshgrid(*[[0, q - 1]] * 9, indexing="ij")).reshape(9, -1)
-        shares, triples = grid[:4], grid[4:]
+    @pytest.mark.parametrize("k", [5, 31, 32, 63, 64])
+    def test_wires_at_the_ring_edges(self, k, monkeypatch):
+        # q = 2^k: every share and triple residue at 0 or q-1, the extremes
+        # of each product and sum, which a uint64 wraps mod 2^64
+        cfg = FieldConfig(e=k - 1, p=0)
+        q, h = cfg.q, cfg.half
+        assert q == 2**k
+        ends = np.array([0, q - 1], dtype=np.uint64)
+        grid = np.array(np.meshgrid(*[ends] * 9, indexing="ij"))
+        shares, triples = grid.reshape(9, -1)[:4], grid.reshape(9, -1)[4:]
         batch = BatchSession(Session(cfg, 1, 2))
         monkeypatch.setattr(batch, "_triple", lambda *_: triples)
         z = batch.mul(SharedValue(*shares[:2]), SharedValue(*shares[2:]))
+        opened = batch.peek(z)
         s = Session(cfg, 1, 2)
-        for j in range(grid.shape[1]):
+        for j in range(shares.shape[1]):
             monkeypatch.setattr(s, "_triple", lambda *_: tuple(int(t) for t in triples[:, j]))
             a0, a1, b0, b1 = (int(v) for v in shares[:, j])
             zj = s.mul(SharedValue(a0, a1), SharedValue(b0, b1))
-            assert (zj.s0, zj.s1) == (z.s0[j], z.s1[j])
+            assert (zj.s0, zj.s1) == (int(z.s0[j]), int(z.s1[j]))
             assert 0 <= zj.s0 < q and 0 <= zj.s1 < q
-            assert s.peek(zj) == cfg.lift((a0 + a1) * (b0 + b1))
+            assert s.peek(zj) == opened[j] == cfg.lift((a0 + a1) * (b0 + b1))
+        # share and open at the ends of the balanced range [-q/2, q/2)
+        edges = [0, 1, h - 1, h, q - 1]
+        lifted = [cfg.lift(v) for v in edges]
+        assert lifted[2:] == [h - 1, -h, -1]
+        s, batch = Session(cfg, 3, 4), BatchSession(Session(cfg, 3, 4))
+        assert [s.open(s.share(v)) for v in edges] == lifted
+        assert [s.peek(SharedValue(v, q - 1)) for v in edges] == [cfg.lift(v - 1) for v in edges]
+        assert batch.open(batch.share(np.array(edges, dtype=np.uint64))).tolist() == lifted
+        # a product of two values each about q/4 in size opens to lift(x*y)
+        x, y = 2 ** (k - 2) + 3, -(2 ** (k - 2)) - 7
+        assert s.open(s.mul(s.share(x), s.share(y))) == cfg.lift(x * y)
+        xy = batch.mul(batch.share(np.array([x])), batch.share(np.array([y])))
+        assert batch.open(xy).tolist() == [cfg.lift(x * y)]
+        # a common value (plain ints, whose share sum can pass 2^64) times
+        # a common value and times an array
+        cx = batch.share(x)
+        assert batch.open(batch.mul(cx, batch.share(y))) == cfg.lift(x * y)
+        assert batch.open(batch.mul(cx, batch.share(np.array([y])))).tolist() == [cfg.lift(x * y)]
 
     def test_transcript_per_wire(self, monkeypatch):
         s = Session(self.CFG, 1, 2, record_transcript=True)
@@ -167,7 +174,7 @@ class TestArithmetic:
         s = small_session()
         rng = np.random.default_rng(1)
         for _ in range(200):
-            x, y = (int(v) for v in rng.integers(0, 521, size=2))
+            x, y = (int(v) for v in rng.integers(0, s.q, size=2))
             a, b = s.share(x), s.share(y)
             assert s.open(s.add(a, b)) == s.field.lift(x + y)
 
@@ -176,7 +183,7 @@ class TestArithmetic:
         assert s.open(s.mul(s.share(3), s.share(5))) == 15
         rng = np.random.default_rng(2)
         for _ in range(300):
-            x, y = (int(v) for v in rng.integers(0, 521, size=2))
+            x, y = (int(v) for v in rng.integers(0, s.q, size=2))
             assert s.open(s.mul(s.share(x), s.share(y))) == s.field.lift(x * y)
 
     def test_mul_ledger_contract(self):
@@ -234,7 +241,7 @@ class TestMux:
             s.mux(s.share(2), s.share(0), s.share(1))
 
     def test_non_bit_selector_raises_in_batch(self):
-        s = BatchSession(Session(FieldConfig(q=521, e=3, p=2), 1, 2))
+        s = BatchSession(Session(SMALL, 1, 2))
         sel = s.share(np.array([0, 1, 2, 1]))
         with pytest.raises(ContractViolation, match="selector 2"):
             s.mux(sel, s.share(np.zeros(4, dtype=np.int64)), s.share(np.ones(4, dtype=np.int64)))
@@ -302,7 +309,7 @@ class TestBersampleSum:
     opened values, ledger and the party tapes' words_consumed.  The sum is
     shared with one dealer mask, so its shares are not the loop's."""
 
-    CFG = FieldConfig(q=521, e=3, p=2)
+    CFG = SMALL
 
     @staticmethod
     def words(s):
@@ -401,7 +408,7 @@ class TestBersampleSum:
         params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
         s = Session(mechanism_field(params, "tcl", 8), 0, 1)
         run_sessions(s, TCL, params, 0, 300, 8)
-        assert s.dealer.words_consumed == 12_640
+        assert s.dealer.words_consumed == 12_608
 
     def test_parties_need_tapes_of_their_own(self):
         tape = RandomTape(1)
@@ -459,7 +466,7 @@ class TestGe:
     def test_smallest_negative(self):
         s = small_session()
         # -1 step in the field is the encoding of -2^-p
-        assert s.open(s.pi_ge(s.share(-1 % 521))) == 0
+        assert s.open(s.pi_ge(s.share(-1 % s.q))) == 0
 
     def test_exhaustive_grid(self):
         # every encoding of [-4, 4] at p=1 agrees with the plaintext sign
@@ -500,11 +507,11 @@ class TestTrunc:
 
 class TestTransparencyAndPrivacy:
     def test_functional_transparency_exhaustive(self):
-        cfg = FieldConfig(q=37, e=2, p=2)
+        cfg = FieldConfig(e=2, p=2)
         s = Session(cfg, 7, 8)
         for x in range(-6, 7):
             for y in range(-6, 7):
-                a, b = s.share(x % 37), s.share(y % 37)
+                a, b = s.share(x % cfg.q), s.share(y % cfg.q)
                 assert s.open(s.add(a, b)) == cfg.lift(x + y)
                 assert s.open(s.mul(a, b)) == cfg.lift(x * y)
 
@@ -526,14 +533,14 @@ class TestTransparencyAndPrivacy:
         n = 10_000
         v0 = views(0, n)
         v1 = views(1, n)
-        c0, _ = np.histogram(v0, bins=8, range=(0, 521))
-        c1, _ = np.histogram(v1, bins=8, range=(0, 521))
+        c0, _ = np.histogram(v0, bins=8, range=(0, SMALL.q))
+        c1, _ = np.histogram(v1, bins=8, range=(0, SMALL.q))
         _, p, _, _ = chi2_contingency(np.vstack([c0, c1]))
         assert p > 0.01
 
     def test_determinism(self):
         def run(seed0, seed1):
-            s = Session(FieldConfig(q=521, e=3, p=2), seed0, seed1, record_transcript=True)
+            s = Session(SMALL, seed0, seed1, record_transcript=True)
             x = s.share(17)
             y = s.pi_bersample(0.4)
             z = s.mul(x, s.pi_uni(8))
@@ -569,7 +576,7 @@ class TestTransparencyAndPrivacy:
         words = RandomTape(55).words(64)
         t0 = RandomTape(words=words)
         t1 = RandomTape(words=[0] * 64)
-        s = Session(FieldConfig(q=521, e=3, p=2), 0, 0, tape0=t0, tape1=t1)
+        s = Session(SMALL, 0, 0, tape0=t0, tape1=t1)
         # joint coins equal party 0's words when party 1 contributes zeros
         ref = RandomTape(words=words)
         for _ in range(5):
@@ -580,12 +587,12 @@ class TestBatchSession:
     """The array substrate against the scalar one, gadget by gadget."""
 
     def batch(self, seed0=1, seed1=2) -> BatchSession:
-        return BatchSession(Session(FieldConfig(q=521, e=3, p=2), seed0, seed1))
+        return BatchSession(Session(SMALL, seed0, seed1))
 
     def test_arithmetic_matches_plaintext(self):
         s = self.batch()
         rng = np.random.default_rng(3)
-        x, y = rng.integers(0, 521, size=(2, 2000))
+        x, y = rng.integers(0, s.q, size=(2, 2000))
         a, b = s.share(x), s.share(y)
         lift = np.vectorize(s.field.lift)
         assert np.array_equal(s.open(s.mul(a, b)), lift(x * y))
@@ -615,12 +622,6 @@ class TestBatchSession:
         with pytest.raises(ContractViolation, match=f"input {s.safe_magnitude + 1}"):
             s.pi_ge(s.share(huge))
 
-    def test_field_guard(self):
-        # products of two residues must fit in int64
-        with pytest.raises(ValueError, match="too large"):
-            BatchSession(Session(FieldConfig(q=2**31 + 11, e=20, p=10), 1, 2))
-        assert 2**31 + 11 >= BATCH_MAX_Q
-
     def test_joint_words_only_inside_run(self):
         with pytest.raises(RuntimeError, match="inside a block"):
             self.batch().pi_bersample(0.5)
@@ -632,8 +633,8 @@ class TestBatchSession:
             v = s.mul(s.pi_bersample(0.3), s.pi_uni(8))
             return s.open(s.mux(s.pi_ge(s.add_public(v, -4)), v, s.pi_uni(4)))
 
-        seq = Session(FieldConfig(q=521, e=3, p=2), 7, 8, record_transcript=True)
-        batch = Session(FieldConfig(q=521, e=3, p=2), 7, 8)
+        seq = Session(SMALL, 7, 8, record_transcript=True)
+        batch = Session(SMALL, 7, 8)
         expected = seq.run(program, 300, 3)
         assert np.array_equal(batch.run(program, 300, 3), expected)
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
@@ -645,8 +646,8 @@ class TestBatchSession:
         def program(s):
             return s.open(s.pi_uni(12))
 
-        seq = Session(FieldConfig(q=521, e=3, p=2), 9, 10, record_transcript=True)
-        batch = Session(FieldConfig(q=521, e=3, p=2), 9, 10)
+        seq = Session(SMALL, 9, 10, record_transcript=True)
+        batch = Session(SMALL, 9, 10)
         expected = seq.run(program, 500, 1)
         assert np.array_equal(batch.run(program, 500, 1), expected)
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
@@ -669,7 +670,7 @@ class TestBatchSession:
             except ContractViolation as exc:
                 return str(exc)
 
-        cfg = FieldConfig(q=next_prime(2**24), e=20, p=2)
+        cfg = FieldConfig(e=20, p=2)
         outcomes = [
             (outcome(Session(cfg, seed, seed + 1, record_transcript=True)),
              outcome(Session(cfg, seed, seed + 1)))
@@ -681,7 +682,7 @@ class TestBatchSession:
 
     def test_planned_words_are_checked(self):
         with pytest.raises(RuntimeError, match="drew 1 joint words, planned 2"):
-            Session(FieldConfig(q=521, e=3, p=2), 1, 2).run(
+            Session(SMALL, 1, 2).run(
                 lambda s: s.open(s.pi_bersample(0.5)), 10, 2
             )
 
@@ -701,7 +702,7 @@ class TestOfflinePool:
     """`Session.offline`: executions handed out of blocks evaluated ahead
     equal the sequential path's, call by call."""
 
-    CFG = FieldConfig(q=next_prime(2**24), e=20, p=2)
+    CFG = FieldConfig(e=20, p=2)
 
     @staticmethod
     def program(s):

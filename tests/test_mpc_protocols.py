@@ -477,8 +477,8 @@ class TestBatchSimulator:
                 vals = run_batch(mechanism, WIDE, x, 2000, 5, 6)
                 spec = WIDE.output_grid(mechanism)
                 assert all(spec.contains(v) for v in vals)
-        assert mechanism_field(WIDE, "tdl").q == 2053
-        assert mechanism_field(PARAMS, "tdl").q == 37
+        assert mechanism_field(WIDE, "tdl").q == 2**12
+        assert mechanism_field(PARAMS, "tdl").q == 2**6
 
     @pytest.mark.parametrize("params", [PARAMS, WIDE], ids=["small", "wide"])
     def test_sign_test_stays_in_safe_range(self, params):
@@ -517,20 +517,30 @@ class TestBatchSimulator:
                 run_once(session, TDL, x, PARAMS)
         assert session.tape0.words_consumed == 0
 
-    def test_large_field_runs_sequentially(self):
-        # q >= 2^31 would overflow int64 products; run_batch keeps the loop
-        params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=27)
-        assert mechanism_field(params, "tdl").q >= core.BATCH_MAX_Q
-        with pytest.raises(ValueError, match="too large"):
-            BatchSession(Session(mechanism_field(params, "tdl"), 1, 2))
-        x_steps = steps_of(1.0, params.p)
-        expected, _ = loop_reference("tdl", params, x_steps, BE + 2, 3, 4, 8)
-        assert np.array_equal(run_batch("tdl", params, 1.0, BE + 2, 3, 4), expected)
+    # p + e + headroom = 27, and the two sets at 63 (q = 2^64) that a word
+    # still holds (WORD_EDGES in test_sampling.py)
+    @pytest.mark.parametrize("mechanism, params, gamma", [
+        ("tdl", MechanismParams(E=4.0, L=2.0, sigma=1.0, p=27), 8),
+        ("tdl", MechanismParams(E=0.5, L=4.0, sigma=1.0, p=59), 8),
+        ("tcl", MechanismParams(E=0.5, L=4.0, sigma=1.0, p=59), 0),
+    ], ids=["p27", "tdl-k64", "tcl-k64"])
+    def test_large_fields_run_in_blocks(self, mechanism, params, gamma):
+        field = mechanism_field(params, mechanism, gamma)
+        assert field.q == 2 ** (field.p + field.e + field.headroom + 1)
+        assert field.q == (2**64 if params.p == 59 else 2**33)
+        x_steps = steps_of(params.E, params.p)
+        expected, _ = loop_reference(mechanism, params, x_steps, BE + 2, 3, 4, gamma)
+        with mock.patch.object(
+            BatchSession, "_evaluate", autospec=True, side_effect=BatchSession._evaluate
+        ) as evaluate:
+            got = run_batch(mechanism, params, params.E, BE + 2, 3, 4, gamma)
+        assert evaluate.call_count > 0
+        assert np.array_equal(got, expected)
 
 
 def test_mechanism_field_is_cached():
-    # a FieldConfig is frozen, so sessions share one; the prime search
-    # (3-9 primality tests a call on the wide set) runs once per instance
+    # a FieldConfig is frozen, so sessions share one; its sizing runs once
+    # per set
     mechanism_field.cache_clear()
     with mock.patch(
         "trunclap.mpc.protocols.field_for_mechanism", wraps=protocols.field_for_mechanism
@@ -707,11 +717,9 @@ class TestOfflinePool:
 
     def test_these_sessions_stay_sequential(self):
         field = mechanism_field(PARAMS, "tdl")
-        large = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=27)
         runs = [
             (make_session(PARAMS, "tdl", 8, 1, 2, record_transcript=True), PARAMS, {}),
             (Session(field, tape0=RandomTape(1), tape1=RandomTape(2)), PARAMS, {}),
-            (make_session(large, "tdl", 8, 1, 2), large, {}),  # q >= BATCH_MAX_Q
             (make_session(PARAMS, "tdl", 8, 1, 2), PARAMS, {"branch_prob": 0.5}),
         ]
         sizes = []

@@ -414,8 +414,8 @@ class TestNoisePlan:
             assert sample_batch(mech, E, params, 300, 5, gamma).tolist() == seq
             # a perturbation reads the coarse plan only
             assert perturb(mech, E, NoisePair(0, 0), params) == -E - L
-            # the protocol takes the same plans, and runs where its field fits a word
-            if mechanism_field(params, name, gamma).q < 1 << 64:
+            # the protocol takes the same plans, and runs where its ring fits a word
+            if mechanism_field(params, name, gamma).q <= 1 << 64:
                 z = run_batch(name, params, E, 3, 0, 1, gamma)
                 assert np.all(np.abs(z) <= E + L)
             return

@@ -17,11 +17,8 @@ from conftest import ReferenceTape
 from trunclap import RandomTape
 from trunclap.tape import _BUF, _WINDOW_MAX, _WINDOW_MIN, BATCH_MIN_SESSIONS, BlockScheduler
 
-# the field moduli are odd primes
-PRIMES = (3, 37, 1031, 2053, 2**31 - 1, 2**61 - 1)
-# a prime above 2^63: its rejection limit is q itself, so about half the
-# words are rejected
-BIG_PRIME = 2**63 + 29
+# the ring moduli are powers of two, up to 2^64
+MODULI = (2, 2**6, 2**12, 2**31, 2**32, 2**63, 2**64)
 
 OPS = st.one_of(
     st.tuples(st.just("word")),
@@ -30,7 +27,7 @@ OPS = st.one_of(
     st.tuples(st.just("words"), st.integers(_BUF - 300, _BUF + 300)),
     st.tuples(st.just("peek_skip"), st.integers(0, 600), st.floats(0, 1)),
     st.tuples(st.just("peek_skip"), st.integers(_BUF - 50, _BUF + 50), st.floats(0, 1)),
-    st.tuples(st.just("field_array"), st.sampled_from(PRIMES + (BIG_PRIME,)), st.integers(0, 50)),
+    st.tuples(st.just("field_array"), st.sampled_from(MODULI), st.integers(0, 50)),
 )
 
 
@@ -79,13 +76,12 @@ class TestWordStream:
         assert tape.peek_block(B).tolist() == ref[B + 7 : 2 * B + 7]
         tape.skip(B - 5)
         assert tape.word() == ref[2 * B + 2]
-        # field_array draws n + 8 words after the 3B the buffers hold; at
-        # q = 2^31 - 1 a word is rejected with probability about 2^-33,
-        # and none of these is
-        q, n = 2**31 - 1, 100
+        # field_array draws n words after the 3B the buffers hold, and keeps
+        # the low 31 bits of each
+        q, n = 2**31, 100
         assert tape.field_array(q, n).tolist() == [w % q for w in ref[3 * B : 3 * B + n]]
-        assert tape.words_consumed == 2 * B + 3 + n + 8
-        after = 3 * B + n + 8
+        assert tape.words_consumed == 2 * B + 3 + n
+        after = 3 * B + n
         # the buffer reads on, then refills past field_array's words
         assert tape.words(B) == ref[2 * B + 3 : 3 * B] + ref[after : after + 3]
 
@@ -123,7 +119,7 @@ class TestWordStream:
         with pytest.raises(ValueError):
             tape.peek_block(1)
         with pytest.raises(ValueError):
-            tape.field_array(37, 1)
+            tape.field_array(64, 1)
         with pytest.raises(ValueError):
             tape.skip(1)
 
@@ -161,15 +157,24 @@ class TestWordStream:
 
 
 class TestResidues:
-    """`field_array`'s residue draws: rejection top-ups and refused moduli."""
+    """`field_array`'s residue draws: masked words and refused moduli."""
 
-    def test_seeded_rejections_top_up(self):
-        # about half the words are rejected at BIG_PRIME, so the draw tops
-        # up past its first n + 8 words
+    @pytest.mark.parametrize("q", [1, 2**20, 2**64])
+    def test_residues_are_masked_words(self, q):
+        # one word a residue, nothing rejected
         a, b = RandomTape(8), ReferenceTape(8)
-        assert a.field_array(BIG_PRIME, 50).tolist() == b.field_array(BIG_PRIME, 50).tolist()
-        assert a.words_consumed == b.words_consumed > 58
-        assert a.field_elements(BIG_PRIME, 50) == b.field_array(BIG_PRIME, 50).tolist()
+        assert a.field_array(q, 50).tolist() == b.field_array(q, 50).tolist()
+        assert a.words_consumed == b.words_consumed == 50
+        assert a.field_elements(q, 50) == b.field_array(q, 50).tolist()
+        assert a.words_consumed == 100
+
+    @pytest.mark.parametrize("q", [3, 37, 2**61 - 1, 2**64 - 1])
+    def test_other_moduli_are_refused(self, q):
+        # a masked word is uniform mod q only for a power of two
+        tape = RandomTape(9)
+        with pytest.raises(ValueError, match="power of two"):
+            tape.field_array(q, 3)
+        assert tape.words_consumed == 0
 
     @pytest.mark.parametrize("q", [0, 2**64 + 13])
     def test_modulus_past_a_word_is_refused(self, q):

@@ -19,7 +19,11 @@ is worse than the parent's by no more than the metric's bound.  A metric
 is `resolved` unless the parent's IQR over its median exceeds the bound:
 its runs then spread too widely to call a change within the bound
 unchanged, unless every run of the change reads better than every run of
-the parent.  With
+the parent.  Beside these host-scaled values, `wall_clock` gives each
+side's quartiles of the unscaled ones (`wall_clock.raw` in the run's
+`perfbench/out/<W>-s<seed>-t0.json`) and their medians' ratio, so a drift
+of the host probe between the two sides shows as a gap between the two
+ratios.  With
 --claim METRIC it also reports whether that metric meets the gain rule: the
 change better in at least nine tenths of the pairs, and the medians apart
 by more than the parent's IQR.
@@ -52,7 +56,8 @@ METHOD = {
                   "in BENCHMARK.json; resolved is false when the parent's IQR over its "
                   "median exceeds the bound, unless every change run reads better than "
                   "every parent run; claim_met needs >= 9/10 wins and a median gap wider "
-                  "than the parent's IQR",
+                  "than the parent's IQR; wall_clock holds the same quartiles of the "
+                  "unscaled values each run writes under wall_clock.raw",
 }
 
 
@@ -69,7 +74,8 @@ def parse(argv):
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run; its last stdout line, the JSON result."""
+    """One untraced run: its last stdout line, the JSON result, with the
+    unscaled end-to-end values of its results file as `wall_clock`."""
     r = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
@@ -78,12 +84,20 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = r.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{checkout}: run.py exited {r.returncode}: {r.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    doc = checkout / "perfbench" / "out" / f"{workload}-s{seed}-t0.json"
+    result["wall_clock"] = json.loads(doc.read_text())["wall_clock"]["raw"]
+    return result
 
 
 def quartiles(values) -> dict:
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return {"q1": round(float(q1), 6), "median": round(float(med), 6), "q3": round(float(q3), 6)}
+
+
+def ratio(change: dict, parent: dict):
+    """The change's median over the parent's."""
+    return round(change["median"] / parent["median"], 4) if parent["median"] else None
 
 
 def better(a: float, b: float, direction: str) -> bool:
@@ -106,7 +120,7 @@ def compare(spec: dict, parent: list, change: list) -> dict:
         "bound": bound,
         "parent": p,
         "change": c,
-        "change_over_parent": round(c["median"] / p["median"], 4) if p["median"] else None,
+        "change_over_parent": ratio(c, p),
         "change_wins": f"{wins}/{len(parent)}",
         "parent_iqr_over_median": round(spread, 4) if spread is not None else None,
         "within_bound": not better(limit, c["median"], direction),
@@ -139,6 +153,8 @@ def main(argv=None) -> int:
         parent = [r["metrics"][name]["value"] for r in runs["parent"]]
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         metrics[name] = compare(m, parent, change)
+        p, c = (quartiles([r["wall_clock"][name] for r in runs[side]]) for side in runs)
+        metrics[name]["wall_clock"] = {"parent": p, "change": c, "change_over_parent": ratio(c, p)}
         if name != args.claim:
             del metrics[name]["claim_met"]
     report = {
