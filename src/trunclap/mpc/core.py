@@ -108,17 +108,9 @@ class ContractViolation(RuntimeError):
     """A shared value left the range a gadget is specified for."""
 
 
-class SharedValue:
-    """Both parties' shares of one ring element (simulator-side handle)."""
-
-    __slots__ = ("s0", "s1")
-
-    def __init__(self, s0: int, s1: int):
-        self.s0 = s0
-        self.s1 = s1
-
-    def __repr__(self):
-        return f"SharedValue({self.s0}, {self.s1})"
+# both parties' shares (s0, s1) of one ring element, as a plain tuple: the
+# simulator holds both, and a tuple is the cheapest pair to build
+SharedValue = tuple
 
 
 @dataclass
@@ -137,10 +129,13 @@ class CostLedger:
 
     def add(self, other: "CostLedger", times: int = 1) -> None:
         """Add `times` copies of another ledger's counts."""
-        # getattr/setattr, not vars(): building an instance's __dict__ slows
-        # every later attribute access on it, and gadgets charge the ledger
-        for name in _LEDGER_FIELDS:
-            setattr(self, name, getattr(self, name) + times * getattr(other, name))
+        # field by field: a pooled handout charges one pair's ledger per call
+        self.multiplications += times * other.multiplications
+        self.comparisons += times * other.comparisons
+        self.bernoulli_draws += times * other.bernoulli_draws
+        self.uniform_draws += times * other.uniform_draws
+        self.rounds += times * other.rounds
+        self.elements_exchanged += times * other.elements_exchanged
 
     def delta(self, before: dict) -> dict:
         return {k: v - before[k] for k, v in self.as_dict().items()}
@@ -177,13 +172,13 @@ class _CommonOps:
     local linear algebra and every gadget, written once for both substrates,
     each with its one ledger charge.
 
-    Shares are residues in [0, q): Python ints in a Session, uint64
-    arrays (or ints that broadcast against them) in a BatchSession.  q is a
-    power of two, so one mask reduces every operation, and uint64
-    arithmetic, which wraps mod 2^64, reduces consistently.  A substrate
-    supplies its randomness (`joint_word`, `_reshare`, `_triple`,
-    `_bit_sum`) and its policy for faults and rejected draws (`_check`,
-    `_retry`).
+    A shared value is the plain tuple (s0, s1) of both parties' shares,
+    residues in [0, q): Python ints in a Session, uint64 arrays (or ints
+    that broadcast against them) in a BatchSession.  q is a power of two,
+    so one mask reduces every operation, and uint64 arithmetic, which
+    wraps mod 2^64, reduces consistently.  A substrate supplies its
+    randomness (`joint_word`, `_reshare`, `_triple`, `_bit_sum`) and its
+    policy for faults and rejected draws (`_check`, `_retry`).
     """
 
     def __init__(self, fieldcfg: FieldConfig, record_transcript: bool = False):
@@ -199,32 +194,37 @@ class _CommonOps:
         self.transcript: tuple[list, list] = ([], [])
 
     def _recv(self, party: int, *values) -> None:
-        """Transcript hook: `party` received `values`, in order."""
-        if self.record_transcript:
-            self.transcript[party].extend(values)
+        """Transcript hook: `party` received `values`, in order; called only
+        under `record_transcript`."""
+        self.transcript[party].extend(values)
 
     def share(self, v) -> SharedValue:
         """Share a value party 0 holds; party 1 receives the dealer's mask,
         one sent element.  In a BatchSession v is one value per execution
         or one common to all (shared as plain ints)."""
         sv = self._reshare(v)
-        self.ledger.rounds += SHARE_ROUNDS
-        self.ledger.elements_exchanged += SHARE_ELEMENTS
-        self._recv(1, sv.s1)
+        led = self.ledger
+        led.rounds += SHARE_ROUNDS
+        led.elements_exchanged += SHARE_ELEMENTS
+        if self.record_transcript:
+            self._recv(1, sv[1])
         return sv
 
     def open(self, sv: SharedValue):
         """Exchange shares and return the balanced reconstruction."""
-        self.ledger.rounds += OPEN_ROUNDS
-        self.ledger.elements_exchanged += OPEN_ELEMENTS
-        self._recv(0, sv.s1)
-        self._recv(1, sv.s0)
-        return self.peek(sv)
+        led = self.ledger
+        led.rounds += OPEN_ROUNDS
+        led.elements_exchanged += OPEN_ELEMENTS
+        s0, s1 = sv
+        if self.record_transcript:
+            self._recv(0, s1)
+            self._recv(1, s0)
+        return self._lift(s0 + s1)
 
     def peek(self, sv: SharedValue):
         """Simulator-only balanced reconstruction, in [-q/2, q/2); no
         communication, no ledger."""
-        return self._lift(sv.s0 + sv.s1)
+        return self._lift(sv[0] + sv[1])
 
     def _lift(self, v):
         """The balanced representative of v mod q."""
@@ -235,42 +235,46 @@ class _CommonOps:
         elements.  `triple` is one drawn ahead (`perturbation_material`);
         without it the dealer draws one now."""
         m = self._m
+        a0, a1 = a
+        b0, b1 = b
         ta, tb, ta0, tb0, tc0 = self._triple(a, b) if triple is None else triple
         # each party sends its shares of d = a - ta and e = b - tb (a common
         # share meets the triple first: the sum of two could pass a uint64)
-        d = (a.s0 - ta + a.s1) & m
-        e = (b.s0 - tb + b.s1) & m
+        d = (a0 - ta + a1) & m
+        e = (b0 - tb + b1) & m
         led = self.ledger
         led.multiplications += 1
         led.rounds += MUL_ROUNDS
         led.elements_exchanged += MUL_ELEMENTS
         if self.record_transcript:
-            self._recv(0, (a.s1 - ta + ta0) & m, (b.s1 - tb + tb0) & m)
-            self._recv(1, (a.s0 - ta0) & m, (b.s0 - tb0) & m)
+            self._recv(0, (a1 - ta + ta0) & m, (b1 - tb + tb0) & m)
+            self._recv(1, (a0 - ta0) & m, (b0 - tb0) & m)
         s0 = (d * tb0 + e * ta0 + d * e + tc0) & m
         s1 = (d * (tb - tb0) + e * (ta - ta0) + ta * tb - tc0) & m
-        return SharedValue(s0, s1)
+        return (s0, s1)
 
     def share_public(self, v) -> SharedValue:
         """Zero-cost sharing of a publicly known constant."""
-        return SharedValue(v & self._m, 0)
+        return (v & self._m, 0)
 
     def add(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        return SharedValue((a.s0 + b.s0) & self._m, (a.s1 + b.s1) & self._m)
+        m = self._m
+        return ((a[0] + b[0]) & m, (a[1] + b[1]) & m)
 
     def sub(self, a: SharedValue, b: SharedValue) -> SharedValue:
-        return SharedValue((a.s0 - b.s0) & self._m, (a.s1 - b.s1) & self._m)
+        m = self._m
+        return ((a[0] - b[0]) & m, (a[1] - b[1]) & m)
 
     # public constants enter as residues: a negative int does not meet a
     # uint64 array
     def add_public(self, a: SharedValue, c: int) -> SharedValue:
         m = self._m
-        return SharedValue((a.s0 + (c & m)) & m, a.s1)
+        return ((a[0] + (c & m)) & m, a[1])
 
     def affine(self, a: SharedValue, scale: int, offset: int) -> SharedValue:
         m = self._m
         scale &= m
-        return SharedValue((a.s0 * scale + (offset & m)) & m, a.s1 * scale & m)
+        return ((a[0] * scale + (offset & m)) & m, a[1] * scale & m)
 
     def pi_bersample(self, prob: float) -> SharedValue:
         """Shared Bernoulli bit with the given public success probability.
@@ -312,7 +316,9 @@ class _CommonOps:
         (on `triple`, as `mul`)."""
         sel = self.peek(i)
         self._check((sel != 0) & (sel != 1), sel, "mux selector {} is not a shared bit")
-        return self.add(a, self.mul(i, self.sub(b, a), triple))
+        m = self._m
+        d0, d1 = self.mul(i, ((b[0] - a[0]) & m, (b[1] - a[1]) & m), triple)
+        return ((a[0] + d0) & m, (a[1] + d1) & m)
 
     def pi_uni(self, m: int) -> SharedValue:
         """Shared uniform draw over {0, ..., m-1}.
@@ -451,7 +457,7 @@ class Session(_CommonOps):
         """Fresh additive sharing of a value using a dealer mask (`mask`, or
         one taken from the pool now)."""
         r = self._mask() if mask is None else mask
-        return SharedValue((value - r) & self._m, r)
+        return ((value - r) & self._m, r)
 
     def _bit_sum(self, thresholds: tuple[int, ...]) -> int:
         """Sum of 2^i * bit i of k Bernoulli draws: k words from each party
@@ -653,8 +659,8 @@ class BatchSession(_CommonOps):
         r = self._masks(value.shape) if mask is None else mask
         masked = (value - r) & self._m
         if masked.ndim == 0:  # a common value: plain ints, usable by Session too
-            return SharedValue(int(masked), int(r))
-        return SharedValue(masked, r)
+            return (int(masked), int(r))
+        return (masked, r)
 
     def _bit_sum(self, thresholds: tuple[int, ...]) -> np.ndarray:
         """Sum of 2^i * bit i per execution: the next k rows of the block in
@@ -672,12 +678,12 @@ class BatchSession(_CommonOps):
         """A fresh triple per execution: five dealer residue rows (five ints
         for a product of common values, which numpy scalars would not wrap
         silently)."""
-        shape = np.broadcast(a.s0, a.s1, b.s0, b.s1).shape
+        shape = np.broadcast(*a, *b).shape
         rows = self._masks((5,) + shape)
         return rows if shape else rows.tolist()
 
     def perturbation_material(self, payload: SharedValue) -> tuple:
         """As `Session.perturbation_material`, one entry per execution: a
         mask row at the payload's shape, then two triples of five rows."""
-        shape = np.broadcast(payload.s0, payload.s1).shape
+        shape = np.broadcast(*payload).shape
         return self._masks(shape), self._masks((5,) + shape), self._masks((5,) + shape)

@@ -198,15 +198,13 @@ def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:
     the sign test's mask and the two triples' five residues each."""
     pair = _noise_pair(batch, plan)
     mask, select, blend = pair.spend()
-    cols = (pair.branch.s0, pair.branch.s1, pair.payload.s0, pair.payload.s1, mask)
-    return np.column_stack(np.broadcast_arrays(*cols, *select, *blend))
+    cols = (*pair.branch, *pair.payload, mask, *select, *blend)
+    return np.column_stack(np.broadcast_arrays(*cols))
 
 
 def _unpack_pair(row: list[int]) -> SharedNoisePair:
     """The pair of one row of `_noise_rows`."""
-    i0, i1, y0, y1, mask = row[:5]
-    material = (mask, tuple(row[5:10]), tuple(row[10:]))
-    return SharedNoisePair(SharedValue(i0, i1), SharedValue(y0, y1), material)
+    return SharedNoisePair((row[0], row[1]), (row[2], row[3]), (row[4], row[5:10], row[10:]))
 
 
 def pi_d_noise(

@@ -158,9 +158,14 @@ class RandomTape:
         """Consume n words already returned by `peek_block`.  Words the
         tape has not drawn are refused: counted as used, they would be
         handed out later."""
-        _require_count(n)
-        self._require_generator("skip")
-        self._sync()
+        # the two refusals inline, and _sync only with a window loaded: a pooled
+        # noise pair skips its words on both party tapes at every handout
+        if n < 0:
+            raise ValueError(f"cannot read {n} words")
+        if self._injected is not None:
+            raise ValueError("skip needs a seeded tape")
+        if self._win:
+            self._sync()
         have = len(self._buf) - self._pos
         if n > have:
             raise ValueError(f"cannot skip {n} words: {have} are drawn past the read position")

@@ -122,6 +122,13 @@ class ReferenceTape:
         return np.array([w % q for w in words], dtype=np.uint64)
 
 
+def mux_composition(s, i, a, b, triple=None):
+    """The mux as it was composed of wire calls, [a] + [i]*([b] - [a]): the
+    oracle for `mux`, which computes the same shares in place around its
+    one `mul` (and checks its selector first)."""
+    return s.add(a, s.mul(i, s.sub(b, a), triple))
+
+
 @pytest.fixture
 def small_params() -> MechanismParams:
     return MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)

@@ -80,7 +80,7 @@ def test_pairs_alternate_the_side_that_runs_first(tmp_path, monkeypatch, capsys)
     assert calls == [("parent", 11), ("change", 11), ("change", 12), ("parent", 12),
                      ("parent", 13), ("change", 13)]
     report = json.loads(out.read_text())["workloads"]["w"]
-    assert report["claim"] == {"metric": "tcl_outputs_per_s", "met": True}
+    assert report["claim"] == {"metric": "tcl_outputs_per_s", "met": True, "wall_clock_met": True}
     assert "claim_met" not in report["metrics"]["call_tail_us"]
     assert not report["metrics"]["call_tail_us"]["within_bound"]  # 2.0 us against 1.0
     assert json.loads(capsys.readouterr().out)["seeds"] == [11, 12, 13]
@@ -115,3 +115,30 @@ def test_wall_clock_quartiles_sit_beside_the_scaled_ones(tmp_path, monkeypatch):
     wall = metric["wall_clock"]
     assert wall["change_over_parent"] == 1.0
     assert wall["parent"] == wall["change"] == {"q1": 111.75, "median": 112.5, "q3": 113.25}
+
+
+def test_the_claim_is_checked_on_the_wall_clock_values_too(tmp_path, monkeypatch):
+    # the change's host probe runs 30% faster, so its scaled rate meets the
+    # claim while its unscaled rate, the parent's, does not
+    spec = {"end_to_end": [HIGHER]}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run_once(checkout, workload, seed, seconds):
+        raw = 100.0 + seed % 3
+        scaled = raw * (1.3 if checkout.name == "change" else 1.0)
+        return {"correct": True, "attempted": 5, "failed": 0,
+                "metrics": {"tcl_outputs_per_s": {"value": scaled, "unit": "1/s"}},
+                "wall_clock": {"tcl_outputs_per_s": raw}}
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    out = tmp_path / "bench.json"
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--pairs", "10", "--seconds", "1",
+            "--claim", "tcl_outputs_per_s", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(out.read_text())["workloads"]["w"]
+    assert report["claim"] == {"metric": "tcl_outputs_per_s", "met": True,
+                               "wall_clock_met": False}
+    assert report["metrics"]["tcl_outputs_per_s"]["wall_clock"]["change_over_parent"] == 1.0

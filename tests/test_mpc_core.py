@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from unittest import mock
 
@@ -5,10 +6,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2_contingency, chisquare
 
+from conftest import mux_composition
 from trunclap.grids import FieldConfig, field_for_mechanism
 from trunclap.mechanisms import TCL, MechanismParams, branch_probability_d
 from trunclap.mpc import BatchSession, ContractViolation, Session, mechanism_field
-from trunclap.mpc.core import CMP_ELEMENTS, CMP_ROUNDS, SharedValue
+from trunclap.mpc.core import CMP_ELEMENTS, CMP_ROUNDS, CostLedger
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import centered_dlap_config
 from trunclap.tape import RandomTape
@@ -35,7 +37,7 @@ class TestShareOpen:
 
     def test_share_is_masked_uniformly(self):
         s = small_session()
-        shares = [s.share(123).s0 for _ in range(10_000)]
+        shares = [s.share(123)[0] for _ in range(10_000)]
         counts, _ = np.histogram(shares, bins=16, range=(0, s.q))
         _, p = chisquare(counts)
         assert p > 0.01
@@ -68,19 +70,19 @@ class TestWires:
         q = s.q
         for r in range(q):
             # share sums below q and at or above q both lift to lift(r)
-            for sv in (SharedValue(r, 0), SharedValue(q - 1, (r + 1) % q)):
+            for sv in ((r, 0), (q - 1, (r + 1) % q)):
                 assert s.peek(sv) == self.CFG.lift(r)
                 assert s.open(sv) == self.CFG.lift(r)
             assert s.open(s.share(r)) == self.CFG.lift(r)
-        assert s.peek(SharedValue((q - 1) // 2, 0)) == (q - 1) // 2
-        assert s.peek(SharedValue((q + 1) // 2, 0)) == -(q - 1) // 2
+        assert s.peek(((q - 1) // 2, 0)) == (q - 1) // 2
+        assert s.peek(((q + 1) // 2, 0)) == -(q - 1) // 2
 
     def test_batch_reconstructs_every_residue(self):
         s = BatchSession(Session(self.CFG, 1, 2))
         q = s.q
         r = np.arange(q)
         lifted = np.array([self.CFG.lift(int(v)) for v in r])
-        for sv in (SharedValue(r, 0), SharedValue(q - 1, (r + 1) % q), s.share(r)):
+        for sv in ((r, 0), (q - 1, (r + 1) % q), s.share(r)):
             assert np.array_equal(s.peek(sv), lifted)
             assert np.array_equal(s.open(sv), lifted)
         assert lifted[(q - 1) // 2] == (q - 1) // 2 and lifted[(q + 1) // 2] == -(q - 1) // 2
@@ -94,13 +96,13 @@ class TestWires:
         a0, a1, b0, b1 = rng.integers(0, q, size=(4, 200))
         batch = BatchSession(Session(self.CFG, 1, 2))
         monkeypatch.setattr(batch, "_triple", lambda *_: triples)
-        z = batch.mul(SharedValue(a0, a1), SharedValue(b0, b1))
+        z = batch.mul((a0, a1), (b0, b1))
         assert np.array_equal(batch.peek(z), [self.CFG.lift(v) for v in (a0 + a1) * (b0 + b1)])
         s = Session(self.CFG, 1, 2)
         for j in range(triples.shape[1]):
             monkeypatch.setattr(s, "_triple", lambda *_: tuple(int(t) for t in triples[:, j]))
-            zj = s.mul(SharedValue(int(a0[j]), int(a1[j])), SharedValue(int(b0[j]), int(b1[j])))
-            assert (zj.s0, zj.s1) == (z.s0[j], z.s1[j])
+            zj = s.mul((int(a0[j]), int(a1[j])), (int(b0[j]), int(b1[j])))
+            assert zj == (z[0][j], z[1][j])
 
     @pytest.mark.parametrize("k", [5, 31, 32, 63, 64])
     def test_wires_at_the_ring_edges(self, k, monkeypatch):
@@ -114,15 +116,15 @@ class TestWires:
         shares, triples = grid.reshape(9, -1)[:4], grid.reshape(9, -1)[4:]
         batch = BatchSession(Session(cfg, 1, 2))
         monkeypatch.setattr(batch, "_triple", lambda *_: triples)
-        z = batch.mul(SharedValue(*shares[:2]), SharedValue(*shares[2:]))
+        z = batch.mul(tuple(shares[:2]), tuple(shares[2:]))
         opened = batch.peek(z)
         s = Session(cfg, 1, 2)
         for j in range(shares.shape[1]):
             monkeypatch.setattr(s, "_triple", lambda *_: tuple(int(t) for t in triples[:, j]))
             a0, a1, b0, b1 = (int(v) for v in shares[:, j])
-            zj = s.mul(SharedValue(a0, a1), SharedValue(b0, b1))
-            assert (zj.s0, zj.s1) == (int(z.s0[j]), int(z.s1[j]))
-            assert 0 <= zj.s0 < q and 0 <= zj.s1 < q
+            zj = s.mul((a0, a1), (b0, b1))
+            assert zj == (int(z[0][j]), int(z[1][j]))
+            assert all(0 <= v < q for v in zj)
             assert s.peek(zj) == opened[j] == cfg.lift((a0 + a1) * (b0 + b1))
         # share and open at the ends of the balanced range [-q/2, q/2)
         edges = [0, 1, h - 1, h, q - 1]
@@ -130,7 +132,7 @@ class TestWires:
         assert lifted[2:] == [h - 1, -h, -1]
         s, batch = Session(cfg, 3, 4), BatchSession(Session(cfg, 3, 4))
         assert [s.open(s.share(v)) for v in edges] == lifted
-        assert [s.peek(SharedValue(v, q - 1)) for v in edges] == [cfg.lift(v - 1) for v in edges]
+        assert [s.peek((v, q - 1)) for v in edges] == [cfg.lift(v - 1) for v in edges]
         assert batch.open(batch.share(np.array(edges, dtype=np.uint64))).tolist() == lifted
         # a product of two values each about q/4 in size opens to lift(x*y)
         x, y = 2 ** (k - 2) + 3, -(2 ** (k - 2)) - 7
@@ -147,10 +149,10 @@ class TestWires:
         s = Session(self.CFG, 1, 2, record_transcript=True)
         t0, t1 = s.transcript
         x = s.share(3)  # party 1 receives the dealer's mask: its own share
-        assert (t0, t1) == ([], [x.s1])
+        assert (t0, t1) == ([], [x[1]])
         y = s.share(5)
         s.open(x)  # each party receives the other's share
-        assert (t0, t1[2:]) == ([x.s1], [x.s0])
+        assert (t0, t1[2:]) == ([x[1]], [x[0]])
         # mul: each party receives the other's shares of d = x - a and e = y - b
         a, b, q = 100, 200, s.q
         # the dealer's five residues (ta, tb, ta0, tb0, tc0)
@@ -246,6 +248,67 @@ class TestMux:
         with pytest.raises(ContractViolation, match="selector 2"):
             s.mux(sel, s.share(np.zeros(4, dtype=np.int64)), s.share(np.ones(4, dtype=np.int64)))
 
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_equals_the_composition_on_a_recording_session(self, bit):
+        # the same seeds give both sessions the same shares and triple
+        outs = []
+        for mux in (Session.mux, mux_composition):
+            s = small_session(record_transcript=True)
+            i, a, b = s.share(bit), s.share(10), s.share(20)
+            outs.append((mux(s, i, a, b, s.triples.take()), s.ledger.as_dict(), s.transcript))
+        assert outs[0] == outs[1]
+        assert all(type(v) is int for v in outs[0][0])
+        assert small_session().peek(outs[0][0]) == (10, 20)[bit]
+
+    @pytest.mark.parametrize("bit", [0, 1])
+    def test_equals_the_composition_on_a_batch(self, bit):
+        outs = []
+        for mux in (BatchSession.mux, mux_composition):
+            s = BatchSession(Session(SMALL, 1, 2))
+            i = s.share(np.full(6, bit))
+            a, b = s.share(np.arange(6)), s.share(np.arange(6) + 100)
+            outs.append((mux(s, i, a, b, s._masks((5, 6))), s.ledger.as_dict(), s.transcript))
+        (got, led, seen), (want, want_led, want_seen) = outs
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert (led, seen) == (want_led, want_seen)
+        assert np.array_equal(s.peek(got), np.arange(6) + 100 * bit)
+
+    def test_non_bit_selector_marks_the_execution_in_a_block(self):
+        # inside a block a non-bit selector raises nothing: it ends the block
+        # before the first execution it reaches, which the session then runs
+        # and fails on
+        def program(b):
+            sel = b.pi_uni(4)
+            b.mux(sel, b.share_public(0), b.share_public(1))
+            return b.peek(sel)
+
+        batch = BatchSession(Session(SMALL, 1, 2))
+        kept, sels, _ = batch._evaluate(program, 1, 64)
+        bad = (sels != 0) & (sels != 1)
+        assert bad.any() and np.array_equal(batch._rejected, bad)
+        assert kept == int(np.argmax(bad))
+        with pytest.raises(ContractViolation, match="mux selector"):
+            Session(SMALL, 1, 2).run(program, 64, 1)
+
+
+class TestCostLedger:
+    def test_add_covers_every_field(self):
+        # distinct counts on each side: a field that `add` misses or mixes
+        # up with another reads wrong
+        names = [f.name for f in dataclasses.fields(CostLedger)]
+        total = CostLedger(**{n: 1 + k for k, n in enumerate(names)})
+        unit = CostLedger(**{n: 10 ** (k + 1) for k, n in enumerate(names)})
+        total.add(unit, 3)
+        assert total.as_dict() == {n: 1 + k + 3 * 10 ** (k + 1) for k, n in enumerate(names)}
+        total.add(unit)
+        assert total.as_dict() == {n: 1 + k + 4 * 10 ** (k + 1) for k, n in enumerate(names)}
+
+    def test_as_dict_keys_and_order(self):
+        assert list(CostLedger().as_dict()) == [
+            "multiplications", "comparisons", "bernoulli_draws", "uniform_draws",
+            "rounds", "elements_exchanged",
+        ]
+
 
 class TestBersample:
     def test_endpoints(self):
@@ -329,7 +392,7 @@ class TestBersampleSum:
         for _ in range(3):
             u, v = a.pi_bersample_sum(ts), bit_loop(b, ts)
             assert a.peek(u) == b.peek(v)
-            assert all(type(x) is int for x in (u.s0, u.s1))
+            assert all(type(x) is int for x in u)
         assert a.ledger.as_dict() == b.ledger.as_dict()
         assert self.words(a) == self.words(b)
         assert a.joint_word() == b.joint_word()  # both read on from one place
@@ -372,7 +435,7 @@ class TestBersampleSum:
         shares = []
 
         def program(s):
-            shares.append(s.pi_bersample_sum(ts).s1)
+            shares.append(s.pi_bersample_sum(ts)[1])
             return 0
 
         s.run(program, n, len(ts))
@@ -604,7 +667,7 @@ class TestBatchSession:
     def test_common_value_broadcasts(self):
         s = self.batch()
         x = s.share(17)  # one value shared for every execution
-        assert isinstance(x.s0, int) and isinstance(x.s1, int)
+        assert isinstance(x[0], int) and isinstance(x[1], int)
         y = s.share(np.arange(5))
         assert np.array_equal(s.open(s.mul(x, y)), 17 * np.arange(5))
 

@@ -56,6 +56,7 @@ from trunclap.sampling import (
     perturb,
     sample_dlap_centered,
 )
+from trunclap.thresholds import THRESHOLDS
 
 PARAMS = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
 
@@ -378,10 +379,11 @@ def _dp_cert_counts(x, n, seed):
 
 class TestDifferentialPrivacyCertificate:
     def test_empirical_ratio_bound_extreme_inputs(self):
-        # 10^6 opened outputs per extreme input; every well-populated bin
-        # must respect the e^eps ratio bound within 3 relative SEs
+        # dp_cert_sessions (10^6) opened outputs per extreme input; every bin
+        # with dp_cert_min_count draws on both sides must respect the e^eps
+        # ratio bound within dp_cert_rel_se (3) relative SEs
         eps = 2.0
-        n_total = 1_000_000
+        n_total = THRESHOLDS["dp_cert_sessions"]
         chunks = 4
         per = n_total // chunks
         counts = {}
@@ -389,14 +391,15 @@ class TestDifferentialPrivacyCertificate:
             results = [_dp_cert_counts(x, per, 10_000 + i * 7 + int(x)) for i in range(chunks)]
             counts[x] = np.sum(results, axis=0)
         c1, c2 = counts[-4.0], counts[4.0]
-        mask = (c1 >= 100) & (c2 >= 100)
+        min_count = THRESHOLDS["dp_cert_min_count"]
+        mask = (c1 >= min_count) & (c2 >= min_count)
         assert mask.all()  # this support is fully populated at 10^6 draws
         f1 = c1 / c1.sum()
         f2 = c2 / c2.sum()
         for a, b in ((f1, f2), (f2, f1)):
             ratio = a[mask] / b[mask]
             rel_se = np.sqrt(1 / c1[mask] + 1 / c2[mask])
-            assert np.all(ratio <= math.exp(eps) * (1 + 3 * rel_se))
+            assert np.all(ratio <= math.exp(eps) * (1 + THRESHOLDS["dp_cert_rel_se"] * rel_se))
 
 
 WIDE = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)

@@ -32,6 +32,7 @@ from trunclap import (
     sample_tdl_batch,
 )
 from trunclap.grids import steps_of
+from trunclap.thresholds import THRESHOLDS
 from trunclap.mechanisms import (
     branch_probability_c,
     branch_probability_d,
@@ -133,9 +134,9 @@ class TestCenteredDlap:
         draws = np.array([sample_dlap_centered(2.0, 1.0, 0, tape) for _ in range(n)])
         counts = np.bincount((draws + 2).astype(int), minlength=5)
         exact = centered_dlap_pmf(2.0, 1.0, 0).masses
-        assert tv(counts, exact) < 0.003
+        assert tv(counts, exact) < THRESHOLDS["sampler_tv_1e6"]
         mirrored = counts[::-1]
-        assert 0.5 * np.sum(np.abs(counts / n - mirrored / n)) < 0.003
+        assert 0.5 * np.sum(np.abs(counts / n - mirrored / n)) < THRESHOLDS["sampler_tv_1e6"]
 
     def test_zero_mass_frequency(self):
         n = 200_000
@@ -268,7 +269,7 @@ class TestCenteredClap:
         )
         counts = np.bincount((draws + 2).astype(int), minlength=4)
         exact = centered_clap_pmf(2.0, 1.0, 0).masses
-        assert tv(counts, exact) < 0.01
+        assert tv(counts, exact) < THRESHOLDS["clap_tv_1e6"]
         assert draws.max() < 2.0  # half-open support
 
     def test_exact_pushforward_tv_decreases_in_gamma(self):
@@ -519,7 +520,7 @@ class TestPerturb:
             x = float(x)
             vals = sample_tdl_batch(x, params, 1_000_000, 100 + i)
             counts = np.bincount((vals + 6).astype(int), minlength=13)
-            assert tv(counts, tdl_masses_oracle(x, 4, 2, 1, 0)) < 0.003
+            assert tv(counts, tdl_masses_oracle(x, 4, 2, 1, 0)) < THRESHOLDS["sampler_tv_1e6"]
 
     def test_errors(self, small_params):
         with pytest.raises(ValueError):

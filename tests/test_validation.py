@@ -17,6 +17,7 @@ from trunclap import (
     tv_distance,
 )
 from trunclap.mechanisms import ExactPmf
+from trunclap.thresholds import THRESHOLDS
 from trunclap.validation import chi_square, overlay_data
 
 
@@ -29,7 +30,7 @@ class TestTvDistance:
     def test_self_sampled(self, small_params):
         vals = sample_tdl_batch(0.0, small_params, 1_000_000, 7)
         h = Histogram.from_samples(vals, small_params.output_grid("tdl"))
-        assert tv_distance(h, pmf_tdl(0.0, small_params)) < 0.003
+        assert tv_distance(h, pmf_tdl(0.0, small_params)) < THRESHOLDS["sampler_tv_1e6"]
 
     def test_exact_masses_give_zero(self, small_params):
         f = pmf_tdl(1.0, small_params)

@@ -26,7 +26,8 @@ of the host probe between the two sides shows as a gap between the two
 ratios.  With
 --claim METRIC it also reports whether that metric meets the gain rule: the
 change better in at least nine tenths of the pairs, and the medians apart
-by more than the parent's IQR.
+by more than the parent's IQR; `wall_clock_met` applies the same rule to
+the unscaled values.
 
 The report is printed as JSON.  With --out it is also stored under
 `workloads.<W>` of that file, next to a `method` note, keeping the file's
@@ -57,7 +58,8 @@ METHOD = {
                   "median exceeds the bound, unless every change run reads better than "
                   "every parent run; claim_met needs >= 9/10 wins and a median gap wider "
                   "than the parent's IQR; wall_clock holds the same quartiles of the "
-                  "unscaled values each run writes under wall_clock.raw",
+                  "unscaled values each run writes under wall_clock.raw, and "
+                  "claim.wall_clock_met applies the claim rule to them",
 }
 
 
@@ -167,7 +169,12 @@ def main(argv=None) -> int:
         "metrics": metrics,
     }
     if args.claim:
-        report["claim"] = {"metric": args.claim, "met": metrics[args.claim]["claim_met"]}
+        # the same rule on the unscaled values: a change in allocations moves
+        # the host probe, and with it every scaled value
+        m = next(m for m in spec if m["name"] == args.claim)
+        parent, change = ([r["wall_clock"][args.claim] for r in runs[side]] for side in runs)
+        report["claim"] = {"metric": args.claim, "met": metrics[args.claim]["claim_met"],
+                           "wall_clock_met": compare(m, parent, change)["claim_met"]}
     print(json.dumps(report, indent=1))
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
