@@ -20,12 +20,12 @@ Randomness discipline: the two party tapes feed only the joint public
 coins (XOR-combined 64-bit words for Bernoulli and uniform draws) and are
 read word by word, while all masks, triples, and re-sharing randomness
 come from a dealer tape derived deterministically from the two party
-seeds, read only in arrays of residues: a substrate pools them and takes
-its masks and triples from the pool (a Session's triples from its
-`TripleStore`).  Opened protocol outputs therefore depend on the party
-tapes alone, which is what lets a plaintext functionality run on the
-same word stream reproduce them bit for bit, and what lets the dealer
-stream change without moving any of them.
+seeds, read only in arrays of residues: a Session takes every mask and
+triple from one pool of them (its `TripleStore`), a BatchSession draws
+each gadget's in one array.  Opened protocol outputs therefore depend on
+the party tapes alone, which is what lets a plaintext functionality run
+on the same word stream reproduce them bit for bit, and what lets the
+dealer stream change without moving any of them.
 
 Cost model (abstract operation counts, not wall-clock):
 
@@ -90,14 +90,8 @@ TRUNC_ROUNDS = 2
 _MIX0 = 0x9E3779B97F4A7C15
 _MIX1 = 0xC2B2AE3D27D4EB4F
 
-# dealer residues a BatchSession draws at least at once; a whole call of a
-# few executions takes one draw
-DEALER_CHUNK = 1 << 12
-# Beaver triples a Session's TripleStore draws at once
-TRIPLES_PER_REFILL = 64
-# dealer masks a Session draws at once: as many residues as a triple refill
-# (a DEALER_CHUNK draw would add about 0.13 ms to every fresh Session)
-MASKS_PER_REFILL = 5 * TRIPLES_PER_REFILL
+# dealer residues a Session's pool draws at once: 64 triples' worth
+RESIDUES_PER_REFILL = 320
 # executions a Session's offline pool evaluates at most in one block: bounds
 # its memory (a block of 1,024 noise pairs is one 1,024 x 15 uint64 array)
 POOL_BLOCK_MAX = 1 << 10
@@ -145,21 +139,32 @@ _LEDGER_FIELDS = tuple(f.name for f in fields(CostLedger))
 
 
 class TripleStore:
-    """Queue of the simulated dealer's Beaver triples (ta, tb, ta0, tb0, tc0):
-    party 0's shares and the pair; party 1's ta - ta0, tb - tb0, ta*tb - tc0."""
+    """A Session's one pool of dealer residues, drawn RESIDUES_PER_REFILL
+    at a time (`refills` counts the draws): `mask()` hands out one, `take()`
+    five as a Beaver triple (ta, tb, ta0, tb0, tc0), party 0's shares and
+    the pair; party 1's are ta - ta0, tb - tb0, ta*tb - tc0.  The name, the
+    triple queue's it replaced, waits for ROADMAP direction 10."""
 
     def __init__(self, q: int, dealer: RandomTape):
         self.q = q
         self._dealer = dealer
-        self._queue: list[tuple[int, int, int, int, int]] = []
+        self._pool: list[int] = []  # residues not yet handed out, the next last
         self.refills = 0
 
-    def take(self) -> tuple[int, int, int, int, int]:
-        if not self._queue:
-            d = iter(self._dealer.field_elements(self.q, 5 * TRIPLES_PER_REFILL))
-            self._queue.extend(zip(d, d, d, d, d))
-            self.refills += 1
-        return self._queue.pop()
+    def _refill(self) -> list[int]:
+        # the residues left go first
+        self._pool = self._dealer.field_elements(self.q, RESIDUES_PER_REFILL) + self._pool
+        self.refills += 1
+        return self._pool
+
+    def mask(self) -> int:
+        return (self._pool or self._refill()).pop()
+
+    def take(self) -> list[int]:
+        pool = self._pool if len(self._pool) >= 5 else self._refill()
+        triple = pool[-5:]
+        del pool[-5:]
+        return triple
 
 
 def dealer_seed(seed0: int, seed1: int) -> int:
@@ -231,9 +236,9 @@ class _CommonOps:
         return ((v + self._half) & self._m) - self._half
 
     def mul(self, a: SharedValue, b: SharedValue, triple=None) -> SharedValue:
-        """Beaver multiplication: one triple (see TripleStore), one round, four
-        elements.  `triple` is one drawn ahead (`perturbation_material`);
-        without it the dealer draws one now."""
+        """Beaver multiplication: one triple of five dealer residues, one
+        round, four elements.  `triple` is one drawn ahead
+        (`perturbation_material`); without it the dealer draws one now."""
         m = self._m
         a0, a1 = a
         b0, b1 = b
@@ -419,8 +424,7 @@ class Session(_CommonOps):
         self.tape0 = tape0 if tape0 is not None else RandomTape(seed0)
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
-        self.triples = TripleStore(self.q, self.dealer)
-        self._pool: list[int] = []  # dealer masks not yet used
+        self.triples = TripleStore(self.q, self.dealer)  # every mask and triple
         # blocks run only on the session's own seeded tapes, and never while
         # it records its transcript (checked at each call)
         self._batches = tape0 is None and tape1 is None
@@ -446,17 +450,10 @@ class Session(_CommonOps):
         """XOR of one fresh 64-bit word from each party's tape."""
         return self.tape0.word() ^ self.tape1.word()
 
-    def _mask(self) -> int:
-        """The next pooled dealer mask; the pool draws MASKS_PER_REFILL
-        residues at a time."""
-        if not self._pool:
-            self._pool = self.dealer.field_elements(self.q, MASKS_PER_REFILL)
-        return self._pool.pop()
-
     def _reshare(self, value: int, mask: int | None = None) -> SharedValue:
         """Fresh additive sharing of a value using a dealer mask (`mask`, or
         one taken from the pool now)."""
-        r = self._mask() if mask is None else mask
+        r = self.triples.mask() if mask is None else mask
         return ((value - r) & self._m, r)
 
     def _bit_sum(self, thresholds: tuple[int, ...]) -> int:
@@ -473,8 +470,8 @@ class Session(_CommonOps):
     def perturbation_material(self, payload: SharedValue) -> tuple:
         """The dealer material of one perturbation of `payload`, in the order
         it uses it: the sign test's mask, then the two muxes' triples."""
-        take = self.triples.take
-        return self._mask(), take(), take()
+        pool = self.triples
+        return pool.mask(), pool.take(), pool.take()
 
     def offline(self, key, words: int, block, step, unpack):
         """One execution of an input-independent program, drawn now by
@@ -549,9 +546,9 @@ class BatchSession(_CommonOps):
     executions without consuming their words, laid out execution by
     execution (`peek_block`), and `_commit` consumes the ones kept.
 
-    Masks and Beaver triples come from a pool of dealer residues, drawn
-    DEALER_CHUNK or more at a time from the session's dealer; opened
-    values never depend on it.  Inside a block every gadget costs its
+    Masks and Beaver triples are drawn from the session's dealer as the
+    gadgets need them, each call's residues in one array; opened values
+    never depend on them.  Inside a block every gadget costs its
     per-execution amount once per committed execution; outside it
     (sharing a value) once.
     """
@@ -565,8 +562,6 @@ class BatchSession(_CommonOps):
         self._rows: np.ndarray | None = None  # joint word j of each execution in row j
         self._col = 0
         self._rejected = np.zeros(0, dtype=bool)
-        self._pool = np.empty(0, dtype=np.uint64)  # dealer residues not yet used
-        self._pool_at = 0
 
     # -- blocks ------------------------------------------------------------
 
@@ -643,14 +638,8 @@ class BatchSession(_CommonOps):
         return self._rows[self._col - k : self._col]
 
     def _masks(self, shape: tuple) -> np.ndarray:
-        """Fresh dealer residues; drawn DEALER_CHUNK or more at a time."""
-        size = math.prod(shape)
-        if self._pool_at + size > len(self._pool):
-            fresh = self.dealer.field_array(self.q, max(size, DEALER_CHUNK))
-            self._pool = np.concatenate([self._pool[self._pool_at :], fresh])
-            self._pool_at = 0
-        self._pool_at += size
-        return self._pool[self._pool_at - size : self._pool_at].reshape(shape)
+        """Fresh dealer residues, drawn now."""
+        return self.dealer.field_array(self.q, math.prod(shape)).reshape(shape)
 
     def _reshare(self, value, mask: np.ndarray | None = None) -> SharedValue:
         """Fresh additive sharing of one value per execution (or one common),

@@ -28,8 +28,8 @@ import numpy as np
 
 WORD_BITS = 64
 _WORD_MOD = 1 << WORD_BITS
-_BUF = 4096
-# words a seeded tape converts to Python ints at a time (see RandomTape)
+# words a seeded tape converts to Python ints at a time (see RandomTape);
+# it draws _WINDOW_MAX words at a time, or a longer block at once
 _WINDOW_MIN = 8
 _WINDOW_MAX = 256
 # executions per block of a call that takes n at once (`sample_batch`,
@@ -63,10 +63,11 @@ class RandomTape:
     ``RandomTape(seed).words(tape.words_consumed)``, so a replay test
     rebuilds them from the seed.
 
-    A seeded tape draws its words in uint64 blocks and hands them out from
-    a short window of Python ints converted from the block; the window
-    starts at `_WINDOW_MIN` words and doubles up to `_WINDOW_MAX` while
-    the tape is read word by word, and starts again after `peek_block`.
+    A seeded tape draws its words in uint64 buffers of `_WINDOW_MAX` (a
+    `peek_block` all it needs) and hands them out from a short window of
+    Python ints converted from the buffer; the window starts at
+    `_WINDOW_MIN` words and doubles up to `_WINDOW_MAX` while the tape is
+    read word by word, and starts again after `peek_block`.
     An injected tape hands out one word at a time.
     """
 
@@ -125,7 +126,7 @@ class RandomTape:
         words, fewer where the buffer ends."""
         self._pos += self._wi
         if self._pos >= len(self._buf):
-            self._buf = self._raw(_BUF)
+            self._buf = self._raw(_WINDOW_MAX)
             self._pos = 0
         self._win = self._buf[self._pos : self._pos + max(n, self._grow)].tolist()
         self._wi = 0
@@ -149,7 +150,7 @@ class RandomTape:
         self._sync()
         have = len(self._buf) - self._pos
         if have < n:
-            fresh = self._raw(max(n - have, _BUF))
+            fresh = self._raw(max(n - have, _WINDOW_MAX))
             self._buf = np.concatenate([self._buf[self._pos :], fresh]) if have else fresh
             self._pos = 0
         return self._buf[self._pos : self._pos + n]

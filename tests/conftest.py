@@ -85,7 +85,7 @@ class ReferenceTape:
     every word is read off the uint64 buffer one at a time.  The oracle
     for `RandomTape`'s word stream and word counts."""
 
-    BUF = 4096
+    BUF = 256  # the words a seeded tape draws at a time
 
     def __init__(self, seed):
         self.words_consumed = 0

@@ -26,6 +26,16 @@ def test_a_clear_gain_meets_the_claim():
     assert r["change_over_parent"] == pytest.approx(154.5 / 100.0, abs=1e-4)
 
 
+def test_a_claim_needs_ten_pairs():
+    # every change run beats every parent run by far, but nine pairs are
+    # too few to meet the claim; ten are enough
+    parent = [100.0, 101.0, 99.0, 100.0, 102.0, 98.0, 100.0, 101.0, 99.0, 100.0]
+    change = [200.0 + k for k in range(10)]
+    nine = bench_pairs.compare(HIGHER, parent[:9], change[:9])
+    assert nine["change_wins"] == "9/9" and not nine["claim_met"]
+    assert bench_pairs.compare(HIGHER, parent, change)["claim_met"]
+
+
 def test_ties_count_for_neither_side_and_a_small_gap_is_no_claim():
     parent = [96.0, 104.0, 90.0, 110.0, 95.0, 105.0, 100.0, 98.0, 102.0, 100.0]
     change = [v + 1 for v in parent[:9]] + [100.0]
@@ -80,7 +90,9 @@ def test_pairs_alternate_the_side_that_runs_first(tmp_path, monkeypatch, capsys)
     assert calls == [("parent", 11), ("change", 11), ("change", 12), ("parent", 12),
                      ("parent", 13), ("change", 13)]
     report = json.loads(out.read_text())["workloads"]["w"]
-    assert report["claim"] == {"metric": "tcl_outputs_per_s", "met": True, "wall_clock_met": True}
+    # three pairs are too few to meet a claim, however clear the gain
+    assert report["claim"] == {"metric": "tcl_outputs_per_s", "met": False,
+                               "wall_clock_met": False}
     assert "claim_met" not in report["metrics"]["call_tail_us"]
     assert not report["metrics"]["call_tail_us"]["within_bound"]  # 2.0 us against 1.0
     assert json.loads(capsys.readouterr().out)["seeds"] == [11, 12, 13]

@@ -262,21 +262,21 @@ PINNED = {
     ),
     "mpc-tdl-small.json": (
         ["mpc", *SMALL, "--x", "1", "--n", "200", "--seed", "5", "--transcript"],
-        "599cbfd67376e5055639473a884b349f7395650273fa028ae6790bcc2134e794",
+        "80eab9f5cfbdccc2887e55ad683755a67799449560b61509263d40d7a78be4d7",
     ),
     "mpc-tcl-small.json": (
         ["mpc", "--mechanism", "tcl", *SMALL, "--x", "-2", "--n", "200", "--seed", "5",
          "--transcript"],
-        "14c7fd3805b3badd91b85e011cea2fbc33789982323b7d721e51696d624adad0",
+        "285ff0259e371443d8863148d6c0a67d451d63bcac5d09d2b83065bc7865cefa",
     ),
     "mpc-tdl-wide.json": (
         ["mpc", *WIDE, "--x", "-32", "--n", "200", "--seed", "7", "--transcript"],
-        "540b31a441c4539acb358087cec922e1265ca960f9c4bb2cd4d5042a4b3772bf",
+        "374c9d35d5a7e00661193529146e9372959117fe303493d2d5d6923d5ad25dda",
     ),
     "mpc-tcl-wide.json": (
         ["mpc", "--mechanism", "tcl", *WIDE, "--x", "63.75", "--n", "200", "--seed", "7",
          "--transcript"],
-        "d2b6950113135da927840cf8cac1be7e927cf27fe7ac47d7048c87741418282f",
+        "952e1b34982fe4778dbb1fcfb1a232cce82ea7d91e5f030941afdd4eb450ffa0",
     ),
     # TDL with a table inner draw and outer count 6, and TCL at gamma=0 with
     # +L redraws and outer count 6: the shapes that ran sequentially before

@@ -42,7 +42,7 @@ GAMMAS = (0, 3, 8)
 SIZES = (1, 5, 300)
 
 OUTPUTS_DIGEST = "037d0db8d56736f19334b36832236bc23daf2a09ab9f3c332a23907b062e9f23"
-DEALER_DIGEST = "5e220cb56c1c55493024ce8c26f1f0ba365f8834c327f85352dd080dbc90541e"
+DEALER_DIGEST = "a3f3d2e897bd6c8c8c0e3c3f3898e7e734c4e7740ad8ec9565b2f287e9becc07"
 
 
 def _outputs(session, mech, params, gamma, n, x) -> dict:

@@ -1,16 +1,25 @@
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 from conftest import mux_composition
 from trunclap.grids import FieldConfig, field_for_mechanism
 from trunclap.mechanisms import TCL, MechanismParams, branch_probability_d
 from trunclap.mpc import BatchSession, ContractViolation, Session, mechanism_field
-from trunclap.mpc.core import CMP_ELEMENTS, CMP_ROUNDS, CostLedger
+from trunclap.mpc.core import (
+    CMP_ELEMENTS,
+    CMP_ROUNDS,
+    RESIDUES_PER_REFILL,
+    CostLedger,
+    TripleStore,
+)
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import centered_dlap_config
 from trunclap.tape import RandomTape
@@ -310,6 +319,30 @@ class TestCostLedger:
         ]
 
 
+class TestDealerPool:
+    """A Session's one pool of dealer residues, `TripleStore`: masks and
+    triples alike come from it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), takes=st.lists(st.booleans(), min_size=1, max_size=40),
+           extra=st.integers(0, RESIDUES_PER_REFILL))
+    def test_masks_and_triples_are_distinct_draws_of_the_dealer(self, seed, takes, extra):
+        # `takes` repeated, True a triple and False a mask, past two refills
+        store = TripleStore(2**64, RandomTape(seed))
+        handed = []
+        for take in itertools.cycle(takes):
+            if len(handed) > 2 * RESIDUES_PER_REFILL + extra:
+                break
+            handed += store.take() if take else [store.mask()]
+        assert store.refills >= 3
+        assert store._dealer.words_consumed == RESIDUES_PER_REFILL * store.refills
+        drawn = RandomTape(seed).field_elements(2**64, RESIDUES_PER_REFILL * store.refills)
+        # every drawn residue is handed out once or still pooled: none serves
+        # twice, as a mask and in a triple or as two of either
+        assert len(set(handed)) == len(handed)
+        assert sorted(handed + store._pool) == sorted(drawn)
+
+
 class TestBersample:
     def test_endpoints(self):
         s = small_session()
@@ -415,7 +448,7 @@ class TestBersampleSum:
         # however many bits: one pooled mask on a Session, one mask row on
         # a BatchSession
         s = Session(self.CFG, 3, 4)
-        with mock.patch.object(s, "_mask", wraps=s._mask) as take:
+        with mock.patch.object(s.triples, "mask", wraps=s.triples.mask) as take:
             s.pi_bersample_sum(WIDE_BITS)
         assert take.call_count == 1
         s = Session(self.CFG, 3, 4)
@@ -467,11 +500,12 @@ class TestBersampleSum:
 
     def test_wide_tcl_dealer_words_at_300(self):
         # 300 executions on a Session that runs them in blocks: the
-        # dealer's one stream serves its masks, triples and blocks
+        # dealer's one stream serves its pool and its blocks, which draw
+        # what they use
         params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
         s = Session(mechanism_field(params, "tcl", 8), 0, 1)
         run_sessions(s, TCL, params, 0, 300, 8)
-        assert s.dealer.words_consumed == 12_608
+        assert s.dealer.words_consumed == 10_220
 
     def test_parties_need_tapes_of_their_own(self):
         tape = RandomTape(1)

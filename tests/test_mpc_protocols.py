@@ -566,6 +566,11 @@ def grid_inputs(params, n):
     return [k % (2 * Es + 1) - Es for k in range(n)]
 
 
+def handed_out(store) -> int:
+    """Dealer residues a session's pool has handed out as masks or triples."""
+    return core.RESIDUES_PER_REFILL * store.refills - len(store._pool)
+
+
 def online_call(session, mech, params, x_steps, pair):
     """share -> perturb -> open of one input on a drawn pair."""
     xs = session.share(x_steps % session.q)
@@ -583,17 +588,17 @@ class TestPhaseSplit:
         session = make_session(params, mech.name, 8, 61, 62)
         pairs = [pi_noise(session, mech, params) for _ in range(self.K)]
         store = session.triples
-        before = (store.refills, len(store._queue),
-                  session.tape0.words_consumed, session.tape1.words_consumed)
-        with mock.patch.object(session, "_mask", wraps=session._mask) as take:
+        words = session.tape0.words_consumed, session.tape1.words_consumed
+        with mock.patch.object(store, "mask", wraps=store.mask) as take:
             for x, pair in zip(grid_inputs(params, self.K), pairs):
-                calls = take.call_count
+                calls, used = take.call_count, handed_out(store)
                 online_call(session, mech, params, x, pair)
-                # one pooled mask per call, the input's sharing mask
+                # one pooled mask per call, the input's sharing mask, and
+                # no triple: one residue in all
                 assert take.call_count == calls + 1
-        # no triple, and no party word
-        assert (store.refills, len(store._queue),
-                session.tape0.words_consumed, session.tape1.words_consumed) == before
+                assert handed_out(store) == used + 1
+        # and no party word
+        assert (session.tape0.words_consumed, session.tape1.words_consumed) == words
 
     @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
     def test_pooled_and_interleaved_orders_open_the_same(self, mech, params):
@@ -705,11 +710,8 @@ class TestOfflinePool:
         # pooled pairs draw their masks and triples from the session's own
         # dealer tape, so its word count covers every residue they use
         ref = make_session(WIDE, "tcl", 8, 17, 18, record_transcript=True)
-        with mock.patch.object(ref, "_mask", wraps=ref._mask) as masks, mock.patch.object(
-            ref.triples, "take", wraps=ref.triples.take
-        ) as triples:
-            opened_pairs(ref, TCL, WIDE, 300)
-        used = masks.call_count + 5 * triples.call_count
+        opened_pairs(ref, TCL, WIDE, 300)
+        used = handed_out(ref.triples)
         assert used >= 300 * 33  # 8 masks and 5 triples a pair, at least
         session = make_session(WIDE, "tcl", 8, 17, 18)
         assert opened_pairs(session, TCL, WIDE, 300) == opened_pairs(

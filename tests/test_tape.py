@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import ReferenceTape
 from trunclap import RandomTape
-from trunclap.tape import _BUF, _WINDOW_MAX, _WINDOW_MIN, BATCH_MIN_SESSIONS, BlockScheduler
+from trunclap.tape import _WINDOW_MAX, _WINDOW_MIN, BATCH_MIN_SESSIONS, BlockScheduler
 
 # the ring moduli are powers of two, up to 2^64
 MODULI = (2, 2**6, 2**12, 2**31, 2**32, 2**63, 2**64)
@@ -23,10 +23,12 @@ MODULI = (2, 2**6, 2**12, 2**31, 2**32, 2**63, 2**64)
 OPS = st.one_of(
     st.tuples(st.just("word")),
     st.tuples(st.just("words"), st.integers(0, 40)),
-    # long reads carry the stream across the 4096-word buffer refills
-    st.tuples(st.just("words"), st.integers(_BUF - 300, _BUF + 300)),
+    # long reads carry the stream across one or more buffer refills
+    st.tuples(st.just("words"), st.integers(_WINDOW_MAX // 2, _WINDOW_MAX + 300)),
     st.tuples(st.just("peek_skip"), st.integers(0, 600), st.floats(0, 1)),
-    st.tuples(st.just("peek_skip"), st.integers(_BUF - 50, _BUF + 50), st.floats(0, 1)),
+    st.tuples(
+        st.just("peek_skip"), st.integers(_WINDOW_MAX - 50, _WINDOW_MAX + 50), st.floats(0, 1)
+    ),
     st.tuples(st.just("field_array"), st.sampled_from(MODULI), st.integers(0, 50)),
 )
 
@@ -65,7 +67,7 @@ class TestWordStream:
         # the word stream's definition: a seeded tape hands out the words
         # Generator(PCG64(seed)).integers(0, 2^64, dtype=uint64) gives, in
         # order; field_array draws the next ones, past the buffered words
-        B = _BUF
+        B = _WINDOW_MAX
         ref = np.random.Generator(np.random.PCG64(seed)).integers(
             0, 2**64, size=5 * B, dtype=np.uint64
         ).tolist()
@@ -145,14 +147,14 @@ class TestWordStream:
         with pytest.raises(ValueError, match="cannot skip 5 words"):
             tape.skip(5)
         assert tape.words_consumed == 0
-        # words(3) draws a buffer of _BUF words: _BUF - 3 lie past the read position
+        # words(3) draws a buffer of _WINDOW_MAX words: all but 3 lie past the read position
         assert tape.words(3) == [ref.word() for _ in range(3)]
         with pytest.raises(ValueError, match="cannot skip"):
-            tape.skip(_BUF - 2)
+            tape.skip(_WINDOW_MAX - 2)
         assert tape.words_consumed == 3
-        tape.skip(_BUF - 3)
-        ref.skip(_BUF - 3)
-        assert tape.words_consumed == ref.words_consumed == _BUF
+        tape.skip(_WINDOW_MAX - 3)
+        ref.skip(_WINDOW_MAX - 3)
+        assert tape.words_consumed == ref.words_consumed == _WINDOW_MAX
         assert tape.words(5) == [ref.word() for _ in range(5)]
 
 

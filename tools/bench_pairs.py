@@ -24,10 +24,10 @@ side's quartiles of the unscaled ones (`wall_clock.raw` in the run's
 `perfbench/out/<W>-s<seed>-t0.json`) and their medians' ratio, so a drift
 of the host probe between the two sides shows as a gap between the two
 ratios.  With
---claim METRIC it also reports whether that metric meets the gain rule: the
-change better in at least nine tenths of the pairs, and the medians apart
-by more than the parent's IQR; `wall_clock_met` applies the same rule to
-the unscaled values.
+--claim METRIC it also reports whether that metric meets the gain rule: at
+least MIN_CLAIM_PAIRS pairs, the change better in at least nine tenths of
+them, and the medians apart by more than the parent's IQR;
+`wall_clock_met` applies the same rule to the unscaled values.
 
 The report is printed as JSON.  With --out it is also stored under
 `workloads.<W>` of that file, next to a `method` note, keeping the file's
@@ -45,6 +45,8 @@ from pathlib import Path
 import numpy as np
 
 FIRST_SEED = 11
+# fewer pairs than this meet no claim: five have misjudged the wall clock
+MIN_CLAIM_PAIRS = 10
 METHOD = {
     "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds <S> --trace 0",
     "runner": "tools/bench_pairs.py",
@@ -56,10 +58,10 @@ METHOD = {
                   "for neither); within_bound compares the medians with the metric's bound "
                   "in BENCHMARK.json; resolved is false when the parent's IQR over its "
                   "median exceeds the bound, unless every change run reads better than "
-                  "every parent run; claim_met needs >= 9/10 wins and a median gap wider "
-                  "than the parent's IQR; wall_clock holds the same quartiles of the "
-                  "unscaled values each run writes under wall_clock.raw, and "
-                  "claim.wall_clock_met applies the claim rule to them",
+                  f"every parent run; claim_met needs >= {MIN_CLAIM_PAIRS} pairs, >= 9/10 "
+                  "wins and a median gap wider than the parent's IQR; wall_clock holds "
+                  "the same quartiles of the unscaled values each run writes under "
+                  "wall_clock.raw, and claim.wall_clock_met applies the claim rule to them",
 }
 
 
@@ -128,7 +130,8 @@ def compare(spec: dict, parent: list, change: list) -> dict:
         "within_bound": not better(limit, c["median"], direction),
         "resolved": (spread is not None and spread <= bound)
         or better(worst_change, best_parent, direction),
-        "claim_met": (10 * wins >= 9 * len(parent)
+        "claim_met": (len(parent) >= MIN_CLAIM_PAIRS
+                      and 10 * wins >= 9 * len(parent)
                       and abs(c["median"] - p["median"]) > iqr
                       and better(c["median"], p["median"], direction)),
         "parent_runs": [round(v, 6) for v in parent],
