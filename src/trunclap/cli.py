@@ -211,6 +211,8 @@ def cmd_mpc(args) -> int:
 def cmd_validate(args) -> int:
     """Reproduce the accuracy table and the distribution overlay, with checks."""
     n = args.n
+    if n < 1:
+        raise UsageError(f"--n must be >= 1, got {n}")
     th = THRESHOLDS
     failures = []
     params0 = MechanismParams(E=64, L=32, sigma=8, p=0)

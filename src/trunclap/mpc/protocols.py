@@ -18,13 +18,14 @@ independent of every distribution parameter.
 The inner sampler's public constants (its Bernoulli thresholds) are the
 draw plan `CenteredDlapConfig` the plaintext samplers use, so both
 parties -- and the plaintext functionalities used as oracles -- read the
-same integers.
+same integers.  Only bitwise plans run here: a segmented plan's segment
+choice has no secure form yet, so it is refused.
 
 On a long-lived `Session`, `pi_noise` draws its pairs through
 `Session.offline`, which may hand them out of a block evaluated ahead on
 the attached `BatchSession` (`_noise_rows`: one uint64 row of 15 per pair,
 unpacked by `_unpack_pair`) with the sequential path's opened values,
-ledger and party words; `branch_prob` stubs always draw now.
+ledger and party words.
 
 TDL and TCL run the same protocols, parameterized by their `Mechanism`
 record (`pi_noise`, `pi_perturb`, `run_once`, `run_sessions`); the
@@ -43,7 +44,6 @@ import numpy as np
 from ..grids import FieldConfig, field_for_mechanism
 from ..mechanisms import TCL, TDL, Mechanism, MechanismParams, lookup_mechanism
 from ..sampling import CenteredDlapConfig, NoisePlan, centered_dlap_config, noise_plan
-from ..tape import bernoulli_threshold
 from .core import BatchSession, Session, SharedValue
 
 
@@ -157,12 +157,7 @@ def _pi_cl(session: Session, plan: NoisePlan) -> SharedValue:
 
 
 def pi_noise(
-    session: Session,
-    mech: Mechanism,
-    params: MechanismParams,
-    gamma: int = 8,
-    *,
-    branch_prob: float | None = None,
+    session: Session, mech: Mechanism, params: MechanismParams, gamma: int = 8
 ) -> SharedNoisePair:
     """Offline noise protocol (never reads [x]).
 
@@ -173,20 +168,15 @@ def pi_noise(
     the pair's perturbation uses, in the order pi_perturb uses it.
     A long-lived Session may hand the pair out of a block evaluated ahead
     (`Session.offline`; see the module docstring), with the same opened
-    values, ledger and party words.  `branch_prob` overrides the
-    Bernoulli parameter (test stub injection) and always draws now.
+    values, ledger and party words.
     """
     plan = noise_plan(mech, params, gamma)
-    if branch_prob is not None:
-        return _noise_pair(session, plan, bernoulli_threshold(branch_prob))
     return session.offline(plan, plan.words_per_draw, _noise_rows, _noise_pair, _unpack_pair)
 
 
-def _noise_pair(
-    session: Session, plan: NoisePlan, threshold: int | None = None
-) -> SharedNoisePair:
-    """One pair, drawn now; `threshold` stands in for the plan's branch threshold."""
-    i = session.pi_bersample_thresholded(plan.branch_threshold if threshold is None else threshold)
+def _noise_pair(session: Session, plan: NoisePlan) -> SharedNoisePair:
+    """One pair, drawn now."""
+    i = session.pi_bersample_thresholded(plan.branch_threshold)
     a = session.pi_uni(plan.outer_count)
     b = _pi_cl(session, plan) if plan.mech.cumulative else pi_dl(session, plan.inner)
     y = session.mux(i, a, b)
@@ -207,22 +197,14 @@ def _unpack_pair(row: list[int]) -> SharedNoisePair:
     return SharedNoisePair((row[0], row[1]), (row[2], row[3]), (row[4], row[5:10], row[10:]))
 
 
-def pi_d_noise(
-    session: Session, params: MechanismParams, *, branch_prob: float | None = None
-) -> SharedNoisePair:
+def pi_d_noise(session: Session, params: MechanismParams) -> SharedNoisePair:
     """pi_noise of the discrete mechanism."""
-    return pi_noise(session, TDL, params, branch_prob=branch_prob)
+    return pi_noise(session, TDL, params)
 
 
-def pi_c_noise(
-    session: Session,
-    params: MechanismParams,
-    gamma: int = 8,
-    *,
-    branch_prob: float | None = None,
-) -> SharedNoisePair:
+def pi_c_noise(session: Session, params: MechanismParams, gamma: int = 8) -> SharedNoisePair:
     """pi_noise of the cumulative mechanism."""
-    return pi_noise(session, TCL, params, gamma, branch_prob=branch_prob)
+    return pi_noise(session, TCL, params, gamma)
 
 
 def pi_perturb(

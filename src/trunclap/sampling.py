@@ -1,27 +1,24 @@
 """Trusted (non-MPC) reference samplers for the two mechanisms.
 
-The centered discrete Laplace is drawn with a three-step procedure: a
-Bernoulli(c0) zero flag, a bitwise-sampled truncated geometric for the
-magnitude, and a fair sign.  Each binary digit of the geometric value is
-an independent Bernoulli(rho^(2^i) / (1 + rho^(2^i))) draw, which makes
-the whole construction a fixed sequence of word-level Bernoulli draws --
-the same sequence the secure protocol evaluates obliviously.  For that
-reason the samplers here consume their random words in a fixed order
-regardless of which branch the outcome takes (no early exit, and the
-unused branch of the noise pair is still drawn).
+The centered discrete Laplace is drawn with a fixed sequence of
+word-level Bernoulli draws -- the sequence the secure protocol evaluates
+obliviously: a Bernoulli(c0) zero flag, a truncated geometric magnitude
+and a fair sign.  The magnitude x' in [0, N), N = 2^p * L, has law
+proportional to rho^x'.  Its kappa = floor(log2 N) binary digits are
+independent Bernoulli(rho^(2^i) / (1 + rho^(2^i))) draws, which is the
+whole magnitude when N is a power of two ("bitwise").  Otherwise [0, N)
+splits into the P power-of-two segments of N's binary expansion
+("segmented"): P - 1 Bernoulli draws pick a segment, each given that no
+earlier one was picked, and the magnitude is the segment's start plus
+the low bits of the same kappa-bit value.  Every threshold is a 64-bit
+integer, so no float probe or table enters a draw.  The samplers consume
+their words in a fixed order whatever the outcome (no early exit, and
+the unused branch of the noise pair is still drawn).
 
 The centered cumulative Laplace is approximated by sampling the discrete
 Laplace on a 2^-(p+gamma) lattice and flooring to the coarse grid; the
 single fine point at +L is rejected and redrawn, which realizes the
 half-open support exactly.
-
-Noise bounds whose step count 2^p * L is not a power of two cannot use
-the bitwise path; they fall back to a table path (one word per draw): a
-float64 cumsum of the centered pmf, probed at u = word / 2^64.  u has
-53-bit resolution, and words close enough to 2^64 that u rounds to 1.0
-are clamped into the last cell, so the table path samples the float
-CDF's law, not the exact one (an integer-threshold CDF is ROADMAP
-direction 1).  The configuration flags which method is active.
 
 Every draw plan is computed once and cached: `centered_dlap_config` per
 (L, sigma, p) and `noise_plan` per (mechanism, params, inner lattice),
@@ -35,7 +32,6 @@ word of every execution of a block, for `sample_batch`).
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -48,40 +44,40 @@ from .mechanisms import (
     TDL,
     Mechanism,
     MechanismParams,
-    centered_dlap_pmf,
     dlap_zero_mass,
     outer_count,
 )
 from .tape import BlockScheduler, RandomTape, bernoulli_threshold, pow2_at_least
 
-# cells a table-path CDF may hold (2 * 2^p * L + 1); far above the 12,289
-# of the largest table in use (TCL at gamma=8 on L=24, p=0)
-MAX_TABLE_CELLS = 1 << 20
-
 
 @dataclass(frozen=True)
 class CenteredDlapConfig:
-    """Precomputed draw plan for the centered discrete Laplace sampler."""
+    """Precomputed draw plan for the centered discrete Laplace sampler.
+
+    Words of one draw: the zero flag, kappa magnitude bits, P - 1 segment
+    choices, the sign.  Segment t covers x' in [start, start + 2^k_t) and
+    keeps the low k_t bits (its mask) of the kappa-bit value.
+    """
 
     L: float
     sigma: float
     p: int
-    method: str                      # "bitwise" | "table"
     zero_threshold: int
     sign_threshold: int
-    bit_thresholds: tuple[int, ...]  # empty in table mode
-    cdf: tuple[float, ...]           # empty in bitwise mode
-    steps: int                       # L in 2^-p steps
-    step: float                      # 2^-p
-    words_per_draw: int              # 1 in table mode, else kappa + 2
+    bit_thresholds: tuple[int, ...]
+    segment_thresholds: tuple[int, ...]    # P - 1; empty when steps is 2^kappa
+    segments: tuple[tuple[int, int], ...]  # (start, mask) of each of the P segments
+    steps: int                             # L in 2^-p steps
+    step: float                            # 2^-p
+    words_per_draw: int                    # kappa + 1 + P
 
     @property
     def kappa(self) -> int:
         return len(self.bit_thresholds)
 
-    @cached_property
-    def cdf_array(self) -> np.ndarray:
-        return np.array(self.cdf)
+    @property
+    def method(self) -> str:
+        return "segmented" if self.segment_thresholds else "bitwise"
 
 
 @lru_cache(maxsize=128)
@@ -89,46 +85,48 @@ def centered_dlap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
     steps = steps_of(L, p)
     if steps <= 0:
         raise ValueError("L must be positive on the grid")
-    bitwise = steps & (steps - 1) == 0
-    bits: tuple[int, ...] = ()
-    cdf: tuple[float, ...] = ()
-    if bitwise:
-        # 2^p*L = 2^kappa, so the magnitude x' in [0, 2^kappa) takes kappa
-        # bits; its law rho^x' (rho = e^(-1/(2^p sigma))) makes bit i an
-        # independent Bernoulli(rho^(2^i) / (1 + rho^(2^i)))
-        rho = math.exp(-1.0 / (2.0**p * sigma))
-        powers = (rho ** (2**i) for i in range(steps.bit_length() - 1))
-        bits = tuple(bernoulli_threshold(r / (1.0 + r)) for r in powers)
-    elif 2 * steps + 1 > MAX_TABLE_CELLS:
-        raise ValueError(
-            f"the table sampler for 2^p * L = {steps} steps needs {2 * steps + 1} "
-            f"cells, more than {MAX_TABLE_CELLS}; pick L so that 2^p * L is a "
-            "power of two, or a smaller p (or gamma)"
-        )
-    else:
-        cdf = tuple(np.cumsum(centered_dlap_pmf(L, sigma, p).masses).tolist())
+    kappa = steps.bit_length() - 1
+    # rho = e^(-a): bit i of the magnitude is Bernoulli(rho^(2^i) / (1 + rho^(2^i)))
+    a = 1.0 / (2.0**p * sigma)
+    rho = math.exp(-a)
+    powers = (rho ** (2**i) for i in range(kappa))
+    bits = tuple(bernoulli_threshold(r / (1.0 + r)) for r in powers)
+    # the set bits k of steps, highest first; segment t starts at steps with
+    # its bits up to k_t cleared, and is picked, given no earlier one was,
+    # with its share of the mass left: (1 - rho^(2^k_t)) / (1 - rho^(steps - start)).
+    # Past 1/2 the threshold comes from the complement, so that the less
+    # likely side keeps its relative precision
+    segments = tuple(
+        ((steps >> (k + 1)) << (k + 1), (1 << k) - 1) for k in range(kappa, -1, -1) if steps >> k & 1
+    )
+    choices = []
+    for start, mask in segments[:-1]:
+        size, left = mask + 1, math.expm1(-a * (steps - start))
+        pick = math.expm1(-a * size) / left
+        skip = math.exp(-a * size) * math.expm1(-a * (steps - start - size)) / left
+        choices.append(bernoulli_threshold(pick) if pick <= 0.5 else 2**64 - bernoulli_threshold(skip))
     return CenteredDlapConfig(
         L=L,
         sigma=sigma,
         p=p,
-        method="bitwise" if bitwise else "table",
         zero_threshold=bernoulli_threshold(dlap_zero_mass(L, sigma, p)),
         sign_threshold=bernoulli_threshold(0.5),
         bit_thresholds=bits,
-        cdf=cdf,
+        segment_thresholds=tuple(choices),
+        segments=segments,
         steps=steps,
         step=2.0**-p,
-        words_per_draw=len(bits) + 2 if bitwise else 1,
+        words_per_draw=kappa + 1 + len(segments),
     )
 
 
 def sample_dlap_centered(L: float, sigma: float, p: int, tape: RandomTape) -> float:
     """Draw from the centered discrete Laplace on [-L, L] at step 2^-p.
 
-    Bitwise path: (1) Bernoulli(c0) zero flag, (2) geometric magnitude
-    x' in [0, 2^p*L) giving x = x'+1, (3) fair sign.  All kappa+2 words
-    are consumed whatever the outcome.  If 2^p*L is not a power of two
-    the float inverse-CDF table is used instead (one word).
+    (1) Bernoulli(c0) zero flag, (2) truncated geometric magnitude x' in
+    [0, 2^p*L) giving x = x'+1, from kappa bits and, unless 2^p*L is a
+    power of two, a segment choice, (3) fair sign.  All kappa + 1 + P
+    words are consumed whatever the outcome.
     """
     cfg = centered_dlap_config(L, sigma, p)
     return _dlap_steps(cfg, tape.words(cfg.words_per_draw)) * cfg.step
@@ -136,17 +134,19 @@ def sample_dlap_centered(L: float, sigma: float, p: int, tape: RandomTape) -> fl
 
 def _dlap_steps(cfg: CenteredDlapConfig, w) -> int:
     """One centered discrete Laplace draw, in 2^-p steps, from its words:
-    zero flag, magnitude bits and sign, or the table path's one word."""
-    if cfg.method == "table":
-        u = w[0] / 2.0**64
-        # bisect_right on the non-decreasing float CDF is searchsorted's
-        # side="right"; u == 1.0 lands past the end and is clamped
-        scalar = isinstance(u, float)
-        i = bisect_right(cfg.cdf, u) if scalar else np.searchsorted(cfg.cdf_array, u, "right")
-        return i - (i == len(cfg.cdf)) - cfg.steps
+    zero flag, magnitude bits, segment choices and sign."""
     x = 1
     for i, threshold in enumerate(cfg.bit_thresholds):
         x += (w[i + 1] < threshold) << i
+    if cfg.segment_thresholds:
+        # the first segment whose word falls below its threshold, else the
+        # last; blended from the last back, so rows need no index
+        start, mask = cfg.segments[-1]
+        for t in range(len(cfg.segment_thresholds) - 1, -1, -1):
+            chosen = w[cfg.kappa + 1 + t] < cfg.segment_thresholds[t]
+            s, m = cfg.segments[t]
+            start, mask = start + chosen * (s - start), mask + chosen * (m - mask)
+        x = 1 + start + ((x - 1) & mask)
     return (w[0] >= cfg.zero_threshold) * (2 * (w[-1] < cfg.sign_threshold) - 1) * x
 
 
@@ -204,8 +204,7 @@ class NoisePlan:
     One per (mechanism, params, fine bits), from `noise_plan`: the branch
     bit's threshold, the uniform tail's size and the grid step counts.
     `inner`, the centered sampler's plan on the 2^-(p + fine_bits)
-    lattice, is built on first use, so a perturbation alone builds no
-    table.
+    lattice, is built on first use, so a perturbation alone builds none.
     """
 
     mech: Mechanism
@@ -292,36 +291,29 @@ def _perturb_steps(plan: NoisePlan, xs, branch, a, b):
     return outer + branch * (xs + b - outer)
 
 
-def _noise_steps(plan: NoisePlan, tape: RandomTape, branch_threshold: int):
+def _noise_steps(plan: NoisePlan, tape: RandomTape):
     """The sequential noise draw: (branch, tail index, inner steps)."""
-    branch = tape.word() < branch_threshold
+    branch = tape.word() < plan.branch_threshold
     a = _redraw(tape, 1, _tail, plan)
     return branch, a, _redraw(tape, plan.inner.words_per_draw, _inner, plan)
 
 
 def _sample_steps(plan: NoisePlan, xs: int, tape: RandomTape) -> int:
-    return _perturb_steps(plan, xs, *_noise_steps(plan, tape, plan.branch_threshold))
+    return _perturb_steps(plan, xs, *_noise_steps(plan, tape))
 
 
 def noise(
-    mech: Mechanism,
-    params: MechanismParams,
-    tape: RandomTape,
-    gamma: int = 8,
-    *,
-    branch_prob: float | None = None,
+    mech: Mechanism, params: MechanismParams, tape: RandomTape, gamma: int = 8
 ) -> NoisePair:
     """Input-independent noise draw of a discrete mechanism.
 
     Draw order is fixed (branch word, uniform word(s), inner draw) and the
     unused branch is still consumed, mirroring the oblivious protocol.
     The inner draw is the centered discrete Laplace, or for TCL the
-    cumulative one at fine precision gamma.  `branch_prob` overrides the
-    Bernoulli parameter (test stub injection).
+    cumulative one at fine precision gamma.
     """
     plan = noise_plan(mech, params, gamma)
-    threshold = plan.branch_threshold if branch_prob is None else bernoulli_threshold(branch_prob)
-    branch, a, b = _noise_steps(plan, tape, threshold)
+    branch, a, b = _noise_steps(plan, tape)
     return NoisePair(branch=int(branch), payload=b * params.step if branch else a)
 
 

@@ -7,6 +7,7 @@ compare the library's closed-form fast paths against these.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -78,6 +79,36 @@ def multinomial_tv_mean(masses, n: int) -> float:
     k = np.floor(n * q) + 1
     mad = 2 * k * (1 - q) * binom.pmf(k, n, q)
     return 0.5 * float(np.sum(mad)) / n
+
+
+def centered_law_oracle(cfg) -> dict:
+    """Exact law, in 2^-p steps, of the centred draw a `CenteredDlapConfig`
+    defines, in `Fraction`s from its integer thresholds alone.
+
+    P[word < t] = t / 2^64 for each word: the zero flag (a word below it
+    draws 0), the kappa magnitude bits, the segment choices (the first
+    segment whose word falls below its threshold, else the last) and the
+    sign (below it: +).  Segment t puts the low k_t bits of the kappa-bit
+    value r on magnitude 1 + start_t + (r mod 2^k_t).
+    """
+    def below(t):
+        return Fraction(t, 2**64)
+
+    lows = [[Fraction(1)]]  # law of the low k bits of r, for k = 0 .. kappa
+    for t in cfg.bit_thresholds:
+        q = below(t)
+        lows.append([m * (1 - q) for m in lows[-1]] + [m * q for m in lows[-1]])
+    zero, plus = below(cfg.zero_threshold), below(cfg.sign_threshold)
+    law = {0: zero}
+    reach = 1 - zero  # nonzero, and no earlier segment picked
+    picks = [below(t) for t in cfg.segment_thresholds] + [Fraction(1)]
+    for (start, mask), pick in zip(cfg.segments, picks):
+        for r, m in enumerate(lows[mask.bit_length()]):
+            x = 1 + start + r
+            law[x] = law.get(x, 0) + reach * pick * m * plus
+            law[-x] = law.get(-x, 0) + reach * pick * m * (1 - plus)
+        reach *= 1 - pick
+    return law
 
 
 class ReferenceTape:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -94,7 +95,7 @@ class TestSample:
         assert run(["sample", "--E", "4", "--L", "3", "--sigma", "1",
                     "--n", "4", "--format", "json"]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert out["inner_sampler"] == "table"
+        assert out["inner_sampler"] == "segmented"
 
     def test_branch_threshold_of_two_to_the_64(self, capsys):
         # the branch probability rounds to 1.0: its threshold is 2^64
@@ -108,11 +109,13 @@ class TestSample:
                     "--n", "10"]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
-    def test_oversized_table_is_usage_error(self, capsys):
-        # gamma = 24 on L = 3 would need a 10^8-cell table: refused up front
-        assert run(["sample", "--mechanism", "tcl", "--E", "4", "--L", "3",
-                    "--sigma", "1", "--gamma", "24", "--n", "1"]) == 1
-        assert "cells" in capsys.readouterr().err
+    def test_fine_lattice_of_any_step_count_samples(self, capsys):
+        # gamma = 24 on L = 3: 3 * 2^24 fine steps, two segments
+        assert run(["sample", "--mechanism", "tcl", "--E", "4", "--L", "3", "--sigma", "1",
+                    "--gamma", "24", "--n", "20", "--format", "json"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["inner_sampler"] == "segmented"
+        assert len(out["values"]) == 20 and all(-7 <= v < 7 for v in out["values"])
 
 
 class TestConfig:
@@ -199,6 +202,15 @@ class TestValidate:
     def test_usage_error_exit_code(self):
         assert run(["nonsense"]) == 1
 
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_fewer_than_one_draw_is_usage_error(self, n, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        with mock.patch("trunclap.cli.table1_report") as table:
+            assert run(["validate", "--n", n, "--out", str(out)]) == 1
+        table.assert_not_called()
+        assert capsys.readouterr().err.startswith("usage error:")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -278,13 +290,13 @@ PINNED = {
          "--transcript"],
         "952e1b34982fe4778dbb1fcfb1a232cce82ea7d91e5f030941afdd4eb450ffa0",
     ),
-    # TDL with a table inner draw and outer count 6, and TCL at gamma=0 with
-    # +L redraws and outer count 6: the shapes that ran sequentially before
-    # every sample_batch ran in blocks
+    # TDL with a segmented inner draw and outer count 6, and TCL at gamma=0
+    # with +L redraws and outer count 6: the shapes that ran sequentially
+    # before every sample_batch ran in blocks
     "sample-tdl-table-outer6.csv": (
         ["sample", "--E", "3", "--L", "3", "--sigma", "1", "--x", "1", "--n", "500",
          "--seed", "11"],
-        "be287fee6c103c1ae2d055abd266431ba6cba54a533b34f86ce69f5988225859",
+        "3f3b46ca000a9471e26135d1d58089de7c255197c0f2ed4607a2ad1829719685",
     ),
     "sample-tcl-gamma0-outer6.csv": (
         ["sample", "--mechanism", "tcl", "--E", "3", "--L", "2", "--sigma", "1", "--gamma",

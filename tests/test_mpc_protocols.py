@@ -184,13 +184,20 @@ class TestNoiseProtocols:
         assert tv(counts, law) < 0.005
 
     def test_forced_outer_branch_uniform(self):
+        # the pairs whose branch opens 0 carry the tail index, which comes
+        # from its own word: uniform on them; branch 1 opens as -1
         n = 100_000
         m = outer_count(PARAMS)
-        draws = opened_in_batch(
-            lambda s: s.open(pi_d_noise(s, PARAMS, branch_prob=0.0).payload), n, (73, 74),
-            outer_words=2,
-        )
-        _, p = chisquare(np.bincount(draws, minlength=m))
+
+        def tail_or_minus_one(s):
+            pair = pi_d_noise(s, PARAMS)
+            i, y = s.open(pair.branch), s.open(pair.payload)
+            return y - i * (y + 1)
+
+        draws = opened_in_batch(tail_or_minus_one, n, (73, 74), outer_words=2)
+        tails = draws[draws >= 0]
+        assert len(tails) > n // 4
+        _, p = chisquare(np.bincount(tails, minlength=m))
         assert p > 0.01
 
     def test_c_branch_probability(self):
@@ -202,16 +209,6 @@ class TestNoiseProtocols:
         ).sum()
         se = math.sqrt(pb * (1 - pb) / n)
         assert abs(hits / n - pb) < 3 * se
-
-    def test_branch_prob_bypasses_the_plan(self):
-        # a joint branch word below the plan's threshold opens 1 from the
-        # plan and 0 when branch_prob=0 overrides it
-        for mech, gamma in ((TDL, 8), (TCL, 4)):
-            words = [noise_plan(mech, PARAMS, gamma).branch_threshold - 1] + [0] * 40
-            plain = replay_session(words, PARAMS, mech.name, gamma)
-            assert plain.open(pi_noise(plain, mech, PARAMS, gamma).branch) == 1
-            stub = replay_session(words, PARAMS, mech.name, gamma)
-            assert stub.open(pi_noise(stub, mech, PARAMS, gamma, branch_prob=0.0).branch) == 0
 
     def test_noise_ledger_composition(self):
         session = make_session(PARAMS, "tdl", seed0=77, seed1=78)
@@ -722,14 +719,13 @@ class TestOfflinePool:
 
     def test_these_sessions_stay_sequential(self):
         field = mechanism_field(PARAMS, "tdl")
-        runs = [
-            (make_session(PARAMS, "tdl", 8, 1, 2, record_transcript=True), PARAMS, {}),
-            (Session(field, tape0=RandomTape(1), tape1=RandomTape(2)), PARAMS, {}),
-            (make_session(PARAMS, "tdl", 8, 1, 2), PARAMS, {"branch_prob": 0.5}),
+        sessions = [
+            make_session(PARAMS, "tdl", 8, 1, 2, record_transcript=True),
+            Session(field, tape0=RandomTape(1), tape1=RandomTape(2)),
         ]
         sizes = []
         with peeks(sizes):
-            for session, params, kw in runs:
+            for session in sessions:
                 for _ in range(4 * BE):
-                    pi_noise(session, TDL, params, **kw)
+                    pi_noise(session, TDL, PARAMS)
         assert sizes == []

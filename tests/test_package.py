@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import subprocess
 import sys
 import textwrap
@@ -44,3 +46,25 @@ def test_a_failing_hypothesis_test_fails_alone(tmp_path):
     assert r.returncode == 1, r.stdout[-2000:] + r.stderr[-2000:]
     assert "Falsifying example" in r.stdout
     assert "1 failed, 1 passed" in r.stdout
+
+
+def test_every_name_the_benchmark_imports_resolves():
+    # perfbench is frozen between benchmark changes: a name it imports from
+    # trunclap, or reads off `core`, must not vanish from the package
+    paths = sorted((ROOT / "perfbench").glob("*.py"))
+    assert ROOT / "perfbench" / "workloads.py" in paths
+    wanted = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("trunclap"):
+                wanted.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "core":
+                wanted.add(("trunclap.mpc.core", node.attr))
+    assert ("trunclap", "sample_dlap_centered") in wanted
+    assert ("trunclap.mpc.core", "SHARE_ROUNDS") in wanted
+    missing = []
+    for module, name in sorted(wanted):
+        mod = importlib.import_module(module)
+        if not hasattr(mod, name) and importlib.util.find_spec(f"{module}.{name}") is None:
+            missing.append(f"{module}.{name}")
+    assert missing == [], f"names perfbench imports that trunclap lacks: {missing}"

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_grid, tcl_masses_oracle, tdl_masses_oracle
+from conftest import centered_law_oracle, closed_grid, tcl_masses_oracle, tdl_masses_oracle
 from trunclap import sampling
 from trunclap import tape as tape_module
 from trunclap import (
@@ -41,7 +40,6 @@ from trunclap.mechanisms import (
 )
 from trunclap.mpc import mechanism_field, run_batch
 from trunclap.sampling import (
-    MAX_TABLE_CELLS,
     _dlap_steps,
     _noise_plan,
     centered_dlap_config,
@@ -147,15 +145,17 @@ class TestCenteredDlap:
         assert abs(hits / n - c0) < 3 * se
 
     def test_table_fallback_for_non_pow2(self):
+        # 3 = 0b11 steps: a segment of 2 magnitudes, then one of 1
         cfg = centered_dlap_config(3.0, 1.0, 0)
-        assert cfg.method == "table"
+        assert cfg.method == "segmented" and cfg.segments == ((0, 1), (2, 0))
         n = 200_000
         tape = RandomTape(23)
         draws = np.array([sample_dlap_centered(3.0, 1.0, 0, tape) for _ in range(n)])
         counts = np.bincount((draws + 3).astype(int), minlength=7)
         exact = centered_dlap_pmf(3.0, 1.0, 0).masses
         assert tv(counts, exact) < 0.006
-        assert tape.words_consumed == n  # one word per table draw
+        assert cfg.words_per_draw == cfg.kappa + 1 + len(cfg.segments) == 4
+        assert tape.words_consumed == n * cfg.words_per_draw
 
     def test_word_budget(self):
         cfg = centered_dlap_config(2.0, 1.0, 0)
@@ -174,83 +174,112 @@ class TestCenteredDlap:
         assert tv(counts, centered_dlap_pmf(1.0, 0.7, 0).masses) < 0.01
 
 
-class TestTableLookup:
-    """The table path's lookup is np.searchsorted(cdf, u, side="right")
-    clamped into the last cell, at every CDF boundary."""
+def matches_pmf(cfg, L, sigma, p) -> bool:
+    """The law `cfg` implements against `centered_dlap_pmf`: the same
+    support, every mass within 1e-12 relative."""
+    law = centered_law_oracle(cfg)
+    n = cfg.steps
+    if sorted(law) != list(range(-n, n + 1)):
+        return False
+    exact = centered_dlap_pmf(L, sigma, p).masses
+    return all(abs(float(law[y]) - m) <= 1e-12 * m for y, m in zip(range(-n, n + 1), exact))
 
-    # TDL table set (49 cells), the TCL fine table of that set at gamma=8
-    # (12,289 cells), and the smallest table
-    TABLES = [(24.0, 8.0, 0), (24.0, 8.0, 8), (3.0, 1.0, 0)]
+
+class TestExactLaw:
+    """The centred law the integer thresholds implement, in `Fraction`s."""
+
+    # (L, sigma, p) with 1, 2 and 3 segments; (24, 8, 8) is TCL's gamma=8
+    # fine lattice on L = 24
+    LATTICE = [
+        (2.0, 1.0, 0), (32.0, 8.0, 2), (24.0, 8.0, 0), (3.0, 1.0, 0), (24.0, 8.0, 4),
+        (6.0, 0.5, 0), (5.0, 3.0, 1), (7.0, 100.0, 0), (24.0, 8.0, 8),
+    ]
+
+    def test_lattice_has_one_to_three_segments(self):
+        assert {len(centered_dlap_config(*c).segments) for c in self.LATTICE} == {1, 2, 3}
+
+    @pytest.mark.parametrize("L, sigma, p", LATTICE)
+    def test_law_sums_to_one_and_matches_the_pmf(self, L, sigma, p):
+        cfg = centered_dlap_config(L, sigma, p)
+        assert sum(centered_law_oracle(cfg).values()) == 1
+        assert matches_pmf(cfg, L, sigma, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=st.integers(1, 200), p=st.integers(0, 2), scale=st.floats(0.1, 10.0))
+    def test_law_on_every_step_count(self, steps, p, scale):
+        # sigma = scale * L keeps every Bernoulli probability above e^-10 / 2,
+        # so a threshold's rounding (2^-65) stays far below 1e-12 of it.  The
+        # zero flag rounds c0 itself, so below scale 0.1 the nonzero mass
+        # 1 - c0 of one-step plans drifts past 1e-12 (1.6e-8 at scale 0.05)
+        L = steps / 2**p
+        cfg = centered_dlap_config(L, scale * L, p)
+        assert cfg.words_per_draw == cfg.kappa + 1 + len(cfg.segments)
+        assert sum(centered_law_oracle(cfg).values()) == 1
+        assert matches_pmf(cfg, L, scale * L, p)
+
+    def test_swapped_segment_starts_fail(self):
+        cfg = centered_dlap_config(24.0, 8.0, 0)
+        (s0, m0), (s1, m1) = cfg.segments
+        swapped = dataclasses.replace(cfg, segments=((s1, m0), (s0, m1)))
+        assert matches_pmf(cfg, 24.0, 8.0, 0)
+        assert not matches_pmf(swapped, 24.0, 8.0, 0)
+
+    @pytest.mark.parametrize("L, sigma, p", [(2.0, 1.0, 0), (3.0, 1.0, 0), (24.0, 8.0, 0),
+                                             (5.0, 3.0, 1), (7.0, 100.0, 0)])
+    def test_draws_realise_the_oracle_law(self, L, sigma, p):
+        # every outcome of the draw's words, each word one below its
+        # threshold or at it, through `_dlap_steps`: the law of the code
+        cfg = centered_dlap_config(L, sigma, p)
+        thresholds = [cfg.zero_threshold, *cfg.bit_thresholds, *cfg.segment_thresholds,
+                      cfg.sign_threshold]
+        assert len(thresholds) == cfg.words_per_draw
+        law = {}
+        for below in product((True, False), repeat=len(thresholds)):
+            mass = math.prod(Fraction(t, 2**64) if b else 1 - Fraction(t, 2**64)
+                             for t, b in zip(thresholds, below))
+            if mass:
+                v = _dlap_steps(cfg, [t - b for t, b in zip(thresholds, below)])
+                law[v] = law.get(v, 0) + mass
+        assert law == {y: m for y, m in centered_law_oracle(cfg).items() if m}
+
+
+class TestTableLookup:
+    """A draw's lookups in its plan's thresholds: uint64 rows and Python
+    ints read the same values at every threshold's edge."""
+
+    # TDL table set (2 segments), the TCL fine lattice of that set at
+    # gamma=8 (2 segments), 3 segments, and three smaller plans
+    PLANS = [(24.0, 8.0, 0), (24.0, 8.0, 8), (3.0, 1.0, 0), (7.0, 100.0, 0)]
 
     @staticmethod
-    def boundary_words(cdf):
-        """Words at floor/ceil(cdf_i * 2^64) +- 1 for every boundary, and
-        words near 2^64, where u = word / 2^64 rounds to 1.0."""
-        words = set()
-        for c in cdf:
-            scaled = Fraction(c) * 2**64
-            for edge in (math.floor(scaled), math.ceil(scaled)):
-                words.update((edge - 1, edge, edge + 1))
-        top = 2**64
-        words.update(top - k for k in (1, 2, 2**10, 2**10 + 1, 2**11 - 1, 2**11, 2**11 + 1))
-        return sorted(w for w in words if 0 <= w < top)
+    def edge_columns(cfg):
+        """Columns of one draw's words: each threshold +- 1 in every word,
+        and at each segment word of random columns, then 0 and 2^64 - 1."""
+        k = cfg.words_per_draw
+        thresholds = (cfg.zero_threshold, *cfg.bit_thresholds, *cfg.segment_thresholds,
+                      cfg.sign_threshold)
+        edges = sorted({t + d for t in thresholds for d in (-1, 0, 1)} - {-1, 2**64, 2**64 + 1})
+        cols = [[w] * k for w in edges]
+        tape = RandomTape(7)
+        for t, threshold in enumerate(cfg.segment_thresholds):
+            for d in (-1, 0, 1):
+                col = tape.words(k)
+                col[cfg.kappa + 1 + t] = min(max(threshold + d, 0), 2**64 - 1)
+                cols.append(col)
+        return cols + [[0] * k, [2**64 - 1] * k]
 
-    @pytest.mark.parametrize("L, sigma, p", TABLES)
-    def test_lookup_equals_searchsorted(self, L, sigma, p):
-        cfg = centered_dlap_config(L, sigma, p)
-        assert cfg.method == "table" and len(cfg.cdf) == 2 * cfg.steps + 1
-        words = self.boundary_words(cfg.cdf)
-        u = np.array([w / 2.0**64 for w in words])
-        assert u.max() == 1.0  # the clamp is exercised
-        want = np.minimum(np.searchsorted(np.asarray(cfg.cdf), u, side="right"), len(cfg.cdf) - 1)
-        tape = RandomTape(words=words)
-        got = [_dlap_steps(cfg, tape.words(1)) + cfg.steps for _ in words]
-        assert got == want.tolist()
-        assert tape.words_consumed == len(words)
-
-    @pytest.mark.parametrize("L, sigma, p", TABLES + [(32.0, 8.0, 0), (2.0, 1.0, 0)])
+    @pytest.mark.parametrize("L, sigma, p", PLANS + [(32.0, 8.0, 0), (2.0, 1.0, 0)])
     def test_rows_equal_scalar_draws(self, L, sigma, p):
-        # the block path reads uint64 rows, one entry per execution; the
-        # table path's boundary words and 0, 2^64 - 1 in every row included
         cfg = centered_dlap_config(L, sigma, p)
         k = cfg.words_per_draw
-        cols = [[w] * k for w in self.boundary_words(cfg.cdf)] if cfg.cdf else []
-        cols += [[0] * k, [2**64 - 1] * k] + [RandomTape(5).words(k) for _ in range(2000)]
+        cols = self.edge_columns(cfg) + [RandomTape(5).words(k) for _ in range(2000)]
         rows = np.array(cols, dtype=np.uint64).T
         assert _dlap_steps(cfg, rows).tolist() == [_dlap_steps(cfg, c) for c in cols]
 
     def test_config_keeps_steps_and_step(self):
-        for L, sigma, p in self.TABLES + [(32.0, 8.0, 2)]:
+        for L, sigma, p in self.PLANS + [(32.0, 8.0, 2)]:
             cfg = centered_dlap_config(L, sigma, p)
             assert (cfg.steps, cfg.step) == (round(L * 2**p), 2.0**-p)
-
-
-class TestTableCap:
-    def test_oversized_table_raises_before_allocating(self):
-        # L = 3 at p = 24 (TCL gamma = 24 on p = 0): 2 * 3 * 2^24 + 1 cells
-        assert 2 * 3 * 2**24 + 1 > MAX_TABLE_CELLS
-        tracemalloc.start()
-        try:
-            with pytest.raises(ValueError, match="cells"):
-                centered_dlap_config(3.0, 1.0, 24)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
-
-    def test_cap_is_far_above_the_tables_in_use(self):
-        assert MAX_TABLE_CELLS >= 64 * len(centered_dlap_config(24.0, 8.0, 8).cdf)
-
-    def test_cap_bounds_the_table(self, monkeypatch):
-        monkeypatch.setattr("trunclap.sampling.MAX_TABLE_CELLS", 7)
-        centered_dlap_config.cache_clear()
-        try:
-            assert len(centered_dlap_config(3.0, 1.25, 0).cdf) == 7
-            with pytest.raises(ValueError):
-                centered_dlap_config(5.0, 1.25, 0)
-            assert centered_dlap_config(8.0, 1.25, 0).method == "bitwise"
-        finally:
-            centered_dlap_config.cache_clear()
 
 
 class TestCenteredClap:
@@ -373,15 +402,6 @@ class TestNoisePlan:
     def test_negative_gamma_is_refused_for_tcl(self, small_params):
         with pytest.raises(ValueError, match="gamma"):
             noise_plan(TCL, small_params, -1)
-
-    def test_branch_prob_bypasses_the_plan(self, small_params):
-        # a branch word below the plan's threshold: branch 1 from the plan,
-        # branch 0 when branch_prob=0 overrides it
-        for mech in (TDL, TCL):
-            words = [noise_plan(mech, small_params).branch_threshold - 1] + [0] * 40
-            assert noise(mech, small_params, RandomTape(words=words)).branch == 1
-            stubbed = noise(mech, small_params, RandomTape(words=words), branch_prob=0.0)
-            assert stubbed.branch == 0
 
     # (mech, E, L, p, gamma, accepted) on each side of the three limits a
     # block's int64 words set: the tail index (2 * 2^p * E <= 2^63), the
@@ -587,13 +607,13 @@ class TestDeterminism:
         assert sample_dlap_centered(2.0, 1.0, 0, replay) == v1
 
 
-# (E, L, sigma, p): bitwise and table inner draws (at TCL's fine lattice
+# (E, L, sigma, p): bitwise and segmented inner draws (at TCL's fine lattice
 # 2^p L * 2^gamma too), outer counts 2 * 2^p * E a power of two and not
 BATCH_SETS = [
     MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0),   # bitwise, outer 8
-    MechanismParams(E=4.0, L=3.0, sigma=1.0, p=0),   # table, outer 8
+    MechanismParams(E=4.0, L=3.0, sigma=1.0, p=0),   # segmented, outer 8
     MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0),   # bitwise, outer 6
-    MechanismParams(E=3.0, L=3.0, sigma=1.0, p=0),   # table, outer 6
+    MechanismParams(E=3.0, L=3.0, sigma=1.0, p=0),   # segmented, outer 6
     MechanismParams(E=1.5, L=1.0, sigma=0.5, p=1),   # bitwise, outer 6, p = 1
     MechanismParams(E=1.0, L=64.0, sigma=1.0, p=0),  # branch threshold 2^64
 ]
