@@ -166,9 +166,6 @@ class FieldConfig:
         """Serialization form of a ring element, in [0, q)."""
         return v & (self.q - 1)
 
-    def as_dict(self) -> dict:
-        return {"q": self.q, "e": self.e, "p": self.p, "headroom": self.headroom}
-
 
 def field_for_mechanism(E: float, L: float, p: int) -> FieldConfig:
     """Default field for a mechanism with input bound E and noise bound L.

@@ -349,7 +349,7 @@ class Mechanism:
     bit, uniform tail index, centred inner draw), then a perturbation of
     1 comparison + 2 multiplications.  They differ only where this record
     says: TCL (`cumulative`) draws its inner noise on the 2^-(p+gamma)
-    lattice with +L rejected, and its upper tail starts at x+L, not at
+    lattice and floors it, and its upper tail starts at x+L, not at
     x+L+2^-p.  The two records are singletons, compared and hashed by
     identity (they key the cached noise plans).
     """

@@ -383,14 +383,6 @@ class _CommonOps:
         self.ledger.elements_exchanged += 2 * gamma
         return self._reshare(val >> gamma)
 
-    def redraw(self, flag: SharedValue) -> bool:
-        """Open the public reject bit of one attempt of a rejection loop.
-
-        True asks the caller to draw again.  The bit is independent of
-        every secret, so opening it reveals nothing.
-        """
-        return self._retry(self.open(flag) != 0)
-
     def offline(self, key, words: int, block, step, unpack):
         """One execution of an input-independent program: `step(self, key)`.
         A Session may hand it out of a block evaluated ahead instead (see
@@ -480,8 +472,8 @@ class Session(_CommonOps):
         `key` names the program (the noise protocol's cached plan) and
         `words` is one execution's joint words without rejections.
         `block(batch, key)` returns one uint64 row per execution of a block,
-        and `unpack(row)` turns a row, as a list of Python ints, into what
-        `step` returns.  A BlockScheduler with blocks of at most
+        and `unpack(row, key)` turns a row, as a list of Python ints, into
+        what `step` returns.  A BlockScheduler with blocks of at most
         POOL_BLOCK_MAX is started afresh when the key changes or a party
         tape was read since the last call: the block's words are then not
         the next ones.
@@ -497,7 +489,7 @@ class Session(_CommonOps):
             )
         out = blocks.take_one()
         self._offline = (key, blocks, t0.words_consumed + t1.words_consumed)
-        return unpack(out.tolist()) if type(out) is np.ndarray else out
+        return unpack(out.tolist(), key) if type(out) is np.ndarray else out
 
     # -- faults and rejections ---------------------------------------------
 

@@ -49,20 +49,22 @@ from .core import BatchSession, Session, SharedValue
 
 class SharedNoisePair:
     """Shared branch bit [i] and blended payload [y] from a noise protocol,
-    with the dealer material of their one perturbation: the sign test's
-    resharing mask and the two muxes' Beaver triples
-    (`perturbation_material`).
+    the `NoisePlan` they were drawn on, and the dealer material of their one
+    perturbation: the sign test's resharing mask and the two muxes' Beaver
+    triples (`perturbation_material`).
 
     A pair is perturbed once.  `spend` hands the material out and marks the
     pair spent; a second perturbation would reuse its noise and triples,
     which leaks in a real deployment, so it raises ValueError.
     """
 
-    __slots__ = ("branch", "payload", "_material")
+    __slots__ = ("branch", "payload", "plan", "_material")
 
-    def __init__(self, branch: SharedValue, payload: SharedValue, material: tuple):
+    def __init__(self, branch: SharedValue, payload: SharedValue, plan: NoisePlan,
+                 material: tuple):
         self.branch = branch
         self.payload = payload
+        self.plan = plan
         self._material = material
 
     def spend(self) -> tuple:
@@ -138,22 +140,19 @@ def pi_dl_for(session: Session, params: MechanismParams) -> SharedValue:
 
 
 def pi_cl(session: Session, params: MechanismParams, gamma: int) -> SharedValue:
-    """Shared approximate centered cumulative Laplace draw, coarse steps.
-
-    Runs pi_dl on the 2^-(p+gamma) lattice, rejects the single top point
-    +L (only the accept bit is revealed; it is independent of all
-    secrets), then floors to the coarse grid by truncating the low gamma
-    bits.  gamma=0 degenerates to the pi_dl law conditioned off +L.
-    """
+    """`_pi_cl` on TCL's noise plan of (params, gamma)."""
     return _pi_cl(session, noise_plan(TCL, params, gamma))
 
 
 def _pi_cl(session: Session, plan: NoisePlan) -> SharedValue:
-    fine = plan.inner
-    while True:
-        zf = pi_dl(session, fine)
-        if not session.redraw(session.pi_ge(session.add_public(zf, -fine.steps))):
-            return session.trunc_pow2(zf, plan.fine_bits)
+    """Shared centered cumulative Laplace draw in coarse steps, exactly
+    `centered_clap_pmf`: pi_dl on the 2^-(p+gamma) lattice, its zero flag
+    never firing, +z moved down one fine step by a sign test, then the
+    floor (`trunc_pow2`); nothing is rejected or opened.  The law needs
+    neither the lattice nor the zero flag; they fix TCL's costs."""
+    z = pi_dl(session, plan.inner)
+    v = session.sub(z, session.pi_ge(session.add_public(z, -1)))
+    return session.trunc_pow2(v, plan.fine_bits)
 
 
 def pi_noise(
@@ -163,9 +162,9 @@ def pi_noise(
 
     Draws [i] with the mechanism's inner-branch probability (for TDL
     1 - 2*2^p*E*e^(-L/sigma)/lambda), [a] uniform over the tail indices,
-    [b] from the centered inner law (pi_dl; pi_cl at fine precision gamma
-    for TCL), and blends with one mux.  Then it draws the dealer material
-    the pair's perturbation uses, in the order pi_perturb uses it.
+    [b] from the centered inner law (pi_dl; pi_cl for TCL), and blends
+    with one mux.  Then it draws the dealer material the pair's
+    perturbation uses, in the order pi_perturb uses it.
     A long-lived Session may hand the pair out of a block evaluated ahead
     (`Session.offline`; see the module docstring), with the same opened
     values, ledger and party words.
@@ -180,7 +179,7 @@ def _noise_pair(session: Session, plan: NoisePlan) -> SharedNoisePair:
     a = session.pi_uni(plan.outer_count)
     b = _pi_cl(session, plan) if plan.mech.cumulative else pi_dl(session, plan.inner)
     y = session.mux(i, a, b)
-    return SharedNoisePair(i, y, session.perturbation_material(y))
+    return SharedNoisePair(i, y, plan, session.perturbation_material(y))
 
 
 def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:
@@ -192,9 +191,10 @@ def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:
     return np.column_stack(np.broadcast_arrays(*cols))
 
 
-def _unpack_pair(row: list[int]) -> SharedNoisePair:
-    """The pair of one row of `_noise_rows`."""
-    return SharedNoisePair((row[0], row[1]), (row[2], row[3]), (row[4], row[5:10], row[10:]))
+def _unpack_pair(row: list[int], plan: NoisePlan) -> SharedNoisePair:
+    """The pair of one row of `_noise_rows` on `plan`."""
+    return SharedNoisePair((row[0], row[1]), (row[2], row[3]), plan,
+                           (row[4], row[5:10], row[10:]))
 
 
 def pi_d_noise(session: Session, params: MechanismParams) -> SharedNoisePair:
@@ -220,16 +220,20 @@ def pi_perturb(
     parameters, on the dealer material the pair carries; it draws none.
     The pair is spent (see SharedNoisePair).  The upper tail map is
     z = L - E + 2^-p (y + high_offset): TDL's upper tail starts at
-    x+L+2^-p, TCL's at x+L inclusive.
+    x+L+2^-p, TCL's at x+L inclusive.  A pair drawn for another mechanism
+    or parameter set raises ValueError, before anything is spent.
     """
-    plan = noise_plan(mech, params, 0)
+    plan = pair.plan
+    if plan.mech is not mech or (plan.params is not params and plan.params != params):
+        raise ValueError(f"noise pair drawn for {plan.mech.name} at {plan.params}, "
+                         f"perturbed as {mech.name} at {params}")
     Es, Ls = plan.Es, plan.Ls
     mask, select, blend = pair.spend()
     y = pair.payload
     # b = 1 iff the uniform index falls in the upper tail: y >= 2^p(E+x)
     b = session.pi_ge(session.sub(y, session.add_public(x, Es)), mask)
     low = session.add_public(y, -Ls - Es)
-    high = session.add_public(y, Ls - Es + mech.high_offset)
+    high = session.add_public(y, Ls - Es + plan.mech.high_offset)
     z0 = session.mux(b, low, high, select)
     z1 = session.add(x, y)
     return session.mux(pair.branch, z0, z1, blend)

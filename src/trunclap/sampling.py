@@ -15,16 +15,17 @@ integer, so no float probe or table enters a draw.  The samplers consume
 their words in a fixed order whatever the outcome (no early exit, and
 the unused branch of the noise pair is still drawn).
 
-The centered cumulative Laplace is approximated by sampling the discrete
-Laplace on a 2^-(p+gamma) lattice and flooring to the coarse grid; the
-single fine point at +L is rejected and redrawn, which realizes the
-half-open support exactly.
+The centered cumulative Laplace is drawn on a 2^-(p+gamma) lattice: a
+discrete Laplace draw whose zero flag never fires is +-x, x - 1 truncated
+geometric on [0, 2^(p+gamma) L); +x moves down one fine step, then the
+floor to the coarse grid.  Each coarse cell sums to rho^k (rho at the
+coarse step), so the law is `centered_clap_pmf` for every gamma.
 
-Every draw plan is computed once and cached: `centered_dlap_config` per
-(L, sigma, p) and `noise_plan` per (mechanism, params, inner lattice),
-so a draw reads precomputed integers only.
+Every draw plan is computed once and cached: `centered_dlap_config` and
+`centered_clap_config` per (L, sigma, p) and `noise_plan` per (mechanism,
+params, inner lattice), so a draw reads precomputed integers only.
 
-The draw body (`_dlap_steps`, `_tail`, `_inner`, `_perturb_steps`) reads
+The draw body (`_dlap_steps`, `_clap_steps`, `_inner`, `_perturb_steps`) reads
 its words as Python ints (one sequential draw) or as uint64 rows (one
 word of every execution of a block, for `sample_batch`).
 """
@@ -32,7 +33,7 @@ word of every execution of a block, for `sample_batch`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -150,34 +151,31 @@ def _dlap_steps(cfg: CenteredDlapConfig, w) -> int:
     return (w[0] >= cfg.zero_threshold) * (2 * (w[-1] < cfg.sign_threshold) - 1) * x
 
 
-def _clap_attempt(cfg: CenteredDlapConfig, gamma: int, w):
-    """(coarse steps, rejected) of a fine-lattice draw: +L is rejected
-    (the half-open support), any other value floored by 2^gamma."""
+@lru_cache(maxsize=128)
+def centered_clap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
+    """TCL's inner plan: the centred discrete Laplace plan with a zero flag
+    that never fires (threshold 0); the flag's word and comparison stay."""
+    return replace(centered_dlap_config(L, sigma, p), zero_threshold=0)
+
+
+def _clap_steps(cfg: CenteredDlapConfig, gamma: int, w):
+    """Coarse steps of a `centered_clap_config` draw 2^gamma times finer."""
     v = _dlap_steps(cfg, w)
-    return v >> gamma, v == cfg.steps
-
-
-def _redraw(tape: RandomTape, words: int, attempt, *args):
-    """The first `attempt(*args, w)` not rejected, each on `words` fresh words."""
-    while True:
-        v, rejected = attempt(*args, tape.words(words))
-        if not rejected:
-            return v
+    return (v - (v > 0)) >> gamma
 
 
 def sample_clap_centered(
     L: float, sigma: float, p: int, gamma: int, tape: RandomTape
 ) -> float:
-    """Approximate draw from the centered cumulative Laplace on [-L, L).
+    """Draw from the centered cumulative Laplace on [-L, L).
 
-    Samples the discrete Laplace on the fine lattice 2^-(p+gamma), rejects
-    the single fine point +L (the half-open support), and floors to the
-    coarse grid.  Larger gamma tightens the approximation.
+    Draws on the fine lattice 2^-(p+gamma) and floors to the coarse grid
+    (see the module docstring); the law is exact for every gamma >= 0.
     """
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    cfg = centered_dlap_config(L, sigma, p + gamma)
-    return _redraw(tape, cfg.words_per_draw, _clap_attempt, cfg, gamma) * 2.0**-p
+    cfg = centered_clap_config(L, sigma, p + gamma)
+    return _clap_steps(cfg, gamma, tape.words(cfg.words_per_draw)) * 2.0**-p
 
 
 @dataclass(frozen=True)
@@ -204,7 +202,9 @@ class NoisePlan:
     One per (mechanism, params, fine bits), from `noise_plan`: the branch
     bit's threshold, the uniform tail's size and the grid step counts.
     `inner`, the centered sampler's plan on the 2^-(p + fine_bits)
-    lattice, is built on first use, so a perturbation alone builds none.
+    lattice (`centered_clap_config` for TCL), is built on first use, so a
+    perturbation alone builds none.  TCL's law needs neither the gamma
+    lattice nor the zero flag; they fix what its draw costs.
     """
 
     mech: Mechanism
@@ -219,7 +219,8 @@ class NoisePlan:
     @cached_property
     def inner(self) -> CenteredDlapConfig:
         P = self.params
-        return centered_dlap_config(P.L, P.sigma, P.p + self.fine_bits)
+        config = centered_clap_config if self.mech.cumulative else centered_dlap_config
+        return config(P.L, P.sigma, P.p + self.fine_bits)
 
     @property
     def words_per_draw(self) -> int:
@@ -270,18 +271,11 @@ def _noise_plan(mech: Mechanism, params: MechanismParams, fine_bits: int) -> Noi
     )
 
 
-def _tail(plan: NoisePlan, w):
-    """One uniform attempt at a tail index on the next power of two:
-    (index, rejected).  Rows are int64 views; the mask clears the sign."""
-    a = w[0] & plan.tail_mask
-    return a, a >= plan.outer_count
-
-
 def _inner(plan: NoisePlan, w):
-    """One attempt of the inner draw, in 2^-p steps: (steps, rejected)."""
+    """The inner draw, in 2^-p steps."""
     if plan.mech.cumulative:
-        return _clap_attempt(plan.inner, plan.fine_bits, w)
-    return _dlap_steps(plan.inner, w), False
+        return _clap_steps(plan.inner, plan.fine_bits, w)
+    return _dlap_steps(plan.inner, w)
 
 
 def _perturb_steps(plan: NoisePlan, xs, branch, a, b):
@@ -294,8 +288,10 @@ def _perturb_steps(plan: NoisePlan, xs, branch, a, b):
 def _noise_steps(plan: NoisePlan, tape: RandomTape):
     """The sequential noise draw: (branch, tail index, inner steps)."""
     branch = tape.word() < plan.branch_threshold
-    a = _redraw(tape, 1, _tail, plan)
-    return branch, a, _redraw(tape, plan.inner.words_per_draw, _inner, plan)
+    a = plan.outer_count
+    while a >= plan.outer_count:  # uniform attempts on the next power of two
+        a = tape.word() & plan.tail_mask
+    return branch, a, _inner(plan, tape.words(plan.inner.words_per_draw))
 
 
 def _sample_steps(plan: NoisePlan, xs: int, tape: RandomTape) -> int:
@@ -310,7 +306,7 @@ def noise(
     Draw order is fixed (branch word, uniform word(s), inner draw) and the
     unused branch is still consumed, mirroring the oblivious protocol.
     The inner draw is the centered discrete Laplace, or for TCL the
-    cumulative one at fine precision gamma.
+    cumulative one, drawn on the 2^-(p+gamma) lattice.
     """
     plan = noise_plan(mech, params, gamma)
     branch, a, b = _noise_steps(plan, tape)
@@ -375,10 +371,10 @@ def sample_batch(
 
     def evaluate(size: int):
         rows = tape.peek_block(size * words).reshape(size, words).T
-        a, tail_rejected = _tail(plan, rows[1:2].view(np.int64))
-        b, inner_rejected = _inner(plan, rows[2:])
-        rejected = tail_rejected | inner_rejected
+        a = rows[1].view(np.int64) & plan.tail_mask  # the mask clears the sign
+        rejected = a >= plan.outer_count
         kept = int(np.argmax(rejected)) if rejected.any() else size
+        b = _inner(plan, rows[2:])
         return kept, _perturb_steps(plan, xs, rows[0] < plan.branch_threshold, a, b), commit
 
     blocks = BlockScheduler(evaluate, lambda: _sample_steps(plan, xs, tape), tape_module.BATCH_BLOCK)

@@ -213,7 +213,7 @@ class BlockScheduler:
     callable that consumes the first k of them, which the scheduler calls
     as it hands them out.  `step()` runs the next execution on the
     sequential path; the execution a block stopped at runs there, and
-    redraws or raises as the loop does.
+    draws again or raises as the loop does.
 
     A block waits for a run of `need` executions taken back to back and
     holds as many as the run, at most `span` and `cap`.  One that stops

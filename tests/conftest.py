@@ -111,6 +111,44 @@ def centered_law_oracle(cfg) -> dict:
     return law
 
 
+def clap_law_oracle(cfg, gamma: int, shift: int = 1) -> dict:
+    """Exact law, in coarse steps, of TCL's inner draw on `cfg` (a plan on
+    the lattice 2^gamma times finer): `centered_law_oracle` pushed through
+    v - shift * (v > 0) (+x moves down one fine step), then the floor by
+    2^gamma."""
+    law = {}
+    for v, m in centered_law_oracle(cfg).items():
+        k = (v - shift * (v > 0)) >> gamma
+        law[k] = law.get(k, 0) + m
+    return law
+
+
+def mechanism_law_oracle(plan, xs: int, place=None) -> dict:
+    """Exact law, in output grid steps, of a `NoisePlan`'s noise draw
+    perturbed at input xs (grid steps), in `Fraction`s from its integer
+    thresholds: the branch threshold / 2^64 times the inner law (TCL's
+    through `clap_law_oracle`), and the complement times 1/N on each of the
+    N tail indices, each placed by `place(plan, xs, branch, a, b)`
+    (`sampling._perturb_steps` unless given)."""
+    from trunclap.sampling import _perturb_steps
+
+    place = place or _perturb_steps
+    branch = Fraction(plan.branch_threshold, 2**64)
+    if plan.mech.cumulative:
+        inner = clap_law_oracle(plan.inner, plan.fine_bits)
+    else:
+        inner = centered_law_oracle(plan.inner)
+    law = {}
+    for b, m in inner.items():
+        z = place(plan, xs, 1, 0, b)
+        law[z] = law.get(z, 0) + branch * m
+    tail = (1 - branch) / plan.outer_count
+    for a in range(plan.outer_count):
+        z = place(plan, xs, 0, a, 0)
+        law[z] = law.get(z, 0) + tail
+    return law
+
+
 class ReferenceTape:
     """The seeded word tape as it was before its window of Python ints:
     every word is read off the uint64 buffer one at a time.  The oracle

@@ -311,9 +311,10 @@ def a8_opened_tv(mech: str, x: float, law_at: float = 1.0) -> float:
 
 
 def tcl_lattice_law(x: float, params: MechanismParams, gamma: int) -> np.ndarray:
-    """The law TCL samples at fine precision gamma: pmf_tcl with its centred
-    part drawn on the 2^-(p+gamma) lattice, the top fine point +L
-    rejected, and floored to 2^-p."""
+    """The paper's lattice law at fine precision gamma: pmf_tcl with its
+    centred part drawn on the 2^-(p+gamma) lattice, the top fine point +L
+    rejected, and floored to 2^-p.  TCL now samples pmf_tcl exactly, so
+    the sizing below keeps this law's TV only as slack."""
     exact = pmf_tcl(x, params)
     Ls = steps_of(params.L, params.p)
     fine = centered_dlap_pmf(params.L, params.sigma, params.p + gamma)

@@ -4,6 +4,7 @@ from unittest import mock
 
 import pytest
 
+from trunclap import MechanismParams, moments_lap_exact
 from trunclap.cli import main
 from trunclap.thresholds import THRESHOLDS
 
@@ -32,6 +33,10 @@ class TestCalibrate:
     def test_missing_L_is_usage_error(self, capsys):
         assert run(["calibrate", "--epsilon", "1.0"]) == 1
 
+    def test_kstar_without_E_is_usage_error(self, capsys):
+        assert run(["calibrate", "--epsilon", "1.0", "--regime", "kstar"]) == 1
+        assert "kstar calibration needs --E" in capsys.readouterr().err
+
 
 class TestMoments:
     def test_reference_cell(self, capsys):
@@ -53,6 +58,14 @@ class TestMoments:
 
     def test_misaligned_params_usage_error(self):
         assert run(["moments", "--E", "4.3", "--L", "2", "--sigma", "1"]) == 1
+
+    def test_lap_reports_the_exact_mse_beside_the_bound(self, capsys):
+        assert run(["moments", "--mechanism", "lap", "--E", "4", "--L", "2", "--sigma", "1",
+                    "--x", "1"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
+        assert out["mse_is_upper_bound"] is True
+        assert out["mse_exact"] == moments_lap_exact(1.0, params)[1]
 
 
 class TestPmf:
@@ -253,6 +266,13 @@ def test_sigma_around_the_expm1_overflow(mech, sigma, capsys):
     assert values and values <= {float(y) for y in expected}
 
 
+@pytest.mark.parametrize("command", ["pmf", "sample", "mpc"])
+def test_lap_is_refused_by_the_discrete_commands(command, capsys):
+    argv = [command, "--mechanism", "lap", "--E", "4", "--L", "2", "--sigma", "1"]
+    assert run(argv) == 1
+    assert "discrete mechanisms" in capsys.readouterr().err
+
+
 SMALL = ["--E", "4", "--L", "2", "--sigma", "1"]
 WIDE = ["--E", "64", "--L", "32", "--sigma", "8", "--p", "2"]
 # sha256 of seeded artifacts.  They hold only grid values, integers and
@@ -266,11 +286,11 @@ PINNED = {
     "sample-tcl-wide.json": (
         ["sample", "--mechanism", "tcl", *WIDE, "--x", "-32", "--n", "300", "--seed", "3",
          "--format", "json"],
-        "af14c39f4500d91740b65e0308a3fe8cc7ae861749f5f42589d4191e020ba3cb",
+        "a985ecf85663957f9940e6f9a652f0fefbbf3c29a1a704aaf8fe15a01d26542f",
     ),
     "sample-tcl-gamma0.csv": (
         ["sample", "--mechanism", "tcl", *SMALL, "--gamma", "0", "--n", "500", "--seed", "5"],
-        "a7cf1ae305dcff95b467fa96e3b42eb926314c3ee56212eb7be03dacdd5d0a56",
+        "65399771ca0995d4e49f9156aa39e81d127771f6bcff9228e2562d61417bbe39",
     ),
     "mpc-tdl-small.json": (
         ["mpc", *SMALL, "--x", "1", "--n", "200", "--seed", "5", "--transcript"],
@@ -279,7 +299,7 @@ PINNED = {
     "mpc-tcl-small.json": (
         ["mpc", "--mechanism", "tcl", *SMALL, "--x", "-2", "--n", "200", "--seed", "5",
          "--transcript"],
-        "285ff0259e371443d8863148d6c0a67d451d63bcac5d09d2b83065bc7865cefa",
+        "a5fe10aab8dce64dbc89dc5f3fd336af59c52fca6be895728d9bc991483309d8",
     ),
     "mpc-tdl-wide.json": (
         ["mpc", *WIDE, "--x", "-32", "--n", "200", "--seed", "7", "--transcript"],
@@ -288,11 +308,11 @@ PINNED = {
     "mpc-tcl-wide.json": (
         ["mpc", "--mechanism", "tcl", *WIDE, "--x", "63.75", "--n", "200", "--seed", "7",
          "--transcript"],
-        "952e1b34982fe4778dbb1fcfb1a232cce82ea7d91e5f030941afdd4eb450ffa0",
+        "a67b8f59bf6043ccd3b6f0ec5e0e79e16e86e8eacc954333d7d8bc85b21d2a93",
     ),
-    # TDL with a segmented inner draw and outer count 6, and TCL at gamma=0
-    # with +L redraws and outer count 6: the shapes that ran sequentially
-    # before every sample_batch ran in blocks
+    # TDL with a segmented inner draw and TCL at gamma=0, both with outer
+    # count 6, whose tail draws reject a quarter of first attempts: the
+    # shapes that ran sequentially before every sample_batch ran in blocks
     "sample-tdl-table-outer6.csv": (
         ["sample", "--E", "3", "--L", "3", "--sigma", "1", "--x", "1", "--n", "500",
          "--seed", "11"],
@@ -301,15 +321,15 @@ PINNED = {
     "sample-tcl-gamma0-outer6.csv": (
         ["sample", "--mechanism", "tcl", "--E", "3", "--L", "2", "--sigma", "1", "--gamma",
          "0", "--x", "-1", "--n", "500", "--seed", "12"],
-        "5c13424d2e8d6369da2a810aad4ecd579fb13251a7c79adae0e9ba6b95239948",
+        "4765ee74e32aab292f7df6f47997a0176fbf850a401467669121401301ff710e",
     ),
     "bench.json": (
         ["bench"],
-        "bbd1a32207a03f2e47dc582279cf3e6a7efa98572d9d788d0080381b9e1e8389",
+        "17a0f3decca7b0c9126d93762bdfcb860dd89fb7434ce7dcfdc18bf519942d3c",
     ),
     "bench.csv": (
         ["bench", "--format", "csv", "--x", "1", "--seed", "4", "--gamma", "4"],
-        "0a057407e9f695cf5de2c92745bd688b1c9d2e5ea371040ac8fc6035f2d1a583",
+        "cd1889c9b9ff16c8defc99198e81cbf4c28cdaaa261786f7ef1257761549a7c9",
     ),
 }
 

@@ -415,6 +415,15 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate(1.0, "lap", "dchi")
 
+    @pytest.mark.parametrize("args, kw, match", [
+        ((1.0, "foo"), {"L": 1.0}, "unknown mechanism"),
+        ((1.0, "tdl", "renyi"), {"L": 1.0}, "unknown privacy notion"),
+        ((1.0, "tcl", "dchi"), {}, "needs the precision p"),
+    ], ids=["mechanism", "notion", "dchi-tcl-without-p"])
+    def test_refusals(self, args, kw, match):
+        with pytest.raises(ValueError, match=match):
+            calibrate(*args, **kw)
+
     def test_find_kstar_closed_form(self):
         # at eps=1 the cubic root is 16^(1/3) - 1
         root = 16 ** (1 / 3) - 1
@@ -439,6 +448,12 @@ class TestCalibration:
 
 
 class TestPrivacyRatios:
+    def test_unknown_name_is_refused(self, small_params):
+        with pytest.raises(ValueError, match="unknown mechanism"):
+            max_privacy_ratio("gauss", small_params)
+        with pytest.raises(ValueError, match="unknown discrete mechanism"):
+            small_params.output_grid("lap")
+
     def test_tdl_closed_form(self, table_params_p0):
         assert max_privacy_ratio("tdl", table_params_p0) == pytest.approx(
             math.exp(4.0), rel=1e-12

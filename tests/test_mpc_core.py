@@ -601,6 +601,11 @@ class TestTrunc:
         a = s.share(7)
         assert s.trunc_pow2(a, 0) is a
 
+    def test_negative_gamma_is_refused(self):
+        s = small_session()
+        with pytest.raises(ValueError, match="gamma"):
+            s.trunc_pow2(s.share(7), -1)
+
 
 class TestTransparencyAndPrivacy:
     def test_functional_transparency_exhaustive(self):
@@ -815,7 +820,7 @@ class TestOfflinePool:
             "toy", 3,
             lambda b, key: np.column_stack(np.broadcast_arrays(*self.program(b))),
             lambda s, key: self.program(s),
-            tuple,
+            lambda row, key: tuple(row),
         )
 
     def outcomes(self, s, n):

@@ -49,6 +49,7 @@ from trunclap.mpc import (
 from trunclap.mpc import protocols
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import (
+    _clap_steps,
     centered_dlap_config,
     dlap_zero_mass,
     noise,
@@ -76,10 +77,11 @@ def opened_in_batch(program, n, seeds, mechanism="tdl", gamma=8, outer_words=0):
     return session.run(program, n, outer_words + plan.words_per_draw)
 
 
-def fresh_pair(session, branch, payload):
-    """A noise pair of the given shares, with fresh dealer material for its
-    one perturbation, drawn as pi_noise draws it."""
-    return SharedNoisePair(branch, payload, session.perturbation_material(payload))
+def fresh_pair(session, mech, params, branch, payload):
+    """A noise pair of `mech` at `params` with the given shares, and fresh
+    dealer material for its one perturbation, drawn as pi_noise draws it."""
+    plan = noise_plan(mech, params)
+    return SharedNoisePair(branch, payload, plan, session.perturbation_material(payload))
 
 
 def replay_session(words, params, mechanism="tdl", gamma=8):
@@ -137,14 +139,18 @@ class TestPiDl:
 
 
 class TestPiCl:
-    def test_gamma0_degenerates_to_pi_dl(self):
-        for seed in range(300):
-            s1 = make_session(PARAMS, "tcl", gamma=0, seed0=seed, seed1=seed + 7)
-            s2 = make_session(PARAMS, "tcl", gamma=0, seed0=seed, seed1=seed + 7)
-            v_cl = s1.open(pi_cl(s1, PARAMS, 0))
-            v_dl = s2.open(pi_dl_for(s2, PARAMS))
-            if v_dl != steps_of(PARAMS.L, PARAMS.p):  # no rejection happened
-                assert v_cl == v_dl
+    def test_opens_clap_steps_on_the_same_words(self):
+        # each draw's joint words, fed to both: the sign test and the floor
+        # open what the plaintext map computes, on every coarse value
+        for gamma in (0, 3, 8):
+            plan = noise_plan(TCL, PARAMS, gamma)
+            k = plan.inner.words_per_draw
+            words = RandomTape(64 + gamma).words(400 * k)
+            session = replay_session(words, PARAMS, "tcl", gamma)
+            opened = [session.open(pi_cl(session, PARAMS, gamma)) for _ in range(400)]
+            assert opened == [_clap_steps(plan.inner, gamma, words[i : i + k])
+                              for i in range(0, len(words), k)]
+            assert set(opened) == {-2, -1, 0, 1}
 
     def test_opened_law_gamma6(self):
         n = 100_000
@@ -234,9 +240,10 @@ class TestNoiseProtocols:
 
 
 class TestPerturbProtocols:
-    def _pair(self, session, branch, payload):
+    def _pair(self, session, branch, payload, mech=TDL):
         return fresh_pair(
-            session, session.share_public(branch), session.share_public(payload % session.q)
+            session, mech, PARAMS, session.share_public(branch),
+            session.share_public(payload % session.q),
         )
 
     def test_inner_branch_adds_exhaustive(self):
@@ -246,7 +253,7 @@ class TestPerturbProtocols:
             for y in range(-2, 3):
                 z = session.open(pi_d_perturb(session, xs, self._pair(session, 1, y), PARAMS))
                 assert z == x + y
-                z = session.open(pi_c_perturb(session, xs, self._pair(session, 1, y), PARAMS))
+                z = session.open(pi_c_perturb(session, xs, self._pair(session, 1, y, TCL), PARAMS))
                 assert z == x + y
 
     def test_outer_branch_boundaries(self):
@@ -260,7 +267,7 @@ class TestPerturbProtocols:
             # first index of the high tail (needs x < E)
             pair = self._pair(session, 0, E + x)
             assert session.open(pi_d_perturb(session, xs, pair, PARAMS)) == x + L + 1
-            pair = self._pair(session, 0, E + x)
+            pair = self._pair(session, 0, E + x, TCL)
             assert session.open(pi_c_perturb(session, xs, pair, PARAMS)) == x + L
             # bottom of the support
             pair = self._pair(session, 0, 0)
@@ -420,7 +427,8 @@ def loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma):
     return np.array(out, dtype=float), session
 
 
-# (mechanism, params, gamma); gamma=0 makes the +L redraw of pi_cl frequent
+# (mechanism, params, gamma); ODD's outer count 6 rejects a quarter of its
+# tail draws, for TDL and TCL alike
 BATCH_CASES = [
     ("tdl", PARAMS, 8),
     ("tcl", PARAMS, 8),
@@ -459,7 +467,7 @@ class TestBatchSimulator:
 
     @pytest.mark.parametrize("case", BATCH_CASES, ids=lambda c: f"{c[0]}-E{c[1].E:g}-g{c[2]}")
     def test_ledger_is_sum_of_session_ledgers(self, case):
-        # redraws included: every rejected attempt adds its own cost
+        # rejections included: every rejected tail attempt adds its own cost
         mechanism, params, gamma = case
         n = 600
         _, seq = loop_reference(mechanism, params, 1, n, 41, 42, gamma)
@@ -490,10 +498,11 @@ class TestBatchSimulator:
             assert s.safe_magnitude >= 2 * Es + Ls
             x, y = (a.ravel() for a in np.meshgrid(np.arange(-Es, Es + 1), np.arange(-Ls, Ls + 1)))
             xs = s.share(x % s.q)
-            pair = fresh_pair(s, s.share_public(1), s.share(y % s.q))
+            mech = lookup_mechanism(mechanism)
+            pair = fresh_pair(s, mech, params, s.share_public(1), s.share(y % s.q))
             assert np.array_equal(s.open(perturb(s, xs, pair, params)), x + y)
             x, y = (a.ravel() for a in np.meshgrid(np.arange(-Es, Es + 1), np.arange(2 * Es)))
-            pair = fresh_pair(s, s.share_public(0), s.share(y))
+            pair = fresh_pair(s, mech, params, s.share_public(0), s.share(y))
             s.open(perturb(s, s.share(x % s.q), pair, params))
 
     def test_rejects_bad_input_before_work(self):
@@ -639,6 +648,25 @@ class TestPhaseSplit:
             pi_perturb(session, mech, xs, pair, PARAMS)
         # refused before any gadget ran: nothing charged, nothing drawn
         assert (session.ledger.as_dict(), [t.words_consumed for t in tapes]) == before
+
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["sequential", "pooled"])
+    def test_a_pair_of_another_mechanism_or_set_is_refused(self, pooled):
+        # a TCL pair perturbed as TDL opened -4 at x = 1, and a pair drawn
+        # at E = 4 ran at E = 8
+        session = make_session(PARAMS, "tcl", 8, 71, 72, record_transcript=not pooled)
+        with mock.patch.object(
+            BatchSession, "_evaluate", autospec=True, side_effect=BatchSession._evaluate
+        ) as evaluate:
+            pair = [pi_noise(session, TCL, PARAMS) for _ in range(BE + 1)][-1]
+        assert (evaluate.call_count > 0) == pooled
+        xs = session.share(1)
+        for mech, params in ((TDL, PARAMS), (TCL, dataclasses.replace(PARAMS, E=8.0))):
+            with pytest.raises(ValueError, match="drawn for tcl"):
+                pi_perturb(session, mech, xs, pair, params)
+        # refused before anything was spent; equal params need not be the same object
+        z = session.open(pi_perturb(session, TCL, xs, pair, dataclasses.replace(PARAMS)))
+        assert -5 <= z < 7
 
 
 def peeks(sizes: list):

@@ -68,3 +68,15 @@ def test_every_name_the_benchmark_imports_resolves():
         if not hasattr(mod, name) and importlib.util.find_spec(f"{module}.{name}") is None:
             missing.append(f"{module}.{name}")
     assert missing == [], f"names perfbench imports that trunclap lacks: {missing}"
+
+
+def test_the_benchmark_counts_gate_passes(monkeypatch):
+    # perfbench's counts pass (replays, ledgers, word counts) refuses a run
+    # whose problems list is not empty, and perfbench's own tests never run
+    # it: run it here on the seed and size perfbench/run.py uses (COUNT_SIZE)
+    monkeypatch.syspath_prepend(str(ROOT))
+    from perfbench.workloads import WORKLOADS
+
+    assert sorted(WORKLOADS) == ["mpc-batch", "mpc-online", "plaintext-exact"]
+    for name, workload in WORKLOADS.items():
+        assert workload(11).counts(24)["problems"] == [], name

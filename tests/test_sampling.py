@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import centered_law_oracle, closed_grid, tcl_masses_oracle, tdl_masses_oracle
+from conftest import (
+    centered_law_oracle,
+    clap_law_oracle,
+    closed_grid,
+    mechanism_law_oracle,
+    tcl_masses_oracle,
+    tdl_masses_oracle,
+)
 from trunclap import sampling
 from trunclap import tape as tape_module
 from trunclap import (
@@ -23,6 +30,7 @@ from trunclap import (
     centered_dlap_pmf,
     noise,
     perturb,
+    pmf_tcl,
     sample_batch,
     sample_clap_centered,
     sample_dlap_centered,
@@ -40,8 +48,11 @@ from trunclap.mechanisms import (
 )
 from trunclap.mpc import mechanism_field, run_batch
 from trunclap.sampling import (
+    _clap_steps,
     _dlap_steps,
     _noise_plan,
+    _perturb_steps,
+    centered_clap_config,
     centered_dlap_config,
     dlap_zero_mass,
     noise_plan,
@@ -52,6 +63,23 @@ from trunclap.tape import bernoulli_threshold
 def tv(counts, masses):
     freq = counts / counts.sum()
     return 0.5 * float(np.sum(np.abs(freq - masses)))
+
+
+def law_of_the_words(cfg, draw) -> dict:
+    """The law of `draw(words)` over every outcome of one draw's words of
+    plan `cfg`, each word one below its threshold or at it, in `Fraction`s:
+    the law the code computes from the thresholds."""
+    thresholds = [cfg.zero_threshold, *cfg.bit_thresholds, *cfg.segment_thresholds,
+                  cfg.sign_threshold]
+    assert len(thresholds) == cfg.words_per_draw
+    law = {}
+    for below in product((True, False), repeat=len(thresholds)):
+        mass = math.prod(Fraction(t, 2**64) if b else 1 - Fraction(t, 2**64)
+                         for t, b in zip(thresholds, below))
+        if mass:
+            v = draw([t - b for t, b in zip(thresholds, below)])
+            law[v] = law.get(v, 0) + mass
+    return law
 
 
 def magnitude_bits(cfg):
@@ -157,6 +185,10 @@ class TestCenteredDlap:
         assert cfg.words_per_draw == cfg.kappa + 1 + len(cfg.segments) == 4
         assert tape.words_consumed == n * cfg.words_per_draw
 
+    def test_zero_steps_are_refused(self):
+        with pytest.raises(ValueError, match="L must be positive"):
+            sample_dlap_centered(0.0, 1.0, 0, RandomTape(1))
+
     def test_word_budget(self):
         cfg = centered_dlap_config(2.0, 1.0, 0)
         tape = RandomTape(24)
@@ -227,19 +259,8 @@ class TestExactLaw:
     @pytest.mark.parametrize("L, sigma, p", [(2.0, 1.0, 0), (3.0, 1.0, 0), (24.0, 8.0, 0),
                                              (5.0, 3.0, 1), (7.0, 100.0, 0)])
     def test_draws_realise_the_oracle_law(self, L, sigma, p):
-        # every outcome of the draw's words, each word one below its
-        # threshold or at it, through `_dlap_steps`: the law of the code
         cfg = centered_dlap_config(L, sigma, p)
-        thresholds = [cfg.zero_threshold, *cfg.bit_thresholds, *cfg.segment_thresholds,
-                      cfg.sign_threshold]
-        assert len(thresholds) == cfg.words_per_draw
-        law = {}
-        for below in product((True, False), repeat=len(thresholds)):
-            mass = math.prod(Fraction(t, 2**64) if b else 1 - Fraction(t, 2**64)
-                             for t, b in zip(thresholds, below))
-            if mass:
-                v = _dlap_steps(cfg, [t - b for t, b in zip(thresholds, below)])
-                law[v] = law.get(v, 0) + mass
+        law = law_of_the_words(cfg, lambda w: _dlap_steps(cfg, w))
         assert law == {y: m for y, m in centered_law_oracle(cfg).items() if m}
 
 
@@ -302,7 +323,8 @@ class TestCenteredClap:
         assert draws.max() < 2.0  # half-open support
 
     def test_exact_pushforward_tv_decreases_in_gamma(self):
-        # no sampling: push the fine-lattice law through the floor map
+        # no sampling: the paper's lattice construction (the fine discrete
+        # Laplace, +L rejected, floored) approaches the law as gamma grows
         exact = centered_clap_pmf(2.0, 1.0, 0).masses
         tvs = []
         for gamma in (1, 3, 6, 10):
@@ -315,6 +337,58 @@ class TestCenteredClap:
             np.add.at(law, coarse_idx, pm)
             tvs.append(0.5 * float(np.sum(np.abs(law - exact))))
         assert all(a > b for a, b in zip(tvs, tvs[1:]))
+
+
+def clap_tv(law, L, sigma, p) -> float:
+    """TV between a coarse law in `Fraction`s and `centered_clap_pmf`; a
+    nonzero mass off [-L, L) fails at once."""
+    exact = centered_clap_pmf(L, sigma, p)
+    B = exact.spec.bound_steps
+    assert all(-B <= k < B for k, m in law.items() if m)
+    return 0.5 * sum(abs(float(law.get(i - B, 0)) - m) for i, m in enumerate(exact.masses))
+
+
+class TestClapExactLaw:
+    """TCL's inner draw on the 2^-(p+gamma) lattice: +x moved down one fine
+    step, then floored, is `centered_clap_pmf` exactly (up to the 64-bit
+    thresholds), at every gamma and sigma."""
+
+    # (L, sigma, p, gamma); sigma = 1/300 is below one fine step at gamma=8
+    LATTICE = [
+        (2.0, 1.0, 0, 0), (2.0, 1.0, 0, 8), (2.0, 1 / 30, 0, 8), (2.0, 1 / 300, 0, 8),
+        (3.0, 1.0, 0, 0), (5.0, 3.0, 1, 2), (24.0, 8.0, 0, 8), (32.0, 8.0, 2, 8),
+    ]
+
+    @pytest.mark.parametrize("L, sigma, p, gamma", LATTICE)
+    def test_law_is_the_exact_pmf(self, L, sigma, p, gamma):
+        law = clap_law_oracle(centered_clap_config(L, sigma, p + gamma), gamma)
+        assert sum(law.values()) == 1
+        assert clap_tv(law, L, sigma, p) <= 1e-12
+
+    @pytest.mark.parametrize("L, sigma, p, gamma", [(2.0, 1.0, 0, 0), (5.0, 3.0, 1, 2),
+                                                    (24.0, 8.0, 0, 8)])
+    def test_dropping_the_shift_fails(self, L, sigma, p, gamma):
+        # mass on +L, off the support, or away from the pmf
+        cfg = centered_clap_config(L, sigma, p + gamma)
+        with pytest.raises(AssertionError):
+            assert clap_tv(clap_law_oracle(cfg, gamma, shift=0), L, sigma, p) <= 1e-12
+
+    @pytest.mark.parametrize("L, sigma, p, gamma", [(2.0, 1.0, 0, 0), (2.0, 1.0, 0, 2),
+                                                    (3.0, 1.0, 0, 0), (3.0, 0.5, 0, 1)])
+    def test_draws_realise_the_oracle_law(self, L, sigma, p, gamma):
+        cfg = centered_clap_config(L, sigma, p + gamma)
+        law = law_of_the_words(cfg, lambda w: _clap_steps(cfg, gamma, w))
+        assert law == {k: m for k, m in clap_law_oracle(cfg, gamma).items() if m}
+
+    @pytest.mark.parametrize("sigma", [1 / 30, 1 / 300])
+    def test_small_sigma_splits_the_inner_mass_evenly(self, sigma):
+        # x - 1 and x each carry half the mass (the tails e^-60 or less);
+        # n = 10^5 keeps the draw within sqrt(ln(2e9) / 2n) = 0.0103 of 1/2
+        n = 100_000
+        params = MechanismParams(E=4.0, L=2.0, sigma=sigma, p=0)
+        assert pmf_tcl(1.0, params).mass_at(0.0) == pytest.approx(0.5, abs=1e-12)
+        out = sample_batch(TCL, 1.0, params, n, 23)
+        assert abs(np.mean(out == 0.0) - 0.5) < math.sqrt(math.log(2e9) / (2 * n))
 
 
 class TestNoise:
@@ -381,8 +455,11 @@ class TestNoisePlan:
             assert plan.branch_threshold == bernoulli_threshold(mech.branch_probability(params))
             assert plan.outer_count == outer_count(params)
             assert (plan.Es, plan.Ls) == (round(params.E * 2**params.p), round(params.L * 2**params.p))
-            fine = params.p + mech.fine_bits(gamma)
-            assert plan.inner == centered_dlap_config(params.L, params.sigma, fine)
+            fine = centered_dlap_config(params.L, params.sigma, params.p + mech.fine_bits(gamma))
+            # TCL's inner draw: the fine plan with a zero flag that never fires
+            if mech is TCL:
+                fine = dataclasses.replace(fine, zero_threshold=0)
+            assert plan.inner == fine
             assert noise_plan(mech, params, gamma) is plan  # cached
             # TDL's inner draw has no fine lattice: one plan for every gamma
             if mech is TDL:
@@ -574,6 +651,52 @@ class TestPerturb:
         assert perturb(TCL, 1.0, NoisePair(1, L - 1), small_params) == L
         assert perturb(TCL, 1.0, NoisePair(1, -L), small_params) == 1.0 - L
         assert perturb(TDL, 1.0, NoisePair(0, 7.0), small_params) == 6.0
+
+
+class TestMechanismLaw:
+    """The whole mechanism's law, from the integer thresholds of its noise
+    plan and the perturbation map, against `pmf_tdl`/`pmf_tcl` at every x."""
+
+    # (params, gamma): bitwise and segmented inner draws, outer counts a
+    # power of two and not, and sigma well below the grid step
+    LATTICE = [
+        (MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0), 0),
+        (MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0), 8),
+        (MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0), 0),
+        (MechanismParams(E=5.0, L=3.0, sigma=1.0, p=1), 2),
+        (MechanismParams(E=8.0, L=4.0, sigma=4.0, p=0), 8),
+        (MechanismParams(E=4.0, L=2.0, sigma=1 / 30, p=0), 8),
+    ]
+
+    @staticmethod
+    def worst_relative_error(plan, x, place=None) -> float:
+        """Largest relative error of the oracle law on the pmf's masses
+        above 1e-12; a nonzero mass off the output grid fails at once."""
+        law = mechanism_law_oracle(plan, plan.input_steps(x), place)
+        assert sum(law.values()) == 1
+        exact = plan.mech.pmf(x, plan.params)
+        B = exact.spec.bound_steps
+        assert all(0 <= k + B < len(exact.masses) for k, m in law.items() if m)
+        return max(abs(float(law.get(i - B, 0)) - m) / m
+                   for i, m in enumerate(exact.masses) if m > 1e-12)
+
+    @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
+    @pytest.mark.parametrize("params, gamma", LATTICE,
+                             ids=["E4", "E4-g8", "E3", "E5-p1", "E8", "E4-small-sigma"])
+    def test_law_is_the_pmf_at_every_x(self, mech, params, gamma):
+        plan = noise_plan(mech, params, gamma)
+        for x in params.input_grid().values():
+            assert self.worst_relative_error(plan, float(x)) <= 1e-13
+
+    @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
+    def test_a_swapped_branch_or_a_shifted_map_fails(self, mech):
+        plan = noise_plan(mech, MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0), 0)
+        assert self.worst_relative_error(plan, 1.0) <= 1e-13
+        swapped = lambda plan, xs, branch, a, b: _perturb_steps(plan, xs, 1 - branch, a, b)
+        assert self.worst_relative_error(plan, 1.0, swapped) > 1.0
+        shifted = lambda plan, xs, branch, a, b: _perturb_steps(plan, xs, branch, a, b) + 1
+        with pytest.raises(AssertionError):  # the top of the support moves off the grid
+            self.worst_relative_error(plan, 1.0, shifted)
 
 
 class TestDeterminism:

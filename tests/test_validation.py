@@ -69,6 +69,12 @@ class TestPrivacyRatio:
         h2 = Histogram.from_samples(sample_tdl_batch(-4.0, small_params, 1_000_000, 37), spec)
         assert empirical_privacy_ratio(h1, h2) <= math.exp(eps) * 1.05
 
+    def test_histograms_on_different_supports_are_refused(self, small_params):
+        h1 = exact_histogram(pmf_tdl(0.0, small_params))
+        h2 = Histogram(GridSpec(p=0, B=2.0), np.ones(5, dtype=int))
+        with pytest.raises(ValueError, match="share a support"):
+            empirical_privacy_ratio(h1, h2, min_count=1)
+
     def test_no_qualifying_bins(self, small_params):
         spec = small_params.output_grid("tdl")
         h = Histogram(spec, np.ones(spec.count, dtype=int))
@@ -106,6 +112,13 @@ class TestChiSquareAndReports:
         h = Histogram.from_samples(vals, small_params.output_grid("tdl"))
         stat, p = chi_square(h, pmf_tdl(1.0, small_params))
         assert p > 1e-4
+
+    def test_too_few_draws_for_two_bins_are_refused(self, small_params):
+        # 4 draws hold less than 2 x 5 expected counts
+        f = pmf_tdl(0.0, small_params)
+        h = Histogram.from_samples(np.zeros(4), small_params.output_grid("tdl"))
+        with pytest.raises(ValueError, match="not enough mass"):
+            chi_square(h, f)
 
     def test_small_bins_merged(self):
         # a pmf with tiny tail masses still yields a valid test
