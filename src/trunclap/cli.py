@@ -156,9 +156,9 @@ def cmd_moments(args) -> int:
     }
     if args.mechanism == "lap":
         # the closed-form display bounds the MSE only in the k* scale
-        # regime; report the unconditional exact value alongside it
-        out["mse_is_upper_bound"] = True
+        # regime; report the exact value alongside it, and whether it does
         out["mse_exact"] = moments_lap_exact(args.x, params)[1]
+        out["mse_is_upper_bound"] = bool(mse >= out["mse_exact"])
     _dump_json(out, args.out)
     return 0
 
@@ -171,9 +171,9 @@ def cmd_sample(args) -> int:
         "params": params.as_dict(),
         "x": args.x,
         "seed": args.seed,
-        "inner_sampler": noise_plan(mech, params, args.gamma).inner.method,
+        "inner_sampler": noise_plan(mech, params).inner.method,
     }
-    values = sample_batch(mech, args.x, params, args.n, args.seed, args.gamma)
+    values = sample_batch(mech, args.x, params, args.n, args.seed)
     if args.format == "json":
         _dump_json({**meta, "values": [float(v) for v in values]}, args.out)
     else:
@@ -185,10 +185,10 @@ def cmd_mpc(args) -> int:
     params = _resolve_params(args)
     mech = _discrete(args, "the secure protocols realize the discrete mechanisms")
     seeds = (args.seed, args.seed + 1)
-    values = run_batch(mech.name, params, args.x, args.n, *seeds, gamma=args.gamma)
-    session = make_session(params, mech.name, args.gamma, *seeds,
+    values = run_batch(mech.name, params, args.x, args.n, *seeds)
+    session = make_session(params, seed0=seeds[0], seed1=seeds[1],
                            record_transcript=args.transcript)
-    _, ledger = run_once(session, mech, args.x, params, args.gamma)
+    _, ledger = run_once(session, mech, args.x, params)
     spec = params.output_grid(args.mechanism)
     hist = Histogram.from_samples(values, spec)
     payload = {
@@ -196,7 +196,6 @@ def cmd_mpc(args) -> int:
         "params": params.as_dict(),
         "x": args.x,
         "sessions": args.n,
-        "gamma": args.gamma,
         "seeds": list(seeds),
         "histogram": hist.as_dict(),
         "bins": hist.bin_counts(),
@@ -271,14 +270,14 @@ def cmd_bench(args) -> int:
     for p in (0, 2):
         params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=p)
         for mech in DISCRETE_MECHANISMS.values():
-            session = make_session(params, mech.name, args.gamma, args.seed, args.seed + 1)
-            _, ledger = run_once(session, mech, args.x, params, args.gamma)
+            session = make_session(params, seed0=args.seed, seed1=args.seed + 1)
+            _, ledger = run_once(session, mech, args.x, params)
             rows.append({"mechanism": mech.name, "p": p, **ledger})
     if args.format == "csv":
         header = list(rows[0].keys())
         _dump_csv([[r[k] for k in header] for r in rows], header, args.out)
     else:
-        _dump_json({"gamma": args.gamma, "ledgers": rows}, args.out)
+        _dump_json({"ledgers": rows}, args.out)
     return 0
 
 
@@ -311,7 +310,6 @@ def build_parser() -> _Parser:
     _add_param_flags(sp)
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--gamma", type=int, default=8)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="csv")
     sp.set_defaults(fn=cmd_sample)
@@ -320,7 +318,6 @@ def build_parser() -> _Parser:
     _add_param_flags(sp)
     sp.add_argument("--n", type=int, default=1000)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--gamma", type=int, default=8)
     sp.add_argument("--transcript", action="store_true",
                     help="include a hex transcript dump of one audited run")
     sp.add_argument("--out", default=None)
@@ -337,7 +334,6 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("bench", help="cost-ledger table for the protocols")
     sp.add_argument("--x", type=float, default=0.0)
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--gamma", type=int, default=8)
     sp.add_argument("--out", default=None)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.set_defaults(fn=cmd_bench)

@@ -348,10 +348,10 @@ class Mechanism:
     Both are one construction: an input-independent noise pair (branch
     bit, uniform tail index, centred inner draw), then a perturbation of
     1 comparison + 2 multiplications.  They differ only where this record
-    says: TCL (`cumulative`) draws its inner noise on the 2^-(p+gamma)
-    lattice and floors it, and its upper tail starts at x+L, not at
-    x+L+2^-p.  The two records are singletons, compared and hashed by
-    identity (they key the cached noise plans).
+    says: TCL (`cumulative`) draws its inner noise on [-L, L) without a
+    zero flag, and its upper tail starts at x+L, not at x+L+2^-p.  The
+    two records are singletons, compared and hashed by identity (they key
+    the cached noise plans).
     """
 
     name: str
@@ -364,10 +364,6 @@ class Mechanism:
     def high_offset(self) -> int:
         """Grid steps the upper tail map adds: z = L - E + 2^-p (y + offset)."""
         return 0 if self.cumulative else 1
-
-    def fine_bits(self, gamma: int) -> int:
-        """Bits the inner draw's lattice has below the 2^-p grid."""
-        return gamma if self.cumulative else 0
 
 
 TDL = Mechanism("tdl", False, pmf_tdl, moments_tdl, branch_probability_d)

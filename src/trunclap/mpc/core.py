@@ -42,7 +42,8 @@ Cost model (abstract operation counts, not wall-clock):
 * uniform draw over 2^k: 1 round, 2k elements (each party shares its k
   bit contributions); non-powers of two add one comparison plus one
   opened accept bit per rejection attempt.
-* power-of-two truncation by gamma bits: 2 rounds, 2*gamma elements.
+* power-of-two truncation by g bits (`trunc_pow2`): 2 rounds, 2g
+  elements.  No protocol truncates: both mechanisms draw on the 2^-p grid.
 
 Two substrates run the same protocol code.  `Session` runs one
 execution at a time on Python integers and drives every batch: where it

@@ -19,7 +19,10 @@ The inner sampler's public constants (its Bernoulli thresholds) are the
 draw plan `CenteredDlapConfig` the plaintext samplers use, so both
 parties -- and the plaintext functionalities used as oracles -- read the
 same integers.  Only bitwise plans run here: a segmented plan's segment
-choice has no secure form yet, so it is refused.
+choice has no secure form yet, so it is refused.  TDL's inner draw
+(`pi_dl`) costs kappa + 2 comparisons and 2 multiplications, TCL's
+(`pi_cl`) kappa + 1 comparisons and 1 multiplication; no protocol
+truncates.
 
 On a long-lived `Session`, `pi_noise` draws its pairs through
 `Session.offline`, which may hand them out of a block evaluated ahead on
@@ -43,7 +46,8 @@ import numpy as np
 
 from ..grids import FieldConfig, field_for_mechanism
 from ..mechanisms import TCL, TDL, Mechanism, MechanismParams, lookup_mechanism
-from ..sampling import CenteredDlapConfig, NoisePlan, centered_dlap_config, noise_plan
+from ..sampling import (CenteredDlapConfig, NoisePlan, centered_dlap_config, noise_plan,
+                        retired_gamma)
 from .core import BatchSession, Session, SharedValue
 
 
@@ -75,23 +79,28 @@ class SharedNoisePair:
         return material
 
 
-@lru_cache(maxsize=128)
 def mechanism_field(
-    params: MechanismParams, mechanism: str = "tdl", gamma: int = 8
+    params: MechanismParams, mechanism: str = "tdl", gamma: int = 0
 ) -> FieldConfig:
-    """Ring sized for a mechanism run (cached per set, as `noise_plan` is: a
-    FieldConfig is frozen, so every session of a set shares one).
+    """Ring sized for a run of either mechanism on `params`.
 
-    The cumulative variant samples on the 2^-(p+gamma) lattice first, so
-    its field must hold the fine step counts without wraparound.  Either
-    way the perturbation's sign test reads y - x - 2^p*E, which reaches
+    The perturbation's sign test reads y - x - 2^p*E, which reaches
     -2^p*(2E+L) on the inner branch; the headroom is widened until the
-    safe range 2^(p+e+headroom-1) covers it, in coarse steps.
+    safe range 2^(p+e+headroom-1) covers it.  The ring is cached per set
+    (a FieldConfig is frozen, so every session of a set shares one).
+    `mechanism` must name a mechanism, and `gamma` changes nothing
+    (`retired_gamma`).
     """
-    fine = lookup_mechanism(mechanism).fine_bits(gamma)
-    base = field_for_mechanism(params.E, params.L, params.p + fine)
+    lookup_mechanism(mechanism)
+    retired_gamma(gamma)
+    return _ring(params)
+
+
+@lru_cache(maxsize=128)
+def _ring(params: MechanismParams) -> FieldConfig:
+    base = field_for_mechanism(params.E, params.L, params.p)
     headroom = base.headroom
-    while 2.0 ** (base.e + headroom - 1 + fine) < 2 * params.E + params.L:
+    while 2.0 ** (base.e + headroom - 1) < 2 * params.E + params.L:
         headroom += 1
     return FieldConfig(e=base.e, p=base.p, headroom=headroom)
 
@@ -99,11 +108,12 @@ def mechanism_field(
 def make_session(
     params: MechanismParams,
     mechanism: str = "tdl",
-    gamma: int = 8,
+    gamma: int = 0,
     seed0: int = 0,
     seed1: int = 1,
     **kw,
 ) -> Session:
+    """A Session on `mechanism_field(params, mechanism, gamma)`."""
     return Session(mechanism_field(params, mechanism, gamma), seed0, seed1, **kw)
 
 
@@ -139,25 +149,27 @@ def pi_dl_for(session: Session, params: MechanismParams) -> SharedValue:
     return pi_dl(session, centered_dlap_config(params.L, params.sigma, params.p))
 
 
-def pi_cl(session: Session, params: MechanismParams, gamma: int) -> SharedValue:
-    """`_pi_cl` on TCL's noise plan of (params, gamma)."""
-    return _pi_cl(session, noise_plan(TCL, params, gamma))
+def pi_cl(session: Session, params: MechanismParams, gamma: int = 0) -> SharedValue:
+    """`_pi_cl` on TCL's inner plan of `params`; `gamma` changes nothing
+    (`retired_gamma`)."""
+    retired_gamma(gamma)
+    return _pi_cl(session, noise_plan(TCL, params).inner)
 
 
-def _pi_cl(session: Session, plan: NoisePlan) -> SharedValue:
-    """Shared centered cumulative Laplace draw in coarse steps, exactly
-    `centered_clap_pmf`: pi_dl on the 2^-(p+gamma) lattice, its zero flag
-    never firing, +z moved down one fine step by a sign test, then the
-    floor (`trunc_pow2`); nothing is rejected or opened.  The law needs
-    neither the lattice nor the zero flag; they fix TCL's costs."""
-    z = pi_dl(session, plan.inner)
-    v = session.sub(z, session.pi_ge(session.add_public(z, -1)))
-    return session.trunc_pow2(v, plan.fine_bits)
+def _pi_cl(session: Session, plan: CenteredDlapConfig) -> SharedValue:
+    """Shared centered cumulative Laplace draw in 2^-p steps, exactly
+    `centered_clap_pmf`, on the bitwise `centered_clap_config` plan: the
+    magnitude u from the kappa bits (one `pi_bersample_sum`), a fair sign
+    d, then v = d*(2u + 1) - u - 1 (u if d, else -u - 1).  kappa + 1
+    comparisons and one multiplication; nothing is rejected, opened or
+    truncated."""
+    _require_bitwise(plan)
+    u = session.pi_bersample_sum(plan.bit_thresholds)
+    d = session.pi_bersample_thresholded(plan.sign_threshold)
+    return session.sub(session.mul(d, session.affine(u, 2, 1)), session.add_public(u, 1))
 
 
-def pi_noise(
-    session: Session, mech: Mechanism, params: MechanismParams, gamma: int = 8
-) -> SharedNoisePair:
+def pi_noise(session: Session, mech: Mechanism, params: MechanismParams) -> SharedNoisePair:
     """Offline noise protocol (never reads [x]).
 
     Draws [i] with the mechanism's inner-branch probability (for TDL
@@ -169,7 +181,7 @@ def pi_noise(
     (`Session.offline`; see the module docstring), with the same opened
     values, ledger and party words.
     """
-    plan = noise_plan(mech, params, gamma)
+    plan = noise_plan(mech, params)
     return session.offline(plan, plan.words_per_draw, _noise_rows, _noise_pair, _unpack_pair)
 
 
@@ -177,7 +189,7 @@ def _noise_pair(session: Session, plan: NoisePlan) -> SharedNoisePair:
     """One pair, drawn now."""
     i = session.pi_bersample_thresholded(plan.branch_threshold)
     a = session.pi_uni(plan.outer_count)
-    b = _pi_cl(session, plan) if plan.mech.cumulative else pi_dl(session, plan.inner)
+    b = (_pi_cl if plan.mech.cumulative else pi_dl)(session, plan.inner)
     y = session.mux(i, a, b)
     return SharedNoisePair(i, y, plan, session.perturbation_material(y))
 
@@ -202,9 +214,11 @@ def pi_d_noise(session: Session, params: MechanismParams) -> SharedNoisePair:
     return pi_noise(session, TDL, params)
 
 
-def pi_c_noise(session: Session, params: MechanismParams, gamma: int = 8) -> SharedNoisePair:
-    """pi_noise of the cumulative mechanism."""
-    return pi_noise(session, TCL, params, gamma)
+def pi_c_noise(session: Session, params: MechanismParams, gamma: int = 0) -> SharedNoisePair:
+    """pi_noise of the cumulative mechanism; `gamma` changes nothing
+    (`retired_gamma`)."""
+    retired_gamma(gamma)
+    return pi_noise(session, TCL, params)
 
 
 def pi_perturb(
@@ -254,11 +268,11 @@ def pi_c_perturb(
 
 
 def run_once(
-    session: Session, mech: Mechanism, x: float, params: MechanismParams, gamma: int = 8
+    session: Session, mech: Mechanism, x: float, params: MechanismParams
 ) -> tuple[float, dict]:
     """One share -> noise -> perturb -> open round trip (run_sessions at
     n=1); returns the decoded value and the session's ledger."""
-    z = run_sessions(session, mech, params, noise_plan(mech, params, gamma).input_steps(x), 1, gamma)
+    z = run_sessions(session, mech, params, noise_plan(mech, params).input_steps(x), 1)
     return float(z[0]), session.ledger.as_dict()
 
 
@@ -267,11 +281,9 @@ def run_tdl(session: Session, x: float, params: MechanismParams) -> tuple[float,
     return run_once(session, TDL, x, params)
 
 
-def run_tcl(
-    session: Session, x: float, params: MechanismParams, gamma: int = 8
-) -> tuple[float, dict]:
+def run_tcl(session: Session, x: float, params: MechanismParams) -> tuple[float, dict]:
     """run_once of the cumulative mechanism."""
-    return run_once(session, TCL, x, params, gamma)
+    return run_once(session, TCL, x, params)
 
 
 def run_batch(
@@ -281,7 +293,7 @@ def run_batch(
     n: int,
     seed0: int,
     seed1: int,
-    gamma: int = 8,
+    gamma: int = 0,
 ) -> np.ndarray:
     """n independent protocol executions on one pair of party tapes.
 
@@ -290,14 +302,15 @@ def run_batch(
     checked before any work: an unknown mechanism, n < 0, or an x off the
     2^-p grid or outside [-E, E] raises ValueError (GridError for x).
     The executions run on one Session, in blocks where it batches
-    (`Session.run`); the outputs are the same either way.
+    (`Session.run`); the outputs are the same either way.  `gamma` changes
+    nothing (`retired_gamma`).
     """
     mech = lookup_mechanism(mechanism)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    x_steps = noise_plan(mech, params, gamma).input_steps(x)
+    x_steps = noise_plan(mech, params).input_steps(x)
     session = Session(mechanism_field(params, mechanism, gamma), seed0, seed1)
-    return run_sessions(session, mech, params, x_steps, n, gamma)
+    return run_sessions(session, mech, params, x_steps, n)
 
 
 def run_sessions(
@@ -306,17 +319,16 @@ def run_sessions(
     params: MechanismParams,
     x_steps: int,
     n: int,
-    gamma: int = 8,
 ) -> np.ndarray:
     """Share x (in grid steps) once, then n noise -> perturb -> open runs.
 
     Returns the decoded outputs.  Inputs are taken as run_batch checks them.
     """
-    plan = noise_plan(mech, params, gamma)
+    plan = noise_plan(mech, params)
     _require_bitwise(plan.inner)
     xs = session.share(x_steps)
 
     def once(s):
-        return s.open(pi_perturb(s, mech, xs, pi_noise(s, mech, params, gamma), params))
+        return s.open(pi_perturb(s, mech, xs, pi_noise(s, mech, params), params))
 
     return session.run(once, n, plan.words_per_draw) * params.step

@@ -15,19 +15,19 @@ integer, so no float probe or table enters a draw.  The samplers consume
 their words in a fixed order whatever the outcome (no early exit, and
 the unused branch of the noise pair is still drawn).
 
-The centered cumulative Laplace is drawn on a 2^-(p+gamma) lattice: a
-discrete Laplace draw whose zero flag never fires is +-x, x - 1 truncated
-geometric on [0, 2^(p+gamma) L); +x moves down one fine step, then the
-floor to the coarse grid.  Each coarse cell sums to rho^k (rho at the
-coarse step), so the law is `centered_clap_pmf` for every gamma.
+The centered cumulative Laplace is the same magnitude m and sign on the
+2^-p grid, without the zero flag: m if the sign is set, else -m - 1.
+Step k carries rho^k (k >= 0) or rho^(-k-1), so the law is exactly
+`centered_clap_pmf`.
 
 Every draw plan is computed once and cached: `centered_dlap_config` and
 `centered_clap_config` per (L, sigma, p) and `noise_plan` per (mechanism,
-params, inner lattice), so a draw reads precomputed integers only.
+params), so a draw reads precomputed integers only.
 
-The draw body (`_dlap_steps`, `_clap_steps`, `_inner`, `_perturb_steps`) reads
-its words as Python ints (one sequential draw) or as uint64 rows (one
-word of every execution of a block, for `sample_batch`).
+The draw body (`_magnitude`, `_dlap_steps`, `_clap_steps`, `_inner`,
+`_perturb_steps`) reads its words as Python ints (one sequential draw) or
+as uint64 rows (one word of every execution of a block, for
+`sample_batch`).
 """
 
 from __future__ import annotations
@@ -55,22 +55,23 @@ from .tape import BlockScheduler, RandomTape, bernoulli_threshold, pow2_at_least
 class CenteredDlapConfig:
     """Precomputed draw plan for the centered discrete Laplace sampler.
 
-    Words of one draw: the zero flag, kappa magnitude bits, P - 1 segment
-    choices, the sign.  Segment t covers x' in [start, start + 2^k_t) and
-    keeps the low k_t bits (its mask) of the kappa-bit value.
+    Words of one draw: the zero flag (none in TCL's plan), kappa magnitude
+    bits, P - 1 segment choices, the sign.  Segment t covers x' in
+    [start, start + 2^k_t) and keeps the low k_t bits (its mask) of the
+    kappa-bit value.
     """
 
     L: float
     sigma: float
     p: int
-    zero_threshold: int
+    zero_threshold: int | None             # None: no zero flag (TCL's plan)
     sign_threshold: int
     bit_thresholds: tuple[int, ...]
     segment_thresholds: tuple[int, ...]    # P - 1; empty when steps is 2^kappa
     segments: tuple[tuple[int, int], ...]  # (start, mask) of each of the P segments
     steps: int                             # L in 2^-p steps
     step: float                            # 2^-p
-    words_per_draw: int                    # kappa + 1 + P
+    words_per_draw: int                    # kappa + P, plus 1 for the zero flag
 
     @property
     def kappa(self) -> int:
@@ -133,49 +134,61 @@ def sample_dlap_centered(L: float, sigma: float, p: int, tape: RandomTape) -> fl
     return _dlap_steps(cfg, tape.words(cfg.words_per_draw)) * cfg.step
 
 
-def _dlap_steps(cfg: CenteredDlapConfig, w) -> int:
-    """One centered discrete Laplace draw, in 2^-p steps, from its words:
-    zero flag, magnitude bits, segment choices and sign."""
-    x = 1
+def _magnitude(cfg: CenteredDlapConfig, w, first: int):
+    """The truncated geometric magnitude in [0, 2^p L) of one draw, from its
+    kappa bit words w[first:] and the P - 1 segment words after them."""
+    m = 0
     for i, threshold in enumerate(cfg.bit_thresholds):
-        x += (w[i + 1] < threshold) << i
+        m += (w[first + i] < threshold) << i
     if cfg.segment_thresholds:
         # the first segment whose word falls below its threshold, else the
         # last; blended from the last back, so rows need no index
         start, mask = cfg.segments[-1]
         for t in range(len(cfg.segment_thresholds) - 1, -1, -1):
-            chosen = w[cfg.kappa + 1 + t] < cfg.segment_thresholds[t]
-            s, m = cfg.segments[t]
-            start, mask = start + chosen * (s - start), mask + chosen * (m - mask)
-        x = 1 + start + ((x - 1) & mask)
+            chosen = w[first + cfg.kappa + t] < cfg.segment_thresholds[t]
+            s, k = cfg.segments[t]
+            start, mask = start + chosen * (s - start), mask + chosen * (k - mask)
+        m = start + (m & mask)
+    return m
+
+
+def _dlap_steps(cfg: CenteredDlapConfig, w) -> int:
+    """One centered discrete Laplace draw, in 2^-p steps, from its words:
+    zero flag, magnitude bits, segment choices and sign."""
+    x = _magnitude(cfg, w, 1) + 1
     return (w[0] >= cfg.zero_threshold) * (2 * (w[-1] < cfg.sign_threshold) - 1) * x
 
 
 @lru_cache(maxsize=128)
 def centered_clap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
-    """TCL's inner plan: the centred discrete Laplace plan with a zero flag
-    that never fires (threshold 0); the flag's word and comparison stay."""
-    return replace(centered_dlap_config(L, sigma, p), zero_threshold=0)
+    """TCL's inner plan: the centred discrete Laplace plan without its zero
+    flag, so a draw reads kappa + P words."""
+    cfg = centered_dlap_config(L, sigma, p)
+    return replace(cfg, zero_threshold=None, words_per_draw=cfg.words_per_draw - 1)
 
 
-def _clap_steps(cfg: CenteredDlapConfig, gamma: int, w):
-    """Coarse steps of a `centered_clap_config` draw 2^gamma times finer."""
-    v = _dlap_steps(cfg, w)
-    return (v - (v > 0)) >> gamma
+def _clap_steps(cfg: CenteredDlapConfig, w):
+    """One centered cumulative Laplace draw, in 2^-p steps, from the words
+    of a `centered_clap_config` plan: the magnitude m if the sign word falls
+    below its threshold, else -m - 1."""
+    m = _magnitude(cfg, w, 0)
+    return (w[-1] < cfg.sign_threshold) * (2 * m + 1) - m - 1
 
 
-def sample_clap_centered(
-    L: float, sigma: float, p: int, gamma: int, tape: RandomTape
-) -> float:
-    """Draw from the centered cumulative Laplace on [-L, L).
+def sample_clap_centered(L: float, sigma: float, p: int, tape: RandomTape) -> float:
+    """Draw from the centered cumulative Laplace on [-L, L) at step 2^-p,
+    exactly `centered_clap_pmf` (see the module docstring)."""
+    cfg = centered_clap_config(L, sigma, p)
+    return _clap_steps(cfg, tape.words(cfg.words_per_draw)) * cfg.step
 
-    Draws on the fine lattice 2^-(p+gamma) and floors to the coarse grid
-    (see the module docstring); the law is exact for every gamma >= 0.
-    """
+
+def retired_gamma(gamma: int) -> None:
+    """Check the inner-lattice precision that `sample_tcl`, `pi_cl`,
+    `pi_c_noise`, `run_batch`, `make_session` and `mechanism_field` still
+    take for the benchmark's calls.  TCL draws on the 2^-p grid, so gamma
+    changes nothing; only gamma < 0 is refused.  Direction 5 deletes it."""
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
-    cfg = centered_clap_config(L, sigma, p + gamma)
-    return _clap_steps(cfg, gamma, tape.words(cfg.words_per_draw)) * 2.0**-p
 
 
 @dataclass(frozen=True)
@@ -199,17 +212,14 @@ class NoisePair:
 class NoisePlan:
     """What the noise draw and the perturbation of a mechanism read.
 
-    One per (mechanism, params, fine bits), from `noise_plan`: the branch
-    bit's threshold, the uniform tail's size and the grid step counts.
-    `inner`, the centered sampler's plan on the 2^-(p + fine_bits)
-    lattice (`centered_clap_config` for TCL), is built on first use, so a
-    perturbation alone builds none.  TCL's law needs neither the gamma
-    lattice nor the zero flag; they fix what its draw costs.
+    One per (mechanism, params), from `noise_plan`: the branch bit's
+    threshold, the uniform tail's size and the grid step counts.  `inner`,
+    the centered sampler's plan (`centered_clap_config` for TCL), is built
+    on first use, so a perturbation alone builds none.
     """
 
     mech: Mechanism
     params: MechanismParams
-    fine_bits: int         # inner lattice bits below 2^-p: TCL's gamma, 0 for TDL
     branch_threshold: int  # Bernoulli threshold of the inner branch
     outer_count: int       # uniform tail indices, 2 * 2^p * E
     tail_mask: int         # a uniform attempt keeps these bits of its word
@@ -220,7 +230,7 @@ class NoisePlan:
     def inner(self) -> CenteredDlapConfig:
         P = self.params
         config = centered_clap_config if self.mech.cumulative else centered_dlap_config
-        return config(P.L, P.sigma, P.p + self.fine_bits)
+        return config(P.L, P.sigma, P.p)
 
     @property
     def words_per_draw(self) -> int:
@@ -236,33 +246,21 @@ class NoisePlan:
         return xs
 
 
-def noise_plan(mech: Mechanism, params: MechanismParams, gamma: int = 8) -> NoisePlan:
-    """The cached `NoisePlan` of a mechanism instance.
-
-    Keyed on the inner lattice, so every gamma shares TDL's plan and a
-    perturbation (which reads no inner lattice) takes the coarse one,
-    gamma 0.
-    """
-    return _noise_plan(mech, params, mech.fine_bits(gamma))
-
-
 @lru_cache(maxsize=128)
-def _noise_plan(mech: Mechanism, params: MechanismParams, fine_bits: int) -> NoisePlan:
-    if fine_bits < 0:
-        raise ValueError("gamma must be >= 0")
+def noise_plan(mech: Mechanism, params: MechanismParams) -> NoisePlan:
+    """The cached `NoisePlan` of a mechanism instance."""
     Ls = steps_of(params.L, params.p)
     tail_mask = pow2_at_least(outer_count(params)) - 1
     # a block of sample_batch holds in int64 the tail index (masking an
     # int64 row), the upper tail's shift 2Ls + high_offset and the inner
-    # magnitude (up to Ls << fine_bits); every path reads this plan, so all
-    # accept the same sets
-    if tail_mask >= 1 << 63 or Ls >= 1 << 62 or Ls << fine_bits > 1 << 62:
-        raise ValueError(f"{params} at {fine_bits} fine bits needs a tail index, inner "
-                         "draw or output shift past 63 bits; pick a smaller p (or gamma)")
+    # draw (TCL's 2m + 1 < 2Ls); every path reads this plan, so all accept
+    # the same sets
+    if tail_mask >= 1 << 63 or Ls >= 1 << 62:
+        raise ValueError(f"{params} needs a tail index, inner draw or output shift "
+                         "past 63 bits; pick a smaller p")
     return NoisePlan(
         mech=mech,
         params=params,
-        fine_bits=fine_bits,
         branch_threshold=bernoulli_threshold(mech.branch_probability(params)),
         outer_count=outer_count(params),
         tail_mask=tail_mask,
@@ -273,9 +271,7 @@ def _noise_plan(mech: Mechanism, params: MechanismParams, fine_bits: int) -> Noi
 
 def _inner(plan: NoisePlan, w):
     """The inner draw, in 2^-p steps."""
-    if plan.mech.cumulative:
-        return _clap_steps(plan.inner, plan.fine_bits, w)
-    return _dlap_steps(plan.inner, w)
+    return (_clap_steps if plan.mech.cumulative else _dlap_steps)(plan.inner, w)
 
 
 def _perturb_steps(plan: NoisePlan, xs, branch, a, b):
@@ -298,17 +294,15 @@ def _sample_steps(plan: NoisePlan, xs: int, tape: RandomTape) -> int:
     return _perturb_steps(plan, xs, *_noise_steps(plan, tape))
 
 
-def noise(
-    mech: Mechanism, params: MechanismParams, tape: RandomTape, gamma: int = 8
-) -> NoisePair:
+def noise(mech: Mechanism, params: MechanismParams, tape: RandomTape) -> NoisePair:
     """Input-independent noise draw of a discrete mechanism.
 
     Draw order is fixed (branch word, uniform word(s), inner draw) and the
     unused branch is still consumed, mirroring the oblivious protocol.
     The inner draw is the centered discrete Laplace, or for TCL the
-    cumulative one, drawn on the 2^-(p+gamma) lattice.
+    cumulative one.
     """
-    plan = noise_plan(mech, params, gamma)
+    plan = noise_plan(mech, params)
     branch, a, b = _noise_steps(plan, tape)
     return NoisePair(branch=int(branch), payload=b * params.step if branch else a)
 
@@ -324,7 +318,7 @@ def perturb(mech: Mechanism, x: float, pair: NoisePair, params: MechanismParams)
     integer in [0, 2*2^p*E), or centred noise off the 2^-p grid or
     outside the inner support ([-L, L] for TDL, [-L, L) for TCL).
     """
-    plan = noise_plan(mech, params, 0)
+    plan = noise_plan(mech, params)
     xs = plan.input_steps(x)
     if pair.branch:
         a, b = 0, steps_of(pair.payload, params.p)
@@ -346,22 +340,20 @@ def sample_tdl(x: float, params: MechanismParams, tape: RandomTape) -> float:
     return _sample_steps(plan, plan.input_steps(x), tape) * params.step
 
 
-def sample_tcl(
-    x: float, params: MechanismParams, tape: RandomTape, gamma: int = 8
-) -> float:
-    plan = noise_plan(TCL, params, gamma)
+def sample_tcl(x: float, params: MechanismParams, tape: RandomTape, gamma: int = 0) -> float:
+    """One TCL draw at input x; `gamma` changes nothing (`retired_gamma`)."""
+    retired_gamma(gamma)
+    plan = noise_plan(TCL, params)
     return _sample_steps(plan, plan.input_steps(x), tape) * params.step
 
 
-def sample_batch(
-    mech: Mechanism, x: float, params: MechanismParams, n: int, seed: int, gamma: int = 8
-) -> np.ndarray:
+def sample_batch(mech: Mechanism, x: float, params: MechanismParams, n: int, seed: int) -> np.ndarray:
     """n draws at input x from one seeded tape, in blocks (`BlockScheduler`)
     whose row j holds word j of every execution; values and the tape's word
     count equal those of n `sample_tdl`/`sample_tcl` calls."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    plan = noise_plan(mech, params, gamma)
+    plan = noise_plan(mech, params)
     xs = plan.input_steps(x)
     tape = RandomTape(seed)
     words = plan.words_per_draw

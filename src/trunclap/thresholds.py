@@ -32,10 +32,10 @@ THRESHOLDS = {
     "sampler_tv_1e6": 0.003,
     "clap_tv_1e6": 0.01,
     # secure-protocol statistics.  A8's session counts are sized like
-    # overlay_n: a faithful histogram's expected TV, plus the McDiarmid
-    # term, plus (TCL) the TV of the gamma=8 lattice law from the exact one
-    # stays below the bound: TDL 0.0013 + 0.0032 at 1M (0.0142 at 100k),
-    # TCL 0.0023 + 0.0059 + 0.0006 at 300k (0.0147 at 100k).
+    # overlay_n: a faithful histogram's expected TV plus the McDiarmid
+    # term stays below the bound (both mechanisms sample their pmf
+    # exactly): TDL 0.0013 + 0.0032 at 1M (0.0142 at 100k), TCL
+    # 0.0023 + 0.0059 at 300k (0.0141 at 100k).
     "mpc_equiv_sessions": 10_000,
     "mpc_tv_sessions_d": 1_000_000,
     "mpc_tv_sessions_c": 300_000,

@@ -86,7 +86,7 @@ def centered_law_oracle(cfg) -> dict:
     defines, in `Fraction`s from its integer thresholds alone.
 
     P[word < t] = t / 2^64 for each word: the zero flag (a word below it
-    draws 0), the kappa magnitude bits, the segment choices (the first
+    draws 0; a plan without one never draws 0), the kappa magnitude bits, the segment choices (the first
     segment whose word falls below its threshold, else the last) and the
     sign (below it: +).  Segment t puts the low k_t bits of the kappa-bit
     value r on magnitude 1 + start_t + (r mod 2^k_t).
@@ -98,7 +98,7 @@ def centered_law_oracle(cfg) -> dict:
     for t in cfg.bit_thresholds:
         q = below(t)
         lows.append([m * (1 - q) for m in lows[-1]] + [m * q for m in lows[-1]])
-    zero, plus = below(cfg.zero_threshold), below(cfg.sign_threshold)
+    zero, plus = below(cfg.zero_threshold or 0), below(cfg.sign_threshold)
     law = {0: zero}
     reach = 1 - zero  # nonzero, and no earlier segment picked
     picks = [below(t) for t in cfg.segment_thresholds] + [Fraction(1)]
@@ -111,14 +111,13 @@ def centered_law_oracle(cfg) -> dict:
     return law
 
 
-def clap_law_oracle(cfg, gamma: int, shift: int = 1) -> dict:
-    """Exact law, in coarse steps, of TCL's inner draw on `cfg` (a plan on
-    the lattice 2^gamma times finer): `centered_law_oracle` pushed through
-    v - shift * (v > 0) (+x moves down one fine step), then the floor by
-    2^gamma."""
+def clap_law_oracle(cfg, shift: int = 1) -> dict:
+    """Exact law, in 2^-p steps, of TCL's inner draw on `cfg` (a
+    `centered_clap_config` plan): `centered_law_oracle`, every draw
+    +-(m + 1), pushed through v - shift * (v > 0) (+x moves down one step)."""
     law = {}
     for v, m in centered_law_oracle(cfg).items():
-        k = (v - shift * (v > 0)) >> gamma
+        k = v - shift * (v > 0)
         law[k] = law.get(k, 0) + m
     return law
 
@@ -135,7 +134,7 @@ def mechanism_law_oracle(plan, xs: int, place=None) -> dict:
     place = place or _perturb_steps
     branch = Fraction(plan.branch_threshold, 2**64)
     if plan.mech.cumulative:
-        inner = clap_law_oracle(plan.inner, plan.fine_bits)
+        inner = clap_law_oracle(plan.inner)
     else:
         inner = centered_law_oracle(plan.inner)
     law = {}

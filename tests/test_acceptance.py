@@ -245,7 +245,6 @@ def _pair(branch, payload):
 def test_a8_mpc_plaintext_equivalence():
     params = A8_PARAMS
     n_eq = TH["mpc_equiv_sessions"]
-    gamma = 8
 
     # --- injected identical randomness: bit-for-bit ---
     tape = RandomTape(2024)
@@ -253,7 +252,7 @@ def test_a8_mpc_plaintext_equivalence():
     for _ in range(n_eq):
         pair = noise(TDL, params, tape)
         plain_d.append((pair.branch, pair.payload, perturb(TDL, 1.0, pair, params)))
-    s = _replay(RandomTape(2024).words(tape.words_consumed), params, "tdl", gamma)
+    s = _replay(RandomTape(2024).words(tape.words_consumed), params, "tdl")
     xs = s.share(steps_of(1.0, params.p) % s.q)
     bit_ok = True
     for branch, payload, z_ref in plain_d:
@@ -267,12 +266,12 @@ def test_a8_mpc_plaintext_equivalence():
     tape_c = RandomTape(2025)
     plain_c = []
     for _ in range(n_eq):
-        pair = noise(TCL, params, tape_c, gamma)
+        pair = noise(TCL, params, tape_c)
         plain_c.append((pair.branch, pair.payload, perturb(TCL, -3.0, pair, params)))
-    s = _replay(RandomTape(2025).words(tape_c.words_consumed), params, "tcl", gamma)
+    s = _replay(RandomTape(2025).words(tape_c.words_consumed), params, "tcl")
     xs = s.share(steps_of(-3.0, params.p) % s.q)
     for branch, payload, z_ref in plain_c:
-        pair = pi_c_noise(s, params, gamma)
+        pair = pi_c_noise(s, params)
         i, y = s.open(pair.branch), s.open(pair.payload)
         z = s.open(pi_c_perturb(s, xs, pair, params))
         bit_ok &= i == branch
@@ -305,44 +304,21 @@ A8_RUNS = {
 def a8_opened_tv(mech: str, x: float, law_at: float = 1.0) -> float:
     """TV of A8's run_batch outputs at input x from the exact law at law_at."""
     n, _, seeds = A8_RUNS[mech]
-    vals = run_batch(mech, A8_PARAMS, x, n, *seeds, gamma=8)
+    vals = run_batch(mech, A8_PARAMS, x, n, *seeds)
     h = Histogram.from_samples(vals, A8_PARAMS.output_grid(mech))
     return tv_distance(h, (pmf_tdl if mech == "tdl" else pmf_tcl)(law_at, A8_PARAMS))
 
 
-def tcl_lattice_law(x: float, params: MechanismParams, gamma: int) -> np.ndarray:
-    """The paper's lattice law at fine precision gamma: pmf_tcl with its
-    centred part drawn on the 2^-(p+gamma) lattice, the top fine point +L
-    rejected, and floored to 2^-p.  TCL now samples pmf_tcl exactly, so
-    the sizing below keeps this law's TV only as slack."""
-    exact = pmf_tcl(x, params)
-    Ls = steps_of(params.L, params.p)
-    fine = centered_dlap_pmf(params.L, params.sigma, params.p + gamma)
-    steps = fine.spec.bound_steps
-    inner = np.zeros(2 * Ls)
-    np.add.at(inner, (np.arange(-steps, steps) >> gamma) + Ls, fine.masses[:-1] / fine.masses[:-1].sum())
-    law = exact.masses.copy()
-    lo = exact.spec.index_of(x - params.L)
-    law[lo : lo + 2 * Ls] += branch_probability_c(params) * (
-        inner - centered_clap_pmf(params.L, params.sigma, params.p).masses
-    )
-    return law
-
-
 def test_a8_session_counts_are_sized_for_their_bounds():
     # a faithful sampler's expected TV plus the McDiarmid term (failure
-    # probability 1e-9), plus the gamma=8 lattice law's TV for TCL
-    laws = {
-        "tdl": (pmf_tdl(1.0, A8_PARAMS).masses,) * 2,
-        "tcl": (tcl_lattice_law(1.0, A8_PARAMS, 8), pmf_tcl(1.0, A8_PARAMS).masses),
-    }
-    for mech, (sampled, exact) in laws.items():
+    # probability 1e-9); both mechanisms sample their pmf exactly
+    laws = {"tdl": pmf_tdl(1.0, A8_PARAMS).masses, "tcl": pmf_tcl(1.0, A8_PARAMS).masses}
+    for mech, law in laws.items():
         n, bound, _ = A8_RUNS[mech]
-        lattice = 0.5 * float(np.sum(np.abs(sampled - exact)))
 
         def reads(count):
             mcdiarmid = math.sqrt(math.log(1e9) / (2 * count))
-            return multinomial_tv_mean(sampled, count) + mcdiarmid + lattice
+            return multinomial_tv_mean(law, count) + mcdiarmid
 
         assert reads(n) < bound, mech
         # the count A8 used to have: no faithful sampler meets the bound
@@ -356,10 +332,10 @@ def test_a8_rejects_a_shifted_law():
         assert tv >= A8_RUNS[mech][1], f"{mech} runs at x-{A8_PARAMS.step} pass: TV {tv}"
 
 
-def _replay(words, params, mechanism, gamma):
+def _replay(words, params, mechanism):
     t0 = RandomTape(words=iter(words))
     t1 = RandomTape(words=itertools.repeat(0))
-    return make_session(params, mechanism, gamma, 0, 1, tape0=t0, tape1=t1)
+    return make_session(params, mechanism, tape0=t0, tape1=t1)
 
 
 def test_a9_offline_online_split():
@@ -377,9 +353,9 @@ def test_a9_offline_online_split():
         (MechanismParams(E=2.0, L=1.0, sigma=0.5, p=1), 1.5),
     ):
         for mech in (TDL, TCL):
-            s = make_session(params, mech.name, 4, 11, 12)
+            s = make_session(params, mech.name, seed0=11, seed1=12)
             xs = s.share(steps_of(x, params.p) % s.q)
-            pair = pi_noise(s, mech, params, 4)
+            pair = pi_noise(s, mech, params)
             before = s.ledger.as_dict()
             pi_perturb(s, mech, xs, pair, params)
             d = s.ledger.delta(before)

@@ -154,3 +154,56 @@ def test_the_claim_is_checked_on_the_wall_clock_values_too(tmp_path, monkeypatch
     assert report["claim"] == {"metric": "tcl_outputs_per_s", "met": True,
                                "wall_clock_met": False}
     assert report["metrics"]["tcl_outputs_per_s"]["wall_clock"]["change_over_parent"] == 1.0
+
+
+@pytest.mark.parametrize("output, counts", [
+    ("....\n596 passed in 15.12s\n", (596, 0)),
+    ("F...\nFAILED tests/test_x.py::test_y - assert 1 == 2\n"
+     "1 failed, 583 passed, 2 warnings in 35.10s\n", (583, 1)),
+    ("2 failed, 190 passed, 1 error in 250.31s (0:04:10)", (190, 3)),
+    ("5 passed, 3 skipped, 1 xfailed, 2 errors in 1.00s", (5, 2)),
+    ("===== 12 passed in 0.50s =====\n", (12, 0)),
+], ids=["passed", "failed", "errors-and-minutes", "skips-and-xfails", "banner"])
+def test_the_tier1_summary_line_is_parsed(output, counts):
+    assert bench_pairs.tier1_summary(output) == dict(zip(("passed", "failed"), counts))
+
+
+def test_output_without_a_summary_line_is_refused():
+    for output in ("", "collected 0 items\n\nno tests ran in 0.01s\n", "596 passed\n"):
+        with pytest.raises(ValueError, match="summary"):
+            bench_pairs.tier1_summary(output)
+
+
+def test_tier1_runs_once_in_each_checkout(tmp_path, monkeypatch):
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    calls = []
+
+    def run(cmd, cwd, env, **kw):
+        calls.append((cwd.name, cmd[1:], env["PYTHONPATH"].split(":")[0]))
+        line = "584 passed in 9.0s" if cwd.name == "parent" else "1 failed, 595 passed in 9.5s"
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"....\n{line}\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    out = tmp_path / "bench.json"
+    out.write_text(json.dumps({"workloads": {"w": {}}}))
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--tier1", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+    tier1_argv = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+    assert calls == [("parent", tier1_argv, "src"), ("change", tier1_argv, "src")]
+    doc = json.loads(out.read_text())
+    assert doc["workloads"] == {"w": {}}  # other keys are kept
+    tier1 = doc["tier1"]
+    assert tier1["command"] == "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors"
+    assert {k: v for k, v in tier1["parent"].items() if k != "wall_s"} == {"passed": 584, "failed": 0}
+    assert {k: v for k, v in tier1["change"].items() if k != "wall_s"} == {"passed": 595, "failed": 1}
+    assert all(tier1[side]["wall_s"] >= 0 for side in ("parent", "change"))
+
+
+def test_a_run_needs_a_workload_or_tier1(tmp_path):
+    with pytest.raises(SystemExit):
+        bench_pairs.parse(["--parent", str(tmp_path), "--change", str(tmp_path)])
+    with pytest.raises(SystemExit):
+        bench_pairs.parse(["--parent", str(tmp_path), "--change", str(tmp_path),
+                           "--workload", "w"])

@@ -64,8 +64,13 @@ class TestMoments:
                     "--x", "1"]) == 0
         out = json.loads(capsys.readouterr().out)
         params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
-        assert out["mse_is_upper_bound"] is True
         assert out["mse_exact"] == moments_lap_exact(1.0, params)[1]
+        # the display (2.0) falls below the exact value (7.71) here
+        assert out["mse"] == 2.0 and out["mse_exact"] == pytest.approx(7.711, abs=1e-3)
+        assert out["mse_is_upper_bound"] is False
+        assert run(["moments", "--mechanism", "lap", "--E", "4", "--L", "2",
+                    "--sigma", "10"]) == 0
+        assert json.loads(capsys.readouterr().out)["mse_is_upper_bound"] is True
 
 
 class TestPmf:
@@ -122,10 +127,17 @@ class TestSample:
                     "--n", "10"]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
+    def test_gamma_is_no_flag(self, capsys):
+        # TCL draws on the 2^-p grid: no command takes an inner lattice
+        for command in (["sample"], ["mpc"], ["bench"]):
+            argv = command + (["--E", "4", "--L", "2", "--sigma", "1"] if command != ["bench"] else [])
+            assert run(argv + ["--gamma", "8"]) == 1
+            assert "--gamma" in capsys.readouterr().err
+
     def test_fine_lattice_of_any_step_count_samples(self, capsys):
-        # gamma = 24 on L = 3: 3 * 2^24 fine steps, two segments
+        # p = 24 on L = 3: 3 * 2^24 fine steps, two segments
         assert run(["sample", "--mechanism", "tcl", "--E", "4", "--L", "3", "--sigma", "1",
-                    "--gamma", "24", "--n", "20", "--format", "json"]) == 0
+                    "--p", "24", "--n", "20", "--format", "json"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["inner_sampler"] == "segmented"
         assert len(out["values"]) == 20 and all(-7 <= v < 7 for v in out["values"])
@@ -182,7 +194,7 @@ class TestMpc:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["mpc", "--mechanism", "tcl", "--E", "4", "--L", "2", "--sigma", "1",
-                "--n", "50", "--seed", "3", "--gamma", "4"]
+                "--n", "50", "--seed", "3"]
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -190,12 +202,15 @@ class TestMpc:
 
 class TestBench:
     def test_ledger_table(self, capsys):
+        # (comparisons, multiplications) of one run: TCL's inner draw has
+        # no zero flag and so no blend, one of each below TDL's; at p=2
+        # (kappa = 7) TCL runs 9 + 2 offline and 1 + 2 online
         assert run(["bench"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert len(data["ledgers"]) == 4
-        for row in data["ledgers"]:
-            assert row["multiplications"] >= 5
-            assert row["comparisons"] >= 1
+        counts = {(r["mechanism"], r["p"]): (r["comparisons"], r["multiplications"])
+                  for r in data["ledgers"]}
+        assert counts == {("tdl", 0): (9, 5), ("tcl", 0): (8, 4),
+                          ("tdl", 2): (11, 5), ("tcl", 2): (10, 4)}
 
 
 class TestValidate:
@@ -286,50 +301,51 @@ PINNED = {
     "sample-tcl-wide.json": (
         ["sample", "--mechanism", "tcl", *WIDE, "--x", "-32", "--n", "300", "--seed", "3",
          "--format", "json"],
-        "a985ecf85663957f9940e6f9a652f0fefbbf3c29a1a704aaf8fe15a01d26542f",
+        "081feb5d93c4e54c02268b3687b0a47ca536461df603c4c3fde63f8fcad05d73",
     ),
     "sample-tcl-gamma0.csv": (
-        ["sample", "--mechanism", "tcl", *SMALL, "--gamma", "0", "--n", "500", "--seed", "5"],
-        "65399771ca0995d4e49f9156aa39e81d127771f6bcff9228e2562d61417bbe39",
+        ["sample", "--mechanism", "tcl", *SMALL, "--n", "500", "--seed", "5"],
+        "720428e5d6a96b9cd4a86f61664bb634d5839f4f8725f7993438004b50f5e236",
     ),
     "mpc-tdl-small.json": (
         ["mpc", *SMALL, "--x", "1", "--n", "200", "--seed", "5", "--transcript"],
-        "80eab9f5cfbdccc2887e55ad683755a67799449560b61509263d40d7a78be4d7",
+        "bd34c01a09764315bf9092639dc4b1998dbaa908ca3d2a33ec64224aaf6ba579",
     ),
     "mpc-tcl-small.json": (
         ["mpc", "--mechanism", "tcl", *SMALL, "--x", "-2", "--n", "200", "--seed", "5",
          "--transcript"],
-        "a5fe10aab8dce64dbc89dc5f3fd336af59c52fca6be895728d9bc991483309d8",
+        "f67e00d0e07adef0161020066568e00ec281b0082c3d7ad005c6c1c877881a09",
     ),
     "mpc-tdl-wide.json": (
         ["mpc", *WIDE, "--x", "-32", "--n", "200", "--seed", "7", "--transcript"],
-        "374c9d35d5a7e00661193529146e9372959117fe303493d2d5d6923d5ad25dda",
+        "92fed94a6794b8ec56a89d562eb74e08ffdb7f1f2a17068f4990dad38e15570c",
     ),
     "mpc-tcl-wide.json": (
         ["mpc", "--mechanism", "tcl", *WIDE, "--x", "63.75", "--n", "200", "--seed", "7",
          "--transcript"],
-        "a67b8f59bf6043ccd3b6f0ec5e0e79e16e86e8eacc954333d7d8bc85b21d2a93",
+        "9e49e0f844ac0eddc3238574bc089a0c340dbd933ff20210e7b641d79f821c08",
     ),
-    # TDL with a segmented inner draw and TCL at gamma=0, both with outer
-    # count 6, whose tail draws reject a quarter of first attempts: the
-    # shapes that ran sequentially before every sample_batch ran in blocks
+    # TDL with a segmented inner draw and TCL, both with outer count 6,
+    # whose tail draws reject a quarter of first attempts: the shapes that
+    # ran sequentially before every sample_batch ran in blocks (the TCL
+    # names keep the gamma0 of the lattice TCL once drew on)
     "sample-tdl-table-outer6.csv": (
         ["sample", "--E", "3", "--L", "3", "--sigma", "1", "--x", "1", "--n", "500",
          "--seed", "11"],
         "3f3b46ca000a9471e26135d1d58089de7c255197c0f2ed4607a2ad1829719685",
     ),
     "sample-tcl-gamma0-outer6.csv": (
-        ["sample", "--mechanism", "tcl", "--E", "3", "--L", "2", "--sigma", "1", "--gamma",
-         "0", "--x", "-1", "--n", "500", "--seed", "12"],
-        "4765ee74e32aab292f7df6f47997a0176fbf850a401467669121401301ff710e",
+        ["sample", "--mechanism", "tcl", "--E", "3", "--L", "2", "--sigma", "1",
+         "--x", "-1", "--n", "500", "--seed", "12"],
+        "e25173617c0a9601329aa7e9fb1792657e9d66351c927129eb4b2d751f720333",
     ),
     "bench.json": (
         ["bench"],
-        "17a0f3decca7b0c9126d93762bdfcb860dd89fb7434ce7dcfdc18bf519942d3c",
+        "9286dbb422b306227aa657a81013146a9e3e50da086c8a881d92a9e6cc31cb44",
     ),
     "bench.csv": (
-        ["bench", "--format", "csv", "--x", "1", "--seed", "4", "--gamma", "4"],
-        "cd1889c9b9ff16c8defc99198e81cbf4c28cdaaa261786f7ef1257761549a7c9",
+        ["bench", "--format", "csv", "--x", "1", "--seed", "4"],
+        "841b5fab7a21130cf5884b811b9639f43e11b6ee86d724f701306b6b247191b6",
     ),
 }
 

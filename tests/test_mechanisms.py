@@ -557,9 +557,9 @@ class TestMechanismRecord:
             pmf_tdl, moments_tdl, branch_probability_d)
         assert (TCL.pmf, TCL.moments, TCL.branch_probability) == (
             pmf_tcl, moments_tcl, branch_probability_c)
-        # TDL's upper tail starts one step past x+L; TCL samples gamma bits finer
-        assert (TDL.high_offset, TDL.fine_bits(8)) == (1, 0)
-        assert (TCL.high_offset, TCL.fine_bits(8)) == (0, 8)
+        # TDL's upper tail starts one step past x+L, TCL's at x+L
+        assert (TDL.high_offset, TCL.high_offset) == (1, 0)
+        assert (TDL.cumulative, TCL.cumulative) == (False, True)
 
     def test_lookup_by_name(self):
         assert lookup_mechanism("tdl") is TDL and lookup_mechanism("tcl") is TCL

@@ -38,16 +38,15 @@ SETS = {
     "wide": MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2),
     "E3": MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0),
 }
-GAMMAS = (0, 3, 8)
 SIZES = (1, 5, 300)
 
-OUTPUTS_DIGEST = "f7af97684e6d216b783e62f39124d09f3fb59597e268b9b31ffb42b4253ba92e"
-DEALER_DIGEST = "37ac763710344f590e5e512b2311ee601ea6cb9e22511cfe351114caec79a646"
+OUTPUTS_DIGEST = "191be697570e289352da1a5af188baf5713c5618f18e572e1093d624db763218"
+DEALER_DIGEST = "5ddcd2e1eaa7738bfcec39cc033a88deec240335248975394bbbf05110c72fe5"
 
 
-def _outputs(session, mech, params, gamma, n, x) -> dict:
-    x_steps = noise_plan(mech, params, gamma).input_steps(x)
-    values = run_sessions(session, mech, params, x_steps, n, gamma)
+def _outputs(session, mech, params, n, x) -> dict:
+    x_steps = noise_plan(mech, params).input_steps(x)
+    values = run_sessions(session, mech, params, x_steps, n)
     return {
         "values": [float(v) for v in values],
         "ledger": session.ledger.as_dict(),
@@ -56,31 +55,31 @@ def _outputs(session, mech, params, gamma, n, x) -> dict:
 
 
 def cases():
-    combos = itertools.product(SETS, (TDL, TCL), GAMMAS, SIZES)
-    for i, (name, mech, gamma, n) in enumerate(combos):
+    combos = itertools.product(SETS, (TDL, TCL), SIZES)
+    for i, (name, mech, n) in enumerate(combos):
         params = SETS[name]
         x = (-params.E, 1.0, params.E)[i % 3]
-        yield i, name, mech, gamma, n, x
+        yield i, name, mech, n, x
 
 
 def gate_records() -> list:
     records = []
-    for i, name, mech, gamma, n, x in cases():
+    for i, name, mech, n, x in cases():
         params = SETS[name]
-        field = mechanism_field(params, mech.name, gamma)
+        field = mechanism_field(params, mech.name)
         seeds = (1000 + i, 2000 + i)
         seq = Session(field, *seeds, record_transcript=True)
         batch = Session(field, *seeds)
         outputs = {
-            "session": _outputs(seq, mech, params, gamma, n, x),
-            "batch": _outputs(batch, mech, params, gamma, n, x),
+            "session": _outputs(seq, mech, params, n, x),
+            "batch": _outputs(batch, mech, params, n, x),
         }
         dealer = {
             "session": [seq.dealer.words_consumed],
             "batch": [batch.dealer.words_consumed],
             "transcript": seq.transcript_dump(),
         }
-        records.append({"case": [name, mech.name, gamma, n, x], "outputs": outputs,
+        records.append({"case": [name, mech.name, n, x], "outputs": outputs,
                         "dealer": dealer})
     return records
 
@@ -123,14 +122,14 @@ def _redeal(session, seed: int) -> None:
 @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
 @pytest.mark.parametrize("name", sorted(SETS))
 def test_outputs_do_not_depend_on_the_dealer(name, mech, substrate):
-    params, gamma = SETS[name], 0 if name == "E3" else 8
-    field = mechanism_field(params, mech.name, gamma)
+    params = SETS[name]
+    field = mechanism_field(params, mech.name)
     runs, transcripts = [], []
     for dealer in (None, 4242):
         s = Session(field, 77, 78, record_transcript=substrate == "Session")
         if dealer is not None:
             _redeal(s, dealer)
-        runs.append(_outputs(s, mech, params, gamma, 300, 1.0))
+        runs.append(_outputs(s, mech, params, 300, 1.0))
         transcripts.append(s.transcript)
         if substrate == "BatchSession":
             assert s._batch is not None and s._batch.dealer is s.dealer
@@ -139,12 +138,12 @@ def test_outputs_do_not_depend_on_the_dealer(name, mech, substrate):
         assert transcripts[0] != transcripts[1]
 
 
-def _pooled_outputs(session, mech, params, gamma, n, x) -> dict:
+def _pooled_outputs(session, mech, params, n, x) -> dict:
     """`_outputs` with each execution written out, so that its noise pair
     comes through `Session.offline` (a long-lived session's calls)."""
-    xs = session.share(noise_plan(mech, params, gamma).input_steps(x) % session.q)
+    xs = session.share(noise_plan(mech, params).input_steps(x) % session.q)
     opened = [
-        session.open(pi_perturb(session, mech, xs, pi_noise(session, mech, params, gamma), params))
+        session.open(pi_perturb(session, mech, xs, pi_noise(session, mech, params), params))
         for _ in range(n)
     ]
     return {
@@ -159,23 +158,22 @@ def test_a_pooled_session_equals_a_recording_session():
     # that records nothing hands its pairs out of blocks once a run is long
     # enough, with the same opened values, ledger and party words
     pooled = set()
-    for i, name, mech, gamma, n, x in cases():
+    for i, name, mech, n, x in cases():
         params = SETS[name]
-        field = mechanism_field(params, mech.name, gamma)
+        field = mechanism_field(params, mech.name)
         seeds = (1000 + i, 2000 + i)
         ref = Session(field, *seeds, record_transcript=True)
         session = Session(field, *seeds)
         with mock.patch.object(
             BatchSession, "_evaluate", autospec=True, side_effect=BatchSession._evaluate
         ) as evaluate:
-            got = _pooled_outputs(session, mech, params, gamma, n, x)
-        assert got == _outputs(ref, mech, params, gamma, n, x), (name, mech.name, gamma, n)
+            got = _pooled_outputs(session, mech, params, n, x)
+        assert got == _outputs(ref, mech, params, n, x), (name, mech.name, n)
         if evaluate.call_count:
-            pooled.add((name, mech.name, gamma, n))
+            pooled.add((name, mech.name, n))
     # every run of 300 pairs evaluated blocks, the rejecting shapes too
     # (at E=3 TDL and TCL reject a quarter of their tail draws)
-    assert {(name, mech.name, gamma, 300) for name in SETS for mech in (TDL, TCL)
-            for gamma in GAMMAS} <= pooled
+    assert {(name, mech.name, 300) for name in SETS for mech in (TDL, TCL)} <= pooled
 
 
 if __name__ == "__main__":

@@ -389,7 +389,7 @@ def bit_loop(s, thresholds):
 
 
 # k = 0, 1, 7 and 15, with thresholds 0 and 2^64 (probability 0 and 1);
-# the 15 are the wide set's TCL magnitude bits at gamma = 8
+# the 15 are the wide set's magnitude bits on the 2^-10 grid
 WIDE_BITS = centered_dlap_config(32.0, 8.0, 10).bit_thresholds
 THRESHOLDS = [
     (),
@@ -503,9 +503,9 @@ class TestBersampleSum:
         # dealer's one stream serves its pool and its blocks, which draw
         # what they use
         params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
-        s = Session(mechanism_field(params, "tcl", 8), 0, 1)
-        run_sessions(s, TCL, params, 0, 300, 8)
-        assert s.dealer.words_consumed == 10_220
+        s = Session(mechanism_field(params, "tcl"), 0, 1)
+        run_sessions(s, TCL, params, 0, 300)
+        assert s.dealer.words_consumed == 7_820
 
     def test_parties_need_tapes_of_their_own(self):
         tape = RandomTape(1)

@@ -50,6 +50,7 @@ from trunclap.mpc import protocols
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import (
     _clap_steps,
+    sample_clap_centered,
     centered_dlap_config,
     dlap_zero_mass,
     noise,
@@ -66,14 +67,13 @@ def tv(counts, masses):
     return 0.5 * float(np.sum(np.abs(counts / counts.sum() - masses)))
 
 
-def opened_in_batch(program, n, seeds, mechanism="tdl", gamma=8, outer_words=0):
+def opened_in_batch(program, n, seeds, mechanism="tdl", outer_words=0):
     """Opened results of n runs of `program` in blocks on a Session over
     PARAMS: the values a sequential loop with the same seeds opens, since
     both read the party tapes alone.  `outer_words` counts the joint words
     drawn before the inner draw (2 for a noise protocol)."""
-    session = Session(mechanism_field(PARAMS, mechanism, gamma), *seeds)
-    p_inner = PARAMS.p + lookup_mechanism(mechanism).fine_bits(gamma)
-    plan = centered_dlap_config(PARAMS.L, PARAMS.sigma, p_inner)
+    session = Session(mechanism_field(PARAMS, mechanism), *seeds)
+    plan = noise_plan(lookup_mechanism(mechanism), PARAMS).inner
     return session.run(program, n, outer_words + plan.words_per_draw)
 
 
@@ -84,11 +84,11 @@ def fresh_pair(session, mech, params, branch, payload):
     return SharedNoisePair(branch, payload, plan, session.perturbation_material(payload))
 
 
-def replay_session(words, params, mechanism="tdl", gamma=8):
+def replay_session(words, params, mechanism="tdl"):
     """Session whose joint coins replay an injected plaintext word stream."""
     t0 = RandomTape(words=iter(words))
     t1 = RandomTape(words=itertools.repeat(0))
-    return make_session(params, mechanism, gamma, 0, 1, tape0=t0, tape1=t1)
+    return make_session(params, mechanism, tape0=t0, tape1=t1)
 
 
 class TestPiDl:
@@ -140,36 +140,81 @@ class TestPiDl:
 
 class TestPiCl:
     def test_opens_clap_steps_on_the_same_words(self):
-        # each draw's joint words, fed to both: the sign test and the floor
-        # open what the plaintext map computes, on every coarse value
-        for gamma in (0, 3, 8):
-            plan = noise_plan(TCL, PARAMS, gamma)
-            k = plan.inner.words_per_draw
-            words = RandomTape(64 + gamma).words(400 * k)
-            session = replay_session(words, PARAMS, "tcl", gamma)
-            opened = [session.open(pi_cl(session, PARAMS, gamma)) for _ in range(400)]
-            assert opened == [_clap_steps(plan.inner, gamma, words[i : i + k])
-                              for i in range(0, len(words), k)]
-            assert set(opened) == {-2, -1, 0, 1}
+        # each draw's joint words, fed to both: the protocol opens what the
+        # plaintext map computes, on every value of [-L, L)
+        plan = noise_plan(TCL, PARAMS).inner
+        k = plan.words_per_draw
+        words = RandomTape(64).words(400 * k)
+        session = replay_session(words, PARAMS, "tcl")
+        opened = [session.open(pi_cl(session, PARAMS)) for _ in range(400)]
+        assert opened == [_clap_steps(plan, words[i : i + k]) for i in range(0, len(words), k)]
+        assert set(opened) == {-2, -1, 0, 1}
 
     def test_opened_law_gamma6(self):
+        # the gamma the benchmark passes changes nothing: the law is exact
         n = 100_000
-        vals = opened_in_batch(lambda s: s.open(pi_cl(s, PARAMS, 6)), n, (61, 62), "tcl", 6)
+        vals = opened_in_batch(lambda s: s.open(pi_cl(s, PARAMS, 6)), n, (61, 62), "tcl")
         counts = np.bincount(vals + 2, minlength=4)
         exact = centered_clap_pmf(2.0, 1.0, 0).masses
         assert vals.max() < 2
         assert tv(counts, exact) < 0.01
 
-    def test_fine_floor_consistency(self):
-        # opened coarse value is the floor of the (rescaled) fine draw
+    def test_matches_plaintext_on_a_fine_grid(self):
+        # the opened value is the plaintext draw on the same words, here on
+        # the 2^-4 grid
+        params = dataclasses.replace(PARAMS, p=4)
         tape = RandomTape(63)
-        from trunclap.sampling import sample_clap_centered
-
-        plain = [sample_clap_centered(2.0, 1.0, 0, 4, tape) for _ in range(1000)]
-        session = replay_session(RandomTape(63).words(tape.words_consumed), PARAMS, "tcl", gamma=4)
+        plain = [sample_clap_centered(2.0, 1.0, 4, tape) for _ in range(1000)]
+        session = replay_session(RandomTape(63).words(tape.words_consumed), params, "tcl")
         for v in plain:
-            opened = session.open(pi_cl(session, PARAMS, 4))
-            assert opened == steps_of(v, PARAMS.p)
+            assert session.open(pi_cl(session, params)) == steps_of(v, params.p)
+
+    def test_ledger_contract(self):
+        # kappa + 1 comparisons and one multiplication: no zero flag, no
+        # sign test and no truncation
+        session = make_session(PARAMS, "tcl", seed0=1, seed1=2)
+        kappa = noise_plan(TCL, PARAMS).inner.kappa
+        before = session.ledger.as_dict()
+        with mock.patch.object(Session, "trunc_pow2", side_effect=AssertionError("truncated")):
+            pi_cl(session, PARAMS)
+        d = session.ledger.delta(before)
+        assert (d["bernoulli_draws"], d["comparisons"], d["multiplications"]) == (
+            kappa + 1, kappa + 1, 1)
+        assert d["rounds"] == (kappa + 1) * core.CMP_ROUNDS + core.MUL_ROUNDS
+
+    def test_rejects_non_pow2_step_count(self):
+        params = MechanismParams(E=4.0, L=3.0, sigma=1.0, p=0)
+        session = make_session(params, "tcl", seed0=1, seed1=2)
+        with pytest.raises(ValueError, match="power of two"):
+            pi_cl(session, params)
+
+
+def test_tcl_wide_ledger_is_ten_comparisons_and_four_multiplications():
+    # one execution on the wide set: 9 comparisons + 2 multiplications
+    # offline and 1 + 2 online, with no truncation; offline, TDL's ledger
+    # less its zero flag (one comparison) and its blend (one multiplication)
+    def phases(mech):
+        s = make_session(WIDE, mech.name, seed0=3, seed1=4)
+        xs = s.share(0)
+        before = s.ledger.as_dict()
+        pair = pi_noise(s, mech, WIDE)
+        offline = s.ledger.delta(before)
+        before = s.ledger.as_dict()
+        pi_perturb(s, mech, xs, pair, WIDE)
+        return offline, s.ledger.delta(before)
+
+    with mock.patch.object(Session, "trunc_pow2", side_effect=AssertionError("truncated")):
+        (tcl_off, tcl_on), (tdl_off, tdl_on) = phases(TCL), phases(TDL)
+    assert (tcl_off["comparisons"], tcl_off["multiplications"]) == (9, 2)
+    assert (tcl_on["comparisons"], tcl_on["multiplications"]) == (1, 2)
+    assert tcl_off["rounds"] == 9 * core.CMP_ROUNDS + core.UNI_ROUNDS + 2 * core.MUL_ROUNDS
+    flag_and_blend = {
+        "comparisons": 1, "bernoulli_draws": 1, "multiplications": 1, "uniform_draws": 0,
+        "rounds": core.CMP_ROUNDS + core.MUL_ROUNDS,
+        "elements_exchanged": core.CMP_ELEMENTS + core.MUL_ELEMENTS,
+    }
+    assert {k: tdl_off[k] - tcl_off[k] for k in tdl_off} == flag_and_blend
+    assert tcl_on == tdl_on
 
 
 class TestNoiseProtocols:
@@ -210,8 +255,7 @@ class TestNoiseProtocols:
         n = 100_000
         pb = branch_probability_c(PARAMS)
         hits = opened_in_batch(
-            lambda s: s.open(pi_c_noise(s, PARAMS, 4).branch), n, (75, 76), "tcl", 4,
-            outer_words=2,
+            lambda s: s.open(pi_c_noise(s, PARAMS).branch), n, (75, 76), "tcl", outer_words=2,
         ).sum()
         se = math.sqrt(pb * (1 - pb) / n)
         assert abs(hits / n - pb) < 3 * se
@@ -292,7 +336,7 @@ class TestPerturbProtocols:
                 ("tdl", pi_d_noise, pi_d_perturb),
                 ("tcl", pi_c_noise, pi_c_perturb),
             ):
-                session = make_session(params, mech, 4, 85, 86)
+                session = make_session(params, mech, seed0=85, seed1=86)
                 xs = session.share(steps_of(x, params.p) % session.q)
                 pair = (
                     noise_fn(session, params)
@@ -334,16 +378,15 @@ class TestBitForBitEquivalence:
     def test_tcl_pipeline(self):
         n = 10_000
         x = -3.0
-        gamma = 4
         tape = RandomTape(91)
         plain = []
         for _ in range(n):
-            pair = noise(TCL, PARAMS, tape, gamma)
+            pair = noise(TCL, PARAMS, tape)
             plain.append((pair, perturb(TCL, x, pair, PARAMS)))
-        session = replay_session(RandomTape(91).words(tape.words_consumed), PARAMS, "tcl", gamma)
+        session = replay_session(RandomTape(91).words(tape.words_consumed), PARAMS, "tcl")
         xs = session.share(steps_of(x, PARAMS.p) % session.q)
         for pair_ref, z_ref in plain:
-            pair = pi_c_noise(session, PARAMS, gamma)
+            pair = pi_c_noise(session, PARAMS)
             i = session.open(pair.branch)
             y = session.open(pair.payload)
             assert i == pair_ref.branch
@@ -358,18 +401,18 @@ class TestBitForBitEquivalence:
 class TestEndToEndLaws:
     def test_tdl_all_centers(self):
         for x in PARAMS.input_grid().values():
-            counts = _e2e_counts("tdl", float(x), 100_000, 8)
+            counts = _e2e_counts("tdl", float(x), 100_000)
             assert tv(counts, pmf_tdl(float(x), PARAMS).masses) < 0.005, f"x={x}"
 
     def test_tcl_selected_centers(self):
         for x in (-4.0, 1.0, 4.0):
-            counts = _e2e_counts("tcl", x, 100_000, 8)
+            counts = _e2e_counts("tcl", x, 100_000)
             assert tv(counts, pmf_tcl(x, PARAMS).masses) < 0.01, f"x={x}"
 
 
-def _e2e_counts(mechanism, x, n, gamma):
+def _e2e_counts(mechanism, x, n):
     seed = int(x * 16) + 4096
-    vals = run_batch(mechanism, PARAMS, x, n, seed, seed + 1, gamma=gamma)
+    vals = run_batch(mechanism, PARAMS, x, n, seed, seed + 1)
     spec = PARAMS.output_grid(mechanism)
     idx = np.round((vals + spec.B) * 2**spec.p).astype(int)
     return np.bincount(idx, minlength=spec.count)
@@ -428,7 +471,8 @@ def loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma):
 
 
 # (mechanism, params, gamma); ODD's outer count 6 rejects a quarter of its
-# tail draws, for TDL and TCL alike
+# tail draws, for TDL and TCL alike.  gamma is what the benchmark passes
+# make_session, pi_c_noise and run_batch; it changes nothing
 BATCH_CASES = [
     ("tdl", PARAMS, 8),
     ("tcl", PARAMS, 8),
@@ -473,7 +517,7 @@ class TestBatchSimulator:
         _, seq = loop_reference(mechanism, params, 1, n, 41, 42, gamma)
         batch = Session(mechanism_field(params, mechanism, gamma), 41, 42)
         with mock.patch.object(tape_module, "BATCH_BLOCK", 128):
-            run_sessions(batch, lookup_mechanism(mechanism), params, 1, n, gamma)
+            run_sessions(batch, lookup_mechanism(mechanism), params, 1, n)
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
         assert batch.tape0.words_consumed == seq.tape0.words_consumed
         assert batch.tape1.words_consumed == seq.tape1.words_consumed
@@ -550,15 +594,15 @@ class TestBatchSimulator:
 def test_mechanism_field_is_cached():
     # a FieldConfig is frozen, so sessions share one; its sizing runs once
     # per set
-    mechanism_field.cache_clear()
+    protocols._ring.cache_clear()
     with mock.patch(
         "trunclap.mpc.protocols.field_for_mechanism", wraps=protocols.field_for_mechanism
     ) as search:
-        fields = [make_session(WIDE, "tcl", 8, k, k + 1).field for k in range(3)]
+        fields = [make_session(WIDE, "tcl", seed0=k, seed1=k + 1).field for k in range(3)]
         run_batch("tcl", WIDE, 0.0, 2, 1, 2)
     assert search.call_count == 1
     assert fields[0] is fields[1] is fields[2] is mechanism_field(WIDE, "tcl", 8)
-    mechanism_field.cache_clear()
+    protocols._ring.cache_clear()
     assert mechanism_field(WIDE, "tcl", 8) is not fields[0]
 
 
@@ -591,7 +635,7 @@ class TestPhaseSplit:
 
     @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
     def test_pooled_online_calls_draw_only_their_input_masks(self, mech, params):
-        session = make_session(params, mech.name, 8, 61, 62)
+        session = make_session(params, mech.name, seed0=61, seed1=62)
         pairs = [pi_noise(session, mech, params) for _ in range(self.K)]
         store = session.triples
         words = session.tape0.words_consumed, session.tape1.words_consumed
@@ -609,10 +653,10 @@ class TestPhaseSplit:
     @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
     def test_pooled_and_interleaved_orders_open_the_same(self, mech, params):
         xs = grid_inputs(params, self.K)
-        pooled = make_session(params, mech.name, 8, 67, 68)
+        pooled = make_session(params, mech.name, seed0=67, seed1=68)
         pairs = [pi_noise(pooled, mech, params) for _ in xs]
         got = [online_call(pooled, mech, params, x, pair) for x, pair in zip(xs, pairs)]
-        interleaved = make_session(params, mech.name, 8, 67, 68)
+        interleaved = make_session(params, mech.name, seed0=67, seed1=68)
         want = [online_call(interleaved, mech, params, x, pi_noise(interleaved, mech, params))
                 for x in xs]
         assert got == want
@@ -621,7 +665,7 @@ class TestPhaseSplit:
     @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
     def test_batch_perturbation_takes_no_dealer_rows(self, mech, params):
         n, seeds = 3 * SMALL_BLOCK + 5, (69, 70)
-        plan, x_steps = noise_plan(mech, params, 8), 1
+        plan, x_steps = noise_plan(mech, params), 1
         batch = Session(mechanism_field(params, mech.name), *seeds)
         xs = batch.share(x_steps % batch.q)
         rows = AssertionError("pi_perturb drew dealer rows")
@@ -638,9 +682,9 @@ class TestPhaseSplit:
 
     @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
     def test_a_pair_is_perturbed_once(self, mech):
-        session = make_session(PARAMS, mech.name, 4, 65, 66)
+        session = make_session(PARAMS, mech.name, seed0=65, seed1=66)
         xs = session.share(1)
-        pair = pi_noise(session, mech, PARAMS, 4)
+        pair = pi_noise(session, mech, PARAMS)
         pi_perturb(session, mech, xs, pair, PARAMS)
         tapes = (session.tape0, session.tape1, session.dealer)
         before = session.ledger.as_dict(), [t.words_consumed for t in tapes]
@@ -654,7 +698,7 @@ class TestPhaseSplit:
     def test_a_pair_of_another_mechanism_or_set_is_refused(self, pooled):
         # a TCL pair perturbed as TDL opened -4 at x = 1, and a pair drawn
         # at E = 4 ran at E = 8
-        session = make_session(PARAMS, "tcl", 8, 71, 72, record_transcript=not pooled)
+        session = make_session(PARAMS, "tcl", seed0=71, seed1=72, record_transcript=not pooled)
         with mock.patch.object(
             BatchSession, "_evaluate", autospec=True, side_effect=BatchSession._evaluate
         ) as evaluate:
@@ -680,9 +724,9 @@ def peeks(sizes: list):
     return mock.patch.object(RandomTape, "peek_block", peek)
 
 
-def opened_pairs(session, mech, params, n, gamma=8):
+def opened_pairs(session, mech, params, n):
     return [(session.open(p.branch), session.open(p.payload))
-            for p in (pi_noise(session, mech, params, gamma) for _ in range(n))]
+            for p in (pi_noise(session, mech, params) for _ in range(n))]
 
 
 class TestOfflinePool:
@@ -691,14 +735,14 @@ class TestOfflinePool:
 
     @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
     def test_the_first_pairs_of_a_run_are_sequential(self, mech, params):
-        session = make_session(params, mech.name, 8, 11, 12)
+        session = make_session(params, mech.name, seed0=11, seed1=12)
         sizes = []
         with peeks(sizes):
             for _ in range(BE):
                 pi_noise(session, mech, params)
             assert sizes == []
             pi_noise(session, mech, params)
-        words = noise_plan(mech, params, 8).words_per_draw
+        words = noise_plan(mech, params).words_per_draw
         assert sizes == [BE * words, BE * words]  # one block of BE, on each tape
 
     @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
@@ -712,35 +756,35 @@ class TestOfflinePool:
 
         sizes = []
         with peeks(sizes):
-            got = run(make_session(params, mech.name, 8, 13, 14))
-        assert got == run(make_session(params, mech.name, 8, 13, 14, record_transcript=True))
+            got = run(make_session(params, mech.name, seed0=13, seed1=14))
+        assert got == run(make_session(params, mech.name, seed0=13, seed1=14, record_transcript=True))
         # each read ended the run: every run of 3*BE + k pairs started with
         # BE sequential ones, then blocks of BE and 2*BE
-        words = noise_plan(mech, params, 8).words_per_draw
+        words = noise_plan(mech, params).words_per_draw
         assert sorted(set(sizes)) == [BE * words, 2 * BE * words]
 
     @pytest.mark.parametrize("cap", [16, core.POOL_BLOCK_MAX])
     def test_a_block_never_exceeds_the_cap(self, cap):
         n = 3 * cap + 50
-        words = noise_plan(TDL, PARAMS, 8).words_per_draw
+        words = noise_plan(TDL, PARAMS).words_per_draw
         sizes = []
         with peeks(sizes), mock.patch.object(core, "POOL_BLOCK_MAX", cap):
-            session = make_session(PARAMS, "tdl", 8, 15, 16)
+            session = make_session(PARAMS, "tdl", seed0=15, seed1=16)
             got = opened_pairs(session, TDL, PARAMS, n)
         assert max(sizes) == cap * words
-        assert got == opened_pairs(make_session(PARAMS, "tdl", 8, 15, 16, record_transcript=True),
+        assert got == opened_pairs(make_session(PARAMS, "tdl", seed0=15, seed1=16, record_transcript=True),
                                    TDL, PARAMS, n)
 
     def test_the_dealer_counts_every_pooled_draw(self):
         # pooled pairs draw their masks and triples from the session's own
         # dealer tape, so its word count covers every residue they use
-        ref = make_session(WIDE, "tcl", 8, 17, 18, record_transcript=True)
+        ref = make_session(WIDE, "tcl", seed0=17, seed1=18, record_transcript=True)
         opened_pairs(ref, TCL, WIDE, 300)
         used = handed_out(ref.triples)
-        assert used >= 300 * 33  # 8 masks and 5 triples a pair, at least
-        session = make_session(WIDE, "tcl", 8, 17, 18)
+        assert used >= 300 * 25  # 5 masks and 4 triples a pair, at least
+        session = make_session(WIDE, "tcl", seed0=17, seed1=18)
         assert opened_pairs(session, TCL, WIDE, 300) == opened_pairs(
-            make_session(WIDE, "tcl", 8, 17, 18, record_transcript=True), TCL, WIDE, 300
+            make_session(WIDE, "tcl", seed0=17, seed1=18, record_transcript=True), TCL, WIDE, 300
         )
         assert session._batch is not None and session._batch.dealer is session.dealer
         assert session.dealer.words_consumed >= used
@@ -748,7 +792,7 @@ class TestOfflinePool:
     def test_these_sessions_stay_sequential(self):
         field = mechanism_field(PARAMS, "tdl")
         sessions = [
-            make_session(PARAMS, "tdl", 8, 1, 2, record_transcript=True),
+            make_session(PARAMS, "tdl", seed0=1, seed1=2, record_transcript=True),
             Session(field, tape0=RandomTape(1), tape1=RandomTape(2)),
         ]
         sizes = []

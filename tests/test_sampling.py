@@ -28,6 +28,7 @@ from trunclap import (
     RandomTape,
     centered_clap_pmf,
     centered_dlap_pmf,
+    max_privacy_ratio,
     noise,
     perturb,
     pmf_tcl,
@@ -46,11 +47,10 @@ from trunclap.mechanisms import (
     lookup_mechanism,
     outer_count,
 )
-from trunclap.mpc import mechanism_field, run_batch
+from trunclap.mpc import make_session, mechanism_field, pi_c_noise, pi_cl, run_batch
 from trunclap.sampling import (
     _clap_steps,
     _dlap_steps,
-    _noise_plan,
     _perturb_steps,
     centered_clap_config,
     centered_dlap_config,
@@ -69,9 +69,7 @@ def law_of_the_words(cfg, draw) -> dict:
     """The law of `draw(words)` over every outcome of one draw's words of
     plan `cfg`, each word one below its threshold or at it, in `Fraction`s:
     the law the code computes from the thresholds."""
-    thresholds = [cfg.zero_threshold, *cfg.bit_thresholds, *cfg.segment_thresholds,
-                  cfg.sign_threshold]
-    assert len(thresholds) == cfg.words_per_draw
+    thresholds = word_thresholds(cfg)
     law = {}
     for below in product((True, False), repeat=len(thresholds)):
         mass = math.prod(Fraction(t, 2**64) if b else 1 - Fraction(t, 2**64)
@@ -80,6 +78,14 @@ def law_of_the_words(cfg, draw) -> dict:
             v = draw([t - b for t, b in zip(thresholds, below)])
             law[v] = law.get(v, 0) + mass
     return law
+
+
+def word_thresholds(cfg) -> list:
+    """The threshold of each word of one draw of `cfg`, in draw order."""
+    flag = [] if cfg.zero_threshold is None else [cfg.zero_threshold]
+    thresholds = [*flag, *cfg.bit_thresholds, *cfg.segment_thresholds, cfg.sign_threshold]
+    assert len(thresholds) == cfg.words_per_draw
+    return thresholds
 
 
 def magnitude_bits(cfg):
@@ -220,8 +226,7 @@ def matches_pmf(cfg, L, sigma, p) -> bool:
 class TestExactLaw:
     """The centred law the integer thresholds implement, in `Fraction`s."""
 
-    # (L, sigma, p) with 1, 2 and 3 segments; (24, 8, 8) is TCL's gamma=8
-    # fine lattice on L = 24
+    # (L, sigma, p) with 1, 2 and 3 segments, on grids up to 2^-8
     LATTICE = [
         (2.0, 1.0, 0), (32.0, 8.0, 2), (24.0, 8.0, 0), (3.0, 1.0, 0), (24.0, 8.0, 4),
         (6.0, 0.5, 0), (5.0, 3.0, 1), (7.0, 100.0, 0), (24.0, 8.0, 8),
@@ -268,8 +273,8 @@ class TestTableLookup:
     """A draw's lookups in its plan's thresholds: uint64 rows and Python
     ints read the same values at every threshold's edge."""
 
-    # TDL table set (2 segments), the TCL fine lattice of that set at
-    # gamma=8 (2 segments), 3 segments, and three smaller plans
+    # TDL table set (2 segments), that set on the 2^-8 grid (2 segments),
+    # 3 segments, and three smaller plans
     PLANS = [(24.0, 8.0, 0), (24.0, 8.0, 8), (3.0, 1.0, 0), (7.0, 100.0, 0)]
 
     @staticmethod
@@ -277,15 +282,15 @@ class TestTableLookup:
         """Columns of one draw's words: each threshold +- 1 in every word,
         and at each segment word of random columns, then 0 and 2^64 - 1."""
         k = cfg.words_per_draw
-        thresholds = (cfg.zero_threshold, *cfg.bit_thresholds, *cfg.segment_thresholds,
-                      cfg.sign_threshold)
-        edges = sorted({t + d for t in thresholds for d in (-1, 0, 1)} - {-1, 2**64, 2**64 + 1})
+        edges = sorted({t + d for t in word_thresholds(cfg) for d in (-1, 0, 1)}
+                       - {-1, 2**64, 2**64 + 1})
         cols = [[w] * k for w in edges]
         tape = RandomTape(7)
+        first = k - 1 - len(cfg.segment_thresholds)  # the first segment word
         for t, threshold in enumerate(cfg.segment_thresholds):
             for d in (-1, 0, 1):
                 col = tape.words(k)
-                col[cfg.kappa + 1 + t] = min(max(threshold + d, 0), 2**64 - 1)
+                col[first + t] = min(max(threshold + d, 0), 2**64 - 1)
                 cols.append(col)
         return cols + [[0] * k, [2**64 - 1] * k]
 
@@ -296,6 +301,14 @@ class TestTableLookup:
         cols = self.edge_columns(cfg) + [RandomTape(5).words(k) for _ in range(2000)]
         rows = np.array(cols, dtype=np.uint64).T
         assert _dlap_steps(cfg, rows).tolist() == [_dlap_steps(cfg, c) for c in cols]
+
+    @pytest.mark.parametrize("L, sigma, p", PLANS + [(32.0, 8.0, 2), (1.0, 1.0, 0)])
+    def test_clap_rows_equal_scalar_draws(self, L, sigma, p):
+        cfg = centered_clap_config(L, sigma, p)
+        k = cfg.words_per_draw
+        cols = self.edge_columns(cfg) + [RandomTape(6).words(k) for _ in range(2000)]
+        rows = np.array(cols, dtype=np.uint64).T
+        assert _clap_steps(cfg, rows).tolist() == [_clap_steps(cfg, c) for c in cols]
 
     def test_config_keeps_steps_and_step(self):
         for L, sigma, p in self.PLANS + [(32.0, 8.0, 2)]:
@@ -311,12 +324,10 @@ class TestCenteredClap:
             for frac in (0.0, 0.0625, 0.1875):
                 assert math.floor((y + frac) / h) * h == y
 
-    def test_tv_at_gamma6(self):
+    def test_tv_at_1e6_draws(self):
         n = 1_000_000
         tape = RandomTape(31)
-        draws = np.array(
-            [sample_clap_centered(2.0, 1.0, 0, 6, tape) for _ in range(n)]
-        )
+        draws = np.array([sample_clap_centered(2.0, 1.0, 0, tape) for _ in range(n)])
         counts = np.bincount((draws + 2).astype(int), minlength=4)
         exact = centered_clap_pmf(2.0, 1.0, 0).masses
         assert tv(counts, exact) < THRESHOLDS["clap_tv_1e6"]
@@ -324,7 +335,8 @@ class TestCenteredClap:
 
     def test_exact_pushforward_tv_decreases_in_gamma(self):
         # no sampling: the paper's lattice construction (the fine discrete
-        # Laplace, +L rejected, floored) approaches the law as gamma grows
+        # Laplace, +L rejected, floored) only approaches the law as gamma
+        # grows, which is why the sampler draws on the 2^-p grid instead
         exact = centered_clap_pmf(2.0, 1.0, 0).masses
         tvs = []
         for gamma in (1, 3, 6, 10):
@@ -349,36 +361,40 @@ def clap_tv(law, L, sigma, p) -> float:
 
 
 class TestClapExactLaw:
-    """TCL's inner draw on the 2^-(p+gamma) lattice: +x moved down one fine
-    step, then floored, is `centered_clap_pmf` exactly (up to the 64-bit
-    thresholds), at every gamma and sigma."""
+    """TCL's inner draw, the magnitude m and then m or -m - 1 by the sign,
+    is `centered_clap_pmf` exactly (up to the 64-bit thresholds), on every
+    grid and at every sigma."""
 
-    # (L, sigma, p, gamma); sigma = 1/300 is below one fine step at gamma=8
+    # (L, sigma, p, g): the draw on the 2^-p grid and on the grid 2^g times
+    # finer; sigma = 1/300 is below one step of the 2^-8 grid
     LATTICE = [
         (2.0, 1.0, 0, 0), (2.0, 1.0, 0, 8), (2.0, 1 / 30, 0, 8), (2.0, 1 / 300, 0, 8),
         (3.0, 1.0, 0, 0), (5.0, 3.0, 1, 2), (24.0, 8.0, 0, 8), (32.0, 8.0, 2, 8),
     ]
 
-    @pytest.mark.parametrize("L, sigma, p, gamma", LATTICE)
-    def test_law_is_the_exact_pmf(self, L, sigma, p, gamma):
-        law = clap_law_oracle(centered_clap_config(L, sigma, p + gamma), gamma)
-        assert sum(law.values()) == 1
-        assert clap_tv(law, L, sigma, p) <= 1e-12
+    @pytest.mark.parametrize("L, sigma, p, g", LATTICE)
+    def test_law_is_the_exact_pmf(self, L, sigma, p, g):
+        for q in {p, p + g}:
+            law = clap_law_oracle(centered_clap_config(L, sigma, q))
+            assert sum(law.values()) == 1
+            assert clap_tv(law, L, sigma, q) <= 1e-12
 
-    @pytest.mark.parametrize("L, sigma, p, gamma", [(2.0, 1.0, 0, 0), (5.0, 3.0, 1, 2),
-                                                    (24.0, 8.0, 0, 8)])
-    def test_dropping_the_shift_fails(self, L, sigma, p, gamma):
+    @pytest.mark.parametrize("L, sigma, p, g", [(2.0, 1.0, 0, 0), (5.0, 3.0, 1, 2),
+                                                (24.0, 8.0, 0, 8)])
+    def test_dropping_the_shift_fails(self, L, sigma, p, g):
         # mass on +L, off the support, or away from the pmf
-        cfg = centered_clap_config(L, sigma, p + gamma)
-        with pytest.raises(AssertionError):
-            assert clap_tv(clap_law_oracle(cfg, gamma, shift=0), L, sigma, p) <= 1e-12
+        for q in {p, p + g}:
+            cfg = centered_clap_config(L, sigma, q)
+            with pytest.raises(AssertionError):
+                assert clap_tv(clap_law_oracle(cfg, shift=0), L, sigma, q) <= 1e-12
 
-    @pytest.mark.parametrize("L, sigma, p, gamma", [(2.0, 1.0, 0, 0), (2.0, 1.0, 0, 2),
-                                                    (3.0, 1.0, 0, 0), (3.0, 0.5, 0, 1)])
-    def test_draws_realise_the_oracle_law(self, L, sigma, p, gamma):
-        cfg = centered_clap_config(L, sigma, p + gamma)
-        law = law_of_the_words(cfg, lambda w: _clap_steps(cfg, gamma, w))
-        assert law == {k: m for k, m in clap_law_oracle(cfg, gamma).items() if m}
+    @pytest.mark.parametrize("L, sigma, p, g", [(2.0, 1.0, 0, 0), (2.0, 1.0, 0, 2),
+                                                (3.0, 1.0, 0, 0), (3.0, 0.5, 0, 1)])
+    def test_draws_realise_the_oracle_law(self, L, sigma, p, g):
+        for q in {p, p + g}:
+            cfg = centered_clap_config(L, sigma, q)
+            law = law_of_the_words(cfg, lambda w: _clap_steps(cfg, w))
+            assert law == {k: m for k, m in clap_law_oracle(cfg).items() if m}
 
     @pytest.mark.parametrize("sigma", [1 / 30, 1 / 300])
     def test_small_sigma_splits_the_inner_mass_evenly(self, sigma):
@@ -435,7 +451,7 @@ class TestNoise:
             else:
                 assert pair.payload in range(8)
         for _ in range(500):
-            pair = noise(TCL, small_params, tape, gamma=4)
+            pair = noise(TCL, small_params, tape)
             if pair.branch:
                 assert -2.0 <= pair.payload < 2.0
 
@@ -448,49 +464,81 @@ class TestNoisePlan:
         MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0),
     ]
 
-    @pytest.mark.parametrize("gamma", [0, 3, 8])
-    def test_fields_equal_the_formulas(self, gamma):
+    @pytest.mark.parametrize("g", [0, 3, 8])
+    def test_fields_equal_the_formulas(self, g):
+        # each set on its grid, or on the grid 2^g times finer
         for params, mech in product(self.SETS, (TDL, TCL)):
-            plan = noise_plan(mech, params, gamma)
+            params = dataclasses.replace(params, p=params.p + g)
+            plan = noise_plan(mech, params)
             assert plan.branch_threshold == bernoulli_threshold(mech.branch_probability(params))
             assert plan.outer_count == outer_count(params)
             assert (plan.Es, plan.Ls) == (round(params.E * 2**params.p), round(params.L * 2**params.p))
-            fine = centered_dlap_config(params.L, params.sigma, params.p + mech.fine_bits(gamma))
-            # TCL's inner draw: the fine plan with a zero flag that never fires
+            inner = centered_dlap_config(params.L, params.sigma, params.p)
+            # TCL's inner draw: the same plan without its zero flag's word
             if mech is TCL:
-                fine = dataclasses.replace(fine, zero_threshold=0)
-            assert plan.inner == fine
-            assert noise_plan(mech, params, gamma) is plan  # cached
-            # TDL's inner draw has no fine lattice: one plan for every gamma
-            if mech is TDL:
-                assert noise_plan(mech, params, gamma + 1) is plan
+                inner = dataclasses.replace(inner, zero_threshold=None,
+                                            words_per_draw=inner.words_per_draw - 1)
+            assert plan.inner == inner
+            assert plan.inner.words_per_draw == inner.kappa + len(inner.segments) + (mech is TDL)
+            assert noise_plan(mech, params) is plan  # cached
 
     def test_words_per_draw_is_the_draw_layout(self):
         # branch word, tail word, inner draw: what one draw reads when no
-        # attempt is rejected (a power-of-two tail count and TDL never reject)
+        # tail attempt is rejected (a power-of-two tail count)
         for params, mech in product(self.SETS, (TDL, TCL)):
             plan = noise_plan(mech, params)
             assert plan.words_per_draw == 2 + plan.inner.words_per_draw
-            if plan.tail_mask + 1 == plan.outer_count and mech is TDL:
+            if plan.tail_mask + 1 == plan.outer_count:
                 tape = RandomTape(5)
                 noise(mech, params, tape)
                 assert tape.words_consumed == plan.words_per_draw
 
     def test_negative_gamma_is_refused_for_tcl(self, small_params):
-        with pytest.raises(ValueError, match="gamma"):
-            noise_plan(TCL, small_params, -1)
+        # the six calls that still take the benchmark's gamma
+        session = make_session(small_params, seed0=1, seed1=2)
+        for call in (
+            lambda: mechanism_field(small_params, "tcl", -1),
+            lambda: make_session(small_params, "tcl", -1),
+            lambda: run_batch("tcl", small_params, 0.0, 1, 0, 1, gamma=-1),
+            lambda: pi_c_noise(session, small_params, -1),
+            lambda: pi_cl(session, small_params, -1),
+            lambda: sample_tcl(0.0, small_params, RandomTape(0), -1),
+        ):
+            with pytest.raises(ValueError, match="gamma"):
+                call()
+        assert session.tape0.words_consumed == 0
+
+    def test_any_other_gamma_changes_nothing(self, small_params):
+        # TCL draws on the 2^-p grid whatever gamma the benchmark passes
+        wide = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
+        for params in (small_params, wide):
+            tapes = RandomTape(17), RandomTape(17)
+            with_gamma = [sample_tcl(1.0, params, tapes[0], 8) for _ in range(200)]
+            assert with_gamma == [sample_tcl(1.0, params, tapes[1]) for _ in range(200)]
+            assert tapes[0].words_consumed == tapes[1].words_consumed
+            assert make_session(params, "tcl", 8).field is mechanism_field(params, "tdl")
+            assert np.array_equal(run_batch("tcl", params, 1.0, 300, 3, 4, gamma=8),
+                                  run_batch("tcl", params, 1.0, 300, 3, 4))
+            opened = []
+            for gamma in (8, 0):
+                s = make_session(params, "tcl", gamma, 5, 6)
+                pair = pi_c_noise(s, params, gamma)
+                opened.append([s.open(pi_cl(s, params, gamma)), s.open(pair.branch),
+                               s.open(pair.payload), s.ledger.as_dict()])
+            assert opened[0] == opened[1]
 
     # (mech, E, L, p, gamma, accepted) on each side of the three limits a
     # block's int64 words set: the tail index (2 * 2^p * E <= 2^63), the
     # upper tail's shift (2 * 2^p * L, plus 1 for TDL, < 2^63) and the inner
-    # magnitude (2^(p + gamma) * L <= 2^62)
+    # magnitude (2^p * L < 2^62).  gamma is what sample_tcl and run_batch
+    # are passed; it moves no limit
     WORD_EDGES = [
         ("tdl", 4.0, 2.0, 60, 8, True),
         ("tdl", 4.0, 2.0, 61, 8, False),
         ("tdl", 4.0, 0.5, 60, 8, True),
         ("tdl", 4.0, 0.5, 61, 8, False),
         ("tcl", 4.0, 2.0, 53, 8, True),
-        ("tcl", 4.0, 2.0, 54, 8, False),
+        ("tcl", 4.0, 2.0, 61, 8, False),
         ("tcl", 4.0, 2.0, 54, 0, True),
         ("tdl", 0.5, 4.0, 59, 8, True),
         ("tdl", 0.5, 4.0, 60, 8, False),
@@ -509,7 +557,7 @@ class TestNoisePlan:
             draw = lambda: sample_tdl(E, params, tape)
         if accepted:
             seq = [draw() for _ in range(300)]
-            assert sample_batch(mech, E, params, 300, 5, gamma).tolist() == seq
+            assert sample_batch(mech, E, params, 300, 5).tolist() == seq
             # a perturbation reads the coarse plan only
             assert perturb(mech, E, NoisePair(0, 0), params) == -E - L
             # the protocol takes the same plans, and runs where its ring fits a word
@@ -518,8 +566,8 @@ class TestNoisePlan:
                 assert np.all(np.abs(z) <= E + L)
             return
         for call in (
-            lambda: noise_plan(mech, params, gamma),
-            lambda: sample_batch(mech, E, params, 300, 5, gamma),
+            lambda: noise_plan(mech, params),
+            lambda: sample_batch(mech, E, params, 300, 5),
             draw,
             lambda: run_batch(mech.name, params, E, 1, 0, 1, gamma),
         ):
@@ -534,14 +582,15 @@ class TestNoisePlan:
             out = []
             for params in (small_params, table_set):
                 out += [sample_tdl(0.0, params, tape) for _ in range(50)]
-                out += [sample_tcl(0.0, params, tape, 5) for _ in range(50)]
+                out += [sample_tcl(0.0, params, tape) for _ in range(50)]
             return out, tape.words_consumed
 
         before = draws()
-        plan = noise_plan(TCL, small_params, 5)
-        _noise_plan.cache_clear()
+        plan = noise_plan(TCL, small_params)
+        noise_plan.cache_clear()
         centered_dlap_config.cache_clear()
-        assert noise_plan(TCL, small_params, 5) is not plan
+        centered_clap_config.cache_clear()
+        assert noise_plan(TCL, small_params) is not plan
         assert draws() == before
 
 
@@ -591,7 +640,7 @@ class TestPerturb:
 
     def test_composite_law_exact_c(self, small_params):
         # same enumeration with the exact inner table standing in for the
-        # gamma-approximate sampler, on the 2^-0 and the 2^-2 grid
+        # sampler, on the 2^-0 and the 2^-2 grid
         for params in (small_params, dataclasses.replace(small_params, p=2)):
             pb = branch_probability_c(params)
             m = outer_count(params)
@@ -657,15 +706,14 @@ class TestMechanismLaw:
     """The whole mechanism's law, from the integer thresholds of its noise
     plan and the perturbation map, against `pmf_tdl`/`pmf_tcl` at every x."""
 
-    # (params, gamma): bitwise and segmented inner draws, outer counts a
-    # power of two and not, and sigma well below the grid step
+    # bitwise and segmented inner draws, outer counts a power of two and
+    # not, and sigma well below the grid step
     LATTICE = [
-        (MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0), 0),
-        (MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0), 8),
-        (MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0), 0),
-        (MechanismParams(E=5.0, L=3.0, sigma=1.0, p=1), 2),
-        (MechanismParams(E=8.0, L=4.0, sigma=4.0, p=0), 8),
-        (MechanismParams(E=4.0, L=2.0, sigma=1 / 30, p=0), 8),
+        MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0),
+        MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0),
+        MechanismParams(E=5.0, L=3.0, sigma=1.0, p=1),
+        MechanismParams(E=8.0, L=4.0, sigma=4.0, p=0),
+        MechanismParams(E=4.0, L=2.0, sigma=1 / 30, p=0),
     ]
 
     @staticmethod
@@ -681,22 +729,32 @@ class TestMechanismLaw:
                    for i, m in enumerate(exact.masses) if m > 1e-12)
 
     @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
-    @pytest.mark.parametrize("params, gamma", LATTICE,
-                             ids=["E4", "E4-g8", "E3", "E5-p1", "E8", "E4-small-sigma"])
-    def test_law_is_the_pmf_at_every_x(self, mech, params, gamma):
-        plan = noise_plan(mech, params, gamma)
+    @pytest.mark.parametrize("params", LATTICE, ids=["E4", "E3", "E5-p1", "E8", "E4-small-sigma"])
+    def test_law_is_the_pmf_at_every_x(self, mech, params):
+        plan = noise_plan(mech, params)
         for x in params.input_grid().values():
             assert self.worst_relative_error(plan, float(x)) <= 1e-13
 
     @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
     def test_a_swapped_branch_or_a_shifted_map_fails(self, mech):
-        plan = noise_plan(mech, MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0), 0)
+        plan = noise_plan(mech, MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0))
         assert self.worst_relative_error(plan, 1.0) <= 1e-13
         swapped = lambda plan, xs, branch, a, b: _perturb_steps(plan, xs, 1 - branch, a, b)
         assert self.worst_relative_error(plan, 1.0, swapped) > 1.0
         shifted = lambda plan, xs, branch, a, b: _perturb_steps(plan, xs, branch, a, b) + 1
         with pytest.raises(AssertionError):  # the top of the support moves off the grid
             self.worst_relative_error(plan, 1.0, shifted)
+
+    @pytest.mark.parametrize("params", [LATTICE[0], LATTICE[1], LATTICE[3]],
+                             ids=["E4", "E3", "E8"])
+    def test_tcl_worst_ratio_is_the_certified_one(self, params):
+        # the sampled law's max over (x, x', z) of mass(z | x) / mass(z | x')
+        # is the ratio `max_privacy_ratio` certifies for pmf_tcl
+        plan = noise_plan(TCL, params)
+        laws = [mechanism_law_oracle(plan, plan.input_steps(float(x)))
+                for x in params.input_grid().values()]
+        worst = max(max(law[z] for law in laws) / min(law[z] for law in laws) for z in laws[0])
+        assert float(worst) == pytest.approx(max_privacy_ratio("tcl", params), rel=1e-12, abs=0)
 
 
 class TestDeterminism:
@@ -730,8 +788,8 @@ class TestDeterminism:
         assert sample_dlap_centered(2.0, 1.0, 0, replay) == v1
 
 
-# (E, L, sigma, p): bitwise and segmented inner draws (at TCL's fine lattice
-# 2^p L * 2^gamma too), outer counts 2 * 2^p * E a power of two and not
+# (E, L, sigma, p): bitwise and segmented inner draws, outer counts
+# 2 * 2^p * E a power of two and not
 BATCH_SETS = [
     MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0),   # bitwise, outer 8
     MechanismParams(E=4.0, L=3.0, sigma=1.0, p=0),   # segmented, outer 8
@@ -744,7 +802,8 @@ BATCH_SETS = [
 
 @st.composite
 def batch_cases(draw):
-    """(mechanism, params, gamma, x, n, seed, block size or None)."""
+    """(mechanism, params, gamma, x, n, seed, block size or None); gamma is
+    what sample_tcl is passed, and changes nothing."""
     params = draw(st.sampled_from(BATCH_SETS))
     Es = steps_of(params.E, params.p)
     return (
@@ -777,7 +836,7 @@ class TestSampleBatch:
         with mock.patch.object(sampling, "RandomTape", Recorded), mock.patch.object(
             tape_module, "BATCH_BLOCK", block or tape_module.BATCH_BLOCK
         ):
-            batch = sample_batch(mech, x, params, n, seed, gamma)
+            batch = sample_batch(mech, x, params, n, seed)
         tape = RandomTape(seed)
         if mech.cumulative:
             seq = [sample_tcl(x, params, tape, gamma) for _ in range(n)]

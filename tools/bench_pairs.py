@@ -3,7 +3,7 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload mpc-online --pairs 10 --seconds 30 [--claim tcl_outputs_per_s] \\
-        [--out BENCH_N.json]
+        [--tier1] [--out BENCH_N.json]
 
 Each of --parent and --change is a checkout holding `perfbench/run.py`,
 `BENCHMARK.json` and `src/trunclap`.  Pair i runs
@@ -29,22 +29,33 @@ least MIN_CLAIM_PAIRS pairs, the change better in at least nine tenths of
 them, and the medians apart by more than the parent's IQR;
 `wall_clock_met` applies the same rule to the unscaled values.
 
+With --tier1 it runs the Tier-1 suite (TIER1, the command ROADMAP.md
+names) once in each checkout, the parent first, and reports the passed and
+failed counts of pytest's summary line (errors count as failed) and the
+wall seconds of each run; --tier1 runs with or without --workload.
+
 The report is printed as JSON.  With --out it is also stored under
-`workloads.<W>` of that file, next to a `method` note, keeping the file's
-other keys, so one file collects every workload of a comparison.
+`workloads.<W>` (and the Tier-1 runs under `tier1`) of that file, next to
+a `method` note, keeping the file's other keys, so one file collects every
+workload of a comparison.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 
 FIRST_SEED = 11
+# the Tier-1 suite, run in a checkout with its src/ first on PYTHONPATH
+TIER1 = ("python", "-m", "pytest", "-q", "--continue-on-collection-errors")
 # fewer pairs than this meet no claim: five have misjudged the wall clock
 MIN_CLAIM_PAIRS = 10
 METHOD = {
@@ -62,6 +73,9 @@ METHOD = {
                   "wins and a median gap wider than the parent's IQR; wall_clock holds "
                   "the same quartiles of the unscaled values each run writes under "
                   "wall_clock.raw, and claim.wall_clock_met applies the claim rule to them",
+    "tier1": "the Tier-1 command once in each checkout, the parent first; passed and "
+             "failed from pytest's summary line (errors count as failed), wall_s timed "
+             "around the run",
 }
 
 
@@ -69,12 +83,40 @@ def parse(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--workload", default=None)
+    ap.add_argument("--pairs", type=int, default=None)
+    ap.add_argument("--seconds", type=float, default=None)
     ap.add_argument("--claim", default=None, help="end-to-end metric the change claims")
+    ap.add_argument("--tier1", action="store_true", help="run the Tier-1 suite on each side")
     ap.add_argument("--out", type=Path, default=None)
-    return ap.parse_args(argv)
+    args = ap.parse_args(argv)
+    if args.workload is None and not args.tier1:
+        ap.error("give --workload, --tier1 or both")
+    if args.workload is not None and (args.pairs is None or args.seconds is None):
+        ap.error("--workload needs --pairs and --seconds")
+    return args
+
+
+def tier1_summary(output: str) -> dict:
+    """Passed and failed counts of pytest's last summary line, such as
+    "1 failed, 583 passed, 2 warnings in 35.10s"; errors count as failed."""
+    for line in reversed(output.strip().splitlines()):
+        counts = dict.fromkeys(("passed", "failed", "error"), 0)
+        for n, word in re.findall(r"(\d+) (passed|failed|errors?)\b", line):
+            counts[word.rstrip("s")] += int(n)
+        if any(counts.values()) and re.search(r" in [\d.]+s", line):
+            return {"passed": counts["passed"], "failed": counts["failed"] + counts["error"]}
+    raise ValueError("no pytest summary line in the output")
+
+
+def run_tier1(checkout: Path) -> dict:
+    """One Tier-1 run in `checkout`: its summary counts and wall seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    t0 = time.perf_counter()
+    r = subprocess.run([sys.executable, *TIER1[1:]], cwd=checkout, env=env,
+                       capture_output=True, text=True)
+    return {**tier1_summary(r.stdout), "wall_s": round(time.perf_counter() - t0, 2)}
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -139,12 +181,8 @@ def compare(spec: dict, parent: list, change: list) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    args = parse(argv)
-    spec = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
-    if args.claim and args.claim not in {m["name"] for m in spec}:
-        print(f"--claim {args.claim!r} is not an end-to-end metric", file=sys.stderr)
-        return 2
+def pair_report(args, spec: list) -> dict:
+    """The report of --pairs alternating runs of --workload on each side."""
     runs = {"parent": [], "change": []}
     for i in range(args.pairs):
         seed = FIRST_SEED + i
@@ -178,11 +216,30 @@ def main(argv=None) -> int:
         parent, change = ([r["wall_clock"][args.claim] for r in runs[side]] for side in runs)
         report["claim"] = {"metric": args.claim, "met": metrics[args.claim]["claim_met"],
                            "wall_clock_met": compare(m, parent, change)["claim_met"]}
-    print(json.dumps(report, indent=1))
+    return report
+
+
+def main(argv=None) -> int:
+    args = parse(argv)
+    report = tier1 = None
+    if args.workload:
+        spec = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+        if args.claim and args.claim not in {m["name"] for m in spec}:
+            print(f"--claim {args.claim!r} is not an end-to-end metric", file=sys.stderr)
+            return 2
+        report = pair_report(args, spec)
+        print(json.dumps(report, indent=1))
+    if args.tier1:
+        tier1 = {"command": "PYTHONPATH=src " + " ".join(TIER1),
+                 **{side: run_tier1(getattr(args, side)) for side in ("parent", "change")}}
+        print(json.dumps({"tier1": tier1}, indent=1))
     if args.out:
         doc = json.loads(args.out.read_text()) if args.out.exists() else {}
         doc["method"] = METHOD
-        doc.setdefault("workloads", {})[args.workload] = report
+        if report is not None:
+            doc.setdefault("workloads", {})[args.workload] = report
+        if tier1 is not None:
+            doc["tier1"] = tier1
         args.out.write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 
