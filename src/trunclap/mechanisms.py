@@ -15,12 +15,21 @@ them is cross-checked against summation/quadrature oracles in the test
 suite.  Evaluation is plain float64: kernel values underflow to 0 once
 the exponent drops below roughly -745, which only ever discards mass
 that is far beyond representable tolerances.
+
+A mass depends on x only through the grid distance min(|y - x|, L), so
+what a law's evaluation needs is computed once per parameter set and
+cached (as the samplers' draw plans are), never per input: the kernel
+times its cell width at each distance 0 .. 2^p L, divided by lambda and
+laid out over the inner support around x, and the moments' x-free
+terms.  A call checks x (`MechanismParams.input_steps`) and places that
+window on a fill of the tail mass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -54,6 +63,11 @@ class MechanismParams:
         _check_positive(sigma=self.sigma)
         # the instance keys cached plans; hash its fields once, not per lookup
         object.__setattr__(self, "_hash", hash((self.E, self.L, self.sigma, self.p)))
+        object.__setattr__(self, "_Es", steps_of(self.E, self.p))
+        # one output grid per mechanism, so a pmf and a histogram share it
+        B = self.L + self.E
+        object.__setattr__(self, "_grids", {"tdl": GridSpec(p=self.p, B=B),
+                                            "tcl": GridSpec(p=self.p, B=B, half_open=True)})
 
     def __hash__(self) -> int:
         return self._hash
@@ -70,10 +84,19 @@ class MechanismParams:
     def input_grid(self) -> GridSpec:
         return GridSpec(p=self.p, B=self.E)
 
+    def input_steps(self, x: float) -> int:
+        """x in 2^-p steps; GridError if x is off the grid or outside [-E, E]."""
+        xs = steps_of(x, self.p)
+        if abs(xs) > self._Es:
+            raise GridError(f"x={x} outside [-E, E] = [{-self.E}, {self.E}]")
+        return xs
+
     def output_grid(self, mechanism: str = "tdl") -> GridSpec:
-        if mechanism not in ("tdl", "tcl"):
-            raise ValueError(f"unknown discrete mechanism {mechanism!r}")
-        return GridSpec(p=self.p, B=self.L + self.E, half_open=(mechanism == "tcl"))
+        """The output grid, one instance per (params, mechanism)."""
+        try:
+            return self._grids[mechanism]
+        except KeyError:
+            raise ValueError(f"unknown discrete mechanism {mechanism!r}") from None
 
     def as_dict(self) -> dict:
         return {"E": self.E, "L": self.L, "sigma": self.sigma, "p": self.p}
@@ -164,26 +187,63 @@ class ExactPmf:
         }
 
 
-def _check_center(x: float, params: MechanismParams) -> None:
-    if not params.input_grid().contains(x):
-        raise GridError(f"center x={x} is not a grid point of [-E, E]")
+@dataclass(frozen=True, eq=False)
+class _KernelLaw:
+    """What evaluating one exact law needs, computed once per parameter set.
+
+    `window` holds the masses at y - x = -2^p L, ..., 2^p L in steps (the
+    last one dropped on a half-open grid): the inner support around x,
+    which lies inside the output grid for every x in [-E, E].  Every other
+    point is at distance 2^p L or more and carries `tail`.
+    """
+
+    lam: float
+    window: np.ndarray  # read-only
+    tail: float
+    Es: int             # the window of x starts at index xs + Es
+    count: int          # points of the output grid
+
+    def pmf(self, spec: GridSpec, x: float, xs: int) -> ExactPmf:
+        masses = np.full(self.count, self.tail)
+        start = xs + self.Es
+        masses[start:start + self.window.size] = self.window
+        return ExactPmf(spec=spec, masses=masses, lam=self.lam, center=x)
 
 
-def _kernel_pmf(spec: GridSpec, x: float, L: float, sigma: float, lam: float) -> ExactPmf:
+def _kernel_law(L: float, sigma: float, p: int, half_open: bool, lam: float,
+                Es: int) -> _KernelLaw:
     """The kernel exp(-min(|y-x|, L)/sigma) over lam: at each point y of a
     closed grid, integrated over each cell [y, y+h) of a half-open one.  No
     cell straddles x or x +/- L (all on the grid), so a cell's integral is
     the kernel at its end nearest x times h (flat tails) or sigma*(1 -
     e^(-h/sigma)) (flanks); no factor exceeds 1 or h, so nothing overflows.
+
+    The table holds kernel times width at each grid distance d = 0 .. 2^p L
+    from x (to the cell's nearest end on a half-open grid), each divided by
+    lam; the window gathers it at d = |j|, or max(j, -1 - j) on a half-open
+    grid, for each step j = y - x of the inner support.
     """
-    ys, h = spec.values(), spec.step
-    if spec.half_open:
-        dist = np.maximum(ys - x, x - h - ys)  # from x to the nearest point of [y, y+h]
+    h, Ls = 2.0 ** -p, steps_of(L, p)
+    dist = np.arange(Ls + 1) * h
+    if half_open:
         width = np.where(dist >= L, h, sigma * -math.expm1(-h / sigma))
+        j = np.arange(-Ls, Ls)
+        d = np.maximum(j, -1 - j)
     else:
-        dist, width = np.abs(ys - x), 1.0
-    masses = np.exp(-np.minimum(dist, L) / sigma) * width / lam
-    return ExactPmf(spec=spec, masses=masses, lam=lam, center=x)
+        width = 1.0
+        d = np.abs(np.arange(-Ls, Ls + 1))
+    table = np.exp(-dist / sigma) * width / lam
+    window = table[d]
+    window.flags.writeable = False
+    count = 2 * (Es + Ls) + (0 if half_open else 1)
+    return _KernelLaw(lam=lam, window=window, tail=table[Ls], Es=Es, count=count)
+
+
+@lru_cache(maxsize=128)
+def _mechanism_law(params: MechanismParams, cumulative: bool) -> _KernelLaw:
+    E, L, sigma, p = params.E, params.L, params.sigma, params.p
+    lam = lambda_lap(E, L, sigma) if cumulative else lambda_dlap(E, L, sigma, p)
+    return _kernel_law(L, sigma, p, cumulative, lam, params._Es)
 
 
 def pmf_tdl(x: float, params: MechanismParams) -> ExactPmf:
@@ -192,9 +252,8 @@ def pmf_tdl(x: float, params: MechanismParams) -> ExactPmf:
     mass(y) = exp(-min(|y-x|, L)/sigma) / lambda_dlap over the closed grid
     [-E-L, E+L]; the mass depends on x only through min(|y-x|, L).
     """
-    _check_center(x, params)
-    lam = lambda_dlap(params.E, params.L, params.sigma, params.p)
-    return _kernel_pmf(params.output_grid("tdl"), x, params.L, params.sigma, lam)
+    xs = params.input_steps(x)
+    return _mechanism_law(params, False).pmf(params.output_grid("tdl"), x, xs)
 
 
 def pmf_tcl(x: float, params: MechanismParams) -> ExactPmf:
@@ -203,9 +262,8 @@ def pmf_tcl(x: float, params: MechanismParams) -> ExactPmf:
     mass(y) integrates the kernel over [y, y+2^-p) and divides by
     lambda_lap; the support is half-open (the top point has zero mass).
     """
-    _check_center(x, params)
-    lam = lambda_lap(params.E, params.L, params.sigma)
-    return _kernel_pmf(params.output_grid("tcl"), x, params.L, params.sigma, lam)
+    xs = params.input_steps(x)
+    return _mechanism_law(params, True).pmf(params.output_grid("tcl"), x, xs)
 
 
 def _lambda_centered_dlap(L: float, sigma: float, p: int) -> float:
@@ -221,17 +279,27 @@ def dlap_zero_mass(L: float, sigma: float, p: int) -> float:
     return 1.0 / _lambda_centered_dlap(L, sigma, p)
 
 
+@lru_cache(maxsize=128)
+def _centered_law(L: float, sigma: float, p: int, cumulative: bool) -> _KernelLaw:
+    if cumulative:
+        lam = 2.0 * sigma * (-math.expm1(-L / sigma))
+    else:
+        lam = _lambda_centered_dlap(L, sigma, p)
+    return _kernel_law(L, sigma, p, cumulative, lam, 0)
+
+
 def centered_dlap_pmf(L: float, sigma: float, p: int) -> ExactPmf:
     """Centered discrete Laplace on [-L, L]: mass(y) proportional to e^(-|y|/sigma)."""
     _check_positive(L=L, sigma=sigma)
-    return _kernel_pmf(GridSpec(p=p, B=L), 0.0, L, sigma, _lambda_centered_dlap(L, sigma, p))
+    spec = GridSpec(p=p, B=L)
+    return _centered_law(L, sigma, p, False).pmf(spec, 0.0, 0)
 
 
 def centered_clap_pmf(L: float, sigma: float, p: int) -> ExactPmf:
     """Centered cumulative Laplace on the half-open grid [-L, L)."""
     _check_positive(L=L, sigma=sigma)
-    lam = 2.0 * sigma * (-math.expm1(-L / sigma))
-    return _kernel_pmf(GridSpec(p=p, B=L, half_open=True), 0.0, L, sigma, lam)
+    spec = GridSpec(p=p, B=L, half_open=True)
+    return _centered_law(L, sigma, p, True).pmf(spec, 0.0, 0)
 
 
 # --- moments ---------------------------------------------------------------
@@ -274,7 +342,15 @@ def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float,
 
 def moments_tdl(x: float, params: MechanismParams) -> tuple[float, float]:
     """Exact mean and MSE of the TDL estimator y for input x (closed form)."""
-    _check_center(x, params)
+    params.input_steps(x)
+    slope, eL, quad, c0, c1, lam = _tdl_moment_terms(params)
+    return x * slope / lam, (x * x * eL * quad + c0 + c1) / lam
+
+
+@lru_cache(maxsize=128)
+def _tdl_moment_terms(params: MechanismParams) -> tuple[float, ...]:
+    """The x-free terms of `moments_tdl`: mean = x * slope / lam and
+    mse = (x^2 * eL * quad + c0 + c1) / lam."""
     E, L, sigma, p = params.E, params.L, params.sigma, params.p
     h = params.step
     eL = math.exp(-L / sigma)
@@ -282,18 +358,15 @@ def moments_tdl(x: float, params: MechanismParams) -> tuple[float, float]:
     # w = 1/(e^(h/sigma) - 1) and e^(h/sigma) w = 1 + w: no power overflows
     w = 1.0 / _or_inf(math.expm1, h / sigma)
     lam = lambda_dlap(E, L, sigma, p)
-    mean = x * (one_m_eL * (1.0 + 2.0 * w) - 2.0 * 2.0**p * L * eL) / lam
-    mse = (
-        x * x * eL * (1.0 + 2.0 * 2.0**p * (E + L))
-        + eL
-        * (
-            2.0 * 2.0**p * (L * L * E + L * E * E + E**3 / 3.0)
-            + (E * E + 2.0 * L * E - 2.0 * L * L * w)
-            + h * (E / 3.0 - 4.0 * L * (1.0 + w) * w)
-        )
-        + 2.0 * h * h * one_m_eL * (1.0 + w) * (1.0 + 2.0 * w) * w
-    ) / lam
-    return mean, mse
+    slope = one_m_eL * (1.0 + 2.0 * w) - 2.0 * 2.0**p * L * eL
+    quad = 1.0 + 2.0 * 2.0**p * (E + L)
+    c0 = eL * (
+        2.0 * 2.0**p * (L * L * E + L * E * E + E**3 / 3.0)
+        + (E * E + 2.0 * L * E - 2.0 * L * L * w)
+        + h * (E / 3.0 - 4.0 * L * (1.0 + w) * w)
+    )
+    c1 = 2.0 * h * h * one_m_eL * (1.0 + w) * (1.0 + 2.0 * w) * w
+    return slope, eL, quad, c0, c1, lam
 
 
 def moments_tcl(x: float, params: MechanismParams) -> tuple[float, float]:
@@ -303,14 +376,22 @@ def moments_tcl(x: float, params: MechanismParams) -> tuple[float, float]:
     closed form is a re-derivation verified against the exact-PMF oracle;
     see the test suite for the parameter lattice it is checked on.
     """
-    _check_center(x, params)
+    params.input_steps(x)
+    h = params.step
+    slope, eL, EL, H, const = _tcl_moment_terms(params)
+    return x * slope / H - h / 2.0, (x * x + h * x) * eL * EL / H + const
+
+
+@lru_cache(maxsize=128)
+def _tcl_moment_terms(params: MechanismParams) -> tuple[float, ...]:
+    """The x-free terms of `moments_tcl`: mean = x * slope / H - h/2 and
+    mse = (x^2 + h x) * eL * EL / H + const, with H = lambda_lap / 2."""
     E, L, sigma = params.E, params.L, params.sigma
     h = params.step
     eL = math.exp(-L / sigma)
     one_m_eL = -math.expm1(-L / sigma)
     u = _or_inf(math.expm1, h / sigma)
-    H = sigma * one_m_eL + E * eL      # lambda_lap / 2
-    mean = x * (sigma * one_m_eL - eL * L) / H - h / 2.0
+    H = sigma * one_m_eL + E * eL
     const = (
         eL * (2.0 * L * L * E + 2.0 * E * E * L + (2.0 / 3.0) * E**3
               - 2.0 * sigma * L * L - 2.0 * sigma * h * L + h * h * E / 3.0)
@@ -318,8 +399,7 @@ def moments_tcl(x: float, params: MechanismParams) -> tuple[float, float]:
         + (4.0 * sigma * h / u) * (h * one_m_eL - L * eL)
         + 4.0 * sigma * h * h * one_m_eL / (u * u)
     )
-    mse = (x * x + h * x) * eL * (E + L) / H + const / (2.0 * H)
-    return mean, mse
+    return sigma * one_m_eL - eL * L, eL, E + L, H, const / (2.0 * H)
 
 
 # --- the discrete mechanisms as one construction ----------------------------

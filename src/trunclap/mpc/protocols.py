@@ -272,7 +272,7 @@ def run_once(
 ) -> tuple[float, dict]:
     """One share -> noise -> perturb -> open round trip (run_sessions at
     n=1); returns the decoded value and the session's ledger."""
-    z = run_sessions(session, mech, params, noise_plan(mech, params).input_steps(x), 1)
+    z = run_sessions(session, mech, params, params.input_steps(x), 1)
     return float(z[0]), session.ledger.as_dict()
 
 
@@ -308,7 +308,7 @@ def run_batch(
     mech = lookup_mechanism(mechanism)
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
-    x_steps = noise_plan(mech, params).input_steps(x)
+    x_steps = params.input_steps(x)
     session = Session(mechanism_field(params, mechanism, gamma), seed0, seed1)
     return run_sessions(session, mech, params, x_steps, n)
 

@@ -39,7 +39,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import tape as tape_module
-from .grids import GridError, steps_of
+from .grids import steps_of
 from .mechanisms import (
     TCL,
     TDL,
@@ -238,13 +238,6 @@ class NoisePlan:
         branch word, the tail word, then the inner draw's words."""
         return 2 + self.inner.words_per_draw
 
-    def input_steps(self, x: float) -> int:
-        """x in 2^-p steps; GridError if x is off the grid or outside [-E, E]."""
-        xs = steps_of(x, self.params.p)
-        if abs(xs) > self.Es:
-            raise GridError(f"x={x} outside [-E, E] = [{-self.params.E}, {self.params.E}]")
-        return xs
-
 
 @lru_cache(maxsize=128)
 def noise_plan(mech: Mechanism, params: MechanismParams) -> NoisePlan:
@@ -319,7 +312,7 @@ def perturb(mech: Mechanism, x: float, pair: NoisePair, params: MechanismParams)
     outside the inner support ([-L, L] for TDL, [-L, L) for TCL).
     """
     plan = noise_plan(mech, params)
-    xs = plan.input_steps(x)
+    xs = params.input_steps(x)
     if pair.branch:
         a, b = 0, steps_of(pair.payload, params.p)
         top = plan.Ls - 1 if mech.cumulative else plan.Ls
@@ -337,14 +330,14 @@ def perturb(mech: Mechanism, x: float, pair: NoisePair, params: MechanismParams)
 
 def sample_tdl(x: float, params: MechanismParams, tape: RandomTape) -> float:
     plan = noise_plan(TDL, params)
-    return _sample_steps(plan, plan.input_steps(x), tape) * params.step
+    return _sample_steps(plan, params.input_steps(x), tape) * params.step
 
 
 def sample_tcl(x: float, params: MechanismParams, tape: RandomTape, gamma: int = 0) -> float:
     """One TCL draw at input x; `gamma` changes nothing (`retired_gamma`)."""
     retired_gamma(gamma)
     plan = noise_plan(TCL, params)
-    return _sample_steps(plan, plan.input_steps(x), tape) * params.step
+    return _sample_steps(plan, params.input_steps(x), tape) * params.step
 
 
 def sample_batch(mech: Mechanism, x: float, params: MechanismParams, n: int, seed: int) -> np.ndarray:
@@ -354,7 +347,7 @@ def sample_batch(mech: Mechanism, x: float, params: MechanismParams, n: int, see
     if n < 0:
         raise ValueError("n must be >= 0")
     plan = noise_plan(mech, params)
-    xs = plan.input_steps(x)
+    xs = params.input_steps(x)
     tape = RandomTape(seed)
     words = plan.words_per_draw
 

@@ -31,7 +31,7 @@ class Histogram:
 
     @property
     def n(self) -> int:
-        return int(np.sum(self.counts))
+        return int(self.counts.sum())
 
     @classmethod
     def from_samples(cls, values: np.ndarray, spec: GridSpec) -> "Histogram":
@@ -45,7 +45,11 @@ class Histogram:
         return cls(spec=spec, counts=np.bincount(idx.astype(np.int64), minlength=spec.count))
 
     def frequencies(self) -> np.ndarray:
-        return self.counts / max(1, self.n)
+        """counts / n; ValueError for an empty histogram, which estimates no law."""
+        n = self.n
+        if n == 0:
+            raise ValueError("an empty histogram has no frequencies")
+        return self.counts / n
 
     def as_dict(self) -> dict:
         return {
@@ -89,8 +93,9 @@ def _check_support(h: Histogram, f: ExactPmf) -> None:
 
 def tv_distance(h: Histogram, f: ExactPmf) -> float:
     """Total variation distance (1/2) sum |count/N - mass|."""
-    _check_support(h, f)
-    return 0.5 * float(np.sum(np.abs(h.frequencies() - f.masses)))
+    if h.spec is not f.spec:  # a pmf and a histogram of its params share one spec
+        _check_support(h, f)
+    return 0.5 * float(np.abs(h.frequencies() - f.masses).sum())
 
 
 def chi_square(h: Histogram, f: ExactPmf, min_expected: float = 5.0):

@@ -69,6 +69,23 @@ def lap_moments_oracle(x, E, L, sigma):
     return mean, mse
 
 
+def kernel_pmf_oracle(spec, x, L, sigma, lam) -> np.ndarray:
+    """The masses of `pmf_tdl`/`pmf_tcl` and the centred pmfs as the library
+    built them on every call before it cached a kernel table per set: the
+    kernel exp(-min(|y-x|, L)/sigma) over lam, evaluated in floats at each
+    point y of a closed grid and, on a half-open one, times the width of
+    the cell [y, y+h) (h on the flat tails, sigma*(1 - e^(-h/sigma)) on
+    the flanks).  The reference the cached evaluation must equal bit for
+    bit."""
+    ys, h = spec.values(), spec.step
+    if spec.half_open:
+        dist = np.maximum(ys - x, x - h - ys)  # from x to the nearest point of [y, y+h]
+        width = np.where(dist >= L, h, sigma * -math.expm1(-h / sigma))
+    else:
+        dist, width = np.abs(ys - x), 1.0
+    return np.exp(-np.minimum(dist, L) / sigma) * width / lam
+
+
 def multinomial_tv_mean(masses, n: int) -> float:
     """Expected TV between an n-draw histogram of a law and the law itself.
 
@@ -146,6 +163,16 @@ def mechanism_law_oracle(plan, xs: int, place=None) -> dict:
         z = place(plan, xs, 0, a, 0)
         law[z] = law.get(z, 0) + tail
     return law
+
+
+def sized_for(bound: float, masses, n: int, delta: float = 1e-9) -> bool:
+    """Whether n draws suffice for a TV check against `bound`: a faithful
+    n-draw histogram of `masses` reads below it but for probability delta,
+    its expected TV (`multinomial_tv_mean`) plus McDiarmid's term
+    sqrt(ln(1/delta) / 2n) (one draw moves the TV by at most 1/n) staying
+    under the bound."""
+    mcdiarmid = math.sqrt(math.log(1.0 / delta) / (2 * n))
+    return multinomial_tv_mean(masses, n) + mcdiarmid < bound
 
 
 class ReferenceTape:

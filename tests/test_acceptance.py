@@ -19,7 +19,7 @@ from itertools import product
 
 import numpy as np
 
-from conftest import multinomial_tv_mean
+from conftest import multinomial_tv_mean, sized_for
 from trunclap import (
     TCL,
     TDL,
@@ -115,10 +115,9 @@ def test_a3_distribution_overlay():
 
 def test_a3_draw_count_is_sized_for_its_bound():
     n, bound = TH["overlay_n"], TH["overlay_tv"]
-    mcdiarmid = math.sqrt(math.log(1e9) / (2 * n))
     for x in A3_XS:
         masses = pmf_tdl(x, A3_PARAMS).masses
-        assert multinomial_tv_mean(masses, n) + mcdiarmid < bound
+        assert sized_for(bound, masses, n)
         # the draw count A3 used to have: no faithful sampler meets the bound
         assert multinomial_tv_mean(masses, 500_000) > bound
 
@@ -315,14 +314,9 @@ def test_a8_session_counts_are_sized_for_their_bounds():
     laws = {"tdl": pmf_tdl(1.0, A8_PARAMS).masses, "tcl": pmf_tcl(1.0, A8_PARAMS).masses}
     for mech, law in laws.items():
         n, bound, _ = A8_RUNS[mech]
-
-        def reads(count):
-            mcdiarmid = math.sqrt(math.log(1e9) / (2 * count))
-            return multinomial_tv_mean(law, count) + mcdiarmid
-
-        assert reads(n) < bound, mech
-        # the count A8 used to have: no faithful sampler meets the bound
-        assert reads(100_000) > bound, mech
+        assert sized_for(bound, law, n), mech
+        # the count A8 used to have is too few
+        assert not sized_for(bound, law, 100_000), mech
 
 
 def test_a8_rejects_a_shifted_law():

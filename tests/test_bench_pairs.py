@@ -207,3 +207,89 @@ def test_a_run_needs_a_workload_or_tier1(tmp_path):
     with pytest.raises(SystemExit):
         bench_pairs.parse(["--parent", str(tmp_path), "--change", str(tmp_path),
                            "--workload", "w"])
+
+
+LAYERS = [{"name": "mechanisms.pmf_tdl_us", "better": "lower"},
+          {"name": "validation.tv_us", "better": "lower"},
+          {"name": "sampling.tdl_batch_per_s", "better": "higher"}]
+
+# the result line of a `--trace 1` run: per-layer metrics, one of them NaN
+# (a span the run never entered), one not in LAYERS
+TRACED_LINE = json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": {
+    "mechanisms.pmf_tdl_us": {"value": 5.25, "unit": "us"},
+    "validation.tv_us": {"value": float("nan"), "unit": "us"},
+    "sampling.tdl_batch_per_s": {"value": 2.5e6, "unit": "1/s"},
+    "trace.spans": {"value": 1287.0, "unit": "count"}}})
+
+
+def test_the_layer_values_of_a_traced_result_line():
+    result = json.loads(f"table\n{TRACED_LINE}\n".strip().splitlines()[-1])
+    assert bench_pairs.layer_values(result, LAYERS) == {
+        "mechanisms.pmf_tdl_us": 5.25, "sampling.tdl_batch_per_s": 2.5e6}
+
+
+def test_trace_runs_each_side_once_per_pair_from_the_first_seed(tmp_path, monkeypatch, capsys):
+    # the change's pmf reads half the parent's and its batch rate a tenth
+    # lower; the NaN layer is in no pair, so it is not reported
+    spec = {"end_to_end": [HIGHER], "per_layer": LAYERS}
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench" / "out").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    calls = []
+
+    def run(cmd, cwd, **kw):
+        seed, trace = int(cmd[cmd.index("--seed") + 1]), cmd[cmd.index("--trace") + 1]
+        calls.append((cwd.name, seed, trace))
+        if trace == "1":
+            line = json.loads(TRACED_LINE)
+            if cwd.name == "change":
+                line["metrics"]["mechanisms.pmf_tdl_us"]["value"] = 2.625
+                line["metrics"]["sampling.tdl_batch_per_s"]["value"] = 2.25e6
+            return subprocess.CompletedProcess(cmd, 0, stdout=f"table\n{json.dumps(line)}\n")
+        doc = {"wall_clock": {"raw": {"tcl_outputs_per_s": 100.0}}}
+        (cwd / "perfbench" / "out" / f"w-s{seed}-t0.json").write_text(json.dumps(doc))
+        line = {"correct": True, "attempted": 5, "failed": 0,
+                "metrics": {"tcl_outputs_per_s": {"value": 100.0, "unit": "1/s"}}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"{json.dumps(line)}\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--pairs", "2", "--seconds", "1", "--first-seed", "40",
+            "--trace"]
+    assert bench_pairs.main(argv) == 0
+    assert calls == [("parent", 40, "0"), ("change", 40, "0"), ("parent", 40, "1"),
+                     ("change", 40, "1"), ("change", 41, "0"), ("parent", 41, "0"),
+                     ("change", 41, "1"), ("parent", 41, "1")]
+    report = json.loads(capsys.readouterr().out)
+    assert report["seeds"] == [40, 41]
+    assert report["layers"] == {
+        "mechanisms.pmf_tdl_us": {"better": "lower", "parent_median": 5.25,
+                                  "change_median": 2.625, "change_over_parent": 0.5,
+                                  "change_wins": "2/2"},
+        "sampling.tdl_batch_per_s": {"better": "higher", "parent_median": 2.5e6,
+                                     "change_median": 2.25e6, "change_over_parent": 0.9,
+                                     "change_wins": "0/2"},
+    }
+
+
+def test_without_trace_no_traced_run_is_made(tmp_path, monkeypatch, capsys):
+    spec = {"end_to_end": [HIGHER], "per_layer": LAYERS}
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+
+    def run_once(checkout, workload, seed, seconds):
+        return {"correct": True, "attempted": 5, "failed": 0,
+                "metrics": {"tcl_outputs_per_s": {"value": 1.0, "unit": "1/s"}},
+                "wall_clock": {"tcl_outputs_per_s": 1.0}}
+
+    def run_result(*args):
+        raise AssertionError("a traced run without --trace")
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "run_result", run_result)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--pairs", "2", "--seconds", "1"]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert "layers" not in report and report["seeds"] == [11, 12]

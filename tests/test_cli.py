@@ -179,6 +179,16 @@ class TestMpc:
         assert sum(data["histogram"]["counts"]) == 200
         assert data["ledger_per_run"]["multiplications"] == 5
 
+    def test_zero_sessions_write_an_empty_histogram(self, tmp_path):
+        # an empty histogram refuses frequencies, but its counts still serialize
+        out = tmp_path / "mpc.json"
+        assert run(["mpc", "--E", "4", "--L", "2", "--sigma", "1", "--x", "1",
+                    "--n", "0", "--seed", "5", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["sessions"] == 0
+        assert data["histogram"]["n"] == 0 and data["histogram"]["counts"] == [0] * 13
+        assert [b["count"] for b in data["bins"]] == [0] * 13
+
     def test_input_outside_bound_is_usage_error(self, capsys):
         # caught before any session runs, not afterwards by the histogram
         assert run(["mpc", "--E", "4", "--L", "2", "--sigma", "1", "--x", "6",

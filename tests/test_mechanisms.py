@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     closed_grid,
+    kernel_pmf_oracle,
     lap_lambda_oracle,
     lap_moments_oracle,
     tcl_cell_oracle,
@@ -34,14 +36,19 @@ from trunclap import (
 from trunclap.mechanisms import (
     TCL,
     TDL,
+    _centered_law,
+    _lambda_centered_dlap,
+    _mechanism_law,
     branch_probability_c,
     branch_probability_d,
     dlap_zero_mass,
     kstar_polynomial,
     lookup_mechanism,
 )
-from trunclap.sampling import sample_batch
-from trunclap.grids import GridError
+from trunclap.grids import GridError, GridSpec
+from trunclap.mpc import run_batch
+from trunclap.sampling import sample_batch, sample_tdl
+from trunclap.tape import RandomTape
 from trunclap.thresholds import THRESHOLDS
 
 LAMBDA_TOL = THRESHOLDS["lambda_rel_tol"]  # normalizers against their oracles
@@ -214,6 +221,101 @@ class TestPmfTcl:
         f = pmf_tcl(0.0, small_params)
         assert f.spec.half_open
         assert f.support()[-1] == 5.0  # 6.0 dropped
+
+
+# the sets the cached kernel tables are held bit-identical on
+KERNEL_ES = (1.0, 3.0, 4.0, 8.0, 64.0)
+KERNEL_LS = (1.0, 2.0, 3.0, 24.0, 32.0)
+KERNEL_SIGMAS = (0.001, 0.3, 1.0, 2.5, 8.0)
+
+
+class TestKernelTable:
+    """Every exact law comes from a window cached per parameter set
+    (`_mechanism_law`, `_centered_law`); its masses and lambda are the
+    float construction's (`kernel_pmf_oracle`) bit for bit."""
+
+    @pytest.mark.parametrize("p", range(4))
+    def test_mechanism_pmfs_equal_the_float_construction(self, p):
+        for E, L, s in product(KERNEL_ES, KERNEL_LS, KERNEL_SIGMAS):
+            params = MechanismParams(E=E, L=L, sigma=s, p=p)
+            for pmf, lam in ((pmf_tdl, lambda_dlap(E, L, s, p)), (pmf_tcl, lambda_lap(E, L, s))):
+                for x in params.input_grid().values():
+                    f = pmf(float(x), params)
+                    assert f.lam == lam
+                    oracle = kernel_pmf_oracle(f.spec, float(x), L, s, lam)
+                    assert np.array_equal(f.masses, oracle), (E, L, s, p, x, pmf.__name__)
+
+    def test_centered_pmfs_equal_the_float_construction(self):
+        for L, s, p in product(KERNEL_LS, KERNEL_SIGMAS, range(4)):
+            cases = (
+                (centered_dlap_pmf, GridSpec(p=p, B=L), _lambda_centered_dlap(L, s, p)),
+                (centered_clap_pmf, GridSpec(p=p, B=L, half_open=True),
+                 2.0 * s * (-math.expm1(-L / s))),
+            )
+            for pmf, spec, lam in cases:
+                f = pmf(L, s, p)
+                assert f.spec == spec and f.lam == lam and f.center == 0.0
+                assert np.array_equal(f.masses, kernel_pmf_oracle(spec, 0.0, L, s, lam))
+
+    def test_editing_returned_masses_leaves_the_next_call_unchanged(self, table_params_p2):
+        P = table_params_p2
+        calls = (lambda: pmf_tdl(-13.25, P), lambda: pmf_tcl(64.0, P),
+                 lambda: centered_dlap_pmf(P.L, P.sigma, P.p),
+                 lambda: centered_clap_pmf(P.L, P.sigma, P.p))
+        for call in calls:
+            before = call().masses.copy()
+            call().masses[:] = 7.0
+            assert np.array_equal(call().masses, before)
+
+    def test_the_cached_window_is_read_only(self, table_params_p2):
+        P = table_params_p2
+        laws = (_mechanism_law(P, False), _mechanism_law(P, True),
+                _centered_law(P.L, P.sigma, P.p, False), _centered_law(P.L, P.sigma, P.p, True))
+        for law in laws:
+            assert not law.window.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                law.window[0] = 1.0
+
+    def test_the_window_is_cached_per_set(self, table_params_p2):
+        P = table_params_p2
+        assert _mechanism_law(P, True) is _mechanism_law(dataclasses.replace(P), True)
+        assert _mechanism_law(P, True) is not _mechanism_law(P, False)
+        # the pmf's grid is the caller's own, so a histogram on it shares it
+        assert pmf_tdl(0.0, P).spec is P.output_grid("tdl")
+
+
+# inputs each entry point must refuse on E = 4, p = 2: off the grid, not a
+# number, and one step past either end of [-E, E]
+BAD_INPUTS = [4.1, float("nan"), float("inf"), float("-inf"), 4.25, -4.25]
+INPUT_PARAMS = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=2)
+
+
+class TestInputSteps:
+    def test_on_grid_inputs_in_steps(self):
+        assert [INPUT_PARAMS.input_steps(x) for x in (-4.0, -0.25, 0, 1.5, 4.0)] == [
+            -16, -1, 0, 6, 16]
+
+    def test_messages(self):
+        with pytest.raises(GridError, match=r"outside \[-E, E\]"):
+            INPUT_PARAMS.input_steps(4.25)
+        with pytest.raises(GridError, match="not a multiple"):
+            INPUT_PARAMS.input_steps(0.1)
+
+    @pytest.mark.parametrize("entry", [
+        pmf_tdl,
+        pmf_tcl,
+        moments_tdl,
+        moments_tcl,
+        lambda x, P: sample_tdl(x, P, RandomTape(1)),
+        lambda x, P: sample_batch(TCL, x, P, 10, 1),
+        lambda x, P: run_batch("tdl", P, x, 10, 1, 2),
+    ], ids=["pmf_tdl", "pmf_tcl", "moments_tdl", "moments_tcl", "sample_tdl",
+            "sample_batch", "run_batch"])
+    @pytest.mark.parametrize("x", BAD_INPUTS, ids=["off-grid", "nan", "inf", "-inf",
+                                                    "above", "below"])
+    def test_every_entry_point_refuses(self, entry, x):
+        with pytest.raises(GridError):
+            entry(x, INPUT_PARAMS)
 
 
 class TestCenteredPmfs:

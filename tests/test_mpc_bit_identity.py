@@ -31,7 +31,6 @@ from trunclap import RandomTape
 from trunclap.mpc import BatchSession, Session, mechanism_field, pi_noise, pi_perturb
 from trunclap.mpc.core import TripleStore
 from trunclap.mpc.protocols import run_sessions
-from trunclap.sampling import noise_plan
 
 SETS = {
     "small": MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0),
@@ -45,7 +44,7 @@ DEALER_DIGEST = "5ddcd2e1eaa7738bfcec39cc033a88deec240335248975394bbbf05110c72fe
 
 
 def _outputs(session, mech, params, n, x) -> dict:
-    x_steps = noise_plan(mech, params).input_steps(x)
+    x_steps = params.input_steps(x)
     values = run_sessions(session, mech, params, x_steps, n)
     return {
         "values": [float(v) for v in values],
@@ -141,7 +140,7 @@ def test_outputs_do_not_depend_on_the_dealer(name, mech, substrate):
 def _pooled_outputs(session, mech, params, n, x) -> dict:
     """`_outputs` with each execution written out, so that its noise pair
     comes through `Session.offline` (a long-lived session's calls)."""
-    xs = session.share(noise_plan(mech, params).input_steps(x) % session.q)
+    xs = session.share(params.input_steps(x) % session.q)
     opened = [
         session.open(pi_perturb(session, mech, xs, pi_noise(session, mech, params), params))
         for _ in range(n)

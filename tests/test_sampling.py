@@ -720,7 +720,7 @@ class TestMechanismLaw:
     def worst_relative_error(plan, x, place=None) -> float:
         """Largest relative error of the oracle law on the pmf's masses
         above 1e-12; a nonzero mass off the output grid fails at once."""
-        law = mechanism_law_oracle(plan, plan.input_steps(x), place)
+        law = mechanism_law_oracle(plan, plan.params.input_steps(x), place)
         assert sum(law.values()) == 1
         exact = plan.mech.pmf(x, plan.params)
         B = exact.spec.bound_steps
@@ -751,7 +751,7 @@ class TestMechanismLaw:
         # the sampled law's max over (x, x', z) of mass(z | x) / mass(z | x')
         # is the ratio `max_privacy_ratio` certifies for pmf_tcl
         plan = noise_plan(TCL, params)
-        laws = [mechanism_law_oracle(plan, plan.input_steps(float(x)))
+        laws = [mechanism_law_oracle(plan, params.input_steps(float(x)))
                 for x in params.input_grid().values()]
         worst = max(max(law[z] for law in laws) / min(law[z] for law in laws) for z in laws[0])
         assert float(worst) == pytest.approx(max_privacy_ratio("tcl", params), rel=1e-12, abs=0)

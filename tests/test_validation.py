@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,9 @@ from trunclap import (
     table1_report,
     tv_distance,
 )
-from trunclap.mechanisms import ExactPmf
+from conftest import sized_for
+from trunclap.mechanisms import TCL, TDL, ExactPmf
+from trunclap.sampling import sample_batch
 from trunclap.thresholds import THRESHOLDS
 from trunclap.validation import chi_square, overlay_data
 
@@ -26,11 +29,42 @@ def exact_histogram(pmf, n=10**15):
     return Histogram(pmf.spec, np.round(pmf.masses * n).astype(np.int64))
 
 
+SELF_SAMPLED_N = 3_000_000
+
+
 class TestTvDistance:
     def test_self_sampled(self, small_params):
-        vals = sample_tdl_batch(0.0, small_params, 1_000_000, 7)
+        vals = sample_tdl_batch(0.0, small_params, SELF_SAMPLED_N, 7)
         h = Histogram.from_samples(vals, small_params.output_grid("tdl"))
         assert tv_distance(h, pmf_tdl(0.0, small_params)) < THRESHOLDS["sampler_tv_1e6"]
+
+    def test_self_sampled_draw_count_is_sized_for_its_bound(self, small_params):
+        # on the 13-point support 1M draws read 0.0013 + 0.0032 = 0.0045
+        # for a faithful sampler, above the bound; 3M read 0.0026
+        masses = pmf_tdl(0.0, small_params).masses
+        assert sized_for(THRESHOLDS["sampler_tv_1e6"], masses, SELF_SAMPLED_N)
+        assert not sized_for(THRESHOLDS["sampler_tv_1e6"], masses, 1_000_000)
+
+    def test_self_sampled_rejects_a_shifted_law(self, small_params):
+        # the same draws and seed at x = 1, against the law at 0: exact TV 0.28
+        exact = 0.5 * np.abs(pmf_tdl(1.0, small_params).masses
+                             - pmf_tdl(0.0, small_params).masses).sum()
+        assert exact == pytest.approx(0.28, abs=0.001)
+        vals = sample_tdl_batch(1.0, small_params, SELF_SAMPLED_N, 7)
+        h = Histogram.from_samples(vals, small_params.output_grid("tdl"))
+        assert tv_distance(h, pmf_tdl(0.0, small_params)) >= THRESHOLDS["sampler_tv_1e6"]
+
+    def test_equals_the_summed_deviation_on_sampled_histograms(self, table_params_p2):
+        # the value tv_distance had when it summed with np.sum, for both
+        # mechanisms and for a histogram on an equal spec of its own
+        for j, x in enumerate((-64.0, -13.25, 0.0, 47.5)):
+            for mech in (TDL, TCL):
+                f = mech.pmf(x, table_params_p2)
+                vals = sample_batch(mech, x, table_params_p2, 5000 + 100 * j, 60 + j)
+                for spec in (f.spec, replace(f.spec)):
+                    h = Histogram.from_samples(vals, spec)
+                    old = 0.5 * float(np.sum(np.abs(h.counts / max(1, h.n) - f.masses)))
+                    assert tv_distance(h, f) == old
 
     def test_exact_masses_give_zero(self, small_params):
         f = pmf_tdl(1.0, small_params)
@@ -184,3 +218,37 @@ class TestHistogram:
     def test_length_check(self):
         with pytest.raises(ValueError):
             Histogram(GridSpec(p=0, B=2.0), np.zeros(3, dtype=int))
+
+
+class TestEmptyHistogram:
+    """No draws estimate no law: every reading of frequencies refuses an
+    empty histogram (its TV read 0.49999999999999994 and its MSE 0)."""
+
+    @pytest.fixture
+    def empty(self, small_params):
+        return Histogram.from_samples(np.array([]), small_params.output_grid("tdl"))
+
+    def test_it_still_counts_and_serializes(self, empty):
+        assert empty.n == 0
+        assert empty.as_dict()["counts"] == [0] * 13
+        assert [r["count"] for r in empty.bin_counts()] == [0] * 13
+
+    def test_frequencies(self, empty):
+        with pytest.raises(ValueError, match="empty histogram"):
+            empty.frequencies()
+
+    def test_tv_distance(self, empty, small_params):
+        with pytest.raises(ValueError, match="empty histogram"):
+            tv_distance(empty, pmf_tdl(0.0, small_params))
+
+    def test_empirical_moments(self, empty):
+        with pytest.raises(ValueError, match="empty histogram"):
+            empirical_moments(empty, 0.0)
+
+    def test_fit_report(self, empty, small_params):
+        with pytest.raises(ValueError, match="empty histogram"):
+            fit_report(empty, pmf_tdl(0.0, small_params))
+
+    def test_overlay_data(self, empty, small_params):
+        with pytest.raises(ValueError, match="empty histogram"):
+            overlay_data(pmf_tdl(0.0, small_params), empty)

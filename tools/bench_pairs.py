@@ -3,13 +3,15 @@
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
         --workload mpc-online --pairs 10 --seconds 30 [--claim tcl_outputs_per_s] \\
-        [--tier1] [--out BENCH_N.json]
+        [--first-seed 11] [--trace] [--tier1] [--out BENCH_N.json]
 
 Each of --parent and --change is a checkout holding `perfbench/run.py`,
 `BENCHMARK.json` and `src/trunclap`.  Pair i runs
-`perfbench/run.py --workload W --seed 11+i --seconds S --trace 0` once on
+`perfbench/run.py --workload W --seed F+i --seconds S --trace 0` once on
 each side, one run at a time: the parent first on even i, the change first
-on odd i, so that neither side always runs second on a warmer host.
+on odd i, so that neither side always runs second on a warmer host.  F is
+--first-seed (default 11); a claim written against seeds 11.. is confirmed
+on fresh ones by starting past them.
 
 For every end-to-end metric in the parent's BENCHMARK.json it reports each
 side's quartiles (numpy percentiles 25/50/75), the change's median over the
@@ -28,6 +30,12 @@ ratios.  With
 least MIN_CLAIM_PAIRS pairs, the change better in at least nine tenths of
 them, and the medians apart by more than the parent's IQR;
 `wall_clock_met` applies the same rule to the unscaled values.
+
+With --trace each pair also runs `--trace 1` once on each side, in the
+same order and on the same seed, and `layers` reports, for every per-layer
+metric of the parent's BENCHMARK.json that both traced runs report, each
+side's median, their ratio and the pairs the change reads better in: where
+a gain lands.
 
 With --tier1 it runs the Tier-1 suite (TIER1, the command ROADMAP.md
 names) once in each checkout, the parent first, and reports the passed and
@@ -63,7 +71,8 @@ METHOD = {
     "runner": "tools/bench_pairs.py",
     "order": "alternating: even-numbered pairs (from 0) run the parent first, "
              "odd-numbered pairs the change first; one run at a time",
-    "seeds_note": f"pair i uses seed {FIRST_SEED} + i",
+    "seeds_note": "pair i uses seed <first-seed> + i (--first-seed, default "
+                  f"{FIRST_SEED})",
     "statistics": "median and quartiles (numpy percentile 25/50/75) of each side's runs; "
                   "change_wins counts pairs in which the change reads better (ties count "
                   "for neither); within_bound compares the medians with the metric's bound "
@@ -73,6 +82,8 @@ METHOD = {
                   "wins and a median gap wider than the parent's IQR; wall_clock holds "
                   "the same quartiles of the unscaled values each run writes under "
                   "wall_clock.raw, and claim.wall_clock_met applies the claim rule to them",
+    "layers": "with --trace, one --trace 1 run per side per pair on the pair's seed; each "
+              "per-layer metric's medians, their ratio and the change's wins",
     "tier1": "the Tier-1 command once in each checkout, the parent first; passed and "
              "failed from pytest's summary line (errors count as failed), wall_s timed "
              "around the run",
@@ -87,6 +98,10 @@ def parse(argv):
     ap.add_argument("--pairs", type=int, default=None)
     ap.add_argument("--seconds", type=float, default=None)
     ap.add_argument("--claim", default=None, help="end-to-end metric the change claims")
+    ap.add_argument("--first-seed", type=int, default=FIRST_SEED,
+                    help="seed of pair 0; pair i runs on first-seed + i")
+    ap.add_argument("--trace", action="store_true",
+                    help="also run --trace 1 once per side per pair and report the layers")
     ap.add_argument("--tier1", action="store_true", help="run the Tier-1 suite on each side")
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args(argv)
@@ -119,18 +134,23 @@ def run_tier1(checkout: Path) -> dict:
     return {**tier1_summary(r.stdout), "wall_s": round(time.perf_counter() - t0, 2)}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run: its last stdout line, the JSON result, with the
-    unscaled end-to-end values of its results file as `wall_clock`."""
+def run_result(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """One run of perfbench/run.py: its last stdout line, the JSON result."""
     r = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = r.stdout.strip().splitlines()
     if not lines:
         raise RuntimeError(f"{checkout}: run.py exited {r.returncode}: {r.stderr[-2000:]}")
-    result = json.loads(lines[-1])
+    return json.loads(lines[-1])
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced run: its result, with the unscaled end-to-end values of
+    its results file as `wall_clock`."""
+    result = run_result(checkout, workload, seed, seconds, 0)
     doc = checkout / "perfbench" / "out" / f"{workload}-s{seed}-t0.json"
     result["wall_clock"] = json.loads(doc.read_text())["wall_clock"]["raw"]
     return result
@@ -181,14 +201,52 @@ def compare(spec: dict, parent: list, change: list) -> dict:
     }
 
 
-def pair_report(args, spec: list) -> dict:
-    """The report of --pairs alternating runs of --workload on each side."""
+def layer_values(result: dict, layers: list) -> dict:
+    """The per-layer values of one traced run's result line, by name: each
+    metric of `layers` (BENCHMARK.json's per_layer) that the run reports
+    with a finite value."""
+    metrics = result["metrics"]
+    values = {}
+    for m in layers:
+        v = metrics.get(m["name"], {}).get("value")
+        if isinstance(v, (int, float)) and np.isfinite(v):
+            values[m["name"]] = v
+    return values
+
+
+def layer_report(layers: list, parent: list, change: list) -> dict:
+    """Medians, their ratio and the change's wins of each per-layer metric
+    over paired traced runs (parent[i], change[i]: `layer_values` dicts);
+    a metric missing from a run is left out of its pair."""
+    out = {}
+    for m in layers:
+        name, direction = m["name"], m["better"]
+        pairs = [(p[name], c[name]) for p, c in zip(parent, change) if name in p and name in c]
+        if not pairs:
+            continue
+        pm, cm = (float(np.median(side)) for side in zip(*pairs))
+        wins = sum(better(c, p, direction) for p, c in pairs)
+        out[name] = {"better": direction, "parent_median": round(pm, 6),
+                     "change_median": round(cm, 6),
+                     "change_over_parent": round(cm / pm, 4) if pm else None,
+                     "change_wins": f"{wins}/{len(pairs)}"}
+    return out
+
+
+def pair_report(args, spec: list, layers: list) -> dict:
+    """The report of --pairs alternating runs of --workload on each side,
+    with the traced runs' `layers` under --trace."""
     runs = {"parent": [], "change": []}
+    traced = {"parent": [], "change": []}
     for i in range(args.pairs):
-        seed = FIRST_SEED + i
+        seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             runs[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
+        if args.trace:
+            for side in order:
+                result = run_result(getattr(args, side), args.workload, seed, args.seconds, 1)
+                traced[side].append(layer_values(result, layers))
         print(f"pair {i} (seed {seed}) done", file=sys.stderr)
     metrics = {}
     for m in spec:
@@ -203,7 +261,7 @@ def pair_report(args, spec: list) -> dict:
     report = {
         "pairs": args.pairs,
         "seconds": args.seconds,
-        "seeds": [FIRST_SEED + i for i in range(args.pairs)],
+        "seeds": [args.first_seed + i for i in range(args.pairs)],
         "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
         "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
         "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
@@ -216,6 +274,8 @@ def pair_report(args, spec: list) -> dict:
         parent, change = ([r["wall_clock"][args.claim] for r in runs[side]] for side in runs)
         report["claim"] = {"metric": args.claim, "met": metrics[args.claim]["claim_met"],
                            "wall_clock_met": compare(m, parent, change)["claim_met"]}
+    if args.trace:
+        report["layers"] = layer_report(layers, traced["parent"], traced["change"])
     return report
 
 
@@ -223,11 +283,12 @@ def main(argv=None) -> int:
     args = parse(argv)
     report = tier1 = None
     if args.workload:
-        spec = json.loads((args.parent / "BENCHMARK.json").read_text())["end_to_end"]
+        bench = json.loads((args.parent / "BENCHMARK.json").read_text())
+        spec = bench["end_to_end"]
         if args.claim and args.claim not in {m["name"] for m in spec}:
             print(f"--claim {args.claim!r} is not an end-to-end metric", file=sys.stderr)
             return 2
-        report = pair_report(args, spec)
+        report = pair_report(args, spec, bench.get("per_layer", []))
         print(json.dumps(report, indent=1))
     if args.tier1:
         tier1 = {"command": "PYTHONPATH=src " + " ".join(TIER1),
