@@ -39,9 +39,11 @@ Cost model (abstract operation counts, not wall-clock):
 * Bernoulli draw: 1 comparison against the public threshold.  The sum
   of k draws weighted by 2^i (`pi_bersample_sum`) is k draws: k
   comparisons, 8k rounds, 128k elements; the sum is shared with one mask.
-* uniform draw over 2^k: 1 round, 2k elements (each party shares its k
-  bit contributions); non-powers of two add one comparison plus one
-  opened accept bit per rejection attempt.
+* uniform draw over [0, m): 1 round, 2k elements, k = floor(log2 m) (each
+  party shares its k bit contributions).  When m is not a power of two,
+  its P power-of-two segments (`tape.segment_plan`) add P - 1 Bernoulli
+  draws that pick one and P - 1 multiplications, the mux chain blending
+  the picked segment's start and mask.  Nothing is opened.
 * power-of-two truncation by g bits (`trunc_pow2`): 2 rounds, 2g
   elements.  No protocol truncates: both mechanisms draw on the 2^-p grid.
 
@@ -52,14 +54,15 @@ executions ahead on an attached `BatchSession`, which holds each value
 as uint64 share arrays (one entry per execution), as a
 `BlockScheduler` decides: n at once in `Session.run`, one per call in
 `Session.offline`.  A block reads the party tapes execution by execution
-and keeps the executions before its first rejected draw or range fault,
-so opened values, ledgers and party words are the sequential path's.
+(no draw rejects, so each reads the same words) and keeps the executions
+before its first range fault, so opened values, ledgers and party words
+are the sequential path's.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (joint words,
 dealer masks, Beaver triples of five dealer residues each, the k bits
 of a Bernoulli sum in one read, and the dealer material of one
-perturbation drawn ahead of it), what a range fault or a rejected draw
-does, and how a sum of shares lifts to the balanced range.
+perturbation drawn ahead of it), what a range fault does, and how a sum
+of shares lifts to the balanced range.
 
 Dealer material can be drawn ahead of the gadget that uses it: `pi_ge`
 takes its resharing mask and `mul`/`mux` their triple as arguments, and
@@ -71,6 +74,7 @@ phase draws nothing but the input-sharing mask.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, fields
 from functools import partial
 from typing import Callable
@@ -79,7 +83,7 @@ import numpy as np
 
 from .. import tape as tape_module
 from ..grids import FieldConfig
-from ..tape import BlockScheduler, RandomTape, bernoulli_threshold, pow2_at_least
+from ..tape import BlockScheduler, RandomTape, bernoulli_threshold, pick_segment, segment_plan
 
 OPEN_ROUNDS, OPEN_ELEMENTS = 1, 2
 SHARE_ROUNDS, SHARE_ELEMENTS = 1, 1
@@ -184,7 +188,7 @@ class _CommonOps:
     so one mask reduces every operation, and uint64 arithmetic, which
     wraps mod 2^64, reduces consistently.  A substrate supplies its
     randomness (`joint_word`, `_reshare`, `_triple`, `_bit_sum`) and its
-    policy for faults and rejected draws (`_check`, `_retry`).
+    policy for range faults (`_check`).
     """
 
     def __init__(self, fieldcfg: FieldConfig, record_transcript: bool = False):
@@ -327,31 +331,29 @@ class _CommonOps:
         return ((a[0] + d0) & m, (a[1] + d1) & m)
 
     def pi_uni(self, m: int) -> SharedValue:
-        """Shared uniform draw over {0, ..., m-1}.
-
-        Powers of two combine party-contributed bits with zero bias; other
-        moduli reject on the next power of two, revealing only the
-        accept/reject bit of each attempt (independent of all secrets).
+        """Shared uniform draw over {0, ..., m-1}, on m's `segment_plan`:
+        the low floor(log2 m) bits of one joint word (zero bias) and, unless
+        m is a power of two, the segment P - 1 more joint words pick (bias
+        <= 2^-64 a pick).  Nothing is rejected or opened, so the cost is
+        m's alone (module docstring); the index is shared with one mask.
         """
+        m = operator.index(m)  # TypeError for a float
         if not 1 <= m <= 1 << 64:
             raise ValueError(f"m must be in [1, 2^64], what one 64-bit word can draw; got {m}")
+        plan = segment_plan(m)
+        v = self.joint_word() & plan.low
         led = self.ledger
         led.uniform_draws += 1
-        if m == 1:
-            return self.share_public(0)
-        cap = pow2_at_least(m)
-        k = cap.bit_length() - 1
-        while True:
-            v = self.joint_word() & (cap - 1)
-            if cap == m:
-                led.rounds += UNI_ROUNDS
-                led.elements_exchanged += 2 * k
-                return self._reshare(v)
-            led.rounds += UNI_ROUNDS + CMP_ROUNDS + OPEN_ROUNDS
-            led.elements_exchanged += 2 * k + CMP_ELEMENTS + OPEN_ELEMENTS
-            led.comparisons += 1
-            if not self._retry(v >= m):
-                return self._reshare(v)
+        led.rounds += UNI_ROUNDS
+        led.elements_exchanged += 2 * plan.low.bit_length()
+        picks = len(plan.picks)
+        if picks:
+            v = pick_segment(plan.segments, plan.picks, [self.joint_word() for _ in range(picks)], v)
+            self._charge_bernoulli(picks)
+            led.multiplications += picks
+            led.rounds += picks * MUL_ROUNDS
+            led.elements_exchanged += picks * MUL_ELEMENTS
+        return self._reshare(v)
 
     def pi_ge(self, sv: SharedValue, mask=None) -> SharedValue:
         """Shared sign test: [1] if the balanced value is >= 0, else [0].
@@ -471,7 +473,7 @@ class Session(_CommonOps):
         `step(self, key)` or handed out of a block evaluated ahead.
 
         `key` names the program (the noise protocol's cached plan) and
-        `words` is one execution's joint words without rejections.
+        `words` is one execution's joint words.
         `block(batch, key)` returns one uint64 row per execution of a block,
         and `unpack(row, key)` turns a row, as a list of Python ints, into
         what `step` returns.  A BlockScheduler with blocks of at most
@@ -486,35 +488,33 @@ class Session(_CommonOps):
         # word counts only grow, so their sum moves with any read of either
         if key is not last_key or read != t0.words_consumed + t1.words_consumed:
             blocks = self._scheduler(
-                lambda b: block(b, key), words, lambda: step(self, key), POOL_BLOCK_MAX, run=0
+                lambda b: block(b, key), words, lambda: step(self, key), POOL_BLOCK_MAX
             )
         out = blocks.take_one()
         self._offline = (key, blocks, t0.words_consumed + t1.words_consumed)
         return unpack(out.tolist(), key) if type(out) is np.ndarray else out
 
-    # -- faults and rejections ---------------------------------------------
+    # -- faults ------------------------------------------------------------
 
     def _check(self, bad: bool, value: int, message: str) -> None:
         """ContractViolation at once if `bad`."""
         if bad:
             raise ContractViolation(message.format(value, safe=self.safe_magnitude))
 
-    def _retry(self, rejected: bool) -> bool:
-        """A rejected attempt draws again."""
-        return bool(rejected)
-
     def run(self, program: Callable[["Session"], int], n: int, words: int) -> np.ndarray:
         """The opened results of n executions of `program` in sequence, as
-        int64; `words` is one execution's joint words without rejections.
-        Blocks of at most BATCH_BLOCK run on the attached BatchSession; the
-        executions run here draw their offline material now.
+        int64; `words` is one execution's joint words.  Blocks of at most
+        BATCH_BLOCK run on the attached BatchSession; the executions run
+        here draw their offline material now.  n < 0 raises ValueError.
         """
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
         if not self._batches or self.record_transcript:
             return np.array([program(self) for _ in range(n)], dtype=np.int64)
 
         def per_execution(b: BatchSession) -> np.ndarray:
             # a value common to every execution of the block is one int
-            return np.broadcast_to(program(b), b._rejected.shape)
+            return np.broadcast_to(program(b), b._faults.shape)
 
         blocks = self._scheduler(per_execution, words, lambda: program(self), tape_module.BATCH_BLOCK)
         self._running = True
@@ -554,19 +554,19 @@ class BatchSession(_CommonOps):
         self.dealer, self.ledger = session.dealer, session.ledger
         self._rows: np.ndarray | None = None  # joint word j of each execution in row j
         self._col = 0
-        self._rejected = np.zeros(0, dtype=bool)
+        self._faults = np.zeros(0, dtype=bool)
 
     # -- blocks ------------------------------------------------------------
 
     def _evaluate(self, program, words: int, size: int):
         """`program` over the next `size` executions, without consuming
         their words: (kept, values, commit).  The `kept` executions before
-        the first that draws a rejected attempt or meets a range fault are
-        the sequential loop's, and `commit(k)` consumes the first k."""
+        the first that meets a range fault are the sequential loop's, and
+        `commit(k)` consumes the first k."""
         joint = self.tape0.peek_block(size * words) ^ self.tape1.peek_block(size * words)
         self._rows = joint.reshape(size, words).T.copy()
         self._col = 0
-        self._rejected = np.zeros(size, dtype=bool)
+        self._faults = np.zeros(size, dtype=bool)
         # gadgets charge self.ledger: one execution's cost, while in the block
         total, unit = self.ledger, CostLedger()
         self.ledger = unit
@@ -576,7 +576,7 @@ class BatchSession(_CommonOps):
             self.ledger, self._rows = total, None
         if self._col != words:
             raise RuntimeError(f"an execution drew {self._col} joint words, planned {words}")
-        kept = int(np.argmax(self._rejected)) if self._rejected.any() else size
+        kept = int(np.argmax(self._faults)) if self._faults.any() else size
         return kept, values, partial(self._commit, words, unit)
 
     def _commit(self, words: int, unit: CostLedger, kept: int) -> None:
@@ -588,11 +588,10 @@ class BatchSession(_CommonOps):
 
     def _check(self, bad: np.ndarray, values: np.ndarray, message: str) -> None:
         """ContractViolation for the first flagged execution outside a
-        block; inside one, the flagged executions are marked as rejected
-        ones are, so the block ends before the first, which the session
-        then runs and fails on."""
+        block; inside one, the flagged executions are marked, so the block
+        ends before the first, which the session then runs and fails on."""
         if self._rows is not None:
-            self._rejected |= bad
+            self._faults |= bad
             return
         bad = np.ravel(bad)
         if bad.any():
@@ -600,14 +599,6 @@ class BatchSession(_CommonOps):
             raise ContractViolation(
                 message.format(int(np.ravel(values)[i]), safe=self.safe_magnitude)
             )
-
-    def _retry(self, rejected: np.ndarray) -> bool:
-        """Mark the executions whose attempt was rejected; never draw again.
-
-        The block ends before the first marked execution.
-        """
-        self._rejected |= rejected
-        return False
 
     def _lift(self, v) -> np.ndarray:
         """The balanced representative of each v mod q, as int64: the low k

@@ -24,10 +24,11 @@ Every draw plan is computed once and cached: `centered_dlap_config` and
 `centered_clap_config` per (L, sigma, p) and `noise_plan` per (mechanism,
 params), so a draw reads precomputed integers only.
 
-The draw body (`_magnitude`, `_dlap_steps`, `_clap_steps`, `_inner`,
-`_perturb_steps`) reads its words as Python ints (one sequential draw) or
-as uint64 rows (one word of every execution of a block, for
-`sample_batch`).
+The tail index on [0, 2*2^p*E) is drawn the same way, without rejection
+(`tape.segment_plan`).  The draw body (`_noise_steps`, `_magnitude`,
+`_dlap_steps`, `_clap_steps`, `_inner`, `_perturb_steps`) reads its
+words as Python ints (one sequential draw) or as uint64 rows (one word of
+every execution of a block, for `sample_batch`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from .mechanisms import (
     dlap_zero_mass,
     outer_count,
 )
-from .tape import BlockScheduler, RandomTape, bernoulli_threshold, pow2_at_least
+from .tape import (BlockScheduler, RandomTape, SegmentPlan, bernoulli_threshold, pick_segment,
+                   segment_plan)
 
 
 @dataclass(frozen=True)
@@ -93,14 +95,12 @@ def centered_dlap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
     rho = math.exp(-a)
     powers = (rho ** (2**i) for i in range(kappa))
     bits = tuple(bernoulli_threshold(r / (1.0 + r)) for r in powers)
-    # the set bits k of steps, highest first; segment t starts at steps with
-    # its bits up to k_t cleared, and is picked, given no earlier one was,
-    # with its share of the mass left: (1 - rho^(2^k_t)) / (1 - rho^(steps - start)).
-    # Past 1/2 the threshold comes from the complement, so that the less
-    # likely side keeps its relative precision
-    segments = tuple(
-        ((steps >> (k + 1)) << (k + 1), (1 << k) - 1) for k in range(kappa, -1, -1) if steps >> k & 1
-    )
+    # the segments of `segment_plan(steps)`; segment t is picked, given no
+    # earlier one was, with its share of the mass left:
+    # (1 - rho^(2^k_t)) / (1 - rho^(steps - start)).  Past 1/2 the threshold
+    # comes from the complement, so that the less likely side keeps its
+    # relative precision
+    segments = segment_plan(steps).segments
     choices = []
     for start, mask in segments[:-1]:
         size, left = mask + 1, math.expm1(-a * (steps - start))
@@ -141,14 +141,7 @@ def _magnitude(cfg: CenteredDlapConfig, w, first: int):
     for i, threshold in enumerate(cfg.bit_thresholds):
         m += (w[first + i] < threshold) << i
     if cfg.segment_thresholds:
-        # the first segment whose word falls below its threshold, else the
-        # last; blended from the last back, so rows need no index
-        start, mask = cfg.segments[-1]
-        for t in range(len(cfg.segment_thresholds) - 1, -1, -1):
-            chosen = w[first + cfg.kappa + t] < cfg.segment_thresholds[t]
-            s, k = cfg.segments[t]
-            start, mask = start + chosen * (s - start), mask + chosen * (k - mask)
-        m = start + (m & mask)
+        m = pick_segment(cfg.segments, cfg.segment_thresholds, w[first + cfg.kappa :], m)
     return m
 
 
@@ -213,16 +206,16 @@ class NoisePlan:
     """What the noise draw and the perturbation of a mechanism read.
 
     One per (mechanism, params), from `noise_plan`: the branch bit's
-    threshold, the uniform tail's size and the grid step counts.  `inner`,
-    the centered sampler's plan (`centered_clap_config` for TCL), is built
-    on first use, so a perturbation alone builds none.
+    threshold, the uniform tail's size and segment plan, and the grid step
+    counts.  `inner`, the centered sampler's plan (`centered_clap_config`
+    for TCL), is built on first use, so a perturbation alone builds none.
     """
 
     mech: Mechanism
     params: MechanismParams
     branch_threshold: int  # Bernoulli threshold of the inner branch
     outer_count: int       # uniform tail indices, 2 * 2^p * E
-    tail_mask: int         # a uniform attempt keeps these bits of its word
+    tail: SegmentPlan      # the tail index's draw: P words
     Es: int                # E in 2^-p steps
     Ls: int                # L in 2^-p steps
 
@@ -234,29 +227,28 @@ class NoisePlan:
 
     @property
     def words_per_draw(self) -> int:
-        """Words of one noise draw without rejections, in this order: the
-        branch word, the tail word, then the inner draw's words."""
-        return 2 + self.inner.words_per_draw
+        """Words of one noise draw, in this order: the branch word, the tail
+        index's P words, then the inner draw's words."""
+        return 1 + self.tail.words + self.inner.words_per_draw
 
 
 @lru_cache(maxsize=128)
 def noise_plan(mech: Mechanism, params: MechanismParams) -> NoisePlan:
     """The cached `NoisePlan` of a mechanism instance."""
-    Ls = steps_of(params.L, params.p)
-    tail_mask = pow2_at_least(outer_count(params)) - 1
+    Ls, count = steps_of(params.L, params.p), outer_count(params)
     # a block of sample_batch holds in int64 the tail index (masking an
     # int64 row), the upper tail's shift 2Ls + high_offset and the inner
     # draw (TCL's 2m + 1 < 2Ls); every path reads this plan, so all accept
     # the same sets
-    if tail_mask >= 1 << 63 or Ls >= 1 << 62:
+    if count > 1 << 63 or Ls >= 1 << 62:
         raise ValueError(f"{params} needs a tail index, inner draw or output shift "
                          "past 63 bits; pick a smaller p")
     return NoisePlan(
         mech=mech,
         params=params,
         branch_threshold=bernoulli_threshold(mech.branch_probability(params)),
-        outer_count=outer_count(params),
-        tail_mask=tail_mask,
+        outer_count=count,
+        tail=segment_plan(count),
         Es=steps_of(params.E, params.p),
         Ls=Ls,
     )
@@ -274,29 +266,34 @@ def _perturb_steps(plan: NoisePlan, xs, branch, a, b):
     return outer + branch * (xs + b - outer)
 
 
-def _noise_steps(plan: NoisePlan, tape: RandomTape):
-    """The sequential noise draw: (branch, tail index, inner steps)."""
-    branch = tape.word() < plan.branch_threshold
-    a = plan.outer_count
-    while a >= plan.outer_count:  # uniform attempts on the next power of two
-        a = tape.word() & plan.tail_mask
-    return branch, a, _inner(plan, tape.words(plan.inner.words_per_draw))
+def _noise_steps(plan: NoisePlan, w, tail_word):
+    """(branch, tail index, inner steps) of one noise draw's words, or of a
+    block's rows; `tail_word` is w[1], as int64 in rows.  The tail index is
+    the low floor(log2 N) bits of its word, placed in the segment its
+    P - 1 pick words choose unless the tail count N is a power of two."""
+    tail = plan.tail
+    a = tail_word & tail.low  # in rows, the mask clears the sign
+    if tail.picks:
+        a = pick_segment(tail.segments, tail.picks, w[2 : 1 + tail.words], a)
+    return w[0] < plan.branch_threshold, a, _inner(plan, w[1 + tail.words :])
 
 
 def _sample_steps(plan: NoisePlan, xs: int, tape: RandomTape) -> int:
-    return _perturb_steps(plan, xs, *_noise_steps(plan, tape))
+    w = tape.words(plan.words_per_draw)
+    return _perturb_steps(plan, xs, *_noise_steps(plan, w, w[1]))
 
 
 def noise(mech: Mechanism, params: MechanismParams, tape: RandomTape) -> NoisePair:
     """Input-independent noise draw of a discrete mechanism.
 
-    Draw order is fixed (branch word, uniform word(s), inner draw) and the
-    unused branch is still consumed, mirroring the oblivious protocol.
-    The inner draw is the centered discrete Laplace, or for TCL the
-    cumulative one.
+    Draw order is fixed (branch word, the tail index's words, inner draw)
+    and the unused branch is still consumed, mirroring the oblivious
+    protocol.  The inner draw is the centered discrete Laplace, or for TCL
+    the cumulative one.
     """
     plan = noise_plan(mech, params)
-    branch, a, b = _noise_steps(plan, tape)
+    w = tape.words(plan.words_per_draw)
+    branch, a, b = _noise_steps(plan, w, w[1])
     return NoisePair(branch=int(branch), payload=b * params.step if branch else a)
 
 
@@ -356,11 +353,8 @@ def sample_batch(mech: Mechanism, x: float, params: MechanismParams, n: int, see
 
     def evaluate(size: int):
         rows = tape.peek_block(size * words).reshape(size, words).T
-        a = rows[1].view(np.int64) & plan.tail_mask  # the mask clears the sign
-        rejected = a >= plan.outer_count
-        kept = int(np.argmax(rejected)) if rejected.any() else size
-        b = _inner(plan, rows[2:])
-        return kept, _perturb_steps(plan, xs, rows[0] < plan.branch_threshold, a, b), commit
+        branch, a, b = _noise_steps(plan, rows, rows[1].view(np.int64))
+        return size, _perturb_steps(plan, xs, branch, a, b), commit
 
     blocks = BlockScheduler(evaluate, lambda: _sample_steps(plan, xs, tape), tape_module.BATCH_BLOCK)
     return blocks.take(n) * params.step

@@ -3,10 +3,12 @@
 Every random decision in this package is derived from 64-bit words pulled
 off a tape.  A Bernoulli(prob) draw consumes one word and compares it to a
 64-bit fixed-point threshold (bias at most 2^-64); a uniform draw over a
-power of two masks one word; other ranges reject on the next power of two.
-Keeping the semantics at the word level lets the two-party simulator
-replay exactly the same decisions as the plaintext samplers when fed the
-same word stream.
+power of two masks one word.  A uniform draw over [0, N) for any other N
+never rejects: N splits into the P power-of-two segments of its binary
+expansion (`segment_plan`), and P - 1 integer Bernoulli picks choose one
+(`pick_segment`), so it reads exactly P words.  Keeping the semantics at
+the word level lets the two-party simulator replay exactly the same
+decisions as the plaintext samplers when fed the same word stream.
 
 Each tape is read one way.  Party and plaintext tapes are read by words
 (`word`, `words`, and `peek_block` with `skip` for blocks); the MPC
@@ -17,11 +19,14 @@ generator past the buffered words, so they never mix with a word read.
 Blocks of executions evaluated ahead on peeked words (`sample_batch`,
 and a `Session`'s runs and offline pairs) are scheduled by one policy,
 `BlockScheduler`: when a block runs, how large it is, and the sequential
-execution of what a block could not keep.
+execution of what a block could not keep (the execution a range fault
+stopped it at).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,9 +53,53 @@ def bernoulli_threshold(prob: float) -> int:
     return min(_WORD_MOD, max(0, round(prob * _WORD_MOD)))
 
 
-def pow2_at_least(m: int) -> int:
-    """Smallest power of two >= m."""
-    return 1 << (m - 1).bit_length() if m > 1 else 1
+@dataclass(frozen=True)
+class SegmentPlan:
+    """A uniform index on [0, N) drawn without rejection.
+
+    [0, N) splits into the P power-of-two segments of N's binary expansion,
+    highest first: segment t covers [start, start + 2^k_t), bit k_t being
+    N's t-th highest set bit, and keeps the low k_t bits (its mask) of the
+    index word.  It is picked, given that no earlier one was, with
+    probability 2^k_t / (N - start) > 1/2, by the 64-bit threshold
+    round(2^64 * 2^k_t / (N - start)), set in integers; the last segment
+    takes what is left.  A draw reads the index word, whose low
+    floor(log2 N) bits hold the offset, then the P - 1 pick words.  For N a
+    power of two, P = 1 and the index is the word & (N - 1).
+    """
+
+    segments: tuple[tuple[int, int], ...]  # (start, mask) of each segment
+    picks: tuple[int, ...]                 # P - 1 thresholds
+    low: int                               # the index word's kept bits: 2^floor(log2 N) - 1
+    words: int                             # P
+
+
+@lru_cache(maxsize=128)
+def segment_plan(n: int) -> SegmentPlan:
+    """The cached `SegmentPlan` of a count n >= 1."""
+    segments = tuple(
+        ((n >> (k + 1)) << (k + 1), (1 << k) - 1) for k in range(n.bit_length() - 1, -1, -1) if n >> k & 1
+    )
+    # 2^64 * size / left, rounded half up (left has two set bits or more,
+    # so it never ties)
+    picks = tuple(((mask + 1) << 65) // (n - start) + 1 >> 1 for start, mask in segments[:-1])
+    return SegmentPlan(segments=segments, picks=picks, low=segments[0][1], words=len(segments))
+
+
+def pick_segment(segments, picks, words, bits):
+    """start + (bits & mask) of the first segment whose pick word falls
+    below its pick, else of the last.  `words` holds the P - 1 pick words
+    and `bits` the offset bits, as ints or as rows (one entry per
+    execution); rows gather the segments in the dtype of `bits`, so a
+    start past 2^63 needs uint64 bits."""
+    j = len(picks)
+    for t in range(j - 1, -1, -1):  # from the last back, so rows need no branch
+        j += (words[t] < picks[t]) * (t - j)
+    if isinstance(j, np.ndarray):
+        start, mask = np.array(segments, dtype=bits.dtype)[j].T
+    else:
+        start, mask = segments[j]
+    return start + (bits & mask)
 
 
 class RandomTape:
@@ -209,35 +258,26 @@ class BlockScheduler:
 
     `evaluate(size)` evaluates the next `size` executions without
     consuming anything and returns (kept, values, commit): how many come
-    before the first rejected or faulting one, their values, and a
-    callable that consumes the first k of them, which the scheduler calls
-    as it hands them out.  `step()` runs the next execution on the
-    sequential path; the execution a block stopped at runs there, and
-    draws again or raises as the loop does.
+    before the first that meets a range fault (all of them, unless one
+    does), their values, and a callable that consumes the first k of them,
+    which the scheduler calls as it hands them out.  `step()` runs the next
+    execution on the sequential path; the execution a block stopped at
+    runs there, and raises as the loop does.
 
-    A block waits for a run of `need` executions taken back to back and
-    holds as many as the run, at most `span` and `cap`.  One that stops
-    early restarts the run at what it kept and sets `span` to twice that;
-    one that keeps fewer than BATCH_MIN_SESSIONS cost more than the loop
-    and quadruples `need`, so frequent rejections make blocks rare and
-    small; one kept whole doubles `span`.  `run` starts at `cap`, so a
-    call taking n at once first runs a block of min(n, cap) (or loops,
-    below BATCH_MIN_SESSIONS); one taking an execution at a time passes
-    run=0, so its first block follows BATCH_MIN_SESSIONS sequential ones.
+    `take(n)` runs blocks of min(left, cap) and loops once fewer than
+    BATCH_MIN_SESSIONS are left.  `take_one()` runs sequentially until
+    BATCH_MIN_SESSIONS executions were taken, then blocks of
+    min(taken, cap), so a block never outgrows the run that asked for it.
     """
 
-    def __init__(self, evaluate, step, cap: int, *, run: int | None = None):
+    def __init__(self, evaluate, step, cap: int):
         self._evaluate, self._step = evaluate, step
         self.cap = cap
-        # executions taken back to back, counted from what the last block
-        # that stopped early kept
-        self.run = cap if run is None else run
-        self.need = BATCH_MIN_SESSIONS  # the run the next block waits for
-        self.span = cap  # the largest next block
-        self._kept = ()  # values of evaluated executions not yet handed out
+        self.run = 0  # executions taken by `take_one`
+        self._kept = ()  # values of `take_one`'s block; _at is the next
         self._at = 0
-        self._commit = None  # consumes executions of the current block
-        self._stopped = False  # the next execution is the one a block stopped at
+        self._commit = None  # consumes executions of that block
+        self._stopped = False  # the next execution is the one it stopped at
 
     def take(self, n: int) -> np.ndarray:
         """The values of the next n executions, as int64; a block never
@@ -245,63 +285,34 @@ class BlockScheduler:
         out = np.empty(n, dtype=np.int64)
         done = 0
         while done < n:
-            left = n - done
-            part = self._handout(left, left)
-            if part is not None:
-                out[done : done + len(part)] = part
-                done += len(part)
-                continue
-            # sequential until a block could run: the execution a block
-            # stopped at, the rest of a call too short for a block, or the
-            # rest of the run the next block waits for
-            if self._stopped:
-                k = 1
-            else:
-                k = left if left < BATCH_MIN_SESSIONS else min(left, self.need - self.run)
-            self._stopped = False
-            for i in range(done, done + k):
+            size = min(n - done, self.cap)
+            if size >= BATCH_MIN_SESSIONS:
+                kept, values, commit = self._evaluate(size)
+                commit(kept)
+                out[done : done + kept] = values[:kept]
+                done += kept
+                if kept == size:
+                    continue
+                size = 1  # the execution the block stopped at
+            for i in range(done, done + size):  # or the rest of a short call
                 out[i] = self._step()
-            self.run += k
-            done += k
+            done += size
         return out
 
     def take_one(self):
         """The value of the next execution; a block may reach past it, and
         the rest of it is handed out by the next calls."""
-        at = self._at
-        if at < len(self._kept):  # the next value of the current block
-            self._commit(1)
-            self._at, self.run = at + 1, self.run + 1
-            return self._kept[at]
-        part = self._handout(1, self.cap)
-        if part is None:
-            self._stopped = False
-            self.run += 1
-            return self._step()
-        return part[0]
-
-    def _handout(self, count: int, limit: int):
-        """Up to `count` committed values of the current block, or of a new
-        block of at most `limit` executions; None when the next execution
-        runs sequentially."""
-        if self._at == len(self._kept):
-            if self._stopped or self.run < self.need or limit < BATCH_MIN_SESSIONS:
-                return None
-            self._block(min(self.span, self.run, limit))
-            if not len(self._kept):
-                return None
-        k = min(count, len(self._kept) - self._at)
-        self._commit(k)
-        self.run += k
-        self._at += k
-        return self._kept[self._at - k : self._at]
-
-    def _block(self, size: int) -> None:
-        kept, values, self._commit = self._evaluate(size)
-        self._kept, self._at, self._stopped = values[:kept], 0, kept < size
-        if kept == size:
-            self.span = min(2 * self.span, self.cap)
-            return
-        self.run, self.span = kept, min(max(2 * kept, BATCH_MIN_SESSIONS), self.cap)
-        if kept < BATCH_MIN_SESSIONS:
-            self.need *= 4
+        at, run = self._at, self.run
+        self.run = run + 1
+        if at == len(self._kept):
+            size = min(run, self.cap)
+            stopped, self._stopped = self._stopped, False
+            if not stopped and size >= BATCH_MIN_SESSIONS:
+                kept, values, self._commit = self._evaluate(size)
+                self._kept, self._at, self._stopped = values[:kept], 0, 0 < kept < size
+                at = 0
+            if at == len(self._kept):  # a short run, or a block stopped here
+                return self._step()
+        self._commit(1)
+        self._at = at + 1
+        return self._kept[at]

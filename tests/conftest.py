@@ -139,12 +139,28 @@ def clap_law_oracle(cfg, shift: int = 1) -> dict:
     return law
 
 
+def tail_law_oracle(tail) -> list:
+    """Exact law of the index a `SegmentPlan` draws on [0, N), index by
+    index, in `Fraction`s from its integer picks alone: segment t is picked
+    with probability pick_t / 2^64 given that no earlier one was (the last
+    takes what is left), and spreads that mass evenly over its 2^k_t
+    indices, the low k_t bits of a uniform word."""
+    start, mask = tail.segments[-1]
+    law = [Fraction(0)] * (start + mask + 1)
+    reach = Fraction(1)  # no earlier segment picked
+    picks = [Fraction(t, 2**64) for t in tail.picks] + [Fraction(1)]
+    for (start, mask), pick in zip(tail.segments, picks):
+        law[start : start + mask + 1] = [reach * pick / (mask + 1)] * (mask + 1)
+        reach *= 1 - pick
+    return law
+
+
 def mechanism_law_oracle(plan, xs: int, place=None) -> dict:
     """Exact law, in output grid steps, of a `NoisePlan`'s noise draw
     perturbed at input xs (grid steps), in `Fraction`s from its integer
     thresholds: the branch threshold / 2^64 times the inner law (TCL's
-    through `clap_law_oracle`), and the complement times 1/N on each of the
-    N tail indices, each placed by `place(plan, xs, branch, a, b)`
+    through `clap_law_oracle`), and the complement times each tail index's
+    mass (`tail_law_oracle`), each placed by `place(plan, xs, branch, a, b)`
     (`sampling._perturb_steps` unless given)."""
     from trunclap.sampling import _perturb_steps
 
@@ -158,10 +174,9 @@ def mechanism_law_oracle(plan, xs: int, place=None) -> dict:
     for b, m in inner.items():
         z = place(plan, xs, 1, 0, b)
         law[z] = law.get(z, 0) + branch * m
-    tail = (1 - branch) / plan.outer_count
-    for a in range(plan.outer_count):
+    for a, m in enumerate(tail_law_oracle(plan.tail)):
         z = place(plan, xs, 0, a, 0)
-        law[z] = law.get(z, 0) + tail
+        law[z] = law.get(z, 0) + (1 - branch) * m
     return law
 
 

@@ -336,18 +336,18 @@ PINNED = {
         "9e49e0f844ac0eddc3238574bc089a0c340dbd933ff20210e7b641d79f821c08",
     ),
     # TDL with a segmented inner draw and TCL, both with outer count 6,
-    # whose tail draws reject a quarter of first attempts: the shapes that
-    # ran sequentially before every sample_batch ran in blocks (the TCL
-    # names keep the gamma0 of the lattice TCL once drew on)
+    # whose tail index picks one of two segments (4 + 2): the shapes whose
+    # tail once rejected (the TCL names keep the gamma0 of the lattice TCL
+    # once drew on)
     "sample-tdl-table-outer6.csv": (
         ["sample", "--E", "3", "--L", "3", "--sigma", "1", "--x", "1", "--n", "500",
          "--seed", "11"],
-        "3f3b46ca000a9471e26135d1d58089de7c255197c0f2ed4607a2ad1829719685",
+        "70e5b561c719ddcf9ba382ac153684fd74a2f52e406eb963c72438b1d04035ba",
     ),
     "sample-tcl-gamma0-outer6.csv": (
         ["sample", "--mechanism", "tcl", "--E", "3", "--L", "2", "--sigma", "1",
          "--x", "-1", "--n", "500", "--seed", "12"],
-        "e25173617c0a9601329aa7e9fb1792657e9d66351c927129eb4b2d751f720333",
+        "896cb0fb393c0ce2c397a19f06027583b2ca6d04f3e848ad8c5e31465c98eedc",
     ),
     "bench.json": (
         ["bench"],

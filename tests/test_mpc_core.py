@@ -16,7 +16,12 @@ from trunclap.mpc import BatchSession, ContractViolation, Session, mechanism_fie
 from trunclap.mpc.core import (
     CMP_ELEMENTS,
     CMP_ROUNDS,
+    MUL_ELEMENTS,
+    MUL_ROUNDS,
+    OPEN_ELEMENTS,
+    OPEN_ROUNDS,
     RESIDUES_PER_REFILL,
+    UNI_ROUNDS,
     CostLedger,
     TripleStore,
 )
@@ -27,6 +32,8 @@ from trunclap.tape import RandomTape
 
 # q = 2^9, safe magnitude 2^7
 SMALL = FieldConfig(e=3, p=2, headroom=3)
+# q = 2^64: an opened draw is its value mod 2^64
+WORD_RING = FieldConfig(e=63, p=0)
 
 
 def small_session(seed0=1, seed1=2, **kw) -> Session:
@@ -294,7 +301,7 @@ class TestMux:
         batch = BatchSession(Session(SMALL, 1, 2))
         kept, sels, _ = batch._evaluate(program, 1, 64)
         bad = (sels != 0) & (sels != 1)
-        assert bad.any() and np.array_equal(batch._rejected, bad)
+        assert bad.any() and np.array_equal(batch._faults, bad)
         assert kept == int(np.argmax(bad))
         with pytest.raises(ContractViolation, match="mux selector"):
             Session(SMALL, 1, 2).run(program, 64, 1)
@@ -526,18 +533,60 @@ class TestUniform:
         _, p = chisquare(counts)
         assert p > 0.01
 
-    def test_rejection_uniformity_and_rate(self):
+    def test_segmented_uniformity_and_cost(self):
+        # 12 = 8 + 4: one pick word chooses the segment, so every draw
+        # reads two joint words and costs one comparison and one
+        # multiplication; none is rejected
         s = small_session()
         n = 200_000
         before = s.ledger.as_dict()
         draws = np.array([s.peek(s.pi_uni(12)) for _ in range(n)])
-        attempts = s.ledger.delta(before)["comparisons"]
+        d = s.ledger.delta(before)
         counts = np.bincount(draws, minlength=12)
         _, p = chisquare(counts)
-        assert p > 0.01
-        rate = n / attempts
-        se = math.sqrt(0.75 * 0.25 / attempts)
-        assert abs(rate - 12 / 16) < 3 * se
+        assert p > 0.01 and len(counts) == 12
+        assert d["comparisons"] == d["multiplications"] == n
+        assert s.tape0.words_consumed == s.tape1.words_consumed == 2 * n
+
+    @pytest.mark.parametrize(
+        "m", [1, 2, 3, 6, 7, 12, 15, 100, 2**63 + 1, 2**64 - 1, 2**64],
+        ids=lambda m: f"{m:#x}" if m > 1000 else str(m),
+    )
+    def test_every_count_on_both_substrates(self, m):
+        # P joint words a draw (P the set bits of m), the same opened values
+        # and ledger sequentially and in a block (starts past 2^63 included),
+        # and a ledger that m alone fixes
+        P, k, n = bin(m).count("1"), m.bit_length() - 1, 40
+
+        def program(s):
+            return s.open(s.pi_uni(m))
+
+        seq = Session(WORD_RING, 3, 4, record_transcript=True)
+        want = seq.run(program, n, P)
+        batch = Session(WORD_RING, 3, 4)
+        assert np.array_equal(batch.run(program, n, P), want)
+        assert batch._batch is not None  # the draws ran in a block
+        assert batch.ledger.as_dict() == seq.ledger.as_dict()
+        assert [t.words_consumed for t in (seq.tape0, seq.tape1, batch.tape0, batch.tape1)] == [n * P] * 4
+        assert all(v % 2**64 < m for v in want.tolist())
+        unit = CostLedger(
+            multiplications=P - 1, comparisons=P - 1, bernoulli_draws=P - 1, uniform_draws=1,
+            rounds=UNI_ROUNDS + (P - 1) * (CMP_ROUNDS + MUL_ROUNDS) + OPEN_ROUNDS,
+            elements_exchanged=2 * k + (P - 1) * (CMP_ELEMENTS + MUL_ELEMENTS) + OPEN_ELEMENTS,
+        )
+        total = CostLedger()
+        total.add(unit, n)
+        assert seq.ledger == total
+        other = Session(WORD_RING, 5, 6)
+        program(other)
+        assert other.ledger == unit
+
+    @pytest.mark.parametrize("m", [2.0, 12.5, "12", None])
+    def test_a_count_that_is_not_an_integer_is_refused(self, m):
+        s = small_session()
+        with pytest.raises(TypeError):
+            s.pi_uni(m)
+        assert s.tape0.words_consumed == 0 and s.ledger == CostLedger()
 
     def test_one_word_bounds_the_modulus(self):
         # one joint word draws 2^64 values; past that the top ones never come
@@ -742,25 +791,27 @@ class TestBatchSession:
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
         assert batch.tape0.words_consumed == seq.tape0.words_consumed == 900
 
-    def test_rejected_uniform_finishes_sequentially(self):
-        # m = 12 rejects a quarter of the first attempts; those executions
-        # draw extra words and must still line up with the loop
+    def test_non_pow2_uniform_runs_in_one_block(self):
+        # m = 12 = 8 + 4 reads two joint words a draw, its index word and
+        # one pick: 500 executions are one block, equal to the loop
         def program(s):
             return s.open(s.pi_uni(12))
 
         seq = Session(SMALL, 9, 10, record_transcript=True)
         batch = Session(SMALL, 9, 10)
-        expected = seq.run(program, 500, 1)
-        assert np.array_equal(batch.run(program, 500, 1), expected)
+        expected = seq.run(program, 500, 2)
+        sizes = []
+        with peeks(sizes):
+            assert np.array_equal(batch.run(program, 500, 2), expected)
+        assert sizes == [1000, 1000]  # one block, on each party tape
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
-        assert batch.tape1.words_consumed == seq.tape1.words_consumed > 500
+        assert batch.tape1.words_consumed == seq.tape1.words_consumed == 1000
 
     def test_contract_violation_matches_loop(self):
-        # a rare fault among frequent rejections: the batch raises exactly
-        # when, and with the message that, the sequential loop does, even
-        # for faults in executions that follow a rejection in their block
+        # a rare fault: the batch raises exactly when, and with the message
+        # that, the sequential loop does
         def program(s):
-            v = s.pi_uni(15)  # rejects 1 first attempt in 16
+            v = s.pi_uni(15)  # four segments: four joint words
             tag = s.pi_uni(1 << 20)  # names the faulting execution in the message
             fault = s.pi_bersample(0.05)
             s.pi_ge(s.mul(fault, s.add_public(tag, s.safe_magnitude + 1)))
@@ -768,7 +819,7 @@ class TestBatchSession:
 
         def outcome(session):
             try:
-                return list(session.run(program, 40, 3))
+                return list(session.run(program, 40, 6))
             except ContractViolation as exc:
                 return str(exc)
 
@@ -781,6 +832,13 @@ class TestBatchSession:
         assert all(seq == batch for seq, batch in outcomes)
         raised = sum(isinstance(seq, str) for seq, _ in outcomes)
         assert 0 < raised < len(outcomes)
+
+    @pytest.mark.parametrize("record", [True, False], ids=["sequential", "blocks"])
+    def test_negative_n_is_refused(self, record):
+        s = Session(SMALL, 1, 2, record_transcript=record)
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            s.run(lambda s: s.open(s.pi_uni(4)), -1, 1)
+        assert s.tape0.words_consumed == 0 and s.ledger == CostLedger()
 
     def test_planned_words_are_checked(self):
         with pytest.raises(RuntimeError, match="drew 1 joint words, planned 2"):
@@ -808,16 +866,16 @@ class TestOfflinePool:
 
     @staticmethod
     def program(s):
-        v = s.pi_uni(15)  # rejects 1 first attempt in 16
+        v = s.pi_uni(15)  # four segments: four joint words
         tag = s.pi_uni(1 << 20)
         fault = s.pi_bersample(0.01)
         s.pi_ge(s.mul(fault, s.add_public(tag, s.safe_magnitude + 1)))
         return s.open(v), s.open(tag)
 
     def draw(self, s):
-        """One offline execution of `program` (3 joint words unless rejected)."""
+        """One offline execution of `program`: 6 joint words."""
         return s.offline(
-            "toy", 3,
+            "toy", 6,
             lambda b, key: np.column_stack(np.broadcast_arrays(*self.program(b))),
             lambda s, key: self.program(s),
             lambda row, key: tuple(row),
@@ -832,7 +890,7 @@ class TestOfflinePool:
                 out.append(str(exc))
         return out, s.ledger.as_dict(), s.tape0.words_consumed, s.tape1.words_consumed
 
-    def test_rejections_and_faults_match_the_sequential_path(self):
+    def test_faults_match_the_sequential_path(self):
         sizes = []
         for seed in range(3):
             want = self.outcomes(Session(self.CFG, seed, seed + 9, record_transcript=True), 600)
@@ -840,5 +898,5 @@ class TestOfflinePool:
                 got = self.outcomes(Session(self.CFG, seed, seed + 9), 600)
             assert got == want
             assert any(isinstance(o, str) for o in want[0])  # faults were met
-            assert want[2] > 3 * 600  # and rejections
+            assert want[2] == 6 * 600  # a faulting execution read its words too
         assert sizes  # blocks were evaluated

@@ -450,8 +450,8 @@ class TestDifferentialPrivacyCertificate:
 
 
 WIDE = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
-# outer count 2 * 2^p * E = 6 is not a power of two: pi_uni rejects a
-# quarter of its first attempts
+# outer count 2 * 2^p * E = 6 is not a power of two: pi_uni picks one of
+# its two segments (4 + 2) with a second joint word
 ODD = MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0)
 
 
@@ -470,9 +470,9 @@ def loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma):
     return np.array(out, dtype=float), session
 
 
-# (mechanism, params, gamma); ODD's outer count 6 rejects a quarter of its
-# tail draws, for TDL and TCL alike.  gamma is what the benchmark passes
-# make_session, pi_c_noise and run_batch; it changes nothing
+# (mechanism, params, gamma); ODD's outer count 6 splits into two segments,
+# for TDL and TCL alike.  gamma is what the benchmark passes make_session,
+# pi_c_noise and run_batch; it changes nothing
 BATCH_CASES = [
     ("tdl", PARAMS, 8),
     ("tcl", PARAMS, 8),
@@ -511,7 +511,6 @@ class TestBatchSimulator:
 
     @pytest.mark.parametrize("case", BATCH_CASES, ids=lambda c: f"{c[0]}-E{c[1].E:g}-g{c[2]}")
     def test_ledger_is_sum_of_session_ledgers(self, case):
-        # rejections included: every rejected tail attempt adds its own cost
         mechanism, params, gamma = case
         n = 600
         _, seq = loop_reference(mechanism, params, 1, n, 41, 42, gamma)
@@ -521,6 +520,24 @@ class TestBatchSimulator:
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
         assert batch.tape0.words_consumed == seq.tape0.words_consumed
         assert batch.tape1.words_consumed == seq.tape1.words_consumed
+
+    @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
+    def test_a_non_pow2_set_costs_the_same_every_execution(self, mech):
+        # the tail index never rejects: every execution of the E=3 set
+        # costs one ledger and reads words_per_draw words from each party
+        field, n = mechanism_field(ODD, mech.name), 300
+        words = noise_plan(mech, ODD).words_per_draw
+        shared, one = Session(field, 5, 6), Session(field, 5, 6)
+        shared.share(1)
+        run_sessions(one, mech, ODD, 1, 1)
+        unit = core.CostLedger(**one.ledger.delta(shared.ledger.as_dict()))
+        for record in (True, False):  # every execution sequential, or in blocks
+            s = Session(field, 41, 42, record_transcript=record)
+            run_sessions(s, mech, ODD, 1, n)
+            total = core.CostLedger(**shared.ledger.as_dict())
+            total.add(unit, n)
+            assert s.ledger == total
+            assert s.tape0.words_consumed == s.tape1.words_consumed == n * words
 
     def test_wide_set_at_the_input_bound(self):
         # the sign test on the inner branch reaches -2^p(2E+L) at x = E

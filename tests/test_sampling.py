@@ -15,6 +15,7 @@ from conftest import (
     clap_law_oracle,
     closed_grid,
     mechanism_law_oracle,
+    tail_law_oracle,
     tcl_masses_oracle,
     tdl_masses_oracle,
 )
@@ -57,7 +58,7 @@ from trunclap.sampling import (
     dlap_zero_mass,
     noise_plan,
 )
-from trunclap.tape import bernoulli_threshold
+from trunclap.tape import bernoulli_threshold, segment_plan
 
 
 def tv(counts, masses):
@@ -483,15 +484,17 @@ class TestNoisePlan:
             assert noise_plan(mech, params) is plan  # cached
 
     def test_words_per_draw_is_the_draw_layout(self):
-        # branch word, tail word, inner draw: what one draw reads when no
-        # tail attempt is rejected (a power-of-two tail count)
+        # branch word, the tail's P words, inner draw: what every draw
+        # reads, whether the tail count is a power of two (P = 1) or not
         for params, mech in product(self.SETS, (TDL, TCL)):
             plan = noise_plan(mech, params)
-            assert plan.words_per_draw == 2 + plan.inner.words_per_draw
-            if plan.tail_mask + 1 == plan.outer_count:
-                tape = RandomTape(5)
+            P = bin(plan.outer_count).count("1")
+            assert plan.tail is segment_plan(plan.outer_count) and plan.tail.words == P
+            assert plan.words_per_draw == 1 + P + plan.inner.words_per_draw
+            tape = RandomTape(5)
+            for _ in range(50):
                 noise(mech, params, tape)
-                assert tape.words_consumed == plan.words_per_draw
+            assert tape.words_consumed == 50 * plan.words_per_draw
 
     def test_negative_gamma_is_refused_for_tcl(self, small_params):
         # the six calls that still take the benchmark's gamma
@@ -744,6 +747,43 @@ class TestMechanismLaw:
         shifted = lambda plan, xs, branch, a, b: _perturb_steps(plan, xs, branch, a, b) + 1
         with pytest.raises(AssertionError):  # the top of the support moves off the grid
             self.worst_relative_error(plan, 1.0, shifted)
+
+    # tail counts 2 * 2^p * E of P = 2 and 3 segments: 6, 20, 14, 22 and 800
+    TAIL_SETS = [
+        MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0),
+        MechanismParams(E=5.0, L=3.0, sigma=1.0, p=1),
+        MechanismParams(E=7.0, L=2.0, sigma=1.0, p=0),
+        MechanismParams(E=11.0, L=2.0, sigma=1.0, p=0),
+        MechanismParams(E=100.0, L=32.0, sigma=8.0, p=2),
+    ]
+
+    @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
+    @pytest.mark.parametrize("params", TAIL_SETS, ids=["E3", "E5-p1", "E7", "E11", "E100-p2"])
+    def test_segmented_tail_law_is_the_pmf(self, mech, params):
+        plan = noise_plan(mech, params)
+        assert plan.tail.words in (2, 3)
+        xs = params.input_grid().values()
+        if len(xs) > 50:  # the ends, the middle and a few steps between
+            xs = [-params.E, -1.0, 0.0, params.step, 37.5, params.E]
+        for x in xs:
+            assert self.worst_relative_error(plan, float(x)) <= 1e-12
+
+    @pytest.mark.parametrize("params, swap", [
+        (TAIL_SETS[0], lambda picks: tuple(2**64 - t for t in picks)),  # P = 2: complemented
+        (TAIL_SETS[3], lambda picks: picks[::-1]),                       # P = 3: exchanged
+    ], ids=["E3-complemented", "E11-exchanged"])
+    def test_swapped_picks_fail(self, params, swap):
+        plan = noise_plan(TDL, params)
+        swapped = dataclasses.replace(plan, tail=dataclasses.replace(plan.tail, picks=swap(plan.tail.picks)))
+        assert self.worst_relative_error(swapped, 1.0) > 1e-3
+
+    @pytest.mark.parametrize("N", [6, 10, 14, 22, 200, 800, 16386])
+    def test_each_tail_index_is_within_2_to_the_minus_52(self, N):
+        # the integer picks round each segment's mass; 2^14 + 2 reaches
+        # the worst error of the even counts below 70,000, exactly 2^-52
+        law = tail_law_oracle(segment_plan(N))
+        assert sum(law) == 1
+        assert max(abs(m * N - 1) for m in set(law)) <= Fraction(1, 2**52)
 
     @pytest.mark.parametrize("params", [LATTICE[0], LATTICE[1], LATTICE[3]],
                              ids=["E4", "E3", "E8"])

@@ -193,46 +193,43 @@ class ToyFault(RuntimeError):
 
 
 class ToyProgram:
-    """A toy execution over a seeded word list: two words an attempt, the
-    first rejecting one attempt in `reject_every`, the second faulting one
-    execution in `fault_every` (naming its position) and giving the value.
+    """A toy execution over a seeded word list: one word an execution,
+    faulting one execution in `fault_every` (naming its position) and
+    otherwise giving the value.
 
     `step` runs the next execution sequentially, `evaluate` a block of them
     without consuming words, and `commit` consumes what a block kept;
     `pos` is the words consumed.  `sizes` logs every block evaluated.
     """
 
-    def __init__(self, seed: int, fault_every: int = 0, reject_every: int = 4):
+    def __init__(self, seed: int, fault_every: int = 0):
         self.words = RandomTape(seed).words(20_000)
-        self.fault_every, self.reject_every = fault_every, reject_every
+        self.fault_every = fault_every
         self.pos = 0
         self.sizes = []
 
-    def _hits(self, w, every: int):
-        return w % every == 0 if every else w != w
+    def _hits(self, w):
+        return w % self.fault_every == 0 if self.fault_every else w != w
 
     def step(self) -> int:
-        while True:
-            w0, w1 = self.words[self.pos : self.pos + 2]
-            self.pos += 2
-            if not self._hits(w0, self.reject_every):
-                break
-        if self._hits(w1, self.fault_every):
+        w = self.words[self.pos]
+        self.pos += 1
+        if self._hits(w):
             raise ToyFault(f"fault at word {self.pos}")
-        return w1 % 1000
+        return w % 1000
 
     def evaluate(self, size: int):
         self.sizes.append(size)
-        w = np.array(self.words[self.pos : self.pos + 2 * size], dtype=np.uint64).reshape(size, 2)
-        stop = self._hits(w[:, 0], self.reject_every) | self._hits(w[:, 1], self.fault_every)
+        w = np.array(self.words[self.pos : self.pos + size], dtype=np.uint64)
+        stop = self._hits(w)
         kept = int(np.argmax(stop)) if stop.any() else size
-        return kept, (w[:, 1] % 1000).astype(np.int64), self.commit
+        return kept, (w % 1000).astype(np.int64), self.commit
 
     def commit(self, k: int) -> None:
-        self.pos += 2 * k
+        self.pos += k
 
-    def scheduler(self, cap: int, **kw) -> BlockScheduler:
-        return BlockScheduler(self.evaluate, self.step, cap, **kw)
+    def scheduler(self, cap: int) -> BlockScheduler:
+        return BlockScheduler(self.evaluate, self.step, cap)
 
 
 def sequential(program: ToyProgram, n: int):
@@ -247,8 +244,8 @@ def sequential(program: ToyProgram, n: int):
 
 
 class TestBlockScheduler:
-    """The one block policy, driven by a toy program with frequent
-    rejections and rare faults, against the sequential loop."""
+    """The one block policy, driven by a toy program with rare faults,
+    against the sequential loop."""
 
     CAP = 16
 
@@ -265,6 +262,9 @@ class TestBlockScheduler:
         assert got == want
         # a call's first block holds min(n, cap); shorter calls loop
         assert toy.sizes[:1] == ([min(n, self.CAP)] if n >= BATCH_MIN_SESSIONS else [])
+        if want[2] is None:  # blocks of min(left, cap), then the loop below BATCH_MIN_SESSIONS
+            whole, rest = divmod(n, self.CAP)
+            assert toy.sizes == [self.CAP] * whole + [rest] * (rest >= BATCH_MIN_SESSIONS)
 
     def test_eager_takes_raise_where_the_loop_does(self):
         raised = 0
@@ -299,36 +299,21 @@ class TestBlockScheduler:
 
         def pooled(last):
             if toy.pos != last:
-                blocks.append(toy.scheduler(self.CAP, run=0))
+                blocks.append(toy.scheduler(self.CAP))
             return blocks[-1].take_one()
 
         want = outcomes(ref, lambda last: ref.step())
         assert outcomes(toy, pooled) == want
         assert any(isinstance(o, str) for o in want[0])
         assert toy.sizes and max(toy.sizes) <= self.CAP
-        assert len(blocks) > 6  # the outside reads and the faults
+        assert len(blocks) > 6  # the outside reads
 
     def test_first_blocks_of_one_at_a_time_takes(self):
-        # no rejection: BATCH_MIN_SESSIONS sequential executions, then
-        # blocks as long as the run, up to the cap
-        toy = ToyProgram(1, reject_every=0)
-        blocks = toy.scheduler(64, run=0)
+        # BATCH_MIN_SESSIONS sequential executions, then blocks as long as
+        # the run, up to the cap
+        toy = ToyProgram(1)
+        blocks = toy.scheduler(64)
         values = [blocks.take_one() for _ in range(300)]
         be = BATCH_MIN_SESSIONS
         assert toy.sizes == [be, 2 * be, 4 * be, 64, 64, 64, 64]
-        assert values == sequential(ToyProgram(1, reject_every=0), 300)[0]
-
-    def test_frequent_rejections_back_off_from_blocks(self):
-        # a block keeps about three executions, less than the loop would
-        # run in its time, so each short block quadruples the run the next
-        # one waits for, and the blocks that do run stay small
-        for take in ("eager", "one at a time"):
-            toy, ref = ToyProgram(6), ToyProgram(6)
-            if take == "eager":
-                got = toy.scheduler(1024).take(3000).tolist()
-            else:
-                blocks = toy.scheduler(1024, run=0)
-                got = [blocks.take_one() for _ in range(3000)]
-            assert got == sequential(ref, 3000)[0] and toy.pos == ref.pos
-            assert 0 < len(toy.sizes) <= 6
-            assert max(toy.sizes[1:], default=0) <= 2 * BATCH_MIN_SESSIONS
+        assert values == sequential(ToyProgram(1), 300)[0]
