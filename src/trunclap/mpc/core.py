@@ -2,8 +2,8 @@
 
 Additive secret sharing over the ring Z_q, q = 2^k, Beaver-triple
 multiplication, and the gadgets the noise protocols rely on: a shared
-Bernoulli draw, a weighted sum of k shared Bernoulli draws (the magnitude
-bits of a discrete Laplace draw), a shared uniform draw, a shared sign
+Bernoulli draw, the shared magnitude of a discrete Laplace draw (its
+Bernoulli bits and segment picks), a shared uniform draw, a shared sign
 test, and a mux.  No gadget takes a modular inverse, so the modulus is a
 power of two (the ring `FieldConfig` sizes): one mask reduces every share
 operation, and a dealer residue is one masked word.
@@ -36,14 +36,18 @@ Cost model (abstract operation counts, not wall-clock):
   64-bit bit-decomposition with log-depth prefix evaluation, costed as
   8 rounds (ceil(log2 64) + 2) and 128 elements.  Its boolean-domain
   gates are not counted as field multiplications.
-* Bernoulli draw: 1 comparison against the public threshold.  The sum
-  of k draws weighted by 2^i (`pi_bersample_sum`) is k draws: k
-  comparisons, 8k rounds, 128k elements; the sum is shared with one mask.
+* Bernoulli draw: 1 comparison against the public threshold.
+* segment pick: when a count N is not a power of two, its P power-of-two
+  segments (`tape.segment_plan`) cost P - 1 Bernoulli draws that pick one
+  and P - 1 multiplications, the mux chain blending the picked segment's
+  start and mask.
+* magnitude of a draw plan on [0, N) (`pi_magnitude`): kappa Bernoulli
+  draws, kappa = floor(log2 N), plus N's segment picks; kappa + P - 1
+  comparisons, 8 rounds and 128 elements each, and P - 1 multiplications.
+  It is shared with one mask.
 * uniform draw over [0, m): 1 round, 2k elements, k = floor(log2 m) (each
-  party shares its k bit contributions).  When m is not a power of two,
-  its P power-of-two segments (`tape.segment_plan`) add P - 1 Bernoulli
-  draws that pick one and P - 1 multiplications, the mux chain blending
-  the picked segment's start and mask.  Nothing is opened.
+  party shares its k bit contributions), plus m's segment picks.  Nothing
+  is opened.
 * power-of-two truncation by g bits (`trunc_pow2`): 2 rounds, 2g
   elements.  No protocol truncates: both mechanisms draw on the 2^-p grid.
 
@@ -58,11 +62,11 @@ as uint64 share arrays (one entry per execution), as a
 before its first range fault, so opened values, ledgers and party words
 are the sequential path's.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
-`_CommonOps`; a substrate supplies only its randomness (joint words,
-dealer masks, Beaver triples of five dealer residues each, the k bits
-of a Bernoulli sum in one read, and the dealer material of one
-perturbation drawn ahead of it), what a range fault does, and how a sum
-of shares lifts to the balanced range.
+`_CommonOps`; a substrate supplies only its randomness (the next joint
+word, or the next k in one read, dealer masks, Beaver triples of five
+dealer residues each, and the dealer material of one perturbation drawn
+ahead of it), what a range fault does, and how a sum of shares lifts to
+the balanced range.
 
 Dealer material can be drawn ahead of the gadget that uses it: `pi_ge`
 takes its resharing mask and `mul`/`mux` their triple as arguments, and
@@ -83,7 +87,8 @@ import numpy as np
 
 from .. import tape as tape_module
 from ..grids import FieldConfig
-from ..tape import BlockScheduler, RandomTape, bernoulli_threshold, pick_segment, segment_plan
+from ..tape import (BlockScheduler, RandomTape, _magnitude, bernoulli_threshold, pick_segment,
+                    segment_plan)
 
 OPEN_ROUNDS, OPEN_ELEMENTS = 1, 2
 SHARE_ROUNDS, SHARE_ELEMENTS = 1, 1
@@ -100,7 +105,6 @@ RESIDUES_PER_REFILL = 320
 # executions a Session's offline pool evaluates at most in one block: bounds
 # its memory (a block of 1,024 noise pairs is one 1,024 x 15 uint64 array)
 POOL_BLOCK_MAX = 1 << 10
-_WORD_MAX = (1 << 64) - 1
 
 
 class ContractViolation(RuntimeError):
@@ -187,7 +191,7 @@ class _CommonOps:
     that broadcast against them) in a BatchSession.  q is a power of two,
     so one mask reduces every operation, and uint64 arithmetic, which
     wraps mod 2^64, reduces consistently.  A substrate supplies its
-    randomness (`joint_word`, `_reshare`, `_triple`, `_bit_sum`) and its
+    randomness (`joint_word`, `_joint_words`, `_reshare`, `_triple`) and its
     policy for range faults (`_check`).
     """
 
@@ -300,18 +304,20 @@ class _CommonOps:
         self._charge_bernoulli(1)
         return self._reshare(bit)
 
-    def pi_bersample_sum(self, thresholds: tuple[int, ...]) -> SharedValue:
-        """Shared sum of 2^i * [joint word i < thresholds[i]] over i < k.
-
-        The k Bernoulli draws of `pi_bersample_thresholded`, weighted and
-        added in one call: the same joint words, opened sum and ledger as
-        k such draws each scaled by 2^i and added to [0].  The sum is
-        shared with one dealer mask, so its shares are uniform as theirs.
+    def pi_magnitude(self, plan) -> SharedValue:
+        """Shared magnitude of a draw plan (`sampling.CenteredDlapConfig`):
+        `tape._magnitude`, the plaintext samplers' body, on the plan's next
+        kappa + P - 1 joint words.  Each word is one Bernoulli draw, and the
+        P - 1 segment picks add their mux chain's multiplications.  The
+        value is shared with one dealer mask (none for kappa = 0, where it
+        is 0), so its shares are uniform.
         """
-        if not thresholds:
+        kappa, picks = plan.kappa, len(plan.segment_thresholds)
+        if not kappa:
             return self.share_public(0)
-        self._charge_bernoulli(len(thresholds))
-        return self._reshare(self._bit_sum(thresholds))
+        self._charge_bernoulli(kappa + picks)
+        self._charge_mul(picks)
+        return self._reshare(_magnitude(plan, self._joint_words(kappa + picks), 0))
 
     def _charge_bernoulli(self, k: int) -> None:
         """k Bernoulli draws, each one shared comparison."""
@@ -320,6 +326,13 @@ class _CommonOps:
         led.comparisons += k
         led.rounds += k * CMP_ROUNDS
         led.elements_exchanged += k * CMP_ELEMENTS
+
+    def _charge_mul(self, k: int) -> None:
+        """k multiplications: the mux chain of k segment picks."""
+        led = self.ledger
+        led.multiplications += k
+        led.rounds += k * MUL_ROUNDS
+        led.elements_exchanged += k * MUL_ELEMENTS
 
     def mux(self, i: SharedValue, a: SharedValue, b: SharedValue, triple=None) -> SharedValue:
         """[a] + [i]*([b] - [a]): a when i=0, b when i=1; one multiplication
@@ -348,11 +361,9 @@ class _CommonOps:
         led.elements_exchanged += 2 * plan.low.bit_length()
         picks = len(plan.picks)
         if picks:
-            v = pick_segment(plan.segments, plan.picks, [self.joint_word() for _ in range(picks)], v)
+            v = pick_segment(plan.segments, plan.picks, self._joint_words(picks), v)
             self._charge_bernoulli(picks)
-            led.multiplications += picks
-            led.rounds += picks * MUL_ROUNDS
-            led.elements_exchanged += picks * MUL_ELEMENTS
+            self._charge_mul(picks)
         return self._reshare(v)
 
     def pi_ge(self, sv: SharedValue, mask=None) -> SharedValue:
@@ -414,7 +425,7 @@ class Session(_CommonOps):
     ):
         super().__init__(fieldcfg, record_transcript)
         if tape0 is not None and tape0 is tape1:
-            # pi_bersample_sum reads one party's words, then the other's
+            # _joint_words reads one party's words, then the other's
             raise ValueError("each party needs a tape of its own")
         self.tape0 = tape0 if tape0 is not None else RandomTape(seed0)
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
@@ -451,13 +462,10 @@ class Session(_CommonOps):
         r = self.triples.mask() if mask is None else mask
         return ((value - r) & self._m, r)
 
-    def _bit_sum(self, thresholds: tuple[int, ...]) -> int:
-        """Sum of 2^i * bit i of k Bernoulli draws: k words from each party
-        tape, each in one read, the words k `pi_bersample_thresholded`
-        calls take."""
-        k = len(thresholds)
-        words = zip(self.tape0.words(k), self.tape1.words(k), thresholds)
-        return sum(1 << i for i, (w0, w1, t) in enumerate(words) if w0 ^ w1 < t)
+    def _joint_words(self, k: int) -> list[int]:
+        """The next k joint words: k words from each party tape, each in one
+        read, the words k `joint_word` calls take."""
+        return [w0 ^ w1 for w0, w1 in zip(self.tape0.words(k), self.tape1.words(k))]
 
     def _triple(self, a: SharedValue, b: SharedValue) -> tuple:
         return self.triples.take()
@@ -610,9 +618,9 @@ class BatchSession(_CommonOps):
 
     def joint_word(self) -> np.ndarray:
         """The next joint word of every execution in the block (uint64)."""
-        return self._joint_rows(1)[0]
+        return self._joint_words(1)[0]
 
-    def _joint_rows(self, k: int) -> np.ndarray:
+    def _joint_words(self, k: int) -> np.ndarray:
         """The next k joint words of every execution, one row each."""
         if self._rows is None:
             raise RuntimeError("joint words are drawn inside a block (_evaluate)")
@@ -634,18 +642,6 @@ class BatchSession(_CommonOps):
         if masked.ndim == 0:  # a common value: plain ints, usable by Session too
             return (int(masked), int(r))
         return (masked, r)
-
-    def _bit_sum(self, thresholds: tuple[int, ...]) -> np.ndarray:
-        """Sum of 2^i * bit i per execution: the next k rows of the block in
-        one compare."""
-        k = len(thresholds)
-        rows = self._joint_rows(k)
-        # a threshold of 2^64 (probability 1) does not fit in uint64
-        capped = np.array([min(t, _WORD_MAX) for t in thresholds], dtype=np.uint64)
-        certain = np.array([t > _WORD_MAX for t in thresholds])
-        bits = (rows < capped[:, None]) | certain[:, None]
-        weights = np.array([1 << i for i in range(k)], dtype=np.uint64)[:, None]
-        return (bits * weights).sum(axis=0)
 
     def _triple(self, a: SharedValue, b: SharedValue):
         """A fresh triple per execution: five dealer residue rows (five ints

@@ -18,11 +18,12 @@ independent of every distribution parameter.
 The inner sampler's public constants (its Bernoulli thresholds) are the
 draw plan `CenteredDlapConfig` the plaintext samplers use, so both
 parties -- and the plaintext functionalities used as oracles -- read the
-same integers.  Only bitwise plans run here: a segmented plan's segment
-choice has no secure form yet, so it is refused.  TDL's inner draw
-(`pi_dl`) costs kappa + 2 comparisons and 2 multiplications, TCL's
-(`pi_cl`) kappa + 1 comparisons and 1 multiplication; no protocol
-truncates.
+same integers, and the magnitude is one body for both (`pi_magnitude`
+on `tape._magnitude`).  TDL's inner draw (`pi_dl`) costs kappa + 2
+comparisons and 2 multiplications, TCL's (`pi_cl`) kappa + 1 comparisons
+and 1 multiplication; a segmented plan (2^p * L not a power of two, P
+segments) adds its P - 1 picks, P - 1 comparisons and P - 1
+multiplications.  No protocol truncates.
 
 On a long-lived `Session`, `pi_noise` draws its pairs through
 `Session.offline`, which may hand them out of a block evaluated ahead on
@@ -118,30 +119,22 @@ def make_session(
 
 
 def pi_dl(session: Session, plan: CenteredDlapConfig) -> SharedValue:
-    """Shared centered discrete Laplace draw over [-2^kappa, 2^kappa] steps.
+    """Shared centered discrete Laplace draw over [-2^p L, 2^p L] steps.
 
-    Lines of the bitwise procedure, on the thresholds of the bitwise
-    `plan`: a Bernoulli(c0) zero flag, kappa Bernoulli bits with
-    probabilities rho^(2^i)/(1+rho^(2^i)), a fair sign s = 2d-1, then
-    z = s*(sum 2^i z_i + 1) and the final blend (1-b)*z.  The kappa bits
-    and their weighted sum are one `pi_bersample_sum` call (kappa
-    comparisons); the sum is local.  Two protocol multiplications.
+    The plaintext draw's lines, on the thresholds of `plan`: a
+    Bernoulli(c0) zero flag, the magnitude m in [0, 2^p L) (`pi_magnitude`:
+    kappa Bernoulli bits with probabilities rho^(2^i)/(1+rho^(2^i)) and,
+    for a segmented plan, its segment picks), a fair sign s = 2d-1, then
+    z = s*(m + 1) and the final blend (1-b)*z.  Two protocol
+    multiplications besides the picks'.
     """
-    _require_bitwise(plan)
     b = session.pi_bersample_thresholded(plan.zero_threshold)
-    u = session.add_public(session.pi_bersample_sum(plan.bit_thresholds), 1)
+    u = session.add_public(session.pi_magnitude(plan), 1)
     d = session.pi_bersample_thresholded(plan.sign_threshold)
     s = session.affine(d, 2, -1)
     z = session.mul(s, u)
     one_minus_b = session.affine(b, -1, 1)
     return session.mul(one_minus_b, z)
-
-
-def _require_bitwise(plan: CenteredDlapConfig) -> None:
-    if plan.method != "bitwise":
-        raise ValueError(
-            f"secure sampling needs 2^p * L to be a power of two (got {plan.steps} steps)"
-        )
 
 
 def pi_dl_for(session: Session, params: MechanismParams) -> SharedValue:
@@ -158,13 +151,11 @@ def pi_cl(session: Session, params: MechanismParams, gamma: int = 0) -> SharedVa
 
 def _pi_cl(session: Session, plan: CenteredDlapConfig) -> SharedValue:
     """Shared centered cumulative Laplace draw in 2^-p steps, exactly
-    `centered_clap_pmf`, on the bitwise `centered_clap_config` plan: the
-    magnitude u from the kappa bits (one `pi_bersample_sum`), a fair sign
-    d, then v = d*(2u + 1) - u - 1 (u if d, else -u - 1).  kappa + 1
-    comparisons and one multiplication; nothing is rejected, opened or
-    truncated."""
-    _require_bitwise(plan)
-    u = session.pi_bersample_sum(plan.bit_thresholds)
+    `centered_clap_pmf`, on the `centered_clap_config` plan: the magnitude
+    u (`pi_magnitude`), a fair sign d, then v = d*(2u + 1) - u - 1 (u if d,
+    else -u - 1).  kappa + 1 comparisons and one multiplication besides
+    the picks'; nothing is rejected, opened or truncated."""
+    u = session.pi_magnitude(plan)
     d = session.pi_bersample_thresholded(plan.sign_threshold)
     return session.sub(session.mul(d, session.affine(u, 2, 1)), session.add_public(u, 1))
 
@@ -325,7 +316,6 @@ def run_sessions(
     Returns the decoded outputs.  Inputs are taken as run_batch checks them.
     """
     plan = noise_plan(mech, params)
-    _require_bitwise(plan.inner)
     xs = session.share(x_steps)
 
     def once(s):

@@ -25,10 +25,11 @@ Every draw plan is computed once and cached: `centered_dlap_config` and
 params), so a draw reads precomputed integers only.
 
 The tail index on [0, 2*2^p*E) is drawn the same way, without rejection
-(`tape.segment_plan`).  The draw body (`_noise_steps`, `_magnitude`,
-`_dlap_steps`, `_clap_steps`, `_inner`, `_perturb_steps`) reads its
-words as Python ints (one sequential draw) or as uint64 rows (one word of
-every execution of a block, for `sample_batch`).
+(`tape.segment_plan`).  The draw body (`_noise_steps`, `_dlap_steps`,
+`_clap_steps`, `_inner`, `_perturb_steps`, and the magnitude
+`tape._magnitude`, which the secure protocols share) reads its words as
+Python ints (one sequential draw) or as uint64 rows (one word of every
+execution of a block, for `sample_batch`).
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ from .mechanisms import (
     dlap_zero_mass,
     outer_count,
 )
-from .tape import (BlockScheduler, RandomTape, SegmentPlan, bernoulli_threshold, pick_segment,
-                   segment_plan)
+from .tape import (BlockScheduler, RandomTape, SegmentPlan, _magnitude, bernoulli_threshold,
+                   pick_segment, segment_plan)
 
 
 @dataclass(frozen=True)
@@ -132,17 +133,6 @@ def sample_dlap_centered(L: float, sigma: float, p: int, tape: RandomTape) -> fl
     """
     cfg = centered_dlap_config(L, sigma, p)
     return _dlap_steps(cfg, tape.words(cfg.words_per_draw)) * cfg.step
-
-
-def _magnitude(cfg: CenteredDlapConfig, w, first: int):
-    """The truncated geometric magnitude in [0, 2^p L) of one draw, from its
-    kappa bit words w[first:] and the P - 1 segment words after them."""
-    m = 0
-    for i, threshold in enumerate(cfg.bit_thresholds):
-        m += (w[first + i] < threshold) << i
-    if cfg.segment_thresholds:
-        m = pick_segment(cfg.segments, cfg.segment_thresholds, w[first + cfg.kappa :], m)
-    return m
 
 
 def _dlap_steps(cfg: CenteredDlapConfig, w) -> int:

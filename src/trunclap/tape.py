@@ -6,9 +6,11 @@ off a tape.  A Bernoulli(prob) draw consumes one word and compares it to a
 power of two masks one word.  A uniform draw over [0, N) for any other N
 never rejects: N splits into the P power-of-two segments of its binary
 expansion (`segment_plan`), and P - 1 integer Bernoulli picks choose one
-(`pick_segment`), so it reads exactly P words.  Keeping the semantics at
-the word level lets the two-party simulator replay exactly the same
-decisions as the plaintext samplers when fed the same word stream.
+(`pick_segment`), so it reads exactly P words; the magnitude of a
+discrete Laplace draw picks its segment the same way (`_magnitude`).
+Keeping the semantics at the word level lets the two-party simulator
+replay exactly the same decisions as the plaintext samplers when fed the
+same word stream.
 
 Each tape is read one way.  Party and plaintext tapes are read by words
 (`word`, `words`, and `peek_block` with `skip` for blocks); the MPC
@@ -100,6 +102,21 @@ def pick_segment(segments, picks, words, bits):
     else:
         start, mask = segments[j]
     return start + (bits & mask)
+
+
+def _magnitude(cfg, w, first: int):
+    """The truncated geometric magnitude in [0, N) of one draw of a
+    `sampling.CenteredDlapConfig` plan: its kappa bit words w[first:] and,
+    unless N is a power of two, the P - 1 segment words after them, as
+    ints or as uint64 rows (a threshold of 2^64 meets a row under numpy 2's
+    promotion).  The one body of the plaintext samplers and the secure
+    protocols' `pi_magnitude`."""
+    m = 0
+    for i, threshold in enumerate(cfg.bit_thresholds):
+        m += (w[first + i] < threshold) << i
+    if cfg.segment_thresholds:
+        m = pick_segment(cfg.segments, cfg.segment_thresholds, w[first + cfg.kappa :], m)
+    return m
 
 
 class RandomTape:

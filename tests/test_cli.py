@@ -201,6 +201,20 @@ class TestMpc:
                     "--n", "1"]) == 1
         assert "64-bit word cannot draw" in capsys.readouterr().err
 
+    def test_segmented_set_runs(self, tmp_path):
+        # 2^p * L = 3 steps and 2 * 2^p * E = 6 tail indices: both the inner
+        # draw and the tail pick a segment, one comparison and one
+        # multiplication each on top of the bitwise E=4/L=2 run's 5 and 5
+        out = tmp_path / "mpc.json"
+        assert run(["mpc", "--E", "3", "--L", "3", "--sigma", "1", "--n", "200",
+                    "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert set(data) == {"mechanism", "params", "x", "sessions", "seeds", "histogram",
+                             "bins", "ledger_per_run"}
+        assert sum(data["histogram"]["counts"]) == 200  # every output on the grid
+        ledger = data["ledger_per_run"]
+        assert (ledger["comparisons"], ledger["multiplications"]) == (7, 7)
+
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["mpc", "--mechanism", "tcl", "--E", "4", "--L", "2", "--sigma", "1",

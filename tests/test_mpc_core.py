@@ -27,7 +27,7 @@ from trunclap.mpc.core import (
 )
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import centered_dlap_config
-from trunclap.tape import RandomTape
+from trunclap.tape import RandomTape, _magnitude
 
 
 # q = 2^9, safe magnitude 2^7
@@ -387,17 +387,32 @@ class TestBersample:
 
 
 def bit_loop(s, thresholds):
-    """The per-bit sequence pi_bersample_sum replaces: k Bernoulli draws,
-    each scaled by 2^i and added to [0]."""
+    """The per-bit sequence a bitwise plan's pi_magnitude replaces: k
+    Bernoulli draws, each scaled by 2^i and added to [0]."""
     u = s.share_public(0)
     for i, t in enumerate(thresholds):
         u = s.add(u, s.affine(s.pi_bersample_thresholded(t), 1 << i, 0))
     return u
 
 
+def bits_plan(thresholds):
+    """A bitwise draw plan (2^k steps) whose k magnitude bits have the
+    given thresholds."""
+    k = len(thresholds)
+    return dataclasses.replace(centered_dlap_config(2.0, 1.0, 0), bit_thresholds=tuple(thresholds),
+                               segment_thresholds=(), segments=((0, (1 << k) - 1),),
+                               steps=1 << k, words_per_draw=k + 2)
+
+
+def magnitude_loop(s, thresholds):
+    """pi_magnitude on `bits_plan(thresholds)`."""
+    return s.pi_magnitude(bits_plan(thresholds))
+
+
 # k = 0, 1, 7 and 15, with thresholds 0 and 2^64 (probability 0 and 1);
 # the 15 are the wide set's magnitude bits on the 2^-10 grid
-WIDE_BITS = centered_dlap_config(32.0, 8.0, 10).bit_thresholds
+WIDE_PLAN = centered_dlap_config(32.0, 8.0, 10)
+WIDE_BITS = WIDE_PLAN.bit_thresholds
 THRESHOLDS = [
     (),
     (0,),
@@ -405,11 +420,23 @@ THRESHOLDS = [
     (2**64, 0, 2**63, 1, 2**64 - 1, 3 << 61, 2**64),
     WIDE_BITS[:5] + (2**64, 0) + WIDE_BITS[7:],
 ]
+# segmented plans: 3 = 2 + 1, 7 = 4 + 2 + 1 (two picks), 24 = 16 + 8,
+# 3 * 2^24 fine steps, and 7 with its picks forced to the middle segment
+SEVEN = centered_dlap_config(7.0, 2.0, 0)
+SEGMENTED = [
+    centered_dlap_config(3.0, 1.0, 0),
+    SEVEN,
+    centered_dlap_config(24.0, 8.0, 0),
+    centered_dlap_config(3.0, 1.0, 24),
+    dataclasses.replace(SEVEN, segment_thresholds=(0, 2**64)),
+]
 
 
 class TestBersampleSum:
-    """pi_bersample_sum against the loop it replaces, on both substrates:
-    opened values, ledger and the party tapes' words_consumed.  The sum is
+    """pi_magnitude, the magnitude of a draw plan: on a bitwise plan against
+    the loop of Bernoulli draws it replaces, on a segmented one against
+    `tape._magnitude` on the same joint words, on both substrates: opened
+    values, ledger and the party tapes' words_consumed.  The magnitude is
     shared with one dealer mask, so its shares are not the loop's."""
 
     CFG = SMALL
@@ -430,7 +457,7 @@ class TestBersampleSum:
 
         a, b = session(), session()
         for _ in range(3):
-            u, v = a.pi_bersample_sum(ts), bit_loop(b, ts)
+            u, v = magnitude_loop(a, ts), bit_loop(b, ts)
             assert a.peek(u) == b.peek(v)
             assert all(type(x) is int for x in u)
         assert a.ledger.as_dict() == b.ledger.as_dict()
@@ -445,24 +472,48 @@ class TestBersampleSum:
 
     @pytest.mark.parametrize("ts", THRESHOLDS)
     def test_batch_equals_the_loop(self, ts):
-        a, got = self.batch_run(BatchSession.pi_bersample_sum, ts)
+        a, got = self.batch_run(magnitude_loop, ts)
         b, expected = self.batch_run(bit_loop, ts)
         assert np.array_equal(got, expected)
         assert a.ledger.as_dict() == b.ledger.as_dict()
         assert self.words(a) == self.words(b)
 
+    @pytest.mark.parametrize("plan", SEGMENTED, ids=lambda c: f"{c.steps}-{c.segment_thresholds}")
+    def test_segmented_plan_opens_the_magnitude_of_its_words(self, plan):
+        # kappa + P - 1 joint words a draw, sequentially and in blocks: the
+        # value the plaintext body computes on them, kappa + P - 1
+        # comparisons and the P - 1 multiplications of the picks' mux chain
+        picks = len(plan.segment_thresholds)
+        k, n = plan.kappa + picks, 300
+        joint = [a ^ b for a, b in zip(RandomTape(3).words(n * k), RandomTape(4).words(n * k))]
+        expected = [_magnitude(plan, joint[i : i + k], 0) for i in range(0, n * k, k)]
+        unit = CostLedger(multiplications=picks, comparisons=k, bernoulli_draws=k,
+                          rounds=k * CMP_ROUNDS + picks * MUL_ROUNDS,
+                          elements_exchanged=k * CMP_ELEMENTS + picks * MUL_ELEMENTS)
+        total = CostLedger()
+        total.add(unit, n)
+        for record in (True, False):
+            s = Session(WORD_RING, 3, 4, record_transcript=record)
+            got = s.run(lambda s: s.peek(s.pi_magnitude(plan)), n, k)
+            assert got.tolist() == expected
+            assert s.ledger == total
+            assert self.words(s) == [n * k, n * k]
+        assert 0 <= min(expected) and max(expected) < plan.steps
+
     def test_one_dealer_mask_per_sum(self):
-        # however many bits: one pooled mask on a Session, one mask row on
-        # a BatchSession
-        s = Session(self.CFG, 3, 4)
-        with mock.patch.object(s.triples, "mask", wraps=s.triples.mask) as take:
-            s.pi_bersample_sum(WIDE_BITS)
-        assert take.call_count == 1
-        s = Session(self.CFG, 3, 4)
-        with mock.patch.object(BatchSession, "_masks", autospec=True,
-                               side_effect=BatchSession._masks) as take:
-            s.run(lambda b: b.peek(b.pi_bersample_sum(WIDE_BITS)), 300, len(WIDE_BITS))
-        assert [c.args[1:] for c in take.call_args_list] == [((300,),)]
+        # however many bits and picks: one pooled mask on a Session, one
+        # mask row on a BatchSession
+        for plan in (WIDE_PLAN, SEVEN):
+            k = plan.words_per_draw - 2
+            s = Session(self.CFG, 3, 4)
+            with mock.patch.object(s.triples, "mask", wraps=s.triples.mask) as take:
+                s.pi_magnitude(plan)
+            assert take.call_count == 1
+            s = Session(self.CFG, 3, 4)
+            with mock.patch.object(BatchSession, "_masks", autospec=True,
+                                   side_effect=BatchSession._masks) as take:
+                s.run(lambda b: b.peek(b.pi_magnitude(plan)), 300, k)
+            assert [c.args[1:] for c in take.call_args_list] == [((300,),)]
 
     # "Session" records its transcript and runs every draw sequentially;
     # "BatchSession" runs them in blocks on its attached BatchSession
@@ -475,7 +526,7 @@ class TestBersampleSum:
         shares = []
 
         def program(s):
-            shares.append(s.pi_bersample_sum(ts)[1])
+            shares.append(magnitude_loop(s, ts)[1])
             return 0
 
         s.run(program, n, len(ts))
@@ -485,17 +536,17 @@ class TestBersampleSum:
         assert p > 0.01
 
     def test_batch_probability_one_bit(self, monkeypatch):
-        # 2^64 does not fit a uint64 compare; the top joint word 2^64 - 1
-        # must still draw 1 under it, and 0 under 2^64 - 1
+        # 2^64 does not fit in a uint64; the top joint word 2^64 - 1 must
+        # still draw 1 under it, and 0 under 2^64 - 1
         s = Session(self.CFG, 3, 4)
         monkeypatch.setattr(s.tape0, "_raw", lambda n: np.full(n, 2**64 - 1, np.uint64))
         monkeypatch.setattr(s.tape1, "_raw", lambda n: np.zeros(n, np.uint64))
-        got = s.run(lambda s: s.peek(s.pi_bersample_sum((0, 2**64, 2**64 - 1, 2**64))), 50, 4)
+        got = s.run(lambda s: s.peek(magnitude_loop(s, (0, 2**64, 2**64 - 1, 2**64))), 50, 4)
         assert np.array_equal(got, np.full(50, 2 + 8))
 
     def test_ledger(self):
         s = small_session()
-        s.pi_bersample_sum((1, 2, 3))
+        magnitude_loop(s, (1, 2, 3))
         assert s.ledger.as_dict() == dict(
             multiplications=0,
             comparisons=3,

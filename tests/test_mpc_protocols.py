@@ -50,6 +50,8 @@ from trunclap.mpc import protocols
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import (
     _clap_steps,
+    _dlap_steps,
+    _sample_steps,
     sample_clap_centered,
     centered_dlap_config,
     dlap_zero_mass,
@@ -89,6 +91,25 @@ def replay_session(words, params, mechanism="tdl"):
     t0 = RandomTape(words=iter(words))
     t1 = RandomTape(words=itertools.repeat(0))
     return make_session(params, mechanism, tape0=t0, tape1=t1)
+
+
+def inner_ledger(params, mechanism):
+    """The ledger of one inner draw (pi_dl, or pi_cl for TCL) at `params`."""
+    session = make_session(params, mechanism, seed0=1, seed1=2)
+    (pi_cl if mechanism == "tcl" else pi_dl_for)(session, params)
+    return session.ledger.as_dict()
+
+
+def ledger_plus_picks(ledger, picks):
+    """`ledger` with `picks` segment picks more: a comparison (a Bernoulli
+    draw) and a multiplication each."""
+    return {**ledger,
+            "comparisons": ledger["comparisons"] + picks,
+            "bernoulli_draws": ledger["bernoulli_draws"] + picks,
+            "multiplications": ledger["multiplications"] + picks,
+            "rounds": ledger["rounds"] + picks * (core.CMP_ROUNDS + core.MUL_ROUNDS),
+            "elements_exchanged": ledger["elements_exchanged"]
+            + picks * (core.CMP_ELEMENTS + core.MUL_ELEMENTS)}
 
 
 class TestPiDl:
@@ -131,11 +152,19 @@ class TestPiDl:
         session = make_session(PARAMS, "tdl", seed0=3, seed1=4)
         assert session.open(pi_dl(session, forced)) == 2**plan.kappa
 
-    def test_rejects_non_pow2_step_count(self):
+    def test_non_pow2_step_count_opens_dlap_steps(self):
+        # 3 = 2 + 1 steps: each draw's joint words, fed to both, open what
+        # the plaintext map computes on every value of [-L, L]; the segment
+        # pick costs one comparison and one multiplication more
         params = MechanismParams(E=4.0, L=3.0, sigma=1.0, p=0)
-        session = make_session(params, "tdl", seed0=1, seed1=2)
-        with pytest.raises(ValueError, match="power of two"):
-            pi_dl_for(session, params)
+        plan = centered_dlap_config(3.0, 1.0, 0)
+        k = plan.words_per_draw
+        words = RandomTape(54).words(400 * k)
+        session = replay_session(words, params)
+        opened = [session.open(pi_dl_for(session, params)) for _ in range(400)]
+        assert opened == [_dlap_steps(plan, words[i : i + k]) for i in range(0, len(words), k)]
+        assert set(opened) == set(range(-3, 4))
+        assert inner_ledger(params, "tdl") == ledger_plus_picks(inner_ledger(PARAMS, "tdl"), 1)
 
 
 class TestPiCl:
@@ -182,11 +211,18 @@ class TestPiCl:
             kappa + 1, kappa + 1, 1)
         assert d["rounds"] == (kappa + 1) * core.CMP_ROUNDS + core.MUL_ROUNDS
 
-    def test_rejects_non_pow2_step_count(self):
+    def test_non_pow2_step_count_opens_clap_steps(self):
+        # as for pi_dl: 3 steps open _clap_steps on every value of [-L, L),
+        # for one comparison and one multiplication more
         params = MechanismParams(E=4.0, L=3.0, sigma=1.0, p=0)
-        session = make_session(params, "tcl", seed0=1, seed1=2)
-        with pytest.raises(ValueError, match="power of two"):
-            pi_cl(session, params)
+        plan = noise_plan(TCL, params).inner
+        k = plan.words_per_draw
+        words = RandomTape(65).words(400 * k)
+        session = replay_session(words, params, "tcl")
+        opened = [session.open(pi_cl(session, params)) for _ in range(400)]
+        assert opened == [_clap_steps(plan, words[i : i + k]) for i in range(0, len(words), k)]
+        assert set(opened) == set(range(-3, 3))
+        assert inner_ledger(params, "tcl") == ledger_plus_picks(inner_ledger(PARAMS, "tcl"), 1)
 
 
 def test_tcl_wide_ledger_is_ten_comparisons_and_four_multiplications():
@@ -453,6 +489,9 @@ WIDE = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
 # outer count 2 * 2^p * E = 6 is not a power of two: pi_uni picks one of
 # its two segments (4 + 2) with a second joint word
 ODD = MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0)
+# ODD with 3 = 2 + 1 inner steps: the tail and the inner draw each pick a
+# segment
+SEGMENTED = MechanismParams(E=3.0, L=3.0, sigma=1.0, p=0)
 
 
 def loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma):
@@ -471,8 +510,9 @@ def loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma):
 
 
 # (mechanism, params, gamma); ODD's outer count 6 splits into two segments,
-# for TDL and TCL alike.  gamma is what the benchmark passes make_session,
-# pi_c_noise and run_batch; it changes nothing
+# for TDL and TCL alike, and SEGMENTED's inner draw does too.  gamma is what
+# the benchmark passes make_session, pi_c_noise and run_batch; it changes
+# nothing
 BATCH_CASES = [
     ("tdl", PARAMS, 8),
     ("tcl", PARAMS, 8),
@@ -481,9 +521,19 @@ BATCH_CASES = [
     ("tcl", PARAMS, 0),
     ("tdl", ODD, 8),
     ("tcl", ODD, 0),
+    ("tdl", SEGMENTED, 8),
+    ("tcl", SEGMENTED, 0),
 ]
 BE = tape_module.BATCH_MIN_SESSIONS
 SMALL_BLOCK = 32
+
+
+def batch_case_id(case):
+    """mechanism-E-gamma, with L where the inner draw is segmented."""
+    mechanism, params, gamma = case
+    inner = noise_plan(lookup_mechanism(mechanism), params).inner
+    L = f"-L{params.L:g}" if inner.method == "segmented" else ""
+    return f"{mechanism}-E{params.E:g}{L}-g{gamma}"
 
 
 class TestBatchSimulator:
@@ -509,7 +559,7 @@ class TestBatchSimulator:
         expected, _ = loop_reference("tdl", PARAMS, -3, n, 17, 18, 8)
         assert np.array_equal(run_batch("tdl", PARAMS, -3.0, n, 17, 18), expected)
 
-    @pytest.mark.parametrize("case", BATCH_CASES, ids=lambda c: f"{c[0]}-E{c[1].E:g}-g{c[2]}")
+    @pytest.mark.parametrize("case", BATCH_CASES, ids=batch_case_id)
     def test_ledger_is_sum_of_session_ledgers(self, case):
         mechanism, params, gamma = case
         n = 600
@@ -538,6 +588,34 @@ class TestBatchSimulator:
             total.add(unit, n)
             assert s.ledger == total
             assert s.tape0.words_consumed == s.tape1.words_consumed == n * words
+
+    @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
+    @pytest.mark.parametrize("params", [SEGMENTED, MechanismParams(E=64.0, L=24.0, sigma=8.0, p=0)],
+                             ids=["E3-L3", "E64-L24"])
+    def test_a_segmented_set_opens_sample_steps(self, mech, params):
+        # runs on the plaintext draw's words open what it samples, run_batch
+        # (in blocks) equals the recording loop, and one execution costs
+        # the bitwise set of the same tail and kappa (L = 2, or 16) one
+        # inner pick more
+        plan = noise_plan(mech, params)
+        assert plan.inner.method == "segmented" and len(plan.inner.segments) == 2
+        n, xs = 300, steps_of(1.0, params.p)
+        words = RandomTape(92).words(n * plan.words_per_draw)
+        plain = RandomTape(words=words)
+        expected = [_sample_steps(plan, xs, plain) for _ in range(n)]
+        session = replay_session(words, params, mech.name)
+        assert (run_sessions(session, mech, params, xs, n) / params.step).tolist() == expected
+        got = run_batch(mech.name, params, 1.0, n, 5, 6)
+        assert np.array_equal(got, loop_reference(mech.name, params, xs, n, 5, 6, 0)[0])
+
+        def one(params):
+            s = make_session(params, mech.name, seed0=3, seed1=4)
+            run_sessions(s, mech, params, steps_of(1.0, params.p), 1)
+            return s.ledger.as_dict()
+
+        bitwise = dataclasses.replace(params, L=2.0 if params.L == 3.0 else 16.0)
+        assert noise_plan(mech, bitwise).inner.method == "bitwise"
+        assert one(params) == ledger_plus_picks(one(bitwise), 1)
 
     def test_wide_set_at_the_input_bound(self):
         # the sign test on the inner branch reaches -2^p(2E+L) at x = E
