@@ -58,15 +58,16 @@ executions ahead on an attached `BatchSession`, which holds each value
 as uint64 share arrays (one entry per execution), as a
 `BlockScheduler` decides: n at once in `Session.run`, one per call in
 `Session.offline`.  A block reads the party tapes execution by execution
-(no draw rejects, so each reads the same words) and keeps the executions
-before its first range fault, so opened values, ledgers and party words
-are the sequential path's.
+(no draw rejects, so each reads the same words) and is committed whole,
+so opened values, ledgers and party words are the sequential path's; a
+range fault in a block raises `ContractViolation` at once and commits
+none of it.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (the next joint
 word, or the next k in one read, dealer masks, Beaver triples of five
 dealer residues each, and the dealer material of one perturbation drawn
-ahead of it), what a range fault does, and how a sum of shares lifts to
-the balanced range.
+ahead of it), how a range check finds the first fault, and how a sum of
+shares lifts to the balanced range.
 
 Dealer material can be drawn ahead of the gadget that uses it: `pi_ge`
 takes its resharing mask and `mul`/`mux` their triple as arguments, and
@@ -192,7 +193,7 @@ class _CommonOps:
     so one mask reduces every operation, and uint64 arithmetic, which
     wraps mod 2^64, reduces consistently.  A substrate supplies its
     randomness (`joint_word`, `_joint_words`, `_reshare`, `_triple`) and its
-    policy for range faults (`_check`).
+    range check (`_check`).
     """
 
     def __init__(self, fieldcfg: FieldConfig, record_transcript: bool = False):
@@ -439,7 +440,7 @@ class Session(_CommonOps):
         # (key, its BlockScheduler, party words read after the last call)
         self._offline: tuple = (None, None, None)
 
-    def _scheduler(self, program, words: int, step, cap: int, **kw) -> BlockScheduler:
+    def _scheduler(self, program, words: int, step, cap: int) -> BlockScheduler:
         """A BlockScheduler of `program` on the attached BatchSession, which
         is built at the first block."""
 
@@ -448,7 +449,7 @@ class Session(_CommonOps):
                 self._batch = BatchSession(self)
             return self._batch._evaluate(program, words, size)
 
-        return BlockScheduler(evaluate, step, cap, **kw)
+        return BlockScheduler(evaluate, step, cap)
 
     # -- randomness --------------------------------------------------------
 
@@ -521,8 +522,9 @@ class Session(_CommonOps):
             return np.array([program(self) for _ in range(n)], dtype=np.int64)
 
         def per_execution(b: BatchSession) -> np.ndarray:
-            # a value common to every execution of the block is one int
-            return np.broadcast_to(program(b), b._faults.shape)
+            # a value common to every execution of the block is one int;
+            # the block's rows hold one column per execution
+            return np.broadcast_to(program(b), b._rows.shape[1:])
 
         blocks = self._scheduler(per_execution, words, lambda: program(self), tape_module.BATCH_BLOCK)
         self._running = True
@@ -545,7 +547,8 @@ class BatchSession(_CommonOps):
     uint64 arrays, one entry per execution, on the session's party tapes,
     dealer and ledger.  `_evaluate` runs a program over the next
     executions without consuming their words, laid out execution by
-    execution (`peek_block`), and `_commit` consumes the ones kept.
+    execution (`peek_block`), and `_commit` consumes them as they are
+    handed out.
 
     Masks and Beaver triples are drawn from the session's dealer as the
     gadgets need them, each call's residues in one array; opened values
@@ -562,19 +565,17 @@ class BatchSession(_CommonOps):
         self.dealer, self.ledger = session.dealer, session.ledger
         self._rows: np.ndarray | None = None  # joint word j of each execution in row j
         self._col = 0
-        self._faults = np.zeros(0, dtype=bool)
 
     # -- blocks ------------------------------------------------------------
 
     def _evaluate(self, program, words: int, size: int):
         """`program` over the next `size` executions, without consuming
-        their words: (kept, values, commit).  The `kept` executions before
-        the first that meets a range fault are the sequential loop's, and
-        `commit(k)` consumes the first k."""
+        their words: (values, commit), the sequential loop's values, and
+        `commit(k)` consumes the first k.  A range fault raises
+        ContractViolation here, before anything of the block is consumed."""
         joint = self.tape0.peek_block(size * words) ^ self.tape1.peek_block(size * words)
         self._rows = joint.reshape(size, words).T.copy()
         self._col = 0
-        self._faults = np.zeros(size, dtype=bool)
         # gadgets charge self.ledger: one execution's cost, while in the block
         total, unit = self.ledger, CostLedger()
         self.ledger = unit
@@ -584,23 +585,18 @@ class BatchSession(_CommonOps):
             self.ledger, self._rows = total, None
         if self._col != words:
             raise RuntimeError(f"an execution drew {self._col} joint words, planned {words}")
-        kept = int(np.argmax(self._faults)) if self._faults.any() else size
-        return kept, values, partial(self._commit, words, unit)
+        return values, partial(self._commit, words, unit)
 
-    def _commit(self, words: int, unit: CostLedger, kept: int) -> None:
-        """Consume the words of the first `kept` executions of a block, each
-        of `words` joint words and one `unit` ledger."""
-        self.tape0.skip(kept * words)
-        self.tape1.skip(kept * words)
-        self.ledger.add(unit, kept)
+    def _commit(self, words: int, unit: CostLedger, k: int) -> None:
+        """Consume the words of the first k executions of a block, each of
+        `words` joint words and one `unit` ledger."""
+        self.tape0.skip(k * words)
+        self.tape1.skip(k * words)
+        self.ledger.add(unit, k)
 
     def _check(self, bad: np.ndarray, values: np.ndarray, message: str) -> None:
-        """ContractViolation for the first flagged execution outside a
-        block; inside one, the flagged executions are marked, so the block
-        ends before the first, which the session then runs and fails on."""
-        if self._rows is not None:
-            self._faults |= bad
-            return
+        """ContractViolation at once for the first flagged execution; inside
+        a block, `_evaluate` then commits nothing of it."""
         bad = np.ravel(bad)
         if bad.any():
             i = int(np.argmax(bad))

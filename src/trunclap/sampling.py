@@ -344,7 +344,7 @@ def sample_batch(mech: Mechanism, x: float, params: MechanismParams, n: int, see
     def evaluate(size: int):
         rows = tape.peek_block(size * words).reshape(size, words).T
         branch, a, b = _noise_steps(plan, rows, rows[1].view(np.int64))
-        return size, _perturb_steps(plan, xs, branch, a, b), commit
+        return _perturb_steps(plan, xs, branch, a, b), commit
 
     blocks = BlockScheduler(evaluate, lambda: _sample_steps(plan, xs, tape), tape_module.BATCH_BLOCK)
     return blocks.take(n) * params.step

@@ -20,9 +20,8 @@ generator past the buffered words, so they never mix with a word read.
 
 Blocks of executions evaluated ahead on peeked words (`sample_batch`,
 and a `Session`'s runs and offline pairs) are scheduled by one policy,
-`BlockScheduler`: when a block runs, how large it is, and the sequential
-execution of what a block could not keep (the execution a range fault
-stopped it at).
+`BlockScheduler`: when a block runs and how large it is.  A block is
+committed whole; one that meets a range fault raises before any of it is.
 """
 
 from __future__ import annotations
@@ -274,46 +273,40 @@ class BlockScheduler:
     and `Session.offline`.
 
     `evaluate(size)` evaluates the next `size` executions without
-    consuming anything and returns (kept, values, commit): how many come
-    before the first that meets a range fault (all of them, unless one
-    does), their values, and a callable that consumes the first k of them,
-    which the scheduler calls as it hands them out.  `step()` runs the next
-    execution on the sequential path; the execution a block stopped at
-    runs there, and raises as the loop does.
+    consuming anything and returns (values, commit): their values and a
+    callable that consumes the first k of them, which the scheduler calls
+    as it hands them out.  A block that meets a range fault raises in
+    `evaluate`, so none of it is consumed.  `step()` runs the next
+    execution on the sequential path.
 
-    `take(n)` runs blocks of min(left, cap) and loops once fewer than
-    BATCH_MIN_SESSIONS are left.  `take_one()` runs sequentially until
-    BATCH_MIN_SESSIONS executions were taken, then blocks of
-    min(taken, cap), so a block never outgrows the run that asked for it.
+    `take(n)` runs blocks of min(left, cap), each committed whole, and
+    loops once fewer than BATCH_MIN_SESSIONS are left.  `take_one()` runs
+    sequentially until BATCH_MIN_SESSIONS executions were taken, then
+    blocks of min(taken, cap), so a block never outgrows the run that
+    asked for it.
     """
 
     def __init__(self, evaluate, step, cap: int):
         self._evaluate, self._step = evaluate, step
         self.cap = cap
         self.run = 0  # executions taken by `take_one`
-        self._kept = ()  # values of `take_one`'s block; _at is the next
+        self._values = ()  # values of `take_one`'s block; _at is the next
         self._at = 0
         self._commit = None  # consumes executions of that block
-        self._stopped = False  # the next execution is the one it stopped at
 
     def take(self, n: int) -> np.ndarray:
         """The values of the next n executions, as int64; a block never
         reaches past them."""
         out = np.empty(n, dtype=np.int64)
         done = 0
-        while done < n:
+        while n - done >= BATCH_MIN_SESSIONS:
             size = min(n - done, self.cap)
-            if size >= BATCH_MIN_SESSIONS:
-                kept, values, commit = self._evaluate(size)
-                commit(kept)
-                out[done : done + kept] = values[:kept]
-                done += kept
-                if kept == size:
-                    continue
-                size = 1  # the execution the block stopped at
-            for i in range(done, done + size):  # or the rest of a short call
-                out[i] = self._step()
+            values, commit = self._evaluate(size)
+            commit(size)
+            out[done : done + size] = values
             done += size
+        for i in range(done, n):  # the rest of a short call
+            out[i] = self._step()
         return out
 
     def take_one(self):
@@ -321,15 +314,12 @@ class BlockScheduler:
         the rest of it is handed out by the next calls."""
         at, run = self._at, self.run
         self.run = run + 1
-        if at == len(self._kept):
+        if at == len(self._values):
             size = min(run, self.cap)
-            stopped, self._stopped = self._stopped, False
-            if not stopped and size >= BATCH_MIN_SESSIONS:
-                kept, values, self._commit = self._evaluate(size)
-                self._kept, self._at, self._stopped = values[:kept], 0, 0 < kept < size
-                at = 0
-            if at == len(self._kept):  # a short run, or a block stopped here
+            if size < BATCH_MIN_SESSIONS:  # a short run
                 return self._step()
+            self._values, self._commit = self._evaluate(size)
+            at = 0
         self._commit(1)
         self._at = at + 1
-        return self._kept[at]
+        return self._values[at]

@@ -36,11 +36,14 @@ SETS = {
     "small": MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0),
     "wide": MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2),
     "E3": MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0),
+    # last, so the cases above keep their index, seeds and x: a segmented
+    # inner draw (2^p * L = 3 steps) and a tail that is not a power of two
+    "E3L3": MechanismParams(E=3.0, L=3.0, sigma=1.0, p=0),
 }
 SIZES = (1, 5, 300)
 
-OUTPUTS_DIGEST = "f2c6f39b4bafb64c43a84cd031b7f6026b835b924c7ee429141e18fff7e6a56e"
-DEALER_DIGEST = "07a619dd54e88a2a616fc42ae4f35216b4ea8a010724c8547483c3b3723e123f"
+OUTPUTS_DIGEST = "bd53af95a487303cda15d05d53e28d27a8114d7974b324f18b2a0dd03fe0f5d5"
+DEALER_DIGEST = "5d392262f1492e520cdfc1fd85b66273f118f10ed5e61f50eb21d257f34cf7f8"
 
 
 def _outputs(session, mech, params, n, x) -> dict:

@@ -27,7 +27,7 @@ from trunclap.mpc.core import (
 )
 from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import centered_dlap_config
-from trunclap.tape import RandomTape, _magnitude
+from trunclap.tape import BATCH_BLOCK, BATCH_MIN_SESSIONS, RandomTape, _magnitude
 
 
 # q = 2^9, safe magnitude 2^7
@@ -289,22 +289,25 @@ class TestMux:
         assert (led, seen) == (want_led, want_seen)
         assert np.array_equal(s.peek(got), np.arange(6) + 100 * bit)
 
-    def test_non_bit_selector_marks_the_execution_in_a_block(self):
-        # inside a block a non-bit selector raises nothing: it ends the block
-        # before the first execution it reaches, which the session then runs
-        # and fails on
+    def test_non_bit_selector_in_a_block_raises(self):
+        # a block raises at once, with the loop's message (the first
+        # execution's selector), and commits nothing
         def program(b):
             sel = b.pi_uni(4)
             b.mux(sel, b.share_public(0), b.share_public(1))
             return b.peek(sel)
 
         batch = BatchSession(Session(SMALL, 1, 2))
-        kept, sels, _ = batch._evaluate(program, 1, 64)
-        bad = (sels != 0) & (sels != 1)
-        assert bad.any() and np.array_equal(batch._faults, bad)
-        assert kept == int(np.argmax(bad))
-        with pytest.raises(ContractViolation, match="mux selector"):
-            Session(SMALL, 1, 2).run(program, 64, 1)
+        with pytest.raises(ContractViolation, match="mux selector [23] "):
+            batch._evaluate(program, 1, 64)
+        assert batch.tape0.words_consumed == batch.tape1.words_consumed == 0
+
+        def outcome(session):
+            with pytest.raises(ContractViolation, match="mux selector") as exc:
+                session.run(program, 64, 1)
+            return str(exc.value)
+
+        assert outcome(Session(SMALL, 1, 2)) == outcome(Session(SMALL, 1, 2, record_transcript=True))
 
 
 class TestCostLedger:
@@ -884,6 +887,30 @@ class TestBatchSession:
         raised = sum(isinstance(seq, str) for seq, _ in outcomes)
         assert 0 < raised < len(outcomes)
 
+    # a range check on a value that faults in about half of the executions
+    FAULTS = {
+        "pi_ge input": lambda s, v: s.pi_ge(v),
+        "trunc input": lambda s, v: s.trunc_pow2(v, 1),
+        "mux selector": lambda s, v: s.mux(v, s.share_public(0), s.share_public(1)),
+    }
+
+    @pytest.mark.parametrize("n", [BATCH_MIN_SESSIONS, 40, BATCH_BLOCK])
+    @pytest.mark.parametrize("check", sorted(FAULTS))
+    def test_a_faulting_block_commits_nothing(self, check, n):
+        # every range check runs on a block, and a block that faults raises
+        # ContractViolation before any of it is committed: no party word is
+        # consumed and no cost is charged
+        def program(s):
+            fault = s.pi_bersample(0.5)
+            self.FAULTS[check](s, s.mul(fault, s.share_public(s.safe_magnitude + 1)))
+            return s.open(fault)
+
+        s = Session(FieldConfig(e=20, p=2), 3, 4)
+        with pytest.raises(ContractViolation, match=check):
+            s.run(program, n, 1)
+        assert s.tape0.words_consumed == s.tape1.words_consumed == 0
+        assert s.ledger == CostLedger()
+
     @pytest.mark.parametrize("record", [True, False], ids=["sequential", "blocks"])
     def test_negative_n_is_refused(self, record):
         s = Session(SMALL, 1, 2, record_transcript=record)
@@ -933,21 +960,29 @@ class TestOfflinePool:
         )
 
     def outcomes(self, s, n):
+        """The values of up to n calls, ending at the first error's message,
+        and the party words read by then."""
         out = []
         for _ in range(n):
             try:
                 out.append(tuple(self.draw(s)))
             except ContractViolation as exc:
                 out.append(str(exc))
-        return out, s.ledger.as_dict(), s.tape0.words_consumed, s.tape1.words_consumed
+                break
+        return out, s.tape0.words_consumed, s.tape1.words_consumed
 
     def test_faults_match_the_sequential_path(self):
+        # the call that evaluates a faulting block raises the loop's first
+        # error, at or before the loop's faulting call; the calls before it
+        # hand out the loop's values, and the block commits nothing
         sizes = []
         for seed in range(3):
-            want = self.outcomes(Session(self.CFG, seed, seed + 9, record_transcript=True), 600)
+            want, words, _ = self.outcomes(Session(self.CFG, seed, seed + 9, record_transcript=True), 600)
             with peeks(sizes):
-                got = self.outcomes(Session(self.CFG, seed, seed + 9), 600)
-            assert got == want
-            assert any(isinstance(o, str) for o in want[0])  # faults were met
-            assert want[2] == 6 * 600  # a faulting execution read its words too
+                got, words0, words1 = self.outcomes(Session(self.CFG, seed, seed + 9), 600)
+            assert isinstance(want[-1], str)  # a fault was met
+            assert words == 6 * len(want)  # the faulting execution read its words too
+            assert got[-1] == want[-1] and len(got) <= len(want)
+            assert got[:-1] == want[: len(got) - 1]
+            assert words0 == words1 == 6 * (len(got) - 1)
         assert sizes  # blocks were evaluated

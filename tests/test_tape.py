@@ -198,8 +198,10 @@ class ToyProgram:
     otherwise giving the value.
 
     `step` runs the next execution sequentially, `evaluate` a block of them
-    without consuming words, and `commit` consumes what a block kept;
-    `pos` is the words consumed.  `sizes` logs every block evaluated.
+    without consuming words (raising at once, as the loop would at the
+    block's first fault, if it holds one), and `commit` consumes the first
+    k of a block; `pos` is the words consumed.  `sizes` logs every block
+    evaluated.
     """
 
     def __init__(self, seed: int, fault_every: int = 0):
@@ -221,9 +223,10 @@ class ToyProgram:
     def evaluate(self, size: int):
         self.sizes.append(size)
         w = np.array(self.words[self.pos : self.pos + size], dtype=np.uint64)
-        stop = self._hits(w)
-        kept = int(np.argmax(stop)) if stop.any() else size
-        return kept, (w % 1000).astype(np.int64), self.commit
+        hits = self._hits(w)
+        if hits.any():
+            raise ToyFault(f"fault at word {self.pos + int(np.argmax(hits)) + 1}")
+        return (w % 1000).astype(np.int64), self.commit
 
     def commit(self, k: int) -> None:
         self.pos += k
@@ -243,9 +246,22 @@ def sequential(program: ToyProgram, n: int):
     return values, program.pos, None
 
 
+def raised_at(sizes: list, pos: int) -> int:
+    """The words a scheduler consumed before raising for the fault at word
+    `pos` (1-based): the start of the block that holds it, which commits
+    nothing, or `pos` when the loop ran it."""
+    start = 0
+    for size in sizes:
+        if pos <= start + size:
+            return start
+        start += size
+    return pos
+
+
 class TestBlockScheduler:
     """The one block policy, driven by a toy program with rare faults,
-    against the sequential loop."""
+    against the sequential loop: equal values, and on a fault the same
+    error, raised by a block before any of it is consumed."""
 
     CAP = 16
 
@@ -257,25 +273,34 @@ class TestBlockScheduler:
         try:
             got = (toy.scheduler(self.CAP).take(n).tolist(), toy.pos, None)
         except ToyFault as exc:
-            # a take that raises returns nothing: compare where and how
-            got = (want[0], toy.pos, str(exc))
+            # a take that raises returns nothing, and a block that raises
+            # consumes none of its words: compare how, and where it stopped
+            assert toy.pos == raised_at(toy.sizes, want[1])
+            got = (want[0], want[1], str(exc))
         assert got == want
         # a call's first block holds min(n, cap); shorter calls loop
         assert toy.sizes[:1] == ([min(n, self.CAP)] if n >= BATCH_MIN_SESSIONS else [])
-        if want[2] is None:  # blocks of min(left, cap), then the loop below BATCH_MIN_SESSIONS
-            whole, rest = divmod(n, self.CAP)
-            assert toy.sizes == [self.CAP] * whole + [rest] * (rest >= BATCH_MIN_SESSIONS)
+        # blocks of min(left, cap), then the loop below BATCH_MIN_SESSIONS;
+        # a take that raises stops at its faulting block
+        whole, rest = divmod(n, self.CAP)
+        blocks = [self.CAP] * whole + [rest] * (rest >= BATCH_MIN_SESSIONS)
+        assert toy.sizes == (blocks if want[2] is None else blocks[: len(toy.sizes)])
 
-    def test_eager_takes_raise_where_the_loop_does(self):
-        raised = 0
+    def test_eager_takes_raise_as_the_loop_does(self):
+        raised = in_block = 0
         for seed in range(40):
             want = sequential(ToyProgram(seed, fault_every=29), 3 * self.CAP + 5)
             toy = ToyProgram(seed, fault_every=29)
             with pytest.raises(ToyFault) if want[2] else contextlib.nullcontext() as exc:
                 toy.scheduler(self.CAP).take(3 * self.CAP + 5)
-            assert (toy.pos, exc and str(exc.value)) == (want[1], want[2])
-            raised += want[2] is not None
-        assert 0 < raised < 40
+            if want[2] is None:
+                assert toy.pos == want[1]
+                continue
+            assert str(exc.value) == want[2]
+            assert toy.pos == raised_at(toy.sizes, want[1])
+            raised += 1
+            in_block += toy.pos < want[1]
+        assert 0 < in_block <= raised < 40
 
     @pytest.mark.parametrize("seed", range(6))
     def test_one_at_a_time_with_outside_reads(self, seed):
@@ -286,15 +311,12 @@ class TestBlockScheduler:
             for k in range(900):
                 if k % 150 == 149:
                     toy.pos += 3  # an outside read
-                try:
-                    out.append(take(last))
-                except ToyFault as exc:
-                    out.append(str(exc))
+                out.append(take(last))
                 last = toy.pos
             return out, toy.pos
 
-        ref = ToyProgram(seed, fault_every=211)
-        toy = ToyProgram(seed, fault_every=211)
+        ref = ToyProgram(seed)
+        toy = ToyProgram(seed)
         blocks = []
 
         def pooled(last):
@@ -302,12 +324,30 @@ class TestBlockScheduler:
                 blocks.append(toy.scheduler(self.CAP))
             return blocks[-1].take_one()
 
-        want = outcomes(ref, lambda last: ref.step())
-        assert outcomes(toy, pooled) == want
-        assert any(isinstance(o, str) for o in want[0])
+        assert outcomes(toy, pooled) == outcomes(ref, lambda last: ref.step())
         assert toy.sizes and max(toy.sizes) <= self.CAP
         assert len(blocks) > 6  # the outside reads
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_at_a_time_raises_as_the_loop_does(self, seed):
+        # the call that evaluates a faulting block raises the loop's first
+        # error, at or before the loop's faulting call, and consumes nothing
+        # of the block
+        def outcomes(take):
+            for k in range(900):
+                try:
+                    take()
+                except ToyFault as exc:
+                    return k, str(exc)
+            return None
+
+        ref, toy = ToyProgram(seed, fault_every=211), ToyProgram(seed, fault_every=211)
+        want = outcomes(ref.step)
+        got = outcomes(toy.scheduler(self.CAP).take_one)
+        assert want is not None  # a fault was met
+        assert got[1] == want[1] and got[0] <= want[0]
+        assert toy.sizes  # it raised in a block
+        assert toy.pos == got[0]  # one word a call before it, none of the block
     def test_first_blocks_of_one_at_a_time_takes(self):
         # BATCH_MIN_SESSIONS sequential executions, then blocks as long as
         # the run, up to the cap
