@@ -248,15 +248,26 @@ class _CommonOps:
     def mul(self, a: SharedValue, b: SharedValue, triple=None) -> SharedValue:
         """Beaver multiplication: one triple of five dealer residues, one
         round, four elements.  `triple` is one drawn ahead
-        (`perturbation_material`); without it the dealer draws one now."""
+        (`perturbation_material`); without it the dealer draws one now.
+
+        Each party sends its shares of d = a - ta and e = b - tb.  The
+        simulator holds both shares, so it reconstructs a and b once.
+        Party 0's share is d(e + tb0) + e·ta0 + tc0.  Party 1's is a·b less
+        it, the residue of its protocol share d(tb - tb0) + e(ta - ta0) +
+        ta·tb - tc0, since the two sum to (d + ta)(e + tb) = a·b."""
         m = self._m
         a0, a1 = a
         b0, b1 = b
+        a, b = a0 + a1, b0 + b1
+        # a sum of two common shares is a Python int, which can pass 2^64:
+        # reduced, it meets a uint64 row
+        if type(a) is int:
+            a &= m
+        if type(b) is int:
+            b &= m
         ta, tb, ta0, tb0, tc0 = self._triple(a, b) if triple is None else triple
-        # each party sends its shares of d = a - ta and e = b - tb (a common
-        # share meets the triple first: the sum of two could pass a uint64)
-        d = (a0 - ta + a1) & m
-        e = (b0 - tb + b1) & m
+        d = (a - ta) & m
+        e = (b - tb) & m
         led = self.ledger
         led.multiplications += 1
         led.rounds += MUL_ROUNDS
@@ -264,9 +275,8 @@ class _CommonOps:
         if self.record_transcript:
             self._recv(0, (a1 - ta + ta0) & m, (b1 - tb + tb0) & m)
             self._recv(1, (a0 - ta0) & m, (b0 - tb0) & m)
-        s0 = (d * tb0 + e * ta0 + d * e + tc0) & m
-        s1 = (d * (tb - tb0) + e * (ta - ta0) + ta * tb - tc0) & m
-        return (s0, s1)
+        s0 = (d * (e + tb0) + e * ta0 + tc0) & m
+        return (s0, (a * b - s0) & m)
 
     def share_public(self, v) -> SharedValue:
         """Zero-cost sharing of a publicly known constant."""
@@ -336,13 +346,43 @@ class _CommonOps:
         led.elements_exchanged += k * MUL_ELEMENTS
 
     def mux(self, i: SharedValue, a: SharedValue, b: SharedValue, triple=None) -> SharedValue:
-        """[a] + [i]*([b] - [a]): a when i=0, b when i=1; one multiplication
-        (on `triple`, as `mul`)."""
-        sel = self.peek(i)
-        self._check((sel != 0) & (sel != 1), sel, "mux selector {} is not a shared bit")
+        """[a] + [i]*([b] - [a]): a when i=0, b when i=1, for a selector that
+        opens to 0 or 1; one multiplication (on `triple`, as `mul`).
+
+        Its Beaver step runs here, on the reconstructions i and c = b - a.
+        With d = i - ta, e = c - tb and t0 = d(e + tb0) + e·ta0 + tc0, party
+        0's share of i·c, the result is (t0 + a0, i·c - t0 + a1): residue
+        for residue, `mul(i, b - a)` plus a."""
         m = self._m
-        d0, d1 = self.mul(i, ((b[0] - a[0]) & m, (b[1] - a[1]) & m), triple)
-        return ((a[0] + d0) & m, (a[1] + d1) & m)
+        i0, i1 = i
+        a0, a1 = a
+        b0, b1 = b
+        # sums of common shares are Python ints of any size (as in `mul`)
+        sel = i0 + i1
+        if type(sel) is int:
+            sel &= m
+        self._check(sel & m > 1, sel, "mux selector {} is not a shared bit")
+        a, b = a0 + a1, b0 + b1
+        if type(a) is int:
+            a &= m
+        if type(b) is int:
+            b &= m
+        c = b - a
+        if type(c) is int:
+            c &= m
+        ta, tb, ta0, tb0, tc0 = self._triple(sel, c) if triple is None else triple
+        led = self.ledger
+        led.multiplications += 1
+        led.rounds += MUL_ROUNDS
+        led.elements_exchanged += MUL_ELEMENTS
+        if self.record_transcript:
+            # what `mul(i, b - a)` records, on the shares b0 - a0, b1 - a1
+            self._recv(0, (i1 - ta + ta0) & m, (b1 - a1 - tb + tb0) & m)
+            self._recv(1, (i0 - ta0) & m, (b0 - a0 - tb0) & m)
+        d = (sel - ta) & m
+        e = (c - tb) & m
+        t0 = d * (e + tb0) + e * ta0 + tc0
+        return ((t0 + a0) & m, (sel * c - t0 + a1) & m)
 
     def pi_uni(self, m: int) -> SharedValue:
         """Shared uniform draw over {0, ..., m-1}, on m's `segment_plan`:
@@ -371,18 +411,20 @@ class _CommonOps:
         """Shared sign test: [1] if the balanced value is >= 0, else [0].
 
         The value must stay within the configured safe magnitude so the
-        balanced lift is unambiguous.  `mask` is the resharing mask, drawn
-        ahead (`perturbation_material`); without it the dealer draws one now.
+        balanced lift is unambiguous.  Both tests run on the residue u in
+        [0, q): |lift(u)| > safe is (u + safe) mod q > 2·safe, and
+        lift(u) >= 0 is u < q/2.  `mask` is the resharing mask, drawn ahead
+        (`perturbation_material`); without it the dealer draws one now.
         """
-        val = self.peek(sv)
-        self._check(
-            abs(val) > self.safe_magnitude, val, "pi_ge input {} outside safe range +/-{safe}"
-        )
+        m = self._m
+        u = (sv[0] + sv[1]) & m
+        safe = self.safe_magnitude
+        self._check((u + safe) & m > 2 * safe, u, "pi_ge input {} outside safe range +/-{safe}")
         led = self.ledger
         led.comparisons += 1
         led.rounds += CMP_ROUNDS
         led.elements_exchanged += CMP_ELEMENTS
-        return self._reshare(val >= 0, mask)
+        return self._reshare(u < self._half, mask)
 
     def trunc_pow2(self, sv: SharedValue, gamma: int) -> SharedValue:
         """Shared floor division by 2^gamma (drop the low gamma bits)."""
@@ -468,7 +510,7 @@ class Session(_CommonOps):
         read, the words k `joint_word` calls take."""
         return [w0 ^ w1 for w0, w1 in zip(self.tape0.words(k), self.tape1.words(k))]
 
-    def _triple(self, a: SharedValue, b: SharedValue) -> tuple:
+    def _triple(self, a: int, b: int) -> list[int]:
         return self.triples.take()
 
     def perturbation_material(self, payload: SharedValue) -> tuple:
@@ -506,9 +548,10 @@ class Session(_CommonOps):
     # -- faults ------------------------------------------------------------
 
     def _check(self, bad: bool, value: int, message: str) -> None:
-        """ContractViolation at once if `bad`."""
+        """ContractViolation at once if `bad`, reporting the balanced lift of
+        `value` (any representative of the ring element)."""
         if bad:
-            raise ContractViolation(message.format(value, safe=self.safe_magnitude))
+            raise ContractViolation(message.format(self._lift(value), safe=self.safe_magnitude))
 
     def run(self, program: Callable[["Session"], int], n: int, words: int) -> np.ndarray:
         """The opened results of n executions of `program` in sequence, as
@@ -572,10 +615,15 @@ class BatchSession(_CommonOps):
         """`program` over the next `size` executions, without consuming
         their words: (values, commit), the sequential loop's values, and
         `commit(k)` consumes the first k.  A range fault raises
-        ContractViolation here, before anything of the block is consumed."""
-        joint = self.tape0.peek_block(size * words) ^ self.tape1.peek_block(size * words)
-        self._rows = joint.reshape(size, words).T.copy()
-        self._col = 0
+        ContractViolation here, before anything of the block is consumed.
+        The two party tapes' words, laid out execution by execution, XOR
+        straight into the block's (words, size) rows: joint word j of every
+        execution is row j."""
+        n = size * words
+        rows = np.empty((words, size), dtype=np.uint64)
+        np.bitwise_xor(self.tape0.peek_block(n).reshape(size, words).T,
+                       self.tape1.peek_block(n).reshape(size, words).T, out=rows)
+        self._rows, self._col = rows, 0
         # gadgets charge self.ledger: one execution's cost, while in the block
         total, unit = self.ledger, CostLedger()
         self.ledger = unit
@@ -595,13 +643,14 @@ class BatchSession(_CommonOps):
         self.ledger.add(unit, k)
 
     def _check(self, bad: np.ndarray, values: np.ndarray, message: str) -> None:
-        """ContractViolation at once for the first flagged execution; inside
-        a block, `_evaluate` then commits nothing of it."""
-        bad = np.ravel(bad)
-        if bad.any():
-            i = int(np.argmax(bad))
+        """ContractViolation at once for the first flagged execution,
+        reporting the balanced lift of its value; inside a block,
+        `_evaluate` then commits nothing of it.  `bad` is a bool array, or a
+        bool for a common value."""
+        if bad if type(bad) is bool else bad.any():
+            i = int(np.argmax(np.ravel(bad)))
             raise ContractViolation(
-                message.format(int(np.ravel(values)[i]), safe=self.safe_magnitude)
+                message.format(self.field.lift(int(np.ravel(values)[i])), safe=self.safe_magnitude)
             )
 
     def _lift(self, v) -> np.ndarray:
@@ -632,18 +681,20 @@ class BatchSession(_CommonOps):
     def _reshare(self, value, mask: np.ndarray | None = None) -> SharedValue:
         """Fresh additive sharing of one value per execution (or one common),
         on `mask` or on masks drawn now."""
-        value = np.asarray(value).astype(np.uint64, copy=False)
+        value = np.asarray(value)
+        if value.dtype.kind != "b":  # a bool meets the uint64 mask uncast
+            value = value.astype(np.uint64, copy=False)
         r = self._masks(value.shape) if mask is None else mask
         masked = (value - r) & self._m
         if masked.ndim == 0:  # a common value: plain ints, usable by Session too
             return (int(masked), int(r))
         return (masked, r)
 
-    def _triple(self, a: SharedValue, b: SharedValue):
-        """A fresh triple per execution: five dealer residue rows (five ints
-        for a product of common values, which numpy scalars would not wrap
-        silently)."""
-        shape = np.broadcast(*a, *b).shape
+    def _triple(self, a, b):
+        """A fresh triple per execution of the product of the values a and b:
+        five dealer residue rows (five ints for a product of common values,
+        which numpy scalars would not wrap silently)."""
+        shape = np.broadcast(a, b).shape
         rows = self._masks((5,) + shape)
         return rows if shape else rows.tolist()
 

@@ -234,8 +234,8 @@ class ReferenceTape:
 
 def mux_composition(s, i, a, b, triple=None):
     """The mux as it was composed of wire calls, [a] + [i]*([b] - [a]): the
-    oracle for `mux`, which computes the same shares in place around its
-    one `mul` (and checks its selector first)."""
+    oracle for `mux`, which runs the same Beaver step inline on the
+    reconstructions (and checks its selector first)."""
     return s.add(a, s.mul(i, s.sub(b, a), triple))
 
 

@@ -121,27 +121,43 @@ class TestWires:
             assert zj == (z[0][j], z[1][j])
 
     @pytest.mark.parametrize("k", [5, 31, 32, 63, 64])
-    def test_wires_at_the_ring_edges(self, k, monkeypatch):
+    def test_wires_at_the_ring_edges(self, k):
         # q = 2^k: every share and triple residue at 0 or q-1, the extremes
         # of each product and sum, which a uint64 wraps mod 2^64
         cfg = FieldConfig(e=k - 1, p=0)
         q, h = cfg.q, cfg.half
         assert q == 2**k
-        ends = np.array([0, q - 1], dtype=np.uint64)
-        grid = np.array(np.meshgrid(*[ends] * 9, indexing="ij"))
-        shares, triples = grid.reshape(9, -1)[:4], grid.reshape(9, -1)[4:]
-        batch = BatchSession(Session(cfg, 1, 2))
-        monkeypatch.setattr(batch, "_triple", lambda *_: triples)
-        z = batch.mul(tuple(shares[:2]), tuple(shares[2:]))
-        opened = batch.peek(z)
+        ends = [(0, 0), (0, q - 1), (q - 1, 0), (q - 1, q - 1)]
+        # a selector's shares at the ends, summing to 0 or 1 mod q
+        bits = [(0, 0), (0, 1), (q - 1, 1), (q - 1, 2), (2, q - 1)]
+        triples = list(itertools.product([0, q - 1], repeat=5))
         s = Session(cfg, 1, 2)
-        for j in range(shares.shape[1]):
-            monkeypatch.setattr(s, "_triple", lambda *_: tuple(int(t) for t in triples[:, j]))
-            a0, a1, b0, b1 = (int(v) for v in shares[:, j])
-            zj = s.mul((a0, a1), (b0, b1))
-            assert zj == (int(z[0][j]), int(z[1][j]))
-            assert all(0 <= v < q for v in zj)
-            assert s.peek(zj) == opened[j] == cfg.lift((a0 + a1) * (b0 + b1))
+        for gadget, operands, want in (
+            ("mul", [ends, ends], lambda a, b: a * b),
+            ("mux", [bits, ends, ends], lambda i, a, b: a + i % q * (b - a)),
+        ):
+            executions = list(itertools.product(*operands, triples))
+            # each operand is a row (one entry per execution) or common to a
+            # call (a pair of ints, whose sum can pass 2^64)
+            for rows in itertools.product((False, True), repeat=len(operands)):
+                calls = {}
+                for ex in executions:
+                    calls.setdefault(tuple(v for v, row in zip(ex, rows) if not row), []).append(ex)
+                for call in calls.values():
+                    batch = BatchSession(Session(cfg, 1, 2))
+                    if any(rows):
+                        cols = list(zip(*call))
+                        args = [tuple(np.array(side, dtype=np.uint64) for side in zip(*col))
+                                if row else col[0] for col, row in zip(cols, rows)]
+                        z = getattr(batch, gadget)(*args, np.array(cols[-1], dtype=np.uint64).T)
+                        got = [(int(z[0][j]), int(z[1][j])) for j in range(len(call))]
+                    else:
+                        got = [getattr(batch, gadget)(*ex) for ex in call]
+                        assert all(type(v) is int for z in got for v in z)
+                    for ex, z in zip(call, got):
+                        assert getattr(s, gadget)(*ex) == z
+                        assert all(0 <= v < q for v in z)
+                        assert s.peek(z) == cfg.lift(want(*(sum(v) for v in ex[:-1])))
         # share and open at the ends of the balanced range [-q/2, q/2)
         edges = [0, 1, h - 1, h, q - 1]
         lifted = [cfg.lift(v) for v in edges]
@@ -291,23 +307,26 @@ class TestMux:
 
     def test_non_bit_selector_in_a_block_raises(self):
         # a block raises at once, with the loop's message (the first
-        # execution's selector), and commits nothing
-        def program(b):
-            sel = b.pi_uni(4)
-            b.mux(sel, b.share_public(0), b.share_public(1))
-            return b.peek(sel)
+        # execution's selector, balanced: -1 for the residue q - 1), and
+        # commits nothing
+        for sign, faults in ((1, "[23]"), (-1, "-[123]")):
+            def program(b):
+                sel = b.affine(b.pi_uni(4), sign, 0)
+                b.mux(sel, b.share_public(0), b.share_public(1))
+                return b.peek(sel)
 
-        batch = BatchSession(Session(SMALL, 1, 2))
-        with pytest.raises(ContractViolation, match="mux selector [23] "):
-            batch._evaluate(program, 1, 64)
-        assert batch.tape0.words_consumed == batch.tape1.words_consumed == 0
+            batch = BatchSession(Session(SMALL, 1, 2))
+            with pytest.raises(ContractViolation, match=f"mux selector {faults} is not"):
+                batch._evaluate(program, 1, 64)
+            assert batch.tape0.words_consumed == batch.tape1.words_consumed == 0
 
-        def outcome(session):
-            with pytest.raises(ContractViolation, match="mux selector") as exc:
-                session.run(program, 64, 1)
-            return str(exc.value)
+            def outcome(session):
+                with pytest.raises(ContractViolation, match=f"mux selector {faults} is not") as exc:
+                    session.run(program, 64, 1)
+                return str(exc.value)
 
-        assert outcome(Session(SMALL, 1, 2)) == outcome(Session(SMALL, 1, 2, record_transcript=True))
+            assert outcome(Session(SMALL, 1, 2)) == outcome(
+                Session(SMALL, 1, 2, record_transcript=True))
 
 
 class TestCostLedger:
@@ -689,6 +708,67 @@ class TestGe:
         s.pi_ge(a)
         d = s.ledger.delta(before)
         assert d["comparisons"] == 1 and d["multiplications"] == 0
+
+
+class TestFaultMessages:
+    """A range fault names the balanced value of the faulting input, so a
+    residue past q/2 reads as negative: on a Session, on a BatchSession
+    (rows and a common value) and inside a block."""
+
+    # (gadget, residue of the input as a function of q, the value reported)
+    CASES = {
+        "mux-q-1": ("mux", lambda q: q - 1, "-1"),
+        "mux-q-2": ("mux", lambda q: q - 2, "-2"),
+        "mux-2": ("mux", lambda q: 2, "2"),
+        "ge-above": ("ge", lambda q: q // 4 + 1, "{safe1}"),
+        "ge-below": ("ge", lambda q: q - q // 4 - 1, "-{safe1}"),
+        "ge-half": ("ge", lambda q: q // 2, "-{half}"),
+    }
+    GADGETS = {
+        "mux": (lambda s, v: s.mux(v, s.share_public(0), s.share_public(1)),
+                "mux selector {} is not a shared bit"),
+        "ge": (lambda s, v: s.pi_ge(v), "pi_ge input {} outside safe range"),
+    }
+
+    @pytest.mark.parametrize("cfg", [SMALL, WORD_RING], ids=["q=2^9", "q=2^64"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_fault_names_the_balanced_value(self, case, cfg):
+        gadget, residue, shown = self.CASES[case]
+        run, message = self.GADGETS[gadget]
+        q = cfg.q
+        r = residue(q)
+        safe = Session(cfg).safe_magnitude
+        assert safe == q // 4
+        want = message.format(shown.format(safe1=safe + 1, half=q // 2))
+        s = Session(cfg, 1, 2)
+        with pytest.raises(ContractViolation, match=want):
+            run(s, s.share(r))
+        batch = BatchSession(Session(cfg, 1, 2))
+        with pytest.raises(ContractViolation, match=want):
+            run(batch, batch.share(np.array([0, 1, r, 2], dtype=np.uint64)))
+        with pytest.raises(ContractViolation, match=want):
+            run(batch, batch.share(r))
+
+        # in a block: every execution's input is r
+        def program(b):
+            run(b, b.affine(b.pi_bersample(1.0), r, 0))
+            return 0
+
+        for session in (Session(cfg, 1, 2), Session(cfg, 1, 2, record_transcript=True)):
+            with pytest.raises(ContractViolation, match=want):
+                session.run(program, 16, 1)
+
+    @pytest.mark.parametrize("cfg", [SMALL, WORD_RING], ids=["q=2^9", "q=2^64"])
+    def test_the_safe_range_ends_pass(self, cfg):
+        # the sign test at -safe, -1, 0 and safe, the ends of the safe range
+        # and of the sign, on both substrates
+        q = cfg.q
+        safe = q // 4
+        values = [-safe, -1, 0, safe]
+        s, batch = Session(cfg, 1, 2), BatchSession(Session(cfg, 1, 2))
+        assert [s.open(s.pi_ge(s.share(v % q))) for v in values] == [0, 0, 1, 1]
+        rows = batch.share(np.array([v % q for v in values], dtype=np.uint64))
+        assert batch.open(batch.pi_ge(rows)).tolist() == [0, 0, 1, 1]
 
 
 class TestTrunc:
