@@ -41,12 +41,13 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import tape as tape_module
-from .grids import steps_of
+from .grids import GridError, steps_of
 from .mechanisms import (
     TCL,
     TDL,
     Mechanism,
     MechanismParams,
+    _check_positive,
     dlap_zero_mass,
     outer_count,
 )
@@ -87,9 +88,11 @@ class CenteredDlapConfig:
 
 @lru_cache(maxsize=128)
 def centered_dlap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
+    # the centred pmfs' checks: a sigma < 0 gives rho > 1, no law
+    _check_positive(L=L, sigma=sigma)
+    if p < 0:
+        raise GridError("precision exponent p must be >= 0")
     steps = steps_of(L, p)
-    if steps <= 0:
-        raise ValueError("L must be positive on the grid")
     kappa = steps.bit_length() - 1
     # rho = e^(-a): bit i of the magnitude is Bernoulli(rho^(2^i) / (1 + rho^(2^i)))
     a = 1.0 / (2.0**p * sigma)

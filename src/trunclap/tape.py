@@ -13,10 +13,11 @@ replay exactly the same decisions as the plaintext samplers when fed the
 same word stream.
 
 Each tape is read one way.  Party and plaintext tapes are read by words
-(`word`, `words`, and `peek_block` with `skip` for blocks); the MPC
-dealer tapes are read by residue arrays (`field_array`, `field_elements`):
-raw words masked to a power-of-two modulus, drawn straight from the
-generator past the buffered words, so they never mix with a word read.
+off one buffer (`word`, `words`, and `peek_block` with `skip` for
+blocks); the MPC dealer tapes are read by residue arrays (`field_array`,
+`field_elements`): raw words masked to a power-of-two modulus, drawn
+straight from the generator past the buffered words, so they never mix
+with a word read.
 
 Blocks of executions evaluated ahead on peeked words (`sample_batch`,
 and a `Session`'s runs and offline pairs) are scheduled by one policy,
@@ -34,10 +35,8 @@ import numpy as np
 
 WORD_BITS = 64
 _WORD_MOD = 1 << WORD_BITS
-# words a seeded tape converts to Python ints at a time (see RandomTape);
-# it draws _WINDOW_MAX words at a time, or a longer block at once
-_WINDOW_MIN = 8
-_WINDOW_MAX = 256
+# words a seeded tape draws at a time, or more for a longer read (see RandomTape)
+_BUFFER_WORDS = 256
 # executions per block of a call that takes n at once (`sample_batch`,
 # `Session.run`): bounds a block's memory (its words and the arrays of its
 # live values) whatever n is
@@ -121,18 +120,17 @@ def _magnitude(cfg, w, first: int):
 class RandomTape:
     """A reproducible stream of 64-bit words, seedable or injected.
 
-    Identical seeds yield identical streams.  An explicit ``words``
-    iterable overrides the generator entirely (used to inject randomness
-    for replay tests); the tape raises StopIteration when it runs dry.
-    The words a seeded tape has handed out are
+    Identical seeds yield identical streams, and a seeded tape needs a
+    seed: None, which would draw one from OS entropy, is refused.  An
+    explicit ``words`` iterable overrides the generator entirely (used to
+    inject randomness for replay tests); the tape raises StopIteration
+    when it runs dry.  The words a seeded tape has handed out are
     ``RandomTape(seed).words(tape.words_consumed)``, so a replay test
     rebuilds them from the seed.
 
-    A seeded tape draws its words in uint64 buffers of `_WINDOW_MAX` (a
-    `peek_block` all it needs) and hands them out from a short window of
-    Python ints converted from the buffer; the window starts at
-    `_WINDOW_MIN` words and doubles up to `_WINDOW_MAX` while the tape is
-    read word by word, and starts again after `peek_block`.
+    A seeded tape draws its words into one uint64 buffer, `_BUFFER_WORDS`
+    at a time (a `peek_block` all it needs), and reads them off it at one
+    position: `_buf[_pos:]` holds the drawn words not yet consumed.
     An injected tape hands out one word at a time.
     """
 
@@ -140,68 +138,40 @@ class RandomTape:
         self.seed = seed
         self.words_consumed = 0
         self._injected: Iterator[int] | None = iter(words) if words is not None else None
-        # _win holds the words _buf[_pos:_pos + len(_win)]; _wi is the next
-        # one to hand out, so the read position in _buf is _pos + _wi
-        self._win: list[int] = []
-        self._wi = 0
-        self._grow = _WINDOW_MIN
+        self._buf, self._pos = np.empty(0, dtype=np.uint64), 0  # stays empty if injected
         if self._injected is None:
+            if seed is None:
+                raise ValueError("a seeded tape needs a seed (None would draw one from OS entropy)")
             # the words of Generator(PCG64(seed)).integers(0, 2^64, dtype=uint64)
             self._raw = np.random.PCG64(seed).random_raw
-            self._buf = np.empty(0, dtype=np.uint64)
-            self._pos = 0
 
     def word(self) -> int:
         """Next raw 64-bit word."""
-        i = self._wi
-        win = self._win
-        if i < len(win):
-            self._wi = i + 1
-            self.words_consumed += 1
-            return win[i]
-        return self._next_word()
+        pos = self._pos
+        if pos == len(self._buf):
+            if self._injected is not None:
+                w = int(next(self._injected))
+                self.words_consumed += 1
+                return w
+            self._draw(_BUFFER_WORDS)
+            pos = 0
+        self._pos = pos + 1
+        self.words_consumed += 1
+        return self._buf.item(pos)
 
     def words(self, n: int) -> list[int]:
-        """The next n words, as n calls of `word` return them."""
-        _require_count(n)
-        i = self._wi
-        if i + n > len(self._win):
-            if self._injected is None:
-                self._load_window(n)
-            if len(self._win) < n:  # word by word: injected, or past the buffer's end
+        """The next n words, as n calls of `word` return them and draw them
+        (in whole buffers)."""
+        pos = self._pos
+        if n < 0 or pos + n > len(self._buf):
+            _require_count(n)
+            if self._injected is not None:
                 return [self.word() for _ in range(n)]
-            i = 0
-        self._wi = i + n
+            self._draw(-((len(self._buf) - pos - n) // _BUFFER_WORDS) * _BUFFER_WORDS)
+            pos = 0
+        self._pos = pos + n
         self.words_consumed += n
-        return self._win[i : i + n]
-
-    def _next_word(self) -> int:
-        """`word` past the window's end."""
-        if self._injected is not None:
-            w = int(next(self._injected))
-        else:
-            self._load_window(1)
-            self._wi = 1
-            w = self._win[0]
-        self.words_consumed += 1
-        return w
-
-    def _load_window(self, n: int) -> None:
-        """Convert the window afresh at the read position: max(n, _grow)
-        words, fewer where the buffer ends."""
-        self._pos += self._wi
-        if self._pos >= len(self._buf):
-            self._buf = self._raw(_WINDOW_MAX)
-            self._pos = 0
-        self._win = self._buf[self._pos : self._pos + max(n, self._grow)].tolist()
-        self._wi = 0
-        self._grow = min(2 * self._grow, _WINDOW_MAX)
-
-    def _sync(self) -> None:
-        """Drop the window; _pos becomes the read position."""
-        if self._win:  # an empty window has nothing to drop (and _wi is 0)
-            self._pos += self._wi
-            self._win, self._wi, self._grow = [], 0, _WINDOW_MIN
+        return self._buf[pos : pos + n].tolist()
 
     def peek_block(self, n: int) -> np.ndarray:
         """The next n words as a uint64 array, without consuming them.
@@ -212,26 +182,28 @@ class RandomTape:
         """
         _require_count(n)
         self._require_generator("peek_block")
-        self._sync()
-        have = len(self._buf) - self._pos
-        if have < n:
-            fresh = self._raw(max(n - have, _WINDOW_MAX))
-            self._buf = np.concatenate([self._buf[self._pos :], fresh]) if have else fresh
-            self._pos = 0
+        short = n - (len(self._buf) - self._pos)
+        if short > 0:
+            self._draw(max(short, _BUFFER_WORDS))
         return self._buf[self._pos : self._pos + n]
 
+    def _draw(self, k: int) -> None:
+        """Draw k words past the buffered ones; the read position moves to
+        the buffer's start."""
+        rest = self._buf[self._pos :]
+        self._buf = np.concatenate([rest, self._raw(k)]) if len(rest) else self._raw(k)
+        self._pos = 0
+
     def skip(self, n: int) -> None:
-        """Consume n words already returned by `peek_block`.  Words the
-        tape has not drawn are refused: counted as used, they would be
-        handed out later."""
-        # the two refusals inline, and _sync only with a window loaded: a pooled
-        # noise pair skips its words on both party tapes at every handout
+        """Consume n words already returned by `peek_block`: the read
+        position moves past them.  Words the tape has not drawn are
+        refused: counted as used, they would be handed out later."""
+        # the two refusals inline: a pooled noise pair skips its words on
+        # both party tapes at every handout
         if n < 0:
             raise ValueError(f"cannot read {n} words")
         if self._injected is not None:
             raise ValueError("skip needs a seeded tape")
-        if self._win:
-            self._sync()
         have = len(self._buf) - self._pos
         if n > have:
             raise ValueError(f"cannot skip {n} words: {have} are drawn past the read position")

@@ -191,9 +191,9 @@ def sized_for(bound: float, masses, n: int, delta: float = 1e-9) -> bool:
 
 
 class ReferenceTape:
-    """The seeded word tape as it was before its window of Python ints:
-    every word is read off the uint64 buffer one at a time.  The oracle
-    for `RandomTape`'s word stream and word counts."""
+    """The seeded word tape read one word at a time: every word is read
+    off the uint64 buffer, drawn 256 words at a time, at one position.  The
+    oracle for `RandomTape`'s word stream and word counts."""
 
     BUF = 256  # the words a seeded tape draws at a time
 

@@ -40,7 +40,7 @@ from trunclap import (
     sample_tdl,
     sample_tdl_batch,
 )
-from trunclap.grids import steps_of
+from trunclap.grids import GridError, steps_of
 from trunclap.thresholds import THRESHOLDS
 from trunclap.mechanisms import (
     branch_probability_c,
@@ -195,6 +195,22 @@ class TestCenteredDlap:
     def test_zero_steps_are_refused(self):
         with pytest.raises(ValueError, match="L must be positive"):
             sample_dlap_centered(0.0, 1.0, 0, RandomTape(1))
+
+    @pytest.mark.parametrize("sample", [sample_dlap_centered, sample_clap_centered])
+    @pytest.mark.parametrize("sigma", [-1.0, 0.0, math.inf, math.nan])
+    def test_invalid_sigma_is_refused(self, sample, sigma):
+        # a negative sigma drew from a non-law (rho > 1); 0 and inf divided
+        # by zero
+        tape = RandomTape(1)
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            sample(2.0, sigma, 0, tape)
+        assert tape.words_consumed == 0
+
+    @pytest.mark.parametrize("sample", [sample_dlap_centered, sample_clap_centered])
+    def test_negative_precision_is_refused(self, sample):
+        # p = -1 used to fail on a negative shift count
+        with pytest.raises(GridError, match="p must be >= 0"):
+            sample(2.0, 1.0, -1, RandomTape(1))
 
     def test_word_budget(self):
         cfg = centered_dlap_config(2.0, 1.0, 0)

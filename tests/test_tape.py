@@ -1,9 +1,9 @@
 """The word tape: its stream, its word counts and its block reads.
 
-A seeded `RandomTape` hands out words from a window of Python ints; the
-`ReferenceTape` oracle in conftest reads them off the uint64 buffer one
-at a time, as the tape did before.  Both must give the same values and
-the same `words_consumed` under any interleaving of the tape's calls.
+A seeded `RandomTape` reads its words off one uint64 buffer, a slice at a
+time; the `ReferenceTape` oracle in conftest reads them off it one at a
+time.  Both must give the same values and the same `words_consumed` under
+any interleaving of the tape's calls.
 """
 
 import contextlib
@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import ReferenceTape
 from trunclap import RandomTape
-from trunclap.tape import _WINDOW_MAX, _WINDOW_MIN, BATCH_MIN_SESSIONS, BlockScheduler
+from trunclap.tape import _BUFFER_WORDS, BATCH_MIN_SESSIONS, BlockScheduler
 
 # the ring moduli are powers of two, up to 2^64
 MODULI = (2, 2**6, 2**12, 2**31, 2**32, 2**63, 2**64)
@@ -24,10 +24,10 @@ OPS = st.one_of(
     st.tuples(st.just("word")),
     st.tuples(st.just("words"), st.integers(0, 40)),
     # long reads carry the stream across one or more buffer refills
-    st.tuples(st.just("words"), st.integers(_WINDOW_MAX // 2, _WINDOW_MAX + 300)),
+    st.tuples(st.just("words"), st.integers(_BUFFER_WORDS // 2, _BUFFER_WORDS + 300)),
     st.tuples(st.just("peek_skip"), st.integers(0, 600), st.floats(0, 1)),
     st.tuples(
-        st.just("peek_skip"), st.integers(_WINDOW_MAX - 50, _WINDOW_MAX + 50), st.floats(0, 1)
+        st.just("peek_skip"), st.integers(_BUFFER_WORDS - 50, _BUFFER_WORDS + 50), st.floats(0, 1)
     ),
     st.tuples(st.just("field_array"), st.sampled_from(MODULI), st.integers(0, 50)),
 )
@@ -67,9 +67,9 @@ class TestWordStream:
         # the word stream's definition: a seeded tape hands out the words
         # Generator(PCG64(seed)).integers(0, 2^64, dtype=uint64) gives, in
         # order; field_array draws the next ones, past the buffered words
-        B = _WINDOW_MAX
+        B = _BUFFER_WORDS
         ref = np.random.Generator(np.random.PCG64(seed)).integers(
-            0, 2**64, size=5 * B, dtype=np.uint64
+            0, 2**64, size=7 * B, dtype=np.uint64
         ).tolist()
         tape = RandomTape(seed)
         # word and words, across the first buffer's end
@@ -86,22 +86,20 @@ class TestWordStream:
         after = 3 * B + n
         # the buffer reads on, then refills past field_array's words
         assert tape.words(B) == ref[2 * B + 3 : 3 * B] + ref[after : after + 3]
+        # a read across two buffer ends draws two whole buffers, as word by
+        # word reads would, so field_array draws after both
+        assert tape.words(2 * B + 10) == ref[after + 3 : after + 2 * B + 13]
+        drawn = after + 3 * B
+        assert tape.field_array(q, n).tolist() == [w % q for w in ref[drawn : drawn + n]]
+        assert tape.word() == ref[after + 2 * B + 13]
+        assert tape.words_consumed == 5 * B + 14 + 2 * n
 
-    def test_window_stays_short(self):
-        # the window doubles from _WINDOW_MIN to _WINDOW_MAX words, and a
-        # block read restarts it at the read position
-        tape = RandomTape(5)
-        sizes = []
-        for _ in range(2000):
-            tape.word()
-            sizes.append(len(tape._win))
-        assert sizes[0] == _WINDOW_MIN and max(sizes) == _WINDOW_MAX
-        assert set(sizes) == {_WINDOW_MIN << k for k in range(6)}
-        tape.peek_block(1000)
-        tape.skip(600)
-        assert tape._win == []
-        tape.word()
-        assert len(tape._win) == _WINDOW_MIN
+    def test_a_seed_of_none_is_refused(self):
+        # None used to seed the generator from OS entropy, so two such
+        # tapes handed out different words
+        with pytest.raises(ValueError, match="needs a seed"):
+            RandomTape(None)
+        assert RandomTape(None, words=[5]).word() == 5
 
     @pytest.mark.parametrize("n", [0, 1, 7, 300])
     def test_words_on_injected_tapes(self, n):
@@ -147,14 +145,14 @@ class TestWordStream:
         with pytest.raises(ValueError, match="cannot skip 5 words"):
             tape.skip(5)
         assert tape.words_consumed == 0
-        # words(3) draws a buffer of _WINDOW_MAX words: all but 3 lie past the read position
+        # words(3) draws a buffer of _BUFFER_WORDS words: all but 3 lie past the read position
         assert tape.words(3) == [ref.word() for _ in range(3)]
         with pytest.raises(ValueError, match="cannot skip"):
-            tape.skip(_WINDOW_MAX - 2)
+            tape.skip(_BUFFER_WORDS - 2)
         assert tape.words_consumed == 3
-        tape.skip(_WINDOW_MAX - 3)
-        ref.skip(_WINDOW_MAX - 3)
-        assert tape.words_consumed == ref.words_consumed == _WINDOW_MAX
+        tape.skip(_BUFFER_WORDS - 3)
+        ref.skip(_BUFFER_WORDS - 3)
+        assert tape.words_consumed == ref.words_consumed == _BUFFER_WORDS
         assert tape.words(5) == [ref.word() for _ in range(5)]
 
 
