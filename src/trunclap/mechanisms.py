@@ -328,8 +328,8 @@ def moments_lap_exact(x: float, params: MechanismParams) -> tuple[float, float]:
 def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float, float]:
     """Mean and MSE; the cubic term sigma^2 e^(-eps) f(E/sigma) only if `cubic`."""
     E, L, sigma = params.E, params.L, params.sigma
-    if abs(x) > E:
-        raise ValueError(f"|x|={abs(x)} exceeds E={E}")
+    if not abs(x) <= E:  # a NaN x fails it too
+        raise ValueError(f"x={x} lies outside [-E, E], E={E}")
     eps = L / sigma
     k = E / sigma
     e = math.exp(-eps)
@@ -520,13 +520,17 @@ def calibrate(
     notion "eps" needs the noise bound L and returns sigma = L / epsilon
     for any mechanism.  notion "dchi" (distance-based privacy) returns
     sigma = 1/epsilon for tdl and sigma = max(2/epsilon, 2^-p) for tcl.
+    A p, when given, must be >= 0 (GridError).
     """
     _check_positive(epsilon=epsilon)
     if mechanism not in MECHANISMS:
         raise ValueError(f"unknown mechanism {mechanism!r}")
+    if p is not None and p < 0:
+        raise GridError("precision exponent p must be >= 0")
     if notion == "eps":
-        if L is None or L <= 0:
+        if L is None:
             raise ValueError("eps-DP calibration needs the noise bound L > 0")
+        _check_positive(L=L)
         return CalibrationResult(sigma=L / epsilon, regime=f"eps-{mechanism}")
     if notion == "dchi":
         if mechanism == "tdl":

@@ -18,14 +18,15 @@ ledgers are reproducible.
 
 Randomness discipline: the two party tapes feed only the joint public
 coins (XOR-combined 64-bit words for Bernoulli and uniform draws) and are
-read word by word, while all masks, triples, and re-sharing randomness
-come from a dealer tape derived deterministically from the two party
-seeds, read only in arrays of residues: a Session takes every mask and
-triple from one pool of them (its `TripleStore`), a BatchSession draws
-each gadget's in one array.  Opened protocol outputs therefore depend on
-the party tapes alone, which is what lets a plaintext functionality run
-on the same word stream reproduce them bit for bit, and what lets the
-dealer stream change without moving any of them.
+read by words and blocks of words, while all masks, triples, and
+re-sharing randomness come from a dealer tape derived deterministically
+from the two party seeds, read in arrays of residues (masked words): a
+Session takes every mask and triple from one pool of them (its
+`TripleStore`), a BatchSession draws each gadget's in one array.  Opened
+protocol outputs therefore depend on the party tapes alone, which is what
+lets a plaintext functionality run on the same word stream reproduce them
+bit for bit, and what lets the dealer stream change without moving any of
+them.
 
 Cost model (abstract operation counts, not wall-clock):
 
@@ -53,15 +54,15 @@ Cost model (abstract operation counts, not wall-clock):
 
 Two substrates run the same protocol code.  `Session` runs one
 execution at a time on Python integers and drives every batch: where it
-may (its own seeded tapes, no transcript) it evaluates blocks of
-executions ahead on an attached `BatchSession`, which holds each value
-as uint64 share arrays (one entry per execution), as a
-`BlockScheduler` decides: n at once in `Session.run`, one per call in
-`Session.offline`.  A block reads the party tapes execution by execution
-(no draw rejects, so each reads the same words) and is committed whole,
-so opened values, ledgers and party words are the sequential path's; a
-range fault in a block raises `ContractViolation` at once and commits
-none of it.
+may (on its own seeded tapes, which a block may read ahead of, and with
+no transcript) it evaluates blocks of executions ahead on an attached
+`BatchSession`, which holds each value as uint64 share arrays (one entry
+per execution), as a `BlockScheduler` decides: n at once in
+`Session.run`, one per call in `Session.offline`.  A block reads the
+party tapes execution by execution (no draw rejects, so each reads the
+same words) and is committed whole, so opened values, ledgers and party
+words are the sequential path's; a range fault in a block raises
+`ContractViolation` at once and commits none of it.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (the next joint
 word, or the next k in one read, dealer masks, Beaver triples of five
@@ -474,8 +475,10 @@ class Session(_CommonOps):
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
         self.triples = TripleStore(self.q, self.dealer)  # every mask and triple
-        # blocks run only on the session's own seeded tapes, and never while
-        # it records its transcript (checked at each call)
+        # blocks run only on the session's own seeded tapes: a block reads
+        # words ahead of the executions it hands out, past the end of a
+        # finite replay passed in; and never while the session records its
+        # transcript (checked at each call)
         self._batches = tape0 is None and tape1 is None
         self._batch: BatchSession | None = None
         self._running = False  # inside `run`, whose scheduler evaluates ahead

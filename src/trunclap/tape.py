@@ -12,12 +12,10 @@ Keeping the semantics at the word level lets the two-party simulator
 replay exactly the same decisions as the plaintext samplers when fed the
 same word stream.
 
-Each tape is read one way.  Party and plaintext tapes are read by words
-off one buffer (`word`, `words`, and `peek_block` with `skip` for
-blocks); the MPC dealer tapes are read by residue arrays (`field_array`,
-`field_elements`): raw words masked to a power-of-two modulus, drawn
-straight from the generator past the buffered words, so they never mix
-with a word read.
+Every read takes the next words of a tape off one buffer at one
+position, seeded or injected: words (`word`, `words`), blocks
+(`peek_block`, then `skip`) and the MPC dealer's residues (`field_array`,
+`field_elements`: words masked to a power-of-two modulus).
 
 Blocks of executions evaluated ahead on peeked words (`sample_batch`,
 and a `Session`'s runs and offline pairs) are scheduled by one policy,
@@ -29,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from itertools import islice
+from typing import Iterable
 
 import numpy as np
 
 WORD_BITS = 64
 _WORD_MOD = 1 << WORD_BITS
-# words a seeded tape draws at a time, or more for a longer read (see RandomTape)
+# words a tape draws at a time, or more for a longer read (see RandomTape)
 _BUFFER_WORDS = 256
 # executions per block of a call that takes n at once (`sample_batch`,
 # `Session.run`): bounds a block's memory (its words and the arrays of its
@@ -121,27 +120,29 @@ class RandomTape:
     """A reproducible stream of 64-bit words, seedable or injected.
 
     Identical seeds yield identical streams, and a seeded tape needs a
-    seed: None, which would draw one from OS entropy, is refused.  An
-    explicit ``words`` iterable overrides the generator entirely (used to
-    inject randomness for replay tests); the tape raises StopIteration
-    when it runs dry.  The words a seeded tape has handed out are
+    seed: None, which would draw one from OS entropy, is refused.  The
+    words a seeded tape has handed out are
     ``RandomTape(seed).words(tape.words_consumed)``, so a replay test
-    rebuilds them from the seed.
+    rebuilds them from the seed.  An explicit ``words`` iterable replaces
+    the generator (to inject randomness for replay tests); a read that
+    draws a non-word from it raises ValueError, and one past its last word
+    raises StopIteration and consumes nothing.
 
-    A seeded tape draws its words into one uint64 buffer, `_BUFFER_WORDS`
-    at a time (a `peek_block` all it needs), and reads them off it at one
-    position: `_buf[_pos:]` holds the drawn words not yet consumed.
-    An injected tape hands out one word at a time.
+    Every read takes the next words off one uint64 buffer at one position:
+    `_buf[_pos:]` holds the drawn words not yet consumed.  A read that runs
+    short draws max(short, `_BUFFER_WORDS`) more (`_fill`).
     """
 
     def __init__(self, seed: int | None = 0, *, words: Iterable[int] | None = None):
         self.seed = seed
         self.words_consumed = 0
-        self._injected: Iterator[int] | None = iter(words) if words is not None else None
-        self._buf, self._pos = np.empty(0, dtype=np.uint64), 0  # stays empty if injected
-        if self._injected is None:
-            if seed is None:
-                raise ValueError("a seeded tape needs a seed (None would draw one from OS entropy)")
+        self._buf, self._pos = np.empty(0, dtype=np.uint64), 0
+        if words is not None:
+            injected = iter(words)
+            self._raw = lambda k: np.fromiter(islice(injected, k), dtype=np.uint64)
+        elif seed is None:
+            raise ValueError("a seeded tape needs a seed (None would draw one from OS entropy)")
+        else:
             # the words of Generator(PCG64(seed)).integers(0, 2^64, dtype=uint64)
             self._raw = np.random.PCG64(seed).random_raw
 
@@ -149,25 +150,17 @@ class RandomTape:
         """Next raw 64-bit word."""
         pos = self._pos
         if pos == len(self._buf):
-            if self._injected is not None:
-                w = int(next(self._injected))
-                self.words_consumed += 1
-                return w
-            self._draw(_BUFFER_WORDS)
+            self._fill(1)
             pos = 0
         self._pos = pos + 1
         self.words_consumed += 1
         return self._buf.item(pos)
 
     def words(self, n: int) -> list[int]:
-        """The next n words, as n calls of `word` return them and draw them
-        (in whole buffers)."""
+        """The next n words, as n calls of `word` return them."""
         pos = self._pos
         if n < 0 or pos + n > len(self._buf):
-            _require_count(n)
-            if self._injected is not None:
-                return [self.word() for _ in range(n)]
-            self._draw(-((len(self._buf) - pos - n) // _BUFFER_WORDS) * _BUFFER_WORDS)
+            self._fill(n)
             pos = 0
         self._pos = pos + n
         self.words_consumed += n
@@ -178,21 +171,29 @@ class RandomTape:
 
         `skip` then consumes a prefix of them and `word` reads on from
         there, so a caller can evaluate a block of draws and keep only the
-        part it commits.  Seeded tapes only.
+        part it commits.
         """
-        _require_count(n)
-        self._require_generator("peek_block")
-        short = n - (len(self._buf) - self._pos)
-        if short > 0:
-            self._draw(max(short, _BUFFER_WORDS))
+        if n < 0 or self._pos + n > len(self._buf):
+            self._fill(n)
         return self._buf[self._pos : self._pos + n]
 
-    def _draw(self, k: int) -> None:
-        """Draw k words past the buffered ones; the read position moves to
-        the buffer's start."""
-        rest = self._buf[self._pos :]
-        self._buf = np.concatenate([rest, self._raw(k)]) if len(rest) else self._raw(k)
-        self._pos = 0
+    def _fill(self, n: int) -> None:
+        """Buffer the next n words: draw max(short, _BUFFER_WORDS) past the
+        buffered ones, short being those of the n not yet drawn, and move
+        the read position to the buffer's start.  An injected tape keeps
+        what it could draw, and raises StopIteration if that falls short."""
+        if n < 0:
+            # it would move the read position back over used words
+            raise ValueError(f"cannot read {n} words")
+        buf, pos = self._buf, self._pos
+        short = n - (len(buf) - pos)
+        try:
+            fresh = self._raw(short if short > _BUFFER_WORDS else _BUFFER_WORDS)
+        except OverflowError as exc:
+            raise ValueError(f"an injected word must lie in [0, 2^64): {exc}") from None
+        self._buf, self._pos = np.concatenate([buf[pos:], fresh]) if pos < len(buf) else fresh, 0
+        if len(fresh) < short:
+            raise StopIteration
 
     def skip(self, n: int) -> None:
         """Consume n words already returned by `peek_block`: the read
@@ -202,8 +203,6 @@ class RandomTape:
         # both party tapes at every handout
         if n < 0:
             raise ValueError(f"cannot read {n} words")
-        if self._injected is not None:
-            raise ValueError("skip needs a seeded tape")
         have = len(self._buf) - self._pos
         if n > have:
             raise ValueError(f"cannot skip {n} words: {have} are drawn past the read position")
@@ -216,27 +215,18 @@ class RandomTape:
 
     def field_array(self, q: int, n: int) -> np.ndarray:
         """n uniform residues mod q, a power of two up to 2^64, as a uint64
-        array (seeded tapes only): the generator's next n words, past any
-        buffered words, masked to q - 1."""
-        _require_count(n)
-        self._require_generator("field_array")
+        array: the next n words masked to q - 1."""
         if not 0 < q <= _WORD_MOD or q & (q - 1):
             raise ValueError(
                 f"a 64-bit word cannot draw a residue mod {q}: need a power of two <= 2^64"
             )
+        pos = self._pos
+        if n < 0 or pos + n > len(self._buf):
+            self._fill(n)
+            pos = 0
+        self._pos = pos + n
         self.words_consumed += n
-        return self._raw(n) & np.uint64(q - 1)
-
-    def _require_generator(self, what: str) -> None:
-        # block draws bypass injection
-        if self._injected is not None:
-            raise ValueError(f"{what} needs a seeded tape")
-
-
-def _require_count(n: int) -> None:
-    # a negative count would move the read position back over used words
-    if n < 0:
-        raise ValueError(f"cannot read {n} words")
+        return self._buf[pos : pos + n] & (q - 1)
 
 
 class BlockScheduler:

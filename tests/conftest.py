@@ -191,44 +191,38 @@ def sized_for(bound: float, masses, n: int, delta: float = 1e-9) -> bool:
 
 
 class ReferenceTape:
-    """The seeded word tape read one word at a time: every word is read
-    off the uint64 buffer, drawn 256 words at a time, at one position.  The
-    oracle for `RandomTape`'s word stream and word counts."""
-
-    BUF = 256  # the words a seeded tape draws at a time
+    """The seeded word tape as one flat stream: the words
+    Generator(PCG64(seed)).integers(0, 2^64, dtype=uint64) gives, read at
+    one position, every read (words, blocks, residues) taking the next
+    ones.  The oracle for `RandomTape`'s word stream and word counts."""
 
     def __init__(self, seed):
-        self.words_consumed = 0
+        self.words_consumed = 0  # the read position
         self._gen = np.random.Generator(np.random.PCG64(seed))
-        self._buf = np.empty(0, dtype=np.uint64)
-        self._pos = 0
+        self._stream = []  # the words drawn so far, as ints
+
+    def _next(self, n: int) -> list:
+        pos = self.words_consumed
+        short = pos + n - len(self._stream)
+        if short > 0:
+            self._stream += self._gen.integers(0, 1 << 64, size=short, dtype=np.uint64).tolist()
+        return self._stream[pos : pos + n]
 
     def word(self) -> int:
-        if self._pos >= len(self._buf):
-            self._buf = self._gen.integers(0, 1 << 64, size=self.BUF, dtype=np.uint64)
-            self._pos = 0
-        w = int(self._buf[self._pos])
-        self._pos += 1
+        (w,) = self._next(1)
         self.words_consumed += 1
         return w
 
     def peek_block(self, n: int) -> np.ndarray:
-        have = len(self._buf) - self._pos
-        if have < n:
-            fresh = self._gen.integers(0, 1 << 64, size=max(n - have, self.BUF), dtype=np.uint64)
-            self._buf = np.concatenate([self._buf[self._pos :], fresh])
-            self._pos = 0
-        return self._buf[self._pos : self._pos + n]
+        return np.array(self._next(n), dtype=np.uint64)
 
     def skip(self, n: int) -> None:
-        self._pos += n
         self.words_consumed += n
 
     def field_array(self, q: int, n: int) -> np.ndarray:
-        # straight from the generator, past the buffered words: the low k
-        # bits of each word for q = 2^k
+        # the low k bits of each word for q = 2^k
+        words = self._next(n)
         self.words_consumed += n
-        words = self._gen.integers(0, 1 << 64, size=n, dtype=np.uint64).tolist()
         return np.array([w % q for w in words], dtype=np.uint64)
 
 

@@ -275,9 +275,14 @@ class TestValidate:
         ["calibrate", "--epsilon", "nan", "--regime", "kstar", "--E", "4"],
         ["sample", "--mechanism", "tcl", "--E", "4", "--L", "2", "--sigma", "1", "--n", "-5"],
         ["sample", "--E", "4", "--L", "2", "--sigma", "1", "--n", "-5"],
+        ["calibrate", "--epsilon", "1", "--L", "nan"],
+        ["calibrate", "--epsilon", "1", "--L", "inf"],
+        ["calibrate", "--epsilon", "1", "--regime", "dchi", "--mechanism", "tcl", "--p", "-3"],
+        ["moments", "--mechanism", "lap", "--E", "4", "--L", "2", "--sigma", "1", "--x", "nan"],
     ],
     ids=["pmf-sigma-nan", "moments-sigma-inf", "moments-epsilon-nan", "calibrate-nan",
-         "calibrate-inf", "kstar-nan", "sample-tcl-negative-n", "sample-tdl-negative-n"],
+         "calibrate-inf", "kstar-nan", "sample-tcl-negative-n", "sample-tdl-negative-n",
+         "calibrate-L-nan", "calibrate-L-inf", "calibrate-dchi-negative-p", "moments-lap-x-nan"],
 )
 def test_non_finite_or_negative_input_is_usage_error(argv, tmp_path, capsys):
     out = tmp_path / "out"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,13 @@ class TestQuantize:
         with pytest.raises(GridError):
             quantize(4.0, 2, e=3)
         assert quantize(3.9, 2, e=3) == 3.75
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_is_refused(self, x):
+        # inf raised OverflowError and nan math.floor's bare ValueError
+        for e in (None, 3):
+            with pytest.raises(GridError, match="not a finite value"):
+                quantize(x, 2, e=e)
 
     @given(st.floats(-1e6, 1e6), st.integers(0, 12))
     @settings(max_examples=300)

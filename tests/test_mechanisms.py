@@ -364,6 +364,13 @@ class TestMomentsLap:
                 _, omse = lap_moments_oracle(x, E, L, sigma)
                 assert bound >= omse - 1e-9
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 64.5])
+    def test_x_outside_the_input_range_is_refused(self, x, table_params_p0):
+        # a NaN x used to pass the range check and give NaN moments
+        for moments in (moments_lap, moments_lap_exact):
+            with pytest.raises(ValueError, match=r"outside \[-E, E\]"):
+                moments(x, table_params_p0)
+
     def test_large_epsilon_mean_approaches_x(self):
         params = MechanismParams(E=64.0, L=400.0, sigma=8.0, p=0)  # eps = 50
         mean, _ = moments_lap(32.0, params)
@@ -516,6 +523,22 @@ class TestCalibration:
             calibrate(1.0, "tdl", "eps")  # missing L
         with pytest.raises(ValueError):
             calibrate(1.0, "lap", "dchi")
+
+    @pytest.mark.parametrize("L", [math.nan, math.inf, 0.0, -1.0])
+    def test_eps_needs_a_positive_finite_L(self, L):
+        # a NaN or infinite L used to return that sigma
+        for mech in ("lap", "tdl", "tcl"):
+            with pytest.raises(ValueError, match="L must be positive and finite"):
+                calibrate(1.0, mech, "eps", L=L)
+
+    @pytest.mark.parametrize("args, kw", [
+        ((1.0, "tcl", "dchi"), {"p": -3}),  # used to return sigma = 8
+        ((1.0, "tdl", "dchi"), {"p": -1}),
+        ((1.0, "tdl", "eps"), {"L": 2.0, "p": -1}),
+    ], ids=["dchi-tcl", "dchi-tdl", "eps"])
+    def test_a_negative_p_is_refused(self, args, kw):
+        with pytest.raises(GridError, match="p must be >= 0"):
+            calibrate(*args, **kw)
 
     @pytest.mark.parametrize("args, kw, match", [
         ((1.0, "foo"), {"L": 1.0}, "unknown mechanism"),

@@ -617,6 +617,27 @@ class TestBatchSimulator:
         assert noise_plan(mech, bitwise).inner.method == "bitwise"
         assert one(params) == ledger_plus_picks(one(bitwise), 1)
 
+    @pytest.mark.parametrize("mech,params", [(TDL, SEGMENTED), (TCL, WIDE)], ids=["tdl-E3-L3", "tcl-wide"])
+    def test_blocks_on_injected_words_open_sample_steps(self, mech, params):
+        # a block reads an injected tape as a seeded one: run on the
+        # plaintext draw's words (party 1 contributing zeros), it opens
+        # what the plaintext draw samples
+        plan = noise_plan(mech, params)
+        n, xs = 300, steps_of(1.0, params.p)
+        words = RandomTape(93).words(n * plan.words_per_draw)
+        plain = RandomTape(words=words)
+        expected = [_sample_steps(plan, xs, plain) for _ in range(n)]
+        session = replay_session(words, params, mech.name)
+        x = session.share(xs)
+
+        def once(b):
+            return b.open(pi_perturb(b, mech, x, pi_noise(b, mech, params), params))
+
+        values, commit = BatchSession(session)._evaluate(once, plan.words_per_draw, n)
+        assert values.tolist() == expected
+        commit(n)
+        assert session.tape0.words_consumed == session.tape1.words_consumed == len(words)
+
     def test_wide_set_at_the_input_bound(self):
         # the sign test on the inner branch reaches -2^p(2E+L) at x = E
         for mechanism in ("tdl", "tcl"):

@@ -1,9 +1,10 @@
 """The word tape: its stream, its word counts and its block reads.
 
-A seeded `RandomTape` reads its words off one uint64 buffer, a slice at a
-time; the `ReferenceTape` oracle in conftest reads them off it one at a
-time.  Both must give the same values and the same `words_consumed` under
-any interleaving of the tape's calls.
+A `RandomTape` reads its words off one uint64 buffer at one position, a
+slice at a time, whether it is seeded or injected; the `ReferenceTape`
+oracle in conftest reads them off one flat stream.  Both must give the
+same values and the same `words_consumed` under any interleaving of the
+tape's calls.
 """
 
 import contextlib
@@ -55,21 +56,27 @@ class TestWordStream:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 2**32), ops=st.lists(OPS, max_size=40))
     def test_interleavings_match_the_reference(self, seed, ops):
-        tape, ref = RandomTape(seed), ReferenceTape(seed)
+        # a seeded tape, and a tape injected with the same stream off an
+        # oracle of its own, read alike
+        tapes = RandomTape(seed), RandomTape(words=iter(ReferenceTape(seed).word, None))
+        ref = ReferenceTape(seed)
         for op in ops:
-            assert apply(tape, op) == apply(ref, op), op
-            assert tape.words_consumed == ref.words_consumed, op
+            want = apply(ref, op)
+            for tape in tapes:
+                assert apply(tape, op) == want, op
+                assert tape.words_consumed == ref.words_consumed, op
         # and the stream reads on identically from wherever the ops left it
-        assert tape.words(300) == [ref.word() for _ in range(300)]
+        want = [ref.word() for _ in range(300)]
+        assert [tape.words(300) for tape in tapes] == [want, want]
 
     @pytest.mark.parametrize("seed", [0, 1234, [7, 1]])
     def test_seeded_words_are_the_generators_integers(self, seed):
         # the word stream's definition: a seeded tape hands out the words
         # Generator(PCG64(seed)).integers(0, 2^64, dtype=uint64) gives, in
-        # order; field_array draws the next ones, past the buffered words
+        # order, every read taking the next ones, whatever it draws at once
         B = _BUFFER_WORDS
         ref = np.random.Generator(np.random.PCG64(seed)).integers(
-            0, 2**64, size=7 * B, dtype=np.uint64
+            0, 2**64, size=4 * B, dtype=np.uint64
         ).tolist()
         tape = RandomTape(seed)
         # word and words, across the first buffer's end
@@ -78,21 +85,17 @@ class TestWordStream:
         assert tape.peek_block(B).tolist() == ref[B + 7 : 2 * B + 7]
         tape.skip(B - 5)
         assert tape.word() == ref[2 * B + 2]
-        # field_array draws n words after the 3B the buffers hold, and keeps
-        # the low 31 bits of each
-        q, n = 2**31, 100
-        assert tape.field_array(q, n).tolist() == [w % q for w in ref[3 * B : 3 * B + n]]
-        assert tape.words_consumed == 2 * B + 3 + n
-        after = 3 * B + n
-        # the buffer reads on, then refills past field_array's words
-        assert tape.words(B) == ref[2 * B + 3 : 3 * B] + ref[after : after + 3]
-        # a read across two buffer ends draws two whole buffers, as word by
-        # word reads would, so field_array draws after both
-        assert tape.words(2 * B + 10) == ref[after + 3 : after + 2 * B + 13]
-        drawn = after + 3 * B
-        assert tape.field_array(q, n).tolist() == [w % q for w in ref[drawn : drawn + n]]
-        assert tape.word() == ref[after + 2 * B + 13]
-        assert tape.words_consumed == 5 * B + 14 + 2 * n
+        # field_array takes the next n words, and keeps the low 31 bits of each
+        q, n, at = 2**31, 100, 2 * B + 3
+        assert tape.field_array(q, n).tolist() == [w % q for w in ref[at : at + n]]
+        at += n
+        # a read longer than a buffer, then residues across its end
+        assert tape.words(B + 10) == ref[at : at + B + 10]
+        at += B + 10
+        assert tape.field_elements(q, n) == [w % q for w in ref[at : at + n]]
+        at += n
+        assert tape.word() == ref[at]
+        assert tape.words_consumed == at + 1
 
     def test_a_seed_of_none_is_refused(self):
         # None used to seed the generator from OS entropy, so two such
@@ -110,18 +113,37 @@ class TestWordStream:
         assert a.word() == b.word()
 
     def test_injected_tape_runs_dry_on_words(self):
+        # a read past the last word, of any kind, consumes nothing
         tape = RandomTape(words=[1, 2, 3])
         with pytest.raises(StopIteration):
             tape.words(4)
+        with pytest.raises(StopIteration):
+            tape.peek_block(4)
+        with pytest.raises(StopIteration):
+            tape.field_array(2**64, 4)
+        assert tape.words_consumed == 0
+        assert tape.words(3) == [1, 2, 3]
+        with pytest.raises(StopIteration):
+            tape.word()
+        assert tape.words_consumed == 3
 
-    def test_block_reads_refuse_injected_tapes(self):
-        tape = RandomTape(words=[1, 2])
-        with pytest.raises(ValueError):
-            tape.peek_block(1)
-        with pytest.raises(ValueError):
-            tape.field_array(64, 1)
-        with pytest.raises(ValueError):
-            tape.skip(1)
+    def test_block_and_residue_reads_return_the_injected_words(self):
+        # they used to refuse an injected tape
+        stream = [(i * 0x9E3779B97F4A7C15) % 2**64 for i in range(400)]
+        tape = RandomTape(words=stream)
+        assert tape.peek_block(300).tolist() == stream[:300]
+        tape.skip(100)
+        assert tape.field_array(2**12, 50).tolist() == [w % 2**12 for w in stream[100:150]]
+        assert tape.word() == stream[150]
+        assert tape.field_elements(2**64, 9) == stream[151:160]
+        assert tape.peek_block(240).tolist() == stream[160:]
+        assert tape.words_consumed == 160
+
+    @pytest.mark.parametrize("bad", [-1, 2**64])
+    def test_injected_non_words_are_refused(self, bad):
+        # a non-word used to be handed out as it was
+        with pytest.raises(ValueError, match="injected word"):
+            RandomTape(words=[5, bad]).word()
 
     def test_words_are_python_ints(self):
         tape = RandomTape(2)
