@@ -67,8 +67,12 @@ Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (the next joint
 word, or the next k in one read, dealer masks, Beaver triples of five
 dealer residues each, and the dealer material of one perturbation drawn
-ahead of it), how a range check finds the first fault, and how a sum of
-shares lifts to the balanced range.
+ahead of it), the ring constants its values meet, how a range check
+finds the first fault, and how a sum of shares lifts to the balanced
+range.  A BatchSession's rows meet 0-d uint64 arrays, numpy's fast path
+(a Python int takes the slower weak-scalar one, NEP 50), and draw on the
+row form of the noise plan, whose thresholds are such arrays; a value
+common to every execution stays a Python int, and meets Python ints.
 
 Dealer material can be drawn ahead of the gadget that uses it: `pi_ge`
 takes its resharing mask and `mul`/`mux` their triple as arguments, and
@@ -82,7 +86,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable
 
 import numpy as np
@@ -193,18 +197,30 @@ class _CommonOps:
     that broadcast against them) in a BatchSession.  q is a power of two,
     so one mask reduces every operation, and uint64 arithmetic, which
     wraps mod 2^64, reduces consistently.  A substrate supplies its
-    randomness (`joint_word`, `_joint_words`, `_reshare`, `_triple`) and its
-    range check (`_check`).
+    randomness (`joint_word`, `_joint_words`, `_reshare`, `_triple`), its
+    range check (`_check`) and the ring constants a row meets (`_row_m`,
+    `_row_high`, `_half`, `_safe`, `_safe2`): Python ints in a Session.  A
+    common value, a Python int, meets the int mask `_m` only, so a common
+    result stays plain ints: `mul` and `mux` tell it from a row by the
+    type tests they make anyway, and `pi_ge` by one more.  The local
+    linear ops take the int mask whatever they meet: a type test there
+    would slow a Session's online call, which is made of them.
     """
 
     def __init__(self, fieldcfg: FieldConfig, record_transcript: bool = False):
         self.field = fieldcfg
         self.q = fieldcfg.q
+        # reduces a Python int: a public constant, or a value common to
+        # every execution (whose share sum can pass 2^64)
         self._m = fieldcfg.q - 1
-        self._half = fieldcfg.half
         self.ledger = CostLedger()
         # sign tests are only sound while |value| stays below this bound
         self.safe_magnitude = 2 ** (fieldcfg.p + fieldcfg.e + fieldcfg.headroom - 1)
+        # the ring constants that meet values: Python ints here, uint64
+        # arrays where they meet rows (BatchSession)
+        self._row_m, self._row_high = self._m, self._m - 1  # q - 1, and q - 2
+        self._half = fieldcfg.half
+        self._safe, self._safe2 = self.safe_magnitude, 2 * self.safe_magnitude
         self.record_transcript = record_transcript
         # transcript[p] = field elements received by party p, in order
         self.transcript: tuple[list, list] = ([], [])
@@ -261,14 +277,20 @@ class _CommonOps:
         b0, b1 = b
         a, b = a0 + a1, b0 + b1
         # a sum of two common shares is a Python int, which can pass 2^64:
-        # reduced, it meets a uint64 row
-        if type(a) is int:
+        # reduced, it meets a uint64 row; rows meet the row mask
+        if type(a) is int is type(b):  # common values, as all of a Session's
             a &= m
-        if type(b) is int:
             b &= m
+        else:
+            if type(a) is int:
+                a &= m
+            if type(b) is int:
+                b &= m
+            m = self._row_m
         ta, tb, ta0, tb0, tc0 = self._triple(a, b) if triple is None else triple
-        d = (a - ta) & m
-        e = (b - tb) & m
+        # d and e unreduced: the result is reduced, and q divides 2^64
+        d = a - ta
+        e = b - tb
         led = self.ledger
         led.multiplications += 1
         led.rounds += MUL_ROUNDS
@@ -359,18 +381,27 @@ class _CommonOps:
         a0, a1 = a
         b0, b1 = b
         # sums of common shares are Python ints of any size (as in `mul`)
-        sel = i0 + i1
-        if type(sel) is int:
+        sel, a, b = i0 + i1, a0 + a1, b0 + b1
+        if type(sel) is int is type(a) is type(b):  # common values
             sel &= m
-        self._check(sel & m > 1, sel, "mux selector {} is not a shared bit")
-        a, b = a0 + a1, b0 + b1
-        if type(a) is int:
             a &= m
-        if type(b) is int:
             b &= m
-        c = b - a
-        if type(c) is int:
-            c &= m
+            c = (b - a) & m
+            bad = sel > 1
+        else:
+            if type(sel) is int:
+                sel &= m
+            if type(a) is int:
+                a &= m
+            if type(b) is int:
+                b &= m
+            c = b - a
+            if type(c) is int:
+                c &= m
+            m = self._row_m
+            # a bit's residue sets no bit but the lowest
+            bad = sel & self._row_high
+        self._check(bad, sel, "mux selector {} is not a shared bit")
         ta, tb, ta0, tb0, tc0 = self._triple(sel, c) if triple is None else triple
         led = self.ledger
         led.multiplications += 1
@@ -380,8 +411,8 @@ class _CommonOps:
             # what `mul(i, b - a)` records, on the shares b0 - a0, b1 - a1
             self._recv(0, (i1 - ta + ta0) & m, (b1 - a1 - tb + tb0) & m)
             self._recv(1, (i0 - ta0) & m, (b0 - a0 - tb0) & m)
-        d = (sel - ta) & m
-        e = (c - tb) & m
+        d = sel - ta
+        e = c - tb
         t0 = d * (e + tb0) + e * ta0 + tc0
         return ((t0 + a0) & m, (sel * c - t0 + a1) & m)
 
@@ -417,10 +448,11 @@ class _CommonOps:
         lift(u) >= 0 is u < q/2.  `mask` is the resharing mask, drawn ahead
         (`perturbation_material`); without it the dealer draws one now.
         """
-        m = self._m
-        u = (sv[0] + sv[1]) & m
-        safe = self.safe_magnitude
-        self._check((u + safe) & m > 2 * safe, u, "pi_ge input {} outside safe range +/-{safe}")
+        u = sv[0] + sv[1]
+        # a common share sum, a Python int, can pass 2^64: the int mask
+        u &= self._m if type(u) is int else self._row_m
+        self._check((u + self._safe) & self._row_m > self._safe2, u,
+                    "pi_ge input {} outside safe range +/-{safe}")
         led = self.ledger
         led.comparisons += 1
         led.rounds += CMP_ROUNDS
@@ -440,12 +472,6 @@ class _CommonOps:
         self.ledger.rounds += TRUNC_ROUNDS
         self.ledger.elements_exchanged += 2 * gamma
         return self._reshare(val >> gamma)
-
-    def offline(self, key, words: int, block, step, unpack):
-        """One execution of an input-independent program: `step(self, key)`.
-        A Session may hand it out of a block evaluated ahead instead (see
-        `Session.offline`)."""
-        return step(self, key)
 
 
 class Session(_CommonOps):
@@ -526,8 +552,9 @@ class Session(_CommonOps):
         """One execution of an input-independent program, drawn now by
         `step(self, key)` or handed out of a block evaluated ahead.
 
-        `key` names the program (the noise protocol's cached plan) and
-        `words` is one execution's joint words.
+        `key` names the program (the noise protocol's cached plan; a
+        program run on a BatchSession draws on its row form, `key.rows`)
+        and `words` is one execution's joint words.
         `block(batch, key)` returns one uint64 row per execution of a block,
         and `unpack(row, key)` turns a row, as a list of Python ints, into
         what `step` returns.  A BlockScheduler with blocks of at most
@@ -550,9 +577,10 @@ class Session(_CommonOps):
 
     # -- faults ------------------------------------------------------------
 
-    def _check(self, bad: bool, value: int, message: str) -> None:
-        """ContractViolation at once if `bad`, reporting the balanced lift of
-        `value` (any representative of the ring element)."""
+    def _check(self, bad, value: int, message: str) -> None:
+        """ContractViolation at once if `bad` (a bool or an int, nonzero
+        for a fault), reporting the balanced lift of `value` (any
+        representative of the ring element)."""
         if bad:
             raise ContractViolation(message.format(self._lift(value), safe=self.safe_magnitude))
 
@@ -570,7 +598,10 @@ class Session(_CommonOps):
         def per_execution(b: BatchSession) -> np.ndarray:
             # a value common to every execution of the block is one int;
             # the block's rows hold one column per execution
-            return np.broadcast_to(program(b), b._rows.shape[1:])
+            values, shape = program(b), b._rows.shape[1:]
+            if getattr(values, "shape", None) == shape:
+                return values
+            return np.broadcast_to(values, shape)
 
         blocks = self._scheduler(per_execution, words, lambda: program(self), tape_module.BATCH_BLOCK)
         self._running = True
@@ -587,6 +618,25 @@ class Session(_CommonOps):
         }
 
 
+@lru_cache(maxsize=128)
+def _row_constants(q: int, safe: int) -> tuple:
+    """The ring constants a BatchSession's rows meet, as read-only 0-d
+    arrays: a Python int would take numpy's slower weak-scalar path (NEP
+    50).  In order: q - 1, q - 2, q/2, the safe bound and twice it, all
+    uint64 (2*safe stays an int where it is 2^64: numpy 2 compares it with
+    a row exactly), then the shift of the balanced lift as a uint64 and as
+    an int64: a uint64 shifted left by it keeps the ring's k bits on top,
+    and shifted back as an int64 it is sign-extended."""
+    shift = 65 - q.bit_length()
+    consts = [np.array(c, dtype=np.uint64) for c in (q - 1, q - 2, q >> 1, safe)]
+    consts.append(np.array(2 * safe, dtype=np.uint64) if 2 * safe < 1 << 64 else 2 * safe)
+    consts += [np.array(shift, dtype=np.uint64), np.array(shift, dtype=np.int64)]
+    for c in consts:
+        if type(c) is np.ndarray:
+            c.flags.writeable = False
+    return tuple(consts)
+
+
 class BatchSession(_CommonOps):
     """Many independent executions of one program at once, evaluated for
     the Session it is attached to: both parties' shares of each value as
@@ -598,15 +648,17 @@ class BatchSession(_CommonOps):
 
     Masks and Beaver triples are drawn from the session's dealer as the
     gadgets need them, each call's residues in one array; opened values
-    never depend on them.  Inside a block every gadget costs its
+    never depend on them.  Rows meet the ring constants as 0-d uint64
+    arrays (`_row_constants`), and the noise protocol runs on its plan's
+    row form (`offline`).  Inside a block every gadget costs its
     per-execution amount once per committed execution; outside it
     (sharing a value) once.
     """
 
     def __init__(self, session: Session):
         super().__init__(session.field)
-        # a uint64 shifted left by this many bits keeps the ring's k bits on top
-        self._shift = 65 - self.q.bit_length()
+        (self._row_m, self._row_high, self._half, self._safe, self._safe2,
+         self._shl, self._shr) = _row_constants(self.q, self.safe_magnitude)
         self.tape0, self.tape1 = session.tape0, session.tape1
         self.dealer, self.ledger = session.dealer, session.ledger
         self._rows: np.ndarray | None = None  # joint word j of each execution in row j
@@ -645,28 +697,42 @@ class BatchSession(_CommonOps):
         self.tape1.skip(k * words)
         self.ledger.add(unit, k)
 
-    def _check(self, bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    def _check(self, bad, values, message: str) -> None:
         """ContractViolation at once for the first flagged execution,
         reporting the balanced lift of its value; inside a block,
-        `_evaluate` then commits nothing of it.  `bad` is a bool array, or a
-        bool for a common value."""
-        if bad if type(bad) is bool else bad.any():
-            i = int(np.argmax(np.ravel(bad)))
+        `_evaluate` then commits nothing of it.  `bad` holds one bool or
+        integer per execution (nonzero for a fault), or one for a common
+        value."""
+        if np.count_nonzero(bad):
+            i = np.flatnonzero(bad)[0]
             raise ContractViolation(
                 message.format(self.field.lift(int(np.ravel(values)[i])), safe=self.safe_magnitude)
             )
 
-    def _lift(self, v) -> np.ndarray:
+    def _lift(self, v):
         """The balanced representative of each v mod q, as int64: the low k
-        bits of its uint64, sign-extended."""
-        u = np.asarray(v & self._m, dtype=np.uint64)
-        return (u << self._shift).view(np.int64) >> self._shift
+        bits of its uint64, sign-extended (a Python int for a common v)."""
+        if type(v) is int:
+            return self.field.lift(v)
+        if v.dtype.kind != "u":  # an int64 row, say
+            v = v.astype(np.uint64)
+        return (v << self._shl).view(np.int64) >> self._shr
+
+    def offline(self, key, words: int, block, step, unpack):
+        """One execution of an input-independent program for every
+        execution of the block, on its key's row form (`NoisePlan.rows`):
+        `step(self, key.rows)`."""
+        return step(self, key.rows)
 
     # -- randomness ----------------------------------------------------------
 
     def joint_word(self) -> np.ndarray:
         """The next joint word of every execution in the block (uint64)."""
-        return self._joint_words(1)[0]
+        rows, col = self._rows, self._col
+        if rows is None or col == len(rows):
+            return self._joint_words(1)[0]  # raises
+        self._col = col + 1
+        return rows[col]
 
     def _joint_words(self, k: int) -> np.ndarray:
         """The next k joint words of every execution, one row each."""
@@ -684,11 +750,13 @@ class BatchSession(_CommonOps):
     def _reshare(self, value, mask: np.ndarray | None = None) -> SharedValue:
         """Fresh additive sharing of one value per execution (or one common),
         on `mask` or on masks drawn now."""
-        value = np.asarray(value)
-        if value.dtype.kind != "b":  # a bool meets the uint64 mask uncast
-            value = value.astype(np.uint64, copy=False)
+        # a uint64 or bool row meets the uint64 mask as it is
+        if type(value) is not np.ndarray or value.dtype.kind not in "ub":
+            value = np.asarray(value)
+            if value.dtype.kind != "b":
+                value = value.astype(np.uint64, copy=False)
         r = self._masks(value.shape) if mask is None else mask
-        masked = (value - r) & self._m
+        masked = (value - r) & self._row_m
         if masked.ndim == 0:  # a common value: plain ints, usable by Session too
             return (int(masked), int(r))
         return (masked, r)
@@ -703,6 +771,7 @@ class BatchSession(_CommonOps):
 
     def perturbation_material(self, payload: SharedValue) -> tuple:
         """As `Session.perturbation_material`, one entry per execution: a
-        mask row at the payload's shape, then two triples of five rows."""
-        shape = np.broadcast(*payload).shape
-        return self._masks(shape), self._masks((5,) + shape), self._masks((5,) + shape)
+        mask row at the payload's shape, then two triples of five rows,
+        the 11 rows in one read."""
+        rows = self._masks((11,) + np.broadcast(*payload).shape)
+        return rows[0], rows[1:6], rows[6:]

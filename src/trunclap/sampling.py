@@ -85,6 +85,31 @@ class CenteredDlapConfig:
     def method(self) -> str:
         return "segmented" if self.segment_thresholds else "bitwise"
 
+    @cached_property
+    def rows(self) -> CenteredDlapConfig:
+        """This plan with its thresholds as `_row_threshold`s, the form a
+        BatchSession compares its uint64 rows of joint words with."""
+        zero = self.zero_threshold
+        return replace(
+            self,
+            zero_threshold=None if zero is None else _row_threshold(zero),
+            sign_threshold=_row_threshold(self.sign_threshold),
+            bit_thresholds=tuple(map(_row_threshold, self.bit_thresholds)),
+            segment_thresholds=tuple(map(_row_threshold, self.segment_thresholds)),
+        )
+
+
+def _row_threshold(t: int):
+    """A 64-bit threshold as a read-only 0-d uint64 array, which a uint64
+    row meets on numpy's fast path (a Python int takes the weak-scalar
+    path, NEP 50); 2^64 does not fit and stays an int, which numpy 2
+    compares with a row exactly."""
+    if t >> 64:
+        return t
+    a = np.array(t, dtype=np.uint64)
+    a.flags.writeable = False
+    return a
+
 
 @lru_cache(maxsize=128)
 def centered_dlap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
@@ -218,11 +243,19 @@ class NoisePlan:
         config = centered_clap_config if self.mech.cumulative else centered_dlap_config
         return config(P.L, P.sigma, P.p)
 
-    @property
+    @cached_property
     def words_per_draw(self) -> int:
         """Words of one noise draw, in this order: the branch word, the tail
         index's P words, then the inner draw's words."""
         return 1 + self.tail.words + self.inner.words_per_draw
+
+    @cached_property
+    def rows(self) -> NoisePlan:
+        """This plan with its thresholds, its inner plan's included, as
+        `_row_threshold`s: what a BatchSession draws on."""
+        rows = replace(self, branch_threshold=_row_threshold(self.branch_threshold))
+        vars(rows)["inner"] = self.inner.rows  # where `inner` caches it
+        return rows
 
 
 @lru_cache(maxsize=128)

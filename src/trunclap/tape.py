@@ -25,6 +25,7 @@ committed whole; one that meets a range fault raises before any of it is.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import islice
@@ -139,7 +140,10 @@ class RandomTape:
         self._buf, self._pos = np.empty(0, dtype=np.uint64), 0
         if words is not None:
             injected = iter(words)
-            self._raw = lambda k: np.fromiter(islice(injected, k), dtype=np.uint64)
+            # operator.index refuses a float or a string, which the uint64
+            # conversion would truncate or parse
+            self._raw = lambda k: np.fromiter(map(operator.index, islice(injected, k)),
+                                              dtype=np.uint64)
         elif seed is None:
             raise ValueError("a seeded tape needs a seed (None would draw one from OS entropy)")
         else:
@@ -189,8 +193,8 @@ class RandomTape:
         short = n - (len(buf) - pos)
         try:
             fresh = self._raw(short if short > _BUFFER_WORDS else _BUFFER_WORDS)
-        except OverflowError as exc:
-            raise ValueError(f"an injected word must lie in [0, 2^64): {exc}") from None
+        except (OverflowError, TypeError) as exc:
+            raise ValueError(f"an injected word must be an integer in [0, 2^64): {exc}") from None
         self._buf, self._pos = np.concatenate([buf[pos:], fresh]) if pos < len(buf) else fresh, 0
         if len(fresh) < short:
             raise StopIteration

@@ -111,8 +111,10 @@ class TestWires:
         triples = rng.integers(0, q, size=(5, 200))
         a0, a1, b0, b1 = rng.integers(0, q, size=(4, 200))
         batch = BatchSession(Session(self.CFG, 1, 2))
-        monkeypatch.setattr(batch, "_triple", lambda *_: triples)
-        z = batch.mul((a0, a1), (b0, b1))
+        # a BatchSession's rows are uint64 arrays
+        u0, u1, v0, v1 = (x.astype(np.uint64) for x in (a0, a1, b0, b1))
+        monkeypatch.setattr(batch, "_triple", lambda *_: triples.astype(np.uint64))
+        z = batch.mul((u0, u1), (v0, v1))
         assert np.array_equal(batch.peek(z), [self.CFG.lift(v) for v in (a0 + a1) * (b0 + b1)])
         s = Session(self.CFG, 1, 2)
         for j in range(triples.shape[1]):
@@ -176,6 +178,33 @@ class TestWires:
         cx = batch.share(x)
         assert batch.open(batch.mul(cx, batch.share(y))) == cfg.lift(x * y)
         assert batch.open(batch.mul(cx, batch.share(np.array([y])))).tolist() == [cfg.lift(x * y)]
+
+    @pytest.mark.parametrize("k", [5, 63, 64])
+    def test_batch_ops_on_common_values_return_ints(self, k):
+        # a value common to every execution stays plain Python ints through
+        # every op, though rows meet uint64 ring constants; share sums can
+        # pass 2^64 at k = 64
+        cfg = FieldConfig(e=k - 1, p=0)
+        q = cfg.q
+        batch = BatchSession(Session(cfg, 1, 2))
+        x, y, bit = batch.share(q - 1), batch.share(q // 2 + 3), batch.share(1)
+        ops = {
+            "share": (x, q - 1),
+            "share_public": (batch.share_public(q - 1), q - 1),
+            "add": (batch.add(x, y), q - 1 + q // 2 + 3),
+            "sub": (batch.sub(x, y), q - 1 - q // 2 - 3),
+            "add_public": (batch.add_public(x, -5), q - 6),
+            "affine": (batch.affine(x, -3, 7), 3 * (1 - q) + 7),
+            "mul": (batch.mul(x, y), (q - 1) * (q // 2 + 3)),
+            "mux": (batch.mux(bit, x, y), q // 2 + 3),
+            "pi_ge": (batch.pi_ge(batch.share(3)), 1),
+            "trunc_pow2": (batch.trunc_pow2(batch.share(q - 8), 2), -2),
+        }
+        for name, (sv, want) in ops.items():
+            assert all(type(v) is int and 0 <= v < q for v in sv), name
+            opened = batch.open(sv)
+            assert type(opened) is int and opened == cfg.lift(want), name
+        assert type(batch.peek(x)) is int
 
     def test_transcript_per_wire(self, monkeypatch):
         s = Session(self.CFG, 1, 2, record_transcript=True)
@@ -758,6 +787,37 @@ class TestFaultMessages:
             with pytest.raises(ContractViolation, match=want):
                 session.run(program, 16, 1)
 
+    # (gadget, residues of six executions' inputs, the first fault's report):
+    # three executions fault, and the first is reported
+    SEVERAL = {
+        "ge": (lambda q: [0, 1, q - q // 4 - 3, q - 1, q // 4 + 5, q // 2], "-{safe3}"),
+        "mux": (lambda q: [0, 1, 1, q - 1, 2, q // 2], "-1"),
+    }
+
+    @pytest.mark.parametrize("cfg", [SMALL, WORD_RING], ids=["q=2^9", "q=2^64"])
+    @pytest.mark.parametrize("gadget", sorted(SEVERAL))
+    def test_a_block_reports_its_first_fault(self, gadget, cfg):
+        # a block of six executions, three faulting: its range check counts
+        # the faults (np.count_nonzero) and names the first faulting
+        # execution's balanced value; nothing of the block is consumed
+        residues, shown = self.SEVERAL[gadget]
+        run, message = self.GADGETS[gadget]
+        q = cfg.q
+        rows = np.array(residues(q), dtype=np.uint64)
+
+        def program(b):
+            b.pi_bersample(0.5)  # the block's one joint word
+            run(b, b.share(rows))
+            return 0
+
+        s = Session(cfg, 1, 2)
+        want = message.format(shown.format(safe3=q // 4 + 3))
+        with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as counts:
+            with pytest.raises(ContractViolation, match=want):
+                BatchSession(s)._evaluate(program, 1, len(rows))
+        assert counts.call_count >= 1
+        assert s.tape0.words_consumed == s.tape1.words_consumed == 0
+
     @pytest.mark.parametrize("cfg", [SMALL, WORD_RING], ids=["q=2^9", "q=2^64"])
     def test_the_safe_range_ends_pass(self, cfg):
         # the sign test at -safe, -1, 0 and safe, the ends of the safe range
@@ -906,6 +966,23 @@ class TestBatchSession:
         huge = np.array([0, s.safe_magnitude + 1, 3])
         with pytest.raises(ContractViolation, match=f"input {s.safe_magnitude + 1}"):
             s.pi_ge(s.share(huge))
+
+    @pytest.mark.parametrize("cfg", [SMALL, WORD_RING], ids=["q=2^9", "q=2^64"])
+    def test_perturbation_material_is_one_read(self, cfg):
+        # one `_masks` read of 11 rows hands out the residues, and moves the
+        # dealer as far, as three reads: the mask, then two triples
+        n = 6
+        one, three = (BatchSession(Session(cfg, 5, 6)) for _ in range(2))
+        payload = one.share(np.arange(n, dtype=np.uint64))
+        three.share(np.arange(n, dtype=np.uint64))
+        with mock.patch.object(BatchSession, "_masks", autospec=True,
+                               side_effect=BatchSession._masks) as reads:
+            got = one.perturbation_material(payload)
+        assert [c.args[1:] for c in reads.call_args_list] == [((11, n),)]
+        want = three._masks((n,)), three._masks((5, n)), three._masks((5, n))
+        for g, w in zip(got, want):
+            assert g.dtype == np.uint64 and g.shape == w.shape and np.array_equal(g, w)
+        assert one.dealer.words_consumed == three.dealer.words_consumed == n + 11 * n
 
     def test_joint_words_only_inside_run(self):
         with pytest.raises(RuntimeError, match="inside a block"):

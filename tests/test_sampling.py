@@ -511,6 +511,34 @@ class TestNoisePlan:
             for _ in range(50):
                 noise(mech, params, tape)
             assert tape.words_consumed == 50 * plan.words_per_draw
+            assert vars(plan)["words_per_draw"] == plan.words_per_draw  # cached
+
+    def test_row_form_holds_the_thresholds_as_uint64_constants(self):
+        # every threshold of the plan and its inner plan, as a read-only 0-d
+        # uint64 array of the same value; 2^64 (probability 1) stays an int
+        sure = MechanismParams(E=3.0, L=2.0, sigma=1e-3, p=0)  # zero mass 1
+        for params, mech in product(self.SETS + [sure], (TDL, TCL)):
+            plan = noise_plan(mech, params)
+            rows = plan.rows
+            assert plan.rows is rows and rows.inner is plan.inner.rows  # cached
+            a, b = plan.inner, rows.inner
+            pairs = [(plan.branch_threshold, rows.branch_threshold),
+                     (a.sign_threshold, b.sign_threshold),
+                     *zip(a.bit_thresholds, b.bit_thresholds),
+                     *zip(a.segment_thresholds, b.segment_thresholds)]
+            if a.zero_threshold is not None:
+                pairs.append((a.zero_threshold, b.zero_threshold))
+            assert (b.kappa, b.segments, b.words_per_draw) == (a.kappa, a.segments,
+                                                              a.words_per_draw)
+            for t, r in pairs:
+                if t == 2**64:
+                    assert type(r) is int and r == t
+                else:
+                    assert r.dtype == np.uint64 and r.shape == () and int(r) == t
+                    assert not r.flags.writeable
+            assert (rows.outer_count, rows.words_per_draw) == (plan.outer_count,
+                                                               plan.words_per_draw)
+        assert noise_plan(TDL, sure).inner.zero_threshold == 2**64
 
     def test_negative_gamma_is_refused_for_tcl(self, small_params):
         # the six calls that still take the benchmark's gamma

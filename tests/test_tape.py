@@ -139,11 +139,16 @@ class TestWordStream:
         assert tape.peek_block(240).tolist() == stream[160:]
         assert tape.words_consumed == 160
 
-    @pytest.mark.parametrize("bad", [-1, 2**64])
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "3"])
     def test_injected_non_words_are_refused(self, bad):
-        # a non-word used to be handed out as it was
+        # a non-word used to be handed out as it was: a float truncated, a
+        # numeric string parsed
         with pytest.raises(ValueError, match="injected word"):
             RandomTape(words=[5, bad]).word()
+
+    def test_injected_numpy_integers_are_words(self):
+        words = [np.uint64(2**64 - 1), np.int64(3), True, 7]
+        assert RandomTape(words=words).words(4) == [2**64 - 1, 3, 1, 7]
 
     def test_words_are_python_ints(self):
         tape = RandomTape(2)

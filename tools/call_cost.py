@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""In-process per-call cost of the batch simulator, as JSON.
+
+    python3 tools/call_cost.py [--change .] [--parent ../parent] [--k 5] \\
+        [--calls 8 1000] [--blocks 8] [--reps 200] [--out FILE]
+
+For every case, the small and wide sets (perfbench's) x TDL/TCL, a
+worker process on a checkout times these metrics, each the median of
+--reps calls:
+
+* `run_batch_us.<n>`: one `run_batch` call of n sessions, for each n of
+  --calls (a fresh Session, the input shared once, its blocks);
+* `block_us.<n>`: a fresh `run_sessions` call of n executions run as one
+  block, forced even below `BATCH_MIN_SESSIONS`, for each n of --blocks;
+* `loop_us.<n>`: the same call run sequentially (its session on tapes
+  passed in, which never runs blocks);
+* `pool_block_us` and `pool_loop_us`: one block of 8 noise pairs on a warm
+  long-lived session (`Session.offline`'s block: evaluated, then
+  committed), and 8 pairs drawn one by one on the same kind of session.
+
+The run is k alternations.  Each alternation runs one worker on each
+checkout, --parent first on even alternations and --change first on odd
+ones, so that neither side always runs on a warmer host.  The report gives
+each side's median over the k alternations of every metric, and with
+--parent the change's median over the parent's.  Each checkout is a tree
+holding `src/trunclap`; the worker imports it from there.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+# perfbench's mpc-batch sets, named as there
+SETS = {"small": dict(E=4.0, L=2.0, sigma=1.0, p=0),
+        "wide": dict(E=64.0, L=32.0, sigma=8.0, p=2)}
+MECHS = ("tdl", "tcl")
+POOL_BLOCK = 8
+
+
+def median_us(call, reps: int) -> float:
+    """Median wall time of `reps` calls of `call()`, in microseconds."""
+    times = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t0)
+    return round(statistics.median(times) * 1e6, 2)
+
+
+def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
+    """Every metric of every case, timed in this process."""
+    from trunclap import tape
+    from trunclap.mechanisms import MechanismParams, lookup_mechanism
+    from trunclap.mpc import BatchSession, Session, mechanism_field, run_batch
+    from trunclap.mpc.protocols import _noise_pair, _noise_rows, run_sessions
+    from trunclap.sampling import noise_plan
+    from trunclap.tape import RandomTape
+
+    out = {}
+    for label, kw in SETS.items():
+        P = MechanismParams(**kw)
+        for name in MECHS:
+            mech = lookup_mechanism(name)
+            field = mechanism_field(P, name)
+            plan = noise_plan(mech, P)
+            seeds = iter(range(1, 1 << 30, 2))
+            case = {}
+            run_batch(name, P, 0.0, max(calls), 0, 1)  # fill the lazy caches
+            for n in calls:
+                case[f"run_batch_us.{n}"] = median_us(
+                    lambda: run_batch(name, P, 0.0, n, (s := next(seeds)), s + 1), reps)
+            forced, tape.BATCH_MIN_SESSIONS = tape.BATCH_MIN_SESSIONS, 1
+            try:
+                for n in blocks:
+                    case[f"block_us.{n}"] = median_us(
+                        lambda: run_sessions(Session(field, (s := next(seeds)), s + 1),
+                                             mech, P, 0, n), reps)
+            finally:
+                tape.BATCH_MIN_SESSIONS = forced
+            for n in blocks:
+                case[f"loop_us.{n}"] = median_us(
+                    lambda: run_sessions(
+                        Session(field, tape0=RandomTape(s := next(seeds)), tape1=RandomTape(s + 1)),
+                        mech, P, 0, n), reps)
+            warm = Session(field, 3, 4)
+            _noise_pair(warm, plan)  # fills the plan's lazy caches
+            batch = BatchSession(warm)
+
+            def pool_block():
+                commit = batch._evaluate(lambda b: _noise_rows(b, plan), plan.words_per_draw,
+                                         POOL_BLOCK)[1]
+                commit(POOL_BLOCK)
+
+            pool_block()
+            case["pool_block_us"] = median_us(pool_block, reps)
+            case["pool_loop_us"] = median_us(
+                lambda: [_noise_pair(warm, plan) for _ in range(POOL_BLOCK)], reps)
+            out[f"{name}.{label}"] = case
+    return out
+
+
+def run_worker(checkout: Path, args) -> dict:
+    """One worker process on `checkout`: its metrics, parsed from JSON."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
+                                                      env.get("PYTHONPATH")]))
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", "--reps", str(args.reps),
+           "--calls", *map(str, args.calls), "--blocks", *map(str, args.blocks)]
+    r = subprocess.run(cmd, env=env, capture_output=True, text=True)
+    if r.returncode:
+        raise RuntimeError(f"{checkout}: worker exited {r.returncode}: {r.stderr[-2000:]}")
+    return json.loads(r.stdout)
+
+
+def parse(argv):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--change", type=Path, default=ROOT)
+    ap.add_argument("--parent", type=Path, default=None)
+    ap.add_argument("--k", type=int, default=5, help="alternations")
+    ap.add_argument("--calls", type=int, nargs="+", default=[8, 1000],
+                    help="sessions per timed run_batch call")
+    ap.add_argument("--blocks", type=int, nargs="+", default=[8],
+                    help="executions of a forced block and of its sequential loop")
+    ap.add_argument("--reps", type=int, default=200, help="timed calls per metric")
+    ap.add_argument("--out", type=Path, default=None)
+    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if min(args.k, args.reps, *args.calls, *args.blocks) < 1:
+        ap.error("--k, --reps, --calls and --blocks take positive counts")
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse(argv)
+    if args.worker:
+        print(json.dumps(measure(args.calls, args.blocks, args.reps)))
+        return 0
+    sides = {"change": args.change} if args.parent is None else {"parent": args.parent,
+                                                                "change": args.change}
+    runs = {side: [] for side in sides}
+    for i in range(args.k):
+        order = list(sides) if i % 2 == 0 else list(reversed(sides))
+        for side in order:
+            runs[side].append(run_worker(sides[side], args))
+        print(f"alternation {i} done", file=sys.stderr)
+    report = {"k": args.k, "reps": args.reps, "python": sys.version.split()[0],
+              "host_cpus": os.cpu_count(), "cases": {}}
+    first = runs["change"][0]
+    for case, metrics in first.items():
+        out = report["cases"][case] = {}
+        for metric in metrics:
+            med = {side: round(statistics.median(r[case][metric] for r in rs), 2)
+                   for side, rs in runs.items()}
+            if args.parent is not None:
+                med["change_over_parent"] = round(med["change"] / med["parent"], 4)
+            out[metric] = med
+    text = json.dumps(report, indent=1)
+    print(text)
+    if args.out:
+        args.out.write_text(text + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
