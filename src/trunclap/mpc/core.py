@@ -94,7 +94,7 @@ import numpy as np
 from .. import tape as tape_module
 from ..grids import FieldConfig
 from ..tape import (BlockScheduler, RandomTape, _magnitude, bernoulli_threshold, pick_segment,
-                    segment_plan)
+                    row_constant, segment_plan)
 
 OPEN_ROUNDS, OPEN_ELEMENTS = 1, 2
 SHARE_ROUNDS, SHARE_ELEMENTS = 1, 1
@@ -282,6 +282,7 @@ class _CommonOps:
             a &= m
             b &= m
         else:
+            _uint64_rows(a, b)
             if type(a) is int:
                 a &= m
             if type(b) is int:
@@ -389,6 +390,7 @@ class _CommonOps:
             c = (b - a) & m
             bad = sel > 1
         else:
+            _uint64_rows(sel, a, b)
             if type(sel) is int:
                 sel &= m
             if type(a) is int:
@@ -450,7 +452,11 @@ class _CommonOps:
         """
         u = sv[0] + sv[1]
         # a common share sum, a Python int, can pass 2^64: the int mask
-        u &= self._m if type(u) is int else self._row_m
+        if type(u) is int:
+            u &= self._m
+        else:
+            _uint64_rows(u)
+            u &= self._row_m
         self._check((u + self._safe) & self._row_m > self._safe2, u,
                     "pi_ge input {} outside safe range +/-{safe}")
         led = self.ledger
@@ -594,16 +600,7 @@ class Session(_CommonOps):
             raise ValueError(f"n must be >= 0, got {n}")
         if not self._batches or self.record_transcript:
             return np.array([program(self) for _ in range(n)], dtype=np.int64)
-
-        def per_execution(b: BatchSession) -> np.ndarray:
-            # a value common to every execution of the block is one int;
-            # the block's rows hold one column per execution
-            values, shape = program(b), b._rows.shape[1:]
-            if getattr(values, "shape", None) == shape:
-                return values
-            return np.broadcast_to(values, shape)
-
-        blocks = self._scheduler(per_execution, words, lambda: program(self), tape_module.BATCH_BLOCK)
+        blocks = self._scheduler(program, words, lambda: program(self), tape_module.BATCH_BLOCK)
         self._running = True
         try:
             return blocks.take(n)
@@ -620,21 +617,26 @@ class Session(_CommonOps):
 
 @lru_cache(maxsize=128)
 def _row_constants(q: int, safe: int) -> tuple:
-    """The ring constants a BatchSession's rows meet, as read-only 0-d
-    arrays: a Python int would take numpy's slower weak-scalar path (NEP
-    50).  In order: q - 1, q - 2, q/2, the safe bound and twice it, all
-    uint64 (2*safe stays an int where it is 2^64: numpy 2 compares it with
-    a row exactly), then the shift of the balanced lift as a uint64 and as
-    an int64: a uint64 shifted left by it keeps the ring's k bits on top,
-    and shifted back as an int64 it is sign-extended."""
+    """The ring constants a BatchSession's rows meet, as `row_constant`s:
+    q - 1, q - 2, q/2, the safe bound and twice it (an int where that is
+    2^64), then the shift of the balanced lift as a uint64 and as an
+    int64: a uint64 shifted left by it keeps the ring's k bits on top, and
+    shifted back as an int64 it is sign-extended."""
     shift = 65 - q.bit_length()
-    consts = [np.array(c, dtype=np.uint64) for c in (q - 1, q - 2, q >> 1, safe)]
-    consts.append(np.array(2 * safe, dtype=np.uint64) if 2 * safe < 1 << 64 else 2 * safe)
-    consts += [np.array(shift, dtype=np.uint64), np.array(shift, dtype=np.int64)]
-    for c in consts:
-        if type(c) is np.ndarray:
-            c.flags.writeable = False
-    return tuple(consts)
+    return (*map(row_constant, (q - 1, q - 2, q >> 1, safe, 2 * safe, shift)),
+            row_constant(shift, np.int64))
+
+
+_UINT64 = np.dtype(np.uint64)
+
+
+def _uint64_rows(*values) -> None:
+    """TypeError for a row that is not uint64.  A BatchSession's shares are
+    uint64 rows (`share` casts its input); a signed row would meet the
+    uint64 ring constants as float64, which no bitwise op takes."""
+    for v in values:
+        if type(v) is not int and v.dtype != _UINT64:
+            raise TypeError(f"a BatchSession's share rows are uint64 arrays, not {v.dtype}")
 
 
 class BatchSession(_CommonOps):
@@ -650,7 +652,8 @@ class BatchSession(_CommonOps):
     gadgets need them, each call's residues in one array; opened values
     never depend on them.  Rows meet the ring constants as 0-d uint64
     arrays (`_row_constants`), and the noise protocol runs on its plan's
-    row form (`offline`).  Inside a block every gadget costs its
+    row form (`offline`); a share row that is not uint64 is refused
+    (`_uint64_rows`).  Inside a block every gadget costs its
     per-execution amount once per committed execution; outside it
     (sharing a value) once.
     """
@@ -714,25 +717,22 @@ class BatchSession(_CommonOps):
         bits of its uint64, sign-extended (a Python int for a common v)."""
         if type(v) is int:
             return self.field.lift(v)
-        if v.dtype.kind != "u":  # an int64 row, say
-            v = v.astype(np.uint64)
+        _uint64_rows(v)
         return (v << self._shl).view(np.int64) >> self._shr
 
     def offline(self, key, words: int, block, step, unpack):
         """One execution of an input-independent program for every
         execution of the block, on its key's row form (`NoisePlan.rows`):
-        `step(self, key.rows)`."""
+        `step(self, key.rows)`.  The one place a program meets the row
+        form: a program run in a block and `Session.offline`'s blocks both
+        draw through here."""
         return step(self, key.rows)
 
     # -- randomness ----------------------------------------------------------
 
     def joint_word(self) -> np.ndarray:
         """The next joint word of every execution in the block (uint64)."""
-        rows, col = self._rows, self._col
-        if rows is None or col == len(rows):
-            return self._joint_words(1)[0]  # raises
-        self._col = col + 1
-        return rows[col]
+        return self._joint_words(1)[0]
 
     def _joint_words(self, k: int) -> np.ndarray:
         """The next k joint words of every execution, one row each."""

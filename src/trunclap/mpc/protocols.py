@@ -187,8 +187,9 @@ def _noise_pair(session: Session, plan: NoisePlan) -> SharedNoisePair:
 
 def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:
     """A block of pairs, one uint64 row each: the branch and payload shares,
-    the sign test's mask and the two triples' five residues each."""
-    pair = _noise_pair(batch, plan.rows)
+    the sign test's mask and the two triples' five residues each, drawn
+    on the plan's row form (`BatchSession.offline`)."""
+    pair = pi_noise(batch, plan.mech, plan.params)
     mask, select, blend = pair.spend()
     cols = (*pair.branch, *pair.payload, mask, *select, *blend)
     return np.column_stack(np.broadcast_arrays(*cols))

@@ -52,7 +52,7 @@ from .mechanisms import (
     outer_count,
 )
 from .tape import (BlockScheduler, RandomTape, SegmentPlan, _magnitude, bernoulli_threshold,
-                   pick_segment, segment_plan)
+                   pick_segment, row_constant, segment_plan)
 
 
 @dataclass(frozen=True)
@@ -87,28 +87,16 @@ class CenteredDlapConfig:
 
     @cached_property
     def rows(self) -> CenteredDlapConfig:
-        """This plan with its thresholds as `_row_threshold`s, the form a
+        """This plan with its thresholds as `row_constant`s, the form a
         BatchSession compares its uint64 rows of joint words with."""
         zero = self.zero_threshold
         return replace(
             self,
-            zero_threshold=None if zero is None else _row_threshold(zero),
-            sign_threshold=_row_threshold(self.sign_threshold),
-            bit_thresholds=tuple(map(_row_threshold, self.bit_thresholds)),
-            segment_thresholds=tuple(map(_row_threshold, self.segment_thresholds)),
+            zero_threshold=None if zero is None else row_constant(zero),
+            sign_threshold=row_constant(self.sign_threshold),
+            bit_thresholds=tuple(map(row_constant, self.bit_thresholds)),
+            segment_thresholds=tuple(map(row_constant, self.segment_thresholds)),
         )
-
-
-def _row_threshold(t: int):
-    """A 64-bit threshold as a read-only 0-d uint64 array, which a uint64
-    row meets on numpy's fast path (a Python int takes the weak-scalar
-    path, NEP 50); 2^64 does not fit and stays an int, which numpy 2
-    compares with a row exactly."""
-    if t >> 64:
-        return t
-    a = np.array(t, dtype=np.uint64)
-    a.flags.writeable = False
-    return a
 
 
 @lru_cache(maxsize=128)
@@ -252,8 +240,8 @@ class NoisePlan:
     @cached_property
     def rows(self) -> NoisePlan:
         """This plan with its thresholds, its inner plan's included, as
-        `_row_threshold`s: what a BatchSession draws on."""
-        rows = replace(self, branch_threshold=_row_threshold(self.branch_threshold))
+        `row_constant`s: what a BatchSession draws on (`offline`)."""
+        rows = replace(self, branch_threshold=row_constant(self.branch_threshold))
         vars(rows)["inner"] = self.inner.rows  # where `inner` caches it
         return rows
 

@@ -53,6 +53,18 @@ def bernoulli_threshold(prob: float) -> int:
     return min(_WORD_MOD, max(0, round(prob * _WORD_MOD)))
 
 
+def row_constant(c: int, dtype=np.uint64):
+    """A constant that meets uint64 rows, as a read-only 0-d array of
+    `dtype`: a uint64 row meets it on numpy's fast path, and a Python int
+    on the slower weak-scalar path (NEP 50).  A c of 2^64 or more does not
+    fit and stays an int, which numpy 2 compares with a row exactly."""
+    if c >> WORD_BITS:
+        return c
+    a = np.array(c, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class SegmentPlan:
     """A uniform index on [0, N) drawn without rejection.
@@ -269,7 +281,7 @@ class BlockScheduler:
             size = min(n - done, self.cap)
             values, commit = self._evaluate(size)
             commit(size)
-            out[done : done + size] = values
+            out[done : done + size] = values  # a value common to the block broadcasts
             done += size
         for i in range(done, n):  # the rest of a short call
             out[i] = self._step()

@@ -96,7 +96,7 @@ class TestWires:
     def test_batch_reconstructs_every_residue(self):
         s = BatchSession(Session(self.CFG, 1, 2))
         q = s.q
-        r = np.arange(q)
+        r = np.arange(q, dtype=np.uint64)  # share rows are uint64
         lifted = np.array([self.CFG.lift(int(v)) for v in r])
         for sv in ((r, 0), (q - 1, (r + 1) % q), s.share(r)):
             assert np.array_equal(s.peek(sv), lifted)
@@ -121,6 +121,23 @@ class TestWires:
             monkeypatch.setattr(s, "_triple", lambda *_: tuple(int(t) for t in triples[:, j]))
             zj = s.mul((int(a0[j]), int(a1[j])), (int(b0[j]), int(b1[j])))
             assert zj == (z[0][j], z[1][j])
+
+    def test_signed_rows_are_refused(self):
+        # share rows are uint64 (`share` casts); a hand-built int64 row is
+        # refused where it meets the ring constants, by name
+        batch = BatchSession(Session(self.CFG, 1, 2))
+        signed = (np.arange(4, dtype=np.int64), np.zeros(4, dtype=np.int64))
+        row = batch.share(np.arange(4))
+        assert row[0].dtype == row[1].dtype == np.uint64
+        gadgets = {
+            "mul": lambda: batch.mul(signed, row),
+            "mux": lambda: batch.mux(row, signed, row),
+            "pi_ge": lambda: batch.pi_ge(signed),
+            "open": lambda: batch.open(signed),
+        }
+        for name, call in gadgets.items():
+            with pytest.raises(TypeError, match="share rows are uint64 arrays, not int64"):
+                call()
 
     @pytest.mark.parametrize("k", [5, 31, 32, 63, 64])
     def test_wires_at_the_ring_edges(self, k):
