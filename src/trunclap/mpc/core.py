@@ -69,10 +69,12 @@ word, or the next k in one read, dealer masks, Beaver triples of five
 dealer residues each, and the dealer material of one perturbation drawn
 ahead of it), the ring constants its values meet, how a range check
 finds the first fault, and how a sum of shares lifts to the balanced
-range.  A BatchSession's rows meet 0-d uint64 arrays, numpy's fast path
-(a Python int takes the slower weak-scalar one, NEP 50), and draw on the
-row form of the noise plan, whose thresholds are such arrays; a value
-common to every execution stays a Python int, and meets Python ints.
+range.  Each substrate holds one kind of value: a Session's shares are
+Python ints and meet int constants; a BatchSession's are uint64 rows and
+meet 0-d uint64 constants, numpy's fast path (a Python int takes the
+slower weak-scalar one, NEP 50), and draw on the row form of the noise
+plan.  A value common to every execution of a block is a row of one,
+which broadcasts.
 
 Dealer material can be drawn ahead of the gadget that uses it: `pi_ge`
 takes its resharing mask and `mul`/`mux` their triple as arguments, and
@@ -193,34 +195,37 @@ class _CommonOps:
     each with its one ledger charge.
 
     A shared value is the plain tuple (s0, s1) of both parties' shares,
-    residues in [0, q): Python ints in a Session, uint64 arrays (or ints
-    that broadcast against them) in a BatchSession.  q is a power of two,
-    so one mask reduces every operation, and uint64 arithmetic, which
-    wraps mod 2^64, reduces consistently.  A substrate supplies its
-    randomness (`joint_word`, `_joint_words`, `_reshare`, `_triple`), its
-    range check (`_check`) and the ring constants a row meets (`_row_m`,
-    `_row_high`, `_half`, `_safe`, `_safe2`): Python ints in a Session.  A
-    common value, a Python int, meets the int mask `_m` only, so a common
-    result stays plain ints: `mul` and `mux` tell it from a row by the
-    type tests they make anyway, and `pi_ge` by one more.  The local
-    linear ops take the int mask whatever they meet: a type test there
-    would slow a Session's online call, which is made of them.
+    residues in [0, q), of one kind per substrate: Python ints in a
+    Session, uint64 rows in a BatchSession, where a value common to every
+    execution is a row of one.  q is a power of two, so one mask reduces
+    every operation, and uint64 arithmetic, which wraps mod 2^64, reduces
+    consistently: sums and differences stay unreduced until a result is.
+    A substrate supplies its randomness (`joint_word`, `_joint_words`,
+    `_reshare`, `_triple`), its range check (`_check`) and the ring
+    constants its values meet under one set of names (`_m`, `_high`,
+    `_half`, `_safe`, `_safe2`): Python ints in a Session, 0-d uint64
+    arrays in a BatchSession; and the share of 0, `_zero`, that
+    `share_public` builds on.  A public constant is reduced as a Python
+    int (`% q`) before it meets a value, since a negative int does not
+    meet a uint64 row.  The one Python-int share a block meets, the input
+    shared on its Session before the block, meets only rows
+    (`pi_perturb`), so every sum it enters is a row.
     """
 
     def __init__(self, fieldcfg: FieldConfig, record_transcript: bool = False):
         self.field = fieldcfg
         self.q = fieldcfg.q
-        # reduces a Python int: a public constant, or a value common to
-        # every execution (whose share sum can pass 2^64)
-        self._m = fieldcfg.q - 1
         self.ledger = CostLedger()
         # sign tests are only sound while |value| stays below this bound
         self.safe_magnitude = 2 ** (fieldcfg.p + fieldcfg.e + fieldcfg.headroom - 1)
-        # the ring constants that meet values: Python ints here, uint64
-        # arrays where they meet rows (BatchSession)
-        self._row_m, self._row_high = self._m, self._m - 1  # q - 1, and q - 2
+        # the ring constants values meet: Python ints here, 0-d uint64
+        # arrays in a BatchSession; q - 1 reduces, q - 2 tests a bit
+        self._m, self._high = fieldcfg.q - 1, fieldcfg.q - 2
         self._half = fieldcfg.half
         self._safe, self._safe2 = self.safe_magnitude, 2 * self.safe_magnitude
+        self._zero = (0, 0)  # the share of 0 that public constants build on
+        # a BatchSession refuses share rows that are not uint64 (`_uint64_rows`)
+        self._rows_only = False
         self.record_transcript = record_transcript
         # transcript[p] = field elements received by party p, in order
         self.transcript: tuple[list, list] = ([], [])
@@ -233,7 +238,7 @@ class _CommonOps:
     def share(self, v) -> SharedValue:
         """Share a value party 0 holds; party 1 receives the dealer's mask,
         one sent element.  In a BatchSession v is one value per execution
-        or one common to all (shared as plain ints)."""
+        or one common to all (shared as a row of one)."""
         sv = self._reshare(v)
         led = self.ledger
         led.rounds += SHARE_ROUNDS
@@ -272,39 +277,29 @@ class _CommonOps:
         Party 0's share is d(e + tb0) + e·ta0 + tc0.  Party 1's is a·b less
         it, the residue of its protocol share d(tb - tb0) + e(ta - ta0) +
         ta·tb - tc0, since the two sum to (d + ta)(e + tb) = a·b."""
-        m = self._m
         a0, a1 = a
         b0, b1 = b
+        # a, b, d and e unreduced: the result is reduced, and q divides 2^64
         a, b = a0 + a1, b0 + b1
-        # a sum of two common shares is a Python int, which can pass 2^64:
-        # reduced, it meets a uint64 row; rows meet the row mask
-        if type(a) is int is type(b):  # common values, as all of a Session's
-            a &= m
-            b &= m
-        else:
+        if self._rows_only:
             _uint64_rows(a, b)
-            if type(a) is int:
-                a &= m
-            if type(b) is int:
-                b &= m
-            m = self._row_m
         ta, tb, ta0, tb0, tc0 = self._triple(a, b) if triple is None else triple
-        # d and e unreduced: the result is reduced, and q divides 2^64
         d = a - ta
         e = b - tb
         led = self.ledger
         led.multiplications += 1
         led.rounds += MUL_ROUNDS
         led.elements_exchanged += MUL_ELEMENTS
+        m = self._m
         if self.record_transcript:
             self._recv(0, (a1 - ta + ta0) & m, (b1 - tb + tb0) & m)
             self._recv(1, (a0 - ta0) & m, (b0 - tb0) & m)
         s0 = (d * (e + tb0) + e * ta0 + tc0) & m
         return (s0, (a * b - s0) & m)
 
-    def share_public(self, v) -> SharedValue:
+    def share_public(self, v: int) -> SharedValue:
         """Zero-cost sharing of a publicly known constant."""
-        return (v & self._m, 0)
+        return self.add_public(self._zero, v)
 
     def add(self, a: SharedValue, b: SharedValue) -> SharedValue:
         m = self._m
@@ -314,16 +309,15 @@ class _CommonOps:
         m = self._m
         return ((a[0] - b[0]) & m, (a[1] - b[1]) & m)
 
-    # public constants enter as residues: a negative int does not meet a
-    # uint64 array
+    # public constants enter as residues, reduced as Python ints: a
+    # negative int does not meet a uint64 row
     def add_public(self, a: SharedValue, c: int) -> SharedValue:
-        m = self._m
-        return ((a[0] + (c & m)) & m, a[1])
+        return ((a[0] + c % self.q) & self._m, a[1])
 
     def affine(self, a: SharedValue, scale: int, offset: int) -> SharedValue:
-        m = self._m
-        scale &= m
-        return ((a[0] * scale + (offset & m)) & m, a[1] * scale & m)
+        q, m = self.q, self._m
+        scale %= q
+        return ((a[0] * scale + offset % q) & m, a[1] * scale & m)
 
     def pi_bersample(self, prob: float) -> SharedValue:
         """Shared Bernoulli bit with the given public success probability.
@@ -377,34 +371,18 @@ class _CommonOps:
         With d = i - ta, e = c - tb and t0 = d(e + tb0) + e·ta0 + tc0, party
         0's share of i·c, the result is (t0 + a0, i·c - t0 + a1): residue
         for residue, `mul(i, b - a)` plus a."""
-        m = self._m
         i0, i1 = i
         a0, a1 = a
         b0, b1 = b
-        # sums of common shares are Python ints of any size (as in `mul`)
+        # unreduced, as in `mul`
         sel, a, b = i0 + i1, a0 + a1, b0 + b1
-        if type(sel) is int is type(a) is type(b):  # common values
-            sel &= m
-            a &= m
-            b &= m
-            c = (b - a) & m
-            bad = sel > 1
-        else:
+        if self._rows_only:
             _uint64_rows(sel, a, b)
-            if type(sel) is int:
-                sel &= m
-            if type(a) is int:
-                a &= m
-            if type(b) is int:
-                b &= m
-            c = b - a
-            if type(c) is int:
-                c &= m
-            m = self._row_m
-            # a bit's residue sets no bit but the lowest
-            bad = sel & self._row_high
-        self._check(bad, sel, "mux selector {} is not a shared bit")
+        c = b - a
+        # a bit's residue sets no bit but the lowest
+        self._check(sel & self._high, sel, "mux selector {} is not a shared bit")
         ta, tb, ta0, tb0, tc0 = self._triple(sel, c) if triple is None else triple
+        m = self._m
         led = self.ledger
         led.multiplications += 1
         led.rounds += MUL_ROUNDS
@@ -451,13 +429,11 @@ class _CommonOps:
         (`perturbation_material`); without it the dealer draws one now.
         """
         u = sv[0] + sv[1]
-        # a common share sum, a Python int, can pass 2^64: the int mask
-        if type(u) is int:
-            u &= self._m
-        else:
+        if self._rows_only:
             _uint64_rows(u)
-            u &= self._row_m
-        self._check((u + self._safe) & self._row_m > self._safe2, u,
+        m = self._m
+        u &= m
+        self._check((u + self._safe) & m > self._safe2, u,
                     "pi_ge input {} outside safe range +/-{safe}")
         led = self.ledger
         led.comparisons += 1
@@ -621,22 +597,27 @@ def _row_constants(q: int, safe: int) -> tuple:
     q - 1, q - 2, q/2, the safe bound and twice it (an int where that is
     2^64), then the shift of the balanced lift as a uint64 and as an
     int64: a uint64 shifted left by it keeps the ring's k bits on top, and
-    shifted back as an int64 it is sign-extended."""
+    shifted back as an int64 it is sign-extended.  Last, the share of 0
+    as read-only rows of one."""
     shift = 65 - q.bit_length()
+    zero = np.zeros(1, dtype=np.uint64)
+    zero.flags.writeable = False
     return (*map(row_constant, (q - 1, q - 2, q >> 1, safe, 2 * safe, shift)),
-            row_constant(shift, np.int64))
+            row_constant(shift, np.int64), (zero, zero))
 
 
 _UINT64 = np.dtype(np.uint64)
 
 
 def _uint64_rows(*values) -> None:
-    """TypeError for a row that is not uint64.  A BatchSession's shares are
-    uint64 rows (`share` casts its input); a signed row would meet the
-    uint64 ring constants as float64, which no bitwise op takes."""
+    """TypeError for a share sum that is not a uint64 row.  A BatchSession's
+    shares are uint64 rows (`share` casts its input); a signed row would
+    meet the uint64 ring constants as float64, which no bitwise op takes,
+    and a sum of Python ints could pass 2^64."""
     for v in values:
-        if type(v) is not int and v.dtype != _UINT64:
-            raise TypeError(f"a BatchSession's share rows are uint64 arrays, not {v.dtype}")
+        if type(v) is not np.ndarray or v.dtype != _UINT64:
+            raise TypeError("a BatchSession's share rows are uint64 arrays, not "
+                            f"{getattr(v, 'dtype', type(v).__name__)}")
 
 
 class BatchSession(_CommonOps):
@@ -650,18 +631,21 @@ class BatchSession(_CommonOps):
 
     Masks and Beaver triples are drawn from the session's dealer as the
     gadgets need them, each call's residues in one array; opened values
-    never depend on them.  Rows meet the ring constants as 0-d uint64
-    arrays (`_row_constants`), and the noise protocol runs on its plan's
-    row form (`offline`); a share row that is not uint64 is refused
-    (`_uint64_rows`).  Inside a block every gadget costs its
+    never depend on them.  Every share is a uint64 row, a value common to
+    every execution a row of one; rows meet the ring constants as 0-d
+    uint64 arrays (`_row_constants`), and the noise protocol runs on its
+    plan's row form (`offline`).  A share row that is not uint64 is
+    refused (`_uint64_rows`), and so is a value to share that is not bool
+    or integer (`_reshare`).  Inside a block every gadget costs its
     per-execution amount once per committed execution; outside it
     (sharing a value) once.
     """
 
     def __init__(self, session: Session):
         super().__init__(session.field)
-        (self._row_m, self._row_high, self._half, self._safe, self._safe2,
-         self._shl, self._shr) = _row_constants(self.q, self.safe_magnitude)
+        (self._m, self._high, self._half, self._safe, self._safe2,
+         self._shl, self._shr, self._zero) = _row_constants(self.q, self.safe_magnitude)
+        self._rows_only = True
         self.tape0, self.tape1 = session.tape0, session.tape1
         self.dealer, self.ledger = session.dealer, session.ledger
         self._rows: np.ndarray | None = None  # joint word j of each execution in row j
@@ -705,7 +689,7 @@ class BatchSession(_CommonOps):
         reporting the balanced lift of its value; inside a block,
         `_evaluate` then commits nothing of it.  `bad` holds one bool or
         integer per execution (nonzero for a fault), or one for a common
-        value."""
+        value (a row of one)."""
         if np.count_nonzero(bad):
             i = np.flatnonzero(bad)[0]
             raise ContractViolation(
@@ -714,9 +698,7 @@ class BatchSession(_CommonOps):
 
     def _lift(self, v):
         """The balanced representative of each v mod q, as int64: the low k
-        bits of its uint64, sign-extended (a Python int for a common v)."""
-        if type(v) is int:
-            return self.field.lift(v)
+        bits of its uint64, sign-extended."""
         _uint64_rows(v)
         return (v << self._shl).view(np.int64) >> self._shr
 
@@ -748,26 +730,23 @@ class BatchSession(_CommonOps):
         return self.dealer.field_array(self.q, math.prod(shape)).reshape(shape)
 
     def _reshare(self, value, mask: np.ndarray | None = None) -> SharedValue:
-        """Fresh additive sharing of one value per execution (or one common),
-        on `mask` or on masks drawn now."""
-        # a uint64 or bool row meets the uint64 mask as it is
+        """Fresh additive sharing of one value per execution (or one common,
+        a row of one), on `mask` or on masks drawn now."""
+        # a uint64 or bool row meets the uint64 mask as it is; anything else
+        # becomes a uint64 row (a scalar a row of one), but a float, which
+        # the cast would truncate, is refused
         if type(value) is not np.ndarray or value.dtype.kind not in "ub":
-            value = np.asarray(value)
-            if value.dtype.kind != "b":
-                value = value.astype(np.uint64, copy=False)
+            value = np.array(value, copy=None, ndmin=1)
+            if value.dtype.kind not in "biu":
+                raise TypeError(f"a BatchSession shares bool or integer values, not {value.dtype}")
+            value = value.astype(np.uint64, copy=False)
         r = self._masks(value.shape) if mask is None else mask
-        masked = (value - r) & self._row_m
-        if masked.ndim == 0:  # a common value: plain ints, usable by Session too
-            return (int(masked), int(r))
-        return (masked, r)
+        return ((value - r) & self._m, r)
 
     def _triple(self, a, b):
-        """A fresh triple per execution of the product of the values a and b:
-        five dealer residue rows (five ints for a product of common values,
-        which numpy scalars would not wrap silently)."""
-        shape = np.broadcast(a, b).shape
-        rows = self._masks((5,) + shape)
-        return rows if shape else rows.tolist()
+        """A fresh triple per execution of the product of the rows a and b:
+        five dealer residue rows."""
+        return self._masks((5,) + np.broadcast(a, b).shape)
 
     def perturbation_material(self, payload: SharedValue) -> tuple:
         """As `Session.perturbation_material`, one entry per execution: a

@@ -191,8 +191,7 @@ def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:
     on the plan's row form (`BatchSession.offline`)."""
     pair = pi_noise(batch, plan.mech, plan.params)
     mask, select, blend = pair.spend()
-    cols = (*pair.branch, *pair.payload, mask, *select, *blend)
-    return np.column_stack(np.broadcast_arrays(*cols))
+    return np.column_stack((*pair.branch, *pair.payload, mask, *select, *blend))
 
 
 def _unpack_pair(row: list[int], plan: NoisePlan) -> SharedNoisePair:
@@ -236,8 +235,9 @@ def pi_perturb(
     Es, Ls = plan.Es, plan.Ls
     mask, select, blend = pair.spend()
     y = pair.payload
-    # b = 1 iff the uniform index falls in the upper tail: y >= 2^p(E+x)
-    b = session.pi_ge(session.sub(y, session.add_public(x, Es)), mask)
+    # b = 1 iff the uniform index falls in the upper tail: y >= 2^p(E+x).
+    # x, shared outside a block, meets only rows there (`_CommonOps`)
+    b = session.pi_ge(session.sub(session.add_public(y, -Es), x), mask)
     low = session.add_public(y, -Ls - Es)
     high = session.add_public(y, Ls - Es + plan.mech.high_offset)
     z0 = session.mux(b, low, high, select)

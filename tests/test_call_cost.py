@@ -20,7 +20,7 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
     assert report == json.loads(out.read_text())
     assert (report["k"], report["reps"]) == (1, 2)
     metrics = ["run_batch_us.2", "run_batch_us.8", "block_us.3", "loop_us.3",
-               "pool_block_us", "pool_loop_us"]
+               "pool_block_us", "pool_loop_us", "online_us"]
     assert sorted(report["cases"]) == ["tcl.small", "tcl.wide", "tdl.small", "tdl.wide"]
     for case in report["cases"].values():
         assert list(case) == metrics

@@ -157,26 +157,43 @@ class TestWires:
         ):
             executions = list(itertools.product(*operands, triples))
             # each operand is a row (one entry per execution) or common to a
-            # call (a pair of ints, whose sum can pass 2^64)
+            # call (a row of one, which broadcasts)
             for rows in itertools.product((False, True), repeat=len(operands)):
                 calls = {}
                 for ex in executions:
                     calls.setdefault(tuple(v for v, row in zip(ex, rows) if not row), []).append(ex)
                 for call in calls.values():
                     batch = BatchSession(Session(cfg, 1, 2))
-                    if any(rows):
-                        cols = list(zip(*call))
-                        args = [tuple(np.array(side, dtype=np.uint64) for side in zip(*col))
-                                if row else col[0] for col, row in zip(cols, rows)]
-                        z = getattr(batch, gadget)(*args, np.array(cols[-1], dtype=np.uint64).T)
-                        got = [(int(z[0][j]), int(z[1][j])) for j in range(len(call))]
-                    else:
-                        got = [getattr(batch, gadget)(*ex) for ex in call]
-                        assert all(type(v) is int for z in got for v in z)
-                    for ex, z in zip(call, got):
-                        assert getattr(s, gadget)(*ex) == z
-                        assert all(0 <= v < q for v in z)
-                        assert s.peek(z) == cfg.lift(want(*(sum(v) for v in ex[:-1])))
+                    cols = list(zip(*call))
+                    args = [tuple(np.array(side if row else side[:1], dtype=np.uint64)
+                                  for side in zip(*col)) for col, row in zip(cols, rows)]
+                    z = getattr(batch, gadget)(*args, np.array(cols[-1], dtype=np.uint64).T)
+                    assert all(v.dtype == np.uint64 and v.shape == (len(call),) for v in z)
+                    for j, ex in enumerate(call):
+                        zj = (int(z[0][j]), int(z[1][j]))
+                        assert getattr(s, gadget)(*ex) == zj
+                        assert all(0 <= v < q for v in zj)
+                        assert s.peek(zj) == cfg.lift(want(*(sum(v) for v in ex[:-1])))
+        # the linear ops on a Python-int share (the input a block meets,
+        # shared on its Session) and a row, both ways round, and on a row
+        # and a public constant at the ends of its range, as `pi_perturb`
+        # meets them
+        batch = BatchSession(Session(cfg, 1, 2))
+        row = tuple(np.array(side, dtype=np.uint64) for side in zip(*ends))
+
+        def entries(z):
+            assert all(v.dtype == np.uint64 and v.shape == (len(ends),) for v in z)
+            return [(int(z[0][j]), int(z[1][j])) for j in range(len(ends))]
+
+        for x in ends:
+            for op in ("add", "sub"):
+                f, g = getattr(batch, op), getattr(s, op)
+                assert entries(f(x, row)) == [g(x, y) for y in ends]
+                assert entries(f(row, x)) == [g(y, x) for y in ends]
+            for c in (0, 1, q - 1, q, -1, 1 - q, -q, 2 * q + 3):
+                assert entries(batch.add_public(row, c)) == [s.add_public(y, c) for y in ends]
+                assert entries(batch.sub(batch.add_public(row, c), x)) == [
+                    s.sub(s.add_public(y, c), x) for y in ends]
         # share and open at the ends of the balanced range [-q/2, q/2)
         edges = [0, 1, h - 1, h, q - 1]
         lifted = [cfg.lift(v) for v in edges]
@@ -190,38 +207,56 @@ class TestWires:
         assert s.open(s.mul(s.share(x), s.share(y))) == cfg.lift(x * y)
         xy = batch.mul(batch.share(np.array([x])), batch.share(np.array([y])))
         assert batch.open(xy).tolist() == [cfg.lift(x * y)]
-        # a common value (plain ints, whose share sum can pass 2^64) times
-        # a common value and times an array
+        # a common value (a row of one) times a common value and times a row
         cx = batch.share(x)
-        assert batch.open(batch.mul(cx, batch.share(y))) == cfg.lift(x * y)
-        assert batch.open(batch.mul(cx, batch.share(np.array([y])))).tolist() == [cfg.lift(x * y)]
+        assert batch.open(batch.mul(cx, batch.share(y))).tolist() == [cfg.lift(x * y)]
+        ys = batch.share(np.array([y, 1]))
+        assert batch.open(batch.mul(cx, ys)).tolist() == [cfg.lift(x * y), cfg.lift(x)]
 
     @pytest.mark.parametrize("k", [5, 63, 64])
-    def test_batch_ops_on_common_values_return_ints(self, k):
-        # a value common to every execution stays plain Python ints through
-        # every op, though rows meet uint64 ring constants; share sums can
-        # pass 2^64 at k = 64
+    def test_batch_ops_on_common_values_return_rows(self, k):
+        # a value common to every execution is a uint64 row of one through
+        # every op (never a Python int or a numpy scalar), and opens to what
+        # a Session opens; share sums pass 2^64 at k = 64
         cfg = FieldConfig(e=k - 1, p=0)
         q = cfg.q
-        batch = BatchSession(Session(cfg, 1, 2))
-        x, y, bit = batch.share(q - 1), batch.share(q // 2 + 3), batch.share(1)
-        ops = {
-            "share": (x, q - 1),
-            "share_public": (batch.share_public(q - 1), q - 1),
-            "add": (batch.add(x, y), q - 1 + q // 2 + 3),
-            "sub": (batch.sub(x, y), q - 1 - q // 2 - 3),
-            "add_public": (batch.add_public(x, -5), q - 6),
-            "affine": (batch.affine(x, -3, 7), 3 * (1 - q) + 7),
-            "mul": (batch.mul(x, y), (q - 1) * (q // 2 + 3)),
-            "mux": (batch.mux(bit, x, y), q // 2 + 3),
-            "pi_ge": (batch.pi_ge(batch.share(3)), 1),
-            "trunc_pow2": (batch.trunc_pow2(batch.share(q - 8), 2), -2),
-        }
-        for name, (sv, want) in ops.items():
-            assert all(type(v) is int and 0 <= v < q for v in sv), name
+
+        def ops(s):
+            x, y, bit = s.share(q - 1), s.share(q // 2 + 3), s.share(1)
+            return {
+                "share": (x, q - 1),
+                "share_public": (s.share_public(q - 1), q - 1),
+                "add": (s.add(x, y), q - 1 + q // 2 + 3),
+                "sub": (s.sub(x, y), q - 1 - q // 2 - 3),
+                "add_public": (s.add_public(x, -5), q - 6),
+                "affine": (s.affine(x, -3, 7), 3 * (1 - q) + 7),
+                "mul": (s.mul(x, y), (q - 1) * (q // 2 + 3)),
+                "mux": (s.mux(bit, x, y), q // 2 + 3),
+                "pi_ge": (s.pi_ge(s.share(3)), 1),
+                "trunc_pow2": (s.trunc_pow2(s.share(q - 8), 2), -2),
+            }
+
+        s, batch = Session(cfg, 1, 2), BatchSession(Session(cfg, 1, 2))
+        for (name, (sv, want)), (_, (ints, _)) in zip(ops(batch).items(), ops(s).items()):
+            for v in sv:
+                assert type(v) is np.ndarray and v.dtype == np.uint64 and v.shape == (1,), name
+                assert 0 <= int(v[0]) < q, name
             opened = batch.open(sv)
-            assert type(opened) is int and opened == cfg.lift(want), name
-        assert type(batch.peek(x)) is int
+            assert type(opened) is np.ndarray and opened.dtype == np.int64, name
+            assert opened.tolist() == [s.open(ints)] == [cfg.lift(want)], name
+        x = batch.share(q - 1)
+        assert type(batch.peek(x)) is np.ndarray and batch.peek(x).tolist() == [-1]
+
+    @pytest.mark.parametrize("value", [2.7, np.float64(2.0), np.array([1.5, 2.7]),
+                                       np.array([-1.9])], ids=["float", "float64", "row", "neg"])
+    def test_float_values_are_refused(self, value):
+        # a float is not truncated to a share: both substrates refuse it
+        with pytest.raises(TypeError):
+            Session(self.CFG, 1, 2).share(value)
+        batch = BatchSession(Session(self.CFG, 1, 2))
+        with pytest.raises(TypeError, match="bool or integer values, not float64"):
+            batch.share(value)
+        assert batch.dealer.words_consumed == 0
 
     def test_transcript_per_wire(self, monkeypatch):
         s = Session(self.CFG, 1, 2, record_transcript=True)
@@ -965,10 +1000,11 @@ class TestBatchSession:
 
     def test_common_value_broadcasts(self):
         s = self.batch()
-        x = s.share(17)  # one value shared for every execution
-        assert isinstance(x[0], int) and isinstance(x[1], int)
+        x = s.share(17)  # one value shared for every execution: a row of one
+        assert all(v.dtype == np.uint64 and v.shape == (1,) for v in x)
         y = s.share(np.arange(5))
         assert np.array_equal(s.open(s.mul(x, y)), 17 * np.arange(5))
+        assert np.array_equal(s.open(s.add(s.share_public(3), y)), 3 + np.arange(5))
 
     def test_sign_test_and_trunc_exhaustive(self):
         cfg = field_for_mechanism(4.0, 4.0, 3)

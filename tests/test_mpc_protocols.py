@@ -706,6 +706,30 @@ class TestBatchSimulator:
         assert evaluate.call_count > 0
         assert np.array_equal(got, expected)
 
+    @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
+    def test_an_input_share_near_2_64_runs_in_blocks(self, mech):
+        # q = 2^64, and party 0's residue of the input share, Python ints
+        # made on the Session, within Es of 2^64: in a block it meets only
+        # rows, so no sum of Python ints passes 2^64, whatever the seeds
+        params = MechanismParams(E=0.5, L=4.0, sigma=1.0, p=59)
+        plan = noise_plan(mech, params)
+        field = mechanism_field(params, mech.name)
+        q, x_steps = field.q, plan.Es
+        assert q == 2**64
+        xs = (q - 1, (x_steps + 1) % q)
+        assert xs[0] + plan.Es > q and sum(xs) % q == x_steps
+
+        def once(s):
+            return s.open(pi_perturb(s, mech, xs, pi_noise(s, mech, params), params))
+
+        want = Session(field, 3, 4, record_transcript=True).run(once, BE + 2, plan.words_per_draw)
+        with mock.patch.object(
+            BatchSession, "_evaluate", autospec=True, side_effect=BatchSession._evaluate
+        ) as evaluate:
+            got = Session(field, 3, 4).run(once, BE + 2, plan.words_per_draw)
+        assert evaluate.call_count > 0
+        assert np.array_equal(got, want)
+
 
 def test_mechanism_field_is_cached():
     # a FieldConfig is frozen, so sessions share one; its sizing runs once

@@ -16,7 +16,10 @@ worker process on a checkout times these metrics, each the median of
   passed in, which never runs blocks);
 * `pool_block_us` and `pool_loop_us`: one block of 8 noise pairs on a warm
   long-lived session (`Session.offline`'s block: evaluated, then
-  committed), and 8 pairs drawn one by one on the same kind of session.
+  committed), and 8 pairs drawn one by one on the same kind of session;
+* `online_us`: one online call on that warm session, share -> `pi_perturb`
+  -> `open` of one input, on a pair it pooled beforehand (`pi_noise`):
+  the `Session`'s own integer path.
 
 The run is k alternations.  Each alternation runs one worker on each
 checkout, --parent first on even alternations and --change first on odd
@@ -59,7 +62,8 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
     """Every metric of every case, timed in this process."""
     from trunclap import tape
     from trunclap.mechanisms import MechanismParams, lookup_mechanism
-    from trunclap.mpc import BatchSession, Session, mechanism_field, run_batch
+    from trunclap.mpc import (BatchSession, Session, mechanism_field, pi_noise, pi_perturb,
+                              run_batch)
     from trunclap.mpc.protocols import _noise_pair, _noise_rows, run_sessions
     from trunclap.sampling import noise_plan
     from trunclap.tape import RandomTape
@@ -103,6 +107,13 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
             case["pool_block_us"] = median_us(pool_block, reps)
             case["pool_loop_us"] = median_us(
                 lambda: [_noise_pair(warm, plan) for _ in range(POOL_BLOCK)], reps)
+            pairs = iter([pi_noise(warm, mech, P) for _ in range(reps + 1)])
+
+            def online():
+                warm.open(pi_perturb(warm, mech, warm.share(0), next(pairs), P))
+
+            online()
+            case["online_us"] = median_us(online, reps)
             out[f"{name}.{label}"] = case
     return out
 
