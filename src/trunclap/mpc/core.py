@@ -6,7 +6,8 @@ Bernoulli draw, the shared magnitude of a discrete Laplace draw (its
 Bernoulli bits and segment picks), a shared uniform draw, a shared sign
 test, and a mux.  No gadget takes a modular inverse, so the modulus is a
 power of two (the ring `FieldConfig` sizes): one mask reduces every share
-operation, and a dealer residue is one masked word.
+operation, and a dealer residue is one masked lane of a word, so a word
+holds 64/w of them for the ring's lane width w (`RandomTape.field_array`).
 
 The simulator holds both parties' shares, so gadget innards (comparison
 circuits, bit decompositions) are evaluated directly on the reconstructed
@@ -20,7 +21,7 @@ Randomness discipline: the two party tapes feed only the joint public
 coins (XOR-combined 64-bit words for Bernoulli and uniform draws) and are
 read by words and blocks of words, while all masks, triples, and
 re-sharing randomness come from a dealer tape derived deterministically
-from the two party seeds, read in arrays of residues (masked words): a
+from the two party seeds, read in arrays of residues (masked lanes): a
 Session takes every mask and triple from one pool of them (its
 `TripleStore`), a BatchSession draws each gadget's in one array.  Opened
 protocol outputs therefore depend on the party tapes alone, which is what
@@ -659,13 +660,11 @@ class BatchSession(_CommonOps):
         `commit(k)` consumes the first k.  A range fault raises
         ContractViolation here, before anything of the block is consumed.
         The two party tapes' words, laid out execution by execution, XOR
-        straight into the block's (words, size) rows: joint word j of every
-        execution is row j."""
+        as they lie, and one transposing copy makes the block's (words,
+        size) rows: joint word j of every execution is row j."""
         n = size * words
-        rows = np.empty((words, size), dtype=np.uint64)
-        np.bitwise_xor(self.tape0.peek_block(n).reshape(size, words).T,
-                       self.tape1.peek_block(n).reshape(size, words).T, out=rows)
-        self._rows, self._col = rows, 0
+        joint = self.tape0.peek_block(n) ^ self.tape1.peek_block(n)
+        self._rows, self._col = joint.reshape(size, words).T.copy(), 0
         # gadgets charge self.ledger: one execution's cost, while in the block
         total, unit = self.ledger, CostLedger()
         self.ledger = unit
@@ -734,8 +733,12 @@ class BatchSession(_CommonOps):
         a row of one), on `mask` or on masks drawn now."""
         # a uint64 or bool row meets the uint64 mask as it is; anything else
         # becomes a uint64 row (a scalar a row of one), but a float, which
-        # the cast would truncate, is refused
+        # the cast would truncate, is refused.  A Python int is reduced
+        # first, as a Session reduces it: past the int64/uint64 range it
+        # would make an object array
         if type(value) is not np.ndarray or value.dtype.kind not in "ub":
+            if type(value) is int:
+                value %= self.q
             value = np.array(value, copy=None, ndmin=1)
             if value.dtype.kind not in "biu":
                 raise TypeError(f"a BatchSession shares bool or integer values, not {value.dtype}")

@@ -71,6 +71,7 @@ class CenteredDlapConfig:
     zero_threshold: int | None             # None: no zero flag (TCL's plan)
     sign_threshold: int
     bit_thresholds: tuple[int, ...]
+    bit_weights: tuple[int, ...]           # 2^i, the weight of magnitude bit i
     segment_thresholds: tuple[int, ...]    # P - 1; empty when steps is 2^kappa
     segments: tuple[tuple[int, int], ...]  # (start, mask) of each of the P segments
     steps: int                             # L in 2^-p steps
@@ -87,14 +88,16 @@ class CenteredDlapConfig:
 
     @cached_property
     def rows(self) -> CenteredDlapConfig:
-        """This plan with its thresholds as `row_constant`s, the form a
-        BatchSession compares its uint64 rows of joint words with."""
+        """This plan with its thresholds and bit weights as `row_constant`s,
+        the form a BatchSession compares its uint64 rows of joint words
+        with: a bool row times a uint64 weight is a uint64 row."""
         zero = self.zero_threshold
         return replace(
             self,
             zero_threshold=None if zero is None else row_constant(zero),
             sign_threshold=row_constant(self.sign_threshold),
             bit_thresholds=tuple(map(row_constant, self.bit_thresholds)),
+            bit_weights=tuple(map(row_constant, self.bit_weights)),
             segment_thresholds=tuple(map(row_constant, self.segment_thresholds)),
         )
 
@@ -131,6 +134,7 @@ def centered_dlap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
         zero_threshold=bernoulli_threshold(dlap_zero_mass(L, sigma, p)),
         sign_threshold=bernoulli_threshold(0.5),
         bit_thresholds=bits,
+        bit_weights=tuple(1 << i for i in range(kappa)),
         segment_thresholds=tuple(choices),
         segments=segments,
         steps=steps,

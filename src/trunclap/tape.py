@@ -15,7 +15,9 @@ same word stream.
 Every read takes the next words of a tape off one buffer at one
 position, seeded or injected: words (`word`, `words`), blocks
 (`peek_block`, then `skip`) and the MPC dealer's residues (`field_array`,
-`field_elements`: words masked to a power-of-two modulus).
+`field_elements`).  A residue mod a power of two q is one masked lane of
+a word, w bits wide for the smallest w of 8, 16, 32 and 64 that holds
+q - 1, so one word holds 64/w residues (`_lanes`).
 
 Blocks of executions evaluated ahead on peeked words (`sample_batch`,
 and a `Session`'s runs and offline pairs) are scheduled by one policy,
@@ -98,6 +100,25 @@ def segment_plan(n: int) -> SegmentPlan:
     return SegmentPlan(segments=segments, picks=picks, low=segments[0][1], words=len(segments))
 
 
+# the words as little-endian uint64: a residue draw views them as lanes
+_LE_WORDS = np.dtype("<u8")
+
+
+@lru_cache(maxsize=None)  # only the 65 valid moduli are cached
+def _lanes(q: int) -> tuple:
+    """(lane dtype, lanes per word, lane mask) of a residue draw mod q, a
+    power of two up to 2^64: a lane is w bits, the smallest w of 8, 16, 32
+    and 64 that holds q - 1, read little-endian whatever the host's byte
+    order; its mask q - 1 is a read-only 0-d array of the lane dtype."""
+    if not 0 < q <= _WORD_MOD or q & (q - 1):
+        raise ValueError(
+            f"a 64-bit word cannot draw a residue mod {q}: need a power of two <= 2^64"
+        )
+    width = next(w for w in (8, 16, 32, 64) if (q - 1).bit_length() <= w)
+    lane = np.dtype(f"<u{width // 8}")
+    return lane, WORD_BITS // width, row_constant(q - 1, lane)
+
+
 def pick_segment(segments, picks, words, bits):
     """start + (bits & mask) of the first segment whose pick word falls
     below its pick, else of the last.  `words` holds the P - 1 pick words
@@ -119,11 +140,13 @@ def _magnitude(cfg, w, first: int):
     `sampling.CenteredDlapConfig` plan: its kappa bit words w[first:] and,
     unless N is a power of two, the P - 1 segment words after them, as
     ints or as uint64 rows (a threshold of 2^64 meets a row under numpy 2's
-    promotion).  The one body of the plaintext samplers and the secure
-    protocols' `pi_magnitude`."""
-    m = 0
+    promotion).  Bit i weighs 2^i: an int in the int form of the plan, so
+    rows give an int64 magnitude (`sample_batch`), and a 0-d uint64 in its
+    row form, so they give a uint64 one (a BatchSession's).  The one body
+    of the plaintext samplers and the secure protocols' `pi_magnitude`."""
+    m, weights = 0, cfg.bit_weights
     for i, threshold in enumerate(cfg.bit_thresholds):
-        m += (w[first + i] < threshold) << i
+        m += (w[first + i] < threshold) * weights[i]
     if cfg.segment_thresholds:
         m = pick_segment(cfg.segments, cfg.segment_thresholds, w[first + cfg.kappa :], m)
     return m
@@ -231,18 +254,21 @@ class RandomTape:
 
     def field_array(self, q: int, n: int) -> np.ndarray:
         """n uniform residues mod q, a power of two up to 2^64, as a uint64
-        array: the next n words masked to q - 1."""
-        if not 0 < q <= _WORD_MOD or q & (q - 1):
-            raise ValueError(
-                f"a 64-bit word cannot draw a residue mod {q}: need a power of two <= 2^64"
-            )
+        array: the first n lanes (`_lanes`) of the next ceil(n / lanes)
+        words, masked to q - 1.  The unused lanes of the last word are
+        dropped, and a q past 2^32 takes one whole word a residue."""
+        lane, per, mask = _lanes(q)
+        if n < 0:
+            raise ValueError(f"cannot read {n} residues")
+        k = -(-n // per)
         pos = self._pos
-        if n < 0 or pos + n > len(self._buf):
-            self._fill(n)
+        if pos + k > len(self._buf):
+            self._fill(k)
             pos = 0
-        self._pos = pos + n
-        self.words_consumed += n
-        return self._buf[pos : pos + n] & (q - 1)
+        self._pos = pos + k
+        self.words_consumed += k
+        lanes = self._buf[pos : pos + k].astype(_LE_WORDS, copy=False).view(lane)[:n]
+        return (lanes & mask).astype(np.uint64, copy=False)
 
 
 class BlockScheduler:

@@ -194,7 +194,9 @@ class ReferenceTape:
     """The seeded word tape as one flat stream: the words
     Generator(PCG64(seed)).integers(0, 2^64, dtype=uint64) gives, read at
     one position, every read (words, blocks, residues) taking the next
-    ones.  The oracle for `RandomTape`'s word stream and word counts."""
+    ones; a residue draw takes whole words and slices its residues out of
+    them (`lane_residues`).  The oracle for `RandomTape`'s word stream and
+    word counts."""
 
     def __init__(self, seed):
         self.words_consumed = 0  # the read position
@@ -220,10 +222,32 @@ class ReferenceTape:
         self.words_consumed += n
 
     def field_array(self, q: int, n: int) -> np.ndarray:
-        # the low k bits of each word for q = 2^k
-        words = self._next(n)
-        self.words_consumed += n
-        return np.array([w % q for w in words], dtype=np.uint64)
+        words = self._next(-(-n // (64 // lane_bits(q))))
+        self.words_consumed += len(words)
+        return np.array(lane_residues(words, q, n), dtype=np.uint64)
+
+
+def lane_bits(q: int) -> int:
+    """The lane width of residues mod q = 2^k: the smallest of 8, 16, 32
+    and 64 bits that holds q - 1."""
+    return next(w for w in (8, 16, 32, 64) if (q - 1).bit_length() <= w)
+
+
+def lane_residues(words, q: int, n: int) -> list:
+    """The first n residues mod q that `words` hold, sliced out of Python
+    ints: residue j is the low k bits of lane j, lane j being bits
+    [w * (j mod l), w * (j mod l) + w) of word j // l, for the lane width
+    w and the l = 64 / w lanes a word holds."""
+    w = lane_bits(q)
+    per = 64 // w
+    return [words[j // per] >> (j % per * w) & (q - 1) for j in range(n)]
+
+
+def reference_field_array(tape, q: int, n: int) -> np.ndarray:
+    """`RandomTape.field_array` by `lane_residues`, on the whole words
+    `tape.words` reads: what a dealer tape should hand out."""
+    return np.array(lane_residues(tape.words(-(-n // (64 // lane_bits(q)))), q, n),
+                    dtype=np.uint64)
 
 
 def mux_composition(s, i, a, b, triple=None):

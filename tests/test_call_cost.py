@@ -1,11 +1,18 @@
 """The in-process call-cost harness, tools/call_cost.py, at k = 1 and tiny n."""
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
+from trunclap.mechanisms import MechanismParams, lookup_mechanism
+from trunclap.sampling import noise_plan
+
 ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("call_cost", ROOT / "tools" / "call_cost.py")
+call_cost = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(call_cost)
 
 
 def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
@@ -27,6 +34,19 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
         for m in case.values():
             assert m["parent"] > 0 and m["change"] > 0
             assert m["change_over_parent"] == round(m["change"] / m["parent"], 4)
+    # the untimed counts of one run_batch call at the largest n: the same
+    # tree on both sides gives the same words, each party tape reading
+    # its plan's words per execution
+    assert sorted(report["counts"]) == sorted(report["cases"])
+    for case, counts in report["counts"].items():
+        assert list(counts) == ["n", "dealer_words_per_execution", "party_words_per_execution"]
+        assert counts["n"] == {"parent": 8, "change": 8}
+        mech, label = case.split(".")
+        words = noise_plan(lookup_mechanism(mech), MechanismParams(**call_cost.SETS[label])).words_per_draw
+        assert counts["party_words_per_execution"] == {"parent": words, "change": words,
+                                                       "change_over_parent": 1.0}
+        dealer = counts["dealer_words_per_execution"]
+        assert dealer["parent"] == dealer["change"] > 0 and dealer["change_over_parent"] == 1.0
 
 
 def test_counts_must_be_positive():

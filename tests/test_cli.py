@@ -338,21 +338,21 @@ PINNED = {
     ),
     "mpc-tdl-small.json": (
         ["mpc", *SMALL, "--x", "1", "--n", "200", "--seed", "5", "--transcript"],
-        "bd34c01a09764315bf9092639dc4b1998dbaa908ca3d2a33ec64224aaf6ba579",
+        "b0b874c63de5eadacf9ae1b21ef58303b328e8ae5bdc73ca36dfce322718014c",
     ),
     "mpc-tcl-small.json": (
         ["mpc", "--mechanism", "tcl", *SMALL, "--x", "-2", "--n", "200", "--seed", "5",
          "--transcript"],
-        "f67e00d0e07adef0161020066568e00ec281b0082c3d7ad005c6c1c877881a09",
+        "bd84288e0712504d1f0404d591ee3659928ed776fe6c5a00c45bd45de34963e6",
     ),
     "mpc-tdl-wide.json": (
         ["mpc", *WIDE, "--x", "-32", "--n", "200", "--seed", "7", "--transcript"],
-        "92fed94a6794b8ec56a89d562eb74e08ffdb7f1f2a17068f4990dad38e15570c",
+        "daba697b60cf24cf2563abcca1f63c3a7db1ab0d53536116d9a090aa923baa27",
     ),
     "mpc-tcl-wide.json": (
         ["mpc", "--mechanism", "tcl", *WIDE, "--x", "63.75", "--n", "200", "--seed", "7",
          "--transcript"],
-        "9e49e0f844ac0eddc3238574bc089a0c340dbd933ff20210e7b641d79f821c08",
+        "c78f6d730aeb08efabee0ad019fe391cb21e5bfe2513826fed3fb831028ce80e",
     ),
     # TDL with a segmented inner draw and TCL, both with outer count 6,
     # whose tail index picks one of two segments (4 + 2): the shapes whose

@@ -26,6 +26,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
+from conftest import reference_field_array
 from trunclap import TCL, TDL, MechanismParams
 from trunclap import RandomTape
 from trunclap.mpc import BatchSession, Session, mechanism_field, pi_noise, pi_perturb
@@ -43,7 +44,7 @@ SETS = {
 SIZES = (1, 5, 300)
 
 OUTPUTS_DIGEST = "bd53af95a487303cda15d05d53e28d27a8114d7974b324f18b2a0dd03fe0f5d5"
-DEALER_DIGEST = "5d392262f1492e520cdfc1fd85b66273f118f10ed5e61f50eb21d257f34cf7f8"
+DEALER_DIGEST = "1bd9848fc6c6d7b21522905797de3055305a2f5aa5ec4029490a315b5d0500b1"
 
 
 def _outputs(session, mech, params, n, x) -> dict:
@@ -109,6 +110,14 @@ def test_seeded_runs_are_pinned(records):
 
 def test_dealer_draws_are_pinned(records):
     assert digest(records, "dealer") == DEALER_DIGEST
+
+
+def test_dealer_draws_are_the_lane_reference(records):
+    # every dealer draw made again by `reference_field_array`, which slices
+    # the residues out of whole words as Python ints, leaves the same
+    # records: the pinned dealer stream is the lanes of the dealer's words
+    with mock.patch.object(RandomTape, "field_array", reference_field_array):
+        assert gate_records() == records
 
 
 def _redeal(session, seed: int) -> None:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
-from conftest import mux_composition
+from conftest import mux_composition, reference_field_array
 from trunclap.grids import FieldConfig, field_for_mechanism
 from trunclap.mechanisms import TCL, MechanismParams, branch_probability_d
 from trunclap.mpc import BatchSession, ContractViolation, Session, mechanism_field
@@ -258,6 +258,17 @@ class TestWires:
             batch.share(value)
         assert batch.dealer.words_consumed == 0
 
+    @pytest.mark.parametrize("cfg", [SMALL, WORD_RING], ids=["q=2^9", "q=2^64"])
+    @pytest.mark.parametrize("value", [2**64 + 3, -2**63 - 1, 2**200, -2**200 - 5])
+    def test_ints_past_a_word_are_reduced(self, cfg, value):
+        # a BatchSession used to refuse them (an object array); both
+        # substrates reduce any int mod q
+        s = Session(cfg, 1, 2)
+        batch = BatchSession(Session(cfg, 1, 2))
+        sv = batch.share(value)
+        assert all(v.dtype == np.uint64 and v.shape == (1,) for v in sv)
+        assert batch.open(sv).tolist() == [s.open(s.share(value))] == [cfg.lift(value % cfg.q)]
+
     def test_transcript_per_wire(self, monkeypatch):
         s = Session(self.CFG, 1, 2, record_transcript=True)
         t0, t1 = s.transcript
@@ -503,6 +514,7 @@ def bits_plan(thresholds):
     given thresholds."""
     k = len(thresholds)
     return dataclasses.replace(centered_dlap_config(2.0, 1.0, 0), bit_thresholds=tuple(thresholds),
+                               bit_weights=tuple(1 << i for i in range(k)),
                                segment_thresholds=(), segments=((0, (1 << k) - 1),),
                                steps=1 << k, words_per_draw=k + 2)
 
@@ -662,11 +674,17 @@ class TestBersampleSum:
     def test_wide_tcl_dealer_words_at_300(self):
         # 300 executions on a Session that runs them in blocks: the
         # dealer's one stream serves its pool and its blocks, which draw
-        # what they use
+        # what they use, four 16-bit lanes a word at q = 2^12.  The pool's
+        # 320 residues (the input's mask) take 80 words, and the block's
+        # 25 residues an execution, drawn in rows of 300 (75 words each)
+        # for the branch, tail, magnitude and sign masks, and of 1,500 and
+        # 3,300 (375 and 825 words) for the mul and mux triples and the
+        # perturbation material, take 1,875
         params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
         s = Session(mechanism_field(params, "tcl"), 0, 1)
+        assert s.q == 2**12
         run_sessions(s, TCL, params, 0, 300)
-        assert s.dealer.words_consumed == 7_820
+        assert s.dealer.words_consumed == 80 + 4 * 75 + 2 * 375 + 825 == 1_955
 
     def test_parties_need_tapes_of_their_own(self):
         tape = RandomTape(1)
@@ -1022,20 +1040,45 @@ class TestBatchSession:
 
     @pytest.mark.parametrize("cfg", [SMALL, WORD_RING], ids=["q=2^9", "q=2^64"])
     def test_perturbation_material_is_one_read(self, cfg):
-        # one `_masks` read of 11 rows hands out the residues, and moves the
-        # dealer as far, as three reads: the mask, then two triples
+        # one `_masks` read of 11 rows hands out the residues of one dealer
+        # draw of 11n: the mask row, then two triples.  At q = 2^9 a word
+        # holds four 16-bit lanes, so the read takes ceil(66 / 4) = 17
+        # words where three reads (the mask, then two triples) would take
+        # 2 + 8 + 8; at q = 2^64, 66 words either way
         n = 6
+        lanes = {SMALL: 4, WORD_RING: 1}[cfg]
         one, three = (BatchSession(Session(cfg, 5, 6)) for _ in range(2))
         payload = one.share(np.arange(n, dtype=np.uint64))
         three.share(np.arange(n, dtype=np.uint64))
+        ref = RandomTape(one.dealer.seed)
+        ref.field_array(cfg.q, n)  # the payload's mask
         with mock.patch.object(BatchSession, "_masks", autospec=True,
                                side_effect=BatchSession._masks) as reads:
             got = one.perturbation_material(payload)
         assert [c.args[1:] for c in reads.call_args_list] == [((11, n),)]
-        want = three._masks((n,)), three._masks((5, n)), three._masks((5, n))
-        for g, w in zip(got, want):
+        rows = reference_field_array(ref, cfg.q, 11 * n).reshape(11, n)
+        for g, w in zip(got, (rows[0], rows[1:6], rows[6:])):
             assert g.dtype == np.uint64 and g.shape == w.shape and np.array_equal(g, w)
-        assert one.dealer.words_consumed == three.dealer.words_consumed == n + 11 * n
+        assert one.dealer.words_consumed == ref.words_consumed == {4: 2 + 17, 1: 6 + 66}[lanes]
+        three._masks((n,)), three._masks((5, n)), three._masks((5, n))
+        assert three.dealer.words_consumed == {4: 2 + 2 + 8 + 8, 1: 6 + 66}[lanes]
+
+    @pytest.mark.parametrize("plan", [WIDE_PLAN, SEVEN], ids=["bitwise", "segmented"])
+    def test_row_form_magnitude_is_shared_as_it_is(self, plan):
+        # the row form's uint64 bit weights make the magnitude a uint64
+        # row, which `_reshare` masks as it is handed, with no cast
+        batch = BatchSession(Session(WORD_RING, 3, 4))
+        k, n = plan.kappa + len(plan.segment_thresholds), 50
+        handed, reshare = [], BatchSession._reshare
+
+        def spy(self, value, mask=None):
+            handed.append(value)
+            return reshare(self, value, mask)
+
+        with mock.patch.object(BatchSession, "_reshare", spy):
+            values, _ = batch._evaluate(lambda b: b.peek(b.pi_magnitude(plan.rows)), k, n)
+        (m,) = handed
+        assert m.dtype == np.uint64 and m.shape == (n,) and values.tolist() == m.tolist()
 
     def test_joint_words_only_inside_run(self):
         with pytest.raises(RuntimeError, match="inside a block"):

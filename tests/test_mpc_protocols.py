@@ -917,17 +917,32 @@ class TestOfflinePool:
 
     def test_the_dealer_counts_every_pooled_draw(self):
         # pooled pairs draw their masks and triples from the session's own
-        # dealer tape, so its word count covers every residue they use
+        # dealer tape: every residue they use is one it drew, and its word
+        # count is that of its draws, four 16-bit lanes a word at q = 2^12
         ref = make_session(WIDE, "tcl", seed0=17, seed1=18, record_transcript=True)
         opened_pairs(ref, TCL, WIDE, 300)
         used = handed_out(ref.triples)
-        assert used >= 300 * 25  # 5 masks and 4 triples a pair, at least
+        assert used == 300 * 25  # 5 masks, 2 triples and the material's 11 a pair
         session = make_session(WIDE, "tcl", seed0=17, seed1=18)
-        assert opened_pairs(session, TCL, WIDE, 300) == opened_pairs(
+        dealer = session.dealer
+        assert session.q == 2**12
+        with mock.patch.object(dealer, "field_array", wraps=dealer.field_array) as draws, \
+                mock.patch.object(BatchSession, "_evaluate", autospec=True,
+                                  side_effect=BatchSession._evaluate) as blocks:
+            got = opened_pairs(session, TCL, WIDE, 300)
+        assert got == opened_pairs(
             make_session(WIDE, "tcl", seed0=17, seed1=18, record_transcript=True), TCL, WIDE, 300
         )
-        assert session._batch is not None and session._batch.dealer is session.dealer
-        assert session.dealer.words_consumed >= used
+        assert session._batch is not None and session._batch.dealer is dealer
+        # the first BE pairs, drawn one by one, take theirs from the pool;
+        # a block draws 25 residues for each pair it evaluates, the last
+        # one's reaching past the 300th
+        drawn = [c.args[1] for c in draws.call_args_list]
+        sizes = [c.args[3] for c in blocks.call_args_list]
+        pooled = core.RESIDUES_PER_REFILL * session.triples.refills
+        assert handed_out(session.triples) == 25 * BE
+        assert sum(drawn) - pooled == 25 * sum(sizes) and sum(sizes) >= 300 - BE
+        assert dealer.words_consumed == sum(-(-n // 4) for n in drawn)
 
     def test_these_sessions_stay_sequential(self):
         field = mechanism_field(PARAMS, "tdl")

@@ -41,6 +41,7 @@ from trunclap import (
     sample_tdl_batch,
 )
 from trunclap.grids import GridError, steps_of
+from trunclap.tape import _magnitude
 from trunclap.thresholds import THRESHOLDS
 from trunclap.mechanisms import (
     branch_probability_c,
@@ -326,6 +327,23 @@ class TestTableLookup:
         cols = self.edge_columns(cfg) + [RandomTape(6).words(k) for _ in range(2000)]
         rows = np.array(cols, dtype=np.uint64).T
         assert _clap_steps(cfg, rows).tolist() == [_clap_steps(cfg, c) for c in cols]
+
+    @pytest.mark.parametrize("L, sigma, p", PLANS + [(32.0, 8.0, 2)])
+    def test_magnitude_rows_take_the_dtype_of_the_plans_weights(self, L, sigma, p):
+        # bit i weighs 2^i: an int in the plan, so the rows `sample_batch`
+        # reads give an int64 magnitude, and a read-only 0-d uint64 in its
+        # row form, so a BatchSession's give a uint64 one; the same values
+        cfg = centered_dlap_config(L, sigma, p)
+        k = cfg.words_per_draw
+        cols = self.edge_columns(cfg) + [RandomTape(8).words(k) for _ in range(500)]
+        rows = np.array(cols, dtype=np.uint64).T
+        ints, words = _magnitude(cfg, rows, 1), _magnitude(cfg.rows, rows, 1)
+        assert ints.dtype == np.int64 and words.dtype == np.uint64
+        assert ints.tolist() == words.tolist() == [_magnitude(cfg, c, 1) for c in cols]
+        assert cfg.bit_weights == tuple(2**i for i in range(cfg.kappa))
+        for weight, r in zip(cfg.bit_weights, cfg.rows.bit_weights, strict=True):
+            assert r.dtype == np.uint64 and r.shape == () and int(r) == weight
+            assert not r.flags.writeable
 
     def test_config_keeps_steps_and_step(self):
         for L, sigma, p in self.PLANS + [(32.0, 8.0, 2)]:

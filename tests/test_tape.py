@@ -14,12 +14,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ReferenceTape
+from conftest import ReferenceTape, lane_bits, lane_residues
 from trunclap import RandomTape
 from trunclap.tape import _BUFFER_WORDS, BATCH_MIN_SESSIONS, BlockScheduler
 
-# the ring moduli are powers of two, up to 2^64
-MODULI = (2, 2**6, 2**12, 2**31, 2**32, 2**63, 2**64)
+# the ring moduli are powers of two, up to 2^64: lanes of 8, 16, 32 and
+# 64 bits, full and partly masked
+MODULI = (1, 2, 2**6, 2**9, 2**12, 2**17, 2**31, 2**32, 2**33, 2**63, 2**64)
 
 OPS = st.one_of(
     st.tuples(st.just("word")),
@@ -85,15 +86,18 @@ class TestWordStream:
         assert tape.peek_block(B).tolist() == ref[B + 7 : 2 * B + 7]
         tape.skip(B - 5)
         assert tape.word() == ref[2 * B + 2]
-        # field_array takes the next n words, and keeps the low 31 bits of each
+        # field_array takes the next n / 2 words, and keeps the low 31 bits
+        # of each of their two 32-bit lanes, the low lane first
         q, n, at = 2**31, 100, 2 * B + 3
-        assert tape.field_array(q, n).tolist() == [w % q for w in ref[at : at + n]]
-        at += n
+        assert tape.field_array(q, n).tolist() == [
+            w >> shift & (q - 1) for w in ref[at : at + n // 2] for shift in (0, 32)
+        ]
+        at += n // 2
         # a read longer than a buffer, then residues across its end
         assert tape.words(B + 10) == ref[at : at + B + 10]
         at += B + 10
-        assert tape.field_elements(q, n) == [w % q for w in ref[at : at + n]]
-        at += n
+        assert tape.field_elements(q, n) == lane_residues(ref[at : at + n // 2], q, n)
+        at += n // 2
         assert tape.word() == ref[at]
         assert tape.words_consumed == at + 1
 
@@ -133,11 +137,13 @@ class TestWordStream:
         tape = RandomTape(words=stream)
         assert tape.peek_block(300).tolist() == stream[:300]
         tape.skip(100)
-        assert tape.field_array(2**12, 50).tolist() == [w % 2**12 for w in stream[100:150]]
-        assert tape.word() == stream[150]
-        assert tape.field_elements(2**64, 9) == stream[151:160]
-        assert tape.peek_block(240).tolist() == stream[160:]
-        assert tape.words_consumed == 160
+        # 50 residues mod 2^12 are the 16-bit lanes of 13 words, the last
+        # word's two unused lanes dropped
+        assert tape.field_array(2**12, 50).tolist() == lane_residues(stream[100:113], 2**12, 50)
+        assert tape.word() == stream[113]
+        assert tape.field_elements(2**64, 9) == stream[114:123]
+        assert tape.peek_block(240).tolist() == stream[123:363]
+        assert tape.words_consumed == 123
 
     @pytest.mark.parametrize("bad", [-1, 2**64, 1.5, "3"])
     def test_injected_non_words_are_refused(self, bad):
@@ -184,16 +190,71 @@ class TestWordStream:
 
 
 class TestResidues:
-    """`field_array`'s residue draws: masked words and refused moduli."""
+    """`field_array`'s residue draws: masked lanes of whole words, and
+    refused moduli."""
 
     @pytest.mark.parametrize("q", [1, 2**20, 2**64])
     def test_residues_are_masked_words(self, q):
-        # one word a residue, nothing rejected
+        # one lane a residue, nothing rejected: 8 lanes of a word at q = 1,
+        # 2 at 2^20 and 1 at 2^64, so 50 residues take 7, 25 and 50 words
         a, b = RandomTape(8), ReferenceTape(8)
+        words = {1: 7, 2**20: 25, 2**64: 50}[q]
         assert a.field_array(q, 50).tolist() == b.field_array(q, 50).tolist()
-        assert a.words_consumed == b.words_consumed == 50
+        assert a.words_consumed == b.words_consumed == words
         assert a.field_elements(q, 50) == b.field_array(q, 50).tolist()
-        assert a.words_consumed == 100
+        assert a.words_consumed == 2 * words
+
+    # q, its lane width, and the lanes one word holds
+    LANES = [(1, 8, 8), (2, 8, 8), (2**6, 8, 8), (2**8, 8, 8), (2**9, 16, 4), (2**16, 16, 4),
+             (2**17, 32, 2), (2**32, 32, 2), (2**33, 64, 1), (2**64, 64, 1)]
+
+    @pytest.mark.parametrize("injected", [False, True], ids=["seeded", "injected"])
+    @pytest.mark.parametrize("q, width, lanes", LANES)
+    def test_lane_draws_match_the_reference(self, q, width, lanes, injected):
+        # every count around a word's edge, each draw followed by a word
+        # read: a draw takes ceil(n / lanes) whole words, and the next word
+        # read is the one after them
+        assert lane_bits(q) == width
+        ref = ReferenceTape(21)
+        tape = RandomTape(words=iter(ReferenceTape(21).word, None)) if injected else RandomTape(21)
+        for n in (0, 1, lanes - 1, lanes, lanes + 1, 320):
+            before = tape.words_consumed
+            got = tape.field_array(q, n)
+            assert got.dtype == np.uint64 and got.shape == (n,)
+            assert got.tolist() == ref.field_array(q, n).tolist()
+            assert tape.words_consumed == ref.words_consumed == before + -(-n // lanes)
+            assert tape.field_elements(q, n) == ref.field_array(q, n).tolist()
+            assert tape.word() == ref.word()
+
+    def test_lanes_are_little_endian(self):
+        # lane j of a word is its bits [w*j, w*j + w), whatever the host's
+        # byte order
+        word = 0x8877665544332211
+
+        def draw(q, n):
+            return RandomTape(words=[word, 0]).field_array(q, n).tolist()
+
+        assert draw(2**8, 8) == [0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88]
+        assert draw(2**6, 8) == [0x11, 0x22, 0x33, 0x04, 0x15, 0x26, 0x37, 0x08]
+        assert draw(2**16, 4) == [0x2211, 0x4433, 0x6655, 0x8877]
+        assert draw(2**9, 4) == [0x011, 0x033, 0x055, 0x077]
+        assert draw(2**32, 2) == [0x44332211, 0x88776655]
+        assert draw(2**33, 1) == [word & (2**33 - 1)]
+        assert draw(2**64, 1) == [word]
+
+    @pytest.mark.parametrize("q", [2**33, 2**40, 2**63, 2**64])
+    def test_moduli_past_2_32_take_a_word_a_residue(self, q):
+        # one 64-bit lane a word, so each residue is its word masked to
+        # q - 1: the stream these moduli drew before lanes
+        tape, words = RandomTape(31), RandomTape(31).words(300)
+        assert tape.field_array(q, 300).tolist() == [w & (q - 1) for w in words]
+        assert tape.words_consumed == 300
+
+    def test_negative_counts_are_refused(self):
+        tape = RandomTape(9)
+        with pytest.raises(ValueError, match="cannot read -1 residues"):
+            tape.field_array(2**12, -1)
+        assert tape.words_consumed == 0
 
     @pytest.mark.parametrize("q", [3, 37, 2**61 - 1, 2**64 - 1])
     def test_other_moduli_are_refused(self, q):

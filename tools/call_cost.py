@@ -21,12 +21,17 @@ worker process on a checkout times these metrics, each the median of
   -> `open` of one input, on a pair it pooled beforehand (`pi_noise`):
   the `Session`'s own integer path.
 
+Beside the timings, each case reports deterministic counts of one
+`run_batch` call at the largest n of --calls (`counts`, untimed): the
+words its dealer tape and each party tape consumed, per execution.
+
 The run is k alternations.  Each alternation runs one worker on each
 checkout, --parent first on even alternations and --change first on odd
 ones, so that neither side always runs on a warmer host.  The report gives
-each side's median over the k alternations of every metric, and with
---parent the change's median over the parent's.  Each checkout is a tree
-holding `src/trunclap`; the worker imports it from there.
+each side's median over the k alternations of every timing (`cases`) and
+each side's counts (`counts`), and with --parent the change's value over
+the parent's.  Each checkout is a tree holding `src/trunclap`; the worker
+imports it from there.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ def median_us(call, reps: int) -> float:
 
 
 def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
-    """Every metric of every case, timed in this process."""
+    """Every timing of every case, timed in this process, and its counts."""
     from trunclap import tape
     from trunclap.mechanisms import MechanismParams, lookup_mechanism
     from trunclap.mpc import (BatchSession, Session, mechanism_field, pi_noise, pi_perturb,
@@ -68,7 +73,7 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
     from trunclap.sampling import noise_plan
     from trunclap.tape import RandomTape
 
-    out = {}
+    out, counts = {}, {}
     for label, kw in SETS.items():
         P = MechanismParams(**kw)
         for name in MECHS:
@@ -115,7 +120,16 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
             online()
             case["online_us"] = median_us(online, reps)
             out[f"{name}.{label}"] = case
-    return out
+            # run_batch's session, at the largest n
+            n = max(calls)
+            session = Session(field, 0, 1)
+            run_sessions(session, mech, P, 0, n)
+            counts[f"{name}.{label}"] = {
+                "n": n,
+                "dealer_words_per_execution": session.dealer.words_consumed / n,
+                "party_words_per_execution": session.tape0.words_consumed / n,
+            }
+    return {"timings": out, "counts": counts}
 
 
 def run_worker(checkout: Path, args) -> dict:
@@ -163,16 +177,23 @@ def main(argv=None) -> int:
             runs[side].append(run_worker(sides[side], args))
         print(f"alternation {i} done", file=sys.stderr)
     report = {"k": args.k, "reps": args.reps, "python": sys.version.split()[0],
-              "host_cpus": os.cpu_count(), "cases": {}}
+              "host_cpus": os.cpu_count(), "cases": {}, "counts": {}}
     first = runs["change"][0]
-    for case, metrics in first.items():
+    for case, metrics in first["timings"].items():
         out = report["cases"][case] = {}
         for metric in metrics:
-            med = {side: round(statistics.median(r[case][metric] for r in rs), 2)
+            med = {side: round(statistics.median(r["timings"][case][metric] for r in rs), 2)
                    for side, rs in runs.items()}
             if args.parent is not None:
                 med["change_over_parent"] = round(med["change"] / med["parent"], 4)
             out[metric] = med
+        # deterministic: every run of a side gives the same counts
+        out = report["counts"][case] = {}
+        for metric in first["counts"][case]:
+            val = {side: rs[0]["counts"][case][metric] for side, rs in runs.items()}
+            if args.parent is not None and metric != "n":
+                val["change_over_parent"] = round(val["change"] / val["parent"], 4)
+            out[metric] = val
     text = json.dumps(report, indent=1)
     print(text)
     if args.out:
