@@ -54,16 +54,17 @@ Cost model (abstract operation counts, not wall-clock):
   elements.  No protocol truncates: both mechanisms draw on the 2^-p grid.
 
 Two substrates run the same protocol code.  `Session` runs one
-execution at a time on Python integers and drives every batch: where it
-may (on its own seeded tapes, which a block may read ahead of, and with
-no transcript) it evaluates blocks of executions ahead on an attached
+execution at a time on Python integers and drives every batch: unless it
+records its transcript, it evaluates blocks of executions on an attached
 `BatchSession`, which holds each value as uint64 share arrays (one entry
 per execution), as a `BlockScheduler` decides: n at once in
-`Session.run`, one per call in `Session.offline`.  A block reads the
-party tapes execution by execution (no draw rejects, so each reads the
-same words) and is committed whole, so opened values, ledgers and party
-words are the sequential path's; a range fault in a block raises
-`ContractViolation` at once and commits none of it.
+`Session.run`, on any tapes, and one per call in `Session.offline`, whose
+blocks run ahead of the calls and so only on the session's own seeded
+tapes (a finite replay passed in has no words past its end).  A block
+reads the party tapes execution by execution (no draw rejects, so each
+reads the same words) and is committed whole, so opened values, ledgers
+and party words are the sequential path's; a range fault in a block
+raises `ContractViolation` at once and commits none of it.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (the next joint
 word, or the next k in one read, dealer masks, Beaver triples of five
@@ -484,13 +485,12 @@ class Session(_CommonOps):
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))
         self.triples = TripleStore(self.q, self.dealer)  # every mask and triple
-        # blocks run only on the session's own seeded tapes: a block reads
-        # words ahead of the executions it hands out, past the end of a
-        # finite replay passed in; and never while the session records its
-        # transcript (checked at each call)
-        self._batches = tape0 is None and tape1 is None
+        # `offline` pools only on the session's own seeded tapes: its blocks
+        # read words ahead of the pairs they hand out, past the end of a
+        # finite replay passed in.  `run`'s blocks never reach past the
+        # executions they commit, so they run on any tapes
+        self._pools = tape0 is None and tape1 is None
         self._batch: BatchSession | None = None
-        self._running = False  # inside `run`, whose scheduler evaluates ahead
         # (key, its BlockScheduler, party words read after the last call)
         self._offline: tuple = (None, None, None)
 
@@ -543,9 +543,10 @@ class Session(_CommonOps):
         what `step` returns.  A BlockScheduler with blocks of at most
         POOL_BLOCK_MAX is started afresh when the key changes or a party
         tape was read since the last call: the block's words are then not
-        the next ones.
+        the next ones.  A session on tapes passed in, or recording its
+        transcript, draws every execution now.
         """
-        if self._running or not self._batches or self.record_transcript:
+        if not self._pools or self.record_transcript:
             return step(self, key)
         t0, t1 = self.tape0, self.tape1
         last_key, blocks, read = self._offline
@@ -570,19 +571,20 @@ class Session(_CommonOps):
     def run(self, program: Callable[["Session"], int], n: int, words: int) -> np.ndarray:
         """The opened results of n executions of `program` in sequence, as
         int64; `words` is one execution's joint words.  Blocks of at most
-        BATCH_BLOCK run on the attached BatchSession; the executions run
-        here draw their offline material now.  n < 0 raises ValueError.
+        BATCH_BLOCK run on the attached BatchSession, on seeded or injected
+        tapes alike; a session that records its transcript, which a
+        BatchSession does not, runs every execution here.  An execution
+        run here (the rest of a call, fewer than BATCH_MIN_SESSIONS) draws
+        its offline material through `offline`, and may take a pair pooled
+        before the call: the same opened value, ledger and party words.
+        n < 0 raises ValueError.
         """
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        if not self._batches or self.record_transcript:
+        if self.record_transcript:
             return np.array([program(self) for _ in range(n)], dtype=np.int64)
-        blocks = self._scheduler(program, words, lambda: program(self), tape_module.BATCH_BLOCK)
-        self._running = True
-        try:
-            return blocks.take(n)
-        finally:
-            self._running = False
+        return self._scheduler(program, words, lambda: program(self),
+                               tape_module.BATCH_BLOCK).take(n)
 
     def transcript_dump(self) -> dict:
         """Audit dump of both parties' received elements, hex-encoded."""

@@ -216,9 +216,9 @@ class NoisePlan:
     """What the noise draw and the perturbation of a mechanism read.
 
     One per (mechanism, params), from `noise_plan`: the branch bit's
-    threshold, the uniform tail's size and segment plan, and the grid step
-    counts.  `inner`, the centered sampler's plan (`centered_clap_config`
-    for TCL), is built on first use, so a perturbation alone builds none.
+    threshold, the uniform tail's size and segment plan, the grid step
+    counts, `inner`, the centered sampler's plan (`centered_clap_config`
+    for TCL), and the words of one draw.
     """
 
     mech: Mechanism
@@ -228,26 +228,15 @@ class NoisePlan:
     tail: SegmentPlan      # the tail index's draw: P words
     Es: int                # E in 2^-p steps
     Ls: int                # L in 2^-p steps
-
-    @cached_property
-    def inner(self) -> CenteredDlapConfig:
-        P = self.params
-        config = centered_clap_config if self.mech.cumulative else centered_dlap_config
-        return config(P.L, P.sigma, P.p)
-
-    @cached_property
-    def words_per_draw(self) -> int:
-        """Words of one noise draw, in this order: the branch word, the tail
-        index's P words, then the inner draw's words."""
-        return 1 + self.tail.words + self.inner.words_per_draw
+    inner: CenteredDlapConfig
+    words_per_draw: int    # in order: the branch word, the tail's P words, the inner draw's
 
     @cached_property
     def rows(self) -> NoisePlan:
         """This plan with its thresholds, its inner plan's included, as
         `row_constant`s: what a BatchSession draws on (`offline`)."""
-        rows = replace(self, branch_threshold=row_constant(self.branch_threshold))
-        vars(rows)["inner"] = self.inner.rows  # where `inner` caches it
-        return rows
+        return replace(self, branch_threshold=row_constant(self.branch_threshold),
+                       inner=self.inner.rows)
 
 
 @lru_cache(maxsize=128)
@@ -256,19 +245,23 @@ def noise_plan(mech: Mechanism, params: MechanismParams) -> NoisePlan:
     Ls, count = steps_of(params.L, params.p), outer_count(params)
     # a block of sample_batch holds in int64 the tail index (masking an
     # int64 row), the upper tail's shift 2Ls + high_offset and the inner
-    # draw (TCL's 2m + 1 < 2Ls); every path reads this plan, so all accept
-    # the same sets
+    # draw (TCL's 2m + 1 < 2Ls)
     if count > 1 << 63 or Ls >= 1 << 62:
         raise ValueError(f"{params} needs a tail index, inner draw or output shift "
                          "past 63 bits; pick a smaller p")
+    tail = segment_plan(count)
+    inner = (centered_clap_config if mech.cumulative else centered_dlap_config)(
+        params.L, params.sigma, params.p)
     return NoisePlan(
         mech=mech,
         params=params,
         branch_threshold=bernoulli_threshold(mech.branch_probability(params)),
         outer_count=count,
-        tail=segment_plan(count),
+        tail=tail,
         Es=steps_of(params.E, params.p),
         Ls=Ls,
+        inner=inner,
+        words_per_draw=1 + tail.words + inner.words_per_draw,
     )
 
 

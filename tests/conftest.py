@@ -6,6 +6,7 @@ and cumulative masses from adaptive quadrature on each cell.  Tests
 compare the library's closed-form fast paths against these.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -177,6 +178,40 @@ def mechanism_law_oracle(plan, xs: int, place=None) -> dict:
     for a, m in enumerate(tail_law_oracle(plan.tail)):
         z = place(plan, xs, 0, a, 0)
         law[z] = law.get(z, 0) + (1 - branch) * m
+    return law
+
+
+def word_classes(plan) -> list:
+    """The classes of each word of one draw of a `NoisePlan`, in the order
+    the draw reads them, as (representative, weight) lists: a word read
+    only against a threshold t falls below it (t - 1, weight t / 2^64) or
+    not (t, weight 1 - t / 2^64), and the tail word only through its low
+    bits (each of its `tail.low + 1` values, equally likely).  A class of
+    weight 0 is dropped."""
+    def threshold(t):
+        return [(w, m) for w, m in ((t - 1, Fraction(t, 2**64)), (t, 1 - Fraction(t, 2**64))) if m]
+
+    inner, tail = plan.inner, plan.tail
+    lows = [(v, Fraction(1, tail.low + 1)) for v in range(tail.low + 1)]
+    zero = [] if inner.zero_threshold is None else [inner.zero_threshold]
+    thresholds = [*zero, *inner.bit_thresholds, *inner.segment_thresholds, inner.sign_threshold]
+    return ([threshold(plan.branch_threshold), lows, *map(threshold, tail.picks)]
+            + list(map(threshold, thresholds)))
+
+
+def executed_law(plan, xs: int, opened) -> dict:
+    """Exact law, in output grid steps, of what the code behind `opened`
+    opens at input xs (grid steps), in `Fraction`s: every combination of
+    one draw's word classes (`word_classes`), laid out execution by
+    execution on one stream of words, goes through `opened(xs, words, n)`,
+    which returns the n values that stream opens, and each value sums the
+    weights of its combinations."""
+    combos = list(itertools.product(*word_classes(plan)))
+    words = [w for combo in combos for w, _ in combo]
+    law = {}
+    for z, combo in zip(opened(xs, words, len(combos)), combos):
+        z = int(z)
+        law[z] = law.get(z, 0) + math.prod(m for _, m in combo)
     return law
 
 

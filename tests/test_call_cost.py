@@ -4,9 +4,15 @@ import importlib.util
 import json
 import subprocess
 import sys
+from itertools import count
 from pathlib import Path
+from unittest import mock
 
+import pytest
+
+from trunclap import tape
 from trunclap.mechanisms import MechanismParams, lookup_mechanism
+from trunclap.mpc import mechanism_field
 from trunclap.sampling import noise_plan
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -53,3 +59,18 @@ def test_counts_must_be_positive():
     r = subprocess.run([sys.executable, str(ROOT / "tools" / "call_cost.py"), "--k", "0"],
                        capture_output=True, text=True, timeout=60)
     assert r.returncode == 2 and "positive counts" in r.stderr
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_a_block_case_evaluates_a_block_and_a_loop_case_none(n):
+    # below BATCH_MIN_SESSIONS and at it: each case is forced onto its
+    # path, counted in party-tape block reads, and the count restored
+    P, before = MechanismParams(**call_cost.SETS["small"]), tape.BATCH_MIN_SESSIONS
+    calls = call_cost.fresh_calls(mechanism_field(P, "tdl"), lookup_mechanism("tdl"), P, n,
+                                  count(1, 2))
+    for metric, (call, min_sessions) in calls.items():
+        with mock.patch.object(tape.RandomTape, "peek_block", autospec=True,
+                               side_effect=tape.RandomTape.peek_block) as peeks:
+            assert call_cost.forced_us(call, min_sessions, 2) > 0
+        assert peeks.call_count == (4 if metric.startswith("block_us") else 0), metric
+        assert tape.BATCH_MIN_SESSIONS == before

@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from conftest import executed_law, mechanism_law_oracle
+
 from trunclap import (
     TCL,
     TDL,
@@ -19,6 +21,7 @@ from trunclap import (
     pmf_tcl,
     pmf_tdl,
 )
+from trunclap import sampling
 from trunclap import tape as tape_module
 from trunclap.grids import GridError, steps_of
 from trunclap.mechanisms import (
@@ -86,11 +89,11 @@ def fresh_pair(session, mech, params, branch, payload):
     return SharedNoisePair(branch, payload, plan, session.perturbation_material(payload))
 
 
-def replay_session(words, params, mechanism="tdl"):
+def replay_session(words, params, mechanism="tdl", **kw):
     """Session whose joint coins replay an injected plaintext word stream."""
     t0 = RandomTape(words=iter(words))
     t1 = RandomTape(words=itertools.repeat(0))
-    return make_session(params, mechanism, tape0=t0, tape1=t1)
+    return make_session(params, mechanism, tape0=t0, tape1=t1, **kw)
 
 
 def inner_ledger(params, mechanism):
@@ -593,18 +596,19 @@ class TestBatchSimulator:
     @pytest.mark.parametrize("params", [SEGMENTED, MechanismParams(E=64.0, L=24.0, sigma=8.0, p=0)],
                              ids=["E3-L3", "E64-L24"])
     def test_a_segmented_set_opens_sample_steps(self, mech, params):
-        # runs on the plaintext draw's words open what it samples, run_batch
-        # (in blocks) equals the recording loop, and one execution costs
-        # the bitwise set of the same tail and kappa (L = 2, or 16) one
-        # inner pick more
+        # runs on the plaintext draw's words open what it samples, in
+        # blocks and in the recording loop; run_batch (in blocks) equals
+        # the recording loop, and one execution costs the bitwise set of
+        # the same tail and kappa (L = 2, or 16) one inner pick more
         plan = noise_plan(mech, params)
         assert plan.inner.method == "segmented" and len(plan.inner.segments) == 2
         n, xs = 300, steps_of(1.0, params.p)
         words = RandomTape(92).words(n * plan.words_per_draw)
         plain = RandomTape(words=words)
         expected = [_sample_steps(plan, xs, plain) for _ in range(n)]
-        session = replay_session(words, params, mech.name)
-        assert (run_sessions(session, mech, params, xs, n) / params.step).tolist() == expected
+        for record in (False, True):
+            session = replay_session(words, params, mech.name, record_transcript=record)
+            assert (run_sessions(session, mech, params, xs, n) / params.step).tolist() == expected
         got = run_batch(mech.name, params, 1.0, n, 5, 6)
         assert np.array_equal(got, loop_reference(mech.name, params, xs, n, 5, 6, 0)[0])
 
@@ -619,23 +623,21 @@ class TestBatchSimulator:
 
     @pytest.mark.parametrize("mech,params", [(TDL, SEGMENTED), (TCL, WIDE)], ids=["tdl-E3-L3", "tcl-wide"])
     def test_blocks_on_injected_words_open_sample_steps(self, mech, params):
-        # a block reads an injected tape as a seeded one: run on the
-        # plaintext draw's words (party 1 contributing zeros), it opens
-        # what the plaintext draw samples
+        # a block reads an injected tape as a seeded one: a run on the
+        # plaintext draw's words (party 1 contributing zeros) evaluates
+        # one block of all n, which opens what the plaintext draw samples
+        # and reads no word past the replay's last
         plan = noise_plan(mech, params)
         n, xs = 300, steps_of(1.0, params.p)
         words = RandomTape(93).words(n * plan.words_per_draw)
         plain = RandomTape(words=words)
         expected = [_sample_steps(plan, xs, plain) for _ in range(n)]
         session = replay_session(words, params, mech.name)
-        x = session.share(xs)
-
-        def once(b):
-            return b.open(pi_perturb(b, mech, x, pi_noise(b, mech, params), params))
-
-        values, commit = BatchSession(session)._evaluate(once, plan.words_per_draw, n)
-        assert values.tolist() == expected
-        commit(n)
+        sizes = []
+        with peeks(sizes):
+            got = run_sessions(session, mech, params, xs, n) / params.step
+        assert got.tolist() == expected
+        assert sizes == [len(words), len(words)]
         assert session.tape0.words_consumed == session.tape1.words_consumed == len(words)
 
     def test_wide_set_at_the_input_bound(self):
@@ -956,3 +958,95 @@ class TestOfflinePool:
                 for _ in range(4 * BE):
                     pi_noise(session, TDL, PARAMS)
         assert sizes == []
+        # the counterpart: a run never reads past the executions it
+        # commits, so on tapes passed in it runs them as one block, read
+        # on both party tapes
+        with peeks(sizes):
+            run_sessions(sessions[1], TDL, PARAMS, 1, 4 * BE)
+        assert sizes == [4 * BE * noise_plan(TDL, PARAMS).words_per_draw] * 2
+
+    @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
+    def test_a_short_run_after_pooled_pairs_opens_the_loops_values(self, mech, params):
+        # a run of fewer than BE executions loops, and its noise pairs come
+        # out of the block the pool evaluated before it: the opened values,
+        # the ledger and the party words are the recording loop's
+        def run(session):
+            pairs = opened_pairs(session, mech, params, BE + 1)  # a block of BE, one taken
+            return pairs, list(run_sessions(session, mech, params, 1, BE - 1))
+
+        session = make_session(params, mech.name, seed0=19, seed1=20)
+        got = run(session)
+        assert session._offline[1]._at == BE  # the run took the rest of the block
+        ref = make_session(params, mech.name, seed0=19, seed1=20, record_transcript=True)
+        assert got == run(ref)
+        assert session.ledger == ref.ledger
+        assert (session.tape0.words_consumed, session.tape1.words_consumed) == (
+            ref.tape0.words_consumed, ref.tape1.words_consumed)
+
+
+def magnitude_at_or_below(cfg, w, first: int):
+    """`tape._magnitude` off by one: a bit word at its threshold sets the
+    bit (`<=` for `<`)."""
+    m, weights = 0, cfg.bit_weights
+    for i, threshold in enumerate(cfg.bit_thresholds):
+        m += (w[first + i] <= threshold) * weights[i]
+    if cfg.segment_thresholds:
+        m = tape_module.pick_segment(cfg.segments, cfg.segment_thresholds,
+                                     w[first + cfg.kappa :], m)
+    return m
+
+
+class TestExecutedLaw:
+    """The exact law of the code the parties run, by enumeration: every
+    class of a draw's words (`conftest.executed_law`), run through the
+    plaintext draw, a replayed session's blocks and its recording loop,
+    against `mechanism_law_oracle`."""
+
+    SETS = [MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0),
+            MechanismParams(E=3.0, L=3.0, sigma=1.0, p=0),
+            MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0),
+            MechanismParams(E=5.0, L=3.0, sigma=1.0, p=1)]
+    SET_IDS = ["E3-L2", "E3-L3", "E4-L2", "E5-L3-p1"]
+    PATHS = ["sample_steps", "blocks", "loop"]
+
+    @staticmethod
+    def opened(plan, path):
+        """`opened(xs, words, n)` of `executed_law` on `path`; the session
+        paths check that they ran blocks, or none."""
+        mech, params = plan.mech, plan.params
+
+        def sample_steps(xs, words, n):
+            tape = RandomTape(words=words)
+            return [_sample_steps(plan, xs, tape) for _ in range(n)]
+
+        def replayed(xs, words, n):
+            session = replay_session(words, params, mech.name, record_transcript=path == "loop")
+            sizes = []
+            with peeks(sizes):
+                values = run_sessions(session, mech, params, xs, n) / params.step
+            assert bool(sizes) == (path == "blocks")
+            return values
+
+        return sample_steps if path == "sample_steps" else replayed
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("params", SETS, ids=SET_IDS)
+    @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
+    def test_the_executed_law_is_the_oracles(self, mech, params, path):
+        plan = noise_plan(mech, params)
+        for x in (-params.E, 0.0, params.E):
+            xs = params.input_steps(x)
+            oracle = {z: m for z, m in mechanism_law_oracle(plan, xs).items() if m}
+            assert executed_law(plan, xs, self.opened(plan, path)) == oracle, f"x={x}"
+
+    @pytest.mark.parametrize("path", PATHS)
+    @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
+    def test_an_off_by_one_magnitude_breaks_it(self, mech, path):
+        # the control: the enumeration sees a bit word at its threshold
+        plan = noise_plan(mech, self.SETS[1])
+        xs = plan.params.input_steps(1.0)
+        with mock.patch.object(sampling, "_magnitude", magnitude_at_or_below), \
+                mock.patch.object(core, "_magnitude", magnitude_at_or_below):
+            law = executed_law(plan, xs, self.opened(plan, path))
+        assert sum(law.values()) == 1
+        assert law != {z: m for z, m in mechanism_law_oracle(plan, xs).items() if m}

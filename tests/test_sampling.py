@@ -529,7 +529,8 @@ class TestNoisePlan:
             for _ in range(50):
                 noise(mech, params, tape)
             assert tape.words_consumed == 50 * plan.words_per_draw
-            assert vars(plan)["words_per_draw"] == plan.words_per_draw  # cached
+            # set when the plan is built, with its inner plan
+            assert {"inner", "words_per_draw"} <= {f.name for f in dataclasses.fields(plan)}
 
     def test_row_form_holds_the_thresholds_as_uint64_constants(self):
         # every threshold of the plan and its inner plan, as a read-only 0-d

@@ -12,8 +12,9 @@ worker process on a checkout times these metrics, each the median of
   --calls (a fresh Session, the input shared once, its blocks);
 * `block_us.<n>`: a fresh `run_sessions` call of n executions run as one
   block, forced even below `BATCH_MIN_SESSIONS`, for each n of --blocks;
-* `loop_us.<n>`: the same call run sequentially (its session on tapes
-  passed in, which never runs blocks);
+* `loop_us.<n>`: the same call run sequentially, forced even at or above
+  `BATCH_MIN_SESSIONS` (its session on tapes passed in, which draws every
+  noise pair now, not from a pool);
 * `pool_block_us` and `pool_loop_us`: one block of 8 noise pairs on a warm
   long-lived session (`Session.offline`'s block: evaluated, then
   committed), and 8 pairs drawn one by one on the same kind of session;
@@ -63,15 +64,45 @@ def median_us(call, reps: int) -> float:
     return round(statistics.median(times) * 1e6, 2)
 
 
+def forced_us(call, min_sessions: int, reps: int) -> float:
+    """`median_us` of `call` with `tape.BATCH_MIN_SESSIONS` set to
+    `min_sessions`, restored after: 1 runs a call of n as one block, n + 1
+    runs it sequentially."""
+    from trunclap import tape
+
+    saved, tape.BATCH_MIN_SESSIONS = tape.BATCH_MIN_SESSIONS, min_sessions
+    try:
+        return median_us(call, reps)
+    finally:
+        tape.BATCH_MIN_SESSIONS = saved
+
+
+def fresh_calls(field, mech, P, n: int, seeds) -> dict:
+    """The fresh `run_sessions` calls of n executions that `block_us.<n>`
+    and `loop_us.<n>` time, each with the BATCH_MIN_SESSIONS that forces
+    its path (`forced_us`); every call takes the next seeds."""
+    from trunclap.mpc import Session
+    from trunclap.mpc.protocols import run_sessions
+    from trunclap.tape import RandomTape
+
+    def block():
+        s = next(seeds)
+        run_sessions(Session(field, s, s + 1), mech, P, 0, n)
+
+    def loop():
+        s = next(seeds)
+        run_sessions(Session(field, tape0=RandomTape(s), tape1=RandomTape(s + 1)), mech, P, 0, n)
+
+    return {f"block_us.{n}": (block, 1), f"loop_us.{n}": (loop, n + 1)}
+
+
 def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
     """Every timing of every case, timed in this process, and its counts."""
-    from trunclap import tape
     from trunclap.mechanisms import MechanismParams, lookup_mechanism
     from trunclap.mpc import (BatchSession, Session, mechanism_field, pi_noise, pi_perturb,
                               run_batch)
     from trunclap.mpc.protocols import _noise_pair, _noise_rows, run_sessions
     from trunclap.sampling import noise_plan
-    from trunclap.tape import RandomTape
 
     out, counts = {}, {}
     for label, kw in SETS.items():
@@ -86,21 +117,12 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
             for n in calls:
                 case[f"run_batch_us.{n}"] = median_us(
                     lambda: run_batch(name, P, 0.0, n, (s := next(seeds)), s + 1), reps)
-            forced, tape.BATCH_MIN_SESSIONS = tape.BATCH_MIN_SESSIONS, 1
-            try:
+            for path in ("block_us", "loop_us"):
                 for n in blocks:
-                    case[f"block_us.{n}"] = median_us(
-                        lambda: run_sessions(Session(field, (s := next(seeds)), s + 1),
-                                             mech, P, 0, n), reps)
-            finally:
-                tape.BATCH_MIN_SESSIONS = forced
-            for n in blocks:
-                case[f"loop_us.{n}"] = median_us(
-                    lambda: run_sessions(
-                        Session(field, tape0=RandomTape(s := next(seeds)), tape1=RandomTape(s + 1)),
-                        mech, P, 0, n), reps)
+                    metric = f"{path}.{n}"
+                    case[metric] = forced_us(*fresh_calls(field, mech, P, n, seeds)[metric], reps)
             warm = Session(field, 3, 4)
-            _noise_pair(warm, plan)  # fills the plan's lazy caches
+            _noise_pair(warm, plan)  # a warm-up draw
             batch = BatchSession(warm)
 
             def pool_block():
