@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 
-from .grids import GridError
 from .mechanisms import (
     DISCRETE_MECHANISMS,
     Mechanism,
@@ -345,10 +344,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_apply_config(list(argv if argv is not None else sys.argv[1:])))
         return args.fn(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except (GridError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError, MemoryError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -38,15 +38,16 @@ def quantize(x: float, p: int, e: int | None = None) -> float:
 
     Rounding is toward -infinity (plain floor), not half-even.  If the
     integer-part bound e is given, inputs with |x| >= 2^(e-1) are rejected.
-    A non-finite x is rejected.
+    An x whose x * 2^p is not finite is rejected.
     """
     if p < 0:
         raise GridError("precision exponent p must be >= 0")
-    if not math.isfinite(x):
-        raise GridError(f"{x!r} is not a finite value")
+    scaled = x * (1 << p)
+    if not math.isfinite(scaled):
+        raise GridError(f"{x!r} * 2^{p} is not a finite value")
     if e is not None and abs(x) >= 2.0 ** (e - 1):
         raise GridError(f"|{x}| exceeds the representable bound 2^{e - 1}")
-    return math.floor(x * (1 << p)) / (1 << p)
+    return math.floor(scaled) / (1 << p)
 
 
 @dataclass(frozen=True)

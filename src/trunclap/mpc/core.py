@@ -55,16 +55,17 @@ Cost model (abstract operation counts, not wall-clock):
 
 Two substrates run the same protocol code.  `Session` runs one
 execution at a time on Python integers and drives every batch: unless it
-records its transcript, it evaluates blocks of executions on an attached
-`BatchSession`, which holds each value as uint64 share arrays (one entry
-per execution), as a `BlockScheduler` decides: n at once in
+records its transcript, it evaluates blocks of executions, each on a
+`BatchSession` of its own holding each value as uint64 share arrays (one
+entry per execution), as a `BlockScheduler` decides: n at once in
 `Session.run`, on any tapes, and one per call in `Session.offline`, whose
 blocks run ahead of the calls and so only on the session's own seeded
 tapes (a finite replay passed in has no words past its end).  A block
 reads the party tapes execution by execution (no draw rejects, so each
-reads the same words) and is committed whole, so opened values, ledgers
+reads the same words) and charges its own ledger one execution's cost,
+added to the session's per execution committed, so opened values, ledgers
 and party words are the sequential path's; a range fault in a block
-raises `ContractViolation` at once and commits none of it.
+raises `ContractViolation` at once, and the block is dropped.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (the next joint
 word, or the next k in one read, dealer masks, Beaver triples of five
@@ -90,7 +91,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, fields
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -464,7 +465,8 @@ class Session(_CommonOps):
     All public parameters (field, thresholds) are common to both logical
     parties; every output and the ledger are a pure function of
     (seed0, seed1, inputs).  A session is single-threaded; run independent
-    sessions for parallel batches.
+    sessions for parallel batches; each block it evaluates runs on a
+    BatchSession of its own (`_scheduler`).
     """
 
     def __init__(
@@ -490,20 +492,14 @@ class Session(_CommonOps):
         # finite replay passed in.  `run`'s blocks never reach past the
         # executions they commit, so they run on any tapes
         self._pools = tape0 is None and tape1 is None
-        self._batch: BatchSession | None = None
         # (key, its BlockScheduler, party words read after the last call)
         self._offline: tuple = (None, None, None)
 
     def _scheduler(self, program, words: int, step, cap: int) -> BlockScheduler:
-        """A BlockScheduler of `program` on the attached BatchSession, which
-        is built at the first block."""
-
-        def evaluate(size: int):
-            if self._batch is None:
-                self._batch = BatchSession(self)
-            return self._batch._evaluate(program, words, size)
-
-        return BlockScheduler(evaluate, step, cap)
+        """A BlockScheduler of `program`, each block on a new BatchSession."""
+        return BlockScheduler(
+            lambda size: BatchSession(self)._evaluate(program, words, size), step, cap
+        )
 
     # -- randomness --------------------------------------------------------
 
@@ -571,7 +567,7 @@ class Session(_CommonOps):
     def run(self, program: Callable[["Session"], int], n: int, words: int) -> np.ndarray:
         """The opened results of n executions of `program` in sequence, as
         int64; `words` is one execution's joint words.  Blocks of at most
-        BATCH_BLOCK run on the attached BatchSession, on seeded or injected
+        BATCH_BLOCK run each on a BatchSession, on seeded or injected
         tapes alike; a session that records its transcript, which a
         BatchSession does not, runs every execution here.  An execution
         run here (the rest of a call, fewer than BATCH_MIN_SESSIONS) draws
@@ -624,13 +620,18 @@ def _uint64_rows(*values) -> None:
 
 
 class BatchSession(_CommonOps):
-    """Many independent executions of one program at once, evaluated for
-    the Session it is attached to: both parties' shares of each value as
-    uint64 arrays, one entry per execution, on the session's party tapes,
-    dealer and ledger.  `_evaluate` runs a program over the next
-    executions without consuming their words, laid out execution by
-    execution (`peek_block`), and `_commit` consumes them as they are
-    handed out.
+    """One block of many independent executions of one program, evaluated
+    at once for a Session: both parties' shares of each value as uint64
+    arrays, one entry per execution, on the session's party tapes and
+    dealer.  `_evaluate` runs a program over the next executions without
+    consuming their words, laid out execution by execution (`peek_block`),
+    and `_commit` consumes them as they are handed out.  An instance
+    evaluates one block (`Session._scheduler` builds one per block).
+
+    Its ledger is its own, not the session's: inside the block it is one
+    execution's cost, which `_commit(k)` adds k times to the session's.  A
+    standalone instance used outside a block (sharing a value) charges its
+    own ledger alone; nothing in the package does so.
 
     Masks and Beaver triples are drawn from the session's dealer as the
     gadgets need them, each call's residues in one array; opened values
@@ -639,9 +640,7 @@ class BatchSession(_CommonOps):
     uint64 arrays (`_row_constants`), and the noise protocol runs on its
     plan's row form (`offline`).  A share row that is not uint64 is
     refused (`_uint64_rows`), and so is a value to share that is not bool
-    or integer (`_reshare`).  Inside a block every gadget costs its
-    per-execution amount once per committed execution; outside it
-    (sharing a value) once.
+    or integer (`_reshare`).
     """
 
     def __init__(self, session: Session):
@@ -649,41 +648,41 @@ class BatchSession(_CommonOps):
         (self._m, self._high, self._half, self._safe, self._safe2,
          self._shl, self._shr, self._zero) = _row_constants(self.q, self.safe_magnitude)
         self._rows_only = True
-        self.tape0, self.tape1 = session.tape0, session.tape1
-        self.dealer, self.ledger = session.dealer, session.ledger
+        self.session = session
+        self.tape0, self.tape1, self.dealer = session.tape0, session.tape1, session.dealer
         self._rows: np.ndarray | None = None  # joint word j of each execution in row j
-        self._col = 0
+        self._col: int | None = None  # joint words each execution read, once a block starts
 
     # -- blocks ------------------------------------------------------------
 
     def _evaluate(self, program, words: int, size: int):
         """`program` over the next `size` executions, without consuming
         their words: (values, commit), the sequential loop's values, and
-        `commit(k)` consumes the first k.  A range fault raises
+        `commit(k)` (`_commit`) consumes the first k.  A range fault raises
         ContractViolation here, before anything of the block is consumed.
         The two party tapes' words, laid out execution by execution, XOR
         as they lie, and one transposing copy makes the block's (words,
-        size) rows: joint word j of every execution is row j."""
+        size) rows: joint word j of every execution is row j, freed once
+        the program ran.  A second call raises RuntimeError: an instance
+        is one block."""
+        if self._col is not None:
+            raise RuntimeError("a BatchSession evaluates one block")
         n = size * words
         joint = self.tape0.peek_block(n) ^ self.tape1.peek_block(n)
         self._rows, self._col = joint.reshape(size, words).T.copy(), 0
-        # gadgets charge self.ledger: one execution's cost, while in the block
-        total, unit = self.ledger, CostLedger()
-        self.ledger = unit
-        try:
-            values = program(self)
-        finally:
-            self.ledger, self._rows = total, None
+        values = program(self)
         if self._col != words:
             raise RuntimeError(f"an execution drew {self._col} joint words, planned {words}")
-        return values, partial(self._commit, words, unit)
+        self._rows = None
+        return values, self._commit
 
-    def _commit(self, words: int, unit: CostLedger, k: int) -> None:
-        """Consume the words of the first k executions of a block, each of
-        `words` joint words and one `unit` ledger."""
-        self.tape0.skip(k * words)
-        self.tape1.skip(k * words)
-        self.ledger.add(unit, k)
+    def _commit(self, k: int) -> None:
+        """Consume the words of the first k executions of the block, and
+        add k times its one-execution ledger to the session's."""
+        words = k * self._col
+        self.tape0.skip(words)
+        self.tape1.skip(words)
+        self.session.ledger.add(self.ledger, k)
 
     def _check(self, bad, values, message: str) -> None:
         """ContractViolation at once for the first flagged execution,

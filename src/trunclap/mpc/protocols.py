@@ -27,7 +27,7 @@ multiplications.  No protocol truncates.
 
 On a long-lived `Session`, `pi_noise` draws its pairs through
 `Session.offline`, which may hand them out of a block evaluated ahead on
-the attached `BatchSession` (`_noise_rows`: one uint64 row of 15 per pair,
+a `BatchSession` of its own (`_noise_rows`: one uint64 row of 15 per pair,
 unpacked by `_unpack_pair`) with the sequential path's opened values,
 ledger and party words.
 

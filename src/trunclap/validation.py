@@ -76,15 +76,6 @@ class FitReport:
     max_rel_dev: float
     n: int
 
-    def as_dict(self) -> dict:
-        return {
-            "tv": self.tv,
-            "chi2_stat": self.chi2_stat,
-            "chi2_pvalue": self.chi2_pvalue,
-            "max_rel_dev": self.max_rel_dev,
-            "n": self.n,
-        }
-
 
 def _check_support(h: Histogram, f: ExactPmf) -> None:
     if h.spec != f.spec:
@@ -98,12 +89,11 @@ def tv_distance(h: Histogram, f: ExactPmf) -> float:
     return 0.5 * float(np.abs(h.frequencies() - f.masses).sum())
 
 
-def chi_square(h: Histogram, f: ExactPmf, min_expected: float = 5.0):
+def chi_square(h: Histogram, f: ExactPmf):
     """Chi-square statistic and p-value with small-bin merging.
 
     Bins are scanned in order and accumulated until the expected count
-    reaches `min_expected`; a trailing underfull group is merged into the
-    previous one.
+    reaches 5; a trailing underfull group is merged into the previous one.
     """
     _check_support(h, f)
     n = h.n
@@ -112,7 +102,7 @@ def chi_square(h: Histogram, f: ExactPmf, min_expected: float = 5.0):
     for o, m in zip(h.counts, f.masses):
         acc_e += m * n
         acc_o += o
-        if acc_e >= min_expected:
+        if acc_e >= 5.0:
             exp_groups.append(acc_e)
             obs_groups.append(acc_o)
             acc_e = acc_o = 0.0

@@ -161,6 +161,10 @@ class TestConfig:
         assert run(["sample", "--config", cfg, "--E", "4", "--L", "2", "--sigma", "1"]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
 
+    def test_config_without_a_path_is_usage_error(self, capsys):
+        assert run(["sample", "--E", "4", "--L", "2", "--sigma", "1", "--config"]) == 1
+        assert "--config needs a file path" in capsys.readouterr().err
+
     def test_boolean_is_a_bare_flag_or_left_out(self, tmp_path):
         for value in (True, False):
             cfg = self.config(tmp_path, {"E": 4, "L": 2, "sigma": 1, "n": 10,
@@ -251,6 +255,20 @@ class TestValidate:
         assert (tmp_path / "report_overlay_x64.csv").exists()
         assert code == 0
 
+    def test_failing_cells_and_overlays_are_reported(self, capsys):
+        # a moments cell off its theory and an overlay past its bound, with
+        # nothing drawn: both are failures, and the exit code says so
+        row = {"x": 0.0, "mean_theory": 0.0, "mean_empirical": 1.0,
+               "mse_theory": 1.0, "mse_empirical": 1.0}
+        check = mock.Mock(tv=0.5, passed=False)
+        with mock.patch("trunclap.cli.table1_report", return_value={"rows": [row]}), \
+                mock.patch("trunclap.cli.overlay_check", return_value=check):
+            assert run(["validate", "--n", "10"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["failures"] == ["moments cell p=0 x=0.0", "moments cell p=2 x=0.0",
+                                      "overlay x=64.0 tv=0.5000", "overlay x=-32.0 tv=0.5000"]
+        assert not report["pass"]
+
     def test_usage_error_exit_code(self):
         assert run(["nonsense"]) == 1
 
@@ -289,6 +307,20 @@ def test_non_finite_or_negative_input_is_usage_error(argv, tmp_path, capsys):
     assert run(argv + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("usage error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["pmf"], ["mpc", "--n", "1"]])
+def test_a_grid_too_large_to_hold_is_usage_error(command, capsys):
+    # 2e12 + 5 output points: the pmf's masses and the histogram's counts
+    # would take 14.6 TiB, and numpy refuses the allocation
+    assert run([*command, "--E", "1e12", "--L", "2", "--sigma", "1"]) == 1
+    assert capsys.readouterr().err.startswith("usage error: Unable to allocate")
+
+
+@pytest.mark.parametrize("command", [["moments"], ["sample", "--n", "3"]])
+def test_a_huge_input_bound_runs_where_no_grid_is_held(command, capsys):
+    assert run([*command, "--E", "1e12", "--L", "2", "--sigma", "1"]) == 0
+    assert capsys.readouterr().out
 
 
 @pytest.mark.parametrize("mech", ["tdl", "tcl"])

@@ -35,6 +35,15 @@ class TestQuantize:
             with pytest.raises(GridError, match="not a finite value"):
                 quantize(x, 2, e=e)
 
+    def test_a_scaled_overflow_is_refused(self):
+        # 1e308 * 2^60 is inf: math.floor raised OverflowError
+        with pytest.raises(GridError, match="not a finite value"):
+            quantize(1e308, 60)
+
+    def test_negative_precision_is_refused(self):
+        with pytest.raises(GridError, match="precision exponent"):
+            quantize(1.0, -1)
+
     @given(st.floats(-1e6, 1e6), st.integers(0, 12))
     @settings(max_examples=300)
     def test_floor_error_bounds(self, x, p):
@@ -84,6 +93,12 @@ class TestGridSpec:
             GridSpec(p=1, B=1.25)
         with pytest.raises(GridError):
             GridSpec(p=0, B=-1.0)
+        with pytest.raises(GridError, match="precision exponent"):
+            GridSpec(p=-1, B=1.0)
+
+    def test_contains_is_false_off_the_grid(self):
+        spec = GridSpec(p=1, B=2.0)
+        assert spec.contains(0.5) and not spec.contains(0.25)
 
     def test_off_grid_lookup(self):
         spec = GridSpec(p=0, B=4.0)
@@ -113,6 +128,17 @@ class TestFieldConfig:
         spec = GridSpec(p=2, B=4.0)
         for y in spec.values():
             assert cfg.decode(cfg.encode(float(y))) == y
+
+    def test_decode_rejects_past_the_headroom(self):
+        cfg = FieldConfig(e=3, p=2)  # decodes |x| < 4 of the residues' [-8, 8)
+        assert cfg.decode(15) == 3.75
+        with pytest.raises(GridError, match="outside the headroom"):
+            cfg.decode(16)
+
+    @pytest.mark.parametrize("E, L", [(0.0, 2.0), (4.0, -1.0)])
+    def test_field_for_mechanism_refuses_a_bound_that_is_not_positive(self, E, L):
+        with pytest.raises(GridError, match="must be positive"):
+            field_for_mechanism(E, L, 0)
 
     def test_encode_rejects_out_of_range(self):
         cfg = FieldConfig(e=3, p=2)

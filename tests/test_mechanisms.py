@@ -124,6 +124,10 @@ class TestLambdas:
             with pytest.raises(ValueError):
                 lambda_dlap(*bad, 0)
 
+    def test_lambda_dlap_refuses_a_negative_precision(self):
+        with pytest.raises(ValueError, match="p must be >= 0"):
+            lambda_dlap(4, 2, 1, -1)
+
     def test_lambda_independent_of_center_sweep(self):
         for E, L, s, p in LATTICE:
             ys = closed_grid(L + E, p)
@@ -291,6 +295,14 @@ INPUT_PARAMS = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=2)
 
 
 class TestInputSteps:
+    @pytest.mark.parametrize("kw, message", [
+        ({"p": -1}, "precision exponent"),
+        ({"L": 1.5}, "L=1.5 must be"),
+    ], ids=["negative-p", "L-off-grid"])
+    def test_params_are_refused(self, kw, message):
+        with pytest.raises(GridError, match=message):
+            MechanismParams(**{"E": 4.0, "L": 2.0, "sigma": 1.0, "p": 0, **kw})
+
     def test_on_grid_inputs_in_steps(self):
         assert [INPUT_PARAMS.input_steps(x) for x in (-4.0, -0.25, 0, 1.5, 4.0)] == [
             -16, -1, 0, 6, 16]

@@ -2,7 +2,7 @@
 
 Two sha256 pins over what a seeded `run_sessions` call leaves behind, on
 a recording `Session` (every execution sequential) and on a `Session`
-that runs blocks through its attached `BatchSession`:
+that runs blocks, each on a `BatchSession` of its own:
 
 * the outputs pin: opened values, the ledger and the words each party
   tape consumed.  Opened outputs depend on the party tapes alone, so a
@@ -122,13 +122,13 @@ def test_dealer_draws_are_the_lane_reference(records):
 
 def _redeal(session, seed: int) -> None:
     """Give `session` a dealer tape of another seed, and the triples on it
-    (before its first block: an attached BatchSession shares the tape)."""
+    (before its first block: each block's BatchSession shares the tape)."""
     session.dealer = RandomTape(seed)
     session.triples = TripleStore(session.q, session.dealer)
 
 
 # "Session" records its transcript and runs every execution sequentially;
-# "BatchSession" runs blocks through its attached BatchSession
+# "BatchSession" runs blocks, each on a BatchSession of its own
 @pytest.mark.parametrize("substrate", ["Session", "BatchSession"])
 @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
 @pytest.mark.parametrize("name", sorted(SETS))
@@ -140,10 +140,14 @@ def test_outputs_do_not_depend_on_the_dealer(name, mech, substrate):
         s = Session(field, 77, 78, record_transcript=substrate == "Session")
         if dealer is not None:
             _redeal(s, dealer)
-        runs.append(_outputs(s, mech, params, 300, 1.0))
+        with mock.patch.object(
+            BatchSession, "_evaluate", autospec=True, side_effect=BatchSession._evaluate
+        ) as blocks:
+            runs.append(_outputs(s, mech, params, 300, 1.0))
         transcripts.append(s.transcript)
         if substrate == "BatchSession":
-            assert s._batch is not None and s._batch.dealer is s.dealer
+            assert blocks.call_count and all(c.args[0].dealer is s.dealer
+                                             for c in blocks.call_args_list)
     assert runs[0] == runs[1]
     if substrate == "Session":  # the dealer's masks did change what the parties saw
         assert transcripts[0] != transcripts[1]

@@ -631,7 +631,7 @@ class TestBersampleSum:
             assert [c.args[1:] for c in take.call_args_list] == [((300,),)]
 
     # "Session" records its transcript and runs every draw sequentially;
-    # "BatchSession" runs them in blocks on its attached BatchSession
+    # "BatchSession" runs them in blocks, each on a BatchSession of its own
     @pytest.mark.parametrize("substrate", ["Session", "BatchSession"])
     def test_share_of_a_forced_sum_is_uniform(self, substrate):
         # every bit forced to 1, so the value is 2^15 - 1 in every draw;
@@ -735,9 +735,10 @@ class TestUniform:
 
         seq = Session(WORD_RING, 3, 4, record_transcript=True)
         want = seq.run(program, n, P)
-        batch = Session(WORD_RING, 3, 4)
-        assert np.array_equal(batch.run(program, n, P), want)
-        assert batch._batch is not None  # the draws ran in a block
+        batch, sizes = Session(WORD_RING, 3, 4), []
+        with peeks(sizes):
+            assert np.array_equal(batch.run(program, n, P), want)
+        assert sizes == [n * P] * 2  # the draws ran in one block, read from both tapes
         assert batch.ledger.as_dict() == seq.ledger.as_dict()
         assert [t.words_consumed for t in (seq.tape0, seq.tape1, batch.tape0, batch.tape1)] == [n * P] * 4
         assert all(v % 2**64 < m for v in want.tolist())
@@ -1084,6 +1085,38 @@ class TestBatchSession:
         with pytest.raises(RuntimeError, match="inside a block"):
             self.batch().pi_bersample(0.5)
 
+    def test_an_instance_evaluates_one_block(self):
+        def program(b):
+            return b.open(b.pi_bersample(0.5))
+
+        batch = self.batch()
+        batch._evaluate(program, 1, 8)
+        with pytest.raises(RuntimeError, match="evaluates one block"):
+            batch._evaluate(program, 1, 8)
+
+    def test_a_commit_adds_its_block_ledger_per_execution(self):
+        # a block's ledger is its own, one execution's cost: committing k
+        # executions adds it k times to the session's, and ops outside a
+        # block charge the instance alone
+        def program(s):
+            return s.open(s.mul(s.pi_bersample(0.3), s.pi_uni(8)))
+
+        session = Session(SMALL, 7, 8)
+        outside = BatchSession(session)
+        outside.open(outside.mul(outside.share(np.arange(4)), outside.share(3)))
+        assert outside.ledger.multiplications == 1 and session.ledger == CostLedger()
+        one = Session(SMALL, 7, 8)
+        program(one)
+        batch = BatchSession(session)
+        _, commit = batch._evaluate(program, 2, 16)
+        assert batch.ledger == one.ledger and session.ledger == CostLedger()
+        for k, done in ((5, 5), (3, 8)):
+            commit(k)
+            total = CostLedger()
+            total.add(one.ledger, done)
+            assert session.ledger == total
+            assert session.tape0.words_consumed == session.tape1.words_consumed == 2 * done
+
     def test_run_matches_sequential_gadgets(self):
         # Bernoulli, power-of-two uniform, sign test and mux per execution,
         # session by session on the same tapes; the ledger is n times one
@@ -1176,6 +1209,12 @@ class TestBatchSession:
             Session(SMALL, 1, 2).run(
                 lambda s: s.open(s.pi_bersample(0.5)), 10, 2
             )
+
+    def test_a_block_reading_past_its_words_is_refused(self):
+        # refused at the read, before the rows run out
+        batch = BatchSession(Session(SMALL, 1, 2))
+        with pytest.raises(RuntimeError, match="drew more joint words than planned"):
+            batch._evaluate(lambda b: b.open(b.pi_uni(4)) + b.open(b.pi_uni(4)), 1, 10)
 
 
 def peeks(sizes: list):

@@ -935,7 +935,7 @@ class TestOfflinePool:
         assert got == opened_pairs(
             make_session(WIDE, "tcl", seed0=17, seed1=18, record_transcript=True), TCL, WIDE, 300
         )
-        assert session._batch is not None and session._batch.dealer is dealer
+        assert blocks.call_count and all(c.args[0].dealer is dealer for c in blocks.call_args_list)
         # the first BE pairs, drawn one by one, take theirs from the pool;
         # a block draws 25 residues for each pair it evaluates, the last
         # one's reaching past the 300th

@@ -15,6 +15,7 @@ from conftest import (
     clap_law_oracle,
     closed_grid,
     mechanism_law_oracle,
+    sized_for,
     tail_law_oracle,
     tcl_masses_oracle,
     tdl_masses_oracle,
@@ -727,12 +728,19 @@ class TestPerturb:
                     assert abs(law[float(y)] - mref) < 1e-12
 
     def test_end_to_end_tv_all_centers(self, small_params):
-        params = small_params
+        # 3M draws an input: at 1M a faithful sampler reads 0.0013 + 0.0032
+        # = 0.0045 on the 13-point support (`sized_for`), above the bound.
+        # The same draws against the law one step over read about 0.28
+        params, n, bound = small_params, 3_000_000, THRESHOLDS["sampler_tv_1e6"]
         for i, x in enumerate(params.input_grid().values()):
             x = float(x)
-            vals = sample_tdl_batch(x, params, 1_000_000, 100 + i)
+            law = tdl_masses_oracle(x, 4, 2, 1, 0)
+            assert sized_for(bound, law, n)
+            vals = sample_tdl_batch(x, params, n, 100 + i)
             counts = np.bincount((vals + 6).astype(int), minlength=13)
-            assert tv(counts, tdl_masses_oracle(x, 4, 2, 1, 0)) < THRESHOLDS["sampler_tv_1e6"]
+            assert tv(counts, law) < bound
+            shifted = tdl_masses_oracle(x + 1 if x < params.E else x - 1, 4, 2, 1, 0)
+            assert tv(counts, shifted) > 0.27
 
     def test_errors(self, small_params):
         with pytest.raises(ValueError):

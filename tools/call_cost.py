@@ -123,11 +123,11 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
                     case[metric] = forced_us(*fresh_calls(field, mech, P, n, seeds)[metric], reps)
             warm = Session(field, 3, 4)
             _noise_pair(warm, plan)  # a warm-up draw
-            batch = BatchSession(warm)
 
             def pool_block():
-                commit = batch._evaluate(lambda b: _noise_rows(b, plan), plan.words_per_draw,
-                                         POOL_BLOCK)[1]
+                # one BatchSession a block, as a session's pool builds them
+                commit = BatchSession(warm)._evaluate(lambda b: _noise_rows(b, plan),
+                                                      plan.words_per_draw, POOL_BLOCK)[1]
                 commit(POOL_BLOCK)
 
             pool_block()
