@@ -1,11 +1,12 @@
-"""Fixed-point grids and their ring encoding.
+"""Fixed-point grids and the ring that carries them.
 
 Values live on the dyadic lattice 2^-p * Z.  A bounded grid is either the
 closed interval [-B, B] intersected with the lattice, or its half-open
-variant that drops the top point B.  Grid values are encoded into the
-ring Z_q, q a power of two, as v -> 2^p * v (mod q), with ring elements
-reported in the balanced range {-q/2, ..., q/2 - 1}.  Unbalanced residues
-appear only at serialization boundaries.
+variant that drops the top point B.  A grid value v enters the ring Z_q,
+q a power of two (`FieldConfig`), one way: as its step count 2^p * v
+(`MechanismParams.input_steps`), then a session's `share`; it leaves by
+`open`, the balanced lift in [-q/2, q/2), times 2^-p.  A v whose 2^p * v
+is not a finite double is refused, as past p = 1023 every nonzero v is.
 """
 
 from __future__ import annotations
@@ -20,15 +21,26 @@ class GridError(ValueError):
     """A value is off-grid, out of range, or a grid parameter is invalid."""
 
 
+def _scaled(x: float, p: int) -> float:
+    """x * 2^p, exact; GridError, naming p, unless it is a finite double."""
+    try:
+        scaled = math.ldexp(x, p)
+    except OverflowError:
+        scaled = math.inf
+    if not math.isfinite(scaled):
+        raise GridError(f"{x!r} * 2^{p} is not a finite value at p = {p}")
+    return scaled
+
+
 def is_aligned(x: float, p: int) -> bool:
-    """True if x is an exact multiple of 2^-p."""
-    return float(x * (1 << p)).is_integer()
+    """True if x is an exact multiple of 2^-p (GridError as `_scaled`)."""
+    return _scaled(x, p).is_integer()
 
 
 def steps_of(x: float, p: int) -> int:
     """x expressed as an integer count of 2^-p steps. Raises if off-grid."""
-    scaled = x * (1 << p)
-    if not float(scaled).is_integer():
+    scaled = _scaled(x, p)
+    if not scaled.is_integer():
         raise GridError(f"{x!r} is not a multiple of 2^-{p}")
     return int(scaled)
 
@@ -38,13 +50,11 @@ def quantize(x: float, p: int, e: int | None = None) -> float:
 
     Rounding is toward -infinity (plain floor), not half-even.  If the
     integer-part bound e is given, inputs with |x| >= 2^(e-1) are rejected.
-    An x whose x * 2^p is not finite is rejected.
+    An x whose x * 2^p is not a finite double is rejected.
     """
     if p < 0:
         raise GridError("precision exponent p must be >= 0")
-    scaled = x * (1 << p)
-    if not math.isfinite(scaled):
-        raise GridError(f"{x!r} * 2^{p} is not a finite value")
+    scaled = _scaled(x, p)
     if e is not None and abs(x) >= 2.0 ** (e - 1):
         raise GridError(f"|{x}| exceeds the representable bound 2^{e - 1}")
     return math.floor(scaled) / (1 << p)
@@ -115,14 +125,14 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Ring encoding parameters (e, p) plus output headroom.
+    """The ring of grid values' step counts (module docstring): integer
+    bound e, precision p, plus output headroom.
 
     The shares live in Z_q with q = 2^(p+e+headroom+1), the smallest power
-    of two exceeding 2^(p+e+headroom), so the encoding is injective on
-    inputs bounded by 2^(e-1) and stays injective on the wider output
-    range bounded by 2^(e+headroom-1).  `headroom` is the extra integer
-    bits the perturbed output may occupy beyond the input bound; it
-    defaults to 0 (inputs and outputs share the same range).
+    of two exceeding 2^(p+e+headroom), so `lift` returns the step count of
+    every value in the output range |x| < 2^(e+headroom-1), inputs
+    (|x| < 2^(e-1)) included.  `headroom` is the extra integer bits the
+    perturbed output may occupy beyond the input bound; it defaults to 0.
     """
 
     e: int
@@ -145,38 +155,13 @@ class FieldConfig:
         """Balanced representative of v mod q, in [-q/2, q/2)."""
         return ((v + self.half) & (self.q - 1)) - self.half
 
-    def encode(self, x: float) -> int:
-        """Encode an on-grid value: 2^p * x mod q, balanced.
-
-        The input must lie in S_(e,p): on the grid and |x| < 2^(e-1).
-        """
-        if abs(x) >= 2.0 ** (self.e - 1):
-            raise GridError(f"|{x}| exceeds the input bound 2^{self.e - 1}")
-        return self.lift(steps_of(x, self.p))
-
-    def decode(self, v: int) -> float:
-        """Inverse of encode, accepting balanced or unbalanced residues.
-
-        The balanced lift must correspond to a value within the headroom
-        range |x| < 2^(e+headroom-1).
-        """
-        k = self.lift(v)
-        x = k / (1 << self.p)
-        if abs(x) >= 2.0 ** (self.e + self.headroom - 1):
-            raise GridError(f"residue {v} decodes outside the headroom range")
-        return x
-
-    def unbalanced(self, v: int) -> int:
-        """Serialization form of a ring element, in [0, q)."""
-        return v & (self.q - 1)
-
 
 def field_for_mechanism(E: float, L: float, p: int) -> FieldConfig:
     """Default field for a mechanism with input bound E and noise bound L.
 
     e is the smallest integer-part bound admitting inputs up to E, and the
-    headroom is the smallest making the perturbed range [-E-L, E+L] decode
-    without wraparound; q follows from them.
+    headroom is the smallest making the perturbed range [-E-L, E+L] lift
+    back without wraparound; q follows from them.
     """
     if E <= 0 or L <= 0:
         raise GridError("E and L must be positive")

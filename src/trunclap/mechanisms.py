@@ -366,6 +366,8 @@ def _tdl_moment_terms(params: MechanismParams) -> tuple[float, ...]:
         + h * (E / 3.0 - 4.0 * L * (1.0 + w) * w)
     )
     c1 = 2.0 * h * h * one_m_eL * (1.0 + w) * (1.0 + 2.0 * w) * w
+    # |mean| and mse peak at x = +/-E, the mse's other end at x = 0
+    _finite_moments(params, E * slope / lam, (E * E * eL * quad + c0 + c1) / lam, (c0 + c1) / lam)
     return slope, eL, quad, c0, c1, lam
 
 
@@ -392,14 +394,29 @@ def _tcl_moment_terms(params: MechanismParams) -> tuple[float, ...]:
     one_m_eL = -math.expm1(-L / sigma)
     u = _or_inf(math.expm1, h / sigma)
     H = sigma * one_m_eL + E * eL
-    const = (
-        eL * (2.0 * L * L * E + 2.0 * E * E * L + (2.0 / 3.0) * E**3
-              - 2.0 * sigma * L * L - 2.0 * sigma * h * L + h * h * E / 3.0)
-        + sigma * h * h * one_m_eL
-        + (4.0 * sigma * h / u) * (h * one_m_eL - L * eL)
-        + 4.0 * sigma * h * h * one_m_eL / (u * u)
-    )
-    return sigma * one_m_eL - eL * L, eL, E + L, H, const / (2.0 * H)
+    try:
+        const = (
+            eL * (2.0 * L * L * E + 2.0 * E * E * L + (2.0 / 3.0) * E**3
+                  - 2.0 * sigma * L * L - 2.0 * sigma * h * L + h * h * E / 3.0)
+            + sigma * h * h * one_m_eL
+            + (4.0 * sigma * h / u) * (h * one_m_eL - L * eL)
+            + 4.0 * sigma * h * h * one_m_eL / (u * u)
+        ) / (2.0 * H)
+    except ZeroDivisionError:  # u * u underflows to 0
+        const = math.nan
+    slope = sigma * one_m_eL - eL * L
+    # the mean and mse peak at x = E, x^2 + h x dips to -h^2/4 near x = 0
+    _finite_moments(params, E * slope / H - h / 2.0, (E * E + h * E) * eL * (E + L) / H + const,
+                    const)
+    return slope, eL, E + L, H, const
+
+
+def _finite_moments(params: MechanismParams, *values: float) -> None:
+    """ValueError unless the closed-form moments' extreme values over
+    [-E, E] are finite doubles: at a large p their terms overflow, or
+    underflow to a zero divisor, and the closed form has no value."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"the closed-form moments at p = {params.p} leave the double range")
 
 
 # --- the discrete mechanisms as one construction ----------------------------

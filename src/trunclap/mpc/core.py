@@ -68,22 +68,21 @@ and party words are the sequential path's; a range fault in a block
 raises `ContractViolation` at once, and the block is dropped.
 Every wire (share, open, peek, Beaver mul) and gadget is written once, in
 `_CommonOps`; a substrate supplies only its randomness (the next joint
-word, or the next k in one read, dealer masks, Beaver triples of five
-dealer residues each, and the dealer material of one perturbation drawn
-ahead of it), the ring constants its values meet, how a range check
-finds the first fault, and how a sum of shares lifts to the balanced
-range.  Each substrate holds one kind of value: a Session's shares are
-Python ints and meet int constants; a BatchSession's are uint64 rows and
-meet 0-d uint64 constants, numpy's fast path (a Python int takes the
-slower weak-scalar one, NEP 50), and draw on the row form of the noise
-plan.  A value common to every execution of a block is a row of one,
+word, or the next k in one read, a resharing mask, and k fresh dealer
+residues at the shape of the values in `like`, `_residues(k, like)`),
+the ring constants its values meet, how a range check finds the first
+fault, and how a sum of shares lifts to the balanced range.  Each
+substrate holds one kind of value: a Session's shares are Python ints
+and meet int constants; a BatchSession's are uint64 rows and meet 0-d
+uint64 constants, numpy's fast path (a Python int takes the slower
+weak-scalar one, NEP 50), and draw on the row form of the noise plan.  A value common to every execution of a block is a row of one,
 which broadcasts.
 
 Dealer material can be drawn ahead of the gadget that uses it: `pi_ge`
 takes its resharing mask and `mul`/`mux` their triple as arguments, and
-draw their own when none is given.  The noise protocol draws its pair's
-perturbation material this way (`perturbation_material`), so the online
-phase draws nothing but the input-sharing mask.
+draw their own (`_residues(5, ...)`) when none is given.  What to draw
+ahead is the protocol's to say: the noise protocol draws its pair's
+perturbation material in one `_residues` call.
 """
 
 from __future__ import annotations
@@ -160,10 +159,10 @@ _LEDGER_FIELDS = tuple(f.name for f in fields(CostLedger))
 
 class TripleStore:
     """A Session's one pool of dealer residues, drawn RESIDUES_PER_REFILL
-    at a time (`refills` counts the draws): `mask()` hands out one, `take()`
-    five as a Beaver triple (ta, tb, ta0, tb0, tc0), party 0's shares and
-    the pair; party 1's are ta - ta0, tb - tb0, ta*tb - tc0.  The name, the
-    triple queue's it replaced, waits for ROADMAP direction 10."""
+    at a time (`refills` counts the draws): `mask()` hands out one, `take(k)`
+    the next k, by default a Beaver triple (ta, tb, ta0, tb0, tc0), party
+    0's shares and the pair; party 1's are ta - ta0, tb - tb0, ta*tb - tc0.
+    The name, the triple queue's it replaced, waits for ROADMAP direction 10."""
 
     def __init__(self, q: int, dealer: RandomTape):
         self.q = q
@@ -180,11 +179,14 @@ class TripleStore:
     def mask(self) -> int:
         return (self._pool or self._refill()).pop()
 
-    def take(self) -> list[int]:
-        pool = self._pool if len(self._pool) >= 5 else self._refill()
-        triple = pool[-5:]
-        del pool[-5:]
-        return triple
+    def take(self, k: int = 5) -> list[int]:
+        pool = self._pool
+        while len(pool) < k:
+            pool = self._refill()
+        cut = len(pool) - k
+        residues = pool[cut:]
+        del pool[cut:]
+        return residues
 
 
 def dealer_seed(seed0: int, seed1: int) -> int:
@@ -204,7 +206,7 @@ class _CommonOps:
     every operation, and uint64 arithmetic, which wraps mod 2^64, reduces
     consistently: sums and differences stay unreduced until a result is.
     A substrate supplies its randomness (`joint_word`, `_joint_words`,
-    `_reshare`, `_triple`), its range check (`_check`) and the ring
+    `_reshare`, `_residues`), its range check (`_check`) and the ring
     constants its values meet under one set of names (`_m`, `_high`,
     `_half`, `_safe`, `_safe2`): Python ints in a Session, 0-d uint64
     arrays in a BatchSession; and the share of 0, `_zero`, that
@@ -272,8 +274,8 @@ class _CommonOps:
 
     def mul(self, a: SharedValue, b: SharedValue, triple=None) -> SharedValue:
         """Beaver multiplication: one triple of five dealer residues, one
-        round, four elements.  `triple` is one drawn ahead
-        (`perturbation_material`); without it the dealer draws one now.
+        round, four elements.  `triple` is one drawn ahead (the noise
+        protocol's perturbation material); without it the dealer draws one now.
 
         Each party sends its shares of d = a - ta and e = b - tb.  The
         simulator holds both shares, so it reconstructs a and b once.
@@ -286,7 +288,7 @@ class _CommonOps:
         a, b = a0 + a1, b0 + b1
         if self._rows_only:
             _uint64_rows(a, b)
-        ta, tb, ta0, tb0, tc0 = self._triple(a, b) if triple is None else triple
+        ta, tb, ta0, tb0, tc0 = self._residues(5, (a, b)) if triple is None else triple
         d = a - ta
         e = b - tb
         led = self.ledger
@@ -384,7 +386,7 @@ class _CommonOps:
         c = b - a
         # a bit's residue sets no bit but the lowest
         self._check(sel & self._high, sel, "mux selector {} is not a shared bit")
-        ta, tb, ta0, tb0, tc0 = self._triple(sel, c) if triple is None else triple
+        ta, tb, ta0, tb0, tc0 = self._residues(5, (sel, c)) if triple is None else triple
         m = self._m
         led = self.ledger
         led.multiplications += 1
@@ -429,7 +431,7 @@ class _CommonOps:
         balanced lift is unambiguous.  Both tests run on the residue u in
         [0, q): |lift(u)| > safe is (u + safe) mod q > 2·safe, and
         lift(u) >= 0 is u < q/2.  `mask` is the resharing mask, drawn ahead
-        (`perturbation_material`); without it the dealer draws one now.
+        (perturbation material); without it the dealer draws one now.
         """
         u = sv[0] + sv[1]
         if self._rows_only:
@@ -518,14 +520,8 @@ class Session(_CommonOps):
         read, the words k `joint_word` calls take."""
         return [w0 ^ w1 for w0, w1 in zip(self.tape0.words(k), self.tape1.words(k))]
 
-    def _triple(self, a: int, b: int) -> list[int]:
-        return self.triples.take()
-
-    def perturbation_material(self, payload: SharedValue) -> tuple:
-        """The dealer material of one perturbation of `payload`, in the order
-        it uses it: the sign test's mask, then the two muxes' triples."""
-        pool = self.triples
-        return pool.mask(), pool.take(), pool.take()
+    def _residues(self, k: int, like) -> list[int]:
+        return self.triples.take(k)
 
     def offline(self, key, words: int, block, step, unpack):
         """One execution of an input-independent program, drawn now by
@@ -747,14 +743,6 @@ class BatchSession(_CommonOps):
         r = self._masks(value.shape) if mask is None else mask
         return ((value - r) & self._m, r)
 
-    def _triple(self, a, b):
-        """A fresh triple per execution of the product of the rows a and b:
-        five dealer residue rows."""
-        return self._masks((5,) + np.broadcast(a, b).shape)
-
-    def perturbation_material(self, payload: SharedValue) -> tuple:
-        """As `Session.perturbation_material`, one entry per execution: a
-        mask row at the payload's shape, then two triples of five rows,
-        the 11 rows in one read."""
-        rows = self._masks((11,) + np.broadcast(*payload).shape)
-        return rows[0], rows[1:6], rows[6:]
+    def _residues(self, k: int, like) -> np.ndarray:
+        """k rows of fresh dealer residues at the shape of the rows in `like`."""
+        return self._masks((k,) + np.broadcast(*like).shape)

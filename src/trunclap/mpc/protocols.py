@@ -9,11 +9,11 @@ elements.
 The noise phase never sees the shared input: it draws the branch bit, a
 uniform tail index, and the centered noise, then blends the two payloads
 with one mux.  It also draws the dealer material its pair's perturbation
-will use (the sign test's mask and two Beaver triples), so the online
-phase takes nothing from the dealer but the input-sharing mask.  The
-perturbation phase costs exactly one shared comparison and two
-multiplications (the tail-map selection and the branch blend),
-independent of every distribution parameter.
+will use, the sign test's mask and two Beaver triples in one draw
+(`_dealer_material`), so the online phase takes nothing from the dealer
+but the input-sharing mask.  The perturbation phase costs exactly one
+shared comparison and two multiplications (the tail-map selection and
+the branch blend), independent of every distribution parameter.
 
 The inner sampler's public constants (its Bernoulli thresholds) are the
 draw plan `CenteredDlapConfig` the plaintext samplers use, so both
@@ -56,7 +56,7 @@ class SharedNoisePair:
     """Shared branch bit [i] and blended payload [y] from a noise protocol,
     the `NoisePlan` they were drawn on, and the dealer material of their one
     perturbation: the sign test's resharing mask and the two muxes' Beaver
-    triples (`perturbation_material`).
+    triples, drawn in one call and split (`_dealer_material`).
 
     A pair is perturbed once.  `spend` hands the material out and marks the
     pair spent; a second perturbation would reuse its noise and triples,
@@ -166,8 +166,7 @@ def pi_noise(session: Session, mech: Mechanism, params: MechanismParams) -> Shar
     Draws [i] with the mechanism's inner-branch probability (for TDL
     1 - 2*2^p*E*e^(-L/sigma)/lambda), [a] uniform over the tail indices,
     [b] from the centered inner law (pi_dl; pi_cl for TCL), and blends
-    with one mux.  Then it draws the dealer material the pair's
-    perturbation uses, in the order pi_perturb uses it.
+    with one mux, then the pair's perturbation material (`_dealer_material`).
     A long-lived Session may hand the pair out of a block evaluated ahead
     (`Session.offline`; see the module docstring), with the same opened
     values, ledger and party words.
@@ -182,7 +181,15 @@ def _noise_pair(session: Session, plan: NoisePlan) -> SharedNoisePair:
     a = session.pi_uni(plan.outer_count)
     b = (_pi_cl if plan.mech.cumulative else pi_dl)(session, plan.inner)
     y = session.mux(i, a, b)
-    return SharedNoisePair(i, y, plan, session.perturbation_material(y))
+    return SharedNoisePair(i, y, plan, _dealer_material(session, y))
+
+
+def _dealer_material(session: Session, payload: SharedValue) -> tuple:
+    """One perturbation's dealer material, as `spend` hands it out: of 11
+    residues r in one draw, the sign test's mask r[10] and the muxes'
+    triples r[5:10] and r[:5] (on a Session, `mask()`, `take()`, `take()`)."""
+    r = session._residues(11, payload)
+    return r[10], r[5:10], r[:5]
 
 
 def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:

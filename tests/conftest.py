@@ -225,6 +225,18 @@ def sized_for(bound: float, masses, n: int, delta: float = 1e-9) -> bool:
     return multinomial_tv_mean(masses, n) + mcdiarmid < bound
 
 
+def mirrored_sized_for(bound: float, masses, n: int, delta: float = 1e-9) -> bool:
+    """Whether n draws suffice for the mirrored check of a symmetric law,
+    0.5 * sum_k |K_k - K_-k| / n (counts against reversed counts) below
+    `bound` but for probability delta.  K_k - K_-k has mean 0 and variance
+    2nq_k, so each pair of points adds about sqrt(4nq_k / pi) to the
+    mean; one draw moves the statistic by at most 2/n, so McDiarmid's
+    term is sqrt(2 ln(1/delta) / n)."""
+    q = np.asarray(masses, dtype=float)
+    mean = float(np.sum(np.sqrt(4 * n * q[len(q) // 2 + 1 :] / math.pi))) / n
+    return mean + math.sqrt(2 * math.log(1.0 / delta) / n) < bound
+
+
 class ReferenceTape:
     """The seeded word tape as one flat stream: the words
     Generator(PCG64(seed)).integers(0, 2^64, dtype=uint64) gives, read at

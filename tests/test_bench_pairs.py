@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 from pathlib import Path
 
@@ -96,6 +97,11 @@ def test_pairs_alternate_the_side_that_runs_first(tmp_path, monkeypatch, capsys)
     assert "claim_met" not in report["metrics"]["call_tail_us"]
     assert not report["metrics"]["call_tail_us"]["within_bound"]  # 2.0 us against 1.0
     assert json.loads(capsys.readouterr().out)["seeds"] == [11, 12, 13]
+    # one host reading per pair: the steal share while it ran, and the load
+    assert len(report["host"]) == 3
+    for host in report["host"]:
+        assert set(host) == {"steal_share", "load_1m"}
+        assert host["steal_share"] is None or 0.0 <= host["steal_share"] <= 1.0
 
 
 def test_wall_clock_quartiles_sit_beside_the_scaled_ones(tmp_path, monkeypatch):
@@ -293,3 +299,24 @@ def test_without_trace_no_traced_run_is_made(tmp_path, monkeypatch, capsys):
     assert bench_pairs.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert "layers" not in report and report["seeds"] == [11, 12]
+
+
+def test_the_steal_share_is_read_from_the_cpu_line(tmp_path, monkeypatch):
+    stat = tmp_path / "stat"
+    # user nice system idle iowait irq softirq steal guest guest_nice
+    stat.write_text("cpu  100 0 50 800 0 0 0 50 7 0\ncpu0 1 2 3\n")
+    before = bench_pairs.cpu_ticks(str(stat))
+    assert before == (50, 1000)
+    stat.write_text("cpu  160 0 70 1080 0 0 0 90 9 0\n")
+    after = bench_pairs.cpu_ticks(str(stat))
+    assert bench_pairs.host_load(before, after)["steal_share"] == 0.1  # 40 of 400 ticks
+    assert bench_pairs.host_load(after, after)["steal_share"] == 0.0
+    # where /proc/stat is absent the share is None
+    absent = bench_pairs.cpu_ticks(str(tmp_path / "missing"))
+    assert absent is None and bench_pairs.host_load(absent, after)["steal_share"] is None
+
+    def no_load():
+        raise OSError("no load average")
+
+    monkeypatch.setattr(os, "getloadavg", no_load)
+    assert bench_pairs.host_load(before, after) == {"steal_share": 0.1, "load_1m": None}

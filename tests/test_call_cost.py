@@ -32,6 +32,10 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
     report = json.loads(r.stdout)
     assert report == json.loads(out.read_text())
     assert (report["k"], report["reps"]) == (1, 2)
+    # one host reading for the one alternation
+    [host] = report["host"]
+    assert set(host) == {"steal_share", "load_1m"}
+    assert host["steal_share"] is None or 0.0 <= host["steal_share"] <= 1.0
     metrics = ["run_batch_us.2", "run_batch_us.8", "block_us.3", "loop_us.3",
                "pool_block_us", "pool_loop_us", "online_us"]
     assert sorted(report["cases"]) == ["tcl.small", "tcl.wide", "tdl.small", "tdl.wide"]

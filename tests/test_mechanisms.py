@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 from itertools import product
 
@@ -45,6 +46,7 @@ from trunclap.mechanisms import (
     kstar_polynomial,
     lookup_mechanism,
 )
+from trunclap import cli
 from trunclap.grids import GridError, GridSpec
 from trunclap.mpc import run_batch
 from trunclap.sampling import sample_batch, sample_tdl
@@ -720,3 +722,47 @@ class TestParamsHash:
         assert [f.name for f in dataclasses.fields(Q)] == ["E", "L", "sigma", "p"]
         with pytest.raises(dataclasses.FrozenInstanceError):
             Q.sigma = 3.0
+
+
+class TestPrecisionPastTheDoubleRange:
+    """A precision exponent whose grid or closed-form moments leave the
+    double range is a usage error through `cli.main`, with no traceback."""
+
+    SET = ["--E", "4", "--L", "2", "--sigma", "1"]
+
+    @pytest.mark.parametrize("p", ["1023", "1024", "2000"])
+    @pytest.mark.parametrize("command", [["moments"], ["pmf"], ["sample", "--n", "3"],
+                                         ["mpc", "--n", "3"]])
+    def test_a_grid_past_the_double_range(self, command, p, capsys):
+        # 4 * 2^p overflows from p = 1023: it raised OverflowError from p =
+        # 1024, and at 1023 called E = 4.0 off the grid
+        assert cli.main([*command, *self.SET, "--p", p]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and f"at p = {p}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("mech", ["tdl", "tcl"])
+    def test_moments_past_the_double_range(self, mech, capsys):
+        # TDL printed "mse": -Infinity, TCL raised ZeroDivisionError
+        assert cli.main(["moments", *self.SET, "--p", "1000", "--mechanism", mech]) == 1
+        assert capsys.readouterr().err.startswith(
+            "usage error: the closed-form moments at p = 1000 leave the double range")
+
+    @pytest.mark.parametrize("mech, mean", [("tdl", 0.0), ("tcl", -3.111507638930571e-61)])
+    def test_moments_at_p_200_are_unchanged(self, mech, mean, capsys):
+        assert cli.main(["moments", *self.SET, "--p", "200", "--mechanism", mech]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert (out["mean"], out["mse"]) == (mean, 7.133607213731666)
+
+    @pytest.mark.parametrize("p, tdl, tcl", [(510, True, True), (511, False, True),
+                                             (537, False, True), (538, False, False)])
+    def test_the_first_p_each_closed_form_refuses(self, p, tdl, tcl):
+        # on this set TDL's terms overflow from p = 511, and TCL's u * u
+        # underflows to 0 from p = 538
+        params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=p)
+        for moments, finite in ((moments_tdl, tdl), (moments_tcl, tcl)):
+            if finite:
+                assert all(map(math.isfinite, moments(4.0, params)))
+            else:
+                with pytest.raises(ValueError, match="leave the double range"):
+                    moments(4.0, params)

@@ -25,7 +25,7 @@ from trunclap.mpc.core import (
     CostLedger,
     TripleStore,
 )
-from trunclap.mpc.protocols import run_sessions
+from trunclap.mpc.protocols import _dealer_material, run_sessions
 from trunclap.sampling import centered_dlap_config
 from trunclap.tape import BATCH_BLOCK, BATCH_MIN_SESSIONS, RandomTape, _magnitude
 
@@ -59,9 +59,12 @@ class TestShareOpen:
         assert p > 0.01
 
     def test_grid_value_round_trip(self):
+        # the one way a grid value enters the ring and leaves it: its step
+        # count (`input_steps`), shared, then opened and scaled by 2^-p
+        params = MechanismParams(E=1.5, L=2.0, sigma=1.0, p=SMALL.p)
         s = small_session()
-        v = s.field.encode(1.25)
-        assert s.field.decode(s.open(s.share(v))) == 1.25
+        for x in (1.25, -1.5, 0.0):
+            assert s.open(s.share(params.input_steps(x))) * params.step == x
 
     def test_ledger_open_costs(self):
         s = small_session()
@@ -113,12 +116,12 @@ class TestWires:
         batch = BatchSession(Session(self.CFG, 1, 2))
         # a BatchSession's rows are uint64 arrays
         u0, u1, v0, v1 = (x.astype(np.uint64) for x in (a0, a1, b0, b1))
-        monkeypatch.setattr(batch, "_triple", lambda *_: triples.astype(np.uint64))
+        monkeypatch.setattr(batch, "_residues", lambda *_: triples.astype(np.uint64))
         z = batch.mul((u0, u1), (v0, v1))
         assert np.array_equal(batch.peek(z), [self.CFG.lift(v) for v in (a0 + a1) * (b0 + b1)])
         s = Session(self.CFG, 1, 2)
         for j in range(triples.shape[1]):
-            monkeypatch.setattr(s, "_triple", lambda *_: tuple(int(t) for t in triples[:, j]))
+            monkeypatch.setattr(s, "_residues", lambda *_: [int(t) for t in triples[:, j]])
             zj = s.mul((int(a0[j]), int(a1[j])), (int(b0[j]), int(b1[j])))
             assert zj == (z[0][j], z[1][j])
 
@@ -280,7 +283,7 @@ class TestWires:
         # mul: each party receives the other's shares of d = x - a and e = y - b
         a, b, q = 100, 200, s.q
         # the dealer's five residues (ta, tb, ta0, tb0, tc0)
-        monkeypatch.setattr(s, "_triple", lambda *_: (a, b, 7, 9, 11))
+        monkeypatch.setattr(s, "_residues", lambda *_: [a, b, 7, 9, 11])
         z = s.mul(x, y)
         assert (len(t0), len(t1)) == (3, 5)
         assert (t0[-2] + t1[-2]) % q == (3 - a) % q
@@ -462,6 +465,27 @@ class TestDealerPool:
         # twice, as a mask and in a triple or as two of either
         assert len(set(handed)) == len(handed)
         assert sorted(handed + store._pool) == sorted(drawn)
+
+    @pytest.mark.parametrize("left", range(13))
+    def test_a_perturbation_draw_is_a_mask_and_two_triples(self, left):
+        # on a Session, `_dealer_material`'s one `take(11)`, split, hands
+        # out the residues that `mask(), take(), take()` do, with every
+        # count left from 0 to 12 before the draw, so the draw crosses a
+        # refill
+        one, three = small_session(), small_session()
+        for s in (one, three):
+            s.triples.take(RESIDUES_PER_REFILL - left)
+            assert len(s.triples._pool) == left
+        got, pool = _dealer_material(one, (0, 0)), three.triples
+        assert got == (pool.mask(), pool.take(), pool.take())
+        assert one.triples.refills == pool.refills == 1 + (left < 11)
+        assert one.triples._pool == pool._pool
+
+    @pytest.mark.parametrize("k", [0, 5, 11, RESIDUES_PER_REFILL + 7])
+    def test_take_hands_out_exactly_k(self, k):
+        store = TripleStore(2**9, RandomTape(32))
+        assert len(store.take(k)) == k
+        assert store.refills == -(-k // RESIDUES_PER_REFILL)
 
 
 class TestBersample:
@@ -1041,8 +1065,10 @@ class TestBatchSession:
 
     @pytest.mark.parametrize("cfg", [SMALL, WORD_RING], ids=["q=2^9", "q=2^64"])
     def test_perturbation_material_is_one_read(self, cfg):
-        # one `_masks` read of 11 rows hands out the residues of one dealer
-        # draw of 11n: the mask row, then two triples.  At q = 2^9 a word
+        # the noise protocol's perturbation material (`_dealer_material`) is
+        # one `_masks` read of 11 rows, the residues of one dealer draw of
+        # 11n: rows r, split as the mask r[10], the selection triple
+        # r[5:10] and the blend triple r[:5].  At q = 2^9 a word
         # holds four 16-bit lanes, so the read takes ceil(66 / 4) = 17
         # words where three reads (the mask, then two triples) would take
         # 2 + 8 + 8; at q = 2^64, 66 words either way
@@ -1055,10 +1081,10 @@ class TestBatchSession:
         ref.field_array(cfg.q, n)  # the payload's mask
         with mock.patch.object(BatchSession, "_masks", autospec=True,
                                side_effect=BatchSession._masks) as reads:
-            got = one.perturbation_material(payload)
+            got = _dealer_material(one, payload)
         assert [c.args[1:] for c in reads.call_args_list] == [((11, n),)]
         rows = reference_field_array(ref, cfg.q, 11 * n).reshape(11, n)
-        for g, w in zip(got, (rows[0], rows[1:6], rows[6:])):
+        for g, w in zip(got, (rows[10], rows[5:10], rows[:5])):
             assert g.dtype == np.uint64 and g.shape == w.shape and np.array_equal(g, w)
         assert one.dealer.words_consumed == ref.words_consumed == {4: 2 + 17, 1: 6 + 66}[lanes]
         three._masks((n,)), three._masks((5, n)), three._masks((5, n))

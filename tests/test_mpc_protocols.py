@@ -50,7 +50,7 @@ from trunclap.mpc import (
     run_once,
 )
 from trunclap.mpc import protocols
-from trunclap.mpc.protocols import run_sessions
+from trunclap.mpc.protocols import _dealer_material, run_sessions
 from trunclap.sampling import (
     _clap_steps,
     _dlap_steps,
@@ -86,7 +86,7 @@ def fresh_pair(session, mech, params, branch, payload):
     """A noise pair of `mech` at `params` with the given shares, and fresh
     dealer material for its one perturbation, drawn as pi_noise draws it."""
     plan = noise_plan(mech, params)
-    return SharedNoisePair(branch, payload, plan, session.perturbation_material(payload))
+    return SharedNoisePair(branch, payload, plan, _dealer_material(session, payload))
 
 
 def replay_session(words, params, mechanism="tdl", **kw):

@@ -15,6 +15,7 @@ from conftest import (
     clap_law_oracle,
     closed_grid,
     mechanism_law_oracle,
+    mirrored_sized_for,
     sized_for,
     tail_law_oracle,
     tcl_masses_oracle,
@@ -66,6 +67,23 @@ from trunclap.tape import bernoulli_threshold, segment_plan
 def tv(counts, masses):
     freq = counts / counts.sum()
     return 0.5 * float(np.sum(np.abs(freq - masses)))
+
+
+def mirrored_tv(counts) -> float:
+    """0.5 * sum_k |K_k - K_-k| / n: counts against reversed counts."""
+    return 0.5 * float(np.sum(np.abs(counts - counts[::-1]))) / counts.sum()
+
+
+def block_draws(steps, cfg, tape, n: int, chunk: int = 1_000_000):
+    """n draws of `steps` (`_dlap_steps` or `_clap_steps` on `cfg`), in
+    2^-p steps, on block rows of `tape` (`peek_block`, row j word j of
+    every draw), in chunks of at most `chunk` draws: the draws sequential
+    calls on the tape give."""
+    words = cfg.words_per_draw
+    for start in range(0, n, chunk):
+        m = min(chunk, n - start)
+        yield steps(cfg, tape.peek_block(m * words).reshape(m, words).T)
+        tape.skip(m * words)
 
 
 def law_of_the_words(cfg, draw) -> dict:
@@ -164,14 +182,34 @@ class TestCenteredDlap:
             assert np.max(np.abs(law - exact)) < 1e-12
 
     def test_symmetry_and_tv(self):
-        n = 1_000_000
-        tape = RandomTape(21)
-        draws = np.array([sample_dlap_centered(2.0, 1.0, 0, tape) for _ in range(n)])
-        counts = np.bincount((draws + 2).astype(int), minlength=5)
+        # 8M draws on block rows, the body `sample_dlap_centered` runs: the
+        # TV check needs 2M, the mirrored check about 5.8M
+        n, bound = 8_000_000, THRESHOLDS["sampler_tv_1e6"]
         exact = centered_dlap_pmf(2.0, 1.0, 0).masses
-        assert tv(counts, exact) < THRESHOLDS["sampler_tv_1e6"]
-        mirrored = counts[::-1]
-        assert 0.5 * np.sum(np.abs(counts / n - mirrored / n)) < THRESHOLDS["sampler_tv_1e6"]
+        assert sized_for(bound, exact, n) and mirrored_sized_for(bound, exact, n)
+        assert not mirrored_sized_for(bound, exact, 5_000_000)
+        counts = np.zeros(5, dtype=np.int64)
+        for i, chunk in enumerate(block_draws(sampling._dlap_steps,
+                                              sampling.centered_dlap_config(2.0, 1.0, 0),
+                                              RandomTape(21), n)):
+            if i == 0:
+                seq = RandomTape(21)
+                assert chunk[:10_000].tolist() == [
+                    sample_dlap_centered(2.0, 1.0, 0, seq) for _ in range(10_000)]
+            counts += np.bincount(chunk + 2, minlength=5)
+        assert counts.sum() == n
+        assert tv(counts, exact) < bound
+        assert mirrored_tv(counts) < bound
+        # negative controls: the law one step over (on [-1, 3]) fails the TV
+        # check, and the centred cumulative law on [-2, 2), which is not
+        # symmetric, the mirrored one
+        assert tv(np.append(counts, 0), np.append(0.0, exact)) > bound
+        clap = np.zeros(5, dtype=np.int64)
+        for chunk in block_draws(sampling._clap_steps,
+                                 sampling.centered_clap_config(2.0, 1.0, 0), RandomTape(21), n):
+            clap += np.bincount(chunk + 2, minlength=5)
+        assert tv(clap[:4], centered_clap_pmf(2.0, 1.0, 0).masses) < bound
+        assert mirrored_tv(clap) > bound
 
     def test_zero_mass_frequency(self):
         n = 200_000

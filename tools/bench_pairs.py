@@ -29,7 +29,10 @@ ratios.  With
 --claim METRIC it also reports whether that metric meets the gain rule: at
 least MIN_CLAIM_PAIRS pairs, the change better in at least nine tenths of
 them, and the medians apart by more than the parent's IQR;
-`wall_clock_met` applies the same rule to the unscaled values.
+`wall_clock_met` applies the same rule to the unscaled values.  `host`
+gives each pair's host load (`host_load.py`): the share of CPU time the
+hypervisor stole while the pair ran, and the 1-minute load average at
+its end, so a noisy pair shows beside a real change.
 
 With --trace each pair also runs `--trace 1` once on each side, in the
 same order and on the same seed, and `layers` reports, for every per-layer
@@ -61,6 +64,9 @@ from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from host_load import cpu_ticks, host_load  # noqa: E402
+
 FIRST_SEED = 11
 # the Tier-1 suite, run in a checkout with its src/ first on PYTHONPATH
 TIER1 = ("python", "-m", "pytest", "-q", "--continue-on-collection-errors")
@@ -84,6 +90,9 @@ METHOD = {
                   "wall_clock.raw, and claim.wall_clock_met applies the claim rule to them",
     "layers": "with --trace, one --trace 1 run per side per pair on the pair's seed; each "
               "per-layer metric's medians, their ratio and the change's wins",
+    "host": "per pair, the share of CPU time the hypervisor stole while it ran (the "
+            "steal column of /proc/stat's cpu line, before and after) and the 1-minute "
+            "load average at its end; null where /proc/stat is absent",
     "tier1": "the Tier-1 command once in each checkout, the parent first; passed and "
              "failed from pytest's summary line (errors count as failed), wall_s timed "
              "around the run",
@@ -238,15 +247,18 @@ def pair_report(args, spec: list, layers: list) -> dict:
     with the traced runs' `layers` under --trace."""
     runs = {"parent": [], "change": []}
     traced = {"parent": [], "change": []}
+    host = []
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        before = cpu_ticks()
         for side in order:
             runs[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
         if args.trace:
             for side in order:
                 result = run_result(getattr(args, side), args.workload, seed, args.seconds, 1)
                 traced[side].append(layer_values(result, layers))
+        host.append(host_load(before, cpu_ticks()))
         print(f"pair {i} (seed {seed}) done", file=sys.stderr)
     metrics = {}
     for m in spec:
@@ -265,6 +277,7 @@ def pair_report(args, spec: list, layers: list) -> dict:
         "failed": {side: sum(r["failed"] for r in rs) for side, rs in runs.items()},
         "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
         "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
+        "host": host,
         "metrics": metrics,
     }
     if args.claim:

@@ -31,8 +31,10 @@ checkout, --parent first on even alternations and --change first on odd
 ones, so that neither side always runs on a warmer host.  The report gives
 each side's median over the k alternations of every timing (`cases`) and
 each side's counts (`counts`), and with --parent the change's value over
-the parent's.  Each checkout is a tree holding `src/trunclap`; the worker
-imports it from there.
+the parent's.  `host` gives each alternation's host load (`host_load.py`):
+the share of CPU time the hypervisor stole while it ran, and the
+1-minute load average at its end.  Each checkout is a tree holding
+`src/trunclap`; the worker imports it from there.
 """
 
 from __future__ import annotations
@@ -47,6 +49,9 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+from host_load import cpu_ticks, host_load  # noqa: E402
+
 # perfbench's mpc-batch sets, named as there
 SETS = {"small": dict(E=4.0, L=2.0, sigma=1.0, p=0),
         "wide": dict(E=64.0, L=32.0, sigma=8.0, p=2)}
@@ -193,13 +198,16 @@ def main(argv=None) -> int:
     sides = {"change": args.change} if args.parent is None else {"parent": args.parent,
                                                                 "change": args.change}
     runs = {side: [] for side in sides}
+    host = []
     for i in range(args.k):
         order = list(sides) if i % 2 == 0 else list(reversed(sides))
+        before = cpu_ticks()
         for side in order:
             runs[side].append(run_worker(sides[side], args))
+        host.append(host_load(before, cpu_ticks()))
         print(f"alternation {i} done", file=sys.stderr)
     report = {"k": args.k, "reps": args.reps, "python": sys.version.split()[0],
-              "host_cpus": os.cpu_count(), "cases": {}, "counts": {}}
+              "host_cpus": os.cpu_count(), "host": host, "cases": {}, "counts": {}}
     first = runs["change"][0]
     for case, metrics in first["timings"].items():
         out = report["cases"][case] = {}
