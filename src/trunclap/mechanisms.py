@@ -117,34 +117,44 @@ def _or_inf(f: Callable[[float], float], t: float) -> float:
         return math.inf
 
 
+def _normalizer(E: float, L: float, sigma: float, p: int, cumulative: bool) -> float:
+    """The kernel's total over the output grid, for every on-grid center.
+
+    Cumulative: 2*(sigma*(1-e^(-L/sigma)) + E*e^(-L/sigma)), the kernel's
+    integral over [-E-L, E+L].  Discrete: 2^(p+1)*E*e^(-L/sigma) + 1 +
+    2*(1-e^(-L/sigma)) / (e^(2^-p/sigma) - 1), its sum over the closed
+    grid's points.  At E = 0 each is the centred law's on [-L, L].
+    ValueError where 2^(p+1)*E leaves the double range.
+    """
+    r, c = math.exp(-L / sigma), -math.expm1(-L / sigma)
+    if cumulative:
+        return 2.0 * (sigma * c + r * E)
+    try:
+        tail = math.ldexp(E, p + 1) * r
+    except OverflowError:
+        raise ValueError(f"the normaliser at p = {p} leaves the double range") from None
+    return tail + 1.0 + 2.0 * c / _or_inf(math.expm1, 2.0 ** -p / sigma)
+
+
 def lambda_lap(E: float, L: float, sigma: float) -> float:
     """Normalizer of the continuous and the cumulative mechanism.
 
-    2*(sigma + (E-sigma)*e^(-L/sigma)), evaluated as
-    2*(sigma*(1-e^(-L/sigma)) + E*e^(-L/sigma)) with expm1.  It is the
+    2*(sigma + (E-sigma)*e^(-L/sigma)), evaluated with expm1.  It is the
     integral of the kernel over [-E-L, E+L] for every center x in [-E, E]
     (independence from x is what makes the constant usable), and so also
     the sum of the TCL cell integrals.
     """
     _check_positive(E=E, L=L, sigma=sigma)
-    return 2.0 * (sigma * (-math.expm1(-L / sigma)) + math.exp(-L / sigma) * E)
+    return _normalizer(E, L, sigma, 0, True)
 
 
 def lambda_dlap(E: float, L: float, sigma: float, p: int) -> float:
-    """Normalizer of the discrete mechanism over the closed grid.
-
-    2^(p+1)*E*e^(-L/sigma) + 1 + 2*(1-e^(-L/sigma)) / (e^(2^-p/sigma) - 1),
-    the kernel sum over [-E-L, E+L] grid points for any on-grid center.
-    """
+    """Normalizer of the discrete mechanism over the closed grid: the
+    kernel sum over [-E-L, E+L] grid points for any on-grid center."""
     _check_positive(E=E, L=L, sigma=sigma)
     if p < 0:
         raise ValueError("p must be >= 0")
-    h = 2.0 ** -p
-    return (
-        2.0 ** (p + 1) * E * math.exp(-L / sigma)
-        + 1.0
-        + 2.0 * (-math.expm1(-L / sigma)) / _or_inf(math.expm1, h / sigma)
-    )
+    return _normalizer(E, L, sigma, p, False)
 
 
 @dataclass(frozen=True)
@@ -241,9 +251,8 @@ def _kernel_law(L: float, sigma: float, p: int, half_open: bool, lam: float,
 
 @lru_cache(maxsize=128)
 def _mechanism_law(params: MechanismParams, cumulative: bool) -> _KernelLaw:
-    E, L, sigma, p = params.E, params.L, params.sigma, params.p
-    lam = lambda_lap(E, L, sigma) if cumulative else lambda_dlap(E, L, sigma, p)
-    return _kernel_law(L, sigma, p, cumulative, lam, params._Es)
+    lam = _normalizer(params.E, params.L, params.sigma, params.p, cumulative)
+    return _kernel_law(params.L, params.sigma, params.p, cumulative, lam, params._Es)
 
 
 def pmf_tdl(x: float, params: MechanismParams) -> ExactPmf:
@@ -266,26 +275,17 @@ def pmf_tcl(x: float, params: MechanismParams) -> ExactPmf:
     return _mechanism_law(params, True).pmf(params.output_grid("tcl"), x, xs)
 
 
-def _lambda_centered_dlap(L: float, sigma: float, p: int) -> float:
-    """1 + 2(1-e^(-L/sigma)) / (e^(2^-p/sigma)-1), the kernel's sum on [-L, L] at 0."""
-    return 1.0 + 2.0 * (-math.expm1(-L / sigma)) / _or_inf(math.expm1, 2.0 ** -p / sigma)
-
-
 def dlap_zero_mass(L: float, sigma: float, p: int) -> float:
     """c0 = P[0] of the centered discrete Laplace on [-L, L] at step 2^-p.
 
     Computed from the closed-form normalizer, not by floating summation.
     """
-    return 1.0 / _lambda_centered_dlap(L, sigma, p)
+    return 1.0 / _normalizer(0.0, L, sigma, p, False)
 
 
 @lru_cache(maxsize=128)
 def _centered_law(L: float, sigma: float, p: int, cumulative: bool) -> _KernelLaw:
-    if cumulative:
-        lam = 2.0 * sigma * (-math.expm1(-L / sigma))
-    else:
-        lam = _lambda_centered_dlap(L, sigma, p)
-    return _kernel_law(L, sigma, p, cumulative, lam, 0)
+    return _kernel_law(L, sigma, p, cumulative, _normalizer(0.0, L, sigma, p, cumulative), 0)
 
 
 def centered_dlap_pmf(L: float, sigma: float, p: int) -> ExactPmf:
@@ -342,81 +342,65 @@ def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float,
 
 def moments_tdl(x: float, params: MechanismParams) -> tuple[float, float]:
     """Exact mean and MSE of the TDL estimator y for input x (closed form)."""
-    params.input_steps(x)
-    slope, eL, quad, c0, c1, lam = _tdl_moment_terms(params)
-    return x * slope / lam, (x * x * eL * quad + c0 + c1) / lam
-
-
-@lru_cache(maxsize=128)
-def _tdl_moment_terms(params: MechanismParams) -> tuple[float, ...]:
-    """The x-free terms of `moments_tdl`: mean = x * slope / lam and
-    mse = (x^2 * eL * quad + c0 + c1) / lam."""
-    E, L, sigma, p = params.E, params.L, params.sigma, params.p
-    h = params.step
-    eL = math.exp(-L / sigma)
-    one_m_eL = -math.expm1(-L / sigma)
-    # w = 1/(e^(h/sigma) - 1) and e^(h/sigma) w = 1 + w: no power overflows
-    w = 1.0 / _or_inf(math.expm1, h / sigma)
-    lam = lambda_dlap(E, L, sigma, p)
-    slope = one_m_eL * (1.0 + 2.0 * w) - 2.0 * 2.0**p * L * eL
-    quad = 1.0 + 2.0 * 2.0**p * (E + L)
-    c0 = eL * (
-        2.0 * 2.0**p * (L * L * E + L * E * E + E**3 / 3.0)
-        + (E * E + 2.0 * L * E - 2.0 * L * L * w)
-        + h * (E / 3.0 - 4.0 * L * (1.0 + w) * w)
-    )
-    c1 = 2.0 * h * h * one_m_eL * (1.0 + w) * (1.0 + 2.0 * w) * w
-    # |mean| and mse peak at x = +/-E, the mse's other end at x = 0
-    _finite_moments(params, E * slope / lam, (E * E * eL * quad + c0 + c1) / lam, (c0 + c1) / lam)
-    return slope, eL, quad, c0, c1, lam
+    return _moments(x, params, False)
 
 
 def moments_tcl(x: float, params: MechanismParams) -> tuple[float, float]:
     """Exact mean and MSE of the TCL estimator y for input x (closed form).
 
-    The mean carries the systematic half-cell offset -2^-p / 2.  The MSE
-    closed form is a re-derivation verified against the exact-PMF oracle;
-    see the test suite for the parameter lattice it is checked on.
+    The mean carries the systematic half-cell offset -2^-p / 2.
     """
+    return _moments(x, params, True)
+
+
+def _moments(x: float, params: MechanismParams, cumulative: bool) -> tuple[float, float]:
     params.input_steps(x)
-    h = params.step
-    slope, eL, EL, H, const = _tcl_moment_terms(params)
-    return x * slope / H - h / 2.0, (x * x + h * x) * eL * EL / H + const
+    slope, offset, q2, q1, const = _moment_terms(params, cumulative)
+    return x * slope + offset, (q2 * x + q1) * x + const
 
 
 @lru_cache(maxsize=128)
-def _tcl_moment_terms(params: MechanismParams) -> tuple[float, ...]:
-    """The x-free terms of `moments_tcl`: mean = x * slope / H - h/2 and
-    mse = (x^2 + h x) * eL * EL / H + const, with H = lambda_lap / 2."""
-    E, L, sigma = params.E, params.L, params.sigma
-    h = params.step
-    eL = math.exp(-L / sigma)
-    one_m_eL = -math.expm1(-L / sigma)
-    u = _or_inf(math.expm1, h / sigma)
-    H = sigma * one_m_eL + E * eL
-    try:
-        const = (
-            eL * (2.0 * L * L * E + 2.0 * E * E * L + (2.0 / 3.0) * E**3
-                  - 2.0 * sigma * L * L - 2.0 * sigma * h * L + h * h * E / 3.0)
-            + sigma * h * h * one_m_eL
-            + (4.0 * sigma * h / u) * (h * one_m_eL - L * eL)
-            + 4.0 * sigma * h * h * one_m_eL / (u * u)
-        ) / (2.0 * H)
-    except ZeroDivisionError:  # u * u underflows to 0
-        const = math.nan
-    slope = sigma * one_m_eL - eL * L
-    # the mean and mse peak at x = E, x^2 + h x dips to -h^2/4 near x = 0
-    _finite_moments(params, E * slope / H - h / 2.0, (E * E + h * E) * eL * (E + L) / H + const,
-                    const)
-    return slope, eL, E + L, H, const
+def _moment_terms(params: MechanismParams, cumulative: bool) -> tuple[float, ...]:
+    """The x-free terms of the moments: mean = x * slope + offset and
+    mse = q2 x^2 + q1 x + const.
 
+    Every one of the `count` output points at distance L or more from x
+    carries the tail mass t; the window of points nearer x is the centred
+    law, symmetric about x (about x - h/2 on TCL's half-open grid), less t
+    at each of its points.  So with q2 = count * t the mean is x (1 - q2),
+    less h/2 on TCL, whose grid sums to -count h / 2; the mse is q2 x^2
+    (+ h q2 x on TCL) plus the tail fill's x-free sum, less the window's
+    flat part, plus the window's second moment.  The window sums
+    h^(k+1) sum_{d<N} d^k rho^d (rho = e^(-h/sigma), N = 2^p L) are
+    written in u = h / (1 - rho), about sigma, and L = N h: no term
+    overflows or underflows as p grows.  ValueError where lambda, or the
+    mse at x = E, where each of its terms peaks, is not a finite double.
+    """
+    E, L, sigma, p, h = params.E, params.L, params.sigma, params.p, params.step
+    a = h / sigma  # u as sigma a / (1 - e^-a) keeps its digits where a is subnormal
+    r, rho, c = math.exp(-L / sigma), math.exp(-a), -math.expm1(-L / sigma)
+    u = sigma * (a / -math.expm1(-a)) if a else sigma
+    s0, s1 = c * u, c * rho * u * u - r * L * u
+    s2 = c * rho * (1.0 + rho) * u**3 - r * (2.0 * L * rho * u * u + L * L * u)
 
-def _finite_moments(params: MechanismParams, *values: float) -> None:
-    """ValueError unless the closed-form moments' extreme values over
-    [-E, E] are finite doubles: at a large p their terms overflow, or
-    underflow to a zero divisor, and the closed form has no value."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError(f"the closed-form moments at p = {params.p} leave the double range")
+    def tri(z):  # h^3 * sum of k^2 over k = -z/h .. z/h
+        return z * (z + h) * (2.0 * z + h) / 3.0
+
+    B = E + L
+    lam = _normalizer(E, L, sigma, p, cumulative)
+    if cumulative:  # t = r h / lam on each of 2 B / h points
+        q2 = 2.0 * B * r / lam
+        window = sigma / u * (2.0 * s2 + 2.0 * h * s1 + h * h * s0)
+        const = (r * (tri(B) - h * B * B - tri(L) + h * L * L) + window) / lam
+        q1, offset = h * q2, -h / 2.0
+    else:  # t = r / lam on each of 2 B / h + 1 points
+        lam *= h
+        q2 = (2.0 * B + h) * r / lam
+        const = (r * (tri(B) - tri(L)) + 2.0 * (s2 + h * L * L * r)) / lam
+        q1, offset = 0.0, 0.0
+    if not (math.isfinite(lam) and math.isfinite((q2 * E + q1) * E + const)):
+        raise ValueError(f"the closed-form moments at p = {p} leave the double range")
+    return 1.0 - q2, offset, q2, q1, const
 
 
 # --- the discrete mechanisms as one construction ----------------------------
@@ -424,18 +408,6 @@ def _finite_moments(params: MechanismParams, *values: float) -> None:
 def outer_count(params: MechanismParams) -> int:
     """Number of outer (uniform-tail) outcomes, 2 * 2^p * E."""
     return 2 * steps_of(params.E, params.p)
-
-
-def branch_probability_d(params: MechanismParams) -> float:
-    """P[inner branch] for the discrete variant: 1 - 2*2^p*E*e^(-L/s)/lambda."""
-    lam = lambda_dlap(params.E, params.L, params.sigma, params.p)
-    return 1.0 - outer_count(params) * math.exp(-params.L / params.sigma) / lam
-
-
-def branch_probability_c(params: MechanismParams) -> float:
-    """P[inner branch] for the cumulative variant: 1 - 2*E*e^(-L/s)/lambda."""
-    lam = lambda_lap(params.E, params.L, params.sigma)
-    return 1.0 - 2.0 * params.E * math.exp(-params.L / params.sigma) / lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -455,7 +427,14 @@ class Mechanism:
     cumulative: bool
     pmf: Callable[[float, MechanismParams], ExactPmf]
     moments: Callable[[float, MechanismParams], tuple[float, float]]
-    branch_probability: Callable[[MechanismParams], float]
+
+    def branch_probability(self, params: MechanismParams) -> float:
+        """P[inner branch]: 1 - 2 * 2^p * E * t, t the tail mass of one
+        point, e^(-L/sigma) / lambda on TDL's grid and 2^-p times that on
+        TCL's (so there 1 - 2 * E * e^(-L/sigma) / lambda)."""
+        lam = _normalizer(params.E, params.L, params.sigma, params.p, self.cumulative)
+        outer = math.ldexp(2.0 * params.E, 0 if self.cumulative else params.p)
+        return 1.0 - outer * math.exp(-params.L / params.sigma) / lam
 
     @property
     def high_offset(self) -> int:
@@ -463,8 +442,8 @@ class Mechanism:
         return 0 if self.cumulative else 1
 
 
-TDL = Mechanism("tdl", False, pmf_tdl, moments_tdl, branch_probability_d)
-TCL = Mechanism("tcl", True, pmf_tcl, moments_tcl, branch_probability_c)
+TDL = Mechanism("tdl", False, pmf_tdl, moments_tdl)
+TCL = Mechanism("tcl", True, pmf_tcl, moments_tcl)
 DISCRETE_MECHANISMS = {m.name: m for m in (TDL, TCL)}
 
 
@@ -574,11 +553,14 @@ def kstar_calibration(epsilon: float, E: float) -> CalibrationResult:
 
 
 def max_privacy_ratio(mechanism: str, params: MechanismParams) -> float:
-    """The attained sup over (x1, x2, y) of mass ratios between two inputs.
+    """The attained sup over (x1, x2, y) of mass ratios between two inputs,
+    for the ideal law (`pmf_tdl`, `pmf_tcl`).
 
     For lap and tdl this is exactly e^(L/sigma).  For tcl the max-to-min
     mass ratio is e^(L/sigma) * sigma * (1 - e^(-2^-p/sigma)) / 2^-p, which
-    never exceeds e^(L/sigma).
+    never exceeds e^(L/sigma).  The law the samplers draw, through 64-bit
+    Bernoulli thresholds, can exceed e^(L/sigma) on tdl by a few 1e-16
+    relative.
     """
     ratio = _or_inf(math.exp, params.L / params.sigma)
     if mechanism in ("lap", "tdl"):

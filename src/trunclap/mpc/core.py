@@ -208,7 +208,7 @@ class _CommonOps:
     A substrate supplies its randomness (`joint_word`, `_joint_words`,
     `_reshare`, `_residues`), its range check (`_check`) and the ring
     constants its values meet under one set of names (`_m`, `_high`,
-    `_half`, `_safe`, `_safe2`): Python ints in a Session, 0-d uint64
+    `_half`, `_safe`): Python ints in a Session, 0-d uint64
     arrays in a BatchSession; and the share of 0, `_zero`, that
     `share_public` builds on.  A public constant is reduced as a Python
     int (`% q`) before it meets a value, since a negative int does not
@@ -227,7 +227,7 @@ class _CommonOps:
         # arrays in a BatchSession; q - 1 reduces, q - 2 tests a bit
         self._m, self._high = fieldcfg.q - 1, fieldcfg.q - 2
         self._half = fieldcfg.half
-        self._safe, self._safe2 = self.safe_magnitude, 2 * self.safe_magnitude
+        self._safe = self.safe_magnitude  # q/4, so 2·safe is q/2 = `_half`
         self._zero = (0, 0)  # the share of 0 that public constants build on
         # a BatchSession refuses share rows that are not uint64 (`_uint64_rows`)
         self._rows_only = False
@@ -429,7 +429,7 @@ class _CommonOps:
 
         The value must stay within the configured safe magnitude so the
         balanced lift is unambiguous.  Both tests run on the residue u in
-        [0, q): |lift(u)| > safe is (u + safe) mod q > 2·safe, and
+        [0, q): |lift(u)| > safe is (u + safe) mod q > 2·safe = q/2, and
         lift(u) >= 0 is u < q/2.  `mask` is the resharing mask, drawn ahead
         (perturbation material); without it the dealer draws one now.
         """
@@ -438,7 +438,7 @@ class _CommonOps:
             _uint64_rows(u)
         m = self._m
         u &= m
-        self._check((u + self._safe) & m > self._safe2, u,
+        self._check((u + self._safe) & m > self._half, u,
                     "pi_ge input {} outside safe range +/-{safe}")
         led = self.ledger
         led.comparisons += 1
@@ -589,15 +589,14 @@ class Session(_CommonOps):
 @lru_cache(maxsize=128)
 def _row_constants(q: int, safe: int) -> tuple:
     """The ring constants a BatchSession's rows meet, as `row_constant`s:
-    q - 1, q - 2, q/2, the safe bound and twice it (an int where that is
-    2^64), then the shift of the balanced lift as a uint64 and as an
-    int64: a uint64 shifted left by it keeps the ring's k bits on top, and
-    shifted back as an int64 it is sign-extended.  Last, the share of 0
-    as read-only rows of one."""
+    q - 1, q - 2, q/2 and the safe bound, then the shift of the balanced
+    lift as a uint64 and as an int64: a uint64 shifted left by it keeps
+    the ring's k bits on top, and shifted back as an int64 it is
+    sign-extended.  Last, the share of 0 as read-only rows of one."""
     shift = 65 - q.bit_length()
     zero = np.zeros(1, dtype=np.uint64)
     zero.flags.writeable = False
-    return (*map(row_constant, (q - 1, q - 2, q >> 1, safe, 2 * safe, shift)),
+    return (*map(row_constant, (q - 1, q - 2, q >> 1, safe, shift)),
             row_constant(shift, np.int64), (zero, zero))
 
 
@@ -641,7 +640,7 @@ class BatchSession(_CommonOps):
 
     def __init__(self, session: Session):
         super().__init__(session.field)
-        (self._m, self._high, self._half, self._safe, self._safe2,
+        (self._m, self._high, self._half, self._safe,
          self._shl, self._shr, self._zero) = _row_constants(self.q, self.safe_magnitude)
         self._rows_only = True
         self.session = session

@@ -37,6 +37,37 @@ def lap_lambda_oracle(E, L, sigma, x) -> float:
     return val
 
 
+def _expm1_or_inf(t):
+    try:
+        return math.expm1(t)
+    except OverflowError:
+        return math.inf
+
+
+def normalizer_formulas(E, L, sigma, p) -> dict:
+    """Each normaliser as the package wrote it out before one function
+    served them all: the oracles the shared one must equal bit for bit.
+    The centred laws' are the kernel's total on [-L, L] at 0."""
+    return {
+        "lap": 2.0 * (sigma * (-math.expm1(-L / sigma)) + math.exp(-L / sigma) * E),
+        "dlap": (2.0 ** (p + 1) * E * math.exp(-L / sigma) + 1.0
+                 + 2.0 * (-math.expm1(-L / sigma)) / _expm1_or_inf(2.0 ** -p / sigma)),
+        "centered_dlap": 1.0 + 2.0 * (-math.expm1(-L / sigma)) / _expm1_or_inf(2.0 ** -p / sigma),
+        "centered_clap": 2.0 * sigma * (-math.expm1(-L / sigma)),
+    }
+
+
+def branch_probability_formulas(params) -> tuple:
+    """P[inner branch] of TDL and of TCL as the package wrote each out:
+    1 - 2 * 2^p * E * e^(-L/sigma) / lambda_dlap and 1 - 2 * E *
+    e^(-L/sigma) / lambda_lap."""
+    E, L, sigma, p = params.E, params.L, params.sigma, params.p
+    lam = normalizer_formulas(E, L, sigma, p)
+    outer = 2 * int(E * 2**p)
+    return (1.0 - outer * math.exp(-L / sigma) / lam["dlap"],
+            1.0 - 2.0 * E * math.exp(-L / sigma) / lam["lap"])
+
+
 def tdl_masses_oracle(x, E, L, sigma, p) -> np.ndarray:
     ys = closed_grid(L + E, p)
     w = kernel(ys, x, L, sigma)

@@ -34,7 +34,7 @@ from trunclap import (
     sample_tdl_batch,
 )
 from trunclap.grids import steps_of
-from trunclap.mechanisms import branch_probability_c, branch_probability_d, outer_count
+from trunclap.mechanisms import outer_count
 from trunclap.mpc import (
     make_session,
     pi_c_noise,
@@ -208,8 +208,8 @@ def test_a7_composite_law_exactness():
         m = outer_count(params)
         inner_d = centered_dlap_pmf(L, sigma, p)
         inner_c = centered_clap_pmf(L, sigma, p)
-        pb_d = branch_probability_d(params)
-        pb_c = branch_probability_c(params)
+        pb_d = TDL.branch_probability(params)
+        pb_c = TCL.branch_probability(params)
         for x in params.input_grid().values():
             x = float(x)
             law_d, law_c = {}, {}

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,39 @@ def test_the_claim_is_checked_on_the_wall_clock_values_too(tmp_path, monkeypatch
     assert report["claim"] == {"metric": "tcl_outputs_per_s", "met": True,
                                "wall_clock_met": False}
     assert report["metrics"]["tcl_outputs_per_s"]["wall_clock"]["change_over_parent"] == 1.0
+
+
+def test_each_runs_child_faults_sit_beside_the_host(tmp_path, monkeypatch):
+    # each stubbed run waits for a child that fills 40 MB on the change's
+    # side and nothing on the parent's: the change's run faults at least
+    # once per 2 MB more (once per 4 KB page where no huge page backs it)
+    spec = {"end_to_end": [HIGHER]}
+    for side in ("parent", "change"):
+        (tmp_path / side / "perfbench" / "out").mkdir(parents=True)
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(spec))
+    real_run = subprocess.run
+
+    def run(cmd, cwd, **kw):
+        fill = 40 << 20 if cwd.name == "change" else 0
+        real_run([sys.executable, "-c", f"b'x' * {fill}"], check=True)
+        seed = int(cmd[cmd.index("--seed") + 1])
+        doc = {"wall_clock": {"raw": {"tcl_outputs_per_s": 1.0}}}
+        (cwd / "perfbench" / "out" / f"w-s{seed}-t0.json").write_text(json.dumps(doc))
+        line = {"correct": True, "attempted": 5, "failed": 0,
+                "metrics": {"tcl_outputs_per_s": {"value": 1.0, "unit": "1/s"}}}
+        return subprocess.CompletedProcess(cmd, 0, stdout=f"{json.dumps(line)}\n")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", run)
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--workload", "w", "--pairs", "2", "--seconds", "1",
+            "--out", str(tmp_path / "bench.json")]
+    assert bench_pairs.main(argv) == 0
+    report = json.loads((tmp_path / "bench.json").read_text())["workloads"]["w"]
+    assert len(report["minor_faults"]) == len(report["host"]) == 2
+    for pair in report["minor_faults"]:
+        assert set(pair) == {"parent", "change"} and pair["parent"] > 0
+        assert pair["change"] - pair["parent"] >= 20
+    assert "minor_faults" in json.loads((tmp_path / "bench.json").read_text())["method"]
 
 
 @pytest.mark.parametrize("output, counts", [

@@ -44,6 +44,12 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
         for m in case.values():
             assert m["parent"] > 0 and m["change"] > 0
             assert m["change_over_parent"] == round(m["change"] / m["parent"], 4)
+    # beside each timing, its minor page faults per timed call on each side
+    assert sorted(report["faults"]) == sorted(report["cases"])
+    for case in report["faults"].values():
+        assert list(case) == metrics
+        for m in case.values():
+            assert set(m) == {"parent", "change"} and min(m.values()) >= 0
     # the untimed counts of one run_batch call at the largest n: the same
     # tree on both sides gives the same words, each party tape reading
     # its plan's words per execution
@@ -57,6 +63,16 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
                                                        "change_over_parent": 1.0}
         dealer = counts["dealer_words_per_execution"]
         assert dealer["parent"] == dealer["change"] > 0 and dealer["change_over_parent"] == 1.0
+
+
+def test_faults_are_counted_per_timed_call():
+    # a call that fills 40 MB, past glibc's largest mmap threshold, maps
+    # fresh pages each time: it faults at least once per 2 MB even where
+    # huge pages back it, and once per 4 KB page where none do
+    _, faults = call_cost.median_us(lambda: b"x" * (40 << 20), 3)
+    assert faults >= 20
+    _, idle = call_cost.median_us(lambda: None, 3)
+    assert idle < 20
 
 
 def test_counts_must_be_positive():
@@ -75,6 +91,7 @@ def test_a_block_case_evaluates_a_block_and_a_loop_case_none(n):
     for metric, (call, min_sessions) in calls.items():
         with mock.patch.object(tape.RandomTape, "peek_block", autospec=True,
                                side_effect=tape.RandomTape.peek_block) as peeks:
-            assert call_cost.forced_us(call, min_sessions, 2) > 0
+            us, faults = call_cost.forced_us(call, min_sessions, 2)
+            assert us > 0 and faults >= 0
         assert peeks.call_count == (4 if metric.startswith("block_us") else 0), metric
         assert tape.BATCH_MIN_SESSIONS == before

@@ -9,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    branch_probability_formulas,
     closed_grid,
     kernel_pmf_oracle,
     lap_lambda_oracle,
     lap_moments_oracle,
+    normalizer_formulas,
     tcl_cell_oracle,
     tcl_masses_oracle,
     tdl_masses_oracle,
@@ -38,10 +40,8 @@ from trunclap.mechanisms import (
     TCL,
     TDL,
     _centered_law,
-    _lambda_centered_dlap,
     _mechanism_law,
-    branch_probability_c,
-    branch_probability_d,
+    _normalizer,
     dlap_zero_mass,
     kstar_polynomial,
     lookup_mechanism,
@@ -160,6 +160,107 @@ def _cell_closed_form(y, x, L, s, h):
     return s * (m.exp(-a / s) - m.exp(-b / s))
 
 
+@st.composite
+def normalizer_sets(draw):
+    """(E, L, sigma, p) on the grid, with E up to 2^40 and sigma from past
+    the point where e^(2^-p/sigma) overflows a double (2^-p/sigma > 709.78)
+    up to 200."""
+    p = draw(st.integers(0, 30))
+    h = 2.0**-p
+    E = draw(st.just(2.0**40) | st.integers(1, 4096).map(lambda k: k * h))
+    L = draw(st.integers(1, 4096)) * h
+    sigma = draw(st.floats(1e-3, 200.0)
+                 | st.sampled_from([300.0, 709.0, 710.5, 5000.0]).map(lambda t: h / t))
+    return E, L, sigma, p
+
+
+class TestOneNormalizer:
+    """`_normalizer` serves lambda_lap, lambda_dlap, the centred laws and
+    both branch probabilities; each value is the formula it replaced
+    (`conftest.normalizer_formulas`, `branch_probability_formulas`), bit
+    for bit, so every seeded threshold drawn from them is unchanged."""
+
+    @given(normalizer_sets())
+    @settings(max_examples=300, deadline=None)
+    def test_every_normalizer_is_its_formula(self, tup):
+        E, L, s, p = tup
+        want = normalizer_formulas(E, L, s, p)
+        assert lambda_lap(E, L, s) == _normalizer(E, L, s, p, True) == want["lap"]
+        assert lambda_dlap(E, L, s, p) == _normalizer(E, L, s, p, False) == want["dlap"]
+        assert _normalizer(0.0, L, s, p, False) == want["centered_dlap"]
+        assert dlap_zero_mass(L, s, p) == 1.0 / want["centered_dlap"]
+        assert _normalizer(0.0, L, s, p, True) == want["centered_clap"]
+        P = MechanismParams(E=E, L=L, sigma=s, p=p)
+        assert (TDL.branch_probability(P), TCL.branch_probability(P)) == (
+            branch_probability_formulas(P))
+
+    def test_a_tail_term_past_the_double_range_is_refused(self):
+        # 2^(p+1) E: 2^1023 at p = 1020 on E = 4, the last finite one;
+        # 2.0 ** (p + 1) raised OverflowError from p = 1023, and at p = 1021
+        # the product was inf
+        assert lambda_dlap(4.0, 2.0, 1.0, 1020) == normalizer_formulas(4.0, 2.0, 1.0, 1020)["dlap"]
+        for p in (1021, 1023, 5000):
+            with pytest.raises(ValueError, match=f"normaliser at p = {p} leaves the double range"):
+                lambda_dlap(4.0, 2.0, 1.0, p)
+
+
+@st.composite
+def moment_sets(draw):
+    """(params, x): grids of at most 20,000 points, E and L up to 5,000
+    steps, p up to 6, epsilon = L/sigma from 1/400 to 100 and x anywhere
+    on the input grid."""
+    p = draw(st.integers(0, 6))
+    h = 2.0**-p
+    es = draw(st.integers(1, 5000))
+    ls = draw(st.integers(1, 10_000 - es))
+    eps = draw(st.floats(1 / 400, 100.0))
+    params = MechanismParams(E=es * h, L=ls * h, sigma=ls * h / eps, p=p)
+    return params, draw(st.integers(-es, es)) * h
+
+
+class TestOneMomentDerivation:
+    """TDL's and TCL's moments come from one derivation (`_moment_terms`):
+    the tail mass on each output point and the centred window.  Below
+    epsilon = 1/400 the window sums cancel and lose digits (ROADMAP
+    direction 22)."""
+
+    @given(moment_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_moments_are_the_sums_over_the_pmfs(self, case):
+        params, x = case
+        for pmf, moments in ((pmf_tdl, moments_tdl), (pmf_tcl, moments_tcl)):
+            f = pmf(x, params)
+            ys = f.support()
+            mean = math.fsum(ys * f.masses)
+            mse = math.fsum((ys - x) ** 2 * f.masses)
+            got_mean, got_mse = moments(x, params)
+            assert got_mean == pytest.approx(mean, abs=MOMENT_TOL * max(1, abs(mean)))
+            assert got_mse == pytest.approx(mse, rel=MOMENT_TOL)
+
+    @pytest.mark.parametrize("p", [60, 200, 520, 1000])
+    @pytest.mark.parametrize("E, L, s", [(4.0, 2.0, 1.0), (64.0, 32.0, 8.0)])
+    def test_a_fine_grid_has_the_continuous_moments(self, E, L, s, p):
+        params = MechanismParams(E=E, L=L, sigma=s, p=p)
+        for x in (-E, 0.0, E / 2):
+            mean, mse = moments_lap_exact(x, params)
+            for moments in (moments_tdl, moments_tcl):
+                got_mean, got_mse = moments(x, params)
+                # TCL's mean is 2^-p / 2 below the continuous one
+                assert got_mean == pytest.approx(mean, rel=1e-12, abs=2.0**-p)
+                assert got_mse == pytest.approx(mse, rel=1e-12)
+
+    def test_an_infinite_normalizer_gives_no_moments(self):
+        # E + L < 2 admits p = 1023, and there 2^1024 E is finite at E =
+        # 1/4 but the flanks' 2 (1 - e^(-L/sigma)) / (e^(2^-p/sigma) - 1)
+        # is not: lambda_dlap is inf, every tail mass would read 0 and the
+        # mse 0, so the moments are refused; TCL's lambda is finite
+        params = MechanismParams(E=0.25, L=1.5, sigma=100.0, p=1023)
+        assert lambda_dlap(0.25, 1.5, 100.0, 1023) == math.inf
+        with pytest.raises(ValueError, match="moments at p = 1023 leave the double range"):
+            moments_tdl(0.25, params)
+        assert all(map(math.isfinite, moments_tcl(0.25, params)))
+
+
 class TestPmfTdl:
     def test_normalization_sweep(self, small_params):
         for E, L, s, p in LATTICE:
@@ -253,10 +354,10 @@ class TestKernelTable:
 
     def test_centered_pmfs_equal_the_float_construction(self):
         for L, s, p in product(KERNEL_LS, KERNEL_SIGMAS, range(4)):
+            lam = normalizer_formulas(0.0, L, s, p)
             cases = (
-                (centered_dlap_pmf, GridSpec(p=p, B=L), _lambda_centered_dlap(L, s, p)),
-                (centered_clap_pmf, GridSpec(p=p, B=L, half_open=True),
-                 2.0 * s * (-math.expm1(-L / s))),
+                (centered_dlap_pmf, GridSpec(p=p, B=L), lam["centered_dlap"]),
+                (centered_clap_pmf, GridSpec(p=p, B=L, half_open=True), lam["centered_clap"]),
             )
             for pmf, spec, lam in cases:
                 f = pmf(L, s, p)
@@ -692,10 +793,11 @@ class TestProperties:
 
 class TestMechanismRecord:
     def test_records_hold_each_mechanisms_functions(self):
-        assert (TDL.pmf, TDL.moments, TDL.branch_probability) == (
-            pmf_tdl, moments_tdl, branch_probability_d)
-        assert (TCL.pmf, TCL.moments, TCL.branch_probability) == (
-            pmf_tcl, moments_tcl, branch_probability_c)
+        assert (TDL.pmf, TDL.moments) == (pmf_tdl, moments_tdl)
+        assert (TCL.pmf, TCL.moments) == (pmf_tcl, moments_tcl)
+        P = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=2)
+        assert (TDL.branch_probability(P), TCL.branch_probability(P)) == (
+            branch_probability_formulas(P))
         # TDL's upper tail starts one step past x+L, TCL's at x+L
         assert (TDL.high_offset, TCL.high_offset) == (1, 0)
         assert (TDL.cumulative, TCL.cumulative) == (False, True)
@@ -725,8 +827,9 @@ class TestParamsHash:
 
 
 class TestPrecisionPastTheDoubleRange:
-    """A precision exponent whose grid or closed-form moments leave the
-    double range is a usage error through `cli.main`, with no traceback."""
+    """A precision exponent whose grid or normaliser leaves the double
+    range is a usage error through `cli.main`, with no traceback; short of
+    it the moments have a value, the continuous mechanism's."""
 
     SET = ["--E", "4", "--L", "2", "--sigma", "1"]
 
@@ -743,26 +846,65 @@ class TestPrecisionPastTheDoubleRange:
 
     @pytest.mark.parametrize("mech", ["tdl", "tcl"])
     def test_moments_past_the_double_range(self, mech, capsys):
-        # TDL printed "mse": -Infinity, TCL raised ZeroDivisionError
-        assert cli.main(["moments", *self.SET, "--p", "1000", "--mechanism", mech]) == 1
-        assert capsys.readouterr().err.startswith(
-            "usage error: the closed-form moments at p = 1000 leave the double range")
+        # p = 1000 was refused (TDL's closed form overflowed from p = 511,
+        # TCL's underflowed to a zero divisor from p = 538); the law has
+        # moments there, the continuous mechanism's to a double
+        assert cli.main(["moments", *self.SET, "--p", "1000", "--mechanism", mech]) == 0
+        out = json.loads(capsys.readouterr().out)
+        mean, mse = moments_lap_exact(0.0, MechanismParams(E=4.0, L=2.0, sigma=1.0, p=1000))
+        assert out["mean"] == pytest.approx(mean, abs=2.0**-1000)
+        assert out["mse"] == pytest.approx(mse, rel=1e-12)
 
     @pytest.mark.parametrize("mech, mean", [("tdl", 0.0), ("tcl", -3.111507638930571e-61)])
     def test_moments_at_p_200_are_unchanged(self, mech, mean, capsys):
+        # re-pinned when one derivation replaced both closed forms: the mse
+        # moved one ulp, from 7.133607213731666
         assert cli.main(["moments", *self.SET, "--p", "200", "--mechanism", mech]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert (out["mean"], out["mse"]) == (mean, 7.133607213731666)
+        assert (out["mean"], out["mse"]) == (mean, 7.133607213731665)
 
-    @pytest.mark.parametrize("p, tdl, tcl", [(510, True, True), (511, False, True),
-                                             (537, False, True), (538, False, False)])
+    @pytest.mark.parametrize("p, tdl, tcl", [(510, True, True), (511, True, True),
+                                             (537, True, True), (538, True, True),
+                                             (1020, True, True), (1021, False, True)])
     def test_the_first_p_each_closed_form_refuses(self, p, tdl, tcl):
-        # on this set TDL's terms overflow from p = 511, and TCL's u * u
-        # underflows to 0 from p = 538
+        # on this set TDL's moments were refused from p = 511 and TCL's from
+        # p = 538; now only where lambda_dlap is, from 2^(p+1) E = 2^1024
+        # at p = 1021, and TCL's never where the grid is admitted
         params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=p)
         for moments, finite in ((moments_tdl, tdl), (moments_tcl, tcl)):
             if finite:
                 assert all(map(math.isfinite, moments(4.0, params)))
             else:
-                with pytest.raises(ValueError, match="leave the double range"):
+                with pytest.raises(ValueError, match=f"at p = {p} leaves the double range"):
                     moments(4.0, params)
+
+    # E + L < 2 admits p = 1023, where lambda_dlap's 2.0 ** 1024 raised
+    # OverflowError through the TDL commands
+    SET_1023 = ["--L", "0.5", "--sigma", "1", "--p", "1023"]
+
+    @pytest.mark.parametrize("command", ["moments", "pmf"])
+    def test_a_normalizer_past_the_double_range(self, command, capsys):
+        # 2^1024 E leaves the double range at E = 1
+        assert cli.main([command, "--E", "1", *self.SET_1023]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: the normaliser at p = 1023 leaves the double range")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("E", ["0.5", "1"])
+    @pytest.mark.parametrize("mech", ["tdl", "tcl"])
+    def test_the_largest_p_of_a_small_set(self, mech, E, capsys):
+        # where lambda is finite the moments are the continuous limit's; a
+        # pmf of 2^1024 points is refused as an allocation
+        argv = ["--E", E, *self.SET_1023, "--mechanism", mech]
+        if mech == "tdl" and E == "1":
+            assert cli.main(["moments", *argv]) == 1
+        else:
+            assert cli.main(["moments", *argv]) == 0
+            out = json.loads(capsys.readouterr().out)
+            params = MechanismParams(E=float(E), L=0.5, sigma=1.0, p=1023)
+            mean, mse = moments_lap_exact(0.0, params)
+            assert out["mean"] == pytest.approx(mean, abs=2.0**-1000)
+            assert out["mse"] == pytest.approx(mse, rel=1e-12)
+        assert cli.main(["pmf", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Traceback" not in err

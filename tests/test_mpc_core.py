@@ -5,13 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
 from conftest import mux_composition, reference_field_array
 from trunclap.grids import FieldConfig, field_for_mechanism
-from trunclap.mechanisms import TCL, MechanismParams, branch_probability_d
+from trunclap.mechanisms import TCL, TDL, MechanismParams
 from trunclap.mpc import BatchSession, ContractViolation, Session, mechanism_field
 from trunclap.mpc.core import (
     CMP_ELEMENTS,
@@ -502,7 +502,7 @@ class TestBersample:
 
     def test_mechanism_branch_probability(self):
         params = MechanismParams(E=64.0, L=32.0, sigma=8.0, p=0)
-        pb = branch_probability_d(params)
+        pb = TDL.branch_probability(params)
         s = small_session()
         n = 100_000
         hits = sum(s.open(s.pi_bersample(pb)) for _ in range(n))
@@ -818,6 +818,14 @@ class TestGe:
         for k in range(-8, 9):
             bit = s.open(s.pi_ge(s.share(k % cfg.q)))
             assert bit == (1 if k >= 0 else 0)
+
+    @given(st.integers(1, 63), st.integers(0, 62), st.integers(0, 62))
+    @settings(max_examples=60, deadline=None)
+    def test_twice_the_safe_bound_is_half_the_ring(self, e, p, headroom):
+        # pi_ge tests (u + safe) mod q against q/2 (`_half`) as 2 * safe
+        assume(p + e + headroom < 64)
+        cfg = FieldConfig(e=e, p=p, headroom=headroom)
+        assert 2 * Session(cfg).safe_magnitude == cfg.q // 2 == cfg.half
 
     def test_contract_violation(self):
         s = small_session()

@@ -24,12 +24,7 @@ from trunclap import (
 from trunclap import sampling
 from trunclap import tape as tape_module
 from trunclap.grids import GridError, steps_of
-from trunclap.mechanisms import (
-    branch_probability_c,
-    branch_probability_d,
-    lookup_mechanism,
-    outer_count,
-)
+from trunclap.mechanisms import lookup_mechanism, outer_count
 from trunclap.mpc import (
     BatchSession,
     Session,
@@ -261,7 +256,7 @@ class TestNoiseProtocols:
         n = 100_000
         session = make_session(PARAMS, "tdl", seed0=71, seed1=72)
         m = outer_count(PARAMS)
-        pb = branch_probability_d(PARAMS)
+        pb = TDL.branch_probability(PARAMS)
         inner = centered_dlap_pmf(PARAMS.L, PARAMS.sigma, PARAMS.p)
         # exact joint law over (i, y): index 0..m-1 for i=0, steps for i=1
         law = np.concatenate([(1 - pb) / m * np.ones(m), pb * inner.masses])
@@ -292,7 +287,7 @@ class TestNoiseProtocols:
 
     def test_c_branch_probability(self):
         n = 100_000
-        pb = branch_probability_c(PARAMS)
+        pb = TCL.branch_probability(PARAMS)
         hits = opened_in_batch(
             lambda s: s.open(pi_c_noise(s, PARAMS).branch), n, (75, 76), "tcl", outer_words=2,
         ).sum()

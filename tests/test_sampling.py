@@ -45,12 +45,7 @@ from trunclap import (
 from trunclap.grids import GridError, steps_of
 from trunclap.tape import _magnitude
 from trunclap.thresholds import THRESHOLDS
-from trunclap.mechanisms import (
-    branch_probability_c,
-    branch_probability_d,
-    lookup_mechanism,
-    outer_count,
-)
+from trunclap.mechanisms import lookup_mechanism, outer_count
 from trunclap.mpc import make_session, mechanism_field, pi_c_noise, pi_cl, run_batch
 from trunclap.sampling import (
     _clap_steps,
@@ -223,12 +218,19 @@ class TestCenteredDlap:
         # 3 = 0b11 steps: a segment of 2 magnitudes, then one of 1
         cfg = centered_dlap_config(3.0, 1.0, 0)
         assert cfg.method == "segmented" and cfg.segments == ((0, 1), (2, 0))
-        n = 200_000
-        tape = RandomTape(23)
-        draws = np.array([sample_dlap_centered(3.0, 1.0, 0, tape) for _ in range(n)])
-        counts = np.bincount((draws + 3).astype(int), minlength=7)
+        # 1M draws on block rows: 200k read 0.0018 + 0.0072 against 0.006
+        n, bound = 1_000_000, 0.006
         exact = centered_dlap_pmf(3.0, 1.0, 0).masses
-        assert tv(counts, exact) < 0.006
+        assert sized_for(bound, exact, n) and not sized_for(bound, exact, 200_000)
+        tape = RandomTape(23)
+        (draws,) = block_draws(sampling._dlap_steps, cfg, tape, n)
+        seq = RandomTape(23)
+        assert draws[:10_000].tolist() == [
+            sample_dlap_centered(3.0, 1.0, 0, seq) for _ in range(10_000)]
+        counts = np.bincount(draws + 3, minlength=7)
+        assert tv(counts, exact) < bound
+        # negative control: the law one step over fails the check
+        assert tv(np.append(counts, 0), np.append(0.0, exact)) > bound
         assert cfg.words_per_draw == cfg.kappa + 1 + len(cfg.segments) == 4
         assert tape.words_consumed == n * cfg.words_per_draw
 
@@ -262,11 +264,19 @@ class TestCenteredDlap:
         # L of one grid step: no magnitude bits, support {-L, 0, L}
         cfg = centered_dlap_config(1.0, 0.7, 0)
         assert cfg.method == "bitwise" and cfg.kappa == 0
-        tape = RandomTape(25)
-        draws = np.array([sample_dlap_centered(1.0, 0.7, 0, tape) for _ in range(100_000)])
-        assert set(draws.tolist()) == {-1.0, 0.0, 1.0}
-        counts = np.bincount((draws + 1).astype(int), minlength=3)
-        assert tv(counts, centered_dlap_pmf(1.0, 0.7, 0).masses) < 0.01
+        # 500k draws on block rows: 100k read 0.0015 + 0.0102 against 0.01
+        n, bound = 500_000, 0.01
+        exact = centered_dlap_pmf(1.0, 0.7, 0).masses
+        assert sized_for(bound, exact, n) and not sized_for(bound, exact, 100_000)
+        (draws,) = block_draws(sampling._dlap_steps, cfg, RandomTape(25), n)
+        seq = RandomTape(25)
+        assert draws[:10_000].tolist() == [
+            sample_dlap_centered(1.0, 0.7, 0, seq) for _ in range(10_000)]
+        assert set(draws.tolist()) == {-1, 0, 1}
+        counts = np.bincount(draws + 1, minlength=3)
+        assert tv(counts, exact) < bound
+        # negative control: the law one step over fails the check
+        assert tv(np.append(counts, 0), np.append(0.0, exact)) > bound
 
 
 def matches_pmf(cfg, L, sigma, p) -> bool:
@@ -484,20 +494,20 @@ class TestClapExactLaw:
 class TestNoise:
     def test_branch_probability_value(self, table_params_p0):
         # 1 - 128 e^-4 / lambda for the reference parameters
-        assert branch_probability_d(table_params_p0) == pytest.approx(0.8704, abs=5e-5)
+        assert TDL.branch_probability(table_params_p0) == pytest.approx(0.8704, abs=5e-5)
 
     def test_branch_probability_empirical(self, table_params_p0):
         n = 100_000
         tape = RandomTape(41)
         hits = sum(noise(TDL, table_params_p0, tape).branch for _ in range(n))
-        pb = branch_probability_d(table_params_p0)
+        pb = TDL.branch_probability(table_params_p0)
         se = math.sqrt(pb * (1 - pb) / n)
         assert abs(hits / n - pb) < 3 * se
 
     def test_branch_vanishes_for_huge_L(self):
         params = MechanismParams(E=4.0, L=1024.0, sigma=1.0, p=0)
-        assert branch_probability_d(params) == pytest.approx(1.0, abs=1e-12)
-        assert branch_probability_c(params) == pytest.approx(1.0, abs=1e-12)
+        assert TDL.branch_probability(params) == pytest.approx(1.0, abs=1e-12)
+        assert TCL.branch_probability(params) == pytest.approx(1.0, abs=1e-12)
 
     def test_branch0_payload_uniform(self, small_params):
         # TDL outputs outside [x - L, x + L] are exactly the branch-0 draws,
@@ -725,7 +735,7 @@ class TestPerturb:
         # enumerate (branch, payload) with exact probabilities and push
         # through the deterministic perturb map
         params = small_params
-        pb = branch_probability_d(params)
+        pb = TDL.branch_probability(params)
         m = outer_count(params)
         inner = centered_dlap_pmf(params.L, params.sigma, params.p)
         for x in params.input_grid().values():
@@ -747,7 +757,7 @@ class TestPerturb:
         # same enumeration with the exact inner table standing in for the
         # sampler, on the 2^-0 and the 2^-2 grid
         for params in (small_params, dataclasses.replace(small_params, p=2)):
-            pb = branch_probability_c(params)
+            pb = TCL.branch_probability(params)
             m = outer_count(params)
             inner = centered_clap_pmf(params.L, params.sigma, params.p)
             for x in params.input_grid().values():

@@ -32,7 +32,9 @@ them, and the medians apart by more than the parent's IQR;
 `wall_clock_met` applies the same rule to the unscaled values.  `host`
 gives each pair's host load (`host_load.py`): the share of CPU time the
 hypervisor stole while the pair ran, and the 1-minute load average at
-its end, so a noisy pair shows beside a real change.
+its end, so a noisy pair shows beside a real change.  `minor_faults`
+gives, per pair, each side's untraced run's minor page faults (its
+child's `ru_minflt`, `RUSAGE_CHILDREN` read before and after the run).
 
 With --trace each pair also runs `--trace 1` once on each side, in the
 same order and on the same seed, and `layers` reports, for every per-layer
@@ -57,6 +59,7 @@ import argparse
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
@@ -93,6 +96,8 @@ METHOD = {
     "host": "per pair, the share of CPU time the hypervisor stole while it ran (the "
             "steal column of /proc/stat's cpu line, before and after) and the 1-minute "
             "load average at its end; null where /proc/stat is absent",
+    "minor_faults": "per pair, each side's untraced run's minor page faults: "
+                    "getrusage(RUSAGE_CHILDREN).ru_minflt before and after it",
     "tier1": "the Tier-1 command once in each checkout, the parent first; passed and "
              "failed from pytest's summary line (errors count as failed), wall_s timed "
              "around the run",
@@ -247,13 +252,16 @@ def pair_report(args, spec: list, layers: list) -> dict:
     with the traced runs' `layers` under --trace."""
     runs = {"parent": [], "change": []}
     traced = {"parent": [], "change": []}
-    host = []
+    host, faults = [], []
     for i in range(args.pairs):
         seed = args.first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         before = cpu_ticks()
+        faults.append({})
         for side in order:
+            f0 = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
             runs[side].append(run_once(getattr(args, side), args.workload, seed, args.seconds))
+            faults[-1][side] = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - f0
         if args.trace:
             for side in order:
                 result = run_result(getattr(args, side), args.workload, seed, args.seconds, 1)
@@ -278,6 +286,7 @@ def pair_report(args, spec: list, layers: list) -> dict:
         "attempted": {side: sum(r["attempted"] for r in rs) for side, rs in runs.items()},
         "correct": {side: all(r["correct"] for r in rs) for side, rs in runs.items()},
         "host": host,
+        "minor_faults": faults,
         "metrics": metrics,
     }
     if args.claim:

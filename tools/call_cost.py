@@ -22,18 +22,22 @@ worker process on a checkout times these metrics, each the median of
   -> `open` of one input, on a pair it pooled beforehand (`pi_noise`):
   the `Session`'s own integer path.
 
-Beside the timings, each case reports deterministic counts of one
-`run_batch` call at the largest n of --calls (`counts`, untimed): the
-words its dealer tape and each party tape consumed, per execution.
+Beside each timing, `faults` gives the metric's minor page faults per
+timed call: the worker's own `ru_minflt` (`resource.getrusage`) read
+before and after its --reps calls, over --reps.  Each case also reports
+deterministic counts of one `run_batch` call at the largest n of --calls
+(`counts`, untimed): the words its dealer tape and each party tape
+consumed, per execution.
 
 The run is k alternations.  Each alternation runs one worker on each
 checkout, --parent first on even alternations and --change first on odd
 ones, so that neither side always runs on a warmer host.  The report gives
 each side's median over the k alternations of every timing (`cases`) and
-each side's counts (`counts`), and with --parent the change's value over
-the parent's.  `host` gives each alternation's host load (`host_load.py`):
-the share of CPU time the hypervisor stole while it ran, and the
-1-minute load average at its end.  Each checkout is a tree holding
+of every fault count (`faults`), and each side's counts (`counts`), and
+with --parent the change's timing and counts over the parent's.  `host`
+gives each alternation's host load (`host_load.py`): the share of CPU
+time the hypervisor stole while it ran, and the 1-minute load average at
+its end.  Each checkout is a tree holding
 `src/trunclap`; the worker imports it from there.
 """
 
@@ -42,6 +46,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import statistics
 import subprocess
 import sys
@@ -59,17 +64,20 @@ MECHS = ("tdl", "tcl")
 POOL_BLOCK = 8
 
 
-def median_us(call, reps: int) -> float:
-    """Median wall time of `reps` calls of `call()`, in microseconds."""
+def median_us(call, reps: int) -> tuple[float, float]:
+    """Median wall time of `reps` calls of `call()`, in microseconds, and
+    the minor page faults per call."""
     times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(reps):
         t0 = time.perf_counter()
         call()
         times.append(time.perf_counter() - t0)
-    return round(statistics.median(times) * 1e6, 2)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return round(statistics.median(times) * 1e6, 2), round(faults / reps, 2)
 
 
-def forced_us(call, min_sessions: int, reps: int) -> float:
+def forced_us(call, min_sessions: int, reps: int) -> tuple[float, float]:
     """`median_us` of `call` with `tape.BATCH_MIN_SESSIONS` set to
     `min_sessions`, restored after: 1 runs a call of n as one block, n + 1
     runs it sequentially."""
@@ -102,14 +110,15 @@ def fresh_calls(field, mech, P, n: int, seeds) -> dict:
 
 
 def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
-    """Every timing of every case, timed in this process, and its counts."""
+    """Every timing of every case, timed in this process, its faults per
+    call and its counts."""
     from trunclap.mechanisms import MechanismParams, lookup_mechanism
     from trunclap.mpc import (BatchSession, Session, mechanism_field, pi_noise, pi_perturb,
                               run_batch)
     from trunclap.mpc.protocols import _noise_pair, _noise_rows, run_sessions
     from trunclap.sampling import noise_plan
 
-    out, counts = {}, {}
+    out, faults, counts = {}, {}, {}
     for label, kw in SETS.items():
         P = MechanismParams(**kw)
         for name in MECHS:
@@ -146,7 +155,8 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
 
             online()
             case["online_us"] = median_us(online, reps)
-            out[f"{name}.{label}"] = case
+            out[f"{name}.{label}"] = {metric: us for metric, (us, _) in case.items()}
+            faults[f"{name}.{label}"] = {metric: f for metric, (_, f) in case.items()}
             # run_batch's session, at the largest n
             n = max(calls)
             session = Session(field, 0, 1)
@@ -156,7 +166,7 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
                 "dealer_words_per_execution": session.dealer.words_consumed / n,
                 "party_words_per_execution": session.tape0.words_consumed / n,
             }
-    return {"timings": out, "counts": counts}
+    return {"timings": out, "faults": faults, "counts": counts}
 
 
 def run_worker(checkout: Path, args) -> dict:
@@ -207,7 +217,8 @@ def main(argv=None) -> int:
         host.append(host_load(before, cpu_ticks()))
         print(f"alternation {i} done", file=sys.stderr)
     report = {"k": args.k, "reps": args.reps, "python": sys.version.split()[0],
-              "host_cpus": os.cpu_count(), "host": host, "cases": {}, "counts": {}}
+              "host_cpus": os.cpu_count(), "host": host, "cases": {}, "faults": {},
+              "counts": {}}
     first = runs["change"][0]
     for case, metrics in first["timings"].items():
         out = report["cases"][case] = {}
@@ -217,6 +228,10 @@ def main(argv=None) -> int:
             if args.parent is not None:
                 med["change_over_parent"] = round(med["change"] / med["parent"], 4)
             out[metric] = med
+        report["faults"][case] = {
+            metric: {side: round(statistics.median(r["faults"][case][metric] for r in rs), 2)
+                     for side, rs in runs.items()}
+            for metric in metrics}
         # deterministic: every run of a side gives the same counts
         out = report["counts"][case] = {}
         for metric in first["counts"][case]:
