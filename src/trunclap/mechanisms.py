@@ -23,6 +23,10 @@ times its cell width at each distance 0 .. 2^p L, divided by lambda and
 laid out over the inner support around x, and the moments' x-free
 terms.  A call checks x (`MechanismParams.input_steps`) and places that
 window on a fill of the tail mass.
+
+TDL and TCL are the two `Mechanism` records; their methods `pmf`,
+`moments` and `centered_pmf` are the exact law, and `pmf_tdl`,
+`moments_tcl`, ... are those methods bound to each record.
 """
 
 from __future__ import annotations
@@ -81,9 +85,6 @@ class MechanismParams:
     def step(self) -> float:
         return 2.0 ** -self.p
 
-    def input_grid(self) -> GridSpec:
-        return GridSpec(p=self.p, B=self.E)
-
     def input_steps(self, x: float) -> int:
         """x in 2^-p steps; GridError if x is off the grid or outside [-E, E]."""
         xs = steps_of(x, self.p)
@@ -124,7 +125,8 @@ def _normalizer(E: float, L: float, sigma: float, p: int, cumulative: bool) -> f
     integral over [-E-L, E+L].  Discrete: 2^(p+1)*E*e^(-L/sigma) + 1 +
     2*(1-e^(-L/sigma)) / (e^(2^-p/sigma) - 1), its sum over the closed
     grid's points.  At E = 0 each is the centred law's on [-L, L].
-    ValueError where 2^(p+1)*E leaves the double range.
+    ValueError where 2^(p+1)*E leaves the double range, or 2^-p/sigma
+    underflows to 0.
     """
     r, c = math.exp(-L / sigma), -math.expm1(-L / sigma)
     if cumulative:
@@ -133,7 +135,10 @@ def _normalizer(E: float, L: float, sigma: float, p: int, cumulative: bool) -> f
         tail = math.ldexp(E, p + 1) * r
     except OverflowError:
         raise ValueError(f"the normaliser at p = {p} leaves the double range") from None
-    return tail + 1.0 + 2.0 * c / _or_inf(math.expm1, 2.0 ** -p / sigma)
+    a = _or_inf(math.expm1, 2.0 ** -p / sigma)
+    if not a:
+        raise ValueError(f"the normaliser at p = {p}, sigma = {sigma} leaves the double range")
+    return tail + 1.0 + 2.0 * c / a
 
 
 def lambda_lap(E: float, L: float, sigma: float) -> float:
@@ -173,9 +178,6 @@ class ExactPmf:
 
     def support(self) -> np.ndarray:
         return self.spec.values()
-
-    def mass_at(self, y: float) -> float:
-        return float(self.masses[self.spec.index_of(y)])
 
     def mean(self) -> float:
         return float(np.dot(self.support(), self.masses))
@@ -255,26 +257,6 @@ def _mechanism_law(params: MechanismParams, cumulative: bool) -> _KernelLaw:
     return _kernel_law(params.L, params.sigma, params.p, cumulative, lam, params._Es)
 
 
-def pmf_tdl(x: float, params: MechanismParams) -> ExactPmf:
-    """Exact TDL mass function conditioned on input x.
-
-    mass(y) = exp(-min(|y-x|, L)/sigma) / lambda_dlap over the closed grid
-    [-E-L, E+L]; the mass depends on x only through min(|y-x|, L).
-    """
-    xs = params.input_steps(x)
-    return _mechanism_law(params, False).pmf(params.output_grid("tdl"), x, xs)
-
-
-def pmf_tcl(x: float, params: MechanismParams) -> ExactPmf:
-    """Exact TCL mass function conditioned on input x.
-
-    mass(y) integrates the kernel over [y, y+2^-p) and divides by
-    lambda_lap; the support is half-open (the top point has zero mass).
-    """
-    xs = params.input_steps(x)
-    return _mechanism_law(params, True).pmf(params.output_grid("tcl"), x, xs)
-
-
 def dlap_zero_mass(L: float, sigma: float, p: int) -> float:
     """c0 = P[0] of the centered discrete Laplace on [-L, L] at step 2^-p.
 
@@ -286,20 +268,6 @@ def dlap_zero_mass(L: float, sigma: float, p: int) -> float:
 @lru_cache(maxsize=128)
 def _centered_law(L: float, sigma: float, p: int, cumulative: bool) -> _KernelLaw:
     return _kernel_law(L, sigma, p, cumulative, _normalizer(0.0, L, sigma, p, cumulative), 0)
-
-
-def centered_dlap_pmf(L: float, sigma: float, p: int) -> ExactPmf:
-    """Centered discrete Laplace on [-L, L]: mass(y) proportional to e^(-|y|/sigma)."""
-    _check_positive(L=L, sigma=sigma)
-    spec = GridSpec(p=p, B=L)
-    return _centered_law(L, sigma, p, False).pmf(spec, 0.0, 0)
-
-
-def centered_clap_pmf(L: float, sigma: float, p: int) -> ExactPmf:
-    """Centered cumulative Laplace on the half-open grid [-L, L)."""
-    _check_positive(L=L, sigma=sigma)
-    spec = GridSpec(p=p, B=L, half_open=True)
-    return _centered_law(L, sigma, p, True).pmf(spec, 0.0, 0)
 
 
 # --- moments ---------------------------------------------------------------
@@ -334,29 +302,12 @@ def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float,
     k = E / sigma
     e = math.exp(-eps)
     den = 1.0 - (1.0 - k) * e
+    if den <= 0.0:  # 1 - (1 - E/sigma) e^(-L/sigma), rounded where sigma >> E, L
+        raise ValueError(f"the continuous moments at E = {E}, L = {L}, sigma = {sigma} divide by 0")
     fk = kstar_polynomial(k, eps) if cubic else 0.0
     mean = x * (1.0 - (1.0 + eps) * e) / den
     mse = (2.0 * sigma**2 + sigma**2 * e * fk + x * x * e * (eps + k)) / den
     return mean, mse
-
-
-def moments_tdl(x: float, params: MechanismParams) -> tuple[float, float]:
-    """Exact mean and MSE of the TDL estimator y for input x (closed form)."""
-    return _moments(x, params, False)
-
-
-def moments_tcl(x: float, params: MechanismParams) -> tuple[float, float]:
-    """Exact mean and MSE of the TCL estimator y for input x (closed form).
-
-    The mean carries the systematic half-cell offset -2^-p / 2.
-    """
-    return _moments(x, params, True)
-
-
-def _moments(x: float, params: MechanismParams, cumulative: bool) -> tuple[float, float]:
-    params.input_steps(x)
-    slope, offset, q2, q1, const = _moment_terms(params, cumulative)
-    return x * slope + offset, (q2 * x + q1) * x + const
 
 
 @lru_cache(maxsize=128)
@@ -412,21 +363,47 @@ def outer_count(params: MechanismParams) -> int:
 
 @dataclass(frozen=True, eq=False)
 class Mechanism:
-    """One discrete mechanism: TDL or TCL.
+    """One discrete mechanism, TDL or TCL, and its exact law.
 
     Both are one construction: an input-independent noise pair (branch
     bit, uniform tail index, centred inner draw), then a perturbation of
     1 comparison + 2 multiplications.  They differ only where this record
-    says: TCL (`cumulative`) draws its inner noise on [-L, L) without a
-    zero flag, and its upper tail starts at x+L, not at x+L+2^-p.  The
-    two records are singletons, compared and hashed by identity (they key
-    the cached noise plans).
+    says: TCL (`cumulative`) integrates the kernel over the cells [y, y +
+    2^-p) of the half-open grid where TDL takes its point masses, so it
+    draws its inner noise on [-L, L) without a zero flag, and its upper
+    tail starts at x+L, not at x+L+2^-p.  The methods are the law, one
+    body for both; the module's `pmf_tdl`, `moments_tcl`, ... name them.
+    The two records are singletons, compared and hashed by identity (they
+    key the cached noise plans).
     """
 
     name: str
     cumulative: bool
-    pmf: Callable[[float, MechanismParams], ExactPmf]
-    moments: Callable[[float, MechanismParams], tuple[float, float]]
+
+    def pmf(self, x: float, params: MechanismParams) -> ExactPmf:
+        """Exact mass function conditioned on input x, on the output grid.
+
+        TDL: mass(y) = exp(-min(|y-x|, L)/sigma) / lambda_dlap over the
+        closed grid [-E-L, E+L].  TCL: the kernel's integral over [y,
+        y+2^-p) over lambda_lap, on the half-open grid (the top point has
+        zero mass).  The mass depends on x only through min(|y-x|, L).
+        """
+        xs = params.input_steps(x)
+        return _mechanism_law(params, self.cumulative).pmf(params.output_grid(self.name), x, xs)
+
+    def moments(self, x: float, params: MechanismParams) -> tuple[float, float]:
+        """Exact mean and MSE of the estimator y for input x (closed form,
+        `_moment_terms`); TCL's mean carries the half-cell offset -2^-p / 2."""
+        params.input_steps(x)
+        slope, offset, q2, q1, const = _moment_terms(params, self.cumulative)
+        return x * slope + offset, (q2 * x + q1) * x + const
+
+    def centered_pmf(self, L: float, sigma: float, p: int) -> ExactPmf:
+        """The centred law the inner draw samples: e^(-|y|/sigma) at the
+        points of [-L, L] (TDL), integrated over the cells of [-L, L) (TCL)."""
+        _check_positive(L=L, sigma=sigma)
+        spec = GridSpec(p=p, B=L, half_open=self.cumulative)
+        return _centered_law(L, sigma, p, self.cumulative).pmf(spec, 0.0, 0)
 
     def branch_probability(self, params: MechanismParams) -> float:
         """P[inner branch]: 1 - 2 * 2^p * E * t, t the tail mass of one
@@ -442,8 +419,14 @@ class Mechanism:
         return 0 if self.cumulative else 1
 
 
-TDL = Mechanism("tdl", False, pmf_tdl, moments_tdl)
-TCL = Mechanism("tcl", True, pmf_tcl, moments_tcl)
+TDL = Mechanism("tdl", False)
+TCL = Mechanism("tcl", True)
+pmf_tdl = TDL.pmf
+pmf_tcl = TCL.pmf
+moments_tdl = TDL.moments
+moments_tcl = TCL.moments
+centered_dlap_pmf = TDL.centered_pmf
+centered_clap_pmf = TCL.centered_pmf
 DISCRETE_MECHANISMS = {m.name: m for m in (TDL, TCL)}
 
 

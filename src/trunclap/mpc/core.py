@@ -150,9 +150,6 @@ class CostLedger:
         self.rounds += times * other.rounds
         self.elements_exchanged += times * other.elements_exchanged
 
-    def delta(self, before: dict) -> dict:
-        return {k: v - before[k] for k, v in self.as_dict().items()}
-
 
 _LEDGER_FIELDS = tuple(f.name for f in fields(CostLedger))
 

@@ -335,6 +335,11 @@ def mux_composition(s, i, a, b, triple=None):
     return s.add(a, s.mul(i, s.sub(b, a), triple))
 
 
+def ledger_delta(ledger, before: dict) -> dict:
+    """A CostLedger's counts less an earlier `as_dict()` of it, by field."""
+    return {k: v - before[k] for k, v in ledger.as_dict().items()}
+
+
 @pytest.fixture
 def small_params() -> MechanismParams:
     return MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)

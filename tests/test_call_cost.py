@@ -36,8 +36,8 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
     [host] = report["host"]
     assert set(host) == {"steal_share", "load_1m"}
     assert host["steal_share"] is None or 0.0 <= host["steal_share"] <= 1.0
-    metrics = ["run_batch_us.2", "run_batch_us.8", "block_us.3", "loop_us.3",
-               "pool_block_us", "pool_loop_us", "online_us"]
+    metrics = ["run_batch_us.2", "floor_us.2", "run_batch_us.8", "floor_us.8", "block_us.3",
+               "loop_us.3", "pool_block_us", "pool_loop_us", "online_us"]
     assert sorted(report["cases"]) == ["tcl.small", "tcl.wide", "tdl.small", "tdl.wide"]
     for case in report["cases"].values():
         assert list(case) == metrics
@@ -50,6 +50,14 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
         assert list(case) == metrics
         for m in case.values():
             assert set(m) == {"parent", "change"} and min(m.values()) >= 0
+    # beside each run_batch_us.<n>, its ratio to the randomness floor, a
+    # median over the runs of the ratio each worker timed
+    assert sorted(report["floor_ratios"]) == sorted(report["cases"])
+    for ratios in report["floor_ratios"].values():
+        assert list(ratios) == ["floor_ratio.2", "floor_ratio.8"]
+        for m in ratios.values():
+            assert m["parent"] > 0 and m["change"] > 0
+            assert m["change_over_parent"] == round(m["change"] / m["parent"], 4)
     # the untimed counts of one run_batch call at the largest n: the same
     # tree on both sides gives the same words, each party tape reading
     # its plan's words per execution
@@ -63,6 +71,25 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
                                                        "change_over_parent": 1.0}
         dealer = counts["dealer_words_per_execution"]
         assert dealer["parent"] == dealer["change"] > 0 and dealer["change_over_parent"] == 1.0
+
+
+def test_the_floor_reads_every_word_of_the_call(monkeypatch):
+    # floor_us.<n> draws the words of the run_batch call it stands beside:
+    # its dealer tape's and both party tapes', n times one execution's
+    P, n = MechanismParams(**call_cost.SETS["wide"]), 8
+    mech = lookup_mechanism("tcl")
+    dealer, party0, party1 = call_cost.call_words(mechanism_field(P, "tcl"), mech, P, n)
+    assert party0 == party1 == n * noise_plan(mech, P).words_per_draw and dealer > 0
+    drawn, real = [], call_cost.floor
+    monkeypatch.setattr(call_cost, "floor",
+                        lambda words, seed: drawn.append(words) or real(words, seed))
+    monkeypatch.setattr(call_cost, "SETS", {"wide": call_cost.SETS["wide"]})
+    monkeypatch.setattr(call_cost, "MECHS", ("tcl",))
+    report = call_cost.measure([n], [2], 1)
+    ratio = report["floor_ratios"]["tcl.wide"]["floor_ratio.8"]
+    timings = report["timings"]["tcl.wide"]
+    assert ratio == round(timings["run_batch_us.8"] / timings["floor_us.8"], 4)
+    assert set(drawn) == {dealer + party0 + party1}
 
 
 def test_faults_are_counted_per_timed_call():

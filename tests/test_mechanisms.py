@@ -272,7 +272,7 @@ class TestPmfTdl:
         f = pmf_tdl(1.0, small_params)
         for y in (-6.0, -2.0, 3.0, 6.0):
             assert abs(y - 1.0) >= small_params.L
-            ratio = f.mass_at(1.0) / f.mass_at(y)
+            ratio = f.masses[f.spec.index_of(1.0)] / f.masses[f.spec.index_of(y)]
             assert ratio == pytest.approx(math.exp(small_params.epsilon), rel=1e-12)
 
     def test_masses_match_oracle_p2(self, table_params_p2):
@@ -294,13 +294,13 @@ class TestPmfTcl:
         f = pmf_tcl(x, params)
         h = params.step
         for i in range(1, int(2**params.p * params.L) + 1):
-            assert f.mass_at(x - i * h) == pytest.approx(
-                f.mass_at(x + (i - 1) * h), rel=1e-12
+            assert f.masses[f.spec.index_of(x - i * h)] == pytest.approx(
+                f.masses[f.spec.index_of(x + (i - 1) * h)], rel=1e-12
             )
 
     def test_normalization_sweep(self):
         params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=1)
-        for x in params.input_grid().values():
+        for x in GridSpec(p=params.p, B=params.E).values():
             assert pmf_tcl(float(x), params).total() == pytest.approx(1.0, abs=NORM_TOL)
 
     def test_masses_match_quadrature(self):
@@ -346,7 +346,7 @@ class TestKernelTable:
         for E, L, s in product(KERNEL_ES, KERNEL_LS, KERNEL_SIGMAS):
             params = MechanismParams(E=E, L=L, sigma=s, p=p)
             for pmf, lam in ((pmf_tdl, lambda_dlap(E, L, s, p)), (pmf_tcl, lambda_lap(E, L, s))):
-                for x in params.input_grid().values():
+                for x in GridSpec(p=params.p, B=params.E).values():
                     f = pmf(float(x), params)
                     assert f.lam == lam
                     oracle = kernel_pmf_oracle(f.spec, float(x), L, s, lam)
@@ -491,6 +491,16 @@ class TestMomentsLap:
         mean, _ = moments_lap(32.0, params)
         assert mean == pytest.approx(32.0, rel=1e-12)
 
+    def test_a_divisor_that_rounds_to_zero_is_refused(self, capsys):
+        # at sigma = 1e17, 1 - (1 - E/sigma) e^(-L/sigma) rounds to 0: this
+        # raised ZeroDivisionError through the CLI
+        argv = ["moments", "--mechanism", "lap", "--E", "1", "--L", "1", "--sigma", "1e17"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: the continuous moments at E = 1.0")
+        assert err.rstrip().endswith("divide by 0")
+        assert "Traceback" not in err
+
 
 class TestMomentsTdl:
     # the twelve reference cells: sigma=8, E=64, L=32
@@ -585,13 +595,14 @@ class TestSmallSigma:
         params, h = self.params(p, t), 2.0**-p
         for x in (-4.0, 1.0):
             tdl = pmf_tdl(x, params)
-            assert tdl.mass_at(x) == 1.0 and tdl.total() == 1.0
+            assert tdl.masses[tdl.spec.index_of(x)] == 1.0 and tdl.total() == 1.0
             assert moments_tdl(x, params) == pytest.approx(
                 (tdl.mean(), tdl.mse()), rel=MOMENT_TOL, abs=1e-300
             )
             assert moments_tdl(x, params)[0] == x
             tcl = pmf_tcl(x, params)
-            assert tcl.mass_at(x - h) == tcl.mass_at(x) == pytest.approx(0.5, rel=1e-12)
+            below, at = tcl.masses[[tcl.spec.index_of(x - h), tcl.spec.index_of(x)]]
+            assert below == at == pytest.approx(0.5, rel=1e-12)
             assert moments_tcl(x, params) == pytest.approx((tcl.mean(), tcl.mse()), rel=MOMENT_TOL)
             assert moments_tcl(x, params) == pytest.approx((x - h / 2, h * h / 2), rel=1e-12)
 
@@ -701,7 +712,7 @@ class TestPrivacyRatios:
 
     def test_tdl_exhaustive_scan(self, small_params):
         params = small_params
-        xs = params.input_grid().values()
+        xs = GridSpec(p=params.p, B=params.E).values()
         pmfs = {float(x): pmf_tdl(float(x), params).masses for x in xs}
         best = max(
             float(np.max(pmfs[float(a)] / pmfs[float(b)])) for a in xs for b in xs
@@ -711,7 +722,7 @@ class TestPrivacyRatios:
 
     def test_tcl_exhaustive_scan(self, small_params):
         params = small_params
-        xs = params.input_grid().values()
+        xs = GridSpec(p=params.p, B=params.E).values()
         pmfs = {float(x): pmf_tcl(float(x), params).masses for x in xs}
         best = max(
             float(np.max(pmfs[float(a)] / pmfs[float(b)])) for a in xs for b in xs
@@ -723,7 +734,7 @@ class TestPrivacyRatios:
         for p in (0, 1):
             for eps in (1.0, 2.0):
                 params = MechanismParams(E=4.0, L=2.0, sigma=2.0 / eps, p=p)
-                xs = params.input_grid().values()
+                xs = GridSpec(p=params.p, B=params.E).values()
                 pd = {float(x): pmf_tdl(float(x), params).masses for x in xs}
                 pc = {float(x): pmf_tcl(float(x), params).masses for x in xs}
                 bd = max(float(np.max(pd[float(a)] / pd[float(b)])) for a in xs for b in xs)
@@ -737,7 +748,7 @@ class TestPrivacyRatios:
                 for p in (0, 1):
                     sigma = calibrate(eps, mech, "dchi", p=p).sigma
                     params = MechanismParams(E=4.0, L=2.0, sigma=sigma, p=p)
-                    xs = params.input_grid().values()
+                    xs = GridSpec(p=params.p, B=params.E).values()
                     fn = pmf_tdl if mech == "tdl" else pmf_tcl
                     pmfs = {float(x): fn(float(x), params).masses for x in xs}
                     for a in xs:
@@ -764,7 +775,7 @@ class TestProperties:
         es, ls, sigma, p = tup
         h = 2.0**-p
         params = MechanismParams(E=es * h, L=ls * h, sigma=sigma, p=p)
-        grid = params.input_grid().values()
+        grid = GridSpec(p=params.p, B=params.E).values()
         x = float(grid[salt % len(grid)])
         fd = pmf_tdl(x, params)
         fc = pmf_tcl(x, params)
@@ -888,6 +899,15 @@ class TestPrecisionPastTheDoubleRange:
         assert cli.main([command, "--E", "1", *self.SET_1023]) == 1
         err = capsys.readouterr().err
         assert err.startswith("usage error: the normaliser at p = 1023 leaves the double range")
+        assert "Traceback" not in err
+
+    def test_a_step_that_underflows_against_sigma(self, capsys):
+        # 2^-1023 / 1e16 underflows to 0, so the normaliser's e^(2^-p/sigma)
+        # - 1 is 0: this raised ZeroDivisionError through the CLI
+        argv = ["moments", "--E", "0.5", "--L", "0.5", "--sigma", "1e16", "--p", "1023"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: the normaliser at p = 1023, sigma = 1e+16 leaves")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("E", ["0.5", "1"])

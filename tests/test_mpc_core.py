@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
-from conftest import mux_composition, reference_field_array
+from conftest import ledger_delta, mux_composition, reference_field_array
 from trunclap.grids import FieldConfig, field_for_mechanism
 from trunclap.mechanisms import TCL, TDL, MechanismParams
 from trunclap.mpc import BatchSession, ContractViolation, Session, mechanism_field
@@ -70,7 +70,7 @@ class TestShareOpen:
         s = small_session()
         before = s.ledger.as_dict()
         s.open(s.share(5))
-        d = s.ledger.delta(before)
+        d = ledger_delta(s.ledger, before)
         assert d["rounds"] == 2 and d["elements_exchanged"] == 3
 
 
@@ -320,7 +320,7 @@ class TestArithmetic:
         a, b = s.share(3), s.share(5)
         before = s.ledger.as_dict()
         s.mul(a, b)
-        d = s.ledger.delta(before)
+        d = ledger_delta(s.ledger, before)
         assert d["multiplications"] == 1
         assert d["rounds"] == 1
         assert d["elements_exchanged"] == 4
@@ -330,7 +330,7 @@ class TestArithmetic:
         a = s.share(7)
         before = s.ledger.as_dict()
         s.add_public(s.affine(a, 3, 0), 11)
-        assert s.ledger.delta(before) == {k: 0 for k in before}
+        assert ledger_delta(s.ledger, before) == {k: 0 for k in before}
 
     def test_triple_sanity(self):
         s = small_session()
@@ -362,7 +362,7 @@ class TestMux:
         i, a, b = s.share(1), s.share(10), s.share(20)
         before = s.ledger.as_dict()
         s.mux(i, a, b)
-        assert s.ledger.delta(before)["multiplications"] == 1
+        assert ledger_delta(s.ledger, before)["multiplications"] == 1
 
     def test_non_bit_selector_raises(self):
         s = small_session()
@@ -519,7 +519,7 @@ class TestBersample:
         s = small_session()
         before = s.ledger.as_dict()
         s.pi_bersample(0.3)
-        d = s.ledger.delta(before)
+        d = ledger_delta(s.ledger, before)
         assert d["bernoulli_draws"] == 1 and d["comparisons"] == 1
         assert d["multiplications"] == 0
 
@@ -737,7 +737,7 @@ class TestUniform:
         n = 200_000
         before = s.ledger.as_dict()
         draws = np.array([s.peek(s.pi_uni(12)) for _ in range(n)])
-        d = s.ledger.delta(before)
+        d = ledger_delta(s.ledger, before)
         counts = np.bincount(draws, minlength=12)
         _, p = chisquare(counts)
         assert p > 0.01 and len(counts) == 12
@@ -797,7 +797,7 @@ class TestUniform:
         s = small_session()
         before = s.ledger.as_dict()
         s.pi_uni(128)
-        d = s.ledger.delta(before)
+        d = ledger_delta(s.ledger, before)
         assert d["uniform_draws"] == 1 and d["multiplications"] == 0
 
 
@@ -838,7 +838,7 @@ class TestGe:
         a = s.share(3)
         before = s.ledger.as_dict()
         s.pi_ge(a)
-        d = s.ledger.delta(before)
+        d = ledger_delta(s.ledger, before)
         assert d["comparisons"] == 1 and d["multiplications"] == 0
 
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from conftest import executed_law, mechanism_law_oracle
+from conftest import executed_law, ledger_delta, mechanism_law_oracle
 
 from trunclap import (
     TCL,
@@ -23,7 +23,7 @@ from trunclap import (
 )
 from trunclap import sampling
 from trunclap import tape as tape_module
-from trunclap.grids import GridError, steps_of
+from trunclap.grids import GridError, GridSpec, steps_of
 from trunclap.mechanisms import lookup_mechanism, outer_count
 from trunclap.mpc import (
     BatchSession,
@@ -126,7 +126,7 @@ class TestPiDl:
         kappa = centered_dlap_config(PARAMS.L, PARAMS.sigma, PARAMS.p).kappa
         before = session.ledger.as_dict()
         pi_dl_for(session, PARAMS)
-        d = session.ledger.delta(before)
+        d = ledger_delta(session.ledger, before)
         assert d["bernoulli_draws"] == kappa + 2
         assert d["comparisons"] == kappa + 2
         assert d["multiplications"] == 2
@@ -204,7 +204,7 @@ class TestPiCl:
         before = session.ledger.as_dict()
         with mock.patch.object(Session, "trunc_pow2", side_effect=AssertionError("truncated")):
             pi_cl(session, PARAMS)
-        d = session.ledger.delta(before)
+        d = ledger_delta(session.ledger, before)
         assert (d["bernoulli_draws"], d["comparisons"], d["multiplications"]) == (
             kappa + 1, kappa + 1, 1)
         assert d["rounds"] == (kappa + 1) * core.CMP_ROUNDS + core.MUL_ROUNDS
@@ -232,10 +232,10 @@ def test_tcl_wide_ledger_is_ten_comparisons_and_four_multiplications():
         xs = s.share(0)
         before = s.ledger.as_dict()
         pair = pi_noise(s, mech, WIDE)
-        offline = s.ledger.delta(before)
+        offline = ledger_delta(s.ledger, before)
         before = s.ledger.as_dict()
         pi_perturb(s, mech, xs, pair, WIDE)
-        return offline, s.ledger.delta(before)
+        return offline, ledger_delta(s.ledger, before)
 
     with mock.patch.object(Session, "trunc_pow2", side_effect=AssertionError("truncated")):
         (tcl_off, tcl_on), (tdl_off, tdl_on) = phases(TCL), phases(TDL)
@@ -299,7 +299,7 @@ class TestNoiseProtocols:
         kappa = centered_dlap_config(PARAMS.L, PARAMS.sigma, PARAMS.p).kappa
         before = session.ledger.as_dict()
         pi_d_noise(session, PARAMS)
-        d = session.ledger.delta(before)
+        d = ledger_delta(session.ledger, before)
         assert d["bernoulli_draws"] == 1 + kappa + 2
         assert d["uniform_draws"] == 1
         assert d["multiplications"] == 2 + 1  # pi_dl blend + final mux
@@ -379,7 +379,7 @@ class TestPerturbProtocols:
                 )
                 before = session.ledger.as_dict()
                 perturb_fn(session, xs, pair, params)
-                d = session.ledger.delta(before)
+                d = ledger_delta(session.ledger, before)
                 assert d["comparisons"] == 1
                 assert d["multiplications"] == 2
                 assert d["bernoulli_draws"] == 0
@@ -434,7 +434,7 @@ class TestBitForBitEquivalence:
 
 class TestEndToEndLaws:
     def test_tdl_all_centers(self):
-        for x in PARAMS.input_grid().values():
+        for x in GridSpec(p=PARAMS.p, B=PARAMS.E).values():
             counts = _e2e_counts("tdl", float(x), 100_000)
             assert tv(counts, pmf_tdl(float(x), PARAMS).masses) < 0.005, f"x={x}"
 
@@ -578,7 +578,7 @@ class TestBatchSimulator:
         shared, one = Session(field, 5, 6), Session(field, 5, 6)
         shared.share(1)
         run_sessions(one, mech, ODD, 1, 1)
-        unit = core.CostLedger(**one.ledger.delta(shared.ledger.as_dict()))
+        unit = core.CostLedger(**ledger_delta(one.ledger, shared.ledger.as_dict()))
         for record in (True, False):  # every execution sequential, or in blocks
             s = Session(field, 41, 42, record_transcript=record)
             run_sessions(s, mech, ODD, 1, n)

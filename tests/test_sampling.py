@@ -42,7 +42,7 @@ from trunclap import (
     sample_tdl,
     sample_tdl_batch,
 )
-from trunclap.grids import GridError, steps_of
+from trunclap.grids import GridError, GridSpec, steps_of
 from trunclap.tape import _magnitude
 from trunclap.thresholds import THRESHOLDS
 from trunclap.mechanisms import lookup_mechanism, outer_count
@@ -409,13 +409,16 @@ class TestCenteredClap:
                 assert math.floor((y + frac) / h) * h == y
 
     def test_tv_at_1e6_draws(self):
-        n = 1_000_000
+        n, bound = 1_000_000, THRESHOLDS["clap_tv_1e6"]
+        exact = centered_clap_pmf(2.0, 1.0, 0).masses
+        assert sized_for(bound, exact, n)
         tape = RandomTape(31)
         draws = np.array([sample_clap_centered(2.0, 1.0, 0, tape) for _ in range(n)])
         counts = np.bincount((draws + 2).astype(int), minlength=4)
-        exact = centered_clap_pmf(2.0, 1.0, 0).masses
-        assert tv(counts, exact) < THRESHOLDS["clap_tv_1e6"]
+        assert tv(counts, exact) < bound
         assert draws.max() < 2.0  # half-open support
+        # negative control: the law one step over (on [-1, 2]) fails the check
+        assert tv(np.append(counts, 0), np.append(0.0, exact)) >= bound
 
     def test_exact_pushforward_tv_decreases_in_gamma(self):
         # no sampling: the paper's lattice construction (the fine discrete
@@ -486,7 +489,8 @@ class TestClapExactLaw:
         # n = 10^5 keeps the draw within sqrt(ln(2e9) / 2n) = 0.0103 of 1/2
         n = 100_000
         params = MechanismParams(E=4.0, L=2.0, sigma=sigma, p=0)
-        assert pmf_tcl(1.0, params).mass_at(0.0) == pytest.approx(0.5, abs=1e-12)
+        exact = pmf_tcl(1.0, params)
+        assert exact.masses[exact.spec.index_of(0.0)] == pytest.approx(0.5, abs=1e-12)
         out = sample_batch(TCL, 1.0, params, n, 23)
         assert abs(np.mean(out == 0.0) - 0.5) < math.sqrt(math.log(2e9) / (2 * n))
 
@@ -738,7 +742,7 @@ class TestPerturb:
         pb = TDL.branch_probability(params)
         m = outer_count(params)
         inner = centered_dlap_pmf(params.L, params.sigma, params.p)
-        for x in params.input_grid().values():
+        for x in GridSpec(p=params.p, B=params.E).values():
             x = float(x)
             law = {}
             for y in range(m):
@@ -760,7 +764,7 @@ class TestPerturb:
             pb = TCL.branch_probability(params)
             m = outer_count(params)
             inner = centered_clap_pmf(params.L, params.sigma, params.p)
-            for x in params.input_grid().values():
+            for x in GridSpec(p=params.p, B=params.E).values():
                 x = float(x)
                 law = {}
                 for y in range(m):
@@ -780,7 +784,7 @@ class TestPerturb:
         # = 0.0045 on the 13-point support (`sized_for`), above the bound.
         # The same draws against the law one step over read about 0.28
         params, n, bound = small_params, 3_000_000, THRESHOLDS["sampler_tv_1e6"]
-        for i, x in enumerate(params.input_grid().values()):
+        for i, x in enumerate(GridSpec(p=params.p, B=params.E).values()):
             x = float(x)
             law = tdl_masses_oracle(x, 4, 2, 1, 0)
             assert sized_for(bound, law, n)
@@ -854,7 +858,7 @@ class TestMechanismLaw:
     @pytest.mark.parametrize("params", LATTICE, ids=["E4", "E3", "E5-p1", "E8", "E4-small-sigma"])
     def test_law_is_the_pmf_at_every_x(self, mech, params):
         plan = noise_plan(mech, params)
-        for x in params.input_grid().values():
+        for x in GridSpec(p=params.p, B=params.E).values():
             assert self.worst_relative_error(plan, float(x)) <= 1e-13
 
     @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
@@ -881,7 +885,7 @@ class TestMechanismLaw:
     def test_segmented_tail_law_is_the_pmf(self, mech, params):
         plan = noise_plan(mech, params)
         assert plan.tail.words in (2, 3)
-        xs = params.input_grid().values()
+        xs = GridSpec(p=params.p, B=params.E).values()
         if len(xs) > 50:  # the ends, the middle and a few steps between
             xs = [-params.E, -1.0, 0.0, params.step, 37.5, params.E]
         for x in xs:
@@ -911,7 +915,7 @@ class TestMechanismLaw:
         # is the ratio `max_privacy_ratio` certifies for pmf_tcl
         plan = noise_plan(TCL, params)
         laws = [mechanism_law_oracle(plan, params.input_steps(float(x)))
-                for x in params.input_grid().values()]
+                for x in GridSpec(p=params.p, B=params.E).values()]
         worst = max(max(law[z] for law in laws) / min(law[z] for law in laws) for z in laws[0])
         assert float(worst) == pytest.approx(max_privacy_ratio("tcl", params), rel=1e-12, abs=0)
 

@@ -10,6 +10,9 @@ worker process on a checkout times these metrics, each the median of
 
 * `run_batch_us.<n>`: one `run_batch` call of n sessions, for each n of
   --calls (a fresh Session, the input shared once, its blocks);
+* `floor_us.<n>`: the randomness floor of that call (`floor`), one
+  `np.random.PCG64(seed).random_raw(k)` of the k words its dealer tape
+  and both party tapes read, timed right after it in the same worker;
 * `block_us.<n>`: a fresh `run_sessions` call of n executions run as one
   block, forced even below `BATCH_MIN_SESSIONS`, for each n of --blocks;
 * `loop_us.<n>`: the same call run sequentially, forced even at or above
@@ -27,14 +30,17 @@ timed call: the worker's own `ru_minflt` (`resource.getrusage`) read
 before and after its --reps calls, over --reps.  Each case also reports
 deterministic counts of one `run_batch` call at the largest n of --calls
 (`counts`, untimed): the words its dealer tape and each party tape
-consumed, per execution.
+consumed, per execution.  `floor_ratio.<n>` is `run_batch_us.<n>` over
+`floor_us.<n>` in one worker: a cost in units of the host's word rate,
+which carries across sessions where an absolute time does not.
 
 The run is k alternations.  Each alternation runs one worker on each
 checkout, --parent first on even alternations and --change first on odd
 ones, so that neither side always runs on a warmer host.  The report gives
 each side's median over the k alternations of every timing (`cases`) and
-of every fault count (`faults`), and each side's counts (`counts`), and
-with --parent the change's timing and counts over the parent's.  `host`
+of every fault count (`faults`) and floor ratio (`floor_ratios`), and
+each side's counts (`counts`), and with --parent the change's timing,
+floor ratio and counts over the parent's.  `host`
 gives each alternation's host load (`host_load.py`): the share of CPU
 time the hypervisor stole while it ran, and the 1-minute load average at
 its end.  Each checkout is a tree holding
@@ -52,6 +58,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
@@ -109,16 +117,34 @@ def fresh_calls(field, mech, P, n: int, seeds) -> dict:
     return {f"block_us.{n}": (block, 1), f"loop_us.{n}": (loop, n + 1)}
 
 
+def floor(words: int, seed: int) -> np.ndarray:
+    """The randomness floor of a call that reads `words` words: as many
+    drawn straight from a fresh PCG64, the bit generator under every tape."""
+    return np.random.PCG64(seed).random_raw(words)
+
+
+def call_words(field, mech, P, n: int) -> tuple[int, int, int]:
+    """The words a `run_batch` call of n executions reads (untimed): its
+    dealer tape's and each party tape's."""
+    from trunclap.mpc import Session
+    from trunclap.mpc.protocols import run_sessions
+
+    session = Session(field, 0, 1)
+    run_sessions(session, mech, P, 0, n)
+    return (session.dealer.words_consumed, session.tape0.words_consumed,
+            session.tape1.words_consumed)
+
+
 def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
     """Every timing of every case, timed in this process, its faults per
-    call and its counts."""
+    call, its floor ratios and its counts."""
     from trunclap.mechanisms import MechanismParams, lookup_mechanism
     from trunclap.mpc import (BatchSession, Session, mechanism_field, pi_noise, pi_perturb,
                               run_batch)
-    from trunclap.mpc.protocols import _noise_pair, _noise_rows, run_sessions
+    from trunclap.mpc.protocols import _noise_pair, _noise_rows
     from trunclap.sampling import noise_plan
 
-    out, faults, counts = {}, {}, {}
+    out, faults, ratios, counts = {}, {}, {}, {}
     for label, kw in SETS.items():
         P = MechanismParams(**kw)
         for name in MECHS:
@@ -126,11 +152,15 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
             field = mechanism_field(P, name)
             plan = noise_plan(mech, P)
             seeds = iter(range(1, 1 << 30, 2))
-            case = {}
+            case, ratio = {}, {}
             run_batch(name, P, 0.0, max(calls), 0, 1)  # fill the lazy caches
             for n in calls:
+                words = sum(call_words(field, mech, P, n))
                 case[f"run_batch_us.{n}"] = median_us(
                     lambda: run_batch(name, P, 0.0, n, (s := next(seeds)), s + 1), reps)
+                case[f"floor_us.{n}"] = median_us(lambda: floor(words, next(seeds)), reps)
+                ratio[f"floor_ratio.{n}"] = round(
+                    case[f"run_batch_us.{n}"][0] / case[f"floor_us.{n}"][0], 4)
             for path in ("block_us", "loop_us"):
                 for n in blocks:
                     metric = f"{path}.{n}"
@@ -157,16 +187,16 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
             case["online_us"] = median_us(online, reps)
             out[f"{name}.{label}"] = {metric: us for metric, (us, _) in case.items()}
             faults[f"{name}.{label}"] = {metric: f for metric, (_, f) in case.items()}
+            ratios[f"{name}.{label}"] = ratio
             # run_batch's session, at the largest n
             n = max(calls)
-            session = Session(field, 0, 1)
-            run_sessions(session, mech, P, 0, n)
+            dealer, party, _ = call_words(field, mech, P, n)
             counts[f"{name}.{label}"] = {
                 "n": n,
-                "dealer_words_per_execution": session.dealer.words_consumed / n,
-                "party_words_per_execution": session.tape0.words_consumed / n,
+                "dealer_words_per_execution": dealer / n,
+                "party_words_per_execution": party / n,
             }
-    return {"timings": out, "faults": faults, "counts": counts}
+    return {"timings": out, "faults": faults, "floor_ratios": ratios, "counts": counts}
 
 
 def run_worker(checkout: Path, args) -> dict:
@@ -218,16 +248,19 @@ def main(argv=None) -> int:
         print(f"alternation {i} done", file=sys.stderr)
     report = {"k": args.k, "reps": args.reps, "python": sys.version.split()[0],
               "host_cpus": os.cpu_count(), "host": host, "cases": {}, "faults": {},
-              "counts": {}}
+              "floor_ratios": {}, "counts": {}}
     first = runs["change"][0]
     for case, metrics in first["timings"].items():
-        out = report["cases"][case] = {}
-        for metric in metrics:
-            med = {side: round(statistics.median(r["timings"][case][metric] for r in rs), 2)
-                   for side, rs in runs.items()}
-            if args.parent is not None:
-                med["change_over_parent"] = round(med["change"] / med["parent"], 4)
-            out[metric] = med
+        # each side's median over its runs: of the timings and the floor ratios
+        for key, section, digits in (("cases", "timings", 2), ("floor_ratios", "floor_ratios", 4)):
+            out = report[key][case] = {}
+            for metric in first[section][case]:
+                med = {side: round(statistics.median(r[section][case][metric] for r in rs),
+                                   digits)
+                       for side, rs in runs.items()}
+                if args.parent is not None:
+                    med["change_over_parent"] = round(med["change"] / med["parent"], 4)
+                out[metric] = med
         report["faults"][case] = {
             metric: {side: round(statistics.median(r["faults"][case][metric] for r in rs), 2)
                      for side, rs in runs.items()}
