@@ -540,15 +540,16 @@ def max_privacy_ratio(mechanism: str, params: MechanismParams) -> float:
     for the ideal law (`pmf_tdl`, `pmf_tcl`).
 
     For lap and tdl this is exactly e^(L/sigma).  For tcl the max-to-min
-    mass ratio is e^(L/sigma) * sigma * (1 - e^(-2^-p/sigma)) / 2^-p, which
-    never exceeds e^(L/sigma).  The law the samplers draw, through 64-bit
-    Bernoulli thresholds, can exceed e^(L/sigma) on tdl by a few 1e-16
-    relative.
+    mass ratio is e^(L/sigma) * sigma * (1 - e^(-a)) / 2^-p, a = 2^-p/sigma,
+    which never exceeds e^(L/sigma).  The law the samplers draw, through
+    64-bit Bernoulli thresholds, can exceed e^(L/sigma) on tdl by a few
+    1e-16 relative.
     """
     ratio = _or_inf(math.exp, params.L / params.sigma)
     if mechanism in ("lap", "tdl"):
         return ratio
     if mechanism == "tcl":
-        h = params.step
-        return ratio * params.sigma * (-math.expm1(-h / params.sigma)) / h
+        h, a = params.step, params.step / params.sigma
+        # below 2^-1022, the least normal double, the factor -expm1(-a)/a is 1
+        return ratio if a < 2.0**-1022 else ratio * params.sigma * (-math.expm1(-a)) / h
     raise ValueError(f"unknown mechanism {mechanism!r}")

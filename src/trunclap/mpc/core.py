@@ -60,7 +60,8 @@ records its transcript, it evaluates blocks of executions, each on a
 entry per execution), as a `BlockScheduler` decides: n at once in
 `Session.run`, on any tapes, and one per call in `Session.offline`, whose
 blocks run ahead of the calls and so only on the session's own seeded
-tapes (a finite replay passed in has no words past its end).  A block
+tapes (a finite replay passed in has no words past its end), each
+execution's values one uint64 row, unpacked as the loop's.  A block
 reads the party tapes execution by execution (no draw rejects, so each
 reads the same words) and charges its own ledger one execution's cost,
 added to the session's per execution committed, so opened values, ledgers
@@ -520,33 +521,33 @@ class Session(_CommonOps):
     def _residues(self, k: int, like) -> list[int]:
         return self.triples.take(k)
 
-    def offline(self, key, words: int, block, step, unpack):
-        """One execution of an input-independent program, drawn now by
-        `step(self, key)` or handed out of a block evaluated ahead.
+    def offline(self, key, step, unpack):
+        """One execution of an input-independent program, drawn now or
+        handed out of a block evaluated ahead: `unpack(values, key)` of the
+        values `step(self, key)` draws.
 
-        `key` names the program (the noise protocol's cached plan; a
-        program run on a BatchSession draws on its row form, `key.rows`)
-        and `words` is one execution's joint words.
-        `block(batch, key)` returns one uint64 row per execution of a block,
-        and `unpack(row, key)` turns a row, as a list of Python ints, into
-        what `step` returns.  A BlockScheduler with blocks of at most
+        `key` names the program (the noise protocol's cached plan): a
+        BatchSession runs it on the key's row form (`BatchSession.offline`),
+        and `key.words_per_draw` is one execution's joint words.  A block
+        stacks each execution's values into one uint64 row, handed out as
+        a list of Python ints.  A BlockScheduler with blocks of at most
         POOL_BLOCK_MAX is started afresh when the key changes or a party
         tape was read since the last call: the block's words are then not
         the next ones.  A session on tapes passed in, or recording its
         transcript, draws every execution now.
         """
         if not self._pools or self.record_transcript:
-            return step(self, key)
+            return unpack(step(self, key), key)
         t0, t1 = self.tape0, self.tape1
         last_key, blocks, read = self._offline
         # word counts only grow, so their sum moves with any read of either
         if key is not last_key or read != t0.words_consumed + t1.words_consumed:
             blocks = self._scheduler(
-                lambda b: block(b, key), words, lambda: step(self, key), POOL_BLOCK_MAX
-            )
-        out = blocks.take_one()
+                lambda b: b.offline(key, step, lambda values, _: np.column_stack(values)),
+                key.words_per_draw, lambda: step(self, key), POOL_BLOCK_MAX)
+        values = blocks.take_one()
         self._offline = (key, blocks, t0.words_consumed + t1.words_consumed)
-        return unpack(out.tolist(), key) if type(out) is np.ndarray else out
+        return unpack(values.tolist() if type(values) is np.ndarray else values, key)
 
     # -- faults ------------------------------------------------------------
 
@@ -694,13 +695,13 @@ class BatchSession(_CommonOps):
         _uint64_rows(v)
         return (v << self._shl).view(np.int64) >> self._shr
 
-    def offline(self, key, words: int, block, step, unpack):
+    def offline(self, key, step, unpack):
         """One execution of an input-independent program for every
-        execution of the block, on its key's row form (`NoisePlan.rows`):
-        `step(self, key.rows)`.  The one place a program meets the row
-        form: a program run in a block and `Session.offline`'s blocks both
-        draw through here."""
-        return step(self, key.rows)
+        execution of the block: `unpack(step(self, key.rows), key)`, on its
+        key's row form (`NoisePlan.rows`).  The one place a program meets
+        the row form: a program run in a block and `Session.offline`'s
+        blocks both draw through here."""
+        return unpack(step(self, key.rows), key)
 
     # -- randomness ----------------------------------------------------------
 

@@ -9,9 +9,9 @@ elements.
 The noise phase never sees the shared input: it draws the branch bit, a
 uniform tail index, and the centered noise, then blends the two payloads
 with one mux.  It also draws the dealer material its pair's perturbation
-will use, the sign test's mask and two Beaver triples in one draw
-(`_dealer_material`), so the online phase takes nothing from the dealer
-but the input-sharing mask.  The perturbation phase costs exactly one
+will use, the sign test's mask and two Beaver triples, in one draw of 11
+residues, so the online phase takes nothing from the dealer but the
+input-sharing mask.  The perturbation phase costs exactly one
 shared comparison and two multiplications (the tail-map selection and
 the branch blend), independent of every distribution parameter.
 
@@ -25,11 +25,12 @@ and 1 multiplication; a segmented plan (2^p * L not a power of two, P
 segments) adds its P - 1 picks, P - 1 comparisons and P - 1
 multiplications.  No protocol truncates.
 
-On a long-lived `Session`, `pi_noise` draws its pairs through
+A pair is its 15 ring values (`_noise_values`, the one draw; read only
+by `SharedNoisePair`): the branch and payload shares and the 11 dealer
+residues.  On a long-lived `Session`, `pi_noise` draws its pairs through
 `Session.offline`, which may hand them out of a block evaluated ahead on
-a `BatchSession` of its own (`_noise_rows`: one uint64 row of 15 per pair,
-unpacked by `_unpack_pair`) with the sequential path's opened values,
-ledger and party words.
+a `BatchSession` of its own (one uint64 row of the 15 values per pair)
+with the sequential path's opened values, ledger and party words.
 
 TDL and TCL run the same protocols, parameterized by their `Mechanism`
 record (`pi_noise`, `pi_perturb`, `run_once`, `run_sessions`); the
@@ -49,14 +50,19 @@ from ..grids import FieldConfig, field_for_mechanism
 from ..mechanisms import TCL, TDL, Mechanism, MechanismParams, lookup_mechanism
 from ..sampling import (CenteredDlapConfig, NoisePlan, centered_dlap_config, noise_plan,
                         retired_gamma)
-from .core import BatchSession, Session, SharedValue
+from .core import Session, SharedValue
 
 
 class SharedNoisePair:
     """Shared branch bit [i] and blended payload [y] from a noise protocol,
     the `NoisePlan` they were drawn on, and the dealer material of their one
     perturbation: the sign test's resharing mask and the two muxes' Beaver
-    triples, drawn in one call and split (`_dealer_material`).
+    triples.
+
+    The one reader of the 15 ring values `_noise_values` draws, once into
+    slots: the shares of [i] and [y], then the 11 residues r of one dealer
+    draw, the blend triple r[:5], the selection triple r[5:10], the mask
+    r[10].
 
     A pair is perturbed once.  `spend` hands the material out and marks the
     pair spent; a second perturbation would reuse its noise and triples,
@@ -65,12 +71,11 @@ class SharedNoisePair:
 
     __slots__ = ("branch", "payload", "plan", "_material")
 
-    def __init__(self, branch: SharedValue, payload: SharedValue, plan: NoisePlan,
-                 material: tuple):
-        self.branch = branch
-        self.payload = payload
+    def __init__(self, values, plan: NoisePlan):
+        self.branch = (values[0], values[1])
+        self.payload = (values[2], values[3])
         self.plan = plan
-        self._material = material
+        self._material = (values[14], values[9:14], values[4:9])
 
     def spend(self) -> tuple:
         """(mask, selection triple, blend triple); once per pair."""
@@ -166,45 +171,23 @@ def pi_noise(session: Session, mech: Mechanism, params: MechanismParams) -> Shar
     Draws [i] with the mechanism's inner-branch probability (for TDL
     1 - 2*2^p*E*e^(-L/sigma)/lambda), [a] uniform over the tail indices,
     [b] from the centered inner law (pi_dl; pi_cl for TCL), and blends
-    with one mux, then the pair's perturbation material (`_dealer_material`).
+    with one mux, then the pair's perturbation material (`_noise_values`).
     A long-lived Session may hand the pair out of a block evaluated ahead
     (`Session.offline`; see the module docstring), with the same opened
     values, ledger and party words.
     """
-    plan = noise_plan(mech, params)
-    return session.offline(plan, plan.words_per_draw, _noise_rows, _noise_pair, _unpack_pair)
+    return session.offline(noise_plan(mech, params), _noise_values, SharedNoisePair)
 
 
-def _noise_pair(session: Session, plan: NoisePlan) -> SharedNoisePair:
-    """One pair, drawn now."""
+def _noise_values(session: Session, plan: NoisePlan) -> tuple:
+    """One pair, drawn now, as the 15 ring values `SharedNoisePair` reads:
+    the shares of [i] and of [y], then the 11 dealer residues of its
+    perturbation, in one draw."""
     i = session.pi_bersample_thresholded(plan.branch_threshold)
     a = session.pi_uni(plan.outer_count)
     b = (_pi_cl if plan.mech.cumulative else pi_dl)(session, plan.inner)
     y = session.mux(i, a, b)
-    return SharedNoisePair(i, y, plan, _dealer_material(session, y))
-
-
-def _dealer_material(session: Session, payload: SharedValue) -> tuple:
-    """One perturbation's dealer material, as `spend` hands it out: of 11
-    residues r in one draw, the sign test's mask r[10] and the muxes'
-    triples r[5:10] and r[:5] (on a Session, `mask()`, `take()`, `take()`)."""
-    r = session._residues(11, payload)
-    return r[10], r[5:10], r[:5]
-
-
-def _noise_rows(batch: BatchSession, plan: NoisePlan) -> np.ndarray:
-    """A block of pairs, one uint64 row each: the branch and payload shares,
-    the sign test's mask and the two triples' five residues each, drawn
-    on the plan's row form (`BatchSession.offline`)."""
-    pair = pi_noise(batch, plan.mech, plan.params)
-    mask, select, blend = pair.spend()
-    return np.column_stack((*pair.branch, *pair.payload, mask, *select, *blend))
-
-
-def _unpack_pair(row: list[int], plan: NoisePlan) -> SharedNoisePair:
-    """The pair of one row of `_noise_rows` on `plan`."""
-    return SharedNoisePair((row[0], row[1]), (row[2], row[3]), plan,
-                           (row[4], row[5:10], row[10:]))
+    return (*i, *y, *session._residues(11, y))
 
 
 def pi_d_noise(session: Session, params: MechanismParams) -> SharedNoisePair:

@@ -49,7 +49,6 @@ from .mechanisms import (
     MechanismParams,
     _check_positive,
     dlap_zero_mass,
-    outer_count,
 )
 from .tape import (BlockScheduler, RandomTape, SegmentPlan, _magnitude, bernoulli_threshold,
                    pick_segment, row_constant, segment_plan)
@@ -242,23 +241,22 @@ class NoisePlan:
 @lru_cache(maxsize=128)
 def noise_plan(mech: Mechanism, params: MechanismParams) -> NoisePlan:
     """The cached `NoisePlan` of a mechanism instance."""
-    Ls, count = steps_of(params.L, params.p), outer_count(params)
-    # a block of sample_batch holds in int64 the tail index (masking an
-    # int64 row), the upper tail's shift 2Ls + high_offset and the inner
-    # draw (TCL's 2m + 1 < 2Ls)
-    if count > 1 << 63 or Ls >= 1 << 62:
-        raise ValueError(f"{params} needs a tail index, inner draw or output shift "
-                         "past 63 bits; pick a smaller p")
-    tail = segment_plan(count)
+    Es, Ls = steps_of(params.E, params.p), steps_of(params.L, params.p)
+    # outputs are float64 steps, exact to 2^53; so a block of sample_batch
+    # holds its tail index, upper tail shift and inner draw in int64
+    if Es + Ls > 1 << 53:
+        raise GridError(f"{params} reaches 2^p(E+L) = {Es + Ls} output steps, past the "
+                        "2^53 a float64 holds exactly; pick a smaller p")
+    tail = segment_plan(2 * Es)
     inner = (centered_clap_config if mech.cumulative else centered_dlap_config)(
         params.L, params.sigma, params.p)
     return NoisePlan(
         mech=mech,
         params=params,
         branch_threshold=bernoulli_threshold(mech.branch_probability(params)),
-        outer_count=count,
+        outer_count=2 * Es,
         tail=tail,
-        Es=steps_of(params.E, params.p),
+        Es=Es,
         Ls=Ls,
         inner=inner,
         words_per_draw=1 + tail.words + inner.words_per_draw,

@@ -1,5 +1,6 @@
 """The in-process call-cost harness, tools/call_cost.py, at k = 1 and tiny n."""
 
+import ast
 import importlib.util
 import json
 import subprocess
@@ -8,6 +9,7 @@ from itertools import count
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from trunclap import tape
@@ -122,3 +124,53 @@ def test_a_block_case_evaluates_a_block_and_a_loop_case_none(n):
             assert us > 0 and faults >= 0
         assert peeks.call_count == (4 if metric.startswith("block_us") else 0), metric
         assert tape.BATCH_MIN_SESSIONS == before
+
+
+def test_the_floor_is_seeded_before_its_timer(monkeypatch):
+    # at n = 8 seeding a PCG64 was about 11 of the floor's 12 us: the timed
+    # call draws the words alone, from a generator seeded when it was made
+    seeded, real = [], np.random.PCG64
+    monkeypatch.setattr(np.random, "PCG64", lambda seed: seeded.append(seed) or real(seed))
+    call = call_cost.floor(240, 7)
+    assert seeded == [7]
+    words = call()
+    assert seeded == [7] and np.array_equal(words, real(7).random_raw(240))
+
+
+def test_the_pool_calls_time_one_block_and_one_loop():
+    # public calls only: the block call is the pi_noise call that evaluates
+    # one block of 8 pairs on a fresh seeded Session, after the 8 pairs its
+    # untimed setup drew one by one; the loop call draws 8 pairs now
+    P = MechanismParams(**call_cost.SETS["small"])
+    mech = lookup_mechanism("tdl")
+    words = noise_plan(mech, P).words_per_draw
+    calls = call_cost.pool_calls(mechanism_field(P, "tdl"), mech, P, count(1, 2))
+    sizes = []
+    real = tape.RandomTape.peek_block
+
+    def peek(t, n):
+        sizes.append(n)
+        return real(t, n)
+
+    with mock.patch.object(tape.RandomTape, "peek_block", peek):
+        call, setup = calls["pool_block_us"]
+        session = setup()
+        assert sizes == [] and session.tape0.words_consumed == 8 * words
+        call(session)
+        assert sizes == [8 * words, 8 * words]  # both party tapes, one block
+        assert session.tape0.words_consumed == 9 * words
+        call, setup = calls["pool_loop_us"]
+        assert setup is None
+        call()
+        assert sizes == [8 * words, 8 * words]  # no block
+
+
+def test_the_worker_imports_public_names_only():
+    # a worker runs on the parent's checkout too, whose private names may
+    # be gone: an import of one failed there with ImportError
+    tree = ast.parse((ROOT / "tools" / "call_cost.py").read_text())
+    imported = [(node.module, alias.name) for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert any(module.startswith("trunclap") for module, _ in imported)
+    assert not [name for module, name in imported
+                if module.startswith("trunclap") and name.startswith("_")]

@@ -122,7 +122,8 @@ class TestSample:
         assert len(json.loads(capsys.readouterr().out)["values"]) == 50
 
     def test_tail_past_a_word_is_usage_error(self, capsys):
-        # 2 * 2^61 * 4 = 2^64 tail indices: more than an int64 row holds
+        # 2 * 2^61 * 4 = 2^64 tail indices, more than an int64 row holds,
+        # and 6 * 2^61 output steps, past the 2^53 a float64 holds
         assert run(["sample", "--E", "4", "--L", "2", "--sigma", "1", "--p", "61",
                     "--n", "10"]) == 1
         assert capsys.readouterr().err.startswith("usage error:")
@@ -200,10 +201,14 @@ class TestMpc:
         assert "outside [-E, E]" in capsys.readouterr().err
 
     def test_field_past_a_word_is_usage_error(self, capsys):
-        # at p=60 the field exceeds 2^64: the dealer's draw never returned
-        assert run(["mpc", "--E", "4", "--L", "2", "--sigma", "1", "--p", "60",
-                    "--n", "1"]) == 1
-        assert "64-bit word cannot draw" in capsys.readouterr().err
+        # at p=60 the field exceeds 2^64: the dealer's draw never returned,
+        # then its first draw refused it; now the noise plan refuses the
+        # set, whose outputs reach past 2^53 steps, before any draw
+        for command in (["mpc"], ["sample"]):
+            assert run([*command, "--E", "4", "--L", "2", "--sigma", "1", "--p", "60",
+                        "--n", "1"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error:") and "past the 2^53" in err
 
     def test_segmented_set_runs(self, tmp_path):
         # 2^p * L = 3 steps and 2 * 2^p * E = 6 tail indices: both the inner

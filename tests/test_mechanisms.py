@@ -910,6 +910,16 @@ class TestPrecisionPastTheDoubleRange:
         assert err.startswith("usage error: the normaliser at p = 1023, sigma = 1e+16 leaves")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("p", ["1023", "1000"])
+    def test_tcl_ratio_where_the_step_is_subnormal_against_sigma(self, p, capsys):
+        # a = 2^-p / 1e16 is 0 at p = 1023 and subnormal at p = 1000: the
+        # ratio read 0.0 and 1.0000002153857306 (above e^eps = 1.0 here);
+        # sigma (1 - e^-a) / 2^-p is -expm1(-a)/a, whose limit is 1
+        argv = ["moments", "--mechanism", "tcl", "--E", "0.5", "--L", "0.5",
+                "--sigma", "1e16", "--p", p]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["max_privacy_ratio"] == 1.0
+
     @pytest.mark.parametrize("E", ["0.5", "1"])
     @pytest.mark.parametrize("mech", ["tdl", "tcl"])
     def test_the_largest_p_of_a_small_set(self, mech, E, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import types
 from unittest import mock
 
 import numpy as np
@@ -25,8 +26,8 @@ from trunclap.mpc.core import (
     CostLedger,
     TripleStore,
 )
-from trunclap.mpc.protocols import _dealer_material, run_sessions
-from trunclap.sampling import centered_dlap_config
+from trunclap.mpc.protocols import SharedNoisePair, run_sessions
+from trunclap.sampling import centered_dlap_config, noise_plan
 from trunclap.tape import BATCH_BLOCK, BATCH_MIN_SESSIONS, RandomTape, _magnitude
 
 
@@ -34,6 +35,8 @@ from trunclap.tape import BATCH_BLOCK, BATCH_MIN_SESSIONS, RandomTape, _magnitud
 SMALL = FieldConfig(e=3, p=2, headroom=3)
 # q = 2^64: an opened draw is its value mod 2^64
 WORD_RING = FieldConfig(e=63, p=0)
+# the plan a noise pair built from dealer residues alone carries, unread
+PAIR_PLAN = noise_plan(TDL, MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0))
 
 
 def small_session(seed0=1, seed1=2, **kw) -> Session:
@@ -468,16 +471,17 @@ class TestDealerPool:
 
     @pytest.mark.parametrize("left", range(13))
     def test_a_perturbation_draw_is_a_mask_and_two_triples(self, left):
-        # on a Session, `_dealer_material`'s one `take(11)`, split, hands
-        # out the residues that `mask(), take(), take()` do, with every
-        # count left from 0 to 12 before the draw, so the draw crosses a
-        # refill
+        # on a Session, a noise pair's one `take(11)`, as `SharedNoisePair`
+        # splits it, hands out the residues that `mask(), take(), take()`
+        # do, with every count left from 0 to 12 before the draw, so the
+        # draw crosses a refill
         one, three = small_session(), small_session()
         for s in (one, three):
             s.triples.take(RESIDUES_PER_REFILL - left)
             assert len(s.triples._pool) == left
-        got, pool = _dealer_material(one, (0, 0)), three.triples
-        assert got == (pool.mask(), pool.take(), pool.take())
+        pair = SharedNoisePair((0, 0, 0, 0, *one._residues(11, (0, 0))), PAIR_PLAN)
+        got, pool = pair.spend(), three.triples
+        assert got == (pool.mask(), tuple(pool.take()), tuple(pool.take()))
         assert one.triples.refills == pool.refills == 1 + (left < 11)
         assert one.triples._pool == pool._pool
 
@@ -1073,10 +1077,11 @@ class TestBatchSession:
 
     @pytest.mark.parametrize("cfg", [SMALL, WORD_RING], ids=["q=2^9", "q=2^64"])
     def test_perturbation_material_is_one_read(self, cfg):
-        # the noise protocol's perturbation material (`_dealer_material`) is
+        # the noise protocol's perturbation material (`_noise_values`) is
         # one `_masks` read of 11 rows, the residues of one dealer draw of
-        # 11n: rows r, split as the mask r[10], the selection triple
-        # r[5:10] and the blend triple r[:5].  At q = 2^9 a word
+        # 11n: rows r, which `SharedNoisePair` splits as the mask r[10],
+        # the selection triple r[5:10] and the blend triple r[:5], row by
+        # row.  At q = 2^9 a word
         # holds four 16-bit lanes, so the read takes ceil(66 / 4) = 17
         # words where three reads (the mask, then two triples) would take
         # 2 + 8 + 8; at q = 2^64, 66 words either way
@@ -1089,11 +1094,13 @@ class TestBatchSession:
         ref.field_array(cfg.q, n)  # the payload's mask
         with mock.patch.object(BatchSession, "_masks", autospec=True,
                                side_effect=BatchSession._masks) as reads:
-            got = _dealer_material(one, payload)
+            residues = one._residues(11, payload)
         assert [c.args[1:] for c in reads.call_args_list] == [((11, n),)]
+        mask, select, blend = SharedNoisePair((*payload, *payload, *residues), PAIR_PLAN).spend()
         rows = reference_field_array(ref, cfg.q, 11 * n).reshape(11, n)
-        for g, w in zip(got, (rows[10], rows[5:10], rows[:5])):
-            assert g.dtype == np.uint64 and g.shape == w.shape and np.array_equal(g, w)
+        assert len(select) == len(blend) == 5
+        for g, w in zip((mask, *select, *blend), (rows[10], *rows[5:10], *rows[:5])):
+            assert g.dtype == np.uint64 and g.shape == (n,) and np.array_equal(g, w)
         assert one.dealer.words_consumed == ref.words_consumed == {4: 2 + 17, 1: 6 + 66}[lanes]
         three._masks((n,)), three._masks((5, n)), three._masks((5, n))
         assert three.dealer.words_consumed == {4: 2 + 2 + 8 + 8, 1: 6 + 66}[lanes]
@@ -1276,14 +1283,15 @@ class TestOfflinePool:
         s.pi_ge(s.mul(fault, s.add_public(tag, s.safe_magnitude + 1)))
         return s.open(v), s.open(tag)
 
+    # the program's key: 6 joint words an execution, and no row form of
+    # its own
+    KEY = types.SimpleNamespace(words_per_draw=6)
+    KEY.rows = KEY
+
     def draw(self, s):
         """One offline execution of `program`: 6 joint words."""
-        return s.offline(
-            "toy", 6,
-            lambda b, key: np.column_stack(np.broadcast_arrays(*self.program(b))),
-            lambda s, key: self.program(s),
-            lambda row, key: tuple(row),
-        )
+        return s.offline(self.KEY, lambda s, key: self.program(s),
+                         lambda values, key: tuple(values))
 
     def outcomes(self, s, n):
         """The values of up to n calls, ending at the first error's message,

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
-from conftest import executed_law, ledger_delta, mechanism_law_oracle
+from conftest import executed_law, ledger_delta, mechanism_law_oracle, sized_for
 
 from trunclap import (
     TCL,
@@ -23,7 +23,7 @@ from trunclap import (
 )
 from trunclap import sampling
 from trunclap import tape as tape_module
-from trunclap.grids import GridError, GridSpec, steps_of
+from trunclap.grids import FieldConfig, GridError, GridSpec, steps_of
 from trunclap.mechanisms import lookup_mechanism, outer_count
 from trunclap.mpc import (
     BatchSession,
@@ -45,7 +45,7 @@ from trunclap.mpc import (
     run_once,
 )
 from trunclap.mpc import protocols
-from trunclap.mpc.protocols import _dealer_material, run_sessions
+from trunclap.mpc.protocols import run_sessions
 from trunclap.sampling import (
     _clap_steps,
     _dlap_steps,
@@ -80,8 +80,8 @@ def opened_in_batch(program, n, seeds, mechanism="tdl", outer_words=0):
 def fresh_pair(session, mech, params, branch, payload):
     """A noise pair of `mech` at `params` with the given shares, and fresh
     dealer material for its one perturbation, drawn as pi_noise draws it."""
-    plan = noise_plan(mech, params)
-    return SharedNoisePair(branch, payload, plan, _dealer_material(session, payload))
+    values = (*branch, *payload, *session._residues(11, payload))
+    return SharedNoisePair(values, noise_plan(mech, params))
 
 
 def replay_session(words, params, mechanism="tdl", **kw):
@@ -253,20 +253,28 @@ def test_tcl_wide_ledger_is_ten_comparisons_and_four_multiplications():
 
 class TestNoiseProtocols:
     def test_joint_law_matches_plaintext_d(self):
-        n = 100_000
-        session = make_session(PARAMS, "tdl", seed0=71, seed1=72)
+        # 1M pairs, drawn in blocks (the pool hands out the loop's pairs bit
+        # for bit, `test_a_pooled_session_equals_a_recording_session`): at
+        # 100k a faithful draw read E[TV] 0.0040 + 0.0102 against 0.005
+        n, bound = 1_000_000, 0.005
         m = outer_count(PARAMS)
         pb = TDL.branch_probability(PARAMS)
         inner = centered_dlap_pmf(PARAMS.L, PARAMS.sigma, PARAMS.p)
         # exact joint law over (i, y): index 0..m-1 for i=0, steps for i=1
         law = np.concatenate([(1 - pb) / m * np.ones(m), pb * inner.masses])
-        counts = np.zeros(len(law))
-        for _ in range(n):
-            pair = pi_d_noise(session, PARAMS)
-            i = session.open(pair.branch)
-            y = session.open(pair.payload)
-            counts[m + y + 2 if i else y] += 1
-        assert tv(counts, law) < 0.005
+        assert sized_for(bound, law, n) and not sized_for(bound, law, n // 2)
+
+        def joint_index(s):
+            pair = pi_d_noise(s, PARAMS)
+            i, y = s.open(pair.branch), s.open(pair.payload)
+            return y + i * (m + 2)
+
+        draws = opened_in_batch(joint_index, n, (71, 72), outer_words=2)
+        counts = np.bincount(draws, minlength=len(law))
+        assert tv(counts, law) < bound
+        # the inner payload one step over reads about 0.28
+        shifted = np.concatenate([law[:m], pb * np.roll(inner.masses, 1)])
+        assert tv(counts, shifted) > 0.25
 
     def test_forced_outer_branch_uniform(self):
         # the pairs whose branch opens 0 carry the tail index, which comes
@@ -432,16 +440,35 @@ class TestBitForBitEquivalence:
             assert z == steps_of(z_ref, PARAMS.p)
 
 
+def _one_step_over(x):
+    """An input one grid step from x, inside [-E, E]."""
+    return x + 1 if x < PARAMS.E else x - 1
+
+
 class TestEndToEndLaws:
     def test_tdl_all_centers(self):
+        # 1M draws an input: at 100k a faithful run read E[TV] 0.0040 +
+        # 0.0102 against 0.005 (`sized_for`); the law one step over reads
+        # about 0.28
+        n, bound = 1_000_000, 0.005
         for x in GridSpec(p=PARAMS.p, B=PARAMS.E).values():
-            counts = _e2e_counts("tdl", float(x), 100_000)
-            assert tv(counts, pmf_tdl(float(x), PARAMS).masses) < 0.005, f"x={x}"
+            law = pmf_tdl(float(x), PARAMS).masses
+            assert sized_for(bound, law, n) and not sized_for(bound, law, n // 2)
+            counts = _e2e_counts("tdl", float(x), n)
+            assert tv(counts, law) < bound, f"x={x}"
+            assert tv(counts, pmf_tdl(_one_step_over(float(x)), PARAMS).masses) > 0.25
 
     def test_tcl_selected_centers(self):
+        # 300k draws an input: at 100k a faithful run read E[TV] 0.0039 +
+        # 0.0102 against 0.01 (`sized_for`); the law one step over reads
+        # about 0.18
+        n, bound = 300_000, 0.01
         for x in (-4.0, 1.0, 4.0):
-            counts = _e2e_counts("tcl", x, 100_000)
-            assert tv(counts, pmf_tcl(x, PARAMS).masses) < 0.01, f"x={x}"
+            law = pmf_tcl(x, PARAMS).masses
+            assert sized_for(bound, law, n) and not sized_for(bound, law, 100_000)
+            counts = _e2e_counts("tcl", x, n)
+            assert tv(counts, law) < bound, f"x={x}"
+            assert tv(counts, pmf_tcl(_one_step_over(x), PARAMS).masses) > 0.15
 
 
 def _e2e_counts(mechanism, x, n):
@@ -492,10 +519,12 @@ ODD = MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0)
 SEGMENTED = MechanismParams(E=3.0, L=3.0, sigma=1.0, p=0)
 
 
-def loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma):
+def loop_reference(mechanism, params, x_steps, n, seed0, seed1, gamma, field=None):
     """The session-by-session loop run_batch used to run, kept as the oracle
-    (a recording session draws every pair sequentially)."""
-    session = make_session(params, mechanism, gamma, seed0, seed1, record_transcript=True)
+    (a recording session draws every pair sequentially), on `field` or the
+    set's own ring."""
+    session = Session(field or mechanism_field(params, mechanism, gamma), seed0, seed1,
+                      record_transcript=True)
     xs = session.share(x_steps % session.q)
     out = []
     for _ in range(n):
@@ -683,34 +712,41 @@ class TestBatchSimulator:
                 run_once(session, TDL, x, PARAMS)
         assert session.tape0.words_consumed == 0
 
-    # p + e + headroom = 27, and the two sets at 63 (q = 2^64) that a word
-    # still holds (WORD_EDGES in test_sampling.py)
+    # p + e + headroom = 27 on the set's own ring, and two sets on a ring of
+    # q = 2^64 built directly: no set under the 2^53 output steps a noise
+    # plan admits picks one past 2^57 (WORD_EDGES in test_sampling.py), and
+    # a ring wider than the set's is sound
     @pytest.mark.parametrize("mechanism, params, gamma", [
         ("tdl", MechanismParams(E=4.0, L=2.0, sigma=1.0, p=27), 8),
-        ("tdl", MechanismParams(E=0.5, L=4.0, sigma=1.0, p=59), 8),
-        ("tcl", MechanismParams(E=0.5, L=4.0, sigma=1.0, p=59), 0),
+        ("tdl", MechanismParams(E=0.5, L=4.0, sigma=1.0, p=50), 8),
+        ("tcl", MechanismParams(E=0.5, L=4.0, sigma=1.0, p=50), 0),
     ], ids=["p27", "tdl-k64", "tcl-k64"])
     def test_large_fields_run_in_blocks(self, mechanism, params, gamma):
         field = mechanism_field(params, mechanism, gamma)
         assert field.q == 2 ** (field.p + field.e + field.headroom + 1)
-        assert field.q == (2**64 if params.p == 59 else 2**33)
+        assert field.q == (2**55 if params.p == 50 else 2**33)
+        if params.p == 50:
+            field = FieldConfig(e=13, p=50)
+            assert field.q == 2**64
         x_steps = steps_of(params.E, params.p)
-        expected, _ = loop_reference(mechanism, params, x_steps, BE + 2, 3, 4, gamma)
+        expected, _ = loop_reference(mechanism, params, x_steps, BE + 2, 3, 4, gamma, field)
         with mock.patch.object(
             BatchSession, "_evaluate", autospec=True, side_effect=BatchSession._evaluate
         ) as evaluate:
-            got = run_batch(mechanism, params, params.E, BE + 2, 3, 4, gamma)
+            got = run_sessions(Session(field, 3, 4), lookup_mechanism(mechanism), params,
+                               x_steps, BE + 2)
         assert evaluate.call_count > 0
         assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
     def test_an_input_share_near_2_64_runs_in_blocks(self, mech):
-        # q = 2^64, and party 0's residue of the input share, Python ints
-        # made on the Session, within Es of 2^64: in a block it meets only
-        # rows, so no sum of Python ints passes 2^64, whatever the seeds
-        params = MechanismParams(E=0.5, L=4.0, sigma=1.0, p=59)
+        # q = 2^64, on a ring built directly (no admitted set picks one), and
+        # party 0's residue of the input share, Python ints made on the
+        # Session, within Es of 2^64: in a block it meets only rows, so no
+        # sum of Python ints passes 2^64, whatever the seeds
+        params = MechanismParams(E=0.5, L=4.0, sigma=1.0, p=50)
         plan = noise_plan(mech, params)
-        field = mechanism_field(params, mech.name)
+        field = FieldConfig(e=13, p=50)
         q, x_steps = field.q, plan.Es
         assert q == 2**64
         xs = (q - 1, (x_steps + 1) % q)
@@ -940,6 +976,36 @@ class TestOfflinePool:
         assert handed_out(session.triples) == 25 * BE
         assert sum(drawn) - pooled == 25 * sum(sizes) and sum(sizes) >= 300 - BE
         assert dealer.words_consumed == sum(-(-n // 4) for n in drawn)
+
+    @pytest.mark.parametrize("mech, params", PHASE_CASES, ids=PHASE_IDS)
+    def test_each_pooled_residue_plays_its_one_role(self, mech, params):
+        # opened values, ledgers and words do not depend on the dealer, so
+        # a swapped or overlapping slice would pass every pin: each handout
+        # of a block spends its own column of the block's one
+        # `_residues(11, .)` draw r, as (r[10], r[5:10], r[:5]), and each
+        # of the block's 11 BE residues is handed out once.  On a ring of
+        # q = 2^64, wider than the set's (sound), no two residues collide
+        session = Session(FieldConfig(e=63 - params.p, p=params.p), 21, 22)
+        for _ in range(BE):
+            pi_noise(session, mech, params)  # one by one, from the pool
+        drawn, real = [], BatchSession._residues
+
+        def spy(batch, k, like):
+            r = real(batch, k, like)
+            if k == 11:
+                drawn.append(r)
+            return r
+
+        with mock.patch.object(BatchSession, "_residues", spy):
+            spent = [pi_noise(session, mech, params).spend() for _ in range(BE)]
+        [r] = drawn  # one block of BE pairs, one material draw
+        assert r.shape == (11, BE)
+        for j, (mask, select, blend) in enumerate(spent):
+            col = r[:, j].tolist()
+            assert (mask, list(select), list(blend)) == (col[10], col[5:10], col[:5])
+        handed = [v for mask, select, blend in spent for v in (mask, *select, *blend)]
+        assert sorted(handed) == sorted(r.ravel().tolist())
+        assert len(set(handed)) == 11 * BE
 
     def test_these_sessions_stay_sequential(self):
         field = mechanism_field(PARAMS, "tdl")

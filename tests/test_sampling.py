@@ -646,23 +646,31 @@ class TestNoisePlan:
                                s.open(pair.payload), s.ledger.as_dict()])
             assert opened[0] == opened[1]
 
-    # (mech, E, L, p, gamma, accepted) on each side of the three limits a
-    # block's int64 words set: the tail index (2 * 2^p * E <= 2^63), the
-    # upper tail's shift (2 * 2^p * L, plus 1 for TDL, < 2^63) and the inner
-    # magnitude (2^p * L < 2^62).  gamma is what sample_tcl and run_batch
-    # are passed; it moves no limit
+    # (mech, E, L, p, gamma, accepted) on each side of the bound every path
+    # shares: 2^p(E+L) <= 2^53 output steps, what a float64 output holds
+    # exactly.  It implies the three limits a block's int64 words set (the
+    # tail index, the upper tail's shift and the inner magnitude), where
+    # the rows up to p = 61 stood before.  gamma is what sample_tcl and
+    # run_batch are passed; it moves no limit
     WORD_EDGES = [
-        ("tdl", 4.0, 2.0, 60, 8, True),
+        ("tdl", 4.0, 2.0, 60, 8, False),
         ("tdl", 4.0, 2.0, 61, 8, False),
-        ("tdl", 4.0, 0.5, 60, 8, True),
+        ("tdl", 4.0, 0.5, 60, 8, False),
         ("tdl", 4.0, 0.5, 61, 8, False),
-        ("tcl", 4.0, 2.0, 53, 8, True),
+        ("tcl", 4.0, 2.0, 53, 8, False),
         ("tcl", 4.0, 2.0, 61, 8, False),
-        ("tcl", 4.0, 2.0, 54, 0, True),
-        ("tdl", 0.5, 4.0, 59, 8, True),
+        ("tcl", 4.0, 2.0, 54, 0, False),
+        ("tdl", 0.5, 4.0, 59, 8, False),
         ("tdl", 0.5, 4.0, 60, 8, False),
-        ("tcl", 0.5, 4.0, 59, 0, True),
+        ("tcl", 0.5, 4.0, 59, 0, False),
         ("tcl", 0.5, 4.0, 60, 0, False),
+        ("tdl", 4.0, 2.0, 50, 8, True),
+        ("tdl", 4.0, 2.0, 51, 8, False),
+        ("tdl", 4.0, 4.0, 50, 8, True),  # exactly 2^53 steps
+        ("tcl", 4.0, 4.0, 50, 0, True),
+        ("tcl", 4.0, 4.0, 51, 0, False),
+        ("tcl", 0.5, 4.0, 50, 0, True),
+        ("tcl", 0.5, 4.0, 51, 8, False),
     ]
 
     @pytest.mark.parametrize("name, E, L, p, gamma, accepted", WORD_EDGES)
@@ -679,10 +687,10 @@ class TestNoisePlan:
             assert sample_batch(mech, E, params, 300, 5).tolist() == seq
             # a perturbation reads the coarse plan only
             assert perturb(mech, E, NoisePair(0, 0), params) == -E - L
-            # the protocol takes the same plans, and runs where its ring fits a word
-            if mechanism_field(params, name, gamma).q <= 1 << 64:
-                z = run_batch(name, params, E, 3, 0, 1, gamma)
-                assert np.all(np.abs(z) <= E + L)
+            # the protocol takes the same plans, on a ring a word draws
+            assert mechanism_field(params, name, gamma).q <= 1 << 57
+            z = run_batch(name, params, E, 3, 0, 1, gamma)
+            assert np.all(np.abs(z) <= E + L)
             return
         for call in (
             lambda: noise_plan(mech, params),
@@ -690,8 +698,9 @@ class TestNoisePlan:
             draw,
             lambda: run_batch(mech.name, params, E, 1, 0, 1, gamma),
         ):
-            with pytest.raises(ValueError, match="63 bits"):
+            with pytest.raises(GridError, match=r"past the 2\^53"):
                 call()
+        assert tape.words_consumed == 0  # refused before any draw
 
     def test_outputs_unchanged_after_cache_clear(self, small_params):
         table_set = MechanismParams(E=64.0, L=24.0, sigma=8.0, p=0)

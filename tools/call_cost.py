@@ -11,23 +11,28 @@ worker process on a checkout times these metrics, each the median of
 * `run_batch_us.<n>`: one `run_batch` call of n sessions, for each n of
   --calls (a fresh Session, the input shared once, its blocks);
 * `floor_us.<n>`: the randomness floor of that call (`floor`), one
-  `np.random.PCG64(seed).random_raw(k)` of the k words its dealer tape
-  and both party tapes read, timed right after it in the same worker;
+  `random_raw(k)` of the k words its dealer tape and both party tapes
+  read, on a `np.random.PCG64` seeded before the timer starts, timed
+  right after it in the same worker;
 * `block_us.<n>`: a fresh `run_sessions` call of n executions run as one
   block, forced even below `BATCH_MIN_SESSIONS`, for each n of --blocks;
 * `loop_us.<n>`: the same call run sequentially, forced even at or above
   `BATCH_MIN_SESSIONS` (its session on tapes passed in, which draws every
   noise pair now, not from a pool);
-* `pool_block_us` and `pool_loop_us`: one block of 8 noise pairs on a warm
-  long-lived session (`Session.offline`'s block: evaluated, then
-  committed), and 8 pairs drawn one by one on the same kind of session;
+* `pool_block_us` and `pool_loop_us` (`pool_calls`): the `pi_noise` call
+  that evaluates a block of 8 noise pairs on a fresh seeded Session,
+  after its 8 sequential pairs (drawn untimed), and 8 `pi_noise` calls on
+  a session built on tapes passed in, which draws every pair now;
 * `online_us`: one online call on that warm session, share -> `pi_perturb`
   -> `open` of one input, on a pair it pooled beforehand (`pi_noise`):
   the `Session`'s own integer path.
 
+Every timed call is a public one, so a worker runs on any checkout.
+
 Beside each timing, `faults` gives the metric's minor page faults per
 timed call: the worker's own `ru_minflt` (`resource.getrusage`) read
-before and after its --reps calls, over --reps.  Each case also reports
+before and after each timed call, summed over its --reps calls, over
+--reps.  Each case also reports
 deterministic counts of one `run_batch` call at the largest n of --calls
 (`counts`, untimed): the words its dealer tape and each party tape
 consumed, per execution.  `floor_ratio.<n>` is `run_batch_us.<n>` over
@@ -50,6 +55,7 @@ its end.  Each checkout is a tree holding
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import resource
@@ -72,16 +78,19 @@ MECHS = ("tdl", "tcl")
 POOL_BLOCK = 8
 
 
-def median_us(call, reps: int) -> tuple[float, float]:
+def median_us(call, reps: int, setup=None) -> tuple[float, float]:
     """Median wall time of `reps` calls of `call()`, in microseconds, and
-    the minor page faults per call."""
-    times = []
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    the minor page faults per call.  With `setup`, each call is
+    `call(setup())`, and neither the time nor the faults of `setup()`
+    count."""
+    times, faults = [], 0
     for _ in range(reps):
+        args = () if setup is None else (setup(),)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
         t0 = time.perf_counter()
-        call()
+        call(*args)
         times.append(time.perf_counter() - t0)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     return round(statistics.median(times) * 1e6, 2), round(faults / reps, 2)
 
 
@@ -117,10 +126,35 @@ def fresh_calls(field, mech, P, n: int, seeds) -> dict:
     return {f"block_us.{n}": (block, 1), f"loop_us.{n}": (loop, n + 1)}
 
 
-def floor(words: int, seed: int) -> np.ndarray:
-    """The randomness floor of a call that reads `words` words: as many
-    drawn straight from a fresh PCG64, the bit generator under every tape."""
-    return np.random.PCG64(seed).random_raw(words)
+def floor(words: int, seed: int):
+    """The randomness floor of a call that reads `words` words: a call that
+    draws as many straight from a PCG64, the bit generator under every
+    tape, seeded now, so that its seeding is not timed."""
+    return functools.partial(np.random.PCG64(seed).random_raw, words)
+
+
+def pool_calls(field, mech, P, seeds) -> dict:
+    """The calls `pool_block_us` and `pool_loop_us` time, as (call, setup)
+    for `median_us`.  A Session hands out BATCH_MIN_SESSIONS = 8 = POOL_BLOCK
+    pairs one by one, then evaluates a block of 8 on the next `pi_noise`
+    call: the block call runs that call on a fresh seeded Session whose 8
+    sequential pairs its setup drew.  The loop call is 8 `pi_noise` calls on
+    a session built on tapes passed in, which draws every pair now."""
+    from trunclap.mpc import Session, pi_noise
+    from trunclap.tape import RandomTape
+
+    def after_sequential_pairs():
+        s = next(seeds)
+        session = Session(field, s, s + 1)
+        for _ in range(POOL_BLOCK):
+            pi_noise(session, mech, P)
+        return session
+
+    s = next(seeds)
+    loop = Session(field, tape0=RandomTape(s), tape1=RandomTape(s + 1))
+    return {"pool_block_us": (lambda session: pi_noise(session, mech, P), after_sequential_pairs),
+            "pool_loop_us": (lambda: [pi_noise(loop, mech, P) for _ in range(POOL_BLOCK)],
+                             None)}
 
 
 def call_words(field, mech, P, n: int) -> tuple[int, int, int]:
@@ -139,10 +173,7 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
     """Every timing of every case, timed in this process, its faults per
     call, its floor ratios and its counts."""
     from trunclap.mechanisms import MechanismParams, lookup_mechanism
-    from trunclap.mpc import (BatchSession, Session, mechanism_field, pi_noise, pi_perturb,
-                              run_batch)
-    from trunclap.mpc.protocols import _noise_pair, _noise_rows
-    from trunclap.sampling import noise_plan
+    from trunclap.mpc import Session, mechanism_field, pi_noise, pi_perturb, run_batch
 
     out, faults, ratios, counts = {}, {}, {}, {}
     for label, kw in SETS.items():
@@ -150,7 +181,6 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
         for name in MECHS:
             mech = lookup_mechanism(name)
             field = mechanism_field(P, name)
-            plan = noise_plan(mech, P)
             seeds = iter(range(1, 1 << 30, 2))
             case, ratio = {}, {}
             run_batch(name, P, 0.0, max(calls), 0, 1)  # fill the lazy caches
@@ -158,26 +188,17 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
                 words = sum(call_words(field, mech, P, n))
                 case[f"run_batch_us.{n}"] = median_us(
                     lambda: run_batch(name, P, 0.0, n, (s := next(seeds)), s + 1), reps)
-                case[f"floor_us.{n}"] = median_us(lambda: floor(words, next(seeds)), reps)
+                case[f"floor_us.{n}"] = median_us(floor(words, next(seeds)), reps)
                 ratio[f"floor_ratio.{n}"] = round(
                     case[f"run_batch_us.{n}"][0] / case[f"floor_us.{n}"][0], 4)
             for path in ("block_us", "loop_us"):
                 for n in blocks:
                     metric = f"{path}.{n}"
                     case[metric] = forced_us(*fresh_calls(field, mech, P, n, seeds)[metric], reps)
+            for metric, (call, setup) in pool_calls(field, mech, P, seeds).items():
+                median_us(call, 1, setup)  # a warm-up call
+                case[metric] = median_us(call, reps, setup)
             warm = Session(field, 3, 4)
-            _noise_pair(warm, plan)  # a warm-up draw
-
-            def pool_block():
-                # one BatchSession a block, as a session's pool builds them
-                commit = BatchSession(warm)._evaluate(lambda b: _noise_rows(b, plan),
-                                                      plan.words_per_draw, POOL_BLOCK)[1]
-                commit(POOL_BLOCK)
-
-            pool_block()
-            case["pool_block_us"] = median_us(pool_block, reps)
-            case["pool_loop_us"] = median_us(
-                lambda: [_noise_pair(warm, plan) for _ in range(POOL_BLOCK)], reps)
             pairs = iter([pi_noise(warm, mech, P) for _ in range(reps + 1)])
 
             def online():
