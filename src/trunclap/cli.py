@@ -184,11 +184,14 @@ def cmd_mpc(args) -> int:
     params = _resolve_params(args)
     mech = _discrete(args, "the secure protocols realize the discrete mechanisms")
     seeds = (args.seed, args.seed + 1)
+    spec = params.output_grid(args.mechanism)
+    # the plan's refusals and a grid too large to count come before any session
+    noise_plan(mech, params)
+    Histogram.from_samples((), spec)
     values = run_batch(mech.name, params, args.x, args.n, *seeds)
     session = make_session(params, seed0=seeds[0], seed1=seeds[1],
                            record_transcript=args.transcript)
     _, ledger = run_once(session, mech, args.x, params)
-    spec = params.output_grid(args.mechanism)
     hist = Histogram.from_samples(values, spec)
     payload = {
         "mechanism": args.mechanism,

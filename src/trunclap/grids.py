@@ -3,10 +3,11 @@
 Values live on the dyadic lattice 2^-p * Z.  A bounded grid is either the
 closed interval [-B, B] intersected with the lattice, or its half-open
 variant that drops the top point B.  A grid value v enters the ring Z_q,
-q a power of two (`FieldConfig`), one way: as its step count 2^p * v
+q = 2^bits (`FieldConfig`), one way: as its step count 2^p * v
 (`MechanismParams.input_steps`), then a session's `share`; it leaves by
 `open`, the balanced lift in [-q/2, q/2), times 2^-p.  A v whose 2^p * v
 is not a finite double is refused, as past p = 1023 every nonzero v is.
+One rule sizes every ring (`ring_covering`): q/4 covers every step a sign test reads.
 """
 
 from __future__ import annotations
@@ -125,27 +126,18 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """The ring of grid values' step counts (module docstring): integer
-    bound e, precision p, plus output headroom.
+    """The ring Z_q, q = 2^bits (an integer bits >= 2), of grid values'
+    step counts (module docstring): `lift` recovers each below q/2 in size."""
 
-    The shares live in Z_q with q = 2^(p+e+headroom+1), the smallest power
-    of two exceeding 2^(p+e+headroom), so `lift` returns the step count of
-    every value in the output range |x| < 2^(e+headroom-1), inputs
-    (|x| < 2^(e-1)) included.  `headroom` is the extra integer bits the
-    perturbed output may occupy beyond the input bound; it defaults to 0.
-    """
-
-    e: int
-    p: int
-    headroom: int = 0
+    bits: int
 
     def __post_init__(self):
-        if self.e < 1 or self.p < 0 or self.headroom < 0:
-            raise GridError("need e >= 1, p >= 0, headroom >= 0")
+        if type(self.bits) is not int or self.bits < 2:
+            raise GridError(f"a ring needs an integer bits >= 2, got {self.bits!r}")
 
     @property
     def q(self) -> int:
-        return 1 << (self.p + self.e + self.headroom + 1)
+        return 1 << self.bits
 
     @property
     def half(self) -> int:
@@ -156,19 +148,17 @@ class FieldConfig:
         return ((v + self.half) & (self.q - 1)) - self.half
 
 
-def field_for_mechanism(E: float, L: float, p: int) -> FieldConfig:
-    """Default field for a mechanism with input bound E and noise bound L.
+def ring_covering(n: int) -> FieldConfig:
+    """The smallest ring whose q/4, the bound of a sound sign test
+    (`Session.safe_magnitude`), holds n >= 1 grid steps."""
+    return FieldConfig((n - 1).bit_length() + 2)
 
-    e is the smallest integer-part bound admitting inputs up to E, and the
-    headroom is the smallest making the perturbed range [-E-L, E+L] lift
-    back without wraparound; q follows from them.
-    """
-    if E <= 0 or L <= 0:
-        raise GridError("E and L must be positive")
-    e = 1
-    while 2.0 ** (e - 1) <= E:
-        e += 1
-    headroom = 0
-    while 2.0 ** (e + headroom - 1) <= E + L:
-        headroom += 1
-    return FieldConfig(e=e, p=p, headroom=headroom)
+
+def field_for_mechanism(E: float, L: float, p: int) -> FieldConfig:
+    """The ring whose q/4 exceeds 2^p * (E + L), the steps of the perturbed
+    range [-E-L, E+L] on or off the 2^-p grid, and is at least 2^p."""
+    if not (0 < E < math.inf and 0 < L < math.inf):
+        raise GridError("E and L must be positive and finite")
+    if p < 0:
+        raise GridError(f"need p >= 0, got {p}")
+    return ring_covering((math.floor(E + L) + 1) << p)

@@ -356,11 +356,6 @@ def _moment_terms(params: MechanismParams, cumulative: bool) -> tuple[float, ...
 
 # --- the discrete mechanisms as one construction ----------------------------
 
-def outer_count(params: MechanismParams) -> int:
-    """Number of outer (uniform-tail) outcomes, 2 * 2^p * E."""
-    return 2 * steps_of(params.E, params.p)
-
-
 @dataclass(frozen=True, eq=False)
 class Mechanism:
     """One discrete mechanism, TDL or TCL, and its exact law.

@@ -5,7 +5,7 @@ multiplication, and the gadgets the noise protocols rely on: a shared
 Bernoulli draw, the shared magnitude of a discrete Laplace draw (its
 Bernoulli bits and segment picks), a shared uniform draw, a shared sign
 test, and a mux.  No gadget takes a modular inverse, so the modulus is a
-power of two (the ring `FieldConfig` sizes): one mask reduces every share
+power of two (`grids.ring_covering` sizes it): one mask reduces every share
 operation, and a dealer residue is one masked lane of a word, so a word
 holds 64/w of them for the ring's lane width w (`RandomTape.field_array`).
 
@@ -217,15 +217,13 @@ class _CommonOps:
 
     def __init__(self, fieldcfg: FieldConfig, record_transcript: bool = False):
         self.field = fieldcfg
-        self.q = fieldcfg.q
+        self.q = q = fieldcfg.q
         self.ledger = CostLedger()
-        # sign tests are only sound while |value| stays below this bound
-        self.safe_magnitude = 2 ** (fieldcfg.p + fieldcfg.e + fieldcfg.headroom - 1)
         # the ring constants values meet: Python ints here, 0-d uint64
         # arrays in a BatchSession; q - 1 reduces, q - 2 tests a bit
-        self._m, self._high = fieldcfg.q - 1, fieldcfg.q - 2
-        self._half = fieldcfg.half
-        self._safe = self.safe_magnitude  # q/4, so 2·safe is q/2 = `_half`
+        self._m, self._high, self._half = q - 1, q - 2, fieldcfg.half
+        # sign tests are sound while |value| stays within q/4: 2·safe is `_half`
+        self._safe = self.safe_magnitude = q >> 2
         self._zero = (0, 0)  # the share of 0 that public constants build on
         # a BatchSession refuses share rows that are not uint64 (`_uint64_rows`)
         self._rows_only = False
@@ -585,16 +583,16 @@ class Session(_CommonOps):
 
 
 @lru_cache(maxsize=128)
-def _row_constants(q: int, safe: int) -> tuple:
+def _row_constants(q: int) -> tuple:
     """The ring constants a BatchSession's rows meet, as `row_constant`s:
-    q - 1, q - 2, q/2 and the safe bound, then the shift of the balanced
+    q - 1, q - 2, q/2 and the safe bound q/4, then the shift of the balanced
     lift as a uint64 and as an int64: a uint64 shifted left by it keeps
     the ring's k bits on top, and shifted back as an int64 it is
     sign-extended.  Last, the share of 0 as read-only rows of one."""
     shift = 65 - q.bit_length()
     zero = np.zeros(1, dtype=np.uint64)
     zero.flags.writeable = False
-    return (*map(row_constant, (q - 1, q - 2, q >> 1, safe, shift)),
+    return (*map(row_constant, (q - 1, q - 2, q >> 1, q >> 2, shift)),
             row_constant(shift, np.int64), (zero, zero))
 
 
@@ -639,7 +637,7 @@ class BatchSession(_CommonOps):
     def __init__(self, session: Session):
         super().__init__(session.field)
         (self._m, self._high, self._half, self._safe,
-         self._shl, self._shr, self._zero) = _row_constants(self.q, self.safe_magnitude)
+         self._shl, self._shr, self._zero) = _row_constants(self.q)
         self._rows_only = True
         self.session = session
         self.tape0, self.tape1, self.dealer = session.tape0, session.tape1, session.dealer

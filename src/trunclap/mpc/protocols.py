@@ -46,7 +46,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..grids import FieldConfig, field_for_mechanism
+from ..grids import FieldConfig, ring_covering, steps_of
 from ..mechanisms import TCL, TDL, Mechanism, MechanismParams, lookup_mechanism
 from ..sampling import (CenteredDlapConfig, NoisePlan, centered_dlap_config, noise_plan,
                         retired_gamma)
@@ -88,15 +88,11 @@ class SharedNoisePair:
 def mechanism_field(
     params: MechanismParams, mechanism: str = "tdl", gamma: int = 0
 ) -> FieldConfig:
-    """Ring sized for a run of either mechanism on `params`.
-
-    The perturbation's sign test reads y - x - 2^p*E, which reaches
-    -2^p*(2E+L) on the inner branch; the headroom is widened until the
-    safe range 2^(p+e+headroom-1) covers it.  The ring is cached per set
-    (a FieldConfig is frozen, so every session of a set shares one).
-    `mechanism` must name a mechanism, and `gamma` changes nothing
-    (`retired_gamma`).
-    """
+    """Ring sized for a run of either mechanism on `params`: `ring_covering`
+    of max(2^p*(2E+L), 2^p) steps, as the perturbation's sign test reads
+    y - x - 2^p*E, down to -2^p*(2E+L) on the inner branch.  Cached per set:
+    its sessions share one frozen FieldConfig.  `mechanism` must name a
+    mechanism, and `gamma` changes nothing (`retired_gamma`)."""
     lookup_mechanism(mechanism)
     retired_gamma(gamma)
     return _ring(params)
@@ -104,11 +100,8 @@ def mechanism_field(
 
 @lru_cache(maxsize=128)
 def _ring(params: MechanismParams) -> FieldConfig:
-    base = field_for_mechanism(params.E, params.L, params.p)
-    headroom = base.headroom
-    while 2.0 ** (base.e + headroom - 1) < 2 * params.E + params.L:
-        headroom += 1
-    return FieldConfig(e=base.e, p=base.p, headroom=headroom)
+    Es, Ls = steps_of(params.E, params.p), steps_of(params.L, params.p)
+    return ring_covering(max(2 * Es + Ls, 1 << params.p))
 
 
 def make_session(

@@ -335,6 +335,35 @@ def mux_composition(s, i, a, b, triple=None):
     return s.add(a, s.mul(i, s.sub(b, a), triple))
 
 
+def _loop_bits(E: float, L: float) -> tuple:
+    """(e, headroom) by the loops that sized a ring's integer bits before
+    `grids.ring_covering`: the smallest e >= 1 with 2^(e-1) > E, then the
+    smallest headroom with 2^(e+headroom-1) > E + L, all in floats."""
+    e = 1
+    while 2.0 ** (e - 1) <= E:
+        e += 1
+    headroom = 0
+    while 2.0 ** (e + headroom - 1) <= E + L:
+        headroom += 1
+    return e, headroom
+
+
+def loop_field_q(E: float, L: float, p: int) -> int:
+    """q of `field_for_mechanism(E, L, p)` as its two loops sized it:
+    2^(p+e+headroom+1)."""
+    return 1 << (p + sum(_loop_bits(E, L)) + 1)
+
+
+def loop_mechanism_q(params) -> int:
+    """q of `mechanism_field(params)` as its loop sized it: the headroom of
+    `_loop_bits`, widened until the safe bound 2^(e+headroom-1) covers
+    2E + L, the reach of the perturbation's sign test (a float sum)."""
+    e, headroom = _loop_bits(params.E, params.L)
+    while 2.0 ** (e + headroom - 1) < 2 * params.E + params.L:
+        headroom += 1
+    return 1 << (params.p + e + headroom + 1)
+
+
 def ledger_delta(ledger, before: dict) -> dict:
     """A CostLedger's counts less an earlier `as_dict()` of it, by field."""
     return {k: v - before[k] for k, v in ledger.as_dict().items()}

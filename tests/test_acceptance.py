@@ -34,7 +34,6 @@ from trunclap import (
     sample_tdl_batch,
 )
 from trunclap.grids import GridSpec, steps_of
-from trunclap.mechanisms import outer_count
 from trunclap.mpc import (
     make_session,
     pi_c_noise,
@@ -45,7 +44,7 @@ from trunclap.mpc import (
     pi_perturb,
     run_batch,
 )
-from trunclap.sampling import centered_dlap_config, dlap_zero_mass, noise, perturb
+from trunclap.sampling import centered_dlap_config, dlap_zero_mass, noise, noise_plan, perturb
 from trunclap.thresholds import THRESHOLDS as TH
 from trunclap.validation import Histogram, empirical_moments, overlay_check, tv_distance
 
@@ -205,7 +204,7 @@ def test_a7_composite_law_exactness():
     worst = 0.0
     for E, L, sigma, p in [(4.0, 2.0, 1.0, 0), (2.0, 2.0, 0.5, 1)]:
         params = MechanismParams(E=E, L=L, sigma=sigma, p=p)
-        m = outer_count(params)
+        m = noise_plan(TDL, params).outer_count
         inner_d = centered_dlap_pmf(L, sigma, p)
         inner_c = centered_clap_pmf(L, sigma, p)
         pb_d = TDL.branch_probability(params)

@@ -14,13 +14,15 @@ import pytest
 
 from trunclap import tape
 from trunclap.mechanisms import MechanismParams, lookup_mechanism
-from trunclap.mpc import mechanism_field
+from trunclap.mpc import Session, mechanism_field, pi_noise, protocols
 from trunclap.sampling import noise_plan
+from trunclap.tape import RandomTape
 
 ROOT = Path(__file__).resolve().parent.parent
 _spec = importlib.util.spec_from_file_location("call_cost", ROOT / "tools" / "call_cost.py")
 call_cost = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(call_cost)
+POOL = call_cost.POOL_BLOCK
 
 
 def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
@@ -38,8 +40,11 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
     [host] = report["host"]
     assert set(host) == {"steal_share", "load_1m"}
     assert host["steal_share"] is None or 0.0 <= host["steal_share"] <= 1.0
-    metrics = ["run_batch_us.2", "floor_us.2", "run_batch_us.8", "floor_us.8", "block_us.3",
-               "loop_us.3", "pool_block_us", "pool_loop_us", "online_us"]
+    # every timing but online_us with its floor right after it
+    metrics = ["run_batch_us.2", "run_batch_floor_us.2", "run_batch_us.8",
+               "run_batch_floor_us.8", "block_us.3", "block_floor_us.3", "loop_us.3",
+               "loop_floor_us.3", "pool_block_us", "pool_block_floor_us", "pool_loop_us",
+               "pool_loop_floor_us", "online_us"]
     assert sorted(report["cases"]) == ["tcl.small", "tcl.wide", "tdl.small", "tdl.wide"]
     for case in report["cases"].values():
         assert list(case) == metrics
@@ -52,11 +57,12 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
         assert list(case) == metrics
         for m in case.values():
             assert set(m) == {"parent", "change"} and min(m.values()) >= 0
-    # beside each run_batch_us.<n>, its ratio to the randomness floor, a
-    # median over the runs of the ratio each worker timed
+    # beside each timing with a floor, its ratio to the floor, a median
+    # over the runs of the ratio each worker timed
     assert sorted(report["floor_ratios"]) == sorted(report["cases"])
     for ratios in report["floor_ratios"].values():
-        assert list(ratios) == ["floor_ratio.2", "floor_ratio.8"]
+        assert list(ratios) == [m.replace("_floor_us", "_floor_ratio") for m in metrics
+                                if "_floor_us" in m]
         for m in ratios.values():
             assert m["parent"] > 0 and m["change"] > 0
             assert m["change_over_parent"] == round(m["change"] / m["parent"], 4)
@@ -76,8 +82,9 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
 
 
 def test_the_floor_reads_every_word_of_the_call(monkeypatch):
-    # floor_us.<n> draws the words of the run_batch call it stands beside:
-    # its dealer tape's and both party tapes', n times one execution's
+    # each floor draws the words of the call it stands beside: for
+    # run_batch_us.<n>, its dealer tape's and both party tapes', n times
+    # one execution's; the other calls' are `words_read`'s
     P, n = MechanismParams(**call_cost.SETS["wide"]), 8
     mech = lookup_mechanism("tcl")
     dealer, party0, party1 = call_cost.call_words(mechanism_field(P, "tcl"), mech, P, n)
@@ -88,10 +95,44 @@ def test_the_floor_reads_every_word_of_the_call(monkeypatch):
     monkeypatch.setattr(call_cost, "SETS", {"wide": call_cost.SETS["wide"]})
     monkeypatch.setattr(call_cost, "MECHS", ("tcl",))
     report = call_cost.measure([n], [2], 1)
-    ratio = report["floor_ratios"]["tcl.wide"]["floor_ratio.8"]
-    timings = report["timings"]["tcl.wide"]
-    assert ratio == round(timings["run_batch_us.8"] / timings["floor_us.8"], 4)
-    assert set(drawn) == {dealer + party0 + party1}
+    timings, ratios = report["timings"]["tcl.wide"], report["floor_ratios"]["tcl.wide"]
+    floored = ["run_batch_us.8", "block_us.2", "loop_us.2", "pool_block_us", "pool_loop_us"]
+    assert list(ratios) == [m.replace("_us", "_floor_ratio") for m in floored]
+    for metric in floored:
+        floor_us = timings[metric.replace("_us", "_floor_us")]
+        assert ratios[metric.replace("_us", "_floor_ratio")] == round(timings[metric] / floor_us, 4)
+    assert len(drawn) == len(floored) and drawn[0] == dealer + party0 + party1
+
+
+def test_words_read_counts_each_word_a_call_reads_once():
+    # a fresh call's reads are all consumed (a block is committed whole);
+    # the pooled block also reads the 7 pairs it hands out later
+    P = MechanismParams(**call_cost.SETS["wide"])
+    mech = lookup_mechanism("tcl")
+    field, words = mechanism_field(P, "tcl"), noise_plan(mech, P).words_per_draw
+
+    def consumed(s):
+        return s.dealer.words_consumed + s.tape0.words_consumed + s.tape1.words_consumed
+
+    sessions, real = [], protocols.run_sessions
+    with mock.patch.object(protocols, "run_sessions",
+                           lambda s, *a: sessions.append(s) or real(s, *a)):
+        calls = call_cost.fresh_calls(field, mech, P, 3, count(1, 2))
+    for call, min_sessions in calls.values():
+        with call_cost.forced(min_sessions):
+            read = call_cost.words_read(call)
+        assert read == consumed(sessions[-1]) > 2 * 3 * words
+    pool = call_cost.pool_calls(field, mech, P, count(1, 2))
+    call, setup = pool["pool_block_us"]
+    session = setup()
+    before = session.dealer.words_consumed
+    read = call_cost.words_read(call, session)
+    assert read == 2 * POOL * words + session.dealer.words_consumed - before
+    # 8 pairs drawn now, as on the loop call's session
+    session = Session(field, tape0=RandomTape(5), tape1=RandomTape(6))
+    for _ in range(POOL):
+        pi_noise(session, mech, P)
+    assert call_cost.words_read(pool["pool_loop_us"][0]) == consumed(session)
 
 
 def test_faults_are_counted_per_timed_call():
@@ -120,7 +161,8 @@ def test_a_block_case_evaluates_a_block_and_a_loop_case_none(n):
     for metric, (call, min_sessions) in calls.items():
         with mock.patch.object(tape.RandomTape, "peek_block", autospec=True,
                                side_effect=tape.RandomTape.peek_block) as peeks:
-            us, faults = call_cost.forced_us(call, min_sessions, 2)
+            with call_cost.forced(min_sessions):
+                us, faults = call_cost.median_us(call, 2)
             assert us > 0 and faults >= 0
         assert peeks.call_count == (4 if metric.startswith("block_us") else 0), metric
         assert tape.BATCH_MIN_SESSIONS == before

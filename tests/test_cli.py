@@ -210,6 +210,15 @@ class TestMpc:
             err = capsys.readouterr().err
             assert err.startswith("usage error:") and "past the 2^53" in err
 
+    def test_an_uncountable_grid_is_refused_before_any_session(self, capsys):
+        # 2^50 * 12 + 1 output points: the histogram's 96 PiB of counts were
+        # asked for only after run_batch had drawn every session
+        with mock.patch("trunclap.cli.run_batch", side_effect=AssertionError("a session ran")):
+            assert run(["mpc", "--E", "4", "--L", "2", "--sigma", "1", "--p", "50",
+                        "--n", "3"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error:") and "Unable to allocate" in err
+
     def test_segmented_set_runs(self, tmp_path):
         # 2^p * L = 3 steps and 2 * 2^p * E = 6 tail indices: both the inner
         # draw and the tail pick a segment, one comparison and one

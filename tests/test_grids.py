@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, find, given, settings
 from hypothesis import strategies as st
 
+from conftest import loop_field_q, loop_mechanism_q
 from trunclap.grids import (
     FieldConfig,
     GridError,
@@ -12,8 +13,11 @@ from trunclap.grids import (
     field_for_mechanism,
     is_aligned,
     quantize,
+    ring_covering,
     steps_of,
 )
+from trunclap.mechanisms import MechanismParams
+from trunclap.mpc import Session, mechanism_field
 
 
 class TestQuantize:
@@ -122,32 +126,112 @@ class TestGridSpec:
 
 
 class TestFieldConfig:
-    @pytest.mark.parametrize("E, L", [(0.0, 2.0), (4.0, -1.0)])
+    @pytest.mark.parametrize("E, L", [(0.0, 2.0), (4.0, -1.0), (math.nan, 2.0), (4.0, math.inf)])
     def test_field_for_mechanism_refuses_a_bound_that_is_not_positive(self, E, L):
         with pytest.raises(GridError, match="must be positive"):
             field_for_mechanism(E, L, 0)
 
+    def test_field_for_mechanism_refuses_a_negative_precision(self):
+        with pytest.raises(GridError, match="p >= 0"):
+            field_for_mechanism(4.0, 2.0, -1)
+
     def test_q_validation(self):
-        # q is derived: the smallest power of two above 2^(p+e+headroom),
-        # with the balanced range [-q/2, q/2)
-        for e, p, headroom in [(1, 0, 0), (3, 2, 0), (3, 2, 2), (8, 2, 1), (1, 59, 3)]:
-            cfg = FieldConfig(e=e, p=p, headroom=headroom)
-            assert cfg.q == 2 ** (p + e + headroom + 1) == 2 * cfg.half
+        # a ring is its width: q = 2^bits, with the balanced range [-q/2, q/2)
+        for bits in (2, 3, 9, 33, 64, 65):
+            cfg = FieldConfig(bits)
+            assert cfg.q == 2**bits == 2 * cfg.half
             assert cfg.lift(cfg.half - 1) == cfg.half - 1 and cfg.lift(cfg.half) == -cfg.half
-        for bad in [dict(e=0, p=2), dict(e=3, p=-1), dict(e=3, p=2, headroom=-1)]:
-            with pytest.raises(GridError):
-                FieldConfig(**bad)
+        for bad in (1, 0, -3, 9.0, True, "9"):
+            with pytest.raises(GridError, match="integer bits >= 2"):
+                FieldConfig(bad)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 96, 128, 129, 2**53, 2**53 + 1])
+    def test_ring_covering_is_the_smallest_ring_whose_quarter_holds_n(self, n):
+        q = ring_covering(n).q
+        assert q // 4 >= n and (q == 4 or q // 8 < n)
 
 
 class TestDefaults:
     def test_field_for_mechanism(self):
         cfg = field_for_mechanism(E=64.0, L=32.0, p=0)
-        # inputs up to 64 need e=8; outputs up to 96 fit in the same range
-        assert cfg.e == 8 and cfg.headroom == 0
+        # inputs up to 64 and outputs up to 96 steps: q/4 = 128 holds both
         assert cfg.q == 2**9
-        assert 2.0 ** (cfg.e + cfg.headroom - 1) > 96
+        assert cfg.q // 4 > 96
 
     def test_field_headroom_grows_with_L(self):
         cfg = field_for_mechanism(E=64.0, L=64.0, p=0)
-        assert 2.0 ** (cfg.e + cfg.headroom - 1) > 128
-        assert cfg.q > 2 ** (cfg.p + cfg.e + cfg.headroom)
+        assert cfg.q == 2**10
+        assert cfg.q // 4 > 128
+
+
+@st.composite
+def ring_sets(draw):
+    """(Es, Ls, p) of a mechanism set on a lattice of shapes: E + L below
+    one unit (the 2^p floor binds where 2E + L is too), 2E + L a power of
+    two, a set at the 2^53 output steps a noise plan admits, and any set.
+    Every 2E + L here is a double, as the float loops need."""
+    p = draw(st.integers(0, 50))
+    shape = draw(st.sampled_from(["sub-unit", "power", "edge", "any"]))
+    if shape == "sub-unit":
+        p = max(p, 2)
+        Es = draw(st.integers(1, (1 << p) - 2))
+        return Es, draw(st.integers(1, (1 << p) - 1 - Es)), p
+    if shape == "power":
+        k = draw(st.integers(2, 53))
+        Es = draw(st.integers(1, (1 << (k - 1)) - 1))
+        return Es, (1 << k) - 2 * Es, p
+    if shape == "edge":
+        p = draw(st.integers(47, 50))
+        E, L = (draw(st.sampled_from([0.5, 1.0, 2.0, 3.0, 4.0, 6.0])) for _ in "EL")
+        assume(E + L <= 2.0 ** (53 - p))
+        return int(E * 2**p), int(L * 2**p), p
+    return draw(st.integers(1, 2**30)), draw(st.integers(1, 2**30)), p
+
+
+def ring_mismatch(rule, Es: int, Ls: int, p: int) -> bool:
+    """Whether `rule(params)` picks another ring than the loops did."""
+    P = MechanismParams(E=math.ldexp(Es, -p), L=math.ldexp(Ls, -p), sigma=1.0, p=p)
+    assert 2 * P.E + P.L == math.ldexp(2 * Es + Ls, -p)
+    return rule(P).q != loop_mechanism_q(P)
+
+
+class TestRingRule:
+    """`ring_covering` is the one sizing rule, and it picks the ring the
+    loops it replaced picked (`conftest.loop_mechanism_q`, `loop_field_q`)."""
+
+    @given(ring_sets())
+    @settings(max_examples=400, deadline=None)
+    def test_mechanism_field_is_the_loop_rule(self, case):
+        assert not ring_mismatch(mechanism_field, *case)
+
+    @given(ring_sets(), st.floats(2.0**-30, 2.0**40), st.floats(2.0**-30, 2.0**40))
+    @settings(max_examples=400, deadline=None)
+    def test_field_for_mechanism_is_the_loop_rule(self, case, E, L):
+        # on the grid, and off it
+        Es, Ls, p = case
+        for E, L in ((E, L), (math.ldexp(Es, -p), math.ldexp(Ls, -p))):
+            assert field_for_mechanism(E, L, p).q == loop_field_q(E, L, p)
+
+    def test_a_rule_without_the_floor_fails_the_lattice(self):
+        # the mutation control: 2^p steps, one integer bit, is the floor
+        def unfloored(P):
+            return ring_covering(2 * steps_of(P.E, P.p) + steps_of(P.L, P.p))
+
+        Es, Ls, p = find(ring_sets(), lambda case: ring_mismatch(unfloored, *case),
+                         settings=settings(database=None))
+        assert 2 * Es + Ls < 1 << p
+
+    @pytest.mark.parametrize("E, L, p, q", [(4.0, 2.0, 0, 2**6), (64.0, 32.0, 2, 2**12)])
+    def test_the_readme_examples(self, E, L, p, q):
+        assert mechanism_field(MechanismParams(E=E, L=L, sigma=1.0, p=p)).q == q
+
+    def test_the_ring_covers_a_sign_test_past_a_double(self):
+        # 2E + L = 2^53 + 1 steps is no double: the float loop read 2^53 and
+        # stopped at a safe bound of 2^53, one step short of the sign test's
+        # reach; the rule counts steps as integers
+        P = MechanismParams(E=2.0**52, L=1.0, sigma=1.0, p=0)
+        reach = 2 * 2**52 + 1
+        assert loop_mechanism_q(P) // 4 == reach - 1
+        s = Session(mechanism_field(P), 1, 2)
+        assert s.safe_magnitude >= reach and s.q == 2**56
+        assert s.open(s.pi_ge(s.share(-reach % s.q))) == 0

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2_contingency, chisquare
 
@@ -32,9 +32,9 @@ from trunclap.tape import BATCH_BLOCK, BATCH_MIN_SESSIONS, RandomTape, _magnitud
 
 
 # q = 2^9, safe magnitude 2^7
-SMALL = FieldConfig(e=3, p=2, headroom=3)
+SMALL = FieldConfig(9)
 # q = 2^64: an opened draw is its value mod 2^64
-WORD_RING = FieldConfig(e=63, p=0)
+WORD_RING = FieldConfig(64)
 # the plan a noise pair built from dealer residues alone carries, unread
 PAIR_PLAN = noise_plan(TDL, MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0))
 
@@ -64,7 +64,7 @@ class TestShareOpen:
     def test_grid_value_round_trip(self):
         # the one way a grid value enters the ring and leaves it: its step
         # count (`input_steps`), shared, then opened and scaled by 2^-p
-        params = MechanismParams(E=1.5, L=2.0, sigma=1.0, p=SMALL.p)
+        params = MechanismParams(E=1.5, L=2.0, sigma=1.0, p=2)
         s = small_session()
         for x in (1.25, -1.5, 0.0):
             assert s.open(s.share(params.input_steps(x))) * params.step == x
@@ -149,7 +149,7 @@ class TestWires:
     def test_wires_at_the_ring_edges(self, k):
         # q = 2^k: every share and triple residue at 0 or q-1, the extremes
         # of each product and sum, which a uint64 wraps mod 2^64
-        cfg = FieldConfig(e=k - 1, p=0)
+        cfg = FieldConfig(k)
         q, h = cfg.q, cfg.half
         assert q == 2**k
         ends = [(0, 0), (0, q - 1), (q - 1, 0), (q - 1, q - 1)]
@@ -224,7 +224,7 @@ class TestWires:
         # a value common to every execution is a uint64 row of one through
         # every op (never a Python int or a numpy scalar), and opens to what
         # a Session opens; share sums pass 2^64 at k = 64
-        cfg = FieldConfig(e=k - 1, p=0)
+        cfg = FieldConfig(k)
         q = cfg.q
 
         def ops(s):
@@ -823,12 +823,11 @@ class TestGe:
             bit = s.open(s.pi_ge(s.share(k % cfg.q)))
             assert bit == (1 if k >= 0 else 0)
 
-    @given(st.integers(1, 63), st.integers(0, 62), st.integers(0, 62))
+    @given(st.integers(2, 64))
     @settings(max_examples=60, deadline=None)
-    def test_twice_the_safe_bound_is_half_the_ring(self, e, p, headroom):
+    def test_twice_the_safe_bound_is_half_the_ring(self, bits):
         # pi_ge tests (u + safe) mod q against q/2 (`_half`) as 2 * safe
-        assume(p + e + headroom < 64)
-        cfg = FieldConfig(e=e, p=p, headroom=headroom)
+        cfg = FieldConfig(bits)
         assert 2 * Session(cfg).safe_magnitude == cfg.q // 2 == cfg.half
 
     def test_contract_violation(self):
@@ -959,7 +958,7 @@ class TestTrunc:
 
 class TestTransparencyAndPrivacy:
     def test_functional_transparency_exhaustive(self):
-        cfg = FieldConfig(e=2, p=2)
+        cfg = FieldConfig(5)
         s = Session(cfg, 7, 8)
         for x in range(-6, 7):
             for y in range(-6, 7):
@@ -1204,7 +1203,7 @@ class TestBatchSession:
             except ContractViolation as exc:
                 return str(exc)
 
-        cfg = FieldConfig(e=20, p=2)
+        cfg = FieldConfig(23)
         outcomes = [
             (outcome(Session(cfg, seed, seed + 1, record_transcript=True)),
              outcome(Session(cfg, seed, seed + 1)))
@@ -1232,7 +1231,7 @@ class TestBatchSession:
             self.FAULTS[check](s, s.mul(fault, s.share_public(s.safe_magnitude + 1)))
             return s.open(fault)
 
-        s = Session(FieldConfig(e=20, p=2), 3, 4)
+        s = Session(FieldConfig(23), 3, 4)
         with pytest.raises(ContractViolation, match=check):
             s.run(program, n, 1)
         assert s.tape0.words_consumed == s.tape1.words_consumed == 0
@@ -1273,7 +1272,7 @@ class TestOfflinePool:
     """`Session.offline`: executions handed out of blocks evaluated ahead
     equal the sequential path's, call by call."""
 
-    CFG = FieldConfig(e=20, p=2)
+    CFG = FieldConfig(23)
 
     @staticmethod
     def program(s):

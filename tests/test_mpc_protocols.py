@@ -24,7 +24,7 @@ from trunclap import (
 from trunclap import sampling
 from trunclap import tape as tape_module
 from trunclap.grids import FieldConfig, GridError, GridSpec, steps_of
-from trunclap.mechanisms import lookup_mechanism, outer_count
+from trunclap.mechanisms import lookup_mechanism
 from trunclap.mpc import (
     BatchSession,
     Session,
@@ -112,11 +112,16 @@ def ledger_plus_picks(ledger, picks):
 
 class TestPiDl:
     def test_opened_law(self):
-        n = 100_000
+        # sized for its bound from about 618k draws: at 100k, E[TV] plus
+        # McDiarmid's term exceeded 0.005
+        n, bound = 700_000, 0.005
+        exact = centered_dlap_pmf(2.0, 1.0, 0).masses
+        assert sized_for(bound, exact, n) and not sized_for(bound, exact, n // 2)
         vals = opened_in_batch(lambda s: s.open(pi_dl_for(s, PARAMS)), n, (51, 52))
         counts = np.bincount(vals + 2, minlength=5)
-        exact = centered_dlap_pmf(2.0, 1.0, 0).masses
-        assert tv(counts, exact) < 0.005
+        assert tv(counts, exact) < bound
+        # the law one step over reads about 0.43
+        assert tv(counts, np.roll(exact, 1)) > 0.4
         c0 = dlap_zero_mass(2.0, 1.0, 0)
         freq0 = counts[2] / n
         assert abs(freq0 - c0) < 3 * math.sqrt(c0 * (1 - c0) / n)
@@ -178,13 +183,17 @@ class TestPiCl:
         assert set(opened) == {-2, -1, 0, 1}
 
     def test_opened_law_gamma6(self):
-        # the gamma the benchmark passes changes nothing: the law is exact
-        n = 100_000
+        # the gamma the benchmark passes changes nothing: the law is exact.
+        # Sized for its bound from about 151k draws, so not at 100k
+        n, bound = 200_000, 0.01
+        exact = centered_clap_pmf(2.0, 1.0, 0).masses
+        assert sized_for(bound, exact, n) and not sized_for(bound, exact, n // 2)
         vals = opened_in_batch(lambda s: s.open(pi_cl(s, PARAMS, 6)), n, (61, 62), "tcl")
         counts = np.bincount(vals + 2, minlength=4)
-        exact = centered_clap_pmf(2.0, 1.0, 0).masses
         assert vals.max() < 2
-        assert tv(counts, exact) < 0.01
+        assert tv(counts, exact) < bound
+        # the law one step over reads about 0.23
+        assert tv(counts, np.roll(exact, 1)) > 0.2
 
     def test_matches_plaintext_on_a_fine_grid(self):
         # the opened value is the plaintext draw on the same words, here on
@@ -257,7 +266,7 @@ class TestNoiseProtocols:
         # for bit, `test_a_pooled_session_equals_a_recording_session`): at
         # 100k a faithful draw read E[TV] 0.0040 + 0.0102 against 0.005
         n, bound = 1_000_000, 0.005
-        m = outer_count(PARAMS)
+        m = noise_plan(TDL, PARAMS).outer_count
         pb = TDL.branch_probability(PARAMS)
         inner = centered_dlap_pmf(PARAMS.L, PARAMS.sigma, PARAMS.p)
         # exact joint law over (i, y): index 0..m-1 for i=0, steps for i=1
@@ -280,7 +289,7 @@ class TestNoiseProtocols:
         # the pairs whose branch opens 0 carry the tail index, which comes
         # from its own word: uniform on them; branch 1 opens as -1
         n = 100_000
-        m = outer_count(PARAMS)
+        m = noise_plan(TDL, PARAMS).outer_count
 
         def tail_or_minus_one(s):
             pair = pi_d_noise(s, PARAMS)
@@ -712,7 +721,7 @@ class TestBatchSimulator:
                 run_once(session, TDL, x, PARAMS)
         assert session.tape0.words_consumed == 0
 
-    # p + e + headroom = 27 on the set's own ring, and two sets on a ring of
+    # q = 2^33 on the set's own ring, and two sets on a ring of
     # q = 2^64 built directly: no set under the 2^53 output steps a noise
     # plan admits picks one past 2^57 (WORD_EDGES in test_sampling.py), and
     # a ring wider than the set's is sound
@@ -723,10 +732,9 @@ class TestBatchSimulator:
     ], ids=["p27", "tdl-k64", "tcl-k64"])
     def test_large_fields_run_in_blocks(self, mechanism, params, gamma):
         field = mechanism_field(params, mechanism, gamma)
-        assert field.q == 2 ** (field.p + field.e + field.headroom + 1)
         assert field.q == (2**55 if params.p == 50 else 2**33)
         if params.p == 50:
-            field = FieldConfig(e=13, p=50)
+            field = FieldConfig(64)
             assert field.q == 2**64
         x_steps = steps_of(params.E, params.p)
         expected, _ = loop_reference(mechanism, params, x_steps, BE + 2, 3, 4, gamma, field)
@@ -746,7 +754,7 @@ class TestBatchSimulator:
         # sum of Python ints passes 2^64, whatever the seeds
         params = MechanismParams(E=0.5, L=4.0, sigma=1.0, p=50)
         plan = noise_plan(mech, params)
-        field = FieldConfig(e=13, p=50)
+        field = FieldConfig(64)
         q, x_steps = field.q, plan.Es
         assert q == 2**64
         xs = (q - 1, (x_steps + 1) % q)
@@ -769,7 +777,7 @@ def test_mechanism_field_is_cached():
     # per set
     protocols._ring.cache_clear()
     with mock.patch(
-        "trunclap.mpc.protocols.field_for_mechanism", wraps=protocols.field_for_mechanism
+        "trunclap.mpc.protocols.ring_covering", wraps=protocols.ring_covering
     ) as search:
         fields = [make_session(WIDE, "tcl", seed0=k, seed1=k + 1).field for k in range(3)]
         run_batch("tcl", WIDE, 0.0, 2, 1, 2)
@@ -985,7 +993,7 @@ class TestOfflinePool:
         # `_residues(11, .)` draw r, as (r[10], r[5:10], r[:5]), and each
         # of the block's 11 BE residues is handed out once.  On a ring of
         # q = 2^64, wider than the set's (sound), no two residues collide
-        session = Session(FieldConfig(e=63 - params.p, p=params.p), 21, 22)
+        session = Session(FieldConfig(64), 21, 22)
         for _ in range(BE):
             pi_noise(session, mech, params)  # one by one, from the pool
         drawn, real = [], BatchSession._residues

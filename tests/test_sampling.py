@@ -45,7 +45,7 @@ from trunclap import (
 from trunclap.grids import GridError, GridSpec, steps_of
 from trunclap.tape import _magnitude
 from trunclap.thresholds import THRESHOLDS
-from trunclap.mechanisms import lookup_mechanism, outer_count
+from trunclap.mechanisms import lookup_mechanism
 from trunclap.mpc import make_session, mechanism_field, pi_c_noise, pi_cl, run_batch
 from trunclap.sampling import (
     _clap_steps,
@@ -519,7 +519,7 @@ class TestNoise:
         # run of 2.9M draws holds at least 10^6 of them
         from scipy.stats import chisquare
 
-        x, m = 0.0, outer_count(small_params)
+        x, m = 0.0, noise_plan(TDL, small_params).outer_count
         out = sample_batch(TDL, x, small_params, 2_900_000, 42)
         tail = out[np.abs(out - x) > small_params.L]
         assert len(tail) >= 1_000_000
@@ -559,7 +559,7 @@ class TestNoisePlan:
             params = dataclasses.replace(params, p=params.p + g)
             plan = noise_plan(mech, params)
             assert plan.branch_threshold == bernoulli_threshold(mech.branch_probability(params))
-            assert plan.outer_count == outer_count(params)
+            assert plan.outer_count == 2 * steps_of(params.E, params.p)
             assert (plan.Es, plan.Ls) == (round(params.E * 2**params.p), round(params.L * 2**params.p))
             inner = centered_dlap_config(params.L, params.sigma, params.p)
             # TCL's inner draw: the same plan without its zero flag's word
@@ -749,7 +749,7 @@ class TestPerturb:
         # through the deterministic perturb map
         params = small_params
         pb = TDL.branch_probability(params)
-        m = outer_count(params)
+        m = noise_plan(TDL, params).outer_count
         inner = centered_dlap_pmf(params.L, params.sigma, params.p)
         for x in GridSpec(p=params.p, B=params.E).values():
             x = float(x)
@@ -771,7 +771,7 @@ class TestPerturb:
         # sampler, on the 2^-0 and the 2^-2 grid
         for params in (small_params, dataclasses.replace(small_params, p=2)):
             pb = TCL.branch_probability(params)
-            m = outer_count(params)
+            m = noise_plan(TCL, params).outer_count
             inner = centered_clap_pmf(params.L, params.sigma, params.p)
             for x in GridSpec(p=params.p, B=params.E).values():
                 x = float(x)

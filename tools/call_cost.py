@@ -10,10 +10,6 @@ worker process on a checkout times these metrics, each the median of
 
 * `run_batch_us.<n>`: one `run_batch` call of n sessions, for each n of
   --calls (a fresh Session, the input shared once, its blocks);
-* `floor_us.<n>`: the randomness floor of that call (`floor`), one
-  `random_raw(k)` of the k words its dealer tape and both party tapes
-  read, on a `np.random.PCG64` seeded before the timer starts, timed
-  right after it in the same worker;
 * `block_us.<n>`: a fresh `run_sessions` call of n executions run as one
   block, forced even below `BATCH_MIN_SESSIONS`, for each n of --blocks;
 * `loop_us.<n>`: the same call run sequentially, forced even at or above
@@ -27,6 +23,14 @@ worker process on a checkout times these metrics, each the median of
   -> `open` of one input, on a pair it pooled beforehand (`pi_noise`):
   the `Session`'s own integer path.
 
+Beside every timing but `online_us`, `<name>_floor_us` (for
+`run_batch_us.8`, `run_batch_floor_us.8`) is the randomness floor of
+that call (`floor`): one `random_raw(k)` of the k words the call reads
+off its dealer and party tapes (`words_read`, counted on an untimed
+call), on a `np.random.PCG64` seeded before the timer starts, timed right
+after it in the same worker.  `online_us` reads no party word, its pair
+being pooled beforehand, and one dealer word, so it has no floor.
+
 Every timed call is a public one, so a worker runs on any checkout.
 
 Beside each timing, `faults` gives the metric's minor page faults per
@@ -35,9 +39,9 @@ before and after each timed call, summed over its --reps calls, over
 --reps.  Each case also reports
 deterministic counts of one `run_batch` call at the largest n of --calls
 (`counts`, untimed): the words its dealer tape and each party tape
-consumed, per execution.  `floor_ratio.<n>` is `run_batch_us.<n>` over
-`floor_us.<n>` in one worker: a cost in units of the host's word rate,
-which carries across sessions where an absolute time does not.
+consumed, per execution.  `<name>_floor_ratio` (`run_batch_floor_ratio.8`)
+is a timing over its floor in one worker: a cost in units of the host's
+word rate, which carries across sessions where an absolute time does not.
 
 The run is k alternations.  Each alternation runs one worker on each
 checkout, --parent first on even alternations and --change first on odd
@@ -55,6 +59,7 @@ its end.  Each checkout is a tree holding
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -64,6 +69,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -94,15 +100,17 @@ def median_us(call, reps: int, setup=None) -> tuple[float, float]:
     return round(statistics.median(times) * 1e6, 2), round(faults / reps, 2)
 
 
-def forced_us(call, min_sessions: int, reps: int) -> tuple[float, float]:
-    """`median_us` of `call` with `tape.BATCH_MIN_SESSIONS` set to
-    `min_sessions`, restored after: 1 runs a call of n as one block, n + 1
-    runs it sequentially."""
+@contextlib.contextmanager
+def forced(min_sessions: int | None):
+    """`tape.BATCH_MIN_SESSIONS` set to `min_sessions` (None leaves it),
+    restored after: 1 runs a call of n as one block, n + 1 runs it
+    sequentially."""
     from trunclap import tape
 
-    saved, tape.BATCH_MIN_SESSIONS = tape.BATCH_MIN_SESSIONS, min_sessions
+    saved = tape.BATCH_MIN_SESSIONS
+    tape.BATCH_MIN_SESSIONS = saved if min_sessions is None else min_sessions
     try:
-        return median_us(call, reps)
+        yield
     finally:
         tape.BATCH_MIN_SESSIONS = saved
 
@@ -110,7 +118,7 @@ def forced_us(call, min_sessions: int, reps: int) -> tuple[float, float]:
 def fresh_calls(field, mech, P, n: int, seeds) -> dict:
     """The fresh `run_sessions` calls of n executions that `block_us.<n>`
     and `loop_us.<n>` time, each with the BATCH_MIN_SESSIONS that forces
-    its path (`forced_us`); every call takes the next seeds."""
+    its path (`forced`); every call takes the next seeds."""
     from trunclap.mpc import Session
     from trunclap.mpc.protocols import run_sessions
     from trunclap.tape import RandomTape
@@ -124,6 +132,33 @@ def fresh_calls(field, mech, P, n: int, seeds) -> dict:
         run_sessions(Session(field, tape0=RandomTape(s), tape1=RandomTape(s + 1)), mech, P, 0, n)
 
     return {f"block_us.{n}": (block, 1), f"loop_us.{n}": (loop, n + 1)}
+
+
+def words_read(call, *args) -> int:
+    """The words one `call(*args)` reads off every tape it meets, dealer
+    and parties: each read's words (`word`, `words`, `field_array`) and
+    each block's peeked words (`peek_block`), which the `skip`s that later
+    consume them do not count again."""
+    from trunclap.tape import RandomTape
+
+    read = 0
+
+    def counting(name):
+        method = getattr(RandomTape, name)
+
+        def counted(tape, *a):
+            nonlocal read
+            before = tape.words_consumed
+            out = method(tape, *a)
+            read += a[0] if name == "peek_block" else tape.words_consumed - before
+            return out
+
+        return counted
+
+    names = ("word", "words", "field_array", "peek_block")
+    with mock.patch.multiple(RandomTape, **{name: counting(name) for name in names}):
+        call(*args)
+    return read
 
 
 def floor(words: int, seed: int):
@@ -170,8 +205,8 @@ def call_words(field, mech, P, n: int) -> tuple[int, int, int]:
 
 
 def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
-    """Every timing of every case, timed in this process, its faults per
-    call, its floor ratios and its counts."""
+    """Every timing of every case, timed in this process, its floor, its
+    faults per call, its floor ratio and the case's counts."""
     from trunclap.mechanisms import MechanismParams, lookup_mechanism
     from trunclap.mpc import Session, mechanism_field, pi_noise, pi_perturb, run_batch
 
@@ -182,22 +217,30 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
             mech = lookup_mechanism(name)
             field = mechanism_field(P, name)
             seeds = iter(range(1, 1 << 30, 2))
-            case, ratio = {}, {}
-            run_batch(name, P, 0.0, max(calls), 0, 1)  # fill the lazy caches
-            for n in calls:
-                words = sum(call_words(field, mech, P, n))
-                case[f"run_batch_us.{n}"] = median_us(
-                    lambda: run_batch(name, P, 0.0, n, (s := next(seeds)), s + 1), reps)
-                case[f"floor_us.{n}"] = median_us(floor(words, next(seeds)), reps)
-                ratio[f"floor_ratio.{n}"] = round(
-                    case[f"run_batch_us.{n}"][0] / case[f"floor_us.{n}"][0], 4)
+
+            def batch(n):
+                s = next(seeds)
+                run_batch(name, P, 0.0, n, s, s + 1)
+
+            # metric -> (call, setup, the BATCH_MIN_SESSIONS it is timed at)
+            timed = {f"run_batch_us.{n}": (functools.partial(batch, n), None, None) for n in calls}
             for path in ("block_us", "loop_us"):
                 for n in blocks:
-                    metric = f"{path}.{n}"
-                    case[metric] = forced_us(*fresh_calls(field, mech, P, n, seeds)[metric], reps)
+                    call, min_sessions = fresh_calls(field, mech, P, n, seeds)[f"{path}.{n}"]
+                    timed[f"{path}.{n}"] = (call, None, min_sessions)
             for metric, (call, setup) in pool_calls(field, mech, P, seeds).items():
-                median_us(call, 1, setup)  # a warm-up call
-                case[metric] = median_us(call, reps, setup)
+                timed[metric] = (call, setup, None)
+            case, ratio = {}, {}
+            run_batch(name, P, 0.0, max(calls), 0, 1)  # fill the lazy caches
+            for metric, (call, setup, min_sessions) in timed.items():
+                with forced(min_sessions):
+                    # counted on a call of its own, which warms the timed ones
+                    words = words_read(call, *(() if setup is None else (setup(),)))
+                    case[metric] = median_us(call, reps, setup)
+                floor_metric = metric.replace("_us", "_floor_us")
+                case[floor_metric] = median_us(floor(words, next(seeds)), reps)
+                ratio[metric.replace("_us", "_floor_ratio")] = round(
+                    case[metric][0] / case[floor_metric][0], 4)
             warm = Session(field, 3, 4)
             pairs = iter([pi_noise(warm, mech, P) for _ in range(reps + 1)])
 
