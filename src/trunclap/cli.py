@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 from .mechanisms import (
@@ -235,7 +236,7 @@ def cmd_validate(args) -> int:
         if not check.passed:
             failures.append(f"overlay x={x} tv={check.tv:.4f}")
         if args.out:
-            stem = args.out.rsplit(".", 1)[0]
+            stem = os.path.splitext(args.out)[0]
             _dump_csv(
                 [
                     (repr(r["y"]), repr(r["theoretical"]), repr(r["empirical"]))

@@ -46,19 +46,15 @@ def steps_of(x: float, p: int) -> int:
     return int(scaled)
 
 
-def quantize(x: float, p: int, e: int | None = None) -> float:
+def quantize(x: float, p: int) -> float:
     """Round x down to the grid 2^-p * Z, i.e. 2^-p * floor(x * 2^p).
 
-    Rounding is toward -infinity (plain floor), not half-even.  If the
-    integer-part bound e is given, inputs with |x| >= 2^(e-1) are rejected.
-    An x whose x * 2^p is not a finite double is rejected.
+    Rounding is toward -infinity (plain floor), not half-even.  An x whose
+    x * 2^p is not a finite double is rejected (GridError, as `_scaled`).
     """
     if p < 0:
         raise GridError("precision exponent p must be >= 0")
-    scaled = _scaled(x, p)
-    if e is not None and abs(x) >= 2.0 ** (e - 1):
-        raise GridError(f"|{x}| exceeds the representable bound 2^{e - 1}")
-    return math.floor(scaled) / (1 << p)
+    return math.floor(_scaled(x, p)) / (1 << p)
 
 
 @dataclass(frozen=True)

@@ -37,6 +37,7 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
+from scipy.special import gammainc
 
 from .grids import GridError, GridSpec, is_aligned, steps_of
 
@@ -294,19 +295,28 @@ def moments_lap_exact(x: float, params: MechanismParams) -> tuple[float, float]:
 
 
 def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float, float]:
-    """Mean and MSE; the cubic term sigma^2 e^(-eps) f(E/sigma) only if `cubic`."""
+    """Mean and MSE; the cubic term sigma^2 e^(-eps) f(E/sigma) only if `cubic`.
+
+    With k = E/sigma, the divisor 1 - (1 - k) e^(-eps) is written
+    -expm1(-eps) + k e^(-eps), the mean's 1 - (1 + eps) e^(-eps) is P(2, eps)
+    and the exact sigma^2 term 2 + e^(-eps) f(k) is 2 P(3, eps) + e^(-eps)
+    k (k^2/3 + eps k + eps^2), with P(n, eps) = 1 - e^(-eps) sum_{j<n}
+    eps^j / j! the regularized incomplete gamma (`gammainc`), so no term
+    cancels as sigma grows.  A divisor that is 0 or not finite (L/sigma and
+    E/sigma both underflow) is refused.
+    """
     E, L, sigma = params.E, params.L, params.sigma
     if not abs(x) <= E:  # a NaN x fails it too
         raise ValueError(f"x={x} lies outside [-E, E], E={E}")
     eps = L / sigma
     k = E / sigma
     e = math.exp(-eps)
-    den = 1.0 - (1.0 - k) * e
-    if den <= 0.0:  # 1 - (1 - E/sigma) e^(-L/sigma), rounded where sigma >> E, L
-        raise ValueError(f"the continuous moments at E = {E}, L = {L}, sigma = {sigma} divide by 0")
-    fk = kstar_polynomial(k, eps) if cubic else 0.0
-    mean = x * (1.0 - (1.0 + eps) * e) / den
-    mse = (2.0 * sigma**2 + sigma**2 * e * fk + x * x * e * (eps + k)) / den
+    den = -math.expm1(-eps) + k * e
+    if not 0.0 < den < math.inf:
+        raise ValueError(f"the continuous moments at E = {E}, L = {L}, sigma = {sigma} divide by {den}")
+    s2 = 2.0 * float(gammainc(3, eps)) + e * k * (k * k / 3.0 + eps * k + eps * eps) if cubic else 2.0
+    mean = x * float(gammainc(2, eps)) / den
+    mse = (sigma**2 * s2 + x * x * e * (eps + k)) / den
     return mean, mse
 
 

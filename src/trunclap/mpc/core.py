@@ -462,9 +462,11 @@ class Session(_CommonOps):
 
     All public parameters (field, thresholds) are common to both logical
     parties; every output and the ledger are a pure function of
-    (seed0, seed1, inputs).  A session is single-threaded; run independent
-    sessions for parallel batches; each block it evaluates runs on a
-    BatchSession of its own (`_scheduler`).
+    (seed0, seed1, inputs).  The two seeds must differ: equal seeds give
+    both parties one stream, and every joint word, their XOR, would be 0;
+    tapes passed in are taken as they are.  A session is single-threaded;
+    run independent sessions for parallel batches; each block it evaluates
+    runs on a BatchSession of its own (`_scheduler`).
     """
 
     def __init__(
@@ -481,6 +483,8 @@ class Session(_CommonOps):
         if tape0 is not None and tape0 is tape1:
             # _joint_words reads one party's words, then the other's
             raise ValueError("each party needs a tape of its own")
+        if tape0 is None and tape1 is None and seed0 == seed1:
+            raise ValueError(f"the two party seeds must differ, got {seed0} twice")
         self.tape0 = tape0 if tape0 is not None else RandomTape(seed0)
         self.tape1 = tape1 if tape1 is not None else RandomTape(seed1)
         self.dealer = RandomTape(dealer_seed(seed0, seed1))

@@ -61,20 +61,16 @@ class CenteredDlapConfig:
     Words of one draw: the zero flag (none in TCL's plan), kappa magnitude
     bits, P - 1 segment choices, the sign.  Segment t covers x' in
     [start, start + 2^k_t) and keeps the low k_t bits (its mask) of the
-    kappa-bit value.
+    kappa-bit value.  It holds only what a draw reads: N is where the
+    last segment ends, and a sampler scales its steps by 2^-p.
     """
 
-    L: float
-    sigma: float
-    p: int
     zero_threshold: int | None             # None: no zero flag (TCL's plan)
     sign_threshold: int
     bit_thresholds: tuple[int, ...]
     bit_weights: tuple[int, ...]           # 2^i, the weight of magnitude bit i
-    segment_thresholds: tuple[int, ...]    # P - 1; empty when steps is 2^kappa
+    segment_thresholds: tuple[int, ...]    # P - 1; empty when N is 2^kappa
     segments: tuple[tuple[int, int], ...]  # (start, mask) of each of the P segments
-    steps: int                             # L in 2^-p steps
-    step: float                            # 2^-p
     words_per_draw: int                    # kappa + P, plus 1 for the zero flag
 
     @property
@@ -127,17 +123,12 @@ def centered_dlap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
         skip = math.exp(-a * size) * math.expm1(-a * (steps - start - size)) / left
         choices.append(bernoulli_threshold(pick) if pick <= 0.5 else 2**64 - bernoulli_threshold(skip))
     return CenteredDlapConfig(
-        L=L,
-        sigma=sigma,
-        p=p,
         zero_threshold=bernoulli_threshold(dlap_zero_mass(L, sigma, p)),
         sign_threshold=bernoulli_threshold(0.5),
         bit_thresholds=bits,
         bit_weights=tuple(1 << i for i in range(kappa)),
         segment_thresholds=tuple(choices),
         segments=segments,
-        steps=steps,
-        step=2.0**-p,
         words_per_draw=kappa + 1 + len(segments),
     )
 
@@ -151,7 +142,7 @@ def sample_dlap_centered(L: float, sigma: float, p: int, tape: RandomTape) -> fl
     words are consumed whatever the outcome.
     """
     cfg = centered_dlap_config(L, sigma, p)
-    return _dlap_steps(cfg, tape.words(cfg.words_per_draw)) * cfg.step
+    return _dlap_steps(cfg, tape.words(cfg.words_per_draw)) * 2.0**-p
 
 
 def _dlap_steps(cfg: CenteredDlapConfig, w) -> int:
@@ -181,7 +172,7 @@ def sample_clap_centered(L: float, sigma: float, p: int, tape: RandomTape) -> fl
     """Draw from the centered cumulative Laplace on [-L, L) at step 2^-p,
     exactly `centered_clap_pmf` (see the module docstring)."""
     cfg = centered_clap_config(L, sigma, p)
-    return _clap_steps(cfg, tape.words(cfg.words_per_draw)) * cfg.step
+    return _clap_steps(cfg, tape.words(cfg.words_per_draw)) * 2.0**-p
 
 
 def retired_gamma(gamma: int) -> None:

@@ -257,7 +257,10 @@ class TestBench:
 
 class TestValidate:
     def test_reduced_n_passes(self, tmp_path):
-        out = tmp_path / "report.json"
+        # the overlay CSVs take --out's name less its extension: a dot in a
+        # directory name sent them beside the directory (run_overlay_x64.csv)
+        (tmp_path / "run.d").mkdir()
+        out = tmp_path / "run.d" / "report"
         # at n=1e5 the moment envelopes hold comfortably; --n does not touch
         # the overlays, which always draw THRESHOLDS["overlay_n"]
         code = run(["validate", "--n", "100000", "--seed", "2", "--out", str(out)])
@@ -266,7 +269,9 @@ class TestValidate:
         assert all(c["pass"] for c in data["cells"])
         assert len(data["overlays"]) == 2
         assert all(o["pass"] and o["n"] == THRESHOLDS["overlay_n"] for o in data["overlays"])
-        assert (tmp_path / "report_overlay_x64.csv").exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.d"]
+        assert sorted(p.name for p in (tmp_path / "run.d").iterdir()) == [
+            "report", "report_overlay_x-32.csv", "report_overlay_x64.csv"]
         assert code == 0
 
     def test_failing_cells_and_overlays_are_reported(self, capsys):

@@ -1,6 +1,8 @@
 import dataclasses
+import decimal
 import json
 import math
+from decimal import Decimal
 from itertools import product
 
 import numpy as np
@@ -446,6 +448,21 @@ class TestCenteredPmfs:
         assert f.support()[-1] == 2.0 - 0.25
 
 
+def lap_moments_decimal(x, E, L, sigma):
+    """(mean, MSE bound, exact MSE) of the continuous mechanism: the closed
+    forms as `moments_lap` once wrote them, in 80-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        x, E, L, sigma = map(Decimal, (x, E, L, sigma))
+        eps, k = L / sigma, E / sigma
+        e = (-eps).exp()
+        den = 1 - (1 - k) * e
+        bound = (2 * sigma**2 + x * x * e * (eps + k)) / den
+        cubic = k**3 / 3 + eps * k * k + eps * eps * k - (eps * eps + 2 * eps + 2)
+        return (float(x * (1 - (1 + eps) * e) / den), float(bound),
+                float(bound + sigma**2 * e * cubic / den))
+
+
 class TestMomentsLap:
     def test_zero_center_zero_mean(self, table_params_p0):
         mean, _ = moments_lap(0.0, table_params_p0)
@@ -491,14 +508,31 @@ class TestMomentsLap:
         mean, _ = moments_lap(32.0, params)
         assert mean == pytest.approx(32.0, rel=1e-12)
 
+    @pytest.mark.parametrize("sigma", [1.0, 1e4, 1e8, 1e12, 1e17])
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+    def test_moments_match_the_closed_form_in_decimal(self, sigma, x):
+        # the mean's 1 - (1 + eps) e^(-eps), the exact MSE's
+        # 2 - e^(-eps)(eps^2 + 2 eps + 2) and the divisor cancelled as
+        # sigma grew: at sigma = 1e12 the exact MSE read -1.3e20 for 2.33,
+        # and at 1e17 the divisor 2e-17 rounded to 0 and was refused
+        params = MechanismParams(E=1.0, L=1.0, sigma=sigma, p=0)
+        mean, bound = moments_lap(x, params)
+        got = (mean, bound, moments_lap_exact(x, params)[1])
+        assert got == pytest.approx(lap_moments_decimal(x, 1.0, 1.0, sigma), rel=1e-12, abs=0)
+        if sigma == 1e17 and x == 0.0:
+            assert got[2] == pytest.approx(4 / 3, rel=1e-12)
+
     def test_a_divisor_that_rounds_to_zero_is_refused(self, capsys):
-        # at sigma = 1e17, 1 - (1 - E/sigma) e^(-L/sigma) rounds to 0: this
-        # raised ZeroDivisionError through the CLI
-        argv = ["moments", "--mechanism", "lap", "--E", "1", "--L", "1", "--sigma", "1e17"]
+        # 1 - (1 - E/sigma) e^(-L/sigma) is 0 in a double only where L/sigma
+        # and E/sigma both underflow: this raised ZeroDivisionError through
+        # the CLI
+        tiny = repr(2.0**-1000)
+        argv = ["moments", "--mechanism", "lap", "--E", tiny, "--L", tiny, "--p", "1000",
+                "--sigma", "1e300"]
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith("usage error: the continuous moments at E = 1.0")
-        assert err.rstrip().endswith("divide by 0")
+        assert err.startswith(f"usage error: the continuous moments at E = {tiny}")
+        assert err.rstrip().endswith("divide by 0.0")
         assert "Traceback" not in err
 
 

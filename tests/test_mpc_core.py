@@ -26,7 +26,7 @@ from trunclap.mpc.core import (
     CostLedger,
     TripleStore,
 )
-from trunclap.mpc.protocols import SharedNoisePair, run_sessions
+from trunclap.mpc.protocols import SharedNoisePair, make_session, run_batch, run_sessions
 from trunclap.sampling import centered_dlap_config, noise_plan
 from trunclap.tape import BATCH_BLOCK, BATCH_MIN_SESSIONS, RandomTape, _magnitude
 
@@ -544,7 +544,7 @@ def bits_plan(thresholds):
     return dataclasses.replace(centered_dlap_config(2.0, 1.0, 0), bit_thresholds=tuple(thresholds),
                                bit_weights=tuple(1 << i for i in range(k)),
                                segment_thresholds=(), segments=((0, (1 << k) - 1),),
-                               steps=1 << k, words_per_draw=k + 2)
+                               words_per_draw=k + 2)
 
 
 def magnitude_loop(s, thresholds):
@@ -573,6 +573,12 @@ SEGMENTED = [
     centered_dlap_config(3.0, 1.0, 24),
     dataclasses.replace(SEVEN, segment_thresholds=(0, 2**64)),
 ]
+
+
+def plan_steps(plan):
+    """N, the magnitude's step count: where the plan's last segment ends."""
+    start, mask = plan.segments[-1]
+    return start + mask + 1
 
 
 class TestBersampleSum:
@@ -621,7 +627,7 @@ class TestBersampleSum:
         assert a.ledger.as_dict() == b.ledger.as_dict()
         assert self.words(a) == self.words(b)
 
-    @pytest.mark.parametrize("plan", SEGMENTED, ids=lambda c: f"{c.steps}-{c.segment_thresholds}")
+    @pytest.mark.parametrize("plan", SEGMENTED, ids=lambda c: f"{plan_steps(c)}-{c.segment_thresholds}")
     def test_segmented_plan_opens_the_magnitude_of_its_words(self, plan):
         # kappa + P - 1 joint words a draw, sequentially and in blocks: the
         # value the plaintext body computes on them, kappa + P - 1
@@ -641,7 +647,7 @@ class TestBersampleSum:
             assert got.tolist() == expected
             assert s.ledger == total
             assert self.words(s) == [n * k, n * k]
-        assert 0 <= min(expected) and max(expected) < plan.steps
+        assert 0 <= min(expected) and max(expected) < plan_steps(plan)
 
     def test_one_dealer_mask_per_sum(self):
         # however many bits and picks: one pooled mask on a Session, one
@@ -718,6 +724,20 @@ class TestBersampleSum:
         tape = RandomTape(1)
         with pytest.raises(ValueError, match="tape of its own"):
             Session(self.CFG, tape0=tape, tape1=tape)
+
+    def test_parties_need_seeds_of_their_own(self):
+        # equal seeds gave both parties one stream, so every joint word was
+        # 0: TDL at (E, L, sigma, p) = (4, 2, 1, 0) returned x unperturbed
+        params = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
+        for refuse in (lambda: Session(self.CFG, 5, 5),
+                       lambda: make_session(params, "tcl", 0, 7, 7),
+                       lambda: run_batch("tdl", params, 1.0, 1000, 5, 5)):
+            with pytest.raises(ValueError, match="seeds must differ"):
+                refuse()
+        # a replay on tapes of its own keeps any seeds
+        stream = RandomTape(5).words(400)
+        s = Session(self.CFG, 5, 5, tape0=RandomTape(words=stream), tape1=RandomTape(words=stream[::-1]))
+        assert s.open(s.share(3)) == 3 and s.open(s.pi_bersample(0.5)) in (0, 1)
 
 
 class TestUniform:
