@@ -95,27 +95,6 @@ class GridSpec:
         """All grid points in index order."""
         return (np.arange(self.count) - self.bound_steps) * self.step
 
-    def contains(self, y: float) -> bool:
-        try:
-            k = steps_of(y, self.p)
-        except GridError:
-            return False
-        top = self.bound_steps
-        return -top <= k < top or (not self.half_open and k == top)
-
-    def index_of(self, y: float) -> int:
-        """Index of grid point y. Raises for off-grid or out-of-range values."""
-        k = steps_of(y, self.p)
-        i = k + self.bound_steps
-        if not 0 <= i < self.count:
-            raise GridError(f"{y} lies outside the grid of {self}")
-        return i
-
-    def value_of(self, i: int) -> float:
-        if not 0 <= i < self.count:
-            raise GridError(f"index {i} out of range for {self.count} points")
-        return (i - self.bound_steps) * self.step
-
     def as_dict(self) -> dict:
         return {"p": self.p, "B": self.B, "half_open": self.half_open}
 

@@ -32,6 +32,7 @@ TDL and TCL are the two `Mechanism` records; their methods `pmf`,
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -167,7 +168,7 @@ def lambda_dlap(E: float, L: float, sigma: float, p: int) -> float:
 class ExactPmf:
     """A tabulated exact probability mass function over a grid.
 
-    `masses[i]` is the probability of `spec.value_of(i)`; `lam` is the
+    `masses[i]` is the probability of `spec.values()[i]`; `lam` is the
     normalization constant that divided the raw kernel; `center` is the
     input x the distribution is conditioned on.
     """
@@ -245,7 +246,8 @@ def _kernel_law(L: float, sigma: float, p: int, half_open: bool, lam: float,
     else:
         width = 1.0
         d = np.abs(np.arange(-Ls, Ls + 1))
-    table = np.exp(-dist / sigma) * width / lam
+    with np.errstate(over="ignore"):  # dist / sigma is inf past a subnormal sigma: mass 0
+        table = np.exp(-dist / sigma) * width / lam
     window = table[d]
     window.flags.writeable = False
     count = 2 * (Es + Ls) + (0 if half_open else 1)
@@ -295,28 +297,46 @@ def moments_lap_exact(x: float, params: MechanismParams) -> tuple[float, float]:
 
 
 def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float, float]:
-    """Mean and MSE; the cubic term sigma^2 e^(-eps) f(E/sigma) only if `cubic`.
+    """Mean and MSE; the MSE's cubic terms only if `cubic`.
 
-    With k = E/sigma, the divisor 1 - (1 - k) e^(-eps) is written
-    -expm1(-eps) + k e^(-eps), the mean's 1 - (1 + eps) e^(-eps) is P(2, eps)
-    and the exact sigma^2 term 2 + e^(-eps) f(k) is 2 P(3, eps) + e^(-eps)
-    k (k^2/3 + eps k + eps^2), with P(n, eps) = 1 - e^(-eps) sum_{j<n}
-    eps^j / j! the regularized incomplete gamma (`gammainc`), so no term
-    cancels as sigma grows.  A divisor that is 0 or not finite (L/sigma and
-    E/sigma both underflow) is refused.
+    With eps = L/sigma, k = E/sigma and c = 1 - e^(-eps), the law is a
+    mixture: the part |y - x| < L, of share c / den, and the flat tails, of
+    share w = k e^(-eps) / den, den = c + k e^(-eps).  The mean is x P(2,
+    eps) / den and the MSE (c / den) m + w (L (L + E) + E^2/3 + x^2 (1 +
+    L/E)), where m = sigma^2 2 P(3, eps) / c is the inner part's second
+    moment and P(n, eps) the regularized incomplete gamma (`gammainc`).  The
+    bound takes 2 sigma^2 / den for the inner part and drops the tails'
+    x-free terms.  P(n, eps) ~ eps^n / n! underflows long before eps does,
+    so below eps = 2^-30 P(2, eps) / eps and m / L^2 are their two-term
+    series, eps (1/2 - eps/3) and 1/3 - eps/12, whose next terms are below
+    2^-60 there.  A divisor that is 0 or not finite (L/sigma and E/sigma
+    both underflow), or an MSE that is not a positive double, is refused.
     """
     E, L, sigma = params.E, params.L, params.sigma
     if not abs(x) <= E:  # a NaN x fails it too
         raise ValueError(f"x={x} lies outside [-E, E], E={E}")
     eps = L / sigma
     k = E / sigma
-    e = math.exp(-eps)
-    den = -math.expm1(-eps) + k * e
+    e, c = math.exp(-eps), -math.expm1(-eps)
+    den = c + k * e
     if not 0.0 < den < math.inf:
         raise ValueError(f"the continuous moments at E = {E}, L = {L}, sigma = {sigma} divide by {den}")
-    s2 = 2.0 * float(gammainc(3, eps)) + e * k * (k * k / 3.0 + eps * k + eps * eps) if cubic else 2.0
-    mean = x * float(gammainc(2, eps)) / den
-    mse = (sigma**2 * s2 + x * x * e * (eps + k)) / den
+    small = eps < 2.0**-30
+    mean = x * (eps / den * eps * (0.5 - eps / 3.0) if small else float(gammainc(2, eps)) / den)
+    w = k * e / den
+    tails = w * x * (x + x / E * L)  # w x^2 (1 + L/E), in an order that cannot overflow
+    if cubic:
+        if small:
+            m = L * L * (1.0 / 3.0 - eps / 12.0)
+        else:
+            m = sigma * (2.0 * float(gammainc(3, eps)) / c) * sigma
+        mse = c / den * m + w * L * (L + E) + w * E * E / 3.0 + tails
+    else:
+        mse = 2.0 * sigma * (sigma / den) + tails
+    if not 0.0 < mse < math.inf:
+        name = "MSE" if cubic else "MSE bound"
+        raise ValueError(f"the continuous {name} at E = {E}, L = {L}, sigma = {sigma} is {mse}, "
+                         "not a positive double")
     return mean, mse
 
 
@@ -334,15 +354,21 @@ def _moment_terms(params: MechanismParams, cumulative: bool) -> tuple[float, ...
     flat part, plus the window's second moment.  The window sums
     h^(k+1) sum_{d<N} d^k rho^d (rho = e^(-h/sigma), N = 2^p L) are
     written in u = h / (1 - rho), about sigma, and L = N h: no term
-    overflows or underflows as p grows.  ValueError where lambda, or the
-    mse at x = E, where each of its terms peaks, is not a finite double.
+    overflows or underflows as p grows.  ValueError where u^3, lambda, or
+    the mse at x = E, where each of its terms peaks, is not a finite double.
     """
     E, L, sigma, p, h = params.E, params.L, params.sigma, params.p, params.step
     a = h / sigma  # u as sigma a / (1 - e^-a) keeps its digits where a is subnormal
     r, rho, c = math.exp(-L / sigma), math.exp(-a), -math.expm1(-L / sigma)
     u = sigma * (a / -math.expm1(-a)) if a else sigma
+    try:
+        u3 = u**3
+    except OverflowError:
+        raise ValueError(f"the closed-form moments need u^3 < 2^1024, u = 2^-p / "
+                         f"(1 - e^(-2^-p/sigma)) >= sigma; at sigma = {sigma}, p = {p}, "
+                         f"u = {u}") from None
     s0, s1 = c * u, c * rho * u * u - r * L * u
-    s2 = c * rho * (1.0 + rho) * u**3 - r * (2.0 * L * rho * u * u + L * L * u)
+    s2 = c * rho * (1.0 + rho) * u3 - r * (2.0 * L * rho * u * u + L * L * u)
 
     def tri(z):  # h^3 * sum of k^2 over k = -z/h .. z/h
         return z * (z + h) * (2.0 * z + h) / 3.0
@@ -454,6 +480,10 @@ class CalibrationResult:
     regime: str
     kstar: float | None = None
 
+    def __post_init__(self):
+        # L / epsilon or 1 / epsilon can leave the double range
+        _check_positive(sigma=self.sigma)
+
     def as_dict(self) -> dict:
         d = {"sigma": self.sigma, "regime": self.regime}
         if self.kstar is not None:
@@ -504,7 +534,9 @@ def calibrate(
     notion "eps" needs the noise bound L and returns sigma = L / epsilon
     for any mechanism.  notion "dchi" (distance-based privacy) returns
     sigma = 1/epsilon for tdl and sigma = max(2/epsilon, 2^-p) for tcl.
-    A p, when given, must be >= 0 (GridError).
+    A p, when given, must be >= 0 (GridError).  A sigma that is not a
+    positive finite double (L / epsilon or 1 / epsilon past the range)
+    is refused.
     """
     _check_positive(epsilon=epsilon)
     if mechanism not in MECHANISMS:
@@ -548,9 +580,13 @@ def max_privacy_ratio(mechanism: str, params: MechanismParams) -> float:
     mass ratio is e^(L/sigma) * sigma * (1 - e^(-a)) / 2^-p, a = 2^-p/sigma,
     which never exceeds e^(L/sigma).  The law the samplers draw, through
     64-bit Bernoulli thresholds, can exceed e^(L/sigma) on tdl by a few
-    1e-16 relative.
+    1e-16 relative.  ValueError where e^(L/sigma) is not a double, i.e.
+    past L/sigma = ln(DBL_MAX) = 709.78.
     """
     ratio = _or_inf(math.exp, params.L / params.sigma)
+    if ratio == math.inf:
+        raise ValueError(f"the privacy ratio e^eps needs eps = L/sigma <= ln(DBL_MAX) = "
+                         f"{math.log(sys.float_info.max)}, got {params.L / params.sigma}")
     if mechanism in ("lap", "tdl"):
         return ratio
     if mechanism == "tcl":

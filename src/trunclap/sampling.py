@@ -26,7 +26,7 @@ params), so a draw reads precomputed integers only.
 
 The tail index on [0, 2*2^p*E) is drawn the same way, without rejection
 (`tape.segment_plan`).  The draw body (`_noise_steps`, `_dlap_steps`,
-`_clap_steps`, `_inner`, `_perturb_steps`, and the magnitude
+`_clap_steps`, `_perturb_steps`, and the magnitude
 `tape._magnitude`, which the secure protocols share) reads its words as
 Python ints (one sequential draw) or as uint64 rows (one word of every
 execution of a block, for `sample_batch`).
@@ -168,13 +168,6 @@ def _clap_steps(cfg: CenteredDlapConfig, w):
     return (w[-1] < cfg.sign_threshold) * (2 * m + 1) - m - 1
 
 
-def sample_clap_centered(L: float, sigma: float, p: int, tape: RandomTape) -> float:
-    """Draw from the centered cumulative Laplace on [-L, L) at step 2^-p,
-    exactly `centered_clap_pmf` (see the module docstring)."""
-    cfg = centered_clap_config(L, sigma, p)
-    return _clap_steps(cfg, tape.words(cfg.words_per_draw)) * 2.0**-p
-
-
 def retired_gamma(gamma: int) -> None:
     """Check the inner-lattice precision that `sample_tcl`, `pi_cl`,
     `pi_c_noise`, `run_batch`, `make_session` and `mechanism_field` still
@@ -254,11 +247,6 @@ def noise_plan(mech: Mechanism, params: MechanismParams) -> NoisePlan:
     )
 
 
-def _inner(plan: NoisePlan, w):
-    """The inner draw, in 2^-p steps."""
-    return (_clap_steps if plan.mech.cumulative else _dlap_steps)(plan.inner, w)
-
-
 def _perturb_steps(plan: NoisePlan, xs, branch, a, b):
     """`perturb` in 2^-p steps, of the tail index a and the inner draw b."""
     Es, Ls, hi = plan.Es, plan.Ls, plan.mech.high_offset
@@ -270,12 +258,14 @@ def _noise_steps(plan: NoisePlan, w, tail_word):
     """(branch, tail index, inner steps) of one noise draw's words, or of a
     block's rows; `tail_word` is w[1], as int64 in rows.  The tail index is
     the low floor(log2 N) bits of its word, placed in the segment its
-    P - 1 pick words choose unless the tail count N is a power of two."""
+    P - 1 pick words choose unless the tail count N is a power of two.  The
+    inner draw is TDL's centred discrete Laplace or TCL's cumulative one."""
     tail = plan.tail
     a = tail_word & tail.low  # in rows, the mask clears the sign
     if tail.picks:
         a = pick_segment(tail.segments, tail.picks, w[2 : 1 + tail.words], a)
-    return w[0] < plan.branch_threshold, a, _inner(plan, w[1 + tail.words :])
+    inner = _clap_steps if plan.mech.cumulative else _dlap_steps
+    return w[0] < plan.branch_threshold, a, inner(plan.inner, w[1 + tail.words :])
 
 
 def _sample_steps(plan: NoisePlan, xs: int, tape: RandomTape) -> int:

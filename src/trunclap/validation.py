@@ -1,5 +1,5 @@
-"""Statistical validation harness: goodness of fit, empirical privacy
-ratios, and empirical-vs-analytic moment comparisons.
+"""Statistical validation harness: goodness of fit, distribution overlays
+and empirical-vs-analytic moment comparisons.
 
 Chi-square tests merge bins whose expected count falls below 5 into their
 neighbors (the usual validity rule) before computing the statistic.
@@ -133,22 +133,6 @@ def fit_report(h: Histogram, f: ExactPmf) -> FitReport:
         max_rel_dev=float(np.nanmax(rel)),
         n=h.n,
     )
-
-
-def empirical_privacy_ratio(h1: Histogram, h2: Histogram, min_count: int = 100) -> float:
-    """Max over qualifying bins of the frequency ratio between two histograms.
-
-    Only bins where both histograms have at least `min_count` observations
-    qualify; raises if none do.
-    """
-    if h1.spec != h2.spec:
-        raise ValueError("histograms must share a support")
-    mask = (h1.counts >= min_count) & (h2.counts >= min_count)
-    if not np.any(mask):
-        raise ValueError(f"no bins with at least {min_count} counts on both sides")
-    f1 = h1.counts[mask] / h1.n
-    f2 = h2.counts[mask] / h2.n
-    return float(np.max(f1 / f2))
 
 
 def empirical_moments(h: Histogram, x: float) -> tuple[float, float]:

@@ -15,7 +15,7 @@ import pytest
 from trunclap import tape
 from trunclap.mechanisms import MechanismParams, lookup_mechanism
 from trunclap.mpc import Session, mechanism_field, pi_noise, protocols
-from trunclap.sampling import noise_plan
+from trunclap.sampling import noise_plan, sample_tcl, sample_tdl
 from trunclap.tape import RandomTape
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -44,7 +44,7 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
     metrics = ["run_batch_us.2", "run_batch_floor_us.2", "run_batch_us.8",
                "run_batch_floor_us.8", "block_us.3", "block_floor_us.3", "loop_us.3",
                "loop_floor_us.3", "pool_block_us", "pool_block_floor_us", "pool_loop_us",
-               "pool_loop_floor_us", "online_us"]
+               "pool_loop_floor_us", "sample_us", "sample_floor_us", "online_us"]
     assert sorted(report["cases"]) == ["tcl.small", "tcl.wide", "tdl.small", "tdl.wide"]
     for case in report["cases"].values():
         assert list(case) == metrics
@@ -96,12 +96,14 @@ def test_the_floor_reads_every_word_of_the_call(monkeypatch):
     monkeypatch.setattr(call_cost, "MECHS", ("tcl",))
     report = call_cost.measure([n], [2], 1)
     timings, ratios = report["timings"]["tcl.wide"], report["floor_ratios"]["tcl.wide"]
-    floored = ["run_batch_us.8", "block_us.2", "loop_us.2", "pool_block_us", "pool_loop_us"]
+    floored = ["run_batch_us.8", "block_us.2", "loop_us.2", "pool_block_us", "pool_loop_us",
+               "sample_us"]
     assert list(ratios) == [m.replace("_us", "_floor_ratio") for m in floored]
     for metric in floored:
         floor_us = timings[metric.replace("_us", "_floor_us")]
         assert ratios[metric.replace("_us", "_floor_ratio")] == round(timings[metric] / floor_us, 4)
     assert len(drawn) == len(floored) and drawn[0] == dealer + party0 + party1
+    assert drawn[-1] == noise_plan(mech, P).words_per_draw  # one sequential draw's words
 
 
 def test_words_read_counts_each_word_a_call_reads_once():
@@ -133,6 +135,19 @@ def test_words_read_counts_each_word_a_call_reads_once():
     for _ in range(POOL):
         pi_noise(session, mech, P)
     assert call_cost.words_read(pool["pool_loop_us"][0]) == consumed(session)
+
+
+@pytest.mark.parametrize("name", ["tdl", "tcl"])
+def test_the_sample_call_is_one_sequential_draw(name):
+    # each call draws the value the sampler gives on the next words of
+    # one tape, and reads one plan's words
+    P = MechanismParams(**call_cost.SETS["wide"])
+    plan = noise_plan(lookup_mechanism(name), P)
+    call, ref = call_cost.sample_call(name, P, 9), RandomTape(9)
+    sample = sample_tdl if name == "tdl" else sample_tcl
+    for _ in range(40):
+        assert call_cost.words_read(call) == plan.words_per_draw
+    assert [call() for _ in range(200)] == [sample(0.0, P, ref) for _ in range(240)][40:]
 
 
 def test_faults_are_counted_per_timed_call():

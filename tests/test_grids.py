@@ -18,6 +18,7 @@ from trunclap.grids import (
 )
 from trunclap.mechanisms import MechanismParams
 from trunclap.mpc import Session, mechanism_field
+from trunclap.validation import Histogram
 
 
 class TestQuantize:
@@ -86,18 +87,19 @@ class TestGridSpec:
                 assert np.allclose(np.diff(vals), 2.0**-p)
 
     def test_index_value_bijection(self):
+        # point i of `values()` is y = (i - bound_steps) 2^-p
         spec = GridSpec(p=1, B=2.0)
-        for y in spec.values():
-            assert spec.value_of(spec.index_of(float(y))) == y
-        assert spec.index_of(-2.0) == 0
-        assert spec.value_of(spec.count - 1) == 2.0
+        for i, y in enumerate(spec.values()):
+            assert steps_of(float(y), spec.p) + spec.bound_steps == i
+        assert spec.values()[0] == -2.0
+        assert spec.values()[spec.count - 1] == 2.0
 
     def test_half_open_drops_top(self):
         spec = GridSpec(p=1, B=2.0, half_open=True)
         assert spec.values()[-1] == 1.5
-        assert not spec.contains(2.0)
-        with pytest.raises(GridError):
-            spec.index_of(2.0)
+        assert Histogram.from_samples([1.5], spec).n == 1
+        with pytest.raises(ValueError, match="off or outside the grid"):
+            Histogram.from_samples([2.0], spec)
 
     def test_rejects_misaligned_bound(self):
         with pytest.raises(GridError):
@@ -109,14 +111,16 @@ class TestGridSpec:
 
     def test_contains_is_false_off_the_grid(self):
         spec = GridSpec(p=1, B=2.0)
-        assert spec.contains(0.5) and not spec.contains(0.25)
+        assert Histogram.from_samples([0.5], spec).n == 1
+        with pytest.raises(ValueError, match="off or outside the grid"):
+            Histogram.from_samples([0.25], spec)
 
     def test_off_grid_lookup(self):
         spec = GridSpec(p=0, B=4.0)
         with pytest.raises(GridError):
-            spec.index_of(0.5)
-        with pytest.raises(GridError):
-            spec.value_of(99)
+            steps_of(0.5, spec.p)
+        with pytest.raises(ValueError, match="off or outside the grid"):
+            Histogram.from_samples([99.0], spec)
 
 
 class TestFieldConfig:

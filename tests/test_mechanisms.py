@@ -49,7 +49,7 @@ from trunclap.mechanisms import (
     lookup_mechanism,
 )
 from trunclap import cli
-from trunclap.grids import GridError, GridSpec
+from trunclap.grids import GridError, GridSpec, steps_of
 from trunclap.mpc import run_batch
 from trunclap.sampling import sample_batch, sample_tdl
 from trunclap.tape import RandomTape
@@ -145,6 +145,12 @@ class TestLambdas:
                     _cell_closed_form(float(y), x, L, s, h) for y in ys[:-1]
                 )
                 assert lamc == pytest.approx(cells, rel=LAMBDA_TOL)
+
+
+def mass_at(f, y):
+    """The mass of grid value y under the pmf f: point i of the grid is
+    (i - bound_steps) 2^-p."""
+    return f.masses[steps_of(y, f.spec.p) + f.spec.bound_steps]
 
 
 def _cell_closed_form(y, x, L, s, h):
@@ -251,6 +257,19 @@ class TestOneMomentDerivation:
                 assert got_mean == pytest.approx(mean, rel=1e-12, abs=2.0**-p)
                 assert got_mse == pytest.approx(mse, rel=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ["--mechanism", "tdl", "--E", "1e15", "--L", "0.25", "--p", "60", "--x", "0.5",
+         "--sigma", "1e110"],
+        ["--mechanism", "tcl", "--E", "1e300", "--L", "1e15", "--p", "0", "--x", "1",
+         "--epsilon", "1e-300", "--regime", "dchi"],
+    ], ids=["tdl", "tcl"])
+    def test_a_window_cube_past_the_double_range_is_refused(self, argv, capsys):
+        # u^3, u ~ sigma, raised a bare OverflowError through the CLI
+        assert cli.main(["moments", *argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: the closed-form moments need u^3 < 2^1024")
+        assert "Traceback" not in err
+
     def test_an_infinite_normalizer_gives_no_moments(self):
         # E + L < 2 admits p = 1023, and there 2^1024 E is finite at E =
         # 1/4 but the flanks' 2 (1 - e^(-L/sigma)) / (e^(2^-p/sigma) - 1)
@@ -274,7 +293,7 @@ class TestPmfTdl:
         f = pmf_tdl(1.0, small_params)
         for y in (-6.0, -2.0, 3.0, 6.0):
             assert abs(y - 1.0) >= small_params.L
-            ratio = f.masses[f.spec.index_of(1.0)] / f.masses[f.spec.index_of(y)]
+            ratio = mass_at(f, 1.0) / mass_at(f, y)
             assert ratio == pytest.approx(math.exp(small_params.epsilon), rel=1e-12)
 
     def test_masses_match_oracle_p2(self, table_params_p2):
@@ -296,8 +315,8 @@ class TestPmfTcl:
         f = pmf_tcl(x, params)
         h = params.step
         for i in range(1, int(2**params.p * params.L) + 1):
-            assert f.masses[f.spec.index_of(x - i * h)] == pytest.approx(
-                f.masses[f.spec.index_of(x + (i - 1) * h)], rel=1e-12
+            assert mass_at(f, x - i * h) == pytest.approx(
+                mass_at(f, x + (i - 1) * h), rel=1e-12
             )
 
     def test_normalization_sweep(self):
@@ -448,11 +467,11 @@ class TestCenteredPmfs:
         assert f.support()[-1] == 2.0 - 0.25
 
 
-def lap_moments_decimal(x, E, L, sigma):
+def lap_moments_decimal(x, E, L, sigma, prec=80):
     """(mean, MSE bound, exact MSE) of the continuous mechanism: the closed
-    forms as `moments_lap` once wrote them, in 80-digit decimals."""
+    forms as `moments_lap` once wrote them, in `prec`-digit decimals."""
     with decimal.localcontext() as ctx:
-        ctx.prec = 80
+        ctx.prec = prec
         x, E, L, sigma = map(Decimal, (x, E, L, sigma))
         eps, k = L / sigma, E / sigma
         e = (-eps).exp()
@@ -521,6 +540,19 @@ class TestMomentsLap:
         assert got == pytest.approx(lap_moments_decimal(x, 1.0, 1.0, sigma), rel=1e-12, abs=0)
         if sigma == 1e17 and x == 0.0:
             assert got[2] == pytest.approx(4 / 3, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [1e110, 1e200, 1e300])
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+    def test_exact_moments_where_the_cubic_terms_underflow(self, sigma, x):
+        # past sigma ~ 1e103 the cubic terms underflowed (E = L = 1 read an
+        # exact MSE of 0.0 at 1e110, where it is 4/3) and past 1.3e154
+        # sigma**2 raised OverflowError; 980 digits hold den's cancellation
+        # at 1e300.  The bound, about sigma^3, is past a double: refused
+        params = MechanismParams(E=1.0, L=1.0, sigma=sigma, p=0)
+        mean, _, mse = lap_moments_decimal(x, 1.0, 1.0, sigma, prec=980)
+        assert moments_lap_exact(x, params) == pytest.approx((mean, mse), rel=1e-12, abs=0)
+        with pytest.raises(ValueError, match=r"MSE bound at E = 1.0, L = 1.0, sigma = .* is inf"):
+            moments_lap(x, params)
 
     def test_a_divisor_that_rounds_to_zero_is_refused(self, capsys):
         # 1 - (1 - E/sigma) e^(-L/sigma) is 0 in a double only where L/sigma
@@ -629,13 +661,13 @@ class TestSmallSigma:
         params, h = self.params(p, t), 2.0**-p
         for x in (-4.0, 1.0):
             tdl = pmf_tdl(x, params)
-            assert tdl.masses[tdl.spec.index_of(x)] == 1.0 and tdl.total() == 1.0
+            assert mass_at(tdl, x) == 1.0 and tdl.total() == 1.0
             assert moments_tdl(x, params) == pytest.approx(
                 (tdl.mean(), tdl.mse()), rel=MOMENT_TOL, abs=1e-300
             )
             assert moments_tdl(x, params)[0] == x
             tcl = pmf_tcl(x, params)
-            below, at = tcl.masses[[tcl.spec.index_of(x - h), tcl.spec.index_of(x)]]
+            below, at = mass_at(tcl, x - h), mass_at(tcl, x)
             assert below == at == pytest.approx(0.5, rel=1e-12)
             assert moments_tcl(x, params) == pytest.approx((tcl.mean(), tcl.mse()), rel=MOMENT_TOL)
             assert moments_tcl(x, params) == pytest.approx((x - h / 2, h * h / 2), rel=1e-12)
@@ -658,10 +690,14 @@ class TestSmallSigma:
             assert lambda_dlap(E, L, s, p) == 2.0 ** (p + 1) * E * math.exp(-L / s) + 1.0 + flank
             assert dlap_zero_mass(L, s, p) == 1.0 / (1.0 + flank)
 
-    def test_privacy_ratio_past_the_double_range_is_inf(self):
-        params = self.params(0, 710.5)
+    def test_privacy_ratio_past_the_double_range_is_refused(self):
+        # e^eps past the double range read inf, which `trunclap moments`
+        # printed as the non-JSON token Infinity; eps = L/sigma = 2t here
         for mech in ("lap", "tdl", "tcl"):
-            assert max_privacy_ratio(mech, params) == math.inf
+            assert max_privacy_ratio(mech, self.params(0, 354.5)) < math.inf
+            for t in (355.0, 710.5):
+                with pytest.raises(ValueError, match=r"eps = L/sigma <= ln\(DBL_MAX\) = 709.78"):
+                    max_privacy_ratio(mech, self.params(0, t))
 
 
 class TestCalibration:
@@ -698,6 +734,17 @@ class TestCalibration:
     ], ids=["dchi-tcl", "dchi-tdl", "eps"])
     def test_a_negative_p_is_refused(self, args, kw):
         with pytest.raises(GridError, match="p must be >= 0"):
+            calibrate(*args, **kw)
+
+    @pytest.mark.parametrize("args, kw", [
+        ((1e-300, "tdl", "eps"), {"L": 1e300}),  # L / epsilon = 1e600
+        ((2.0**-1074, "tcl", "dchi"), {"p": 0}),  # 2 / epsilon
+        ((1e300, "lap", "eps"), {"L": 1e-300}),  # 1e-600
+    ], ids=["eps", "dchi", "underflow"])
+    def test_a_sigma_past_the_double_range_is_refused(self, args, kw):
+        # an infinite sigma was returned, and `trunclap calibrate` printed
+        # the non-JSON token Infinity
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
             calibrate(*args, **kw)
 
     @pytest.mark.parametrize("args, kw, match", [

@@ -36,7 +36,6 @@ from trunclap import (
     perturb,
     pmf_tcl,
     sample_batch,
-    sample_clap_centered,
     sample_dlap_centered,
     sample_tcl,
     sample_tdl,
@@ -57,6 +56,13 @@ from trunclap.sampling import (
     noise_plan,
 )
 from trunclap.tape import bernoulli_threshold, segment_plan
+
+
+def sample_clap_centered(L, sigma, p, tape):
+    """One draw of the centred cumulative Laplace on [-L, L) at step 2^-p,
+    `centered_clap_pmf`: TCL's inner draw on its own words."""
+    cfg = centered_clap_config(L, sigma, p)
+    return _clap_steps(cfg, tape.words(cfg.words_per_draw)) * 2.0**-p
 
 
 def tv(counts, masses):
@@ -485,7 +491,8 @@ class TestClapExactLaw:
         n = 100_000
         params = MechanismParams(E=4.0, L=2.0, sigma=sigma, p=0)
         exact = pmf_tcl(1.0, params)
-        assert exact.masses[exact.spec.index_of(0.0)] == pytest.approx(0.5, abs=1e-12)
+        at_0 = exact.masses[steps_of(0.0, 0) + exact.spec.bound_steps]
+        assert at_0 == pytest.approx(0.5, abs=1e-12)
         out = sample_batch(TCL, 1.0, params, n, 23)
         assert abs(np.mean(out == 0.0) - 0.5) < math.sqrt(math.log(2e9) / (2 * n))
 

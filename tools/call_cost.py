@@ -19,6 +19,10 @@ worker process on a checkout times these metrics, each the median of
   that evaluates a block of 8 noise pairs on a fresh seeded Session,
   after its 8 sequential pairs (drawn untimed), and 8 `pi_noise` calls on
   a session built on tapes passed in, which draws every pair now;
+* `sample_us` (`sample_call`): one sequential plaintext draw,
+  `sample_tdl` or `sample_tcl` at x = 0, on a tape seeded before the
+  timer: the sampler whose draw `pi_noise` and `pi_perturb` realize,
+  without a session;
 * `online_us`: one online call on that warm session, share -> `pi_perturb`
   -> `open` of one input, on a pair it pooled beforehand (`pi_noise`):
   the `Session`'s own integer path.
@@ -192,6 +196,15 @@ def pool_calls(field, mech, P, seeds) -> dict:
                              None)}
 
 
+def sample_call(name: str, P, seed: int):
+    """The call `sample_us` times: one `sample_tdl`/`sample_tcl` draw at
+    x = 0 on a tape seeded now, so that its seeding is not timed."""
+    from trunclap import RandomTape, sample_tcl, sample_tdl
+
+    sample = sample_tdl if name == "tdl" else sample_tcl
+    return functools.partial(sample, 0.0, P, RandomTape(seed))
+
+
 def call_words(field, mech, P, n: int) -> tuple[int, int, int]:
     """The words a `run_batch` call of n executions reads (untimed): its
     dealer tape's and each party tape's."""
@@ -230,6 +243,7 @@ def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
                     timed[f"{path}.{n}"] = (call, None, min_sessions)
             for metric, (call, setup) in pool_calls(field, mech, P, seeds).items():
                 timed[metric] = (call, setup, None)
+            timed["sample_us"] = (sample_call(name, P, next(seeds)), None, None)
             case, ratio = {}, {}
             run_batch(name, P, 0.0, max(calls), 0, 1)  # fill the lazy caches
             for metric, (call, setup, min_sessions) in timed.items():
