@@ -260,14 +260,6 @@ def _mechanism_law(params: MechanismParams, cumulative: bool) -> _KernelLaw:
     return _kernel_law(params.L, params.sigma, params.p, cumulative, lam, params._Es)
 
 
-def dlap_zero_mass(L: float, sigma: float, p: int) -> float:
-    """c0 = P[0] of the centered discrete Laplace on [-L, L] at step 2^-p.
-
-    Computed from the closed-form normalizer, not by floating summation.
-    """
-    return 1.0 / _normalizer(0.0, L, sigma, p, False)
-
-
 @lru_cache(maxsize=128)
 def _centered_law(L: float, sigma: float, p: int, cumulative: bool) -> _KernelLaw:
     return _kernel_law(L, sigma, p, cumulative, _normalizer(0.0, L, sigma, p, cumulative), 0)
@@ -503,11 +495,13 @@ def kstar_polynomial(k: float, epsilon: float) -> float:
 
 
 def find_kstar(epsilon: float) -> float:
-    """Margin value k* in (1, 2) with f(k*) strictly negative.
+    """Margin value k* in [1, 2) with f(k*) strictly negative.
 
     Bisects f on (1, 2) to 1e-10 for the root a, then backs off slightly
-    (k* = max(1 + 1e-6, a * (1 - 1e-6))) so the defining inequality holds
-    strictly rather than at the boundary.
+    (max(1 + 1e-6, a * (1 - 1e-6))) so the defining inequality holds
+    strictly rather than at the boundary, but never past the bisection's
+    lower end lo, where f(lo) < 0 (f(1) = -eps - 5/3): at eps >= 1e6 the
+    root lies below 1 + 1e-6, and past eps = 1.3e154 f is NaN in floats.
     """
     _check_positive(epsilon=epsilon)
     lo, hi = 1.0, 2.0
@@ -518,7 +512,7 @@ def find_kstar(epsilon: float) -> float:
         else:
             hi = mid
     a = 0.5 * (lo + hi)
-    return max(1.0 + 1e-6, a * (1.0 - 1e-6))
+    return min(max(1.0 + 1e-6, a * (1.0 - 1e-6)), lo)
 
 
 def calibrate(
@@ -578,19 +572,27 @@ def max_privacy_ratio(mechanism: str, params: MechanismParams) -> float:
 
     For lap and tdl this is exactly e^(L/sigma).  For tcl the max-to-min
     mass ratio is e^(L/sigma) * sigma * (1 - e^(-a)) / 2^-p, a = 2^-p/sigma,
-    which never exceeds e^(L/sigma).  The law the samplers draw, through
-    64-bit Bernoulli thresholds, can exceed e^(L/sigma) on tdl by a few
-    1e-16 relative.  ValueError where e^(L/sigma) is not a double, i.e.
-    past L/sigma = ln(DBL_MAX) = 709.78.
+    which never exceeds e^(L/sigma); where that product passes a double on
+    the way, it is exp(L/sigma - log(a / (1 - e^(-a)))).  The law the
+    samplers draw, through 64-bit Bernoulli thresholds, can exceed
+    e^(L/sigma) on tdl by a few 1e-16 relative.  ValueError where the ratio
+    is not a double: on lap and tdl past L/sigma = ln(DBL_MAX) = 709.78.
     """
-    ratio = _or_inf(math.exp, params.L / params.sigma)
-    if ratio == math.inf:
-        raise ValueError(f"the privacy ratio e^eps needs eps = L/sigma <= ln(DBL_MAX) = "
-                         f"{math.log(sys.float_info.max)}, got {params.L / params.sigma}")
-    if mechanism in ("lap", "tdl"):
-        return ratio
+    eps = params.L / params.sigma
+    ratio = _or_inf(math.exp, eps)
     if mechanism == "tcl":
         h, a = params.step, params.step / params.sigma
         # below 2^-1022, the least normal double, the factor -expm1(-a)/a is 1
-        return ratio if a < 2.0**-1022 else ratio * params.sigma * (-math.expm1(-a)) / h
-    raise ValueError(f"unknown mechanism {mechanism!r}")
+        if a >= 2.0**-1022:
+            ratio = ratio * params.sigma * (-math.expm1(-a)) / h
+            if ratio == math.inf:
+                ratio = _or_inf(math.exp, eps - math.log(a / -math.expm1(-a)))
+        if not ratio < math.inf:  # a NaN where eps and a are inf
+            raise ValueError(f"the privacy ratio e^eps (1 - e^(-a)) / a of tcl is past a double "
+                             f"at eps = L/sigma = {eps}, a = 2^-p/sigma = {a}")
+    elif mechanism not in ("lap", "tdl"):
+        raise ValueError(f"unknown mechanism {mechanism!r}")
+    elif ratio == math.inf:
+        raise ValueError(f"the privacy ratio e^eps needs eps = L/sigma <= ln(DBL_MAX) = "
+                         f"{math.log(sys.float_info.max)}, got {eps}")
+    return ratio

@@ -61,7 +61,7 @@ entry per execution), as a `BlockScheduler` decides: n at once in
 `Session.run`, on any tapes, and one per call in `Session.offline`, whose
 blocks run ahead of the calls and so only on the session's own seeded
 tapes (a finite replay passed in has no words past its end), each
-execution's values one uint64 row, unpacked as the loop's.  A block
+execution's values one uint64 row, handed out as the loop's.  A block
 reads the party tapes execution by execution (no draw rejects, so each
 reads the same words) and charges its own ledger one execution's cost,
 added to the session's per execution committed, so opened values, ledgers
@@ -342,7 +342,7 @@ class _CommonOps:
         value is shared with one dealer mask (none for kappa = 0, where it
         is 0), so its shares are uniform.
         """
-        kappa, picks = plan.kappa, len(plan.segment_thresholds)
+        kappa, picks = plan.kappa, len(plan.magnitude.picks)
         if not kappa:
             return self.share_public(0)
         self._charge_bernoulli(kappa + picks)
@@ -415,7 +415,7 @@ class _CommonOps:
         led.elements_exchanged += 2 * plan.low.bit_length()
         picks = len(plan.picks)
         if picks:
-            v = pick_segment(plan.segments, plan.picks, self._joint_words(picks), v)
+            v = pick_segment(plan, self._joint_words(picks), v)
             self._charge_bernoulli(picks)
             self._charge_mul(picks)
         return self._reshare(v)
@@ -523,10 +523,10 @@ class Session(_CommonOps):
     def _residues(self, k: int, like) -> list[int]:
         return self.triples.take(k)
 
-    def offline(self, key, step, unpack):
-        """One execution of an input-independent program, drawn now or
-        handed out of a block evaluated ahead: `unpack(values, key)` of the
-        values `step(self, key)` draws.
+    def offline(self, key, step):
+        """The values of one execution of an input-independent program,
+        `step(self, key)`, drawn now or handed out of a block evaluated
+        ahead.
 
         `key` names the program (the noise protocol's cached plan): a
         BatchSession runs it on the key's row form (`BatchSession.offline`),
@@ -539,17 +539,17 @@ class Session(_CommonOps):
         transcript, draws every execution now.
         """
         if not self._pools or self.record_transcript:
-            return unpack(step(self, key), key)
+            return step(self, key)
         t0, t1 = self.tape0, self.tape1
         last_key, blocks, read = self._offline
         # word counts only grow, so their sum moves with any read of either
         if key is not last_key or read != t0.words_consumed + t1.words_consumed:
             blocks = self._scheduler(
-                lambda b: b.offline(key, step, lambda values, _: np.column_stack(values)),
+                lambda b: np.column_stack(b.offline(key, step)),
                 key.words_per_draw, lambda: step(self, key), POOL_BLOCK_MAX)
         values = blocks.take_one()
         self._offline = (key, blocks, t0.words_consumed + t1.words_consumed)
-        return unpack(values.tolist() if type(values) is np.ndarray else values, key)
+        return values.tolist() if type(values) is np.ndarray else values
 
     # -- faults ------------------------------------------------------------
 
@@ -697,13 +697,13 @@ class BatchSession(_CommonOps):
         _uint64_rows(v)
         return (v << self._shl).view(np.int64) >> self._shr
 
-    def offline(self, key, step, unpack):
-        """One execution of an input-independent program for every
-        execution of the block: `unpack(step(self, key.rows), key)`, on its
-        key's row form (`NoisePlan.rows`).  The one place a program meets
+    def offline(self, key, step):
+        """The values of one execution of an input-independent program for
+        every execution of the block: `step(self, key.rows)`, on its key's
+        row form (`NoisePlan.rows`).  The one place a program meets
         the row form: a program run in a block and `Session.offline`'s
         blocks both draw through here."""
-        return unpack(step(self, key.rows), key)
+        return step(self, key.rows)
 
     # -- randomness ----------------------------------------------------------
 

@@ -149,7 +149,7 @@ def pi_cl(session: Session, params: MechanismParams, gamma: int = 0) -> SharedVa
 
 def _pi_cl(session: Session, plan: CenteredDlapConfig) -> SharedValue:
     """Shared centered cumulative Laplace draw in 2^-p steps, exactly
-    `centered_clap_pmf`, on the `centered_clap_config` plan: the magnitude
+    `centered_clap_pmf`, on TCL's inner plan (no zero flag): the magnitude
     u (`pi_magnitude`), a fair sign d, then v = d*(2u + 1) - u - 1 (u if d,
     else -u - 1).  kappa + 1 comparisons and one multiplication besides
     the picks'; nothing is rejected, opened or truncated."""
@@ -169,7 +169,8 @@ def pi_noise(session: Session, mech: Mechanism, params: MechanismParams) -> Shar
     (`Session.offline`; see the module docstring), with the same opened
     values, ledger and party words.
     """
-    return session.offline(noise_plan(mech, params), _noise_values, SharedNoisePair)
+    plan = noise_plan(mech, params)
+    return SharedNoisePair(session.offline(plan, _noise_values), plan)
 
 
 def _noise_values(session: Session, plan: NoisePlan) -> tuple:

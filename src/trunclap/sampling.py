@@ -20,16 +20,17 @@ The centered cumulative Laplace is the same magnitude m and sign on the
 Step k carries rho^k (k >= 0) or rho^(-k-1), so the law is exactly
 `centered_clap_pmf`.
 
-Every draw plan is computed once and cached: `centered_dlap_config` and
-`centered_clap_config` per (L, sigma, p) and `noise_plan` per (mechanism,
+Every draw plan is computed once and cached: `centered_dlap_config` per
+(L, sigma, p) and `noise_plan`, TCL's inner plan included, per (mechanism,
 params), so a draw reads precomputed integers only.
 
 The tail index on [0, 2*2^p*E) is drawn the same way, without rejection
-(`tape.segment_plan`).  The draw body (`_noise_steps`, `_dlap_steps`,
-`_clap_steps`, `_perturb_steps`, and the magnitude
-`tape._magnitude`, which the secure protocols share) reads its words as
-Python ints (one sequential draw) or as uint64 rows (one word of every
-execution of a block, for `sample_batch`).
+(`tape.segment_plan`): each segment choice, the magnitude's and the tail
+index's, is a `tape.SegmentPlan` that `tape.pick_segment` reads.  The
+draw body (`_noise_steps`, `_dlap_steps`, `_clap_steps`, `_perturb_steps`,
+and the magnitude `tape._magnitude`, which the secure protocols share)
+reads its words as Python ints (one sequential draw) or as uint64 rows
+(one word of every execution of a block, for `sample_batch`).
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .mechanisms import (
     Mechanism,
     MechanismParams,
     _check_positive,
-    dlap_zero_mass,
+    _normalizer,
 )
 from .tape import (BlockScheduler, RandomTape, SegmentPlan, _magnitude, bernoulli_threshold,
                    pick_segment, row_constant, segment_plan)
@@ -59,19 +60,18 @@ class CenteredDlapConfig:
     """Precomputed draw plan for the centered discrete Laplace sampler.
 
     Words of one draw: the zero flag (none in TCL's plan), kappa magnitude
-    bits, P - 1 segment choices, the sign.  Segment t covers x' in
-    [start, start + 2^k_t) and keeps the low k_t bits (its mask) of the
-    kappa-bit value.  It holds only what a draw reads: N is where the
+    bits, P - 1 segment choices (`magnitude`), the sign.  Segment t covers
+    x' in [start, start + 2^k_t) and keeps the low k_t bits (its mask) of
+    the kappa-bit value.  It holds only what a draw reads: N is where the
     last segment ends, and a sampler scales its steps by 2^-p.
     """
 
-    zero_threshold: int | None             # None: no zero flag (TCL's plan)
+    zero_threshold: int | None   # None: no zero flag (TCL's plan)
     sign_threshold: int
     bit_thresholds: tuple[int, ...]
-    bit_weights: tuple[int, ...]           # 2^i, the weight of magnitude bit i
-    segment_thresholds: tuple[int, ...]    # P - 1; empty when N is 2^kappa
-    segments: tuple[tuple[int, int], ...]  # (start, mask) of each of the P segments
-    words_per_draw: int                    # kappa + P, plus 1 for the zero flag
+    bit_weights: tuple[int, ...]  # 2^i, the weight of magnitude bit i
+    magnitude: SegmentPlan       # P segments, P - 1 rho-weighted picks
+    words_per_draw: int          # kappa + P, plus 1 for the zero flag
 
     @property
     def kappa(self) -> int:
@@ -79,7 +79,7 @@ class CenteredDlapConfig:
 
     @property
     def method(self) -> str:
-        return "segmented" if self.segment_thresholds else "bitwise"
+        return "segmented" if self.magnitude.picks else "bitwise"
 
     @cached_property
     def rows(self) -> CenteredDlapConfig:
@@ -93,7 +93,7 @@ class CenteredDlapConfig:
             sign_threshold=row_constant(self.sign_threshold),
             bit_thresholds=tuple(map(row_constant, self.bit_thresholds)),
             bit_weights=tuple(map(row_constant, self.bit_weights)),
-            segment_thresholds=tuple(map(row_constant, self.segment_thresholds)),
+            magnitude=replace(self.magnitude, picks=tuple(map(row_constant, self.magnitude.picks))),
         )
 
 
@@ -115,21 +115,20 @@ def centered_dlap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
     # (1 - rho^(2^k_t)) / (1 - rho^(steps - start)).  Past 1/2 the threshold
     # comes from the complement, so that the less likely side keeps its
     # relative precision
-    segments = segment_plan(steps).segments
+    uniform = segment_plan(steps)
     choices = []
-    for start, mask in segments[:-1]:
+    for start, mask in uniform.segments[:-1]:
         size, left = mask + 1, math.expm1(-a * (steps - start))
         pick = math.expm1(-a * size) / left
         skip = math.exp(-a * size) * math.expm1(-a * (steps - start - size)) / left
         choices.append(bernoulli_threshold(pick) if pick <= 0.5 else 2**64 - bernoulli_threshold(skip))
     return CenteredDlapConfig(
-        zero_threshold=bernoulli_threshold(dlap_zero_mass(L, sigma, p)),
+        zero_threshold=bernoulli_threshold(1.0 / _normalizer(0.0, L, sigma, p, False)),
         sign_threshold=bernoulli_threshold(0.5),
         bit_thresholds=bits,
         bit_weights=tuple(1 << i for i in range(kappa)),
-        segment_thresholds=tuple(choices),
-        segments=segments,
-        words_per_draw=kappa + 1 + len(segments),
+        magnitude=replace(uniform, picks=tuple(choices)),
+        words_per_draw=kappa + 1 + uniform.words,
     )
 
 
@@ -152,18 +151,10 @@ def _dlap_steps(cfg: CenteredDlapConfig, w) -> int:
     return (w[0] >= cfg.zero_threshold) * (2 * (w[-1] < cfg.sign_threshold) - 1) * x
 
 
-@lru_cache(maxsize=128)
-def centered_clap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
-    """TCL's inner plan: the centred discrete Laplace plan without its zero
-    flag, so a draw reads kappa + P words."""
-    cfg = centered_dlap_config(L, sigma, p)
-    return replace(cfg, zero_threshold=None, words_per_draw=cfg.words_per_draw - 1)
-
-
 def _clap_steps(cfg: CenteredDlapConfig, w):
     """One centered cumulative Laplace draw, in 2^-p steps, from the words
-    of a `centered_clap_config` plan: the magnitude m if the sign word falls
-    below its threshold, else -m - 1."""
+    of TCL's inner plan: the magnitude m if the sign word falls below its
+    threshold, else -m - 1."""
     m = _magnitude(cfg, w, 0)
     return (w[-1] < cfg.sign_threshold) * (2 * m + 1) - m - 1
 
@@ -200,7 +191,7 @@ class NoisePlan:
 
     One per (mechanism, params), from `noise_plan`: the branch bit's
     threshold, the uniform tail's size and segment plan, the grid step
-    counts, `inner`, the centered sampler's plan (`centered_clap_config`
+    counts, `inner`, the centered sampler's plan (without the zero flag
     for TCL), and the words of one draw.
     """
 
@@ -232,8 +223,9 @@ def noise_plan(mech: Mechanism, params: MechanismParams) -> NoisePlan:
         raise GridError(f"{params} reaches 2^p(E+L) = {Es + Ls} output steps, past the "
                         "2^53 a float64 holds exactly; pick a smaller p")
     tail = segment_plan(2 * Es)
-    inner = (centered_clap_config if mech.cumulative else centered_dlap_config)(
-        params.L, params.sigma, params.p)
+    inner = centered_dlap_config(params.L, params.sigma, params.p)
+    if mech.cumulative:  # TCL's inner plan: no zero flag, so kappa + P words
+        inner = replace(inner, zero_threshold=None, words_per_draw=inner.words_per_draw - 1)
     return NoisePlan(
         mech=mech,
         params=params,
@@ -263,7 +255,7 @@ def _noise_steps(plan: NoisePlan, w, tail_word):
     tail = plan.tail
     a = tail_word & tail.low  # in rows, the mask clears the sign
     if tail.picks:
-        a = pick_segment(tail.segments, tail.picks, w[2 : 1 + tail.words], a)
+        a = pick_segment(tail, w[2 : 1 + tail.words], a)
     inner = _clap_steps if plan.mech.cumulative else _dlap_steps
     return w[0] < plan.branch_threshold, a, inner(plan.inner, w[1 + tail.words :])
 

@@ -69,17 +69,20 @@ def row_constant(c: int, dtype=np.uint64):
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """A uniform index on [0, N) drawn without rejection.
+    """A segment choice on [0, N), drawn without rejection.
 
     [0, N) splits into the P power-of-two segments of N's binary expansion,
     highest first: segment t covers [start, start + 2^k_t), bit k_t being
     N's t-th highest set bit, and keeps the low k_t bits (its mask) of the
-    index word.  It is picked, given that no earlier one was, with
-    probability 2^k_t / (N - start) > 1/2, by the 64-bit threshold
-    round(2^64 * 2^k_t / (N - start)), set in integers; the last segment
-    takes what is left.  A draw reads the index word, whose low
-    floor(log2 N) bits hold the offset, then the P - 1 pick words.  For N a
-    power of two, P = 1 and the index is the word & (N - 1).
+    offset bits.  It is picked, given that no earlier one was, when its
+    pick word falls below its 64-bit threshold; the last takes what is
+    left (`pick_segment`).  `segment_plan(N)`'s picks make the index
+    uniform, probability 2^k_t / (N - start) > 1/2 by the threshold
+    round(2^64 * 2^k_t / (N - start)) set in integers, the offset being an
+    index word's low floor(log2 N) bits (the tail index, `pi_uni`).  A
+    discrete Laplace magnitude's (`sampling.centered_dlap_config`) weigh
+    each by its share of the mass rho^x left, the offset being the kappa
+    magnitude bits.  For N a power of two, P = 1: no picks.
     """
 
     segments: tuple[tuple[int, int], ...]  # (start, mask) of each segment
@@ -119,19 +122,20 @@ def _lanes(q: int) -> tuple:
     return lane, WORD_BITS // width, row_constant(q - 1, lane)
 
 
-def pick_segment(segments, picks, words, bits):
-    """start + (bits & mask) of the first segment whose pick word falls
-    below its pick, else of the last.  `words` holds the P - 1 pick words
-    and `bits` the offset bits, as ints or as rows (one entry per
-    execution); rows gather the segments in the dtype of `bits`, so a
+def pick_segment(plan: SegmentPlan, words, bits):
+    """start + (bits & mask) of the first segment of `plan` whose pick
+    word falls below its pick, else of the last.  `words` holds the P - 1
+    pick words and `bits` the offset bits, as ints or as rows (one entry
+    per execution); rows gather the segments in the dtype of `bits`, so a
     start past 2^63 needs uint64 bits."""
+    picks = plan.picks
     j = len(picks)
     for t in range(j - 1, -1, -1):  # from the last back, so rows need no branch
         j += (words[t] < picks[t]) * (t - j)
     if isinstance(j, np.ndarray):
-        start, mask = np.array(segments, dtype=bits.dtype)[j].T
+        start, mask = np.array(plan.segments, dtype=bits.dtype)[j].T
     else:
-        start, mask = segments[j]
+        start, mask = plan.segments[j]
     return start + (bits & mask)
 
 
@@ -147,8 +151,8 @@ def _magnitude(cfg, w, first: int):
     m, weights = 0, cfg.bit_weights
     for i, threshold in enumerate(cfg.bit_thresholds):
         m += (w[first + i] < threshold) * weights[i]
-    if cfg.segment_thresholds:
-        m = pick_segment(cfg.segments, cfg.segment_thresholds, w[first + cfg.kappa :], m)
+    if cfg.magnitude.picks:
+        m = pick_segment(cfg.magnitude, w[first + cfg.kappa :], m)
     return m
 
 

@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import binom
 
-from trunclap import MechanismParams
+from trunclap import TCL, MechanismParams
 
 
 def closed_grid(B: float, p: int) -> np.ndarray:
@@ -150,8 +150,8 @@ def centered_law_oracle(cfg) -> dict:
     zero, plus = below(cfg.zero_threshold or 0), below(cfg.sign_threshold)
     law = {0: zero}
     reach = 1 - zero  # nonzero, and no earlier segment picked
-    picks = [below(t) for t in cfg.segment_thresholds] + [Fraction(1)]
-    for (start, mask), pick in zip(cfg.segments, picks):
+    picks = [below(t) for t in cfg.magnitude.picks] + [Fraction(1)]
+    for (start, mask), pick in zip(cfg.magnitude.segments, picks):
         for r, m in enumerate(lows[mask.bit_length()]):
             x = 1 + start + r
             law[x] = law.get(x, 0) + reach * pick * m * plus
@@ -162,13 +162,21 @@ def centered_law_oracle(cfg) -> dict:
 
 def clap_law_oracle(cfg, shift: int = 1) -> dict:
     """Exact law, in 2^-p steps, of TCL's inner draw on `cfg` (a
-    `centered_clap_config` plan): `centered_law_oracle`, every draw
+    `clap_plan`): `centered_law_oracle`, every draw
     +-(m + 1), pushed through v - shift * (v > 0) (+x moves down one step)."""
     law = {}
     for v, m in centered_law_oracle(cfg).items():
         k = v - shift * (v > 0)
         law[k] = law.get(k, 0) + m
     return law
+
+
+def clap_plan(L: float, sigma: float, p: int):
+    """TCL's inner draw plan at (L, sigma, p): `noise_plan(TCL, params).inner`
+    on a set with E = L (the inner plan does not read E)."""
+    from trunclap.sampling import noise_plan
+
+    return noise_plan(TCL, MechanismParams(E=L, L=L, sigma=sigma, p=p)).inner
 
 
 def tail_law_oracle(tail) -> list:
@@ -185,6 +193,25 @@ def tail_law_oracle(tail) -> list:
         law[start : start + mask + 1] = [reach * pick / (mask + 1)] * (mask + 1)
         reach *= 1 - pick
     return law
+
+
+def assert_index_law(counts, m: int, bound: float) -> None:
+    """TV check of the counts of an index drawn on [0, m): the draw count is
+    sized for `bound` (`sized_for`) against the exact law the picks of
+    `segment_plan(m)` give (`tail_law_oracle`), the counts read below it,
+    and, as a negative control, above it against that law with index 0's
+    mass moved onto index 1 (TV 1/m from the exact law)."""
+    from trunclap.tape import segment_plan
+
+    law = np.array(tail_law_oracle(segment_plan(m)), dtype=float)
+    n = int(np.sum(counts))
+    assert len(counts) == m and sized_for(bound, law, n)
+    freq = np.asarray(counts) / n
+    assert 0.5 * float(np.sum(np.abs(freq - law))) < bound
+    control = law.copy()
+    control[1] += control[0]
+    control[0] = 0.0
+    assert 0.5 * float(np.sum(np.abs(freq - control))) > bound
 
 
 def mechanism_law_oracle(plan, xs: int, place=None) -> dict:
@@ -225,7 +252,7 @@ def word_classes(plan) -> list:
     inner, tail = plan.inner, plan.tail
     lows = [(v, Fraction(1, tail.low + 1)) for v in range(tail.low + 1)]
     zero = [] if inner.zero_threshold is None else [inner.zero_threshold]
-    thresholds = [*zero, *inner.bit_thresholds, *inner.segment_thresholds, inner.sign_threshold]
+    thresholds = [*zero, *inner.bit_thresholds, *inner.magnitude.picks, inner.sign_threshold]
     return ([threshold(plan.branch_threshold), lows, *map(threshold, tail.picks)]
             + list(map(threshold, thresholds)))
 

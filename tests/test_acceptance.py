@@ -44,7 +44,7 @@ from trunclap.mpc import (
     pi_perturb,
     run_batch,
 )
-from trunclap.sampling import centered_dlap_config, dlap_zero_mass, noise, noise_plan, perturb
+from trunclap.sampling import centered_dlap_config, noise, noise_plan, perturb
 from trunclap.thresholds import THRESHOLDS as TH
 from trunclap.validation import Histogram, empirical_moments, overlay_check, tv_distance
 
@@ -179,7 +179,7 @@ def test_a6_three_step_sampler_exactness():
         cfg = centered_dlap_config(L, sigma, p)
         assert cfg.method == "bitwise" and cfg.kappa <= 6
         kappa = cfg.kappa
-        c0 = dlap_zero_mass(L, sigma, p)
+        c0 = centered_dlap_pmf(L, sigma, p).masses[steps_of(L, p)]
         rho = math.exp(-1.0 / (2.0**p * sigma))
         bitp = [rho ** (2**i) / (1 + rho ** (2**i)) for i in range(kappa)]
         steps = int(round(L * 2**p))

@@ -136,6 +136,18 @@ def test_the_calls_found_are_answered_or_refused(argv):
     check(argv)
 
 
+def test_a_finite_tcl_privacy_ratio_is_answered(capsys):
+    # e^eps is past a double at eps = 710, but TCL's ratio e^eps (1 - e^-a)
+    # / a, a = 355, is about 6.29e305: answered; TDL's e^eps is refused
+    argv = ["moments", "--mechanism", "tcl", "--E", "2", "--L", "2",
+            "--sigma", "0.0028169014084507044", "--p", "0"]
+    assert cli.main(argv) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert out["max_privacy_ratio"] == pytest.approx(6.2929e305, rel=1e-4)
+    argv[2] = "tdl"
+    assert check(argv) == 1
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP direction 22: the TDL/TCL moments lose "
                    "digits as L/sigma falls; at sigma = 1e8 the MSE reads about -1.4")
 @pytest.mark.parametrize("mechanism", ["tdl", "tcl"])

@@ -45,7 +45,8 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
                "run_batch_floor_us.8", "block_us.3", "block_floor_us.3", "loop_us.3",
                "loop_floor_us.3", "pool_block_us", "pool_block_floor_us", "pool_loop_us",
                "pool_loop_floor_us", "sample_us", "sample_floor_us", "online_us"]
-    assert sorted(report["cases"]) == ["tcl.small", "tcl.wide", "tdl.small", "tdl.wide"]
+    assert sorted(report["cases"]) == ["tcl.segmented", "tcl.small", "tcl.wide",
+                                       "tdl.segmented", "tdl.small", "tdl.wide"]
     for case in report["cases"].values():
         assert list(case) == metrics
         for m in case.values():
@@ -148,6 +149,36 @@ def test_the_sample_call_is_one_sequential_draw(name):
     for _ in range(40):
         assert call_cost.words_read(call) == plan.words_per_draw
     assert [call() for _ in range(200)] == [sample(0.0, P, ref) for _ in range(240)][40:]
+
+
+def test_the_segmented_set_times_every_segment_pick():
+    # its tail count 6 = 4 + 2 and inner count 3 = 2 + 1: the sample call
+    # picks the tail's and the magnitude's segments in plaintext, and a
+    # session's pair the tail's in `pi_uni` and the magnitude's
+    from trunclap import sampling
+    from trunclap.mpc import core
+
+    P = MechanismParams(**call_cost.SETS["segmented"])
+    for name in call_cost.MECHS:
+        mech = lookup_mechanism(name)
+        plan = noise_plan(mech, P)
+        picked, real = {}, tape.pick_segment
+
+        def spy(where):
+            def recorded(segments, *a):
+                picked.setdefault(where, set()).add(segments)
+                return real(segments, *a)
+            return recorded
+
+        with mock.patch.object(sampling, "pick_segment", spy("sampling")), \
+                mock.patch.object(core, "pick_segment", spy("pi_uni")), \
+                mock.patch.object(tape, "pick_segment", spy("magnitude")):
+            call_cost.sample_call(name, P, 9)()
+            pool = call_cost.pool_calls(mechanism_field(P, name), mech, P, count(1, 2))
+            pool["pool_loop_us"][0]()
+        assert picked == {"sampling": {plan.tail}, "pi_uni": {plan.tail},
+                          "magnitude": {plan.inner.magnitude}}
+        assert plan.tail.picks and plan.inner.magnitude.picks
 
 
 def test_faults_are_counted_per_timed_call():

@@ -355,9 +355,12 @@ def test_sigma_around_the_expm1_overflow(mech, sigma, capsys):
     assert {y: float(m) for y, m in masses.items() if float(m) > 1e-300} == pytest.approx(expected)
     params = MechanismParams(E=4.0, L=2.0, sigma=float(sigma), p=0)
     assert lookup_mechanism(mech).moments(1.0, params)[0] == (1.0 if mech == "tdl" else 0.5)
-    # e^(L/sigma) is past a double too, so `moments` has no ratio to print
+    # e^(L/sigma) is past a double too, and so is TCL's ratio e^(L/sigma)
+    # (1 - e^-a) / a (a = 1/sigma), so `moments` has no ratio to print
     assert run(["moments", *args]) == 1
-    assert "the privacy ratio e^eps needs eps = L/sigma <= ln(DBL_MAX)" in capsys.readouterr().err
+    refusal = {"tdl": "the privacy ratio e^eps needs eps = L/sigma <= ln(DBL_MAX)",
+               "tcl": "the privacy ratio e^eps (1 - e^(-a)) / a of tcl is past a double"}
+    assert refusal[mech] in capsys.readouterr().err
     assert run(["sample", *args, "--n", "50", "--seed", "3"]) == 0
     values = {float(v) for v in capsys.readouterr().out.split()[1:]}
     assert values and values <= {float(y) for y in expected}

@@ -3,6 +3,7 @@ import decimal
 import json
 import math
 from decimal import Decimal
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -44,7 +45,6 @@ from trunclap.mechanisms import (
     _centered_law,
     _mechanism_law,
     _normalizer,
-    dlap_zero_mass,
     kstar_polynomial,
     lookup_mechanism,
 )
@@ -196,7 +196,8 @@ class TestOneNormalizer:
         assert lambda_lap(E, L, s) == _normalizer(E, L, s, p, True) == want["lap"]
         assert lambda_dlap(E, L, s, p) == _normalizer(E, L, s, p, False) == want["dlap"]
         assert _normalizer(0.0, L, s, p, False) == want["centered_dlap"]
-        assert dlap_zero_mass(L, s, p) == 1.0 / want["centered_dlap"]
+        # c0, the zero flag's mass, is the centred law's mass at 0
+        assert centered_dlap_pmf(L, s, p).masses[steps_of(L, p)] == 1.0 / want["centered_dlap"]
         assert _normalizer(0.0, L, s, p, True) == want["centered_clap"]
         P = MechanismParams(E=E, L=L, sigma=s, p=p)
         assert (TDL.branch_probability(P), TCL.branch_probability(P)) == (
@@ -688,16 +689,37 @@ class TestSmallSigma:
             s = h / t
             flank = 2.0 * (-math.expm1(-L / s)) / math.expm1(h / s)
             assert lambda_dlap(E, L, s, p) == 2.0 ** (p + 1) * E * math.exp(-L / s) + 1.0 + flank
-            assert dlap_zero_mass(L, s, p) == 1.0 / (1.0 + flank)
+            assert centered_dlap_pmf(L, s, p).masses[steps_of(L, p)] == 1.0 / (1.0 + flank)
 
     def test_privacy_ratio_past_the_double_range_is_refused(self):
         # e^eps past the double range read inf, which `trunclap moments`
         # printed as the non-JSON token Infinity; eps = L/sigma = 2t here
         for mech in ("lap", "tdl", "tcl"):
             assert max_privacy_ratio(mech, self.params(0, 354.5)) < math.inf
+        for mech in ("lap", "tdl"):
             for t in (355.0, 710.5):
                 with pytest.raises(ValueError, match=r"eps = L/sigma <= ln\(DBL_MAX\) = 709.78"):
                     max_privacy_ratio(mech, self.params(0, t))
+        # TCL's ratio e^eps (1 - e^-a) / a, a = t, is finite at eps = 710
+        # (e^710 / 355), and past a double at eps = 1421
+        assert max_privacy_ratio("tcl", self.params(0, 355.0)) == pytest.approx(
+            math.exp(710.0 - math.log(355.0)), rel=1e-12)
+        with pytest.raises(ValueError, match="ratio .* of tcl is past a double at eps = L/sigma = 1421"):
+            max_privacy_ratio("tcl", self.params(0, 710.5))
+
+    def test_tcl_privacy_ratio_where_only_e_eps_overflows(self):
+        # E = L = 2, sigma = 2/710: e^710 is past a double, the ratio
+        # e^710 (1 - e^-355) / 355 about 6.29e305 is not.  It equals a
+        # 60-digit evaluation and the worst mass ratio of pmf_tcl there
+        params = MechanismParams(E=2.0, L=2.0, sigma=2 / 710, p=0)
+        ratio = max_privacy_ratio("tcl", params)
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            eps, a = Decimal(2) / Decimal(params.sigma), 1 / Decimal(params.sigma)
+            exact = eps.exp() * (1 - (-a).exp()) / a
+        assert abs(Decimal(ratio) - exact) <= Decimal("1e-12") * exact
+        lo, hi = pmf_tcl(-2.0, params).masses, pmf_tcl(2.0, params).masses
+        assert float(np.max(lo / hi)) == pytest.approx(ratio, rel=1e-12)
 
 
 class TestCalibration:
@@ -772,6 +794,19 @@ class TestCalibration:
             ks = find_kstar(eps)
             assert 1.0 < ks < 2.0
             assert kstar_polynomial(ks, eps) < 0
+
+    @pytest.mark.parametrize("eps", [1e6, 1e9, 1e12, 1e200])
+    def test_find_kstar_keeps_the_margin_negative_at_large_epsilon(self, eps):
+        # f evaluated exactly: the 1 + 1e-6 floor lies past the root from
+        # eps = 1e6 (f(1 + 1e-6) = 0.33 there), and past eps = 1.3e154 f is
+        # NaN in floats; k* never passes the bisection's lower end
+        def f(k):
+            k, e = Fraction(k), Fraction(eps)
+            return k**3 / 3 + e * k * k + e * e * k - (e * e + 2 * e + 2)
+
+        ks = find_kstar(eps)
+        assert 1.0 <= ks < 2.0 and f(ks) < 0
+        assert f(1.0 + 1e-6) > 0
 
     def test_kstar_calibration_result(self):
         res = kstar_calibration(1.0, 64.0)

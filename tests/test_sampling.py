@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_index_law,
     centered_law_oracle,
     clap_law_oracle,
+    clap_plan,
     closed_grid,
     mechanism_law_oracle,
     mirrored_sized_for,
@@ -50,9 +52,7 @@ from trunclap.sampling import (
     _clap_steps,
     _dlap_steps,
     _perturb_steps,
-    centered_clap_config,
     centered_dlap_config,
-    dlap_zero_mass,
     noise_plan,
 )
 from trunclap.tape import bernoulli_threshold, segment_plan
@@ -61,7 +61,7 @@ from trunclap.tape import bernoulli_threshold, segment_plan
 def sample_clap_centered(L, sigma, p, tape):
     """One draw of the centred cumulative Laplace on [-L, L) at step 2^-p,
     `centered_clap_pmf`: TCL's inner draw on its own words."""
-    cfg = centered_clap_config(L, sigma, p)
+    cfg = clap_plan(L, sigma, p)
     return _clap_steps(cfg, tape.words(cfg.words_per_draw)) * 2.0**-p
 
 
@@ -105,7 +105,7 @@ def law_of_the_words(cfg, draw) -> dict:
 def word_thresholds(cfg) -> list:
     """The threshold of each word of one draw of `cfg`, in draw order."""
     flag = [] if cfg.zero_threshold is None else [cfg.zero_threshold]
-    thresholds = [*flag, *cfg.bit_thresholds, *cfg.segment_thresholds, cfg.sign_threshold]
+    thresholds = [*flag, *cfg.bit_thresholds, *cfg.magnitude.picks, cfg.sign_threshold]
     assert len(thresholds) == cfg.words_per_draw
     return thresholds
 
@@ -164,7 +164,7 @@ class TestCenteredDlap:
             assert cfg.method == "bitwise"
             kappa = cfg.kappa
             assert kappa <= 6
-            c0 = dlap_zero_mass(L, sigma, p)
+            c0 = centered_dlap_pmf(L, sigma, p).masses[steps_of(L, p)]
             t = 2.0**p * sigma
             rho = math.exp(-1.0 / t)
             bitp = [rho ** (2**i) / (1 + rho ** (2**i)) for i in range(kappa)]
@@ -207,14 +207,14 @@ class TestCenteredDlap:
         assert tv(np.append(counts, 0), np.append(0.0, exact)) > bound
         clap = np.zeros(5, dtype=np.int64)
         for chunk in block_draws(sampling._clap_steps,
-                                 sampling.centered_clap_config(2.0, 1.0, 0), RandomTape(21), n):
+                                 clap_plan(2.0, 1.0, 0), RandomTape(21), n):
             clap += np.bincount(chunk + 2, minlength=5)
         assert tv(clap[:4], centered_clap_pmf(2.0, 1.0, 0).masses) < bound
         assert mirrored_tv(clap) > bound
 
     def test_zero_mass_frequency(self):
         n = 200_000
-        c0 = dlap_zero_mass(2.0, 1.0, 0)
+        c0 = centered_dlap_pmf(2.0, 1.0, 0).masses[2]
         tape = RandomTape(22)
         hits = sum(sample_dlap_centered(2.0, 1.0, 0, tape) == 0.0 for _ in range(n))
         se = math.sqrt(c0 * (1 - c0) / n)
@@ -223,7 +223,7 @@ class TestCenteredDlap:
     def test_table_fallback_for_non_pow2(self):
         # 3 = 0b11 steps: a segment of 2 magnitudes, then one of 1
         cfg = centered_dlap_config(3.0, 1.0, 0)
-        assert cfg.method == "segmented" and cfg.segments == ((0, 1), (2, 0))
+        assert cfg.method == "segmented" and cfg.magnitude.segments == ((0, 1), (2, 0))
         # 1M draws on block rows: 200k read 0.0018 + 0.0072 against 0.006
         n, bound = 1_000_000, 0.006
         exact = centered_dlap_pmf(3.0, 1.0, 0).masses
@@ -237,7 +237,7 @@ class TestCenteredDlap:
         assert tv(counts, exact) < bound
         # negative control: the law one step over fails the check
         assert tv(np.append(counts, 0), np.append(0.0, exact)) > bound
-        assert cfg.words_per_draw == cfg.kappa + 1 + len(cfg.segments) == 4
+        assert cfg.words_per_draw == cfg.kappa + 1 + len(cfg.magnitude.segments) == 4
         assert tape.words_consumed == n * cfg.words_per_draw
 
     def test_zero_steps_are_refused(self):
@@ -306,7 +306,7 @@ class TestExactLaw:
     ]
 
     def test_lattice_has_one_to_three_segments(self):
-        assert {len(centered_dlap_config(*c).segments) for c in self.LATTICE} == {1, 2, 3}
+        assert {len(centered_dlap_config(*c).magnitude.segments) for c in self.LATTICE} == {1, 2, 3}
 
     @pytest.mark.parametrize("L, sigma, p", LATTICE)
     def test_law_sums_to_one_and_matches_the_pmf(self, L, sigma, p):
@@ -323,14 +323,15 @@ class TestExactLaw:
         # 1 - c0 of one-step plans drifts past 1e-12 (1.6e-8 at scale 0.05)
         L = steps / 2**p
         cfg = centered_dlap_config(L, scale * L, p)
-        assert cfg.words_per_draw == cfg.kappa + 1 + len(cfg.segments)
+        assert cfg.words_per_draw == cfg.kappa + 1 + len(cfg.magnitude.segments)
         assert sum(centered_law_oracle(cfg).values()) == 1
         assert matches_pmf(cfg, L, scale * L, p)
 
     def test_swapped_segment_starts_fail(self):
         cfg = centered_dlap_config(24.0, 8.0, 0)
-        (s0, m0), (s1, m1) = cfg.segments
-        swapped = dataclasses.replace(cfg, segments=((s1, m0), (s0, m1)))
+        (s0, m0), (s1, m1) = cfg.magnitude.segments
+        swapped = dataclasses.replace(cfg, magnitude=dataclasses.replace(
+            cfg.magnitude, segments=((s1, m0), (s0, m1))))
         assert matches_pmf(cfg, 24.0, 8.0, 0)
         assert not matches_pmf(swapped, 24.0, 8.0, 0)
 
@@ -359,8 +360,8 @@ class TestTableLookup:
                        - {-1, 2**64, 2**64 + 1})
         cols = [[w] * k for w in edges]
         tape = RandomTape(7)
-        first = k - 1 - len(cfg.segment_thresholds)  # the first segment word
-        for t, threshold in enumerate(cfg.segment_thresholds):
+        first = k - 1 - len(cfg.magnitude.picks)  # the first segment word
+        for t, threshold in enumerate(cfg.magnitude.picks):
             for d in (-1, 0, 1):
                 col = tape.words(k)
                 col[first + t] = min(max(threshold + d, 0), 2**64 - 1)
@@ -377,7 +378,7 @@ class TestTableLookup:
 
     @pytest.mark.parametrize("L, sigma, p", PLANS + [(32.0, 8.0, 2), (1.0, 1.0, 0)])
     def test_clap_rows_equal_scalar_draws(self, L, sigma, p):
-        cfg = centered_clap_config(L, sigma, p)
+        cfg = clap_plan(L, sigma, p)
         k = cfg.words_per_draw
         cols = self.edge_columns(cfg) + [RandomTape(6).words(k) for _ in range(2000)]
         rows = np.array(cols, dtype=np.uint64).T
@@ -463,7 +464,7 @@ class TestClapExactLaw:
     @pytest.mark.parametrize("L, sigma, p, g", LATTICE)
     def test_law_is_the_exact_pmf(self, L, sigma, p, g):
         for q in {p, p + g}:
-            law = clap_law_oracle(centered_clap_config(L, sigma, q))
+            law = clap_law_oracle(clap_plan(L, sigma, q))
             assert sum(law.values()) == 1
             assert clap_tv(law, L, sigma, q) <= 1e-12
 
@@ -472,7 +473,7 @@ class TestClapExactLaw:
     def test_dropping_the_shift_fails(self, L, sigma, p, g):
         # mass on +L, off the support, or away from the pmf
         for q in {p, p + g}:
-            cfg = centered_clap_config(L, sigma, q)
+            cfg = clap_plan(L, sigma, q)
             with pytest.raises(AssertionError):
                 assert clap_tv(clap_law_oracle(cfg, shift=0), L, sigma, q) <= 1e-12
 
@@ -480,7 +481,7 @@ class TestClapExactLaw:
                                                 (3.0, 1.0, 0, 0), (3.0, 0.5, 0, 1)])
     def test_draws_realise_the_oracle_law(self, L, sigma, p, g):
         for q in {p, p + g}:
-            cfg = centered_clap_config(L, sigma, q)
+            cfg = clap_plan(L, sigma, q)
             law = law_of_the_words(cfg, lambda w: _clap_steps(cfg, w))
             assert law == {k: m for k, m in clap_law_oracle(cfg).items() if m}
 
@@ -518,9 +519,8 @@ class TestNoise:
     def test_branch0_payload_uniform(self, small_params):
         # TDL outputs outside [x - L, x + L] are exactly the branch-0 draws,
         # one grid point per tail index; at branch probability 0.65 a block
-        # run of 2.9M draws holds at least 10^6 of them
-        from scipy.stats import chisquare
-
+        # run of 2.9M draws holds at least 10^6 of them, which read about
+        # 0.0043 (`sized_for`) against the bound 0.005
         x, m = 0.0, noise_plan(TDL, small_params).outer_count
         out = sample_batch(TDL, x, small_params, 2_900_000, 42)
         tail = out[np.abs(out - x) > small_params.L]
@@ -529,8 +529,7 @@ class TestNoise:
         assert points.tolist() == sorted(
             perturb(TDL, x, NoisePair(0, a), small_params) for a in range(m)
         )
-        _, pvalue = chisquare(counts)
-        assert pvalue > 0.01
+        assert_index_law(counts, m, 0.005)
 
     def test_payload_ranges(self, small_params):
         tape = RandomTape(43)
@@ -569,7 +568,7 @@ class TestNoisePlan:
                 inner = dataclasses.replace(inner, zero_threshold=None,
                                             words_per_draw=inner.words_per_draw - 1)
             assert plan.inner == inner
-            assert plan.inner.words_per_draw == inner.kappa + len(inner.segments) + (mech is TDL)
+            assert plan.inner.words_per_draw == inner.kappa + len(inner.magnitude.segments) + (mech is TDL)
             assert noise_plan(mech, params) is plan  # cached
 
     def test_words_per_draw_is_the_draw_layout(self):
@@ -599,11 +598,11 @@ class TestNoisePlan:
             pairs = [(plan.branch_threshold, rows.branch_threshold),
                      (a.sign_threshold, b.sign_threshold),
                      *zip(a.bit_thresholds, b.bit_thresholds),
-                     *zip(a.segment_thresholds, b.segment_thresholds)]
+                     *zip(a.magnitude.picks, b.magnitude.picks)]
             if a.zero_threshold is not None:
                 pairs.append((a.zero_threshold, b.zero_threshold))
-            assert (b.kappa, b.segments, b.words_per_draw) == (a.kappa, a.segments,
-                                                              a.words_per_draw)
+            assert (b.kappa, b.magnitude.segments, b.words_per_draw) == (
+                a.kappa, a.magnitude.segments, a.words_per_draw)
             for t, r in pairs:
                 if t == 2**64:
                     assert type(r) is int and r == t
@@ -719,7 +718,6 @@ class TestNoisePlan:
         plan = noise_plan(TCL, small_params)
         noise_plan.cache_clear()
         centered_dlap_config.cache_clear()
-        centered_clap_config.cache_clear()
         assert noise_plan(TCL, small_params) is not plan
         assert draws() == before
 

@@ -4,9 +4,12 @@
     python3 tools/call_cost.py [--change .] [--parent ../parent] [--k 5] \\
         [--calls 8 1000] [--blocks 8] [--reps 200] [--out FILE]
 
-For every case, the small and wide sets (perfbench's) x TDL/TCL, a
-worker process on a checkout times these metrics, each the median of
---reps calls:
+For every case, the small and wide sets (perfbench's) and the segmented
+set x TDL/TCL, a worker process on a checkout times these metrics, each
+the median of --reps calls (the segmented set's tail count 6 = 4 + 2 and
+inner count 3 = 2 + 1 are not powers of two, so its calls run every
+segment pick: the tail's in `pi_uni` and the plaintext draw, the
+magnitude's in both; no perfbench workload draws one):
 
 * `run_batch_us.<n>`: one `run_batch` call of n sessions, for each n of
   --calls (a fresh Session, the input shared once, its blocks);
@@ -81,9 +84,11 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 from host_load import cpu_ticks, host_load  # noqa: E402
 
-# perfbench's mpc-batch sets, named as there
+# perfbench's mpc-batch sets, named as there, and a set whose tail and
+# inner counts are segmented
 SETS = {"small": dict(E=4.0, L=2.0, sigma=1.0, p=0),
-        "wide": dict(E=64.0, L=32.0, sigma=8.0, p=2)}
+        "wide": dict(E=64.0, L=32.0, sigma=8.0, p=2),
+        "segmented": dict(E=3.0, L=3.0, sigma=1.0, p=0)}
 MECHS = ("tdl", "tcl")
 POOL_BLOCK = 8
 
