@@ -571,28 +571,29 @@ def max_privacy_ratio(mechanism: str, params: MechanismParams) -> float:
     for the ideal law (`pmf_tdl`, `pmf_tcl`).
 
     For lap and tdl this is exactly e^(L/sigma).  For tcl the max-to-min
-    mass ratio is e^(L/sigma) * sigma * (1 - e^(-a)) / 2^-p, a = 2^-p/sigma,
-    which never exceeds e^(L/sigma); where that product passes a double on
-    the way, it is exp(L/sigma - log(a / (1 - e^(-a)))).  The law the
-    samplers draw, through 64-bit Bernoulli thresholds, can exceed
+    mass ratio is e^(L/sigma) * (1 - e^(-a)) / a, a = 2^-p/sigma, which
+    never exceeds e^(L/sigma), formed as e^(eps/2) * (f * e^(eps/2)), f =
+    (1 - e^(-a)) / a: no factor is subnormal, and none overflows where the
+    ratio is a double (a <= eps, as L >= 2^-p, so then eps < 717).  The law
+    the samplers draw, through 64-bit Bernoulli thresholds, can exceed
     e^(L/sigma) on tdl by a few 1e-16 relative.  ValueError where the ratio
     is not a double: on lap and tdl past L/sigma = ln(DBL_MAX) = 709.78.
     """
     eps = params.L / params.sigma
-    ratio = _or_inf(math.exp, eps)
     if mechanism == "tcl":
-        h, a = params.step, params.step / params.sigma
+        a = params.step / params.sigma
         # below 2^-1022, the least normal double, the factor -expm1(-a)/a is 1
-        if a >= 2.0**-1022:
-            ratio = ratio * params.sigma * (-math.expm1(-a)) / h
-            if ratio == math.inf:
-                ratio = _or_inf(math.exp, eps - math.log(a / -math.expm1(-a)))
+        factor = 1.0 if a < 2.0**-1022 else -math.expm1(-a) / a
+        half = _or_inf(math.exp, eps / 2)
+        ratio = half * (factor * half)
         if not ratio < math.inf:  # a NaN where eps and a are inf
             raise ValueError(f"the privacy ratio e^eps (1 - e^(-a)) / a of tcl is past a double "
                              f"at eps = L/sigma = {eps}, a = 2^-p/sigma = {a}")
-    elif mechanism not in ("lap", "tdl"):
+        return ratio
+    if mechanism not in ("lap", "tdl"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    elif ratio == math.inf:
+    ratio = _or_inf(math.exp, eps)
+    if ratio == math.inf:
         raise ValueError(f"the privacy ratio e^eps needs eps = L/sigma <= ln(DBL_MAX) = "
                          f"{math.log(sys.float_info.max)}, got {eps}")
     return ratio

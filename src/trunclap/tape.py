@@ -87,8 +87,10 @@ class SegmentPlan:
 
     segments: tuple[tuple[int, int], ...]  # (start, mask) of each segment
     picks: tuple[int, ...]                 # P - 1 thresholds
-    low: int                               # the index word's kept bits: 2^floor(log2 N) - 1
-    words: int                             # P
+    # segments[0]'s mask and P, stored for the tail index's draw (`_noise_steps`,
+    # `pi_uni`): the bits it keeps of its index word, and the words it reads
+    low: int
+    words: int
 
 
 @lru_cache(maxsize=128)

@@ -199,8 +199,10 @@ def assert_index_law(counts, m: int, bound: float) -> None:
     """TV check of the counts of an index drawn on [0, m): the draw count is
     sized for `bound` (`sized_for`) against the exact law the picks of
     `segment_plan(m)` give (`tail_law_oracle`), the counts read below it,
-    and, as a negative control, above it against that law with index 0's
-    mass moved onto index 1 (TV 1/m from the exact law)."""
+    and, as a negative control, above it against that law with `bound` of
+    index 0's mass moved onto index 1: a law at TV `bound` from the exact
+    one is told apart, the check's resolution.  (A law at 2 * bound or more
+    reads above the bound by the triangle inequality alone.)"""
     from trunclap.tape import segment_plan
 
     law = np.array(tail_law_oracle(segment_plan(m)), dtype=float)
@@ -209,8 +211,8 @@ def assert_index_law(counts, m: int, bound: float) -> None:
     freq = np.asarray(counts) / n
     assert 0.5 * float(np.sum(np.abs(freq - law))) < bound
     control = law.copy()
-    control[1] += control[0]
-    control[0] = 0.0
+    control[0] -= bound
+    control[1] += bound
     assert 0.5 * float(np.sum(np.abs(freq - control))) > bound
 
 

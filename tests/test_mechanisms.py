@@ -721,6 +721,14 @@ class TestSmallSigma:
         lo, hi = pmf_tcl(-2.0, params).masses, pmf_tcl(2.0, params).masses
         assert float(np.max(lo / hi)) == pytest.approx(ratio, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1074, 1062])
+    def test_tcl_privacy_ratio_where_sigma_and_the_step_are_subnormal(self, p):
+        # E = L = sigma = 2^-p, so a = eps = 1 and the ratio is e - 1; the
+        # product e^eps * sigma * (1 - e^-a) / 2^-p passed through a
+        # subnormal and read 2.0 at p = 1074
+        params = MechanismParams(E=2.0**-p, L=2.0**-p, sigma=2.0**-p, p=p)
+        assert max_privacy_ratio("tcl", params) == pytest.approx(math.e - 1, rel=1e-15)
+
 
 class TestCalibration:
     def test_eps_dp(self):
