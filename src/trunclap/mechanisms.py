@@ -27,6 +27,9 @@ window on a fill of the tail mass.
 TDL and TCL are the two `Mechanism` records; their methods `pmf`,
 `moments` and `centered_pmf` are the exact law, and `pmf_tdl`,
 `moments_tcl`, ... are those methods bound to each record.
+
+numpy is the only import here.  scipy loads on the first `moments_lap`
+or `moments_lap_exact` call with L/sigma >= 2^-30, for `gammainc`.
 """
 
 from __future__ import annotations
@@ -38,7 +41,6 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc
 
 from .grids import GridError, GridSpec, is_aligned, steps_of
 
@@ -296,13 +298,14 @@ def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float,
     share w = k e^(-eps) / den, den = c + k e^(-eps).  The mean is x P(2,
     eps) / den and the MSE (c / den) m + w (L (L + E) + E^2/3 + x^2 (1 +
     L/E)), where m = sigma^2 2 P(3, eps) / c is the inner part's second
-    moment and P(n, eps) the regularized incomplete gamma (`gammainc`).  The
-    bound takes 2 sigma^2 / den for the inner part and drops the tails'
-    x-free terms.  P(n, eps) ~ eps^n / n! underflows long before eps does,
-    so below eps = 2^-30 P(2, eps) / eps and m / L^2 are their two-term
-    series, eps (1/2 - eps/3) and 1/3 - eps/12, whose next terms are below
-    2^-60 there.  A divisor that is 0 or not finite (L/sigma and E/sigma
-    both underflow), or an MSE that is not a positive double, is refused.
+    moment and P(n, eps) the regularized incomplete gamma (scipy's
+    `gammainc`, imported only off the series branch).  The bound takes
+    2 sigma^2 / den for the inner part and drops the tails' x-free terms.
+    P(n, eps) ~ eps^n / n! underflows long before eps does, so below eps =
+    2^-30 P(2, eps) / eps and m / L^2 are their two-term series, eps (1/2 -
+    eps/3) and 1/3 - eps/12, whose next terms are below 2^-60 there.  A
+    divisor that is 0 or not finite (L/sigma and E/sigma both underflow),
+    or an MSE that is not a positive double, is refused.
     """
     E, L, sigma = params.E, params.L, params.sigma
     if not abs(x) <= E:  # a NaN x fails it too
@@ -314,6 +317,8 @@ def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float,
     if not 0.0 < den < math.inf:
         raise ValueError(f"the continuous moments at E = {E}, L = {L}, sigma = {sigma} divide by {den}")
     small = eps < 2.0**-30
+    if not small:
+        from scipy.special import gammainc
     mean = x * (eps / den * eps * (0.5 - eps / 3.0) if small else float(gammainc(2, eps)) / den)
     w = k * e / den
     tails = w * x * (x + x / E * L)  # w x^2 (1 + L/E), in an order that cannot overflow

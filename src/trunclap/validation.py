@@ -3,6 +3,8 @@ and empirical-vs-analytic moment comparisons.
 
 Chi-square tests merge bins whose expected count falls below 5 into their
 neighbors (the usual validity rule) before computing the statistic.
+scipy loads on the first `chi_square` call (so `fit_report`), for its
+p-value; nothing else here needs it.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .grids import GridSpec
 from .mechanisms import TDL, ExactPmf, MechanismParams, moments_tdl, pmf_tdl
@@ -117,6 +118,8 @@ def chi_square(h: Histogram, f: ExactPmf):
     obs = np.array(obs_groups)
     exp = np.array(exp_groups)
     exp *= obs.sum() / exp.sum()   # remove rounding drift in the constraint
+    from scipy import stats
+
     stat, p = stats.chisquare(obs, exp)
     return float(stat), float(p)
 

@@ -67,6 +67,14 @@ def test_one_alternation_reports_every_metric_of_every_case(tmp_path):
         for m in ratios.values():
             assert m["parent"] > 0 and m["change"] > 0
             assert m["change_over_parent"] == round(m["change"] / m["parent"], 4)
+    # each worker's import footprint, taken before its first timed call;
+    # the same tree on both sides tracks the same objects
+    footprint = report["footprint"]
+    assert list(footprint) == ["import_s", "import_rss_mb", "gc_tracked", "gc_full_ms"]
+    for m in footprint.values():
+        assert m["parent"] > 0 and m["change"] > 0
+        assert m["change_over_parent"] == round(m["change"] / m["parent"], 4)
+    assert footprint["gc_tracked"]["change_over_parent"] == 1.0
     # the untimed counts of one run_batch call at the largest n: the same
     # tree on both sides gives the same words, each party tape reading
     # its plan's words per execution
@@ -93,10 +101,8 @@ def test_the_floor_reads_every_word_of_the_call(monkeypatch):
     drawn, real = [], call_cost.floor
     monkeypatch.setattr(call_cost, "floor",
                         lambda words, seed: drawn.append(words) or real(words, seed))
-    monkeypatch.setattr(call_cost, "SETS", {"wide": call_cost.SETS["wide"]})
-    monkeypatch.setattr(call_cost, "MECHS", ("tcl",))
-    report = call_cost.measure([n], [2], 1)
-    timings, ratios = report["timings"]["tcl.wide"], report["floor_ratios"]["tcl.wide"]
+    report = call_cost.measure("wide", "tcl", [n], [2], 1)
+    timings, ratios = report["timings"], report["floor_ratios"]
     floored = ["run_batch_us.8", "block_us.2", "loop_us.2", "pool_block_us", "pool_loop_us",
                "sample_us"]
     assert list(ratios) == [m.replace("_us", "_floor_ratio") for m in floored]
@@ -262,3 +268,24 @@ def test_the_worker_imports_public_names_only():
     assert any(module.startswith("trunclap") for module, _ in imported)
     assert not [name for module, name in imported
                 if module.startswith("trunclap") and name.startswith("_")]
+
+
+def test_each_case_runs_in_a_fresh_worker(monkeypatch):
+    # one worker process per case, so that no case meets an allocator an
+    # earlier case shaped; their sections merge under each case's name
+    started = []
+
+    def worker(cmd, **kw):
+        case = cmd[cmd.index("--worker") + 1]
+        started.append(case)
+        part = {"footprint": {"gc_tracked": 1}, "timings": case, "faults": case,
+                "floor_ratios": case, "counts": case}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(part), "")
+
+    monkeypatch.setattr(call_cost.subprocess, "run", worker)
+    merged = call_cost.run_worker(ROOT, call_cost.parse(["--calls", "8"]))
+    cases = [f"{name}.{label}" for label in call_cost.SETS for name in call_cost.MECHS]
+    assert started == cases
+    assert merged["footprint"] == [{"gc_tracked": 1}] * len(cases)
+    for section in ("timings", "faults", "floor_ratios", "counts"):
+        assert merged[section] == {case: case for case in cases}

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import os
 import subprocess
 import sys
 import textwrap
@@ -80,3 +81,63 @@ def test_the_benchmark_counts_gate_passes(monkeypatch):
     assert sorted(WORKLOADS) == ["mpc-batch", "mpc-online", "plaintext-exact"]
     for name, workload in WORKLOADS.items():
         assert workload(11).counts(24)["problems"] == [], name
+
+
+# Every path but a chi-square p-value and a continuous moment, then those
+# two, in a fresh interpreter: the suite's conftest imports scipy, so only
+# a child that has never loaded it can see a module-level import of it.
+NUMPY_ONLY_CHILD = textwrap.dedent("""
+    import math
+    import os
+    import sys
+    import tempfile
+
+    from trunclap import (TCL, TDL, Histogram, MechanismParams, RandomTape, calibrate, cli,
+                          max_privacy_ratio, moments_lap_exact, moments_tcl, moments_tdl,
+                          pmf_tcl, pmf_tdl, sample_batch, sample_tcl, sample_tdl, tv_distance)
+    from trunclap.mpc import make_session, pi_noise, pi_perturb, run_batch
+    from trunclap.tape import BATCH_MIN_SESSIONS
+    from trunclap.validation import chi_square
+
+    def scipy_modules():
+        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+    P = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
+    for mech in (TDL, TCL):
+        run_batch(mech.name, P, 0.0, 20, 1, 2)
+        session = make_session(P, mech.name)
+        # the pair after the first BATCH_MIN_SESSIONS comes from a pooled block
+        pairs = [pi_noise(session, mech, P) for _ in range(BATCH_MIN_SESSIONS + 1)]
+        session.open(pi_perturb(session, mech, session.share(0), pairs[-1], P))
+        sample_batch(mech, 0.0, P, 100, 3)
+        mech.moments(0.0, P)
+        max_privacy_ratio(mech.name, P)
+        calibrate(1.0, mech.name, L=2.0)
+    sample_tdl(0.0, P, RandomTape(4))
+    sample_tcl(0.0, P, RandomTape(5))
+    moments_tdl(1.0, P)
+    moments_tcl(1.0, P)
+    pmf_tcl(0.0, P)
+    f = pmf_tdl(0.0, P)
+    h = Histogram.from_samples(sample_batch(TDL, 0.0, P, 2000, 6), f.spec)
+    tv_distance(h, f)
+    flags = ["--E", "4", "--L", "2", "--sigma", "1", "--n", "10"]
+    with tempfile.TemporaryDirectory() as d:
+        for command in ("sample", "mpc"):
+            assert cli.main([command, *flags, "--out", os.path.join(d, command)]) == 0
+    assert scipy_modules() == [], scipy_modules()
+
+    mean, mse = moments_lap_exact(0.5, P)
+    assert "scipy.special" in sys.modules
+    stat, pvalue = chi_square(h, f)
+    assert "scipy.stats" in sys.modules
+    assert all(math.isfinite(v) for v in (mean, mse, stat, pvalue))
+    print("ok")
+""")
+
+
+def test_only_a_p_value_or_a_continuous_moment_loads_scipy():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    r = subprocess.run([sys.executable, "-c", NUMPY_ONLY_CHILD], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert r.returncode == 0 and r.stdout == "ok\n", r.stdout[-2000:] + r.stderr[-2000:]

@@ -5,9 +5,9 @@
         [--calls 8 1000] [--blocks 8] [--reps 200] [--out FILE]
 
 For every case, the small and wide sets (perfbench's) and the segmented
-set x TDL/TCL, a worker process on a checkout times these metrics, each
-the median of --reps calls (the segmented set's tail count 6 = 4 + 2 and
-inner count 3 = 2 + 1 are not powers of two, so its calls run every
+set x TDL/TCL, a worker process of its own on a checkout times these
+metrics, each the median of --reps calls (the segmented set's tail count
+6 = 4 + 2 and inner count 3 = 2 + 1 are not powers of two, so its calls run every
 segment pick: the tail's in `pi_uni` and the plaintext draw, the
 magnitude's in both; no perfbench workload draws one):
 
@@ -39,6 +39,18 @@ after it in the same worker.  `online_us` reads no party word, its pair
 being pooled beforehand, and one dealer word, so it has no floor.
 
 Every timed call is a public one, so a worker runs on any checkout.
+Each case runs in a fresh worker, so every case meets a fresh allocator:
+in one process, every case after the first would meet one that earlier
+calls had shaped (glibc raises its mmap threshold when a large block is
+freed, after which large-n calls fault far less).
+
+Before any timed call, each worker reports its import footprint
+(`footprint`): `import_s`, the wall time of importing `trunclap`,
+`trunclap.mpc` and `trunclap.cli` (numpy, which the worker itself
+imports, is loaded already); `import_rss_mb`, `ru_maxrss` right after
+that import; `gc_tracked`, the objects the garbage collector then tracks
+(`len(gc.get_objects())`, a count, which the host's load cannot move);
+and `gc_full_ms`, the time of one full `gc.collect()` after it.
 
 Beside each timing, `faults` gives the metric's minor page faults per
 timed call: the worker's own `ru_minflt` (`resource.getrusage`) read
@@ -50,14 +62,15 @@ consumed, per execution.  `<name>_floor_ratio` (`run_batch_floor_ratio.8`)
 is a timing over its floor in one worker: a cost in units of the host's
 word rate, which carries across sessions where an absolute time does not.
 
-The run is k alternations.  Each alternation runs one worker on each
-checkout, --parent first on even alternations and --change first on odd
-ones, so that neither side always runs on a warmer host.  The report gives
-each side's median over the k alternations of every timing (`cases`) and
-of every fault count (`faults`) and floor ratio (`floor_ratios`), and
-each side's counts (`counts`), and with --parent the change's timing,
-floor ratio and counts over the parent's.  `host`
-gives each alternation's host load (`host_load.py`): the share of CPU
+The run is k alternations.  Each alternation runs every case's worker on
+each checkout, --parent first on even alternations and --change first on
+odd ones, so that neither side always runs on a warmer host.  The report
+gives each side's median over the k alternations of every timing
+(`cases`), of every fault count (`faults`) and floor ratio
+(`floor_ratios`), and over all its workers of every footprint metric
+(`footprint`), and each side's counts (`counts`), and with --parent the
+change's timing, floor ratio, footprint and counts over the parent's.
+`host` gives each alternation's host load (`host_load.py`): the share of CPU
 time the hypervisor stole while it ran, and the 1-minute load average at
 its end.  Each checkout is a tree holding
 `src/trunclap`; the worker imports it from there.
@@ -68,6 +81,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import gc
 import json
 import os
 import resource
@@ -222,77 +236,98 @@ def call_words(field, mech, P, n: int) -> tuple[int, int, int]:
             session.tape1.words_consumed)
 
 
-def measure(calls: list[int], blocks: list[int], reps: int) -> dict:
-    """Every timing of every case, timed in this process, its floor, its
-    faults per call, its floor ratio and the case's counts."""
+def footprint() -> dict:
+    """The cost of importing the package in this fresh process: wall
+    seconds, peak resident MB after it, the objects the collector tracks
+    and one full collection's milliseconds."""
+    t0 = time.perf_counter()
+    import trunclap.cli  # noqa: F401
+    import trunclap.mpc  # noqa: F401
+    import_s = time.perf_counter() - t0
+    rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    tracked = len(gc.get_objects())
+    t0 = time.perf_counter()
+    gc.collect()
+    return {"import_s": round(import_s, 4), "import_rss_mb": round(rss_mb, 1),
+            "gc_tracked": tracked, "gc_full_ms": round((time.perf_counter() - t0) * 1e3, 2)}
+
+
+def measure(label: str, name: str, calls: list[int], blocks: list[int], reps: int) -> dict:
+    """Every timing of one case, mechanism `name` on set `label`, timed in
+    this process, its floor, its faults per call, its floor ratio and the
+    case's counts."""
     from trunclap.mechanisms import MechanismParams, lookup_mechanism
     from trunclap.mpc import Session, mechanism_field, pi_noise, pi_perturb, run_batch
 
-    out, faults, ratios, counts = {}, {}, {}, {}
-    for label, kw in SETS.items():
-        P = MechanismParams(**kw)
-        for name in MECHS:
-            mech = lookup_mechanism(name)
-            field = mechanism_field(P, name)
-            seeds = iter(range(1, 1 << 30, 2))
+    P = MechanismParams(**SETS[label])
+    mech = lookup_mechanism(name)
+    field = mechanism_field(P, name)
+    seeds = iter(range(1, 1 << 30, 2))
 
-            def batch(n):
-                s = next(seeds)
-                run_batch(name, P, 0.0, n, s, s + 1)
+    def batch(n):
+        s = next(seeds)
+        run_batch(name, P, 0.0, n, s, s + 1)
 
-            # metric -> (call, setup, the BATCH_MIN_SESSIONS it is timed at)
-            timed = {f"run_batch_us.{n}": (functools.partial(batch, n), None, None) for n in calls}
-            for path in ("block_us", "loop_us"):
-                for n in blocks:
-                    call, min_sessions = fresh_calls(field, mech, P, n, seeds)[f"{path}.{n}"]
-                    timed[f"{path}.{n}"] = (call, None, min_sessions)
-            for metric, (call, setup) in pool_calls(field, mech, P, seeds).items():
-                timed[metric] = (call, setup, None)
-            timed["sample_us"] = (sample_call(name, P, next(seeds)), None, None)
-            case, ratio = {}, {}
-            run_batch(name, P, 0.0, max(calls), 0, 1)  # fill the lazy caches
-            for metric, (call, setup, min_sessions) in timed.items():
-                with forced(min_sessions):
-                    # counted on a call of its own, which warms the timed ones
-                    words = words_read(call, *(() if setup is None else (setup(),)))
-                    case[metric] = median_us(call, reps, setup)
-                floor_metric = metric.replace("_us", "_floor_us")
-                case[floor_metric] = median_us(floor(words, next(seeds)), reps)
-                ratio[metric.replace("_us", "_floor_ratio")] = round(
-                    case[metric][0] / case[floor_metric][0], 4)
-            warm = Session(field, 3, 4)
-            pairs = iter([pi_noise(warm, mech, P) for _ in range(reps + 1)])
+    # metric -> (call, setup, the BATCH_MIN_SESSIONS it is timed at)
+    timed = {f"run_batch_us.{n}": (functools.partial(batch, n), None, None) for n in calls}
+    for path in ("block_us", "loop_us"):
+        for n in blocks:
+            call, min_sessions = fresh_calls(field, mech, P, n, seeds)[f"{path}.{n}"]
+            timed[f"{path}.{n}"] = (call, None, min_sessions)
+    for metric, (call, setup) in pool_calls(field, mech, P, seeds).items():
+        timed[metric] = (call, setup, None)
+    timed["sample_us"] = (sample_call(name, P, next(seeds)), None, None)
+    case, ratio = {}, {}
+    run_batch(name, P, 0.0, max(calls), 0, 1)  # fill the lazy caches
+    for metric, (call, setup, min_sessions) in timed.items():
+        with forced(min_sessions):
+            # counted on a call of its own, which warms the timed ones
+            words = words_read(call, *(() if setup is None else (setup(),)))
+            case[metric] = median_us(call, reps, setup)
+        floor_metric = metric.replace("_us", "_floor_us")
+        case[floor_metric] = median_us(floor(words, next(seeds)), reps)
+        ratio[metric.replace("_us", "_floor_ratio")] = round(
+            case[metric][0] / case[floor_metric][0], 4)
+    warm = Session(field, 3, 4)
+    pairs = iter([pi_noise(warm, mech, P) for _ in range(reps + 1)])
 
-            def online():
-                warm.open(pi_perturb(warm, mech, warm.share(0), next(pairs), P))
+    def online():
+        warm.open(pi_perturb(warm, mech, warm.share(0), next(pairs), P))
 
-            online()
-            case["online_us"] = median_us(online, reps)
-            out[f"{name}.{label}"] = {metric: us for metric, (us, _) in case.items()}
-            faults[f"{name}.{label}"] = {metric: f for metric, (_, f) in case.items()}
-            ratios[f"{name}.{label}"] = ratio
-            # run_batch's session, at the largest n
-            n = max(calls)
-            dealer, party, _ = call_words(field, mech, P, n)
-            counts[f"{name}.{label}"] = {
-                "n": n,
-                "dealer_words_per_execution": dealer / n,
-                "party_words_per_execution": party / n,
-            }
-    return {"timings": out, "faults": faults, "floor_ratios": ratios, "counts": counts}
+    online()
+    case["online_us"] = median_us(online, reps)
+    # run_batch's session, at the largest n
+    n = max(calls)
+    dealer, party, _ = call_words(field, mech, P, n)
+    return {"timings": {metric: us for metric, (us, _) in case.items()},
+            "faults": {metric: f for metric, (_, f) in case.items()},
+            "floor_ratios": ratio,
+            "counts": {"n": n, "dealer_words_per_execution": dealer / n,
+                       "party_words_per_execution": party / n}}
 
 
 def run_worker(checkout: Path, args) -> dict:
-    """One worker process on `checkout`: its metrics, parsed from JSON."""
+    """One fresh worker process per case on `checkout`: their metrics,
+    parsed from JSON and merged, each section keyed by case, with every
+    worker's footprint."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(checkout / "src"),
                                                       env.get("PYTHONPATH")]))
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", "--reps", str(args.reps),
-           "--calls", *map(str, args.calls), "--blocks", *map(str, args.blocks)]
-    r = subprocess.run(cmd, env=env, capture_output=True, text=True)
-    if r.returncode:
-        raise RuntimeError(f"{checkout}: worker exited {r.returncode}: {r.stderr[-2000:]}")
-    return json.loads(r.stdout)
+    merged = {"footprint": [], "timings": {}, "faults": {}, "floor_ratios": {}, "counts": {}}
+    for label in SETS:
+        for name in MECHS:
+            cmd = [sys.executable, str(Path(__file__).resolve()), "--worker", f"{name}.{label}",
+                   "--reps", str(args.reps), "--calls", *map(str, args.calls),
+                   "--blocks", *map(str, args.blocks)]
+            r = subprocess.run(cmd, env=env, capture_output=True, text=True)
+            if r.returncode:
+                raise RuntimeError(f"{checkout}: worker {name}.{label} exited {r.returncode}: "
+                                   f"{r.stderr[-2000:]}")
+            part = json.loads(r.stdout)
+            merged["footprint"].append(part.pop("footprint"))
+            for section, values in part.items():
+                merged[section][f"{name}.{label}"] = values
+    return merged
 
 
 def parse(argv):
@@ -306,7 +341,7 @@ def parse(argv):
                     help="executions of a forced block and of its sequential loop")
     ap.add_argument("--reps", type=int, default=200, help="timed calls per metric")
     ap.add_argument("--out", type=Path, default=None)
-    ap.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--worker", metavar="CASE", default=None, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if min(args.k, args.reps, *args.calls, *args.blocks) < 1:
         ap.error("--k, --reps, --calls and --blocks take positive counts")
@@ -315,8 +350,10 @@ def parse(argv):
 
 def main(argv=None) -> int:
     args = parse(argv)
-    if args.worker:
-        print(json.dumps(measure(args.calls, args.blocks, args.reps)))
+    if args.worker is not None:
+        name, label = args.worker.split(".")
+        print(json.dumps({"footprint": footprint(),
+                          **measure(label, name, args.calls, args.blocks, args.reps)}))
         return 0
     sides = {"change": args.change} if args.parent is None else {"parent": args.parent,
                                                                 "change": args.change}
@@ -331,8 +368,14 @@ def main(argv=None) -> int:
         print(f"alternation {i} done", file=sys.stderr)
     report = {"k": args.k, "reps": args.reps, "python": sys.version.split()[0],
               "host_cpus": os.cpu_count(), "host": host, "cases": {}, "faults": {},
-              "floor_ratios": {}, "counts": {}}
+              "floor_ratios": {}, "footprint": {}, "counts": {}}
     first = runs["change"][0]
+    for metric in first["footprint"][0]:
+        med = {side: round(statistics.median(f[metric] for r in rs for f in r["footprint"]), 4)
+               for side, rs in runs.items()}
+        if args.parent is not None:
+            med["change_over_parent"] = round(med["change"] / med["parent"], 4)
+        report["footprint"][metric] = med
     for case, metrics in first["timings"].items():
         # each side's median over its runs: of the timings and the floor ratios
         for key, section, digits in (("cases", "timings", 2), ("floor_ratios", "floor_ratios", 4)):
