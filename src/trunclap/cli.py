@@ -28,7 +28,7 @@ from .mechanisms import (
 from .mpc import make_session, run_batch, run_once
 from .sampling import noise_plan, sample_batch
 from .thresholds import THRESHOLDS
-from .validation import Histogram, overlay_check, overlay_data, table1_report
+from .validation import Histogram, overlay_check, table1_report
 
 USAGE_ERROR = 1
 CHECK_FAILED = 2
@@ -201,7 +201,6 @@ def cmd_mpc(args) -> int:
         "sessions": args.n,
         "seeds": list(seeds),
         "histogram": hist.as_dict(),
-        "bins": hist.bin_counts(),
         "ledger_per_run": ledger,
     }
     if args.transcript:
@@ -237,14 +236,9 @@ def cmd_validate(args) -> int:
             failures.append(f"overlay x={x} tv={check.tv:.4f}")
         if args.out:
             stem = os.path.splitext(args.out)[0]
-            _dump_csv(
-                [
-                    (repr(r["y"]), repr(r["theoretical"]), repr(r["empirical"]))
-                    for r in overlay_data(check.pmf, check.hist)
-                ],
-                ["y", "theoretical", "empirical"],
-                f"{stem}_overlay_x{int(x)}.csv",
-            )
+            columns = (check.pmf.support(), check.pmf.masses, check.hist.frequencies())
+            _dump_csv([tuple(repr(float(v)) for v in row) for row in zip(*columns)],
+                      ["y", "theoretical", "empirical"], f"{stem}_overlay_x{int(x)}.csv")
     report["failures"] = failures
     report["pass"] = not failures
     _dump_json(report, args.out)

@@ -6,7 +6,8 @@ variant that drops the top point B.  A grid value v enters the ring Z_q,
 q = 2^bits (`FieldConfig`), one way: as its step count 2^p * v
 (`MechanismParams.input_steps`), then a session's `share`; it leaves by
 `open`, the balanced lift in [-q/2, q/2), times 2^-p.  A v whose 2^p * v
-is not a finite double is refused, as past p = 1023 every nonzero v is.
+is not a finite double is refused, as past p = 1023 every v >= 1 is; a
+grid past p = 1074, whose step 2^-p is no double, is refused (`GridSpec`).
 One rule sizes every ring (`ring_covering`): q/4 covers every step a sign test reads.
 """
 
@@ -77,6 +78,9 @@ class GridSpec:
             raise GridError("bound B must be positive")
         if not is_aligned(self.B, self.p):
             raise GridError(f"bound {self.B} is not a multiple of 2^-{self.p}")
+        if self.p > 1074:
+            raise GridError(f"precision exponent p = {self.p} is past 1074: the step "
+                            f"2^-{self.p} is below the smallest double")
 
     @property
     def step(self) -> float:

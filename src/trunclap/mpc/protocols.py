@@ -89,7 +89,7 @@ def mechanism_field(
     params: MechanismParams, mechanism: str = "tdl", gamma: int = 0
 ) -> FieldConfig:
     """Ring sized for a run of either mechanism on `params`: `ring_covering`
-    of max(2^p*(2E+L), 2^p) steps, as the perturbation's sign test reads
+    of 2^p*(2E+L) steps, as the perturbation's sign test reads
     y - x - 2^p*E, down to -2^p*(2E+L) on the inner branch.  Cached per set:
     its sessions share one frozen FieldConfig.  `mechanism` must name a
     mechanism, and `gamma` changes nothing (`retired_gamma`)."""
@@ -101,7 +101,7 @@ def mechanism_field(
 @lru_cache(maxsize=128)
 def _ring(params: MechanismParams) -> FieldConfig:
     Es, Ls = steps_of(params.E, params.p), steps_of(params.L, params.p)
-    return ring_covering(max(2 * Es + Ls, 1 << params.p))
+    return ring_covering(2 * Es + Ls)
 
 
 def make_session(

@@ -106,7 +106,7 @@ def centered_dlap_config(L: float, sigma: float, p: int) -> CenteredDlapConfig:
     steps = steps_of(L, p)
     kappa = steps.bit_length() - 1
     # rho = e^(-a): bit i of the magnitude is Bernoulli(rho^(2^i) / (1 + rho^(2^i)))
-    a = 1.0 / (2.0**p * sigma)
+    a = 2.0**-p / sigma
     rho = math.exp(-a)
     powers = (rho ** (2**i) for i in range(kappa))
     bits = tuple(bernoulli_threshold(r / (1.0 + r)) for r in powers)

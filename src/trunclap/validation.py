@@ -1,8 +1,8 @@
 """Statistical validation harness: goodness of fit, distribution overlays
 and empirical-vs-analytic moment comparisons.
 
-Chi-square tests merge bins whose expected count falls below 5 into their
-neighbors (the usual validity rule) before computing the statistic.
+Chi-square tests merge grid points into groups until each group's expected
+count reaches 5 (the usual validity rule) before computing the statistic.
 scipy loads on the first `chi_square` call (so `fit_report`), for its
 p-value; nothing else here needs it.
 """
@@ -21,7 +21,7 @@ from .thresholds import THRESHOLDS
 
 @dataclass(frozen=True)
 class Histogram:
-    """Counts over the points of a grid; bins are exactly the grid points."""
+    """Counts over the points of a grid, one per point in index order."""
 
     spec: GridSpec
     counts: np.ndarray
@@ -38,7 +38,7 @@ class Histogram:
     def from_samples(cls, values: np.ndarray, spec: GridSpec) -> "Histogram":
         """Counts per grid point; ValueError for a sample off or outside the grid, or NaN."""
         values = np.asarray(values, dtype=float)
-        scaled = (values + spec.B) * 2**spec.p
+        scaled = (values + spec.B) / spec.step
         idx = np.round(scaled)
         bad = (idx != scaled) | (idx < 0) | (idx >= spec.count)
         if bad.any():
@@ -58,13 +58,6 @@ class Histogram:
             "counts": [int(c) for c in self.counts],
             "n": self.n,
         }
-
-    def bin_counts(self) -> list[dict]:
-        """{bin, count} rows, one per grid point."""
-        return [
-            {"bin": float(y), "count": int(c)}
-            for y, c in zip(self.spec.values(), self.counts)
-        ]
 
 
 @dataclass(frozen=True)
@@ -91,9 +84,9 @@ def tv_distance(h: Histogram, f: ExactPmf) -> float:
 
 
 def chi_square(h: Histogram, f: ExactPmf):
-    """Chi-square statistic and p-value with small-bin merging.
+    """Chi-square statistic and p-value over merged grid points.
 
-    Bins are scanned in order and accumulated until the expected count
+    Points are scanned in order and accumulated until the expected count
     reaches 5; a trailing underfull group is merged into the previous one.
     """
     _check_support(h, f)
@@ -114,7 +107,7 @@ def chi_square(h: Histogram, f: ExactPmf):
         exp_groups.append(acc_e)
         obs_groups.append(acc_o)
     if len(exp_groups) < 2:
-        raise ValueError("not enough mass to form two chi-square bins")
+        raise ValueError("not enough mass to form two chi-square groups")
     obs = np.array(obs_groups)
     exp = np.array(exp_groups)
     exp *= obs.sum() / exp.sum()   # remove rounding drift in the constraint
@@ -191,8 +184,8 @@ class OverlayCheck:
 def overlay_check(x: float, params: MechanismParams, seed: int) -> OverlayCheck:
     """Distribution-overlay check of the TDL sampler at input x.
 
-    Draws THRESHOLDS["overlay_n"] samples with `sample_batch`, bins them
-    on the output grid and measures their total variation against
+    Draws THRESHOLDS["overlay_n"] samples with `sample_batch`, counts them
+    per output grid point and measures their total variation against
     `pmf_tdl(x)`; the check passes when that TV is below
     THRESHOLDS["overlay_tv"].
     """
@@ -200,13 +193,3 @@ def overlay_check(x: float, params: MechanismParams, seed: int) -> OverlayCheck:
     values = sample_batch(TDL, x, params, THRESHOLDS["overlay_n"], seed)
     hist = Histogram.from_samples(values, params.output_grid("tdl"))
     return OverlayCheck(pmf=pmf, hist=hist, tv=tv_distance(hist, pmf))
-
-
-def overlay_data(pmf: ExactPmf, h: Histogram) -> list[dict]:
-    """Per-point theoretical vs empirical masses (distribution overlay)."""
-    _check_support(h, pmf)
-    freq = h.frequencies()
-    return [
-        {"y": float(y), "theoretical": float(m), "empirical": float(fq)}
-        for y, m, fq in zip(pmf.support(), pmf.masses, freq)
-    ]

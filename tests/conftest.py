@@ -195,25 +195,35 @@ def tail_law_oracle(tail) -> list:
     return law
 
 
-def assert_index_law(counts, m: int, bound: float) -> None:
-    """TV check of the counts of an index drawn on [0, m): the draw count is
-    sized for `bound` (`sized_for`) against the exact law the picks of
-    `segment_plan(m)` give (`tail_law_oracle`), the counts read below it,
-    and, as a negative control, above it against that law with `bound` of
-    index 0's mass moved onto index 1: a law at TV `bound` from the exact
-    one is told apart, the check's resolution.  (A law at 2 * bound or more
-    reads above the bound by the triangle inequality alone.)"""
-    from trunclap.tape import segment_plan
-
-    law = np.array(tail_law_oracle(segment_plan(m)), dtype=float)
+def assert_law(counts, law, bound: float) -> None:
+    """TV check of the counts of an index drawn on [0, len(law)) against its
+    exact law: the draw count is sized for `bound` (`sized_for`), the counts
+    read below it, and, as a negative control, above it against that law
+    with `bound` of mass taken from its lowest indices, index 0 first, and
+    moved onto the next one: a law at TV `bound` from the exact one is told
+    apart, the check's resolution.  (A law at 2 * bound or more reads above
+    the bound by the triangle inequality alone.)"""
+    law = np.asarray(law, dtype=float)
     n = int(np.sum(counts))
-    assert len(counts) == m and sized_for(bound, law, n)
+    assert len(counts) == len(law) and sized_for(bound, law, n)
     freq = np.asarray(counts) / n
     assert 0.5 * float(np.sum(np.abs(freq - law))) < bound
-    control = law.copy()
-    control[0] -= bound
-    control[1] += bound
+    control, left, i = law.copy(), bound, 0
+    while left > 0:
+        take = min(left, control[i])
+        control[i] -= take
+        left -= take
+        i += 1
+    control[i] += bound
     assert 0.5 * float(np.sum(np.abs(freq - control))) > bound
+
+
+def assert_index_law(counts, m: int, bound: float) -> None:
+    """`assert_law` of the counts of an index drawn on [0, m) against the
+    exact law the picks of `segment_plan(m)` give (`tail_law_oracle`)."""
+    from trunclap.tape import segment_plan
+
+    assert_law(counts, tail_law_oracle(segment_plan(m)), bound)
 
 
 def mechanism_law_oracle(plan, xs: int, place=None) -> dict:

@@ -42,6 +42,9 @@ ORDINARY = {
     "E": ("1", "4", "64"), "L": ("1", "2", "32"), "sigma": ("0.5", "1", "8"),
     "epsilon": ("0.5", "1", "4"), "p": ("0", "1", "2"), "n": ("1", "3"), "seed": ("0", "7"),
 }
+# a quarter of the calls start from a tiny grid instead: E = L tiny and p
+# large, three correlated flags that two edge flags never reach together
+TINY = {"bound": (repr(2.0**-60), repr(2.0**-1074)), "p": ("62", "63", "1074", "1076", "1100")}
 
 
 def _refuse_constant(token):
@@ -79,6 +82,9 @@ def calls(draw) -> list[str]:
     """One call, its flags as --flag=value so that a negative value parses."""
     command = draw(st.sampled_from(("calibrate", "pmf", "moments", "sample", "mpc")))
     flags = {name: draw(st.sampled_from(values)) for name, values in ORDINARY.items()}
+    if draw(st.integers(0, 3)) == 0:
+        flags["E"] = flags["L"] = draw(st.sampled_from(TINY["bound"]))
+        flags["p"] = draw(st.sampled_from(TINY["p"]))
     flags["x"] = draw(st.sampled_from(("0", "1", flags["E"], f"-{flags['E']}")))
     for name in draw(st.lists(st.sampled_from(sorted(EDGES)), max_size=2, unique=True)):
         flags[name] = draw(st.sampled_from(EDGES[name]))
@@ -128,12 +134,32 @@ FOUND = [
     # sigma = L / epsilon and 1 / epsilon past a double printed sigma: Infinity
     ["calibrate", "--epsilon", "1e-300", "--L", "1e300"],
     ["calibrate", "--epsilon", repr(2.0**-1074), "--regime", "dchi"],
+    # 2.0**p in the draw plan and in the histogram overflowed from p = 1024
+    ["sample", "--E", "5e-324", "--L", "5e-324", "--sigma", "1", "--p", "1074", "--n", "2"],
+    ["mpc", "--E", "5e-324", "--L", "5e-324", "--sigma", "1", "--p", "1074", "--n", "2"],
 ]
 
 
 @pytest.mark.parametrize("argv", FOUND, ids=range(len(FOUND)))
 def test_the_calls_found_are_answered_or_refused(argv):
     check(argv)
+
+
+@pytest.mark.parametrize("p, code", [(1074, 0), (1076, 1), (1100, 1)])
+@pytest.mark.parametrize("command", [["sample", "--n", "2"], ["mpc", "--n", "2"],
+                                     ["pmf", "--mechanism", "tcl"], ["moments"]])
+def test_the_finest_grid_is_answered_and_a_finer_one_refused(command, p, code):
+    # E = L = 2^-1074 is aligned at every p to 2097, but past p = 1074 the
+    # step 2^-p is no double: pmf_tcl wrote 16 masses of 0.0 at p = 1076
+    argv = [*command, "--E", "5e-324", "--L", "5e-324", "--sigma", "1", "--p", str(p)]
+    assert check(argv) == code
+
+
+def test_a_sub_unit_set_past_p_62_runs_the_protocols():
+    # the sign test reaches 24 steps, but the 2^p floor of the ring sized
+    # q = 2^65, which the dealer refused where `sample` ran the set
+    tiny = repr(2.0**-60)
+    assert check(["mpc", "--E", tiny, "--L", tiny, "--sigma", "1", "--p", "63", "--n", "2"]) == 0
 
 
 def test_a_finite_tcl_privacy_ratio_is_answered(capsys):

@@ -1,10 +1,12 @@
+import csv
 import hashlib
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from trunclap import MechanismParams, lookup_mechanism, moments_lap_exact
+from trunclap import MechanismParams, lookup_mechanism, moments_lap_exact, pmf_tdl
 from trunclap.cli import main
 from trunclap.thresholds import THRESHOLDS
 
@@ -192,7 +194,6 @@ class TestMpc:
         data = json.loads(out.read_text())
         assert data["sessions"] == 0
         assert data["histogram"]["n"] == 0 and data["histogram"]["counts"] == [0] * 13
-        assert [b["count"] for b in data["bins"]] == [0] * 13
 
     def test_input_outside_bound_is_usage_error(self, capsys):
         # caught before any session runs, not afterwards by the histogram
@@ -227,8 +228,9 @@ class TestMpc:
         assert run(["mpc", "--E", "3", "--L", "3", "--sigma", "1", "--n", "200",
                     "--out", str(out)]) == 0
         data = json.loads(out.read_text())
+        # each count once: histogram.spec gives the grid value of every index
         assert set(data) == {"mechanism", "params", "x", "sessions", "seeds", "histogram",
-                             "bins", "ledger_per_run"}
+                             "ledger_per_run"}
         assert sum(data["histogram"]["counts"]) == 200  # every output on the grid
         ledger = data["ledger_per_run"]
         assert (ledger["comparisons"], ledger["multiplications"]) == (7, 7)
@@ -272,6 +274,23 @@ class TestValidate:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["run.d"]
         assert sorted(p.name for p in (tmp_path / "run.d").iterdir()) == [
             "report", "report_overlay_x-32.csv", "report_overlay_x64.csv"]
+        # one row per point of the p=2 output grid: the point, its exact
+        # mass and its frequency among the overlay's draws, whose TV is the
+        # one reported
+        params = MechanismParams(E=64, L=32, sigma=8, p=2)
+        for overlay in data["overlays"]:
+            pmf = pmf_tdl(overlay["x"], params)
+            path = tmp_path / "run.d" / f"report_overlay_x{int(overlay['x'])}.csv"
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+            assert header == ["y", "theoretical", "empirical"] and len(rows) == 769
+            y, theoretical, empirical = np.array(rows, dtype=float).T
+            assert y.tolist() == pmf.support().tolist() and y[0] == -96.0
+            assert theoretical.tolist() == pmf.masses.tolist()
+            counts = np.round(empirical * overlay["n"])
+            assert np.array_equal(counts / overlay["n"], empirical)
+            assert counts.sum() == overlay["n"]
+            assert 0.5 * np.abs(empirical - theoretical).sum() == pytest.approx(overlay["tv"])
         assert code == 0
 
     def test_failing_cells_and_overlays_are_reported(self, capsys):
@@ -394,21 +413,21 @@ PINNED = {
     ),
     "mpc-tdl-small.json": (
         ["mpc", *SMALL, "--x", "1", "--n", "200", "--seed", "5", "--transcript"],
-        "b0b874c63de5eadacf9ae1b21ef58303b328e8ae5bdc73ca36dfce322718014c",
+        "15654634d29b39372db3567f65591858b42c3d4ae332a9a45c51ce55b4c6a327",
     ),
     "mpc-tcl-small.json": (
         ["mpc", "--mechanism", "tcl", *SMALL, "--x", "-2", "--n", "200", "--seed", "5",
          "--transcript"],
-        "bd84288e0712504d1f0404d591ee3659928ed776fe6c5a00c45bd45de34963e6",
+        "9b6b71f6a3cf6bd5b41c12f8c3b8fd672993742c0ef950d54fef1a9d2b27c37d",
     ),
     "mpc-tdl-wide.json": (
         ["mpc", *WIDE, "--x", "-32", "--n", "200", "--seed", "7", "--transcript"],
-        "daba697b60cf24cf2563abcca1f63c3a7db1ab0d53536116d9a090aa923baa27",
+        "daf878fc93a96158178c4ff02f40c663705a98cb8beca4afe06e4a4276c8cbb9",
     ),
     "mpc-tcl-wide.json": (
         ["mpc", "--mechanism", "tcl", *WIDE, "--x", "63.75", "--n", "200", "--seed", "7",
          "--transcript"],
-        "c78f6d730aeb08efabee0ad019fe391cb21e5bfe2513826fed3fb831028ce80e",
+        "aecf2a62667a7c9ed92093eb6246f68b1d390537ba423c042b9c3496cc60801c",
     ),
     # TDL with a segmented inner draw and TCL, both with outer count 6,
     # whose tail index picks one of two segments (4 + 2): the shapes whose

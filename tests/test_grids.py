@@ -17,7 +17,7 @@ from trunclap.grids import (
     steps_of,
 )
 from trunclap.mechanisms import MechanismParams
-from trunclap.mpc import Session, mechanism_field
+from trunclap.mpc import Session, mechanism_field, run_batch
 from trunclap.validation import Histogram
 
 
@@ -109,6 +109,24 @@ class TestGridSpec:
         with pytest.raises(GridError, match="precision exponent"):
             GridSpec(p=-1, B=1.0)
 
+    @pytest.mark.parametrize("p", [1075, 1076, 1100])
+    def test_a_step_below_the_smallest_double_is_refused(self, p):
+        # 2^-1073 * 2^p is finite, so the bound is aligned, but the step
+        # 2^-p is no double: pmf_tcl read 16 masses of 0.0 at p = 1076
+        tiny = 2.0**-1074
+        with pytest.raises(GridError, match=f"p = {p} is past 1074"):
+            GridSpec(p=p, B=2 * tiny)
+        with pytest.raises(GridError, match=f"p = {p} is past 1074"):
+            MechanismParams(E=tiny, L=tiny, sigma=1.0, p=p)
+
+    def test_the_finest_grid_counts_its_samples(self):
+        # from_samples scaled by 2**p, which overflowed from p = 1024
+        tiny = 2.0**-1074
+        spec = GridSpec(p=1074, B=2 * tiny)
+        assert spec.values().tolist() == [-2 * tiny, -tiny, 0.0, tiny, 2 * tiny]
+        h = Histogram.from_samples([-2 * tiny, 0.0, tiny, 2 * tiny], spec)
+        assert h.counts.tolist() == [1, 0, 1, 1, 1]
+
     def test_contains_is_false_off_the_grid(self):
         spec = GridSpec(p=1, B=2.0)
         assert Histogram.from_samples([0.5], spec).n == 1
@@ -165,9 +183,9 @@ class TestDefaults:
 @st.composite
 def ring_sets(draw):
     """(Es, Ls, p) of a mechanism set on a lattice of shapes: E + L below
-    one unit (the 2^p floor binds where 2E + L is too), 2E + L a power of
-    two, a set at the 2^53 output steps a noise plan admits, and any set.
-    Every 2E + L here is a double, as the float loops need."""
+    one unit (and 2E + L, where the loops' 2^p floor bound), 2E + L a power
+    of two, a set at the 2^53 output steps a noise plan admits, and any
+    set.  Every 2E + L here is a double, as the float loops need."""
     p = draw(st.integers(0, 50))
     shape = draw(st.sampled_from(["sub-unit", "power", "edge", "any"]))
     if shape == "sub-unit":
@@ -187,15 +205,26 @@ def ring_sets(draw):
 
 
 def ring_mismatch(rule, Es: int, Ls: int, p: int) -> bool:
-    """Whether `rule(params)` picks another ring than the loops did."""
+    """Whether `rule(params)` picks another ring than the sign test's reach
+    2E + L needs: the loops' ring (`conftest.loop_mechanism_q`) where it is
+    at least one unit, and below that, where the loops' 2^p floor bound,
+    the smallest ring whose q/4 holds its 2^p(2E + L) steps."""
     P = MechanismParams(E=math.ldexp(Es, -p), L=math.ldexp(Ls, -p), sigma=1.0, p=p)
-    assert 2 * P.E + P.L == math.ldexp(2 * Es + Ls, -p)
-    return rule(P).q != loop_mechanism_q(P)
+    reach = 2 * Es + Ls
+    assert 2 * P.E + P.L == math.ldexp(reach, -p)
+    if reach >= 1 << p:
+        return rule(P).q != loop_mechanism_q(P)
+    q = 4
+    while q // 4 < reach:
+        q *= 2
+    return rule(P).q != q
 
 
 class TestRingRule:
     """`ring_covering` is the one sizing rule, and it picks the ring the
-    loops it replaced picked (`conftest.loop_mechanism_q`, `loop_field_q`)."""
+    loops it replaced picked (`conftest.loop_mechanism_q`, `loop_field_q`),
+    but for the loops' 2^p floor on a mechanism set whose 2E + L is below
+    one unit."""
 
     @given(ring_sets())
     @settings(max_examples=400, deadline=None)
@@ -210,14 +239,24 @@ class TestRingRule:
         for E, L in ((E, L), (math.ldexp(Es, -p), math.ldexp(Ls, -p))):
             assert field_for_mechanism(E, L, p).q == loop_field_q(E, L, p)
 
-    def test_a_rule_without_the_floor_fails_the_lattice(self):
-        # the mutation control: 2^p steps, one integer bit, is the floor
-        def unfloored(P):
-            return ring_covering(2 * steps_of(P.E, P.p) + steps_of(P.L, P.p))
+    def test_a_rule_with_the_floor_fails_the_lattice(self):
+        # the mutation control: the 2^p floor the rule kept from the loops
+        # widens the ring of a set whose reach is below one unit
+        def floored(P):
+            return ring_covering(max(2 * steps_of(P.E, P.p) + steps_of(P.L, P.p), 1 << P.p))
 
-        Es, Ls, p = find(ring_sets(), lambda case: ring_mismatch(unfloored, *case),
+        Es, Ls, p = find(ring_sets(), lambda case: ring_mismatch(floored, *case),
                          settings=settings(database=None))
         assert 2 * Es + Ls < 1 << p
+
+    def test_a_sub_unit_set_gets_a_ring_a_word_draws(self):
+        # E = L = 2^-60 at p = 63: the sign test reaches 24 steps, but the
+        # 2^p floor sized a 2^65 ring, which the dealer cannot draw from
+        tiny = 2.0**-60
+        P = MechanismParams(E=tiny, L=tiny, sigma=1.0, p=63)
+        assert mechanism_field(P).q == 2**7
+        z = run_batch("tdl", P, tiny, 3, 0, 1)
+        assert np.all(np.abs(z) <= 2 * tiny)
 
     @pytest.mark.parametrize("E, L, p, q", [(4.0, 2.0, 0, 2**6), (64.0, 32.0, 2, 2**12)])
     def test_the_readme_examples(self, E, L, p, q):

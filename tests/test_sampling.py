@@ -155,6 +155,17 @@ class TestGeometricBitwise:
         draws = np.array([_dlap_steps(never_zero, tape.words(6)) for _ in range(20_000)])
         assert np.mean(np.abs(draws) == 1.0) > 0.9999 - 3e-3
 
+    def test_a_grid_past_p_1023_has_a_plan(self):
+        # a = 2^-p / sigma: 1 / (2^p sigma) raised OverflowError from p = 1024,
+        # where E = L = 2^-1074 is admitted up to p = 1074.  Wherever the old
+        # form was finite both are the one rounding of the same quotient
+        for p in range(0, 1024, 11):
+            for sigma in (2.0**-1000, 0.7, 1.0, 3.0, 1e300):
+                old = 1.0 / (2.0**p * sigma)
+                assert old == 0.0 or 2.0**-p / sigma == old
+        cfg = centered_dlap_config(2.0**-1073, 1.0, 1074)
+        assert cfg.kappa == 1 and cfg.method == "bitwise"
+
 
 class TestCenteredDlap:
     def test_exhaustive_enumeration_matches_pmf(self):
@@ -689,7 +700,7 @@ class TestNoisePlan:
             # a perturbation reads the coarse plan only
             assert perturb(mech, E, NoisePair(0, 0), params) == -E - L
             # the protocol takes the same plans, on a ring a word draws
-            assert mechanism_field(params, name, gamma).q <= 1 << 57
+            assert mechanism_field(params, name, gamma).q <= 1 << 56
             z = run_batch(name, params, E, 3, 0, 1, gamma)
             assert np.all(np.abs(z) <= E + L)
             return

@@ -21,7 +21,7 @@ from conftest import multinomial_tv_mean, sized_for
 from trunclap.mechanisms import TCL, TDL, ExactPmf
 from trunclap.sampling import sample_batch
 from trunclap.thresholds import THRESHOLDS
-from trunclap.validation import chi_square, overlay_data
+from trunclap.validation import chi_square
 
 
 def exact_histogram(pmf, n=10**15):
@@ -178,15 +178,6 @@ class TestChiSquareAndReports:
             assert abs(row["mean_empirical"] - row["mean_theory"]) < 2.0
             assert row["n"] == 20_000
 
-    def test_overlay_rows(self, small_params):
-        f = pmf_tdl(0.0, small_params)
-        h = exact_histogram(f)
-        rows = overlay_data(f, h)
-        assert len(rows) == 13
-        assert rows[0]["y"] == -6.0
-        for r in rows:
-            assert r["empirical"] == pytest.approx(r["theoretical"], abs=1e-9)
-
 
 class TestHistogram:
     def test_from_samples_counts(self):
@@ -218,7 +209,6 @@ class TestEmptyHistogram:
     def test_it_still_counts_and_serializes(self, empty):
         assert empty.n == 0
         assert empty.as_dict()["counts"] == [0] * 13
-        assert [r["count"] for r in empty.bin_counts()] == [0] * 13
 
     def test_frequencies(self, empty):
         with pytest.raises(ValueError, match="empty histogram"):
@@ -235,7 +225,3 @@ class TestEmptyHistogram:
     def test_fit_report(self, empty, small_params):
         with pytest.raises(ValueError, match="empty histogram"):
             fit_report(empty, pmf_tdl(0.0, small_params))
-
-    def test_overlay_data(self, empty, small_params):
-        with pytest.raises(ValueError, match="empty histogram"):
-            overlay_data(pmf_tdl(0.0, small_params), empty)
