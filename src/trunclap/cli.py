@@ -343,7 +343,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(_apply_config(list(argv if argv is not None else sys.argv[1:])))
         return args.fn(args)
     except (UsageError, ValueError, OSError, MemoryError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
+        # a MemoryError raised bare carries no text: name what ran out
+        detail = "out of memory" if isinstance(exc, MemoryError) and not str(exc) else exc
+        print(f"usage error: {detail}", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -31,6 +31,7 @@ draw body (`_noise_steps`, `_dlap_steps`, `_clap_steps`, `_perturb_steps`,
 and the magnitude `tape._magnitude`, which the secure protocols share)
 reads its words as Python ints (one sequential draw) or as uint64 rows
 (one word of every execution of a block, for `sample_batch`).
+`implemented_law` gives the exact law a plan's thresholds implement.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ from .mechanisms import (
     _check_positive,
     _normalizer,
 )
-from .tape import (BlockScheduler, RandomTape, SegmentPlan, _magnitude, bernoulli_threshold,
-                   pick_segment, row_constant, segment_plan)
+from .tape import (_WORD_MOD, BlockScheduler, RandomTape, SegmentPlan, _magnitude,
+                   bernoulli_threshold, pick_segment, row_constant, segment_plan)
 
 
 @dataclass(frozen=True)
@@ -220,8 +221,8 @@ def noise_plan(mech: Mechanism, params: MechanismParams) -> NoisePlan:
     # outputs are float64 steps, exact to 2^53; so a block of sample_batch
     # holds its tail index, upper tail shift and inner draw in int64
     if Es + Ls > 1 << 53:
-        raise GridError(f"{params} reaches 2^p(E+L) = {Es + Ls} output steps, past the "
-                        "2^53 a float64 holds exactly; pick a smaller p")
+        raise GridError(f"{params} reaches 2^p(E+L) >= 2^{(Es + Ls).bit_length() - 1} output "
+                        "steps, past the 2^53 a float64 holds exactly; pick a smaller p")
     tail = segment_plan(2 * Es)
     inner = centered_dlap_config(params.L, params.sigma, params.p)
     if mech.cumulative:  # TCL's inner plan: no zero flag, so kappa + P words
@@ -244,6 +245,62 @@ def _perturb_steps(plan: NoisePlan, xs, branch, a, b):
     Es, Ls, hi = plan.Es, plan.Ls, plan.mech.high_offset
     outer = a - Es + Ls + hi - (a < Es + xs) * (2 * Ls + hi)
     return outer + branch * (xs + b - outer)
+
+
+def implemented_law(plan: NoisePlan, xs: int) -> dict[int, int]:
+    """The exact law `plan`'s integer thresholds implement at input xs, in
+    grid steps: each output step the draw can place, its mass an integer
+    over 2^(64 * plan.words_per_draw), as a word falls below a threshold t
+    with mass t / 2^64 and its low k bits take each value with mass 2^-k.
+    `_perturb_steps` places the inner law and the tail's, each weighed by
+    its side of the branch word."""
+    B, inner, tail = plan.branch_threshold, _inner_law(plan.inner), _segment_law(plan.tail, _uniform_bits)
+    law = {}
+    for z, m in zip(_perturb_steps(plan, xs, 1, 0, np.array(list(inner))).tolist(), inner.values()):
+        law[z] = law.get(z, 0) + (B * m << 64 * plan.tail.words)
+    for z, m in zip(_perturb_steps(plan, xs, 0, np.array(list(tail)), 0).tolist(), tail.values()):
+        law[z] = law.get(z, 0) + ((_WORD_MOD - B) * m << 64 * plan.inner.words_per_draw)
+    return law
+
+
+def _inner_law(cfg: CenteredDlapConfig) -> dict[int, int]:
+    """The law of one draw of `cfg`, in 2^-p steps, as numerators over
+    2^(64 * cfg.words_per_draw): with a zero flag (TDL's), 0 or +-(m + 1)
+    by the sign; without one (TCL's), m or -m - 1."""
+    lows = [[1]]  # the law of the low k magnitude bits, over 2^(64k)
+    for t in cfg.bit_thresholds:
+        lows.append([m * (_WORD_MOD - t) for m in lows[-1]] + [m * t for m in lows[-1]])
+    magnitude = _segment_law(cfg.magnitude, lambda k: [m << 64 * (cfg.kappa - k) for m in lows[k]])
+    zero, plus = cfg.zero_threshold, cfg.sign_threshold
+    law, nonzero, up = {}, 1, 0  # TCL's plan: no zero flag
+    if zero is not None:
+        law, nonzero, up = {0: zero << 64 * (cfg.words_per_draw - 1)}, _WORD_MOD - zero, 1
+    for m, n in magnitude.items():
+        law[m + up] = nonzero * n * plus
+        law[-m - 1] = nonzero * n * (_WORD_MOD - plus)
+    return law
+
+
+def _segment_law(seg: SegmentPlan, low_bits) -> dict[int, int]:
+    """The law of the index `seg` draws, index by index, as numerators
+    over D * 2^(64 * len(seg.picks)), where `low_bits(k)` lists the law of
+    the offset's low k bits over D: segment t is picked, given that no
+    earlier one was, by a pick word below its threshold (the last takes
+    what is left), and puts its low-bit law on start_t + r."""
+    picks, chosen, reach = seg.picks, [], 1  # reach: no earlier pick, over 2^(64t)
+    for t, pick in enumerate(picks):
+        chosen.append(reach * pick << 64 * (len(picks) - 1 - t))
+        reach *= _WORD_MOD - pick
+    law = {}
+    for (start, mask), weight in zip(seg.segments, chosen + [reach]):
+        for r, m in enumerate(low_bits(mask.bit_length())):
+            law[start + r] = law.get(start + r, 0) + weight * m
+    return law
+
+
+def _uniform_bits(k: int) -> list[int]:
+    """The law of a word's low k bits over 2^64: 2^(64-k) words each."""
+    return [1 << (64 - k)] * (1 << k)
 
 
 def _noise_steps(plan: NoisePlan, w, tail_word):

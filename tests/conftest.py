@@ -3,7 +3,8 @@
 These deliberately avoid the package's closed forms: normalizers come
 from quadrature or direct summation, discrete masses from the raw kernel,
 and cumulative masses from adaptive quadrature on each cell.  Tests
-compare the library's closed-form fast paths against these.
+compare the library's closed-form fast paths against these;
+`executed_law` checks `sampling.implemented_law` against the code that runs.
 """
 
 import itertools
@@ -130,69 +131,12 @@ def multinomial_tv_mean(masses, n: int) -> float:
     return 0.5 * float(np.sum(mad)) / n
 
 
-def centered_law_oracle(cfg) -> dict:
-    """Exact law, in 2^-p steps, of the centred draw a `CenteredDlapConfig`
-    defines, in `Fraction`s from its integer thresholds alone.
-
-    P[word < t] = t / 2^64 for each word: the zero flag (a word below it
-    draws 0; a plan without one never draws 0), the kappa magnitude bits, the segment choices (the first
-    segment whose word falls below its threshold, else the last) and the
-    sign (below it: +).  Segment t puts the low k_t bits of the kappa-bit
-    value r on magnitude 1 + start_t + (r mod 2^k_t).
-    """
-    def below(t):
-        return Fraction(t, 2**64)
-
-    lows = [[Fraction(1)]]  # law of the low k bits of r, for k = 0 .. kappa
-    for t in cfg.bit_thresholds:
-        q = below(t)
-        lows.append([m * (1 - q) for m in lows[-1]] + [m * q for m in lows[-1]])
-    zero, plus = below(cfg.zero_threshold or 0), below(cfg.sign_threshold)
-    law = {0: zero}
-    reach = 1 - zero  # nonzero, and no earlier segment picked
-    picks = [below(t) for t in cfg.magnitude.picks] + [Fraction(1)]
-    for (start, mask), pick in zip(cfg.magnitude.segments, picks):
-        for r, m in enumerate(lows[mask.bit_length()]):
-            x = 1 + start + r
-            law[x] = law.get(x, 0) + reach * pick * m * plus
-            law[-x] = law.get(-x, 0) + reach * pick * m * (1 - plus)
-        reach *= 1 - pick
-    return law
-
-
-def clap_law_oracle(cfg, shift: int = 1) -> dict:
-    """Exact law, in 2^-p steps, of TCL's inner draw on `cfg` (a
-    `clap_plan`): `centered_law_oracle`, every draw
-    +-(m + 1), pushed through v - shift * (v > 0) (+x moves down one step)."""
-    law = {}
-    for v, m in centered_law_oracle(cfg).items():
-        k = v - shift * (v > 0)
-        law[k] = law.get(k, 0) + m
-    return law
-
-
 def clap_plan(L: float, sigma: float, p: int):
     """TCL's inner draw plan at (L, sigma, p): `noise_plan(TCL, params).inner`
     on a set with E = L (the inner plan does not read E)."""
     from trunclap.sampling import noise_plan
 
     return noise_plan(TCL, MechanismParams(E=L, L=L, sigma=sigma, p=p)).inner
-
-
-def tail_law_oracle(tail) -> list:
-    """Exact law of the index a `SegmentPlan` draws on [0, N), index by
-    index, in `Fraction`s from its integer picks alone: segment t is picked
-    with probability pick_t / 2^64 given that no earlier one was (the last
-    takes what is left), and spreads that mass evenly over its 2^k_t
-    indices, the low k_t bits of a uniform word."""
-    start, mask = tail.segments[-1]
-    law = [Fraction(0)] * (start + mask + 1)
-    reach = Fraction(1)  # no earlier segment picked
-    picks = [Fraction(t, 2**64) for t in tail.picks] + [Fraction(1)]
-    for (start, mask), pick in zip(tail.segments, picks):
-        law[start : start + mask + 1] = [reach * pick / (mask + 1)] * (mask + 1)
-        reach *= 1 - pick
-    return law
 
 
 def assert_law(counts, law, bound: float) -> None:
@@ -220,35 +164,20 @@ def assert_law(counts, law, bound: float) -> None:
 
 def assert_index_law(counts, m: int, bound: float) -> None:
     """`assert_law` of the counts of an index drawn on [0, m) against the
-    exact law the picks of `segment_plan(m)` give (`tail_law_oracle`)."""
+    exact law the picks of `segment_plan(m)` give on a uniform word
+    (`sampling._segment_law`, the tail index's law)."""
+    from trunclap.sampling import _segment_law, _uniform_bits
     from trunclap.tape import segment_plan
 
-    assert_law(counts, tail_law_oracle(segment_plan(m)), bound)
+    plan = segment_plan(m)
+    law = _segment_law(plan, _uniform_bits)
+    assert_law(counts, [law[i] / (1 << 64 * plan.words) for i in range(m)], bound)
 
 
-def mechanism_law_oracle(plan, xs: int, place=None) -> dict:
-    """Exact law, in output grid steps, of a `NoisePlan`'s noise draw
-    perturbed at input xs (grid steps), in `Fraction`s from its integer
-    thresholds: the branch threshold / 2^64 times the inner law (TCL's
-    through `clap_law_oracle`), and the complement times each tail index's
-    mass (`tail_law_oracle`), each placed by `place(plan, xs, branch, a, b)`
-    (`sampling._perturb_steps` unless given)."""
-    from trunclap.sampling import _perturb_steps
-
-    place = place or _perturb_steps
-    branch = Fraction(plan.branch_threshold, 2**64)
-    if plan.mech.cumulative:
-        inner = clap_law_oracle(plan.inner)
-    else:
-        inner = centered_law_oracle(plan.inner)
-    law = {}
-    for b, m in inner.items():
-        z = place(plan, xs, 1, 0, b)
-        law[z] = law.get(z, 0) + branch * m
-    for a, m in enumerate(tail_law_oracle(plan.tail)):
-        z = place(plan, xs, 0, a, 0)
-        law[z] = law.get(z, 0) + (1 - branch) * m
-    return law
+def as_fractions(law: dict, words: int) -> dict:
+    """A law of numerators over 2^(64 * words) (`sampling.implemented_law`)
+    as `Fraction`s without its zero masses, as `executed_law` gives one."""
+    return {z: Fraction(m, 1 << 64 * words) for z, m in law.items() if m}
 
 
 def word_classes(plan) -> list:

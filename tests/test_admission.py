@@ -174,6 +174,29 @@ def test_a_finite_tcl_privacy_ratio_is_answered(capsys):
     assert check(argv) == 1
 
 
+@pytest.mark.parametrize("command", [["sample", "--n", "2"], ["mpc", "--n", "2"]])
+def test_the_2_to_the_53_refusal_is_one_short_line(command, capsys):
+    # 2^p (E + L) = 2^1015 steps, which the refusal printed as a 306-digit
+    # integer; it names p (in the set) and the count's power of two
+    tiny = repr(2.0**-60)
+    argv = [*command, "--E", tiny, "--L", tiny, "--sigma", "1", "--p", "1074"]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert "p=1074" in err and "2^1015 output steps, past the 2^53" in err
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_a_bare_memory_error_names_what_ran_out(monkeypatch, capsys):
+    # numpy's MemoryError names the allocation; a bare one has no text,
+    # and the refusal read "usage error: " with nothing after it
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_pmf", out_of_memory)
+    assert cli.main(["pmf", "--E", "4", "--L", "2", "--sigma", "1"]) == 1
+    assert capsys.readouterr().err == "usage error: out of memory\n"
+
+
 @pytest.mark.xfail(strict=True, reason="ROADMAP direction 22: the TDL/TCL moments lose "
                    "digits as L/sigma falls; at sigma = 1e8 the MSE reads about -1.4")
 @pytest.mark.parametrize("mechanism", ["tdl", "tcl"])

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (assert_index_law, clap_plan, executed_law, ledger_delta,
-                      mechanism_law_oracle, sized_for)
+from conftest import (as_fractions, assert_index_law, clap_plan, executed_law, ledger_delta,
+                      sized_for)
 
 from trunclap import (
     TCL,
@@ -51,6 +51,7 @@ from trunclap.sampling import (
     _dlap_steps,
     _sample_steps,
     centered_dlap_config,
+    implemented_law,
     noise,
     noise_plan,
     perturb,
@@ -1069,7 +1070,8 @@ class TestExecutedLaw:
     """The exact law of the code the parties run, by enumeration: every
     class of a draw's words (`conftest.executed_law`), run through the
     plaintext draw, a replayed session's blocks and its recording loop,
-    against `mechanism_law_oracle`."""
+    against the law the plan's thresholds implement
+    (`sampling.implemented_law`)."""
 
     SETS = [MechanismParams(E=3.0, L=2.0, sigma=1.0, p=0),
             MechanismParams(E=3.0, L=3.0, sigma=1.0, p=0),
@@ -1101,12 +1103,12 @@ class TestExecutedLaw:
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("params", SETS, ids=SET_IDS)
     @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
-    def test_the_executed_law_is_the_oracles(self, mech, params, path):
+    def test_the_executed_law_is_the_implemented_law(self, mech, params, path):
         plan = noise_plan(mech, params)
         for x in (-params.E, 0.0, params.E):
             xs = params.input_steps(x)
-            oracle = {z: m for z, m in mechanism_law_oracle(plan, xs).items() if m}
-            assert executed_law(plan, xs, self.opened(plan, path)) == oracle, f"x={x}"
+            implemented = as_fractions(implemented_law(plan, xs), plan.words_per_draw)
+            assert executed_law(plan, xs, self.opened(plan, path)) == implemented, f"x={x}"
 
     @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize("mech", [TDL, TCL], ids=["tdl", "tcl"])
@@ -1118,4 +1120,4 @@ class TestExecutedLaw:
                 mock.patch.object(core, "_magnitude", magnitude_at_or_below):
             law = executed_law(plan, xs, self.opened(plan, path))
         assert sum(law.values()) == 1
-        assert law != {z: m for z, m in mechanism_law_oracle(plan, xs).items() if m}
+        assert law != as_fractions(implemented_law(plan, xs), plan.words_per_draw)
