@@ -27,9 +27,6 @@ window on a fill of the tail mass.
 TDL and TCL are the two `Mechanism` records; their methods `pmf`,
 `moments` and `centered_pmf` are the exact law, and `pmf_tdl`,
 `moments_tcl`, ... are those methods bound to each record.
-
-numpy is the only import here.  scipy loads on the first `moments_lap`
-or `moments_lap_exact` call with L/sigma >= 2^-30, for `gammainc`.
 """
 
 from __future__ import annotations
@@ -298,35 +295,38 @@ def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float,
     share w = k e^(-eps) / den, den = c + k e^(-eps).  The mean is x P(2,
     eps) / den and the MSE (c / den) m + w (L (L + E) + E^2/3 + x^2 (1 +
     L/E)), where m = sigma^2 2 P(3, eps) / c is the inner part's second
-    moment and P(n, eps) the regularized incomplete gamma (scipy's
-    `gammainc`, imported only off the series branch).  The bound takes
-    2 sigma^2 / den for the inner part and drops the tails' x-free terms.
-    P(n, eps) ~ eps^n / n! underflows long before eps does, so below eps =
-    2^-30 P(2, eps) / eps and m / L^2 are their two-term series, eps (1/2 -
-    eps/3) and 1/3 - eps/12, whose next terms are below 2^-60 there.  A
-    divisor that is 0 or not finite (L/sigma and E/sigma both underflow),
-    or an MSE that is not a positive double, is refused.
+    moment and P(n, eps) the regularized incomplete gamma
+    (`regularized_gamma`).  The bound takes 2 sigma^2 / den for the inner
+    part and drops the tails' x-free terms.  k e^(-eps) is formed as E
+    e^(-eps) / sigma, since k alone leaves the double range first, and in
+    log space from eps = 708, where e^(-eps) turns subnormal.  P(n, eps) ~
+    eps^n / n! underflows long before eps does, so below eps = 2^-30 P(2,
+    eps) / eps and m / L^2 are their two-term series, eps (1/2 - eps/3) and
+    1/3 - eps/12, whose next terms are below 2^-60 there.  A divisor
+    that is 0 or not finite (L/sigma and E/sigma both underflow), or an MSE
+    that is not a positive double, is refused.
     """
     E, L, sigma = params.E, params.L, params.sigma
     if not abs(x) <= E:  # a NaN x fails it too
         raise ValueError(f"x={x} lies outside [-E, E], E={E}")
     eps = L / sigma
-    k = E / sigma
-    e, c = math.exp(-eps), -math.expm1(-eps)
-    den = c + k * e
+    c = -math.expm1(-eps)
+    if eps < 708.0:
+        ke = E * math.exp(-eps) / sigma
+    else:
+        ke = math.exp(math.log(E) - math.log(sigma) - eps)
+    den = c + ke
     if not 0.0 < den < math.inf:
         raise ValueError(f"the continuous moments at E = {E}, L = {L}, sigma = {sigma} divide by {den}")
     small = eps < 2.0**-30
-    if not small:
-        from scipy.special import gammainc
-    mean = x * (eps / den * eps * (0.5 - eps / 3.0) if small else float(gammainc(2, eps)) / den)
-    w = k * e / den
+    mean = x * (eps / den * eps * (0.5 - eps / 3.0) if small else regularized_gamma(2, eps)[0] / den)
+    w = ke / den
     tails = w * x * (x + x / E * L)  # w x^2 (1 + L/E), in an order that cannot overflow
     if cubic:
         if small:
             m = L * L * (1.0 / 3.0 - eps / 12.0)
         else:
-            m = sigma * (2.0 * float(gammainc(3, eps)) / c) * sigma
+            m = sigma * (2.0 * regularized_gamma(3, eps)[0] / c) * sigma
         mse = c / den * m + w * L * (L + E) + w * E * E / 3.0 + tails
     else:
         mse = 2.0 * sigma * (sigma / den) + tails
@@ -335,6 +335,52 @@ def _moments_lap(x: float, params: MechanismParams, cubic: bool) -> tuple[float,
         raise ValueError(f"the continuous {name} at E = {E}, L = {L}, sigma = {sigma} is {mse}, "
                          "not a positive double")
     return mean, mse
+
+
+def regularized_gamma(a: float, y: float) -> tuple[float, float]:
+    """(P(a, y), Q(a, y)), the regularized incomplete gamma functions, for
+    an order a > 0 that is an integer or a half-integer and y >= 0.
+
+    With d(s) = e^(-y) y^s / Gamma(s + 1), P is the series of d(s) over s =
+    a, a + 1, ... (DLMF 8.7) and Q the finite sum over s = a - 1, a - 2, ...
+    >= 0, plus erfc(sqrt(y)) where a is a half-integer (DLMF 8.4).
+    Every term is positive.  Below y = a + 1 the series is summed and Q = 1
+    - P, from there the finite sum and P = 1 - Q: either way the first term
+    is the largest and each next one the last times y / s or s / y, down to
+    2^-60 of the first.  The first term is formed in log space: below s =
+    30 as s ln y - y - ln Gamma(s + 1), from there as s ln(y/s) + s - y less
+    Stirling's remainder of ln Gamma(s + 1), which keeps the rounding of
+    terms in the thousands out of the exponent.
+    """
+    if not (a > 0 and 2 * a % 1 == 0 and y >= 0):
+        raise ValueError(f"regularized_gamma needs a > 0 an integer or half-integer and y >= 0, "
+                         f"got a = {a}, y = {y}")
+    if y == 0.0:
+        return 0.0, 1.0
+    if y == math.inf:
+        return 1.0, 0.0
+    series = y < a + 1
+    s = a if series else a - 1  # -1/2 at a = 1/2, whose Q is erfc alone
+    if s < 30:
+        term = math.exp(s * math.log(y) - y - math.lgamma(s + 1))
+    else:
+        s2 = s * s
+        stirling = (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * s2)) / s2) / s2) / s
+        log_term = math.fsum([s * math.log(y / s), s - y, -stirling])
+        term = math.exp(log_term) / math.sqrt(2 * math.pi * s)
+    floor, terms = term * 2.0**-60, []
+    while term > floor and s >= 0:
+        terms.append(term)
+        if series:
+            s += 1
+            term *= y / s
+        else:
+            term *= s / y
+            s -= 1
+    if not series and a % 1:
+        terms.append(math.erfc(math.sqrt(y)))
+    total = math.fsum(terms)
+    return (total, 1.0 - total) if series else (1.0 - total, total)
 
 
 @lru_cache(maxsize=128)

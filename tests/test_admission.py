@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -143,6 +144,39 @@ FOUND = [
 @pytest.mark.parametrize("argv", FOUND, ids=range(len(FOUND)))
 def test_the_calls_found_are_answered_or_refused(argv):
     check(argv)
+
+
+# the continuous moments where their closed forms switch or leave the
+# doubles: eps = L/sigma at 2^-30 (the two-term series), at 3 and 4 (P(2,
+# eps)'s and P(3, eps)'s series against 1 - Q), past e^(-eps)'s normal
+# doubles and ln(DBL_MAX), past which the privacy ratio refuses, and at
+# 10^6; sigma = 1e200, whose MSE bound leaves the doubles; and E/sigma past
+# a double where the tail weight is not
+LAP_EDGES = {
+    "eps-2^-30": (["--E", "1", "--L", "1", "--x", "1", "--sigma", repr(2.0**30)], 0),
+    "eps-2^-30-below": (["--E", "1", "--L", "1", "--x", "1",
+                         "--sigma", repr(math.nextafter(2.0**30, math.inf))], 0),
+    "eps-2^-30-above": (["--E", "1", "--L", "1", "--x", "1",
+                         "--sigma", repr(math.nextafter(2.0**30, 0))], 0),
+    "eps-3": (["--E", "4", "--L", "3", "--x", "1", "--sigma", "1"], 0),
+    "eps-3-below": (["--E", "4", "--L", "3", "--x", "1", "--sigma", repr(math.nextafter(1, 2))], 0),
+    "eps-4": (["--E", "4", "--L", "4", "--x", "1", "--sigma", "1"], 0),
+    "eps-4-below": (["--E", "4", "--L", "4", "--x", "1", "--sigma", repr(math.nextafter(1, 2))], 0),
+    "eps-709.78": (["--E", "4", "--L", "1", "--x", "4", "--sigma", repr(1 / 709.78)], 0),
+    "eps-ln-max": (["--E", "4", "--L", "1", "--x", "4",
+                    "--sigma", repr(1 / math.log(sys.float_info.max))], 0),
+    "eps-745.2": (["--E", "1e300", "--L", "1", "--x", "1", "--sigma", repr(1 / 745.2)], 1),
+    "eps-1e6": (["--E", "4", "--L", "1", "--x", "4", "--sigma", "1e-6"], 1),
+    "sigma-1e200": (["--E", "1", "--L", "1", "--x", "1", "--sigma", "1e200"], 1),
+    "k-overflows": (["--E", "1e150", "--L", repr(2.0**-525), "--sigma", "1e-160", "--p", "525",
+                     "--x", "1"], 0),
+    "k-overflows-e-underflows": (["--E", "1e300", "--L", "1", "--sigma", "1e-10", "--x", "0.5"], 1),
+}
+
+
+@pytest.mark.parametrize("argv, code", LAP_EDGES.values(), ids=LAP_EDGES.keys())
+def test_the_continuous_moments_at_their_edges(argv, code):
+    assert check(["moments", "--mechanism", "lap", *argv]) == code
 
 
 @pytest.mark.parametrize("p, code", [(1074, 0), (1076, 1), (1100, 1)])

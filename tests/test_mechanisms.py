@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainc
+from scipy.stats import chi2
 
 from conftest import (
     branch_probability_formulas,
@@ -47,6 +49,7 @@ from trunclap.mechanisms import (
     _normalizer,
     kstar_polynomial,
     lookup_mechanism,
+    regularized_gamma,
 )
 from trunclap import cli
 from trunclap.grids import GridError, GridSpec, steps_of
@@ -567,6 +570,117 @@ class TestMomentsLap:
         assert err.startswith(f"usage error: the continuous moments at E = {tiny}")
         assert err.rstrip().endswith("divide by 0.0")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("x, E, L, sigma, p, want", [
+        (1.0, 1e150, 2.0**-525, 1e-160, 525, (3.47e-271, 1.0, 3.33e299)),
+        (0.5, 1e300, 1.0, 1e-10, 0, (0.5, 2e-20, 2e-20)),
+    ], ids=["k-overflows", "k-overflows-e-underflows"])
+    def test_moments_where_only_k_leaves_the_double_range(self, x, E, L, sigma, p, want):
+        # k = E/sigma overflows where the tail weight k e^(-eps) does not:
+        # the tail weight read inf (den = inf) and inf * 0 (den = NaN), and
+        # both sets were refused, where each answer is a double
+        params = MechanismParams(E=E, L=L, sigma=sigma, p=p)
+        mean, bound = moments_lap(x, params)
+        got = (mean, bound, moments_lap_exact(x, params)[1])
+        assert got == pytest.approx(lap_moments_decimal(x, E, L, sigma), rel=1e-12, abs=0)
+        assert got == pytest.approx(want, rel=1e-2)
+
+    @pytest.mark.parametrize("L", [700.0, 708.0, 720.0, 740.0, 745.0])
+    def test_moments_where_e_to_the_minus_eps_is_subnormal(self, L):
+        # from eps = 708.4 e^(-eps) keeps fewer digits: E e^(-eps) / sigma
+        # read the exact MSE 2.9e-12 off at eps = 720 and 0.26% at 740
+        params = MechanismParams(E=1e150, L=L, sigma=1.0, p=0)
+        got = (*moments_lap(1.0, params), moments_lap_exact(1.0, params)[1])
+        assert got == pytest.approx(lap_moments_decimal(1.0, 1e150, L, 1.0, prec=120),
+                                    rel=1e-12, abs=0)
+
+
+def lap_moments_scipy(x, E, L, sigma):
+    """(mean, MSE bound, exact MSE) of the continuous mechanism: the closed
+    forms with scipy's `gammainc` for P(2, eps) and P(3, eps)."""
+    eps = L / sigma
+    e, c = math.exp(-eps), -math.expm1(-eps)
+    ke = E * e / sigma
+    den = c + ke
+    w = ke / den
+    tails = w * x * (x + x / E * L)
+    m = sigma * (2.0 * float(gammainc(3, eps)) / c) * sigma
+    return (x * float(gammainc(2, eps)) / den, 2.0 * sigma * (sigma / den) + tails,
+            c / den * m + w * L * (L + E) + w * E * E / 3.0 + tails)
+
+
+# eps = L/sigma from 2^-40 to 10^6, dense at the switches: the two-term
+# series below 2^-30, P's series below a + 1 (3 for P(2), 4 for P(3)) and
+# 1 - Q from there, the tail weight in log space from 708, and e^(-eps)
+# subnormal from 708.4 and 0 from 745.2
+SWITCHES = (2.0**-30, 3.0, 4.0, 708.0, 708.4, 745.1)
+EPS_LATTICE = sorted({*np.geomspace(2.0**-40, 1e6, 400).tolist(),
+                      *(t * (1 + d) for t in SWITCHES for d in (-1e-9, -2.0**-52, 0, 2.0**-52, 1e-9))})
+
+
+class TestRegularizedGamma:
+    """`regularized_gamma` against scipy, kept as a test oracle: the
+    chi-square p-value Q(k/2, x/2) and P(2|3, eps) of the continuous
+    moments, within 1e-12 relative wherever scipy reads above 1e-300.  k
+    stops at 800: against 40-digit mpmath, scipy's own error read up to 5e-13
+    near k = 800 and 1.1e-12 at k = 1552, this function's 1.1e-13."""
+
+    @pytest.mark.parametrize("k", [*range(1, 801, 7), 799, 800])
+    def test_chi_square_tails_match_scipy(self, k):
+        # x from 10^-3 k (P tiny, the series) to past the point where the
+        # survival function falls below 1e-300 (Q tiny, the finite sum)
+        xs = np.concatenate([k * np.geomspace(1e-3, 1, 12), k * np.linspace(1, 4, 12)[1:],
+                             4 * k + np.geomspace(1, 4000, 24)])
+        for x, sf, cdf in zip(xs, chi2.sf(xs, k), chi2.cdf(xs, k)):
+            P, Q = regularized_gamma(k / 2, float(x) / 2)
+            for got, want in ((Q, sf), (P, cdf)):
+                if want > 1e-300:
+                    assert got == pytest.approx(want, rel=1e-12, abs=0), (k, x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 800), st.floats(1e-3, 40.0))
+    def test_chi_square_p_values_match_scipy(self, k, t):
+        x = k * t
+        for got, want in zip(regularized_gamma(k / 2, x / 2), (chi2.cdf(x, k), chi2.sf(x, k))):
+            if want > 1e-300:
+                assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_the_moments_orders_match_scipy(self, n):
+        for eps in EPS_LATTICE:
+            P, Q = regularized_gamma(n, eps)
+            assert P == pytest.approx(gammainc(n, eps), rel=1e-12, abs=0), eps
+            assert P + Q == pytest.approx(1.0, abs=2**-52)
+
+    @pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+    def test_moments_lap_match_scipy(self, x):
+        # E = 1, L = 1, sigma = 1 / eps: the two-term series below 2^-30
+        # is held to gammainc as well
+        for eps in EPS_LATTICE:
+            params = MechanismParams(E=1.0, L=1.0, sigma=1.0 / eps, p=0)
+            got = (*moments_lap(x, params), moments_lap_exact(x, params)[1])
+            want = lap_moments_scipy(x, 1.0, 1.0, 1.0 / eps)
+            assert got == pytest.approx(want, rel=1e-12, abs=0), eps
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(2.0**-40, 1e6), st.sampled_from([0.25, 1.0, 4.0]),
+           st.sampled_from([0.0, 1.0]) | st.floats(1e-3, 1.0))
+    def test_moments_lap_match_scipy_at_any_eps(self, eps, E, t):
+        # x away from the subnormals, where the mean keeps fewer digits
+        sigma = 1.0 / eps
+        params = MechanismParams(E=E, L=1.0, sigma=sigma, p=2)
+        x = E * t
+        got = (*moments_lap(x, params), moments_lap_exact(x, params)[1])
+        assert got == pytest.approx(lap_moments_scipy(x, E, 1.0, sigma), rel=1e-12, abs=0)
+
+    def test_the_edges(self):
+        assert regularized_gamma(0.5, 0.0) == (0.0, 1.0)
+        assert regularized_gamma(3, math.inf) == (1.0, 0.0)
+        assert regularized_gamma(1, 2.0)[1] == pytest.approx(math.exp(-2.0), rel=1e-15)
+        assert regularized_gamma(0.5, 2.0)[1] == pytest.approx(math.erfc(math.sqrt(2.0)), rel=1e-15)
+        for a, y in ((0, 1.0), (-0.5, 1.0), (1.25, 1.0), (1, -1.0), (1, math.nan)):
+            with pytest.raises(ValueError, match="integer or half-integer"):
+                regularized_gamma(a, y)
 
 
 class TestMomentsTdl:

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import chi2_contingency, chisquare
+from scipy.stats import chi2_contingency
 
 from conftest import assert_index_law, assert_law, ledger_delta, mux_composition, reference_field_array
 from trunclap.grids import FieldConfig, field_for_mechanism
@@ -745,12 +745,11 @@ class TestUniform:
         assert all(s.open(s.pi_uni(1)) == 0 for _ in range(20))
 
     def test_pow2_uniformity(self):
+        # 1.2M draws in blocks: `sized_for` reads about 0.0070 against the
+        # bound 0.0075, below the TV 1/128 of index 0 moved onto index 1
         s = small_session()
-        n = 300_000
-        draws = np.array([s.peek(s.pi_uni(128)) for _ in range(n)])
-        counts = np.bincount(draws, minlength=128)
-        _, p = chisquare(counts)
-        assert p > 0.01
+        draws = s.run(lambda b: b.peek(b.pi_uni(128)), 1_200_000, 1)
+        assert_index_law(np.bincount(draws, minlength=128), 128, 0.0075)
 
     def test_segmented_uniformity_and_cost(self):
         # 12 = 8 + 4: one pick word chooses the segment, so every draw

@@ -83,24 +83,43 @@ def test_the_benchmark_counts_gate_passes(monkeypatch):
         assert workload(11).counts(24)["problems"] == [], name
 
 
-# Every path but a chi-square p-value and a continuous moment, then those
-# two, in a fresh interpreter: the suite's conftest imports scipy, so only
-# a child that has never loaded it can see a module-level import of it.
+def test_the_package_imports_only_numpy_and_the_standard_library():
+    # a lazy import on a path the child below does not run fails here too
+    paths = sorted(SOURCE.rglob("*.py"))
+    assert SOURCE / "mpc" / "core.py" in paths
+    allowed = set(sys.stdlib_module_names) | {"numpy", "trunclap"}
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(SOURCE)}:{node.lineno} {name}"
+                      for name in names if name.split(".")[0] not in allowed]
+    assert found == [], f"imports outside numpy and the standard library: {found}"
+
+
+# Every public path, the chi-square p-value and the continuous moments
+# among them, in a fresh interpreter: the suite's conftest imports scipy,
+# so only a child that has never loaded it can see an import of it.
 NUMPY_ONLY_CHILD = textwrap.dedent("""
+    import io
     import math
     import os
     import sys
     import tempfile
+    from contextlib import redirect_stdout
 
     from trunclap import (TCL, TDL, Histogram, MechanismParams, RandomTape, calibrate, cli,
-                          max_privacy_ratio, moments_lap_exact, moments_tcl, moments_tdl,
-                          pmf_tcl, pmf_tdl, sample_batch, sample_tcl, sample_tdl, tv_distance)
+                          fit_report, max_privacy_ratio, moments_lap, moments_lap_exact,
+                          moments_tcl, moments_tdl, pmf_tcl, pmf_tdl, sample_batch, sample_tcl,
+                          sample_tdl, tv_distance)
     from trunclap.mpc import make_session, pi_noise, pi_perturb, run_batch
     from trunclap.tape import BATCH_MIN_SESSIONS
     from trunclap.validation import chi_square
-
-    def scipy_modules():
-        return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
     P = MechanismParams(E=4.0, L=2.0, sigma=1.0, p=0)
     for mech in (TDL, TCL):
@@ -121,22 +140,22 @@ NUMPY_ONLY_CHILD = textwrap.dedent("""
     f = pmf_tdl(0.0, P)
     h = Histogram.from_samples(sample_batch(TDL, 0.0, P, 2000, 6), f.spec)
     tv_distance(h, f)
+    values = [*moments_lap(0.5, P), *moments_lap_exact(0.5, P), *chi_square(h, f),
+              fit_report(h, f).chi2_pvalue]
+    assert all(math.isfinite(v) for v in values)
     flags = ["--E", "4", "--L", "2", "--sigma", "1", "--n", "10"]
     with tempfile.TemporaryDirectory() as d:
         for command in ("sample", "mpc"):
             assert cli.main([command, *flags, "--out", os.path.join(d, command)]) == 0
-    assert scipy_modules() == [], scipy_modules()
-
-    mean, mse = moments_lap_exact(0.5, P)
-    assert "scipy.special" in sys.modules
-    stat, pvalue = chi_square(h, f)
-    assert "scipy.stats" in sys.modules
-    assert all(math.isfinite(v) for v in (mean, mse, stat, pvalue))
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["moments", "--mechanism", "lap", *flags[:6]]) == 0
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert scipy == [], scipy
     print("ok")
 """)
 
 
-def test_only_a_p_value_or_a_continuous_moment_loads_scipy():
+def test_no_public_path_loads_scipy():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     r = subprocess.run([sys.executable, "-c", NUMPY_ONLY_CHILD], env=env,
                        capture_output=True, text=True, timeout=120)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.stats import binom
+from scipy.stats import binom, chisquare
 
 from trunclap import (
     GridSpec,
@@ -122,6 +122,21 @@ class TestChiSquareAndReports:
         h = Histogram.from_samples(vals, small_params.output_grid("tdl"))
         stat, p = chi_square(h, pmf_tdl(1.0, small_params))
         assert p > 1e-4
+
+    @pytest.mark.parametrize("x, n, seed", [(1.0, 200_000, 13), (-4.0, 50_000, 16)])
+    def test_chi_square_is_scipys(self, small_params, x, n, seed):
+        # every one of the 13 points expects 5 or more draws, so no group is
+        # merged: the statistic is scipy.stats.chisquare's bit for bit, and
+        # the p-value Q(6, stat / 2) within 1e-12 of its chi2.sf
+        f = pmf_tdl(x, small_params)
+        h = Histogram.from_samples(sample_tdl_batch(x, small_params, n, seed), f.spec)
+        assert min(f.masses) * n >= 5
+        exp = f.masses * n
+        exp *= n / exp.sum()
+        want = chisquare(h.counts.astype(float), exp)
+        stat, p = chi_square(h, f)
+        assert stat == want.statistic
+        assert p == pytest.approx(want.pvalue, rel=1e-12, abs=0)
 
     def test_too_few_draws_for_two_bins_are_refused(self, small_params):
         # 4 draws hold less than 2 x 5 expected counts
